@@ -1,22 +1,41 @@
-//! VDX as a live protocol: broker and CDN endpoints exchanging
-//! Share / Announce / Accept messages over (possibly lossy) links.
+//! VDX as a live protocol: Share / Announce / Accept rounds between a
+//! broker and per-CDN agents, and the **one round spine** every driver of
+//! such rounds runs.
 //!
 //! [`crate::decision::run_decision_round`] is the *pure* form of the
-//! Decision Protocol used by large-scale experiments; this module is the
-//! *distributed* form — the same steps executed as actual message exchange
-//! through `vdx-proto`'s reliable channels, with per-CDN [`CdnAgent`]s that
-//! learn risk-averse bid margins from Accept feedback across rounds (§6.3).
-//! The live-exchange integration tests assert the two forms agree.
+//! Decision Protocol used by large-scale experiments (and the independent
+//! oracle the drivers are checked against); this module is the
+//! *distributed* form. Its parts, bottom up:
+//!
+//! * [`BidEngine`] — the CDN side: Shares in, bids out, margins learned
+//!   from Accept feedback (§6.3).
+//! * [`shares_of`], [`resolve_at_deadline`], [`assemble_options`],
+//!   [`accept_entries`], [`picks_of`] — the building blocks of a round.
+//!   Each has exactly one product caller: the spine.
+//! * [`Round`] — the spine. It owns the per-CDN circuit breakers, the
+//!   stale-bid cache, the solver's warm context, the journal probe and
+//!   the deadline label, and is the only code that opens a round, turns
+//!   transport observations into breaker observations and [`BidSource`]s,
+//!   walks the degradation ladder, optimizes, and closes the round. A
+//!   driver supplies [`RoundHooks`]: *collect* (its transport) and
+//!   *commit* (how a decision becomes durable and visible), plus the
+//!   Brokered round the ladder's last rung falls back to.
+//! * [`ExchangeBroker`] / [`CdnAgent`] — the link-driven transport used
+//!   by fault campaigns: `vdx-proto`'s reliable channels over lossy
+//!   [`Link`]s, stepped in simulated time. It has no health routing and
+//!   its campaign keeps the stale cache, so it runs on the spine's inner
+//!   half (round opening, ladder, decide-and-accept) directly.
 //!
 //! Wire mapping: `share_id` = group index within the round; `cluster_id` =
 //! the fleet-wide [`ClusterId`] (in production this would be per-pair
 //! opaque; a simulation shares one namespace).
 
+use crate::decision::RoundOutcome;
 use crate::design::Design;
 use std::sync::Arc;
 use vdx_broker::{
-    optimize_probed_ctx, BrokerAssignment, BrokerProblem, ClientGroup, CpPolicy, GroupOption,
-    OptimizeContext, OptimizeMode, StaleBidCache,
+    optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
+    GroupOption, HealthTransition, OptimizeContext, OptimizeMode, StaleBidCache,
 };
 use vdx_cdn::{candidate_clusters, BidPolicy, BidShading, CdnId, ClusterId, Fleet, MatchingConfig};
 use vdx_geo::CityId;
@@ -43,7 +62,7 @@ impl<F: Fn(CityId, CityId) -> Score> ScoreSource for F {
 pub struct ExchangeConfig {
     /// The design the live exchange implements: journaled on every round
     /// and named in fallback events. Agents must be configured to bid by
-    /// the same design via [`CdnAgent::with_design`].
+    /// the same design via [`BidEngine::with_design`].
     pub design: Design,
     /// The CP policy the broker optimizes for.
     pub policy: CpPolicy,
@@ -221,35 +240,9 @@ pub struct CdnAgent {
 }
 
 impl CdnAgent {
-    /// Creates an agent for `cdn`. `committed_kbps` is indexed by global
-    /// cluster id (entries for other CDNs' clusters are ignored). The
-    /// agent bids Marketplace-style; see [`CdnAgent::with_design`].
-    pub fn new(
-        cdn: CdnId,
-        endpoint: Endpoint,
-        bid_policy: BidPolicy,
-        matching: MatchingConfig,
-        num_clusters: usize,
-        committed_kbps: Vec<Kbps>,
-    ) -> CdnAgent {
-        CdnAgent {
-            endpoint,
-            engine: BidEngine::new(cdn, bid_policy, matching, num_clusters, committed_kbps),
-        }
-    }
-
-    /// Configures which design's Table 2 row the agent bids by; see
-    /// [`BidEngine::with_design`] for the announcement rules.
-    pub fn with_design(
-        mut self,
-        design: Design,
-        contract_price_per_mb: UsdPerGb,
-        median_capacity_kbps: Kbps,
-    ) -> CdnAgent {
-        self.engine = self
-            .engine
-            .with_design(design, contract_price_per_mb, median_capacity_kbps);
-        self
+    /// Creates an agent that answers over `endpoint` with `engine`'s bids.
+    pub fn new(endpoint: Endpoint, engine: BidEngine) -> CdnAgent {
+        CdnAgent { endpoint, engine }
     }
 
     /// Current learned margin for one of this CDN's clusters.
@@ -288,27 +281,6 @@ impl CdnAgent {
             }
         }
     }
-}
-
-/// The broker side of the live exchange, talking to one CDN per link.
-pub struct ExchangeBroker {
-    endpoints: Vec<Endpoint>,
-    config: ExchangeConfig,
-    round: Option<PendingRound>,
-    probe: Arc<dyn Probe>,
-    rounds_started: u64,
-    /// Warm-start state across this broker's rounds. Live rounds are one
-    /// sequential stream, so one context is exactly right; it runs the
-    /// solver under the bit-exact reuse policy, keeping journals and
-    /// decisions identical to context-free solves.
-    optimize_ctx: OptimizeContext,
-}
-
-struct PendingRound {
-    id: u64,
-    groups: Vec<ClientGroup>,
-    request_ids: Vec<RequestId>,
-    bids: Vec<Option<Vec<Bid>>>,
 }
 
 /// The completed result of one live round.
@@ -355,10 +327,10 @@ pub enum DeadlineOutcome {
     Fallback(DegradationReport),
 }
 
-/// One CDN's situation at a round deadline, as [`resolve_at_deadline`]
-/// sees it. Drivers map their transport's observations onto these three
-/// cases; everything downstream (the ladder, the report, the journal
-/// events) is then shared code.
+/// One CDN's situation at a round deadline: what a driver's transport
+/// reports of it ([`RoundHooks::collect_announces`]) and, once the spine has
+/// overridden CDNs behind an open breaker, what [`resolve_at_deadline`]
+/// sees.
 #[derive(Debug, Clone)]
 pub enum BidSource {
     /// The CDN's Announce arrived before the deadline.
@@ -385,10 +357,9 @@ pub enum DeadlineResolution {
 }
 
 /// Walks the degradation ladder of DESIGN.md §9 for one round at its
-/// deadline, given each CDN's [`BidSource`]. Shared by every driver —
-/// the in-process [`ExchangeBroker`] and the `vdx-exchanged` daemon
-/// resolve deadlines through this exact function, so their degraded
-/// rounds degrade identically.
+/// deadline, given each CDN's [`BidSource`]. Every driver's rounds reach
+/// it through the spine's one call, so degraded rounds degrade
+/// identically whatever the transport.
 ///
 /// Per CDN, in index order: `Fresh` bids are used as-is; a `Silent`
 /// CDN's cached bids are substituted if `cache` holds an entry under TTL
@@ -499,6 +470,23 @@ pub fn assemble_options(num_groups: usize, bids_per_cdn: &[Vec<Bid>]) -> Vec<Vec
     options
 }
 
+/// Builds a round's Share batch from its client groups — `share_id` =
+/// group index, the id convention every driver uses.
+pub fn shares_of(groups: &[ClientGroup]) -> Vec<Share> {
+    groups
+        .iter()
+        .enumerate()
+        .map(|(i, g)| Share {
+            share_id: i as u64,
+            location: g.city.0,
+            isp: 0,
+            content_id: 0,
+            data_size_kbps: g.demand_kbps.as_f64(),
+            client_count: g.sessions,
+        })
+        .collect()
+}
+
 /// Builds one CDN's Accept entries: every bid it announced, echoed with
 /// whether the Optimize step chose it.
 pub fn accept_entries(
@@ -523,31 +511,439 @@ pub fn accept_entries(
         .collect()
 }
 
+/// How one driver round resolved, coarsely: which rung of the ladder it
+/// ended on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoundResolution {
+    /// Every CDN answered in time; no degradation.
+    Fresh,
+    /// The round completed, but only after stale substitution and/or
+    /// CDN exclusion.
+    Degraded,
+    /// The round abandoned its design and ran Brokered from contracts.
+    Fallback,
+}
+
+/// The decision-quality fingerprint of one round, produced identically
+/// by every [`ExchangeDriver`]. Two drivers agree on a round exactly
+/// when these compare equal — the soak test's parity check.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DriverRound {
+    /// The round id.
+    pub round: u64,
+    /// Which ladder rung the round ended on.
+    pub resolution: RoundResolution,
+    /// Per client group, the chosen `(cdn, cluster)` — the decision
+    /// itself, independent of transport, timing, or solver effort.
+    pub picks: Vec<(u32, u32)>,
+    /// The Fig 9 objective value the Optimize step achieved.
+    pub objective: f64,
+}
+
+/// A driver of Decision Protocol rounds: something that owns transport
+/// and timing and, per round, produces the broker's decision.
+///
+/// Two implementations exist — the scripted in-process reference
+/// (`vdx-sim`'s soak harness) and the `vdx-exchanged` daemon over TCP.
+/// Both are [`RoundHooks`] around one [`Round`], so under the same
+/// scenario and the same observed failures they emit equal
+/// [`DriverRound`]s and equal journals by construction
+/// (ARCHITECTURE.md, "two drivers, one core").
+pub trait ExchangeDriver {
+    /// Runs one round and reports its decision fingerprint.
+    fn run_round(&mut self, round: u64) -> DriverRound;
+}
+
+/// Extracts the per-group `(cdn, cluster)` picks from a completed
+/// optimization — the transport-independent core of [`DriverRound`].
+pub fn picks_of(problem: &BrokerProblem, assignment: &BrokerAssignment) -> Vec<(u32, u32)> {
+    assignment
+        .choice
+        .iter()
+        .enumerate()
+        .map(|(g, &c)| {
+            let o = &problem.options[g][c];
+            (o.cdn.0, o.cluster.0)
+        })
+        .collect()
+}
+
+/// The Decision Protocol's round spine: the one implementation of
+/// Share → Announce → Optimize → Accept with health routing and the
+/// degradation ladder, run by every [`ExchangeDriver`] (DESIGN.md §13).
+///
+/// A `Round` owns what carries from one round to the next — per-CDN
+/// [`CircuitBreaker`]s, the stale-bid cache, the solver's warm context —
+/// plus design, objective, journal probe and the deadline label. The
+/// reference driver and the daemon both call [`Round::run`], so "same
+/// observations ⇒ same decision, same journal" holds by construction; a
+/// driver only says, through [`RoundHooks`], what its transport observed
+/// and how a decision is committed.
+pub struct Round {
+    decider: Decider,
+    breakers: Vec<CircuitBreaker>,
+    cache: StaleBidCache<Vec<Bid>>,
+    /// Labels `deadline_missed` journal events; the spine has no clock.
+    deadline_ms: u64,
+}
+
+/// What a driver plugs into [`Round::run`].
+pub trait RoundHooks {
+    /// The transport: consult every CDN whose `routable` flag is set (an
+    /// open breaker clears it: no Share for that CDN) and report what was
+    /// seen of each, in CDN-index order — `Fresh` bids, `Silent` at the
+    /// deadline, or `Down` (not connected, unwritable, hung up). Entries
+    /// of CDNs that were not routable are ignored.
+    fn collect_announces(&mut self, round: u64, routable: &[bool]) -> Vec<BidSource>;
+
+    /// The ladder's last rung: `round` run as Brokered from contract data
+    /// (the spine cannot see the scenario).
+    fn brokered(&mut self, round: u64, policy: CpPolicy, probe: &dyn Probe) -> RoundOutcome;
+
+    /// Called once per round, when its decision exists and before it is
+    /// journaled as accepted: make it durable, then send the Accepts.
+    /// `breakers` and `cache` are the spine's state after this round —
+    /// what a write-ahead log must capture. The default commits nothing.
+    fn commit(
+        &mut self,
+        _decision: &Decision<'_>,
+        _breakers: &[CircuitBreaker],
+        _cache: &StaleBidCache<Vec<Bid>>,
+    ) {
+    }
+}
+
+/// A round's decision as a commit hook sees it.
+pub struct Decision<'a> {
+    /// The round's fingerprint — what a log settles.
+    pub round: &'a DriverRound,
+    /// CDNs whose bids arrived fresh (and, under [`Round`], refreshed the
+    /// stale cache). Empty on a fallback round.
+    pub fresh: &'a [CdnId],
+    /// The bid batches the round was decided from, per CDN: fresh, stale
+    /// substitutes, or none for an excluded CDN. Empty on a fallback.
+    pub bids_per_cdn: &'a [Vec<Bid>],
+    problem: &'a BrokerProblem,
+    assignment: &'a BrokerAssignment,
+}
+
+impl Decision<'_> {
+    /// CDN `cdn`'s Accept: each of its bids echoed with whether it won.
+    /// Empty for an excluded CDN and on a fallback round (Brokered runs
+    /// on contracts; there is nothing to accept).
+    pub fn accepts(&self, cdn: usize) -> Vec<AcceptEntry> {
+        self.bids_per_cdn.get(cdn).map_or_else(Vec::new, |bids| {
+            accept_entries(self.problem, self.assignment, cdn, bids)
+        })
+    }
+}
+
+/// The half of the spine that does not depend on who is routable: design
+/// and objective, the solver's warm context, the journal. [`Round`] adds
+/// health routing and the stale cache; the link-driven [`ExchangeBroker`]
+/// — no breakers, cache kept by its campaign — runs on this directly.
+struct Decider {
+    design: Design,
+    policy: CpPolicy,
+    mode: OptimizeMode,
+    probe: Arc<dyn Probe>,
+    /// Rounds are one sequential stream, so one context is exactly right;
+    /// it runs the solver under the bit-exact reuse policy, keeping
+    /// journals and decisions identical to context-free solves.
+    ctx: OptimizeContext,
+}
+
+impl Decider {
+    fn emit(&self, event: ObsEvent) {
+        if self.probe.enabled() {
+            self.probe.emit(event);
+        }
+    }
+
+    fn health_transition(&self, round: u64, cdn: usize, t: HealthTransition) {
+        if self.probe.enabled() {
+            self.probe.emit(ObsEvent::HealthTransition {
+                round,
+                cdn: cdn as u32,
+                from: t.from.name().into(),
+                to: t.to.name().into(),
+                reason: t.reason.into(),
+            });
+        }
+    }
+
+    /// Journals the start of a round and its Share.
+    fn started(&self, round: u64, groups: &[ClientGroup], cdns: usize) {
+        if self.probe.enabled() {
+            self.probe.emit(ObsEvent::RoundStarted {
+                round,
+                design: self.design.name(),
+                groups: groups.len() as u64,
+                cdns: cdns as u64,
+            });
+            self.probe.emit(ObsEvent::SharePublished {
+                round,
+                shares: groups.len() as u64,
+                demand_kbps: groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
+            });
+        }
+    }
+
+    /// Walks the degradation ladder over `cache` as of `cache_round`.
+    fn resolve(
+        &self,
+        round: u64,
+        sources: Vec<BidSource>,
+        num_groups: usize,
+        cache: &StaleBidCache<Vec<Bid>>,
+        cache_round: u64,
+        deadline_ms: u64,
+    ) -> DeadlineResolution {
+        resolve_at_deadline(
+            round,
+            self.design,
+            sources,
+            num_groups,
+            cache,
+            cache_round,
+            deadline_ms,
+            self.probe.as_ref(),
+        )
+    }
+
+    /// The tail of every round that completes under its design: assemble
+    /// options, optimize, hand the decision to `commit`, then journal the
+    /// Accept step and the round's completion.
+    fn decide(
+        &mut self,
+        round: u64,
+        groups: Vec<ClientGroup>,
+        bids_per_cdn: &[Vec<Bid>],
+        report: &DegradationReport,
+        commit: impl FnOnce(&Decision<'_>),
+    ) -> (DriverRound, LiveRoundResult) {
+        let options = assemble_options(groups.len(), bids_per_cdn);
+        let problem = BrokerProblem { groups, options };
+        let assignment = optimize_probed_ctx(
+            &problem,
+            &self.policy,
+            &self.mode,
+            round,
+            self.probe.as_ref(),
+            &mut self.ctx,
+        );
+        let decided = DriverRound {
+            round,
+            resolution: if report.is_clean() {
+                RoundResolution::Fresh
+            } else {
+                RoundResolution::Degraded
+            },
+            picks: picks_of(&problem, &assignment),
+            objective: assignment.objective,
+        };
+        commit(&Decision {
+            round: &decided,
+            fresh: &report.fresh,
+            bids_per_cdn,
+            problem: &problem,
+            assignment: &assignment,
+        });
+        if self.probe.enabled() {
+            let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
+            let accepted = problem.groups.len() as u64;
+            self.probe.emit(ObsEvent::AcceptIssued {
+                round,
+                accepted,
+                rejected: total_bids.saturating_sub(accepted),
+            });
+            self.probe.emit(ObsEvent::RoundCompleted {
+                round,
+                objective: assignment.objective,
+                options: total_bids,
+            });
+        }
+        let result = LiveRoundResult {
+            problem,
+            assignment,
+        };
+        (decided, result)
+    }
+}
+
+impl Round {
+    /// A spine for `breakers.len()` CDNs. Breakers and cache come in
+    /// built: a recovering daemon hands over replayed state, everyone
+    /// else fresh ones. `deadline_ms` only labels journal events.
+    pub fn new(
+        design: Design,
+        policy: CpPolicy,
+        mode: OptimizeMode,
+        breakers: Vec<CircuitBreaker>,
+        cache: StaleBidCache<Vec<Bid>>,
+        deadline_ms: u64,
+        probe: Arc<dyn Probe>,
+    ) -> Round {
+        let ctx = OptimizeContext::new();
+        Round {
+            decider: Decider {
+                design,
+                policy,
+                mode,
+                probe,
+                ctx,
+            },
+            breakers,
+            cache,
+            deadline_ms,
+        }
+    }
+
+    /// Current health state of one CDN's breaker.
+    pub fn breaker(&self, cdn: usize) -> &CircuitBreaker {
+        &self.breakers[cdn]
+    }
+
+    /// Runs round `round` over `groups`, start to finish.
+    pub fn run(
+        &mut self,
+        round: u64,
+        groups: &[ClientGroup],
+        hooks: &mut impl RoundHooks,
+    ) -> DriverRound {
+        // Open: breakers whose cool-down elapsed go half-open.
+        for (cdn, breaker) in self.breakers.iter_mut().enumerate() {
+            if let Some(t) = breaker.begin_round(round) {
+                self.decider.health_transition(round, cdn, t);
+            }
+        }
+        self.decider.started(round, groups, self.breakers.len());
+        let routable: Vec<bool> = self.breakers.iter().map(|b| b.allows_route()).collect();
+        // Classify in CDN-index order: exactly one breaker observation per
+        // CDN that was routed to, or should have been.
+        let sources: Vec<BidSource> = hooks
+            .collect_announces(round, &routable)
+            .into_iter()
+            .enumerate()
+            .map(|(cdn, seen)| self.observe(round, cdn, seen))
+            .collect();
+        let (decider, cache) = (&mut self.decider, &self.cache);
+        match decider.resolve(round, sources, groups.len(), cache, round, self.deadline_ms) {
+            DeadlineResolution::Proceed(bids_per_cdn, report) => {
+                // Only fresh bids refresh the cache, and only because the
+                // round completes under its design (a fallback stores
+                // nothing): a stale substitute is never re-stored as new.
+                for cdn in &report.fresh {
+                    self.cache
+                        .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());
+                }
+                let (breakers, cache) = (&self.breakers, &self.cache);
+                let commit = |decision: &Decision<'_>| hooks.commit(decision, breakers, cache);
+                let (decided, _) =
+                    decider.decide(round, groups.to_vec(), &bids_per_cdn, &report, commit);
+                decided
+            }
+            DeadlineResolution::Fallback(_) => {
+                let outcome = hooks.brokered(round, decider.policy, decider.probe.as_ref());
+                let decided = DriverRound {
+                    round,
+                    resolution: RoundResolution::Fallback,
+                    picks: picks_of(&outcome.problem, &outcome.assignment),
+                    objective: outcome.assignment.objective,
+                };
+                // A fallback externalizes no Accepts, but it is still a
+                // settled decision: commit it, so a restart does not
+                // re-run (and possibly re-decide) it.
+                let decision = Decision {
+                    round: &decided,
+                    fresh: &[],
+                    bids_per_cdn: &[],
+                    problem: &outcome.problem,
+                    assignment: &outcome.assignment,
+                };
+                hooks.commit(&decision, &self.breakers, &self.cache);
+                decided
+            }
+        }
+    }
+
+    /// Makes the round's one breaker observation for CDN `cdn` from what
+    /// the transport saw of it, and returns what the ladder should see.
+    fn observe(&mut self, round: u64, cdn: usize, seen: BidSource) -> BidSource {
+        let breaker = &mut self.breakers[cdn];
+        if !breaker.allows_route() {
+            // Open: deliberately not consulted, so nothing to observe —
+            // and a tripped CDN's cached prices must not be reused.
+            return BidSource::Down;
+        }
+        let probing = breaker.is_probe();
+        let transition = match &seen {
+            BidSource::Fresh(bids) => {
+                let transition = breaker.on_success(round);
+                self.decider.emit(ObsEvent::BidReceived {
+                    round,
+                    cdn: cdn as u32,
+                    bids: bids.len() as u64,
+                });
+                transition
+            }
+            BidSource::Silent | BidSource::Down => breaker.on_failure(round),
+        };
+        if probing {
+            self.decider.emit(ObsEvent::HealthProbe {
+                round,
+                cdn: cdn as u32,
+                success: matches!(seen, BidSource::Fresh(_)),
+            });
+        }
+        if let Some(t) = transition {
+            self.decider.health_transition(round, cdn, t);
+        }
+        seen
+    }
+}
+
+/// The link-driven transport over the spine: the broker side of the live
+/// exchange, talking to one CDN per lossy [`Link`] in simulated time.
+/// Fault campaigns step it millisecond by millisecond
+/// ([`ExchangeBroker::poll`]) and force a decision at the deadline
+/// ([`ExchangeBroker::finalize_at_deadline`]).
+pub struct ExchangeBroker {
+    endpoints: Vec<Endpoint>,
+    decider: Decider,
+    round: Option<PendingRound>,
+    rounds_started: u64,
+}
+
+struct PendingRound {
+    id: u64,
+    groups: Vec<ClientGroup>,
+    request_ids: Vec<RequestId>,
+    bids: Vec<Option<Vec<Bid>>>,
+}
+
 impl ExchangeBroker {
     /// Creates a broker speaking to `endpoints.len()` CDNs; `endpoints[i]`
     /// must be connected to the agent of `CdnId(i)`.
     pub fn new(endpoints: Vec<Endpoint>, config: ExchangeConfig) -> ExchangeBroker {
         ExchangeBroker {
             endpoints,
-            config,
+            decider: Decider {
+                design: config.design,
+                policy: config.policy,
+                mode: config.mode,
+                probe: vdx_obs::probe::noop(),
+                ctx: OptimizeContext::new(),
+            },
             round: None,
-            probe: vdx_obs::probe::noop(),
             rounds_started: 0,
-            optimize_ctx: OptimizeContext::new(),
         }
-    }
-
-    /// Enables or disables warm-start reuse across rounds (the
-    /// `--solver-cold` reference path re-solves every round from
-    /// scratch). Decisions and journals are identical either way.
-    pub fn set_solver_reuse(&mut self, reuse: bool) {
-        self.optimize_ctx.set_reuse(reuse);
     }
 
     /// Routes this broker's journal events (round lifecycle, auction
     /// steps, solver effort) to `probe`. The default is a no-op.
     pub fn set_probe(&mut self, probe: Arc<dyn Probe>) {
-        self.probe = probe;
+        self.decider.probe = probe;
     }
 
     /// Starts a round: Shares the client groups with every CDN.
@@ -558,32 +954,8 @@ impl ExchangeBroker {
         assert!(self.round.is_none(), "round already in flight");
         let id = self.rounds_started;
         self.rounds_started += 1;
-        if self.probe.enabled() {
-            self.probe.emit(ObsEvent::RoundStarted {
-                round: id,
-                design: self.design().name(),
-                groups: groups.len() as u64,
-                cdns: self.endpoints.len() as u64,
-            });
-            self.probe.emit(ObsEvent::SharePublished {
-                round: id,
-                shares: groups.len() as u64,
-                demand_kbps: groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
-            });
-        }
-        let shares: Vec<Share> = groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| Share {
-                share_id: i as u64,
-                location: g.city.0,
-                isp: 0,
-                content_id: 0,
-                data_size_kbps: g.demand_kbps.as_f64(),
-                client_count: g.sessions,
-            })
-            .collect();
-        let msg = Message::Share(shares);
+        self.decider.started(id, &groups, self.endpoints.len());
+        let msg = Message::Share(shares_of(&groups));
         let request_ids: Vec<RequestId> =
             self.endpoints.iter_mut().map(|e| e.request(&msg)).collect();
         let n = self.endpoints.len();
@@ -606,13 +978,13 @@ impl ExchangeBroker {
             for event in endpoint.poll_events(now, &mut links[i]) {
                 if let Event::Response(id, Message::Announce(bids)) = event {
                     if id == round.request_ids[i] {
-                        if self.probe.enabled() {
-                            self.probe.emit(ObsEvent::BidReceived {
-                                round: round.id,
-                                cdn: i as u32,
-                                bids: bids.len() as u64,
-                            });
-                        }
+                        // Journaled on arrival: links deliver out of CDN
+                        // order, and the journal says so.
+                        self.decider.emit(ObsEvent::BidReceived {
+                            round: round.id,
+                            cdn: i as u32,
+                            bids: bids.len() as u64,
+                        });
                         round.bids[i] = Some(bids);
                     }
                 }
@@ -621,66 +993,12 @@ impl ExchangeBroker {
         if round.bids.iter().any(Option::is_none) {
             return None;
         }
-        let round = self.round.take().expect("round in flight");
-        let PendingRound {
-            id, groups, bids, ..
-        } = round;
-        let bids_per_cdn: Vec<Vec<Bid>> = bids
-            .into_iter()
-            .map(|b| b.expect("all announces received"))
-            .collect();
-        Some(self.finish_round(now, links, id, groups, bids_per_cdn))
-    }
-
-    fn finish_round(
-        &mut self,
-        now: SimTime,
-        links: &mut [Link],
-        id: u64,
-        groups: Vec<ClientGroup>,
-        bids_per_cdn: Vec<Vec<Bid>>,
-    ) -> LiveRoundResult {
-        let options = assemble_options(groups.len(), &bids_per_cdn);
-        let problem = BrokerProblem { groups, options };
-        let assignment = optimize_probed_ctx(
-            &problem,
-            &self.config.policy,
-            &self.config.mode,
-            id,
-            self.probe.as_ref(),
-            &mut self.optimize_ctx,
-        );
-
-        // Accept: echo every bid with its outcome to its CDN.
-        for (cdn_idx, bids) in bids_per_cdn.iter().enumerate() {
-            let entries = accept_entries(&problem, &assignment, cdn_idx, bids);
-            self.endpoints[cdn_idx].send_oneway(&Message::Accept(entries));
-            // Kick the channel so the Accept leaves promptly.
-            self.endpoints[cdn_idx].poll_events(now, &mut links[cdn_idx]);
+        // Nothing is missing, so the ladder has nothing to look up: the
+        // round resolves now exactly as it would at its deadline.
+        match self.finalize_at_deadline(now, links, &StaleBidCache::new(0, 0), 0, &[]) {
+            DeadlineOutcome::Completed(result, _) => Some(result),
+            DeadlineOutcome::Fallback(_) => None,
         }
-        if self.probe.enabled() {
-            let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
-            let accepted = problem.groups.len() as u64;
-            self.probe.emit(ObsEvent::AcceptIssued {
-                round: id,
-                accepted,
-                rejected: total_bids.saturating_sub(accepted),
-            });
-            self.probe.emit(ObsEvent::RoundCompleted {
-                round: id,
-                objective: assignment.objective,
-                options: total_bids,
-            });
-        }
-        LiveRoundResult {
-            problem,
-            assignment,
-        }
-    }
-
-    /// Which design the live exchange implements.
-    pub fn design(&self) -> Design {
-        self.config.design
     }
 
     /// Overrides the id the *next* round will be journaled under. Fault
@@ -723,8 +1041,9 @@ impl ExchangeBroker {
     ///    [`DeadlineOutcome::Fallback`] — the caller runs a Brokered round
     ///    from contract data instead.
     ///
-    /// The cache is read-only here: the *driver* owns cache writes, so
-    /// stale substitutions are never re-stored as if they were fresh.
+    /// The cache is read-only here: the *campaign* owns cache writes (it
+    /// also fills the cache from its pure rounds), so stale substitutions
+    /// are never re-stored as if they were fresh.
     ///
     /// # Panics
     /// Panics if no round is in flight.
@@ -749,81 +1068,24 @@ impl ExchangeBroker {
                 None => BidSource::Silent,
             })
             .collect();
-        match resolve_at_deadline(
-            id,
-            self.design(),
-            sources,
-            groups.len(),
-            cache,
-            campaign_round,
-            now.0,
-            self.probe.as_ref(),
-        ) {
-            DeadlineResolution::Proceed(bids_per_cdn, report) => DeadlineOutcome::Completed(
-                self.finish_round(now, links, id, groups, bids_per_cdn),
-                report,
-            ),
+        let (decider, endpoints) = (&mut self.decider, &mut self.endpoints);
+        match decider.resolve(id, sources, groups.len(), cache, campaign_round, now.0) {
+            DeadlineResolution::Proceed(bids_per_cdn, report) => {
+                // The spine's commit step here is the Accept fan-out:
+                // echo every bid with its outcome to its CDN.
+                let accept = |decision: &Decision<'_>| {
+                    for (cdn, endpoint) in endpoints.iter_mut().enumerate() {
+                        endpoint.send_oneway(&Message::Accept(decision.accepts(cdn)));
+                        // Kick the channel so the Accept leaves promptly.
+                        endpoint.poll_events(now, &mut links[cdn]);
+                    }
+                };
+                let (_, result) = decider.decide(id, groups, &bids_per_cdn, &report, accept);
+                DeadlineOutcome::Completed(result, report)
+            }
             DeadlineResolution::Fallback(report) => DeadlineOutcome::Fallback(report),
         }
     }
-}
-
-/// How one driver round resolved, coarsely: which rung of the ladder it
-/// ended on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundResolution {
-    /// Every CDN answered in time; no degradation.
-    Fresh,
-    /// The round completed, but only after stale substitution and/or
-    /// CDN exclusion.
-    Degraded,
-    /// The round abandoned its design and ran Brokered from contracts.
-    Fallback,
-}
-
-/// The decision-quality fingerprint of one round, produced identically
-/// by every [`ExchangeDriver`]. Two drivers agree on a round exactly
-/// when these compare equal — the soak test's parity check.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriverRound {
-    /// The round id.
-    pub round: u64,
-    /// Which ladder rung the round ended on.
-    pub resolution: RoundResolution,
-    /// Per client group, the chosen `(cdn, cluster)` — the decision
-    /// itself, independent of transport, timing, or solver effort.
-    pub picks: Vec<(u32, u32)>,
-    /// The Fig 9 objective value the Optimize step achieved.
-    pub objective: f64,
-}
-
-/// A driver of Decision Protocol rounds: something that owns transport
-/// and timing and, per round, produces the broker's decision.
-///
-/// Two implementations exist — the deterministic in-process path (the
-/// reference, wrapped by `vdx-sim`'s soak harness) and the
-/// `vdx-exchanged` daemon over TCP. The determinism contract
-/// (ARCHITECTURE.md, "two drivers, one core"): both must route bid
-/// construction, deadline resolution, option assembly, and optimization
-/// through this module's shared code, so that under the same scenario
-/// and the same observed failures they emit equal [`DriverRound`]s.
-pub trait ExchangeDriver {
-    /// Runs one round and reports its decision fingerprint.
-    fn run_round(&mut self, round: u64) -> DriverRound;
-}
-
-/// Extracts the per-group `(cdn, cluster)` picks from a completed
-/// optimization — the transport-independent core of [`DriverRound`].
-pub fn picks_of(problem: &BrokerProblem, assignment: &BrokerAssignment) -> Vec<(u32, u32)> {
-    assignment
-        .choice
-        .iter()
-        .enumerate()
-        .map(|(g, &c)| {
-            let o = &problem.options[g][c];
-            (o.cdn.0, o.cluster.0)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -848,12 +1110,14 @@ mod tests {
                 ReliableConfig::default(),
             )));
             agents.push(CdnAgent::new(
-                CdnId(i as u32),
                 Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default())),
-                BidPolicy::default(),
-                MatchingConfig::default(),
-                eco.fleet.clusters.len(),
-                eco.background.clone(),
+                BidEngine::new(
+                    CdnId(i as u32),
+                    BidPolicy::default(),
+                    MatchingConfig::default(),
+                    eco.fleet.clusters.len(),
+                    eco.background.clone(),
+                ),
             ));
         }
         let broker = ExchangeBroker::new(broker_eps, ExchangeConfig::default());
@@ -1128,10 +1392,10 @@ mod tests {
                 LinkEnd::A,
                 ReliableConfig::default(),
             )));
-            agents.push(
-                CdnAgent::new(
+            agents.push(CdnAgent::new(
+                Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default())),
+                BidEngine::new(
                     CdnId(i as u32),
-                    Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default())),
                     BidPolicy::default(),
                     matching.clone(),
                     eco.fleet.clusters.len(),
@@ -1142,7 +1406,7 @@ mod tests {
                     eco.contracts[i].billed_price_per_mb(),
                     median_capacity(&eco.fleet, CdnId(i as u32)),
                 ),
-            );
+            ));
         }
         let mut broker = ExchangeBroker::new(
             broker_eps,

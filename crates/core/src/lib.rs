@@ -57,9 +57,10 @@ pub use decision::{
 };
 pub use design::Design;
 pub use exchange::{
-    accept_entries, assemble_options, picks_of, resolve_at_deadline, BidEngine, BidSource,
-    CdnAgent, DeadlineOutcome, DeadlineResolution, DegradationReport, DriverRound, ExchangeBroker,
-    ExchangeConfig, ExchangeDriver, LiveRoundResult, RoundResolution,
+    accept_entries, assemble_options, picks_of, resolve_at_deadline, shares_of, BidEngine,
+    BidSource, CdnAgent, DeadlineOutcome, DeadlineResolution, Decision, DegradationReport,
+    DriverRound, ExchangeBroker, ExchangeConfig, ExchangeDriver, LiveRoundResult, Round,
+    RoundHooks, RoundResolution,
 };
 pub use reputation::ReputationSystem;
 pub use transactions::{run_transactions, CommitPolicy, HonestCommit, TransactionOutcome};

@@ -3,17 +3,17 @@
 //! Everything else in this workspace drives Decision Protocol rounds
 //! in-process: the round is a function call, failures are injected, and
 //! the whole run is deterministic down to the journal bytes. This crate
-//! is the *second driver* over the same `vdx-core` round logic
+//! is the *second driver* of the one round spine, [`vdx_core::Round`]
 //! (ARCHITECTURE.md, "two drivers, one core"): a persistent broker
 //! process that speaks the `vdx-proto` Decision Protocol over real TCP
 //! sockets to separately-running CDN agents.
 //!
 //! * [`server`] — the daemon: one listener, one reader thread per
-//!   connected agent with a bounded inbound queue, and a round loop
-//!   that Shares, collects Announces until a wall-clock deadline, and
-//!   resolves what is missing through the shared degradation ladder
-//!   ([`vdx_core::resolve_at_deadline`]). Health-based routing recasts
-//!   the ladder's exclusion rung as per-CDN circuit breakers
+//!   connected agent with a bounded inbound queue, and the spine's TCP
+//!   hooks — Share out, Announces in until a wall-clock deadline, then
+//!   WAL-and-Accept once the spine has decided. What is missing at the
+//!   deadline resolves through the spine's degradation ladder, whose
+//!   exclusion rung is a per-CDN circuit breaker
 //!   ([`vdx_broker::CircuitBreaker`]): repeated silence opens the
 //!   breaker, an open breaker is not routed to at all, and a half-open
 //!   probe readmits the CDN.
@@ -35,8 +35,9 @@
 //! The binaries `vdx-exchanged` and `vdx-agent` wrap these over a
 //! scenario built from a shared seed; OPERATIONS.md is the operator
 //! manual. The crate's soak test replays a `vdx-sim` [`SoakPlan`]
-//! (`vdx_sim::soak`) against both this daemon and the transport-free
-//! reference driver and asserts the per-round decisions are equal.
+//! (`vdx_sim::soak`) against both this daemon and the scripted
+//! reference driver and asserts the per-round decisions and journals are
+//! equal — a test of this crate's transport, since the round is shared.
 //!
 //! [`SoakPlan`]: vdx_sim::soak::SoakPlan
 

@@ -11,22 +11,23 @@
 //! window stalls the sender; nothing is dropped and memory stays
 //! bounded.
 //!
-//! The round loop itself runs on the caller's thread
-//! ([`ExchangeServer::run_round`], the [`ExchangeDriver`] contract):
-//! Share to every routable CDN, collect Announces until the wall-clock
-//! deadline, classify each CDN as fresh / silent / down, and resolve
-//! through [`vdx_core::resolve_at_deadline`] — the exact ladder code the
-//! in-process driver uses, which is what makes the soak parity test
-//! possible.
+//! The round itself runs on the caller's thread
+//! ([`ExchangeServer::run_round`], the [`ExchangeDriver`] contract) and is
+//! not written here: it is [`vdx_core::Round`], the one spine the
+//! in-process reference driver runs too. This file is that spine's TCP
+//! [`RoundHooks`] — *collect*: Share to every routable CDN, gather
+//! Announces until the wall-clock deadline, report each CDN as answered /
+//! silent / dead; *commit*: WAL the decision, then fan the Accepts out —
+//! plus sockets, slots and crash recovery.
 //!
 //! ## Health-based routing
 //!
-//! Each CDN has a [`CircuitBreaker`]. A round the CDN was asked to
-//! participate in but produced no fresh Announce (deadline miss,
-//! disconnect) counts as a failure; `trip_after` consecutive failures
-//! open the breaker. An **open** breaker is not routed to at all — no
-//! Share is sent, the CDN is excluded as [`BidSource::Down`], and its
-//! cached bids are *not* reused (a down CDN's prices are stale in the
+//! Each CDN has a [`CircuitBreaker`], owned and driven by the spine. A
+//! round the CDN was asked to participate in but produced no fresh
+//! Announce (deadline miss, disconnect) counts as a failure;
+//! `trip_after` consecutive failures open the breaker. An **open**
+//! breaker is not routed to at all — no Share is sent, the CDN is
+//! excluded outright, and its cached bids are *not* reused (a down CDN's prices are stale in the
 //! dangerous sense). After `cooldown_rounds` the breaker admits one
 //! half-open probe round; a fresh Announce closes it, another miss
 //! re-opens it. Transitions and probe outcomes are journaled as
@@ -49,32 +50,29 @@
 //! The daemon is *wall-clock bound* (the deadline is real time), so its
 //! journals are not byte-reproducible the way in-process runs are. Its
 //! **decisions** are still deterministic in the inputs: given the same
-//! scenario and the same per-round set of fresh Announces, every
-//! [`DriverRound`] it emits equals the transport-free reference
-//! driver's (`vdx_sim::soak`). The monotonic clock is only read through
+//! scenario and the same per-round observations, every [`DriverRound`]
+//! and every journal line outside `conn_*` equals the scripted reference
+//! driver's (`vdx_sim::soak`) — by construction, since both run the one
+//! spine. The monotonic clock is only read through
 //! [`vdx_obs::Stopwatch`], the workspace's sanctioned timing type.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vdx_broker::{
-    optimize_probed_ctx, BreakerConfig, BrokerProblem, CircuitBreaker, CpPolicy, OptimizeContext,
-    OptimizeMode, StaleBidCache,
-};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, OptimizeMode, StaleBidCache};
 use vdx_core::wal::replay;
 use vdx_core::{
-    accept_entries, assemble_options, picks_of, resolve_at_deadline, BidSource, DeadlineResolution,
-    Design, DriverRound, ExchangeDriver, RoundId, RoundResolution, Wal, WalError, WalOpen,
-    WalRecord,
+    BidSource, Decision, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundOutcome, Wal,
+    WalError, WalRecord,
 };
 use vdx_obs::{Event, Probe, Stopwatch};
 use vdx_proto::{Bid, Connection, Message};
-use vdx_sim::soak::shares_of;
+use vdx_sim::soak::{brokered_round, shares_of};
 use vdx_sim::Scenario;
 
 /// Daemon knobs; [`ServerOptions::default`] matches the soak defaults.
@@ -156,24 +154,38 @@ impl Shared {
             self.probe.emit(event);
         }
     }
+
+    /// Takes CDN `cdn`'s connection out of its slot so a socket write
+    /// happens with the lock *released*: a stalled agent must not block
+    /// readers or the accept path on its slot.
+    fn take_agent(&self, cdn: usize) -> Option<AgentSlot> {
+        self.slots
+            .get(cdn)?
+            .lock()
+            .expect("slot lock poisoned")
+            .take()
+    }
+
+    /// Puts a taken connection back — unless a reconnect won the empty
+    /// slot meanwhile; then the fresh connection stays, ours is stale.
+    fn return_agent(&self, cdn: usize, agent: AgentSlot) {
+        if let Some(slot) = self.slots.get(cdn) {
+            let mut slot = slot.lock().expect("slot lock poisoned");
+            if slot.is_none() {
+                *slot = Some(agent);
+            }
+        }
+    }
 }
 
-/// The daemon. Owns the scenario (ground truth for Gather/score data),
-/// the per-CDN breakers, the stale-bid cache, and the listener; rounds
-/// are driven by calling [`ExchangeDriver::run_round`].
+/// The daemon. Owns the round spine (breakers, stale-bid cache, solver
+/// context), its transport, and the listener; rounds are driven by
+/// calling [`ExchangeDriver::run_round`].
 pub struct ExchangeServer {
-    scenario: Arc<Scenario>,
-    design: Design,
-    policy: CpPolicy,
-    opts: ServerOptions,
-    shared: Arc<Shared>,
-    cache: StaleBidCache<Vec<Bid>>,
-    breakers: Vec<CircuitBreaker>,
-    ctx: OptimizeContext,
+    round: Round,
+    transport: Transport,
     accept_thread: Option<JoinHandle<()>>,
     addr: SocketAddr,
-    /// The durable round log, when `ServerOptions::wal` named one.
-    wal: Option<Wal>,
     /// First round the daemon should run: 0 on a fresh start, the round
     /// after the last committed settlement after recovery.
     next_round: u64,
@@ -181,6 +193,16 @@ pub struct ExchangeServer {
     /// must treat them as run (they were settled and their Accepts
     /// sent in a previous life) and drive only `next_round..`.
     recovered: Vec<DriverRound>,
+}
+
+/// The spine's [`RoundHooks`] over TCP: agent connections, the scenario
+/// (ground truth for Shares and the Brokered fallback) and the WAL.
+struct Transport {
+    scenario: Arc<Scenario>,
+    opts: ServerOptions,
+    shared: Arc<Shared>,
+    /// The durable round log, when `ServerOptions::wal` named one.
+    wal: Option<Wal>,
 }
 
 impl ExchangeServer {
@@ -207,40 +229,20 @@ impl ExchangeServer {
             handshake_timeout: opts.handshake_timeout,
             readers: Mutex::new(Vec::new()),
         });
-        let mut cache = StaleBidCache::new(n, opts.stale_ttl_rounds);
-        let mut breakers: Vec<CircuitBreaker> =
-            (0..n).map(|_| CircuitBreaker::new(opts.breaker)).collect();
-        let mut next_round = 0u64;
-        let mut recovered = Vec::new();
-        let wal = match &opts.wal {
-            Some(path) => Some(
-                recover(
-                    path,
-                    &shared,
-                    opts.breaker,
-                    &mut cache,
-                    &mut breakers,
-                    &mut next_round,
-                    &mut recovered,
-                )
-                .map_err(wal_io_error)?,
-            ),
-            None => None,
-        };
+        let (round, wal, next_round, recovered) =
+            recover(design, policy, &opts, &shared, n).map_err(wal_io_error)?;
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok(ExchangeServer {
-            cache,
-            breakers,
-            scenario,
-            design,
-            policy,
-            opts,
-            shared,
-            ctx: OptimizeContext::new(),
+            round,
+            transport: Transport {
+                scenario,
+                opts,
+                shared,
+                wal,
+            },
             accept_thread: Some(accept_thread),
             addr,
-            wal,
             next_round,
             recovered,
         })
@@ -266,7 +268,8 @@ impl ExchangeServer {
 
     /// Number of agents currently connected and alive.
     pub fn connected_agents(&self) -> usize {
-        self.shared
+        self.transport
+            .shared
             .slots
             .iter()
             .filter(|slot| {
@@ -280,7 +283,7 @@ impl ExchangeServer {
 
     /// Current health state of one CDN's breaker.
     pub fn breaker(&self, cdn: usize) -> &CircuitBreaker {
-        &self.breakers[cdn]
+        self.round.breaker(cdn)
     }
 
     /// Blocks until at least `count` agents are connected, or `timeout`
@@ -302,56 +305,34 @@ impl ExchangeServer {
     /// daemon threads. After this returns no thread of the server holds
     /// the probe any more, so the caller can finish its journal.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        let shared = &self.transport.shared;
+        shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        for (cdn, slot) in self.shared.slots.iter().enumerate() {
+        for (cdn, slot) in shared.slots.iter().enumerate() {
             // Close outside the lock: shutdown() can block on the socket.
             let taken = slot.lock().expect("slot lock poisoned").take();
             if let Some(s) = taken {
                 let _ = s.writer.shutdown();
-                self.shared.emit(Event::ConnClosed {
-                    at_ms: self.shared.clock.elapsed_ms(),
+                shared.emit(Event::ConnClosed {
+                    at_ms: shared.clock.elapsed_ms(),
                     cdn: cdn as u32,
                     reason: "shutdown".into(),
                 });
             }
         }
         let handles: Vec<JoinHandle<()>> = {
-            let mut readers = self.shared.readers.lock().expect("readers lock poisoned");
+            let mut readers = shared.readers.lock().expect("readers lock poisoned");
             readers.drain(..).collect()
         };
         for h in handles {
             let _ = h.join();
         }
     }
+}
 
-    /// Classification bookkeeping for one CDN at the deadline: emits the
-    /// breaker observation's events and returns the [`BidSource`].
-    fn observe_failure(&mut self, round: u64, cdn: usize, source: BidSource) -> BidSource {
-        let breaker = &mut self.breakers[cdn];
-        let probing = breaker.is_probe();
-        let transition = breaker.on_failure(round);
-        if probing {
-            self.shared.emit(Event::HealthProbe {
-                round,
-                cdn: cdn as u32,
-                success: false,
-            });
-        }
-        if let Some(t) = transition {
-            self.shared.emit(Event::HealthTransition {
-                round,
-                cdn: cdn as u32,
-                from: t.from.name().into(),
-                to: t.to.name().into(),
-                reason: t.reason.into(),
-            });
-        }
-        source
-    }
-
+impl Transport {
     /// Appends one record to the WAL, if one is configured. A write
     /// failure disables the WAL for the rest of the run (the daemon
     /// keeps serving, but crash safety is gone and the next restart
@@ -376,31 +357,45 @@ impl ExchangeServer {
         }
     }
 
-    /// Stages this round's durable suffix — `Breaker` snapshots, the
-    /// `Settlement`, and (on schedule) a full `Checkpoint` — then
-    /// fsyncs. Called in both resolution branches, always *before* any
-    /// Accept leaves the daemon.
-    fn wal_commit_round(&mut self, round: u64, dr: &DriverRound) {
+    /// Stages this round's durable suffix — the `Bids` the cache just
+    /// absorbed (so recovery re-stores the same entries), `Breaker`
+    /// snapshots, the `Settlement`, and (on schedule) a full `Checkpoint`
+    /// — then fsyncs.
+    fn wal_commit_round(
+        &mut self,
+        decision: &Decision<'_>,
+        breakers: &[CircuitBreaker],
+        cache: &StaleBidCache<Vec<Bid>>,
+    ) {
         if self.wal.is_none() {
             return;
         }
-        let snapshots: Vec<_> = self.breakers.iter().map(|b| b.snapshot()).collect();
-        for (cdn, snapshot) in snapshots.into_iter().enumerate() {
+        let round = decision.round.round;
+        for cdn in decision.fresh {
+            if let Some(bids) = decision.bids_per_cdn.get(cdn.index()) {
+                self.wal_append(&WalRecord::Bids {
+                    round,
+                    cdn: cdn.0,
+                    bids: bids.clone(),
+                });
+            }
+        }
+        for (cdn, breaker) in breakers.iter().enumerate() {
             self.wal_append(&WalRecord::Breaker {
                 round,
                 cdn: cdn as u32,
-                snapshot,
+                snapshot: breaker.snapshot(),
             });
         }
-        self.wal_append(&WalRecord::Settlement(dr.clone()));
+        self.wal_append(&WalRecord::Settlement(decision.round.clone()));
         let every = self.opts.checkpoint_every;
         if every > 0 && (round + 1) % every == 0 {
             let checkpoint = WalRecord::Checkpoint {
                 next_round: round + 1,
-                cache: (0..self.breakers.len())
-                    .map(|cdn| self.cache.entry(cdn).map(|(r, b)| (r, b.clone())))
+                cache: (0..breakers.len())
+                    .map(|cdn| cache.entry(cdn).map(|(r, b)| (r, b.clone())))
                     .collect(),
-                breakers: self.breakers.iter().map(|b| b.snapshot()).collect(),
+                breakers: breakers.iter().map(|b| b.snapshot()).collect(),
             };
             self.wal_append(&checkpoint);
         }
@@ -417,129 +412,102 @@ fn wal_io_error(e: WalError) -> std::io::Error {
     }
 }
 
-/// Crash recovery: opens the WAL at `path` (truncating any torn tail),
-/// replays its committed records, and restores the stale-bid cache,
-/// per-CDN breakers, and round position in place. Emits the schema-v6
-/// `recovery_*` journal events. On a fresh (empty) WAL this is a no-op
-/// that leaves `next_round` at 0.
+/// Builds the round spine, from the WAL if `opts.wal` names one: opens
+/// it (truncating any torn tail), replays its committed records, and
+/// restores the stale-bid cache, per-CDN breakers and round position,
+/// emitting the schema-v6 `recovery_*` journal events. Without a WAL, or
+/// on a fresh (empty) one, the spine starts clean at round 0. Returns the
+/// spine, the open WAL, the next round and the rounds already committed.
 fn recover(
-    path: &Path,
+    design: Design,
+    policy: CpPolicy,
+    opts: &ServerOptions,
     shared: &Shared,
-    breaker_config: BreakerConfig,
-    cache: &mut StaleBidCache<Vec<Bid>>,
-    breakers: &mut [CircuitBreaker],
-    next_round: &mut u64,
-    recovered: &mut Vec<DriverRound>,
-) -> Result<Wal, WalError> {
-    let WalOpen {
-        wal,
-        records,
-        truncated_bytes,
-    } = Wal::open(path)?;
-    shared.emit(Event::RecoveryStarted {
-        records: records.len() as u64,
-        truncated_bytes,
-    });
-    let replayed = replay(records, breakers.len());
+    cdns: usize,
+) -> Result<(Round, Option<Wal>, u64, Vec<DriverRound>), WalError> {
+    let mut wal = None;
+    let mut records = Vec::new();
+    if let Some(path) = &opts.wal {
+        let opened = Wal::open(path)?;
+        shared.emit(Event::RecoveryStarted {
+            records: opened.records.len() as u64,
+            truncated_bytes: opened.truncated_bytes,
+        });
+        wal = Some(opened.wal);
+        records = opened.records;
+    }
+    let replayed = replay(records, cdns);
+    let mut cache = StaleBidCache::new(cdns, opts.stale_ttl_rounds);
     for (cdn, slot) in replayed.cache.into_iter().enumerate() {
         if let Some((round, bids)) = slot {
             cache.store(cdn, round, bids);
         }
     }
-    for (slot, snap) in breakers.iter_mut().zip(replayed.breakers) {
-        if let Some(snap) = snap {
-            *slot = CircuitBreaker::restore(breaker_config, snap);
-        }
-    }
-    if let Some(round) = replayed.voided {
-        shared.emit(Event::RecoveryRoundVoided { round });
-    }
-    shared.emit(Event::RecoveryComplete {
-        next_round: replayed.next_round,
-        rounds_recovered: replayed.rounds.len() as u64,
-        rounds_voided: replayed.voided.map_or(0, |_| 1),
+    let breakers = replayed.breakers.into_iter().map(|snap| match snap {
+        Some(snap) => CircuitBreaker::restore(opts.breaker, snap),
+        None => CircuitBreaker::new(opts.breaker),
     });
-    *next_round = replayed.next_round;
-    *recovered = replayed.rounds;
-    Ok(wal)
+    if wal.is_some() {
+        if let Some(round) = replayed.voided {
+            shared.emit(Event::RecoveryRoundVoided { round });
+        }
+        shared.emit(Event::RecoveryComplete {
+            next_round: replayed.next_round,
+            rounds_recovered: replayed.rounds.len() as u64,
+            rounds_voided: replayed.voided.map_or(0, |_| 1),
+        });
+    }
+    let round = Round::new(
+        design,
+        policy,
+        OptimizeMode::Heuristic,
+        breakers.collect(),
+        cache,
+        opts.deadline.as_millis() as u64,
+        shared.probe.clone(),
+    );
+    Ok((round, wal, replayed.next_round, replayed.rounds))
 }
 
 impl ExchangeDriver for ExchangeServer {
     fn run_round(&mut self, round: u64) -> DriverRound {
-        let scenario = self.scenario.clone();
-        let n = self.breakers.len();
+        let scenario = self.transport.scenario.clone();
         // First durable trace of the round attempt. No fsync yet: if we
         // crash anywhere before the Settlement is synced, replay voids
         // this attempt and the restarted daemon re-runs the round.
-        self.wal_append(&WalRecord::AnnounceOpen { round });
-        for (cdn, b) in self.breakers.iter_mut().enumerate() {
-            if let Some(t) = b.begin_round(round) {
-                self.shared.emit(Event::HealthTransition {
-                    round,
-                    cdn: cdn as u32,
-                    from: t.from.name().into(),
-                    to: t.to.name().into(),
-                    reason: t.reason.into(),
-                });
-            }
-        }
-        self.shared.emit(Event::RoundStarted {
-            round,
-            design: self.design.name(),
-            groups: scenario.groups.len() as u64,
-            cdns: n as u64,
-        });
-        self.shared.emit(Event::SharePublished {
-            round,
-            shares: scenario.groups.len() as u64,
-            demand_kbps: scenario.groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
-        });
-        let share_msg = Message::Share(shares_of(&scenario));
+        self.transport
+            .wal_append(&WalRecord::AnnounceOpen { round });
+        self.round.run(round, &scenario.groups, &mut self.transport)
+    }
+}
+
+impl RoundHooks for Transport {
+    fn collect_announces(&mut self, round: u64, routable: &[bool]) -> Vec<BidSource> {
+        let n = routable.len();
+        let shared = &self.shared;
+        let share_msg = Message::Share(shares_of(&self.scenario));
 
         // Share to every routable, connected CDN. An open breaker means
         // no Share at all; a dead or unwritable connection drops the
         // slot here.
         let mut routed = vec![false; n];
-        for cdn in 0..n {
-            if !self.breakers[cdn].allows_route() {
+        for cdn in (0..n).filter(|&c| routable[c]) {
+            let Some(mut agent) = shared.take_agent(cdn) else {
+                continue;
+            };
+            if !agent.alive.load(Ordering::SeqCst) {
+                continue; // reader already reported the close; just reap
+            }
+            if agent.writer.send(round, &share_msg).is_err() {
+                shared.emit(Event::ConnClosed {
+                    at_ms: shared.clock.elapsed_ms(),
+                    cdn: cdn as u32,
+                    reason: "write error".into(),
+                });
                 continue;
             }
-            // Take the connection out of its slot so the socket write
-            // happens with the lock released: a stalled agent must not
-            // block readers or the accept path on this slot.
-            let taken = self.shared.slots[cdn]
-                .lock()
-                .expect("slot lock poisoned")
-                .take();
-            let Some(mut s) = taken else { continue };
-            let mut drop_reason: Option<&str> = None;
-            if !s.alive.load(Ordering::SeqCst) {
-                // Reader already reported the close; just reap.
-                drop_reason = Some("");
-            } else if s.writer.send(round, &share_msg).is_err() {
-                drop_reason = Some("write error");
-            } else {
-                routed[cdn] = true;
-            }
-            match drop_reason {
-                None => {
-                    let mut slot = self.shared.slots[cdn].lock().expect("slot lock poisoned");
-                    if slot.is_none() {
-                        *slot = Some(s);
-                    }
-                    // Otherwise a reconnect won the empty slot while we
-                    // wrote; the fresh connection stays, ours is stale.
-                }
-                Some(reason) => {
-                    if !reason.is_empty() {
-                        self.shared.emit(Event::ConnClosed {
-                            at_ms: self.shared.clock.elapsed_ms(),
-                            cdn: cdn as u32,
-                            reason: reason.into(),
-                        });
-                    }
-                }
-            }
+            routed[cdn] = true;
+            shared.return_agent(cdn, agent);
         }
 
         // Collect Announces until the deadline. A participant leaves the
@@ -552,7 +520,7 @@ impl ExchangeDriver for ExchangeServer {
         while !pending.is_empty() && deadline.elapsed_ms() < deadline_ms {
             let mut progressed = false;
             pending.retain(|&cdn| {
-                let slot = self.shared.slots[cdn].lock().expect("slot lock poisoned");
+                let slot = shared.slots[cdn].lock().expect("slot lock poisoned");
                 let Some(s) = slot.as_ref() else {
                     dead[cdn] = true;
                     return false;
@@ -587,165 +555,47 @@ impl ExchangeDriver for ExchangeServer {
             answered: answers.iter().filter(|a| a.is_some()).count() as u32,
         });
 
-        // Classify, in CDN index order, making exactly one breaker
-        // observation per CDN that was routed to (or should have been).
-        let mut sources: Vec<BidSource> = Vec::with_capacity(n);
-        for cdn in 0..n {
-            if !routed[cdn] {
-                if self.breakers[cdn].allows_route() {
-                    // Routable but not connected: a failure observation,
-                    // excluded outright.
-                    sources.push(self.observe_failure(round, cdn, BidSource::Down));
-                } else {
-                    // Open breaker: deliberately not consulted, no
-                    // observation to make.
-                    sources.push(BidSource::Down);
-                }
+        // A routable CDN that could not be Shared with (not connected)
+        // is as dead as one that hung up mid-round.
+        answers
+            .into_iter()
+            .zip(routed.into_iter().zip(dead))
+            .map(|(answer, (routed, died))| match answer {
+                Some(bids) => BidSource::Fresh(bids),
+                None if !routed || died => BidSource::Down,
+                None => BidSource::Silent,
+            })
+            .collect()
+    }
+
+    fn brokered(&mut self, round: u64, policy: CpPolicy, probe: &dyn Probe) -> RoundOutcome {
+        brokered_round(&self.scenario, round, policy, probe)
+    }
+
+    /// The commit point: the settlement is durable before any Accept is
+    /// externalized (DESIGN.md §15).
+    fn commit(
+        &mut self,
+        decision: &Decision<'_>,
+        breakers: &[CircuitBreaker],
+        cache: &StaleBidCache<Vec<Bid>>,
+    ) {
+        self.wal_commit_round(decision, breakers, cache);
+        let round = decision.round.round;
+        for cdn in 0..breakers.len() {
+            let entries = decision.accepts(cdn);
+            if entries.is_empty() {
                 continue;
             }
-            match answers[cdn].take() {
-                Some(bids) => {
-                    let breaker = &mut self.breakers[cdn];
-                    let probing = breaker.is_probe();
-                    let transition = breaker.on_success(round);
-                    self.shared.emit(Event::BidReceived {
-                        round,
-                        cdn: cdn as u32,
-                        bids: bids.len() as u64,
-                    });
-                    if probing {
-                        self.shared.emit(Event::HealthProbe {
-                            round,
-                            cdn: cdn as u32,
-                            success: true,
-                        });
-                    }
-                    if let Some(t) = transition {
-                        self.shared.emit(Event::HealthTransition {
-                            round,
-                            cdn: cdn as u32,
-                            from: t.from.name().into(),
-                            to: t.to.name().into(),
-                            reason: t.reason.into(),
-                        });
-                    }
-                    sources.push(BidSource::Fresh(bids));
-                }
-                None if dead[cdn] => {
-                    sources.push(self.observe_failure(round, cdn, BidSource::Down));
-                }
-                None => {
-                    sources.push(self.observe_failure(round, cdn, BidSource::Silent));
-                }
+            let Some(mut agent) = self.shared.take_agent(cdn) else {
+                continue;
+            };
+            if agent.alive.load(Ordering::SeqCst) {
+                // Accept delivery is best-effort: a failure here is next
+                // round's routing problem.
+                let _ = agent.writer.send(round, &Message::Accept(entries));
             }
-        }
-
-        match resolve_at_deadline(
-            round,
-            self.design,
-            sources,
-            scenario.groups.len(),
-            &self.cache,
-            round,
-            deadline_ms,
-            self.shared.probe.as_ref(),
-        ) {
-            DeadlineResolution::Proceed(bids_per_cdn, report) => {
-                // Only fresh bids refresh the cache, and only because
-                // the round completed under its design. The WAL logs
-                // exactly what the cache absorbs, so recovery re-stores
-                // the same entries.
-                for cdn in &report.fresh {
-                    self.cache
-                        .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());
-                    self.wal_append(&WalRecord::Bids {
-                        round,
-                        cdn: cdn.index() as u32,
-                        bids: bids_per_cdn[cdn.index()].clone(),
-                    });
-                }
-                let options = assemble_options(scenario.groups.len(), &bids_per_cdn);
-                let problem = BrokerProblem {
-                    groups: scenario.groups.clone(),
-                    options,
-                };
-                let assignment = optimize_probed_ctx(
-                    &problem,
-                    &self.policy,
-                    &OptimizeMode::Heuristic,
-                    round,
-                    self.shared.probe.as_ref(),
-                    &mut self.ctx,
-                );
-                let dr = DriverRound {
-                    round,
-                    resolution: if report.is_clean() {
-                        RoundResolution::Fresh
-                    } else {
-                        RoundResolution::Degraded
-                    },
-                    picks: picks_of(&problem, &assignment),
-                    objective: assignment.objective,
-                };
-                // Commit point: settlement durable before any Accept is
-                // externalized (DESIGN.md §15).
-                self.wal_commit_round(round, &dr);
-                for cdn in 0..n {
-                    let entries = accept_entries(&problem, &assignment, cdn, &bids_per_cdn[cdn]);
-                    if entries.is_empty() {
-                        continue;
-                    }
-                    // As with Shares: write without the slot lock held.
-                    let taken = self.shared.slots[cdn]
-                        .lock()
-                        .expect("slot lock poisoned")
-                        .take();
-                    if let Some(mut s) = taken {
-                        if s.alive.load(Ordering::SeqCst) {
-                            // Accept delivery is best-effort: a failure
-                            // here is next round's routing problem.
-                            let _ = s.writer.send(round, &Message::Accept(entries));
-                        }
-                        let mut slot = self.shared.slots[cdn].lock().expect("slot lock poisoned");
-                        if slot.is_none() {
-                            *slot = Some(s);
-                        }
-                    }
-                }
-                let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
-                let accepted = problem.groups.len() as u64;
-                self.shared.emit(Event::AcceptIssued {
-                    round,
-                    accepted,
-                    rejected: total_bids.saturating_sub(accepted),
-                });
-                self.shared.emit(Event::RoundCompleted {
-                    round,
-                    objective: assignment.objective,
-                    options: total_bids,
-                });
-                dr
-            }
-            DeadlineResolution::Fallback(_) => {
-                let outcome = scenario.run_round_probed(
-                    RoundId(round),
-                    Design::Brokered,
-                    self.policy,
-                    None,
-                    self.shared.probe.as_ref(),
-                );
-                let dr = DriverRound {
-                    round,
-                    resolution: RoundResolution::Fallback,
-                    picks: picks_of(&outcome.problem, &outcome.assignment),
-                    objective: outcome.assignment.objective,
-                };
-                // A fallback round externalizes no Accepts, but it is
-                // still a settled decision: commit it so a restart does
-                // not re-run (and possibly re-decide) it.
-                self.wal_commit_round(round, &dr);
-                dr
-            }
+            self.shared.return_agent(cdn, agent);
         }
     }
 }

@@ -6,7 +6,16 @@
 //! fingerprint of each round's decision, and the two drivers' sequences
 //! must compare equal — same ladder rungs, same picks, same objectives,
 //! through stale substitution, breaker trips, half-open recovery, and
-//! Brokered fallback.
+//! Brokered fallback. So must their journals (what `obs-report` and
+//! `vdx-audit` read), once wall-clock fields and the daemon-only
+//! `conn_*` events are set aside.
+//!
+//! Both drivers run the one `vdx_core::Round`, so this no longer guards
+//! two copies of the round logic against drifting apart; it proves the
+//! TCP transport classifies silenced, disconnected and unrouted agents
+//! the way the script says, and that commit ordering leaks into neither
+//! decisions nor journal. The hand-pinned `expected` ladder below is the
+//! oracle that is independent of the spine.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,6 +23,7 @@ use std::time::Duration;
 use vdx_broker::{BreakerConfig, CpPolicy, HealthState};
 use vdx_core::{Design, DriverRound, ExchangeDriver, RoundResolution};
 use vdx_exchanged::{run_agent, AgentConfig, ExchangeServer, ServerOptions};
+use vdx_obs::{Event, MemoryProbe, Probe};
 use vdx_sim::soak::{run_reference, SoakPlan, SoakRound};
 use vdx_sim::{Scenario, ScenarioConfig};
 
@@ -49,6 +59,7 @@ fn server_options(plan: &SoakPlan) -> ServerOptions {
 fn run_live(
     scenario: &Arc<Scenario>,
     plan: &SoakPlan,
+    probe: Arc<dyn Probe>,
     configure: impl Fn(usize) -> AgentConfig,
 ) -> Vec<DriverRound> {
     let mut server = ExchangeServer::start(
@@ -56,7 +67,7 @@ fn run_live(
         scenario.clone(),
         Design::Marketplace,
         CpPolicy::balanced(),
-        vdx_obs::probe::noop(),
+        probe,
         server_options(plan),
     )
     .expect("bind loopback");
@@ -83,6 +94,16 @@ fn run_live(
             .expect("agent transport error");
     }
     live
+}
+
+/// A driver's journal as the analytics tools compare it: wall-clock
+/// fields zeroed, the daemon's connection lifecycle (which the
+/// in-process driver has none of) dropped.
+fn comparable_journal(probe: &MemoryProbe) -> Vec<Event> {
+    let mut events = probe.take();
+    events.retain(|e| !e.kind().starts_with("conn_"));
+    events.iter_mut().for_each(Event::zero_wall_clock);
+    events
 }
 
 /// The per-CDN silence schedule implied by a plan.
@@ -120,12 +141,13 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
             cooldown_rounds: 2,
         },
     );
+    let reference_probe = Arc::new(MemoryProbe::new());
     let reference = run_reference(
         &scenario,
         Design::Marketplace,
         CpPolicy::balanced(),
         plan.clone(),
-        vdx_obs::probe::noop(),
+        reference_probe.clone(),
     );
     let expected: Vec<RoundResolution> = vec![
         RoundResolution::Fresh,
@@ -146,13 +168,19 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
         "the reference driver should walk the scripted ladder"
     );
 
-    let live = run_live(&scenario, &plan, |cdn| AgentConfig {
+    let live_probe = Arc::new(MemoryProbe::new());
+    let live = run_live(&scenario, &plan, live_probe.clone(), |cdn| AgentConfig {
         silent_rounds: silent_rounds_for(&plan, cdn as u32),
         ..AgentConfig::new(cdn as u32, Design::Marketplace)
     });
     assert_eq!(
         live, reference,
         "daemon decisions diverged from the reference"
+    );
+    assert_eq!(
+        comparable_journal(&live_probe),
+        comparable_journal(&reference_probe),
+        "daemon journal diverged from the reference"
     );
 }
 

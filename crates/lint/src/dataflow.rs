@@ -87,6 +87,19 @@ impl DfConfig {
                     Some("ExchangeServer".to_string()),
                     "run_round".to_string(),
                 ),
+                // The spine (`vdx-core::Round::run`) calls the daemon's
+                // half of a round through generic `RoundHooks`, which the
+                // call graph cannot follow: root the hooks themselves.
+                (
+                    "vdx-exchanged".to_string(),
+                    Some("Transport".to_string()),
+                    "collect_announces".to_string(),
+                ),
+                (
+                    "vdx-exchanged".to_string(),
+                    Some("Transport".to_string()),
+                    "commit".to_string(),
+                ),
                 ("vdx-exchanged".to_string(), None, "accept_loop".to_string()),
                 (
                     "vdx-exchanged".to_string(),

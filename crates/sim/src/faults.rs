@@ -29,13 +29,14 @@
 
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::scenario::Scenario;
+use crate::soak::{brokered_round, matching_for, round_engine};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdx_broker::{BrokerProblem, CpPolicy, OptimizeMode, StaleBidCache};
-use vdx_cdn::{median_capacity, BidPolicy, CdnId, MatchingConfig};
+use vdx_cdn::CdnId;
 use vdx_core::{
-    CdnAgent, DeadlineOutcome, Design, ExchangeBroker, ExchangeConfig, LiveRoundResult, RoundId,
-    RoundOutcome,
+    CdnAgent, DeadlineOutcome, DegradationReport, Design, ExchangeBroker, ExchangeConfig,
+    LiveRoundResult, RoundId, RoundOutcome,
 };
 use vdx_geo::CityId;
 use vdx_obs::{Event, Probe};
@@ -219,16 +220,6 @@ fn bids_by_cdn(problem: &BrokerProblem, cdns: usize) -> Vec<Vec<Bid>> {
     per_cdn
 }
 
-/// The matching rule a design's CDN agents apply (identical to the pure
-/// decision round's).
-fn matching_for(design: Design) -> MatchingConfig {
-    if design == Design::Omniscient {
-        MatchingConfig::unrestricted()
-    } else {
-        MatchingConfig::default().with_max_candidates(design.max_candidates())
-    }
-}
-
 /// Deterministic per-(round, CDN) link fault seed.
 fn link_seed(plan: &FaultPlan, round: u64, cdn: usize) -> u64 {
     plan.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (cdn as u64).wrapping_mul(0xC2B2_AE35)
@@ -313,7 +304,6 @@ pub fn run_campaign(
 
         // Live round over faulty links.
         let failed: Vec<usize> = faults.failed_cdns.iter().map(|&c| c as usize).collect();
-        let matching = matching_for(design);
         let channel_config = ReliableConfig {
             backoff: 1.5,
             max_retries: Some(16),
@@ -346,21 +336,10 @@ pub fn run_campaign(
                 LinkEnd::A,
                 channel_config.clone(),
             )));
-            agents.push(
-                CdnAgent::new(
-                    CdnId(cdn as u32),
-                    Endpoint::new(ReliableChannel::new(LinkEnd::B, channel_config.clone())),
-                    BidPolicy::default(),
-                    matching.clone(),
-                    scenario.fleet.clusters.len(),
-                    scenario.background_load.clone(),
-                )
-                .with_design(
-                    design,
-                    scenario.contracts[cdn].billed_price_per_mb(),
-                    median_capacity(&scenario.fleet, CdnId(cdn as u32)),
-                ),
-            );
+            agents.push(CdnAgent::new(
+                Endpoint::new(ReliableChannel::new(LinkEnd::B, channel_config.clone())),
+                round_engine(scenario, design, cdn as u32),
+            ));
         }
         let mut broker = ExchangeBroker::new(
             broker_eps,
@@ -368,7 +347,7 @@ pub fn run_campaign(
                 design,
                 policy,
                 mode: OptimizeMode::Heuristic,
-                matching,
+                matching: matching_for(design),
             },
         );
         broker.set_probe(probe.clone());
@@ -395,36 +374,22 @@ pub fn run_campaign(
             }
         }
 
-        let (resolved, fresh_cdns) = match early {
-            Some(result) => {
-                // Every Announce arrived in time: all CDNs are fresh.
-                ((Some(result), RoundAvailability::Live), (0..n).collect())
-            }
-            None => {
-                let outcome = broker.finalize_at_deadline(
-                    SimTime(plan.deadline_ms),
-                    &mut links,
-                    &cache,
-                    campaign_idx,
-                    &failed,
-                );
-                match outcome {
-                    DeadlineOutcome::Completed(result, report) => {
-                        let availability = if report.is_clean() {
-                            RoundAvailability::Live
-                        } else {
-                            RoundAvailability::Degraded
-                        };
-                        let fresh: Vec<usize> = report.fresh.iter().map(|c| c.index()).collect();
-                        ((Some(result), availability), fresh)
-                    }
-                    DeadlineOutcome::Fallback(_) => {
-                        // finalize_at_deadline already journaled the
-                        // DesignFallback event.
-                        ((None, RoundAvailability::Fallback), Vec::new())
-                    }
-                }
-            }
+        let outcome = match early {
+            // Every Announce arrived in time: all CDNs are fresh.
+            Some(result) => DeadlineOutcome::Completed(
+                result,
+                DegradationReport {
+                    fresh: (0..n as u32).map(CdnId).collect(),
+                    ..DegradationReport::default()
+                },
+            ),
+            None => broker.finalize_at_deadline(
+                SimTime(plan.deadline_ms),
+                &mut links,
+                &cache,
+                campaign_idx,
+                &failed,
+            ),
         };
 
         // Wire accounting: what the injected faults and the Go-Back-N
@@ -445,12 +410,12 @@ pub fn run_campaign(
             }
         }
 
-        match resolved {
-            (Some(result), availability) => {
+        match outcome {
+            DeadlineOutcome::Completed(result, report) => {
                 // Only *fresh* bids refresh the cache: a stale
                 // substitution must never be re-stored as if just seen.
                 for (cdn, bids) in bids_by_cdn(&result.problem, n).into_iter().enumerate() {
-                    if fresh_cdns.contains(&cdn) {
+                    if report.fresh.contains(&CdnId(cdn as u32)) {
                         cache.store(cdn, campaign_idx, bids);
                     }
                 }
@@ -464,11 +429,16 @@ pub fn run_campaign(
                     outcome: &outcome,
                 });
                 rounds.push(CampaignRound {
-                    availability,
+                    availability: if report.is_clean() {
+                        RoundAvailability::Live
+                    } else {
+                        RoundAvailability::Degraded
+                    },
                     metrics,
                 });
             }
-            (None, _) => {
+            // `finalize_at_deadline` already journaled the DesignFallback.
+            DeadlineOutcome::Fallback(_) => {
                 rounds.push(brokered_fallback(scenario, policy, round_id, &probe));
             }
         }
@@ -484,13 +454,7 @@ fn brokered_fallback(
     round_id: u64,
     probe: &Arc<dyn Probe>,
 ) -> CampaignRound {
-    let outcome = scenario.run_round_probed(
-        RoundId(round_id),
-        Design::Brokered,
-        policy,
-        None,
-        probe.as_ref(),
-    );
+    let outcome = brokered_round(scenario, round_id, policy, probe.as_ref());
     let metrics = compute(&MetricsInput {
         scenario,
         outcome: &outcome,

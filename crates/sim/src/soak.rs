@@ -1,45 +1,37 @@
 //! The soak harness: a transport-free reference driver for the
 //! `vdx-exchanged` daemon, plus the plan format both sides replay.
 //!
-//! The daemon is a *second driver* over the same `vdx-core` round logic
-//! as the in-process engine (ARCHITECTURE.md, "two drivers, one core").
-//! Its soak test replays a [`SoakPlan`] twice — once through
-//! [`SimReferenceDriver`] here, once against the live TCP server with
-//! real `vdx-agent` processes silenced on the same rounds — and asserts
-//! the two [`vdx_core::DriverRound`] sequences are equal.
+//! The daemon and this reference are two drivers of the *same*
+//! [`vdx_core::Round`] (ARCHITECTURE.md, "two drivers, one core"): the
+//! spine owns breakers, stale cache, ladder, optimization and journal;
+//! a driver only says what its transport observed. The reference's
+//! transport is a script — [`SoakPlan`] names the CDNs silent on each
+//! round, everyone else answers with the bids a fresh [`BidEngine`]
+//! builds (re-instantiated every round, like the fault campaign's
+//! per-round agents and the daemon agent's default, so prices cannot
+//! drift between drivers) — and it commits nothing.
 //!
-//! The reference driver therefore models exactly the daemon's
-//! *observable* semantics, built from the same shared pieces:
-//!
-//! * per-CDN [`CircuitBreaker`]s decide routing (`Open` ⇒ the CDN gets
-//!   no Share and is excluded outright);
-//! * a silent CDN is a failure observation, then resolves through
-//!   [`vdx_core::resolve_at_deadline`] (stale reuse under TTL, else
-//!   exclusion, else Brokered fallback);
-//! * bids come from [`BidEngine`], re-instantiated fresh every round —
-//!   matching both the fault campaign's per-round agents and the
-//!   daemon agent's default (no cross-round margin learning), so bid
-//!   prices cannot drift between the drivers;
-//! * fresh bids refresh the stale cache only when the round actually
-//!   completes under its design (a fallback round stores nothing),
-//!   mirroring `run_campaign`.
+//! The daemon's soak test replays one plan through both and asserts the
+//! [`vdx_core::DriverRound`] sequences and the journals are equal. With
+//! one spine that no longer guards against the two drifting apart in
+//! logic; it proves the daemon's *transport* classifies a silenced,
+//! dropped or unrouted agent as the script says, and that commit
+//! ordering does not leak into decisions. [`run_reference`] is also what
+//! recovery, chaos and the benchmark's parity check compare against.
 
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use vdx_broker::{
-    optimize_probed_ctx, BreakerConfig, BrokerProblem, CircuitBreaker, CpPolicy, OptimizeContext,
-    OptimizeMode, StaleBidCache,
-};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, OptimizeMode, StaleBidCache};
 use vdx_cdn::{median_capacity, BidPolicy, CdnId, MatchingConfig};
 use vdx_core::{
-    assemble_options, picks_of, resolve_at_deadline, BidEngine, BidSource, DeadlineResolution,
-    Design, DriverRound, ExchangeDriver, RoundId, RoundResolution,
+    BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
+    RoundOutcome,
 };
 use vdx_geo::CityId;
-use vdx_obs::{Event, Probe};
-use vdx_proto::{Bid, Share};
+use vdx_obs::Probe;
+use vdx_proto::Share;
 
 /// The matching rule a design's CDN agents apply (identical to the pure
 /// decision round's). Shared by the fault campaign, this reference
@@ -52,22 +44,20 @@ pub fn matching_for(design: Design) -> MatchingConfig {
     }
 }
 
-/// Builds the round's Share batch from the scenario's client groups —
-/// `share_id` = group index, the id convention every driver uses.
+/// The round's Share batch for the scenario's client groups.
 pub fn shares_of(scenario: &Scenario) -> Vec<Share> {
-    scenario
-        .groups
-        .iter()
-        .enumerate()
-        .map(|(i, g)| Share {
-            share_id: i as u64,
-            location: g.city.0,
-            isp: 0,
-            content_id: 0,
-            data_size_kbps: g.demand_kbps.as_f64(),
-            client_count: g.sessions,
-        })
-        .collect()
+    vdx_core::shares_of(&scenario.groups)
+}
+
+/// The degradation ladder's last rung for a driver that holds the
+/// scenario: `round` re-run as Brokered from contract data.
+pub fn brokered_round(
+    scenario: &Scenario,
+    round: u64,
+    policy: CpPolicy,
+    probe: &dyn Probe,
+) -> RoundOutcome {
+    scenario.run_round_probed(RoundId(round), Design::Brokered, policy, None, probe)
 }
 
 /// Builds one CDN's per-round bid engine, configured exactly like the
@@ -158,18 +148,19 @@ impl SoakPlan {
     }
 }
 
-/// The in-process reference driver: replays a [`SoakPlan`] through the
-/// exact shared round logic the daemon uses, without sockets or clocks.
-/// See the module docs for the semantics it models.
+/// The in-process reference driver: a [`Round`] whose transport is the
+/// plan's silence script. See the module docs.
 pub struct SimReferenceDriver<'a> {
+    script: Script<'a>,
+    round: Round,
+}
+
+/// The reference driver's [`RoundHooks`]: scripted silences, bids built
+/// in place, nothing to commit.
+struct Script<'a> {
     scenario: &'a Scenario,
     design: Design,
-    policy: CpPolicy,
     plan: SoakPlan,
-    cache: StaleBidCache<Vec<Bid>>,
-    breakers: Vec<CircuitBreaker>,
-    ctx: OptimizeContext,
-    probe: Arc<dyn Probe>,
 }
 
 impl<'a> SimReferenceDriver<'a> {
@@ -183,187 +174,60 @@ impl<'a> SimReferenceDriver<'a> {
     ) -> SimReferenceDriver<'a> {
         let n = scenario.fleet.cdns.len();
         SimReferenceDriver {
-            scenario,
-            design,
-            policy,
-            cache: StaleBidCache::new(n, plan.stale_ttl_rounds),
-            breakers: (0..n).map(|_| CircuitBreaker::new(plan.breaker)).collect(),
-            plan,
-            ctx: OptimizeContext::new(),
-            probe,
+            round: Round::new(
+                design,
+                policy,
+                OptimizeMode::Heuristic,
+                (0..n).map(|_| CircuitBreaker::new(plan.breaker)).collect(),
+                StaleBidCache::new(n, plan.stale_ttl_rounds),
+                plan.deadline_ms,
+                probe,
+            ),
+            script: Script {
+                scenario,
+                design,
+                plan,
+            },
         }
     }
 
     /// Current health state of one CDN's breaker (for tests/reports).
     pub fn breaker(&self, cdn: usize) -> &CircuitBreaker {
-        &self.breakers[cdn]
+        self.round.breaker(cdn)
+    }
+}
+
+impl RoundHooks for Script<'_> {
+    fn collect_announces(&mut self, round: u64, routable: &[bool]) -> Vec<BidSource> {
+        let scenario = self.scenario;
+        let shares = shares_of(scenario);
+        let silent = self.plan.silent(round);
+        routable
+            .iter()
+            .enumerate()
+            .map(|(cdn, &asked)| {
+                if !asked || silent.contains(&(cdn as u32)) {
+                    return BidSource::Silent;
+                }
+                let engine = round_engine(scenario, self.design, cdn as u32);
+                BidSource::Fresh(engine.build_bids(
+                    &shares,
+                    &scenario.fleet,
+                    &|a: CityId, b: CityId| scenario.score_of(a, b),
+                ))
+            })
+            .collect()
+    }
+
+    fn brokered(&mut self, round: u64, policy: CpPolicy, probe: &dyn Probe) -> RoundOutcome {
+        brokered_round(self.scenario, round, policy, probe)
     }
 }
 
 impl ExchangeDriver for SimReferenceDriver<'_> {
     fn run_round(&mut self, round: u64) -> DriverRound {
-        let scenario = self.scenario;
-        let n = self.breakers.len();
-        for (cdn, b) in self.breakers.iter_mut().enumerate() {
-            if let Some(t) = b.begin_round(round) {
-                if self.probe.enabled() {
-                    self.probe.emit(Event::HealthTransition {
-                        round,
-                        cdn: cdn as u32,
-                        from: t.from.name().into(),
-                        to: t.to.name().into(),
-                        reason: t.reason.into(),
-                    });
-                }
-            }
-        }
-        if self.probe.enabled() {
-            self.probe.emit(Event::RoundStarted {
-                round,
-                design: self.design.name(),
-                groups: scenario.groups.len() as u64,
-                cdns: n as u64,
-            });
-            self.probe.emit(Event::SharePublished {
-                round,
-                shares: scenario.groups.len() as u64,
-                demand_kbps: scenario.groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
-            });
-        }
-        let shares = shares_of(scenario);
-        let silent = self.plan.silent(round).to_vec();
-        let mut sources: Vec<BidSource> = Vec::with_capacity(n);
-        for (cdn, breaker) in self.breakers.iter_mut().enumerate() {
-            if !breaker.allows_route() {
-                // Open: no Share was routed, no observation to make.
-                sources.push(BidSource::Down);
-                continue;
-            }
-            let probing = breaker.is_probe();
-            if silent.contains(&(cdn as u32)) {
-                let transition = breaker.on_failure(round);
-                if self.probe.enabled() {
-                    if probing {
-                        self.probe.emit(Event::HealthProbe {
-                            round,
-                            cdn: cdn as u32,
-                            success: false,
-                        });
-                    }
-                    if let Some(t) = transition {
-                        self.probe.emit(Event::HealthTransition {
-                            round,
-                            cdn: cdn as u32,
-                            from: t.from.name().into(),
-                            to: t.to.name().into(),
-                            reason: t.reason.into(),
-                        });
-                    }
-                }
-                sources.push(BidSource::Silent);
-            } else {
-                let engine = round_engine(scenario, self.design, cdn as u32);
-                let bids = engine.build_bids(&shares, &scenario.fleet, &|a: CityId, b: CityId| {
-                    scenario.score_of(a, b)
-                });
-                let transition = breaker.on_success(round);
-                if self.probe.enabled() {
-                    self.probe.emit(Event::BidReceived {
-                        round,
-                        cdn: cdn as u32,
-                        bids: bids.len() as u64,
-                    });
-                    if probing {
-                        self.probe.emit(Event::HealthProbe {
-                            round,
-                            cdn: cdn as u32,
-                            success: true,
-                        });
-                    }
-                    if let Some(t) = transition {
-                        self.probe.emit(Event::HealthTransition {
-                            round,
-                            cdn: cdn as u32,
-                            from: t.from.name().into(),
-                            to: t.to.name().into(),
-                            reason: t.reason.into(),
-                        });
-                    }
-                }
-                sources.push(BidSource::Fresh(bids));
-            }
-        }
-        match resolve_at_deadline(
-            round,
-            self.design,
-            sources,
-            scenario.groups.len(),
-            &self.cache,
-            round,
-            self.plan.deadline_ms,
-            self.probe.as_ref(),
-        ) {
-            DeadlineResolution::Proceed(bids_per_cdn, report) => {
-                // Only fresh bids refresh the cache, and only when the
-                // round completed under its design.
-                for cdn in &report.fresh {
-                    self.cache
-                        .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());
-                }
-                let options = assemble_options(scenario.groups.len(), &bids_per_cdn);
-                let problem = BrokerProblem {
-                    groups: scenario.groups.clone(),
-                    options,
-                };
-                let assignment = optimize_probed_ctx(
-                    &problem,
-                    &self.policy,
-                    &OptimizeMode::Heuristic,
-                    round,
-                    self.probe.as_ref(),
-                    &mut self.ctx,
-                );
-                if self.probe.enabled() {
-                    let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
-                    let accepted = problem.groups.len() as u64;
-                    self.probe.emit(Event::AcceptIssued {
-                        round,
-                        accepted,
-                        rejected: total_bids.saturating_sub(accepted),
-                    });
-                    self.probe.emit(Event::RoundCompleted {
-                        round,
-                        objective: assignment.objective,
-                        options: total_bids,
-                    });
-                }
-                DriverRound {
-                    round,
-                    resolution: if report.is_clean() {
-                        RoundResolution::Fresh
-                    } else {
-                        RoundResolution::Degraded
-                    },
-                    picks: picks_of(&problem, &assignment),
-                    objective: assignment.objective,
-                }
-            }
-            DeadlineResolution::Fallback(_) => {
-                let outcome = scenario.run_round_probed(
-                    RoundId(round),
-                    Design::Brokered,
-                    self.policy,
-                    None,
-                    self.probe.as_ref(),
-                );
-                DriverRound {
-                    round,
-                    resolution: RoundResolution::Fallback,
-                    picks: picks_of(&outcome.problem, &outcome.assignment),
-                    objective: outcome.assignment.objective,
-                }
-            }
-        }
+        let scenario = self.script.scenario;
+        self.round.run(round, &scenario.groups, &mut self.script)
     }
 }
 
@@ -386,6 +250,7 @@ mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
     use vdx_broker::HealthState;
+    use vdx_core::RoundResolution;
 
     fn small_scenario() -> Scenario {
         let mut config = ScenarioConfig::small();

@@ -12,7 +12,7 @@
 //! `--corrupt-chance` knobs (the README suggests 15% as a good start).
 
 use vdx::cdn::{BidPolicy, MatchingConfig};
-use vdx::core::exchange::{CdnAgent, ExchangeBroker, ExchangeConfig};
+use vdx::core::exchange::{BidEngine, CdnAgent, ExchangeBroker, ExchangeConfig};
 use vdx::prelude::*;
 use vdx::proto::endpoint::Endpoint;
 use vdx::proto::reliable::{ReliableChannel, ReliableConfig};
@@ -49,12 +49,14 @@ fn main() {
     let mut agents: Vec<CdnAgent> = (0..n)
         .map(|i| {
             CdnAgent::new(
-                CdnId(i as u32),
                 Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default())),
-                BidPolicy::default(),
-                MatchingConfig::default(),
-                scenario.fleet.clusters.len(),
-                scenario.background_load.clone(),
+                BidEngine::new(
+                    CdnId(i as u32),
+                    BidPolicy::default(),
+                    MatchingConfig::default(),
+                    scenario.fleet.clusters.len(),
+                    scenario.background_load.clone(),
+                ),
             )
         })
         .collect();

@@ -29,6 +29,14 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark harness selftest (out-of-workspace consumer of the round-spine APIs)"
+# examples/vdx_bench is its own package, so the build and tests above do
+# not compile it: API drift under what it imports shows up only here.
+# In a sandbox without a crates.io mirror add
+# `--config examples/vdx_bench/sandbox/config.toml` (the stand-in crates;
+# see examples/vdx_bench/README.md, "Running it").
+cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- selftest
+
 echo "==> cargo test -q --no-default-features -p vdx-sim (serial engine)"
 cargo test -q --no-default-features -p vdx-sim
 
