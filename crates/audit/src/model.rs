@@ -1,7 +1,7 @@
 //! Data model shared by ingest, queries and the gate: run metadata rows
 //! and the `BENCH_experiments.json` baseline report.
 
-use crate::json::{fmt_number, Json};
+use crate::json::Json;
 
 /// What kind of artifact a run row came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,12 +266,6 @@ pub fn content_hash(bytes: &[u8]) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("{h:016x}")
-}
-
-/// Formats a number the way the store's JSON writer does (whole values
-/// without a trailing `.0`); re-exported for renderers.
-pub fn fmt_metric(v: f64) -> String {
-    fmt_number(v)
 }
 
 #[cfg(test)]

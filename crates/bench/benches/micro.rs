@@ -14,10 +14,7 @@ use vdx_proto::frame;
 use vdx_proto::reliable::{ReliableChannel, ReliableConfig};
 use vdx_proto::{Bid, FaultConfig, Link, LinkEnd, Message, SimTime};
 use vdx_sim::Scenario;
-use vdx_solver::{
-    solve_lp, AssignmentProblem, CandidateOption, LinearProgram, Relation, SolverContext,
-    WarmPolicy,
-};
+use vdx_solver::{solve_lp, AssignmentProblem, CandidateOption, LinearProgram, Relation};
 
 fn scenario() -> &'static Scenario {
     static S: std::sync::OnceLock<Scenario> = std::sync::OnceLock::new();
@@ -67,41 +64,6 @@ fn bench_solver(c: &mut Criterion) {
     let gap = gap_300x20();
     group.bench_function("gap_heuristic_300x20", |b| {
         b.iter(|| black_box(gap.solve_heuristic()))
-    });
-    group.finish();
-}
-
-/// Backs the warm-start tentpole on the same GAP instance as
-/// `gap_heuristic_300x20` (the cold reference): a bit-identical re-solve
-/// answered from the memoized state, and the dual-repricing repair path
-/// on a small alternating delta (12 of 300 clients, under the 10 %
-/// threshold).
-fn bench_warm_start(c: &mut Criterion) {
-    let mut group = c.benchmark_group("warm_start");
-    let gap = gap_300x20();
-
-    let mut exact = SolverContext::new(WarmPolicy::Exact);
-    exact.solve(&gap);
-    group.bench_function("warm_hit_300x20", |b| {
-        b.iter(|| black_box(exact.solve(&gap)))
-    });
-
-    let mut nudged = gap.clone();
-    for i in 0..12 {
-        nudged.options[i * 25][0].value += 0.5;
-    }
-    let mut repair = SolverContext::new(WarmPolicy::Repair {
-        max_changed_fraction: 0.1,
-        gap_tol: 0.05,
-    });
-    repair.solve(&gap);
-    group.bench_function("repair_12_of_300_changed", |b| {
-        // Alternate the two instances so every solve sees a non-empty
-        // delta and exercises the repair (not the warm-hit) path.
-        b.iter(|| {
-            black_box(repair.solve(&nudged));
-            black_box(repair.solve(&gap))
-        })
     });
     group.finish();
 }
@@ -286,7 +248,6 @@ fn bench_proto(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_solver,
-    bench_warm_start,
     bench_matching,
     bench_decision_rounds,
     bench_probe_overhead,

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vdx_geo::{CityId, World};
+use vdx_geo::CityId;
 use vdx_trace::SessionRecord;
 use vdx_units::Kbps;
 
@@ -105,27 +105,10 @@ pub fn demand_points(groups: &[ClientGroup], background: &[Kbps]) -> Vec<(CityId
         .collect()
 }
 
-/// Convenience for tests/examples: groups for a world where every city has
-/// one unit-demand client.
-pub fn uniform_groups(world: &World, kbps: f64) -> Vec<ClientGroup> {
-    world
-        .cities()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| ClientGroup {
-            id: GroupId(i as u32),
-            city: c.id,
-            bitrate_kbps: kbps as u32,
-            demand_kbps: Kbps::new(kbps),
-            sessions: 1,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdx_geo::WorldConfig;
+    use vdx_geo::{World, WorldConfig};
     use vdx_trace::{BrokerTrace, BrokerTraceConfig};
 
     fn sessions() -> Vec<SessionRecord> {

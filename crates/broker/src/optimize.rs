@@ -20,9 +20,7 @@ use std::collections::HashMap;
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
 use vdx_obs::{Event, Probe};
-use vdx_solver::{
-    AssignmentProblem, CandidateOption, MilpConfig, SolveStats, SolverContext, WarmPolicy,
-};
+use vdx_solver::{AssignmentProblem, CandidateOption, MilpConfig, ProblemDelta, SolveStats};
 use vdx_units::{Kbps, UsdPerGb};
 
 /// One candidate (from one CDN's Announce) for one client group.
@@ -124,82 +122,82 @@ pub fn optimize_probed(
     let gap = build_gap(problem, policy);
     let (assignment, mode_name, stats) = solve_gap(&gap, mode);
 
-    if probe.enabled() {
-        probe.emit(Event::SolverStats {
-            round,
-            mode: mode_name.to_string(),
-            pivots: stats.pivots,
-            bnb_nodes: stats.bnb_nodes,
-            optimality_gap: stats.optimality_gap(assignment.objective),
-            objective: assignment.objective,
-        });
-    }
-
+    emit_solver_stats(probe, round, mode_name, &stats, assignment.objective);
     into_broker_assignment(problem, assignment)
 }
 
-/// Warm-start state one broker carries across its rounds: the solver-side
-/// [`SolverContext`] (delta detection, memoized previous problem) plus a
-/// broker-level cache of the previous round's full decision.
+/// Warm-start state one broker carries across its rounds: a memo of the
+/// previous round, the reuse switch and the warm/cold counters.
 ///
-/// Two memoization levels stack:
+/// When `(problem, policy, mode)` compare equal to the previous round's
+/// triple, the cached [`BrokerAssignment`] is replayed and the whole
+/// Optimize step (cluster bucketization, policy valuation, solve) is
+/// skipped. Exact by construction: the pipeline is a deterministic pure
+/// function of that triple, so every answer — cached or not — is
+/// bit-identical to what the context-free [`optimize_probed`] returns.
+/// The memo keys on the triple, not on the built GAP: a heuristic → exact
+/// mode switch presents a bit-identical GAP and must still re-solve.
+/// Otherwise the GAP is rebuilt, solved, and diffed against the previous
+/// round's ([`ProblemDelta`]) for the journaled `SolverResolve` line.
 ///
-/// 1. **broker-level** — when `(problem, policy, mode)` compare equal to
-///    the previous round's triple, the cached [`BrokerAssignment`] is
-///    replayed and the whole Optimize step (cluster bucketization, policy
-///    valuation, solve) is skipped. Exact by construction: the pipeline
-///    is a deterministic pure function of that triple.
-/// 2. **solver-level** — otherwise the GAP instance is rebuilt and the
-///    [`SolverContext`] tracks its delta against the previous round, so
-///    the journaled `SolverResolve` line reports exactly which clients
-///    and buckets changed.
-///
-/// The context always runs the solver under [`WarmPolicy::Exact`], so
-/// every answer — cached or not — is bit-identical to what the
-/// context-free [`optimize_probed`] returns. One context serves one
-/// sequential round stream (a shard); concurrent streams get one each.
-#[derive(Debug, Clone, Default)]
+/// One context serves one sequential round stream (a shard); concurrent
+/// streams get one each.
+#[derive(Debug, Clone)]
 pub struct OptimizeContext {
-    solver: SolverContext,
-    prev: Option<(BrokerProblem, CpPolicy, OptimizeMode)>,
-    cached: Option<CachedDecision>,
+    /// When false every round re-solves, but the memo is still kept so the
+    /// journaled deltas match a reuse-enabled context's.
+    reuse: bool,
+    stats: SolveStats,
+    prev: Option<PreviousRound>,
 }
 
-/// The previous round's decision plus the fields its `SolverStats` journal
-/// line carried, for byte-identical replay on a broker-level warm hit.
+/// Everything the next round needs from this one: the input triple to
+/// recognize a repeat, the GAP to diff against, and the decision plus the
+/// fields its `SolverStats` journal line carried, for byte-identical
+/// replay on a warm hit.
 #[derive(Debug, Clone)]
-struct CachedDecision {
+struct PreviousRound {
+    problem: BrokerProblem,
+    policy: CpPolicy,
+    mode: OptimizeMode,
+    gap: AssignmentProblem,
     assignment: BrokerAssignment,
     mode_name: &'static str,
     stats: SolveStats,
+}
+
+impl Default for OptimizeContext {
+    fn default() -> OptimizeContext {
+        OptimizeContext::new()
+    }
 }
 
 impl OptimizeContext {
     /// A fresh context with reuse enabled.
     pub fn new() -> OptimizeContext {
         OptimizeContext {
-            solver: SolverContext::new(WarmPolicy::Exact),
+            reuse: true,
+            stats: SolveStats::new(),
             prev: None,
-            cached: None,
         }
     }
 
-    /// Enables or disables reuse (both memoization levels). A disabled
-    /// context re-solves every round from scratch while still detecting
-    /// and reporting deltas — the `--solver-cold` reference path, which
-    /// must journal byte-identically to an enabled one.
+    /// Enables or disables reuse. A disabled context re-solves every
+    /// round from scratch while still detecting and reporting deltas —
+    /// the `--solver-cold` reference path, which must journal
+    /// byte-identically to an enabled one.
     pub fn set_reuse(&mut self, reuse: bool) {
-        self.solver.set_reuse(reuse);
+        self.reuse = reuse;
     }
 
     /// Whether reuse is enabled.
     pub fn reuse(&self) -> bool {
-        self.solver.reuse()
+        self.reuse
     }
 
     /// Cumulative warm/cold counters since the context was created.
     pub fn stats(&self) -> &SolveStats {
-        self.solver.stats()
+        &self.stats
     }
 }
 
@@ -232,40 +230,52 @@ pub fn optimize_probed_ctx(
         "options misaligned"
     );
 
-    // Broker-level warm hit: the input triple is unchanged, so rebuilding
-    // the GAP and re-solving would reproduce the cached decision bit for
-    // bit. The solver context's memoized problem is also unchanged (the
-    // GAP build is deterministic in the triple), hence the empty delta.
-    if ctx.reuse()
-        && ctx.cached.is_some()
-        && ctx
-            .prev
-            .as_ref()
-            .is_some_and(|(p, pol, m)| p == problem && pol == policy && m == mode)
-    {
-        let cached = ctx.cached.as_ref().expect("checked above");
-        ctx.solver.note_warm_hit();
-        if probe.enabled() {
-            probe.emit(Event::SolverResolve {
-                round,
-                changed_clients: 0,
-                changed_buckets: 0,
-                warm_eligible: true,
-            });
-            probe.emit(Event::SolverStats {
-                round,
-                mode: cached.mode_name.to_string(),
-                pivots: cached.stats.pivots,
-                bnb_nodes: cached.stats.bnb_nodes,
-                optimality_gap: cached.stats.optimality_gap(cached.assignment.objective),
-                objective: cached.assignment.objective,
-            });
-        }
-        return cached.assignment.clone();
+    // Warm hit: the input triple is unchanged, so rebuilding the GAP and
+    // re-solving would reproduce the cached decision bit for bit — and the
+    // GAP build is deterministic in the triple, hence the empty delta.
+    let repeat = ctx
+        .prev
+        .as_ref()
+        .filter(|p| ctx.reuse && p.problem == *problem && p.policy == *policy && p.mode == *mode);
+    if let Some(prev) = repeat {
+        ctx.stats.warm_hits += 1;
+        emit_solver_resolve(probe, round, ProblemDelta::default());
+        emit_solver_stats(
+            probe,
+            round,
+            prev.mode_name,
+            &prev.stats,
+            prev.assignment.objective,
+        );
+        return prev.assignment.clone();
     }
 
     let gap = build_gap(problem, policy);
-    let delta = ctx.solver.peek_delta(&gap);
+    let delta = match &ctx.prev {
+        Some(prev) => ProblemDelta::between(&prev.gap, &gap),
+        None => ProblemDelta::everything(&gap),
+    };
+    emit_solver_resolve(probe, round, delta);
+
+    let (assignment, mode_name, stats) = solve_gap(&gap, mode);
+    ctx.stats.cold_solves += 1;
+    emit_solver_stats(probe, round, mode_name, &stats, assignment.objective);
+
+    let assignment = into_broker_assignment(problem, assignment);
+    ctx.prev = Some(PreviousRound {
+        problem: problem.clone(),
+        policy: *policy,
+        mode: mode.clone(),
+        gap,
+        assignment: assignment.clone(),
+        mode_name,
+        stats,
+    });
+    assignment
+}
+
+/// Journals how this round's GAP differs from the previous round's.
+fn emit_solver_resolve(probe: &dyn Probe, round: u64, delta: ProblemDelta) {
     if probe.enabled() {
         probe.emit(Event::SolverResolve {
             round,
@@ -274,29 +284,27 @@ pub fn optimize_probed_ctx(
             warm_eligible: delta.is_empty(),
         });
     }
+}
 
-    let (assignment, mode_name, stats) = solve_gap(&gap, mode);
-    ctx.solver.observe(&gap, &assignment);
-
+/// Journals one solve's effort counters — freshly computed or replayed
+/// from the memo, the line is the same.
+fn emit_solver_stats(
+    probe: &dyn Probe,
+    round: u64,
+    mode_name: &str,
+    stats: &SolveStats,
+    objective: f64,
+) {
     if probe.enabled() {
         probe.emit(Event::SolverStats {
             round,
             mode: mode_name.to_string(),
             pivots: stats.pivots,
             bnb_nodes: stats.bnb_nodes,
-            optimality_gap: stats.optimality_gap(assignment.objective),
-            objective: assignment.objective,
+            optimality_gap: stats.optimality_gap(objective),
+            objective,
         });
     }
-
-    let broker_assignment = into_broker_assignment(problem, assignment);
-    ctx.prev = Some((problem.clone(), *policy, mode.clone()));
-    ctx.cached = Some(CachedDecision {
-        assignment: broker_assignment.clone(),
-        mode_name,
-        stats,
-    });
-    broker_assignment
 }
 
 /// Maps a [`BrokerProblem`] onto the solver's bucketized GAP form.
@@ -393,6 +401,7 @@ fn into_broker_assignment(
 mod tests {
     use super::*;
     use crate::gather::GroupId;
+    use proptest::prelude::*;
     use vdx_geo::CityId;
 
     fn group(i: u32, demand: f64) -> ClientGroup {
@@ -703,6 +712,65 @@ mod tests {
         match &driven[1].1[0] {
             Event::SolverResolve { warm_eligible, .. } => assert!(warm_eligible),
             other => panic!("expected SolverResolve, got {other:?}"),
+        }
+    }
+
+    proptest! {
+        /// The memo's core contract, on the code that ships: for any
+        /// random score delta between consecutive rounds, a context-driven
+        /// round sequence returns assignments identical to context-free
+        /// solves, journals exactly the perturbed groups as changed, and
+        /// replays only the one round whose input repeated.
+        #[test]
+        fn warm_context_equals_cold_solves_across_demand_deltas(
+            caps in proptest::collection::vec(1_000.0f64..20_000.0, 2..5),
+            demands in proptest::collection::vec(100.0f64..4_000.0, 2..10),
+            seed in any::<u32>(),
+            perturb_mask in any::<u16>(),
+            nudge in 0.25f64..3.0,
+        ) {
+            // Group 0 always moves, so `moved` never equals `base`.
+            let perturb_mask = perturb_mask | 1;
+            let perturbed = |i: usize| (perturb_mask >> (i % 16)) & 1 == 1;
+            let build = |moved: bool| BrokerProblem {
+                groups: demands.iter().enumerate().map(|(i, &d)| group(i as u32, d)).collect(),
+                options: (0..demands.len())
+                    .map(|i| {
+                        let shift = if moved && perturbed(i) { nudge } else { 0.0 };
+                        (0..caps.len())
+                            .map(|b| {
+                                let score = 40.0 + ((seed as usize + i * 3 + b * 7) % 11) as f64;
+                                opt(b as u32, score + shift, 1.0, caps[b])
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            };
+            let (base, moved) = (build(false), build(true));
+            // base (cold), moved (delta), moved again (warm hit), back (delta).
+            let rounds: Vec<_> = [&base, &moved, &moved, &base]
+                .into_iter()
+                .map(|p| (p.clone(), OptimizeMode::Heuristic))
+                .collect();
+            let mut ctx = OptimizeContext::new();
+            let driven = drive_ctx(&mut ctx, &rounds);
+            let n_perturbed = (0..demands.len()).filter(|&i| perturbed(i)).count() as u64;
+            let expected_changed = [demands.len() as u64, n_perturbed, 0, n_perturbed];
+            for (((problem, mode), (got, events)), expected) in
+                rounds.iter().zip(&driven).zip(expected_changed)
+            {
+                let cold = optimize(problem, &CpPolicy::balanced(), mode);
+                prop_assert_eq!(got, &cold, "identical assignment");
+                match &events[0] {
+                    Event::SolverResolve { changed_clients, warm_eligible, .. } => {
+                        prop_assert_eq!(*changed_clients, expected);
+                        prop_assert_eq!(*warm_eligible, expected == 0);
+                    }
+                    other => prop_assert!(false, "expected SolverResolve, got {:?}", other),
+                }
+            }
+            prop_assert_eq!(ctx.stats().warm_hits, 1);
+            prop_assert_eq!(ctx.stats().cold_solves, 3);
         }
     }
 }

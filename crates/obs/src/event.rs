@@ -119,11 +119,11 @@ pub enum Event {
         rejected: u64,
     },
     /// How one Optimize step's problem differed from the previous round's,
-    /// as seen by the warm-start layer (`vdx-solver::warm`). The fields
-    /// are a pure function of the round sequence — *not* of the solve
-    /// strategy — so warm and cold runs journal identical lines
-    /// (warm/cold/repair outcome counters stay in `SolveStats`, the
-    /// struct, and are never journaled per round).
+    /// as seen by the broker's warm-start memo (`OptimizeContext`). The
+    /// fields are a pure function of the round sequence — *not* of the
+    /// solve strategy — so warm and cold runs journal identical lines
+    /// (warm/cold outcome counters stay in `SolveStats`, the struct, and
+    /// are never journaled per round).
     SolverResolve {
         /// Round id.
         round: u64,

@@ -73,43 +73,43 @@ where
     }
 }
 
+/// Runs `unit` once per spec through [`map_indexed`] and returns the
+/// outcomes in spec order. With a probe attached to the scenario each
+/// unit journals into its own buffer and the buffers are flushed to the
+/// shared probe in spec order, so the journal is byte-identical to a
+/// serial run; without one, units run under [`NoopProbe`] and buffer
+/// nothing.
+fn fan_out<F>(scenario: &Scenario, specs: &[RoundSpec], unit: F) -> Vec<RoundOutcome>
+where
+    F: Fn(&RoundSpec, &dyn Probe) -> RoundOutcome + Sync + Send,
+{
+    let shared = scenario.probe();
+    if !shared.enabled() {
+        return map_indexed(specs, |spec| unit(spec, &NoopProbe));
+    }
+    let pairs = map_indexed(specs, |spec| {
+        let buffer = MemoryProbe::new();
+        let outcome = unit(spec, &buffer);
+        (outcome, buffer.take())
+    });
+    let mut outcomes = Vec::with_capacity(pairs.len());
+    for (outcome, events) in pairs {
+        for event in events {
+            shared.emit(event);
+        }
+        outcomes.push(outcome);
+    }
+    outcomes
+}
+
 /// Runs every spec against `scenario` and returns the outcomes in spec
 /// order. Journal events, if a probe is attached to the scenario, are
 /// buffered per round and emitted in spec order, so the journal is
 /// byte-identical to a serial run.
 pub fn run_rounds(scenario: &Scenario, specs: &[RoundSpec]) -> Vec<RoundOutcome> {
-    let shared = scenario.probe();
-    if shared.enabled() {
-        let pairs = map_indexed(specs, |spec| {
-            let buffer = MemoryProbe::new();
-            let outcome = scenario.run_round_probed(
-                spec.round,
-                spec.design,
-                spec.policy,
-                spec.bid_count,
-                &buffer,
-            );
-            (outcome, buffer.take())
-        });
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        for (outcome, events) in pairs {
-            for event in events {
-                shared.emit(event);
-            }
-            outcomes.push(outcome);
-        }
-        outcomes
-    } else {
-        map_indexed(specs, |spec| {
-            scenario.run_round_probed(
-                spec.round,
-                spec.design,
-                spec.policy,
-                spec.bid_count,
-                &NoopProbe,
-            )
-        })
-    }
+    fan_out(scenario, specs, |spec, probe| {
+        scenario.run_round_probed(spec.round, spec.design, spec.policy, spec.bid_count, probe)
+    })
 }
 
 /// Runs each spec as a **series** of `rounds` consecutive decision rounds
@@ -137,7 +137,7 @@ pub fn run_series(
     reuse: bool,
 ) -> Vec<RoundOutcome> {
     assert!(rounds >= 1, "a series needs at least one round");
-    let run_one_series = |spec: &RoundSpec, probe: &dyn Probe| -> RoundOutcome {
+    fan_out(scenario, series, |spec, probe| {
         let mut ctx = OptimizeContext::new();
         ctx.set_reuse(reuse);
         let mut last = None;
@@ -152,25 +152,7 @@ pub fn run_series(
             ));
         }
         last.expect("rounds >= 1")
-    };
-    let shared = scenario.probe();
-    if shared.enabled() {
-        let pairs = map_indexed(series, |spec| {
-            let buffer = MemoryProbe::new();
-            let outcome = run_one_series(spec, &buffer);
-            (outcome, buffer.take())
-        });
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        for (outcome, events) in pairs {
-            for event in events {
-                shared.emit(event);
-            }
-            outcomes.push(outcome);
-        }
-        outcomes
-    } else {
-        map_indexed(series, |spec| run_one_series(spec, &NoopProbe))
-    }
+    })
 }
 
 #[cfg(test)]

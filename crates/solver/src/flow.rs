@@ -155,10 +155,12 @@ impl FlowNetwork {
                 break; // no augmenting path
             }
             // Fold the found distances into the potentials so the next
-            // round's reduced costs stay non-negative.
+            // round's reduced costs stay non-negative. The search stops
+            // at the sink, so a node it never settled holds a tentative
+            // (or no) distance: cap every update at the sink's.
             for v in 0..n {
-                if dist[v].is_finite() && pot[v].is_finite() {
-                    pot[v] += dist[v];
+                if pot[v].is_finite() {
+                    pot[v] += dist[v].min(dist[sink]);
                 }
             }
             // Bottleneck bundle: saturate the path's full residual
@@ -374,6 +376,19 @@ mod tests {
         // Optimal: client 0 -> bucket 0 (5), client 1 -> bucket 1 (2) = 7.
         assert_eq!(choice, vec![0, 1]);
         assert!((obj - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn unit_assignment_reroutes_an_earlier_client_through_unsettled_nodes() {
+        // Bucket 0 fits one client, and the best plan gives it to client 0
+        // (4 + 7 + 5) although client 1 values it most (8 + 2 + 5): the
+        // last augmentation must undo an earlier one through nodes the
+        // previous early-exited search left unsettled.
+        let buckets = vec![vec![0, 1]; 3];
+        let values = vec![vec![4.0, 2.0], vec![8.0, 7.0], vec![3.0, 5.0]];
+        let (choice, obj) = solve_unit_assignment(&buckets, &values, &[1, 2]).expect("feasible");
+        assert_eq!(choice, vec![0, 1, 1]);
+        assert!((obj - 16.0).abs() < 1e-9);
     }
 
     #[test]

@@ -41,9 +41,8 @@ pub struct CandidateOption {
 /// A generalized assignment problem.
 ///
 /// `PartialEq` compares options and capacities exactly (bitwise on the
-/// underlying floats) — the warm-start layer ([`crate::warm`]) uses it
-/// to detect unchanged rounds, and any rounding drift must register as
-/// a change.
+/// underlying floats) — [`ProblemDelta`] uses it to count what changed
+/// between rounds, and any rounding drift must register as a change.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentProblem {
     /// Candidate options per client; every client must have ≥ 1 option.
@@ -314,6 +313,66 @@ fn overload_ratio(o: CandidateOption, remaining: &[Kbps], capacities: &[Kbps]) -
     (o.load.as_f64() - remaining[o.bucket].as_f64()).max(0.0) / cap
 }
 
+/// The difference between two consecutive [`AssignmentProblem`]s — a
+/// pure function of the two problems, independent of how (or whether)
+/// either was solved. `vdx-broker` journals it once per round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProblemDelta {
+    /// Clients whose option list changed (all of them on a shape change
+    /// or a first solve).
+    pub changed_clients: u64,
+    /// Buckets whose capacity changed (all of them on a shape change or
+    /// a first solve).
+    pub changed_buckets: u64,
+    /// Client or bucket counts differ (or there was no previous
+    /// problem), so per-index comparison is meaningless.
+    pub shape_changed: bool,
+}
+
+impl ProblemDelta {
+    /// Whether nothing changed.
+    pub fn is_empty(&self) -> bool {
+        !self.shape_changed && self.changed_clients == 0 && self.changed_buckets == 0
+    }
+
+    /// Computes the delta between consecutive problems. Comparison is
+    /// exact (bitwise on the underlying floats): rounding drift must
+    /// register as a change.
+    pub fn between(prev: &AssignmentProblem, next: &AssignmentProblem) -> ProblemDelta {
+        if prev.options.len() != next.options.len()
+            || prev.capacities.len() != next.capacities.len()
+        {
+            return ProblemDelta::everything(next);
+        }
+        let changed_clients = prev
+            .options
+            .iter()
+            .zip(&next.options)
+            .filter(|(a, b)| a != b)
+            .count() as u64;
+        let changed_buckets = prev
+            .capacities
+            .iter()
+            .zip(&next.capacities)
+            .filter(|(a, b)| a != b)
+            .count() as u64;
+        ProblemDelta {
+            changed_clients,
+            changed_buckets,
+            shape_changed: false,
+        }
+    }
+
+    /// The delta of a first solve: everything is new.
+    pub fn everything(next: &AssignmentProblem) -> ProblemDelta {
+        ProblemDelta {
+            changed_clients: next.options.len() as u64,
+            changed_buckets: next.capacities.len() as u64,
+            shape_changed: true,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,5 +549,28 @@ mod tests {
         assert!(stats.bnb_nodes >= 1);
         let bound = stats.best_bound.expect("root solved");
         assert!(bound >= exact.objective - 1e-9);
+    }
+
+    #[test]
+    fn delta_counts_changed_clients_and_buckets_and_flags_shape_changes() {
+        let mut p = AssignmentProblem::new(caps(&[10.0, 10.0]));
+        p.add_client(vec![opt(0, 5.0, 4.0), opt(1, 3.0, 4.0)]);
+        p.add_client(vec![opt(0, 5.0, 4.0), opt(1, 3.0, 4.0)]);
+        p.add_client(vec![opt(0, 2.0, 4.0), opt(1, 4.0, 4.0)]);
+        assert!(ProblemDelta::between(&p, &p.clone()).is_empty());
+
+        let mut nudged = p.clone();
+        nudged.options[1][0].value = 6.5;
+        nudged.capacities[1] = Kbps::new(9.0);
+        let delta = ProblemDelta::between(&p, &nudged);
+        assert_eq!((delta.changed_clients, delta.changed_buckets), (1, 1));
+        assert!(!delta.shape_changed && !delta.is_empty());
+
+        let mut bigger = p.clone();
+        bigger.add_client(vec![opt(0, 1.0, 1.0)]);
+        let delta = ProblemDelta::between(&p, &bigger);
+        assert_eq!(delta, ProblemDelta::everything(&bigger));
+        assert!(delta.shape_changed);
+        assert_eq!((delta.changed_clients, delta.changed_buckets), (4, 2));
     }
 }

@@ -11,20 +11,18 @@
 //! * [`milp`] — branch-and-bound over the simplex relaxation for mixed
 //!   integer programs; exact on the scales used in tests and small scenarios;
 //! * [`gap`] — the broker's assignment problem as a first-class type, with
-//!   a regret-greedy constructor, a move/swap local search, and an exact
-//!   MILP path for validation;
+//!   a regret-greedy constructor, a move/swap local search, an exact
+//!   MILP path for validation, and [`ProblemDelta`], the pure
+//!   round-to-round difference the broker journals;
 //! * [`flow`] — successive-shortest-path min-cost flow, an independent
 //!   exact method for the *uniform-load* special case, used to cross-check
 //!   the other solvers;
 //! * [`model`] — the shared LP/constraint builder types;
 //! * [`stats`] — plain effort counters ([`SolveStats`]: simplex pivots,
-//!   branch-and-bound nodes, best bound, warm/cold re-solve outcomes)
-//!   filled in by the `*_with_stats` entry points, so callers can report
-//!   solver work without this crate knowing anything about event sinks;
-//! * [`warm`] — warm-started incremental re-solves: a [`SolverContext`]
-//!   carried across rounds that short-circuits unchanged problems,
-//!   optionally repairs small deltas by dual re-pricing, and otherwise
-//!   falls back to the cold pipeline bit-for-bit.
+//!   branch-and-bound nodes, best bound) filled in by the `*_with_stats`
+//!   entry points, plus the warm/cold round counters `vdx-broker`'s memo
+//!   keeps, so callers can report solver work without this crate knowing
+//!   anything about event sinks.
 //!
 //! The heuristic pipeline (greedy + local search) is what CDN-scale
 //! simulations use — mirroring how a production broker would trade
@@ -42,11 +40,9 @@ pub mod milp;
 pub mod model;
 pub mod simplex;
 pub mod stats;
-pub mod warm;
 
-pub use gap::{Assignment, AssignmentProblem, CandidateOption};
+pub use gap::{Assignment, AssignmentProblem, CandidateOption, ProblemDelta};
 pub use milp::{solve_milp, solve_milp_with_stats, MilpConfig, MilpOutcome};
 pub use model::{Constraint, LinearProgram, Relation};
 pub use simplex::{solve_lp, solve_lp_with_stats, LpOutcome, LpSolution};
 pub use stats::SolveStats;
-pub use warm::{ProblemDelta, ResolveInfo, ResolveKind, SolverContext, WarmPolicy};

@@ -9,7 +9,8 @@
 //! points, which cost nothing extra. Keeping the stats as a std-only
 //! struct (rather than an event sink) preserves this crate's
 //! "depends on nothing but `std`" property; `vdx-broker` converts a
-//! filled-in [`SolveStats`] into a journal event.
+//! filled-in [`SolveStats`] into a journal event, and counts its memo's
+//! warm and cold rounds in the same struct.
 
 /// Work counters accumulated across one or more solves.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -23,19 +24,13 @@ pub struct SolveStats {
     /// has been solved — in particular, always `None` on pure-heuristic
     /// paths.
     pub best_bound: Option<f64>,
-    /// Re-solves answered from the warm-start context's memoized
-    /// solution (unchanged problem; no solver work at all).
+    /// Rounds answered from the caller's memo of the previous round
+    /// (unchanged input; no solver work at all). Counted by
+    /// `vdx-broker`'s `OptimizeContext`, never by this crate.
     pub warm_hits: u64,
-    /// Re-solves that ran the full cold pipeline (first solve, changed
-    /// problem under [`crate::warm::WarmPolicy::Exact`], or a repair
-    /// whose bound check failed and fell back).
+    /// Rounds that ran the full solve pipeline (first round, changed
+    /// input, or reuse disabled). Counted by the same memo.
     pub cold_solves: u64,
-    /// Re-solves answered by the dual-repricing repair path
-    /// ([`crate::warm::WarmPolicy::Repair`]) with the bound check passed.
-    pub repairs: u64,
-    /// Repair attempts whose optimality bound was violated, forcing the
-    /// cold fallback (each such re-solve also counts one cold solve).
-    pub repair_fallbacks: u64,
 }
 
 impl SolveStats {
@@ -56,8 +51,6 @@ impl SolveStats {
         }
         self.warm_hits += other.warm_hits;
         self.cold_solves += other.cold_solves;
-        self.repairs += other.repairs;
-        self.repair_fallbacks += other.repair_fallbacks;
     }
 
     /// Relative optimality gap of an incumbent objective against
@@ -90,8 +83,6 @@ mod tests {
             bnb_nodes: 2,
             best_bound: Some(10.0),
             cold_solves: 2,
-            repairs: 1,
-            repair_fallbacks: 1,
             ..SolveStats::new()
         };
         a.merge(&b);
@@ -100,8 +91,6 @@ mod tests {
         assert_eq!(a.best_bound, Some(10.0));
         assert_eq!(a.warm_hits, 1);
         assert_eq!(a.cold_solves, 2);
-        assert_eq!(a.repairs, 1);
-        assert_eq!(a.repair_fallbacks, 1);
         let c = SolveStats {
             best_bound: Some(99.0),
             ..SolveStats::new()

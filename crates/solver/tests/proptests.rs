@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use vdx_solver::flow::solve_unit_assignment;
 use vdx_solver::{
     solve_lp, solve_milp, AssignmentProblem, CandidateOption, LinearProgram, LpOutcome, MilpConfig,
-    MilpOutcome, ProblemDelta, Relation, SolverContext, WarmPolicy,
+    MilpOutcome, ProblemDelta, Relation,
 };
 use vdx_units::Kbps;
 
@@ -217,13 +217,12 @@ proptest! {
         }
     }
 
-    /// The warm-start tentpole's core contract: under `WarmPolicy::Exact`
-    /// a context-driven re-solve sequence returns assignments identical
-    /// to context-free cold solves, for any random demand delta between
-    /// consecutive rounds — and the detected delta counts exactly the
-    /// perturbed clients.
+    /// Delta detection counts exactly the perturbed clients, for any
+    /// random demand delta between consecutive problems. (What the broker
+    /// does with the delta — replay or re-solve — is pinned by
+    /// `vdx-broker`'s `warm_context_equals_cold_solves_across_demand_deltas`.)
     #[test]
-    fn warm_context_equals_cold_solves_across_demand_deltas(
+    fn problem_delta_counts_exactly_the_perturbed_clients(
         caps in proptest::collection::vec(2.0f64..20.0, 2..5),
         loads in proptest::collection::vec(0.5f64..4.0, 2..10),
         seed in any::<u32>(),
@@ -248,14 +247,6 @@ proptest! {
         };
         let base = build(0);
         let moved = build(perturb_mask);
-        let mut ctx = SolverContext::new(WarmPolicy::Exact);
-        // base (cold), moved (delta), moved again (warm hit), back (delta).
-        for p in [&base, &moved, &moved, &base] {
-            let (got, _info) = ctx.solve(p);
-            let cold = p.solve_heuristic();
-            prop_assert_eq!(&got.choice, &cold.choice, "identical assignment");
-            prop_assert!((got.objective - cold.objective).abs() <= 1e-9);
-        }
         let expected = (0..loads.len())
             .filter(|i| (perturb_mask >> (i % 16)) & 1 == 1)
             .count() as u64;
@@ -263,59 +254,6 @@ proptest! {
         prop_assert_eq!(delta.changed_clients, expected);
         prop_assert_eq!(delta.changed_buckets, 0);
         prop_assert!(!delta.shape_changed);
-    }
-
-    /// The repair path's contract: whatever `solve` answers under
-    /// `WarmPolicy::Repair` — memoized, repaired, or fallen back — the
-    /// assignment is feasible and its objective within `gap_tol` of the
-    /// cold answer (an accepted repair sits within `gap_tol` of a
-    /// Lagrangian upper bound that dominates the cold objective).
-    #[test]
-    fn repair_answers_are_feasible_and_within_tolerance(
-        n_buckets in 2usize..5,
-        loads in proptest::collection::vec(0.5f64..4.0, 2..10),
-        headroom in 0.0f64..6.0,
-        seed in any::<u32>(),
-        perturb_mask in any::<u16>(),
-        nudge in 0.25f64..3.0,
-    ) {
-        const GAP_TOL: f64 = 0.05;
-        let offered: f64 = loads.iter().sum();
-        let build = |mask: u16| {
-            // Feasible by construction (any bucket can hold everything),
-            // like the conservation test above — so every answer path,
-            // repair included, must stay within capacity.
-            let caps: Vec<Kbps> = (0..n_buckets)
-                .map(|b| Kbps::new(offered + headroom + b as f64))
-                .collect();
-            let mut p = AssignmentProblem::new(caps);
-            for (i, load) in loads.iter().enumerate() {
-                let shift = if (mask >> (i % 16)) & 1 == 1 { nudge } else { 0.0 };
-                p.add_client(
-                    (0..n_buckets)
-                        .map(|b| CandidateOption {
-                            bucket: b,
-                            value: ((seed as usize + i * 5 + b * 3) % 13) as f64 + shift,
-                            load: Kbps::new(*load),
-                        })
-                        .collect(),
-                );
-            }
-            p
-        };
-        let base = build(0);
-        let moved = build(perturb_mask);
-        let mut ctx = SolverContext::new(WarmPolicy::Repair {
-            max_changed_fraction: 1.0,
-            gap_tol: GAP_TOL,
-        });
-        ctx.solve(&base);
-        let (got, _info) = ctx.solve(&moved);
-        prop_assert!(moved.respects_capacities(&got.choice, Kbps::new(1e-9)));
-        let cold = moved.solve_heuristic();
-        prop_assert!(
-            got.objective >= cold.objective * (1.0 - GAP_TOL) - 1e-6,
-            "repair {} vs cold {}", got.objective, cold.objective
-        );
+        prop_assert_eq!(delta.is_empty(), expected == 0);
     }
 }

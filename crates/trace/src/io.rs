@@ -6,7 +6,7 @@
 //! `time@CDN;time@CDN` list. Both directions validate their input and
 //! return typed errors rather than panicking on malformed data.
 
-use crate::broker::{BrokerTrace, BrokerTraceConfig, CdnLabel, SessionId, SessionRecord};
+use crate::broker::{BrokerTrace, CdnLabel, SessionId, SessionRecord};
 use std::fmt;
 use vdx_geo::CityId;
 
@@ -180,11 +180,6 @@ pub fn sessions_from_csv(csv: &str) -> Result<Vec<SessionRecord>, TraceIoError> 
         });
     }
     Ok(sessions)
-}
-
-/// Convenience: full CSV round-trip of a trace body with a given config.
-pub fn trace_from_csv(config: BrokerTraceConfig, csv: &str) -> Result<BrokerTrace, TraceIoError> {
-    Ok(BrokerTrace::from_sessions(config, sessions_from_csv(csv)?))
 }
 
 #[cfg(test)]

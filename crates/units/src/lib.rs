@@ -217,12 +217,6 @@ impl Gb {
         Gb(mb)
     }
 
-    /// The stored volume in megabits.
-    #[inline]
-    pub fn as_megabits(self) -> f64 {
-        self.0
-    }
-
     /// The volume rescaled to gigabits (display/reporting only — derived
     /// by division, so not a journaled quantity).
     #[inline]
@@ -284,12 +278,6 @@ impl UsdPerGb {
     #[inline]
     pub fn as_per_megabit(self) -> f64 {
         self.0
-    }
-
-    /// The price rescaled to dollars per gigabit (display/reporting only).
-    #[inline]
-    pub fn as_per_gigabit(self) -> f64 {
-        self.0 * 1000.0
     }
 
     /// Midpoint of two prices (median over an even-sized set).

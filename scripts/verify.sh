@@ -74,6 +74,9 @@ sed -e "$scrub" target/verify-warm/warm.jsonl > target/verify-warm/warm.scrubbed
 sed -e "$scrub" target/verify-warm/cold.jsonl > target/verify-warm/cold.scrubbed
 diff target/verify-warm/warm.scrubbed target/verify-warm/cold.scrubbed
 grep -q '"ev":"solver_resolve"' target/verify-warm/warm.jsonl
+# ...and at least one round repeated its problem, so the diff above
+# compared a replayed decision against a re-solved one.
+grep -q '"warm_eligible":true' target/verify-warm/warm.jsonl
 
 echo "==> daemon smoke (vdx-exchanged + one agent, 3 rounds over loopback)"
 # Time-bounded end-to-end run of the second driver (ARCHITECTURE.md):
