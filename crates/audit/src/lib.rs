@@ -1,20 +1,21 @@
 //! `vdx-audit`: cross-run journal analytics with a regression gate.
 //!
 //! The flight recorder (`vdx-obs`) makes single runs observable; this
-//! crate makes *trajectories* observable. It ingests flight-recorder
-//! journals (`results/journals/*.jsonl`) and `BENCH_experiments.json`
-//! reports into an embedded columnar store under `results/audit/`,
-//! answers cross-run questions (cost/QoE drift between commits,
-//! solver-effort drift, wire-loss hot spots, per-design fault
-//! sensitivity), and gates merges: `repro audit --baseline` fails when
-//! the current build's Table-3 metrics or wall times regress past the
-//! thresholds in [`gate::GateConfig`].
+//! crate makes *trajectories* observable. The journals are the store:
+//! [`Store::load`] folds flight-recorder journals
+//! (`results/journals/*.jsonl`), `BENCH_experiments.json` reports and
+//! Criterion `estimates.json` files into typed rows in memory, the
+//! [`query`] layer answers cross-run questions over them (cost/QoE
+//! drift between commits, solver-effort drift, wire-loss hot spots,
+//! per-design fault sensitivity, crash recovery), and the [`gate`]
+//! gates merges: `repro audit --baseline` fails when the current
+//! build's Table-3 metrics or wall times regress past the thresholds in
+//! [`gate::GateConfig`]. Nothing derived is ever written to disk.
 //!
 //! Like `vdx-lint`, the crate is deliberately dependency-free — its own
-//! JSON parser ([`json`]), its own binary column format ([`table`]) —
-//! so it builds offline and adds nothing to the verify pipeline's
-//! compile cost. See DESIGN.md §11 for the store layout and the
-//! threshold policy.
+//! JSON parser ([`json`]) — so it builds offline and adds nothing to
+//! the verify pipeline's compile cost. See DESIGN.md §11 for what is
+//! folded from what and the threshold policy.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -26,7 +27,6 @@ pub mod query;
 pub mod render;
 pub mod report;
 pub mod store;
-pub mod table;
 
 #[cfg(test)]
 mod testutil;
@@ -36,4 +36,4 @@ pub use json::Json;
 pub use model::{BaselineReport, BenchEntry, RunKind, RunMeta, Table3Row, BASELINE_SCHEMA};
 pub use query::{QueryKind, QueryResult, ALL_QUERIES};
 pub use report::report;
-pub use store::{IngestOutcome, Store, SUPPORTED_JOURNAL_SCHEMA};
+pub use store::{Facts, Store, SUPPORTED_JOURNAL_SCHEMA};

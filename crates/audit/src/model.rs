@@ -1,5 +1,6 @@
-//! Data model shared by ingest, queries and the gate: run metadata rows
-//! and the `BENCH_experiments.json` baseline report.
+//! Data model shared by the fold, queries and the gate: run metadata,
+//! one plain row struct per fact table, and the `BENCH_experiments.json`
+//! baseline report.
 
 use crate::json::Json;
 
@@ -16,7 +17,7 @@ pub enum RunKind {
 }
 
 impl RunKind {
-    /// Stable string form, used in the manifest and query output.
+    /// Stable string form, used in query output.
     pub fn as_str(self) -> &'static str {
         match self {
             RunKind::Journal => "journal",
@@ -24,30 +25,21 @@ impl RunKind {
             RunKind::Criterion => "criterion",
         }
     }
-
-    /// Parses the stable string form.
-    pub fn parse(s: &str) -> Option<RunKind> {
-        match s {
-            "journal" => Some(RunKind::Journal),
-            "bench" => Some(RunKind::Bench),
-            "criterion" => Some(RunKind::Criterion),
-            _ => None,
-        }
-    }
 }
 
-/// Metadata for one ingested run, taken from the journal's `run_header`
-/// event (or the bench report's top-level fields) at ingest time.
+/// Metadata for one loaded artifact, taken from the journal's
+/// `run_header` event (or the bench report's top-level fields).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunMeta {
-    /// Dense run id within the store (row ranges are keyed by it).
+    /// Dense run id within the store, in load order; every fact row
+    /// carries it.
     pub run_id: u64,
     /// Artifact kind.
     pub kind: RunKind,
-    /// File name the run was ingested from (name only, not the path —
-    /// stores stay relocatable).
+    /// File name the run was loaded from (name only, not the path).
     pub source: String,
-    /// FNV-1a 64 hash of the artifact bytes, hex — the idempotency key.
+    /// FNV-1a 64 hash of the artifact bytes, hex — identical content is
+    /// counted once.
     pub hash: String,
     /// Experiment name (`table3`, `determinism`, `bench`, ...).
     pub experiment: String,
@@ -64,47 +56,172 @@ pub struct RunMeta {
     pub git_commit: String,
     /// Total wall time of the run, milliseconds (0 when unrecorded).
     pub wall_ms: u64,
-    /// Journal events ingested from this run.
+    /// Journal lines read from this run, a torn final line included.
     pub events: u64,
 }
 
-impl RunMeta {
-    /// Serializes to the store-manifest JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("run_id".into(), Json::Num(self.run_id as f64)),
-            ("kind".into(), Json::Str(self.kind.as_str().into())),
-            ("source".into(), Json::Str(self.source.clone())),
-            ("hash".into(), Json::Str(self.hash.clone())),
-            ("experiment".into(), Json::Str(self.experiment.clone())),
-            ("seed".into(), Json::Num(self.seed as f64)),
-            ("scale".into(), Json::Str(self.scale.clone())),
-            ("schema".into(), Json::Num(self.schema as f64)),
-            ("threads".into(), Json::Num(self.threads as f64)),
-            ("git_commit".into(), Json::Str(self.git_commit.clone())),
-            ("wall_ms".into(), Json::Num(self.wall_ms as f64)),
-            ("events".into(), Json::Num(self.events as f64)),
-        ])
-    }
-
-    /// Parses one store-manifest run object.
-    pub fn from_json(v: &Json) -> Option<RunMeta> {
-        Some(RunMeta {
-            run_id: v.get("run_id")?.as_u64()?,
-            kind: RunKind::parse(v.get("kind")?.as_str()?)?,
-            source: v.get("source")?.as_str()?.to_string(),
-            hash: v.get("hash")?.as_str()?.to_string(),
-            experiment: v.get("experiment")?.as_str()?.to_string(),
-            seed: v.get("seed")?.as_u64()?,
-            scale: v.get("scale")?.as_str()?.to_string(),
-            schema: v.get("schema")?.as_u64()?,
-            threads: v.u64_or("threads", 0),
-            git_commit: v.str_or("git_commit", "unknown"),
-            wall_ms: v.u64_or("wall_ms", 0),
-            events: v.u64_or("events", 0),
-        })
-    }
+/// One decision round of a journal: `round_started` joined with its
+/// `solver_stats`, `round_completed` and `cluster_congested` events.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundRow {
+    /// Run the round belongs to.
+    pub run: u64,
+    /// Round id within the run.
+    pub round: u64,
+    /// Design name as journaled.
+    pub design: String,
+    /// Client groups in the round.
+    pub groups: u64,
+    /// CDNs in the round.
+    pub cdns: u64,
+    /// Solver mode of the last `solver_stats` (`none` without one).
+    pub mode: String,
+    /// Simplex pivots, summed over the round's solves.
+    pub pivots: u64,
+    /// Branch-and-bound nodes, summed over the round's solves.
+    pub bnb_nodes: u64,
+    /// Optimality gap of the last solve; `-1.0` when unrecorded.
+    pub gap: f64,
+    /// Objective from `round_completed`.
+    pub objective: f64,
+    /// Options considered, from `round_completed`.
+    pub options: u64,
+    /// `cluster_congested` events in the round.
+    pub congested: u64,
 }
+
+/// One `wire_drops` event: losses on one CDN link in one round.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WireRow {
+    /// Run the event belongs to.
+    pub run: u64,
+    /// Round id.
+    pub round: u64,
+    /// CDN whose link lost frames ([`NO_CDN`] when unnamed).
+    pub cdn: u64,
+    /// Frames the link dropped.
+    pub link_dropped: u64,
+    /// Frames discarded on a CRC mismatch.
+    pub corrupt_discarded: u64,
+    /// Frames that arrived out of order.
+    pub out_of_order: u64,
+}
+
+/// One injected or absorbed fault.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultRow {
+    /// Run the fault belongs to.
+    pub run: u64,
+    /// Round id.
+    pub round: u64,
+    /// `fault_plan`, `cdn_outage`, `exchange_outage`, `deadline_missed`,
+    /// `stale_bids_reused` or `design_fallback`.
+    pub kind: &'static str,
+    /// CDN concerned ([`NO_CDN`] when the fault names none).
+    pub cdn: u64,
+    /// Kind-dependent magnitude (failed CDNs, missing CDNs, bids reused).
+    pub amount: u64,
+    /// Free-form detail for the kinds that carry one.
+    pub note: String,
+}
+
+/// One timing fact: a finished phase, a histogram summary, or a counter
+/// (registry snapshots and the `journal.*` aggregates of the fold).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimingRow {
+    /// Run the fact belongs to.
+    pub run: u64,
+    /// `phase`, `hist` or `counter`.
+    pub kind: &'static str,
+    /// Phase, histogram or counter name.
+    pub name: String,
+    /// Samples behind the fact.
+    pub count: u64,
+    /// Histogram mean, microseconds (0 for the other kinds).
+    pub mean: f64,
+    /// Histogram median, microseconds.
+    pub p50: f64,
+    /// Histogram 95th percentile, microseconds.
+    pub p95: f64,
+    /// Histogram 99th percentile, microseconds.
+    pub p99: f64,
+    /// Phase wall time in microseconds, or the counter value.
+    pub value: u64,
+}
+
+/// A bench-report row tagged with the run it came from
+/// ([`BenchEntry`] and [`Table3Row`] keep their report shape).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tagged<T> {
+    /// Run the row belongs to.
+    pub run: u64,
+    /// The row as the report carries it.
+    pub row: T,
+}
+
+/// One Criterion `estimates.json`: point estimates in nanoseconds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CriterionRow {
+    /// Run the estimate belongs to.
+    pub run: u64,
+    /// Benchmark group, from the artifact path.
+    pub group: String,
+    /// Benchmark name, from the artifact path.
+    pub bench: String,
+    /// Mean.
+    pub mean_ns: f64,
+    /// Median.
+    pub median_ns: f64,
+    /// Standard deviation.
+    pub stddev_ns: f64,
+}
+
+/// What one crash-safety event (journal schema v6) recorded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryFact {
+    /// `recovery_started`: the daemon began replaying its WAL.
+    Started {
+        /// WAL records replayed.
+        records: u64,
+        /// Torn tail bytes cut off before replay.
+        truncated_bytes: u64,
+    },
+    /// `recovery_round_voided`: a round without a durable settlement.
+    RoundVoided {
+        /// The voided round.
+        round: u64,
+    },
+    /// `recovery_complete`: replay finished.
+    Complete {
+        /// Round the daemon resumes at.
+        next_round: u64,
+        /// Committed rounds recovered.
+        rounds_recovered: u64,
+        /// Rounds voided.
+        rounds_voided: u64,
+    },
+    /// `conn_retry`: an agent's reconnect probe.
+    ConnRetry {
+        /// CDN whose agent retried ([`NO_CDN`] when unnamed).
+        cdn: u64,
+        /// Attempt number.
+        attempt: u64,
+        /// Backoff before the attempt, milliseconds.
+        backoff_ms: u64,
+    },
+}
+
+/// One crash-safety fact tagged with its run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecoveryRow {
+    /// Run the fact belongs to.
+    pub run: u64,
+    /// The event.
+    pub fact: RecoveryFact,
+}
+
+/// `u64` sentinel for "no CDN" in fact rows.
+pub const NO_CDN: u64 = u64::MAX;
 
 /// One experiment's wall-time measurement in a bench report.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,7 +375,7 @@ impl BaselineReport {
 }
 
 /// FNV-1a 64-bit hash of a byte string, rendered as 16 hex digits —
-/// the store's content-identity (idempotency) key.
+/// the store's content-identity key.
 pub fn content_hash(bytes: &[u8]) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -271,27 +388,6 @@ pub fn content_hash(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_meta_round_trips_through_manifest_json() {
-        let meta = RunMeta {
-            run_id: 3,
-            kind: RunKind::Journal,
-            source: "table3_seed2017.jsonl".into(),
-            hash: "00ff00ff00ff00ff".into(),
-            experiment: "table3".into(),
-            seed: 2017,
-            scale: "small".into(),
-            schema: 3,
-            threads: 4,
-            git_commit: "abc123def456".into(),
-            wall_ms: 950,
-            events: 412,
-        };
-        let text = meta.to_json().render();
-        let back = RunMeta::from_json(&Json::parse(&text).expect("parses")).expect("valid");
-        assert_eq!(back, meta);
-    }
 
     #[test]
     fn baseline_v1_without_new_fields_still_parses() {

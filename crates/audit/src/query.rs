@@ -1,23 +1,23 @@
 //! The cross-run query layer: every question `repro audit query` can
-//! answer, computed from the store's fact tables.
+//! answer, computed from the store's fact rows.
 //!
 //! All queries are deterministic: grouping preserves first-seen order
 //! (run-id order underneath) and explicit sorts break ties by name, so
-//! two invocations over the same store render byte-identical output.
+//! two invocations over the same artifacts render byte-identical output.
 
 use std::collections::HashMap;
 
-use crate::model::RunKind;
+use crate::model::{RecoveryFact, RunKind, NO_CDN};
 use crate::render::fmt;
-use crate::store::{Store, NO_CDN};
+use crate::store::Store;
 
 /// One cross-run question the audit store can answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryKind {
-    /// Every ingested run with its provenance metadata.
+    /// Every loaded run with its provenance metadata.
     Runs,
     /// Mean decision-round objective per design per commit, with the
-    /// delta against the first ingested commit.
+    /// delta against the first loaded commit.
     ObjectiveDelta,
     /// Solver effort per run: exact-mode share, pivots, B&B nodes, gap.
     SolverDrift,
@@ -30,8 +30,8 @@ pub enum QueryKind {
     WallTrend,
     /// Table-3 metric deltas per design across bench runs.
     Table3Delta,
-    /// Criterion solver-microbenchmark trend across ingested
-    /// `estimates.json` runs, vs each benchmark's first ingest.
+    /// Criterion solver-microbenchmark trend across loaded
+    /// `estimates.json` runs, vs each benchmark's first.
     SolverBench,
     /// Crash-recovery summary per daemon run: WAL records replayed,
     /// rounds recovered/voided, and agent reconnect retries.
@@ -125,6 +125,24 @@ fn commit_of(store: &Store, run: u64) -> &str {
         .map_or("unknown", |m| m.git_commit.as_str())
 }
 
+/// The rows of `run` in a fact table. Every table is sorted by run (the
+/// store appends one block per artifact), so this is a slice, not a scan.
+fn of_run<T>(rows: &[T], run_of: impl Fn(&T) -> u64, run: u64) -> &[T] {
+    let start = rows.partition_point(|r| run_of(r) < run);
+    let end = rows.partition_point(|r| run_of(r) <= run);
+    &rows[start..end]
+}
+
+/// `100 * (value - base) / base` as a signed percentage; `-` when the
+/// base is zero.
+fn pct_vs(value: f64, base: f64) -> String {
+    if base.abs() > f64::EPSILON {
+        format!("{:+.2}%", 100.0 * (value - base) / base)
+    } else {
+        "-".into()
+    }
+}
+
 fn runs(store: &Store) -> QueryResult {
     let rows = store
         .runs()
@@ -165,30 +183,25 @@ fn runs(store: &Store) -> QueryResult {
 }
 
 fn objective_delta(store: &Store) -> QueryResult {
-    let t = store.table("rounds");
-    let (c_run, c_design, c_obj) = (t.col("run"), t.col("design"), t.col("objective"));
     // (design, commit) -> (sum, count), insertion-ordered.
-    let mut order: Vec<(String, String)> = Vec::new();
-    let mut agg: HashMap<(String, String), (f64, u64)> = HashMap::new();
-    for row in 0..t.rows() {
-        let key = (
-            t.s(c_design, row).to_string(),
-            commit_of(store, t.u(c_run, row)).to_string(),
-        );
-        if !agg.contains_key(&key) {
-            order.push(key.clone());
-        }
-        let entry = agg.entry(key).or_insert((0.0, 0));
-        entry.0 += t.f(c_obj, row);
+    let mut order: Vec<(&str, &str)> = Vec::new();
+    let mut agg: HashMap<(&str, &str), (f64, u64)> = HashMap::new();
+    for r in &store.facts().rounds {
+        let key = (r.design.as_str(), commit_of(store, r.run));
+        let entry = agg.entry(key).or_insert_with(|| {
+            order.push(key);
+            (0.0, 0)
+        });
+        entry.0 += r.objective;
         entry.1 += 1;
     }
     // Baseline per design = its first-seen commit.
     let mut baseline: HashMap<&str, f64> = HashMap::new();
     let mut rows = Vec::new();
-    for (design, commit) in &order {
-        let (sum, count) = agg[&(design.clone(), commit.clone())];
+    for key in order {
+        let (sum, count) = agg[&key];
         let mean = sum / count as f64;
-        let base = *baseline.entry(design.as_str()).or_insert(mean);
+        let base = *baseline.entry(key.0).or_insert(mean);
         let delta = mean - base;
         let pct = if base.abs() > f64::EPSILON {
             100.0 * delta / base
@@ -196,8 +209,8 @@ fn objective_delta(store: &Store) -> QueryResult {
             0.0
         };
         rows.push(vec![
-            design.clone(),
-            commit.clone(),
+            key.0.to_string(),
+            key.1.to_string(),
             count.to_string(),
             fmt(mean),
             fmt(delta),
@@ -219,38 +232,25 @@ fn objective_delta(store: &Store) -> QueryResult {
 }
 
 fn solver_drift(store: &Store) -> QueryResult {
-    let t = store.table("rounds");
-    let (c_run, c_mode, c_pivots) = (t.col("run"), t.col("mode"), t.col("pivots"));
-    let (c_bnb, c_gap) = (t.col("bnb_nodes"), t.col("gap"));
     let mut rows = Vec::new();
     for meta in store.runs() {
-        let (start, end) = store.run_range("rounds", meta.run_id);
-        if start == end {
+        let rounds = of_run(&store.facts().rounds, |r| r.run, meta.run_id);
+        if rounds.is_empty() {
             continue;
         }
-        let n = (end - start) as f64;
-        let mut exact = 0u64;
-        let (mut pivots, mut bnb) = (0u64, 0u64);
+        let n = rounds.len() as f64;
+        let exact = rounds.iter().filter(|r| r.mode == "exact").count();
+        let pivots: u64 = rounds.iter().map(|r| r.pivots).sum();
+        let bnb: u64 = rounds.iter().map(|r| r.bnb_nodes).sum();
         let (mut gap_sum, mut gap_n) = (0.0f64, 0u64);
-        for row in start..end {
-            if t.u(c_run, row) != meta.run_id {
-                continue;
-            }
-            if t.s(c_mode, row) == "exact" {
-                exact += 1;
-            }
-            pivots += t.u(c_pivots, row);
-            bnb += t.u(c_bnb, row);
-            let gap = t.f(c_gap, row);
-            if gap >= 0.0 {
-                gap_sum += gap;
-                gap_n += 1;
-            }
+        for r in rounds.iter().filter(|r| r.gap >= 0.0) {
+            gap_sum += r.gap;
+            gap_n += 1;
         }
         rows.push(vec![
             meta.run_id.to_string(),
             meta.git_commit.clone(),
-            format!("{}", end - start),
+            rounds.len().to_string(),
             format!("{:.0}%", 100.0 * exact as f64 / n),
             fmt(pivots as f64 / n),
             fmt(bnb as f64 / n),
@@ -277,16 +277,13 @@ fn solver_drift(store: &Store) -> QueryResult {
 }
 
 fn hotspots(store: &Store) -> QueryResult {
-    let t = store.table("wire");
-    let (c_cdn, c_link) = (t.col("cdn"), t.col("link_dropped"));
-    let (c_corrupt, c_ooo) = (t.col("corrupt_discarded"), t.col("out_of_order"));
     let mut agg: HashMap<u64, (u64, u64, u64, u64)> = HashMap::new();
-    for row in 0..t.rows() {
-        let e = agg.entry(t.u(c_cdn, row)).or_insert((0, 0, 0, 0));
+    for w in &store.facts().wire {
+        let e = agg.entry(w.cdn).or_insert((0, 0, 0, 0));
         e.0 += 1;
-        e.1 += t.u(c_link, row);
-        e.2 += t.u(c_corrupt, row);
-        e.3 += t.u(c_ooo, row);
+        e.1 += w.link_dropped;
+        e.2 += w.corrupt_discarded;
+        e.3 += w.out_of_order;
     }
     let mut entries: Vec<(u64, (u64, u64, u64, u64))> = agg.into_iter().collect();
     // Worst links first; CDN id breaks ties deterministically.
@@ -323,17 +320,11 @@ fn hotspots(store: &Store) -> QueryResult {
 }
 
 fn fault_league(store: &Store) -> QueryResult {
-    let faults = store.table("faults");
-    let (cf_run, cf_round) = (faults.col("run"), faults.col("round"));
     let mut faulted: HashMap<(u64, u64), u64> = HashMap::new();
-    for row in 0..faults.rows() {
-        *faulted
-            .entry((faults.u(cf_run, row), faults.u(cf_round, row)))
-            .or_insert(0) += 1;
+    for f in &store.facts().faults {
+        *faulted.entry((f.run, f.round)).or_insert(0) += 1;
     }
-    let t = store.table("rounds");
-    let (c_run, c_round) = (t.col("run"), t.col("round"));
-    let (c_design, c_obj) = (t.col("design"), t.col("objective"));
+    #[derive(Default)]
     struct League {
         clean: u64,
         faulted: u64,
@@ -341,36 +332,28 @@ fn fault_league(store: &Store) -> QueryResult {
         obj_clean: f64,
         obj_faulted: f64,
     }
-    let mut order: Vec<String> = Vec::new();
-    let mut agg: HashMap<String, League> = HashMap::new();
-    for row in 0..t.rows() {
-        let design = t.s(c_design, row).to_string();
-        if !agg.contains_key(&design) {
-            order.push(design.clone());
-        }
-        let entry = agg.entry(design).or_insert(League {
-            clean: 0,
-            faulted: 0,
-            faults: 0,
-            obj_clean: 0.0,
-            obj_faulted: 0.0,
+    let mut order: Vec<&str> = Vec::new();
+    let mut agg: HashMap<&str, League> = HashMap::new();
+    for r in &store.facts().rounds {
+        let design = r.design.as_str();
+        let entry = agg.entry(design).or_insert_with(|| {
+            order.push(design);
+            League::default()
         });
-        let key = (t.u(c_run, row), t.u(c_round, row));
-        let obj = t.f(c_obj, row);
-        match faulted.get(&key) {
+        match faulted.get(&(r.run, r.round)) {
             Some(n) => {
                 entry.faulted += 1;
                 entry.faults += n;
-                entry.obj_faulted += obj;
+                entry.obj_faulted += r.objective;
             }
             None => {
                 entry.clean += 1;
-                entry.obj_clean += obj;
+                entry.obj_clean += r.objective;
             }
         }
     }
     let mut rows = Vec::new();
-    for design in &order {
+    for design in order {
         let l = &agg[design];
         let mean_clean = if l.clean > 0 {
             l.obj_clean / l.clean as f64
@@ -382,13 +365,13 @@ fn fault_league(store: &Store) -> QueryResult {
         } else {
             0.0
         };
-        let sensitivity = if l.clean > 0 && l.faulted > 0 && mean_clean.abs() > f64::EPSILON {
-            format!("{:+.2}%", 100.0 * (mean_faulted - mean_clean) / mean_clean)
+        let sensitivity = if l.clean > 0 && l.faulted > 0 {
+            pct_vs(mean_faulted, mean_clean)
         } else {
             "-".into()
         };
         rows.push(vec![
-            design.clone(),
+            design.to_string(),
             l.clean.to_string(),
             l.faulted.to_string(),
             l.faults.to_string(),
@@ -422,9 +405,6 @@ fn fault_league(store: &Store) -> QueryResult {
 
 fn wall_trend(store: &Store) -> QueryResult {
     let mut rows = Vec::new();
-    let bench = store.table("bench");
-    let (c_exp, c_serial) = (bench.col("experiment"), bench.col("serial_ms"));
-    let (c_par, c_speedup) = (bench.col("parallel_ms"), bench.col("speedup"));
     for meta in store.runs() {
         match meta.kind {
             RunKind::Journal => {
@@ -440,15 +420,14 @@ fn wall_trend(store: &Store) -> QueryResult {
                 }
             }
             RunKind::Bench => {
-                let (start, end) = store.run_range("bench", meta.run_id);
-                for row in start..end {
+                for b in of_run(&store.facts().bench, |b| b.run, meta.run_id) {
                     rows.push(vec![
                         meta.run_id.to_string(),
                         meta.git_commit.clone(),
                         meta.threads.to_string(),
-                        bench.s(c_exp, row).to_string(),
-                        format!("{}/{}", bench.u(c_serial, row), bench.u(c_par, row)),
-                        format!("{:.2}x", bench.f(c_speedup, row)),
+                        b.row.name.clone(),
+                        format!("{}/{}", b.row.serial_ms, b.row.parallel_ms),
+                        format!("{:.2}x", b.row.speedup),
                     ]);
                 }
             }
@@ -471,34 +450,22 @@ fn wall_trend(store: &Store) -> QueryResult {
 }
 
 fn table3_delta(store: &Store) -> QueryResult {
-    let t = store.table("table3");
-    let (c_run, c_design) = (t.col("run"), t.col("design"));
-    let (c_cost, c_score) = (t.col("cost"), t.col("score"));
     // Baseline per design = its row in the earliest run that has one.
-    let mut baseline: HashMap<String, (f64, f64)> = HashMap::new();
+    let mut baseline: HashMap<&str, (f64, f64)> = HashMap::new();
     let mut rows = Vec::new();
-    for row in 0..t.rows() {
-        let design = t.s(c_design, row).to_string();
-        let (cost, score) = (t.f(c_cost, row), t.f(c_score, row));
-        let (b_cost, b_score) = *baseline.entry(design.clone()).or_insert((cost, score));
-        let d_cost = if b_cost.abs() > f64::EPSILON {
-            format!("{:+.2}%", 100.0 * (cost - b_cost) / b_cost)
-        } else {
-            "-".into()
-        };
-        let d_score = if b_score.abs() > f64::EPSILON {
-            format!("{:+.2}%", 100.0 * (score - b_score) / b_score)
-        } else {
-            "-".into()
-        };
+    for t in &store.facts().table3 {
+        let (cost, score) = (t.row.cost, t.row.score);
+        let (b_cost, b_score) = *baseline
+            .entry(t.row.design.as_str())
+            .or_insert((cost, score));
         rows.push(vec![
-            design,
-            t.u(c_run, row).to_string(),
-            commit_of(store, t.u(c_run, row)).to_string(),
+            t.row.design.clone(),
+            t.run.to_string(),
+            commit_of(store, t.run).to_string(),
             fmt(cost),
             fmt(score),
-            d_cost,
-            d_score,
+            pct_vs(cost, b_cost),
+            pct_vs(score, b_score),
         ]);
     }
     QueryResult {
@@ -511,29 +478,21 @@ fn table3_delta(store: &Store) -> QueryResult {
 }
 
 fn solver_bench(store: &Store) -> QueryResult {
-    let t = store.table("criterion");
-    let (c_run, c_group, c_bench) = (t.col("run"), t.col("group"), t.col("bench"));
-    let (c_mean, c_median, c_stddev) = (t.col("mean_ns"), t.col("median_ns"), t.col("stddev_ns"));
     // Baseline per benchmark = its mean in the earliest run that has one.
-    let mut baseline: HashMap<(String, String), f64> = HashMap::new();
+    let mut baseline: HashMap<(&str, &str), f64> = HashMap::new();
     let mut rows = Vec::new();
-    for row in 0..t.rows() {
-        let key = (t.s(c_group, row).to_string(), t.s(c_bench, row).to_string());
-        let mean = t.f(c_mean, row);
-        let base = *baseline.entry(key.clone()).or_insert(mean);
-        let delta = if base.abs() > f64::EPSILON {
-            format!("{:+.2}%", 100.0 * (mean - base) / base)
-        } else {
-            "-".into()
-        };
+    for c in &store.facts().criterion {
+        let base = *baseline
+            .entry((c.group.as_str(), c.bench.as_str()))
+            .or_insert(c.mean_ns);
         rows.push(vec![
-            key.0,
-            key.1,
-            t.u(c_run, row).to_string(),
-            fmt(mean / 1000.0),
-            fmt(t.f(c_median, row) / 1000.0),
-            fmt(t.f(c_stddev, row) / 1000.0),
-            delta,
+            c.group.clone(),
+            c.bench.clone(),
+            c.run.to_string(),
+            fmt(c.mean_ns / 1000.0),
+            fmt(c.median_ns / 1000.0),
+            fmt(c.stddev_ns / 1000.0),
+            pct_vs(c.mean_ns, base),
         ]);
     }
     QueryResult {
@@ -552,35 +511,39 @@ fn solver_bench(store: &Store) -> QueryResult {
 }
 
 fn recovery_time(store: &Store) -> QueryResult {
-    let t = store.table("recovery");
-    let (c_kind, c_round) = (t.col("kind"), t.col("round"));
-    let (c_amount, c_extra) = (t.col("amount"), t.col("extra"));
     let mut rows = Vec::new();
     for meta in store.runs() {
-        let (start, end) = store.run_range("recovery", meta.run_id);
-        if start == end {
+        let facts = of_run(&store.facts().recovery, |r| r.run, meta.run_id);
+        if facts.is_empty() {
             continue;
         }
         // One summary row per run that touched the recovery path.
         let (mut records, mut torn) = (0u64, 0u64);
-        let (mut recovered, mut voided, mut next_round) = (0u64, 0u64, 0u64);
+        let (mut recovered, mut voided, mut resume_at) = (0u64, 0u64, 0u64);
         let (mut retries, mut max_attempt) = (0u64, 0u64);
-        for row in start..end {
-            match t.s(c_kind, row) {
-                "recovery_started" => {
-                    records = t.u(c_amount, row);
-                    torn = t.u(c_extra, row);
+        for r in facts {
+            match r.fact {
+                RecoveryFact::Started {
+                    records: n,
+                    truncated_bytes,
+                } => {
+                    records = n;
+                    torn = truncated_bytes;
                 }
-                "recovery_complete" => {
-                    next_round = t.u(c_round, row);
-                    recovered = t.u(c_amount, row);
-                    voided = t.u(c_extra, row);
+                RecoveryFact::Complete {
+                    next_round,
+                    rounds_recovered,
+                    rounds_voided,
+                } => {
+                    resume_at = next_round;
+                    recovered = rounds_recovered;
+                    voided = rounds_voided;
                 }
-                "conn_retry" => {
+                RecoveryFact::ConnRetry { attempt, .. } => {
                     retries += 1;
-                    max_attempt = max_attempt.max(t.u(c_amount, row));
+                    max_attempt = max_attempt.max(attempt);
                 }
-                _ => {}
+                RecoveryFact::RoundVoided { .. } => {}
             }
         }
         rows.push(vec![
@@ -591,7 +554,7 @@ fn recovery_time(store: &Store) -> QueryResult {
             torn.to_string(),
             recovered.to_string(),
             voided.to_string(),
-            next_round.to_string(),
+            resume_at.to_string(),
             retries.to_string(),
             max_attempt.to_string(),
         ]);
@@ -617,8 +580,7 @@ fn recovery_time(store: &Store) -> QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::IngestOutcome;
-    use crate::testutil::{golden_journal, temp_store};
+    use crate::testutil::{crashed_journal, golden_journal, temp_dir, write_fixture};
 
     #[test]
     fn query_names_parse_and_are_unique() {
@@ -633,20 +595,11 @@ mod tests {
 
     #[test]
     fn cross_run_queries_answer_from_two_same_seed_journals() {
-        let (dir, mut store) = temp_store("query-cross");
-        let a = dir.join("a.jsonl");
-        let b = dir.join("b.jsonl");
-        std::fs::write(&a, golden_journal("commit-aaa", 0.0)).expect("fixture writes");
+        let dir = temp_dir("query-cross");
+        let a = write_fixture(&dir, "a.jsonl", &golden_journal("commit-aaa", 0.0));
         // Same seed, later commit, slightly worse objective.
-        std::fs::write(&b, golden_journal("commit-bbb", 10.0)).expect("fixture writes");
-        assert!(matches!(
-            store.ingest(&a).expect("ingest a"),
-            IngestOutcome::Ingested { run_id: 0, .. }
-        ));
-        assert!(matches!(
-            store.ingest(&b).expect("ingest b"),
-            IngestOutcome::Ingested { run_id: 1, .. }
-        ));
+        let b = write_fixture(&dir, "b.jsonl", &golden_journal("commit-bbb", 10.0));
+        let store = Store::load(&[a, b]).expect("loads");
 
         let runs = run(&store, QueryKind::Runs);
         assert_eq!(runs.rows.len(), 2);
@@ -690,26 +643,18 @@ mod tests {
 
     #[test]
     fn solver_bench_tracks_criterion_drift_vs_first_ingest() {
-        let (dir, mut store) = temp_store("query-solver-bench");
+        let dir = temp_dir("query-solver-bench");
         let write = |tag: &str, mean: f64| {
-            let nested = dir
-                .join(tag)
-                .join("criterion")
-                .join("bench_solver")
-                .join("gap_heuristic_300x20")
-                .join("new");
-            std::fs::create_dir_all(&nested).expect("nested dirs create");
-            let path = nested.join("estimates.json");
             let text = format!(
                 "{{\"mean\":{{\"point_estimate\":{mean}}},\
                  \"median\":{{\"point_estimate\":{mean}}},\
                  \"std_dev\":{{\"point_estimate\":10.0}}}}"
             );
-            std::fs::write(&path, text).expect("estimates fixture writes");
-            path
+            let rel =
+                format!("{tag}/criterion/bench_solver/gap_heuristic_300x20/new/estimates.json");
+            write_fixture(&dir, &rel, &text)
         };
-        store.ingest(&write("a", 200000.0)).expect("ingest a");
-        store.ingest(&write("b", 250000.0)).expect("ingest b");
+        let store = Store::load(&[write("a", 200000.0), write("b", 250000.0)]).expect("loads");
 
         let result = run(&store, QueryKind::SolverBench);
         assert_eq!(result.rows.len(), 2);
@@ -727,37 +672,18 @@ mod tests {
 
     #[test]
     fn recovery_time_summarizes_replay_and_reconnects() {
-        let (dir, mut store) = temp_store("query-recovery");
-        let a = dir.join("clean.jsonl");
-        let b = dir.join("crashed.jsonl");
+        let dir = temp_dir("query-recovery");
         // A run that never touched the recovery path contributes no row.
-        std::fs::write(&a, golden_journal("commit-aaa", 0.0)).expect("fixture writes");
+        let a = write_fixture(&dir, "clean.jsonl", &golden_journal("commit-aaa", 0.0));
         // A restarted daemon: replayed 58 records (17 torn bytes cut),
         // voided the torn round 6, and two agent reconnect probes.
-        let crashed = [
-            "{\"ev\":\"run_header\",\"schema\":6,\"experiment\":\"exchanged\",\
-             \"seed\":90217,\"scale\":\"small\",\"started_unix_ms\":0,\
-             \"threads\":1,\"git_commit\":\"commit-rec\"}",
-            "{\"ev\":\"recovery_started\",\"records\":58,\"truncated_bytes\":17}",
-            "{\"ev\":\"recovery_round_voided\",\"round\":6}",
-            "{\"ev\":\"recovery_complete\",\"next_round\":6,\
-             \"rounds_recovered\":6,\"rounds_voided\":1}",
-            "{\"ev\":\"conn_retry\",\"at_ms\":0,\"cdn\":1,\"attempt\":1,\
-             \"backoff_ms\":50}",
-            "{\"ev\":\"conn_retry\",\"at_ms\":0,\"cdn\":2,\"attempt\":3,\
-             \"backoff_ms\":200}",
-            "{\"ev\":\"experiment_finished\",\"experiment\":\"exchanged\",\
-             \"wall_ms\":120,\"events\":7}",
-        ]
-        .join("\n")
-            + "\n";
-        std::fs::write(&b, crashed).expect("fixture writes");
-        store.ingest(&a).expect("ingest clean");
-        store.ingest(&b).expect("ingest crashed");
+        let b = write_fixture(&dir, "crashed.jsonl", &crashed_journal());
+        let store = Store::load(&[a, b]).expect("loads");
 
         let result = run(&store, QueryKind::RecoveryTime);
         assert_eq!(result.rows.len(), 1, "only the crashed run has a row");
         let row = &result.rows[0];
+        assert_eq!(row[0], "1");
         assert_eq!(row[1], "commit-rec");
         assert_eq!(row[2], "exchanged");
         assert_eq!(row[3], "58", "wal_records from recovery_started");

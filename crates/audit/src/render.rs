@@ -1,6 +1,7 @@
-//! Plain-text rendering of query results, matching the fixed-width,
-//! right-aligned table idiom of `vdx-sim`'s reports: diffable and
-//! greppable, no colours.
+//! Plain-text rendering of query results in a fixed-width,
+//! right-aligned table idiom — diffable and greppable, no colours.
+//! `vdx-sim`'s experiment reports re-export [`render_table`] and [`fmt`],
+//! so both render through this one copy.
 
 use crate::query::QueryResult;
 
@@ -47,7 +48,7 @@ pub fn render_query(result: &QueryResult) -> String {
     render_table(&result.title, &headers, &result.rows)
 }
 
-/// Formats a float compactly (same thresholds as the sim reports).
+/// Formats a float compactly (3 significant-ish decimals, fixed).
 pub fn fmt(v: f64) -> String {
     if v.abs() >= 100.0 {
         format!("{v:.0}")
@@ -72,9 +73,17 @@ mod tests {
                 vec!["longer".into(), "22".into()],
             ],
         );
+        assert!(out.contains("== T =="));
         let lines: Vec<&str> = out.lines().collect();
+        // Header and rows align right on the same width.
         assert_eq!(lines[1].len(), lines[4].len());
         assert!(lines[4].ends_with("22"));
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn arity_mismatch_panics() {
+        render_table("T", &["a", "b"], &[vec!["only-one".into()]]);
     }
 
     #[test]

@@ -8,11 +8,7 @@ use crate::store::Store;
 
 /// Renders the whole report for a store.
 pub fn report(store: &Store) -> String {
-    let mut out = format!(
-        "audit store: {} ({} run(s) ingested)\n\n",
-        store.dir().display(),
-        store.runs().len()
-    );
+    let mut out = format!("audit: {} run(s) loaded\n\n", store.runs().len());
     for (i, kind) in ALL_QUERIES.iter().enumerate() {
         if i > 0 {
             out.push('\n');
@@ -25,17 +21,14 @@ pub fn report(store: &Store) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{golden_journal, temp_store};
+    use crate::testutil::{fixture_set, golden_journal, temp_dir, write_fixture};
 
     #[test]
     fn report_answers_cross_run_queries_from_two_same_seed_journals() {
-        let (dir, mut store) = temp_store("report");
-        let a = dir.join("a.jsonl");
-        let b = dir.join("b.jsonl");
-        std::fs::write(&a, golden_journal("commit-aaa", 0.0)).expect("fixture writes");
-        std::fs::write(&b, golden_journal("commit-bbb", 10.0)).expect("fixture writes");
-        store.ingest(&a).expect("ingest a");
-        store.ingest(&b).expect("ingest b");
+        let dir = temp_dir("report");
+        write_fixture(&dir, "a.jsonl", &golden_journal("commit-aaa", 0.0));
+        write_fixture(&dir, "b.jsonl", &golden_journal("commit-bbb", 10.0));
+        let store = Store::load(&[&dir]).expect("directory loads");
 
         let text = report(&store);
         // Acceptance: at least 4 cross-run queries answered with rows.
@@ -57,10 +50,26 @@ mod tests {
                 "section {title} should have rows:\n{section}"
             );
         }
-        // No bench report ingested, so table3-delta is honestly empty.
+        // No bench report loaded, so table3-delta is honestly empty.
         assert!(text.contains("== table3-delta"));
         assert!(text.contains("commit-aaa") && text.contains("commit-bbb"));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The parent commit's `report` over the same fixture set, captured
+    /// from its on-disk columnar store before that store was deleted.
+    /// Only the first line differs: it named the store directory.
+    const GOLDEN: &str = include_str!("../tests/golden_report.txt");
+
+    #[test]
+    fn report_reproduces_the_columnar_store_byte_for_byte() {
+        let dir = temp_dir("report-golden");
+        let store = Store::load(&fixture_set(&dir)).expect("fixture set loads");
+        assert_eq!(report(&store), GOLDEN);
+        // Every query has rows on this set, so none of the nine is
+        // pinned only as a `(no rows)` note.
+        assert!(!GOLDEN.contains("(no rows)"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,199 +1,80 @@
-//! The embedded audit store: ingest, persistence and indexed access.
+//! The audit store: an in-memory fold of the artifacts it is pointed at.
 //!
-//! On disk a store is a directory (by convention `results/audit/`):
+//! The journals are the record; the store is a disposable view of them,
+//! rebuilt on every invocation and never written anywhere. Three kinds
+//! of artifact are recognised: flight-recorder journals (`.jsonl`),
+//! `BENCH_experiments.json` reports, and Criterion's `estimates.json`
+//! (from `target/criterion/<group>/<bench>/new/`), so solver
+//! microbenchmarks join the same regression surface as Table-3 metrics.
 //!
-//! ```text
-//! results/audit/
-//! ├── manifest.json   # store schema + one RunMeta object per run
-//! ├── audit.idx       # binary index: per-table, per-run row ranges
-//! └── tables/
-//!     ├── rounds.tbl  # binary columnar tables (magic VDXTBL1)
-//!     ├── wire.tbl
-//!     ├── faults.tbl
-//!     ├── timings.tbl
-//!     ├── bench.tbl
-//!     ├── table3.tbl
-//!     ├── criterion.tbl
-//!     └── recovery.tbl
-//! ```
-//!
-//! Ingest is idempotent: artifacts are keyed by an FNV-1a content hash,
-//! so re-ingesting a file the store has already seen is a no-op. Each
-//! ingest appends one contiguous row range per table; the index maps
-//! `(table, run)` to that range so per-run queries slice instead of
-//! scanning.
-//!
-//! Besides journals and bench reports, ingest recognises Criterion's
-//! `estimates.json` (from `target/criterion/<group>/<bench>/new/`), so
-//! solver microbenchmarks join the same regression surface as Table-3
-//! metrics; see the `solver-bench` query.
+//! Each artifact becomes one run (ids are load order) and contributes
+//! one contiguous block of rows per fact table, so every table is sorted
+//! by run. Artifacts are keyed by an FNV-1a content hash: a byte-identical
+//! file met twice is counted once.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
-use crate::model::{content_hash, BaselineReport, RunKind, RunMeta};
-use crate::table::{ColType, Table, Value};
+use crate::model::{
+    content_hash, BaselineReport, BenchEntry, CriterionRow, FaultRow, RecoveryFact, RecoveryRow,
+    RoundRow, RunKind, RunMeta, Table3Row, Tagged, TimingRow, WireRow, NO_CDN,
+};
 
-/// Highest journal schema version this crate can ingest. Kept in lock
+/// Highest journal schema version this crate can read. Kept in lock
 /// step with `vdx-obs::SCHEMA_VERSION` (a const assertion in `vdx-sim`
 /// enforces the equality at build time).
 pub const SUPPORTED_JOURNAL_SCHEMA: u32 = 6;
 
-/// Store format version written to `manifest.json` (v2 added the
-/// `criterion` table and the `solver_resolve` journal counters; v3 the
-/// `recovery` table for the v6 crash-safety events).
-pub const STORE_SCHEMA: u32 = 3;
-
-/// `u64` sentinel for "no CDN" in the faults table.
-pub const NO_CDN: u64 = u64::MAX;
-
-/// Result of one [`Store::ingest`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestOutcome {
-    /// The artifact was new; its rows were appended under `run_id`.
-    Ingested {
-        /// The run id assigned to the artifact.
-        run_id: u64,
-        /// Fact rows appended across all tables.
-        rows: u64,
-    },
-    /// The artifact's content hash was already in the store.
-    Duplicate {
-        /// The run id of the earlier ingest.
-        run_id: u64,
-    },
+/// The fact tables: plain rows, each tagged with its run, each table
+/// sorted by run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Facts {
+    /// Decision rounds.
+    pub rounds: Vec<RoundRow>,
+    /// Wire losses per CDN link per round.
+    pub wire: Vec<WireRow>,
+    /// Injected and absorbed faults.
+    pub faults: Vec<FaultRow>,
+    /// Phases, histogram summaries and counters.
+    pub timings: Vec<TimingRow>,
+    /// Bench-report wall-time entries.
+    pub bench: Vec<Tagged<BenchEntry>>,
+    /// Bench-report Table-3 rows.
+    pub table3: Vec<Tagged<Table3Row>>,
+    /// Criterion point estimates.
+    pub criterion: Vec<CriterionRow>,
+    /// Crash-safety events.
+    pub recovery: Vec<RecoveryRow>,
 }
 
-/// The audit store: run metadata, fact tables and the per-run row index.
-#[derive(Debug)]
+impl Facts {
+    fn append(&mut self, mut other: Facts) {
+        self.rounds.append(&mut other.rounds);
+        self.wire.append(&mut other.wire);
+        self.faults.append(&mut other.faults);
+        self.timings.append(&mut other.timings);
+        self.bench.append(&mut other.bench);
+        self.table3.append(&mut other.table3);
+        self.criterion.append(&mut other.criterion);
+        self.recovery.append(&mut other.recovery);
+    }
+}
+
+/// Run metadata plus the fact tables folded from the loaded artifacts.
+#[derive(Debug, Default)]
 pub struct Store {
-    dir: PathBuf,
     runs: Vec<RunMeta>,
-    tables: Vec<Table>,
-    /// `ranges[t][r]` = the `[start, end)` row range of run `r` in
-    /// table `t`.
-    ranges: Vec<Vec<(u64, u64)>>,
-}
-
-const INDEX_MAGIC: &[u8; 8] = b"VDXIDX1\n";
-
-/// Fixed table schemas; every store has exactly this set.
-fn empty_tables() -> Vec<Table> {
-    vec![
-        Table::new(
-            "rounds",
-            &[
-                ("run", ColType::U64),
-                ("round", ColType::U64),
-                ("design", ColType::Str),
-                ("groups", ColType::U64),
-                ("cdns", ColType::U64),
-                ("mode", ColType::Str),
-                ("pivots", ColType::U64),
-                ("bnb_nodes", ColType::U64),
-                ("gap", ColType::F64),
-                ("objective", ColType::F64),
-                ("options", ColType::U64),
-                ("congested", ColType::U64),
-            ],
-        ),
-        Table::new(
-            "wire",
-            &[
-                ("run", ColType::U64),
-                ("round", ColType::U64),
-                ("cdn", ColType::U64),
-                ("link_dropped", ColType::U64),
-                ("corrupt_discarded", ColType::U64),
-                ("out_of_order", ColType::U64),
-            ],
-        ),
-        Table::new(
-            "faults",
-            &[
-                ("run", ColType::U64),
-                ("round", ColType::U64),
-                ("kind", ColType::Str),
-                ("cdn", ColType::U64),
-                ("amount", ColType::U64),
-                ("note", ColType::Str),
-            ],
-        ),
-        Table::new(
-            "timings",
-            &[
-                ("run", ColType::U64),
-                ("kind", ColType::Str),
-                ("name", ColType::Str),
-                ("count", ColType::U64),
-                ("mean", ColType::F64),
-                ("p50", ColType::F64),
-                ("p95", ColType::F64),
-                ("p99", ColType::F64),
-                ("value", ColType::U64),
-            ],
-        ),
-        Table::new(
-            "bench",
-            &[
-                ("run", ColType::U64),
-                ("experiment", ColType::Str),
-                ("serial_ms", ColType::U64),
-                ("parallel_ms", ColType::U64),
-                ("speedup", ColType::F64),
-            ],
-        ),
-        Table::new(
-            "table3",
-            &[
-                ("run", ColType::U64),
-                ("design", ColType::Str),
-                ("cost", ColType::F64),
-                ("score", ColType::F64),
-                ("distance_miles", ColType::F64),
-                ("load_pct", ColType::F64),
-                ("congested_pct", ColType::F64),
-            ],
-        ),
-        Table::new(
-            "criterion",
-            &[
-                ("run", ColType::U64),
-                ("group", ColType::Str),
-                ("bench", ColType::Str),
-                ("mean_ns", ColType::F64),
-                ("median_ns", ColType::F64),
-                ("stddev_ns", ColType::F64),
-            ],
-        ),
-        // Crash-safety facts (journal schema v6). `amount`/`extra` are
-        // kind-dependent: started = records/truncated_bytes, complete =
-        // rounds_recovered/rounds_voided, conn_retry = attempt/backoff_ms,
-        // round_voided = 1/0 with the voided round in `round`.
-        Table::new(
-            "recovery",
-            &[
-                ("run", ColType::U64),
-                ("kind", ColType::Str),
-                ("cdn", ColType::U64),
-                ("round", ColType::U64),
-                ("amount", ColType::U64),
-                ("extra", ColType::U64),
-            ],
-        ),
-    ]
+    facts: Facts,
 }
 
 /// Content-sniffs Criterion's `estimates.json`: a top-level `mean`
 /// object carrying a `point_estimate`. Neither journals (JSONL) nor
 /// bench reports (`entries`/`table3`) share that shape.
-fn looks_like_criterion(text: &str) -> bool {
-    Json::parse(text).ok().is_some_and(|v| {
-        v.get("mean")
-            .and_then(|m| m.get("point_estimate"))
-            .is_some()
-    })
+fn looks_like_criterion(json: &Json) -> bool {
+    json.get("mean")
+        .and_then(|m| m.get("point_estimate"))
+        .is_some()
 }
 
 /// Recovers `(group, bench)` from a Criterion artifact path of the form
@@ -212,149 +93,56 @@ fn criterion_names(path: &Path) -> (String, String) {
     ("unknown".into(), "unknown".into())
 }
 
+/// The `*.jsonl` / `*.json` files directly inside `dir`, in name order.
+fn artifacts_in(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut files = Vec::new();
+    for entry in entries {
+        let path = entry
+            .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+            .path();
+        let is_artifact = path
+            .extension()
+            .is_some_and(|e| e == "jsonl" || e == "json");
+        if is_artifact && path.is_file() {
+            files.push(path);
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 impl Store {
-    /// Opens the store at `dir`, loading any persisted state; a missing
-    /// or empty directory yields an empty store.
-    pub fn open(dir: &Path) -> Result<Store, String> {
-        let mut store = Store {
-            dir: dir.to_path_buf(),
-            runs: Vec::new(),
-            tables: empty_tables(),
-            ranges: Vec::new(),
-        };
-        store.ranges = vec![Vec::new(); store.tables.len()];
-        let manifest_path = dir.join("manifest.json");
-        if !manifest_path.exists() {
-            return Ok(store);
-        }
-        let text = std::fs::read_to_string(&manifest_path)
-            .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        let manifest = Json::parse(&text).map_err(|e| format!("manifest.json: {e}"))?;
-        let schema = manifest.u64_or("schema", 0);
-        if schema != u64::from(STORE_SCHEMA) {
-            return Err(format!(
-                "audit store at {} has schema v{schema}, this binary supports v{STORE_SCHEMA}; \
-                 delete the directory and re-ingest",
-                dir.display()
-            ));
-        }
-        match manifest.get("runs") {
-            Some(Json::Arr(items)) => {
-                for item in items {
-                    let meta = RunMeta::from_json(item)
-                        .ok_or_else(|| "manifest.json: malformed run entry".to_string())?;
-                    store.runs.push(meta);
+    /// Folds every artifact under `paths` into a fresh store. A file is
+    /// one artifact; a directory contributes its `*.jsonl` and `*.json`
+    /// files in name order (not recursively). Run ids are load order,
+    /// and byte-identical content is counted once. The first artifact
+    /// that cannot be read or parsed fails the load, named in the error.
+    pub fn load<P: AsRef<Path>>(paths: &[P]) -> Result<Store, String> {
+        let mut store = Store::default();
+        for path in paths {
+            let path = path.as_ref();
+            if path.is_dir() {
+                for file in artifacts_in(path)? {
+                    store.fold_artifact(&file)?;
                 }
-            }
-            _ => return Err("manifest.json: missing runs array".into()),
-        }
-        for table in store.tables.iter_mut() {
-            let path = dir.join("tables").join(format!("{}.tbl", table.name));
-            let bytes =
-                std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let decoded = Table::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-            if decoded.name != table.name {
-                return Err(format!("{}: wrong table name", path.display()));
-            }
-            *table = decoded;
-        }
-        store.ranges = Store::read_index(&dir.join("audit.idx"), &store.tables)?;
-        for per_table in &store.ranges {
-            if per_table.len() != store.runs.len() {
-                return Err("audit.idx: run count disagrees with manifest.json".into());
+            } else {
+                store.fold_artifact(path)?;
             }
         }
         Ok(store)
     }
 
-    fn read_index(path: &Path, tables: &[Table]) -> Result<Vec<Vec<(u64, u64)>>, String> {
-        let bytes =
-            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let err = |m: &str| format!("{}: {m}", path.display());
-        if bytes.len() < INDEX_MAGIC.len() || &bytes[..INDEX_MAGIC.len()] != INDEX_MAGIC {
-            return Err(err("bad magic"));
-        }
-        let mut pos = INDEX_MAGIC.len();
-        let take_u64 = |pos: &mut usize| -> Result<u64, String> {
-            let end = *pos + 8;
-            let slice = bytes.get(*pos..end).ok_or_else(|| err("truncated"))?;
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(slice);
-            *pos = end;
-            Ok(u64::from_le_bytes(buf))
-        };
-        let n_tables = take_u64(&mut pos)? as usize;
-        if n_tables != tables.len() {
-            return Err(err("table count mismatch"));
-        }
-        let mut ranges = Vec::with_capacity(n_tables);
-        for table in tables {
-            let n_runs = take_u64(&mut pos)? as usize;
-            let mut per_run = Vec::with_capacity(n_runs);
-            for _ in 0..n_runs {
-                let start = take_u64(&mut pos)?;
-                let end = take_u64(&mut pos)?;
-                if start > end || end > table.rows() as u64 {
-                    return Err(err("row range out of bounds"));
-                }
-                per_run.push((start, end));
-            }
-            ranges.push(per_run);
-        }
-        if pos != bytes.len() {
-            return Err(err("trailing bytes"));
-        }
-        Ok(ranges)
-    }
-
-    /// Persists the store to its directory (created if needed). Files
-    /// are rewritten whole; the formats are deterministic, so saving an
-    /// unchanged store is byte-stable.
-    pub fn save(&self) -> Result<(), String> {
-        let tables_dir = self.dir.join("tables");
-        std::fs::create_dir_all(&tables_dir)
-            .map_err(|e| format!("cannot create {}: {e}", tables_dir.display()))?;
-        let runs = self.runs.iter().map(RunMeta::to_json).collect();
-        let manifest = Json::Obj(vec![
-            ("schema".into(), Json::Num(f64::from(STORE_SCHEMA))),
-            ("runs".into(), Json::Arr(runs)),
-        ])
-        .render_pretty();
-        let manifest_path = self.dir.join("manifest.json");
-        std::fs::write(&manifest_path, manifest)
-            .map_err(|e| format!("cannot write {}: {e}", manifest_path.display()))?;
-        for table in &self.tables {
-            let path = tables_dir.join(format!("{}.tbl", table.name));
-            std::fs::write(&path, table.encode())
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        }
-        let mut idx = Vec::new();
-        idx.extend_from_slice(INDEX_MAGIC);
-        idx.extend_from_slice(&(self.tables.len() as u64).to_le_bytes());
-        for per_table in &self.ranges {
-            idx.extend_from_slice(&(per_table.len() as u64).to_le_bytes());
-            for (start, end) in per_table {
-                idx.extend_from_slice(&start.to_le_bytes());
-                idx.extend_from_slice(&end.to_le_bytes());
-            }
-        }
-        let idx_path = self.dir.join("audit.idx");
-        std::fs::write(&idx_path, idx)
-            .map_err(|e| format!("cannot write {}: {e}", idx_path.display()))?;
-        Ok(())
-    }
-
-    /// Ingests one artifact — a `.jsonl` journal or a bench-report
-    /// `.json` — appending its facts under a fresh run id. Re-ingesting
-    /// a byte-identical file is a no-op ([`IngestOutcome::Duplicate`]).
-    pub fn ingest(&mut self, path: &Path) -> Result<IngestOutcome, String> {
+    /// Folds one artifact under the next run id. The artifact's rows are
+    /// built aside and appended only once the whole file has parsed, so
+    /// a failure leaves the store as it was.
+    fn fold_artifact(&mut self, path: &Path) -> Result<(), String> {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let hash = content_hash(&bytes);
-        if let Some(existing) = self.runs.iter().find(|r| r.hash == hash) {
-            return Ok(IngestOutcome::Duplicate {
-                run_id: existing.run_id,
-            });
+        if self.runs.iter().any(|r| r.hash == hash) {
+            return Ok(());
         }
         let text =
             String::from_utf8(bytes).map_err(|_| format!("{}: not UTF-8", path.display()))?;
@@ -362,507 +150,379 @@ impl Store {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
-        let run_id = self.runs.len() as u64;
-        let starts: Vec<u64> = self.tables.iter().map(|t| t.rows() as u64).collect();
+        let run = self.runs.len() as u64;
         let is_journal = path.extension().is_some_and(|e| e == "jsonl")
             || text.lines().next().is_some_and(|l| l.contains("\"ev\""));
-        let meta = if is_journal {
-            self.ingest_journal(&text, run_id, &source, &hash)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-        } else if looks_like_criterion(&text) {
-            self.ingest_criterion(&text, path, run_id, &hash)
-                .map_err(|e| format!("{}: {e}", path.display()))?
+        let (mut meta, facts) = if is_journal {
+            fold_journal(&text, run)
         } else {
-            self.ingest_bench(&text, run_id, &source, &hash)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-        };
-        let mut rows = 0;
-        for (t, table) in self.tables.iter().enumerate() {
-            let end = table.rows() as u64;
-            self.ranges[t].push((starts[t], end));
-            rows += end - starts[t];
+            Json::parse(&text)
+                .map_err(|e| e.to_string())
+                .and_then(|json| {
+                    if looks_like_criterion(&json) {
+                        Ok(fold_criterion(&json, path, run))
+                    } else {
+                        fold_bench(&json, run)
+                    }
+                })
         }
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+        // Criterion runs name themselves: every estimates.json shares a
+        // file name, so their source keeps the group/bench tail.
+        if meta.source.is_empty() {
+            meta.source = source;
+        }
+        meta.hash = hash;
         self.runs.push(meta);
-        Ok(IngestOutcome::Ingested { run_id, rows })
+        self.facts.append(facts);
+        Ok(())
     }
 
-    fn ingest_journal(
-        &mut self,
-        text: &str,
-        run_id: u64,
-        source: &str,
-        hash: &str,
-    ) -> Result<RunMeta, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let first = lines.next().ok_or_else(|| "empty journal".to_string())?;
-        let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
-        if header.get("ev").and_then(Json::as_str) != Some("run_header") {
-            return Err("journal does not start with a run_header event".into());
-        }
-        let schema = header.u64_or("schema", 0);
-        if schema > u64::from(SUPPORTED_JOURNAL_SCHEMA) {
-            return Err(format!(
-                "journal schema v{schema} is newer than this binary supports \
-                 (v{SUPPORTED_JOURNAL_SCHEMA}); rebuild against the current vdx-obs"
-            ));
-        }
-        let mut meta = RunMeta {
-            run_id,
-            kind: RunKind::Journal,
-            source: source.to_string(),
-            hash: hash.to_string(),
-            experiment: header.str_or("experiment", "unknown"),
-            seed: header.u64_or("seed", 0),
-            scale: header.str_or("scale", "unknown"),
-            schema,
-            threads: header.u64_or("threads", 0),
-            git_commit: header.str_or("git_commit", "unknown"),
-            wall_ms: 0,
-            events: 1,
-        };
-        // Per-round aggregate, keyed by round id in first-seen order.
-        struct Round {
-            round: u64,
-            design: String,
-            groups: u64,
-            cdns: u64,
-            mode: String,
-            pivots: u64,
-            bnb_nodes: u64,
-            gap: f64,
-            objective: f64,
-            options: u64,
-            congested: u64,
-        }
-        let mut rounds: Vec<Round> = Vec::new();
-        let mut by_round: HashMap<u64, usize> = HashMap::new();
-        let mut retransmit_events = 0u64;
-        let mut retransmitted_frames = 0u64;
-        let mut sessions_moved = 0u64;
-        let mut solver_resolves = 0u64;
-        let mut warm_eligible = 0u64;
-        let mut changed_clients = 0u64;
-        for (n, line) in lines.enumerate() {
-            let v = Json::parse(line).map_err(|e| format!("line {}: {e}", n + 2))?;
-            meta.events += 1;
-            let Some(ev) = v.get("ev").and_then(Json::as_str) else {
-                continue;
-            };
-            let round = v.u64_or("round", 0);
-            match ev {
-                "round_started" => {
-                    by_round.insert(round, rounds.len());
-                    rounds.push(Round {
-                        round,
-                        design: v.str_or("design", "unknown"),
-                        groups: v.u64_or("groups", 0),
-                        cdns: v.u64_or("cdns", 0),
-                        mode: "none".into(),
-                        pivots: 0,
-                        bnb_nodes: 0,
-                        gap: -1.0,
-                        objective: 0.0,
-                        options: 0,
-                        congested: 0,
-                    });
-                }
-                "solver_stats" => {
-                    if let Some(&i) = by_round.get(&round) {
-                        let r = &mut rounds[i];
-                        r.mode = v.str_or("mode", "none");
-                        r.pivots += v.u64_or("pivots", 0);
-                        r.bnb_nodes += v.u64_or("bnb_nodes", 0);
-                        r.gap = v.f64_or("optimality_gap", -1.0);
-                    }
-                }
-                "round_completed" => {
-                    if let Some(&i) = by_round.get(&round) {
-                        let r = &mut rounds[i];
-                        r.objective = v.f64_or("objective", 0.0);
-                        r.options = v.u64_or("options", 0);
-                    }
-                }
-                "cluster_congested" => {
-                    if let Some(&i) = by_round.get(&round) {
-                        rounds[i].congested += 1;
-                    }
-                }
-                "wire_drops" => {
-                    self.table_mut("wire").push(&[
-                        Value::U(run_id),
-                        Value::U(round),
-                        Value::U(v.u64_or("cdn", NO_CDN)),
-                        Value::U(v.u64_or("link_dropped", 0)),
-                        Value::U(v.u64_or("corrupt_discarded", 0)),
-                        Value::U(v.u64_or("out_of_order", 0)),
-                    ]);
-                }
-                "fault_plan_applied" => {
-                    let note = format!(
-                        "drop={} corrupt={} delay_ms={} outage={}",
-                        v.f64_or("drop_chance", 0.0),
-                        v.f64_or("corrupt_chance", 0.0),
-                        v.u64_or("delay_ms", 0),
-                        v.get("exchange_outage").and_then(Json::as_bool) == Some(true),
-                    );
-                    let amount = v.u64_or("failed_cdns", 0);
-                    self.push_fault(run_id, round, "fault_plan", NO_CDN, amount, &note);
-                }
-                "cdn_outage" => {
-                    self.push_fault(run_id, round, "cdn_outage", v.u64_or("cdn", NO_CDN), 1, "");
-                }
-                "exchange_outage" => {
-                    self.push_fault(run_id, round, "exchange_outage", NO_CDN, 1, "");
-                }
-                "deadline_missed" => {
-                    let amount = v.u64_or("missing_cdns", 0);
-                    self.push_fault(run_id, round, "deadline_missed", NO_CDN, amount, "");
-                }
-                "stale_bids_reused" => {
-                    let cdn = v.u64_or("cdn", NO_CDN);
-                    let amount = v.u64_or("bids", 0);
-                    let note = format!("age_rounds={}", v.u64_or("age_rounds", 0));
-                    self.push_fault(run_id, round, "stale_bids_reused", cdn, amount, &note);
-                }
-                "design_fallback" => {
-                    let note = format!(
-                        "{} -> {}: {}",
-                        v.str_or("from", "?"),
-                        v.str_or("to", "?"),
-                        v.str_or("reason", "?"),
-                    );
-                    self.push_fault(run_id, round, "design_fallback", NO_CDN, 1, &note);
-                }
-                "phase_finished" => {
-                    let phase = v.str_or("phase", "unknown");
-                    self.push_timing(run_id, "phase", &phase, 1, v.u64_or("wall_us", 0));
-                }
-                "timing_summary" => {
-                    let name = v.str_or("name", "unknown");
-                    self.table_mut("timings").push(&[
-                        Value::U(run_id),
-                        Value::S("hist"),
-                        Value::S(&name),
-                        Value::U(v.u64_or("count", 0)),
-                        Value::F(v.f64_or("mean_us", 0.0)),
-                        Value::F(v.f64_or("p50_us", 0.0)),
-                        Value::F(v.f64_or("p95_us", 0.0)),
-                        Value::F(v.f64_or("p99_us", 0.0)),
-                        Value::U(0),
-                    ]);
-                }
-                "counter_snapshot" => {
-                    let name = v.str_or("name", "unknown");
-                    self.push_timing(run_id, "counter", &name, 1, v.u64_or("value", 0));
-                }
-                "frame_retransmitted" => {
-                    retransmit_events += 1;
-                    retransmitted_frames += v.u64_or("frames", 0);
-                }
-                "session_moved" => {
-                    sessions_moved += v.u64_or("moved", 0);
-                }
-                "solver_resolve" => {
-                    solver_resolves += 1;
-                    if v.get("warm_eligible").and_then(Json::as_bool) == Some(true) {
-                        warm_eligible += 1;
-                    }
-                    changed_clients += v.u64_or("changed_clients", 0);
-                }
-                "conn_retry" => {
-                    self.push_recovery(
-                        run_id,
-                        "conn_retry",
-                        v.u64_or("cdn", NO_CDN),
-                        0,
-                        v.u64_or("attempt", 0),
-                        v.u64_or("backoff_ms", 0),
-                    );
-                }
-                "recovery_started" => {
-                    self.push_recovery(
-                        run_id,
-                        "recovery_started",
-                        NO_CDN,
-                        0,
-                        v.u64_or("records", 0),
-                        v.u64_or("truncated_bytes", 0),
-                    );
-                }
-                "recovery_round_voided" => {
-                    self.push_recovery(run_id, "recovery_round_voided", NO_CDN, round, 1, 0);
-                }
-                "recovery_complete" => {
-                    self.push_recovery(
-                        run_id,
-                        "recovery_complete",
-                        NO_CDN,
-                        v.u64_or("next_round", 0),
-                        v.u64_or("rounds_recovered", 0),
-                        v.u64_or("rounds_voided", 0),
-                    );
-                }
-                "experiment_finished" => {
-                    meta.wall_ms = v.u64_or("wall_ms", 0);
-                }
-                _ => {}
-            }
-        }
-        // Journal-derived aggregates ride the timings table as counters.
-        if retransmit_events > 0 {
-            self.push_timing(
-                run_id,
-                "counter",
-                "journal.retransmit_events",
-                1,
-                retransmit_events,
-            );
-            self.push_timing(
-                run_id,
-                "counter",
-                "journal.retransmitted_frames",
-                1,
-                retransmitted_frames,
-            );
-        }
-        if sessions_moved > 0 {
-            self.push_timing(
-                run_id,
-                "counter",
-                "journal.sessions_moved",
-                1,
-                sessions_moved,
-            );
-        }
-        // Warm-start delta aggregates (schema v4 journals). Counters
-        // only — the per-round lines stay in the journal itself.
-        if solver_resolves > 0 {
-            self.push_timing(
-                run_id,
-                "counter",
-                "journal.solver_resolves",
-                1,
-                solver_resolves,
-            );
-            self.push_timing(run_id, "counter", "journal.warm_eligible", 1, warm_eligible);
-            self.push_timing(
-                run_id,
-                "counter",
-                "journal.changed_clients",
-                1,
-                changed_clients,
-            );
-        }
-        for r in &rounds {
-            self.table_mut("rounds").push(&[
-                Value::U(run_id),
-                Value::U(r.round),
-                Value::S(&r.design),
-                Value::U(r.groups),
-                Value::U(r.cdns),
-                Value::S(&r.mode),
-                Value::U(r.pivots),
-                Value::U(r.bnb_nodes),
-                Value::F(r.gap),
-                Value::F(r.objective),
-                Value::U(r.options),
-                Value::U(r.congested),
-            ]);
-        }
-        Ok(meta)
-    }
-
-    fn ingest_bench(
-        &mut self,
-        text: &str,
-        run_id: u64,
-        source: &str,
-        hash: &str,
-    ) -> Result<RunMeta, String> {
-        let json = Json::parse(text).map_err(|e| e.to_string())?;
-        let report = BaselineReport::from_json(&json)
-            .ok_or_else(|| "not a bench report (expected entries/table3)".to_string())?;
-        for e in &report.entries {
-            self.table_mut("bench").push(&[
-                Value::U(run_id),
-                Value::S(&e.name),
-                Value::U(e.serial_ms),
-                Value::U(e.parallel_ms),
-                Value::F(e.speedup),
-            ]);
-        }
-        for r in &report.table3 {
-            self.table_mut("table3").push(&[
-                Value::U(run_id),
-                Value::S(&r.design),
-                Value::F(r.cost),
-                Value::F(r.score),
-                Value::F(r.distance_miles),
-                Value::F(r.load_pct),
-                Value::F(r.congested_pct),
-            ]);
-        }
-        Ok(RunMeta {
-            run_id,
-            kind: RunKind::Bench,
-            source: source.to_string(),
-            hash: hash.to_string(),
-            experiment: "bench".into(),
-            seed: report.seed,
-            scale: report.scale.clone(),
-            schema: report.schema,
-            threads: report.threads,
-            git_commit: report.git_commit.clone(),
-            wall_ms: report.entries.iter().map(|e| e.parallel_ms).sum(),
-            events: 0,
-        })
-    }
-
-    /// Ingests one Criterion `estimates.json`, appending a single row to
-    /// the `criterion` table. Group and bench names come from the path
-    /// (`…/criterion/<group>/<bench>/new/estimates.json`); the point
-    /// estimates are Criterion's, in nanoseconds.
-    fn ingest_criterion(
-        &mut self,
-        text: &str,
-        path: &Path,
-        run_id: u64,
-        hash: &str,
-    ) -> Result<RunMeta, String> {
-        let json = Json::parse(text).map_err(|e| e.to_string())?;
-        let point = |key: &str| {
-            json.get(key)
-                .map_or(0.0, |m| m.f64_or("point_estimate", 0.0))
-        };
-        let mean_ns = point("mean");
-        let median_ns = point("median");
-        let stddev_ns = point("std_dev");
-        let (group, bench) = criterion_names(path);
-        self.table_mut("criterion").push(&[
-            Value::U(run_id),
-            Value::S(&group),
-            Value::S(&bench),
-            Value::F(mean_ns),
-            Value::F(median_ns),
-            Value::F(stddev_ns),
-        ]);
-        Ok(RunMeta {
-            run_id,
-            kind: RunKind::Criterion,
-            // Every estimates.json shares a file name, so the source
-            // keeps the group/bench tail for readable `runs` output.
-            source: format!("{group}/{bench}/estimates.json"),
-            hash: hash.to_string(),
-            experiment: group,
-            seed: 0,
-            scale: "bench".into(),
-            schema: 0,
-            threads: 0,
-            git_commit: "unknown".into(),
-            wall_ms: (mean_ns / 1e6) as u64,
-            events: 0,
-        })
-    }
-
-    fn push_fault(&mut self, run: u64, round: u64, kind: &str, cdn: u64, amount: u64, note: &str) {
-        self.table_mut("faults").push(&[
-            Value::U(run),
-            Value::U(round),
-            Value::S(kind),
-            Value::U(cdn),
-            Value::U(amount),
-            Value::S(note),
-        ]);
-    }
-
-    /// Appends one crash-safety fact; see the `recovery` table comment
-    /// in [`empty_tables`] for the kind-dependent column meanings.
-    fn push_recovery(&mut self, run: u64, kind: &str, cdn: u64, round: u64, amount: u64, extra: u64) {
-        self.table_mut("recovery").push(&[
-            Value::U(run),
-            Value::S(kind),
-            Value::U(cdn),
-            Value::U(round),
-            Value::U(amount),
-            Value::U(extra),
-        ]);
-    }
-
-    fn push_timing(&mut self, run: u64, kind: &str, name: &str, count: u64, value: u64) {
-        self.table_mut("timings").push(&[
-            Value::U(run),
-            Value::S(kind),
-            Value::S(name),
-            Value::U(count),
-            Value::F(0.0),
-            Value::F(0.0),
-            Value::F(0.0),
-            Value::F(0.0),
-            Value::U(value),
-        ]);
-    }
-
-    fn table_mut(&mut self, name: &str) -> &mut Table {
-        self.tables
-            .iter_mut()
-            .find(|t| t.name == name)
-            .expect("the fixed table set contains every name ingest uses")
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Metadata of every ingested run, in run-id order.
+    /// Metadata of every loaded run, in run-id order.
     pub fn runs(&self) -> &[RunMeta] {
         &self.runs
     }
 
-    /// A fact table by name (`rounds`, `wire`, `faults`, `timings`,
-    /// `bench`, `table3`, `criterion`, `recovery`).
-    pub fn table(&self, name: &str) -> &Table {
-        self.tables
-            .iter()
-            .find(|t| t.name == name)
-            .expect("the fixed table set contains every queried name")
+    /// The fact tables.
+    pub fn facts(&self) -> &Facts {
+        &self.facts
     }
+}
 
-    /// The `[start, end)` row range of `run_id` in `table` (empty range
-    /// when the run contributed no rows).
-    pub fn run_range(&self, table: &str, run_id: u64) -> (usize, usize) {
-        let t = self
-            .tables
-            .iter()
-            .position(|t| t.name == table)
-            .expect("the fixed table set contains every queried name");
-        match self.ranges[t].get(run_id as usize) {
-            Some((start, end)) => (*start as usize, *end as usize),
-            None => (0, 0),
+/// Folds one journal. A line that does not parse is an error, except the
+/// final line of a file that does not end in a newline: a SIGKILLed
+/// daemon's `BufWriter` leaves exactly that, and the complete lines
+/// before it are the evidence the `recovery-time` query exists for.
+fn fold_journal(text: &str, run: u64) -> Result<(RunMeta, Facts), String> {
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .peekable();
+    let (_, first) = lines.next().ok_or_else(|| "empty journal".to_string())?;
+    let header = Json::parse(first).map_err(|e| format!("line 1: {e}"))?;
+    if header.get("ev").and_then(Json::as_str) != Some("run_header") {
+        return Err("journal does not start with a run_header event".into());
+    }
+    let schema = header.u64_or("schema", 0);
+    if schema > u64::from(SUPPORTED_JOURNAL_SCHEMA) {
+        return Err(format!(
+            "journal schema v{schema} is newer than this binary supports \
+             (v{SUPPORTED_JOURNAL_SCHEMA}); rebuild against the current vdx-obs"
+        ));
+    }
+    let mut meta = RunMeta {
+        run_id: run,
+        kind: RunKind::Journal,
+        source: String::new(),
+        hash: String::new(),
+        experiment: header.str_or("experiment", "unknown"),
+        seed: header.u64_or("seed", 0),
+        scale: header.str_or("scale", "unknown"),
+        schema,
+        threads: header.u64_or("threads", 0),
+        git_commit: header.str_or("git_commit", "unknown"),
+        wall_ms: 0,
+        events: 1,
+    };
+    let mut facts = Facts::default();
+    // Index into `facts.rounds` by round id.
+    let mut by_round: HashMap<u64, usize> = HashMap::new();
+    let mut retransmit_events = 0u64;
+    let mut retransmitted_frames = 0u64;
+    let mut sessions_moved = 0u64;
+    let mut solver_resolves = 0u64;
+    let mut warm_eligible = 0u64;
+    let mut changed_clients = 0u64;
+    let torn_tail = !text.ends_with('\n');
+    while let Some((n, line)) = lines.next() {
+        meta.events += 1;
+        let v = match Json::parse(line) {
+            Ok(v) => v,
+            Err(_) if torn_tail && lines.peek().is_none() => break,
+            Err(e) => return Err(format!("line {}: {e}", n + 1)),
+        };
+        let Some(ev) = v.get("ev").and_then(Json::as_str) else {
+            continue;
+        };
+        let round = v.u64_or("round", 0);
+        let in_round = by_round.get(&round).map(|&i| &mut facts.rounds[i]);
+        let mut fault = |kind: &'static str, cdn: u64, amount: u64, note: String| {
+            facts.faults.push(FaultRow {
+                run,
+                round,
+                kind,
+                cdn,
+                amount,
+                note,
+            });
+        };
+        match ev {
+            "round_started" => {
+                by_round.insert(round, facts.rounds.len());
+                facts.rounds.push(RoundRow {
+                    run,
+                    round,
+                    design: v.str_or("design", "unknown"),
+                    groups: v.u64_or("groups", 0),
+                    cdns: v.u64_or("cdns", 0),
+                    mode: "none".into(),
+                    pivots: 0,
+                    bnb_nodes: 0,
+                    gap: -1.0,
+                    objective: 0.0,
+                    options: 0,
+                    congested: 0,
+                });
+            }
+            "solver_stats" => {
+                if let Some(r) = in_round {
+                    r.mode = v.str_or("mode", "none");
+                    r.pivots += v.u64_or("pivots", 0);
+                    r.bnb_nodes += v.u64_or("bnb_nodes", 0);
+                    r.gap = v.f64_or("optimality_gap", -1.0);
+                }
+            }
+            "round_completed" => {
+                if let Some(r) = in_round {
+                    r.objective = v.f64_or("objective", 0.0);
+                    r.options = v.u64_or("options", 0);
+                }
+            }
+            "cluster_congested" => {
+                if let Some(r) = in_round {
+                    r.congested += 1;
+                }
+            }
+            "wire_drops" => facts.wire.push(WireRow {
+                run,
+                round,
+                cdn: v.u64_or("cdn", NO_CDN),
+                link_dropped: v.u64_or("link_dropped", 0),
+                corrupt_discarded: v.u64_or("corrupt_discarded", 0),
+                out_of_order: v.u64_or("out_of_order", 0),
+            }),
+            "fault_plan_applied" => {
+                let note = format!(
+                    "drop={} corrupt={} delay_ms={} outage={}",
+                    v.f64_or("drop_chance", 0.0),
+                    v.f64_or("corrupt_chance", 0.0),
+                    v.u64_or("delay_ms", 0),
+                    v.get("exchange_outage").and_then(Json::as_bool) == Some(true),
+                );
+                fault("fault_plan", NO_CDN, v.u64_or("failed_cdns", 0), note);
+            }
+            "cdn_outage" => fault("cdn_outage", v.u64_or("cdn", NO_CDN), 1, String::new()),
+            "exchange_outage" => fault("exchange_outage", NO_CDN, 1, String::new()),
+            "deadline_missed" => {
+                let amount = v.u64_or("missing_cdns", 0);
+                fault("deadline_missed", NO_CDN, amount, String::new());
+            }
+            "stale_bids_reused" => {
+                let note = format!("age_rounds={}", v.u64_or("age_rounds", 0));
+                let cdn = v.u64_or("cdn", NO_CDN);
+                fault("stale_bids_reused", cdn, v.u64_or("bids", 0), note);
+            }
+            "design_fallback" => {
+                let note = format!(
+                    "{} -> {}: {}",
+                    v.str_or("from", "?"),
+                    v.str_or("to", "?"),
+                    v.str_or("reason", "?"),
+                );
+                fault("design_fallback", NO_CDN, 1, note);
+            }
+            "phase_finished" => {
+                let phase = v.str_or("phase", "unknown");
+                facts
+                    .timings
+                    .push(scalar_timing(run, "phase", phase, v.u64_or("wall_us", 0)));
+            }
+            "timing_summary" => facts.timings.push(TimingRow {
+                run,
+                kind: "hist",
+                name: v.str_or("name", "unknown"),
+                count: v.u64_or("count", 0),
+                mean: v.f64_or("mean_us", 0.0),
+                p50: v.f64_or("p50_us", 0.0),
+                p95: v.f64_or("p95_us", 0.0),
+                p99: v.f64_or("p99_us", 0.0),
+                value: 0,
+            }),
+            "counter_snapshot" => {
+                let name = v.str_or("name", "unknown");
+                facts
+                    .timings
+                    .push(scalar_timing(run, "counter", name, v.u64_or("value", 0)));
+            }
+            "frame_retransmitted" => {
+                retransmit_events += 1;
+                retransmitted_frames += v.u64_or("frames", 0);
+            }
+            "session_moved" => sessions_moved += v.u64_or("moved", 0),
+            "solver_resolve" => {
+                solver_resolves += 1;
+                if v.get("warm_eligible").and_then(Json::as_bool) == Some(true) {
+                    warm_eligible += 1;
+                }
+                changed_clients += v.u64_or("changed_clients", 0);
+            }
+            "conn_retry" => facts.recovery.push(RecoveryRow {
+                run,
+                fact: RecoveryFact::ConnRetry {
+                    cdn: v.u64_or("cdn", NO_CDN),
+                    attempt: v.u64_or("attempt", 0),
+                    backoff_ms: v.u64_or("backoff_ms", 0),
+                },
+            }),
+            "recovery_started" => facts.recovery.push(RecoveryRow {
+                run,
+                fact: RecoveryFact::Started {
+                    records: v.u64_or("records", 0),
+                    truncated_bytes: v.u64_or("truncated_bytes", 0),
+                },
+            }),
+            "recovery_round_voided" => facts.recovery.push(RecoveryRow {
+                run,
+                fact: RecoveryFact::RoundVoided { round },
+            }),
+            "recovery_complete" => facts.recovery.push(RecoveryRow {
+                run,
+                fact: RecoveryFact::Complete {
+                    next_round: v.u64_or("next_round", 0),
+                    rounds_recovered: v.u64_or("rounds_recovered", 0),
+                    rounds_voided: v.u64_or("rounds_voided", 0),
+                },
+            }),
+            "experiment_finished" => meta.wall_ms = v.u64_or("wall_ms", 0),
+            _ => {}
         }
     }
+    // Journal-derived aggregates ride the timings table as counters
+    // (the per-event lines stay in the journal itself).
+    let mut aggregates: Vec<(&str, u64)> = Vec::new();
+    if retransmit_events > 0 {
+        aggregates.push(("journal.retransmit_events", retransmit_events));
+        aggregates.push(("journal.retransmitted_frames", retransmitted_frames));
+    }
+    if sessions_moved > 0 {
+        aggregates.push(("journal.sessions_moved", sessions_moved));
+    }
+    if solver_resolves > 0 {
+        aggregates.push(("journal.solver_resolves", solver_resolves));
+        aggregates.push(("journal.warm_eligible", warm_eligible));
+        aggregates.push(("journal.changed_clients", changed_clients));
+    }
+    for (name, value) in aggregates {
+        facts
+            .timings
+            .push(scalar_timing(run, "counter", name.to_string(), value));
+    }
+    Ok((meta, facts))
+}
+
+/// A phase or counter row: one sample, no percentiles.
+fn scalar_timing(run: u64, kind: &'static str, name: String, value: u64) -> TimingRow {
+    TimingRow {
+        run,
+        kind,
+        name,
+        count: 1,
+        mean: 0.0,
+        p50: 0.0,
+        p95: 0.0,
+        p99: 0.0,
+        value,
+    }
+}
+
+fn fold_bench(json: &Json, run: u64) -> Result<(RunMeta, Facts), String> {
+    let report = BaselineReport::from_json(json)
+        .ok_or_else(|| "not a bench report (expected entries/table3)".to_string())?;
+    let meta = RunMeta {
+        run_id: run,
+        kind: RunKind::Bench,
+        source: String::new(),
+        hash: String::new(),
+        experiment: "bench".into(),
+        seed: report.seed,
+        scale: report.scale,
+        schema: report.schema,
+        threads: report.threads,
+        git_commit: report.git_commit,
+        wall_ms: report.entries.iter().map(|e| e.parallel_ms).sum(),
+        events: 0,
+    };
+    let facts = Facts {
+        bench: report
+            .entries
+            .into_iter()
+            .map(|row| Tagged { run, row })
+            .collect(),
+        table3: report
+            .table3
+            .into_iter()
+            .map(|row| Tagged { run, row })
+            .collect(),
+        ..Facts::default()
+    };
+    Ok((meta, facts))
+}
+
+/// Folds one Criterion `estimates.json` into a single `criterion` row.
+/// Group and bench names come from the path; the point estimates are
+/// Criterion's, in nanoseconds.
+fn fold_criterion(json: &Json, path: &Path, run: u64) -> (RunMeta, Facts) {
+    let point = |key: &str| {
+        json.get(key)
+            .map_or(0.0, |m| m.f64_or("point_estimate", 0.0))
+    };
+    let mean_ns = point("mean");
+    let (group, bench) = criterion_names(path);
+    let meta = RunMeta {
+        run_id: run,
+        kind: RunKind::Criterion,
+        source: format!("{group}/{bench}/estimates.json"),
+        hash: String::new(),
+        experiment: group.clone(),
+        seed: 0,
+        scale: "bench".into(),
+        schema: 0,
+        threads: 0,
+        git_commit: "unknown".into(),
+        wall_ms: (mean_ns / 1e6) as u64,
+        events: 0,
+    };
+    let facts = Facts {
+        criterion: vec![CriterionRow {
+            run,
+            group,
+            bench,
+            mean_ns,
+            median_ns: point("median"),
+            stddev_ns: point("std_dev"),
+        }],
+        ..Facts::default()
+    };
+    (meta, facts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{golden_journal, temp_store};
-
-    fn write_journal(dir: &Path, name: &str, content: &str) -> PathBuf {
-        std::fs::create_dir_all(dir).expect("temp dir creates");
-        let path = dir.join(name);
-        std::fs::write(&path, content).expect("journal fixture writes");
-        path
-    }
+    use crate::testutil::{
+        crashed_journal, golden_journal, temp_dir, write_fixture, BENCH_REPORT, ESTIMATES,
+    };
 
     #[test]
     fn golden_journal_ingest_builds_expected_rows() {
-        let (dir, mut store) = temp_store("store-golden");
-        let journal = write_journal(&dir, "a.jsonl", &golden_journal("abc123", 0.0));
-        let outcome = store.ingest(&journal).expect("ingests");
-        assert!(matches!(outcome, IngestOutcome::Ingested { run_id: 0, .. }));
+        let dir = temp_dir("store-golden");
+        let journal = write_fixture(&dir, "a.jsonl", &golden_journal("abc123", 0.0));
+        let store = Store::load(&[journal]).expect("loads");
 
         let meta = &store.runs()[0];
+        assert_eq!(meta.run_id, 0);
+        assert_eq!(meta.source, "a.jsonl");
         assert_eq!(meta.experiment, "table3");
         assert_eq!(meta.seed, 2017);
         assert_eq!(meta.schema, 3);
@@ -871,83 +531,133 @@ mod tests {
         assert_eq!(meta.wall_ms, 950);
         assert_eq!(meta.events, 17);
 
-        let rounds = store.table("rounds");
-        assert_eq!(rounds.rows(), 2);
-        assert_eq!(rounds.s(rounds.col("design"), 0), "Marketplace");
-        assert_eq!(rounds.f(rounds.col("objective"), 0), 123.5);
-        assert_eq!(rounds.f(rounds.col("gap"), 0), 0.0);
-        assert_eq!(rounds.s(rounds.col("mode"), 1), "heuristic");
-        assert_eq!(rounds.f(rounds.col("gap"), 1), -1.0, "null gap -> sentinel");
-        assert_eq!(rounds.u(rounds.col("congested"), 1), 1);
+        let rounds = &store.facts().rounds;
+        assert_eq!(rounds.len(), 2);
+        assert_eq!(rounds[0].design, "Marketplace");
+        assert_eq!(rounds[0].objective, 123.5);
+        assert_eq!(rounds[0].gap, 0.0);
+        assert_eq!(rounds[1].mode, "heuristic");
+        assert_eq!(rounds[1].gap, -1.0, "null gap -> sentinel");
+        assert_eq!(rounds[1].congested, 1);
 
-        let wire = store.table("wire");
-        assert_eq!(wire.rows(), 1);
-        assert_eq!(wire.u(wire.col("link_dropped"), 0), 31);
+        let wire = &store.facts().wire;
+        assert_eq!(wire.len(), 1);
+        assert_eq!(wire[0].link_dropped, 31);
 
-        let faults = store.table("faults");
-        assert_eq!(faults.rows(), 2);
-        assert_eq!(faults.s(faults.col("kind"), 0), "fault_plan");
-        assert_eq!(faults.s(faults.col("kind"), 1), "cdn_outage");
-        assert_eq!(faults.u(faults.col("cdn"), 1), 3);
-        assert_eq!(faults.u(faults.col("cdn"), 0), NO_CDN);
+        let faults = &store.facts().faults;
+        assert_eq!(faults.len(), 2);
+        assert_eq!(faults[0].kind, "fault_plan");
+        assert_eq!(faults[1].kind, "cdn_outage");
+        assert_eq!(faults[1].cdn, 3);
+        assert_eq!(faults[0].cdn, NO_CDN);
 
-        let timings = store.table("timings");
         // phase + hist + counter + 2 retransmit aggregates.
-        assert_eq!(timings.rows(), 5);
-        let (start, end) = store.run_range("rounds", 0);
-        assert_eq!((start, end), (0, 2));
+        assert_eq!(store.facts().timings.len(), 5);
 
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn ingest_is_idempotent_and_survives_reopen() {
-        let (dir, mut store) = temp_store("store-idem");
-        let journal = write_journal(&dir, "a.jsonl", &golden_journal("abc123", 0.0));
-        store.ingest(&journal).expect("first ingest");
-        let rows_before = store.table("rounds").rows();
-        assert_eq!(
-            store.ingest(&journal).expect("second ingest"),
-            IngestOutcome::Duplicate { run_id: 0 }
-        );
-        assert_eq!(store.table("rounds").rows(), rows_before);
-        store.save().expect("saves");
+    fn identical_content_is_counted_once() {
+        let dir = temp_dir("store-idem");
+        let journal = write_fixture(&dir, "a.jsonl", &golden_journal("abc123", 0.0));
+        let copy = write_fixture(&dir, "copy-of-a.jsonl", &golden_journal("abc123", 0.0));
+        // A different commit's journal is new content, so it loads.
+        let journal_b = write_fixture(&dir, "b.jsonl", &golden_journal("def456", 0.0));
+        let store = Store::load(&[&journal, &journal, &copy, &journal_b]).expect("loads");
+        assert_eq!(store.runs().len(), 2);
+        assert_eq!(store.runs()[1].run_id, 1);
+        assert_eq!(store.runs()[1].git_commit, "def456");
+        let runs: Vec<u64> = store.facts().rounds.iter().map(|r| r.run).collect();
+        assert_eq!(runs, [0, 0, 1, 1]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // Reopen from disk: same runs, same rows, still a duplicate.
-        let mut reopened = Store::open(&dir).expect("reopens");
-        assert_eq!(reopened.runs().len(), 1);
-        assert_eq!(reopened.table("rounds").rows(), rows_before);
-        assert_eq!(
-            reopened.ingest(&journal).expect("third ingest"),
-            IngestOutcome::Duplicate { run_id: 0 }
-        );
-
-        // A different commit's journal is new content, so it ingests.
-        let journal_b = write_journal(&dir, "b.jsonl", &golden_journal("def456", 0.0));
-        assert!(matches!(
-            reopened.ingest(&journal_b).expect("ingests"),
-            IngestOutcome::Ingested { run_id: 1, .. }
-        ));
-        assert_eq!(reopened.run_range("rounds", 1), (2, 4));
-
+    #[test]
+    fn a_directory_contributes_its_artifacts_in_name_order() {
+        let dir = temp_dir("store-dir");
+        write_fixture(&dir, "b.jsonl", &golden_journal("commit-b", 0.0));
+        write_fixture(&dir, "a.jsonl", &golden_journal("commit-a", 0.0));
+        write_fixture(&dir, "c.json", BENCH_REPORT);
+        write_fixture(&dir, "notes.txt", "not an artifact");
+        write_fixture(&dir, "nested/d.jsonl", &golden_journal("commit-d", 0.0));
+        let store = Store::load(&[&dir]).expect("loads");
+        let sources: Vec<&str> = store.runs().iter().map(|r| r.source.as_str()).collect();
+        assert_eq!(sources, ["a.jsonl", "b.jsonl", "c.json"]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn newer_schema_journals_are_rejected() {
-        let (dir, mut store) = temp_store("store-newer");
+        let dir = temp_dir("store-newer");
         let too_new = golden_journal("abc123", 0.0).replace("\"schema\":3", "\"schema\":99");
-        let journal = write_journal(&dir, "new.jsonl", &too_new);
-        let err = store.ingest(&journal).expect_err("must reject");
+        let journal = write_fixture(&dir, "new.jsonl", &too_new);
+        let err = Store::load(&[journal]).expect_err("must reject");
+        assert!(err.contains("new.jsonl"), "{err}");
         assert!(err.contains("schema v99"), "{err}");
         assert!(err.contains("v6"), "{err}");
-        assert!(store.runs().is_empty(), "nothing was ingested");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_final_line_loads_with_the_complete_lines() {
+        let dir = temp_dir("store-torn");
+        // A SIGKILLed daemon: the BufWriter's last flush ended mid-event,
+        // and `experiment_finished` was never written.
+        let full = crashed_journal();
+        let cut = full
+            .find("{\"ev\":\"experiment_finished\"")
+            .expect("terminal line")
+            + 20;
+        let journal = write_fixture(&dir, "trial-0-before.jsonl", &full[..cut]);
+        let store = Store::load(&[journal]).expect("a torn tail is not an error");
+        let meta = &store.runs()[0];
+        assert_eq!(meta.events, 7, "header + 5 complete lines + the torn one");
+        assert_eq!(meta.wall_ms, 0, "the terminal record never landed");
+        assert_eq!(
+            store.facts().recovery.len(),
+            5,
+            "every complete line counted"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn mid_file_garbage_fails_and_leaves_every_table_unchanged() {
+        let dir = temp_dir("store-garbage");
+        let good = write_fixture(&dir, "good.jsonl", &golden_journal("abc123", 0.0));
+        // Rows for wire, faults and timings precede the bad line.
+        let bad_text = golden_journal("def456", 0.0).replace(
+            "{\"ev\":\"timing_summary\"",
+            "{\"ev\":\"timing_summ\n{\"ev\":\"timing_summary\"",
+        );
+        let bad = write_fixture(&dir, "bad.jsonl", &bad_text);
+        let mut store = Store::load(&[&good]).expect("loads");
+        let before = store.facts().clone();
+
+        let err = store.fold_artifact(&bad).expect_err("mid-file garbage");
+        assert!(err.contains("bad.jsonl: line 15"), "{err}");
+        assert_eq!(store.facts(), &before);
+        assert_eq!(store.runs().len(), 1);
+        assert!(Store::load(&[&good, &bad]).is_err());
+
+        // The run id the failed artifact would have taken is still free.
+        let next = write_fixture(&dir, "next.jsonl", &golden_journal("0a0b0c", 0.0));
+        store.fold_artifact(&next).expect("loads");
+        assert_eq!(store.runs()[1].git_commit, "0a0b0c");
+        assert!(store.facts().wire.iter().all(|w| w.run <= 1));
+        assert_eq!(store.facts().wire.len(), 2);
+
+        // A torn line that is not the last one is garbage too, even in
+        // a file without a trailing newline.
+        let unterminated = write_fixture(&dir, "cut.jsonl", bad_text.trim_end());
+        assert!(store.fold_artifact(&unterminated).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn solver_resolve_events_aggregate_into_counters() {
-        let (dir, mut store) = temp_store("store-resolve");
+        let dir = temp_dir("store-resolve");
         // A v4 journal: the golden v3 fixture plus warm-start delta lines.
         let mut journal = golden_journal("abc123", 0.0).replace("\"schema\":3", "\"schema\":4");
         journal.push_str(concat!(
@@ -956,14 +666,11 @@ mod tests {
             "{\"ev\":\"solver_resolve\",\"round\":1,\"changed_clients\":0,",
             "\"changed_buckets\":0,\"warm_eligible\":true}\n",
         ));
-        let path = write_journal(&dir, "warm.jsonl", &journal);
-        store.ingest(&path).expect("v4 journals ingest");
-        let t = store.table("timings");
-        let (c_name, c_value) = (t.col("name"), t.col("value"));
+        let path = write_fixture(&dir, "warm.jsonl", &journal);
+        let store = Store::load(&[path]).expect("v4 journals load");
         let counter = |name: &str| {
-            (0..t.rows())
-                .find(|&r| t.s(c_name, r) == name)
-                .map(|r| t.u(c_value, r))
+            let timings = &store.facts().timings;
+            timings.iter().find(|t| t.name == name).map(|t| t.value)
         };
         assert_eq!(counter("journal.solver_resolves"), Some(2));
         assert_eq!(counter("journal.warm_eligible"), Some(1));
@@ -973,7 +680,7 @@ mod tests {
 
     #[test]
     fn recovery_events_fill_the_recovery_table() {
-        let (dir, mut store) = temp_store("store-recovery");
+        let dir = temp_dir("store-recovery");
         // A v6 journal: the golden v3 fixture plus crash-safety lines.
         let mut journal = golden_journal("abc123", 0.0).replace("\"schema\":3", "\"schema\":6");
         journal.push_str(concat!(
@@ -984,49 +691,43 @@ mod tests {
             "{\"ev\":\"conn_retry\",\"at_ms\":0,\"cdn\":1,\"attempt\":2,",
             "\"backoff_ms\":100}\n",
         ));
-        let path = write_journal(&dir, "crash.jsonl", &journal);
-        store.ingest(&path).expect("v6 journals ingest");
+        let path = write_fixture(&dir, "crash.jsonl", &journal);
+        let store = Store::load(&[path]).expect("v6 journals load");
 
-        let t = store.table("recovery");
-        assert_eq!(t.rows(), 4);
-        let (c_kind, c_cdn) = (t.col("kind"), t.col("cdn"));
-        let (c_round, c_amount, c_extra) = (t.col("round"), t.col("amount"), t.col("extra"));
-        assert_eq!(t.s(c_kind, 0), "recovery_started");
-        assert_eq!(t.u(c_cdn, 0), NO_CDN);
-        assert_eq!(t.u(c_amount, 0), 58, "records replayed");
-        assert_eq!(t.u(c_extra, 0), 17, "torn bytes truncated");
-        assert_eq!(t.s(c_kind, 1), "recovery_round_voided");
-        assert_eq!(t.u(c_round, 1), 6);
-        assert_eq!(t.s(c_kind, 2), "recovery_complete");
-        assert_eq!(t.u(c_round, 2), 6, "resume point");
-        assert_eq!(t.u(c_amount, 2), 6, "rounds recovered");
-        assert_eq!(t.u(c_extra, 2), 1, "rounds voided");
-        assert_eq!(t.s(c_kind, 3), "conn_retry");
-        assert_eq!(t.u(c_cdn, 3), 1);
-        assert_eq!(t.u(c_amount, 3), 2, "attempt");
-        assert_eq!(t.u(c_extra, 3), 100, "backoff_ms");
-        assert_eq!(store.run_range("recovery", 0), (0, 4));
+        let facts: Vec<RecoveryFact> = store.facts().recovery.iter().map(|r| r.fact).collect();
+        assert_eq!(
+            facts,
+            [
+                RecoveryFact::Started {
+                    records: 58,
+                    truncated_bytes: 17
+                },
+                RecoveryFact::RoundVoided { round: 6 },
+                RecoveryFact::Complete {
+                    next_round: 6,
+                    rounds_recovered: 6,
+                    rounds_voided: 1
+                },
+                RecoveryFact::ConnRetry {
+                    cdn: 1,
+                    attempt: 2,
+                    backoff_ms: 100
+                },
+            ]
+        );
+        assert!(store.facts().recovery.iter().all(|r| r.run == 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn criterion_estimates_ingest_fills_the_criterion_table() {
-        let (dir, mut store) = temp_store("store-criterion");
-        let estimates = r#"{
-            "mean":   {"point_estimate": 184213.7, "standard_error": 92.1},
-            "median": {"point_estimate": 183950.2},
-            "std_dev":{"point_estimate": 1201.4}
-        }"#;
-        let nested = dir
-            .join("criterion")
-            .join("bench_solver")
-            .join("gap_heuristic_300x20")
-            .join("new");
-        std::fs::create_dir_all(&nested).expect("nested dirs create");
-        let path = nested.join("estimates.json");
-        std::fs::write(&path, estimates).expect("estimates fixture writes");
-        store.ingest(&path).expect("estimates ingest");
+        let dir = temp_dir("store-criterion");
+        let rel = "criterion/bench_solver/gap_heuristic_300x20/new/estimates.json";
+        let path = write_fixture(&dir, rel, ESTIMATES);
+        // Loading the identical file twice still counts it once.
+        let store = Store::load(&[&path, &path]).expect("estimates load");
 
+        assert_eq!(store.runs().len(), 1);
         let meta = &store.runs()[0];
         assert_eq!(meta.kind, RunKind::Criterion);
         assert_eq!(meta.experiment, "bench_solver");
@@ -1034,45 +735,27 @@ mod tests {
             meta.source,
             "bench_solver/gap_heuristic_300x20/estimates.json"
         );
-        let t = store.table("criterion");
-        assert_eq!(t.rows(), 1);
-        assert_eq!(t.s(t.col("group"), 0), "bench_solver");
-        assert_eq!(t.s(t.col("bench"), 0), "gap_heuristic_300x20");
-        assert_eq!(t.f(t.col("mean_ns"), 0), 184213.7);
-        assert_eq!(t.f(t.col("stddev_ns"), 0), 1201.4);
-        // Re-ingesting the identical file is still a duplicate no-op.
-        assert_eq!(
-            store.ingest(&path).expect("second ingest"),
-            IngestOutcome::Duplicate { run_id: 0 }
-        );
+        let rows = &store.facts().criterion;
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].group, "bench_solver");
+        assert_eq!(rows[0].bench, "gap_heuristic_300x20");
+        assert_eq!(rows[0].mean_ns, 184213.7);
+        assert_eq!(rows[0].stddev_ns, 1201.4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bench_report_ingest_fills_bench_and_table3() {
-        let (dir, mut store) = temp_store("store-bench");
-        let report = r#"{
-            "schema": 2, "scale": "full", "seed": 2017, "threads": 0,
-            "git_commit": "abc123",
-            "entries": [
-                {"name": "table3", "serial_ms": 9000, "parallel_ms": 3000, "speedup": 3.0}
-            ],
-            "table3": [
-                {"design": "Brokered", "cost": 0.2927, "score": 17.88,
-                 "distance_miles": 248, "load_pct": 7, "congested_pct": 0}
-            ]
-        }"#;
-        let path = dir.join("BENCH_experiments.json");
-        std::fs::write(&path, report).expect("report fixture writes");
-        store.ingest(&path).expect("ingests");
+        let dir = temp_dir("store-bench");
+        let path = write_fixture(&dir, "BENCH_experiments.json", BENCH_REPORT);
+        let store = Store::load(&[path]).expect("loads");
         assert_eq!(store.runs()[0].kind, RunKind::Bench);
         assert_eq!(store.runs()[0].wall_ms, 3000);
-        let t3 = store.table("table3");
-        assert_eq!(t3.rows(), 1);
-        assert_eq!(t3.s(t3.col("design"), 0), "Brokered");
-        assert_eq!(t3.f(t3.col("cost"), 0), 0.2927);
-        let bench = store.table("bench");
-        assert_eq!(bench.u(bench.col("serial_ms"), 0), 9000);
+        let t3 = &store.facts().table3;
+        assert_eq!(t3.len(), 1);
+        assert_eq!(t3[0].row.design, "Brokered");
+        assert_eq!(t3[0].row.cost, 0.2927);
+        assert_eq!(store.facts().bench[0].row.serial_ms, 9000);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

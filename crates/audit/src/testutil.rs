@@ -1,9 +1,7 @@
-//! Shared test fixtures: the golden v3 journal and temp-store helpers.
-//! Compiled only under `cfg(test)`.
+//! Shared test fixtures: the golden v3 journal, the report fixture set
+//! and temp-dir helpers. Compiled only under `cfg(test)`.
 
-use std::path::PathBuf;
-
-use crate::store::Store;
+use std::path::{Path, PathBuf};
 
 /// A hand-written golden schema-v3 journal: header, two rounds (the
 /// second with an injected fault, wire drops and a retransmission),
@@ -64,13 +62,80 @@ pub(crate) fn golden_journal(commit: &str, objective_shift: f64) -> String {
         + "\n"
 }
 
-/// Creates a fresh temp directory (wiping any stale one) and opens an
-/// empty store in it.
-pub(crate) fn temp_store(tag: &str) -> (PathBuf, Store) {
+/// Creates a fresh temp directory (wiping any stale one).
+pub(crate) fn temp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("vdx-audit-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&p).ok();
     std::fs::create_dir_all(&p).expect("temp dir creates");
-    let store = Store::open(&p).expect("opens empty");
-    (p, store)
+    p
+}
+
+/// A restarted daemon's schema-v6 journal: 58 WAL records replayed (17
+/// torn bytes cut), round 6 voided, two agent reconnect probes.
+pub(crate) fn crashed_journal() -> String {
+    [
+        "{\"ev\":\"run_header\",\"schema\":6,\"experiment\":\"exchanged\",\
+         \"seed\":90217,\"scale\":\"small\",\"started_unix_ms\":0,\
+         \"threads\":1,\"git_commit\":\"commit-rec\"}",
+        "{\"ev\":\"recovery_started\",\"records\":58,\"truncated_bytes\":17}",
+        "{\"ev\":\"recovery_round_voided\",\"round\":6}",
+        "{\"ev\":\"recovery_complete\",\"next_round\":6,\
+         \"rounds_recovered\":6,\"rounds_voided\":1}",
+        "{\"ev\":\"conn_retry\",\"at_ms\":0,\"cdn\":1,\"attempt\":1,\
+         \"backoff_ms\":50}",
+        "{\"ev\":\"conn_retry\",\"at_ms\":0,\"cdn\":2,\"attempt\":3,\
+         \"backoff_ms\":200}",
+        "{\"ev\":\"experiment_finished\",\"experiment\":\"exchanged\",\
+         \"wall_ms\":120,\"events\":7}",
+    ]
+    .join("\n")
+        + "\n"
+}
+
+/// A v2 bench report with one wall-time entry and one Table-3 row.
+pub(crate) const BENCH_REPORT: &str = r#"{
+    "schema": 2, "scale": "full", "seed": 2017, "threads": 0,
+    "git_commit": "abc123",
+    "entries": [
+        {"name": "table3", "serial_ms": 9000, "parallel_ms": 3000, "speedup": 3.0}
+    ],
+    "table3": [
+        {"design": "Brokered", "cost": 0.2927, "score": 17.88,
+         "distance_miles": 248, "load_pct": 7, "congested_pct": 0}
+    ]
+}"#;
+
+/// Criterion's `estimates.json` for one microbenchmark.
+pub(crate) const ESTIMATES: &str = r#"{
+    "mean":   {"point_estimate": 184213.7, "standard_error": 92.1},
+    "median": {"point_estimate": 183950.2},
+    "std_dev":{"point_estimate": 1201.4}
+}"#;
+
+/// Writes `content` to `dir/rel` (creating parent directories) and
+/// returns the path.
+pub(crate) fn write_fixture(dir: &Path, rel: &str, content: &str) -> PathBuf {
+    let path = dir.join(rel);
+    std::fs::create_dir_all(path.parent().expect("fixture paths have a parent"))
+        .expect("fixture dirs create");
+    std::fs::write(&path, content).expect("fixture writes");
+    path
+}
+
+/// The report fixture set, in load order: two same-seed journals from
+/// different commits, a bench report, a Criterion estimate and a
+/// recovery journal.
+pub(crate) fn fixture_set(dir: &Path) -> Vec<PathBuf> {
+    vec![
+        write_fixture(dir, "a.jsonl", &golden_journal("commit-aaa", 0.0)),
+        write_fixture(dir, "b.jsonl", &golden_journal("commit-bbb", 10.0)),
+        write_fixture(dir, "BENCH_experiments.json", BENCH_REPORT),
+        write_fixture(
+            dir,
+            "criterion/bench_solver/gap_heuristic_300x20/new/estimates.json",
+            ESTIMATES,
+        ),
+        write_fixture(dir, "crashed.jsonl", &crashed_journal()),
+    ]
 }

@@ -1,12 +1,11 @@
 //! End-to-end acceptance checks for the audit subsystem, against the
-//! public API only: two same-seed journals ingest into one store, the
-//! report answers the cross-run questions, persistence survives a
-//! reopen, and the regression gate fails a deliberately-regressed
-//! baseline.
+//! public API only: two same-seed journals fold into one store, the
+//! report answers the cross-run questions, and the regression gate
+//! fails a deliberately-regressed baseline.
 
 use std::path::PathBuf;
 
-use vdx_audit::{gate, report, BaselineReport, GateConfig, IngestOutcome, Store};
+use vdx_audit::{gate, report, BaselineReport, GateConfig, Store};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -41,28 +40,18 @@ fn journal(commit: &str, shift: f64) -> String {
 }
 
 #[test]
-fn two_journals_ingest_report_and_persist() {
+fn two_journals_load_and_report() {
     let dir = temp_dir("report");
     let path_a = dir.join("run_a.jsonl");
     let path_b = dir.join("run_b.jsonl");
     std::fs::write(&path_a, journal("commit-old", 0.0)).expect("fixture writes");
     std::fs::write(&path_b, journal("commit-new", 7.0)).expect("fixture writes");
 
-    let store_dir = dir.join("audit");
-    let mut store = Store::open(&store_dir).expect("opens empty");
-    assert!(matches!(
-        store.ingest(&path_a).expect("ingest a"),
-        IngestOutcome::Ingested { run_id: 0, .. }
-    ));
-    assert!(matches!(
-        store.ingest(&path_b).expect("ingest b"),
-        IngestOutcome::Ingested { run_id: 1, .. }
-    ));
-    assert!(matches!(
-        store.ingest(&path_a).expect("re-ingest"),
-        IngestOutcome::Duplicate { run_id: 0 }
-    ));
-    store.save().expect("saves");
+    // Naming an artifact twice counts it once.
+    let store = Store::load(&[&path_a, &path_b, &path_a]).expect("loads");
+    assert_eq!(store.runs().len(), 2);
+    assert_eq!(store.runs()[0].git_commit, "commit-old");
+    assert_eq!(store.runs()[1].run_id, 1);
 
     // The report answers the cross-run questions from both runs.
     let text = report(&store);
@@ -79,13 +68,9 @@ fn two_journals_ingest_report_and_persist() {
         assert!(text.contains(needed), "report lacks {needed:?}:\n{text}");
     }
 
-    // Reopening from disk reproduces the exact same report.
-    let reopened = Store::open(&store_dir).expect("reopens");
-    assert_eq!(
-        report(&reopened),
-        text,
-        "persisted store answers identically"
-    );
+    // The directory holding both journals answers identically.
+    let from_dir = Store::load(&[&dir]).expect("directory loads");
+    assert_eq!(report(&from_dir), text);
 
     std::fs::remove_dir_all(&dir).ok();
 }

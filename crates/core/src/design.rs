@@ -76,6 +76,35 @@ impl Design {
         }
     }
 
+    /// Parses a design name, case-insensitively: the command-line
+    /// spellings (`brokered`, `multicluster:K`, `dynamic-pricing`,
+    /// `dynamic-multicluster`, `best-lookup`, `marketplace`,
+    /// `transactions`, `omniscient`; bare `multicluster` means k = 2) and
+    /// every [`Design::name`] spelling.
+    pub fn parse(s: &str) -> Option<Design> {
+        let lower = s.to_ascii_lowercase();
+        if let Some(k) = lower.strip_prefix("multicluster") {
+            let k = k
+                .strip_prefix(':')
+                .or_else(|| k.strip_prefix(" (").and_then(|k| k.strip_suffix(')')));
+            return match k {
+                Some(k) => k.parse::<usize>().ok().map(Design::Multicluster),
+                None if lower == "multicluster" => Some(Design::Multicluster(2)),
+                None => None,
+            };
+        }
+        match lower.as_str() {
+            "brokered" => Some(Design::Brokered),
+            "dynamic-pricing" | "dynamicpricing" => Some(Design::DynamicPricing),
+            "dynamic-multicluster" | "dynamicmulticluster" => Some(Design::DynamicMulticluster),
+            "best-lookup" | "bestlookup" => Some(Design::BestLookup),
+            "marketplace" => Some(Design::Marketplace),
+            "transactions" => Some(Design::Transactions),
+            "omniscient" => Some(Design::Omniscient),
+            _ => None,
+        }
+    }
+
     /// Whether the broker Shares client (meta-)data with CDNs before
     /// matching (Table 2's "Share" column).
     pub fn shares_clients(&self) -> bool {
@@ -248,6 +277,18 @@ mod tests {
     fn names_match_paper() {
         assert_eq!(Design::Multicluster(2).name(), "Multicluster (2)");
         assert_eq!(Design::Marketplace.to_string(), "Marketplace");
+        for d in Design::TABLE3.into_iter().chain([Design::Transactions]) {
+            assert_eq!(Design::parse(&d.name()), Some(d), "{}", d.name());
+        }
+        assert_eq!(
+            Design::parse("multicluster:7"),
+            Some(Design::Multicluster(7))
+        );
+        assert_eq!(Design::parse("Multicluster"), Some(Design::Multicluster(2)));
+        assert_eq!(Design::parse("best-lookup"), Some(Design::BestLookup));
+        assert_eq!(Design::parse("multicluster:x"), None);
+        assert_eq!(Design::parse("multiclusters"), None);
+        assert_eq!(Design::parse("vdx"), None);
     }
 
     #[test]

@@ -20,8 +20,9 @@ use std::sync::Arc;
 
 use vdx_core::Design;
 use vdx_exchanged::{run_agent_probed, AgentConfig};
-use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch, SCHEMA_VERSION};
-use vdx_sim::{Scenario, ScenarioConfig};
+use vdx_obs::timing::run_header;
+use vdx_obs::{Journal, JournalProbe, Probe, Stopwatch};
+use vdx_sim::{flag_value, Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -30,58 +31,6 @@ fn usage() -> ExitCode {
          [--retry N] [--retry-base-ms N] [--retry-cap-ms N]"
     );
     ExitCode::FAILURE
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Same design-name grammar as `vdx-exchanged` (see its usage line).
-fn parse_design(s: &str) -> Option<Design> {
-    let lower = s.to_ascii_lowercase();
-    if let Some(k) = lower.strip_prefix("multicluster:") {
-        return k.parse::<usize>().ok().map(Design::Multicluster);
-    }
-    match lower.as_str() {
-        "brokered" => Some(Design::Brokered),
-        "multicluster" => Some(Design::Multicluster(2)),
-        "dynamic-pricing" | "dynamicpricing" => Some(Design::DynamicPricing),
-        "dynamic-multicluster" | "dynamicmulticluster" => Some(Design::DynamicMulticluster),
-        "best-lookup" | "bestlookup" => Some(Design::BestLookup),
-        "marketplace" => Some(Design::Marketplace),
-        "transactions" => Some(Design::Transactions),
-        "omniscient" => Some(Design::Omniscient),
-        _ => None,
-    }
-}
-
-/// Wall-clock start of the run, Unix milliseconds (zeroed by the
-/// journal determinism tooling; see `Event::zero_wall_clock`).
-// Allowed wall-clock read: the run-header timestamp is zeroed before any
-// byte-identity comparison (vdx-lint allowlist entry; DESIGN.md §10).
-#[allow(clippy::disallowed_methods)]
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Short git commit of the surrounding checkout, for run provenance in
-/// journals. `unknown` outside a checkout or without git.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() -> ExitCode {
@@ -96,7 +45,7 @@ fn main() -> ExitCode {
     let addr = flag_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:4990".into());
     let design = match flag_value(&args, "--design") {
         None => Design::Marketplace,
-        Some(name) => match parse_design(&name) {
+        Some(name) => match Design::parse(&name) {
             Some(d) => d,
             None => {
                 eprintln!("unknown design: {name}");
@@ -161,15 +110,7 @@ fn main() -> ExitCode {
         None => None,
     };
     if let Some(p) = &probe {
-        p.emit(Event::RunHeader {
-            schema: SCHEMA_VERSION,
-            experiment: "agent".into(),
-            seed,
-            scale: if small { "small" } else { "full" }.to_string(),
-            started_unix_ms: unix_ms(),
-            threads: 0,
-            git_commit: git_commit(),
-        });
+        p.emit(run_header("agent", seed, small, 0));
     }
     let agent_probe: Arc<dyn Probe> = match &probe {
         Some(p) => p.clone(),

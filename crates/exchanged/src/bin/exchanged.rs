@@ -25,8 +25,9 @@ use std::time::Duration;
 use vdx_broker::{BreakerConfig, CpPolicy};
 use vdx_core::{Design, ExchangeDriver};
 use vdx_exchanged::{ExchangeServer, ServerOptions};
-use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch, SCHEMA_VERSION};
-use vdx_sim::{Scenario, ScenarioConfig};
+use vdx_obs::timing::run_header;
+use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch};
+use vdx_sim::{flag_value, Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -42,60 +43,6 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Parses the value after `--flag`, if both are present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses a design name as printed in the usage line (case-insensitive;
-/// `Design::name` spellings are also accepted).
-fn parse_design(s: &str) -> Option<Design> {
-    let lower = s.to_ascii_lowercase();
-    if let Some(k) = lower.strip_prefix("multicluster:") {
-        return k.parse::<usize>().ok().map(Design::Multicluster);
-    }
-    match lower.as_str() {
-        "brokered" => Some(Design::Brokered),
-        "multicluster" => Some(Design::Multicluster(2)),
-        "dynamic-pricing" | "dynamicpricing" => Some(Design::DynamicPricing),
-        "dynamic-multicluster" | "dynamicmulticluster" => Some(Design::DynamicMulticluster),
-        "best-lookup" | "bestlookup" => Some(Design::BestLookup),
-        "marketplace" => Some(Design::Marketplace),
-        "transactions" => Some(Design::Transactions),
-        "omniscient" => Some(Design::Omniscient),
-        _ => None,
-    }
-}
-
-/// Wall-clock start of the run, Unix milliseconds (zeroed by the journal
-/// determinism tooling; see `Event::zero_wall_clock`).
-// Allowed wall-clock read: the run-header timestamp is zeroed before any
-// byte-identity comparison (vdx-lint allowlist entry; DESIGN.md §10).
-#[allow(clippy::disallowed_methods)]
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// Short git commit of the surrounding checkout, for run provenance in
-/// journals. `unknown` outside a checkout or without git.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -107,7 +54,7 @@ fn main() -> ExitCode {
     let small = args.iter().any(|a| a == "--small");
     let design = match flag_value(&args, "--design") {
         None => Design::Marketplace,
-        Some(name) => match parse_design(&name) {
+        Some(name) => match Design::parse(&name) {
             Some(d) => d,
             None => {
                 eprintln!("unknown design: {name}");
@@ -172,15 +119,7 @@ fn main() -> ExitCode {
         None => None,
     };
     if let Some(p) = &probe {
-        p.emit(Event::RunHeader {
-            schema: SCHEMA_VERSION,
-            experiment: "exchanged".into(),
-            seed: config.seed,
-            scale: if small { "small" } else { "full" }.to_string(),
-            started_unix_ms: unix_ms(),
-            threads: 0,
-            git_commit: git_commit(),
-        });
+        p.emit(run_header("exchanged", config.seed, small, 0));
         p.emit(Event::PhaseStarted {
             phase: "build_scenario".into(),
         });

@@ -11,9 +11,9 @@
 //! lexes and parses it into an AST, links a workspace call graph, and
 //! runs two rule families over the result:
 //!
-//! - the four token-era domain rules, re-expressed on the AST
-//!   (unit-typed public APIs, determinism, panic discipline,
-//!   journal-schema coverage), and
+//! - the three token-era domain rules, re-expressed on the AST
+//!   (unit-typed public APIs, panic discipline, journal-schema
+//!   coverage), and
 //! - the four call-graph dataflow analyses (lock discipline,
 //!   determinism taint, panic-path reachability, unit escape).
 //!
@@ -469,7 +469,7 @@ mod fixture_tests {
         let md = std::fs::read_to_string(fixture_root().join("DESIGN-excerpt.md"))
             .expect("fixture schema table");
         let findings = rules::run_all(&parsed, &g, &Config::workspace(), Some(&md));
-        for rule in ["raw-f64", "determinism", "no-panics", "event-schema"] {
+        for rule in ["raw-f64", "no-panics", "event-schema"] {
             assert!(
                 !violations_of(&findings, rule).is_empty(),
                 "fixture crate must trip rule {rule}: {findings:#?}"

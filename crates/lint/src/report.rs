@@ -20,9 +20,9 @@ use std::path::Path;
 /// One rule violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule identifier (`raw-f64`, `determinism`, `no-panics`,
-    /// `event-schema`, `lock-discipline`, `determinism-taint`,
-    /// `panic-path`, `unit-escape`, `stale-allowlist`).
+    /// Rule identifier (`raw-f64`, `no-panics`, `event-schema`,
+    /// `lock-discipline`, `determinism-taint`, `panic-path`,
+    /// `unit-escape`, `stale-allowlist`).
     pub rule: &'static str,
     /// Finding kind within a dataflow analysis (empty for the legacy
     /// token rules, which have exactly one kind each).

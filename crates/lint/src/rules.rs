@@ -1,15 +1,17 @@
-//! The four VDX domain rules (DESIGN.md §10), re-expressed over the
+//! The three VDX domain rules (DESIGN.md §10), re-expressed over the
 //! parsed AST (the token-mask implementation predates the parser).
 //!
 //! 1. `raw-f64` — public APIs in money/bandwidth-bearing modules must not
 //!    pass raw `f64` under a money/bandwidth name; those quantities ride
 //!    the `vdx-core::units` newtypes.
-//! 2. `determinism` — no unseeded RNG or wall-clock reads outside
-//!    `vdx-obs` timing and test code.
-//! 3. `no-panics` — no `unwrap()`/`panic!`-family macros in library-crate
+//! 2. `no-panics` — no `unwrap()`/`panic!`-family macros in library-crate
 //!    non-test code; `expect("invariant message")` is the sanctioned form.
-//! 4. `event-schema` — every `obs::Event` variant appears in the
+//! 3. `event-schema` — every `obs::Event` variant appears in the
 //!    DESIGN.md §7 journal-schema table.
+//!
+//! A bare wall-clock or entropy read is clippy's to deny (`clippy.toml`
+//! `disallowed-methods`); whether one reaches an `Event` is
+//! `determinism-taint`'s.
 //!
 //! The call-graph analyses (lock discipline, determinism taint,
 //! panic-path reachability, unit escape) live in [`crate::dataflow`].
@@ -38,12 +40,6 @@ const QUANTITY_KEYWORDS: &[&str] = &[
     "volume",
 ];
 
-/// Wall-clock / entropy calls forbidden by the determinism rule.
-const NONDETERMINISM_CALLS: &[&str] = &["thread_rng", "from_entropy"];
-
-/// `Type::now()` receivers forbidden by the determinism rule.
-const NONDETERMINISM_NOW_TYPES: &[&str] = &["SystemTime", "Instant"];
-
 /// `panic!`-family macro names forbidden by the no-panics rule.
 const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 
@@ -53,16 +49,12 @@ pub struct Config {
     /// Files (workspace-relative) whose public APIs rule 1 enforces; an
     /// entry ending in `/` covers the whole directory.
     pub enforced_apis: Vec<String>,
-    /// Files exempt from the determinism rule (the timing module that
-    /// legitimately owns the monotonic clock).
-    pub determinism_exempt: Vec<String>,
 }
 
 impl Config {
     /// The workspace policy from ISSUE/DESIGN: units in `cdn::{cost,
     /// bidding,capacity,contract}`, `broker::{optimize,qoe}`, all of
-    /// `solver`, and `core::{accounting,exchange,transactions}`; the
-    /// monotonic clock lives in `vdx-obs::timing` only.
+    /// `solver`, and `core::{accounting,exchange,transactions}`.
     pub fn workspace() -> Config {
         Config {
             enforced_apis: vec![
@@ -77,7 +69,6 @@ impl Config {
                 "crates/core/src/exchange.rs".into(),
                 "crates/core/src/transactions.rs".into(),
             ],
-            determinism_exempt: vec!["crates/obs/src/timing.rs".into()],
         }
     }
 
@@ -85,10 +76,6 @@ impl Config {
         self.enforced_apis
             .iter()
             .any(|e| rel_path == e || (e.ends_with('/') && rel_path.starts_with(e.as_str())))
-    }
-
-    fn determinism_enforced(&self, rel_path: &str) -> bool {
-        !self.determinism_exempt.iter().any(|e| rel_path == e)
     }
 }
 
@@ -107,7 +94,6 @@ pub fn run_all(
             check_raw_f64(f, &mut findings);
         }
     }
-    check_determinism(g, cfg, &mut findings);
     check_no_panics(g, &mut findings);
     if let Some(md) = design_md {
         if let Some(event_rs) = files
@@ -239,71 +225,6 @@ pub fn check_raw_f64(f: &File, out: &mut Vec<Finding>) {
         }
         _ => {}
     });
-}
-
-/// The nondeterministic call a path expression names, if any.
-fn nondet_path(segs: &[String]) -> Option<String> {
-    let last = segs.last()?;
-    if NONDETERMINISM_CALLS.contains(&last.as_str()) {
-        return Some(last.clone());
-    }
-    if last == "now" && segs.len() >= 2 {
-        let ty = &segs[segs.len() - 2];
-        if NONDETERMINISM_NOW_TYPES.contains(&ty.as_str()) {
-            return Some(format!("{ty}::now"));
-        }
-    }
-    None
-}
-
-/// Nondeterministic calls mentioned inside a macro token stream (macro
-/// arguments are kept as raw tokens, not parsed expressions).
-fn nondet_in_tokens(tokens: &[String]) -> Option<String> {
-    for t in tokens {
-        if NONDETERMINISM_CALLS.contains(&t.as_str()) {
-            return Some(t.clone());
-        }
-    }
-    tokens.windows(3).find_map(|w| {
-        (NONDETERMINISM_NOW_TYPES.contains(&w[0].as_str()) && w[1] == "::" && w[2] == "now")
-            .then(|| format!("{}::now", w[0]))
-    })
-}
-
-/// Rule 2: unseeded RNG / wall-clock reads outside timing + test code.
-pub fn check_determinism(g: &CallGraph<'_>, cfg: &Config, out: &mut Vec<Finding>) {
-    for node in &g.fns {
-        if node.is_test || !cfg.determinism_enforced(node.file) {
-            continue;
-        }
-        let Some(body) = &node.def.body else { continue };
-        walk_block(body, &mut |e| {
-            let hit = match e {
-                Expr::Path { segs, span } => nondet_path(segs).map(|c| (c, *span)),
-                Expr::MethodCall { method, span, .. }
-                    if NONDETERMINISM_CALLS.contains(&method.as_str()) =>
-                {
-                    Some((method.clone(), *span))
-                }
-                Expr::MacroCall { tokens, span, .. } => {
-                    nondet_in_tokens(tokens).map(|c| (c, *span))
-                }
-                _ => None,
-            };
-            if let Some((call, span)) = hit {
-                out.push(finding(
-                    "determinism",
-                    node.file,
-                    span,
-                    node.name,
-                    format!(
-                        "`{call}` is nondeterministic; use a seeded RNG or caller-passed SimTime \
-                         (vdx-obs timing and test code are exempt)"
-                    ),
-                ));
-            }
-        });
-    }
 }
 
 /// The panic-family construct a macro token stream smuggles in, if any:
@@ -546,32 +467,6 @@ mod tests {
         let mut out = Vec::new();
         check_raw_f64(&parse("crates/solver/src/gap.rs", src), &mut out);
         assert!(out.is_empty(), "{out:#?}");
-    }
-
-    #[test]
-    fn determinism_flags_rng_and_clocks_outside_tests() {
-        let src = "fn a() { let _r = rand::thread_rng(); }\n\
-                   fn b() { let _t = std::time::SystemTime::now(); }\n\
-                   fn c() { let _t = Instant::now(); }\n\
-                   fn d() { let _r = StdRng::from_entropy(); }\n\
-                   #[cfg(test)]\nmod tests { fn t() { let _r = rand::thread_rng(); } }";
-        let out = graph_findings("crates/sim/src/x.rs", src, |g, out| {
-            check_determinism(g, &Config::workspace(), out)
-        });
-        let ctx: Vec<&str> = out.iter().map(|f| f.context.as_str()).collect();
-        assert_eq!(ctx, vec!["a", "b", "c", "d"], "{out:#?}");
-    }
-
-    #[test]
-    fn determinism_ignores_comments_strings_but_sees_macros() {
-        let src = "// thread_rng in a comment\n\
-                   fn a() { let _s = \"Instant::now\"; }\n\
-                   fn b() { log!(\"t={}\", Instant::now()); }";
-        let out = graph_findings("crates/sim/src/x.rs", src, |g, out| {
-            check_determinism(g, &Config::workspace(), out)
-        });
-        let ctx: Vec<&str> = out.iter().map(|f| f.context.as_str()).collect();
-        assert_eq!(ctx, vec!["b"], "{out:#?}");
     }
 
     #[test]

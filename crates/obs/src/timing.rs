@@ -22,7 +22,44 @@
 
 use std::time::Instant;
 
+use crate::event::{Event, SCHEMA_VERSION};
 use crate::metrics::Registry;
+
+/// The [`Event::RunHeader`] that opens a journal, stamped with the
+/// current schema, the wall-clock start of the run and the checkout's
+/// commit. The one sanctioned *calendar* read in the workspace:
+/// `started_unix_ms` is a wall-clock field that `Event::zero_wall_clock`
+/// zeroes before any byte-identity comparison.
+pub fn run_header(experiment: &str, seed: u64, small: bool, threads: u64) -> Event {
+    #[allow(clippy::disallowed_methods)]
+    let started_unix_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0);
+    Event::RunHeader {
+        schema: SCHEMA_VERSION,
+        experiment: experiment.to_string(),
+        seed,
+        scale: if small { "small" } else { "full" }.to_string(),
+        started_unix_ms,
+        threads,
+        git_commit: git_commit(),
+    }
+}
+
+/// Short git commit of the surrounding checkout, for run provenance in
+/// journals and baselines. `unknown` outside a checkout or without git.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
 
 /// Times a scope and records the elapsed microseconds into the named
 /// histogram of `registry` on drop.
@@ -40,8 +77,8 @@ impl<'a> ScopedTimer<'a> {
             registry,
             name,
             // The sanctioned monotonic-clock read: timing probes measure the
-            // run, they never feed results (vdx-lint `determinism` exempts
-            // this file; see DESIGN.md §10).
+            // run, they never feed results (vdx-lint `determinism-taint`
+            // exempts this file; see DESIGN.md §10).
             #[allow(clippy::disallowed_methods)]
             start: Instant::now(),
         }

@@ -5,9 +5,8 @@
 //!                    [--rounds N] [--solver-cold]
 //! repro obs-report <journal.jsonl>
 //! repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]
-//! repro audit ingest <artifact>... [--store DIR]
-//! repro audit query <name> [--store DIR]
-//! repro audit report [--store DIR]
+//! repro audit report [PATH...]
+//! repro audit query <name> [PATH...]
 //! repro audit --baseline PATH [--metric-tol PCT] [--wall-tol PCT] [--threads N]
 //! repro chaos [--seed N] [--full] [--crash-at R1,R2,...] [--bin-dir DIR] [--work-dir DIR]
 //! repro chaos --check WAL [--seed N] [--full] [--rounds N | --ladder]
@@ -45,23 +44,26 @@
 //! against the reference instead (the verify.sh crash-recovery smoke).
 //!
 //! `audit` is the cross-run analytics layer (`vdx-audit`, DESIGN.md
-//! §11): `ingest` folds journals, bench reports and Criterion
-//! `target/criterion/*/*/new/estimates.json` microbenchmarks into the
-//! columnar store (default: results/audit), `query`/`report` answer
-//! cross-run questions over it (see `solver-bench` for microbenchmark
-//! drift), and `--baseline` re-runs table3 at the baseline's seed/scale
-//! and fails on regressions beyond the thresholds.
+//! §11): `report`/`query` fold the journals, bench reports and Criterion
+//! `target/criterion/*/*/new/estimates.json` microbenchmarks named by
+//! PATH... (files, or directories contributing their `*.jsonl`/`*.json`
+//! in name order; default: results/journals) into typed rows in memory
+//! and answer cross-run questions over them (see `solver-bench` for
+//! microbenchmark drift); nothing derived is written to disk.
+//! `--baseline` re-runs table3 at the baseline's seed/scale and fails
+//! on regressions beyond the thresholds.
 //! ```
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch, SCHEMA_VERSION};
+use vdx_obs::timing::{git_commit, run_header};
+use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch};
 use vdx_sim::experiment::{
     ext_faults, ext_hybrid, ext_noise, ext_stability, fig10_15, fig16, fig17, fig18, fig3, fig4,
     fig5, fig7, table1, table3,
 };
-use vdx_sim::{obs_report, Scenario, ScenarioConfig};
+use vdx_sim::{flag_value, obs_report, Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -70,7 +72,7 @@ fn usage() -> ExitCode {
          [--journal PATH] [--threads N] [--rounds N] [--solver-cold]\n\
          \x20      repro obs-report <journal.jsonl>\n\
          \x20      repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]\n\
-         \x20      repro audit <ingest|query|report|--baseline PATH> (see `repro audit`)\n\
+         \x20      repro audit <report|query|--baseline PATH> (see `repro audit`)\n\
          \x20      repro chaos [--seed N] [--crash-at R1,R2,...] (see `repro chaos --help`)\n\
          \x20      repro chaos --check WAL [--seed N] [--rounds N | --ladder]"
     );
@@ -98,18 +100,6 @@ fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -
 fn with_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
     let _ = threads;
     f()
-}
-
-/// Wall-clock start of the run, Unix milliseconds (zeroed by the journal
-/// determinism tooling; see `Event::zero_wall_clock`).
-// Allowed wall-clock read: the run-header timestamp is zeroed before any
-// byte-identity comparison (vdx-lint allowlist entry; DESIGN.md §10).
-#[allow(clippy::disallowed_methods)]
-fn unix_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 fn main() -> ExitCode {
@@ -194,15 +184,12 @@ fn main() -> ExitCode {
         None => None,
     };
     if let Some(p) = &probe {
-        p.emit(Event::RunHeader {
-            schema: SCHEMA_VERSION,
-            experiment: which.clone(),
-            seed: config.seed,
-            scale: if small { "small" } else { "full" }.to_string(),
-            started_unix_ms: unix_ms(),
-            threads: threads.map_or(0, |n| n as u64),
-            git_commit: git_commit(),
-        });
+        p.emit(run_header(
+            which,
+            config.seed,
+            small,
+            threads.map_or(0, |n| n as u64),
+        ));
         p.emit(Event::PhaseStarted {
             phase: "build_scenario".into(),
         });
@@ -387,28 +374,6 @@ fn with_json<T: serde::Serialize>(mut text: String, value: &T, json: bool) -> St
     text
 }
 
-/// Parses the value after `--flag`, if both are present.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Short git commit of the surrounding checkout, for run provenance in
-/// journals and baselines. `unknown` outside a checkout or without git.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 /// Converts a table3 run into the audit crate's baseline row shape.
 fn to_table3_rows(result: &table3::Table3Result) -> Vec<vdx_audit::Table3Row> {
     result
@@ -549,108 +514,59 @@ fn bench_experiments(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro audit ...` — the cross-run analytics store and the regression
-/// gate (`vdx-audit`, DESIGN.md §11).
+/// `repro audit ...` — cross-run analytics over the journals and the
+/// regression gate (`vdx-audit`, DESIGN.md §11).
 fn audit(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--baseline") {
         return audit_gate(args);
     }
+    let (query, paths) = match args.first().map(String::as_str) {
+        Some("report") => (None, &args[1..]),
+        Some("query") => match args.get(1).and_then(|n| vdx_audit::QueryKind::parse(n)) {
+            Some(kind) => (Some(kind), &args[2..]),
+            None => return audit_usage(),
+        },
+        _ => return audit_usage(),
+    };
+    let default_paths = ["results/journals".to_string()];
+    let paths = if paths.is_empty() {
+        &default_paths[..]
+    } else {
+        paths
+    };
+    let store = match vdx_audit::Store::load(paths) {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("audit: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match query {
+        Some(kind) => {
+            let result = vdx_audit::query::run(&store, kind);
+            print!("{}", vdx_audit::render::render_query(&result));
+        }
+        None => print!("{}", vdx_audit::report(&store)),
+    }
+    ExitCode::SUCCESS
+}
 
+fn audit_usage() -> ExitCode {
     let queries: Vec<String> = vdx_audit::ALL_QUERIES
         .iter()
         .map(|q| format!("  {:<16} {}", q.name(), q.describe()))
         .collect();
-    let audit_usage = || -> ExitCode {
-        eprintln!(
-            "usage: repro audit ingest <journal.jsonl|bench.json|estimates.json>... [--store DIR]\n\
-             \x20      repro audit query <name> [--store DIR]\n\
-             \x20      repro audit report [--store DIR]\n\
-             \x20      repro audit --baseline PATH [--metric-tol PCT] [--wall-tol PCT] \
-             [--threads N]\n\
-             queries:\n{}",
-            queries.join("\n")
-        );
-        ExitCode::FAILURE
-    };
-
-    let store_dir = flag_value(args, "--store").unwrap_or_else(|| "results/audit".to_string());
-    let open_store =
-        || -> Result<vdx_audit::Store, String> { vdx_audit::Store::open(Path::new(&store_dir)) };
-
-    match args.first().map(String::as_str) {
-        Some("ingest") => {
-            let mut paths: Vec<String> = Vec::new();
-            let mut rest = args[1..].iter();
-            while let Some(a) = rest.next() {
-                if a == "--store" {
-                    rest.next();
-                } else {
-                    paths.push(a.clone());
-                }
-            }
-            if paths.is_empty() {
-                return audit_usage();
-            }
-            let mut store = match open_store() {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("audit: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for path in &paths {
-                match store.ingest(Path::new(path)) {
-                    Ok(vdx_audit::IngestOutcome::Ingested { run_id, rows }) => {
-                        eprintln!("ingested {path} as run {run_id} ({rows} rows)");
-                    }
-                    Ok(vdx_audit::IngestOutcome::Duplicate { run_id }) => {
-                        eprintln!("{path} already ingested as run {run_id}; skipping");
-                    }
-                    Err(e) => {
-                        eprintln!("audit: cannot ingest {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            match store.save() {
-                Ok(()) => {
-                    eprintln!("audit store saved: {store_dir}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("audit: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("query") => {
-            let Some(kind) = args.get(1).and_then(|n| vdx_audit::QueryKind::parse(n)) else {
-                return audit_usage();
-            };
-            match open_store() {
-                Ok(store) => {
-                    let result = vdx_audit::query::run(&store, kind);
-                    print!("{}", vdx_audit::render::render_query(&result));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("audit: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("report") => match open_store() {
-            Ok(store) => {
-                print!("{}", vdx_audit::report(&store));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("audit: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        _ => audit_usage(),
-    }
+    eprintln!(
+        "usage: repro audit report [PATH...]\n\
+         \x20      repro audit query <name> [PATH...]\n\
+         \x20      repro audit --baseline PATH [--metric-tol PCT] [--wall-tol PCT] \
+         [--threads N]\n\
+         PATH: a journal.jsonl, bench.json or estimates.json, or a directory of them\n\
+         \x20     (default: results/journals)\n\
+         queries:\n{}",
+        queries.join("\n")
+    );
+    ExitCode::FAILURE
 }
 
 /// `repro audit --baseline PATH`: re-runs table3 at the baseline's

@@ -55,6 +55,15 @@ pub mod soak;
 pub use metrics::{DesignMetrics, MetricsInput};
 pub use scenario::{Scenario, ScenarioConfig};
 
+/// The value after `--flag` on a command line, if both are present —
+/// the one flag reader `repro`, `vdx-exchanged` and `vdx-agent` share.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
 // The audit store's reader ceiling must move in lockstep with the
 // journal schema: bumping `vdx_obs::SCHEMA_VERSION` without teaching
 // `vdx-audit` the new shape would silently strand fresh journals

@@ -3,38 +3,9 @@
 //! the benches. No dependencies, no colours — output is meant to be
 //! diffable and greppable.
 
-/// Renders a fixed-width table. `headers.len()` must equal each row's
-/// length.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), headers.len(), "row arity mismatch");
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    let header_line: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!("{h:>w$}", w = widths[i]))
-        .collect();
-    out.push_str(&header_line.join("  "));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in rows {
-        let line: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{c:>w$}", w = widths[i]))
-            .collect();
-        out.push_str(&line.join("  "));
-        out.push('\n');
-    }
-    out
-}
+// One fixed-width table idiom for experiment reports and audit queries:
+// the implementation lives in `vdx-audit`, which `vdx-sim` depends on.
+pub use vdx_audit::render::{fmt, render_table};
 
 /// Renders an `(x, y)` series with a caption.
 pub fn render_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
@@ -45,55 +16,14 @@ pub fn render_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, 
     render_table(title, &[x_label, y_label], &rows)
 }
 
-/// Formats a float compactly (3 significant-ish decimals, fixed).
-pub fn fmt(v: f64) -> String {
-    if v.abs() >= 100.0 {
-        format!("{v:.0}")
-    } else if v.abs() >= 1.0 {
-        format!("{v:.2}")
-    } else {
-        format!("{v:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_alignment() {
-        let out = render_table(
-            "T",
-            &["name", "value"],
-            &[
-                vec!["a".into(), "1".into()],
-                vec!["longer".into(), "22".into()],
-            ],
-        );
-        assert!(out.contains("== T =="));
-        let lines: Vec<&str> = out.lines().collect();
-        // Header and rows align right on the same width.
-        assert_eq!(lines[1].len(), lines[4].len());
-        assert!(lines[4].ends_with("22"));
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn arity_mismatch_panics() {
-        render_table("T", &["a", "b"], &[vec!["only-one".into()]]);
-    }
 
     #[test]
     fn series_rendering() {
         let out = render_series("S", "x", "y", &[(1.0, 2.0), (3.0, 4.5)]);
         assert!(out.contains("1.00"));
         assert!(out.contains("4.500"));
-    }
-
-    #[test]
-    fn fmt_ranges() {
-        assert_eq!(fmt(123.456), "123");
-        assert_eq!(fmt(12.345), "12.35");
-        assert_eq!(fmt(0.12345), "0.1235");
     }
 }

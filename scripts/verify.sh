@@ -10,7 +10,7 @@ cargo fmt --all --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> vdx-lint (surface rules + call-graph dataflow + stale-allowlist gate)"
+echo "==> vdx-lint (raw-f64/no-panics/event-schema + call-graph dataflow + stale-allowlist gate)"
 cargo run -p vdx-lint --release
 # The schema-2 report must carry all four dataflow analyses, and --diff
 # against the report we just wrote must find nothing new.
@@ -46,15 +46,12 @@ cargo test -q --features vdx-solver/strict-invariants,vdx-cdn/strict-invariants 
 echo "==> audit regression gate (Table-3 fidelity vs committed baseline)"
 cargo run -p vdx-sim --bin repro --release -- audit --baseline results/BENCH_experiments.json
 
-echo "==> audit ingest/report smoke (journal -> store -> queries)"
+echo "==> audit report smoke (journal -> typed rows -> queries)"
 rm -rf target/verify-audit
 cargo run -p vdx-sim --bin repro --release -- table3 --small \
   --journal target/verify-audit/t3.jsonl
-cargo run -p vdx-sim --bin repro --release -- audit ingest \
-  --store target/verify-audit/store target/verify-audit/t3.jsonl
 cargo run -p vdx-sim --bin repro --release -- audit report \
-  --store target/verify-audit/store > target/verify-audit/report.txt
-grep -q "objective-delta" target/verify-audit/report.txt
+  target/verify-audit/t3.jsonl | grep objective-delta
 
 echo "==> warm-vs-cold parity smoke (multi-round table3, output + journals)"
 rm -rf target/verify-warm

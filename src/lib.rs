@@ -20,7 +20,7 @@
 //! | [`proto`] | `vdx-proto` | Wire protocol: frames, messages, lossy links, reliable channels |
 //! | [`core`] | `vdx-core` | The designs, the Decision/Delivery Protocols, the marketplace, accounting |
 //! | [`sim`] | `vdx-sim` | Scenario builder, metrics, one experiment per paper table/figure |
-//! | [`audit`] | `vdx-audit` | Cross-run journal analytics: columnar store, queries, regression gate |
+//! | [`audit`] | `vdx-audit` | Cross-run journal analytics: journals folded into typed rows, queries, regression gate |
 //!
 //! ## Quickstart
 //!
