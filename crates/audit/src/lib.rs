@@ -3,13 +3,13 @@
 //! The flight recorder (`vdx-obs`) makes single runs observable; this
 //! crate makes *trajectories* observable. The journals are the store:
 //! [`Store::load`] folds flight-recorder journals
-//! (`results/journals/*.jsonl`), `BENCH_experiments.json` reports and
-//! Criterion `estimates.json` files into typed rows in memory, the
-//! [`query`] layer answers cross-run questions over them (cost/QoE
-//! drift between commits, solver-effort drift, wire-loss hot spots,
-//! per-design fault sensitivity, crash recovery), and the [`gate`]
-//! gates merges: `repro audit --baseline` fails when the current
-//! build's Table-3 metrics or wall times regress past the thresholds in
+//! (`results/journals/*.jsonl`) and `BENCH_experiments.json` reports
+//! into typed rows in memory, the [`query`] layer answers cross-run
+//! questions over them (cost/QoE drift between commits, solver-effort
+//! drift, wire-loss hot spots, per-design fault sensitivity, crash
+//! recovery), and the [`gate`] gates merges: `repro audit --baseline`
+//! fails when the current build's Table-3 metrics or wall times regress
+//! past the thresholds in
 //! [`gate::GateConfig`]. Nothing derived is ever written to disk.
 //!
 //! Like `vdx-lint`, the crate is deliberately dependency-free — its own

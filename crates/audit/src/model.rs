@@ -11,9 +11,6 @@ pub enum RunKind {
     Journal,
     /// A `BENCH_experiments.json` baseline report.
     Bench,
-    /// A Criterion `estimates.json` (one solver microbenchmark from
-    /// `target/criterion/<group>/<bench>/new/estimates.json`).
-    Criterion,
 }
 
 impl RunKind {
@@ -22,7 +19,6 @@ impl RunKind {
         match self {
             RunKind::Journal => "journal",
             RunKind::Bench => "bench",
-            RunKind::Criterion => "criterion",
         }
     }
 }
@@ -157,23 +153,6 @@ pub struct Tagged<T> {
     pub run: u64,
     /// The row as the report carries it.
     pub row: T,
-}
-
-/// One Criterion `estimates.json`: point estimates in nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriterionRow {
-    /// Run the estimate belongs to.
-    pub run: u64,
-    /// Benchmark group, from the artifact path.
-    pub group: String,
-    /// Benchmark name, from the artifact path.
-    pub bench: String,
-    /// Mean.
-    pub mean_ns: f64,
-    /// Median.
-    pub median_ns: f64,
-    /// Standard deviation.
-    pub stddev_ns: f64,
 }
 
 /// What one crash-safety event (journal schema v6) recorded.

@@ -30,9 +30,6 @@ pub enum QueryKind {
     WallTrend,
     /// Table-3 metric deltas per design across bench runs.
     Table3Delta,
-    /// Criterion solver-microbenchmark trend across loaded
-    /// `estimates.json` runs, vs each benchmark's first.
-    SolverBench,
     /// Crash-recovery summary per daemon run: WAL records replayed,
     /// rounds recovered/voided, and agent reconnect retries.
     RecoveryTime,
@@ -47,7 +44,6 @@ pub const ALL_QUERIES: &[QueryKind] = &[
     QueryKind::FaultLeague,
     QueryKind::WallTrend,
     QueryKind::Table3Delta,
-    QueryKind::SolverBench,
     QueryKind::RecoveryTime,
 ];
 
@@ -62,7 +58,6 @@ impl QueryKind {
             QueryKind::FaultLeague => "fault-league",
             QueryKind::WallTrend => "wall-trend",
             QueryKind::Table3Delta => "table3-delta",
-            QueryKind::SolverBench => "solver-bench",
             QueryKind::RecoveryTime => "recovery-time",
         }
     }
@@ -77,7 +72,6 @@ impl QueryKind {
             QueryKind::FaultLeague => "per-design objective of faulted vs clean rounds",
             QueryKind::WallTrend => "wall-time trend across runs and bench entries",
             QueryKind::Table3Delta => "Table-3 metric deltas per design across bench runs",
-            QueryKind::SolverBench => "criterion solver microbenchmarks, vs first ingest",
             QueryKind::RecoveryTime => "crash recovery per run: WAL replay, voids, reconnects",
         }
     }
@@ -113,7 +107,6 @@ pub fn run(store: &Store, kind: QueryKind) -> QueryResult {
         QueryKind::FaultLeague => fault_league(store),
         QueryKind::WallTrend => wall_trend(store),
         QueryKind::Table3Delta => table3_delta(store),
-        QueryKind::SolverBench => solver_bench(store),
         QueryKind::RecoveryTime => recovery_time(store),
     }
 }
@@ -431,8 +424,6 @@ fn wall_trend(store: &Store) -> QueryResult {
                     ]);
                 }
             }
-            // Microbenchmark runs have their own trend view.
-            RunKind::Criterion => {}
         }
     }
     QueryResult {
@@ -472,39 +463,6 @@ fn table3_delta(store: &Store) -> QueryResult {
         title: "table3-delta (cost/QoE per design across bench runs)".into(),
         headers: headers(&[
             "design", "run", "commit", "cost", "score", "d_cost", "d_score",
-        ]),
-        rows,
-    }
-}
-
-fn solver_bench(store: &Store) -> QueryResult {
-    // Baseline per benchmark = its mean in the earliest run that has one.
-    let mut baseline: HashMap<(&str, &str), f64> = HashMap::new();
-    let mut rows = Vec::new();
-    for c in &store.facts().criterion {
-        let base = *baseline
-            .entry((c.group.as_str(), c.bench.as_str()))
-            .or_insert(c.mean_ns);
-        rows.push(vec![
-            c.group.clone(),
-            c.bench.clone(),
-            c.run.to_string(),
-            fmt(c.mean_ns / 1000.0),
-            fmt(c.median_ns / 1000.0),
-            fmt(c.stddev_ns / 1000.0),
-            pct_vs(c.mean_ns, base),
-        ]);
-    }
-    QueryResult {
-        title: "solver-bench (criterion microbenchmarks, vs first ingest)".into(),
-        headers: headers(&[
-            "group",
-            "bench",
-            "run",
-            "mean_us",
-            "median_us",
-            "stddev_us",
-            "d_mean",
         ]),
         rows,
     }
@@ -637,35 +595,6 @@ mod tests {
         let wall = run(&store, QueryKind::WallTrend);
         assert_eq!(wall.rows.len(), 2, "both journals recorded wall_ms");
         assert_eq!(wall.rows[0][4], "950");
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn solver_bench_tracks_criterion_drift_vs_first_ingest() {
-        let dir = temp_dir("query-solver-bench");
-        let write = |tag: &str, mean: f64| {
-            let text = format!(
-                "{{\"mean\":{{\"point_estimate\":{mean}}},\
-                 \"median\":{{\"point_estimate\":{mean}}},\
-                 \"std_dev\":{{\"point_estimate\":10.0}}}}"
-            );
-            let rel =
-                format!("{tag}/criterion/bench_solver/gap_heuristic_300x20/new/estimates.json");
-            write_fixture(&dir, &rel, &text)
-        };
-        let store = Store::load(&[write("a", 200000.0), write("b", 250000.0)]).expect("loads");
-
-        let result = run(&store, QueryKind::SolverBench);
-        assert_eq!(result.rows.len(), 2);
-        assert_eq!(result.rows[0][0], "bench_solver");
-        assert_eq!(result.rows[0][1], "gap_heuristic_300x20");
-        assert_eq!(result.rows[0][3], fmt(200.0), "ns render as us");
-        assert_eq!(result.rows[0][6], "+0.00%", "first ingest is the baseline");
-        assert_eq!(result.rows[1][6], "+25.00%", "regression is visible");
-
-        // Criterion runs stay out of wall-trend; they have their own view.
-        assert!(run(&store, QueryKind::WallTrend).rows.is_empty());
 
         std::fs::remove_dir_all(&dir).ok();
     }

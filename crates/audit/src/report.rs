@@ -57,9 +57,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The parent commit's `report` over the same fixture set, captured
-    /// from its on-disk columnar store before that store was deleted.
-    /// Only the first line differs: it named the store directory.
+    /// `report` over the fixture set, byte for byte. The text descends
+    /// from the on-disk columnar store the in-memory fold replaced, which
+    /// is what makes it an oracle rather than a snapshot of this code.
     const GOLDEN: &str = include_str!("../tests/golden_report.txt");
 
     #[test]
@@ -67,7 +67,7 @@ mod tests {
         let dir = temp_dir("report-golden");
         let store = Store::load(&fixture_set(&dir)).expect("fixture set loads");
         assert_eq!(report(&store), GOLDEN);
-        // Every query has rows on this set, so none of the nine is
+        // Every query has rows on this set, so none of the eight is
         // pinned only as a `(no rows)` note.
         assert!(!GOLDEN.contains("(no rows)"));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,11 +1,9 @@
 //! The audit store: an in-memory fold of the artifacts it is pointed at.
 //!
 //! The journals are the record; the store is a disposable view of them,
-//! rebuilt on every invocation and never written anywhere. Three kinds
-//! of artifact are recognised: flight-recorder journals (`.jsonl`),
-//! `BENCH_experiments.json` reports, and Criterion's `estimates.json`
-//! (from `target/criterion/<group>/<bench>/new/`), so solver
-//! microbenchmarks join the same regression surface as Table-3 metrics.
+//! rebuilt on every invocation and never written anywhere. Two kinds of
+//! artifact are recognised: flight-recorder journals (`.jsonl`) and
+//! `BENCH_experiments.json` reports.
 //!
 //! Each artifact becomes one run (ids are load order) and contributes
 //! one contiguous block of rows per fact table, so every table is sorted
@@ -17,8 +15,8 @@ use std::path::{Path, PathBuf};
 
 use crate::json::Json;
 use crate::model::{
-    content_hash, BaselineReport, BenchEntry, CriterionRow, FaultRow, RecoveryFact, RecoveryRow,
-    RoundRow, RunKind, RunMeta, Table3Row, Tagged, TimingRow, WireRow, NO_CDN,
+    content_hash, BaselineReport, BenchEntry, FaultRow, RecoveryFact, RecoveryRow, RoundRow,
+    RunKind, RunMeta, Table3Row, Tagged, TimingRow, WireRow, NO_CDN,
 };
 
 /// Highest journal schema version this crate can read. Kept in lock
@@ -42,8 +40,6 @@ pub struct Facts {
     pub bench: Vec<Tagged<BenchEntry>>,
     /// Bench-report Table-3 rows.
     pub table3: Vec<Tagged<Table3Row>>,
-    /// Criterion point estimates.
-    pub criterion: Vec<CriterionRow>,
     /// Crash-safety events.
     pub recovery: Vec<RecoveryRow>,
 }
@@ -56,7 +52,6 @@ impl Facts {
         self.timings.append(&mut other.timings);
         self.bench.append(&mut other.bench);
         self.table3.append(&mut other.table3);
-        self.criterion.append(&mut other.criterion);
         self.recovery.append(&mut other.recovery);
     }
 }
@@ -66,31 +61,6 @@ impl Facts {
 pub struct Store {
     runs: Vec<RunMeta>,
     facts: Facts,
-}
-
-/// Content-sniffs Criterion's `estimates.json`: a top-level `mean`
-/// object carrying a `point_estimate`. Neither journals (JSONL) nor
-/// bench reports (`entries`/`table3`) share that shape.
-fn looks_like_criterion(json: &Json) -> bool {
-    json.get("mean")
-        .and_then(|m| m.get("point_estimate"))
-        .is_some()
-}
-
-/// Recovers `(group, bench)` from a Criterion artifact path of the form
-/// `…/criterion/<group>/<bench>/new/estimates.json`; `unknown` when the
-/// path does not follow that layout.
-fn criterion_names(path: &Path) -> (String, String) {
-    let parts: Vec<String> = path
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .collect();
-    if let Some(i) = parts.iter().position(|p| p == "criterion") {
-        if i + 2 < parts.len() {
-            return (parts[i + 1].clone(), parts[i + 2].clone());
-        }
-    }
-    ("unknown".into(), "unknown".into())
 }
 
 /// The `*.jsonl` / `*.json` files directly inside `dir`, in name order.
@@ -158,20 +128,10 @@ impl Store {
         } else {
             Json::parse(&text)
                 .map_err(|e| e.to_string())
-                .and_then(|json| {
-                    if looks_like_criterion(&json) {
-                        Ok(fold_criterion(&json, path, run))
-                    } else {
-                        fold_bench(&json, run)
-                    }
-                })
+                .and_then(|json| fold_bench(&json, run))
         }
         .map_err(|e| format!("{}: {e}", path.display()))?;
-        // Criterion runs name themselves: every estimates.json shares a
-        // file name, so their source keeps the group/bench tail.
-        if meta.source.is_empty() {
-            meta.source = source;
-        }
+        meta.source = source;
         meta.hash = hash;
         self.runs.push(meta);
         self.facts.append(facts);
@@ -469,50 +429,10 @@ fn fold_bench(json: &Json, run: u64) -> Result<(RunMeta, Facts), String> {
     Ok((meta, facts))
 }
 
-/// Folds one Criterion `estimates.json` into a single `criterion` row.
-/// Group and bench names come from the path; the point estimates are
-/// Criterion's, in nanoseconds.
-fn fold_criterion(json: &Json, path: &Path, run: u64) -> (RunMeta, Facts) {
-    let point = |key: &str| {
-        json.get(key)
-            .map_or(0.0, |m| m.f64_or("point_estimate", 0.0))
-    };
-    let mean_ns = point("mean");
-    let (group, bench) = criterion_names(path);
-    let meta = RunMeta {
-        run_id: run,
-        kind: RunKind::Criterion,
-        source: format!("{group}/{bench}/estimates.json"),
-        hash: String::new(),
-        experiment: group.clone(),
-        seed: 0,
-        scale: "bench".into(),
-        schema: 0,
-        threads: 0,
-        git_commit: "unknown".into(),
-        wall_ms: (mean_ns / 1e6) as u64,
-        events: 0,
-    };
-    let facts = Facts {
-        criterion: vec![CriterionRow {
-            run,
-            group,
-            bench,
-            mean_ns,
-            median_ns: point("median"),
-            stddev_ns: point("std_dev"),
-        }],
-        ..Facts::default()
-    };
-    (meta, facts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{
-        crashed_journal, golden_journal, temp_dir, write_fixture, BENCH_REPORT, ESTIMATES,
-    };
+    use crate::testutil::{crashed_journal, golden_journal, temp_dir, write_fixture, BENCH_REPORT};
 
     #[test]
     fn golden_journal_ingest_builds_expected_rows() {
@@ -716,31 +636,6 @@ mod tests {
             ]
         );
         assert!(store.facts().recovery.iter().all(|r| r.run == 0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn criterion_estimates_ingest_fills_the_criterion_table() {
-        let dir = temp_dir("store-criterion");
-        let rel = "criterion/bench_solver/gap_heuristic_300x20/new/estimates.json";
-        let path = write_fixture(&dir, rel, ESTIMATES);
-        // Loading the identical file twice still counts it once.
-        let store = Store::load(&[&path, &path]).expect("estimates load");
-
-        assert_eq!(store.runs().len(), 1);
-        let meta = &store.runs()[0];
-        assert_eq!(meta.kind, RunKind::Criterion);
-        assert_eq!(meta.experiment, "bench_solver");
-        assert_eq!(
-            meta.source,
-            "bench_solver/gap_heuristic_300x20/estimates.json"
-        );
-        let rows = &store.facts().criterion;
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].group, "bench_solver");
-        assert_eq!(rows[0].bench, "gap_heuristic_300x20");
-        assert_eq!(rows[0].mean_ns, 184213.7);
-        assert_eq!(rows[0].stddev_ns, 1201.4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

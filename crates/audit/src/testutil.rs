@@ -106,13 +106,6 @@ pub(crate) const BENCH_REPORT: &str = r#"{
     ]
 }"#;
 
-/// Criterion's `estimates.json` for one microbenchmark.
-pub(crate) const ESTIMATES: &str = r#"{
-    "mean":   {"point_estimate": 184213.7, "standard_error": 92.1},
-    "median": {"point_estimate": 183950.2},
-    "std_dev":{"point_estimate": 1201.4}
-}"#;
-
 /// Writes `content` to `dir/rel` (creating parent directories) and
 /// returns the path.
 pub(crate) fn write_fixture(dir: &Path, rel: &str, content: &str) -> PathBuf {
@@ -124,18 +117,12 @@ pub(crate) fn write_fixture(dir: &Path, rel: &str, content: &str) -> PathBuf {
 }
 
 /// The report fixture set, in load order: two same-seed journals from
-/// different commits, a bench report, a Criterion estimate and a
-/// recovery journal.
+/// different commits, a bench report and a recovery journal.
 pub(crate) fn fixture_set(dir: &Path) -> Vec<PathBuf> {
     vec![
         write_fixture(dir, "a.jsonl", &golden_journal("commit-aaa", 0.0)),
         write_fixture(dir, "b.jsonl", &golden_journal("commit-bbb", 10.0)),
         write_fixture(dir, "BENCH_experiments.json", BENCH_REPORT),
-        write_fixture(
-            dir,
-            "criterion/bench_solver/gap_heuristic_300x20/new/estimates.json",
-            ESTIMATES,
-        ),
         write_fixture(dir, "crashed.jsonl", &crashed_journal()),
     ]
 }

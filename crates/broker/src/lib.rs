@@ -15,8 +15,6 @@
 //! * [`optimize`](mod@optimize) — the *Optimize* step: the Fig 9 ILP, built on
 //!   `vdx-solver` (exact MILP at small scale, regret-greedy + local search
 //!   at CDN scale, exactly the trade a production broker makes).
-//! * [`qoe`] — a score → QoE mapping (average bitrate, buffering ratio,
-//!   join time, the metrics of §2.1) used for reporting and examples.
 //! * [`stale`] — the stale-bid cache behind the failure model's
 //!   graceful-degradation ladder (DESIGN.md §9): bounded reuse of a CDN's
 //!   last-seen bids when its Announce misses the round deadline.
@@ -31,7 +29,6 @@ pub mod gather;
 pub mod health;
 pub mod optimize;
 pub mod policy;
-pub mod qoe;
 pub mod stale;
 
 pub use gather::{gather_groups, synth_background, ClientGroup, GroupId};

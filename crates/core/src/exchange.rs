@@ -1193,7 +1193,6 @@ mod tests {
             corrupt_chance: 0.05,
             delay_ms: 10,
             jitter_ms: 10,
-            rate_limit_bytes_per_ms: None,
         };
         let (mut broker, mut agents, mut links) = make_exchange(&eco, faults);
         let result = drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 120_000);
@@ -1272,7 +1271,6 @@ mod tests {
             corrupt_chance: 0.0,
             delay_ms: 0,
             jitter_ms: 0,
-            rate_limit_bytes_per_ms: None,
         }
     }
 

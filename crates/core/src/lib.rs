@@ -20,12 +20,6 @@
 //!   endpoints exchanging Share/Announce/Accept messages over (lossy)
 //!   `vdx-proto` links, with bid-shading CDN agents learning from Accept
 //!   feedback across rounds.
-//! * [`delivery`] — the Delivery Protocol of §4.1: the directory clients
-//!   query, with cluster-failure failover (§6.3).
-//! * [`reputation`] — the §6.3 fraud defence: CDNs whose announcements
-//!   repeatedly disagree with measurements get their bids deprioritised.
-//! * [`failure`] — §6.3 failure handling: dropping a failed CDN from a
-//!   round, and broker-bypass fallback.
 //! * [`transactions`] — the Transactions design's multi-round commit loop
 //!   (§4.2), including the obstinate-veto failure mode that makes the
 //!   paper call it impractical.
@@ -42,11 +36,8 @@ pub use vdx_units as units;
 
 pub mod accounting;
 pub mod decision;
-pub mod delivery;
 pub mod design;
 pub mod exchange;
-pub mod failure;
-pub mod reputation;
 pub mod transactions;
 pub mod wal;
 
@@ -62,6 +53,5 @@ pub use exchange::{
     DriverRound, ExchangeBroker, ExchangeConfig, ExchangeDriver, LiveRoundResult, Round,
     RoundHooks, RoundResolution,
 };
-pub use reputation::ReputationSystem;
 pub use transactions::{run_transactions, CommitPolicy, HonestCommit, TransactionOutcome};
 pub use wal::{Recovery, Wal, WalError, WalOpen, WalRecord};

@@ -53,7 +53,7 @@ pub struct Config {
 
 impl Config {
     /// The workspace policy from ISSUE/DESIGN: units in `cdn::{cost,
-    /// bidding,capacity,contract}`, `broker::{optimize,qoe}`, all of
+    /// bidding,capacity,contract}`, `broker::optimize`, all of
     /// `solver`, and `core::{accounting,exchange,transactions}`.
     pub fn workspace() -> Config {
         Config {
@@ -63,7 +63,6 @@ impl Config {
                 "crates/cdn/src/capacity.rs".into(),
                 "crates/cdn/src/contract.rs".into(),
                 "crates/broker/src/optimize.rs".into(),
-                "crates/broker/src/qoe.rs".into(),
                 "crates/solver/src/".into(),
                 "crates/core/src/accounting.rs".into(),
                 "crates/core/src/exchange.rs".into(),

@@ -284,17 +284,6 @@ pub enum Event {
         /// Payload size, bytes.
         bytes: u64,
     },
-    /// One packet from a wire capture (bridged from `vdx-proto::WireLog`).
-    WirePacket {
-        /// Capture time, simulation ms (deterministic).
-        at_ms: u64,
-        /// Direction: `A->B` or `B->A`.
-        dir: String,
-        /// Wire size, bytes.
-        bytes: u64,
-        /// Decoded one-line classification (`DATA seq=5 [Share x412]`...).
-        summary: String,
-    },
     /// The daemon accepted a CDN agent connection (after its `Hello`).
     ConnAccepted {
         /// Daemon wall clock, ms since daemon start (zeroable).
@@ -443,7 +432,6 @@ impl Event {
             Event::WireDrops { .. } => "wire_drops",
             Event::FrameRetransmitted { .. } => "frame_retransmitted",
             Event::PayloadFragmented { .. } => "payload_fragmented",
-            Event::WirePacket { .. } => "wire_packet",
             Event::ConnAccepted { .. } => "conn_accepted",
             Event::ConnClosed { .. } => "conn_closed",
             Event::ConnBackpressure { .. } => "conn_backpressure",
@@ -607,12 +595,6 @@ mod tests {
             Event::PayloadFragmented {
                 fragments: 7,
                 bytes: 200_000,
-            },
-            Event::WirePacket {
-                at_ms: 10,
-                dir: "A->B".into(),
-                bytes: 64,
-                summary: "DATA seq=5 [Share x412]".into(),
             },
             Event::ConnAccepted {
                 at_ms: 12,

@@ -6,8 +6,7 @@
 //! default everywhere is [`NoopProbe`], whose [`Probe::enabled`] returns
 //! `false`; hot paths guard event *construction* behind that check, so an
 //! uninstrumented run pays a virtual call returning a constant and nothing
-//! else — the basis of the <2 % overhead target benchmarked in
-//! `crates/bench/benches/micro.rs`.
+//! else.
 //!
 //! Two real sinks ship here: [`MemoryProbe`] (collects into a
 //! `parking_lot`-guarded vec, for tests and benches) and

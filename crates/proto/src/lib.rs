@@ -12,8 +12,8 @@
 //!   binary encoding (big-endian, no self-description — both ends speak
 //!   the same version, negotiated by the frame header);
 //! * [`link`] — an in-memory duplex link with deterministic fault
-//!   injection: drop chance, corrupt chance, propagation delay, and a
-//!   token-bucket rate limiter (the same knobs smoltcp's examples expose);
+//!   injection: drop chance, corrupt chance and propagation delay with
+//!   jitter (the same knobs smoltcp's examples expose);
 //! * [`reliable`] — a Go-Back-N reliable channel over a lossy link,
 //!   advanced exclusively by `poll(now)` — no wall-clock reads, no
 //!   threads, fully deterministic;
@@ -21,9 +21,7 @@
 //!   channel, used by the live marketplace example;
 //! * [`transport`] — blocking TCP transport carrying round-stamped
 //!   messages inside the same CRC frames, for the long-running
-//!   `vdx-exchanged` daemon and its `vdx-agent` peers;
-//! * [`wirelog`] — pcap-flavoured packet capture with hexdumps and
-//!   message classification (smoltcp's `--pcap`, in spirit).
+//!   `vdx-exchanged` daemon and its `vdx-agent` peers.
 //!
 //! ## Time
 //!
@@ -41,14 +39,12 @@ pub mod link;
 pub mod message;
 pub mod reliable;
 pub mod transport;
-pub mod wirelog;
 
 pub use frame::{crc32, Frame, FrameDecoder, FrameError, PROTOCOL_VERSION};
 pub use link::{FaultConfig, Link, LinkEnd};
 pub use message::{AcceptEntry, Bid, Message, Share, WireError};
 pub use reliable::{ChannelStats, ReliableChannel, ReliableConfig};
 pub use transport::{Connection, TransportError};
-pub use wirelog::WireLog;
 
 /// Milliseconds since an arbitrary epoch. All protocol timers use this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

@@ -1,13 +1,12 @@
 //! An in-memory duplex link with deterministic fault injection.
 //!
 //! The same adverse-network knobs smoltcp's examples expose — drop chance,
-//! corrupt chance, rate limiting — plus propagation delay with jitter.
+//! corrupt chance — plus propagation delay with jitter.
 //! Everything is driven by explicit [`SimTime`]: `send` stamps a delivery
 //! time, `recv` returns whatever has "arrived" by `now`. Determinism comes
 //! from a seeded RNG, so a test that exercises loss behaves identically on
 //! every run.
 
-use crate::wirelog::WireLog;
 use crate::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,9 +23,6 @@ pub struct FaultConfig {
     pub delay_ms: u64,
     /// Uniform extra jitter added to the delay, ms.
     pub jitter_ms: u64,
-    /// Token-bucket rate limit in bytes per millisecond (`None` = no limit).
-    /// Bucket burst capacity is 64 KiB.
-    pub rate_limit_bytes_per_ms: Option<f64>,
 }
 
 impl FaultConfig {
@@ -37,7 +33,6 @@ impl FaultConfig {
             corrupt_chance: 0.0,
             delay_ms: 0,
             jitter_ms: 0,
-            rate_limit_bytes_per_ms: None,
         }
     }
 
@@ -49,7 +44,6 @@ impl FaultConfig {
             corrupt_chance: 0.15,
             delay_ms: 20,
             jitter_ms: 10,
-            rate_limit_bytes_per_ms: None,
         }
     }
 }
@@ -80,21 +74,15 @@ pub struct LinkStats {
     pub sent: u64,
     /// Packets dropped by fault injection.
     pub dropped: u64,
-    /// Packets dropped by the rate limiter.
-    pub rate_limited: u64,
     /// Packets that had an octet corrupted.
     pub corrupted: u64,
     /// Packets handed to the receiver.
     pub delivered: u64,
 }
 
-const BUCKET_BURST: f64 = 65_536.0;
-
 struct Direction {
     queue: VecDeque<(SimTime, Vec<u8>)>,
     stats: LinkStats,
-    tokens: f64,
-    last_refill: SimTime,
 }
 
 impl Direction {
@@ -102,8 +90,6 @@ impl Direction {
         Direction {
             queue: VecDeque::new(),
             stats: LinkStats::default(),
-            tokens: BUCKET_BURST,
-            last_refill: SimTime::ZERO,
         }
     }
 }
@@ -114,7 +100,6 @@ pub struct Link {
     rng: StdRng,
     a2b: Direction,
     b2a: Direction,
-    log: Option<WireLog>,
 }
 
 impl Link {
@@ -125,26 +110,11 @@ impl Link {
             rng: StdRng::seed_from_u64(seed),
             a2b: Direction::new(),
             b2a: Direction::new(),
-            log: None,
         }
-    }
-
-    /// Attaches a pcap-style capture keeping the last `capacity` packets
-    /// (as submitted, before fault injection).
-    pub fn attach_wirelog(&mut self, capacity: usize) {
-        self.log = Some(WireLog::with_capacity(capacity));
-    }
-
-    /// The attached capture, if any.
-    pub fn wirelog(&self) -> Option<&WireLog> {
-        self.log.as_ref()
     }
 
     /// Transmits a packet from `from` at time `now`.
     pub fn send(&mut self, from: LinkEnd, now: SimTime, data: &[u8]) {
-        if let Some(log) = &mut self.log {
-            log.capture(now, from, data);
-        }
         let jitter = if self.faults.jitter_ms > 0 {
             self.rng.gen_range(0..=self.faults.jitter_ms)
         } else {
@@ -162,18 +132,6 @@ impl Link {
         let faults = self.faults.clone();
         let dir = self.direction_mut(from);
         dir.stats.sent += 1;
-
-        // Rate limiting (token bucket, bytes).
-        if let Some(rate) = faults.rate_limit_bytes_per_ms {
-            let elapsed = now.since(dir.last_refill) as f64;
-            dir.tokens = (dir.tokens + elapsed * rate).min(BUCKET_BURST);
-            dir.last_refill = now;
-            if (data.len() as f64) > dir.tokens {
-                dir.stats.rate_limited += 1;
-                return;
-            }
-            dir.tokens -= data.len() as f64;
-        }
 
         if drop_roll < faults.drop_chance {
             dir.stats.dropped += 1;
@@ -302,37 +260,6 @@ mod tests {
         let differing = got[0].iter().zip(b"abcd").filter(|(a, b)| a != b).count();
         assert_eq!(differing, 1);
         assert_eq!(link.stats(LinkEnd::A).corrupted, 1);
-    }
-
-    #[test]
-    fn rate_limiter_polices_bursts_but_recovers() {
-        let cfg = FaultConfig {
-            rate_limit_bytes_per_ms: Some(1.0), // 1 B/ms, burst 64 KiB
-            ..FaultConfig::lossless()
-        };
-        let mut link = Link::new(cfg, 4);
-        // Exhaust the burst with one huge packet, then the next is policed.
-        link.send(LinkEnd::A, SimTime(0), &vec![0u8; 65_536]);
-        link.send(LinkEnd::A, SimTime(0), &vec![0u8; 1_000]);
-        assert_eq!(link.stats(LinkEnd::A).rate_limited, 1);
-        // After enough time the bucket refills.
-        link.send(LinkEnd::A, SimTime(1_000), &vec![0u8; 1_000]);
-        assert_eq!(link.stats(LinkEnd::A).rate_limited, 1);
-    }
-
-    #[test]
-    fn wirelog_captures_transmissions() {
-        let mut link = Link::new(FaultConfig::lossless(), 1);
-        link.attach_wirelog(8);
-        link.send(LinkEnd::A, SimTime(1), b"captured");
-        let log = link.wirelog().expect("attached");
-        assert_eq!(log.packets().len(), 1);
-        assert_eq!(log.packets()[0].bytes, b"captured");
-        assert!(link
-            .wirelog()
-            .expect("attached")
-            .render(16)
-            .contains("A->B"));
     }
 
     #[test]

@@ -408,7 +408,6 @@ mod tests {
             corrupt_chance: 0.15,
             delay_ms: 5,
             jitter_ms: 5,
-            rate_limit_bytes_per_ms: None,
         };
         let mut link = Link::new(cfg, 42);
         let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
@@ -490,7 +489,6 @@ mod tests {
             corrupt_chance: 0.05,
             delay_ms: 2,
             jitter_ms: 2,
-            rate_limit_bytes_per_ms: None,
         };
         let mut link = Link::new(cfg, 77);
         let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
@@ -510,7 +508,6 @@ mod tests {
             corrupt_chance: 0.0,
             delay_ms: 2,
             jitter_ms: 2,
-            rate_limit_bytes_per_ms: None,
         };
         let mut link = Link::new(cfg, 9);
         let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());

@@ -24,7 +24,6 @@ proptest! {
             corrupt_chance: corrupt,
             delay_ms: delay,
             jitter_ms: delay / 2,
-            rate_limit_bytes_per_ms: None,
         };
         let mut link = Link::new(faults, seed);
         let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
@@ -48,40 +47,6 @@ proptest! {
         for (i, m) in received.iter().enumerate() {
             prop_assert_eq!(m, &format!("payload-{i}").into_bytes(), "in order, no dupes");
         }
-    }
-
-    /// The rate limiter never deadlocks the channel: policed packets are
-    /// retransmitted once the bucket refills.
-    #[test]
-    fn reliable_channel_survives_rate_limiting(
-        seed in any::<u64>(),
-        rate in 0.5f64..8.0,
-    ) {
-        let faults = FaultConfig {
-            drop_chance: 0.0,
-            corrupt_chance: 0.0,
-            delay_ms: 2,
-            jitter_ms: 0,
-            rate_limit_bytes_per_ms: Some(rate),
-        };
-        let mut link = Link::new(faults, seed);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
-        for i in 0..5u32 {
-            a.send(vec![i as u8; 2_000]);
-        }
-        let mut got = 0;
-        for ms in 0..120_000u64 {
-            a.poll(SimTime(ms), &mut link);
-            b.poll(SimTime(ms), &mut link);
-            while b.recv().is_some() {
-                got += 1;
-            }
-            if got == 5 {
-                break;
-            }
-        }
-        prop_assert_eq!(got, 5);
     }
 
     /// Feeding a corrupted *message* through a clean frame never panics and

@@ -44,12 +44,11 @@
 //! against the reference instead (the verify.sh crash-recovery smoke).
 //!
 //! `audit` is the cross-run analytics layer (`vdx-audit`, DESIGN.md
-//! §11): `report`/`query` fold the journals, bench reports and Criterion
-//! `target/criterion/*/*/new/estimates.json` microbenchmarks named by
+//! §11): `report`/`query` fold the journals and bench reports named by
 //! PATH... (files, or directories contributing their `*.jsonl`/`*.json`
 //! in name order; default: results/journals) into typed rows in memory
-//! and answer cross-run questions over them (see `solver-bench` for
-//! microbenchmark drift); nothing derived is written to disk.
+//! and answer cross-run questions over them; nothing derived is written
+//! to disk.
 //! `--baseline` re-runs table3 at the baseline's seed/scale and fails
 //! on regressions beyond the thresholds.
 //! ```

@@ -320,7 +320,6 @@ pub fn run_campaign(
                     corrupt_chance: 0.0,
                     delay_ms: 0,
                     jitter_ms: 0,
-                    rate_limit_bytes_per_ms: None,
                 }
             } else {
                 FaultConfig {
@@ -328,7 +327,6 @@ pub fn run_campaign(
                     corrupt_chance: faults.corrupt_chance,
                     delay_ms: faults.delay_ms,
                     jitter_ms: faults.jitter_ms,
-                    rate_limit_bytes_per_ms: None,
                 }
             };
             links.push(Link::new(config, link_seed(plan, round_id, cdn)));

@@ -172,15 +172,13 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Wire health: retransmissions, fragmentation, captured packets, and
-    // the three distinct drop causes (injected link loss, CRC-discarded
-    // corruption, Go-Back-N out-of-order discards — see `Event::WireDrops`).
+    // Wire health: retransmissions, fragmentation, and the three distinct
+    // drop causes (injected link loss, CRC-discarded corruption, Go-Back-N
+    // out-of-order discards — see `Event::WireDrops`).
     let mut retransmit_events = 0u64;
     let mut retransmit_frames = 0u64;
     let mut fragmented_payloads = 0u64;
     let mut fragmented_bytes = 0u64;
-    let mut wire_packets = 0u64;
-    let mut wire_bytes = 0u64;
     let mut link_dropped = 0u64;
     let mut corrupt_discarded = 0u64;
     let mut out_of_order = 0u64;
@@ -193,10 +191,6 @@ pub fn report(events: &[Event]) -> String {
             Event::PayloadFragmented { bytes, .. } => {
                 fragmented_payloads += 1;
                 fragmented_bytes += bytes;
-            }
-            Event::WirePacket { bytes, .. } => {
-                wire_packets += 1;
-                wire_bytes += bytes;
             }
             Event::WireDrops {
                 link_dropped: l,
@@ -212,7 +206,7 @@ pub fn report(events: &[Event]) -> String {
         }
     }
     let drops_total = link_dropped + corrupt_discarded + out_of_order;
-    if retransmit_events + fragmented_payloads + wire_packets + drops_total > 0 {
+    if retransmit_events + fragmented_payloads + drops_total > 0 {
         let mut wire_rows = vec![
             vec![
                 "retransmit timeouts".to_string(),
@@ -227,8 +221,6 @@ pub fn report(events: &[Event]) -> String {
                 fragmented_payloads.to_string(),
             ],
             vec!["fragmented bytes".to_string(), fragmented_bytes.to_string()],
-            vec!["captured packets".to_string(), wire_packets.to_string()],
-            vec!["captured bytes".to_string(), wire_bytes.to_string()],
         ];
         if drops_total > 0 {
             wire_rows.push(vec![

@@ -15,23 +15,16 @@
 //!   sessions and varying roughly between 20 % and 60 % (Fig 4), CDN A
 //!   favoured in small cities while B and C are size-insensitive (Fig 5),
 //!   and strong per-country usage variation (Fig 7).
-//! * [`mapping`] — the CDN mapping data: sparse client-city→cluster-site
-//!   scores with the paper's own regression-on-distance gap filling (§5.1).
 //! * [`cost`] — per-country delivery-cost views (the paper's Fig 3).
 //! * [`stats`] — Zipf/power-law samplers and estimators, histograms,
 //!   medians; used both by generators and by the tests that hold the
 //!   generators to the published statistics.
-//! * [`io`] — JSON serialization and a CSV codec for session records, so
-//!   traces can be shipped to / loaded from disk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod broker;
 pub mod cost;
-pub mod io;
-pub mod mapping;
 pub mod stats;
 
 pub use broker::{BrokerTrace, BrokerTraceConfig, CdnLabel, SessionId, SessionRecord};
-pub use mapping::{MappingConfig, MappingData};

@@ -30,7 +30,6 @@ fn main() {
         corrupt_chance: corrupt_pct / 100.0,
         delay_ms: 10,
         jitter_ms: 10,
-        rate_limit_bytes_per_ms: None,
     };
     println!(
         "live exchange: {} CDNs, {} client groups, links with {drop_pct}% drop / \
@@ -39,13 +38,11 @@ fn main() {
         scenario.groups.len()
     );
 
-    // One lossy link per CDN; broker on end A, agent on end B. Attach a
-    // pcap-style capture to the first link so we can show the wire.
+    // One lossy link per CDN; broker on end A, agent on end B.
     let n = scenario.fleet.cdns.len();
     let mut links: Vec<Link> = (0..n)
         .map(|i| Link::new(faults.clone(), 7_000 + i as u64))
         .collect();
-    links[0].attach_wirelog(6);
     let mut agents: Vec<CdnAgent> = (0..n)
         .map(|i| {
             CdnAgent::new(
@@ -117,8 +114,4 @@ fn main() {
         "\nlink 0 broker->CDN stats: {} sent, {} dropped, {} corrupted, {} delivered",
         stats.sent, stats.dropped, stats.corrupted, stats.delivered
     );
-    if let Some(log) = links[0].wirelog() {
-        println!("\nlast packets on link 0 (wire capture):");
-        print!("{}", log.render(32));
-    }
 }

@@ -116,7 +116,8 @@ grep -q '"ev":"recovery_complete"' target/verify-chaos/trial-r6-*-after.jsonl
 cargo run -p vdx-sim --bin repro --release -- chaos \
   --check target/verify-chaos/trial-r6-*.wal --seed 90217 --ladder
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> examples (run, not merely compiled)"
+cargo run --release --example quickstart
+cargo run --release --example live_exchange
 
 echo "verify: OK"

@@ -13,12 +13,12 @@
 //! |---|---|---|
 //! | [`geo`] | `vdx-geo` | World model: countries, cities, great-circle geometry |
 //! | [`netsim`] | `vdx-netsim` | Latency/loss models, performance scores, regression |
-//! | [`trace`] | `vdx-trace` | Broker session traces, CDN mapping data, statistics |
+//! | [`trace`] | `vdx-trace` | Broker session traces, country cost views, statistics |
 //! | [`solver`] | `vdx-solver` | Simplex LP, branch-and-bound MILP, assignment heuristics, min-cost flow |
 //! | [`cdn`] | `vdx-cdn` | CDN actor: deployments, costs, contracts, capacity, matching, bidding |
-//! | [`broker`] | `vdx-broker` | Broker actor: gathering, CP policy, the Fig 9 optimizer, QoE |
+//! | [`broker`] | `vdx-broker` | Broker actor: gathering, CP policy, the Fig 9 optimizer, circuit breakers |
 //! | [`proto`] | `vdx-proto` | Wire protocol: frames, messages, lossy links, reliable channels |
-//! | [`core`] | `vdx-core` | The designs, the Decision/Delivery Protocols, the marketplace, accounting |
+//! | [`core`] | `vdx-core` | The designs, the Decision Protocol, the marketplace, accounting, the round WAL |
 //! | [`sim`] | `vdx-sim` | Scenario builder, metrics, one experiment per paper table/figure |
 //! | [`audit`] | `vdx-audit` | Cross-run journal analytics: journals folded into typed rows, queries, regression gate |
 //!

@@ -125,33 +125,3 @@ fn decision_round_via_facade_prelude() {
     let settled = settle(&outcome, &s.world, &s.fleet);
     assert!(settled.total_profit().as_f64().is_finite());
 }
-
-#[test]
-fn qoe_pipeline_produces_reasonable_experience() {
-    // netsim path quality -> broker QoE model, driven by real assignments.
-    let s = scenario();
-    let outcome = s.run(Design::Marketplace, CpPolicy::balanced());
-    let mut good = 0usize;
-    let mut total = 0usize;
-    for (g, &choice) in outcome.assignment.choice.iter().enumerate() {
-        let group = &outcome.problem.groups[g];
-        let option = &outcome.problem.options[g][choice];
-        let cluster = &s.fleet.clusters[option.cluster.index()];
-        let path = s.net.quality(&s.world, group.city, cluster.city);
-        let load = outcome.assignment.cluster_load_kbps[&option.cluster]
-            + s.background_load[option.cluster.index()];
-        let qoe = vdx::broker::qoe::estimate_qoe(
-            &path,
-            vdx::core::units::Kbps::new(group.bitrate_kbps as f64),
-            load.as_f64() / cluster.capacity_kbps.as_f64().max(1e-9),
-        );
-        total += 1;
-        if qoe.buffering_ratio < 0.1 && qoe.join_time_ms < 2_000.0 {
-            good += 1;
-        }
-    }
-    assert!(
-        good as f64 / total as f64 > 0.8,
-        "only {good}/{total} groups get good QoE under VDX"
-    );
-}

@@ -2,7 +2,6 @@
 //! invariants, across crate boundaries.
 
 use proptest::prelude::*;
-use vdx::geo::CityId;
 use vdx::geo::GeoPoint;
 use vdx::netsim::Score;
 use vdx::proto::frame;
@@ -10,8 +9,6 @@ use vdx::proto::{AcceptEntry, Bid, Message, Share};
 use vdx::solver::{
     solve_lp, AssignmentProblem, CandidateOption, LinearProgram, MilpConfig, Relation,
 };
-use vdx::trace::io;
-use vdx::trace::{CdnLabel, SessionId, SessionRecord};
 
 proptest! {
     // ---- geo -----------------------------------------------------------
@@ -130,34 +127,6 @@ proptest! {
     #[test]
     fn message_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = Message::decode(&bytes);
-    }
-
-    // ---- trace io -------------------------------------------------------
-
-    #[test]
-    fn session_csv_roundtrips(
-        arrival in 0.0f64..3600.0,
-        video in any::<u32>(),
-        bitrate in 1u32..10_000,
-        duration in 0.1f64..10_000.0,
-        city in 0u32..100_000,
-        asn in any::<u32>(),
-        switch_time in 0.0f64..3600.0,
-    ) {
-        let record = SessionRecord {
-            id: SessionId(1),
-            arrival_s: arrival,
-            video,
-            bitrate_kbps: bitrate,
-            duration_s: duration,
-            city: CityId(city),
-            asn,
-            initial_cdn: CdnLabel::A,
-            switches: vec![(switch_time, CdnLabel::C)],
-        };
-        let csv = io::sessions_to_csv(std::slice::from_ref(&record));
-        let back = io::sessions_from_csv(&csv).expect("parses");
-        prop_assert_eq!(back, vec![record]);
     }
 
     // ---- solver ---------------------------------------------------------
