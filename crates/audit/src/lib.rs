@@ -12,16 +12,15 @@
 //! past the thresholds in
 //! [`gate::GateConfig`]. Nothing derived is ever written to disk.
 //!
-//! Like `vdx-lint`, the crate is deliberately dependency-free — its own
-//! JSON parser ([`json`]) — so it builds offline and adds nothing to
-//! the verify pipeline's compile cost. See DESIGN.md §11 for what is
-//! folded from what and the threshold policy.
+//! JSON is read and written through the workspace's one stack,
+//! `vdx_obs::json` ([`Json`] is re-exported here for consumers that
+//! already name it). See DESIGN.md §11 for what is folded from what and
+//! the threshold policy.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod gate;
-pub mod json;
 pub mod model;
 pub mod query;
 pub mod render;
@@ -32,8 +31,8 @@ pub mod store;
 mod testutil;
 
 pub use gate::{GateCheck, GateConfig, GateOutcome};
-pub use json::Json;
 pub use model::{BaselineReport, BenchEntry, RunKind, RunMeta, Table3Row, BASELINE_SCHEMA};
 pub use query::{QueryKind, QueryResult, ALL_QUERIES};
 pub use report::report;
 pub use store::{Facts, Store, SUPPORTED_JOURNAL_SCHEMA};
+pub use vdx_obs::Json;

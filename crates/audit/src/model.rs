@@ -2,7 +2,7 @@
 //! one plain row struct per fact table, and the `BENCH_experiments.json`
 //! baseline report.
 
-use crate::json::Json;
+use vdx_obs::Json;
 
 /// What kind of artifact a run row came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,16 +13,20 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
 use crate::model::{
     content_hash, BaselineReport, BenchEntry, FaultRow, RecoveryFact, RecoveryRow, RoundRow,
     RunKind, RunMeta, Table3Row, Tagged, TimingRow, WireRow, NO_CDN,
 };
+use vdx_obs::Json;
 
-/// Highest journal schema version this crate can read. Kept in lock
-/// step with `vdx-obs::SCHEMA_VERSION` (a const assertion in `vdx-sim`
-/// enforces the equality at build time).
+/// Highest journal schema version this crate can read.
 pub const SUPPORTED_JOURNAL_SCHEMA: u32 = 6;
+
+// The fold below reads journal lines by key, not through `vdx_obs::Event`,
+// so it has to be taught every schema change by hand: bumping
+// `vdx_obs::SCHEMA_VERSION` without doing so would silently strand fresh
+// journals outside the store. Fail the build instead.
+const _: () = assert!(SUPPORTED_JOURNAL_SCHEMA == vdx_obs::SCHEMA_VERSION);
 
 /// The fact tables: plain rows, each tagged with its run, each table
 /// sorted by run.

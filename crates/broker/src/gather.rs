@@ -14,17 +14,15 @@
 //! background traffic … not optimized by this broker";
 //! [`synth_background`] generates it with the same city distribution.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vdx_geo::CityId;
+use vdx_rand::StdRng;
 use vdx_trace::SessionRecord;
 use vdx_units::Kbps;
 
 /// Identifier of a client group within one Decision Protocol round. This is
 /// the `share_id` of the paper's Share message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u32);
 
 impl GroupId {
@@ -36,7 +34,7 @@ impl GroupId {
 
 /// A group of same-bitrate clients in one city, the broker's optimization
 /// unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientGroup {
     /// Group id (index within the round).
     pub id: GroupId,

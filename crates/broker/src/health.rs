@@ -30,10 +30,8 @@
 //! and the live daemon walk bit-identical state sequences from the
 //! same failure schedule (ARCHITECTURE.md, "two drivers, one core").
 
-use serde::{Deserialize, Serialize};
-
 /// Health of one broker↔CDN relationship, circuit-breaker style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HealthState {
     /// Healthy: the CDN participates in every round.
     Closed,
@@ -78,7 +76,7 @@ impl HealthState {
 }
 
 /// Breaker policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip `Closed` → `Open`. A failure is a
     /// round the CDN was asked to participate in but produced no fresh
@@ -115,7 +113,7 @@ pub struct HealthTransition {
 /// re-suppliable) policy knobs. Written to the exchange WAL so a crashed
 /// daemon restores the exact health machine the reference driver would
 /// be in — round-number driven, so no wall-clock field needs saving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerSnapshot {
     /// State at the moment of capture.
     pub state: HealthState,
@@ -248,7 +246,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use vdx_rand::prop::{check, vec_of};
 
     fn breaker(trip_after: u32, cooldown_rounds: u64) -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
@@ -361,7 +359,11 @@ mod tests {
 
     #[test]
     fn state_codes_round_trip_and_reject_garbage() {
-        for state in [HealthState::Closed, HealthState::Open, HealthState::HalfOpen] {
+        for state in [
+            HealthState::Closed,
+            HealthState::Open,
+            HealthState::HalfOpen,
+        ] {
             assert_eq!(HealthState::from_code(state.code()), Some(state));
         }
         assert_eq!(HealthState::from_code(3), None);
@@ -380,7 +382,9 @@ mod tests {
         assert_eq!(restored.state(), HealthState::Open);
         assert_eq!(restored.begin_round(6), None, "cooldown not elapsed");
         assert_eq!(restored.begin_round(7), None);
-        let t = restored.begin_round(8).expect("cooldown elapsed post-restore");
+        let t = restored
+            .begin_round(8)
+            .expect("cooldown elapsed post-restore");
         assert_eq!(t.to, HealthState::HalfOpen);
     }
 
@@ -396,74 +400,75 @@ mod tests {
         assert!(restored.on_failure(2).is_some());
     }
 
-    /// One driver step: what the round observed for the CDN.
-    #[derive(Debug, Clone)]
-    enum Step {
-        Success,
-        Failure,
+    /// The routing invariant: across any failure/success schedule, a
+    /// round in which the breaker is `Open` after `begin_round` never
+    /// routes to the CDN — and conversely the breaker never reports an
+    /// observation for a round it refused to route (mirroring how the
+    /// drivers only call on_success/on_failure for rounds the CDN was
+    /// Shared with).
+    #[test]
+    fn never_routes_while_open() {
+        check(
+            256,
+            |rng| {
+                // One driver step per round: did the CDN answer in time?
+                let successes = vec_of(rng, 1..200, |r| r.gen_bool(0.5));
+                (successes, rng.gen_range(1u32..5), rng.gen_range(1u64..5))
+            },
+            |(successes, trip_after, cooldown)| {
+                let mut b = breaker(*trip_after, *cooldown);
+                for (round, &success) in successes.iter().enumerate() {
+                    let round = round as u64;
+                    b.begin_round(round);
+                    // Invariant under test: `allows_route` is exactly
+                    // "not Open".
+                    assert_eq!(b.allows_route(), b.state() != HealthState::Open);
+                    if !b.allows_route() {
+                        // Excluded: the round must not deliver bids from
+                        // this CDN, so the driver records nothing.
+                        continue;
+                    }
+                    if success {
+                        b.on_success(round);
+                    } else {
+                        b.on_failure(round);
+                    }
+                }
+            },
+        );
     }
 
-    proptest! {
-        /// The routing invariant: across any failure/success schedule,
-        /// a round in which the breaker is `Open` after `begin_round`
-        /// never routes to the CDN — and conversely the breaker never
-        /// reports an observation for a round it refused to route
-        /// (mirroring how the drivers only call on_success/on_failure
-        /// for rounds the CDN was Shared with).
-        #[test]
-        fn never_routes_while_open(
-            steps in proptest::collection::vec(
-                prop_oneof![Just(Step::Success), Just(Step::Failure)],
-                1..200,
-            ),
-            trip_after in 1u32..5,
-            cooldown in 1u64..5,
-        ) {
-            let mut b = breaker(trip_after, cooldown);
-            for (round, step) in steps.iter().enumerate() {
-                let round = round as u64;
-                b.begin_round(round);
-                // Invariant under test: `allows_route` is exactly
-                // "not Open".
-                prop_assert_eq!(b.allows_route(), b.state() != HealthState::Open);
-                if !b.allows_route() {
-                    // Excluded: the round must not deliver bids from
-                    // this CDN, so the driver records nothing.
-                    continue;
+    /// `Open` always yields to a probe within `cooldown` rounds —
+    /// exclusion is bounded, never permanent.
+    #[test]
+    fn exclusion_is_bounded_by_the_cooldown() {
+        check(
+            256,
+            |rng| {
+                (
+                    rng.gen_range(1u32..4),
+                    rng.gen_range(1u64..6),
+                    rng.gen_range(10u64..60),
+                )
+            },
+            |&(trip_after, cooldown, rounds)| {
+                let mut b = breaker(trip_after, cooldown);
+                let mut open_streak = 0u64;
+                for round in 0..rounds {
+                    b.begin_round(round);
+                    if b.allows_route() {
+                        open_streak = 0;
+                        // Always fail: the worst case for exclusion.
+                        b.on_failure(round);
+                    } else {
+                        open_streak += 1;
+                        assert!(
+                            open_streak <= cooldown,
+                            "open for {open_streak} rounds with cooldown {cooldown}"
+                        );
+                    }
                 }
-                match step {
-                    Step::Success => { b.on_success(round); }
-                    Step::Failure => { b.on_failure(round); }
-                }
-            }
-        }
-
-        /// `Open` always yields to a probe within `cooldown` rounds —
-        /// exclusion is bounded, never permanent.
-        #[test]
-        fn exclusion_is_bounded_by_the_cooldown(
-            trip_after in 1u32..4,
-            cooldown in 1u64..6,
-            rounds in 10u64..60,
-        ) {
-            let mut b = breaker(trip_after, cooldown);
-            let mut open_streak = 0u64;
-            for round in 0..rounds {
-                b.begin_round(round);
-                if b.allows_route() {
-                    open_streak = 0;
-                    // Always fail: the worst case for exclusion.
-                    b.on_failure(round);
-                } else {
-                    open_streak += 1;
-                    prop_assert!(
-                        open_streak <= cooldown,
-                        "open for {} rounds with cooldown {}",
-                        open_streak,
-                        cooldown
-                    );
-                }
-            }
-        }
+            },
+        );
     }
 }

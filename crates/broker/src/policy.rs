@@ -8,12 +8,11 @@
 //! demand. Sweeping `wc` (with `wp` fixed) is exactly the paper's Fig 17
 //! trade-off knob.
 
-use serde::{Deserialize, Serialize};
 use vdx_netsim::Score;
 use vdx_units::{Kbps, UsdPerGb};
 
 /// A content provider's optimization goals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpPolicy {
     /// Weight on performance (Fig 9's `wp`).
     pub wp: f64,

@@ -137,14 +137,26 @@ mod tests {
         let mut cache: StaleBidCache<Vec<u32>> = StaleBidCache::new(2, 1);
         cache.store(0, 4, vec![1, 2]);
         assert_eq!(cache.fetch(0, 9), None, "expired for routing");
-        assert_eq!(cache.entry(0), Some((4, &vec![1, 2])), "visible to checkpoints");
+        assert_eq!(
+            cache.entry(0),
+            Some((4, &vec![1, 2])),
+            "visible to checkpoints"
+        );
         assert_eq!(cache.entry(1), None);
         assert_eq!(cache.entry(9), None, "out of range is not a panic");
 
         let (round, bids) = cache.entry(0).map(|(r, b)| (r, b.clone())).unwrap();
         let mut recovered: StaleBidCache<Vec<u32>> = StaleBidCache::new(2, 1);
         recovered.store(0, round, bids);
-        assert_eq!(recovered.fetch(0, 5), Some((1, &vec![1, 2])), "still within ttl");
-        assert_eq!(recovered.fetch(0, 6), None, "recovery did not reset the age");
+        assert_eq!(
+            recovered.fetch(0, 5),
+            Some((1, &vec![1, 2])),
+            "still within ttl"
+        );
+        assert_eq!(
+            recovered.fetch(0, 6),
+            None,
+            "recovery did not reset the age"
+        );
     }
 }

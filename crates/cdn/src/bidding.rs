@@ -13,11 +13,10 @@
 //! the paper leaves game-theoretic strategy modelling as future work.
 
 use crate::cluster::ClusterId;
-use serde::{Deserialize, Serialize};
 use vdx_units::{Margin, UsdPerGb};
 
 /// Bidding policy parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BidPolicy {
     /// Initial and maximum price margin over cost (paper uses 1.2 markup).
     pub max_margin: Margin,

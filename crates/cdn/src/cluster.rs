@@ -6,12 +6,11 @@
 //! ids are globally unique across the whole fleet so that broker-side data
 //! structures can be flat arrays.
 
-use serde::{Deserialize, Serialize};
 use vdx_geo::CityId;
 use vdx_units::{Kbps, UsdPerGb};
 
 /// Globally unique cluster id (index into the fleet's flat cluster list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterId(pub u32);
 
 impl ClusterId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for ClusterId {
 }
 
 /// Identifier of a CDN within the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CdnId(pub u32);
 
 impl CdnId {
@@ -45,7 +44,7 @@ impl std::fmt::Display for CdnId {
 }
 
 /// A CDN cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     /// Globally unique id.
     pub id: ClusterId,

@@ -14,14 +14,13 @@
 
 use crate::cluster::CdnId;
 use crate::deploy::Fleet;
-use serde::{Deserialize, Serialize};
 use vdx_units::{Margin, UsdPerGb};
 
 /// The paper's markup factor on contract prices (§7.1).
 pub const DEFAULT_MARKUP: Margin = Margin::literal(1.2);
 
 /// A flat-rate CDN–CP contract.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Contract {
     /// The CDN under contract.
     pub cdn: CdnId,

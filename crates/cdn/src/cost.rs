@@ -10,14 +10,12 @@
 //! Country means come from `vdx_geo::Country::cost_index` (normalised so the
 //! demand-weighted global average is 1.0, the framing of the paper's Fig 3).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vdx_geo::{CityId, World};
+use vdx_rand::StdRng;
 use vdx_units::UsdPerGb;
 
 /// Cost-model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostConfig {
     /// Lognormal sigma of cluster bandwidth cost around the country mean.
     /// CloudFlare (quoted in §3.2 of the paper) reports that "within a

@@ -11,16 +11,13 @@
 
 use crate::cluster::{CdnId, Cluster, ClusterId};
 use crate::cost::{bandwidth_cost, colo_cost, CostConfig};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use vdx_geo::{CityId, Region, World};
+use vdx_rand::StdRng;
 use vdx_units::Kbps;
 
 /// How a CDN deploys its clusters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DeploymentModel {
     /// Many clusters across every region (Akamai-like). The trace's "CDN A".
     Distributed {
@@ -66,7 +63,7 @@ impl DeploymentModel {
 }
 
 /// A CDN: a deployment model plus the clusters it owns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cdn {
     /// The CDN's id.
     pub id: CdnId,
@@ -77,7 +74,7 @@ pub struct Cdn {
 }
 
 /// The whole multi-CDN ecosystem for one simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fleet {
     /// All CDNs, indexed by [`CdnId`].
     pub cdns: Vec<Cdn>,
@@ -118,7 +115,7 @@ impl Fleet {
 /// Fleet-builder configuration. The default reproduces the paper's mix:
 /// 14 CDNs — one highly distributed, four medium, four centralized, five
 /// regional.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Sites of the highly distributed CDN (paper's real-CDN location set).
     pub distributed_sites: usize,
@@ -172,7 +169,7 @@ pub fn build_fleet(world: &World, config: &FleetConfig, seed: u64) -> Fleet {
     let head = (n_dist * 2 / 3).min(by_pop.len());
     let mut dist_sites: Vec<CityId> = by_pop[..head].to_vec();
     let mut tail: Vec<CityId> = by_pop[head..].to_vec();
-    tail.shuffle(&mut rng);
+    rng.shuffle(&mut tail);
     dist_sites.extend(tail.into_iter().take(n_dist - head));
     let dupes = config.distributed_metro_dupes.min(head);
     dist_sites.extend(by_pop[..dupes].iter().copied());
@@ -307,7 +304,7 @@ fn assemble(
 
 fn sample_without_replacement(pool: &[CityId], n: usize, rng: &mut StdRng) -> Vec<CityId> {
     let mut v: Vec<CityId> = pool.to_vec();
-    v.shuffle(rng);
+    rng.shuffle(&mut v);
     v.truncate(n.min(v.len()));
     v
 }

@@ -12,13 +12,12 @@
 
 use crate::cluster::{CdnId, ClusterId};
 use crate::deploy::Fleet;
-use serde::{Deserialize, Serialize};
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_units::{Kbps, UsdPerGb};
 
 /// Matching-rule parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatchingConfig {
     /// Candidate cutoff: clusters scoring within `score_ratio ×` the best
     /// are candidates (paper: 2.0).
@@ -56,7 +55,7 @@ impl Default for MatchingConfig {
 }
 
 /// One candidate cluster for one client group.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Matching {
     /// The candidate cluster.
     pub cluster: ClusterId,

@@ -4,13 +4,14 @@
 //! with `--features strict-invariants` to additionally exercise the
 //! `debug_assert!` conservation guards inside `plan_capacities`.
 
-use proptest::prelude::*;
 use vdx_cdn::capacity::{plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 use vdx_cdn::cluster::{CdnId, Cluster, ClusterId};
 use vdx_cdn::deploy::{Cdn, DeploymentModel, Fleet};
 use vdx_cdn::matching::{candidate_clusters, preferred_cluster, MatchingConfig};
 use vdx_geo::{CityId, World, WorldConfig};
 use vdx_netsim::Score;
+use vdx_rand::prop::{check, vec_of};
+use vdx_rand::StdRng;
 use vdx_units::{Kbps, UsdPerGb};
 
 /// Builds a single-CDN fleet from `(cost, capacity)` specs; cluster index
@@ -38,107 +39,142 @@ fn fleet(specs: &[(f64, f64)]) -> Fleet {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    /// §5.1 candidate selection on arbitrary fleets: every candidate is
-    /// within `score_ratio ×` the best score except for at most one forced
-    /// second-best, there are no duplicates, the list is cost-ascending,
-    /// and a CDN with ≥ 2 clusters never bids fewer than 2 candidates
-    /// (before truncation to `max_candidates`).
-    #[test]
-    fn matching_honours_the_candidate_contract(
-        costs in proptest::collection::vec(0.1f64..5.0, 1..8),
-        scores in proptest::collection::vec(1.0f64..1000.0, 8),
-        ratio in 1.1f64..4.0,
-        max_candidates in 1usize..6,
-    ) {
-        let specs: Vec<(f64, f64)> = costs.iter().map(|&c| (c, 100.0)).collect();
-        let f = fleet(&specs);
-        let cfg = MatchingConfig { score_ratio: ratio, max_candidates };
-        let score_of = |city: CityId| Score(scores[city.0 as usize]);
-        let m = candidate_clusters(&f, CdnId(0), score_of, &cfg);
+/// Per-cluster costs for a fleet of 1..8 clusters and a score for each of
+/// the eight cities one could sit in.
+fn costs_and_scores(rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
+    let costs = vec_of(rng, 1..8, |r| r.gen_range(0.1..5.0));
+    let scores = (0..8).map(|_| rng.gen_range(1.0..1000.0)).collect();
+    (costs, scores)
+}
 
-        prop_assert!(!m.is_empty(), "a CDN with clusters always bids");
-        prop_assert!(m.len() <= max_candidates.max(1));
-        if max_candidates >= 2 {
-            prop_assert!(m.len() >= costs.len().min(2),
-                "second-best rule guarantees >= 2 bids when possible");
-        }
-        let best = m.iter().map(|x| x.score.value()).fold(f64::INFINITY, f64::min);
-        let over = m.iter().filter(|x| x.score.value() > best * ratio).count();
-        prop_assert!(over <= 1, "{over} candidates beyond the {ratio}x cutoff");
-        for w in m.windows(2) {
-            prop_assert!(w[0].cost_per_mb.total_cmp(&w[1].cost_per_mb).is_le(),
-                "candidates must be cost-ascending");
-        }
-        let mut ids: Vec<ClusterId> = m.iter().map(|x| x.cluster).collect();
-        ids.sort();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), m.len(), "no duplicate clusters");
-    }
+/// §5.1 candidate selection on arbitrary fleets: every candidate is
+/// within `score_ratio ×` the best score except for at most one forced
+/// second-best, there are no duplicates, the list is cost-ascending,
+/// and a CDN with ≥ 2 clusters never bids fewer than 2 candidates
+/// (before truncation to `max_candidates`).
+#[test]
+fn matching_honours_the_candidate_contract() {
+    check(
+        CASES,
+        |rng| {
+            let (costs, scores) = costs_and_scores(rng);
+            let cfg = MatchingConfig {
+                score_ratio: rng.gen_range(1.1..4.0),
+                max_candidates: rng.gen_range(1usize..6),
+            };
+            (costs, scores, cfg)
+        },
+        |(costs, scores, cfg)| {
+            let (ratio, max_candidates) = (cfg.score_ratio, cfg.max_candidates);
+            let specs: Vec<(f64, f64)> = costs.iter().map(|&c| (c, 100.0)).collect();
+            let f = fleet(&specs);
+            let score_of = |city: CityId| Score(scores[city.0 as usize]);
+            let m = candidate_clusters(&f, CdnId(0), score_of, cfg);
 
-    /// The single-matching rule is the truncation of the full rule: the
-    /// preferred cluster is exactly the first candidate under the default
-    /// 2x cutoff.
-    #[test]
-    fn preferred_cluster_is_head_of_candidate_list(
-        costs in proptest::collection::vec(0.1f64..5.0, 1..8),
-        scores in proptest::collection::vec(1.0f64..1000.0, 8),
-    ) {
+            assert!(!m.is_empty(), "a CDN with clusters always bids");
+            assert!(m.len() <= max_candidates.max(1));
+            if max_candidates >= 2 {
+                assert!(
+                    m.len() >= costs.len().min(2),
+                    "second-best rule guarantees >= 2 bids when possible"
+                );
+            }
+            let best = m
+                .iter()
+                .map(|x| x.score.value())
+                .fold(f64::INFINITY, f64::min);
+            let over = m.iter().filter(|x| x.score.value() > best * ratio).count();
+            assert!(over <= 1, "{over} candidates beyond the {ratio}x cutoff");
+            for w in m.windows(2) {
+                assert!(
+                    w[0].cost_per_mb.total_cmp(&w[1].cost_per_mb).is_le(),
+                    "candidates must be cost-ascending"
+                );
+            }
+            let mut ids: Vec<ClusterId> = m.iter().map(|x| x.cluster).collect();
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), m.len(), "no duplicate clusters");
+        },
+    );
+}
+
+/// The single-matching rule is the truncation of the full rule: the
+/// preferred cluster is exactly the first candidate under the default
+/// 2x cutoff.
+#[test]
+fn preferred_cluster_is_head_of_candidate_list() {
+    check(CASES, costs_and_scores, |(costs, scores)| {
         let specs: Vec<(f64, f64)> = costs.iter().map(|&c| (c, 100.0)).collect();
         let f = fleet(&specs);
         let score_of = |city: CityId| Score(scores[city.0 as usize]);
         let full = candidate_clusters(&f, CdnId(0), score_of, &MatchingConfig::default());
         let preferred = preferred_cluster(&f, CdnId(0), score_of);
-        prop_assert_eq!(preferred, full.first().map(|m| m.cluster));
-    }
+        assert_eq!(preferred, full.first().map(|m| m.cluster));
+    });
+}
 
-    /// Solo-workload capacity planning conserves demand (every CDN attracts
-    /// the full workload in its solo run) and conserves capacity through
-    /// empty-cluster redistribution (per-CDN total stays 2x demand), while
-    /// never provisioning a negative capacity. Deterministic across runs.
-    #[test]
-    fn capacity_planning_conserves_demand_and_capacity(
-        n_clusters in 1usize..7,
-        demands in proptest::collection::vec(1.0f64..100.0, 1..12),
-        seed in any::<u32>(),
-    ) {
-        let world = World::generate(
-            &WorldConfig { countries: 4, cities: 16, ..Default::default() },
-            7,
-        );
-        let specs: Vec<(f64, f64)> = (0..n_clusters).map(|i| (1.0 + i as f64, 0.0)).collect();
-        let mut f = fleet(&specs);
-        // Spread cluster cities over the generated world (fleet() numbers
-        // them 0..n, all of which exist for n_clusters < 7 < 16).
-        let demand: Vec<Demand> = demands
-            .iter()
-            .enumerate()
-            .map(|(i, &kbps)| (CityId((i % 16) as u32), Kbps::new(kbps)))
-            .collect();
-        let score_of = |a: CityId, b: CityId| {
-            Score(1.0 + ((a.0 as u64 * 31 + b.0 as u64 * 17 + seed as u64) % 97) as f64)
-        };
+/// Solo-workload capacity planning conserves demand (every CDN attracts
+/// the full workload in its solo run) and conserves capacity through
+/// empty-cluster redistribution (per-CDN total stays 2x demand), while
+/// never provisioning a negative capacity. Deterministic across runs.
+#[test]
+fn capacity_planning_conserves_demand_and_capacity() {
+    check(
+        CASES,
+        |rng| {
+            (
+                rng.gen_range(1usize..7),
+                vec_of(rng, 1..12, |r| r.gen_range(1.0..100.0)),
+                rng.next_u32(),
+            )
+        },
+        |(n_clusters, demands, seed)| {
+            let seed = *seed;
+            let config = WorldConfig {
+                countries: 4,
+                cities: 16,
+                ..Default::default()
+            };
+            let world = World::generate(&config, 7);
+            let specs: Vec<(f64, f64)> = (0..*n_clusters).map(|i| (1.0 + i as f64, 0.0)).collect();
+            let mut f = fleet(&specs);
+            // Spread cluster cities over the generated world (fleet() numbers
+            // them 0..n, all of which exist for n_clusters < 7 < 16).
+            let demand: Vec<Demand> = demands
+                .iter()
+                .enumerate()
+                .map(|(i, &kbps)| (CityId((i % 16) as u32), Kbps::new(kbps)))
+                .collect();
+            let score_of = |a: CityId, b: CityId| {
+                Score(1.0 + ((a.0 as u64 * 31 + b.0 as u64 * 17 + seed as u64) % 97) as f64)
+            };
 
-        let attracted = plan_capacities(&world, &mut f, &demand, score_of);
-        let offered: f64 = demand.iter().map(|d| d.1.as_f64()).sum();
-        let landed: f64 = attracted.iter().map(|k| k.as_f64()).sum();
-        prop_assert!((landed - offered).abs() <= 1e-6 * offered.max(1.0),
-            "solo run attracted {landed} of {offered}");
+            let attracted = plan_capacities(&world, &mut f, &demand, score_of);
+            let offered: f64 = demand.iter().map(|d| d.1.as_f64()).sum();
+            let landed: f64 = attracted.iter().map(|k| k.as_f64()).sum();
+            assert!(
+                (landed - offered).abs() <= 1e-6 * offered.max(1.0),
+                "solo run attracted {landed} of {offered}"
+            );
 
-        let total = total_capacity(&f, CdnId(0)).as_f64();
-        prop_assert!((total - PROVISION_FACTOR * offered).abs() <= 1e-6 * offered.max(1.0),
-            "redistribution changed total capacity: {total} vs {}",
-            PROVISION_FACTOR * offered);
-        for cl in &f.clusters {
-            prop_assert!(cl.capacity_kbps >= Kbps::ZERO);
-        }
+            let total = total_capacity(&f, CdnId(0)).as_f64();
+            assert!(
+                (total - PROVISION_FACTOR * offered).abs() <= 1e-6 * offered.max(1.0),
+                "redistribution changed total capacity: {total} vs {}",
+                PROVISION_FACTOR * offered
+            );
+            for cl in &f.clusters {
+                assert!(cl.capacity_kbps >= Kbps::ZERO);
+            }
 
-        let mut f2 = fleet(&specs);
-        plan_capacities(&world, &mut f2, &demand, score_of);
-        for (a, b) in f.clusters.iter().zip(&f2.clusters) {
-            prop_assert_eq!(a.capacity_kbps, b.capacity_kbps);
-        }
-    }
+            let mut f2 = fleet(&specs);
+            plan_capacities(&world, &mut f2, &demand, score_of);
+            for (a, b) in f.clusters.iter().zip(&f2.clusters) {
+                assert_eq!(a.capacity_kbps, b.capacity_kbps);
+            }
+        },
+    );
 }

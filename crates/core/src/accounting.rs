@@ -15,14 +15,13 @@
 //! tracks the *serving cluster's* own cost.
 
 use crate::decision::RoundOutcome;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vdx_cdn::{CdnId, Fleet};
 use vdx_geo::{CountryId, World};
 use vdx_units::{Kbps, Usd};
 
 /// Money/traffic totals for one party (a CDN or a country).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Ledger {
     /// Brokered traffic served.
     pub traffic_kbps: Kbps,
@@ -55,7 +54,7 @@ impl Ledger {
 }
 
 /// A CDN's ledger for a round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CdnLedger {
     /// The CDN.
     pub cdn: CdnId,
@@ -64,7 +63,7 @@ pub struct CdnLedger {
 }
 
 /// Full settlement of one decision round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Settlement {
     /// Per-CDN ledgers, indexed by CDN.
     pub per_cdn: Vec<CdnLedger>,

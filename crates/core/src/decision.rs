@@ -20,8 +20,6 @@
 //!   background commitments) for Marketplace-class designs.
 
 use crate::design::Design;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use vdx_broker::{
     optimize_probed, optimize_probed_ctx, BrokerAssignment, BrokerProblem, ClientGroup, CpPolicy,
     GroupOption, OptimizeContext, OptimizeMode,
@@ -33,6 +31,7 @@ use vdx_cdn::{
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
 use vdx_obs::{Event, NoopProbe, Probe, ScopedTimer};
+use vdx_rand::StdRng;
 use vdx_units::{Kbps, Margin, UsdPerGb};
 
 /// Everything a Decision Protocol round needs to see.
@@ -139,7 +138,7 @@ pub fn run_decision_round_probed(
 /// carried across rounds.
 ///
 /// The Optimize step goes through
-/// [`optimize_probed_ctx`](vdx_broker::optimize_probed_ctx), which emits
+/// [`optimize_probed_ctx`], which emits
 /// one extra [`Event::SolverResolve`] line per round (how the round's
 /// problem differs from the previous one — a pure function of the round
 /// sequence) and skips recomputing decisions that determinism pins down.

@@ -7,10 +7,8 @@
 //! requirements each design meets: Cluster-level Optimization (CO), Dynamic
 //! Cluster Pricing (DCP), and Traffic Predictability (TP).
 
-use serde::{Deserialize, Serialize};
-
 /// How strongly a design provides a requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provision {
     /// Not provided.
     No,
@@ -21,7 +19,7 @@ pub enum Provision {
 }
 
 /// A CDN–broker decision interface design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// Today's world: single-cluster matching, flat-rate prices, nothing
     /// announced.

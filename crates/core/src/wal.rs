@@ -61,6 +61,7 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use vdx_broker::{BreakerSnapshot, HealthState};
+use vdx_proto::wire::Cursor;
 use vdx_proto::{crc32, Bid};
 
 use crate::exchange::{DriverRound, RoundResolution};
@@ -286,10 +287,7 @@ pub fn read_records(path: impl AsRef<Path>) -> Result<(Vec<WalRecord>, u64), Wal
 fn scan(buf: &[u8]) -> (Vec<WalRecord>, u64) {
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
-    loop {
-        let Some(len_bytes) = buf.get(pos..pos + 4) else {
-            break;
-        };
+    while let Some(len_bytes) = buf.get(pos..pos + 4) {
         let len = be_u32(len_bytes) as usize;
         if len > MAX_RECORD_LEN as usize {
             break;
@@ -431,46 +429,10 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
     out
 }
 
-/// A bounds-checked big-endian reader over a record payload; every
-/// decode failure collapses to `None` (= corrupt, never replayed).
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let (head, rest) = (self.buf.get(..n)?, self.buf.get(n..)?);
-        self.buf = rest;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1)?.first().copied()
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(be_u32(self.take(4)?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(self.take(8)?);
-        Some(u64::from_be_bytes(arr))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
 /// A batch count can at most be the remaining bytes over the per-entry
 /// size — reject anything larger before allocating.
 fn plausible(count: u32, entry_len: usize, cur: &Cursor<'_>) -> bool {
-    (count as usize).saturating_mul(entry_len) <= cur.buf.len()
+    (count as usize).saturating_mul(entry_len) <= cur.rest().len()
 }
 
 fn get_bids(cur: &mut Cursor<'_>) -> Option<Vec<Bid>> {
@@ -499,8 +461,10 @@ fn get_snapshot(cur: &mut Cursor<'_>) -> Option<BreakerSnapshot> {
     })
 }
 
+/// Decodes one record payload; every failure — a short read, an unknown
+/// tag, trailing bytes — collapses to `None` (= corrupt, never replayed).
 fn decode_record(payload: &[u8]) -> Option<WalRecord> {
-    let mut cur = Cursor { buf: payload };
+    let mut cur = Cursor::new(payload);
     let record = match cur.u8()? {
         TAG_ANNOUNCE_OPEN => WalRecord::AnnounceOpen { round: cur.u64()? },
         TAG_ANNOUNCE_CLOSE => WalRecord::AnnounceClose {
@@ -566,7 +530,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
         }
         _ => return None,
     };
-    cur.done().then_some(record)
+    cur.rest().is_empty().then_some(record)
 }
 
 // ---------------------------------------------------------------------
@@ -675,8 +639,8 @@ fn resize_to<T>(mut v: Vec<Option<T>>, n: usize) -> Vec<Option<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use vdx_broker::{BreakerConfig, CircuitBreaker, StaleBidCache};
+    use vdx_rand::prop::{bytes, check};
 
     fn bid(cluster: u64, share: u64) -> Bid {
         Bid {
@@ -812,7 +776,10 @@ mod tests {
     #[test]
     fn appends_after_a_truncated_tail_continue_the_log() {
         let path = temp_wal("continue");
-        write_all(&path, &[WalRecord::AnnounceOpen { round: 0 }, settlement(0)]);
+        write_all(
+            &path,
+            &[WalRecord::AnnounceOpen { round: 0 }, settlement(0)],
+        );
         let full = std::fs::read(&path).expect("read");
         std::fs::write(&path, &full[..full.len() - 3]).expect("tear");
         let opened = Wal::open(&path).expect("open");
@@ -923,10 +890,7 @@ mod tests {
         walked.on_failure(0);
         walked.on_failure(1); // trips Open at round 1
         walked.begin_round(4); // cooldown elapsed: HalfOpen
-        for (case, b) in [
-            ("fresh", CircuitBreaker::new(config)),
-            ("walked", walked),
-        ] {
+        for (case, b) in [("fresh", CircuitBreaker::new(config)), ("walked", walked)] {
             let record = WalRecord::Breaker {
                 round: 7,
                 cdn: 0,
@@ -947,58 +911,76 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Recovery never resurrects an expired bid: whatever round the
-        /// WAL says bids were stored in, a post-recovery fetch obeys
-        /// the same TTL arithmetic the uninterrupted cache would have —
-        /// anything older than the TTL stays dead.
-        #[test]
-        fn recovery_never_resurrects_an_expired_bid(
-            stored_round in 0u64..1_000,
-            ttl in 0u64..10,
-            age in 0u64..40,
-            nbids in 0usize..5,
-        ) {
-            let bids: Vec<Bid> = (0..nbids as u64).map(|i| bid(i, i)).collect();
-            let records = vec![
-                WalRecord::AnnounceOpen { round: stored_round },
-                WalRecord::Bids { round: stored_round, cdn: 0, bids: bids.clone() },
-                WalRecord::Settlement(DriverRound {
-                    round: stored_round,
-                    resolution: RoundResolution::Fresh,
-                    picks: vec![],
-                    objective: 0.0,
-                }),
-            ];
-            let recovery = replay(records, 1);
-            let mut cache: StaleBidCache<Vec<Bid>> = StaleBidCache::new(1, ttl);
-            for (cdn, slot) in recovery.cache.into_iter().enumerate() {
-                if let Some((round, bids)) = slot {
-                    cache.store(cdn, round, bids);
+    /// Recovery never resurrects an expired bid: whatever round the WAL
+    /// says bids were stored in, a post-recovery fetch obeys the same TTL
+    /// arithmetic the uninterrupted cache would have — anything older
+    /// than the TTL stays dead.
+    #[test]
+    fn recovery_never_resurrects_an_expired_bid() {
+        check(
+            256,
+            |rng| {
+                (
+                    rng.gen_range(0u64..1_000),
+                    rng.gen_range(0u64..10),
+                    rng.gen_range(0u64..40),
+                    rng.gen_range(0u64..5),
+                )
+            },
+            |&(stored_round, ttl, age, nbids)| {
+                let bids: Vec<Bid> = (0..nbids).map(|i| bid(i, i)).collect();
+                let records = vec![
+                    WalRecord::AnnounceOpen {
+                        round: stored_round,
+                    },
+                    WalRecord::Bids {
+                        round: stored_round,
+                        cdn: 0,
+                        bids: bids.clone(),
+                    },
+                    WalRecord::Settlement(DriverRound {
+                        round: stored_round,
+                        resolution: RoundResolution::Fresh,
+                        picks: vec![],
+                        objective: 0.0,
+                    }),
+                ];
+                let recovery = replay(records, 1);
+                let mut cache: StaleBidCache<Vec<Bid>> = StaleBidCache::new(1, ttl);
+                for (cdn, slot) in recovery.cache.into_iter().enumerate() {
+                    if let Some((round, bids)) = slot {
+                        cache.store(cdn, round, bids);
+                    }
                 }
-            }
-            let now = stored_round + age;
-            let fetched = cache.fetch(0, now);
-            if age <= ttl {
-                prop_assert_eq!(fetched, Some((age, &bids)), "within ttl: reusable");
-            } else {
-                prop_assert_eq!(fetched, None, "expired bids must stay dead after recovery");
-            }
-        }
+                let now = stored_round + age;
+                let fetched = cache.fetch(0, now);
+                if age <= ttl {
+                    assert_eq!(fetched, Some((age, &bids)), "within ttl: reusable");
+                } else {
+                    assert_eq!(fetched, None, "expired bids must stay dead after recovery");
+                }
+            },
+        );
+    }
 
-        /// Framing fuzz: any byte soup after the magic scans without
-        /// panicking, and whatever records come back are a prefix
-        /// property — scanning is fail-stop, never fail-garble.
-        #[test]
-        fn scanning_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
-            let mut buf = WAL_MAGIC.to_vec();
-            buf.extend_from_slice(&bytes);
-            let (records, valid_len) = scan(&buf);
-            prop_assert!(valid_len as usize <= buf.len());
-            // Re-scanning the valid prefix reproduces the same records.
-            let (again, again_len) = scan(&buf[..valid_len as usize]);
-            prop_assert_eq!(records, again);
-            prop_assert_eq!(valid_len, again_len);
-        }
+    /// Framing fuzz: any byte soup after the magic scans without
+    /// panicking, and whatever records come back are a prefix property —
+    /// scanning is fail-stop, never fail-garble.
+    #[test]
+    fn scanning_arbitrary_bytes_never_panics() {
+        check(
+            256,
+            |rng| bytes(rng, 0..600),
+            |bytes| {
+                let mut buf = WAL_MAGIC.to_vec();
+                buf.extend_from_slice(bytes);
+                let (records, valid_len) = scan(&buf);
+                assert!(valid_len as usize <= buf.len());
+                // Re-scanning the valid prefix reproduces the same records.
+                let (again, again_len) = scan(&buf[..valid_len as usize]);
+                assert_eq!(records, again);
+                assert_eq!(valid_len, again_len);
+            },
+        );
     }
 }

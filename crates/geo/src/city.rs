@@ -8,10 +8,9 @@
 //! city.
 
 use crate::{CountryId, GeoPoint};
-use serde::{Deserialize, Serialize};
 
 /// Index of a city within a [`crate::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CityId(pub u32);
 
 impl CityId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for CityId {
 }
 
 /// A synthetic city.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct City {
     /// Stable id; equals the city's index in the world's city list.
     pub id: CityId,

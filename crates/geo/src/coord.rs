@@ -5,8 +5,6 @@
 //! on top of it. The paper reports data-path distance in miles (Fig 17), so
 //! both kilometre and mile accessors are provided.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometres (IUGG).
 pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 
@@ -18,7 +16,7 @@ pub const KM_PER_MILE: f64 = 1.609_344;
 /// Latitude is clamped to `[-90, +90]`, longitude is wrapped to
 /// `[-180, +180)` at construction; the fields themselves are private so the
 /// invariant always holds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     lat_deg: f64,
     lon_deg: f64,

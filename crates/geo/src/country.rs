@@ -8,10 +8,9 @@
 //! ~30× spread (see `vdx-cdn::cost` for how clusters perturb it).
 
 use crate::{GeoPoint, Region};
-use serde::{Deserialize, Serialize};
 
 /// Index of a country within a [`crate::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryId(pub u32);
 
 impl CountryId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for CountryId {
 }
 
 /// A synthetic country.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Country {
     /// Stable id; equals the country's index in the world's country list.
     pub id: CountryId,

@@ -14,7 +14,7 @@
 //! ## Design notes
 //!
 //! * **Determinism.** All generation is driven by an explicit `u64` seed via
-//!   [`rand::rngs::StdRng`]; the same seed always yields the same world.
+//!   [`vdx_rand::StdRng`]; the same seed always yields the same world.
 //! * **Plain data.** Entities are simple `struct`s with public fields,
 //!   addressed by small copyable id types ([`CountryId`], [`CityId`]); the
 //!   [`World`] owns flat `Vec`s indexed by those ids. No interior mutability,

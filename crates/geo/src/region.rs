@@ -8,10 +8,8 @@
 //! generation and the baseline bandwidth-cost multipliers that
 //! `vdx-cdn::cost` perturbs per country.
 
-use serde::{Deserialize, Serialize};
-
 /// A continent-scale geographic region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Region {
     /// Europe (the CloudFlare cost baseline).
     Europe,

@@ -13,12 +13,10 @@
 //!   to first order.
 
 use crate::{City, CityId, Country, CountryId, GeoPoint, Region};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use vdx_rand::StdRng;
 
 /// Configuration for [`World::generate`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Number of countries to generate (distributed over regions by demand
     /// share; every region gets at least one).
@@ -51,7 +49,7 @@ impl Default for WorldConfig {
 }
 
 /// The static geography of a simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct World {
     countries: Vec<Country>,
     cities: Vec<City>,

@@ -11,6 +11,7 @@
 //! `Type::new(..)`/`Type(..)` initializer.
 
 use crate::ast::*;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// One function (free or associated) in the workspace.
@@ -401,15 +402,15 @@ impl<'a> CallGraph<'a> {
         let mut parent: HashMap<usize, Option<(usize, Span)>> = HashMap::new();
         let mut q: VecDeque<usize> = VecDeque::new();
         for &r in roots {
-            if !parent.contains_key(&r) {
-                parent.insert(r, None);
+            if let Entry::Vacant(slot) = parent.entry(r) {
+                slot.insert(None);
                 q.push_back(r);
             }
         }
         while let Some(n) = q.pop_front() {
             for e in &self.edges[n] {
-                if !parent.contains_key(&e.callee) {
-                    parent.insert(e.callee, Some((n, e.span)));
+                if let Entry::Vacant(slot) = parent.entry(e.callee) {
+                    slot.insert(Some((n, e.span)));
                     q.push_back(e.callee);
                 }
             }

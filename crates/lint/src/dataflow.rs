@@ -7,8 +7,9 @@
 //!   path, and blocking calls (channel send/recv, stream I/O, `join`)
 //!   made while a lock is held, directly or through the call graph.
 //! * **determinism taint** — nondeterminism sources (`Instant::now`,
-//!   `SystemTime::now`, RNG-from-entropy, `HashMap`/`HashSet`
-//!   iteration, thread ids) are taint roots; taint propagating into an
+//!   `SystemTime::now`, `HashMap`/`HashSet` iteration, thread ids)
+//!   are taint roots (an unseeded RNG is not among them: `vdx-rand`
+//!   has no such constructor); taint propagating into an
 //!   `Event` construction site outside the sanctioned `obs::timing`
 //!   sink is an error.
 //! * **panic-path reachability** — `unwrap`/`expect`/indexing sites
@@ -245,7 +246,7 @@ fn calls_outside_spawn<'a>(g: &CallGraph<'a>) -> Vec<Vec<(usize, Span, String)>>
 
 /// `true` when `e` sits lexically inside a spawn-call argument of the
 /// body. Used to exclude fresh-thread code from same-thread facts.
-fn spawn_arg_spans<'a>(b: &'a Block) -> Vec<&'a Expr> {
+fn spawn_arg_spans(b: &Block) -> Vec<&Expr> {
     let mut args = Vec::new();
     walk_block(b, &mut |e| match e {
         Expr::Call {
@@ -355,14 +356,11 @@ fn blocking_fixpoint<'a>(
                 }
                 let names: Vec<String> = acq[*callee].keys().cloned().collect();
                 for name in names {
-                    if !acq[idx].contains_key(&name) {
-                        acq[idx].insert(
-                            name,
-                            Hop {
-                                what: format!("call to `{via}`"),
-                                via: Some(*callee),
-                            },
-                        );
+                    if let std::collections::btree_map::Entry::Vacant(slot) = acq[idx].entry(name) {
+                        slot.insert(Hop {
+                            what: format!("call to `{via}`"),
+                            via: Some(*callee),
+                        });
                         changed = true;
                     }
                 }
@@ -652,7 +650,7 @@ impl<'s, 'a> LockScan<'s, 'a> {
     }
 
     /// Post-scan checks for a call site while locks are held.
-    fn check_callees(&mut self, cands: &[usize], via: &str, span: Span, held: &mut Vec<Held>) {
+    fn check_callees(&mut self, cands: &[usize], via: &str, span: Span, held: &[Held]) {
         if held.is_empty() {
             return;
         }
@@ -968,12 +966,6 @@ fn nondet_source_path(segs: &[String]) -> Option<String> {
             return Some("`thread::current()` id".to_string());
         }
     }
-    if last == "thread_rng" {
-        return Some("`thread_rng()`".to_string());
-    }
-    if last == "from_entropy" {
-        return Some("RNG `from_entropy()`".to_string());
-    }
     None
 }
 
@@ -982,12 +974,6 @@ fn macro_nondet(tokens: &[String]) -> Option<String> {
         if w[1] == "::" && w[2] == "now" && (w[0] == "Instant" || w[0] == "SystemTime") {
             return Some(format!("`{}::now()` in macro args", w[0]));
         }
-    }
-    if tokens
-        .iter()
-        .any(|t| t == "thread_rng" || t == "from_entropy")
-    {
-        return Some("RNG source in macro args".to_string());
     }
     None
 }
@@ -1281,18 +1267,16 @@ fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFin
             }
             Expr::StructLit {
                 segs, fields, span, ..
-            } => {
-                if segs.iter().any(|s| s == ev) {
-                    let t = fields
-                        .iter()
-                        .filter_map(|(name, v)| match v {
-                            Some(v) => env.expr_taint(v),
-                            None => env.tainted.get(name.as_str()).cloned(),
-                        })
-                        .next();
-                    if let Some(t) = t {
-                        sink_findings.push((*span, t));
-                    }
+            } if segs.iter().any(|s| s == ev) => {
+                let t = fields
+                    .iter()
+                    .filter_map(|(name, v)| match v {
+                        Some(v) => env.expr_taint(v),
+                        None => env.tainted.get(name.as_str()).cloned(),
+                    })
+                    .next();
+                if let Some(t) = t {
+                    sink_findings.push((*span, t));
                 }
             }
             _ => {}

@@ -9,7 +9,7 @@
 //! 3. `event-schema` — every `obs::Event` variant appears in the
 //!    DESIGN.md §7 journal-schema table.
 //!
-//! A bare wall-clock or entropy read is clippy's to deny (`clippy.toml`
+//! A bare wall-clock read is clippy's to deny (`clippy.toml`
 //! `disallowed-methods`); whether one reaches an `Event` is
 //! `determinism-taint`'s.
 //!
@@ -394,7 +394,7 @@ fn journal_schema_tags(design_md: &str) -> Vec<(String, usize)> {
     tags
 }
 
-/// `RunHeader` → `run_header` (serde's snake_case rename rule).
+/// `RunHeader` → `run_header` (the journal's tag convention).
 fn camel_to_snake(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 4);
     for (i, c) in name.chars().enumerate() {

@@ -336,7 +336,7 @@ pub fn cook(raw: Vec<Token>) -> Vec<Token> {
                     let frac_is_digits =
                         frac.is_some_and(|f| is_number(f) && raw[j].adjacent_to(f));
                     let frac_is_ident = frac.is_some_and(|f| f.is_ident && !is_number(f));
-                    if frac_is_digits || (!frac_is_ident && !frac_is_digits) {
+                    if frac_is_digits || !frac_is_ident {
                         text.push('.');
                         j += 1;
                         if frac_is_digits {

@@ -14,10 +14,9 @@
 
 use crate::latency::mix;
 use crate::score::Score;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use vdx_geo::CityId;
+use vdx_rand::StdRng;
 
 /// Draws noisy observations of true scores, deterministic per
 /// `(seed, pair, sample index)`.

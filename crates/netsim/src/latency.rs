@@ -15,16 +15,14 @@
 //! it is what makes *several distinct clusters* score within 25 % of the
 //! best for most clients — the effect the paper quantifies in its Table 1.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vdx_geo::GeoPoint;
+use vdx_rand::StdRng;
 
 /// Speed of light in vacuum, km per millisecond.
 const C_KM_PER_MS: f64 = 299.792_458;
 
 /// Parameters of the latency model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyConfig {
     /// Multiplier on great-circle distance to account for real route paths.
     pub route_inflation: f64,

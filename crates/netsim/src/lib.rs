@@ -20,8 +20,7 @@
 //! * [`path`] — the [`path::NetModel`] façade that downstream crates use to
 //!   ask "what is the path quality from city A to city B?";
 //! * [`matrix`] — the [`matrix::ScoreMatrix`] dense city×site table:
-//!   precompute every score once (in parallel under the default-on
-//!   `parallel` feature), answer in O(1) thereafter.
+//!   precompute every score once, answer in O(1) thereafter.
 //!
 //! Determinism: every quantity is a pure function of `(seed, endpoints)`;
 //! there is no global RNG state, so queries can be made in any order and

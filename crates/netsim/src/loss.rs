@@ -7,13 +7,11 @@
 //! the paper: "a simple function of latency and packet loss").
 
 use crate::latency::mix;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vdx_geo::GeoPoint;
+use vdx_rand::StdRng;
 
 /// Parameters of the loss model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LossConfig {
     /// Loss floor present on every path (fraction, e.g. 0.001 = 0.1 %).
     pub base_loss: f64,

@@ -9,17 +9,15 @@
 //! builds one [`ScoreMatrix`] over its cluster cities and answers every
 //! subsequent query with an O(1) table lookup.
 //!
-//! The fill itself is embarrassingly parallel (scores are pure functions
-//! of `(seed, city pair)`, see the crate docs) and runs on rayon when the
-//! default-on `parallel` feature is enabled; the resulting table is
-//! bit-identical either way.
+//! The fill runs on the calling thread, once per scenario build. Rows
+//! are independent (scores are pure functions of `(seed, city pair)`, see
+//! the crate docs), so it could fan out; at full scale that was worth
+//! about 30 ms per build on two cores, which did not pay for a thread
+//! pool.
 
 use crate::path::NetModel;
 use crate::score::Score;
 use vdx_geo::{CityId, World};
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 
 /// A dense `[client city][site city]` score table with O(1) lookup.
 ///
@@ -54,22 +52,11 @@ impl ScoreMatrix {
         let cols = columns.len();
         let mut scores = vec![Score(0.0); n_cities * cols];
         if cols > 0 {
-            let fill_row = |row: usize, out: &mut [Score]| {
-                let client = world.cities()[row].id;
-                for (slot, &site) in out.iter_mut().zip(&columns) {
-                    *slot = net.score(world, client, site);
+            for (city, row) in world.cities().iter().zip(scores.chunks_mut(cols)) {
+                for (slot, &site) in row.iter_mut().zip(&columns) {
+                    *slot = net.score(world, city.id, site);
                 }
-            };
-            #[cfg(feature = "parallel")]
-            scores
-                .par_chunks_mut(cols)
-                .enumerate()
-                .for_each(|(row, out)| fill_row(row, out));
-            #[cfg(not(feature = "parallel"))]
-            scores
-                .chunks_mut(cols)
-                .enumerate()
-                .for_each(|(row, out)| fill_row(row, out));
+            }
         }
         ScoreMatrix {
             site_col,

@@ -9,11 +9,10 @@
 use crate::latency::{LatencyConfig, LatencyModel};
 use crate::loss::{LossConfig, LossModel};
 use crate::score::Score;
-use serde::{Deserialize, Serialize};
 use vdx_geo::{CityId, World};
 
 /// Combined configuration for a [`NetModel`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NetModelConfig {
     /// Latency model parameters.
     pub latency: LatencyConfig,
@@ -22,7 +21,7 @@ pub struct NetModelConfig {
 }
 
 /// Quality of a client→cluster path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathQuality {
     /// Round-trip time in milliseconds.
     pub rtt_ms: f64,

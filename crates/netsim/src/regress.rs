@@ -9,10 +9,9 @@
 //!    vs. requests-per-city — plain [`LinearFit`].
 
 use crate::score::Score;
-use serde::{Deserialize, Serialize};
 
 /// Result of a simple linear regression `y ≈ slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,
@@ -71,7 +70,7 @@ impl LinearFit {
 
 /// Extrapolates missing client–cluster scores from distance, exactly as the
 /// paper does for pairs absent from the CDN mapping data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScoreExtrapolator {
     fit: LinearFit,
     /// Scores are never extrapolated below this floor (the access-penalty

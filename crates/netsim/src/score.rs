@@ -15,8 +15,6 @@
 //! score is within 25 % of the best; [`alternatives_within`] implements that
 //! count and [`SIMILARITY_MARGIN`] pins the 25 % constant.
 
-use serde::{Deserialize, Serialize};
-
 /// Weight of the loss fraction in the score (dimensionless). With loss
 /// fractions up to 0.2, loss can at most double an RTT-based score.
 pub const LOSS_WEIGHT: f64 = 5.0;
@@ -27,7 +25,7 @@ pub const SIMILARITY_MARGIN: f64 = 0.25;
 
 /// A performance score; lower is better. Wrapper to keep units straight and
 /// provide total ordering (scores are always finite by construction).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Score(pub f64);
 
 impl Score {

@@ -1,7 +1,8 @@
 //! The typed event schema: everything a VDX run can journal.
 //!
-//! One [`Event`] is one JSONL line. Events are serde-serializable with an
-//! internal `"ev"` tag, so a journal line reads naturally:
+//! One [`Event`] is one JSONL line: a flat object whose first key is the
+//! `"ev"` tag ([`Event::kind`]) and whose other keys are the variant's
+//! fields in declaration order, so a journal line reads naturally:
 //!
 //! ```text
 //! {"ev":"round_started","round":0,"design":"Marketplace","groups":412,"cdns":14}
@@ -17,14 +18,23 @@
 //!   from the host clock and differ run to run. [`Event::zero_wall_clock`]
 //!   zeroes exactly this set, after which two journals of the same seeded
 //!   run are byte-identical (tested in `vdx-sim`).
+//!
+//! The line format is written by [`Event::to_json_line`] and read by
+//! [`Event::from_json`], both generated from the one field table at the
+//! bottom of this file. Numbers are typed per field: `u64`/`u32` fields
+//! print as exact integers, `f64` fields always carry a fraction or an
+//! exponent ([`crate::json::write_f64`]), which is byte for byte what the
+//! `serde_json` derive this replaced produced (DESIGN.md §7's example
+//! lines are the goldens).
 
-use serde::{Deserialize, Serialize};
+use crate::json::{write_f64, write_string, Json};
+use std::fmt::Write as _;
 
 /// Journal schema version; bump when variants or fields change shape.
 ///
 /// v3 added `threads` and `git_commit` to [`Event::RunHeader`] so the
-/// audit store (`vdx-audit`) can attribute runs to builds. Both carry
-/// `#[serde(default)]`, so v2 journals still parse; readers must reject
+/// audit store (`vdx-audit`) can attribute runs to builds. Both default
+/// when absent, so v2 journals still parse; readers must reject
 /// journals *newer* than this constant (see `read_journal`). v4 added
 /// [`Event::SolverResolve`], the per-round problem-delta record emitted
 /// by the warm-start layer; older journals simply lack the variant, so
@@ -43,8 +53,7 @@ pub const SCHEMA_VERSION: u32 = 6;
 
 /// One journaled event. See the module docs for the field taxonomy and
 /// DESIGN.md §7 for one example line per variant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "ev", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// First line of every journal: identifies the run.
     RunHeader {
@@ -60,12 +69,11 @@ pub enum Event {
         started_unix_ms: u64,
         /// Worker threads the run was configured with; 0 means the
         /// ambient parallelism (no explicit `--threads`). Absent in
-        /// schema v2 journals, hence the default.
-        #[serde(default)]
+        /// schema v2 journals, where it reads as 0.
         threads: u64,
         /// Short git commit hash of the producing build, or `unknown`
-        /// outside a checkout. Absent in schema v2 journals.
-        #[serde(default)]
+        /// outside a checkout. Absent in schema v2 journals, where it
+        /// reads as empty.
         git_commit: String,
     },
     /// A named phase (scenario build, one experiment, ...) began.
@@ -408,45 +416,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// The `"ev"` tag this variant serializes under.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunHeader { .. } => "run_header",
-            Event::PhaseStarted { .. } => "phase_started",
-            Event::PhaseFinished { .. } => "phase_finished",
-            Event::RoundStarted { .. } => "round_started",
-            Event::SharePublished { .. } => "share_published",
-            Event::BidReceived { .. } => "bid_received",
-            Event::AcceptIssued { .. } => "accept_issued",
-            Event::SolverResolve { .. } => "solver_resolve",
-            Event::SolverStats { .. } => "solver_stats",
-            Event::RoundCompleted { .. } => "round_completed",
-            Event::SessionMoved { .. } => "session_moved",
-            Event::ClusterCongested { .. } => "cluster_congested",
-            Event::FaultPlanApplied { .. } => "fault_plan_applied",
-            Event::CdnOutage { .. } => "cdn_outage",
-            Event::ExchangeOutage { .. } => "exchange_outage",
-            Event::DeadlineMissed { .. } => "deadline_missed",
-            Event::StaleBidsReused { .. } => "stale_bids_reused",
-            Event::DesignFallback { .. } => "design_fallback",
-            Event::WireDrops { .. } => "wire_drops",
-            Event::FrameRetransmitted { .. } => "frame_retransmitted",
-            Event::PayloadFragmented { .. } => "payload_fragmented",
-            Event::ConnAccepted { .. } => "conn_accepted",
-            Event::ConnClosed { .. } => "conn_closed",
-            Event::ConnBackpressure { .. } => "conn_backpressure",
-            Event::HealthTransition { .. } => "health_transition",
-            Event::HealthProbe { .. } => "health_probe",
-            Event::ConnRetry { .. } => "conn_retry",
-            Event::RecoveryStarted { .. } => "recovery_started",
-            Event::RecoveryRoundVoided { .. } => "recovery_round_voided",
-            Event::RecoveryComplete { .. } => "recovery_complete",
-            Event::TimingSummary { .. } => "timing_summary",
-            Event::CounterSnapshot { .. } => "counter_snapshot",
-            Event::ExperimentFinished { .. } => "experiment_finished",
-        }
-    }
-
     /// Zeroes every wall-clock-derived field (see module docs), leaving
     /// simulation fields untouched. After this, journals of identical
     /// seeded runs compare byte-for-byte.
@@ -476,6 +445,178 @@ impl Event {
             _ => {}
         }
     }
+}
+
+/// A field type the journal codec knows how to lay out and read back.
+trait Field: Sized {
+    fn write(&self, out: &mut String);
+    fn read(value: &Json) -> Option<Self>;
+}
+
+impl Field for u64 {
+    fn write(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{self}");
+    }
+    fn read(value: &Json) -> Option<u64> {
+        value.as_u64()
+    }
+}
+
+impl Field for u32 {
+    fn write(&self, out: &mut String) {
+        u64::from(*self).write(out);
+    }
+    fn read(value: &Json) -> Option<u32> {
+        u32::try_from(value.as_u64()?).ok()
+    }
+}
+
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        write_f64(*self, out);
+    }
+    fn read(value: &Json) -> Option<f64> {
+        value.as_f64()
+    }
+}
+
+impl Field for Option<f64> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(value: &Json) -> Option<Option<f64>> {
+        match value {
+            Json::Null => Some(None),
+            other => other.as_f64().map(Some),
+        }
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(value: &Json) -> Option<bool> {
+        value.as_bool()
+    }
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        write_string(self, out);
+    }
+    fn read(value: &Json) -> Option<String> {
+        value.as_str().map(str::to_string)
+    }
+}
+
+/// Generates [`Event::kind`], [`Event::to_json_line`] and
+/// [`Event::from_json`] from one table: per variant its tag and its
+/// fields in line order. `field = default` is the value a line lacking
+/// the key reads as; any other missing key is an error.
+macro_rules! journal_codec {
+    (@missing $field:ident) => {
+        return Err(format!("missing field `{}`", stringify!($field)))
+    };
+    (@missing $field:ident $default:expr) => {
+        $default
+    };
+    ($($tag:literal => $variant:ident { $($field:ident $(= $default:expr)?),* })*) => {
+        impl Event {
+            /// The `"ev"` tag this variant is journaled under.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The event as its one JSONL line (no trailing newline).
+            pub fn to_json_line(&self) -> String {
+                let mut out = String::with_capacity(160);
+                out.push_str("{\"ev\":");
+                write_string(self.kind(), &mut out);
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Field::write($field, &mut out);
+                        )*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+
+            /// Parses one journal line. Unknown keys are ignored (a newer
+            /// writer may add fields); an unknown tag, a missing field
+            /// without a default and a value of the wrong type are errors.
+            pub fn from_json(line: &str) -> Result<Event, String> {
+                let doc = Json::parse(line).map_err(|e| e.to_string())?;
+                let tag = doc
+                    .get("ev")
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| "not an event: no `ev` tag".to_string())?;
+                match tag {
+                    $($tag => Ok(Event::$variant {
+                        $($field: match doc.get(stringify!($field)) {
+                            Some(value) => Field::read(value).ok_or_else(|| {
+                                format!("field `{}` has the wrong type", stringify!($field))
+                            })?,
+                            None => journal_codec!(@missing $field $($default)?),
+                        },)*
+                    }),)*
+                    other => Err(format!("unknown event tag `{other}`")),
+                }
+            }
+        }
+    };
+}
+
+journal_codec! {
+    "run_header" => RunHeader {
+        schema, experiment, seed, scale, started_unix_ms, threads = 0, git_commit = String::new()
+    }
+    "phase_started" => PhaseStarted { phase }
+    "phase_finished" => PhaseFinished { phase, wall_us }
+    "round_started" => RoundStarted { round, design, groups, cdns }
+    "share_published" => SharePublished { round, shares, demand_kbps }
+    "bid_received" => BidReceived { round, cdn, bids }
+    "accept_issued" => AcceptIssued { round, accepted, rejected }
+    "solver_resolve" => SolverResolve { round, changed_clients, changed_buckets, warm_eligible }
+    "solver_stats" => SolverStats {
+        round, mode, pivots, bnb_nodes, optimality_gap = None, objective
+    }
+    "round_completed" => RoundCompleted { round, objective, options }
+    "session_moved" => SessionMoved { bin, moved, continuing }
+    "cluster_congested" => ClusterCongested { round, cluster, load_kbps, capacity_kbps }
+    "fault_plan_applied" => FaultPlanApplied {
+        round, drop_chance, corrupt_chance, delay_ms, jitter_ms, exchange_outage, failed_cdns,
+        deadline_ms
+    }
+    "cdn_outage" => CdnOutage { round, cdn }
+    "exchange_outage" => ExchangeOutage { round }
+    "deadline_missed" => DeadlineMissed { round, missing_cdns, deadline_ms }
+    "stale_bids_reused" => StaleBidsReused { round, cdn, age_rounds, bids }
+    "design_fallback" => DesignFallback { round, from, to, reason }
+    "wire_drops" => WireDrops { round, cdn, link_dropped, corrupt_discarded, out_of_order }
+    "frame_retransmitted" => FrameRetransmitted { at_ms, frames }
+    "payload_fragmented" => PayloadFragmented { fragments, bytes }
+    "conn_accepted" => ConnAccepted { at_ms, cdn, peer }
+    "conn_closed" => ConnClosed { at_ms, cdn, reason }
+    "conn_backpressure" => ConnBackpressure { at_ms, cdn, queued }
+    "health_transition" => HealthTransition { round, cdn, from, to, reason }
+    "health_probe" => HealthProbe { round, cdn, success }
+    "conn_retry" => ConnRetry { at_ms, cdn, attempt, backoff_ms }
+    "recovery_started" => RecoveryStarted { records, truncated_bytes }
+    "recovery_round_voided" => RecoveryRoundVoided { round }
+    "recovery_complete" => RecoveryComplete { next_round, rounds_recovered, rounds_voided }
+    "timing_summary" => TimingSummary { name, count, mean_us, p50_us, p95_us, p99_us }
+    "counter_snapshot" => CounterSnapshot { name, value }
+    "experiment_finished" => ExperimentFinished { experiment, wall_ms, events }
 }
 
 #[cfg(test)]
@@ -662,17 +803,98 @@ mod tests {
     #[test]
     fn every_variant_round_trips_through_json() {
         for event in samples() {
-            let line = serde_json::to_string(&event).expect("serializable");
-            let back: Event = serde_json::from_str(&line).expect("deserializable");
+            let line = event.to_json_line();
+            let back = Event::from_json(&line).expect("deserializable");
             assert_eq!(back, event, "round-trip of {line}");
         }
+    }
+
+    /// The journal format's goldens: every example line of DESIGN.md §7
+    /// (one per variant) must come back out of the reader and writer
+    /// byte for byte. The lines predate this codec — they were written
+    /// against the `serde_json` derive — so they pin key order, number
+    /// layout and string quoting from outside it.
+    #[test]
+    fn design_md_example_lines_round_trip_byte_for_byte() {
+        let design = include_str!("../../../DESIGN.md");
+        let mut kinds = std::collections::HashSet::new();
+        for row in design.lines().filter(|l| l.contains("| `{\"ev\":")) {
+            let start = row.find("`{\"ev\":").expect("filtered on it") + 1;
+            let end = row.rfind("}`").expect("example cell closes") + 1;
+            let line = &row[start..end];
+            let event = Event::from_json(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(event.to_json_line(), line);
+            kinds.insert(event.kind());
+        }
+        let all: std::collections::HashSet<_> = samples().iter().map(Event::kind).collect();
+        assert_eq!(kinds, all, "one example line per variant");
+    }
+
+    #[test]
+    fn integers_are_exact_and_floats_keep_their_fraction() {
+        let header = Event::RunHeader {
+            schema: SCHEMA_VERSION,
+            experiment: "t".into(),
+            seed: u64::MAX,
+            scale: "small".into(),
+            started_unix_ms: (1 << 53) + 1,
+            threads: 0,
+            git_commit: "a\"b".into(),
+        };
+        let line = header.to_json_line();
+        assert!(line.contains("\"seed\":18446744073709551615,"), "{line}");
+        assert!(
+            line.contains("\"started_unix_ms\":9007199254740993,"),
+            "{line}"
+        );
+        assert!(line.ends_with(",\"git_commit\":\"a\\\"b\"}"), "{line}");
+        assert_eq!(Event::from_json(&line), Ok(header));
+
+        let stats = Event::SolverStats {
+            round: 0,
+            mode: "heuristic".into(),
+            pivots: 0,
+            bnb_nodes: 0,
+            optimality_gap: None,
+            objective: 17.0,
+        };
+        let line = stats.to_json_line();
+        assert!(
+            line.ends_with("\"optimality_gap\":null,\"objective\":17.0}"),
+            "{line}"
+        );
+        assert_eq!(Event::from_json(&line), Ok(stats));
+    }
+
+    #[test]
+    fn malformed_lines_are_errors_not_panics() {
+        for bad in [
+            "",
+            "not json",
+            "[1,2]",
+            "{\"round\":1}",
+            "{\"ev\":\"no_such_event\"}",
+            "{\"ev\":\"cdn_outage\",\"round\":1}",
+            "{\"ev\":\"cdn_outage\",\"round\":1,\"cdn\":\"3\"}",
+            "{\"ev\":\"cdn_outage\",\"round\":1,\"cdn\":4294967296}",
+            "{\"ev\":\"cdn_outage\",\"round\":-1,\"cdn\":0}",
+            "{\"ev\":\"cdn_outage\",\"round\":1.5,\"cdn\":0}",
+            "{\"ev\":\"round_completed\",\"round\":1,\"objective\":null,\"options\":2}",
+        ] {
+            assert!(Event::from_json(bad).is_err(), "{bad:?} should fail");
+        }
+        // Unknown keys are a newer writer's business.
+        assert_eq!(
+            Event::from_json("{\"ev\":\"exchange_outage\",\"round\":3,\"later\":[1]}"),
+            Ok(Event::ExchangeOutage { round: 3 })
+        );
     }
 
     #[test]
     fn kinds_match_the_serialized_tag_and_are_unique() {
         let mut seen = std::collections::HashSet::new();
         for event in samples() {
-            let line = serde_json::to_string(&event).expect("serializable");
+            let line = event.to_json_line();
             let tag = format!("\"ev\":\"{}\"", event.kind());
             assert!(line.contains(&tag), "{line} should carry {tag}");
             assert!(seen.insert(event.kind()), "duplicate kind {}", event.kind());
@@ -681,13 +903,13 @@ mod tests {
 
     #[test]
     fn v2_run_header_without_new_fields_still_parses() {
-        // A schema-v2 journal line predates `threads`/`git_commit`; the
-        // serde defaults keep it readable.
+        // A schema-v2 journal line predates `threads`/`git_commit`; their
+        // defaults keep it readable.
         let line = concat!(
             "{\"ev\":\"run_header\",\"schema\":2,\"experiment\":\"table3\",",
             "\"seed\":2017,\"scale\":\"full\",\"started_unix_ms\":0}"
         );
-        let event: Event = serde_json::from_str(line).expect("v2 header parses");
+        let event = Event::from_json(line).expect("v2 header parses");
         assert_eq!(
             event,
             Event::RunHeader {

@@ -22,7 +22,7 @@ pub enum JournalError {
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
-        /// The serde error message.
+        /// Why the line was rejected.
         message: String,
     },
     /// The journal's [`Event::RunHeader`] declares a schema newer than
@@ -116,10 +116,9 @@ impl Journal {
 
     /// Appends one event as one JSON line.
     pub fn write(&mut self, event: &Event) -> Result<(), JournalError> {
-        let line = serde_json::to_string(event)
-            .expect("Event serialization is infallible for in-memory values");
+        let mut line = event.to_json_line();
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.events += 1;
         Ok(())
     }
@@ -161,14 +160,14 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// [`SCHEMA_VERSION`] are rejected with [`JournalError::Version`] —
 /// including when the header itself no longer parses as an [`Event`]
 /// (the schema number is sniffed from the raw first line). Older
-/// schemas read fine: new fields carry serde defaults.
+/// schemas read fine: new fields default when absent.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> {
     let file = File::open(path.as_ref())?;
     let reader = BufReader::new(file);
     let mut events = Vec::new();
     for (idx, line) in reader.lines().enumerate() {
         let line = line?;
-        match serde_json::from_str::<Event>(&line) {
+        match Event::from_json(&line) {
             Ok(event) => {
                 if let Event::RunHeader { schema, .. } = &event {
                     if *schema > SCHEMA_VERSION {
@@ -193,7 +192,7 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> 
                 }
                 return Err(JournalError::Parse {
                     line: idx + 1,
-                    message: e.to_string(),
+                    message: e,
                 });
             }
         }
@@ -266,7 +265,8 @@ mod tests {
     fn newer_schema_journal_is_rejected() {
         let path = temp_path("future.jsonl");
         // A parseable header from a hypothetical v99 writer: unknown
-        // fields are ignored by serde, so the version check must catch it.
+        // fields are ignored by the reader, so the version check must
+        // catch it.
         fs::write(
             &path,
             concat!(

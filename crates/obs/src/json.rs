@@ -1,6 +1,7 @@
-//! A minimal JSON value model with a recursive-descent parser and a
-//! writer — the crate's replacement for `serde_json`, in the spirit of
-//! `vdx-lint`'s hand-rolled lexer (dependency-free by design).
+//! The workspace's one JSON stack: a minimal value model with a
+//! recursive-descent parser and a writer, std-only. The journal codec
+//! ([`crate::Event::to_json_line`] / [`crate::Event::from_json`]) and
+//! everything `vdx-audit` reads or writes go through it.
 //!
 //! The model is deliberately small: journal events are flat objects of
 //! scalars and `BENCH_experiments.json` is two levels of arrays-of-objects,
@@ -8,7 +9,7 @@
 //! keys keep their insertion order (journal lines are byte-deterministic;
 //! the store must not reorder what it echoes back).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +20,11 @@ pub enum Json {
     Bool(bool),
     /// Any JSON number (integers are exact up to 2^53).
     Num(f64),
+    /// An unsigned integer token of 2^53 or more, which [`Json::Num`]
+    /// would round: the parser keeps it exact so `u64` journal fields
+    /// (seeds) read back as written. Smaller integers always parse as
+    /// `Num`.
+    Int(u64),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -71,17 +77,17 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
 
     /// The value as a non-negative integer, if it is a whole number that
-    /// fits `u64` exactly (JSON numbers are exact up to 2^53).
+    /// fits `u64` exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 9_007_199_254_740_992.0 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT => Some(*n as u64),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -147,6 +153,9 @@ impl Json {
     }
 }
 
+/// 2^53: the largest magnitude below which every integer is an `f64`.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
 fn err(offset: usize, message: &str) -> JsonError {
     JsonError {
         offset,
@@ -199,11 +208,15 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .expect("number bytes are a subset of ASCII by construction");
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| err(start, "malformed number"))
+    let malformed = || err(start, "malformed number");
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| malformed())?;
+    let n = text.parse::<f64>().map_err(|_| malformed())?;
+    if n >= MAX_EXACT {
+        if let Ok(exact) = text.parse::<u64>() {
+            return Ok(Json::Int(exact));
+        }
+    }
+    Ok(Json::Num(n))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
@@ -263,7 +276,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 let c = rest
                     .chars()
                     .next()
-                    .expect("non-empty remainder has a first char");
+                    .ok_or_else(|| err(*pos, "unterminated string"))?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -349,6 +362,7 @@ fn write_value(value: &Json, indent: usize, pretty: bool, out: &mut String) {
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
         Json::Num(n) => out.push_str(&fmt_number(*n)),
+        Json::Int(n) => out.push_str(&n.to_string()),
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => write_seq(items.iter(), indent, pretty, b'[', out, |v, i, o| {
             write_value(v, i, pretty, o)
@@ -396,29 +410,64 @@ fn write_seq<T>(
     out.push(close);
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\u{0008}' => out.push_str("\\b"),
+            '\u{000C}' => out.push_str("\\f"),
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
 }
 
-/// Formats a number the way `serde_json` does: whole values in integer
-/// form, everything else via Rust's shortest round-trip float display.
+/// Formats a number of an untyped [`Json::Num`]: whole values up to 2^53
+/// in integer form (`120`, not `120.0` — a `Num` does not know whether it
+/// was a count or a float, and the documents `vdx-audit` writes want
+/// counts to look like counts), everything else via [`write_f64`]. Typed
+/// writers that know a field is a float call [`write_f64`] directly.
 pub fn fmt_number(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
-        format!("{n:.0}")
+    let mut out = String::new();
+    if n.fract() == 0.0 && n.abs() <= MAX_EXACT {
+        let _ = write!(out, "{n:.0}");
     } else {
-        format!("{n}")
+        write_f64(n, &mut out);
+    }
+    out
+}
+
+/// Appends a float field the way `serde_json` (ryu) lays floats out:
+/// shortest digits that round-trip; always a fraction or an exponent
+/// (`17.0`, never `17`); plain decimal for `1e-5 <= |x| < 1e16`
+/// (`0.00005`, `1500000.0`), otherwise scientific with no `+` and no
+/// padding (`1.5e-7`, `1e16`); non-finite values become `null`.
+pub fn write_f64(x: f64, out: &mut String) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let magnitude = x.abs();
+    // Writing to a `String` cannot fail.
+    if magnitude != 0.0 && !(1e-5..1e16).contains(&magnitude) {
+        let _ = write!(out, "{x:e}");
+        return;
+    }
+    // `Display` is shortest-round-trip and never scientific.
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out[start..].contains('.') {
+        out.push_str(".0");
     }
 }
 
@@ -483,11 +532,77 @@ mod tests {
     }
 
     #[test]
-    fn number_formatting_matches_serde_json() {
+    fn untyped_numbers_print_whole_values_as_integers() {
         assert_eq!(fmt_number(120.0), "120");
         assert_eq!(fmt_number(-3.0), "-3");
         assert_eq!(fmt_number(2.5), "2.5");
         assert_eq!(fmt_number(0.2927), "0.2927");
+        assert_eq!(fmt_number(1e300), "1e300");
+    }
+
+    /// The layout of float fields, where Rust's own `{:?}` and
+    /// serde_json/ryu differ (Debug goes scientific below 1e-4, ryu below
+    /// 1e-5; Display never does and drops the `.0`).
+    #[test]
+    fn float_fields_follow_the_ryu_layout() {
+        for (x, want) in [
+            (17.0, "17.0"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (-3.0, "-3.0"),
+            (123.456, "123.456"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1_500_000.0, "1500000.0"),
+            (0.0001, "0.0001"),
+            (0.00005, "0.00005"),
+            (0.00001, "0.00001"),
+            (0.000009, "9e-6"),
+            (1.5e-7, "1.5e-7"),
+            (-1.5e-7, "-1.5e-7"),
+            (9_007_199_254_740_993.0, "9007199254740992.0"),
+            (9_999_999_999_999_998.0, "9999999999999998.0"),
+            (1e16, "1e16"),
+            (1.234e33, "1.234e33"),
+            (f64::MAX, "1.7976931348623157e308"),
+            (f64::MIN_POSITIVE, "2.2250738585072014e-308"),
+            (5e-324, "5e-324"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            let mut got = String::new();
+            write_f64(x, &mut got);
+            assert_eq!(got, want, "{x:?}");
+            if x.is_finite() {
+                assert_eq!(want.parse::<f64>().expect("parses").to_bits(), x.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_stay_exact() {
+        let doc = r#"{"seed":18446744073709551615,"n":9007199254740993,"m":9007199254740991}"#;
+        let v = Json::parse(doc).expect("parses");
+        assert_eq!(v.get("seed").and_then(Json::as_u64), Some(u64::MAX));
+        assert_eq!(v.get("n").and_then(Json::as_u64), Some((1 << 53) + 1));
+        assert_eq!(v.get("m"), Some(&Json::Num(MAX_EXACT - 1.0)));
+        assert_eq!(v.render(), doc);
+        // Past u64 it is a float like any other.
+        assert_eq!(
+            Json::parse("18446744073709551616").expect("parses"),
+            Json::Num(1.8446744073709552e19)
+        );
+    }
+
+    #[test]
+    fn strings_escape_the_way_serde_json_does() {
+        // Short escapes where JSON has them, `\u00XX` for the other
+        // control characters, everything else (DEL, non-ASCII) verbatim.
+        let text = "a\"b\\c\u{8}\u{c}\n\r\t\u{1}~é";
+        let mut out = String::new();
+        write_string(text, &mut out);
+        assert_eq!(out, r#""a\"b\\c\b\f\n\r\t\u0001~é""#);
+        assert_eq!(Json::parse(&out).expect("parses").as_str(), Some(text));
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! # vdx-obs — observability substrate for the VDX workspace
 //!
 //! The flight recorder every other crate reports through, sitting at the
-//! bottom of the stack (it depends on no `vdx-*` crate). Four modules:
+//! bottom of the stack (it depends on no `vdx-*` crate and on nothing
+//! outside `std`). Five modules:
 //!
-//! * [`event`] — the typed, serde-serializable [`Event`] schema: one
-//!   variant per interesting moment in a run (round lifecycle, auction
-//!   steps, solver effort, protocol retransmissions, replay churn, phase
-//!   timing). One event is one JSONL line.
+//! * [`json`] — the workspace's one JSON stack: a small value model,
+//!   parser and writer ([`Json`]), shared with `vdx-audit`.
+//! * [`event`] — the typed [`Event`] schema: one variant per interesting
+//!   moment in a run (round lifecycle, auction steps, solver effort,
+//!   protocol retransmissions, replay churn, phase timing). One event is
+//!   one JSONL line ([`Event::to_json_line`] / [`Event::from_json`]).
 //! * [`journal`] — a buffered JSONL writer ([`Journal`]), one file per
 //!   run, conventionally under `results/journals/`; plus
 //!   [`read_journal`] for consumers like `repro obs-report`.
-//! * [`metrics`] — a `parking_lot`-guarded [`Registry`] of named
+//! * [`metrics`] — a mutex-guarded [`Registry`] of named
 //!   counters, gauges, and fixed-bucket histograms with p50/p95/p99
 //!   summaries, with a process-wide instance at [`metrics::global`].
 //! * [`timing`] — RAII [`ScopedTimer`]s that feed named histograms.
@@ -32,12 +35,14 @@
 
 pub mod event;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 pub mod probe;
 pub mod timing;
 
 pub use event::{Event, SCHEMA_VERSION};
 pub use journal::{read_journal, Journal, JournalError};
+pub use json::Json;
 pub use metrics::{Histogram, Registry};
 pub use probe::{noop, JournalProbe, MemoryProbe, NoopProbe, Probe};
 pub use timing::{ScopedTimer, Stopwatch};

@@ -1,7 +1,7 @@
 //! Process-wide metrics registry: named counters, gauges, and fixed-bucket
 //! histograms with p50/p95/p99 summaries.
 //!
-//! The registry is `parking_lot`-guarded and cheap to hit from hot paths:
+//! The registry is mutex-guarded and cheap to hit from hot paths:
 //! a counter bump is one mutex acquisition and a `BTreeMap` probe (ordered
 //! maps keep every iteration deterministic, so drained events never depend
 //! on hash order). Names are dot-separated by convention
@@ -18,8 +18,7 @@
 //! is the right trade for always-on probes.
 
 use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::event::Event;
 
@@ -151,6 +150,12 @@ pub struct Registry {
 }
 
 impl Registry {
+    /// No panic can start under this lock (its critical sections are map
+    /// updates), so a poisoned lock is a bug, not a state to handle.
+    fn locked(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().expect("metrics registry lock poisoned")
+    }
+
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
@@ -158,19 +163,19 @@ impl Registry {
 
     /// Adds `delta` to the named counter, creating it at zero first.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.locked();
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Sets the named gauge to `value`.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.locked();
         inner.gauges.insert(name.to_string(), value);
     }
 
     /// Records `us` microseconds into the named histogram.
     pub fn observe_us(&self, name: &str, us: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.locked();
         inner
             .histograms
             .entry(name.to_string())
@@ -180,17 +185,17 @@ impl Registry {
 
     /// Current value of a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.lock().counters.get(name).copied().unwrap_or(0)
+        self.locked().counters.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of a gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.inner.lock().gauges.get(name).copied()
+        self.locked().gauges.get(name).copied()
     }
 
     /// Snapshot of the named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().histograms.get(name).cloned()
+        self.locked().histograms.get(name).cloned()
     }
 
     /// Drains the registry into journal events — one
@@ -199,7 +204,7 @@ impl Registry {
     /// histogram — sorted by name for deterministic output, then resets
     /// all state.
     pub fn drain(&self) -> Vec<Event> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.locked();
         let mut events = Vec::new();
 
         let mut counters: Vec<(String, u64)> =

@@ -9,12 +9,10 @@
 //! else.
 //!
 //! Two real sinks ship here: [`MemoryProbe`] (collects into a
-//! `parking_lot`-guarded vec, for tests and benches) and
+//! mutex-guarded vec, for tests and benches) and
 //! [`JournalProbe`] (forwards to a [`Journal`], for the repro CLI).
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::event::Event;
 use crate::journal::Journal;
@@ -63,30 +61,34 @@ impl MemoryProbe {
         MemoryProbe::default()
     }
 
+    fn buffer(&self) -> MutexGuard<'_, Vec<Event>> {
+        self.events.lock().expect("event buffer lock poisoned")
+    }
+
     /// Clones out everything collected so far.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.buffer().clone()
     }
 
     /// Removes and returns everything collected so far.
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.buffer())
     }
 
     /// Number of events collected.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.buffer().len()
     }
 
     /// True when nothing has been collected.
     pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
+        self.buffer().is_empty()
     }
 }
 
 impl Probe for MemoryProbe {
     fn emit(&self, event: Event) {
-        self.events.lock().push(event);
+        self.buffer().push(event);
     }
 }
 
@@ -111,15 +113,16 @@ impl JournalProbe {
     /// Unwraps the journal (e.g. to `finish` it). Reports the first write
     /// error swallowed during emission, if any.
     pub fn into_journal(self) -> Result<Journal, String> {
-        if let Some(err) = self.write_errors.into_inner() {
+        const POISONED: &str = "a thread panicked while journaling";
+        if let Some(err) = self.write_errors.into_inner().map_err(|_| POISONED)? {
             return Err(err);
         }
-        Ok(self.journal.into_inner())
+        self.journal.into_inner().map_err(|_| POISONED.to_string())
     }
 
     /// Events written so far.
     pub fn len(&self) -> u64 {
-        self.journal.lock().len()
+        self.journal.lock().expect("journal lock poisoned").len()
     }
 
     /// True while no event has been written.
@@ -130,8 +133,16 @@ impl JournalProbe {
 
 impl Probe for JournalProbe {
     fn emit(&self, event: Event) {
-        if let Err(e) = self.journal.lock().write(&event) {
-            let mut slot = self.write_errors.lock();
+        let written = self
+            .journal
+            .lock()
+            .expect("journal lock poisoned")
+            .write(&event);
+        if let Err(e) = written {
+            let mut slot = self
+                .write_errors
+                .lock()
+                .expect("journal error slot lock poisoned");
             if slot.is_none() {
                 *slot = Some(e.to_string());
             }

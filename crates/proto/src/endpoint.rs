@@ -11,8 +11,8 @@
 
 use crate::message::{Message, WireError};
 use crate::reliable::{ChannelStats, ReliableChannel};
+use crate::wire::{Cursor, PutBe};
 use crate::{Link, SimTime};
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Correlation id for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -138,21 +138,19 @@ impl Endpoint {
 
 fn envelope(kind: u8, id: u64, msg: &Message) -> Vec<u8> {
     let body = msg.encode();
-    let mut buf = BytesMut::with_capacity(9 + body.len());
+    let mut buf = Vec::with_capacity(9 + body.len());
     buf.put_u8(kind);
     buf.put_u64(id);
-    buf.put_slice(&body);
-    buf.to_vec()
+    buf.extend_from_slice(&body);
+    buf
 }
 
 fn parse_envelope(payload: &[u8]) -> Event {
-    let mut data = payload;
-    if data.len() < 9 {
+    let mut data = Cursor::new(payload);
+    let (Some(kind), Some(id)) = (data.u8(), data.u64()) else {
         return Event::DecodeError(WireError::Truncated);
-    }
-    let kind = data.get_u8();
-    let id = data.get_u64();
-    match Message::decode(data) {
+    };
+    match Message::decode(data.rest()) {
         Err(e) => Event::DecodeError(e),
         Ok(msg) => match kind {
             KIND_REQUEST => Event::Request(RequestId(id), msg),

@@ -11,7 +11,7 @@
 //!   would deliver them) and it yields complete frames. After an error it
 //!   resynchronises by scanning for the next magic byte.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::PutBe;
 
 /// Frame magic: "VX".
 pub const MAGIC: [u8; 2] = [0x56, 0x58];
@@ -37,7 +37,7 @@ pub struct Frame {
     /// Flags byte (reserved; must currently be zero).
     pub flags: u8,
     /// The payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Framing errors.
@@ -108,17 +108,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// # Panics
 /// Panics if the payload exceeds [`MAX_PAYLOAD`] (callers size their
 /// messages; this is a programming error, not an input error).
-pub fn encode(payload: &[u8]) -> Bytes {
+pub fn encode(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_PAYLOAD, "payload too large to frame");
-    let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
-    buf.put_slice(&MAGIC);
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    buf.extend_from_slice(&MAGIC);
     buf.put_u8(PROTOCOL_VERSION);
     buf.put_u8(0); // flags
     buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
+    buf.extend_from_slice(payload);
     let crc = crc32(&buf);
     buf.put_u32(crc);
-    buf.freeze()
+    buf
 }
 
 /// Decodes exactly one frame from a datagram — the whole input must be one
@@ -162,14 +162,16 @@ pub fn decode_datagram(data: &[u8]) -> Result<Frame, FrameError> {
     Ok(Frame {
         version,
         flags,
-        payload: Bytes::copy_from_slice(&data[HEADER_LEN..HEADER_LEN + len]),
+        payload: data[HEADER_LEN..HEADER_LEN + len].to_vec(),
     })
 }
 
 /// Incremental frame decoder.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Offset of the first unconsumed byte of `buf`.
+    start: usize,
 }
 
 impl FrameDecoder {
@@ -180,70 +182,76 @@ impl FrameDecoder {
 
     /// Appends received bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
+        // Reclaim the consumed prefix first, so the buffer never holds
+        // more than the unconsumed bytes plus this chunk. Usually every
+        // frame has been taken and this is a plain clear.
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(chunk);
     }
 
     /// Bytes currently buffered (for observability).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
     /// Attempts to decode the next frame. `Ok(None)` means "need more
     /// bytes". On error, the decoder discards up to the next plausible
     /// frame start so the stream can resynchronise.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        loop {
-            if self.buf.len() < HEADER_LEN {
-                return Ok(None);
-            }
-            if self.buf[0..2] != MAGIC {
-                self.resync();
-                return Err(FrameError::BadMagic);
-            }
-            let version = self.buf[2];
-            let flags = self.buf[3];
-            let len =
-                u32::from_be_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]) as usize;
-            if version != PROTOCOL_VERSION {
-                self.resync();
-                return Err(FrameError::BadVersion(version));
-            }
-            if len > MAX_PAYLOAD {
-                self.resync();
-                return Err(FrameError::Oversized(len));
-            }
-            let total = HEADER_LEN + len + TRAILER_LEN;
-            if self.buf.len() < total {
-                return Ok(None);
-            }
-            let computed = crc32(&self.buf[..HEADER_LEN + len]);
-            let received = u32::from_be_bytes([
-                self.buf[HEADER_LEN + len],
-                self.buf[HEADER_LEN + len + 1],
-                self.buf[HEADER_LEN + len + 2],
-                self.buf[HEADER_LEN + len + 3],
-            ]);
-            if computed != received {
-                self.resync();
-                return Err(FrameError::BadCrc { computed, received });
-            }
-            let mut frame = self.buf.split_to(total);
-            frame.advance(HEADER_LEN);
-            frame.truncate(len);
-            return Ok(Some(Frame {
-                version,
-                flags,
-                payload: frame.freeze(),
-            }));
+        let buf = &self.buf[self.start..];
+        // Judge the magic on as much of it as has arrived: garbage is
+        // reported at once, not after a header's worth of it (a peer that
+        // sends a few stray bytes and closes must not read as a clean EOF).
+        let seen = buf.len().min(MAGIC.len());
+        if buf[..seen] != MAGIC[..seen] {
+            self.resync();
+            return Err(FrameError::BadMagic);
         }
+        if buf.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        let version = buf[2];
+        let flags = buf[3];
+        let len = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
+        if version != PROTOCOL_VERSION {
+            self.resync();
+            return Err(FrameError::BadVersion(version));
+        }
+        if len > MAX_PAYLOAD {
+            self.resync();
+            return Err(FrameError::Oversized(len));
+        }
+        let total = HEADER_LEN + len + TRAILER_LEN;
+        if buf.len() < total {
+            return Ok(None);
+        }
+        let computed = crc32(&buf[..HEADER_LEN + len]);
+        let received = u32::from_be_bytes([
+            buf[HEADER_LEN + len],
+            buf[HEADER_LEN + len + 1],
+            buf[HEADER_LEN + len + 2],
+            buf[HEADER_LEN + len + 3],
+        ]);
+        if computed != received {
+            self.resync();
+            return Err(FrameError::BadCrc { computed, received });
+        }
+        let payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
+        self.start += total;
+        Ok(Some(Frame {
+            version,
+            flags,
+            payload,
+        }))
     }
 
     /// Drops one byte, then skips to the next occurrence of the magic's
     /// first byte (or empties the buffer).
     fn resync(&mut self) {
-        self.buf.advance(1);
-        while !self.buf.is_empty() && self.buf[0] != MAGIC[0] {
-            self.buf.advance(1);
+        self.start += 1;
+        while self.start < self.buf.len() && self.buf[self.start] != MAGIC[0] {
+            self.start += 1;
         }
     }
 }
@@ -303,7 +311,7 @@ mod tests {
 
     #[test]
     fn corrupted_payload_fails_crc_then_resyncs() {
-        let mut wire = encode(b"precious data").to_vec();
+        let mut wire = encode(b"precious data");
         wire[HEADER_LEN + 2] ^= 0xFF;
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
@@ -332,8 +340,19 @@ mod tests {
     }
 
     #[test]
+    fn bad_magic_reported_before_a_whole_header_arrives() {
+        let mut dec = FrameDecoder::new();
+        dec.feed(&[0xDE, 0xAD, 0xBE]);
+        assert_eq!(dec.next_frame(), Err(FrameError::BadMagic));
+        // Resync skipped all three: none is the magic's first byte.
+        assert_eq!(dec.buffered(), 0);
+        dec.feed(&MAGIC[..1]);
+        assert_eq!(dec.next_frame(), Ok(None), "a good prefix waits for more");
+    }
+
+    #[test]
     fn bad_version_reported() {
-        let mut wire = encode(b"x").to_vec();
+        let mut wire = encode(b"x");
         wire[2] = 99;
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
@@ -342,7 +361,7 @@ mod tests {
 
     #[test]
     fn oversized_length_rejected_without_allocation() {
-        let mut wire = encode(b"x").to_vec();
+        let mut wire = encode(b"x");
         // Patch length to 16 MiB and fix nothing else; decoder must reject
         // from the header alone.
         wire[4..8].copy_from_slice(&(16u32 << 20).to_be_bytes());

@@ -21,7 +21,9 @@
 //!   channel, used by the live marketplace example;
 //! * [`transport`] — blocking TCP transport carrying round-stamped
 //!   messages inside the same CRC frames, for the long-running
-//!   `vdx-exchanged` daemon and its `vdx-agent` peers.
+//!   `vdx-exchanged` daemon and its `vdx-agent` peers;
+//! * [`wire`] — the bounds-checked big-endian field reader the decoders
+//!   above (and `vdx-core`'s WAL) share.
 //!
 //! ## Time
 //!
@@ -39,6 +41,7 @@ pub mod link;
 pub mod message;
 pub mod reliable;
 pub mod transport;
+pub mod wire;
 
 pub use frame::{crc32, Frame, FrameDecoder, FrameError, PROTOCOL_VERSION};
 pub use link::{FaultConfig, Link, LinkEnd};

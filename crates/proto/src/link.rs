@@ -8,9 +8,8 @@
 //! every run.
 
 use crate::SimTime;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use vdx_rand::StdRng;
 
 /// Fault-injection configuration.
 #[derive(Debug, Clone)]

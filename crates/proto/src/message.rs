@@ -14,7 +14,7 @@
 //! batches carry a `u32` count. No self-description — the frame header
 //! already negotiated the protocol version.
 
-use bytes::{Buf, BufMut, BytesMut};
+use crate::wire::{Cursor, PutBe};
 
 /// A Share entry: client (meta-)data a broker sends to CDNs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,7 +149,7 @@ const ACCEPT_LEN: usize = BID_LEN + 1;
 impl Message {
     /// Encodes the message to bytes (ready to be framed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         match self {
             Message::Hello { node_id, role } => {
                 buf.put_u8(T_HELLO);
@@ -210,110 +210,89 @@ impl Message {
                 buf.put_u64(*cluster_id);
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Decodes a message; the input must contain exactly one message.
-    pub fn decode(mut data: &[u8]) -> Result<Message, WireError> {
-        if data.is_empty() {
-            return Err(WireError::Truncated);
-        }
-        let ty = data.get_u8();
-        let msg = match ty {
-            T_HELLO => {
-                need(data.len(), 9)?;
-                Message::Hello {
-                    node_id: data.get_u64(),
-                    role: data.get_u8(),
-                }
-            }
-            T_HELLO_RESUME => {
-                need(data.len(), 17)?;
-                Message::HelloResume {
-                    node_id: data.get_u64(),
-                    role: data.get_u8(),
-                    last_round: data.get_u64(),
-                }
-            }
+    pub fn decode(data: &[u8]) -> Result<Message, WireError> {
+        let mut cur = Cursor::new(data);
+        let msg = match field(cur.u8())? {
+            T_HELLO => Message::Hello {
+                node_id: field(cur.u64())?,
+                role: field(cur.u8())?,
+            },
+            T_HELLO_RESUME => Message::HelloResume {
+                node_id: field(cur.u64())?,
+                role: field(cur.u8())?,
+                last_round: field(cur.u64())?,
+            },
             T_SHARE => {
-                let count = get_count(&mut data, SHARE_LEN)?;
+                let count = get_count(&mut cur, SHARE_LEN)?;
                 let mut shares = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     shares.push(Share {
-                        share_id: data.get_u64(),
-                        location: data.get_u32(),
-                        isp: data.get_u32(),
-                        content_id: data.get_u64(),
-                        data_size_kbps: data.get_f64(),
-                        client_count: data.get_u32(),
+                        share_id: field(cur.u64())?,
+                        location: field(cur.u32())?,
+                        isp: field(cur.u32())?,
+                        content_id: field(cur.u64())?,
+                        data_size_kbps: field(cur.f64())?,
+                        client_count: field(cur.u32())?,
                     });
                 }
                 Message::Share(shares)
             }
             T_ANNOUNCE => {
-                let count = get_count(&mut data, BID_LEN)?;
+                let count = get_count(&mut cur, BID_LEN)?;
                 let mut bids = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    bids.push(get_bid(&mut data));
+                    bids.push(get_bid(&mut cur)?);
                 }
                 Message::Announce(bids)
             }
             T_ACCEPT => {
-                let count = get_count(&mut data, ACCEPT_LEN)?;
+                let count = get_count(&mut cur, ACCEPT_LEN)?;
                 let mut entries = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    let bid = get_bid(&mut data);
                     entries.push(AcceptEntry {
-                        bid,
-                        accepted: data.get_u8() != 0,
+                        bid: get_bid(&mut cur)?,
+                        accepted: field(cur.u8())? != 0,
                     });
                 }
                 Message::Accept(entries)
             }
-            T_QUERY => {
-                need(data.len(), 12)?;
-                Message::Query {
-                    client_id: data.get_u64(),
-                    location: data.get_u32(),
-                }
-            }
-            T_RESULT => {
-                need(data.len(), 16)?;
-                Message::QueryResult {
-                    client_id: data.get_u64(),
-                    cluster_id: data.get_u64(),
-                }
-            }
+            T_QUERY => Message::Query {
+                client_id: field(cur.u64())?,
+                location: field(cur.u32())?,
+            },
+            T_RESULT => Message::QueryResult {
+                client_id: field(cur.u64())?,
+                cluster_id: field(cur.u64())?,
+            },
             other => return Err(WireError::UnknownType(other)),
         };
-        if data.has_remaining() {
-            return Err(WireError::TrailingBytes(data.remaining()));
+        if !cur.rest().is_empty() {
+            return Err(WireError::TrailingBytes(cur.rest().len()));
         }
         Ok(msg)
     }
 }
 
-fn need(have: usize, want: usize) -> Result<(), WireError> {
-    if have < want {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
+/// A field read that ran off the end of the input is a truncated message.
+fn field<T>(read: Option<T>) -> Result<T, WireError> {
+    read.ok_or(WireError::Truncated)
+}
+
+/// Reads a batch count and rejects one the remaining bytes cannot hold,
+/// before anything is allocated for it.
+fn get_count(cur: &mut Cursor<'_>, entry_len: usize) -> Result<u32, WireError> {
+    let count = field(cur.u32())?;
+    match (count as usize).checked_mul(entry_len) {
+        Some(n) if n <= cur.rest().len() => Ok(count),
+        _ => Err(WireError::BadCount(count)),
     }
 }
 
-fn get_count(data: &mut &[u8], entry_len: usize) -> Result<u32, WireError> {
-    need(data.len(), 4)?;
-    let count = data.get_u32();
-    if (count as usize)
-        .checked_mul(entry_len)
-        .map_or(true, |n| n > data.len())
-    {
-        return Err(WireError::BadCount(count));
-    }
-    Ok(count)
-}
-
-fn put_bid(buf: &mut BytesMut, b: &Bid) {
+fn put_bid(buf: &mut Vec<u8>, b: &Bid) {
     buf.put_u64(b.cluster_id);
     buf.put_u64(b.share_id);
     buf.put_f64(b.performance_estimate);
@@ -321,14 +300,14 @@ fn put_bid(buf: &mut BytesMut, b: &Bid) {
     buf.put_f64(b.price_per_mb);
 }
 
-fn get_bid(data: &mut &[u8]) -> Bid {
-    Bid {
-        cluster_id: data.get_u64(),
-        share_id: data.get_u64(),
-        performance_estimate: data.get_f64(),
-        capacity_kbps: data.get_f64(),
-        price_per_mb: data.get_f64(),
-    }
+fn get_bid(cur: &mut Cursor<'_>) -> Result<Bid, WireError> {
+    Ok(Bid {
+        cluster_id: field(cur.u64())?,
+        share_id: field(cur.u64())?,
+        performance_estimate: field(cur.f64())?,
+        capacity_kbps: field(cur.f64())?,
+        price_per_mb: field(cur.f64())?,
+    })
 }
 
 #[cfg(test)]

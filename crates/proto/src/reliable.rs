@@ -28,8 +28,8 @@
 
 use crate::frame::{decode_datagram, encode as frame_encode};
 use crate::link::{Link, LinkEnd};
+use crate::wire::{Cursor, PutBe};
 use crate::SimTime;
-use bytes::{Buf, BufMut, BytesMut};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vdx_obs::{Event, Probe};
@@ -220,7 +220,7 @@ impl ReliableChannel {
 
         // Ack if data arrived.
         if self.ack_due {
-            let mut buf = BytesMut::with_capacity(9);
+            let mut buf = Vec::with_capacity(9);
             buf.put_u8(KIND_ACK);
             buf.put_u64(self.expected_seq);
             link.send(self.end, now, &frame_encode(&buf));
@@ -289,21 +289,15 @@ impl ReliableChannel {
     }
 
     fn handle_packet(&mut self, payload: &[u8]) {
-        let mut data = payload;
-        if data.is_empty() {
-            self.stats.discarded += 1;
-            return;
-        }
-        match data.get_u8() {
-            KIND_DATA => {
-                if data.len() < 9 {
+        let mut data = Cursor::new(payload);
+        match data.u8() {
+            Some(KIND_DATA) => {
+                let (Some(seq), Some(flags)) = (data.u64(), data.u8()) else {
                     self.stats.discarded += 1;
                     return;
-                }
-                let seq = data.get_u64();
-                let flags = data.get_u8();
+                };
                 if seq == self.expected_seq {
-                    self.reassembly.extend_from_slice(data);
+                    self.reassembly.extend_from_slice(data.rest());
                     if flags & FLAG_MORE_FRAGMENTS == 0 {
                         self.delivered
                             .push_back(std::mem::take(&mut self.reassembly));
@@ -316,12 +310,11 @@ impl ReliableChannel {
                 // Always (re)ack the current cumulative position.
                 self.ack_due = true;
             }
-            KIND_ACK => {
-                if data.len() < 8 {
+            Some(KIND_ACK) => {
+                let Some(next_expected) = data.u64() else {
                     self.stats.discarded += 1;
                     return;
-                }
-                let next_expected = data.get_u64();
+                };
                 let mut progressed = false;
                 while self
                     .inflight
@@ -348,12 +341,12 @@ impl ReliableChannel {
 }
 
 fn data_packet(seq: u64, frag: &Fragment) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(10 + frag.bytes.len());
+    let mut buf = Vec::with_capacity(10 + frag.bytes.len());
     buf.put_u8(KIND_DATA);
     buf.put_u64(seq);
     buf.put_u8(if frag.more { FLAG_MORE_FRAGMENTS } else { 0 });
-    buf.put_slice(&frag.bytes);
-    frame_encode(&buf).to_vec()
+    buf.extend_from_slice(&frag.bytes);
+    frame_encode(&buf)
 }
 
 #[cfg(test)]

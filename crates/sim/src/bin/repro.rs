@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment> [--small] [--seed N] [--json] [--journal PATH] [--threads N]
+//! repro <experiment> [--small] [--seed N] [--journal PATH] [--threads N]
 //!                    [--rounds N] [--solver-cold]
 //! repro obs-report <journal.jsonl>
 //! repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]
@@ -17,12 +17,11 @@
 //!              ext-stability ext-hybrid ext-noise faults all
 //! --small        reduced-scale scenario (fast; used by CI)
 //! --seed N       override the master seed (default 2017)
-//! --json         additionally print machine-readable results
 //! --journal PATH flight-record the run as JSONL events (conventionally
 //!                under results/journals/); analyse with `repro obs-report`
-//! --threads N    size of the round fan-out thread pool (requires the
-//!                default `parallel` feature; results and journals are
-//!                byte-identical for any N)
+//! --threads N    threads the round fan-out runs on (default: all
+//!                cores; results and journals are byte-identical for
+//!                any N)
 //! --rounds N     (table3) run N consecutive decision rounds per design —
 //!                the warm-started round hot loop; the reported table
 //!                comes from each design's last round and is identical
@@ -67,7 +66,7 @@ use vdx_sim::{flag_value, obs_report, Scenario, ScenarioConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <fig3|fig4|fig5|fig7|table1|table3|fig10..fig15|fig16|fig17|fig18|\
-         ext-stability|ext-hybrid|ext-noise|faults|all> [--small] [--seed N] [--json] \
+         ext-stability|ext-hybrid|ext-noise|faults|all> [--small] [--seed N] \
          [--journal PATH] [--threads N] [--rounds N] [--solver-cold]\n\
          \x20      repro obs-report <journal.jsonl>\n\
          \x20      repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]\n\
@@ -78,27 +77,9 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Runs `f` inside a rayon pool of `n` threads, so the experiment
-/// engine's round fan-out uses exactly that many workers. `None` keeps
-/// the ambient (default) pool.
-#[cfg(feature = "parallel")]
-fn with_threads<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
-    match threads {
-        Some(n) => rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build()
-            .expect("thread pool")
-            .install(f),
-        None => f(),
-    }
-}
-
-/// Without the `parallel` feature everything is serial; `--threads` is
-/// accepted and ignored.
-#[cfg(not(feature = "parallel"))]
-fn with_threads<R>(threads: Option<usize>, f: impl FnOnce() -> R) -> R {
-    let _ = threads;
-    f()
+/// The default `--threads`: every core the process may use.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn main() -> ExitCode {
@@ -137,7 +118,6 @@ fn main() -> ExitCode {
     }
 
     let small = args.iter().any(|a| a == "--small");
-    let json = args.iter().any(|a| a == "--json");
     let seed = args
         .iter()
         .position(|a| a == "--seed")
@@ -207,6 +187,7 @@ fn main() -> ExitCode {
         });
         scenario.set_probe(p.clone() as Arc<dyn Probe>);
     }
+    scenario.set_threads(threads.unwrap_or_else(all_cores));
     eprintln!(
         "scenario ready: {} groups, {} CDNs, {} clusters",
         scenario.groups.len(),
@@ -222,26 +203,26 @@ fn main() -> ExitCode {
             });
         }
         let phase_clock = Stopwatch::start();
-        let out = with_threads(threads, || match name {
+        let out = match name {
             "fig3" => {
                 let r = fig3::run(&scenario);
-                Some(with_json(fig3::render(&r), &r, json))
+                Some(fig3::render(&r))
             }
             "fig4" => {
                 let r = fig4::run(&scenario);
-                Some(with_json(fig4::render(&r), &r, json))
+                Some(fig4::render(&r))
             }
             "fig5" => {
                 let r = fig5::run(&scenario);
-                Some(with_json(fig5::render(&r), &r, json))
+                Some(fig5::render(&r))
             }
             "fig7" => {
                 let r = fig7::run(&scenario);
-                Some(with_json(fig7::render(&r), &r, json))
+                Some(fig7::render(&r))
             }
             "table1" => {
                 let r = table1::run(&scenario);
-                Some(with_json(table1::render(&r), &r, json))
+                Some(table1::render(&r))
             }
             "table3" => {
                 // Always the warm-start engine: with the default
@@ -249,46 +230,46 @@ fn main() -> ExitCode {
                 // and --solver-cold flips only the reuse strategy, so
                 // output and journals never depend on either flag.
                 let r = table3::run_multi(&scenario, rounds, !solver_cold);
-                Some(with_json(table3::render(&r), &r, json))
+                Some(table3::render(&r))
             }
             name if accounting_aliases.contains(&name) || name == "accounting" => {
                 let r = fig10_15::run(&scenario);
                 let mut out = fig10_15::render_cdn_views(&r);
                 out.push('\n');
                 out.push_str(&fig10_15::render_country_views(&r));
-                Some(with_json(out, &r, json))
+                Some(out)
             }
             "fig16" => {
                 let n = if small { 40 } else { 200 };
                 let r = fig16::run(&scenario, n);
-                Some(with_json(fig16::render(&r), &r, json))
+                Some(fig16::render(&r))
             }
             "fig17" => {
                 let r = fig17::run(&scenario);
-                Some(with_json(fig17::render(&r), &r, json))
+                Some(fig17::render(&r))
             }
             "fig18" => {
                 let r = fig18::run(&scenario);
-                Some(with_json(fig18::render(&r), &r, json))
+                Some(fig18::render(&r))
             }
             "ext-stability" => {
                 let r = ext_stability::run(&scenario, 8);
-                Some(with_json(ext_stability::render(&r), &r, json))
+                Some(ext_stability::render(&r))
             }
             "ext-hybrid" => {
                 let r = ext_hybrid::run(&scenario);
-                Some(with_json(ext_hybrid::render(&r), &r, json))
+                Some(ext_hybrid::render(&r))
             }
             "ext-noise" => {
                 let r = ext_noise::run(&scenario);
-                Some(with_json(ext_noise::render(&r), &r, json))
+                Some(ext_noise::render(&r))
             }
             "faults" | "ext-faults" => {
                 let r = ext_faults::run(&scenario);
-                Some(with_json(ext_faults::render(&r), &r, json))
+                Some(ext_faults::render(&r))
             }
             _ => None,
-        });
+        };
         if let (Some(p), Some(_)) = (&probe, &out) {
             p.emit(Event::PhaseFinished {
                 phase: name.to_string(),
@@ -364,15 +345,6 @@ fn main() -> ExitCode {
     }
 }
 
-fn with_json<T: serde::Serialize>(mut text: String, value: &T, json: bool) -> String {
-    if json {
-        text.push_str("\njson: ");
-        text.push_str(&serde_json::to_string(value).expect("serializable"));
-        text.push('\n');
-    }
-    text
-}
-
 /// Converts a table3 run into the audit crate's baseline row shape.
 fn to_table3_rows(result: &table3::Table3Result) -> Vec<vdx_audit::Table3Row> {
     result
@@ -393,8 +365,8 @@ fn to_table3_rows(result: &table3::Table3Result) -> Vec<vdx_audit::Table3Row> {
 /// cores by default) over one shared scenario, then records the Table-3
 /// fidelity rows, and writes both as the pretty-JSON v2 baseline
 /// document (`vdx_audit::BaselineReport`). Both timings run the
-/// identical code path through differently sized rayon pools, so the
-/// comparison isolates the fan-out.
+/// identical code path at different `Scenario::set_threads` counts, so
+/// the comparison isolates the fan-out.
 fn bench_experiments(args: &[String]) -> ExitCode {
     let small = args.iter().any(|a| a == "--small");
     let seed = args
@@ -407,11 +379,7 @@ fn bench_experiments(args: &[String]) -> ExitCode {
         .position(|a| a == "--threads")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+        .unwrap_or_else(all_cores);
     let out_path =
         flag_value(args, "--out").unwrap_or_else(|| "results/BENCH_experiments.json".to_string());
 
@@ -428,9 +396,10 @@ fn bench_experiments(args: &[String]) -> ExitCode {
         "building scenario: {} cities, {} sessions, seed {} ...",
         config.world.cities, config.trace.sessions, seed_value
     );
-    let scenario = Scenario::build(config);
+    let mut scenario = Scenario::build(config);
 
-    let experiments: [(&str, fn(&Scenario)); 3] = [
+    type Experiment = (&'static str, fn(&Scenario));
+    let experiments: [Experiment; 3] = [
         ("table3", |s| {
             let _ = table3::run(s);
         }),
@@ -444,11 +413,13 @@ fn bench_experiments(args: &[String]) -> ExitCode {
     let mut entries = Vec::new();
     for (name, run) in experiments {
         eprintln!("benchmarking {name}: 1 vs {threads} threads ...");
+        scenario.set_threads(1);
         let clock = Stopwatch::start();
-        with_threads(Some(1), || run(&scenario));
+        run(&scenario);
         let serial_ms = clock.elapsed_ms();
+        scenario.set_threads(threads);
         let clock = Stopwatch::start();
-        with_threads(Some(threads), || run(&scenario));
+        run(&scenario);
         let parallel_ms = clock.elapsed_ms();
         let speedup = serial_ms as f64 / parallel_ms.max(1) as f64;
         eprintln!("  {name}: {serial_ms} ms serial, {parallel_ms} ms on {threads} threads ({speedup:.2}x)");
@@ -465,15 +436,12 @@ fn bench_experiments(args: &[String]) -> ExitCode {
     const HOT_LOOP_ROUNDS: u64 = 8;
     let name = format!("table3_rounds{HOT_LOOP_ROUNDS}_cold_vs_warm");
     eprintln!("benchmarking {name}: cold vs warm solves ...");
+    scenario.set_threads(1);
     let clock = Stopwatch::start();
-    with_threads(Some(1), || {
-        let _ = table3::run_multi(&scenario, HOT_LOOP_ROUNDS, false);
-    });
+    let _ = table3::run_multi(&scenario, HOT_LOOP_ROUNDS, false);
     let cold_ms = clock.elapsed_ms();
     let clock = Stopwatch::start();
-    with_threads(Some(1), || {
-        let _ = table3::run_multi(&scenario, HOT_LOOP_ROUNDS, true);
-    });
+    let _ = table3::run_multi(&scenario, HOT_LOOP_ROUNDS, true);
     let warm_ms = clock.elapsed_ms();
     let speedup = cold_ms as f64 / warm_ms.max(1) as f64;
     eprintln!("  {name}: {cold_ms} ms cold, {warm_ms} ms warm ({speedup:.2}x)");
@@ -485,7 +453,8 @@ fn bench_experiments(args: &[String]) -> ExitCode {
     });
 
     eprintln!("recording table3 fidelity rows ...");
-    let fidelity = with_threads(Some(threads), || table3::run(&scenario));
+    scenario.set_threads(threads);
+    let fidelity = table3::run(&scenario);
     let report = vdx_audit::BaselineReport {
         schema: vdx_audit::BASELINE_SCHEMA,
         scale: if small { "small" } else { "full" }.to_string(),
@@ -603,8 +572,9 @@ fn audit_gate(args: &[String]) -> ExitCode {
         "gate: rerunning table3 at scale={} seed={} against {path}",
         baseline.scale, baseline.seed
     );
-    let scenario = Scenario::build(config);
-    let result = with_threads(threads, || table3::run(&scenario));
+    let mut scenario = Scenario::build(config);
+    scenario.set_threads(threads.unwrap_or_else(all_cores));
+    let result = table3::run(&scenario);
     let outcome = vdx_audit::gate::compare(&baseline, &to_table3_rows(&result), &[], &cfg);
     print!("{}", outcome.render());
     if outcome.passed() {

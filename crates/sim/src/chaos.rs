@@ -41,12 +41,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use vdx_broker::{BreakerConfig, CpPolicy};
 use vdx_core::wal::{read_records, replay, WalRecord};
 use vdx_core::Design;
 use vdx_obs::Stopwatch;
+use vdx_rand::StdRng;
 
 use crate::soak::{run_reference, SoakPlan, SoakRound};
 use crate::{Scenario, ScenarioConfig};
@@ -344,8 +343,7 @@ fn mutate_tail(path: &Path, fault: TailFault, rng: &mut StdRng) -> Result<bool, 
     if !staged_tail {
         return Ok(false);
     }
-    let mut bytes =
-        std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let mut bytes = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     match fault {
         TailFault::None => return Ok(false),
         TailFault::Truncate => {
@@ -362,7 +360,8 @@ fn mutate_tail(path: &Path, fault: TailFault, rng: &mut StdRng) -> Result<bool, 
             *b ^= 0xFF;
         }
     }
-    std::fs::write(path, &bytes).map_err(|e| format!("writing fault to {}: {e}", path.display()))?;
+    std::fs::write(path, &bytes)
+        .map_err(|e| format!("writing fault to {}: {e}", path.display()))?;
     Ok(true)
 }
 
@@ -478,17 +477,12 @@ fn run_trial(
     // Kill when the WAL shows the crash round reaching the phase. The
     // settlement can race a mid-round poll; the WAL read after the kill
     // records what the restart will actually see.
-    let marker: Box<dyn Fn(&[WalRecord]) -> bool> = match phase {
-        CrashPhase::MidRound => Box::new(move |records| {
-            records
-                .iter()
-                .any(|r| matches!(r, WalRecord::AnnounceOpen { round } if *round == crash_round))
-        }),
-        CrashPhase::Settled => Box::new(move |records| {
-            records
-                .iter()
-                .any(|r| matches!(r, WalRecord::Settlement(dr) if dr.round == crash_round))
-        }),
+    let marker = |records: &[WalRecord]| {
+        records.iter().any(|r| match (phase, r) {
+            (CrashPhase::MidRound, WalRecord::AnnounceOpen { round }) => *round == crash_round,
+            (CrashPhase::Settled, WalRecord::Settlement(dr)) => dr.round == crash_round,
+            _ => false,
+        })
     };
     wait_for_wal(
         &wal,
@@ -503,8 +497,8 @@ fn run_trial(
     let committed_at_kill = replay(records_at_kill, num_cdns).rounds.len();
     let fault_applied = mutate_tail(&wal, fault, rng)?;
     let fault_detected_bytes = if fault_applied {
-        let (_, garbage) = read_records(&wal)
-            .map_err(|e| format!("post-fault read of {}: {e}", wal.display()))?;
+        let (_, garbage) =
+            read_records(&wal).map_err(|e| format!("post-fault read of {}: {e}", wal.display()))?;
         if garbage == 0 {
             return Err(format!(
                 "{} fault on {} was not detected as a torn tail",

@@ -13,13 +13,12 @@
 //!   buffer and the buffers are flushed to the shared probe in spec
 //!   order — the journal byte stream is the same for 1 or N threads.
 //!
-//! With the default-on `parallel` feature the fan-out uses rayon (so it
-//! honours the ambient thread pool, e.g. `repro --threads N`); without it
-//! everything runs serially on the calling thread with identical results.
+//! The fan-out runs on [`Scenario::threads`] scoped threads (`repro
+//! --threads N`). A scenario nobody configured has one, and everything
+//! runs on the calling thread with identical results.
 
 use crate::scenario::Scenario;
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use vdx_broker::{CpPolicy, OptimizeContext};
 use vdx_core::{Design, RoundId, RoundOutcome};
 use vdx_obs::{MemoryProbe, NoopProbe, Probe};
@@ -55,22 +54,52 @@ impl RoundSpec {
     }
 }
 
-/// Maps `f` over `items`, in parallel when the `parallel` feature is on,
-/// returning results in item order either way.
-pub fn map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
+/// Maps `f` over `items` on up to `threads` threads (the caller's
+/// included), returning results in item order whatever the schedule.
+/// Workers claim the next unclaimed index from a shared counter, so a
+/// slow item delays only the worker that drew it. With one thread, or one
+/// item, nothing is spawned.
+pub fn map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Sync + Send,
+    F: Fn(&T) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        items.par_iter().map(f).collect()
+    let workers = threads.min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        items.iter().map(f).collect()
-    }
+    // Relaxed: the counter hands out indices and publishes nothing else;
+    // results travel back through `join`.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((i, item)) = claim(&next, items) {
+            done.push((i, f(item)));
+        }
+        done
+    };
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in spawned {
+            // A worker's panic is the caller's: same message, same test failure.
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        done
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, result)| result).collect()
+}
+
+/// The next unclaimed `(index, item)`, or `None` once all are taken.
+fn claim<'a, T>(next: &AtomicUsize, items: &'a [T]) -> Option<(usize, &'a T)> {
+    let i = next.fetch_add(1, Ordering::Relaxed);
+    items.get(i).map(|item| (i, item))
 }
 
 /// Runs `unit` once per spec through [`map_indexed`] and returns the
@@ -81,13 +110,13 @@ where
 /// nothing.
 fn fan_out<F>(scenario: &Scenario, specs: &[RoundSpec], unit: F) -> Vec<RoundOutcome>
 where
-    F: Fn(&RoundSpec, &dyn Probe) -> RoundOutcome + Sync + Send,
+    F: Fn(&RoundSpec, &dyn Probe) -> RoundOutcome + Sync,
 {
     let shared = scenario.probe();
     if !shared.enabled() {
-        return map_indexed(specs, |spec| unit(spec, &NoopProbe));
+        return map_indexed(scenario.threads(), specs, |spec| unit(spec, &NoopProbe));
     }
-    let pairs = map_indexed(specs, |spec| {
+    let pairs = map_indexed(scenario.threads(), specs, |spec| {
         let buffer = MemoryProbe::new();
         let outcome = unit(spec, &buffer);
         (outcome, buffer.take())
@@ -161,6 +190,23 @@ mod tests {
     use crate::scenario::shared_small;
     use std::sync::Arc;
     use vdx_obs::Event;
+
+    #[test]
+    fn map_indexed_keeps_item_order_on_any_thread_count() {
+        let items: Vec<u64> = (0..37).collect();
+        let serial = map_indexed(1, &items, |&x| x * x);
+        for threads in [2, 4, 64] {
+            assert_eq!(map_indexed(threads, &items, |&x| x * x), serial);
+        }
+        assert!(map_indexed(4, &[] as &[u64], |&x| x).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5")]
+    fn map_indexed_reraises_a_worker_panic() {
+        let items: Vec<u64> = (0..8).collect();
+        map_indexed(4, &items, |&x| assert!(x != 5, "item {x}"));
+    }
 
     #[test]
     fn run_rounds_matches_serial_runs_in_spec_order() {

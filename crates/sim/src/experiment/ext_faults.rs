@@ -19,7 +19,6 @@ use crate::faults::{run_campaign, CampaignOutcome, FaultPlan, RoundFaults};
 use crate::metrics::DesignMetrics;
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdx_broker::CpPolicy;
 use vdx_core::Design;
@@ -72,7 +71,7 @@ pub fn plan_for(severity: f64, seed: u64) -> FaultPlan {
 }
 
 /// One (design, severity) campaign, summarized.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultsCell {
     /// Design name.
     pub design: String,
@@ -89,7 +88,7 @@ pub struct FaultsCell {
 }
 
 /// Fault-campaign results: designs × severities, design-major.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultsResult {
     /// One cell per (design, severity).
     pub cells: Vec<FaultsCell>,
@@ -109,7 +108,7 @@ pub fn run(scenario: &Scenario) -> FaultsResult {
 
     let shared = scenario.probe();
     let outcomes: Vec<CampaignOutcome> = if shared.enabled() {
-        let pairs = map_indexed(&cells, |&(idx, design, severity)| {
+        let pairs = map_indexed(scenario.threads(), &cells, |&(idx, design, severity)| {
             let buffer = Arc::new(MemoryProbe::new());
             let outcome = run_campaign(
                 scenario,
@@ -130,7 +129,7 @@ pub fn run(scenario: &Scenario) -> FaultsResult {
         }
         outcomes
     } else {
-        map_indexed(&cells, |&(idx, design, severity)| {
+        map_indexed(scenario.threads(), &cells, |&(idx, design, severity)| {
             run_campaign(
                 scenario,
                 design,

@@ -14,12 +14,11 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::{optimize, CpPolicy, OptimizeMode};
 use vdx_core::{settle, Design, RoundId, RoundOutcome};
 
 /// One pricing scheme's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeOutcome {
     /// Scheme name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct SchemeOutcome {
 }
 
 /// Hybrid-pricing results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridResult {
     /// Flat / dynamic / hybrid outcomes.
     pub schemes: Vec<SchemeOutcome>,

@@ -14,7 +14,6 @@ use crate::engine::map_indexed;
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::{CpPolicy, OptimizeMode};
 use vdx_core::{run_decision_round, Design, RoundInputs, RoundOutcome};
 use vdx_netsim::{NoisyMeasurer, ScoreEstimator};
@@ -27,7 +26,7 @@ pub const NOISE_SWEEP: [f64; 5] = [0.0, 0.1, 0.2, 0.4, 0.8];
 pub const SAMPLES_PER_PAIR: u64 = 5;
 
 /// Noise-sensitivity results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoiseResult {
     /// `(noise level, ground-truth metrics of the noisy decision)`.
     pub points: Vec<(f64, DesignMetrics)>,
@@ -39,7 +38,7 @@ pub fn run(scenario: &Scenario) -> NoiseResult {
     let sites: Vec<vdx_geo::CityId> = scenario.fleet.clusters.iter().map(|c| c.city).collect();
     let clients: Vec<vdx_geo::CityId> = scenario.groups.iter().map(|g| g.city).collect();
 
-    let points = map_indexed(&NOISE_SWEEP, |&noise| {
+    let points = map_indexed(scenario.threads(), &NOISE_SWEEP, |&noise| {
         let outcome = run_with_noise(scenario, noise, &clients, &sites);
         // Metrics are computed against the *true* scores of the chosen
         // clusters, not the estimates the broker believed.

@@ -16,15 +16,13 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vdx_broker::{ClientGroup, CpPolicy, OptimizeMode};
 use vdx_cdn::{BidPolicy, BidShading};
 use vdx_core::{run_decision_round, Design, RoundInputs};
+use vdx_rand::StdRng;
 
 /// Per-round churn for one design.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StabilityResult {
     /// Churn per round (fraction of traffic that changed CDN since the
     /// previous round), starting at round 2.

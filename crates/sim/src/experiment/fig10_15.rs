@@ -15,13 +15,12 @@
 use crate::engine::{run_rounds, RoundSpec};
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::CpPolicy;
 use vdx_core::{settle, Design, Settlement};
 use vdx_geo::CountryId;
 
 /// Combined results for Figs 10–15.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccountingResult {
     /// Brokered settlement.
     pub brokered: Settlement,

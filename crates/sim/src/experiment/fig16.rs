@@ -7,12 +7,11 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::CpPolicy;
 use vdx_core::{settle, Design, RoundId};
 
 /// Fig 16 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16Result {
     /// `(cdn name, deployment label, profit Brokered, profit VDX)` for the
     /// traditional CDNs.
@@ -113,7 +112,7 @@ mod tests {
     #[test]
     fn fig16_city_cdns_always_profit_under_brokered() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s, 40);
+        let r = run(s, 40);
         assert_eq!(r.city.len(), 40);
         // The §7.2 mechanism: single-cluster CDNs never lose under
         // flat-rate pricing (contract price == cluster cost).
@@ -131,7 +130,7 @@ mod tests {
     #[test]
     fn fig16_traditional_cdns_still_struggle_under_brokered() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s, 40);
+        let r = run(s, 40);
         assert!(
             r.losing_traditional_brokered >= 1,
             "some traditional CDN should lose under Brokered"

@@ -10,7 +10,6 @@ use crate::engine::{run_rounds, RoundSpec};
 use crate::metrics::{compute, MetricsInput};
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::CpPolicy;
 use vdx_core::Design;
 
@@ -19,7 +18,7 @@ use vdx_core::Design;
 pub const WC_SWEEP: [f64; 10] = [0.3, 1.0, 3.0, 10.0, 17.0, 30.0, 55.0, 100.0, 180.0, 300.0];
 
 /// One design's trade-off curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TradeoffCurve {
     /// Design name.
     pub design: String,
@@ -28,7 +27,7 @@ pub struct TradeoffCurve {
 }
 
 /// Fig 17 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig17Result {
     /// One curve per design.
     pub curves: Vec<TradeoffCurve>,
@@ -139,7 +138,7 @@ mod tests {
     #[test]
     fn fig17_wc_moves_along_the_tradeoff() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         let vdx = r
             .curves
             .iter()
@@ -164,7 +163,7 @@ mod tests {
     #[test]
     fn fig17_vdx_improves_on_brokered() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         assert!(
             r.vdx_cost_cut_at_equal_distance > 0.0,
             "VDX should cut cost at equal distance, got {}",

@@ -10,7 +10,6 @@ use crate::engine::{run_rounds, RoundSpec};
 use crate::metrics::{compute, MetricsInput};
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::CpPolicy;
 use vdx_core::Design;
 
@@ -18,7 +17,7 @@ use vdx_core::Design;
 pub const BID_COUNTS: [usize; 8] = [1, 2, 4, 10, 32, 100, 316, 1000];
 
 /// Fig 18 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig18Result {
     /// `(bid count, average cost, average score)` per sweep point.
     pub points: Vec<(usize, f64, f64)>,
@@ -77,7 +76,7 @@ mod tests {
     #[test]
     fn fig18_more_bids_better_score() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         assert_eq!(r.points.len(), BID_COUNTS.len());
         let first = r.points[0];
         let last = *r.points.last().expect("points");
@@ -92,7 +91,7 @@ mod tests {
     #[test]
     fn fig18_second_bid_gives_large_share_of_gain() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         let s1 = r.points[0].2;
         let s2 = r.points[1].2;
         let s_last = r.points.last().expect("points").2;

@@ -6,11 +6,10 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_trace::cost::{cost_disparity, top_country_costs, CountryCostRow};
 
 /// Fig 3 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Result {
     /// One row per country, descending by traffic.
     pub rows: Vec<CountryCostRow>,
@@ -57,7 +56,7 @@ mod tests {
     #[test]
     fn fig3_reproduces_cost_disparity() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         assert!(!r.rows.is_empty());
         assert!(r.rows.len() <= 20);
         assert!(r.disparity > 3.0, "disparity {}", r.disparity);

@@ -6,10 +6,9 @@
 
 use crate::report::render_series;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 
 /// Fig 4 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// `(interval start s, % of active sessions moved)` per 5 s bin.
     pub series: Vec<(f64, f64)>,
@@ -24,14 +23,10 @@ pub struct Fig4Result {
 /// Runs the experiment.
 pub fn run(scenario: &Scenario) -> Fig4Result {
     let series = scenario.trace.moved_sessions_series(5.0);
-    let non_empty: Vec<f64> = series
-        .iter()
-        .map(|(_, p)| *p)
-        .filter(|p| *p > 0.0 || true)
-        .collect();
-    let mean = non_empty.iter().sum::<f64>() / non_empty.len().max(1) as f64;
-    let min = non_empty.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = non_empty.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let moved: Vec<f64> = series.iter().map(|(_, p)| *p).collect();
+    let mean = moved.iter().sum::<f64>() / moved.len().max(1) as f64;
+    let min = moved.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = moved.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     Fig4Result {
         series,
         mean_pct: mean,
@@ -65,7 +60,7 @@ mod tests {
         // The full-size trace pins the statistics tightly; the small test
         // trace is noisier, so bands are generous.
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         assert_eq!(r.series.len(), 720);
         assert!((20.0..60.0).contains(&r.mean_pct), "mean {}", r.mean_pct);
         assert!(r.max_pct > r.min_pct + 10.0, "visible variation");

@@ -11,13 +11,12 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_geo::Region;
 use vdx_netsim::LinearFit;
 use vdx_trace::CdnLabel;
 
 /// Fig 5 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Result {
     /// `(requests_per_city, usage_pct)` points per CDN label A/B/C.
     pub points: [Vec<(f64, f64)>; 3],
@@ -100,7 +99,7 @@ mod tests {
     #[test]
     fn fig5_slopes_match_paper_shape() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         let a = r.fits[0].expect("A fit exists");
         // A is favoured in small cities: usage falls as city size grows.
         assert!(a.slope < 0.0, "A slope {}", a.slope);

@@ -7,11 +7,10 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_trace::CdnLabel;
 
 /// One country's usage shares.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountryUsage {
     /// Anonymised country code.
     pub code: String,
@@ -22,7 +21,7 @@ pub struct CountryUsage {
 }
 
 /// Fig 7 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// Per-country usage, countries with ≥ 100 requests, by request count.
     pub countries: Vec<CountryUsage>,
@@ -43,7 +42,7 @@ pub fn run(scenario: &Scenario) -> Fig7Result {
             shares,
         })
         .collect();
-    countries.sort_by(|a, b| b.requests.cmp(&a.requests));
+    countries.sort_by_key(|c| std::cmp::Reverse(c.requests));
     let b_shares: Vec<f64> = countries
         .iter()
         .map(|c| c.shares[CdnLabel::B.index()])
@@ -91,7 +90,7 @@ mod tests {
     #[test]
     fn fig7_usage_varies_strongly_per_country() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         assert!(r.countries.len() >= 3, "{} countries", r.countries.len());
         // Small test traces have few >=100-request countries; the
         // full-scale run shows near-0% to near-100%.

@@ -11,12 +11,11 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_cdn::CdnId;
 use vdx_netsim::{alternatives_within, Score, SIMILARITY_MARGIN};
 
 /// Table 1 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Result {
     /// `pct[k]` = percentage of clients with ≥ k+1 alternative clusters.
     pub pct_with_alternatives: [f64; 4],
@@ -39,7 +38,7 @@ pub fn run(scenario: &Scenario) -> Table1Result {
         let alts = alternatives_within(&scores, SIMILARITY_MARGIN);
         let w = requests as f64;
         for (k, slot) in weighted.iter_mut().enumerate() {
-            if alts >= k + 1 {
+            if alts > k {
                 *slot += w;
             }
         }
@@ -84,7 +83,7 @@ mod tests {
     #[test]
     fn table1_alternatives_are_common_and_monotone() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         // Monotone by construction.
         for k in 1..4 {
             assert!(r.pct_with_alternatives[k] <= r.pct_with_alternatives[k - 1]);

@@ -22,12 +22,11 @@ use crate::engine::{run_rounds, run_series, RoundSpec};
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::report::{fmt, render_table};
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_broker::CpPolicy;
 use vdx_core::Design;
 
 /// Table 3 results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Result {
     /// `(design name, metrics)` in the paper's row order.
     pub rows: Vec<(String, DesignMetrics)>,
@@ -119,7 +118,7 @@ mod tests {
     #[test]
     fn table3_reproduces_paper_orderings() {
         let s: &Scenario = crate::scenario::shared_small();
-        let r = run(&s);
+        let r = run(s);
         assert_eq!(r.rows.len(), 8);
         let brokered = metrics_of(&r, "Brokered").expect("row exists");
         let multicluster100 = metrics_of(&r, "Multicluster (100)").expect("row exists");

@@ -30,7 +30,6 @@
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::scenario::Scenario;
 use crate::soak::{brokered_round, matching_for, round_engine};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdx_broker::{BrokerProblem, CpPolicy, OptimizeMode, StaleBidCache};
 use vdx_cdn::CdnId;
@@ -45,7 +44,7 @@ use vdx_proto::reliable::{ReliableChannel, ReliableConfig};
 use vdx_proto::{Bid, FaultConfig, Link, LinkEnd, SimTime};
 
 /// The faults injected into one campaign round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoundFaults {
     /// Per-packet drop probability on every broker↔CDN link.
     pub drop_chance: f64,
@@ -96,7 +95,7 @@ impl Default for RoundFaults {
 }
 
 /// A full campaign: per-round faults plus the degradation-policy knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// One entry per campaign round, in order.
     pub rounds: Vec<RoundFaults>,
@@ -129,7 +128,7 @@ impl FaultPlan {
 }
 
 /// How a campaign round was resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundAvailability {
     /// Completed on fresh information (possibly after retransmissions).
     Live,
@@ -140,7 +139,7 @@ pub enum RoundAvailability {
 }
 
 /// One resolved campaign round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignRound {
     /// How the round was resolved.
     pub availability: RoundAvailability,
@@ -149,7 +148,7 @@ pub struct CampaignRound {
 }
 
 /// A finished campaign for one design.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignOutcome {
     /// The design the campaign ran.
     pub design: Design,

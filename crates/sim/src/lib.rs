@@ -13,7 +13,7 @@
 //! * [`experiment`] — one module per table/figure: `fig3`, `fig4`, `fig5`,
 //!   `fig7`, `table1`, `table3`, `fig10_15`, `fig16`, `fig17`, `fig18`.
 //! * [`engine`] — deterministic fan-out of independent decision rounds
-//!   across threads (`parallel` feature, `repro --threads N`); results
+//!   across threads (`Scenario::set_threads`, `repro --threads N`); results
 //!   and journals are byte-identical to a serial run.
 //! * [`faults`] — fault-injection campaigns (DESIGN.md §9): rounds run
 //!   over lossy `vdx-proto` links with a deadline, stale-bid reuse, and
@@ -63,9 +63,3 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1))
         .cloned()
 }
-
-// The audit store's reader ceiling must move in lockstep with the
-// journal schema: bumping `vdx_obs::SCHEMA_VERSION` without teaching
-// `vdx-audit` the new shape would silently strand fresh journals
-// outside the store. Fail the build instead.
-const _: () = assert!(vdx_audit::SUPPORTED_JOURNAL_SCHEMA == vdx_obs::SCHEMA_VERSION);

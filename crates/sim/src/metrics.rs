@@ -19,11 +19,10 @@
 //! cluster" — which is only true of delivery cost.
 
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use vdx_core::RoundOutcome;
 
 /// Measured metrics for one design's round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignMetrics {
     /// Median internal delivery cost per megabit over clients.
     pub cost: f64,
@@ -152,7 +151,7 @@ mod tests {
         for design in Design::TABLE3 {
             let out = s.run(design, CpPolicy::balanced());
             let m = compute(&MetricsInput {
-                scenario: &s,
+                scenario: s,
                 outcome: &out,
             });
             assert!(
@@ -174,11 +173,11 @@ mod tests {
         let brokered = s.run(Design::Brokered, CpPolicy::balanced());
         let multi = s.run(Design::Multicluster(100), CpPolicy::balanced());
         let mb = compute(&MetricsInput {
-            scenario: &s,
+            scenario: s,
             outcome: &brokered,
         });
         let mm = compute(&MetricsInput {
-            scenario: &s,
+            scenario: s,
             outcome: &multi,
         });
         assert!(
@@ -196,11 +195,11 @@ mod tests {
         let brokered = s.run(Design::Brokered, CpPolicy::balanced());
         let market = s.run(Design::Marketplace, CpPolicy::balanced());
         let mb = compute(&MetricsInput {
-            scenario: &s,
+            scenario: s,
             outcome: &brokered,
         });
         let mm = compute(&MetricsInput {
-            scenario: &s,
+            scenario: s,
             outcome: &market,
         });
         assert!(
@@ -217,7 +216,7 @@ mod tests {
         let s = crate::scenario::shared_small();
         let market = s.run(Design::Marketplace, CpPolicy::balanced());
         let mm = compute(&MetricsInput {
-            scenario: &s,
+            scenario: s,
             outcome: &market,
         });
         assert_eq!(mm.congested_pct, 0.0);

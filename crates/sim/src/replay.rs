@@ -10,7 +10,6 @@
 //! Fig 4, now produced by an actual decision loop instead of synthesized.
 
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use vdx_broker::{gather_groups, CpPolicy, OptimizeMode};
 use vdx_cdn::ClusterId;
@@ -19,7 +18,7 @@ use vdx_geo::CityId;
 use vdx_obs::Event;
 
 /// Replay parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// Decision Protocol period in seconds (paper: "every few minutes").
     pub bin_s: f64,
@@ -40,7 +39,7 @@ impl Default for ReplayConfig {
 }
 
 /// One bin's aggregate results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BinStats {
     /// Bin start time, seconds.
     pub t0: f64,
@@ -54,7 +53,7 @@ pub struct BinStats {
 }
 
 /// Full replay results.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayResult {
     /// Per-bin statistics.
     pub bins: Vec<BinStats>,

@@ -15,7 +15,6 @@
 //! The resulting [`Scenario`] can then run any [`Design`]'s Decision
 //! Protocol round via [`Scenario::run`].
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdx_broker::{
     gather::demand_points, gather_groups, synth_background, ClientGroup, CpPolicy, OptimizeMode,
@@ -34,7 +33,7 @@ use vdx_trace::{BrokerTrace, BrokerTraceConfig};
 use vdx_units::Kbps;
 
 /// Scenario scale and seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// World parameters.
     pub world: WorldConfig,
@@ -111,6 +110,8 @@ pub struct Scenario {
     pub background_load: Vec<Kbps>,
     /// Observability probe; the default no-op keeps rounds pure.
     probe: Arc<dyn Probe>,
+    /// Threads the experiment engine fans independent rounds out over.
+    threads: usize,
     /// Precomputed (client city × cluster city) scores; every score the
     /// ecosystem asks for — capacity planning, background placement,
     /// decision rounds — is an O(1) lookup here.
@@ -153,6 +154,7 @@ impl Scenario {
             background_kbps,
             background_load,
             probe: vdx_obs::probe::noop(),
+            threads: 1,
             scores,
         }
     }
@@ -169,6 +171,19 @@ impl Scenario {
     /// [`replay`]: crate::replay
     pub fn probe(&self) -> Arc<dyn Probe> {
         self.probe.clone()
+    }
+
+    /// Sets how many threads [`crate::engine`] fans independent rounds
+    /// out over (at least one). A freshly built scenario has one: rounds
+    /// run on the calling thread. Results and journals are identical for
+    /// any count; only wall-clock time and peak memory change.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
+    /// The engine's thread count; see [`Scenario::set_threads`].
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The §7.2 scenario: this ecosystem plus `n` city-centric CDNs, with
@@ -208,6 +223,7 @@ impl Scenario {
             background_kbps: self.background_kbps.clone(),
             background_load,
             probe: self.probe.clone(),
+            threads: self.threads,
             scores,
         }
     }

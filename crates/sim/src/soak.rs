@@ -21,7 +21,6 @@
 
 use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, OptimizeMode, StaleBidCache};
 use vdx_cdn::{median_capacity, BidPolicy, CdnId, MatchingConfig};
@@ -79,7 +78,7 @@ pub fn round_engine(scenario: &Scenario, design: Design, cdn: u32) -> BidEngine 
 
 /// What one soak round injects: the CDNs whose agents stay silent (they
 /// receive the Share but never Announce).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SoakRound {
     /// CDNs that do not answer this round.
     pub silent: Vec<u32>,
@@ -87,7 +86,7 @@ pub struct SoakRound {
 
 /// A full soak campaign: per-round silences plus the ladder knobs both
 /// drivers must share for their decisions to be comparable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SoakPlan {
     /// One entry per round, in order. Rounds beyond the list are clean.
     pub rounds: Vec<SoakRound>,

@@ -23,7 +23,7 @@ fn jsonl(mut events: Vec<Event>) -> String {
     let mut out = String::new();
     for e in &mut events {
         e.zero_wall_clock();
-        out.push_str(&serde_json::to_string(e).expect("serializable"));
+        out.push_str(&e.to_json_line());
         out.push('\n');
     }
     out
@@ -137,21 +137,15 @@ fn same_seed_same_plan_is_byte_identical() {
     );
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn threads_do_not_change_the_faults_journal() {
-    // The ext_faults cells fan out across the rayon pool; per-cell event
-    // buffering must keep the journal schedule-independent.
+    // The ext_faults cells fan out across the engine's threads; per-cell
+    // event buffering must keep the journal schedule-independent.
     let run_with_threads = |scenario: &mut Scenario, threads: usize| -> String {
         let probe = Arc::new(MemoryProbe::new());
         scenario.set_probe(probe.clone());
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool")
-            .install(|| {
-                vdx_sim::experiment::ext_faults::run(scenario);
-            });
+        scenario.set_threads(threads);
+        vdx_sim::experiment::ext_faults::run(scenario);
         jsonl(probe.take())
     };
     let mut scenario = Scenario::build(ScenarioConfig::small());

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use vdx_broker::CpPolicy;
 use vdx_core::{Design, RoundId};
 use vdx_obs::{read_journal, Event, Journal, JournalProbe, Probe, Stopwatch, SCHEMA_VERSION};
+use vdx_sim::experiment::table3;
 use vdx_sim::replay::{replay, ReplayConfig};
 use vdx_sim::{Scenario, ScenarioConfig};
 
@@ -67,7 +68,7 @@ fn canonical_bytes(path: &Path) -> Vec<u8> {
     }
     let mut out = Vec::new();
     for e in &events {
-        out.extend_from_slice(serde_json::to_string(e).expect("serializable").as_bytes());
+        out.extend_from_slice(e.to_json_line().as_bytes());
         out.push(b'\n');
     }
     out
@@ -126,22 +127,16 @@ fn journaled_run_is_valid_and_byte_deterministic() {
     std::fs::remove_file(&path_b).ok();
 }
 
-/// Journals a full table3 run (eight fanned-out rounds) inside a rayon
-/// pool of `threads` workers.
-#[cfg(feature = "parallel")]
-fn journaled_table3(path: &Path, threads: usize) {
+/// Journals `run` over a fresh small scenario whose engine fans out over
+/// `threads` threads.
+fn journaled_table3(path: &Path, threads: usize, run: impl FnOnce(&Scenario)) {
     let clock = Stopwatch::start();
     let journal = Journal::create(path).expect("create journal");
     let probe = Arc::new(JournalProbe::new(journal));
     let mut scenario = Scenario::build(ScenarioConfig::small());
     scenario.set_probe(probe.clone());
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
-        .install(|| {
-            vdx_sim::experiment::table3::run(&scenario);
-        });
+    scenario.set_threads(threads);
+    run(&scenario);
     drop(scenario);
     let journal = Arc::try_unwrap(probe)
         .expect("probe no longer shared")
@@ -152,13 +147,16 @@ fn journaled_table3(path: &Path, threads: usize) {
         .expect("finish journal");
 }
 
-#[cfg(feature = "parallel")]
+/// A full table3 run: eight fanned-out rounds.
 #[test]
 fn journaled_table3_is_byte_identical_across_thread_counts() {
     let path_1 = temp_path("t1.jsonl");
     let path_4 = temp_path("t4.jsonl");
-    journaled_table3(&path_1, 1);
-    journaled_table3(&path_4, 4);
+    for (path, threads) in [(&path_1, 1), (&path_4, 4)] {
+        journaled_table3(path, threads, |s| {
+            table3::run(s);
+        });
+    }
     let a = canonical_bytes(&path_1);
     let b = canonical_bytes(&path_4);
     assert!(!a.is_empty());
@@ -170,37 +168,17 @@ fn journaled_table3_is_byte_identical_across_thread_counts() {
     std::fs::remove_file(&path_4).ok();
 }
 
-/// Journals a multi-round table3 run (the warm-start hot loop: one
-/// series of `rounds` rounds per design) inside a rayon pool of
-/// `threads` workers, with reuse on or off.
-#[cfg(feature = "parallel")]
+/// A multi-round table3 run (the warm-start hot loop: one series of
+/// `rounds` rounds per design), with reuse on or off.
 fn journaled_table3_multi(path: &Path, threads: usize, rounds: u64, reuse: bool) {
-    let clock = Stopwatch::start();
-    let journal = Journal::create(path).expect("create journal");
-    let probe = Arc::new(JournalProbe::new(journal));
-    let mut scenario = Scenario::build(ScenarioConfig::small());
-    scenario.set_probe(probe.clone());
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
-        .install(|| {
-            vdx_sim::experiment::table3::run_multi(&scenario, rounds, reuse);
-        });
-    drop(scenario);
-    let journal = Arc::try_unwrap(probe)
-        .expect("probe no longer shared")
-        .into_journal()
-        .expect("no swallowed write errors");
-    journal
-        .finish("table3", clock.elapsed_ms())
-        .expect("finish journal");
+    journaled_table3(path, threads, |s| {
+        table3::run_multi(s, rounds, reuse);
+    });
 }
 
 /// The tentpole's byte-identity contract end to end: warm-started and
 /// cold multi-round table3 journals — `SolverResolve` delta lines
 /// included — are byte-identical to each other and across thread counts.
-#[cfg(feature = "parallel")]
 #[test]
 fn warm_started_table3_journals_are_byte_identical_to_cold_across_threads() {
     let warm_1 = temp_path("warm1.jsonl");

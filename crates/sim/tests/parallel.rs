@@ -1,38 +1,29 @@
-//! Serial-vs-parallel determinism: running an experiment inside a
-//! 1-thread and a 4-thread rayon pool must produce byte-identical JSON
-//! results — the contract the experiment engine's indexed fan-out exists
-//! to uphold.
+//! Serial-vs-parallel determinism: running an experiment on one thread
+//! and on four must produce identical results — the contract the
+//! experiment engine's indexed fan-out exists to uphold. Results are
+//! compared through `Debug`, which prints every float to round-trip
+//! precision.
 
-#![cfg(feature = "parallel")]
-
-use std::sync::OnceLock;
 use vdx_sim::experiment::{fig17, table3};
 use vdx_sim::{Scenario, ScenarioConfig};
 
-fn scenario() -> &'static Scenario {
-    static SCENARIO: OnceLock<Scenario> = OnceLock::new();
-    SCENARIO.get_or_init(|| Scenario::build(ScenarioConfig::small()))
-}
-
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
+/// `run`'s result, printed, on a fresh small scenario at each thread count.
+fn on_one_and_four_threads<R: std::fmt::Debug>(run: impl Fn(&Scenario) -> R) -> [String; 2] {
+    let mut scenario = Scenario::build(ScenarioConfig::small());
+    [1, 4].map(|threads| {
+        scenario.set_threads(threads);
+        format!("{:?}", run(&scenario))
+    })
 }
 
 #[test]
 fn table3_is_byte_identical_for_one_and_four_threads() {
-    let s = scenario();
-    let serial = pool(1).install(|| serde_json::to_string(&table3::run(s)).expect("serialize"));
-    let parallel = pool(4).install(|| serde_json::to_string(&table3::run(s)).expect("serialize"));
+    let [serial, parallel] = on_one_and_four_threads(table3::run);
     assert_eq!(serial, parallel);
 }
 
 #[test]
 fn fig17_is_byte_identical_for_one_and_four_threads() {
-    let s = scenario();
-    let serial = pool(1).install(|| serde_json::to_string(&fig17::run(s)).expect("serialize"));
-    let parallel = pool(4).install(|| serde_json::to_string(&fig17::run(s)).expect("serialize"));
+    let [serial, parallel] = on_one_and_four_threads(fig17::run);
     assert_eq!(serial, parallel);
 }

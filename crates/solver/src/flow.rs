@@ -400,8 +400,7 @@ mod tests {
 
     #[test]
     fn dijkstra_path_pins_cost_against_spfa_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use vdx_rand::StdRng;
         let mut rng = StdRng::seed_from_u64(77);
         for trial in 0..20 {
             // Random layered unit-assignment-shaped networks: negative
@@ -448,8 +447,7 @@ mod tests {
 
     #[test]
     fn flow_matches_milp_on_uniform_load_gap() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use vdx_rand::StdRng;
         let mut rng = StdRng::seed_from_u64(33);
         for trial in 0..10 {
             let nbuckets = rng.gen_range(2..4);

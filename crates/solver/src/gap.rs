@@ -166,10 +166,8 @@ impl AssignmentProblem {
             // Best-value option that fits.
             let mut best: Option<(usize, f64)> = None;
             for (i, o) in self.options[c].iter().enumerate() {
-                if o.load <= remaining[o.bucket] {
-                    if best.map_or(true, |(_, v)| o.value > v) {
-                        best = Some((i, o.value));
-                    }
+                if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
+                    best = Some((i, o.value));
                 }
             }
             let pick = match best {
@@ -207,10 +205,10 @@ impl AssignmentProblem {
         for _ in 0..max_rounds {
             let mut improved = false;
             // Single-client moves.
-            for c in 0..self.num_clients() {
-                let cur = self.options[c][choice[c]];
-                for (i, o) in self.options[c].iter().enumerate() {
-                    if i == choice[c] || o.value <= cur.value {
+            for (options, pick) in self.options.iter().zip(choice.iter_mut()) {
+                let cur = options[*pick];
+                for (i, o) in options.iter().enumerate() {
+                    if i == *pick || o.value <= cur.value {
                         continue;
                     }
                     let fits = if o.bucket == cur.bucket {
@@ -223,7 +221,7 @@ impl AssignmentProblem {
                     if fits {
                         loads[cur.bucket] -= cur.load;
                         loads[o.bucket] += o.load;
-                        choice[c] = i;
+                        *pick = i;
                         improved = true;
                         break;
                     }
@@ -474,8 +472,7 @@ mod tests {
 
     #[test]
     fn heuristic_close_to_exact_on_random_instances() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use vdx_rand::StdRng;
         let mut rng = StdRng::seed_from_u64(21);
         let mut total_gap = 0.0;
         for _ in 0..20 {

@@ -29,7 +29,7 @@
 //! optimality for latency — and property tests bound its gap against the
 //! exact solvers.
 //!
-//! This crate depends on nothing but `std` (tests use `rand`/`proptest`).
+//! This crate depends on nothing but `std` (tests draw inputs from `vdx-rand`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -371,7 +371,7 @@ mod tests {
         );
         let gap = stats.optimality_gap(objective).expect("bound set");
         assert!(
-            gap >= 0.0 && gap < 0.2,
+            (0.0..0.2).contains(&gap),
             "small gap on a tiny knapsack, got {gap}"
         );
     }

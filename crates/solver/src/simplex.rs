@@ -155,19 +155,13 @@ impl Tableau {
 
         // Phase-2 costs: minimize (negate if the problem maximizes).
         let mut cost = vec![0.0; cols + 1];
-        for i in 0..n {
-            cost[i] = if lp.maximize {
-                -lp.objective[i]
-            } else {
-                lp.objective[i]
-            };
+        for (cost, &objective) in cost.iter_mut().zip(&lp.objective[..n]) {
+            *cost = if lp.maximize { -objective } else { objective };
         }
         // Phase-1 costs: minimize the sum of artificials; expressed in terms
         // of the non-basic variables by subtracting the artificial rows.
         let mut art_cost = vec![0.0; cols + 1];
-        for c in art_start..cols {
-            art_cost[c] = 1.0;
-        }
+        art_cost[art_start..cols].fill(1.0);
         for (r, &b) in basis.iter().enumerate() {
             if b >= art_start {
                 for cidx in 0..=cols {
@@ -435,8 +429,7 @@ mod tests {
 
     #[test]
     fn solution_is_feasible_for_random_problems() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use vdx_rand::StdRng;
         let mut rng = StdRng::seed_from_u64(17);
         for trial in 0..50 {
             let n = rng.gen_range(2..6);

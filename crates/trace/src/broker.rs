@@ -23,20 +23,18 @@
 //! | Strong per-country CDN skew (Fig 7) | per-country preference weights with heavy mass near zero |
 
 use crate::stats::{WeightedIndex, Zipf};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vdx_geo::{CityId, CountryId, World};
+use vdx_rand::StdRng;
 
 /// Identifier of a session within a [`BrokerTrace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u32);
 
 /// The CDNs visible in the broker trace. The paper anonymises them as "A"
 /// (many locations), "B" and "C" (few large locations), and aggregates the
 /// rest as "other".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CdnLabel {
     /// Highly distributed CDN.
     A,
@@ -74,7 +72,7 @@ impl CdnLabel {
 }
 
 /// One client video session, mirroring the fields of the paper's trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionRecord {
     /// Session id (index into the trace).
     pub id: SessionId,
@@ -134,7 +132,7 @@ impl SessionRecord {
 
 /// Configuration for [`BrokerTrace::generate`]. Defaults reproduce the
 /// paper's trace scale and statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BrokerTraceConfig {
     /// Number of sessions (paper: 33.4 K).
     pub sessions: usize,
@@ -205,7 +203,7 @@ impl BrokerTraceConfig {
 }
 
 /// A synthetic broker trace over a [`World`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BrokerTrace {
     config: BrokerTraceConfig,
     sessions: Vec<SessionRecord>,

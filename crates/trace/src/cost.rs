@@ -8,12 +8,11 @@
 //! costs as percentages.
 
 use crate::broker::BrokerTrace;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vdx_geo::{CountryId, World};
 
 /// One row of the Fig 3 data set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CountryCostRow {
     /// The country.
     pub country: CountryId,

@@ -5,8 +5,7 @@
 //! assert they match. That closes the loop on "the synthetic trace has the
 //! published statistics".
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use vdx_rand::StdRng;
 
 /// A Zipf sampler over ranks `0..n` with exponent `s`:
 /// `P(rank k) ∝ 1 / (k+1)^s`. Built once (O(n)), sampled in O(log n).
@@ -198,7 +197,6 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn zipf_head_dominates() {

@@ -8,8 +8,8 @@
 //!
 //! # Stored quanta
 //!
-//! The wrappers are `#[serde(transparent)]` views over the exact `f64`
-//! values the economy has always journaled:
+//! The wrappers are transparent views over the exact `f64` values the
+//! economy has always journaled:
 //!
 //! * [`Kbps`] stores kilobits per second.
 //! * [`Gb`] stores **megabits** — the settlement quantum the ledger has
@@ -31,7 +31,6 @@
 //! non-finite values and (where the domain demands it) negative results.
 //! The checks compile out of release builds, so hot paths are untouched.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
@@ -152,8 +151,7 @@ macro_rules! additive_impls {
 }
 
 /// Throughput in kilobits per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Kbps(f64);
 
 base_impls!(Kbps, "kbit/s");
@@ -202,8 +200,7 @@ impl Kbps {
 
 /// Traffic volume. Stored in **megabits**, the ledger's historical
 /// settlement quantum; use [`Gb::as_gigabits`] for display in Gb.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Gb(f64);
 
 base_impls!(Gb, "Mb");
@@ -226,8 +223,7 @@ impl Gb {
 }
 
 /// Money in US dollars.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Usd(f64);
 
 base_impls!(Usd, "USD");
@@ -260,8 +256,7 @@ impl Neg for Usd {
 /// Unit price of traffic. Stored in **dollars per megabit**, matching the
 /// [`Gb`] quantum, so `price.charge(volume)` reproduces the ledger's
 /// historical `price_per_mb * mbps` product bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct UsdPerGb(f64);
 
 base_impls!(UsdPerGb, "USD/Mb");
@@ -323,8 +318,7 @@ impl Mul<Margin> for UsdPerGb {
 
 /// Dimensionless multiplicative markup applied to a unit price
 /// (`1.0` = sell at cost).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Margin(f64);
 
 base_impls!(Margin, "x");
