@@ -83,11 +83,6 @@ pub fn synth_background(groups: &[ClientGroup], multiple: f64, seed: u64) -> Vec
         .collect()
 }
 
-/// Total demand across groups.
-pub fn total_demand_kbps(groups: &[ClientGroup]) -> Kbps {
-    groups.iter().map(|g| g.demand_kbps).sum()
-}
-
 /// Demand points `(city, rate)` for capacity planning / contracts, with
 /// background folded in (`background[i]` aligned with `groups[i]`).
 pub fn demand_points(groups: &[ClientGroup], background: &[Kbps]) -> Vec<(CityId, Kbps)> {
@@ -150,7 +145,7 @@ mod tests {
         let bg = synth_background(&groups, 3.0, 7);
         assert_eq!(bg.len(), groups.len());
         let total_bg: f64 = bg.iter().map(|b| b.as_f64()).sum();
-        let total_fg = total_demand_kbps(&groups).as_f64();
+        let total_fg: f64 = groups.iter().map(|g| g.demand_kbps.as_f64()).sum();
         let ratio = total_bg / total_fg;
         assert!((2.5..3.5).contains(&ratio), "ratio {ratio}");
         // Per-city noise stays within the documented band.

@@ -189,11 +189,6 @@ impl OptimizeContext {
         self.reuse = reuse;
     }
 
-    /// Whether reuse is enabled.
-    pub fn reuse(&self) -> bool {
-        self.reuse
-    }
-
     /// Cumulative warm/cold counters since the context was created.
     pub fn stats(&self) -> &SolveStats {
         &self.stats
@@ -674,7 +669,6 @@ mod tests {
         let mut warm = OptimizeContext::new();
         let mut cold = OptimizeContext::new();
         cold.set_reuse(false);
-        assert!(!cold.reuse());
         let warm_driven = drive_ctx(&mut warm, &rounds);
         let cold_driven = drive_ctx(&mut cold, &rounds);
         for ((wa, we), (ca, ce)) in warm_driven.iter().zip(&cold_driven) {

@@ -29,11 +29,6 @@ impl<T> StaleBidCache<T> {
         }
     }
 
-    /// The configured freshness bound, in rounds.
-    pub fn ttl_rounds(&self) -> u64 {
-        self.ttl_rounds
-    }
-
     /// Records `bids` as CDN `cdn`'s latest, seen in `round`.
     pub fn store(&mut self, cdn: usize, round: u64, bids: T) {
         self.slots[cdn] = Some((round, bids));

@@ -95,21 +95,6 @@ impl Fleet {
     pub fn owner(&self, cluster: ClusterId) -> CdnId {
         self.clusters[cluster.index()].cdn
     }
-
-    /// Number of distinct CDNs present at each city (the co-location count).
-    pub fn cdns_per_city(&self) -> HashMap<CityId, usize> {
-        let mut per_city: HashMap<CityId, Vec<CdnId>> = HashMap::new();
-        for cl in &self.clusters {
-            let v = per_city.entry(cl.city).or_default();
-            if !v.contains(&cl.cdn) {
-                v.push(cl.cdn);
-            }
-        }
-        per_city
-            .into_iter()
-            .map(|(city, v)| (city, v.len()))
-            .collect()
-    }
 }
 
 /// Fleet-builder configuration. The default reproduces the paper's mix:
@@ -409,22 +394,6 @@ mod tests {
             dist_spread > avg_central,
             "distributed spread {dist_spread:.1} vs centralized {avg_central:.1}"
         );
-    }
-
-    #[test]
-    fn colocation_counts_are_consistent() {
-        let (_, fleet) = setup();
-        let counts = fleet.cdns_per_city();
-        let total: usize = counts.values().sum();
-        // Every (CDN, city) pair counted once.
-        let mut pairs = 0;
-        for cdn in &fleet.cdns {
-            let mut cities: Vec<CityId> = fleet.clusters_of(cdn.id).map(|c| c.city).collect();
-            cities.sort();
-            cities.dedup();
-            pairs += cities.len();
-        }
-        assert_eq!(total, pairs);
     }
 
     #[test]

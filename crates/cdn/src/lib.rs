@@ -43,7 +43,4 @@ pub use capacity::{median_capacity, plan_capacities, total_capacity, Demand, PRO
 pub use cluster::{CdnId, Cluster, ClusterId};
 pub use contract::{negotiate_contract, Contract, DEFAULT_MARKUP};
 pub use deploy::{build_fleet, city_centric_cdns, Cdn, DeploymentModel, Fleet, FleetConfig};
-pub use matching::{
-    best_cluster, candidate_clusters, candidate_clusters_into, preferred_cluster, Matching,
-    MatchingConfig,
-};
+pub use matching::{candidate_clusters, candidate_clusters_into, Matching, MatchingConfig};

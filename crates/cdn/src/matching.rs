@@ -125,44 +125,6 @@ pub fn candidate_clusters_into(
     out.truncate(config.max_candidates.max(1));
 }
 
-/// The cluster the CDN's matching algorithm *prefers* for this client: the
-/// first candidate of [`candidate_clusters`] under the default rule, i.e.
-/// the cheapest cluster scoring within 2× of the best. This is the cluster
-/// a single-matching design serves from, and therefore also the cluster
-/// solo-workload capacity planning and contract negotiation must use — the
-/// paper applies one matching algorithm consistently (§5.1).
-pub fn preferred_cluster(
-    fleet: &Fleet,
-    cdn: CdnId,
-    score_of: impl Fn(CityId) -> Score,
-) -> Option<ClusterId> {
-    candidate_clusters(
-        fleet,
-        cdn,
-        score_of,
-        &MatchingConfig {
-            score_ratio: 2.0,
-            max_candidates: 1,
-        },
-    )
-    .first()
-    .map(|m| m.cluster)
-}
-
-/// The cluster a CDN's *network measurements* rank first: the best-scoring
-/// one (Akamai-style selection, §2.1), ignoring cost entirely.
-pub fn best_cluster(
-    fleet: &Fleet,
-    cdn: CdnId,
-    score_of: impl Fn(CityId) -> Score,
-) -> Option<ClusterId> {
-    fleet
-        .clusters_of(cdn)
-        .map(|cl| (cl.id, score_of(cl.city)))
-        .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-        .map(|(id, _)| id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,23 +221,14 @@ mod tests {
     }
 
     #[test]
-    fn best_cluster_is_lowest_score() {
-        let f = fleet(&[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]);
-        let best = best_cluster(&f, CdnId(0), scorer(&[30.0, 10.0, 20.0]));
-        assert_eq!(best, Some(ClusterId(1)));
-    }
-
-    #[test]
     fn preferred_cluster_is_cheapest_within_ratio() {
         let f = fleet(&[(3.0, 1.0), (1.0, 1.0), (2.0, 1.0)]);
-        // Scores 100/150/900: candidates are clusters 0 and 1; cheapest is 1.
-        let preferred = preferred_cluster(&f, CdnId(0), scorer(&[100.0, 150.0, 900.0]));
-        assert_eq!(preferred, Some(ClusterId(1)));
-        // best_cluster ignores cost and picks the score winner.
-        assert_eq!(
-            best_cluster(&f, CdnId(0), scorer(&[100.0, 150.0, 900.0])),
-            Some(ClusterId(0))
-        );
+        // Scores 100/150/900: candidates are clusters 0 and 1; cheapest is 1,
+        // and that is the one a single-matching design serves from.
+        let single = MatchingConfig::default().with_max_candidates(1);
+        let m = candidate_clusters(&f, CdnId(0), scorer(&[100.0, 150.0, 900.0]), &single);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m[0].cluster, ClusterId(1));
     }
 
     #[test]
@@ -307,7 +260,5 @@ mod tests {
         assert!(
             candidate_clusters(&f, CdnId(0), |_| Score(1.0), &MatchingConfig::default()).is_empty()
         );
-        assert_eq!(best_cluster(&f, CdnId(0), |_| Score(1.0)), None);
-        assert_eq!(preferred_cluster(&f, CdnId(0), |_| Score(1.0)), None);
     }
 }

@@ -7,7 +7,7 @@
 use vdx_cdn::capacity::{plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 use vdx_cdn::cluster::{CdnId, Cluster, ClusterId};
 use vdx_cdn::deploy::{Cdn, DeploymentModel, Fleet};
-use vdx_cdn::matching::{candidate_clusters, preferred_cluster, MatchingConfig};
+use vdx_cdn::matching::{candidate_clusters, MatchingConfig};
 use vdx_geo::{CityId, World, WorldConfig};
 use vdx_netsim::Score;
 use vdx_rand::prop::{check, vec_of};
@@ -102,8 +102,8 @@ fn matching_honours_the_candidate_contract() {
 }
 
 /// The single-matching rule is the truncation of the full rule: the
-/// preferred cluster is exactly the first candidate under the default
-/// 2x cutoff.
+/// cluster a one-candidate design serves from is exactly the first
+/// candidate under the default 2x cutoff.
 #[test]
 fn preferred_cluster_is_head_of_candidate_list() {
     check(CASES, costs_and_scores, |(costs, scores)| {
@@ -111,8 +111,10 @@ fn preferred_cluster_is_head_of_candidate_list() {
         let f = fleet(&specs);
         let score_of = |city: CityId| Score(scores[city.0 as usize]);
         let full = candidate_clusters(&f, CdnId(0), score_of, &MatchingConfig::default());
-        let preferred = preferred_cluster(&f, CdnId(0), score_of);
-        assert_eq!(preferred, full.first().map(|m| m.cluster));
+        let single = MatchingConfig::default().with_max_candidates(1);
+        let preferred = candidate_clusters(&f, CdnId(0), score_of, &single);
+        assert_eq!(preferred.len(), full.len().min(1));
+        assert_eq!(preferred.first(), full.first());
     });
 }
 

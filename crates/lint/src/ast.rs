@@ -38,8 +38,6 @@ pub struct File {
     pub rel_path: String,
     /// Cargo package the file belongs to (e.g. `vdx-exchanged`).
     pub crate_name: String,
-    /// True for binary-target files (exempt from the no-panics rule).
-    pub is_bin: bool,
     /// Top-level items.
     pub items: Vec<Item>,
 }
@@ -74,8 +72,8 @@ pub enum Vis {
 }
 
 impl Vis {
-    /// True for any `pub` form (the raw-f64 rule treats `pub(crate)` as
-    /// public: it still crosses module boundaries).
+    /// True for any `pub` form (`pub(crate)` counts as public: it
+    /// still crosses module boundaries).
     pub fn is_pub(&self) -> bool {
         !matches!(self, Vis::Private)
     }

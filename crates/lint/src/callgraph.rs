@@ -32,8 +32,6 @@ pub struct FnNode<'a> {
     pub is_pub: bool,
     /// True for `#[test]`/`#[cfg(test)]` code (incl. enclosing mods).
     pub is_test: bool,
-    /// True when the file is part of a binary target.
-    pub is_bin: bool,
 }
 
 /// One resolved call edge.
@@ -142,7 +140,6 @@ impl<'a> CallGraph<'a> {
                     def,
                     is_pub: item.vis.is_pub(),
                     is_test: test,
-                    is_bin: file.is_bin,
                 });
             }
             ItemKind::Struct { name, fields, .. } => {
@@ -536,7 +533,7 @@ mod tests {
         srcs.iter()
             .map(|(path, krate, src)| {
                 let sf = SourceFile::parse(path, src);
-                parse_file(&sf, krate, false).expect("parse")
+                parse_file(&sf, krate).expect("parse")
             })
             .collect()
     }

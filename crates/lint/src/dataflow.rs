@@ -26,31 +26,8 @@
 
 use crate::ast::*;
 use crate::callgraph::{type_head, CallGraph, FnNode};
+use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// One dataflow finding.
-#[derive(Debug, Clone)]
-pub struct DfFinding {
-    /// Analysis name (`lock-discipline`, `determinism-taint`,
-    /// `panic-path`, `unit-escape`).
-    pub rule: &'static str,
-    /// Finding kind within the analysis (`blocking-under-lock`,
-    /// `order-inversion`, `unwrap`, `raw-arith`, ...).
-    pub kind: &'static str,
-    /// Workspace-relative file of the flagged site.
-    pub file: String,
-    /// 1-based line.
-    pub line: usize,
-    /// 1-based column.
-    pub col: usize,
-    /// Enclosing function name (allowlist context).
-    pub context: String,
-    /// Human-readable description.
-    pub message: String,
-    /// Call-chain witness (`root -> ... -> site` fn ids), when the
-    /// finding is interprocedural.
-    pub chain: Vec<String>,
-}
 
 /// Analysis configuration; [`DfConfig::workspace`] is the real-repo
 /// instance, fixtures construct their own.
@@ -132,7 +109,7 @@ impl DfConfig {
 
 /// Runs all four analyses; findings come back deterministically
 /// sorted.
-pub fn analyze(g: &CallGraph<'_>, cfg: &DfConfig) -> Vec<DfFinding> {
+pub fn analyze(g: &CallGraph<'_>, cfg: &DfConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     lock_discipline(g, cfg, &mut findings);
     determinism_taint(g, cfg, &mut findings);
@@ -537,7 +514,7 @@ struct LockScan<'s, 'a> {
     lock_fields: &'s BTreeSet<String>,
     may_block: &'s [Option<Hop>],
     acq: &'s [BTreeMap<String, Hop>],
-    findings: &'s mut Vec<DfFinding>,
+    findings: &'s mut Vec<Finding>,
     pairs: &'s mut BTreeMap<(String, String), PairSite>,
 }
 
@@ -548,7 +525,7 @@ impl<'s, 'a> LockScan<'s, 'a> {
 
     fn finding(&mut self, kind: &'static str, span: Span, message: String, chain: Vec<String>) {
         let n = self.node();
-        self.findings.push(DfFinding {
+        self.findings.push(Finding {
             rule: "lock-discipline",
             kind,
             file: n.file.to_string(),
@@ -557,6 +534,7 @@ impl<'s, 'a> LockScan<'s, 'a> {
             context: ctx_of(n),
             message,
             chain,
+            ..Finding::default()
         });
     }
 
@@ -876,7 +854,7 @@ impl<'s, 'a> LockScan<'s, 'a> {
     }
 }
 
-fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>) {
+fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
     let mut lock_fields: BTreeSet<String> = BTreeSet::new();
     for ((_, _, field), ty) in &g.field_ty {
         if type_head(ty) == Some("Mutex") {
@@ -912,7 +890,7 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFindi
     for ((a, b), site) in &pairs {
         if a < b {
             if let Some(rev) = pairs.get(&(b.clone(), a.clone())) {
-                findings.push(DfFinding {
+                findings.push(Finding {
                     rule: "lock-discipline",
                     kind: "order-inversion",
                     file: site.file.clone(),
@@ -923,7 +901,7 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFindi
                         "lock order inversion: `{a}` then `{b}` here, but `{b}` then `{a}` at {}:{}",
                         rev.file, rev.span.line
                     ),
-                    chain: Vec::new(),
+                    ..Finding::default()
                 });
             }
         }
@@ -992,6 +970,15 @@ impl<'s, 'a> TaintEnv<'s, 'a> {
         &self.g.fns[self.idx]
     }
 
+    /// Iteration-order taint, when `e` is a `HashMap`/`HashSet`.
+    fn map_order_taint(&self, e: &'a Expr) -> Option<Taint> {
+        let ty = self.g.infer_ty(self.node(), &self.locals, e)?;
+        MAP_TYPES.contains(&ty.as_str()).then(|| Taint {
+            desc: format!("`{ty}` iteration order"),
+            via: None,
+        })
+    }
+
     fn expr_taint(&self, e: &'a Expr) -> Option<Taint> {
         match e {
             Expr::Path { segs, .. } if segs.len() == 1 => {
@@ -1021,12 +1008,8 @@ impl<'s, 'a> TaintEnv<'s, 'a> {
                 recv, method, args, ..
             } => {
                 if ITER_METHODS.contains(&method.as_str()) {
-                    let ty = self.g.infer_ty(self.node(), &self.locals, recv);
-                    if ty.as_deref().is_some_and(|t| MAP_TYPES.contains(&t)) {
-                        return Some(Taint {
-                            desc: format!("`{}` iteration order", ty.unwrap()),
-                            via: None,
-                        });
+                    if let Some(t) = self.map_order_taint(recv) {
+                        return Some(t);
                     }
                 }
                 if let Some(t) = self.expr_taint(recv) {
@@ -1128,7 +1111,6 @@ impl<'s, 'a> TaintEnv<'s, 'a> {
         // `for (k, v) in &map {}` taints the loop bindings.
         walk_block(body, &mut |e| {
             if let Expr::For { pat, iter, .. } = e {
-                let mut src = None;
                 let mut probe: &Expr = iter;
                 loop {
                     match probe {
@@ -1137,15 +1119,9 @@ impl<'s, 'a> TaintEnv<'s, 'a> {
                         _ => break,
                     }
                 }
-                let ty = self.g.infer_ty(self.node(), &self.locals, probe);
-                if ty.as_deref().is_some_and(|t| MAP_TYPES.contains(&t)) {
-                    src = Some(Taint {
-                        desc: format!("`{}` iteration order", ty.unwrap()),
-                        via: None,
-                    });
-                } else if let Some(t) = self.expr_taint(iter) {
-                    src = Some(t);
-                }
+                let src = self
+                    .map_order_taint(probe)
+                    .or_else(|| self.expr_taint(iter));
                 if let Some(t) = src {
                     let mut names = Vec::new();
                     pat.bound_names(&mut names);
@@ -1188,7 +1164,7 @@ impl<'s, 'a> TaintEnv<'s, 'a> {
     }
 }
 
-fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>) {
+fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
     let n = g.fns.len();
     let sanctioned = |i: usize| -> bool {
         cfg.taint_sanctioned_files
@@ -1305,7 +1281,7 @@ fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFin
                 None => t.desc.clone(),
             };
             chain.push(terminal.clone());
-            findings.push(DfFinding {
+            findings.push(Finding {
                 rule: "determinism-taint",
                 kind: "taint-reaches-event",
                 file: node.file.to_string(),
@@ -1316,6 +1292,7 @@ fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFin
                     "nondeterministic value ({terminal}) flows into `{ev}` construction"
                 ),
                 chain,
+                ..Finding::default()
             });
         }
     }
@@ -1325,7 +1302,7 @@ fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFin
 // Panic-path reachability
 // ---------------------------------------------------------------------
 
-fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>) {
+fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
     let mut roots = Vec::new();
     for (krate, ty, name) in &cfg.panic_roots {
         for (i, f) in g.fns.iter().enumerate() {
@@ -1348,7 +1325,7 @@ fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>)
         let mut sites: Vec<(&'static str, Span, String)> = Vec::new();
         collect_panic_sites(body, index_ok, &mut sites);
         for (kind, span, what) in sites {
-            findings.push(DfFinding {
+            findings.push(Finding {
                 rule: "panic-path",
                 kind,
                 file: node.file.to_string(),
@@ -1360,6 +1337,7 @@ fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>)
                     chain.first().cloned().unwrap_or_default()
                 ),
                 chain: chain.clone(),
+                ..Finding::default()
             });
         }
     }
@@ -1522,7 +1500,7 @@ fn collect_panic_sites(body: &Block, index_ok: bool, out: &mut Vec<(&'static str
 // Unit escape
 // ---------------------------------------------------------------------
 
-fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>) {
+fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
     for idx in 0..g.fns.len() {
         let node = &g.fns[idx];
         if node.is_test || cfg.unit_def_crates.iter().any(|c| c == node.crate_name) {
@@ -1589,7 +1567,7 @@ fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>)
             if wrapped.contains(&(span.line, span.col)) {
                 continue;
             }
-            findings.push(DfFinding {
+            findings.push(Finding {
                 rule: "unit-escape",
                 kind: "raw-arith",
                 file: node.file.to_string(),
@@ -1599,7 +1577,7 @@ fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>)
                 message: "raw f64 extracted from a unit newtype feeds arithmetic without \
                           re-wrapping"
                     .to_string(),
-                chain: Vec::new(),
+                ..Finding::default()
             });
         }
         // (b) pub fn returning bare f64 built from an extraction.
@@ -1626,7 +1604,7 @@ fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>)
             ret_spans.sort_by_key(|s| (s.line, s.col));
             ret_spans.dedup();
             if let Some(span) = ret_spans.first() {
-                findings.push(DfFinding {
+                findings.push(Finding {
                     rule: "unit-escape",
                     kind: "raw-return",
                     file: node.file.to_string(),
@@ -1637,7 +1615,7 @@ fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<DfFinding>)
                         "pub fn `{}` returns bare f64 unwrapped from a unit newtype",
                         node.name
                     ),
-                    chain: Vec::new(),
+                    ..Finding::default()
                 });
             }
         }
@@ -1654,7 +1632,7 @@ mod tests {
         srcs.iter()
             .map(|(path, krate, src)| {
                 let sf = SourceFile::parse(path, src);
-                parse_file(&sf, krate, false).expect("parse")
+                parse_file(&sf, krate).expect("parse")
             })
             .collect()
     }

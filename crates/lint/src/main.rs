@@ -1,35 +1,28 @@
-//! vdx-lint: the workspace static-analysis pass (DESIGN.md §10, §14).
+//! vdx-lint: the workspace call-graph analysis pass (DESIGN.md §10, §14).
 //!
-//! Run from anywhere in the workspace:
+//! Run from anywhere in the workspace (it takes no arguments):
 //!
 //! ```text
 //! cargo run -p vdx-lint --release
-//! cargo run -p vdx-lint --release -- --diff target/vdx-lint-baseline.json
 //! ```
 //!
 //! Scans every `.rs` file under `crates/*/src` and the root `src/`,
 //! lexes and parses it into an AST, links a workspace call graph, and
-//! runs two rule families over the result:
+//! runs the four analyses that need one (lock discipline, determinism
+//! taint, panic-path reachability, unit escape). What a per-site check
+//! can own belongs to clippy (`Cargo.toml` `[workspace.lints.clippy]`)
+//! or `cargo test`; DESIGN.md §10 has the table.
 //!
-//! - the three token-era domain rules, re-expressed on the AST
-//!   (unit-typed public APIs, panic discipline, journal-schema
-//!   coverage), and
-//! - the four call-graph dataflow analyses (lock discipline,
-//!   determinism taint, panic-path reachability, unit escape).
-//!
-//! Findings are subtracted against the per-rule allowlists under
+//! Findings are subtracted against the per-analysis allowlists under
 //! `lint/allow/`; allowlist entries that no longer match anything are
-//! themselves errors (`stale-allowlist`). The machine-readable report
-//! (schema 2) goes to `target/vdx-lint-report.json`; `--diff <baseline>`
-//! additionally compares against a previous report and fails on any
-//! finding the baseline did not have.
+//! themselves errors (`stale-allowlist`). Everything is printed to
+//! stdout; any finding left over exits non-zero.
 
 mod ast;
 mod callgraph;
 mod dataflow;
 mod parse;
 mod report;
-mod rules;
 mod scan;
 
 use std::collections::BTreeMap;
@@ -37,42 +30,22 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use callgraph::CallGraph;
-use report::{diff_against, render_json, Allowlist, Finding};
-use rules::Config;
+use report::{Allowlist, Finding};
 use scan::SourceFile;
 
-/// A lexed workspace file plus its cargo-package facts.
+/// A lexed workspace file plus the cargo package it belongs to.
 struct WorkspaceSource {
     /// The lexed file.
     source: SourceFile,
     /// Cargo package name (`vdx-exchanged`, ...).
     crate_name: String,
-    /// True when the file belongs to a binary target (`src/bin/` or a
-    /// package with no `src/lib.rs`); exempt from the no-panics rule.
-    is_bin: bool,
 }
 
 fn main() -> ExitCode {
-    let mut diff_baseline: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--diff" => match args.next() {
-                Some(p) => diff_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("vdx-lint: --diff requires a baseline report path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!(
-                    "vdx-lint: unknown argument `{other}` (usage: vdx-lint [--diff <report>])"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("vdx-lint: unexpected argument `{arg}` (vdx-lint takes no arguments)");
+        return ExitCode::FAILURE;
     }
-
     let root = match workspace_root() {
         Some(r) => r,
         None => {
@@ -87,101 +60,50 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    let findings = run_lint(&root, &sources, design_md.as_deref());
-
-    let json = render_json(&findings, sources.len());
-    let report_path = root.join("target/vdx-lint-report.json");
-    if std::fs::create_dir_all(root.join("target")).is_ok() {
-        if let Err(e) = std::fs::write(&report_path, &json) {
-            eprintln!("vdx-lint: cannot write {}: {e}", report_path.display());
-        }
-    }
-
-    print_summary(&findings, sources.len(), &report_path);
-    let mut failed = findings.iter().any(|f| !f.allowed);
-
-    if let Some(baseline) = diff_baseline {
-        match std::fs::read_to_string(&baseline) {
-            Ok(text) => {
-                let d = diff_against(&findings, &text);
-                for k in &d.fixed {
-                    println!("diff: fixed {k}");
-                }
-                for k in &d.new {
-                    println!("diff: NEW {k}");
-                }
-                println!(
-                    "vdx-lint --diff {}: {} new, {} fixed",
-                    baseline.display(),
-                    d.new.len(),
-                    d.fixed.len()
-                );
-                if !d.new.is_empty() {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("vdx-lint: cannot read baseline {}: {e}", baseline.display());
-                failed = true;
-            }
-        }
-    }
-
-    if failed {
+    let findings = run_lint(&root, &sources);
+    print_summary(&findings, sources.len());
+    if findings.iter().any(|f| !f.allowed) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
 }
 
-/// The full analysis pipeline: parse, link, run both rule families,
+/// The full analysis pipeline: parse, link, run the four analyses,
 /// subtract allowlists, flag stale allowlist entries. Returns findings
 /// sorted by (file, line, col) with snippets filled in.
-fn run_lint(root: &Path, sources: &[WorkspaceSource], design_md: Option<&str>) -> Vec<Finding> {
+fn run_lint(root: &Path, sources: &[WorkspaceSource]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut parsed = Vec::new();
     for s in sources {
-        match parse::parse_file(&s.source, &s.crate_name, s.is_bin) {
+        match parse::parse_file(&s.source, &s.crate_name) {
             Ok(file) => parsed.push(file),
             Err(e) => findings.push(Finding {
                 rule: "parse-error",
-                kind: String::new(),
                 file: s.source.rel_path.clone(),
                 line: 1,
                 col: 1,
                 context: "*".to_string(),
                 message: format!("vdx-lint cannot parse this file: {e}"),
-                snippet: String::new(),
-                chain: Vec::new(),
-                allowed: false,
+                ..Finding::default()
             }),
         }
     }
     let g = CallGraph::build(&parsed);
-    findings.extend(rules::run_all(&parsed, &g, &Config::workspace(), design_md));
-    findings.extend(
-        dataflow::analyze(&g, &dataflow::DfConfig::workspace())
-            .into_iter()
-            .map(df_to_finding),
-    );
+    findings.extend(dataflow::analyze(&g, &dataflow::DfConfig::workspace()));
 
-    // Fill snippets from the lexed sources (the DESIGN.md stale-doc
-    // findings carry their own snippet already).
     let by_path: BTreeMap<&str, &SourceFile> = sources
         .iter()
         .map(|s| (s.source.rel_path.as_str(), &s.source))
         .collect();
-    for f in &mut findings {
-        if f.snippet.is_empty() && f.line > 0 {
-            if let Some(sf) = by_path.get(f.file.as_str()) {
-                f.snippet = sf.snippet(f.line);
-            }
+    for f in findings.iter_mut().filter(|f| f.line > 0) {
+        if let Some(sf) = by_path.get(f.file.as_str()) {
+            f.snippet = sf.snippet(f.line);
         }
     }
 
-    // Subtract the per-rule allowlists, then report entries that cover
-    // nothing as stale.
+    // Subtract the per-analysis allowlists, then report entries that
+    // cover nothing as stale.
     let allow_dir = root.join("lint/allow");
     let mut allowlists: BTreeMap<&'static str, Allowlist> = BTreeMap::new();
     for f in &mut findings {
@@ -195,25 +117,9 @@ fn run_lint(root: &Path, sources: &[WorkspaceSource], design_md: Option<&str>) -
     findings.extend(stale_allowlist_findings(&allow_dir, &findings));
 
     findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col, a.rule, &a.kind).cmp(&(&b.file, b.line, b.col, b.rule, &b.kind))
+        (&a.file, a.line, a.col, a.rule, a.kind).cmp(&(&b.file, b.line, b.col, b.rule, b.kind))
     });
     findings
-}
-
-/// Converts a dataflow finding into the report representation.
-fn df_to_finding(f: dataflow::DfFinding) -> Finding {
-    Finding {
-        rule: f.rule,
-        kind: f.kind.to_string(),
-        file: f.file,
-        line: f.line,
-        col: f.col,
-        context: f.context,
-        message: f.message,
-        snippet: String::new(),
-        chain: f.chain,
-        allowed: false,
-    }
 }
 
 /// One `stale-allowlist` finding per allowlist entry that covers no
@@ -242,25 +148,20 @@ fn stale_allowlist_findings(allow_dir: &Path, findings: &[Finding]) -> Vec<Findi
         for entry in Allowlist::load(&path).stale_entries(&of_rule) {
             stale.push(Finding {
                 rule: "stale-allowlist",
-                kind: String::new(),
                 file: rel.clone(),
-                line: 0,
-                col: 0,
                 context: entry.clone(),
                 message: format!(
                     "allowlist entry `{entry}` matches no current `{rule}` finding; \
                      the code it excused was fixed or moved — prune the entry"
                 ),
-                snippet: String::new(),
-                chain: Vec::new(),
-                allowed: false,
+                ..Finding::default()
             });
         }
     }
     stale
 }
 
-fn print_summary(findings: &[Finding], files: usize, report_path: &Path) {
+fn print_summary(findings: &[Finding], files: usize) {
     let violations: Vec<&Finding> = findings.iter().filter(|f| !f.allowed).collect();
     let allowed = findings.len() - violations.len();
     for f in &violations {
@@ -279,11 +180,10 @@ fn print_summary(findings: &[Finding], files: usize, report_path: &Path) {
         println!("    allowlist key: {}", f.key());
     }
     println!(
-        "vdx-lint: {} files scanned, {} violation(s), {} allowlisted ({})",
+        "vdx-lint: {} files scanned, {} violation(s), {} allowlisted",
         files,
         violations.len(),
-        allowed,
-        report_path.display()
+        allowed
     );
 }
 
@@ -342,17 +242,14 @@ fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<WorkspaceSource>>
                         .map(|n| n.to_string_lossy().into_owned())
                         .unwrap_or_default()
                 });
-                // A package with no lib.rs only builds binary targets.
-                let bin_only = !src.join("lib.rs").is_file();
-                collect_rs_files(root, &src, &crate_name, bin_only, &mut files)?;
+                collect_rs_files(root, &src, &crate_name, &mut files)?;
             }
         }
     }
     let root_src = root.join("src");
     if root_src.is_dir() {
         let crate_name = package_name(&root.join("Cargo.toml")).unwrap_or_default();
-        let bin_only = !root_src.join("lib.rs").is_file();
-        collect_rs_files(root, &root_src, &crate_name, bin_only, &mut files)?;
+        collect_rs_files(root, &root_src, &crate_name, &mut files)?;
     }
     files.sort_by(|a, b| a.source.rel_path.cmp(&b.source.rel_path));
     Ok(files)
@@ -362,25 +259,22 @@ fn collect_rs_files(
     root: &Path,
     dir: &Path,
     crate_name: &str,
-    pkg_bin_only: bool,
     out: &mut Vec<WorkspaceSource>,
 ) -> std::io::Result<()> {
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.is_dir() {
-            collect_rs_files(root, &path, crate_name, pkg_bin_only, out)?;
+            collect_rs_files(root, &path, crate_name, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let rel = path
                 .strip_prefix(root)
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            let is_bin = pkg_bin_only || rel.contains("/src/bin/");
             let src = std::fs::read_to_string(&path)?;
             out.push(WorkspaceSource {
                 source: SourceFile::parse(&rel, &src),
                 crate_name: crate_name.to_string(),
-                is_bin,
             });
         }
     }
@@ -390,14 +284,13 @@ fn collect_rs_files(
 #[cfg(test)]
 mod fixture_tests {
     //! The seeded-violation fixture: `fixtures/badcrate` contains at
-    //! least one violation of every rule and every dataflow analysis;
-    //! the lint must find them all at their exact spans (with call-chain
-    //! witnesses where the analysis produces one), and must run clean
-    //! over the real workspace (the same invocation `scripts/verify.sh`
-    //! gates on).
+    //! least one violation of every analysis; the lint must find them
+    //! all at their exact spans (with call-chain witnesses where the
+    //! analysis produces one), and must run clean over the real
+    //! workspace (the same invocation `scripts/verify.sh` gates on).
 
     use super::*;
-    use dataflow::{analyze, DfConfig, DfFinding};
+    use dataflow::{analyze, DfConfig};
 
     fn fixture_root() -> PathBuf {
         // CARGO_MANIFEST_DIR when run via cargo; relative to the
@@ -411,17 +304,8 @@ mod fixture_tests {
     fn scan_fixture() -> Vec<WorkspaceSource> {
         let root = fixture_root();
         let mut files = Vec::new();
-        collect_rs_files(&root, &root.join("src"), "badcrate", false, &mut files)
+        collect_rs_files(&root, &root.join("src"), "badcrate", &mut files)
             .expect("fixture readable");
-        // Map the legacy-rule fixtures onto enforced workspace paths so
-        // the workspace Config applies to them.
-        for f in &mut files {
-            f.source.rel_path = f
-                .source
-                .rel_path
-                .replace("src/enforced_api.rs", "crates/cdn/src/cost.rs")
-                .replace("src/event.rs", "crates/obs/src/event.rs");
-        }
         files.sort_by(|a, b| a.source.rel_path.cmp(&b.source.rel_path));
         files
     }
@@ -430,7 +314,7 @@ mod fixture_tests {
         sources
             .iter()
             .map(|s| {
-                parse::parse_file(&s.source, &s.crate_name, s.is_bin)
+                parse::parse_file(&s.source, &s.crate_name)
                     .unwrap_or_else(|e| panic!("fixture {} parses: {e}", s.source.rel_path))
             })
             .collect()
@@ -450,51 +334,17 @@ mod fixture_tests {
         }
     }
 
-    fn fixture_df_findings() -> Vec<DfFinding> {
+    fn fixture_df_findings() -> Vec<Finding> {
         let sources = scan_fixture();
         let parsed = parse_fixture(&sources);
         let g = CallGraph::build(&parsed);
         analyze(&g, &fixture_df_config())
     }
 
-    fn violations_of<'f>(findings: &'f [Finding], rule: &str) -> Vec<&'f Finding> {
-        findings.iter().filter(|f| f.rule == rule).collect()
-    }
-
-    #[test]
-    fn fixture_trips_every_legacy_rule() {
-        let sources = scan_fixture();
-        let parsed = parse_fixture(&sources);
-        let g = CallGraph::build(&parsed);
-        let md = std::fs::read_to_string(fixture_root().join("DESIGN-excerpt.md"))
-            .expect("fixture schema table");
-        let findings = rules::run_all(&parsed, &g, &Config::workspace(), Some(&md));
-        for rule in ["raw-f64", "no-panics", "event-schema"] {
-            assert!(
-                !violations_of(&findings, rule).is_empty(),
-                "fixture crate must trip rule {rule}: {findings:#?}"
-            );
-        }
-        // And none of them are pre-allowed.
-        assert!(findings.iter().all(|f| !f.allowed));
-    }
-
-    #[test]
-    fn fixture_test_code_is_exempt() {
-        let sources = scan_fixture();
-        let parsed = parse_fixture(&sources);
-        let g = CallGraph::build(&parsed);
-        let findings = rules::run_all(&parsed, &g, &Config::workspace(), None);
-        assert!(
-            findings.iter().all(|f| f.context != "inside_tests"),
-            "test-module code must be exempt: {findings:#?}"
-        );
-    }
-
     #[test]
     fn fixture_trips_lock_discipline_at_exact_spans() {
         let f = fixture_df_findings();
-        let locks: Vec<&DfFinding> = f
+        let locks: Vec<&Finding> = f
             .iter()
             .filter(|f| f.rule == "lock-discipline" && f.file == "src/locks.rs")
             .collect();
@@ -513,7 +363,7 @@ mod fixture_tests {
             .find(|f| f.kind == "double-acquire")
             .expect("double-acquire");
         assert_eq!((double.line, double.col), (39, 28), "{double:?}");
-        let inversions: Vec<&&DfFinding> = locks
+        let inversions: Vec<&&Finding> = locks
             .iter()
             .filter(|f| f.kind == "order-inversion")
             .collect();
@@ -529,7 +379,7 @@ mod fixture_tests {
     #[test]
     fn fixture_trips_determinism_taint_with_witness() {
         let f = fixture_df_findings();
-        let taints: Vec<&DfFinding> = f
+        let taints: Vec<&Finding> = f
             .iter()
             .filter(|f| f.rule == "determinism-taint" && f.file == "src/taint.rs")
             .collect();
@@ -561,7 +411,7 @@ mod fixture_tests {
     #[test]
     fn fixture_trips_panic_path_with_witness() {
         let f = fixture_df_findings();
-        let panics: Vec<&DfFinding> = f
+        let panics: Vec<&Finding> = f
             .iter()
             .filter(|f| f.rule == "panic-path" && f.file == "src/panics_reach.rs")
             .collect();
@@ -592,7 +442,7 @@ mod fixture_tests {
     #[test]
     fn fixture_trips_unit_escape_at_exact_spans() {
         let f = fixture_df_findings();
-        let units: Vec<&DfFinding> = f
+        let units: Vec<&Finding> = f
             .iter()
             .filter(|f| f.rule == "unit-escape" && f.file == "src/units_escape.rs")
             .collect();
@@ -619,8 +469,7 @@ mod fixture_tests {
         let root = workspace_root().expect("workspace root");
         let sources = collect_workspace_files(&root).expect("workspace readable");
         assert!(sources.len() > 50, "expected the full workspace source set");
-        let design_md = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-        let findings = run_lint(&root, &sources, design_md.as_deref());
+        let findings = run_lint(&root, &sources);
         let open: Vec<&Finding> = findings.iter().filter(|f| !f.allowed).collect();
         assert!(
             open.is_empty(),
@@ -635,11 +484,11 @@ mod fixture_tests {
         let root = workspace_root().expect("workspace root");
         let sources = collect_workspace_files(&root).expect("workspace readable");
         for s in &sources {
-            let f1 = parse::parse_file(&s.source, &s.crate_name, s.is_bin)
+            let f1 = parse::parse_file(&s.source, &s.crate_name)
                 .unwrap_or_else(|e| panic!("{} parses: {e}", s.source.rel_path));
             let p1 = ast::print_file(&f1);
             let sf2 = SourceFile::parse(&s.source.rel_path, &p1);
-            let f2 = parse::parse_file(&sf2, &s.crate_name, s.is_bin)
+            let f2 = parse::parse_file(&sf2, &s.crate_name)
                 .unwrap_or_else(|e| panic!("{} reparses: {e}", s.source.rel_path));
             let p2 = ast::print_file(&f2);
             assert_eq!(p1, p2, "print fixpoint diverges for {}", s.source.rel_path);

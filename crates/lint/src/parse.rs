@@ -16,7 +16,7 @@ use crate::scan::{SourceFile, Token};
 pub type PResult<T> = Result<T, String>;
 
 /// Parses a lexed file into an AST [`File`].
-pub fn parse_file(sf: &SourceFile, crate_name: &str, is_bin: bool) -> PResult<File> {
+pub fn parse_file(sf: &SourceFile, crate_name: &str) -> PResult<File> {
     let mut p = Parser {
         toks: &sf.tokens,
         pos: 0,
@@ -37,7 +37,6 @@ pub fn parse_file(sf: &SourceFile, crate_name: &str, is_bin: bool) -> PResult<Fi
     Ok(File {
         rel_path: sf.rel_path.clone(),
         crate_name: crate_name.to_string(),
-        is_bin,
         items,
     })
 }
@@ -1511,7 +1510,7 @@ mod tests {
 
     fn parse_src(src: &str) -> File {
         let sf = SourceFile::parse("test.rs", src);
-        parse_file(&sf, "test", false).expect("parse")
+        parse_file(&sf, "test").expect("parse")
     }
 
     /// parse → print → reparse must be a fixpoint. Trees are compared
@@ -1521,7 +1520,7 @@ mod tests {
         let a = parse_src(src);
         let printed = print_file(&a);
         let b_sf = SourceFile::parse("test.rs", &printed);
-        let b = parse_file(&b_sf, "test", false)
+        let b = parse_file(&b_sf, "test")
             .unwrap_or_else(|e| panic!("reparse failed: {e}\nprinted: {printed}"));
         assert_eq!(printed, print_file(&b), "first print: {printed}");
     }
@@ -1554,6 +1553,35 @@ mod tests {
         };
         assert_eq!(method, "unwrap");
         assert_eq!((span.line, span.col), (2, 14));
+    }
+
+    /// Operator trees are pinned directly: the printer parenthesizes
+    /// every operand, so a wrong tree prints to text that reparses to
+    /// the same wrong tree and the fixpoint tests cannot see it.
+    #[test]
+    fn binary_precedence_and_associativity() {
+        fn shape(e: &Expr) -> String {
+            match e {
+                Expr::Binary { op, lhs, rhs } => format!("({op} {} {})", shape(lhs), shape(rhs)),
+                Expr::Path { segs, .. } => segs.join("::"),
+                other => panic!("unexpected operand {other:?}"),
+            }
+        }
+        let shape_of = |src: &str| {
+            let f = parse_src(&format!("fn f() {{ {src} }}"));
+            let ItemKind::Fn(fd) = &f.items[0].kind else {
+                panic!("expected fn");
+            };
+            let Some(Stmt::Expr { expr, .. }) = fd.body.as_ref().and_then(|b| b.stmts.first())
+            else {
+                panic!("expected expr stmt");
+            };
+            shape(expr)
+        };
+        assert_eq!(shape_of("a + b * c"), "(+ a (* b c))");
+        assert_eq!(shape_of("a * b + c"), "(+ (* a b) c)");
+        assert_eq!(shape_of("a - b - c"), "(- (- a b) c)");
+        assert_eq!(shape_of("a || b && c == d"), "(|| a (&& b (== c d)))");
     }
 
     #[test]

@@ -93,6 +93,11 @@ impl ScoreMatrix {
     ///
     /// Panics when `site` was not in the build set; callers holding
     /// arbitrary pairs should use [`ScoreMatrix::get`] with a fallback.
+    // A matrix built over a different fleet than the one queried is an
+    // API-contract violation, and the message needs the offending ids,
+    // which `expect` cannot format. Callers in this workspace always
+    // build the matrix from the fleet they query.
+    #[allow(clippy::panic)]
     pub fn score_of(&self, client: CityId, site: CityId) -> Score {
         self.get(client, site)
             .unwrap_or_else(|| panic!("({client:?}, {site:?}) is not in the score matrix"))

@@ -97,11 +97,6 @@ impl ScoreExtrapolator {
     pub fn predict(&self, distance_km: f64) -> Score {
         Score(self.fit.predict(distance_km).max(self.floor))
     }
-
-    /// The underlying fit (for reporting).
-    pub fn fit_params(&self) -> LinearFit {
-        self.fit
-    }
 }
 
 #[cfg(test)]

@@ -514,8 +514,8 @@ impl Field for String {
     }
 }
 
-/// Generates [`Event::kind`], [`Event::to_json_line`] and
-/// [`Event::from_json`] from one table: per variant its tag and its
+/// Generates [`Event::KINDS`], [`Event::kind`], [`Event::to_json_line`]
+/// and [`Event::from_json`] from one table: per variant its tag and its
 /// fields in line order. `field = default` is the value a line lacking
 /// the key reads as; any other missing key is an error.
 macro_rules! journal_codec {
@@ -527,6 +527,10 @@ macro_rules! journal_codec {
     };
     ($($tag:literal => $variant:ident { $($field:ident $(= $default:expr)?),* })*) => {
         impl Event {
+            /// Every `"ev"` tag, in table order: one per variant, since
+            /// [`Event::kind`]'s match is exhaustive over the same table.
+            pub const KINDS: &'static [&'static str] = &[$($tag),*];
+
             /// The `"ev"` tag this variant is journaled under.
             pub fn kind(&self) -> &'static str {
                 match self {
@@ -814,10 +818,15 @@ mod tests {
     /// byte for byte. The lines predate this codec — they were written
     /// against the `serde_json` derive — so they pin key order, number
     /// layout and string quoting from outside it.
+    ///
+    /// Also the one owner of "the schema tables and the enum agree":
+    /// every variant has an example line and a sample, and no table
+    /// under a "journal schema" heading names a tag without a variant.
     #[test]
     fn design_md_example_lines_round_trip_byte_for_byte() {
+        use std::collections::BTreeSet;
         let design = include_str!("../../../DESIGN.md");
-        let mut kinds = std::collections::HashSet::new();
+        let mut kinds = BTreeSet::new();
         for row in design.lines().filter(|l| l.contains("| `{\"ev\":")) {
             let start = row.find("`{\"ev\":").expect("filtered on it") + 1;
             let end = row.rfind("}`").expect("example cell closes") + 1;
@@ -826,8 +835,27 @@ mod tests {
             assert_eq!(event.to_json_line(), line);
             kinds.insert(event.kind());
         }
-        let all: std::collections::HashSet<_> = samples().iter().map(Event::kind).collect();
+        let all: BTreeSet<_> = Event::KINDS.iter().copied().collect();
         assert_eq!(kinds, all, "one example line per variant");
+        let sampled: BTreeSet<_> = samples().iter().map(Event::kind).collect();
+        assert_eq!(sampled, all, "one sample per variant");
+
+        let mut in_schema_section = false;
+        for (idx, row) in design.lines().enumerate() {
+            let row = row.trim();
+            if row.starts_with('#') {
+                in_schema_section = row.to_ascii_lowercase().contains("journal schema");
+            } else if in_schema_section && row.starts_with('|') {
+                let cell = row[1..].split('|').next().unwrap_or("").trim();
+                if let Some(tag) = cell.strip_prefix('`').and_then(|c| c.strip_suffix('`')) {
+                    assert!(
+                        all.contains(tag),
+                        "DESIGN.md:{}: journal tag `{tag}` has no Event variant behind it",
+                        idx + 1
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! [`Event::RunHeader`] and the last an [`Event::ExperimentFinished`];
 //! [`Journal::finish`] writes the terminal record with the running event
 //! count and flushes. Reading back is [`read_journal`], which fails on the
-//! first line that does not parse as an [`Event`].
+//! first line that does not parse as an [`Event`] (a torn last line, what
+//! a killed writer leaves, is dropped instead).
 
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::event::{Event, SCHEMA_VERSION};
@@ -155,6 +156,10 @@ fn sniff_schema(line: &str) -> Option<u32> {
 
 /// Reads a journal file back into events, failing on the first malformed
 /// line. Blank lines are rejected too: a journal is events, nothing else.
+/// The one exception is an unparseable final line of a file that does
+/// not end in a newline: a SIGKILLed writer's `BufWriter` leaves exactly
+/// that, and the complete lines before it are what the reader is for
+/// (`vdx-audit`'s loader applies the same rule).
 ///
 /// Journals whose [`Event::RunHeader`] declares a schema newer than
 /// [`SCHEMA_VERSION`] are rejected with [`JournalError::Version`] —
@@ -162,12 +167,12 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// (the schema number is sniffed from the raw first line). Older
 /// schemas read fine: new fields default when absent.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> {
-    let file = File::open(path.as_ref())?;
-    let reader = BufReader::new(file);
+    let text = fs::read_to_string(path.as_ref())?;
+    let torn_tail = !text.ends_with('\n');
     let mut events = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        match Event::from_json(&line) {
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((idx, line)) = lines.next() {
+        match Event::from_json(line) {
             Ok(event) => {
                 if let Event::RunHeader { schema, .. } = &event {
                     if *schema > SCHEMA_VERSION {
@@ -181,7 +186,7 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> 
             }
             Err(e) => {
                 if idx == 0 && line.contains("\"ev\":\"run_header\"") {
-                    if let Some(found) = sniff_schema(&line) {
+                    if let Some(found) = sniff_schema(line) {
                         if found > SCHEMA_VERSION {
                             return Err(JournalError::Version {
                                 found,
@@ -189,6 +194,9 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> 
                             });
                         }
                     }
+                }
+                if torn_tail && lines.peek().is_none() {
+                    break;
                 }
                 return Err(JournalError::Parse {
                     line: idx + 1,
@@ -258,6 +266,36 @@ mod tests {
             Err(JournalError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }
+        fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn torn_final_line_reads_as_the_complete_lines_before_it() {
+        let path = temp_path("torn.jsonl");
+        let whole = "{\"ev\":\"phase_started\",\"phase\":\"ok\"}\n\
+                     {\"ev\":\"phase_finished\",\"phase\":\"ok\",\"wall_us\":7}\n";
+        // What a SIGKILLed writer leaves: the last line cut mid-string,
+        // no trailing newline.
+        let torn = &whole[..whole.len() - 20];
+        fs::write(&path, torn).expect("write fixture");
+        let events = read_journal(&path).expect("a torn tail is not an error");
+        assert_eq!(
+            events,
+            vec![Event::PhaseStarted { phase: "ok".into() }],
+            "the complete line survives, the torn one is dropped"
+        );
+        // The same cut line with more after it is garbage, not a tail.
+        fs::write(&path, format!("{torn}\n{whole}")).expect("write fixture");
+        match read_journal(&path) {
+            Err(JournalError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        // And a bad last line that *was* terminated is a writer bug.
+        fs::write(&path, format!("{torn}\n")).expect("write fixture");
+        assert!(matches!(
+            read_journal(&path),
+            Err(JournalError::Parse { line: 2, .. })
+        ));
         fs::remove_file(&path).ok();
     }
 

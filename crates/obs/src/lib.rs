@@ -13,9 +13,9 @@
 //! * [`journal`] — a buffered JSONL writer ([`Journal`]), one file per
 //!   run, conventionally under `results/journals/`; plus
 //!   [`read_journal`] for consumers like `repro obs-report`.
-//! * [`metrics`] — a mutex-guarded [`Registry`] of named
-//!   counters, gauges, and fixed-bucket histograms with p50/p95/p99
-//!   summaries, with a process-wide instance at [`metrics::global`].
+//! * [`metrics`] — a mutex-guarded [`Registry`] of named counters and
+//!   fixed-bucket histograms with p50/p95/p99 summaries, with a
+//!   process-wide instance at [`metrics::global`].
 //! * [`timing`] — RAII [`ScopedTimer`]s that feed named histograms.
 //!
 //! Instrumented code never names a sink: it talks to the [`Probe`] trait,

@@ -1,4 +1,4 @@
-//! Process-wide metrics registry: named counters, gauges, and fixed-bucket
+//! Process-wide metrics registry: named counters and fixed-bucket
 //! histograms with p50/p95/p99 summaries.
 //!
 //! The registry is mutex-guarded and cheap to hit from hot paths:
@@ -138,7 +138,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -167,12 +166,6 @@ impl Registry {
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Sets the named gauge to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.locked();
-        inner.gauges.insert(name.to_string(), value);
-    }
-
     /// Records `us` microseconds into the named histogram.
     pub fn observe_us(&self, name: &str, us: u64) {
         let mut inner = self.locked();
@@ -188,32 +181,21 @@ impl Registry {
         self.locked().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.locked().gauges.get(name).copied()
-    }
-
     /// Snapshot of the named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.locked().histograms.get(name).cloned()
     }
 
     /// Drains the registry into journal events — one
-    /// [`Event::CounterSnapshot`] per counter (gauges are rounded in as
-    /// counters of their final value) and one [`Event::TimingSummary`] per
-    /// histogram — sorted by name for deterministic output, then resets
-    /// all state.
+    /// [`Event::CounterSnapshot`] per counter and one
+    /// [`Event::TimingSummary`] per histogram, each group in name order
+    /// (the maps are ordered) for deterministic output — then resets all
+    /// state.
     pub fn drain(&self) -> Vec<Event> {
         let mut inner = self.locked();
         let mut events = Vec::new();
 
-        let mut counters: Vec<(String, u64)> =
-            std::mem::take(&mut inner.counters).into_iter().collect();
-        for (name, value) in std::mem::take(&mut inner.gauges) {
-            counters.push((name, value.round().max(0.0) as u64));
-        }
-        counters.sort();
-        for (name, value) in counters {
+        for (name, value) in std::mem::take(&mut inner.counters) {
             events.push(Event::CounterSnapshot { name, value });
         }
 
@@ -236,14 +218,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate() {
         let reg = Registry::new();
         reg.counter_add("a", 2);
         reg.counter_add("a", 3);
-        reg.gauge_set("g", 1.5);
         assert_eq!(reg.counter("a"), 5);
         assert_eq!(reg.counter("missing"), 0);
-        assert_eq!(reg.gauge("g"), Some(1.5));
     }
 
     #[test]

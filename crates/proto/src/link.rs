@@ -166,12 +166,6 @@ impl Link {
         out
     }
 
-    /// The earliest pending delivery time toward `at`, if any — lets a
-    /// driver advance the clock straight to the next event.
-    pub fn next_delivery(&self, at: LinkEnd) -> Option<SimTime> {
-        self.direction(at.peer()).queue.front().map(|(t, _)| *t)
-    }
-
     /// Statistics for the direction *out of* `from`.
     pub fn stats(&self, from: LinkEnd) -> LinkStats {
         self.direction(from).stats
@@ -215,7 +209,6 @@ mod tests {
         let mut link = Link::new(cfg, 1);
         link.send(LinkEnd::A, SimTime(0), b"later");
         assert!(link.recv(LinkEnd::B, SimTime(49)).is_empty());
-        assert_eq!(link.next_delivery(LinkEnd::B), Some(SimTime(50)));
         assert_eq!(link.recv(LinkEnd::B, SimTime(50)).len(), 1);
     }
 

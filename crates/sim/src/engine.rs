@@ -288,7 +288,12 @@ mod tests {
             s,
             &[RoundSpec::new(0, Design::Marketplace, CpPolicy::balanced()).with_bid_count(1)],
         );
-        let plain = s.run_with(Design::Marketplace, CpPolicy::balanced(), Some(1));
+        let plain = s.run_round_with(
+            RoundId(0),
+            Design::Marketplace,
+            CpPolicy::balanced(),
+            Some(1),
+        );
         assert_eq!(low[0].assignment.choice, plain.assignment.choice);
     }
 }

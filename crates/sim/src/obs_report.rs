@@ -639,8 +639,18 @@ mod tests {
 
     #[test]
     fn truncated_journal_is_flagged() {
-        let mut events = fixture();
-        events.pop();
+        // What a SIGKILLed run leaves on disk: the last line torn
+        // mid-record, no newline after it. The reader drops that line
+        // and the report says the run never finished.
+        let fixture = fixture();
+        let lines: Vec<String> = fixture.iter().map(Event::to_json_line).collect();
+        let whole = lines.join("\n");
+        let path =
+            std::env::temp_dir().join(format!("vdx-obs-report-torn-{}.jsonl", std::process::id()));
+        std::fs::write(&path, &whole[..whole.len() - 40]).expect("write fixture");
+        let events = vdx_obs::read_journal(&path).expect("a torn tail still reads");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(events, fixture[..fixture.len() - 1]);
         let text = report(&events);
         assert!(text.contains("run INCOMPLETE"), "{text}");
     }

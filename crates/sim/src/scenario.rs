@@ -246,16 +246,6 @@ impl Scenario {
         self.run_round(RoundId(0), design, policy)
     }
 
-    /// [`Scenario::run`] with a marketplace bid-count override (Fig 18).
-    pub fn run_with(
-        &self,
-        design: Design,
-        policy: CpPolicy,
-        bid_count: Option<usize>,
-    ) -> RoundOutcome {
-        self.run_round_with(RoundId(0), design, policy, bid_count)
-    }
-
     /// Runs one Decision Protocol round under a caller-assigned round id.
     ///
     /// Rounds are pure functions of `(self, round, design, policy)`, so
@@ -337,11 +327,6 @@ impl Scenario {
             ctx,
         )
     }
-
-    /// Total brokered demand.
-    pub fn brokered_demand_kbps(&self) -> Kbps {
-        self.groups.iter().map(|g| g.demand_kbps).sum()
-    }
 }
 
 fn negotiate_all(fleet: &Fleet) -> Vec<Contract> {
@@ -376,7 +361,7 @@ mod tests {
         assert_eq!(s.fleet.cdns.len(), 7);
         assert_eq!(s.groups.len(), s.background_kbps.len());
         assert_eq!(s.background_load.len(), s.fleet.clusters.len());
-        assert!(s.brokered_demand_kbps() > Kbps::ZERO);
+        assert!(s.groups.iter().all(|g| g.demand_kbps > Kbps::ZERO));
         // Capacities planned and contracts negotiated for every CDN.
         for cl in &s.fleet.clusters {
             assert!(cl.capacity_kbps > Kbps::ZERO);

@@ -19,7 +19,6 @@
 //! ordering does not leak into decisions. [`run_reference`] is also what
 //! recovery, chaos and the benchmark's parity check compare against.
 
-use crate::faults::FaultPlan;
 use crate::scenario::Scenario;
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, OptimizeMode, StaleBidCache};
@@ -117,33 +116,6 @@ impl SoakPlan {
             .get(round as usize)
             .map(|r| r.silent.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// Derives a soak plan from a fault campaign, translating each
-    /// round's faults into what a daemon would *observe*: a failed CDN's
-    /// agent answers nothing, a fully-lossy link delivers nothing, and
-    /// an exchange outage silences everyone (the daemon cannot observe
-    /// its own outage, so the nearest observable is total silence —
-    /// which walks the same ladder to the same Brokered fallback once
-    /// the cache runs dry). Partial loss/delay/jitter do not translate:
-    /// TCP repairs them below the message layer.
-    pub fn from_faults(plan: &FaultPlan, num_cdns: u32) -> SoakPlan {
-        SoakPlan {
-            rounds: plan
-                .rounds
-                .iter()
-                .map(|f| SoakRound {
-                    silent: if f.exchange_outage || f.drop_chance >= 1.0 {
-                        (0..num_cdns).collect()
-                    } else {
-                        f.failed_cdns.clone()
-                    },
-                })
-                .collect(),
-            stale_ttl_rounds: plan.stale_ttl_rounds,
-            deadline_ms: plan.deadline_ms,
-            breaker: BreakerConfig::default(),
-        }
     }
 }
 
@@ -369,37 +341,5 @@ mod tests {
         assert_eq!(rounds[0].resolution, RoundResolution::Fallback);
         assert_eq!(rounds[1].resolution, RoundResolution::Fallback);
         assert_eq!(rounds[0].picks.len(), scenario.groups.len());
-    }
-
-    #[test]
-    fn from_faults_translates_outages_and_blackouts_to_silence() {
-        use crate::faults::{FaultPlan, RoundFaults};
-        let fault_plan = FaultPlan {
-            rounds: vec![
-                RoundFaults::none(),
-                RoundFaults {
-                    failed_cdns: vec![1, 2],
-                    ..RoundFaults::none()
-                },
-                RoundFaults {
-                    exchange_outage: true,
-                    ..RoundFaults::none()
-                },
-                RoundFaults {
-                    drop_chance: 1.0,
-                    ..RoundFaults::none()
-                },
-            ],
-            seed: 7,
-            stale_ttl_rounds: 3,
-            deadline_ms: 500,
-        };
-        let soak = SoakPlan::from_faults(&fault_plan, 4);
-        assert!(soak.rounds[0].silent.is_empty());
-        assert_eq!(soak.rounds[1].silent, vec![1, 2]);
-        assert_eq!(soak.rounds[2].silent, vec![0, 1, 2, 3]);
-        assert_eq!(soak.rounds[3].silent, vec![0, 1, 2, 3]);
-        assert_eq!(soak.stale_ttl_rounds, 3);
-        assert_eq!(soak.deadline_ms, 500);
     }
 }

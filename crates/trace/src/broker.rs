@@ -313,11 +313,6 @@ impl BrokerTrace {
         &self.config
     }
 
-    /// Builds a trace directly from records (e.g. loaded from disk).
-    pub fn from_sessions(config: BrokerTraceConfig, sessions: Vec<SessionRecord>) -> BrokerTrace {
-        BrokerTrace { config, sessions }
-    }
-
     /// Request counts per city, descending by count.
     pub fn requests_per_city(&self) -> Vec<(CityId, u64)> {
         let mut counts: BTreeMap<CityId, u64> = BTreeMap::new();

@@ -19,8 +19,8 @@
 //! * [`Margin`] is a dimensionless price multiplier.
 //!
 //! The type names record the *dimension* (traffic volume, unit price);
-//! constructors and accessors are scale-explicit (`from_megabits`,
-//! `per_megabit`, `as_gigabits`) so no call site ever guesses. The stored
+//! constructors and accessors are scale-explicit (`per_megabit`,
+//! `as_per_megabit`, `as_mbps`) so no call site ever guesses. The stored
 //! quantum is deliberately not rescaled to base-10 gigabits: journal
 //! byte-identity with pre-units runs is a hard requirement, and
 //! `(x / 1000.0) * 1000.0` is not an f64 identity.
@@ -199,28 +199,12 @@ impl Kbps {
 }
 
 /// Traffic volume. Stored in **megabits**, the ledger's historical
-/// settlement quantum; use [`Gb::as_gigabits`] for display in Gb.
+/// settlement quantum; [`Kbps::volume`] is its one constructor.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Gb(f64);
 
 base_impls!(Gb, "Mb");
 additive_impls!(Gb);
-
-impl Gb {
-    /// Wrap a volume expressed in megabits.
-    #[inline]
-    pub fn from_megabits(mb: f64) -> Gb {
-        debug_assert!(mb.is_finite(), "non-finite traffic volume");
-        Gb(mb)
-    }
-
-    /// The volume rescaled to gigabits (display/reporting only — derived
-    /// by division, so not a journaled quantity).
-    #[inline]
-    pub fn as_gigabits(self) -> f64 {
-        self.0 / 1000.0
-    }
-}
 
 /// Money in US dollars.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -338,12 +322,6 @@ impl Margin {
     /// which is not const-evaluable on our MSRV).
     pub const fn literal(factor: f64) -> Margin {
         Margin(factor)
-    }
-
-    /// Clamp into `[lo, hi]`.
-    #[inline]
-    pub fn clamp(self, lo: Margin, hi: Margin) -> Margin {
-        Margin(self.0.clamp(lo.0, hi.0))
     }
 
     /// Scale the multiplier itself (e.g. decay toward cost).
