@@ -1,6 +1,5 @@
 //! Data model shared by the fold, queries and the gate: run metadata,
-//! one plain row struct per fact table, and the `BENCH_experiments.json`
-//! baseline report.
+//! the per-round join, and the `BENCH_experiments.json` baseline report.
 
 use vdx_obs::Json;
 
@@ -57,7 +56,7 @@ pub struct RunMeta {
 }
 
 /// One decision round of a journal: `round_started` joined with its
-/// `solver_stats`, `round_completed` and `cluster_congested` events.
+/// `solver_stats` and `round_completed` events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundRow {
     /// Run the round belongs to.
@@ -66,10 +65,6 @@ pub struct RoundRow {
     pub round: u64,
     /// Design name as journaled.
     pub design: String,
-    /// Client groups in the round.
-    pub groups: u64,
-    /// CDNs in the round.
-    pub cdns: u64,
     /// Solver mode of the last `solver_stats` (`none` without one).
     pub mode: String,
     /// Simplex pivots, summed over the round's solves.
@@ -80,127 +75,17 @@ pub struct RoundRow {
     pub gap: f64,
     /// Objective from `round_completed`.
     pub objective: f64,
-    /// Options considered, from `round_completed`.
-    pub options: u64,
-    /// `cluster_congested` events in the round.
-    pub congested: u64,
 }
 
-/// One `wire_drops` event: losses on one CDN link in one round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireRow {
-    /// Run the event belongs to.
-    pub run: u64,
-    /// Round id.
-    pub round: u64,
-    /// CDN whose link lost frames ([`NO_CDN`] when unnamed).
-    pub cdn: u64,
-    /// Frames the link dropped.
-    pub link_dropped: u64,
-    /// Frames discarded on a CRC mismatch.
-    pub corrupt_discarded: u64,
-    /// Frames that arrived out of order.
-    pub out_of_order: u64,
-}
-
-/// One injected or absorbed fault.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultRow {
-    /// Run the fault belongs to.
-    pub run: u64,
-    /// Round id.
-    pub round: u64,
-    /// `fault_plan`, `cdn_outage`, `exchange_outage`, `deadline_missed`,
-    /// `stale_bids_reused` or `design_fallback`.
-    pub kind: &'static str,
-    /// CDN concerned ([`NO_CDN`] when the fault names none).
-    pub cdn: u64,
-    /// Kind-dependent magnitude (failed CDNs, missing CDNs, bids reused).
-    pub amount: u64,
-    /// Free-form detail for the kinds that carry one.
-    pub note: String,
-}
-
-/// One timing fact: a finished phase, a histogram summary, or a counter
-/// (registry snapshots and the `journal.*` aggregates of the fold).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingRow {
-    /// Run the fact belongs to.
-    pub run: u64,
-    /// `phase`, `hist` or `counter`.
-    pub kind: &'static str,
-    /// Phase, histogram or counter name.
-    pub name: String,
-    /// Samples behind the fact.
-    pub count: u64,
-    /// Histogram mean, microseconds (0 for the other kinds).
-    pub mean: f64,
-    /// Histogram median, microseconds.
-    pub p50: f64,
-    /// Histogram 95th percentile, microseconds.
-    pub p95: f64,
-    /// Histogram 99th percentile, microseconds.
-    pub p99: f64,
-    /// Phase wall time in microseconds, or the counter value.
-    pub value: u64,
-}
-
-/// A bench-report row tagged with the run it came from
-/// ([`BenchEntry`] and [`Table3Row`] keep their report shape).
+/// A row tagged with the run it came from: the row keeps the shape of
+/// its source (a journal `Event`, a [`BenchEntry`], a [`Table3Row`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tagged<T> {
     /// Run the row belongs to.
     pub run: u64,
-    /// The row as the report carries it.
+    /// The row as its source carries it.
     pub row: T,
 }
-
-/// What one crash-safety event (journal schema v6) recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryFact {
-    /// `recovery_started`: the daemon began replaying its WAL.
-    Started {
-        /// WAL records replayed.
-        records: u64,
-        /// Torn tail bytes cut off before replay.
-        truncated_bytes: u64,
-    },
-    /// `recovery_round_voided`: a round without a durable settlement.
-    RoundVoided {
-        /// The voided round.
-        round: u64,
-    },
-    /// `recovery_complete`: replay finished.
-    Complete {
-        /// Round the daemon resumes at.
-        next_round: u64,
-        /// Committed rounds recovered.
-        rounds_recovered: u64,
-        /// Rounds voided.
-        rounds_voided: u64,
-    },
-    /// `conn_retry`: an agent's reconnect probe.
-    ConnRetry {
-        /// CDN whose agent retried ([`NO_CDN`] when unnamed).
-        cdn: u64,
-        /// Attempt number.
-        attempt: u64,
-        /// Backoff before the attempt, milliseconds.
-        backoff_ms: u64,
-    },
-}
-
-/// One crash-safety fact tagged with its run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryRow {
-    /// Run the fact belongs to.
-    pub run: u64,
-    /// The event.
-    pub fact: RecoveryFact,
-}
-
-/// `u64` sentinel for "no CDN" in fact rows.
-pub const NO_CDN: u64 = u64::MAX;
 
 /// One experiment's wall-time measurement in a bench report.
 #[derive(Debug, Clone, PartialEq)]

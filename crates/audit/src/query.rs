@@ -1,5 +1,6 @@
 //! The cross-run query layer: every question `repro audit query` can
-//! answer, computed from the store's fact rows.
+//! answer, computed from the store's round rows, bench rows and the
+//! journal events themselves.
 //!
 //! All queries are deterministic: grouping preserves first-seen order
 //! (run-id order underneath) and explicit sorts break ties by name, so
@@ -7,9 +8,10 @@
 
 use std::collections::HashMap;
 
-use crate::model::{RecoveryFact, RunKind, NO_CDN};
+use crate::model::RunKind;
 use crate::render::fmt;
 use crate::store::Store;
+use vdx_obs::Event;
 
 /// One cross-run question the audit store can answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,26 +272,31 @@ fn solver_drift(store: &Store) -> QueryResult {
 }
 
 fn hotspots(store: &Store) -> QueryResult {
-    let mut agg: HashMap<u64, (u64, u64, u64, u64)> = HashMap::new();
-    for w in &store.facts().wire {
-        let e = agg.entry(w.cdn).or_insert((0, 0, 0, 0));
-        e.0 += 1;
-        e.1 += w.link_dropped;
-        e.2 += w.corrupt_discarded;
-        e.3 += w.out_of_order;
+    let mut agg: HashMap<u32, (u64, u64, u64, u64)> = HashMap::new();
+    for event in &store.facts().events {
+        if let Event::WireDrops {
+            cdn,
+            link_dropped,
+            corrupt_discarded,
+            out_of_order,
+            ..
+        } = &event.row
+        {
+            let e = agg.entry(*cdn).or_insert((0, 0, 0, 0));
+            e.0 += 1;
+            e.1 += link_dropped;
+            e.2 += corrupt_discarded;
+            e.3 += out_of_order;
+        }
     }
-    let mut entries: Vec<(u64, (u64, u64, u64, u64))> = agg.into_iter().collect();
+    let mut entries: Vec<(u32, (u64, u64, u64, u64))> = agg.into_iter().collect();
     // Worst links first; CDN id breaks ties deterministically.
     entries.sort_by_key(|(cdn, (_, l, c, o))| (std::cmp::Reverse(l + c + o), *cdn));
     let rows = entries
         .into_iter()
         .map(|(cdn, (rounds, l, c, o))| {
             vec![
-                if cdn == NO_CDN {
-                    "-".into()
-                } else {
-                    cdn.to_string()
-                },
+                cdn.to_string(),
                 rounds.to_string(),
                 l.to_string(),
                 c.to_string(),
@@ -313,9 +320,19 @@ fn hotspots(store: &Store) -> QueryResult {
 }
 
 fn fault_league(store: &Store) -> QueryResult {
+    // Injected and absorbed faults per (run, round).
     let mut faulted: HashMap<(u64, u64), u64> = HashMap::new();
-    for f in &store.facts().faults {
-        *faulted.entry((f.run, f.round)).or_insert(0) += 1;
+    for event in &store.facts().events {
+        let round = match &event.row {
+            Event::FaultPlanApplied { round, .. }
+            | Event::CdnOutage { round, .. }
+            | Event::ExchangeOutage { round }
+            | Event::DeadlineMissed { round, .. }
+            | Event::StaleBidsReused { round, .. }
+            | Event::DesignFallback { round, .. } => *round,
+            _ => continue,
+        };
+        *faulted.entry((event.run, round)).or_insert(0) += 1;
     }
     #[derive(Default)]
     struct League {
@@ -471,38 +488,40 @@ fn table3_delta(store: &Store) -> QueryResult {
 fn recovery_time(store: &Store) -> QueryResult {
     let mut rows = Vec::new();
     for meta in store.runs() {
-        let facts = of_run(&store.facts().recovery, |r| r.run, meta.run_id);
-        if facts.is_empty() {
-            continue;
-        }
         // One summary row per run that touched the recovery path.
+        let mut touched = false;
         let (mut records, mut torn) = (0u64, 0u64);
         let (mut recovered, mut voided, mut resume_at) = (0u64, 0u64, 0u64);
-        let (mut retries, mut max_attempt) = (0u64, 0u64);
-        for r in facts {
-            match r.fact {
-                RecoveryFact::Started {
+        let (mut retries, mut max_attempt) = (0u64, 0u32);
+        for event in of_run(&store.facts().events, |e| e.run, meta.run_id) {
+            match &event.row {
+                Event::RecoveryStarted {
                     records: n,
                     truncated_bytes,
                 } => {
-                    records = n;
-                    torn = truncated_bytes;
+                    records = *n;
+                    torn = *truncated_bytes;
                 }
-                RecoveryFact::Complete {
+                Event::RecoveryComplete {
                     next_round,
                     rounds_recovered,
                     rounds_voided,
                 } => {
-                    resume_at = next_round;
-                    recovered = rounds_recovered;
-                    voided = rounds_voided;
+                    resume_at = *next_round;
+                    recovered = *rounds_recovered;
+                    voided = *rounds_voided;
                 }
-                RecoveryFact::ConnRetry { attempt, .. } => {
+                Event::ConnRetry { attempt, .. } => {
                     retries += 1;
-                    max_attempt = max_attempt.max(attempt);
+                    max_attempt = max_attempt.max(*attempt);
                 }
-                RecoveryFact::RoundVoided { .. } => {}
+                Event::RecoveryRoundVoided { .. } => {}
+                _ => continue,
             }
+            touched = true;
+        }
+        if !touched {
+            continue;
         }
         rows.push(vec![
             meta.run_id.to_string(),

@@ -374,7 +374,7 @@ fn into_broker_assignment(
     }
     // Conservation: the broker must place every group; demand gathered in
     // equals load assigned out, or the accounting above lost a group.
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     {
         let demand_in: f64 = problem.groups.iter().map(|g| g.demand_kbps.as_f64()).sum();
         let assigned_out: f64 = cluster_load_kbps.values().map(|l| l.as_f64()).sum();

@@ -63,7 +63,7 @@ pub fn plan_capacities(
         }
         // Conservation: in its solo run a CDN with any clusters at all
         // attracts the entire workload — every demand point lands somewhere.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         if !fleet.cdns[cdn_idx].clusters.is_empty() {
             let placed: f64 = fleet.cdns[cdn_idx]
                 .clusters
@@ -83,12 +83,12 @@ pub fn plan_capacities(
     // Empty clusters draw from their nearest stocked sibling.
     for cdn_idx in 0..fleet.cdns.len() {
         let cdn = CdnId(cdn_idx as u32);
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         let before = total_capacity(fleet, cdn).as_f64();
         redistribute_empty(world, fleet, cdn);
         // Conservation: redistribution moves capacity between siblings but
         // must never create or destroy it.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             let after = total_capacity(fleet, cdn).as_f64();
             debug_assert!(

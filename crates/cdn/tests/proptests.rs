@@ -1,8 +1,8 @@
 //! Property tests for the CDN-side decision machinery: the matching rule
 //! must honour the paper's §5.1 candidate-selection contract on arbitrary
-//! fleets, and capacity planning must conserve demand and capacity. Run
-//! with `--features strict-invariants` to additionally exercise the
-//! `debug_assert!` conservation guards inside `plan_capacities`.
+//! fleets, and capacity planning must conserve demand and capacity. A
+//! debug build (plain `cargo test`) also runs the `debug_assert!`
+//! conservation guards inside `plan_capacities` on every case.
 
 use vdx_cdn::capacity::{plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 use vdx_cdn::cluster::{CdnId, Cluster, ClusterId};

@@ -123,7 +123,7 @@ pub fn settle(outcome: &RoundOutcome, world: &World, fleet: &Fleet) -> Settlemen
     // Double-entry balance: the per-CDN and per-country books record the
     // same payments, so their totals must agree exactly (same additions in
     // a different grouping, tolerance only for reassociation).
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     {
         let cdn_rev: f64 = per_cdn.iter().map(|c| c.ledger.revenue.as_f64()).sum();
         let country_rev: f64 = per_country.values().map(|l| l.revenue.as_f64()).sum();

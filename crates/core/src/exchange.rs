@@ -68,8 +68,6 @@ pub struct ExchangeConfig {
     pub policy: CpPolicy,
     /// Solver choice.
     pub mode: OptimizeMode,
-    /// The matching rule CDN agents apply.
-    pub matching: MatchingConfig,
 }
 
 impl Default for ExchangeConfig {
@@ -78,7 +76,6 @@ impl Default for ExchangeConfig {
             design: Design::Marketplace,
             policy: CpPolicy::balanced(),
             mode: OptimizeMode::Heuristic,
-            matching: MatchingConfig::default(),
         }
     }
 }
@@ -1392,7 +1389,6 @@ mod tests {
             broker_eps,
             ExchangeConfig {
                 design,
-                matching,
                 ..ExchangeConfig::default()
             },
         );

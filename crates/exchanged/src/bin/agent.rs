@@ -16,13 +16,10 @@
 //! deadline misses for operator drills (see OPERATIONS.md).
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use vdx_core::Design;
 use vdx_exchanged::{run_agent_probed, AgentConfig};
-use vdx_obs::timing::run_header;
-use vdx_obs::{Journal, JournalProbe, Probe, Stopwatch};
-use vdx_sim::{flag_value, Scenario, ScenarioConfig};
+use vdx_sim::cli::{design_flag, flag_parsed, flag_value, FlightRecorder};
+use vdx_sim::{Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -38,20 +35,17 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return usage();
     }
-    let parse_u64 = |flag: &str| flag_value(&args, flag).and_then(|v| v.parse::<u64>().ok());
-    let Some(cdn) = flag_value(&args, "--cdn").and_then(|v| v.parse::<u32>().ok()) else {
+    let parse_u64 = |flag: &str| flag_parsed::<u64>(&args, flag);
+    let Some(cdn) = flag_parsed::<u32>(&args, "--cdn") else {
         return usage();
     };
     let addr = flag_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:4990".into());
-    let design = match flag_value(&args, "--design") {
-        None => Design::Marketplace,
-        Some(name) => match Design::parse(&name) {
-            Some(d) => d,
-            None => {
-                eprintln!("unknown design: {name}");
-                return usage();
-            }
-        },
+    let design = match design_flag(&args) {
+        Ok(design) => design,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
     };
     let silent_rounds: Vec<u64> = flag_value(&args, "--silent")
         .map(|list| {
@@ -62,14 +56,7 @@ fn main() -> ExitCode {
         .unwrap_or_default();
 
     let small = args.iter().any(|a| a == "--small");
-    let mut config = if small {
-        ScenarioConfig::small()
-    } else {
-        ScenarioConfig::default()
-    };
-    if let Some(seed) = parse_u64("--seed") {
-        config.seed = seed;
-    }
+    let config = ScenarioConfig::at_scale(small, parse_u64("--seed"));
     let seed = config.seed;
     eprintln!("building scenario: seed {seed} ...");
     let scenario = Scenario::build(config);
@@ -82,8 +69,6 @@ fn main() -> ExitCode {
     }
 
     let mut cfg = AgentConfig {
-        cdn,
-        design,
         silent_rounds,
         ..AgentConfig::new(cdn, design)
     };
@@ -98,54 +83,23 @@ fn main() -> ExitCode {
         cfg.retry_cap_ms = ms.max(cfg.retry_base_ms);
     }
 
-    let run_clock = Stopwatch::start();
-    let probe: Option<Arc<JournalProbe>> = match flag_value(&args, "--journal") {
-        Some(path) => match Journal::create(&path) {
-            Ok(journal) => Some(Arc::new(JournalProbe::new(journal))),
-            Err(e) => {
-                eprintln!("cannot create journal {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let recorder = match FlightRecorder::begin_run(&args, "agent", seed, small, None) {
+        Ok(recorder) => recorder,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    if let Some(p) = &probe {
-        p.emit(run_header("agent", seed, small, 0));
-    }
-    let agent_probe: Arc<dyn Probe> = match &probe {
-        Some(p) => p.clone(),
-        None => vdx_obs::probe::noop(),
-    };
+    let probe = recorder.run_probe();
     eprintln!("vdx-agent cdn {cdn} connecting to {addr} ...");
-    let outcome = run_agent_probed(addr.as_str(), &scenario, &cfg, agent_probe.as_ref());
-    drop(agent_probe);
-    let journal_ok = match probe {
-        None => true,
-        Some(p) => match Arc::try_unwrap(p) {
-            Ok(inner) => match inner.into_journal() {
-                Ok(journal) => {
-                    let path = journal.path().display().to_string();
-                    match journal.finish("agent", run_clock.elapsed_ms()) {
-                        Ok(()) => {
-                            eprintln!("journal written: {path}");
-                            true
-                        }
-                        Err(e) => {
-                            eprintln!("failed to finish journal: {e}");
-                            false
-                        }
-                    }
-                }
-                Err(e) => {
-                    eprintln!("journal write errors: {e}");
-                    false
-                }
-            },
-            Err(_) => {
-                eprintln!("journal probe still shared; cannot finish the journal");
-                false
-            }
-        },
+    let outcome = run_agent_probed(addr.as_str(), &scenario, &cfg, probe.as_ref());
+    drop(probe);
+    let journal_ok = match recorder.end_run() {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("{e}");
+            false
+        }
     };
     match outcome {
         Ok(report) => {

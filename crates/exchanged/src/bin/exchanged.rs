@@ -23,11 +23,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vdx_broker::{BreakerConfig, CpPolicy};
-use vdx_core::{Design, ExchangeDriver};
+use vdx_core::ExchangeDriver;
 use vdx_exchanged::{ExchangeServer, ServerOptions};
-use vdx_obs::timing::run_header;
-use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch};
-use vdx_sim::{flag_value, Scenario, ScenarioConfig};
+use vdx_sim::cli::{design_flag, flag_parsed, flag_value, journaled_phase, FlightRecorder};
+use vdx_sim::{Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -48,19 +47,16 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return usage();
     }
-    let parse_u64 = |flag: &str| flag_value(&args, flag).and_then(|v| v.parse::<u64>().ok());
+    let parse_u64 = |flag: &str| flag_parsed::<u64>(&args, flag);
 
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4990".into());
     let small = args.iter().any(|a| a == "--small");
-    let design = match flag_value(&args, "--design") {
-        None => Design::Marketplace,
-        Some(name) => match Design::parse(&name) {
-            Some(d) => d,
-            None => {
-                eprintln!("unknown design: {name}");
-                return usage();
-            }
-        },
+    let design = match design_flag(&args) {
+        Ok(design) => design,
+        Err(e) => {
+            eprintln!("{e}");
+            return usage();
+        }
     };
     let rounds = parse_u64("--rounds").unwrap_or(10).max(1);
     let interval = Duration::from_millis(parse_u64("--interval-ms").unwrap_or(0));
@@ -96,64 +92,37 @@ fn main() -> ExitCode {
         }
     }
     let wait = Duration::from_millis(parse_u64("--wait-ms").unwrap_or(10_000));
-    let journal_path = flag_value(&args, "--journal");
+    let config = ScenarioConfig::at_scale(small, parse_u64("--seed"));
 
-    let mut config = if small {
-        ScenarioConfig::small()
-    } else {
-        ScenarioConfig::default()
+    let recorder = match FlightRecorder::begin_run(&args, "exchanged", config.seed, small, None) {
+        Ok(recorder) => recorder,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    if let Some(seed) = parse_u64("--seed") {
-        config.seed = seed;
-    }
-
-    let run_clock = Stopwatch::start();
-    let probe: Option<Arc<JournalProbe>> = match &journal_path {
-        Some(path) => match Journal::create(path) {
-            Ok(journal) => Some(Arc::new(JournalProbe::new(journal))),
-            Err(e) => {
-                eprintln!("cannot create journal {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Some(p) = &probe {
-        p.emit(run_header("exchanged", config.seed, small, 0));
-        p.emit(Event::PhaseStarted {
-            phase: "build_scenario".into(),
-        });
-    }
+    let probe = recorder.run_probe();
     eprintln!(
         "building scenario: seed {} ({}) ...",
         config.seed,
         if small { "small" } else { "full" }
     );
-    let build_clock = Stopwatch::start();
-    let scenario = Arc::new(Scenario::build(config));
-    if let Some(p) = &probe {
-        p.emit(Event::PhaseFinished {
-            phase: "build_scenario".into(),
-            wall_us: build_clock.elapsed_us(),
-        });
-    }
+    let scenario = Arc::new(journaled_phase(probe.as_ref(), "build_scenario", || {
+        Scenario::build(config)
+    }));
     let num_cdns = scenario.fleet.cdns.len();
     let min_agents = parse_u64("--min-agents")
         .map(|n| n as usize)
         .unwrap_or(num_cdns)
         .min(num_cdns);
 
-    let server_probe: Arc<dyn Probe> = match &probe {
-        Some(p) => p.clone(),
-        None => vdx_obs::probe::noop(),
-    };
     let deadline_ms = opts.deadline.as_millis();
     let mut server = match ExchangeServer::start(
         addr.as_str(),
         scenario.clone(),
         design,
         CpPolicy::balanced(),
-        server_probe,
+        probe.clone(),
         opts,
     ) {
         Ok(s) => s,
@@ -199,56 +168,27 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(p) = &probe {
-        p.emit(Event::PhaseStarted {
-            phase: "exchange_rounds".into(),
-        });
-    }
-    let rounds_clock = Stopwatch::start();
-    for round in start_round..rounds {
-        let result = server.run_round(round);
-        eprintln!(
-            "round {round}: {:?} objective={:.3} picks={} agents={}",
-            result.resolution,
-            result.objective,
-            result.picks.len(),
-            server.connected_agents()
-        );
-        if round + 1 < rounds && !interval.is_zero() {
-            std::thread::sleep(interval);
+    journaled_phase(probe.as_ref(), "exchange_rounds", || {
+        for round in start_round..rounds {
+            let result = server.run_round(round);
+            eprintln!(
+                "round {round}: {:?} objective={:.3} picks={} agents={}",
+                result.resolution,
+                result.objective,
+                result.picks.len(),
+                server.connected_agents()
+            );
+            if round + 1 < rounds && !interval.is_zero() {
+                std::thread::sleep(interval);
+            }
         }
-    }
-    if let Some(p) = &probe {
-        p.emit(Event::PhaseFinished {
-            phase: "exchange_rounds".into(),
-            wall_us: rounds_clock.elapsed_us(),
-        });
-    }
+    });
     server.shutdown();
 
-    if let Some(p) = probe {
-        for event in vdx_obs::metrics::global().drain() {
-            p.emit(event);
-        }
-        let journal = match Arc::try_unwrap(p) {
-            Ok(inner) => match inner.into_journal() {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("journal write errors: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => {
-                eprintln!("journal probe still shared; cannot finish the journal");
-                return ExitCode::FAILURE;
-            }
-        };
-        let path = journal.path().display().to_string();
-        if let Err(e) = journal.finish("exchanged", run_clock.elapsed_ms()) {
-            eprintln!("failed to finish journal: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("journal written: {path}");
+    drop(probe);
+    if let Err(e) = recorder.end_run() {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -72,7 +72,7 @@ use vdx_core::{
 };
 use vdx_obs::{Event, Probe, Stopwatch};
 use vdx_proto::{Bid, Connection, Message};
-use vdx_sim::soak::{brokered_round, shares_of};
+use vdx_sim::soak::{brokered_round, shares_of, SoakPlan};
 use vdx_sim::Scenario;
 
 /// Daemon knobs; [`ServerOptions::default`] matches the soak defaults.
@@ -108,6 +108,20 @@ impl Default for ServerOptions {
             handshake_timeout: Duration::from_secs(5),
             wal: None,
             checkpoint_every: 4,
+        }
+    }
+}
+
+impl ServerOptions {
+    /// The options under which the daemon replays `plan` comparably to
+    /// the reference driver: the plan's deadline, TTL and breaker, the
+    /// defaults elsewhere.
+    pub fn for_plan(plan: &SoakPlan) -> ServerOptions {
+        ServerOptions {
+            deadline: Duration::from_millis(plan.deadline_ms),
+            stale_ttl_rounds: plan.stale_ttl_rounds,
+            breaker: plan.breaker,
+            ..ServerOptions::default()
         }
     }
 }

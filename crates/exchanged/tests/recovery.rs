@@ -12,59 +12,23 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vdx_broker::{BreakerConfig, CpPolicy};
+use vdx_broker::CpPolicy;
 use vdx_core::wal::replay;
 use vdx_core::{Design, DriverRound, ExchangeDriver, Wal, WalRecord};
 use vdx_exchanged::{run_agent, AgentConfig, ExchangeServer, ServerOptions};
 use vdx_obs::{Event, MemoryProbe};
-use vdx_sim::soak::{run_reference, SoakPlan, SoakRound};
+use vdx_sim::soak::{run_reference, SoakPlan};
 use vdx_sim::{Scenario, ScenarioConfig};
 
 fn small_scenario(seed: u64) -> Scenario {
-    let mut config = ScenarioConfig::small();
-    config.seed = seed;
-    Scenario::build(config)
-}
-
-/// The soak test's 11-round ladder campaign: every resolution rung and
-/// every breaker state, so recovery is tested over non-trivial state.
-fn ladder_plan(cdns: u32) -> SoakPlan {
-    let all: Vec<u32> = (0..cdns).collect();
-    let silences = vec![
-        vec![],
-        vec![0],
-        vec![0],
-        vec![0],
-        vec![],
-        vec![],
-        all.clone(),
-        all.clone(),
-        all,
-        vec![],
-        vec![],
-    ];
-    SoakPlan {
-        rounds: silences
-            .into_iter()
-            .map(|silent| SoakRound { silent })
-            .collect(),
-        stale_ttl_rounds: 2,
-        deadline_ms: 1_500,
-        breaker: BreakerConfig {
-            trip_after: 3,
-            cooldown_rounds: 2,
-        },
-    }
+    Scenario::build(ScenarioConfig::at_scale(true, Some(seed)))
 }
 
 fn options_for(plan: &SoakPlan, wal: PathBuf) -> ServerOptions {
     ServerOptions {
-        deadline: Duration::from_millis(plan.deadline_ms),
-        stale_ttl_rounds: plan.stale_ttl_rounds,
-        breaker: plan.breaker,
         wal: Some(wal),
         checkpoint_every: 4,
-        ..ServerOptions::default()
+        ..ServerOptions::for_plan(plan)
     }
 }
 
@@ -74,18 +38,11 @@ fn temp_wal(name: &str) -> PathBuf {
     path
 }
 
-/// The per-CDN silence schedule implied by a plan.
-fn silent_rounds_for(plan: &SoakPlan, cdn: u32) -> Vec<u64> {
-    (0..plan.rounds.len() as u64)
-        .filter(|&r| plan.silent(r).contains(&cdn))
-        .collect()
-}
-
 #[test]
 fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
     let scenario = Arc::new(small_scenario(90217));
     let n = scenario.fleet.cdns.len();
-    let plan = ladder_plan(n as u32);
+    let plan = SoakPlan::ladder(n as u32);
     let rounds = plan.rounds.len() as u64;
     let wal_path = temp_wal("resume");
     let reference = run_reference(
@@ -116,7 +73,7 @@ fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
         .map(|cdn| {
             let sc = scenario.clone();
             let cfg = AgentConfig {
-                silent_rounds: silent_rounds_for(&plan, cdn as u32),
+                silent_rounds: plan.silent_rounds_for(cdn as u32),
                 disconnect_after: Some(rounds - 1),
                 max_retries: 40,
                 retry_base_ms: 25,
@@ -200,7 +157,7 @@ fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
 fn an_interrupted_round_is_voided_and_rerun_from_recovered_state() {
     let scenario = Arc::new(small_scenario(90217));
     let n = scenario.fleet.cdns.len();
-    let plan = ladder_plan(n as u32);
+    let plan = SoakPlan::ladder(n as u32);
     let wal_path = temp_wal("voided");
     let reference = run_reference(
         &scenario,
@@ -228,7 +185,7 @@ fn an_interrupted_round_is_voided_and_rerun_from_recovered_state() {
         .map(|cdn| {
             let sc = scenario.clone();
             let cfg = AgentConfig {
-                silent_rounds: silent_rounds_for(&plan, cdn as u32),
+                silent_rounds: plan.silent_rounds_for(cdn as u32),
                 disconnect_after: Some(1),
                 ..AgentConfig::new(cdn as u32, Design::Marketplace)
             };

@@ -24,34 +24,11 @@ use vdx_broker::{BreakerConfig, CpPolicy, HealthState};
 use vdx_core::{Design, DriverRound, ExchangeDriver, RoundResolution};
 use vdx_exchanged::{run_agent, AgentConfig, ExchangeServer, ServerOptions};
 use vdx_obs::{Event, MemoryProbe, Probe};
-use vdx_sim::soak::{run_reference, SoakPlan, SoakRound};
+use vdx_sim::soak::{run_reference, SoakPlan};
 use vdx_sim::{Scenario, ScenarioConfig};
 
 fn small_scenario(seed: u64) -> Scenario {
-    let mut config = ScenarioConfig::small();
-    config.seed = seed;
-    Scenario::build(config)
-}
-
-fn plan_of(silences: Vec<Vec<u32>>, ttl: u64, breaker: BreakerConfig) -> SoakPlan {
-    SoakPlan {
-        rounds: silences
-            .into_iter()
-            .map(|silent| SoakRound { silent })
-            .collect(),
-        stale_ttl_rounds: ttl,
-        deadline_ms: 1_500,
-        breaker,
-    }
-}
-
-fn server_options(plan: &SoakPlan) -> ServerOptions {
-    ServerOptions {
-        deadline: Duration::from_millis(plan.deadline_ms),
-        stale_ttl_rounds: plan.stale_ttl_rounds,
-        breaker: plan.breaker,
-        ..ServerOptions::default()
-    }
+    Scenario::build(ScenarioConfig::at_scale(true, Some(seed)))
 }
 
 /// Starts the server plus one well-behaved-or-scripted agent thread per
@@ -68,7 +45,7 @@ fn run_live(
         Design::Marketplace,
         CpPolicy::balanced(),
         probe,
-        server_options(plan),
+        ServerOptions::for_plan(plan),
     )
     .expect("bind loopback");
     let addr = server.local_addr();
@@ -106,41 +83,10 @@ fn comparable_journal(probe: &MemoryProbe) -> Vec<Event> {
     events
 }
 
-/// The per-CDN silence schedule implied by a plan.
-fn silent_rounds_for(plan: &SoakPlan, cdn: u32) -> Vec<u64> {
-    (0..plan.rounds.len() as u64)
-        .filter(|&r| plan.silent(r).contains(&cdn))
-        .collect()
-}
-
 #[test]
 fn daemon_decisions_match_the_reference_driver_round_for_round() {
     let scenario = Arc::new(small_scenario(90217));
-    let all: Vec<u32> = (0..scenario.fleet.cdns.len() as u32).collect();
-    // A campaign that walks every ladder rung and every breaker state:
-    // one CDN silent long enough to trip (stale → stale → excluded →
-    // open → half-open probe → recovery), then total silence past the
-    // TTL (fallback), an all-open round, and a full recovery.
-    let plan = plan_of(
-        vec![
-            vec![],      // 0: fresh (fills the cache)
-            vec![0],     // 1: stale substitution, failure 1
-            vec![0],     // 2: stale substitution, failure 2
-            vec![0],     // 3: cache beyond TTL: excluded; trips -> Open
-            vec![],      // 4: breaker Open: excluded without being asked
-            vec![],      // 5: half-open probe succeeds -> Closed, fresh
-            all.clone(), // 6: all silent -> all stale
-            all.clone(), // 7: all silent -> all stale (age 2)
-            all.clone(), // 8: all silent, cache dry -> Brokered fallback
-            vec![],      // 9: every breaker Open -> Brokered fallback
-            vec![],      // 10: all probes succeed -> fresh again
-        ],
-        2,
-        BreakerConfig {
-            trip_after: 3,
-            cooldown_rounds: 2,
-        },
-    );
+    let plan = SoakPlan::ladder(scenario.fleet.cdns.len() as u32);
     let reference_probe = Arc::new(MemoryProbe::new());
     let reference = run_reference(
         &scenario,
@@ -170,7 +116,7 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
 
     let live_probe = Arc::new(MemoryProbe::new());
     let live = run_live(&scenario, &plan, live_probe.clone(), |cdn| AgentConfig {
-        silent_rounds: silent_rounds_for(&plan, cdn as u32),
+        silent_rounds: plan.silent_rounds_for(cdn as u32),
         ..AgentConfig::new(cdn as u32, Design::Marketplace)
     });
     assert_eq!(
@@ -188,21 +134,20 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
 fn a_disconnected_agent_is_excluded_and_its_breaker_opens() {
     let scenario = Arc::new(small_scenario(3141));
     let n = scenario.fleet.cdns.len();
-    let plan = plan_of(
-        vec![vec![], vec![], vec![]],
-        2,
-        BreakerConfig {
-            trip_after: 1,
-            cooldown_rounds: 10,
-        },
-    );
     let mut server = ExchangeServer::start(
         "127.0.0.1:0",
         scenario.clone(),
         Design::Marketplace,
         CpPolicy::balanced(),
         vdx_obs::probe::noop(),
-        server_options(&plan),
+        ServerOptions {
+            deadline: Duration::from_millis(1_500),
+            breaker: BreakerConfig {
+                trip_after: 1,
+                cooldown_rounds: 10,
+            },
+            ..ServerOptions::default()
+        },
     )
     .expect("bind loopback");
     let addr = server.local_addr();

@@ -8,11 +8,10 @@
 //! (paths, calls, method calls, field accesses, indexing, closures,
 //! control flow, struct literals, macro invocations as raw token trees).
 //!
-//! [`print_file`] renders a file back to parseable text. The printer is
-//! canonical, not faithful: it space-separates tokens and parenthesizes
-//! operands defensively. The contract — pinned by the golden tests in
-//! `main.rs` — is the reparse fixpoint: `parse(print(ast)) == ast` for
-//! every file of the workspace.
+//! Nothing renders a tree back to text. The parser that builds it is
+//! pinned by shape assertions in `parse.rs`'s tests, by the fixture
+//! crate's exact-span findings and by the workspace's allowlists (an
+//! entry whose site stops parsing goes stale) — DESIGN.md §14.
 
 /// A 1-based (line, column) source position, exact w.r.t. raw source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -24,8 +23,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// Spans never survive printing; equality of printed-and-reparsed
-    /// trees must not depend on them.
+    /// The position of an expression that has none of its own (a bare
+    /// `return`, an empty tuple).
     pub fn zero() -> Span {
         Span { line: 0, col: 0 }
     }
@@ -272,9 +271,9 @@ pub enum Stmt {
     },
     /// An expression statement; `semi` records the trailing `;`.
     Expr {
-        /// Statement-level attributes (`#[cfg(feature = "...")]` on a
+        /// Statement-level attributes (`#[cfg(debug_assertions)]` on a
         /// block or expression) — analyses use these to recognize
-        /// feature-gated debug scaffolding.
+        /// debug-only scaffolding.
         attrs: Vec<Attr>,
         /// The expression.
         expr: Expr,
@@ -776,673 +775,6 @@ pub fn walk_expr<'a>(e: &'a Expr, visit: &mut dyn FnMut(&'a Expr)) {
         Expr::ArrayRepeat { elem, len } => {
             walk_expr(elem, visit);
             walk_expr(len, visit);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Printer
-// ---------------------------------------------------------------------
-
-#[cfg_attr(not(test), allow(unused_imports))]
-pub use printer::print_file;
-
-/// Canonical-text printer for parsed files. Its consumers are the
-/// golden parse → print → reparse fixpoint tests (and parser
-/// debugging); it is not on the lint hot path, hence the dead-code
-/// tolerance outside test builds.
-#[cfg_attr(not(test), allow(dead_code))]
-mod printer {
-    use super::*;
-    use std::fmt::Write as _;
-
-    /// Emits `tokens` space-separated into `out`. A bare `'` (lifetime
-    /// sigil) joins to the following token — printing it detached would
-    /// make [`crate::scan::sanitize`] read `' ` as a char-literal opener
-    /// and blank everything up to the next quote.
-    fn put_tokens(out: &mut String, tokens: &[String]) {
-        for t in tokens {
-            if t == "'" {
-                out.push('\'');
-            } else {
-                let _ = write!(out, "{t} ");
-            }
-        }
-    }
-
-    fn put_vis(out: &mut String, vis: &Vis) {
-        match vis {
-            Vis::Private => {}
-            Vis::Pub => out.push_str("pub "),
-            Vis::Scoped(toks) => {
-                out.push_str("pub ( ");
-                put_tokens(out, toks);
-                out.push_str(") ");
-            }
-        }
-    }
-
-    fn put_attrs(out: &mut String, attrs: &[Attr]) {
-        for a in attrs {
-            out.push_str("# [ ");
-            put_tokens(out, &a.tokens);
-            out.push_str("] ");
-        }
-    }
-
-    /// Renders a whole file back to parseable canonical text.
-    pub fn print_file(file: &File) -> String {
-        let mut out = String::new();
-        for item in &file.items {
-            print_item(&mut out, item);
-        }
-        out
-    }
-
-    /// Renders one item.
-    pub fn print_item(out: &mut String, item: &Item) {
-        put_attrs(out, &item.attrs);
-        put_vis(out, &item.vis);
-        match &item.kind {
-            ItemKind::Fn(f) => print_fn(out, f),
-            ItemKind::Struct {
-                name,
-                fields,
-                tuple,
-            } => {
-                let _ = write!(out, "struct {name} ");
-                if *tuple {
-                    out.push_str("( ");
-                    for (i, f) in fields.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        put_vis(out, &f.vis);
-                        put_tokens(out, &f.ty);
-                    }
-                    out.push_str(") ; ");
-                } else if fields.is_empty() {
-                    out.push_str("; ");
-                } else {
-                    out.push_str("{ ");
-                    for f in fields {
-                        put_vis(out, &f.vis);
-                        let _ = write!(out, "{} : ", f.name);
-                        put_tokens(out, &f.ty);
-                        out.push_str(", ");
-                    }
-                    out.push_str("} ");
-                }
-            }
-            ItemKind::Enum { name, variants } => {
-                let _ = write!(out, "enum {name} {{ ");
-                for v in variants {
-                    let _ = write!(out, "{} ", v.name);
-                    if !v.fields.is_empty() {
-                        out.push_str("{ ");
-                        for f in &v.fields {
-                            let _ = write!(out, "{} : ", f.name);
-                            put_tokens(out, &f.ty);
-                            out.push_str(", ");
-                        }
-                        out.push_str("} ");
-                    } else if !v.tuple.is_empty() {
-                        out.push_str("( ");
-                        for (i, ty) in v.tuple.iter().enumerate() {
-                            if i > 0 {
-                                out.push_str(", ");
-                            }
-                            put_tokens(out, ty);
-                        }
-                        out.push_str(") ");
-                    }
-                    out.push_str(", ");
-                }
-                out.push_str("} ");
-            }
-            ItemKind::Impl {
-                trait_tokens,
-                self_ty,
-                items,
-            } => {
-                out.push_str("impl ");
-                if let Some(tr) = trait_tokens {
-                    put_tokens(out, tr);
-                    out.push_str("for ");
-                }
-                put_tokens(out, self_ty);
-                out.push_str("{ ");
-                for it in items {
-                    print_item(out, it);
-                }
-                out.push_str("} ");
-            }
-            ItemKind::Trait { name, items } => {
-                let _ = write!(out, "trait {name} {{ ");
-                for it in items {
-                    print_item(out, it);
-                }
-                out.push_str("} ");
-            }
-            ItemKind::Mod { name, items } => match items {
-                Some(items) => {
-                    let _ = write!(out, "mod {name} {{ ");
-                    for it in items {
-                        print_item(out, it);
-                    }
-                    out.push_str("} ");
-                }
-                None => {
-                    let _ = write!(out, "mod {name} ; ");
-                }
-            },
-            ItemKind::Use { tokens } => {
-                out.push_str("use ");
-                put_tokens(out, tokens);
-                out.push_str("; ");
-            }
-            ItemKind::Const { name, ty, value } => {
-                let _ = write!(out, "const {name} : ");
-                put_tokens(out, ty);
-                out.push_str("= ");
-                print_expr(out, value);
-                out.push_str("; ");
-            }
-            ItemKind::Static { name, ty, value } => {
-                let _ = write!(out, "static {name} : ");
-                put_tokens(out, ty);
-                out.push_str("= ");
-                print_expr(out, value);
-                out.push_str("; ");
-            }
-            ItemKind::TypeAlias { name, ty } => {
-                let _ = write!(out, "type {name} ");
-                if ty.is_empty() {
-                    out.push_str("; ");
-                } else {
-                    out.push_str("= ");
-                    put_tokens(out, ty);
-                    out.push_str("; ");
-                }
-            }
-            ItemKind::MacroItem { path, tokens } => {
-                for (i, s) in path.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(":: ");
-                    }
-                    let _ = write!(out, "{s} ");
-                }
-                out.push_str("! { ");
-                put_tokens(out, tokens);
-                out.push_str("} ");
-            }
-        }
-    }
-
-    fn print_fn(out: &mut String, f: &FnDef) {
-        let _ = write!(out, "fn {} ( ", f.name);
-        for (i, p) in f.params.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            print_pat(out, &p.pat);
-            if !p.ty.is_empty() {
-                out.push_str(": ");
-                put_tokens(out, &p.ty);
-            }
-        }
-        out.push_str(") ");
-        if !f.ret.is_empty() {
-            out.push_str("-> ");
-            put_tokens(out, &f.ret);
-        }
-        match &f.body {
-            Some(b) => print_block(out, b),
-            None => out.push_str("; "),
-        }
-    }
-
-    fn print_block(out: &mut String, b: &Block) {
-        out.push_str("{ ");
-        for s in &b.stmts {
-            print_stmt(out, s);
-        }
-        out.push_str("} ");
-    }
-
-    fn print_stmt(out: &mut String, s: &Stmt) {
-        match s {
-            Stmt::Let {
-                pat,
-                ty,
-                init,
-                else_block,
-                ..
-            } => {
-                out.push_str("let ");
-                print_pat(out, pat);
-                if let Some(ty) = ty {
-                    out.push_str(": ");
-                    put_tokens(out, ty);
-                }
-                if let Some(init) = init {
-                    out.push_str("= ");
-                    print_expr(out, init);
-                }
-                if let Some(eb) = else_block {
-                    out.push_str("else ");
-                    print_block(out, eb);
-                }
-                out.push_str("; ");
-            }
-            Stmt::Expr { attrs, expr, semi } => {
-                put_attrs(out, attrs);
-                print_expr(out, expr);
-                if *semi {
-                    out.push_str("; ");
-                }
-            }
-            Stmt::Item(it) => print_item(out, it),
-            Stmt::Empty => out.push_str("; "),
-        }
-    }
-
-    fn print_pat(out: &mut String, p: &Pat) {
-        match p {
-            Pat::Wild => out.push_str("_ "),
-            Pat::Ident {
-                name,
-                by_ref,
-                is_mut,
-                sub,
-            } => {
-                if *by_ref {
-                    out.push_str("ref ");
-                }
-                if *is_mut {
-                    out.push_str("mut ");
-                }
-                let _ = write!(out, "{name} ");
-                if let Some(sub) = sub {
-                    out.push_str("@ ");
-                    print_pat(out, sub);
-                }
-            }
-            Pat::Path { segs } => put_path(out, segs),
-            Pat::TupleStruct { segs, elems } => {
-                put_path(out, segs);
-                out.push_str("( ");
-                for (i, e) in elems.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_pat(out, e);
-                }
-                out.push_str(") ");
-            }
-            Pat::Struct { segs, fields, rest } => {
-                put_path(out, segs);
-                out.push_str("{ ");
-                for (i, (name, sub)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{name} ");
-                    if let Some(sub) = sub {
-                        out.push_str(": ");
-                        print_pat(out, sub);
-                    }
-                }
-                if *rest {
-                    if !fields.is_empty() {
-                        out.push_str(", ");
-                    }
-                    out.push_str(".. ");
-                }
-                out.push_str("} ");
-            }
-            Pat::Tuple(ps) => {
-                out.push_str("( ");
-                for (i, e) in ps.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_pat(out, e);
-                }
-                if ps.len() == 1 {
-                    out.push_str(", ");
-                }
-                out.push_str(") ");
-            }
-            Pat::Ref { is_mut, pat } => {
-                out.push_str("& ");
-                if *is_mut {
-                    out.push_str("mut ");
-                }
-                print_pat(out, pat);
-            }
-            Pat::Slice(ps) => {
-                out.push_str("[ ");
-                for (i, e) in ps.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_pat(out, e);
-                }
-                out.push_str("] ");
-            }
-            Pat::Lit(text) => {
-                let _ = write!(out, "{text} ");
-            }
-            Pat::Range { lo, hi, inclusive } => {
-                if let Some(lo) = lo {
-                    let _ = write!(out, "{lo} ");
-                }
-                out.push_str(if *inclusive { "..= " } else { ".. " });
-                if let Some(hi) = hi {
-                    let _ = write!(out, "{hi} ");
-                }
-            }
-            Pat::Or(ps) => {
-                for (i, e) in ps.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str("| ");
-                    }
-                    print_pat(out, e);
-                }
-            }
-            Pat::Rest => out.push_str(".. "),
-        }
-    }
-
-    fn put_path(out: &mut String, segs: &[String]) {
-        for (i, s) in segs.iter().enumerate() {
-            if i > 0 {
-                out.push_str(":: ");
-            }
-            let _ = write!(out, "{s} ");
-        }
-    }
-
-    /// Renders one expression. Operands of compound expressions are wrapped
-    /// in parentheses defensively; the parser drops grouping parens, so the
-    /// reparse yields the identical tree.
-    pub fn print_expr(out: &mut String, e: &Expr) {
-        match e {
-            Expr::Path { segs, .. } => put_path(out, segs),
-            Expr::Lit { text, .. } => {
-                let _ = write!(out, "{text} ");
-            }
-            Expr::Call { callee, args, .. } => {
-                print_operand(out, callee);
-                out.push_str("( ");
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_expr(out, a);
-                }
-                out.push_str(") ");
-            }
-            Expr::MethodCall {
-                recv, method, args, ..
-            } => {
-                print_operand(out, recv);
-                let _ = write!(out, ". {method} ( ");
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_expr(out, a);
-                }
-                out.push_str(") ");
-            }
-            Expr::Field { recv, name, .. } => {
-                print_operand(out, recv);
-                let _ = write!(out, ". {name} ");
-            }
-            Expr::Index { recv, index, .. } => {
-                print_operand(out, recv);
-                out.push_str("[ ");
-                print_expr(out, index);
-                out.push_str("] ");
-            }
-            Expr::Unary { op, expr } => {
-                let _ = write!(out, "{} ", if op == "&mut" { "& mut" } else { op });
-                print_operand(out, expr);
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                print_operand(out, lhs);
-                let _ = write!(out, "{op} ");
-                print_operand(out, rhs);
-            }
-            Expr::Assign { op, lhs, rhs } => {
-                print_operand(out, lhs);
-                let _ = write!(out, "{op} ");
-                print_operand(out, rhs);
-            }
-            Expr::Cast { expr, ty } => {
-                print_operand(out, expr);
-                out.push_str("as ");
-                put_tokens(out, ty);
-            }
-            Expr::Range { lo, hi, inclusive } => {
-                if let Some(lo) = lo {
-                    print_operand(out, lo);
-                }
-                out.push_str(if *inclusive { "..= " } else { ".. " });
-                if let Some(hi) = hi {
-                    print_operand(out, hi);
-                }
-            }
-            Expr::Try { expr } => {
-                print_operand(out, expr);
-                out.push_str("? ");
-            }
-            Expr::Closure {
-                is_move,
-                params,
-                body,
-                ..
-            } => {
-                if *is_move {
-                    out.push_str("move ");
-                }
-                out.push_str("| ");
-                for (i, p) in params.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_pat(out, p);
-                }
-                out.push_str("| ");
-                print_expr(out, body);
-            }
-            Expr::Block(b) => print_block(out, b),
-            Expr::If { cond, then, else_ } => {
-                out.push_str("if ");
-                print_expr(out, cond);
-                print_block(out, then);
-                if let Some(else_) = else_ {
-                    out.push_str("else ");
-                    print_expr(out, else_);
-                }
-            }
-            Expr::LetCond { pat, expr } => {
-                out.push_str("let ");
-                print_pat(out, pat);
-                out.push_str("= ");
-                print_operand(out, expr);
-            }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                out.push_str("match ");
-                print_expr(out, scrutinee);
-                out.push_str("{ ");
-                for arm in arms {
-                    print_pat(out, &arm.pat);
-                    if let Some(g) = &arm.guard {
-                        out.push_str("if ");
-                        print_expr(out, g);
-                    }
-                    out.push_str("=> ");
-                    print_expr(out, &arm.body);
-                    out.push_str(", ");
-                }
-                out.push_str("} ");
-            }
-            Expr::While { label, cond, body } => {
-                if let Some(l) = label {
-                    let _ = write!(out, "'{l} : ");
-                }
-                out.push_str("while ");
-                print_expr(out, cond);
-                print_block(out, body);
-            }
-            Expr::Loop { label, body } => {
-                if let Some(l) = label {
-                    let _ = write!(out, "'{l} : ");
-                }
-                out.push_str("loop ");
-                print_block(out, body);
-            }
-            Expr::For {
-                label,
-                pat,
-                iter,
-                body,
-            } => {
-                if let Some(l) = label {
-                    let _ = write!(out, "'{l} : ");
-                }
-                out.push_str("for ");
-                print_pat(out, pat);
-                out.push_str("in ");
-                print_expr(out, iter);
-                print_block(out, body);
-            }
-            Expr::Return { expr } => {
-                out.push_str("return ");
-                if let Some(e) = expr {
-                    print_expr(out, e);
-                }
-            }
-            Expr::Break { label, expr } => {
-                out.push_str("break ");
-                if let Some(l) = label {
-                    let _ = write!(out, "'{l} ");
-                }
-                if let Some(e) = expr {
-                    print_expr(out, e);
-                }
-            }
-            Expr::Continue { label } => {
-                out.push_str("continue ");
-                if let Some(l) = label {
-                    let _ = write!(out, "'{l} ");
-                }
-            }
-            Expr::StructLit {
-                segs, fields, base, ..
-            } => {
-                put_path(out, segs);
-                out.push_str("{ ");
-                for (i, (name, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{name} ");
-                    if let Some(v) = value {
-                        out.push_str(": ");
-                        print_expr(out, v);
-                    }
-                }
-                if let Some(b) = base {
-                    if !fields.is_empty() {
-                        out.push_str(", ");
-                    }
-                    out.push_str(".. ");
-                    print_expr(out, b);
-                }
-                out.push_str("} ");
-            }
-            Expr::Tuple(es) => {
-                out.push_str("( ");
-                for (i, a) in es.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_expr(out, a);
-                }
-                if es.len() == 1 {
-                    out.push_str(", ");
-                }
-                out.push_str(") ");
-            }
-            Expr::Array(es) => {
-                out.push_str("[ ");
-                for (i, a) in es.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    print_expr(out, a);
-                }
-                out.push_str("] ");
-            }
-            Expr::ArrayRepeat { elem, len } => {
-                out.push_str("[ ");
-                print_expr(out, elem);
-                out.push_str("; ");
-                print_expr(out, len);
-                out.push_str("] ");
-            }
-            Expr::MacroCall {
-                segs,
-                delim,
-                tokens,
-                ..
-            } => {
-                put_path(out, segs);
-                out.push_str("! ");
-                let (open, close) = match delim {
-                    '[' => ("[ ", "] "),
-                    '{' => ("{ ", "} "),
-                    _ => ("( ", ") "),
-                };
-                out.push_str(open);
-                put_tokens(out, tokens);
-                out.push_str(close);
-            }
-        }
-    }
-
-    /// Prints a sub-expression operand, parenthesized unless it is already
-    /// atomic (a path, literal, or postfix chain that binds tightest).
-    fn print_operand(out: &mut String, e: &Expr) {
-        let atomic = matches!(
-            e,
-            Expr::Path { .. }
-                | Expr::Lit { .. }
-                | Expr::Call { .. }
-                | Expr::MethodCall { .. }
-                | Expr::Field { .. }
-                | Expr::Index { .. }
-                | Expr::Try { .. }
-                | Expr::Tuple(_)
-                | Expr::Array(_)
-                | Expr::ArrayRepeat { .. }
-                | Expr::Block(_)
-                | Expr::MacroCall { .. }
-                | Expr::StructLit { .. }
-                | Expr::LetCond { .. }
-        );
-        if atomic {
-            print_expr(out, e);
-        } else {
-            out.push_str("( ");
-            print_expr(out, e);
-            out.push_str(") ");
         }
     }
 }

@@ -1344,14 +1344,15 @@ fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
 }
 
 /// Collects unwrap/expect/indexing sites in a body, skipping
-/// `#[cfg(feature = ...)]`-gated statements and lock-poisoning
-/// expects (`.lock().expect(..)` — the sanctioned category).
+/// `#[cfg(debug_assertions)]`-gated statements (conservation guards a
+/// release build does not contain) and lock-poisoning expects
+/// (`.lock().expect(..)` — the sanctioned category).
 fn collect_panic_sites(body: &Block, index_ok: bool, out: &mut Vec<(&'static str, Span, String)>) {
     fn stmt_gated(s: &Stmt) -> bool {
         if let Stmt::Expr { attrs, .. } = s {
             return attrs
                 .iter()
-                .any(|a| a.tokens.iter().any(|t| t == "feature"));
+                .any(|a| a.tokens == ["cfg", "(", "debug_assertions", ")"]);
         }
         false
     }

@@ -721,8 +721,8 @@ impl<'a> Parser<'a> {
         }
         let attrs = self.attrs()?;
         if self.at("let") {
-            // Attrs on `let` statements don't occur in this workspace;
-            // dropping them keeps the printer canonical.
+            // Attrs on `let` statements are dropped: no analysis reads
+            // them.
             return self.let_stmt();
         }
         const ITEM_STARTS: &[&str] = &[
@@ -1224,8 +1224,8 @@ impl<'a> Parser<'a> {
                 }
                 self.expect(")")?;
                 if elems.len() == 1 && !trailing {
-                    // Grouping parens are dropped: the printer re-adds
-                    // them defensively wherever precedence needs them.
+                    // Grouping parens are dropped: the tree already
+                    // says what they grouped.
                     Ok(elems.pop().expect("one element"))
                 } else {
                     Ok(Expr::Tuple(elems))
@@ -1506,23 +1506,27 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::print_file;
 
     fn parse_src(src: &str) -> File {
         let sf = SourceFile::parse("test.rs", src);
         parse_file(&sf, "test").expect("parse")
     }
 
-    /// parse → print → reparse must be a fixpoint. Trees are compared
-    /// via their printed forms: the printer ignores spans, so printed
-    /// equality is exactly structural-equality-modulo-spans.
-    fn fixpoint(src: &str) {
-        let a = parse_src(src);
-        let printed = print_file(&a);
-        let b_sf = SourceFile::parse("test.rs", &printed);
-        let b = parse_file(&b_sf, "test")
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\nprinted: {printed}"));
-        assert_eq!(printed, print_file(&b), "first print: {printed}");
+    /// The statements of `fn f() { <src> }`.
+    fn body_of(src: &str) -> Vec<Stmt> {
+        let mut f = parse_src(&format!("fn f() {{ {src} }}"));
+        let ItemKind::Fn(fd) = f.items.remove(0).kind else {
+            panic!("expected fn");
+        };
+        fd.body.expect("body").stmts
+    }
+
+    /// The expression of a one-statement body.
+    fn expr_of(src: &str) -> Expr {
+        match body_of(src).pop() {
+            Some(Stmt::Expr { expr, .. }) => expr,
+            other => panic!("expected expr stmt, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1555,9 +1559,6 @@ mod tests {
         assert_eq!((span.line, span.col), (2, 14));
     }
 
-    /// Operator trees are pinned directly: the printer parenthesizes
-    /// every operand, so a wrong tree prints to text that reparses to
-    /// the same wrong tree and the fixpoint tests cannot see it.
     #[test]
     fn binary_precedence_and_associativity() {
         fn shape(e: &Expr) -> String {
@@ -1567,69 +1568,134 @@ mod tests {
                 other => panic!("unexpected operand {other:?}"),
             }
         }
-        let shape_of = |src: &str| {
-            let f = parse_src(&format!("fn f() {{ {src} }}"));
-            let ItemKind::Fn(fd) = &f.items[0].kind else {
-                panic!("expected fn");
-            };
-            let Some(Stmt::Expr { expr, .. }) = fd.body.as_ref().and_then(|b| b.stmts.first())
-            else {
-                panic!("expected expr stmt");
-            };
-            shape(expr)
-        };
+        let shape_of = |src: &str| shape(&expr_of(src));
         assert_eq!(shape_of("a + b * c"), "(+ a (* b c))");
         assert_eq!(shape_of("a * b + c"), "(+ (* a b) c)");
         assert_eq!(shape_of("a - b - c"), "(- (- a b) c)");
         assert_eq!(shape_of("a || b && c == d"), "(|| a (&& b (== c d)))");
     }
 
+    /// An expression statement that starts with a block-like construct
+    /// ends at its closing brace: what follows is the next statement,
+    /// not a binary, call or index continuation of it.
     #[test]
-    fn fixpoint_core_constructs() {
-        fixpoint("fn f(a: u64, mut b: f64) -> f64 { if a > 1 { b += 2.0; } b * 3.0 }");
-        fixpoint("fn f() { let mut v = vec![1, 2]; for x in &v { println!(\"{}\", x); } }");
-        fixpoint(
-            "fn f(o: Option<u64>) -> u64 { match o { Some(x) if x > 0 => x, Some(_) | None => 0 } }",
+    fn block_like_statements_end_at_their_brace() {
+        let stmts = body_of(
+            "if c {} *p += 2; for x in xs {} (a).b(); { g(); } (h)(); \
+             match v { _ => {} } -1; while c {} [0][0]; loop {}",
         );
-        fixpoint("fn f() { let c = move |x: u64| x + 1; c(1); }");
-        fixpoint("fn f() { while let Some(x) = it.next() { total += x; } }");
-        fixpoint("fn f() -> S { S { a: 1, ..Default::default() } }");
-        fixpoint("fn f() { 'outer: for i in 0..10 { if i == 3 { break 'outer; } } }");
-        fixpoint("const X: [u8; 4] = [0; 4]; static N: &str = \"\";");
-        fixpoint("fn f(x: f64) -> u64 { (x * 2.0) as u64 }");
-        fixpoint("fn f() { let (a, b): (u64, f64) = t; let _ = a as f64 + b; }");
+        let kinds: Vec<&str> = stmts
+            .iter()
+            .map(|s| match s {
+                Stmt::Expr { expr, .. } => match expr {
+                    Expr::If { .. } => "if",
+                    Expr::Assign { .. } => "assign",
+                    Expr::For { .. } => "for",
+                    Expr::MethodCall { .. } => "method",
+                    Expr::Block(_) => "block",
+                    Expr::Call { .. } => "call",
+                    Expr::Match { .. } => "match",
+                    Expr::Unary { .. } => "unary",
+                    Expr::While { .. } => "while",
+                    Expr::Index { .. } => "index",
+                    Expr::Loop { .. } => "loop",
+                    other => panic!("unexpected statement {other:?}"),
+                },
+                other => panic!("unexpected statement {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "if", "assign", "for", "method", "block", "call", "match", "unary", "while",
+                "index", "loop"
+            ]
+        );
     }
 
     #[test]
-    fn fixpoint_items() {
-        fixpoint("pub enum E { A, B(u64, f64), C { x: u64 } }");
-        fixpoint("pub trait T { fn m(&self) -> u64; fn d(&self) -> u64 { 0 } }");
-        fixpoint("impl T for S { fn m(&self) -> u64 { self.0 } }");
-        fixpoint("mod m { pub use super::*; pub fn f() {} }");
-        fixpoint("macro_rules! m { ($x:expr) => { $x + 1 }; }");
-        fixpoint("pub struct W(pub f64);");
-        fixpoint("type Pair = (u64, f64);");
-    }
-
-    #[test]
-    fn turbofish_and_generics_are_dropped() {
-        let f = parse_src("fn f() { let v = xs.iter().collect::<Vec<_>>(); Vec::<u64>::new(); }");
-        let printed = print_file(&f);
-        assert!(!printed.contains('<'), "printed: {printed}");
-        fixpoint("fn f() { let v = xs.iter().collect::<Vec<_>>(); }");
+    fn match_arm_guards_are_kept() {
+        let Expr::Match { arms, .. } = expr_of("match o { Some(x) if x > 0 => x, _ => 0 }") else {
+            panic!("expected match");
+        };
+        assert!(matches!(arms[0].guard, Some(Expr::Binary { .. })));
+        assert!(arms[1].guard.is_none());
     }
 
     #[test]
     fn let_else_and_nested_closures() {
-        fixpoint("fn f() { let Some(x) = o else { return; }; g(|| h(|y| y + x)); }");
+        let stmts = body_of("let Some(x) = o else { return; }; g(|| h(|y| y + x));");
+        let Stmt::Let {
+            else_block: Some(diverge),
+            ..
+        } = &stmts[0]
+        else {
+            panic!("expected let-else, got {:?}", stmts[0]);
+        };
+        assert!(matches!(
+            diverge.stmts[..],
+            [Stmt::Expr {
+                expr: Expr::Return { expr: None },
+                semi: true,
+                ..
+            }]
+        ));
+        // `g(|| h(|y| ..))`: each closure is the one argument of its call.
+        let Stmt::Expr {
+            expr: Expr::Call { args, .. },
+            ..
+        } = &stmts[1]
+        else {
+            panic!("expected call, got {:?}", stmts[1]);
+        };
+        let [Expr::Closure { params, body, .. }] = &args[..] else {
+            panic!("expected one closure argument, got {args:?}");
+        };
+        assert!(params.is_empty());
+        let Expr::Call { args, .. } = &**body else {
+            panic!("expected call body, got {body:?}");
+        };
+        assert!(matches!(
+            &args[..],
+            [Expr::Closure { params, body, .. }]
+                if params.len() == 1 && matches!(**body, Expr::Binary { .. })
+        ));
+    }
+
+    #[test]
+    fn turbofish_and_generics_are_dropped() {
+        let stmts = body_of("let v = xs.iter().collect::<Vec<_>>(); Vec::<u64>::new();");
+        let Stmt::Let {
+            init: Some(Expr::MethodCall { method, args, .. }),
+            ..
+        } = &stmts[0]
+        else {
+            panic!("expected let with a method-call init, got {:?}", stmts[0]);
+        };
+        assert_eq!((method.as_str(), args.len()), ("collect", 0));
+        let Stmt::Expr {
+            expr: Expr::Call { callee, .. },
+            ..
+        } = &stmts[1]
+        else {
+            panic!("expected call, got {:?}", stmts[1]);
+        };
+        assert!(matches!(&**callee, Expr::Path { segs, .. } if segs == &["Vec", "new"]));
     }
 
     #[test]
     fn struct_lit_gating_in_conditions() {
         // `x` then `{` in an if-head must be the block, not a struct lit.
-        let f = parse_src("fn f() { if x { g(); } }");
-        let printed = print_file(&f);
-        assert!(printed.contains("if x { g ( ) ; }"), "printed: {printed}");
-        fixpoint("fn f() { if x { g(); } else if let Some(v) = m.get(&k) { h(v); } }");
+        let Expr::If { cond, then, else_ } =
+            expr_of("if x { g(); } else if let Some(v) = m.get(&k) { h(v); }")
+        else {
+            panic!("expected if");
+        };
+        assert!(matches!(&*cond, Expr::Path { segs, .. } if segs == &["x"]));
+        assert_eq!(then.stmts.len(), 1);
+        let Some(Expr::If { cond, .. }) = else_.as_deref() else {
+            panic!("expected else-if, got {else_:?}");
+        };
+        assert!(matches!(&**cond, Expr::LetCond { .. }));
     }
 }

@@ -158,8 +158,7 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// line. Blank lines are rejected too: a journal is events, nothing else.
 /// The one exception is an unparseable final line of a file that does
 /// not end in a newline: a SIGKILLed writer's `BufWriter` leaves exactly
-/// that, and the complete lines before it are what the reader is for
-/// (`vdx-audit`'s loader applies the same rule).
+/// that, and the complete lines before it are what the reader is for.
 ///
 /// Journals whose [`Event::RunHeader`] declares a schema newer than
 /// [`SCHEMA_VERSION`] are rejected with [`JournalError::Version`] —
@@ -167,7 +166,12 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// (the schema number is sniffed from the raw first line). Older
 /// schemas read fine: new fields default when absent.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> {
-    let text = fs::read_to_string(path.as_ref())?;
+    parse_journal(&fs::read_to_string(path.as_ref())?)
+}
+
+/// [`read_journal`] over text already in memory, under the same rules
+/// (`vdx-audit` hashes an artifact's bytes before it parses them).
+pub fn parse_journal(text: &str) -> Result<Vec<Event>, JournalError> {
     let torn_tail = !text.ends_with('\n');
     let mut events = Vec::new();
     let mut lines = text.lines().enumerate().peekable();

@@ -117,7 +117,7 @@ impl Json {
     }
 
     /// Convenience: `get(key)` then [`Json::as_u64`], with a default for
-    /// missing keys (journal schema v2 headers lack the v3 fields).
+    /// missing keys (a v1 bench report lacks the v2 fields).
     pub fn u64_or(&self, key: &str, default: u64) -> u64 {
         self.get(key).and_then(Json::as_u64).unwrap_or(default)
     }

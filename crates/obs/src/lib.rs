@@ -11,8 +11,9 @@
 //!   protocol retransmissions, replay churn, phase timing). One event is
 //!   one JSONL line ([`Event::to_json_line`] / [`Event::from_json`]).
 //! * [`journal`] — a buffered JSONL writer ([`Journal`]), one file per
-//!   run, conventionally under `results/journals/`; plus
-//!   [`read_journal`] for consumers like `repro obs-report`.
+//!   run, conventionally under `results/journals/`; plus the one
+//!   reader, [`read_journal`] / [`parse_journal`], for `repro
+//!   obs-report` and `vdx-audit`.
 //! * [`metrics`] — a mutex-guarded [`Registry`] of named counters and
 //!   fixed-bucket histograms with p50/p95/p99 summaries, with a
 //!   process-wide instance at [`metrics::global`].
@@ -41,7 +42,7 @@ pub mod probe;
 pub mod timing;
 
 pub use event::{Event, SCHEMA_VERSION};
-pub use journal::{read_journal, Journal, JournalError};
+pub use journal::{parse_journal, read_journal, Journal, JournalError};
 pub use json::Json;
 pub use metrics::{Histogram, Registry};
 pub use probe::{noop, JournalProbe, MemoryProbe, NoopProbe, Probe};

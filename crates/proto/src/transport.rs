@@ -161,9 +161,10 @@ impl Connection {
     }
 
     /// Receives the next `(round, message)`. Blocks up to the configured
-    /// read timeout. `Ok(None)` is a clean EOF (the peer closed);
-    /// timeouts and failures surface as `Err` — check
-    /// [`TransportError::is_timeout`] to tell the two apart.
+    /// read timeout. `Ok(None)` is a clean EOF (the peer closed between
+    /// frames); a close that tears a frame, timeouts and failures
+    /// surface as `Err` — check [`TransportError::is_timeout`] to tell
+    /// a timeout from the rest.
     pub fn recv(&mut self) -> Result<Option<(u64, Message)>, TransportError> {
         loop {
             // Drain any frame already buffered before touching the
@@ -182,7 +183,15 @@ impl Connection {
             }
             let n = self.stream.read(&mut self.read_buf)?;
             if n == 0 {
-                return Ok(None); // clean EOF
+                // EOF between frames is a clean close; EOF inside one
+                // means the peer died mid-send.
+                if self.decoder.buffered() > 0 {
+                    return Err(TransportError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "peer closed mid-frame",
+                    )));
+                }
+                return Ok(None);
             }
             self.decoder.feed(&self.read_buf[..n]);
         }
@@ -261,6 +270,23 @@ mod tests {
         let (a, mut b) = loopback_pair();
         drop(a);
         assert!(matches!(b.recv(), Ok(None)));
+    }
+
+    #[test]
+    fn close_inside_a_frame_is_an_error_not_eof() {
+        let (mut a, mut b) = loopback_pair();
+        // A peer killed mid-send: good magic, good header, half a body.
+        let mut payload = 5u64.to_be_bytes().to_vec();
+        payload.extend_from_slice(&share(1).encode());
+        let wire = frame::encode(&payload);
+        a.stream.write_all(&wire[..wire.len() / 2]).expect("raw");
+        drop(a);
+        let err = b.recv().expect_err("half a frame is not a clean close");
+        assert!(
+            matches!(&err, TransportError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
+        assert!(!err.is_timeout());
     }
 
     #[test]

@@ -54,14 +54,15 @@
 
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
-use vdx_obs::timing::{git_commit, run_header};
-use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch};
+use vdx_obs::timing::git_commit;
+use vdx_obs::{Event, Stopwatch};
+use vdx_sim::cli::{flag_parsed, flag_value, journaled_phase, FlightRecorder};
 use vdx_sim::experiment::{
     ext_faults, ext_hybrid, ext_noise, ext_stability, fig10_15, fig16, fig17, fig18, fig3, fig4,
     fig5, fig7, table1, table3,
 };
-use vdx_sim::{flag_value, obs_report, Scenario, ScenarioConfig};
+use vdx_sim::soak::SoakPlan;
+use vdx_sim::{obs_report, Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -118,75 +119,27 @@ fn main() -> ExitCode {
     }
 
     let small = args.iter().any(|a| a == "--small");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok());
-    let journal_path = args
-        .iter()
-        .position(|a| a == "--journal")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let rounds = args
-        .iter()
-        .position(|a| a == "--rounds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1)
-        .max(1);
+    let threads = flag_parsed::<usize>(&args, "--threads");
+    let rounds = flag_parsed::<u64>(&args, "--rounds").unwrap_or(1).max(1);
     let solver_cold = args.iter().any(|a| a == "--solver-cold");
+    let config = ScenarioConfig::at_scale(small, flag_parsed(&args, "--seed"));
 
-    let mut config = if small {
-        ScenarioConfig::small()
-    } else {
-        ScenarioConfig::default()
+    let recorder = match FlightRecorder::begin_run(&args, which, config.seed, small, threads) {
+        Ok(recorder) => recorder,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    if let Some(seed) = seed {
-        config.seed = seed;
-    }
-
-    let run_clock = Stopwatch::start();
-    let probe: Option<Arc<JournalProbe>> = match &journal_path {
-        Some(path) => match Journal::create(path) {
-            Ok(journal) => Some(Arc::new(JournalProbe::new(journal))),
-            Err(e) => {
-                eprintln!("cannot create journal {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    if let Some(p) = &probe {
-        p.emit(run_header(
-            which,
-            config.seed,
-            small,
-            threads.map_or(0, |n| n as u64),
-        ));
-        p.emit(Event::PhaseStarted {
-            phase: "build_scenario".into(),
-        });
-    }
+    let probe = recorder.run_probe();
 
     eprintln!(
         "building scenario: {} cities, {} sessions, seed {} ...",
         config.world.cities, config.trace.sessions, config.seed
     );
-    let build_clock = Stopwatch::start();
-    let mut scenario = Scenario::build(config);
-    if let Some(p) = &probe {
-        p.emit(Event::PhaseFinished {
-            phase: "build_scenario".into(),
-            wall_us: build_clock.elapsed_us(),
-        });
-        scenario.set_probe(p.clone() as Arc<dyn Probe>);
-    }
+    let mut scenario =
+        journaled_phase(probe.as_ref(), "build_scenario", || Scenario::build(config));
+    scenario.set_probe(probe.clone());
     scenario.set_threads(threads.unwrap_or_else(all_cores));
     eprintln!(
         "scenario ready: {} groups, {} CDNs, {} clusters",
@@ -197,11 +150,9 @@ fn main() -> ExitCode {
 
     let accounting_aliases = ["fig10", "fig11", "fig12", "fig13", "fig14", "fig15"];
     let run_one = |name: &str| -> Option<String> {
-        if let Some(p) = &probe {
-            p.emit(Event::PhaseStarted {
-                phase: name.to_string(),
-            });
-        }
+        probe.emit(Event::PhaseStarted {
+            phase: name.to_string(),
+        });
         let phase_clock = Stopwatch::start();
         let out = match name {
             "fig3" => {
@@ -270,8 +221,8 @@ fn main() -> ExitCode {
             }
             _ => None,
         };
-        if let (Some(p), Some(_)) = (&probe, &out) {
-            p.emit(Event::PhaseFinished {
+        if out.is_some() {
+            probe.emit(Event::PhaseFinished {
                 phase: name.to_string(),
                 wall_us: phase_clock.elapsed_us(),
             });
@@ -311,31 +262,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let _ = run_one;
     drop(scenario);
-    if let Some(p) = probe {
-        for event in vdx_obs::metrics::global().drain() {
-            p.emit(event);
-        }
-        let journal = match Arc::try_unwrap(p) {
-            Ok(inner) => match inner.into_journal() {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("journal write errors: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(_) => {
-                eprintln!("journal probe still shared; cannot finish the journal");
-                return ExitCode::FAILURE;
-            }
-        };
-        let path = journal.path().display().to_string();
-        if let Err(e) = journal.finish(which, run_clock.elapsed_ms()) {
-            eprintln!("failed to finish journal: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("journal written: {path}");
+    drop(probe);
+    if let Err(e) = recorder.end_run() {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
 
     if ok {
@@ -369,28 +300,11 @@ fn to_table3_rows(result: &table3::Table3Result) -> Vec<vdx_audit::Table3Row> {
 /// the comparison isolates the fan-out.
 fn bench_experiments(args: &[String]) -> ExitCode {
     let small = args.iter().any(|a| a == "--small");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok());
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(all_cores);
+    let threads = flag_parsed::<usize>(args, "--threads").unwrap_or_else(all_cores);
     let out_path =
         flag_value(args, "--out").unwrap_or_else(|| "results/BENCH_experiments.json".to_string());
 
-    let mut config = if small {
-        ScenarioConfig::small()
-    } else {
-        ScenarioConfig::default()
-    };
-    if let Some(seed) = seed {
-        config.seed = seed;
-    }
+    let config = ScenarioConfig::at_scale(small, flag_parsed(args, "--seed"));
     let seed_value = config.seed;
     eprintln!(
         "building scenario: {} cities, {} sessions, seed {} ...",
@@ -529,7 +443,7 @@ fn audit_usage() -> ExitCode {
          \x20      repro audit query <name> [PATH...]\n\
          \x20      repro audit --baseline PATH [--metric-tol PCT] [--wall-tol PCT] \
          [--threads N]\n\
-         PATH: a journal.jsonl, bench.json or estimates.json, or a directory of them\n\
+         PATH: a journal.jsonl or a bench.json, or a directory of them\n\
          \x20     (default: results/journals)\n\
          queries:\n{}",
         queries.join("\n")
@@ -554,20 +468,15 @@ fn audit_gate(args: &[String]) -> ExitCode {
         }
     };
     let mut cfg = vdx_audit::GateConfig::default();
-    if let Some(tol) = flag_value(args, "--metric-tol").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(tol) = flag_parsed::<f64>(args, "--metric-tol") {
         cfg.metric_tol_pct = tol;
     }
-    if let Some(tol) = flag_value(args, "--wall-tol").and_then(|v| v.parse::<f64>().ok()) {
+    if let Some(tol) = flag_parsed::<f64>(args, "--wall-tol") {
         cfg.wall_tol_pct = tol;
     }
-    let threads = flag_value(args, "--threads").and_then(|v| v.parse::<usize>().ok());
+    let threads = flag_parsed::<usize>(args, "--threads");
 
-    let mut config = if baseline.scale == "small" {
-        ScenarioConfig::small()
-    } else {
-        ScenarioConfig::default()
-    };
-    config.seed = baseline.seed;
+    let config = ScenarioConfig::at_scale(baseline.scale == "small", Some(baseline.seed));
     eprintln!(
         "gate: rerunning table3 at scale={} seed={} against {path}",
         baseline.scale, baseline.seed
@@ -605,32 +514,21 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return chaos_usage();
     }
-    let parse_u64 = |flag: &str| flag_value(args, flag).and_then(|v| v.parse::<u64>().ok());
+    let parse_u64 = |flag: &str| flag_parsed::<u64>(args, flag);
     let seed = parse_u64("--seed").unwrap_or(90217);
     let small = !args.iter().any(|a| a == "--full");
 
     if let Some(wal) = flag_value(args, "--check") {
-        let mut config = if small {
-            ScenarioConfig::small()
-        } else {
-            ScenarioConfig::default()
-        };
-        config.seed = seed;
         eprintln!("chaos check: building scenario (seed {seed}) ...");
-        let scenario = Scenario::build(config);
+        let scenario = Scenario::build(ScenarioConfig::at_scale(small, Some(seed)));
         // `--ladder` re-verifies a WAL the chaos harness itself wrote
         // (its 11-round ladder campaign); the default is the clean
         // `--rounds`-round campaign an operator's daemon runs.
         let mut plan = if args.iter().any(|a| a == "--ladder") {
-            let mut lcfg = vdx_sim::chaos::ChaosConfig::new(seed);
-            lcfg.small = small;
-            if let Some(ms) = parse_u64("--deadline-ms") {
-                lcfg.deadline_ms = ms.max(1);
-            }
-            lcfg.plan(scenario.fleet.cdns.len() as u32)
+            SoakPlan::ladder(scenario.fleet.cdns.len() as u32)
         } else {
             let rounds = parse_u64("--rounds").unwrap_or(10).max(1) as usize;
-            vdx_sim::soak::SoakPlan::clean(rounds)
+            SoakPlan::clean(rounds)
         };
         if let Some(ttl) = parse_u64("--ttl") {
             plan.stale_ttl_rounds = ttl;

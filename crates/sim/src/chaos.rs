@@ -47,7 +47,7 @@ use vdx_core::Design;
 use vdx_obs::Stopwatch;
 use vdx_rand::StdRng;
 
-use crate::soak::{run_reference, SoakPlan, SoakRound};
+use crate::soak::{run_reference, SoakPlan};
 use crate::{Scenario, ScenarioConfig};
 
 /// Where in a round's lifecycle the daemon is killed.
@@ -127,15 +127,13 @@ impl ChaosConfig {
     /// The acceptance-run defaults: small scenario, soak-ladder knobs,
     /// a crash trial at every round, artifacts under `results/chaos`.
     pub fn new(seed: u64) -> ChaosConfig {
+        let ladder = SoakPlan::ladder(0);
         ChaosConfig {
             seed,
             small: true,
-            stale_ttl_rounds: 2,
-            deadline_ms: 1_500,
-            breaker: BreakerConfig {
-                trip_after: 3,
-                cooldown_rounds: 2,
-            },
+            stale_ttl_rounds: ladder.stale_ttl_rounds,
+            deadline_ms: ladder.deadline_ms,
+            breaker: ladder.breaker,
             checkpoint_every: 4,
             crash_rounds: None,
             bin_dir: None,
@@ -144,32 +142,14 @@ impl ChaosConfig {
         }
     }
 
-    /// The fault campaign this config drives: the soak test's 11-round
-    /// ladder (every resolution rung, every breaker state) with this
-    /// config's TTL/deadline/breaker knobs.
+    /// The fault campaign this config drives: [`SoakPlan::ladder`] with
+    /// this config's TTL/deadline/breaker knobs.
     pub fn plan(&self, cdns: u32) -> SoakPlan {
-        let all: Vec<u32> = (0..cdns).collect();
-        let silences = vec![
-            vec![],
-            vec![0],
-            vec![0],
-            vec![0],
-            vec![],
-            vec![],
-            all.clone(),
-            all.clone(),
-            all,
-            vec![],
-            vec![],
-        ];
         SoakPlan {
-            rounds: silences
-                .into_iter()
-                .map(|silent| SoakRound { silent })
-                .collect(),
             stale_ttl_rounds: self.stale_ttl_rounds,
             deadline_ms: self.deadline_ms,
             breaker: self.breaker,
+            ..SoakPlan::ladder(cdns)
         }
     }
 }
@@ -406,9 +386,10 @@ fn daemon_args(
 }
 
 fn agent_args(cfg: &ChaosConfig, plan: &SoakPlan, addr: &str, cdn: u32) -> Vec<String> {
-    let silent: Vec<String> = (0..plan.rounds.len() as u64)
-        .filter(|&r| plan.silent(r).contains(&cdn))
-        .map(|r| r.to_string())
+    let silent: Vec<String> = plan
+        .silent_rounds_for(cdn)
+        .iter()
+        .map(u64::to_string)
         .collect();
     let mut args = vec![
         "--cdn".into(),
@@ -570,13 +551,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     bin_path(&cfg.bin_dir, "vdx-agent")?;
 
     eprintln!("chaos: building scenario (seed {}) ...", cfg.seed);
-    let mut config = if cfg.small {
-        ScenarioConfig::small()
-    } else {
-        ScenarioConfig::default()
-    };
-    config.seed = cfg.seed;
-    let scenario = Scenario::build(config);
+    let scenario = Scenario::build(ScenarioConfig::at_scale(cfg.small, Some(cfg.seed)));
     let num_cdns = scenario.fleet.cdns.len();
     let plan = cfg.plan(num_cdns as u32);
     let reference = run_reference(

@@ -29,7 +29,7 @@
 
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::scenario::Scenario;
-use crate::soak::{brokered_round, matching_for, round_engine};
+use crate::soak::{brokered_round, round_engine};
 use std::sync::Arc;
 use vdx_broker::{BrokerProblem, CpPolicy, OptimizeMode, StaleBidCache};
 use vdx_cdn::CdnId;
@@ -344,7 +344,6 @@ pub fn run_campaign(
                 design,
                 policy,
                 mode: OptimizeMode::Heuristic,
-                matching: matching_for(design),
             },
         );
         broker.set_probe(probe.clone());

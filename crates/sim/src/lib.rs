@@ -31,6 +31,8 @@
 //!   binary and the benches.
 //! * [`obs_report`] — operator summary of a `vdx-obs` flight-recorder
 //!   journal (`repro obs-report <journal>`).
+//! * [`cli`] — the flag readers and the journal lifecycle `repro`,
+//!   `vdx-exchanged` and `vdx-agent` share.
 //!
 //! Run everything with:
 //!
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod cli;
 pub mod engine;
 pub mod experiment;
 pub mod faults;
@@ -54,12 +57,3 @@ pub mod soak;
 
 pub use metrics::{DesignMetrics, MetricsInput};
 pub use scenario::{Scenario, ScenarioConfig};
-
-/// The value after `--flag` on a command line, if both are present —
-/// the one flag reader `repro`, `vdx-exchanged` and `vdx-agent` share.
-pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}

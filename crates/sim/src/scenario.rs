@@ -63,6 +63,20 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
+    /// What `--small` and `--seed N` select: the reduced or the default
+    /// configuration, under `seed` when one is given.
+    pub fn at_scale(small: bool, seed: Option<u64>) -> ScenarioConfig {
+        let config = if small {
+            ScenarioConfig::small()
+        } else {
+            ScenarioConfig::default()
+        };
+        ScenarioConfig {
+            seed: seed.unwrap_or(config.seed),
+            ..config
+        }
+    }
+
     /// A reduced-scale configuration for fast tests and benches.
     pub fn small() -> ScenarioConfig {
         ScenarioConfig {

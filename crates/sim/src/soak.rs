@@ -33,8 +33,8 @@ use vdx_proto::Share;
 
 /// The matching rule a design's CDN agents apply (identical to the pure
 /// decision round's). Shared by the fault campaign, this reference
-/// driver, and the `vdx-agent` daemon client.
-pub fn matching_for(design: Design) -> MatchingConfig {
+/// driver, and the `vdx-agent` daemon client, through [`round_engine`].
+fn matching_for(design: Design) -> MatchingConfig {
     if design == Design::Omniscient {
         MatchingConfig::unrestricted()
     } else {
@@ -110,12 +110,54 @@ impl SoakPlan {
         }
     }
 
+    /// The 11-round ladder campaign over `cdns` CDNs, which walks every
+    /// resolution rung and every breaker state: one CDN silent long
+    /// enough to trip (stale → stale → excluded → open → half-open probe
+    /// → recovery), then total silence past the TTL (fallback), an
+    /// all-open round, and a full recovery. The daemon's soak and
+    /// recovery tests and `repro chaos` all replay this one.
+    pub fn ladder(cdns: u32) -> SoakPlan {
+        let all: Vec<u32> = (0..cdns).collect();
+        let silences = vec![
+            vec![],      // 0: fresh (fills the cache)
+            vec![0],     // 1: stale substitution, failure 1
+            vec![0],     // 2: stale substitution, failure 2
+            vec![0],     // 3: cache beyond TTL: excluded; trips -> Open
+            vec![],      // 4: breaker Open: excluded without being asked
+            vec![],      // 5: half-open probe succeeds -> Closed, fresh
+            all.clone(), // 6: all silent -> all stale
+            all.clone(), // 7: all silent -> all stale (age 2)
+            all,         // 8: all silent, cache dry -> Brokered fallback
+            vec![],      // 9: every breaker Open -> Brokered fallback
+            vec![],      // 10: all probes succeed -> fresh again
+        ];
+        SoakPlan {
+            rounds: silences
+                .into_iter()
+                .map(|silent| SoakRound { silent })
+                .collect(),
+            stale_ttl_rounds: 2,
+            deadline_ms: 1_500,
+            breaker: BreakerConfig {
+                trip_after: 3,
+                cooldown_rounds: 2,
+            },
+        }
+    }
+
     /// The CDNs silent on `round` (empty past the end of the plan).
     pub fn silent(&self, round: u64) -> &[u32] {
         self.rounds
             .get(round as usize)
             .map(|r| r.silent.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// The rounds `cdn` stays silent on: its agent's side of the script.
+    pub fn silent_rounds_for(&self, cdn: u32) -> Vec<u64> {
+        (0..self.rounds.len() as u64)
+            .filter(|&r| self.silent(r).contains(&cdn))
+            .collect()
     }
 }
 
@@ -224,9 +266,7 @@ mod tests {
     use vdx_core::RoundResolution;
 
     fn small_scenario() -> Scenario {
-        let mut config = ScenarioConfig::small();
-        config.seed = 4242;
-        Scenario::build(config)
+        Scenario::build(ScenarioConfig::at_scale(true, Some(4242)))
     }
 
     fn plan(rounds: Vec<Vec<u32>>) -> SoakPlan {

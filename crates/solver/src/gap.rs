@@ -113,7 +113,7 @@ impl AssignmentProblem {
         }
         // Conservation: the demand placed by the choice vector must equal
         // the load that lands on buckets — any drift is an accounting bug.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             let placed: f64 = choice
                 .iter()

@@ -251,8 +251,8 @@ fn greedy_assignment_is_complete_and_deterministic() {
 /// On feasible instances (every bucket alone can hold the whole
 /// workload) no solver may oversubscribe, and the demand placed by a
 /// choice vector must land on buckets in full — the conservation
-/// invariant the `strict-invariants` feature also checks inside
-/// `bucket_loads` via `debug_assert!`.
+/// invariant a debug build also checks inside `bucket_loads` via
+/// `debug_assert!`.
 #[test]
 fn solvers_conserve_demand_and_never_oversubscribe() {
     check(

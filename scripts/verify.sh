@@ -30,9 +30,6 @@ echo "==> benchmark harness selftest (out-of-workspace consumer of the round-spi
 # not compile it: API drift under what it imports shows up only here.
 cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- selftest
 
-echo "==> cargo test -q --features strict-invariants (conservation guards live)"
-cargo test -q --features vdx-solver/strict-invariants,vdx-cdn/strict-invariants -p vdx-solver -p vdx-cdn
-
 echo "==> full reproduction vs the committed output (every table and figure, byte for byte)"
 # The seeded RNG stream is part of the artifact: results/repro_full.txt
 # lines 1-328 date from the seed commit, built against published `rand`.
