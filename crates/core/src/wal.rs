@@ -18,13 +18,18 @@
 //! [ len: u32 | payload: len bytes | crc32(payload): u32 ]   (big-endian)
 //! ```
 //!
-//! using the same CRC-32 (IEEE) as the wire protocol's frames
-//! ([`vdx_proto::crc32`]). The payload is one tag byte plus the record's
-//! fixed-layout fields. On [`Wal::open`] the file is scanned record by
-//! record; the first short, oversized, or checksum-failing record marks
-//! a **torn tail** (the crash interrupted a write) and the file is
-//! physically truncated back to the last whole record — a corrupt tail
-//! is never replayed.
+//! using the same CRC-32 (IEEE; slicing-by-8, see [`vdx_proto::crc32`])
+//! as the wire protocol's frames. The payload is one tag byte plus the
+//! record's fixed-layout fields; bids are laid out by the wire protocol's
+//! own codec ([`vdx_proto::wire::put_bid`]). [`Wal::append`] encodes the
+//! record straight into its frame, in one buffer the log keeps. On
+//! [`Wal::open`] the file is scanned record by record; the first short,
+//! oversized, or checksum-failing record — or a length prefix the rest
+//! of the file cannot hold — marks a **torn tail** (the crash
+//! interrupted a write) and the file is physically truncated back to the
+//! last whole record — a corrupt tail is never replayed. The scan
+//! ([`Wal::open`] and [`read_records`] share it) reads through a 1 MiB
+//! window: the file is never resident whole beside its decoded records.
 //!
 //! ## The exactly-once rule
 //!
@@ -57,11 +62,11 @@
 //! parity check reads back).
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use vdx_broker::{BreakerSnapshot, HealthState};
-use vdx_proto::wire::Cursor;
+use vdx_proto::wire::{get_bid, put_bid, Cursor, BID_LEN};
 use vdx_proto::{crc32, Bid};
 
 use crate::exchange::{DriverRound, RoundResolution};
@@ -72,6 +77,11 @@ pub const WAL_MAGIC: &[u8; 8] = b"VDXWAL1\n";
 /// Upper bound on one record's payload; a larger length prefix can only
 /// be corruption and is treated as a torn tail.
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+
+/// How much of the file a scan holds at a time. A log is read through
+/// this window, never whole: what stays resident after a restart is the
+/// decoded records, not a second copy of them as file bytes.
+const SCAN_WINDOW: usize = 1 << 20;
 
 const TAG_ANNOUNCE_OPEN: u8 = 0x01;
 const TAG_ANNOUNCE_CLOSE: u8 = 0x02;
@@ -179,6 +189,9 @@ pub struct WalOpen {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// The record being appended, framed in place; kept between appends
+    /// so its allocation is made once.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -198,32 +211,29 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        if buf.len() < WAL_MAGIC.len() {
+        let file_len = file.metadata()?.len();
+        let frame = Vec::new();
+        if file_len < WAL_MAGIC.len() as u64 {
             // Empty (or torn before the magic finished): start fresh.
             file.set_len(0)?;
             file.seek(SeekFrom::Start(0))?;
             file.write_all(WAL_MAGIC)?;
             file.sync_data()?;
             return Ok(WalOpen {
-                wal: Wal { file, path },
+                wal: Wal { file, path, frame },
                 records: Vec::new(),
                 truncated_bytes: 0,
             });
         }
-        if &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(WalError::BadMagic);
-        }
-        let (records, valid_len) = scan(&buf);
-        let truncated_bytes = buf.len() as u64 - valid_len;
+        let (records, valid_len) = scan(&file, file_len)?;
+        let truncated_bytes = file_len - valid_len;
         if truncated_bytes > 0 {
             file.set_len(valid_len)?;
             file.sync_data()?;
         }
         file.seek(SeekFrom::Start(valid_len))?;
         Ok(WalOpen {
-            wal: Wal { file, path },
+            wal: Wal { file, path, frame },
             records,
             truncated_bytes,
         })
@@ -245,14 +255,18 @@ impl Wal {
     }
 
     /// Appends one record (buffered by the OS; not yet durable — call
-    /// [`sync`](Wal::sync) at commit points).
+    /// [`sync`](Wal::sync) at commit points). The record is encoded
+    /// straight into its frame and written with one call.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        let payload = encode_record(record);
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        framed.extend_from_slice(&payload);
-        framed.extend_from_slice(&crc32(&payload).to_be_bytes());
-        self.file.write_all(&framed)?;
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 4]); // length, patched below
+        encode_record(frame, record);
+        let len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&len.to_be_bytes());
+        let crc = crc32(&frame[4..]);
+        frame.extend_from_slice(&crc.to_be_bytes());
+        self.file.write_all(frame)?;
         Ok(())
     }
 
@@ -270,55 +284,56 @@ impl Wal {
 /// [`Wal::open`] for inspection (the chaos harness polls a live
 /// daemon's log with this).
 pub fn read_records(path: impl AsRef<Path>) -> Result<(Vec<WalRecord>, u64), WalError> {
-    let buf = std::fs::read(path)?;
-    if buf.len() < WAL_MAGIC.len() {
-        return Ok((Vec::new(), buf.len() as u64));
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    if file_len < WAL_MAGIC.len() as u64 {
+        return Ok((Vec::new(), file_len));
     }
-    if &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
-    let (records, valid_len) = scan(&buf);
-    Ok((records, buf.len() as u64 - valid_len))
+    let (records, valid_len) = scan(&file, file_len)?;
+    Ok((records, file_len - valid_len))
 }
 
-/// Scans framed records after the magic; returns the decoded records
-/// and the byte length of the valid prefix (magic included). Stops at
-/// the first torn or corrupt frame.
-fn scan(buf: &[u8]) -> (Vec<WalRecord>, u64) {
+/// Scans a log of `file_len` bytes from its first byte: checks the magic,
+/// then reads framed records through a [`SCAN_WINDOW`]-sized buffer and
+/// one reused payload buffer. Returns the decoded records and the byte
+/// length of the valid prefix (magic included); stops at the first torn
+/// or corrupt frame. Every record's CRC is verified before it is decoded.
+fn scan(reader: impl Read, file_len: u64) -> Result<(Vec<WalRecord>, u64), WalError> {
+    let mut reader = BufReader::with_capacity(SCAN_WINDOW, reader);
+    let mut magic = [0u8; WAL_MAGIC.len()];
+    reader.read_exact(&mut magic)?;
+    if &magic != WAL_MAGIC {
+        return Err(WalError::BadMagic);
+    }
     let mut records = Vec::new();
-    let mut pos = WAL_MAGIC.len();
-    while let Some(len_bytes) = buf.get(pos..pos + 4) {
-        let len = be_u32(len_bytes) as usize;
-        if len > MAX_RECORD_LEN as usize {
+    let mut payload = Vec::new();
+    let mut word = [0u8; 4];
+    let mut pos = WAL_MAGIC.len() as u64;
+    // A frame is at least its length and CRC words.
+    while file_len - pos >= 8 {
+        reader.read_exact(&mut word)?;
+        let len = u32::from_be_bytes(word);
+        // A length the file cannot hold is a torn tail (or corruption),
+        // decided before anything is allocated for it.
+        if len > MAX_RECORD_LEN || u64::from(len) > file_len - pos - 8 {
             break;
         }
-        let Some(payload) = buf.get(pos + 4..pos + 4 + len) else {
-            break;
-        };
-        let Some(crc_bytes) = buf.get(pos + 4 + len..pos + 8 + len) else {
-            break;
-        };
-        if be_u32(crc_bytes) != crc32(payload) {
+        payload.resize(len as usize, 0);
+        reader.read_exact(&mut payload)?;
+        reader.read_exact(&mut word)?;
+        if u32::from_be_bytes(word) != crc32(&payload) {
             break;
         }
-        let Some(record) = decode_record(payload) else {
+        let Some(record) = decode_record(&payload) else {
             // Checksum-valid but undecodable: a format we do not speak
             // (version skew). Treat like a torn tail — never replay
             // bytes we cannot interpret.
             break;
         };
         records.push(record);
-        pos += 8 + len;
+        pos += 8 + u64::from(len);
     }
-    (records, pos as u64)
-}
-
-/// Big-endian u32 from a 4-byte slice (callers guarantee the length via
-/// the `buf.get(pos..pos + 4)` guards above).
-fn be_u32(bytes: &[u8]) -> u32 {
-    let mut arr = [0u8; 4];
-    arr.copy_from_slice(bytes);
-    u32::from_be_bytes(arr)
+    Ok((records, pos))
 }
 
 // ---------------------------------------------------------------------
@@ -342,14 +357,6 @@ fn resolution_from_code(code: u8) -> Option<RoundResolution> {
     }
 }
 
-fn put_bid(out: &mut Vec<u8>, bid: &Bid) {
-    out.extend_from_slice(&bid.cluster_id.to_be_bytes());
-    out.extend_from_slice(&bid.share_id.to_be_bytes());
-    out.extend_from_slice(&bid.performance_estimate.to_bits().to_be_bytes());
-    out.extend_from_slice(&bid.capacity_kbps.to_bits().to_be_bytes());
-    out.extend_from_slice(&bid.price_per_mb.to_bits().to_be_bytes());
-}
-
 fn put_bids(out: &mut Vec<u8>, bids: &[Bid]) {
     out.extend_from_slice(&(bids.len() as u32).to_be_bytes());
     for bid in bids {
@@ -363,8 +370,8 @@ fn put_snapshot(out: &mut Vec<u8>, snap: &BreakerSnapshot) {
     out.extend_from_slice(&snap.opened_at.to_be_bytes());
 }
 
-fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Appends the payload of `record` (tag byte, then its fields) to `out`.
+fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     match record {
         WalRecord::AnnounceOpen { round } => {
             out.push(TAG_ANNOUNCE_OPEN);
@@ -379,7 +386,7 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
             out.push(TAG_BIDS);
             out.extend_from_slice(&round.to_be_bytes());
             out.extend_from_slice(&cdn.to_be_bytes());
-            put_bids(&mut out, bids);
+            put_bids(out, bids);
         }
         WalRecord::Breaker {
             round,
@@ -389,7 +396,7 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
             out.push(TAG_BREAKER);
             out.extend_from_slice(&round.to_be_bytes());
             out.extend_from_slice(&cdn.to_be_bytes());
-            put_snapshot(&mut out, snapshot);
+            put_snapshot(out, snapshot);
         }
         WalRecord::Settlement(dr) => {
             out.push(TAG_SETTLEMENT);
@@ -416,17 +423,16 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
                     Some((round, bids)) => {
                         out.push(1);
                         out.extend_from_slice(&round.to_be_bytes());
-                        put_bids(&mut out, bids);
+                        put_bids(out, bids);
                     }
                 }
             }
             out.extend_from_slice(&(breakers.len() as u32).to_be_bytes());
             for snap in breakers {
-                put_snapshot(&mut out, snap);
+                put_snapshot(out, snap);
             }
         }
     }
-    out
 }
 
 /// A batch count can at most be the remaining bytes over the per-entry
@@ -437,18 +443,12 @@ fn plausible(count: u32, entry_len: usize, cur: &Cursor<'_>) -> bool {
 
 fn get_bids(cur: &mut Cursor<'_>) -> Option<Vec<Bid>> {
     let count = cur.u32()?;
-    if !plausible(count, 40, cur) {
+    if !plausible(count, BID_LEN, cur) {
         return None;
     }
     let mut bids = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        bids.push(Bid {
-            cluster_id: cur.u64()?,
-            share_id: cur.u64()?,
-            performance_estimate: cur.f64()?,
-            capacity_kbps: cur.f64()?,
-            price_per_mb: cur.f64()?,
-        });
+        bids.push(get_bid(cur)?);
     }
     Some(bids)
 }
@@ -736,22 +736,110 @@ mod tests {
     fn torn_tail_is_truncated_not_replayed() {
         let path = temp_wal("torn");
         let records = sample_records();
-        write_all(&path, &records);
-        // Tear the file mid-record: chop off the last 5 bytes.
+        let (last, whole) = records.split_last().expect("non-empty sample");
+        write_all(&path, whole);
+        let whole_len = std::fs::metadata(&path).expect("stat").len() as usize;
+        write_all(&path, std::slice::from_ref(last));
         let full = std::fs::read(&path).expect("read file");
-        std::fs::write(&path, &full[..full.len() - 5]).expect("tear");
-        let reopened = Wal::open(&path).expect("reopen torn");
-        assert_eq!(
-            reopened.records,
-            records[..records.len() - 1],
-            "the torn final record is gone, the rest intact"
-        );
-        assert!(reopened.truncated_bytes > 0);
-        // The truncation is physical: a second open sees a clean file.
-        drop(reopened);
-        let again = Wal::open(&path).expect("third open");
-        assert_eq!(again.truncated_bytes, 0);
-        assert_eq!(again.records.len(), records.len() - 1);
+        // Tear the file at every byte of the last record: whatever is
+        // left of it is the tail, exactly, and the rest is intact.
+        for cut in 1..full.len() - whole_len {
+            std::fs::write(&path, &full[..full.len() - cut]).expect("tear");
+            let torn = (full.len() - cut - whole_len) as u64;
+            let (read, garbage) = read_records(&path).expect("read torn");
+            assert_eq!((&read[..], garbage), (whole, torn), "cut {cut}");
+            let reopened = Wal::open(&path).expect("reopen torn");
+            assert_eq!(reopened.records, whole, "cut {cut}");
+            assert_eq!(reopened.truncated_bytes, torn, "cut {cut}");
+            // The truncation is physical: a second open sees a clean file.
+            drop(reopened);
+            let again = Wal::open(&path).expect("third open");
+            assert_eq!(again.truncated_bytes, 0);
+            assert_eq!(again.records.len(), whole.len());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_length_prefix_beyond_the_end_of_the_file_is_a_torn_tail() {
+        let path = temp_wal("long-prefix");
+        write_all(&path, &[settlement(0)]);
+        let good_len = std::fs::metadata(&path).expect("stat").len();
+        // A plausible (under MAX_RECORD_LEN) length with no such bytes
+        // behind it: the scan must stop on the prefix, not read for it.
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes.extend_from_slice(&(MAX_RECORD_LEN - 1).to_be_bytes());
+        bytes.extend_from_slice(&[0xAB; 100]);
+        std::fs::write(&path, &bytes).expect("append junk");
+        let (read, garbage) = read_records(&path).expect("read");
+        assert_eq!(read, vec![settlement(0)]);
+        assert_eq!(garbage, 104);
+        let reopened = Wal::open(&path).expect("open");
+        assert_eq!(reopened.truncated_bytes, 104);
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), good_len);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_straddling_the_scan_window_is_read_whole() {
+        let path = temp_wal("straddle");
+        // ~100 KB records: the eleventh begins inside the first window
+        // and ends in the second.
+        let records: Vec<WalRecord> = (0..13)
+            .map(|round| WalRecord::Bids {
+                round,
+                cdn: 0,
+                bids: (0..2_500).map(|i| bid(i, round)).collect(),
+            })
+            .collect();
+        write_all(&path, &records);
+        let file_len = std::fs::metadata(&path).expect("stat").len() as usize;
+        let per_record = (file_len - WAL_MAGIC.len()) / records.len();
+        assert!(SCAN_WINDOW % per_record != 0 && file_len > SCAN_WINDOW + per_record);
+        let (read, garbage) = read_records(&path).expect("read");
+        assert_eq!(garbage, 0);
+        assert_eq!(read, records);
+        assert_eq!(Wal::open(&path).expect("open").records, records);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One framed `Bids` record exactly as the build before the in-place
+    /// `append` wrote it (captured from it, not derived): magic, then
+    /// `len 0x61 | tag 3 | round 7 | cdn 1 | count 2 | bid×2 | crc`.
+    const GOLDEN_BIDS_LOG: [u8; 113] = [
+        0x56, 0x44, 0x58, 0x57, 0x41, 0x4C, 0x31, 0x0A, 0x00, 0x00, 0x00, 0x61, 0x03, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x3F, 0xF4, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0xC3, 0x88, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x3F, 0x9E, 0xB8, 0x51, 0xEB, 0x85, 0x1E, 0xB8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x40, 0x56, 0x20, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x41, 0x2E, 0x84, 0x80, 0x00, 0x00, 0x00, 0x00, 0x3F, 0xF4, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0xE6, 0x8B, 0x2A, 0x9D,
+    ];
+
+    #[test]
+    fn the_log_bytes_of_a_bids_record_are_unchanged() {
+        let record = WalRecord::Bids {
+            round: 7,
+            cdn: 1,
+            bids: vec![
+                bid(1, 0),
+                Bid {
+                    cluster_id: 2,
+                    share_id: 1,
+                    performance_estimate: 88.5,
+                    capacity_kbps: 1e6,
+                    price_per_mb: 1.25,
+                },
+            ],
+        };
+        // The new encoder reproduces the old bytes...
+        let path = temp_wal("golden");
+        write_all(&path, std::slice::from_ref(&record));
+        assert_eq!(std::fs::read(&path).expect("read"), GOLDEN_BIDS_LOG);
+        // ...and the new scanner reads them.
+        std::fs::write(&path, GOLDEN_BIDS_LOG).expect("write golden");
+        assert_eq!(read_records(&path).expect("read"), (vec![record], 0));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -896,7 +984,9 @@ mod tests {
                 cdn: 0,
                 snapshot: b.snapshot(),
             };
-            let decoded = decode_record(&encode_record(&record)).expect("decode");
+            let mut payload = Vec::new();
+            encode_record(&mut payload, &record);
+            let decoded = decode_record(&payload).expect("decode");
             let WalRecord::Breaker { snapshot, .. } = decoded else {
                 panic!("wrong record kind for {case}");
             };
@@ -974,10 +1064,11 @@ mod tests {
             |bytes| {
                 let mut buf = WAL_MAGIC.to_vec();
                 buf.extend_from_slice(bytes);
-                let (records, valid_len) = scan(&buf);
+                let (records, valid_len) = scan(&buf[..], buf.len() as u64).expect("scans");
                 assert!(valid_len as usize <= buf.len());
                 // Re-scanning the valid prefix reproduces the same records.
-                let (again, again_len) = scan(&buf[..valid_len as usize]);
+                let (again, again_len) =
+                    scan(&buf[..valid_len as usize], valid_len).expect("rescans");
                 assert_eq!(records, again);
                 assert_eq!(valid_len, again_len);
             },

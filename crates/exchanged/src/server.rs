@@ -11,6 +11,20 @@
 //! window stalls the sender; nothing is dropped and memory stays
 //! bounded.
 //!
+//! Nothing on the round's path waits on a timer. The readers share one
+//! **arrival signal** (a generation count under a mutex, and a condvar)
+//! and ring it *after* the fact a waiter looks for is in place: after a
+//! slot is installed, after a message is in its queue (the `try_send`
+//! and the post-backpressure blocking `send` alike), and after a reader
+//! that is exiting has dropped its queue's sender. The collect loop
+//! reads the generation, scans the pending slots, and if nobody answered
+//! or left sleeps — for what is left of the deadline at most — until
+//! the generation moves; having read it *before* the scan, it cannot
+//! sleep through an arrival the scan missed. A reader's exit therefore
+//! wakes a scan that sees `Disconnected` and reports the CDN down at
+//! once. [`ExchangeServer::wait_for_agents`] sleeps on the same signal.
+//! (The accept loop's own 10 ms tick is how it notices shutdown.)
+//!
 //! The round itself runs on the caller's thread
 //! ([`ExchangeServer::run_round`], the [`ExchangeDriver`] contract) and is
 //! not written here: it is [`vdx_core::Round`], the one spine the
@@ -59,8 +73,8 @@
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -126,7 +140,7 @@ impl ServerOptions {
     }
 }
 
-/// How often a blocked reader or the accept loop re-checks for work.
+/// How often the accept loop re-checks for a connection or shutdown.
 const POLL: Duration = Duration::from_millis(10);
 /// Reader-side socket timeout: the granularity at which a reader notices
 /// the shutdown flag.
@@ -160,6 +174,12 @@ struct Shared {
     handshake_timeout: Duration,
     /// Reader threads park their handles here so shutdown can join them.
     readers: Mutex<Vec<JoinHandle<()>>>,
+    /// The arrival signal: a generation count readers bump, and the
+    /// condvar they notify, *after* a slot is installed, a message is
+    /// enqueued or a queue's sender is dropped. The round thread sleeps
+    /// on it instead of polling. The mutex guards the count only and is
+    /// never held across a slot lock, a socket call or a channel op.
+    arrivals: (Mutex<u64>, Condvar),
 }
 
 impl Shared {
@@ -167,6 +187,29 @@ impl Shared {
         if self.probe.enabled() {
             self.probe.emit(event);
         }
+    }
+
+    /// Announces that something a waiter scans for has changed.
+    fn ring_arrival(&self) {
+        *self.arrivals.0.lock().expect("arrivals lock poisoned") += 1;
+        self.arrivals.1.notify_all();
+    }
+
+    /// The signal's generation. A waiter reads it *before* the scan
+    /// whose emptiness it will sleep on, so a ring that lands during or
+    /// after the scan is never slept through.
+    fn arrivals_seen(&self) -> u64 {
+        *self.arrivals.0.lock().expect("arrivals lock poisoned")
+    }
+
+    /// Sleeps until the generation moves past `seen`, or `timeout`.
+    fn wait_for_arrival(&self, seen: u64, timeout: Duration) {
+        let generation = self.arrivals.0.lock().expect("arrivals lock poisoned");
+        let _woken = self
+            .arrivals
+            .1
+            .wait_timeout_while(generation, timeout, |generation| *generation == seen)
+            .expect("arrivals lock poisoned");
     }
 
     /// Takes CDN `cdn`'s connection out of its slot so a socket write
@@ -242,6 +285,7 @@ impl ExchangeServer {
             queue_cap: opts.queue_cap,
             handshake_timeout: opts.handshake_timeout,
             readers: Mutex::new(Vec::new()),
+            arrivals: (Mutex::new(0), Condvar::new()),
         });
         let (round, wal, next_round, recovered) =
             recover(design, policy, &opts, &shared, n).map_err(wal_io_error)?;
@@ -303,15 +347,19 @@ impl ExchangeServer {
     /// Blocks until at least `count` agents are connected, or `timeout`
     /// elapses. Returns whether the quorum was reached.
     pub fn wait_for_agents(&self, count: usize, timeout: Duration) -> bool {
+        let shared = &self.transport.shared;
         let clock = Stopwatch::start();
         loop {
+            let seen = shared.arrivals_seen();
             if self.connected_agents() >= count {
                 return true;
             }
-            if clock.elapsed_ms() >= timeout.as_millis() as u64 {
+            let left = timeout.saturating_sub(Duration::from_micros(clock.elapsed_us()));
+            if left.is_zero() {
                 return false;
             }
-            std::thread::sleep(POLL);
+            // A handshake that completes rings; so does a reader exiting.
+            shared.wait_for_arrival(seen, left);
         }
     }
 
@@ -526,13 +574,18 @@ impl RoundHooks for Transport {
 
         // Collect Announces until the deadline. A participant leaves the
         // pending set by answering this round or by disconnecting.
-        let deadline_ms = self.opts.deadline.as_millis() as u64;
-        let deadline = Stopwatch::start();
+        let clock = Stopwatch::start();
         let mut answers: Vec<Option<Vec<Bid>>> = vec![None; n];
         let mut dead = vec![false; n];
         let mut pending: Vec<usize> = (0..n).filter(|&c| routed[c]).collect();
-        while !pending.is_empty() && deadline.elapsed_ms() < deadline_ms {
-            let mut progressed = false;
+        while !pending.is_empty() {
+            let elapsed = Duration::from_micros(clock.elapsed_us());
+            let left = self.opts.deadline.saturating_sub(elapsed);
+            if left.is_zero() {
+                break;
+            }
+            let seen = shared.arrivals_seen();
+            let waiting_on = pending.len();
             pending.retain(|&cdn| {
                 let slot = shared.slots[cdn].lock().expect("slot lock poisoned");
                 let Some(s) = slot.as_ref() else {
@@ -543,7 +596,6 @@ impl RoundHooks for Transport {
                     match s.rx.try_recv() {
                         Ok((r, Message::Announce(bids))) if r == round && r >= s.min_round => {
                             answers[cdn] = Some(bids);
-                            progressed = true;
                             return false;
                         }
                         // A stale round's late Announce, a resumed
@@ -554,14 +606,15 @@ impl RoundHooks for Transport {
                         Err(TryRecvError::Empty) => return true,
                         Err(TryRecvError::Disconnected) => {
                             dead[cdn] = true;
-                            progressed = true;
                             return false;
                         }
                     }
                 }
             });
-            if !progressed {
-                std::thread::sleep(Duration::from_millis(1));
+            // Nobody answered or left: sleep until a reader enqueues or
+            // exits.
+            if pending.len() == waiting_on {
+                shared.wait_for_arrival(seen, left);
             }
         }
         self.wal_append(&WalRecord::AnnounceClose {
@@ -699,8 +752,25 @@ fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         cdn: cdn as u32,
         peer: peer.to_string(),
     });
+    shared.ring_arrival(); // for `wait_for_agents`
+    pump_messages(&mut conn, &tx, cdn, &shared);
+    alive.store(false, Ordering::SeqCst);
+    // Ring only once the sender is gone: the scan this wakes must see
+    // `Disconnected`, and report the CDN down at once.
+    drop(tx);
+    shared.ring_arrival();
+}
+
+/// The reader loop of one agent connection: forwards every message into
+/// the slot's queue, ringing the arrival signal after each, until EOF,
+/// error, or shutdown.
+fn pump_messages(
+    conn: &mut Connection,
+    tx: &SyncSender<(u64, Message)>,
+    cdn: usize,
+    shared: &Shared,
+) {
     if conn.set_read_timeout(Some(READ_TICK)).is_err() {
-        alive.store(false, Ordering::SeqCst);
         return;
     }
     let mut warned_backpressure = false;
@@ -709,25 +779,28 @@ fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
             break;
         }
         match conn.recv() {
-            Ok(Some(msg)) => match tx.try_send(msg) {
-                Ok(()) => {}
-                Err(TrySendError::Full(msg)) => {
-                    if !warned_backpressure {
-                        warned_backpressure = true;
-                        shared.emit(Event::ConnBackpressure {
-                            at_ms: shared.clock.elapsed_ms(),
-                            cdn: cdn as u32,
-                            queued: shared.queue_cap as u64,
-                        });
+            Ok(Some(msg)) => {
+                match tx.try_send(msg) {
+                    Ok(()) => {}
+                    Err(TrySendError::Full(msg)) => {
+                        if !warned_backpressure {
+                            warned_backpressure = true;
+                            shared.emit(Event::ConnBackpressure {
+                                at_ms: shared.clock.elapsed_ms(),
+                                cdn: cdn as u32,
+                                queued: shared.queue_cap as u64,
+                            });
+                        }
+                        // Block until the round loop drains; the agent's TCP
+                        // window stalls behind us. Nothing is dropped.
+                        if tx.send(msg).is_err() {
+                            break;
+                        }
                     }
-                    // Block until the round loop drains; the agent's TCP
-                    // window stalls behind us. Nothing is dropped.
-                    if tx.send(msg).is_err() {
-                        break;
-                    }
+                    Err(TrySendError::Disconnected(_)) => break,
                 }
-                Err(TrySendError::Disconnected(_)) => break,
-            },
+                shared.ring_arrival();
+            }
             Ok(None) => {
                 if !shared.shutdown.load(Ordering::SeqCst) {
                     shared.emit(Event::ConnClosed {
@@ -751,5 +824,4 @@ fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
             }
         }
     }
-    alive.store(false, Ordering::SeqCst);
 }

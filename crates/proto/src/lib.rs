@@ -23,7 +23,8 @@
 //!   messages inside the same CRC frames, for the long-running
 //!   `vdx-exchanged` daemon and its `vdx-agent` peers;
 //! * [`wire`] — the bounds-checked big-endian field reader the decoders
-//!   above (and `vdx-core`'s WAL) share.
+//!   above (and `vdx-core`'s WAL) share, and the one statement of the
+//!   40-byte bid layout both formats carry.
 //!
 //! ## Time
 //!

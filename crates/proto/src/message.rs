@@ -14,7 +14,7 @@
 //! batches carry a `u32` count. No self-description — the frame header
 //! already negotiated the protocol version.
 
-use crate::wire::{Cursor, PutBe};
+use crate::wire::{get_bid, put_bid, Cursor, PutBe, BID_LEN};
 
 /// A Share entry: client (meta-)data a broker sends to CDNs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,13 +143,21 @@ const T_RESULT: u8 = 0x06;
 const T_HELLO_RESUME: u8 = 0x07;
 
 const SHARE_LEN: usize = 8 + 4 + 4 + 8 + 8 + 4;
-const BID_LEN: usize = 8 + 8 + 8 + 8 + 8;
 const ACCEPT_LEN: usize = BID_LEN + 1;
 
 impl Message {
     /// Encodes the message to bytes (ready to be framed).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the encoded message to `buf` — what [`Message::encode`]
+    /// returns, written where the caller is assembling its frame. A
+    /// batch reserves its exact size first, so a fresh buffer is grown
+    /// once and a kept one not at all.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Hello { node_id, role } => {
                 buf.put_u8(T_HELLO);
@@ -167,6 +175,7 @@ impl Message {
                 buf.put_u64(*last_round);
             }
             Message::Share(shares) => {
+                buf.reserve(5 + shares.len() * SHARE_LEN);
                 buf.put_u8(T_SHARE);
                 buf.put_u32(shares.len() as u32);
                 for s in shares {
@@ -179,17 +188,19 @@ impl Message {
                 }
             }
             Message::Announce(bids) => {
+                buf.reserve(5 + bids.len() * BID_LEN);
                 buf.put_u8(T_ANNOUNCE);
                 buf.put_u32(bids.len() as u32);
                 for b in bids {
-                    put_bid(&mut buf, b);
+                    put_bid(buf, b);
                 }
             }
             Message::Accept(entries) => {
+                buf.reserve(5 + entries.len() * ACCEPT_LEN);
                 buf.put_u8(T_ACCEPT);
                 buf.put_u32(entries.len() as u32);
                 for e in entries {
-                    put_bid(&mut buf, &e.bid);
+                    put_bid(buf, &e.bid);
                     buf.put_u8(e.accepted as u8);
                 }
             }
@@ -210,7 +221,6 @@ impl Message {
                 buf.put_u64(*cluster_id);
             }
         }
-        buf
     }
 
     /// Decodes a message; the input must contain exactly one message.
@@ -245,7 +255,7 @@ impl Message {
                 let count = get_count(&mut cur, BID_LEN)?;
                 let mut bids = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    bids.push(get_bid(&mut cur)?);
+                    bids.push(field(get_bid(&mut cur))?);
                 }
                 Message::Announce(bids)
             }
@@ -254,7 +264,7 @@ impl Message {
                 let mut entries = Vec::with_capacity(count as usize);
                 for _ in 0..count {
                     entries.push(AcceptEntry {
-                        bid: get_bid(&mut cur)?,
+                        bid: field(get_bid(&mut cur))?,
                         accepted: field(cur.u8())? != 0,
                     });
                 }
@@ -290,24 +300,6 @@ fn get_count(cur: &mut Cursor<'_>, entry_len: usize) -> Result<u32, WireError> {
         Some(n) if n <= cur.rest().len() => Ok(count),
         _ => Err(WireError::BadCount(count)),
     }
-}
-
-fn put_bid(buf: &mut Vec<u8>, b: &Bid) {
-    buf.put_u64(b.cluster_id);
-    buf.put_u64(b.share_id);
-    buf.put_f64(b.performance_estimate);
-    buf.put_f64(b.capacity_kbps);
-    buf.put_f64(b.price_per_mb);
-}
-
-fn get_bid(cur: &mut Cursor<'_>) -> Result<Bid, WireError> {
-    Ok(Bid {
-        cluster_id: field(cur.u64())?,
-        share_id: field(cur.u64())?,
-        performance_estimate: field(cur.f64())?,
-        capacity_kbps: field(cur.f64())?,
-        price_per_mb: field(cur.f64())?,
-    })
 }
 
 #[cfg(test)]
@@ -461,6 +453,6 @@ mod tests {
         let mut dec = crate::frame::FrameDecoder::new();
         dec.feed(&framed);
         let frame = dec.next_frame().unwrap().unwrap();
-        assert_eq!(Message::decode(&frame.payload).unwrap(), msg);
+        assert_eq!(Message::decode(frame).unwrap(), msg);
     }
 }

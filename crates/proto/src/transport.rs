@@ -34,6 +34,11 @@
 //!   messages but cannot tell *rounds* apart across reconnects.
 //!
 //! Payload layout inside each frame: `round(8, big-endian) | Message`.
+//! [`Connection::send`] assembles header, round stamp and message in one
+//! buffer the connection keeps, sums it once and writes it with one call;
+//! [`Connection::recv`] decodes the message from the slice the frame
+//! decoder lends. A message too large to frame is a send *error*
+//! ([`FrameError::Oversized`] inside `InvalidInput`), not a panic.
 //!
 //! Determinism: this module reads sockets, never the clock. Timeouts
 //! are configured by the caller ([`Connection::set_read_timeout`]) and
@@ -42,6 +47,7 @@
 
 use crate::frame::{self, FrameDecoder, FrameError};
 use crate::message::{Message, WireError};
+use crate::wire::Cursor;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -105,10 +111,10 @@ pub struct Connection {
     stream: TcpStream,
     decoder: FrameDecoder,
     read_buf: Vec<u8>,
+    /// The frame being sent, kept between sends so its allocation is
+    /// made once.
+    write_buf: Vec<u8>,
 }
-
-/// Bytes of the round header prefixed to every message payload.
-const ROUND_HEADER: usize = 8;
 
 impl Connection {
     /// Wraps an established stream. Disables Nagle's algorithm: round
@@ -119,6 +125,7 @@ impl Connection {
             stream,
             decoder: FrameDecoder::new(),
             read_buf: vec![0u8; 64 * 1024],
+            write_buf: Vec::new(),
         })
     }
 
@@ -146,17 +153,23 @@ impl Connection {
             stream: self.stream.try_clone()?,
             decoder: FrameDecoder::new(),
             read_buf: vec![0u8; 64 * 1024],
+            write_buf: Vec::new(),
         })
     }
 
-    /// Sends one message stamped with the round it belongs to.
+    /// Sends one message stamped with the round it belongs to. The frame
+    /// is assembled in place — header, round stamp, message — summed once
+    /// and written with one call. A message too large to frame is
+    /// refused before any byte of it reaches the socket, as
+    /// [`std::io::ErrorKind::InvalidInput`] carrying
+    /// [`FrameError::Oversized`]; the connection stays usable.
     pub fn send(&mut self, round: u64, msg: &Message) -> std::io::Result<()> {
-        let body = msg.encode();
-        let mut payload = Vec::with_capacity(ROUND_HEADER + body.len());
-        payload.extend_from_slice(&round.to_be_bytes());
-        payload.extend_from_slice(&body);
-        let wire = frame::encode(&payload);
-        self.stream.write_all(&wire)?;
+        frame::begin_frame(&mut self.write_buf);
+        self.write_buf.extend_from_slice(&round.to_be_bytes());
+        msg.encode_into(&mut self.write_buf);
+        frame::seal_frame(&mut self.write_buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+        self.stream.write_all(&self.write_buf)?;
         self.stream.flush()
     }
 
@@ -168,17 +181,12 @@ impl Connection {
     pub fn recv(&mut self) -> Result<Option<(u64, Message)>, TransportError> {
         loop {
             // Drain any frame already buffered before touching the
-            // socket again.
-            if let Some(frame) = self.decoder.next_frame().map_err(TransportError::Frame)? {
-                let payload = &frame.payload;
-                if payload.len() < ROUND_HEADER {
-                    return Err(TransportError::MissingRoundHeader);
-                }
-                let mut round_bytes = [0u8; ROUND_HEADER];
-                round_bytes.copy_from_slice(&payload[..ROUND_HEADER]);
-                let round = u64::from_be_bytes(round_bytes);
-                let msg =
-                    Message::decode(&payload[ROUND_HEADER..]).map_err(TransportError::Wire)?;
+            // socket again; the message is decoded from the slice the
+            // decoder lends.
+            if let Some(payload) = self.decoder.next_frame().map_err(TransportError::Frame)? {
+                let mut cur = Cursor::new(payload);
+                let round = cur.u64().ok_or(TransportError::MissingRoundHeader)?;
+                let msg = Message::decode(cur.rest()).map_err(TransportError::Wire)?;
                 return Ok(Some((round, msg)));
             }
             let n = self.stream.read(&mut self.read_buf)?;
@@ -216,7 +224,7 @@ impl std::fmt::Debug for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Share;
+    use crate::message::{Bid, Share};
     use std::net::TcpListener;
 
     fn share(n: u64) -> Message {
@@ -262,6 +270,80 @@ mod tests {
                 node_id: 9,
                 role: 1
             }
+        );
+    }
+
+    /// One framed, round-stamped Share exactly as the build before the
+    /// one-buffer `send` put it on the wire (captured from it, not
+    /// derived): `VX | v1 | flags | len 0x55 | round | Share×2 | crc`.
+    const GOLDEN_SHARE_FRAME: [u8; 97] = [
+        0x56, 0x58, 0x01, 0x00, 0x00, 0x00, 0x00, 0x55, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
+        0x08, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x11, 0x00, 0x00, 0xFC, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63,
+        0x40, 0x93, 0x4A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x12, 0x00, 0x00, 0xFC, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x6D, 0x53, 0x3B, 0xA1,
+    ];
+
+    #[test]
+    fn the_wire_bytes_of_a_share_are_unchanged() {
+        let msg = Message::Share(vec![
+            Share {
+                share_id: 1,
+                location: 17,
+                isp: 64512,
+                content_id: 99,
+                data_size_kbps: 1234.5,
+                client_count: 40,
+            },
+            Share {
+                share_id: 2,
+                location: 18,
+                isp: 64513,
+                content_id: 0,
+                data_size_kbps: 0.0,
+                client_count: 0,
+            },
+        ]);
+        let round = 0x0102_0304_0506_0708;
+        // The new encoder reproduces the old bytes...
+        let (mut a, mut b) = loopback_pair();
+        a.send(round, &msg).expect("send");
+        drop(a);
+        let mut wire = Vec::new();
+        b.stream.read_to_end(&mut wire).expect("raw read");
+        assert_eq!(wire, GOLDEN_SHARE_FRAME);
+        // ...and the new decoder reads them.
+        let (mut a, mut b) = loopback_pair();
+        a.stream.write_all(&GOLDEN_SHARE_FRAME).expect("raw write");
+        assert_eq!(b.recv().expect("recv"), Some((round, msg)));
+    }
+
+    #[test]
+    fn an_oversize_message_is_an_error_and_the_connection_survives() {
+        let (mut a, mut b) = loopback_pair();
+        let bid = Bid {
+            cluster_id: 1,
+            share_id: 2,
+            performance_estimate: 3.0,
+            capacity_kbps: 4.0,
+            price_per_mb: 5.0,
+        };
+        // The smallest Announce that does not fit: round stamp, tag and
+        // count are 13 bytes, each bid 40.
+        let too_many = (frame::MAX_PAYLOAD - 13) / 40 + 1;
+        let err = a
+            .send(9, &Message::Announce(vec![bid; too_many]))
+            .expect_err("over MAX_PAYLOAD");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let inner = err.get_ref().and_then(|e| e.downcast_ref::<FrameError>());
+        assert_eq!(inner, Some(&FrameError::Oversized(13 + 40 * too_many)));
+        // Nothing of it was written: the next message arrives intact.
+        a.send(10, &Message::Announce(vec![bid])).expect("small");
+        assert_eq!(
+            b.recv().expect("recv"),
+            Some((10, Message::Announce(vec![bid])))
         );
     }
 

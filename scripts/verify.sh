@@ -30,6 +30,18 @@ echo "==> benchmark harness selftest (out-of-workspace consumer of the round-spi
 # not compile it: API drift under what it imports shows up only here.
 cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- selftest
 
+echo "==> benchmark harness output checks (daemon, daemon-wal: real agents over loopback, a real 256-round log)"
+# The harness's checks as a gate, not its timings: each run exits
+# non-zero on any `CHECK FAILED` — every round Fresh, soak parity over 16
+# rounds, every restart recovering all 256 rounds, `read_records` +
+# `replay` of the 45 MB log with zero trailing bytes. This is what drives
+# the collect signal, one-buffer framing, the CRC and the WAL scan at
+# full message sizes.
+for workload in daemon daemon-wal; do
+  cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- \
+    --workload "$workload" --seconds 2
+done
+
 echo "==> full reproduction vs the committed output (every table and figure, byte for byte)"
 # The seeded RNG stream is part of the artifact: results/repro_full.txt
 # lines 1-328 date from the seed commit, built against published `rand`.

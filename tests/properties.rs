@@ -62,7 +62,7 @@ fn frames_roundtrip_any_payload() {
             let mut dec = frame::FrameDecoder::new();
             dec.feed(&wire);
             let streamed = dec.next_frame().expect("decodes").expect("complete");
-            assert_eq!(&streamed.payload, payload);
+            assert_eq!(streamed, payload);
         },
     );
 }
