@@ -15,7 +15,7 @@
 
 use crate::gather::ClientGroup;
 use crate::policy::CpPolicy;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
 use vdx_obs::{Event, Probe};
@@ -68,8 +68,9 @@ pub struct BrokerAssignment {
     pub choice: Vec<usize>,
     /// Objective value achieved (Fig 9 units).
     pub objective: f64,
-    /// Load placed on each distinct cluster.
-    pub cluster_load_kbps: HashMap<ClusterId, Kbps>,
+    /// Load placed on each distinct cluster, in cluster-id order: the
+    /// journal's `cluster_congested` lines come from iterating this map.
+    pub cluster_load_kbps: BTreeMap<ClusterId, Kbps>,
 }
 
 impl BrokerAssignment {
@@ -367,7 +368,7 @@ fn into_broker_assignment(
     problem: &BrokerProblem,
     assignment: vdx_solver::Assignment,
 ) -> BrokerAssignment {
-    let mut cluster_load_kbps: HashMap<ClusterId, Kbps> = HashMap::new();
+    let mut cluster_load_kbps: BTreeMap<ClusterId, Kbps> = BTreeMap::new();
     for (g, &c) in assignment.choice.iter().enumerate() {
         let o = &problem.options[g][c];
         *cluster_load_kbps.entry(o.cluster).or_insert(Kbps::ZERO) += problem.groups[g].demand_kbps;

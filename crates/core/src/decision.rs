@@ -273,15 +273,7 @@ fn round_impl(
             accepted,
             rejected: total_bids - accepted,
         });
-        // Sorted scan: HashMap iteration order varies across processes and
-        // would break journal byte-determinism.
-        let mut loads: Vec<(ClusterId, Kbps)> = assignment
-            .cluster_load_kbps
-            .iter()
-            .map(|(c, l)| (*c, *l))
-            .collect();
-        loads.sort_by_key(|(c, _)| c.index());
-        for (cluster, load) in loads {
+        for (&cluster, &load) in &assignment.cluster_load_kbps {
             let capacity_kbps = fleet.clusters[cluster.index()].capacity_kbps;
             let with_background = load + inputs.background_load_kbps[cluster.index()];
             if with_background > capacity_kbps {

@@ -941,6 +941,69 @@ mod tests {
         assert_eq!(recovery.breakers[1], None, "voided breaker never commits");
     }
 
+    /// A log from a different scenario — records naming CDNs this one
+    /// does not have, checkpoints of another width — replays without a
+    /// panic, and what it says about the CDNs that do exist still counts.
+    #[test]
+    fn replay_ignores_cdn_ids_and_checkpoint_widths_of_another_scenario() {
+        let snapshot = BreakerSnapshot {
+            state: HealthState::Open,
+            consecutive_failures: 3,
+            opened_at: 0,
+        };
+        let own = vec![
+            WalRecord::AnnounceOpen { round: 0 },
+            WalRecord::Bids {
+                round: 0,
+                cdn: 1,
+                bids: vec![bid(1, 0)],
+            },
+            WalRecord::Breaker {
+                round: 0,
+                cdn: 0,
+                snapshot,
+            },
+            settlement(0),
+        ];
+        let mut mixed = own.clone();
+        for cdn in [2, u32::MAX] {
+            mixed.insert(
+                1,
+                WalRecord::Bids {
+                    round: 0,
+                    cdn,
+                    bids: vec![bid(9, 9)],
+                },
+            );
+            mixed.insert(
+                1,
+                WalRecord::Breaker {
+                    round: 0,
+                    cdn,
+                    snapshot,
+                },
+            );
+        }
+        assert_eq!(replay(mixed, 2), replay(own.clone(), 2));
+
+        // A checkpoint wider than the scenario is trimmed, a narrower one
+        // padded with fresh slots; the slots both have keep their content.
+        let checkpoint = |width: usize| WalRecord::Checkpoint {
+            next_round: 5,
+            cache: (0..width as u64)
+                .map(|c| Some((4, vec![bid(c, c)])))
+                .collect(),
+            breakers: vec![snapshot; width],
+        };
+        let wide = replay(vec![checkpoint(3)], 2);
+        assert_eq!(wide.cache, replay(vec![checkpoint(2)], 2).cache);
+        assert_eq!(wide.breakers, vec![Some(snapshot); 2]);
+        let narrow = replay(vec![checkpoint(1)], 2);
+        assert_eq!(narrow.cache, vec![Some((4, vec![bid(0, 0)])), None]);
+        assert_eq!(narrow.breakers, vec![Some(snapshot), None]);
+        assert_eq!((wide.next_round, narrow.next_round), (5, 5));
+    }
+
     #[test]
     fn replay_after_a_checkpoint_ignores_history_before_it() {
         let mut records = sample_records();

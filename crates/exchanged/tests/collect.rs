@@ -28,12 +28,13 @@ fn start(scenario: &Arc<Scenario>, probe: Arc<dyn Probe>, opts: ServerOptions) -
 }
 
 /// A lost wake-up does not fail a round, it stretches it to the
-/// deadline — so the deadline is made long (a debug-build round costs
-/// ~30 ms) and the whole run must fit inside one of them.
+/// deadline — so the deadline is made long next to what a debug-build
+/// round costs (tens of ms), and no single round may take half of it.
+/// Per round, not per run: how long 300 rounds take is the host's speed.
 #[test]
 fn back_to_back_rounds_never_sleep_through_an_arrival() {
     const ROUNDS: u64 = 300;
-    let deadline = Duration::from_secs(30);
+    let deadline = Duration::from_secs(10);
     let scenario = Arc::new(Scenario::build(ScenarioConfig::at_scale(true, Some(2017))));
     let n = scenario.fleet.cdns.len();
     let mut server = start(
@@ -54,15 +55,15 @@ fn back_to_back_rounds_never_sleep_through_an_arrival() {
         .collect();
     assert!(server.wait_for_agents(n, Duration::from_secs(10)));
 
-    let clock = Stopwatch::start();
     for round in 0..ROUNDS {
+        let clock = Stopwatch::start();
         let outcome = server.run_round(round);
-        assert_eq!(outcome.resolution, RoundResolution::Fresh, "round {round}");
-        let elapsed = Duration::from_millis(clock.elapsed_ms());
+        let took = Duration::from_micros(clock.elapsed_us());
         assert!(
-            elapsed < deadline,
-            "{elapsed:?} by round {round}: a round waited out its {deadline:?} deadline"
+            took < deadline / 2,
+            "round {round} took {took:?}: it waited on its {deadline:?} deadline, not on an arrival"
         );
+        assert_eq!(outcome.resolution, RoundResolution::Fresh, "round {round}");
     }
 
     server.shutdown();

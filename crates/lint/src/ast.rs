@@ -1,12 +1,15 @@
-//! The AST for the Rust subset the workspace uses (DESIGN.md §14).
+//! The AST for the Rust subset the workspace uses (DESIGN.md §14), cut
+//! to what the call graph and the two analyses read.
 //!
-//! The tree is deliberately *lossy where analyses don't care*: generic
-//! parameter lists, where clauses, and turbofish type arguments are
-//! dropped at parse time; types are kept as cooked token runs. What it
-//! is **not** lossy about: item structure, visibility, attributes,
-//! function signatures, and full expression trees for function bodies
-//! (paths, calls, method calls, field accesses, indexing, closures,
-//! control flow, struct literals, macro invocations as raw token trees).
+//! Kept: item structure as far as it names functions and typed fields
+//! (fns, structs, impls, and the items nested in traits and inline
+//! mods), attributes, parameter and `let` types as cooked token runs,
+//! and full expression trees for function bodies (paths, calls, method
+//! calls, field accesses, indexing, closures, control flow, struct
+//! literals). Parsed past and dropped: visibility, generics, where
+//! clauses, turbofish, return types, operators, labels, literal text,
+//! macro token trees, every item kind not listed above, and patterns
+//! beyond the names they bind.
 //!
 //! Nothing renders a tree back to text. The parser that builds it is
 //! pinned by shape assertions in `parse.rs`'s tests, by the fixture
@@ -42,7 +45,7 @@ pub struct File {
 }
 
 /// An outer attribute, e.g. `#[cfg(test)]` as `["cfg", "(", "test", ")"]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct Attr {
     /// Cooked tokens between `#[` and the matching `]`.
     pub tokens: Vec<String>,
@@ -59,36 +62,13 @@ impl Attr {
     }
 }
 
-/// Item visibility.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Vis {
-    /// No `pub`.
-    Private,
-    /// Bare `pub`.
-    Pub,
-    /// `pub(crate)`, `pub(super)`, ... — the scope tokens are kept.
-    Scoped(Vec<String>),
-}
-
-impl Vis {
-    /// True for any `pub` form (`pub(crate)` counts as public: it
-    /// still crosses module boundaries).
-    pub fn is_pub(&self) -> bool {
-        !matches!(self, Vis::Private)
-    }
-}
-
-/// One item (module-level or nested in an impl/trait/mod/fn body).
-#[derive(Debug, PartialEq)]
+/// One item (module-level or nested in an impl/trait/mod).
+#[derive(Debug)]
 pub struct Item {
     /// Outer attributes.
     pub attrs: Vec<Attr>,
-    /// Visibility.
-    pub vis: Vis,
     /// The item proper.
     pub kind: ItemKind,
-    /// Position of the item's leading keyword or name.
-    pub span: Span,
 }
 
 impl Item {
@@ -99,9 +79,9 @@ impl Item {
 }
 
 /// Item payloads.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub enum ItemKind {
-    /// `fn name(params) -> ret { body }` (or `;` body in traits).
+    /// `fn name(params) { body }` (or `;` body in traits).
     Fn(FnDef),
     /// `struct Name { fields }` / tuple struct / unit struct.
     Struct {
@@ -109,143 +89,53 @@ pub enum ItemKind {
         name: String,
         /// Named fields; tuple-struct fields get numeric names.
         fields: Vec<FieldDef>,
-        /// True for `struct T(..);` tuple form.
-        tuple: bool,
-    },
-    /// `enum Name { variants }`.
-    Enum {
-        /// Type name.
-        name: String,
-        /// The variants.
-        variants: Vec<VariantDef>,
     },
     /// `impl [Trait for] Type { items }`.
     Impl {
-        /// Trait tokens when this is a trait impl.
-        trait_tokens: Option<Vec<String>>,
         /// Self-type tokens.
         self_ty: Vec<String>,
         /// The impl's associated items.
         items: Vec<Item>,
     },
-    /// `trait Name { items }`.
-    Trait {
-        /// Trait name.
-        name: String,
-        /// Associated items (fns may have no body).
-        items: Vec<Item>,
-    },
-    /// `mod name { items }` or `mod name;`.
-    Mod {
-        /// Module name.
-        name: String,
-        /// `None` for `mod name;` declarations.
-        items: Option<Vec<Item>>,
-    },
-    /// `use ...;` — raw token run.
-    Use {
-        /// Tokens between `use` and `;`.
-        tokens: Vec<String>,
-    },
-    /// `const NAME: Ty = expr;`
-    Const {
-        /// Constant name.
-        name: String,
-        /// Type tokens.
-        ty: Vec<String>,
-        /// Initializer.
-        value: Expr,
-    },
-    /// `static NAME: Ty = expr;`
-    Static {
-        /// Static name.
-        name: String,
-        /// Type tokens.
-        ty: Vec<String>,
-        /// Initializer.
-        value: Expr,
-    },
-    /// `type Name = Ty;`
-    TypeAlias {
-        /// Alias name.
-        name: String,
-        /// Aliased type tokens (empty for bodyless associated types).
-        ty: Vec<String>,
-    },
-    /// An item-position macro invocation, e.g. `macro_rules! x { ... }`
-    /// or `base_impls!(Usd, "USD");` — raw token tree.
-    MacroItem {
-        /// Macro path (`macro_rules`, `proptest`, ...).
-        path: Vec<String>,
-        /// Everything inside the delimiters, cooked.
-        tokens: Vec<String>,
-    },
+    /// `trait Name { items }` or `mod name { items }`: the items one
+    /// level down, which is all the call graph asks of either.
+    Scope(Vec<Item>),
+    /// Anything else — enum, use, const, static, type alias, `mod
+    /// name;`, item-position macro — parsed past, nothing kept.
+    Other,
 }
 
 /// A function definition (free, associated, or trait method).
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct FnDef {
     /// Function name.
     pub name: String,
     /// Parameters (including a degenerate entry for `self` receivers).
     pub params: Vec<ParamDef>,
-    /// Return-type tokens (empty when `()` implied).
-    pub ret: Vec<String>,
     /// Body; `None` for trait-method declarations.
     pub body: Option<Block>,
-    /// Position of the `fn` name.
-    pub span: Span,
 }
 
 /// One function parameter.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct ParamDef {
     /// Binding pattern.
     pub pat: Pat,
     /// Type tokens (empty for `self` receivers).
     pub ty: Vec<String>,
-    /// Position of the pattern start.
-    pub span: Span,
-}
-
-impl ParamDef {
-    /// The plain bound name when the pattern is a simple binding.
-    pub fn name(&self) -> Option<&str> {
-        match &self.pat {
-            Pat::Ident { name, .. } => Some(name),
-            _ => None,
-        }
-    }
 }
 
 /// A struct field.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct FieldDef {
-    /// Field visibility.
-    pub vis: Vis,
     /// Field name (tuple-struct positions get `"0"`, `"1"`, ...).
     pub name: String,
     /// Type tokens.
     pub ty: Vec<String>,
-    /// Position of the field name.
-    pub span: Span,
-}
-
-/// An enum variant.
-#[derive(Debug, PartialEq)]
-pub struct VariantDef {
-    /// Variant name.
-    pub name: String,
-    /// Named-field payloads (`Variant { a: T }`); empty otherwise.
-    pub fields: Vec<FieldDef>,
-    /// Tuple payload type runs (`Variant(T, U)`); empty otherwise.
-    pub tuple: Vec<Vec<String>>,
-    /// Position of the variant name.
-    pub span: Span,
 }
 
 /// A `{ ... }` block.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Block {
     /// The statements, in order.
     pub stmts: Vec<Stmt>,
@@ -253,8 +143,10 @@ pub struct Block {
     pub span: Span,
 }
 
-/// One statement.
-#[derive(Debug, PartialEq)]
+/// One statement. A nested item (`fn`, `use`, `const`, ... inside a
+/// block) is parsed past and leaves nothing: its body is not part of
+/// the enclosing function's.
+#[derive(Debug)]
 pub enum Stmt {
     /// `let pat (: ty)? (= init (else block)?)? ;`
     Let {
@@ -266,130 +158,41 @@ pub enum Stmt {
         init: Option<Expr>,
         /// let-else diverging block.
         else_block: Option<Block>,
-        /// Position of `let`.
-        span: Span,
     },
-    /// An expression statement; `semi` records the trailing `;`.
+    /// An expression statement.
     Expr {
         /// Statement-level attributes (`#[cfg(debug_assertions)]` on a
-        /// block or expression) — analyses use these to recognize
+        /// block or expression) — `panic-path` uses these to recognize
         /// debug-only scaffolding.
         attrs: Vec<Attr>,
         /// The expression.
         expr: Expr,
-        /// True when a `;` terminated it.
-        semi: bool,
     },
-    /// A nested item (fn, use, const, ... inside a block).
-    Item(Box<Item>),
-    /// A stray `;`.
-    Empty,
 }
 
-/// A pattern.
-#[derive(Debug, PartialEq)]
-pub enum Pat {
-    /// `_`
-    Wild,
-    /// `ref? mut? name (@ subpattern)?`
-    Ident {
-        /// Bound name.
-        name: String,
-        /// `ref` binding.
-        by_ref: bool,
-        /// `mut` binding.
-        is_mut: bool,
-        /// `name @ pat` sub-pattern.
-        sub: Option<Box<Pat>>,
-    },
-    /// A path pattern: unit variant or const (`HealthState::Open`).
-    Path {
-        /// Path segments.
-        segs: Vec<String>,
-    },
-    /// `Path(p1, p2)` tuple-struct pattern.
-    TupleStruct {
-        /// Path segments.
-        segs: Vec<String>,
-        /// Element patterns.
-        elems: Vec<Pat>,
-    },
-    /// `Path { field: pat, shorthand, .. }` struct pattern.
-    Struct {
-        /// Path segments.
-        segs: Vec<String>,
-        /// `(field name, sub-pattern)`; `None` sub = shorthand binding.
-        fields: Vec<(String, Option<Pat>)>,
-        /// Trailing `..`.
-        rest: bool,
-    },
-    /// `(p1, p2)` tuple pattern (also grouping parens when len 1).
-    Tuple(Vec<Pat>),
-    /// `& mut? pat`
-    Ref {
-        /// `&mut` vs `&`.
-        is_mut: bool,
-        /// Inner pattern.
-        pat: Box<Pat>,
-    },
-    /// `[p1, p2, ..]` slice pattern.
-    Slice(Vec<Pat>),
-    /// A literal pattern (`1`, `""`, `-3`, `true`).
-    Lit(String),
-    /// `lo ..= hi` / `lo .. hi` range pattern (token texts).
-    Range {
-        /// Low endpoint literal/path text.
-        lo: Option<String>,
-        /// High endpoint literal/path text.
-        hi: Option<String>,
-        /// `..=` vs `..`.
-        inclusive: bool,
-    },
-    /// `p1 | p2` or-pattern.
-    Or(Vec<Pat>),
-    /// `..` rest pattern.
-    Rest,
+/// A pattern, reduced to the names it binds.
+#[derive(Debug)]
+pub struct Pat {
+    /// Every name the pattern binds, in source order.
+    pub names: Vec<String>,
+    /// True when the whole pattern is one binding (`x`, `mut x`,
+    /// `ref x`, `x @ ..`): the first name then names the value itself.
+    pub is_binding: bool,
 }
 
 impl Pat {
-    /// Collects all names this pattern binds into `out`.
-    pub fn bound_names<'p>(&'p self, out: &mut Vec<&'p str>) {
-        match self {
-            Pat::Ident { name, sub, .. } => {
-                out.push(name);
-                if let Some(s) = sub {
-                    s.bound_names(out);
-                }
-            }
-            Pat::TupleStruct { elems, .. } => {
-                for p in elems {
-                    p.bound_names(out);
-                }
-            }
-            Pat::Struct { fields, .. } => {
-                for (name, sub) in fields {
-                    match sub {
-                        Some(p) => p.bound_names(out),
-                        None => out.push(name),
-                    }
-                }
-            }
-            Pat::Tuple(ps) | Pat::Or(ps) | Pat::Slice(ps) => {
-                for p in ps {
-                    p.bound_names(out);
-                }
-            }
-            Pat::Ref { pat, .. } => pat.bound_names(out),
-            Pat::Wild | Pat::Path { .. } | Pat::Lit(_) | Pat::Range { .. } | Pat::Rest => {}
+    /// The bound name when the pattern is a plain binding.
+    pub fn binding(&self) -> Option<&str> {
+        match self.names.first() {
+            Some(name) if self.is_binding => Some(name),
+            _ => None,
         }
     }
 }
 
-/// A match arm.
-#[derive(Debug, PartialEq)]
+/// A match arm (its pattern is parsed past).
+#[derive(Debug)]
 pub struct Arm {
-    /// The arm pattern (an [`Pat::Or`] for `a | b` arms).
-    pub pat: Pat,
     /// `if` guard.
     pub guard: Option<Expr>,
     /// Arm body.
@@ -397,7 +200,7 @@ pub struct Arm {
 }
 
 /// An expression.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub enum Expr {
     /// `a::b::c` (turbofish type arguments are dropped at parse time).
     Path {
@@ -408,8 +211,6 @@ pub enum Expr {
     },
     /// A literal (`1`, `1.5`, `""`, `''`, `true`, `false`).
     Lit {
-        /// Cooked token text.
-        text: String,
         /// Position.
         span: Span,
     },
@@ -460,8 +261,6 @@ pub enum Expr {
     },
     /// `lhs op rhs` for all binary operators.
     Binary {
-        /// Operator text.
-        op: String,
         /// Left operand.
         lhs: Box<Expr>,
         /// Right operand.
@@ -469,8 +268,6 @@ pub enum Expr {
     },
     /// `lhs = rhs`, `lhs += rhs`, ...
     Assign {
-        /// Operator text (`=`, `+=`, ...).
-        op: String,
         /// Assignee.
         lhs: Box<Expr>,
         /// Value.
@@ -480,8 +277,6 @@ pub enum Expr {
     Cast {
         /// Value.
         expr: Box<Expr>,
-        /// Target type tokens.
-        ty: Vec<String>,
     },
     /// `lo .. hi`, `lo ..= hi`, `..`, `lo..`, `..hi`
     Range {
@@ -489,8 +284,6 @@ pub enum Expr {
         lo: Option<Box<Expr>>,
         /// High endpoint.
         hi: Option<Box<Expr>>,
-        /// `..=` vs `..`.
-        inclusive: bool,
     },
     /// `expr?`
     Try {
@@ -499,10 +292,6 @@ pub enum Expr {
     },
     /// `move? |params| body`
     Closure {
-        /// `move` capture.
-        is_move: bool,
-        /// Parameter patterns (type annotations dropped).
-        params: Vec<Pat>,
         /// Body expression.
         body: Box<Expr>,
         /// Position of the opening `|`.
@@ -535,28 +324,20 @@ pub enum Expr {
         /// Position of `match`.
         span: Span,
     },
-    /// `('label:)? while cond { body }`
+    /// `while cond { body }`
     While {
-        /// Optional label.
-        label: Option<String>,
         /// Condition (may be [`Expr::LetCond`]).
         cond: Box<Expr>,
         /// Body.
         body: Block,
     },
-    /// `('label:)? loop { body }`
+    /// `loop { body }`
     Loop {
-        /// Optional label.
-        label: Option<String>,
         /// Body.
         body: Block,
     },
-    /// `('label:)? for pat in iter { body }`
+    /// `for pat in iter { body }`
     For {
-        /// Optional label.
-        label: Option<String>,
-        /// Loop pattern.
-        pat: Pat,
         /// Iterated expression.
         iter: Box<Expr>,
         /// Body.
@@ -569,22 +350,17 @@ pub enum Expr {
     },
     /// `break 'label? expr?`
     Break {
-        /// Loop label.
-        label: Option<String>,
         /// Break value.
         expr: Option<Box<Expr>>,
     },
     /// `continue 'label?`
-    Continue {
-        /// Loop label.
-        label: Option<String>,
-    },
+    Continue,
     /// `Path { field: expr, shorthand, ..base }`
     StructLit {
         /// Path segments.
         segs: Vec<String>,
-        /// `(name, value)`; `None` value = shorthand.
-        fields: Vec<(String, Option<Expr>)>,
+        /// The explicit field values (a shorthand field has none).
+        fields: Vec<Expr>,
         /// `..base` functional-update expression.
         base: Option<Box<Expr>>,
         /// Position of the path start.
@@ -602,14 +378,9 @@ pub enum Expr {
         /// Length expression.
         len: Box<Expr>,
     },
-    /// `path!(...)` / `path![...]` / `path! { ... }` — raw token tree.
+    /// `path!(...)` / `path![...]` / `path! { ... }` — an opaque leaf:
+    /// no analysis looks inside a macro invocation.
     MacroCall {
-        /// Macro path segments.
-        segs: Vec<String>,
-        /// Delimiter: `(`, `[`, or `{`.
-        delim: char,
-        /// Cooked tokens inside the delimiters.
-        tokens: Vec<String>,
         /// Position of the macro path.
         span: Span,
     },
@@ -620,7 +391,7 @@ impl Expr {
     pub fn span(&self) -> Span {
         match self {
             Expr::Path { span, .. }
-            | Expr::Lit { span, .. }
+            | Expr::Lit { span }
             | Expr::Call { span, .. }
             | Expr::MethodCall { span, .. }
             | Expr::Field { span, .. }
@@ -628,25 +399,24 @@ impl Expr {
             | Expr::Closure { span, .. }
             | Expr::Match { span, .. }
             | Expr::StructLit { span, .. }
-            | Expr::MacroCall { span, .. } => *span,
+            | Expr::MacroCall { span } => *span,
             Expr::Unary { expr, .. }
-            | Expr::Cast { expr, .. }
+            | Expr::Cast { expr }
             | Expr::Try { expr }
             | Expr::LetCond { expr, .. } => expr.span(),
             Expr::Binary { lhs, .. } | Expr::Assign { lhs, .. } => lhs.span(),
             Expr::Block(b) => b.span,
             Expr::If { then, .. } => then.span,
-            Expr::While { body, .. } | Expr::Loop { body, .. } | Expr::For { body, .. } => {
-                body.span
-            }
-            Expr::Range { lo, hi, .. } => lo
+            Expr::While { body, .. } | Expr::Loop { body } | Expr::For { body, .. } => body.span,
+            Expr::Range { lo, hi } => lo
                 .as_deref()
                 .or(hi.as_deref())
                 .map(Expr::span)
                 .unwrap_or_else(Span::zero),
-            Expr::Return { expr } => expr.as_deref().map(Expr::span).unwrap_or_else(Span::zero),
-            Expr::Break { expr, .. } => expr.as_deref().map(Expr::span).unwrap_or_else(Span::zero),
-            Expr::Continue { .. } => Span::zero(),
+            Expr::Return { expr } | Expr::Break { expr } => {
+                expr.as_deref().map(Expr::span).unwrap_or_else(Span::zero)
+            }
+            Expr::Continue => Span::zero(),
             Expr::Tuple(es) | Expr::Array(es) => {
                 es.first().map(Expr::span).unwrap_or_else(Span::zero)
             }
@@ -660,121 +430,126 @@ impl Expr {
 // ---------------------------------------------------------------------
 
 /// Pre-order walk of every expression in a block (including nested
-/// blocks, closures, and initializers of nested `const` items).
+/// blocks, closures and `let … else` blocks).
 pub fn walk_block<'a>(b: &'a Block, visit: &mut dyn FnMut(&'a Expr)) {
-    for s in &b.stmts {
+    walk_block_if(b, &|_| true, visit);
+}
+
+/// [`walk_block`] over the statements `keep` accepts, at every depth.
+pub fn walk_block_if<'a>(
+    b: &'a Block,
+    keep: &dyn Fn(&Stmt) -> bool,
+    visit: &mut dyn FnMut(&'a Expr),
+) {
+    for s in b.stmts.iter().filter(|s| keep(s)) {
         match s {
-            Stmt::Let { init, .. } => {
+            Stmt::Let {
+                init, else_block, ..
+            } => {
                 if let Some(e) = init {
-                    walk_expr(e, visit);
+                    walk_expr_if(e, keep, visit);
+                }
+                if let Some(eb) = else_block {
+                    walk_block_if(eb, keep, visit);
                 }
             }
-            Stmt::Expr { expr, .. } => walk_expr(expr, visit),
-            Stmt::Item(item) => {
-                if let ItemKind::Const { value, .. } | ItemKind::Static { value, .. } = &item.kind {
-                    walk_expr(value, visit);
-                }
-            }
-            Stmt::Empty => {}
+            Stmt::Expr { expr, .. } => walk_expr_if(expr, keep, visit),
         }
     }
 }
 
 /// Pre-order walk: `visit(e)` first, then all sub-expressions.
 pub fn walk_expr<'a>(e: &'a Expr, visit: &mut dyn FnMut(&'a Expr)) {
+    walk_expr_if(e, &|_| true, visit);
+}
+
+fn walk_expr_if<'a>(e: &'a Expr, keep: &dyn Fn(&Stmt) -> bool, visit: &mut dyn FnMut(&'a Expr)) {
     visit(e);
     match e {
-        Expr::Path { .. } | Expr::Lit { .. } | Expr::Continue { .. } | Expr::MacroCall { .. } => {}
+        Expr::Path { .. } | Expr::Lit { .. } | Expr::Continue | Expr::MacroCall { .. } => {}
         Expr::Call { callee, args, .. } => {
-            walk_expr(callee, visit);
+            walk_expr_if(callee, keep, visit);
             for a in args {
-                walk_expr(a, visit);
+                walk_expr_if(a, keep, visit);
             }
         }
         Expr::MethodCall { recv, args, .. } => {
-            walk_expr(recv, visit);
+            walk_expr_if(recv, keep, visit);
             for a in args {
-                walk_expr(a, visit);
+                walk_expr_if(a, keep, visit);
             }
         }
-        Expr::Field { recv, .. } => walk_expr(recv, visit),
+        Expr::Field { recv, .. } => walk_expr_if(recv, keep, visit),
         Expr::Index { recv, index, .. } => {
-            walk_expr(recv, visit);
-            walk_expr(index, visit);
+            walk_expr_if(recv, keep, visit);
+            walk_expr_if(index, keep, visit);
         }
         Expr::Unary { expr, .. }
-        | Expr::Cast { expr, .. }
+        | Expr::Cast { expr }
         | Expr::Try { expr }
-        | Expr::LetCond { expr, .. } => walk_expr(expr, visit),
-        Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-            walk_expr(lhs, visit);
-            walk_expr(rhs, visit);
+        | Expr::LetCond { expr, .. } => walk_expr_if(expr, keep, visit),
+        Expr::Binary { lhs, rhs } | Expr::Assign { lhs, rhs } => {
+            walk_expr_if(lhs, keep, visit);
+            walk_expr_if(rhs, keep, visit);
         }
-        Expr::Range { lo, hi, .. } => {
+        Expr::Range { lo, hi } => {
             if let Some(lo) = lo {
-                walk_expr(lo, visit);
+                walk_expr_if(lo, keep, visit);
             }
             if let Some(hi) = hi {
-                walk_expr(hi, visit);
+                walk_expr_if(hi, keep, visit);
             }
         }
-        Expr::Closure { body, .. } => walk_expr(body, visit),
-        Expr::Block(b) => walk_block(b, visit),
+        Expr::Closure { body, .. } => walk_expr_if(body, keep, visit),
+        Expr::Block(b) => walk_block_if(b, keep, visit),
         Expr::If { cond, then, else_ } => {
-            walk_expr(cond, visit);
-            walk_block(then, visit);
+            walk_expr_if(cond, keep, visit);
+            walk_block_if(then, keep, visit);
             if let Some(else_) = else_ {
-                walk_expr(else_, visit);
+                walk_expr_if(else_, keep, visit);
             }
         }
         Expr::Match {
             scrutinee, arms, ..
         } => {
-            walk_expr(scrutinee, visit);
+            walk_expr_if(scrutinee, keep, visit);
             for arm in arms {
                 if let Some(g) = &arm.guard {
-                    walk_expr(g, visit);
+                    walk_expr_if(g, keep, visit);
                 }
-                walk_expr(&arm.body, visit);
+                walk_expr_if(&arm.body, keep, visit);
             }
         }
-        Expr::While { cond, body, .. } => {
-            walk_expr(cond, visit);
-            walk_block(body, visit);
+        Expr::While { cond, body } => {
+            walk_expr_if(cond, keep, visit);
+            walk_block_if(body, keep, visit);
         }
-        Expr::Loop { body, .. } => walk_block(body, visit),
-        Expr::For { iter, body, .. } => {
-            walk_expr(iter, visit);
-            walk_block(body, visit);
+        Expr::Loop { body } => walk_block_if(body, keep, visit),
+        Expr::For { iter, body } => {
+            walk_expr_if(iter, keep, visit);
+            walk_block_if(body, keep, visit);
         }
-        Expr::Return { expr } => {
+        Expr::Return { expr } | Expr::Break { expr } => {
             if let Some(e) = expr {
-                walk_expr(e, visit);
-            }
-        }
-        Expr::Break { expr, .. } => {
-            if let Some(e) = expr {
-                walk_expr(e, visit);
+                walk_expr_if(e, keep, visit);
             }
         }
         Expr::StructLit { fields, base, .. } => {
-            for (_, v) in fields {
-                if let Some(v) = v {
-                    walk_expr(v, visit);
-                }
+            for v in fields {
+                walk_expr_if(v, keep, visit);
             }
             if let Some(b) = base {
-                walk_expr(b, visit);
+                walk_expr_if(b, keep, visit);
             }
         }
         Expr::Tuple(es) | Expr::Array(es) => {
             for e in es {
-                walk_expr(e, visit);
+                walk_expr_if(e, keep, visit);
             }
         }
         Expr::ArrayRepeat { elem, len } => {
-            walk_expr(elem, visit);
-            walk_expr(len, visit);
+            walk_expr_if(elem, keep, visit);
+            walk_expr_if(len, keep, visit);
         }
     }
 }

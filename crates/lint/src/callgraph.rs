@@ -12,7 +12,7 @@
 
 use crate::ast::*;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// One function (free or associated) in the workspace.
 pub struct FnNode<'a> {
@@ -28,23 +28,8 @@ pub struct FnNode<'a> {
     pub name: &'a str,
     /// The definition.
     pub def: &'a FnDef,
-    /// True for `pub` / `pub(..)` functions.
-    pub is_pub: bool,
     /// True for `#[test]`/`#[cfg(test)]` code (incl. enclosing mods).
     pub is_test: bool,
-}
-
-/// One resolved call edge.
-#[derive(Clone)]
-pub struct Edge {
-    /// Callee node index.
-    pub callee: usize,
-    /// Call-site span in the caller's file.
-    pub span: Span,
-    /// Display form of the call site (`writer.send`, `plan_round`);
-    /// consumed by the call-graph tests when asserting edge shape.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub via: String,
 }
 
 /// The linked workspace call graph.
@@ -52,9 +37,9 @@ pub struct CallGraph<'a> {
     /// All function nodes, in file order (deterministic).
     pub fns: Vec<FnNode<'a>>,
     /// `(crate, type, field)` → field type tokens.
-    pub field_ty: HashMap<(String, String, String), &'a [String]>,
-    /// Outgoing edges per node, deduped, in call-site order.
-    pub edges: Vec<Vec<Edge>>,
+    pub field_ty: BTreeMap<(String, String, String), &'a [String]>,
+    /// Callees per node, deduped, in first-call-site order.
+    pub edges: Vec<Vec<usize>>,
     by_name: HashMap<&'a str, Vec<usize>>,
     by_type_method: HashMap<(String, &'a str), Vec<usize>>,
 }
@@ -91,7 +76,7 @@ impl<'a> CallGraph<'a> {
     pub fn build(files: &'a [File]) -> CallGraph<'a> {
         let mut g = CallGraph {
             fns: Vec::new(),
-            field_ty: HashMap::new(),
+            field_ty: BTreeMap::new(),
             edges: Vec::new(),
             by_name: HashMap::new(),
             by_type_method: HashMap::new(),
@@ -138,11 +123,10 @@ impl<'a> CallGraph<'a> {
                     self_ty: self_ty.map(str::to_string),
                     name: &def.name,
                     def,
-                    is_pub: item.vis.is_pub(),
                     is_test: test,
                 });
             }
-            ItemKind::Struct { name, fields, .. } => {
+            ItemKind::Struct { name, fields } => {
                 for f in fields {
                     self.field_ty.insert(
                         (file.crate_name.clone(), name.clone(), f.name.clone()),
@@ -153,28 +137,23 @@ impl<'a> CallGraph<'a> {
             ItemKind::Impl {
                 self_ty: ty_tokens,
                 items,
-                ..
             } => {
                 let head = type_head(ty_tokens).map(str::to_string);
                 for it in items {
                     self.collect_item(file, it, head.as_deref(), test);
                 }
             }
-            ItemKind::Trait { items, .. }
-            | ItemKind::Mod {
-                items: Some(items), ..
-            } => {
+            ItemKind::Scope(items) => {
                 for it in items {
                     self.collect_item(file, it, self_ty, test);
                 }
             }
-            _ => {}
+            ItemKind::Other => {}
         }
     }
 
     /// Node index lookup by `(self_ty, name)`; `None` ty = free fn.
-    /// Test-only convenience — analyses walk `fns` directly.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn find(&self, crate_name: &str, self_ty: Option<&str>, name: &str) -> Option<usize> {
         self.fns.iter().position(|f| {
             f.crate_name == crate_name && f.name == name && f.self_ty.as_deref() == self_ty
@@ -340,7 +319,7 @@ impl<'a> CallGraph<'a> {
     pub fn locals_of(&self, node: &FnNode<'a>) -> HashMap<&'a str, String> {
         let mut locals: HashMap<&'a str, String> = HashMap::new();
         for p in &node.def.params {
-            if let (Some(name), Some(head)) = (p.name(), type_head(&p.ty)) {
+            if let (Some(name), Some(head)) = (p.pat.binding(), type_head(&p.ty)) {
                 locals.insert(name, head.to_string());
             }
         }
@@ -351,52 +330,36 @@ impl<'a> CallGraph<'a> {
         locals
     }
 
-    fn edges_of(&self, idx: usize) -> Vec<Edge> {
+    fn edges_of(&self, idx: usize) -> Vec<usize> {
         let node = &self.fns[idx];
         let Some(body) = &node.def.body else {
             return Vec::new();
         };
         let locals = self.locals_of(node);
-        let mut edges: Vec<Edge> = Vec::new();
-        let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
+        let mut edges: Vec<usize> = Vec::new();
+        let mut seen: BTreeSet<usize> = BTreeSet::new();
         walk_block(body, &mut |e| {
-            let (cands, span, via) = match e {
-                Expr::Call { callee, span, .. } => match &**callee {
-                    Expr::Path { segs, .. } => {
-                        (self.resolve_path(node, segs), *span, segs.join("::"))
-                    }
+            let cands = match e {
+                Expr::Call { callee, .. } => match &**callee {
+                    Expr::Path { segs, .. } => self.resolve_path(node, segs),
                     _ => return,
                 },
-                Expr::MethodCall {
-                    recv, method, span, ..
-                } => {
+                Expr::MethodCall { recv, method, .. } => {
                     let ty = self.infer_ty(node, &locals, recv);
-                    (
-                        self.resolve_method(ty.as_deref(), method),
-                        *span,
-                        format!(".{method}"),
-                    )
+                    self.resolve_method(ty.as_deref(), method)
                 }
                 _ => return,
             };
-            for c in cands {
-                if seen.insert((c, span.line, span.col)) {
-                    edges.push(Edge {
-                        callee: c,
-                        span,
-                        via: via.clone(),
-                    });
-                }
-            }
+            edges.extend(cands.into_iter().filter(|&c| seen.insert(c)));
         });
         edges
     }
 
-    /// BFS from `roots`; returns, for every reachable node, the parent
-    /// edge it was discovered through (roots map to `None`). Use
+    /// BFS from `roots`; returns, for every reachable node, the caller
+    /// it was discovered through (roots map to `None`). Use
     /// [`CallGraph::witness`] to reconstruct a call chain.
-    pub fn reach(&self, roots: &[usize]) -> HashMap<usize, Option<(usize, Span)>> {
-        let mut parent: HashMap<usize, Option<(usize, Span)>> = HashMap::new();
+    pub fn reach(&self, roots: &[usize]) -> HashMap<usize, Option<usize>> {
+        let mut parent: HashMap<usize, Option<usize>> = HashMap::new();
         let mut q: VecDeque<usize> = VecDeque::new();
         for &r in roots {
             if let Entry::Vacant(slot) = parent.entry(r) {
@@ -405,10 +368,10 @@ impl<'a> CallGraph<'a> {
             }
         }
         while let Some(n) = q.pop_front() {
-            for e in &self.edges[n] {
-                if let Entry::Vacant(slot) = parent.entry(e.callee) {
-                    slot.insert(Some((n, e.span)));
-                    q.push_back(e.callee);
+            for &callee in &self.edges[n] {
+                if let Entry::Vacant(slot) = parent.entry(callee) {
+                    slot.insert(Some(n));
+                    q.push_back(callee);
                 }
             }
         }
@@ -416,14 +379,10 @@ impl<'a> CallGraph<'a> {
     }
 
     /// Reconstructs a `root -> ... -> node` chain of fn ids.
-    pub fn witness(
-        &self,
-        parent: &HashMap<usize, Option<(usize, Span)>>,
-        node: usize,
-    ) -> Vec<String> {
+    pub fn witness(&self, parent: &HashMap<usize, Option<usize>>, node: usize) -> Vec<String> {
         let mut chain = vec![self.fns[node].id.clone()];
         let mut cur = node;
-        while let Some(Some((p, _))) = parent.get(&cur) {
+        while let Some(Some(p)) = parent.get(&cur) {
             chain.push(self.fns[*p].id.clone());
             cur = *p;
         }
@@ -481,19 +440,13 @@ fn collect_let_types<'a>(
     for _ in 0..2 {
         let visit = |b: &'a Block, locals: &mut HashMap<&'a str, String>| {
             for s in &b.stmts {
-                if let Stmt::Let {
-                    pat: Pat::Ident { name, .. },
-                    ty,
-                    init,
-                    ..
-                } = s
-                {
+                if let Stmt::Let { pat, ty, init, .. } = s {
                     let head = ty
                         .as_ref()
                         .and_then(|t| type_head(t).map(str::to_string))
                         .or_else(|| init.as_ref().and_then(|e| g.infer_ty(node, locals, e)));
-                    if let Some(h) = head {
-                        locals.insert(name.as_str(), h);
+                    if let (Some(name), Some(h)) = (pat.binding(), head) {
+                        locals.insert(name, h);
                     }
                 }
             }
@@ -513,9 +466,7 @@ fn collect_let_types<'a>(
                     blocks.push(then);
                     let _ = else_;
                 }
-                if let Expr::While { body, .. } | Expr::Loop { body, .. } | Expr::For { body, .. } =
-                    e
-                {
+                if let Expr::While { body, .. } | Expr::Loop { body } | Expr::For { body, .. } = e {
                     blocks.push(body);
                 }
             });
@@ -551,10 +502,8 @@ mod tests {
         )]);
         let g = CallGraph::build(&fs);
         let run = g.find("a", Some("S"), "run").expect("run node");
-        let via: Vec<&str> = g.edges[run].iter().map(|e| e.via.as_str()).collect();
-        assert_eq!(via, vec![".send", "helper"]);
-        let send = g.find("a", Some("W"), "send").expect("send node");
-        assert!(g.edges[run].iter().any(|e| e.callee == send));
+        let callees: Vec<&str> = g.edges[run].iter().map(|&c| g.fns[c].id.as_str()).collect();
+        assert_eq!(callees, vec!["a::W::send", "a::helper"]);
     }
 
     #[test]
@@ -577,10 +526,9 @@ mod tests {
         let go = g.find("a", Some("S"), "go").expect("go");
         let conn_send = g.find("a", Some("Conn"), "send").expect("conn send");
         let sink_send = g.find("b", Some("Sink"), "send").expect("sink send");
-        let callees: Vec<usize> = g.edges[go].iter().map(|e| e.callee).collect();
-        assert!(callees.contains(&conn_send));
+        assert!(g.edges[go].contains(&conn_send));
         assert!(
-            !callees.contains(&sink_send),
+            !g.edges[go].contains(&sink_send),
             "field type must disambiguate"
         );
     }
@@ -614,6 +562,6 @@ mod tests {
         let g = CallGraph::build(&fs);
         let f = g.find("a", None, "f").expect("f");
         let ping = g.find("a", Some("X"), "ping").expect("ping");
-        assert!(g.edges[f].iter().any(|e| e.callee == ping));
+        assert!(g.edges[f].contains(&ping));
     }
 }

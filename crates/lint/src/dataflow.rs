@@ -1,28 +1,18 @@
-//! Call-graph dataflow analyses (DESIGN.md §14).
+//! Call-graph analyses (DESIGN.md §14).
 //!
-//! Four analyses run over the parsed AST and the workspace call graph:
+//! Two analyses run over the parsed AST and the workspace call graph:
 //!
 //! * **lock discipline** — infers a lock-acquisition order over named
 //!   `Mutex` fields, flags order inversions, double-acquisition on any
 //!   path, and blocking calls (channel send/recv, stream I/O, `join`)
 //!   made while a lock is held, directly or through the call graph.
-//! * **determinism taint** — nondeterminism sources (`Instant::now`,
-//!   `SystemTime::now`, `HashMap`/`HashSet` iteration, thread ids)
-//!   are taint roots (an unseeded RNG is not among them: `vdx-rand`
-//!   has no such constructor); taint propagating into an
-//!   `Event` construction site outside the sanctioned `obs::timing`
-//!   sink is an error.
-//! * **panic-path reachability** — `unwrap`/`expect`/indexing sites
-//!   transitively reachable from the daemon entry points, with
-//!   lock-poisoning `expect`s sanctioned.
-//! * **unit escape** — raw `f64` extracted from `vdx-units` newtypes
-//!   (`.as_f64()`, `.into_inner()`, `.0`) flowing into arithmetic or a
-//!   public `f64` signature without re-wrapping.
+//! * **panic-path reachability** — `expect`/indexing sites transitively
+//!   reachable from the daemon entry points, with lock-poisoning
+//!   `expect`s sanctioned.
 //!
 //! Soundness posture: over-approximate call resolution (inherited from
-//! [`CallGraph`]), flow-insensitive local taint with a two-pass
-//! fixpoint, and heuristic guard scoping for locks. Known holes are
-//! documented per-analysis in DESIGN.md §14.
+//! [`CallGraph`]) and heuristic guard scoping for locks. What each
+//! analysis is known to miss is listed by name in DESIGN.md §14.
 
 use crate::ast::*;
 use crate::callgraph::{type_head, CallGraph, FnNode};
@@ -39,15 +29,6 @@ pub struct DfConfig {
     pub panic_roots: Vec<(String, Option<String>, String)>,
     /// Crates where indexing sites are flagged as panic paths.
     pub index_panic_crates: Vec<String>,
-    /// Files whose fns are sanctioned determinism sinks: taint neither
-    /// propagates out of them nor triggers on sinks inside them.
-    pub taint_sanctioned_files: Vec<String>,
-    /// Type name whose construction sites are determinism sinks.
-    pub event_type: String,
-    /// Unit newtype heads tracked by the unit-escape analysis.
-    pub unit_types: Vec<String>,
-    /// Crates exempt from unit-escape (where the newtypes live).
-    pub unit_def_crates: Vec<String>,
 }
 
 impl DfConfig {
@@ -93,28 +74,15 @@ impl DfConfig {
                 ("vdx-core".to_string(), None, "replay".to_string()),
             ],
             index_panic_crates: vec!["vdx-exchanged".to_string()],
-            taint_sanctioned_files: vec!["crates/obs/src/timing.rs".to_string()],
-            event_type: "Event".to_string(),
-            unit_types: vec![
-                "Kbps".to_string(),
-                "Gb".to_string(),
-                "Usd".to_string(),
-                "UsdPerGb".to_string(),
-                "Margin".to_string(),
-            ],
-            unit_def_crates: vec!["vdx-units".to_string()],
         }
     }
 }
 
-/// Runs all four analyses; findings come back deterministically
-/// sorted.
+/// Runs both analyses; findings come back deterministically sorted.
 pub fn analyze(g: &CallGraph<'_>, cfg: &DfConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     lock_discipline(g, cfg, &mut findings);
-    determinism_taint(g, cfg, &mut findings);
     panic_paths(g, cfg, &mut findings);
-    unit_escape(g, cfg, &mut findings);
     findings.sort_by(|a, b| {
         (a.rule, &a.file, a.line, a.col, a.kind, &a.message)
             .cmp(&(b.rule, &b.file, b.line, b.col, b.kind, &b.message))
@@ -273,7 +241,7 @@ fn blocking_fixpoint<'a>(
         let node = &g.fns[idx];
         let Some(body) = &node.def.body else { continue };
         let locals = g.locals_of(node);
-        let aliases = lock_aliases(g, node, &locals, body, lock_fields);
+        let aliases = lock_aliases(body, lock_fields);
         let skip = spans_under_spawn(body);
         walk_block(body, &mut |e| {
             let s = e.span();
@@ -408,7 +376,7 @@ fn lock_name(
             Expr::Index { recv, .. } | Expr::MethodCall { recv, .. } => {
                 go(recv, lock_fields, aliases)
             }
-            Expr::Unary { expr, .. } | Expr::Try { expr } | Expr::Cast { expr, .. } => {
+            Expr::Unary { expr, .. } | Expr::Try { expr } | Expr::Cast { expr } => {
                 go(expr, lock_fields, aliases)
             }
             Expr::Path { segs, .. } => {
@@ -428,21 +396,16 @@ fn lock_name(
 /// Flow-insensitive `local -> lock name` aliases from `let` bindings
 /// whose initializer references a known `Mutex` field
 /// (`let slot = &self.shared.slots[i];`).
-fn lock_aliases<'a>(
-    _g: &CallGraph<'a>,
-    _node: &FnNode<'a>,
-    _locals: &HashMap<&'a str, String>,
-    body: &'a Block,
-    lock_fields: &BTreeSet<String>,
-) -> HashMap<String, String> {
+fn lock_aliases(body: &Block, lock_fields: &BTreeSet<String>) -> HashMap<String, String> {
     let mut aliases = HashMap::new();
     for s in stmts_in_order(body) {
         if let Stmt::Let {
-            pat: Pat::Ident { name, .. },
+            pat,
             init: Some(init),
             ..
         } = s
         {
+            let Some(name) = pat.binding() else { continue };
             // Only alias expressions that do NOT consume the guard:
             // `let slot = &self.shared.slots[i]` aliases, while
             // `let v = self.shared.slots[i].lock()...` is a guard and
@@ -457,7 +420,7 @@ fn lock_aliases<'a>(
                 _ => {}
             });
             if let (Some(l), false) = (found, has_call) {
-                aliases.insert(name.clone(), l);
+                aliases.insert(name.to_string(), l);
             }
         }
     }
@@ -480,7 +443,7 @@ fn stmts_in_order<'a>(body: &'a Block) -> Vec<&'a Stmt> {
         match e {
             Expr::Block(b) => push_block(b, &mut out),
             Expr::If { then, .. } => push_block(then, &mut out),
-            Expr::While { body, .. } | Expr::Loop { body, .. } | Expr::For { body, .. } => {
+            Expr::While { body, .. } | Expr::Loop { body } | Expr::For { body, .. } => {
                 push_block(body, &mut out)
             }
             _ => {}
@@ -557,11 +520,7 @@ impl<'s, 'a> LockScan<'s, 'a> {
                     ..
                 } => {
                     if let Some(e) = init {
-                        let guard = match pat {
-                            Pat::Ident { name, .. } => Some(name.as_str()),
-                            _ => None,
-                        };
-                        self.scan_expr(e, held, guard);
+                        self.scan_expr(e, held, pat.binding());
                     }
                     if let Some(eb) = else_block {
                         self.scan_block(eb, held);
@@ -573,7 +532,6 @@ impl<'s, 'a> LockScan<'s, 'a> {
                     }
                     self.scan_expr(expr, held, None);
                 }
-                Stmt::Item(_) | Stmt::Empty => {}
             }
             let floor = stmt_base.min(held.len());
             let kept: Vec<Held> = held.drain(floor..).filter(|h| h.block_scoped).collect();
@@ -772,44 +730,42 @@ impl<'s, 'a> LockScan<'s, 'a> {
                 let kept: Vec<Held> = held.drain(floor..).filter(|h| h.block_scoped).collect();
                 held.extend(kept);
             }
-            Expr::While { cond, body, .. } => {
+            Expr::While { cond, body } => {
                 let base = held.len();
                 self.scan_expr(cond, held, None);
                 self.scan_block(body, held);
                 let floor = base.min(held.len());
                 held.truncate(floor);
             }
-            Expr::For { iter, body, .. } => {
+            Expr::For { iter, body } => {
                 let base = held.len();
                 self.scan_expr(iter, held, None);
                 self.scan_block(body, held);
                 let floor = base.min(held.len());
                 held.truncate(floor);
             }
-            Expr::Loop { body, .. } => self.scan_block(body, held),
+            Expr::Loop { body } => self.scan_block(body, held),
             Expr::Block(b) => self.scan_block(b, held),
             Expr::Closure { body, .. } => self.scan_expr(body, held, None),
             Expr::LetCond { pat, expr } => {
                 // `if let Ok(g) = m.lock()`: the guard lives through
                 // the success branch; bind it so `drop(g)` releases.
-                let mut names = Vec::new();
-                pat.bound_names(&mut names);
-                let guard = names.first().copied();
+                let guard = pat.names.first().map(String::as_str);
                 self.scan_expr(expr, held, guard);
             }
             Expr::Try { expr } => self.scan_expr(expr, held, spine),
             Expr::Unary { expr, .. } => self.scan_expr(expr, held, spine),
-            Expr::Cast { expr, .. } => self.scan_expr(expr, held, None),
+            Expr::Cast { expr } => self.scan_expr(expr, held, None),
             Expr::Field { recv, .. } => self.scan_expr(recv, held, None),
             Expr::Index { recv, index, .. } => {
                 self.scan_expr(recv, held, None);
                 self.scan_expr(index, held, None);
             }
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
+            Expr::Binary { lhs, rhs } | Expr::Assign { lhs, rhs } => {
                 self.scan_expr(lhs, held, None);
                 self.scan_expr(rhs, held, None);
             }
-            Expr::Range { lo, hi, .. } => {
+            Expr::Range { lo, hi } => {
                 if let Some(lo) = lo {
                     self.scan_expr(lo, held, None);
                 }
@@ -817,21 +773,14 @@ impl<'s, 'a> LockScan<'s, 'a> {
                     self.scan_expr(hi, held, None);
                 }
             }
-            Expr::Return { expr } => {
-                if let Some(e) = expr {
-                    self.scan_expr(e, held, None);
-                }
-            }
-            Expr::Break { expr, .. } => {
+            Expr::Return { expr } | Expr::Break { expr } => {
                 if let Some(e) = expr {
                     self.scan_expr(e, held, None);
                 }
             }
             Expr::StructLit { fields, base, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        self.scan_expr(v, held, None);
-                    }
+                for v in fields {
+                    self.scan_expr(v, held, None);
                 }
                 if let Some(b) = base {
                     self.scan_expr(b, held, None);
@@ -846,10 +795,7 @@ impl<'s, 'a> LockScan<'s, 'a> {
                 self.scan_expr(elem, held, None);
                 self.scan_expr(len, held, None);
             }
-            Expr::Path { .. }
-            | Expr::Lit { .. }
-            | Expr::Continue { .. }
-            | Expr::MacroCall { .. } => {}
+            Expr::Path { .. } | Expr::Lit { .. } | Expr::Continue | Expr::MacroCall { .. } => {}
         }
     }
 }
@@ -871,7 +817,7 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding
         }
         let Some(body) = &node.def.body else { continue };
         let locals = g.locals_of(node);
-        let aliases = lock_aliases(g, node, &locals, body, &lock_fields);
+        let aliases = lock_aliases(body, &lock_fields);
         let mut scan = LockScan {
             g,
             idx,
@@ -909,396 +855,6 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding
 }
 
 // ---------------------------------------------------------------------
-// Determinism taint
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-struct Taint {
-    desc: String,
-    via: Option<usize>,
-}
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-const MAP_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-fn nondet_source_path(segs: &[String]) -> Option<String> {
-    let n = segs.len();
-    let last = segs.last()?;
-    if n >= 2 {
-        let prev = &segs[n - 2];
-        if last == "now" && (prev == "Instant" || prev == "SystemTime") {
-            return Some(format!("`{prev}::now()`"));
-        }
-        if last == "current" && prev == "thread" {
-            return Some("`thread::current()` id".to_string());
-        }
-    }
-    None
-}
-
-fn macro_nondet(tokens: &[String]) -> Option<String> {
-    for w in tokens.windows(3) {
-        if w[1] == "::" && w[2] == "now" && (w[0] == "Instant" || w[0] == "SystemTime") {
-            return Some(format!("`{}::now()` in macro args", w[0]));
-        }
-    }
-    None
-}
-
-struct TaintEnv<'s, 'a> {
-    g: &'s CallGraph<'a>,
-    idx: usize,
-    locals: HashMap<&'a str, String>,
-    ret_taint: &'s [Option<Taint>],
-    sanctioned: &'s dyn Fn(usize) -> bool,
-    tainted: HashMap<String, Taint>,
-}
-
-impl<'s, 'a> TaintEnv<'s, 'a> {
-    fn node(&self) -> &'s FnNode<'a> {
-        &self.g.fns[self.idx]
-    }
-
-    /// Iteration-order taint, when `e` is a `HashMap`/`HashSet`.
-    fn map_order_taint(&self, e: &'a Expr) -> Option<Taint> {
-        let ty = self.g.infer_ty(self.node(), &self.locals, e)?;
-        MAP_TYPES.contains(&ty.as_str()).then(|| Taint {
-            desc: format!("`{ty}` iteration order"),
-            via: None,
-        })
-    }
-
-    fn expr_taint(&self, e: &'a Expr) -> Option<Taint> {
-        match e {
-            Expr::Path { segs, .. } if segs.len() == 1 => {
-                self.tainted.get(segs[0].as_str()).cloned()
-            }
-            Expr::Path { .. } | Expr::Lit { .. } | Expr::Continue { .. } => None,
-            Expr::Call { callee, args, .. } => {
-                if let Expr::Path { segs, .. } = &**callee {
-                    if let Some(desc) = nondet_source_path(segs) {
-                        return Some(Taint { desc, via: None });
-                    }
-                    for c in self.g.resolve_path(self.node(), segs) {
-                        if (self.sanctioned)(c) {
-                            continue;
-                        }
-                        if self.ret_taint[c].is_some() {
-                            return Some(Taint {
-                                desc: format!("return of `{}`", self.g.fns[c].id),
-                                via: Some(c),
-                            });
-                        }
-                    }
-                }
-                args.iter().find_map(|a| self.expr_taint(a))
-            }
-            Expr::MethodCall {
-                recv, method, args, ..
-            } => {
-                if ITER_METHODS.contains(&method.as_str()) {
-                    if let Some(t) = self.map_order_taint(recv) {
-                        return Some(t);
-                    }
-                }
-                if let Some(t) = self.expr_taint(recv) {
-                    return Some(t);
-                }
-                let ty = self.g.infer_ty(self.node(), &self.locals, recv);
-                for c in self.g.resolve_method(ty.as_deref(), method) {
-                    if (self.sanctioned)(c) {
-                        continue;
-                    }
-                    if self.ret_taint[c].is_some() {
-                        return Some(Taint {
-                            desc: format!("return of `{}`", self.g.fns[c].id),
-                            via: Some(c),
-                        });
-                    }
-                }
-                args.iter().find_map(|a| self.expr_taint(a))
-            }
-            Expr::Field { recv, .. } => self.expr_taint(recv),
-            Expr::Index { recv, index, .. } => {
-                self.expr_taint(recv).or_else(|| self.expr_taint(index))
-            }
-            Expr::Unary { expr, .. }
-            | Expr::Cast { expr, .. }
-            | Expr::Try { expr }
-            | Expr::LetCond { expr, .. } => self.expr_taint(expr),
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                self.expr_taint(lhs).or_else(|| self.expr_taint(rhs))
-            }
-            Expr::Range { lo, hi, .. } => lo
-                .as_deref()
-                .and_then(|e| self.expr_taint(e))
-                .or_else(|| hi.as_deref().and_then(|e| self.expr_taint(e))),
-            Expr::Closure { body, .. } => self.expr_taint(body),
-            Expr::Block(b) => self.block_taint(b),
-            Expr::If { cond, then, else_ } => self
-                .expr_taint(cond)
-                .or_else(|| self.block_taint(then))
-                .or_else(|| else_.as_deref().and_then(|e| self.expr_taint(e))),
-            Expr::Match {
-                scrutinee, arms, ..
-            } => self
-                .expr_taint(scrutinee)
-                .or_else(|| arms.iter().find_map(|a| self.expr_taint(&a.body))),
-            Expr::While { .. } | Expr::Loop { .. } | Expr::For { .. } => None,
-            Expr::Return { expr } => expr.as_deref().and_then(|e| self.expr_taint(e)),
-            Expr::Break { expr, .. } => expr.as_deref().and_then(|e| self.expr_taint(e)),
-            Expr::StructLit { fields, base, .. } => fields
-                .iter()
-                .filter_map(|(_, v)| v.as_ref())
-                .find_map(|v| self.expr_taint(v))
-                .or_else(|| base.as_deref().and_then(|b| self.expr_taint(b))),
-            Expr::Tuple(es) | Expr::Array(es) => es.iter().find_map(|e| self.expr_taint(e)),
-            Expr::ArrayRepeat { elem, .. } => self.expr_taint(elem),
-            Expr::MacroCall { tokens, .. } => {
-                if let Some(desc) = macro_nondet(tokens) {
-                    return Some(Taint { desc, via: None });
-                }
-                // Locals referenced inside macro args keep their taint.
-                tokens
-                    .iter()
-                    .find_map(|t| self.tainted.get(t.as_str()).cloned())
-            }
-        }
-    }
-
-    /// Taint of a block used as an expression: its tail expression.
-    fn block_taint(&self, b: &'a Block) -> Option<Taint> {
-        match b.stmts.last()? {
-            Stmt::Expr {
-                expr, semi: false, ..
-            } => self.expr_taint(expr),
-            _ => None,
-        }
-    }
-
-    /// One in-order pass over all statements, updating the taint map.
-    fn pass(&mut self, body: &'a Block) {
-        for s in stmts_in_order(body) {
-            match s {
-                Stmt::Let {
-                    pat,
-                    init: Some(init),
-                    ..
-                } => {
-                    if let Some(t) = self.expr_taint(init) {
-                        let mut names = Vec::new();
-                        pat.bound_names(&mut names);
-                        for n in names {
-                            self.tainted.insert(n.to_string(), t.clone());
-                        }
-                    }
-                }
-                Stmt::Expr { expr, .. } => self.stmt_effects(expr),
-                _ => {}
-            }
-        }
-        // `for (k, v) in &map {}` taints the loop bindings.
-        walk_block(body, &mut |e| {
-            if let Expr::For { pat, iter, .. } = e {
-                let mut probe: &Expr = iter;
-                loop {
-                    match probe {
-                        Expr::Unary { expr, .. } => probe = expr,
-                        Expr::MethodCall { recv, .. } => probe = recv,
-                        _ => break,
-                    }
-                }
-                let src = self
-                    .map_order_taint(probe)
-                    .or_else(|| self.expr_taint(iter));
-                if let Some(t) = src {
-                    let mut names = Vec::new();
-                    pat.bound_names(&mut names);
-                    for n in names {
-                        self.tainted.insert(n.to_string(), t.clone());
-                    }
-                }
-            }
-        });
-    }
-
-    /// Assignment and sort-kill effects of an expression statement.
-    fn stmt_effects(&mut self, e: &'a Expr) {
-        if let Expr::Assign { lhs, rhs, .. } = e {
-            if let Expr::Path { segs, .. } = &**lhs {
-                if segs.len() == 1 {
-                    match self.expr_taint(rhs) {
-                        Some(t) => {
-                            self.tainted.insert(segs[0].clone(), t);
-                        }
-                        None => {
-                            self.tainted.remove(segs[0].as_str());
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        // Sorting a collection removes iteration-order taint:
-        // `let mut v: Vec<_> = map.keys().collect(); v.sort();`
-        if let Expr::MethodCall { recv, method, .. } = e {
-            if method.starts_with("sort") {
-                if let Expr::Path { segs, .. } = &**recv {
-                    if segs.len() == 1 {
-                        self.tainted.remove(segs[0].as_str());
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn determinism_taint(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
-    let n = g.fns.len();
-    let sanctioned = |i: usize| -> bool {
-        cfg.taint_sanctioned_files
-            .iter()
-            .any(|f| g.fns[i].file == f.as_str())
-    };
-    // returns-taint fixpoint across the call graph.
-    let mut ret_taint: Vec<Option<Taint>> = vec![None; n];
-    loop {
-        let mut changed = false;
-        for idx in 0..n {
-            if ret_taint[idx].is_some() || sanctioned(idx) {
-                continue;
-            }
-            let node = &g.fns[idx];
-            let Some(body) = &node.def.body else { continue };
-            let mut env = TaintEnv {
-                g,
-                idx,
-                locals: g.locals_of(node),
-                ret_taint: &ret_taint,
-                sanctioned: &sanctioned,
-                tainted: HashMap::new(),
-            };
-            env.pass(body);
-            env.pass(body);
-            // Tail expression or any `return` expression tainted?
-            let mut t = env.block_taint(body);
-            if t.is_none() {
-                walk_block(body, &mut |e| {
-                    if t.is_some() {
-                        return;
-                    }
-                    if let Expr::Return { expr: Some(r) } = e {
-                        t = env.expr_taint(r);
-                    }
-                });
-            }
-            if let Some(t) = t {
-                ret_taint[idx] = Some(t);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Sink pass: Event construction from tainted values.
-    for idx in 0..n {
-        let node = &g.fns[idx];
-        if node.is_test || sanctioned(idx) {
-            continue;
-        }
-        let Some(body) = &node.def.body else { continue };
-        let mut env = TaintEnv {
-            g,
-            idx,
-            locals: g.locals_of(node),
-            ret_taint: &ret_taint,
-            sanctioned: &sanctioned,
-            tainted: HashMap::new(),
-        };
-        env.pass(body);
-        env.pass(body);
-        let ev = cfg.event_type.as_str();
-        let mut sink_findings: Vec<(Span, Taint)> = Vec::new();
-        walk_block(body, &mut |e| match e {
-            Expr::Call { callee, args, span } => {
-                if let Expr::Path { segs, .. } = &**callee {
-                    if segs.iter().any(|s| s == ev) {
-                        if let Some(t) = args.iter().find_map(|a| env.expr_taint(a)) {
-                            sink_findings.push((*span, t));
-                        }
-                    }
-                }
-            }
-            Expr::StructLit {
-                segs, fields, span, ..
-            } if segs.iter().any(|s| s == ev) => {
-                let t = fields
-                    .iter()
-                    .filter_map(|(name, v)| match v {
-                        Some(v) => env.expr_taint(v),
-                        None => env.tainted.get(name.as_str()).cloned(),
-                    })
-                    .next();
-                if let Some(t) = t {
-                    sink_findings.push((*span, t));
-                }
-            }
-            _ => {}
-        });
-        for (span, t) in sink_findings {
-            let mut chain = vec![node.id.clone()];
-            let mut cur = t.via;
-            while let Some(c) = cur {
-                chain.push(g.fns[c].id.clone());
-                cur = ret_taint[c].as_ref().and_then(|t| t.via);
-            }
-            let terminal = match t.via {
-                Some(_) => {
-                    let mut last = t.clone();
-                    let mut c = t.via;
-                    while let Some(i) = c {
-                        if let Some(rt) = &ret_taint[i] {
-                            last = rt.clone();
-                            c = rt.via;
-                        } else {
-                            break;
-                        }
-                    }
-                    last.desc
-                }
-                None => t.desc.clone(),
-            };
-            chain.push(terminal.clone());
-            findings.push(Finding {
-                rule: "determinism-taint",
-                kind: "taint-reaches-event",
-                file: node.file.to_string(),
-                line: span.line,
-                col: span.col,
-                context: ctx_of(node),
-                message: format!(
-                    "nondeterministic value ({terminal}) flows into `{ev}` construction"
-                ),
-                chain,
-                ..Finding::default()
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Panic-path reachability
 // ---------------------------------------------------------------------
 
@@ -1322,9 +878,7 @@ fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
         let Some(body) = &node.def.body else { continue };
         let index_ok = cfg.index_panic_crates.iter().any(|c| c == node.crate_name);
         let chain = g.witness(&parent, idx);
-        let mut sites: Vec<(&'static str, Span, String)> = Vec::new();
-        collect_panic_sites(body, index_ok, &mut sites);
-        for (kind, span, what) in sites {
+        for (kind, what, span) in panic_sites(body, index_ok) {
             findings.push(Finding {
                 rule: "panic-path",
                 kind,
@@ -1343,284 +897,30 @@ fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Collects unwrap/expect/indexing sites in a body, skipping
-/// `#[cfg(debug_assertions)]`-gated statements (conservation guards a
-/// release build does not contain) and lock-poisoning expects
-/// (`.lock().expect(..)` — the sanctioned category).
-fn collect_panic_sites(body: &Block, index_ok: bool, out: &mut Vec<(&'static str, Span, String)>) {
-    fn stmt_gated(s: &Stmt) -> bool {
-        if let Stmt::Expr { attrs, .. } = s {
-            return attrs
-                .iter()
-                .any(|a| a.tokens == ["cfg", "(", "debug_assertions", ")"]);
-        }
-        false
-    }
-    fn go_block(b: &Block, index_ok: bool, out: &mut Vec<(&'static str, Span, String)>) {
-        for s in &b.stmts {
-            if stmt_gated(s) {
-                continue;
-            }
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(e) = init {
-                        go(e, index_ok, out);
-                    }
-                    if let Some(eb) = else_block {
-                        go_block(eb, index_ok, out);
-                    }
-                }
-                Stmt::Expr { expr, .. } => go(expr, index_ok, out),
-                _ => {}
+/// The `expect` and indexing sites of a body as `(kind, what, span)`,
+/// skipping `#[cfg(debug_assertions)]`-gated statements (conservation
+/// guards a release build does not contain) and lock-poisoning expects
+/// (`.lock().expect(..)` — the sanctioned category). `unwrap` is not
+/// looked for: clippy's `unwrap_used` keeps it out of non-test code.
+fn panic_sites(body: &Block, index_ok: bool) -> Vec<(&'static str, &'static str, Span)> {
+    let ungated = |s: &Stmt| {
+        !matches!(s, Stmt::Expr { attrs, .. }
+            if attrs.iter().any(|a| a.tokens == ["cfg", "(", "debug_assertions", ")"]))
+    };
+    let mut sites = Vec::new();
+    walk_block_if(body, &ungated, &mut |e| match e {
+        Expr::MethodCall {
+            recv, method, span, ..
+        } if method == "expect" => {
+            let poisoning = matches!(&**recv, Expr::MethodCall { method: m, .. } if m == "lock");
+            if !poisoning {
+                sites.push(("expect", "`.expect()`", *span));
             }
         }
-    }
-    fn go(e: &Expr, index_ok: bool, out: &mut Vec<(&'static str, Span, String)>) {
-        match e {
-            Expr::MethodCall {
-                recv,
-                method,
-                args,
-                span,
-            } => {
-                let poisoning =
-                    matches!(&**recv, Expr::MethodCall { method: m, .. } if m == "lock");
-                if (method == "unwrap" || method == "expect") && !poisoning {
-                    let kind: &'static str = if method == "unwrap" {
-                        "unwrap"
-                    } else {
-                        "expect"
-                    };
-                    out.push((kind, *span, format!("`.{method}()`")));
-                }
-                go(recv, index_ok, out);
-                for a in args {
-                    go(a, index_ok, out);
-                }
-            }
-            Expr::Index { recv, index, span } => {
-                if index_ok {
-                    out.push(("indexing", *span, "indexing".to_string()));
-                }
-                go(recv, index_ok, out);
-                go(index, index_ok, out);
-            }
-            Expr::Block(b) => go_block(b, index_ok, out),
-            Expr::If { cond, then, else_ } => {
-                go(cond, index_ok, out);
-                go_block(then, index_ok, out);
-                if let Some(el) = else_ {
-                    go(el, index_ok, out);
-                }
-            }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                go(scrutinee, index_ok, out);
-                for a in arms {
-                    if let Some(gd) = &a.guard {
-                        go(gd, index_ok, out);
-                    }
-                    go(&a.body, index_ok, out);
-                }
-            }
-            Expr::While { cond, body, .. } => {
-                go(cond, index_ok, out);
-                go_block(body, index_ok, out);
-            }
-            Expr::For { iter, body, .. } => {
-                go(iter, index_ok, out);
-                go_block(body, index_ok, out);
-            }
-            Expr::Loop { body, .. } => go_block(body, index_ok, out),
-            Expr::Call { callee, args, .. } => {
-                go(callee, index_ok, out);
-                for a in args {
-                    go(a, index_ok, out);
-                }
-            }
-            Expr::Closure { body, .. } => go(body, index_ok, out),
-            Expr::Field { recv, .. } => go(recv, index_ok, out),
-            Expr::Unary { expr, .. }
-            | Expr::Cast { expr, .. }
-            | Expr::Try { expr }
-            | Expr::LetCond { expr, .. } => go(expr, index_ok, out),
-            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
-                go(lhs, index_ok, out);
-                go(rhs, index_ok, out);
-            }
-            Expr::Range { lo, hi, .. } => {
-                if let Some(lo) = lo {
-                    go(lo, index_ok, out);
-                }
-                if let Some(hi) = hi {
-                    go(hi, index_ok, out);
-                }
-            }
-            Expr::Return { expr } => {
-                if let Some(e) = expr {
-                    go(e, index_ok, out);
-                }
-            }
-            Expr::Break { expr, .. } => {
-                if let Some(e) = expr {
-                    go(e, index_ok, out);
-                }
-            }
-            Expr::StructLit { fields, base, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        go(v, index_ok, out);
-                    }
-                }
-                if let Some(b) = base {
-                    go(b, index_ok, out);
-                }
-            }
-            Expr::Tuple(es) | Expr::Array(es) => {
-                for e in es {
-                    go(e, index_ok, out);
-                }
-            }
-            Expr::ArrayRepeat { elem, len } => {
-                go(elem, index_ok, out);
-                go(len, index_ok, out);
-            }
-            Expr::Path { .. }
-            | Expr::Lit { .. }
-            | Expr::Continue { .. }
-            | Expr::MacroCall { .. } => {}
-        }
-    }
-    go_block(body, index_ok, out);
-}
-
-// ---------------------------------------------------------------------
-// Unit escape
-// ---------------------------------------------------------------------
-
-fn unit_escape(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
-    for idx in 0..g.fns.len() {
-        let node = &g.fns[idx];
-        if node.is_test || cfg.unit_def_crates.iter().any(|c| c == node.crate_name) {
-            continue;
-        }
-        let Some(body) = &node.def.body else { continue };
-        let locals = g.locals_of(node);
-        let is_extraction = |e: &Expr| -> Option<Span> {
-            match e {
-                Expr::MethodCall {
-                    recv, method, span, ..
-                } if method == "as_f64" || method == "into_inner" => {
-                    let ty = g.infer_ty(node, &locals, recv)?;
-                    cfg.unit_types.contains(&ty).then_some(*span)
-                }
-                Expr::Field { recv, name, span } if name == "0" => {
-                    let ty = g.infer_ty(node, &locals, recv)?;
-                    cfg.unit_types.contains(&ty).then_some(*span)
-                }
-                _ => None,
-            }
-        };
-        // (a) extraction inside un-rewrapped arithmetic.
-        let mut hits: Vec<Span> = Vec::new();
-        walk_block(body, &mut |e| {
-            if let Expr::Binary { op, lhs, rhs, .. } = e {
-                if matches!(op.as_str(), "+" | "-" | "*") {
-                    for side in [lhs, rhs] {
-                        walk_expr(side, &mut |sub| {
-                            if let Some(span) = is_extraction(sub) {
-                                hits.push(span);
-                            }
-                        });
-                    }
-                }
-            }
-        });
-        // Remove hits whose arithmetic is re-wrapped by an enclosing
-        // unit constructor in the same expression tree.
-        let mut wrapped: BTreeSet<(usize, usize)> = BTreeSet::new();
-        walk_block(body, &mut |e| {
-            let ctor = match e {
-                Expr::Call { callee, .. } => match &**callee {
-                    Expr::Path { segs, .. } => {
-                        let k = segs.len();
-                        (k >= 1 && cfg.unit_types.contains(&segs[k - 1]))
-                            || (k >= 2 && cfg.unit_types.contains(&segs[k - 2]))
-                    }
-                    _ => false,
-                },
-                _ => false,
-            };
-            if ctor {
-                walk_expr(e, &mut |sub| {
-                    if let Some(span) = is_extraction(sub) {
-                        wrapped.insert((span.line, span.col));
-                    }
-                });
-            }
-        });
-        hits.sort_by_key(|s| (s.line, s.col));
-        hits.dedup();
-        for span in hits {
-            if wrapped.contains(&(span.line, span.col)) {
-                continue;
-            }
-            findings.push(Finding {
-                rule: "unit-escape",
-                kind: "raw-arith",
-                file: node.file.to_string(),
-                line: span.line,
-                col: span.col,
-                context: ctx_of(node),
-                message: "raw f64 extracted from a unit newtype feeds arithmetic without \
-                          re-wrapping"
-                    .to_string(),
-                ..Finding::default()
-            });
-        }
-        // (b) pub fn returning bare f64 built from an extraction.
-        if node.is_pub && type_head(&node.def.ret) == Some("f64") {
-            let mut ret_spans: Vec<Span> = Vec::new();
-            let mut check_ret = |e: &Expr| {
-                walk_expr(e, &mut |sub| {
-                    if let Some(span) = is_extraction(sub) {
-                        ret_spans.push(span);
-                    }
-                });
-            };
-            if let Some(Stmt::Expr {
-                expr, semi: false, ..
-            }) = body.stmts.last()
-            {
-                check_ret(expr);
-            }
-            walk_block(body, &mut |e| {
-                if let Expr::Return { expr: Some(r) } = e {
-                    check_ret(r);
-                }
-            });
-            ret_spans.sort_by_key(|s| (s.line, s.col));
-            ret_spans.dedup();
-            if let Some(span) = ret_spans.first() {
-                findings.push(Finding {
-                    rule: "unit-escape",
-                    kind: "raw-return",
-                    file: node.file.to_string(),
-                    line: span.line,
-                    col: span.col,
-                    context: ctx_of(node),
-                    message: format!(
-                        "pub fn `{}` returns bare f64 unwrapped from a unit newtype",
-                        node.name
-                    ),
-                    ..Finding::default()
-                });
-            }
-        }
-    }
+        Expr::Index { span, .. } if index_ok => sites.push(("indexing", "indexing", *span)),
+        _ => {}
+    });
+    sites
 }
 
 #[cfg(test)]
@@ -1643,10 +943,6 @@ mod tests {
             lock_crates: vec![krate.to_string()],
             panic_roots: vec![(krate.to_string(), None, "entry".to_string())],
             index_panic_crates: vec![krate.to_string()],
-            taint_sanctioned_files: Vec::new(),
-            event_type: "Event".to_string(),
-            unit_types: vec!["Kbps".to_string()],
-            unit_def_crates: Vec::new(),
         }
     }
 
@@ -1741,55 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn taint_flows_through_call_graph_to_event() {
-        let fs = files(&[(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub fn stamp() -> u64 { let t = SystemTime::now(); to_ms(t) }\n\
-             fn to_ms(t: u64) -> u64 { t }\n\
-             pub fn emit() { let ts = stamp(); let e = Event::Round { ts }; }\n\
-             pub fn clean() { let e = Event::Round { ts: 0 }; }",
-        )]);
-        let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
-        let hits: Vec<_> = f.iter().filter(|f| f.rule == "determinism-taint").collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 3);
-        assert!(
-            hits[0].chain.iter().any(|c| c.contains("x::stamp")),
-            "{:?}",
-            hits[0].chain
-        );
-        assert!(
-            hits[0].chain.last().unwrap().contains("SystemTime::now"),
-            "{:?}",
-            hits[0].chain
-        );
-    }
-
-    #[test]
-    fn map_iteration_taints_and_sort_kills() {
-        let fs = files(&[(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub struct S { m: HashMap<u32, u32> }\n\
-             impl S {\n\
-                 pub fn bad(&self) { for (k, v) in self.m.iter() { let e = Event::Obs { k }; } }\n\
-                 pub fn ok(&self) {\n\
-                     let mut ks: Vec<u32> = self.m.keys().collect();\n\
-                     ks.sort();\n\
-                     for k in ks { let e = Event::Obs { k }; }\n\
-                 }\n\
-             }",
-        )]);
-        let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
-        let hits: Vec<_> = f.iter().filter(|f| f.rule == "determinism-taint").collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].line, 3);
-    }
-
-    #[test]
     fn panic_path_reachability_with_lock_poison_sanction() {
         let fs = files(&[(
             "crates/x/src/lib.rs",
@@ -1798,36 +1045,15 @@ mod tests {
              pub fn entry(s: &S) { step(s); }\n\
              fn step(s: &S) {\n\
                  let g = s.a.lock().expect(\"poisoned\");\n\
-                 let v = maybe().unwrap();\n\
+                 let v = maybe().expect(\"there\");\n\
              }\n\
-             fn unreached() { let v = maybe().unwrap(); }",
+             fn unreached() { let v = maybe().expect(\"there\"); }",
         )]);
         let g = CallGraph::build(&fs);
         let f = analyze(&g, &cfg_for("x"));
         let hits: Vec<_> = f.iter().filter(|f| f.rule == "panic-path").collect();
         assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!((hits[0].line, hits[0].kind), (5, "unwrap"));
+        assert_eq!((hits[0].line, hits[0].kind), (5, "expect"));
         assert_eq!(hits[0].chain, vec!["x::entry", "x::step"]);
-    }
-
-    #[test]
-    fn unit_escape_arith_flagged_rewrap_ok() {
-        let fs = files(&[(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub fn bad(a: Kbps) -> f64 { a.as_f64() * 2.0 }\n\
-             pub fn ok(a: Kbps) -> Kbps { Kbps::new(a.as_f64() * 2.0) }\n\
-             pub fn also_bad(a: Kbps) -> f64 { a.0 + 1.0 }",
-        )]);
-        let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
-        let hits: Vec<_> = f.iter().filter(|f| f.rule == "unit-escape").collect();
-        let lines: BTreeSet<usize> = hits.iter().map(|h| h.line).collect();
-        assert!(lines.contains(&1) && lines.contains(&3), "{hits:?}");
-        assert!(
-            !lines.contains(&2),
-            "re-wrapped arithmetic must pass: {hits:?}"
-        );
-        assert!(hits.iter().any(|h| h.kind == "raw-return"));
     }
 }

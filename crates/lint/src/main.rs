@@ -8,10 +8,11 @@
 //!
 //! Scans every `.rs` file under `crates/*/src` and the root `src/`,
 //! lexes and parses it into an AST, links a workspace call graph, and
-//! runs the four analyses that need one (lock discipline, determinism
-//! taint, panic-path reachability, unit escape). What a per-site check
-//! can own belongs to clippy (`Cargo.toml` `[workspace.lints.clippy]`)
-//! or `cargo test`; DESIGN.md §10 has the table.
+//! runs the two analyses that need one and that nothing else covers
+//! (lock discipline, panic-path reachability). What a per-site check, a
+//! type or a test can own belongs to clippy (`Cargo.toml`
+//! `[workspace.lints.clippy]`), the type or `cargo test`; DESIGN.md §10
+//! has the table, and §14 what these two are known to miss.
 //!
 //! Findings are subtracted against the per-analysis allowlists under
 //! `lint/allow/`; allowlist entries that no longer match anything are
@@ -69,7 +70,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// The full analysis pipeline: parse, link, run the four analyses,
+/// The full analysis pipeline: parse, link, run the analyses,
 /// subtract allowlists, flag stale allowlist entries. Returns findings
 /// sorted by (file, line, col) with snippets filled in.
 fn run_lint(root: &Path, sources: &[WorkspaceSource]) -> Vec<Finding> {
@@ -320,17 +321,13 @@ mod fixture_tests {
             .collect()
     }
 
-    /// The dataflow configuration the badcrate fixtures are written
-    /// against (its own entry point, its own unit newtype).
+    /// The configuration the badcrate fixtures are written against
+    /// (its own entry point).
     fn fixture_df_config() -> DfConfig {
         DfConfig {
             lock_crates: vec!["badcrate".to_string()],
             panic_roots: vec![("badcrate".to_string(), None, "entry".to_string())],
             index_panic_crates: vec!["badcrate".to_string()],
-            taint_sanctioned_files: Vec::new(),
-            event_type: "Event".to_string(),
-            unit_types: vec!["Price".to_string()],
-            unit_def_crates: Vec::new(),
         }
     }
 
@@ -348,63 +345,49 @@ mod fixture_tests {
             .iter()
             .filter(|f| f.rule == "lock-discipline" && f.file == "src/locks.rs")
             .collect();
-        let blocking = locks
+        let blocking: Vec<&&Finding> = locks
             .iter()
-            .find(|f| f.kind == "blocking-under-lock")
-            .expect("blocking-under-lock");
-        assert_eq!((blocking.line, blocking.col), (23, 12), "{blocking:?}");
+            .filter(|f| f.kind == "blocking-under-lock")
+            .collect();
+        let [via_helper, direct, by_name] = blocking[..] else {
+            panic!("three blocking-under-lock sites: {blocking:#?}");
+        };
+        assert_eq!(
+            (via_helper.line, via_helper.col),
+            (26, 12),
+            "{via_helper:?}"
+        );
         assert!(
-            blocking.chain.iter().any(|c| c.contains("Channel::push")),
+            via_helper.chain.iter().any(|c| c.contains("Channel::push")),
             "witness must pass through Channel::push: {:?}",
-            blocking.chain
+            via_helper.chain
+        );
+        // ISSUE 21 row L2: a blocking receive directly under the guard.
+        assert_eq!((direct.line, direct.col), (53, 20), "{direct:?}");
+        assert!(direct.message.contains("`.recv_timeout()`"), "{direct:?}");
+        // Row L1: a guard held across `shutdown()`, through the one
+        // workspace method of that name that blocks.
+        assert_eq!((by_name.line, by_name.col), (62, 29), "{by_name:?}");
+        assert_eq!(
+            by_name.chain,
+            vec!["badcrate::Server::shutdown", "`.join()`"],
+            "{by_name:?}"
         );
         let double = locks
             .iter()
             .find(|f| f.kind == "double-acquire")
             .expect("double-acquire");
-        assert_eq!((double.line, double.col), (39, 28), "{double:?}");
+        assert_eq!((double.line, double.col), (42, 28), "{double:?}");
         let inversions: Vec<&&Finding> = locks
             .iter()
             .filter(|f| f.kind == "order-inversion")
             .collect();
         assert_eq!(inversions.len(), 1, "one inversion site: {locks:#?}");
         let inv = inversions[0];
-        assert_eq!((inv.line, inv.col), (29, 28), "{inv:?}");
+        assert_eq!((inv.line, inv.col), (32, 28), "{inv:?}");
         assert!(
             inv.message.contains("`slots`") && inv.message.contains("`stats`"),
             "inversion names both locks and cites the opposite site: {inv:?}"
-        );
-    }
-
-    #[test]
-    fn fixture_trips_determinism_taint_with_witness() {
-        let f = fixture_df_findings();
-        let taints: Vec<&Finding> = f
-            .iter()
-            .filter(|f| f.rule == "determinism-taint" && f.file == "src/taint.rs")
-            .collect();
-        assert_eq!(taints.len(), 1, "exactly the seeded sink: {taints:#?}");
-        let hit = taints[0];
-        assert_eq!((hit.line, hit.col), (17, 12), "{hit:?}");
-        assert_eq!(hit.context, "emit");
-        assert!(
-            hit.chain
-                .first()
-                .is_some_and(|c| c.contains("badcrate::emit")),
-            "{:?}",
-            hit.chain
-        );
-        assert!(
-            hit.chain.iter().any(|c| c.contains("badcrate::stamp")),
-            "witness passes through the tainted helper: {:?}",
-            hit.chain
-        );
-        assert!(
-            hit.chain
-                .last()
-                .is_some_and(|c| c.contains("SystemTime::now")),
-            "witness terminates at the source: {:?}",
-            hit.chain
         );
     }
 
@@ -415,52 +398,27 @@ mod fixture_tests {
             .iter()
             .filter(|f| f.rule == "panic-path" && f.file == "src/panics_reach.rs")
             .collect();
-        let unwrap = panics.iter().find(|f| f.kind == "unwrap").expect("unwrap");
-        assert_eq!((unwrap.line, unwrap.col), (17, 21), "{unwrap:?}");
-        assert_eq!(
-            unwrap.chain,
-            vec!["badcrate::entry", "badcrate::step"],
-            "{unwrap:?}"
-        );
         let index = panics
             .iter()
             .find(|f| f.kind == "indexing")
             .expect("indexing");
-        assert_eq!(index.line, 18, "{index:?}");
-        // The lock-poisoning expect is sanctioned; the fn behind a
-        // non-root entry is unreachable and stays silent.
-        assert!(
-            !panics.iter().any(|f| f.kind == "expect"),
-            "lock-poison expect must be sanctioned: {panics:#?}"
+        assert_eq!(index.line, 20, "{index:?}");
+        assert_eq!(index.chain, vec!["badcrate::entry", "badcrate::step"]);
+        // The lock-poisoning expect is sanctioned and `unwrap` is not
+        // this analysis's: the one `expect` is the one two calls down.
+        let rest: Vec<&&Finding> = panics.iter().filter(|f| f.kind != "indexing").collect();
+        let [expect] = rest[..] else {
+            panic!("one finding besides the index: {rest:#?}");
+        };
+        assert_eq!((expect.kind, expect.line, expect.col), ("expect", 25, 17));
+        assert_eq!(
+            expect.chain,
+            vec!["badcrate::entry", "badcrate::step", "badcrate::announce"],
+            "{expect:?}"
         );
         assert!(
             !panics.iter().any(|f| f.context == "not_reached"),
             "unreachable fns are out of scope: {panics:#?}"
-        );
-    }
-
-    #[test]
-    fn fixture_trips_unit_escape_at_exact_spans() {
-        let f = fixture_df_findings();
-        let units: Vec<&Finding> = f
-            .iter()
-            .filter(|f| f.rule == "unit-escape" && f.file == "src/units_escape.rs")
-            .collect();
-        let arith = units
-            .iter()
-            .find(|f| f.kind == "raw-arith" && f.context == "markup")
-            .expect("raw-arith in markup");
-        assert_eq!((arith.line, arith.col), (9, 17), "{arith:?}");
-        let ret = units
-            .iter()
-            .find(|f| f.kind == "raw-return")
-            .expect("raw-return");
-        assert_eq!(ret.context, "leak_price", "{ret:?}");
-        assert_eq!((ret.line, ret.col), (14, 7), "{ret:?}");
-        // The re-wrapped arithmetic in `rewrapped` must pass.
-        assert!(
-            !units.iter().any(|f| f.context == "rewrapped"),
-            "{units:#?}"
         );
     }
 

@@ -1,10 +1,9 @@
 //! Recursive-descent parser for the Rust subset the workspace uses.
 //!
 //! Consumes the cooked token stream from [`crate::scan`] and produces
-//! the [`crate::ast`] tree. Deliberate lossiness (generic parameter
-//! lists, where clauses, turbofish) is documented in the ast module;
-//! everything analyses depend on — call/method/field structure, lock
-//! scopes, closures, macro token trees — is kept.
+//! the [`crate::ast`] tree. What is parsed past without being kept is
+//! listed in the ast module; everything the analyses depend on —
+//! call/method/field structure, lock scopes, closures — is kept.
 //!
 //! Errors carry `file:line:col` context. The workspace must parse
 //! cleanly; a parse error is itself a lint failure.
@@ -248,32 +247,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Captures one delimited token tree: on entry the cursor is at the
-    /// opening delimiter; returns `(delim, inner_tokens)`.
-    fn token_tree(&mut self) -> PResult<(char, Vec<String>)> {
-        let (open, close, delim) = match self.text() {
-            "(" => ("(", ")", '('),
-            "[" => ("[", "]", '['),
-            "{" => ("{", "}", '{'),
+    /// Skips one delimited token tree (a macro's arguments): on entry
+    /// the cursor is at the opening delimiter.
+    fn skip_token_tree(&mut self) -> PResult<()> {
+        let (open, close) = match self.text() {
+            "(" => ("(", ")"),
+            "[" => ("[", "]"),
+            "{" => ("{", "}"),
             _ => return self.err("expected macro delimiter"),
         };
         self.bump();
-        let mut depth = 1usize;
-        let mut out = Vec::new();
+        self.skip_balanced(open, close)
+    }
+
+    /// Skips the rest of an item that ends in `;` (`use`, `const`,
+    /// `static`, `type`), stepping over any brackets on the way.
+    fn skip_to_semi(&mut self) -> PResult<()> {
+        let mut depth = 0usize;
         loop {
             if self.eof() {
-                return self.err("unbalanced macro delimiters");
+                return self.err("unterminated item");
             }
-            let t = self.bump();
-            if t.text == open {
-                depth += 1;
-            } else if t.text == close {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok((delim, out));
-                }
+            match self.bump().text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth = depth.saturating_sub(1),
+                ";" if depth == 0 => return Ok(()),
+                _ => {}
             }
-            out.push(t.text.clone());
         }
     }
 
@@ -306,141 +306,65 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
-    fn vis(&mut self) -> PResult<Vis> {
-        if !self.eat("pub") {
-            return Ok(Vis::Private);
+    /// Skips `pub` / `pub(crate)` / `pub(in path)`.
+    fn skip_vis(&mut self) -> PResult<()> {
+        if self.eat("pub") && self.eat("(") {
+            self.skip_balanced("(", ")")?;
         }
-        if self.at("(") {
-            self.bump();
-            let mut tokens = Vec::new();
-            let mut depth = 1usize;
-            loop {
-                if self.eof() {
-                    return self.err("unbalanced pub scope");
-                }
-                let t = self.bump();
-                if t.text == "(" {
-                    depth += 1;
-                } else if t.text == ")" {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                tokens.push(t.text.clone());
-            }
-            Ok(Vis::Scoped(tokens))
-        } else {
-            Ok(Vis::Pub)
-        }
+        Ok(())
     }
 
     // -- items --------------------------------------------------------
 
     fn item(&mut self) -> PResult<Item> {
         let attrs = self.attrs()?;
-        let vis = self.vis()?;
-        let span = self.span();
+        self.skip_vis()?;
         let kind = match self.text() {
             "fn" => ItemKind::Fn(self.fn_def()?),
             "struct" => self.struct_def()?,
-            "enum" => self.enum_def()?,
             "impl" => self.impl_def()?,
             "trait" => self.trait_def()?,
             "mod" => self.mod_def()?,
-            "use" => {
-                self.bump();
-                let mut tokens = Vec::new();
-                let mut depth = 0usize;
-                loop {
-                    if self.eof() {
-                        return self.err("unterminated use");
-                    }
-                    if depth == 0 && self.at(";") {
-                        self.bump();
-                        break;
-                    }
-                    let t = self.bump();
-                    if t.text == "{" {
-                        depth += 1;
-                    } else if t.text == "}" {
-                        depth -= 1;
-                    }
-                    tokens.push(t.text.clone());
-                }
-                ItemKind::Use { tokens }
-            }
             // `const fn` — constness is dropped (not analysis-relevant).
             "const" if self.nth_text(1) == "fn" => {
                 self.bump();
                 ItemKind::Fn(self.fn_def()?)
             }
-            "const" | "static" => {
-                let is_const = self.bump().text == "const";
-                let name = self.ident()?;
-                self.expect(":")?;
-                let ty = self.type_tokens(&["=", ";"])?;
-                self.expect("=")?;
-                let value = self.expr(true)?;
-                self.expect(";")?;
-                if is_const {
-                    ItemKind::Const { name, ty, value }
-                } else {
-                    ItemKind::Static { name, ty, value }
-                }
+            "use" | "const" | "static" | "type" => {
+                self.skip_to_semi()?;
+                ItemKind::Other
             }
-            "type" => {
+            "enum" => {
                 self.bump();
-                let name = self.ident()?;
+                self.ident()?;
                 self.skip_generics()?;
-                let ty = if self.eat("=") {
-                    self.type_tokens(&[";"])?
-                } else {
-                    Vec::new()
-                };
-                self.expect(";")?;
-                ItemKind::TypeAlias { name, ty }
+                self.skip_where()?;
+                self.expect("{")?;
+                self.skip_balanced("{", "}")?;
+                ItemKind::Other
             }
-            _ if self.at_name() => self.macro_item()?,
+            // `path ! name? <token tree> ;?` (`macro_rules! x { .. }`,
+            // `base_impls!(Usd, "USD");`).
+            _ if self.at_name() => {
+                self.ident()?;
+                while self.eat("::") {
+                    self.ident()?;
+                }
+                self.expect("!")?;
+                if self.at_name() {
+                    self.bump();
+                }
+                self.skip_token_tree()?;
+                self.eat(";");
+                ItemKind::Other
+            }
             _ => return self.err("expected item"),
         };
-        Ok(Item {
-            attrs,
-            vis,
-            kind,
-            span,
-        })
-    }
-
-    /// `path ! <token tree> ;?` in item position (`macro_rules!`, ...).
-    fn macro_item(&mut self) -> PResult<ItemKind> {
-        let mut path = vec![self.ident()?];
-        while self.at("::") {
-            self.bump();
-            path.push(self.ident()?);
-        }
-        self.expect("!")?;
-        // `macro_rules! name { ... }` puts an identifier before the
-        // tree; fold it into the token run so print→reparse fixes.
-        let mut tokens = Vec::new();
-        if self.at_name() {
-            tokens.push(self.bump().text.clone());
-        }
-        let (_, inner) = self.token_tree()?;
-        if tokens.is_empty() {
-            tokens = inner;
-        } else {
-            tokens.push("{".to_string());
-            tokens.extend(inner);
-            tokens.push("}".to_string());
-        }
-        self.eat(";");
-        Ok(ItemKind::MacroItem { path, tokens })
+        Ok(Item { attrs, kind })
     }
 
     fn fn_def(&mut self) -> PResult<FnDef> {
         self.expect("fn")?;
-        let span = self.span();
         let name = self.ident()?;
         self.skip_generics()?;
         self.expect("(")?;
@@ -452,54 +376,35 @@ impl<'a> Parser<'a> {
             }
         }
         self.expect(")")?;
-        let ret = if self.eat("->") {
-            self.type_tokens(&["{", ";", "where"])?
-        } else {
-            Vec::new()
-        };
+        if self.eat("->") {
+            self.type_tokens(&["{", ";", "where"])?;
+        }
         self.skip_where()?;
         let body = if self.eat(";") {
             None
         } else {
             Some(self.block()?)
         };
-        Ok(FnDef {
-            name,
-            params,
-            ret,
-            body,
-            span,
-        })
+        Ok(FnDef { name, params, body })
     }
 
     fn param(&mut self) -> PResult<ParamDef> {
-        let span = self.span();
         // Self receivers: `self`, `mut self`, `&self`, `&mut self`,
         // `&'a self`.
         let save = self.pos;
-        {
-            if self.eat("&") {
-                if self.at("'") {
-                    self.bump();
-                    self.bump();
-                }
-                self.eat("mut");
-            } else {
-                self.eat("mut");
-            }
-            if self.at("self") {
-                self.bump();
-                return Ok(ParamDef {
-                    pat: Pat::Ident {
-                        name: "self".to_string(),
-                        by_ref: false,
-                        is_mut: false,
-                        sub: None,
-                    },
-                    ty: Vec::new(),
-                    span,
-                });
-            }
+        if self.eat("&") && self.at("'") {
+            self.bump();
+            self.bump();
+        }
+        self.eat("mut");
+        if self.eat("self") {
+            return Ok(ParamDef {
+                pat: Pat {
+                    names: vec!["self".to_string()],
+                    is_binding: true,
+                },
+                ty: Vec::new(),
+            });
         }
         self.pos = save;
         let pat = self.pat()?;
@@ -508,7 +413,7 @@ impl<'a> Parser<'a> {
         } else {
             Vec::new()
         };
-        Ok(ParamDef { pat, ty, span })
+        Ok(ParamDef { pat, ty })
     }
 
     fn struct_def(&mut self) -> PResult<ItemKind> {
@@ -516,27 +421,18 @@ impl<'a> Parser<'a> {
         let name = self.ident()?;
         self.skip_generics()?;
         self.skip_where()?;
+        let mut fields = Vec::new();
         if self.eat(";") {
-            return Ok(ItemKind::Struct {
-                name,
-                fields: Vec::new(),
-                tuple: false,
-            });
+            return Ok(ItemKind::Struct { name, fields });
         }
         if self.eat("(") {
-            let mut fields = Vec::new();
-            let mut idx = 0usize;
             while !self.at(")") {
-                let span = self.span();
-                let vis = self.vis()?;
+                self.skip_vis()?;
                 let ty = self.type_tokens(&[",", ")"])?;
                 fields.push(FieldDef {
-                    vis,
-                    name: idx.to_string(),
+                    name: fields.len().to_string(),
                     ty,
-                    span,
                 });
-                idx += 1;
                 if !self.eat(",") {
                     break;
                 }
@@ -544,121 +440,52 @@ impl<'a> Parser<'a> {
             self.expect(")")?;
             self.skip_where()?;
             self.expect(";")?;
-            return Ok(ItemKind::Struct {
-                name,
-                fields,
-                tuple: true,
-            });
+            return Ok(ItemKind::Struct { name, fields });
         }
         self.expect("{")?;
-        let mut fields = Vec::new();
         while !self.at("}") {
             // Field-level doc attrs.
             self.attrs()?;
-            let vis = self.vis()?;
-            let span = self.span();
+            self.skip_vis()?;
             let fname = self.ident()?;
             self.expect(":")?;
             let ty = self.type_tokens(&[",", "}"])?;
-            fields.push(FieldDef {
-                vis,
-                name: fname,
-                ty,
-                span,
-            });
+            fields.push(FieldDef { name: fname, ty });
             if !self.eat(",") {
                 break;
             }
         }
         self.expect("}")?;
-        Ok(ItemKind::Struct {
-            name,
-            fields,
-            tuple: false,
-        })
-    }
-
-    fn enum_def(&mut self) -> PResult<ItemKind> {
-        self.expect("enum")?;
-        let name = self.ident()?;
-        self.skip_generics()?;
-        self.skip_where()?;
-        self.expect("{")?;
-        let mut variants = Vec::new();
-        while !self.at("}") {
-            self.attrs()?;
-            let span = self.span();
-            let vname = self.ident()?;
-            let mut fields = Vec::new();
-            let mut tuple = Vec::new();
-            if self.eat("{") {
-                while !self.at("}") {
-                    self.attrs()?;
-                    let fspan = self.span();
-                    let fname = self.ident()?;
-                    self.expect(":")?;
-                    let ty = self.type_tokens(&[",", "}"])?;
-                    fields.push(FieldDef {
-                        vis: Vis::Private,
-                        name: fname,
-                        ty,
-                        span: fspan,
-                    });
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-                self.expect("}")?;
-            } else if self.eat("(") {
-                while !self.at(")") {
-                    tuple.push(self.type_tokens(&[",", ")"])?);
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-                self.expect(")")?;
-            }
-            variants.push(VariantDef {
-                name: vname,
-                fields,
-                tuple,
-                span,
-            });
-            if !self.eat(",") {
-                break;
-            }
-        }
-        self.expect("}")?;
-        Ok(ItemKind::Enum { name, variants })
+        Ok(ItemKind::Struct { name, fields })
     }
 
     fn impl_def(&mut self) -> PResult<ItemKind> {
         self.expect("impl")?;
         self.skip_generics()?;
-        let first = self.type_tokens(&["for", "{", "where"])?;
-        let (trait_tokens, self_ty) = if self.eat("for") {
-            let self_ty = self.type_tokens(&["{", "where"])?;
-            (Some(first), self_ty)
-        } else {
-            (None, first)
-        };
+        let mut self_ty = self.type_tokens(&["for", "{", "where"])?;
+        if self.eat("for") {
+            // What came first was the trait.
+            self_ty = self.type_tokens(&["{", "where"])?;
+        }
         self.skip_where()?;
+        let items = self.item_list()?;
+        Ok(ItemKind::Impl { self_ty, items })
+    }
+
+    /// `{ item* }` — the body of an impl, trait or inline mod.
+    fn item_list(&mut self) -> PResult<Vec<Item>> {
         self.expect("{")?;
         let mut items = Vec::new();
         while !self.at("}") {
             items.push(self.item()?);
         }
         self.expect("}")?;
-        Ok(ItemKind::Impl {
-            trait_tokens,
-            self_ty,
-            items,
-        })
+        Ok(items)
     }
 
     fn trait_def(&mut self) -> PResult<ItemKind> {
         self.expect("trait")?;
-        let name = self.ident()?;
+        self.ident()?;
         self.skip_generics()?;
         if self.eat(":") {
             // Supertrait bounds — skip to the body.
@@ -675,31 +502,16 @@ impl<'a> Parser<'a> {
             }
         }
         self.skip_where()?;
-        self.expect("{")?;
-        let mut items = Vec::new();
-        while !self.at("}") {
-            items.push(self.item()?);
-        }
-        self.expect("}")?;
-        Ok(ItemKind::Trait { name, items })
+        Ok(ItemKind::Scope(self.item_list()?))
     }
 
     fn mod_def(&mut self) -> PResult<ItemKind> {
         self.expect("mod")?;
-        let name = self.ident()?;
+        self.ident()?;
         if self.eat(";") {
-            return Ok(ItemKind::Mod { name, items: None });
+            return Ok(ItemKind::Other);
         }
-        self.expect("{")?;
-        let mut items = Vec::new();
-        while !self.at("}") {
-            items.push(self.item()?);
-        }
-        self.expect("}")?;
-        Ok(ItemKind::Mod {
-            name,
-            items: Some(items),
-        })
+        Ok(ItemKind::Scope(self.item_list()?))
     }
 
     // -- blocks & statements ------------------------------------------
@@ -709,21 +521,22 @@ impl<'a> Parser<'a> {
         self.expect("{")?;
         let mut stmts = Vec::new();
         while !self.at("}") {
-            stmts.push(self.stmt()?);
+            stmts.extend(self.stmt()?);
         }
         self.expect("}")?;
         Ok(Block { stmts, span })
     }
 
-    fn stmt(&mut self) -> PResult<Stmt> {
+    /// One statement; `None` for a stray `;` or a nested item.
+    fn stmt(&mut self) -> PResult<Option<Stmt>> {
         if self.eat(";") {
-            return Ok(Stmt::Empty);
+            return Ok(None);
         }
         let attrs = self.attrs()?;
         if self.at("let") {
             // Attrs on `let` statements are dropped: no analysis reads
             // them.
-            return self.let_stmt();
+            return self.let_stmt().map(Some);
         }
         const ITEM_STARTS: &[&str] = &[
             "fn", "struct", "enum", "impl", "trait", "mod", "use", "static", "pub",
@@ -732,11 +545,8 @@ impl<'a> Parser<'a> {
             || (self.at("const") && self.nth_text(2) == ":")
             || (self.at("type") && self.nth_text(2) == "=")
         {
-            let mut item = self.item()?;
-            let mut all = attrs;
-            all.extend(item.attrs);
-            item.attrs = all;
-            return Ok(Stmt::Item(Box::new(item)));
+            self.item()?;
+            return Ok(None);
         }
         // Rust's statement rule: an expression statement that starts
         // with a block-like construct ends at its closing brace — no
@@ -746,21 +556,15 @@ impl<'a> Parser<'a> {
             "{" => Expr::Block(self.block()?),
             "if" => self.if_expr()?,
             "match" => self.match_expr()?,
-            "while" | "loop" | "for" => self.loop_expr(None)?,
-            "'" if self.nth_text(2) == ":" => {
-                self.bump();
-                let label = self.ident()?;
-                self.expect(":")?;
-                self.loop_expr(Some(label))?
-            }
+            "while" | "loop" | "for" => self.loop_expr()?,
+            "'" if self.nth_text(2) == ":" => self.labelled_loop()?,
             _ => self.expr(true)?,
         };
-        let semi = self.eat(";");
-        Ok(Stmt::Expr { attrs, expr, semi })
+        self.eat(";");
+        Ok(Some(Stmt::Expr { attrs, expr }))
     }
 
     fn let_stmt(&mut self) -> PResult<Stmt> {
-        let span = self.span();
         self.expect("let")?;
         let pat = self.pat()?;
         let ty = if self.eat(":") {
@@ -784,216 +588,149 @@ impl<'a> Parser<'a> {
             ty,
             init,
             else_block,
-            span,
         })
     }
 
     // -- patterns -----------------------------------------------------
+    //
+    // A pattern is parsed for where it ends and for the names it binds;
+    // each helper pushes those onto `names` and returns whether what it
+    // parsed was, as a whole, one plain binding.
 
     fn pat(&mut self) -> PResult<Pat> {
-        self.eat("|");
-        let first = self.pat_one()?;
-        if !self.at("|") {
-            return Ok(first);
-        }
-        let mut pats = vec![first];
-        while self.eat("|") {
-            pats.push(self.pat_one()?);
-        }
-        Ok(Pat::Or(pats))
+        let mut names = Vec::new();
+        let is_binding = self.pat_into(&mut names)?;
+        Ok(Pat { names, is_binding })
     }
 
-    fn pat_one(&mut self) -> PResult<Pat> {
+    fn pat_into(&mut self, names: &mut Vec<String>) -> PResult<bool> {
+        self.eat("|");
+        let mut is_binding = self.pat_one(names)?;
+        while self.eat("|") {
+            self.pat_one(names)?;
+            is_binding = false;
+        }
+        Ok(is_binding)
+    }
+
+    /// `p1, p2, ..` up to (and including) `close`. Returns the
+    /// is-a-binding flag of a lone, comma-less element: `(x)` is `x`.
+    fn pat_list(&mut self, close: &str, names: &mut Vec<String>) -> PResult<bool> {
+        let mut count = 0;
+        let mut lone = false;
+        while !self.at(close) {
+            let is_binding = self.pat_into(names)?;
+            count += 1;
+            let trailing = self.eat(",");
+            lone = is_binding && count == 1 && !trailing;
+            if !trailing {
+                break;
+            }
+        }
+        self.expect(close)?;
+        Ok(lone)
+    }
+
+    fn pat_one(&mut self, names: &mut Vec<String>) -> PResult<bool> {
         match self.text() {
-            "_" => {
+            "_" | ".." => {
                 self.bump();
-                Ok(Pat::Wild)
-            }
-            ".." => {
-                self.bump();
-                Ok(Pat::Rest)
-            }
-            "&" => {
-                self.bump();
-                let is_mut = self.eat("mut");
-                Ok(Pat::Ref {
-                    is_mut,
-                    pat: Box::new(self.pat_one()?),
-                })
+                Ok(false)
             }
             // Cooked `&&` in pattern position is two reference layers
             // (`|&&s| ...` over an `iter().copied()`-style double ref).
-            "&&" => {
+            "&" | "&&" => {
                 self.bump();
-                let is_mut = self.eat("mut");
-                Ok(Pat::Ref {
-                    is_mut: false,
-                    pat: Box::new(Pat::Ref {
-                        is_mut,
-                        pat: Box::new(self.pat_one()?),
-                    }),
-                })
+                self.eat("mut");
+                self.pat_one(names)?;
+                Ok(false)
             }
             "(" => {
                 self.bump();
-                let mut elems = Vec::new();
-                let mut trailing = false;
-                while !self.at(")") {
-                    elems.push(self.pat()?);
-                    trailing = self.eat(",");
-                    if !trailing {
-                        break;
-                    }
-                }
-                self.expect(")")?;
-                if elems.len() == 1 && !trailing {
-                    Ok(elems.pop().expect("one element"))
-                } else {
-                    Ok(Pat::Tuple(elems))
-                }
+                self.pat_list(")", names)
             }
             "[" => {
                 self.bump();
-                let mut elems = Vec::new();
-                while !self.at("]") {
-                    elems.push(self.pat()?);
-                    if !self.eat(",") {
-                        break;
-                    }
-                }
-                self.expect("]")?;
-                Ok(Pat::Slice(elems))
+                self.pat_list("]", names)?;
+                Ok(false)
             }
             "ref" | "mut" => {
-                let by_ref = self.eat("ref");
-                let is_mut = self.eat("mut");
-                let name = self.ident()?;
-                let sub = if self.eat("@") {
-                    Some(Box::new(self.pat_one()?))
-                } else {
-                    None
-                };
-                Ok(Pat::Ident {
-                    name,
-                    by_ref,
-                    is_mut,
-                    sub,
-                })
+                self.eat("ref");
+                self.eat("mut");
+                names.push(self.ident()?);
+                if self.eat("@") {
+                    self.pat_one(names)?;
+                }
+                Ok(true)
             }
             "-" => {
                 self.bump();
-                let lit = self.bump().text.clone();
-                self.lit_or_range_pat(format!("-{lit}"))
+                self.bump();
+                self.range_pat_tail()
             }
             t if is_lit_text(t) => {
-                let lit = self.bump().text.clone();
-                self.lit_or_range_pat(lit)
+                self.bump();
+                self.range_pat_tail()
             }
-            _ if self.at_name() => self.path_pat(),
+            _ if self.at_name() => self.path_pat(names),
             _ => self.err("expected pattern"),
         }
     }
 
-    fn lit_or_range_pat(&mut self, lo: String) -> PResult<Pat> {
-        if self.at("..=") || self.at("..") {
-            let inclusive = self.bump().text == "..=";
-            let hi = if self.at_name()
-                || self
-                    .text()
-                    .starts_with(|c: char| c.is_ascii_digit() || c == '-')
-            {
-                let neg = self.eat("-");
-                let t = self.bump().text.clone();
-                Some(if neg { format!("-{t}") } else { t })
-            } else {
-                None
-            };
-            Ok(Pat::Range {
-                lo: Some(lo),
-                hi,
-                inclusive,
-            })
-        } else {
-            Ok(Pat::Lit(lo))
+    /// After a literal pattern: an optional `..=hi` / `..hi` / `..`.
+    fn range_pat_tail(&mut self) -> PResult<bool> {
+        if self.eat("..=") || self.eat("..") {
+            self.eat("-");
+            if self.at_name() || self.text().starts_with(|c: char| c.is_ascii_digit()) {
+                self.bump();
+            }
         }
+        Ok(false)
     }
 
-    fn path_pat(&mut self) -> PResult<Pat> {
-        let mut segs = vec![self.ident()?];
-        while self.at("::") {
-            self.bump();
-            segs.push(self.ident()?);
+    fn path_pat(&mut self, names: &mut Vec<String>) -> PResult<bool> {
+        let name = self.ident()?;
+        let mut qualified = false;
+        while self.eat("::") {
+            self.ident()?;
+            qualified = true;
         }
         if self.eat("(") {
-            let mut elems = Vec::new();
-            while !self.at(")") {
-                elems.push(self.pat()?);
-                if !self.eat(",") {
-                    break;
-                }
-            }
-            self.expect(")")?;
-            return Ok(Pat::TupleStruct { segs, elems });
+            self.pat_list(")", names)?;
+            return Ok(false);
         }
         if self.eat("{") {
-            let mut fields = Vec::new();
-            let mut rest = false;
             while !self.at("}") {
                 if self.eat("..") {
-                    rest = true;
                     break;
                 }
-                // Shorthand may carry `ref`/`mut`; normalize to a
-                // `name: pat` pair so printing is canonical.
-                if self.at("ref") || self.at("mut") {
-                    let by_ref = self.eat("ref");
-                    let is_mut = self.eat("mut");
-                    let name = self.ident()?;
-                    fields.push((
-                        name.clone(),
-                        Some(Pat::Ident {
-                            name,
-                            by_ref,
-                            is_mut,
-                            sub: None,
-                        }),
-                    ));
+                // Shorthand may carry `ref`/`mut`.
+                let shorthand_only = self.at("ref") || self.at("mut");
+                self.eat("ref");
+                self.eat("mut");
+                let field = self.ident()?;
+                if !shorthand_only && self.eat(":") {
+                    self.pat_into(names)?;
                 } else {
-                    let name = self.ident()?;
-                    let sub = if self.eat(":") {
-                        Some(self.pat()?)
-                    } else {
-                        None
-                    };
-                    fields.push((name, sub));
+                    names.push(field);
                 }
                 if !self.eat(",") {
                     break;
                 }
             }
             self.expect("}")?;
-            return Ok(Pat::Struct { segs, fields, rest });
+            return Ok(false);
         }
-        if segs.len() > 1 {
-            return Ok(Pat::Path { segs });
-        }
-        let name = segs.pop().expect("single segment");
         // Heuristic shared with rustc style: capitalized single
         // segments are unit variants/consts, lowercase are bindings.
-        if name.starts_with(|c: char| c.is_uppercase()) {
-            return Ok(Pat::Path { segs: vec![name] });
+        if qualified || name.starts_with(|c: char| c.is_uppercase()) {
+            return Ok(false);
         }
-        let sub = if self.eat("@") {
-            Some(Box::new(self.pat_one()?))
-        } else {
-            None
-        };
-        Ok(Pat::Ident {
-            name,
-            by_ref: false,
-            is_mut: false,
-            sub,
-        })
+        names.push(name);
+        if self.eat("@") {
+            self.pat_one(names)?;
+        }
+        Ok(true)
     }
 
     // -- expressions --------------------------------------------------
@@ -1006,10 +743,9 @@ impl<'a> Parser<'a> {
             "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
         ];
         if ASSIGN_OPS.contains(&self.text()) {
-            let op = self.bump().text.clone();
+            self.bump();
             let rhs = self.expr(allow_struct)?;
             return Ok(Expr::Assign {
-                op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             });
@@ -1033,34 +769,23 @@ impl<'a> Parser<'a> {
     }
 
     fn range_expr(&mut self, allow_struct: bool) -> PResult<Expr> {
-        if self.at("..") || self.at("..=") {
-            let inclusive = self.bump().text == "..=";
-            let hi = if EXPR_TERMINATORS.contains(&self.text()) || self.at("{") {
-                None
-            } else {
-                Some(Box::new(self.binary_expr(0, allow_struct)?))
-            };
-            return Ok(Expr::Range {
-                lo: None,
-                hi,
-                inclusive,
-            });
-        }
-        let lo = self.binary_expr(0, allow_struct)?;
-        if self.at("..") || self.at("..=") {
-            let inclusive = self.bump().text == "..=";
-            let hi = if EXPR_TERMINATORS.contains(&self.text()) || self.at("{") {
-                None
-            } else {
-                Some(Box::new(self.binary_expr(0, allow_struct)?))
-            };
-            return Ok(Expr::Range {
-                lo: Some(Box::new(lo)),
-                hi,
-                inclusive,
-            });
-        }
-        Ok(lo)
+        let at_range = |p: &Self| p.at("..") || p.at("..=");
+        let lo = if at_range(self) {
+            None
+        } else {
+            let lo = self.binary_expr(0, allow_struct)?;
+            if !at_range(self) {
+                return Ok(lo);
+            }
+            Some(Box::new(lo))
+        };
+        self.bump();
+        let hi = if EXPR_TERMINATORS.contains(&self.text()) || self.at("{") {
+            None
+        } else {
+            Some(Box::new(self.binary_expr(0, allow_struct)?))
+        };
+        Ok(Expr::Range { lo, hi })
     }
 
     /// Binary operator tiers, loosest first.
@@ -1081,10 +806,9 @@ impl<'a> Parser<'a> {
         }
         let mut lhs = self.binary_expr(tier + 1, allow_struct)?;
         while TIERS[tier].contains(&self.text()) {
-            let op = self.bump().text.clone();
+            self.bump();
             let rhs = self.binary_expr(tier + 1, allow_struct)?;
             lhs = Expr::Binary {
-                op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
@@ -1096,23 +820,13 @@ impl<'a> Parser<'a> {
         let mut e = self.unary_expr(allow_struct)?;
         while self.eat("as") {
             // Cast targets in this workspace are plain paths with
-            // optional generics — collect exactly that shape.
-            let mut ty = vec![self.ident()?];
-            while self.at("::") {
-                ty.push(self.bump().text.clone());
-                ty.push(self.ident()?);
+            // optional generics — step over exactly that shape.
+            self.ident()?;
+            while self.eat("::") {
+                self.ident()?;
             }
-            if self.at("<") {
-                let start = self.pos;
-                self.skip_generics()?;
-                for t in &self.toks[start..self.pos] {
-                    ty.push(t.text.clone());
-                }
-            }
-            e = Expr::Cast {
-                expr: Box::new(e),
-                ty,
-            };
+            self.skip_generics()?;
+            e = Expr::Cast { expr: Box::new(e) };
         }
         Ok(e)
     }
@@ -1208,6 +922,23 @@ impl<'a> Parser<'a> {
         Ok(args)
     }
 
+    /// After `return` / `break 'label?`: the optional value.
+    fn jump_value(&mut self, allow_struct: bool) -> PResult<Option<Box<Expr>>> {
+        if EXPR_TERMINATORS.contains(&self.text()) {
+            Ok(None)
+        } else {
+            Ok(Some(Box::new(self.expr(allow_struct)?)))
+        }
+    }
+
+    /// Skips a `'label` after `break` / `continue`.
+    fn skip_label(&mut self) -> PResult<()> {
+        if self.eat("'") {
+            self.ident()?;
+        }
+        Ok(())
+    }
+
     fn atom(&mut self, allow_struct: bool) -> PResult<Expr> {
         let span = self.span();
         match self.text() {
@@ -1258,69 +989,48 @@ impl<'a> Parser<'a> {
             "{" => Ok(Expr::Block(self.block()?)),
             "if" => self.if_expr(),
             "match" => self.match_expr(),
-            "while" | "loop" | "for" => self.loop_expr(None),
-            "'" if self.nth_text(2) == ":" => {
-                self.bump();
-                let label = self.ident()?;
-                self.expect(":")?;
-                self.loop_expr(Some(label))
-            }
+            "while" | "loop" | "for" => self.loop_expr(),
+            "'" if self.nth_text(2) == ":" => self.labelled_loop(),
             "return" => {
                 self.bump();
-                let expr = if EXPR_TERMINATORS.contains(&self.text()) {
-                    None
-                } else {
-                    Some(Box::new(self.expr(allow_struct)?))
-                };
-                Ok(Expr::Return { expr })
+                Ok(Expr::Return {
+                    expr: self.jump_value(allow_struct)?,
+                })
             }
             "break" => {
                 self.bump();
-                let label = if self.at("'") {
-                    self.bump();
-                    Some(self.ident()?)
-                } else {
-                    None
-                };
-                let expr = if EXPR_TERMINATORS.contains(&self.text()) {
-                    None
-                } else {
-                    Some(Box::new(self.expr(allow_struct)?))
-                };
-                Ok(Expr::Break { label, expr })
+                self.skip_label()?;
+                Ok(Expr::Break {
+                    expr: self.jump_value(allow_struct)?,
+                })
             }
             "continue" => {
                 self.bump();
-                let label = if self.at("'") {
-                    self.bump();
-                    Some(self.ident()?)
-                } else {
-                    None
-                };
-                Ok(Expr::Continue { label })
+                self.skip_label()?;
+                Ok(Expr::Continue)
             }
             "move" => {
                 self.bump();
-                self.closure(true, span)
+                self.closure(span)
             }
-            "|" | "||" => self.closure(false, span),
-            t if is_lit_text(t) => Ok(Expr::Lit {
-                text: self.bump().text.clone(),
-                span,
-            }),
+            "|" | "||" => self.closure(span),
+            t if is_lit_text(t) => {
+                self.bump();
+                Ok(Expr::Lit { span })
+            }
             _ if self.at_name() => self.path_expr(allow_struct, span),
             _ => self.err("expected expression"),
         }
     }
 
-    fn closure(&mut self, is_move: bool, span: Span) -> PResult<Expr> {
-        let mut params = Vec::new();
+    fn closure(&mut self, span: Span) -> PResult<Expr> {
         if !self.eat("||") {
             self.expect("|")?;
+            let mut params = Vec::new();
             while !self.at("|") {
                 // `pat_one`, not `pat`: a top-level `|` here is the
                 // closing delimiter, never an or-pattern separator.
-                params.push(self.pat_one()?);
+                self.pat_one(&mut params)?;
                 if self.eat(":") {
                     // Annotated closure param types are dropped.
                     self.type_tokens(&[",", "|"])?;
@@ -1331,20 +1041,13 @@ impl<'a> Parser<'a> {
             }
             self.expect("|")?;
         }
-        if self.eat("->") {
+        let body = if self.eat("->") {
             self.type_tokens(&["{"])?;
-            let body = Expr::Block(self.block()?);
-            return Ok(Expr::Closure {
-                is_move,
-                params,
-                body: Box::new(body),
-                span,
-            });
-        }
-        let body = self.expr(true)?;
+            Expr::Block(self.block()?)
+        } else {
+            self.expr(true)?
+        };
         Ok(Expr::Closure {
-            is_move,
-            params,
             body: Box::new(body),
             span,
         })
@@ -1378,7 +1081,7 @@ impl<'a> Parser<'a> {
         let mut arms = Vec::new();
         while !self.at("}") {
             self.attrs()?;
-            let pat = self.pat()?;
+            self.pat()?;
             let guard = if self.eat("if") {
                 Some(self.expr(true)?)
             } else {
@@ -1393,7 +1096,7 @@ impl<'a> Parser<'a> {
                 self.expr(true)?
             };
             self.eat(",");
-            arms.push(Arm { pat, guard, body });
+            arms.push(Arm { guard, body });
         }
         self.expect("}")?;
         Ok(Expr::Match {
@@ -1403,14 +1106,21 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn loop_expr(&mut self, label: Option<String>) -> PResult<Expr> {
+    /// `'label: while|loop|for ..` — the label is dropped.
+    fn labelled_loop(&mut self) -> PResult<Expr> {
+        self.bump();
+        self.ident()?;
+        self.expect(":")?;
+        self.loop_expr()
+    }
+
+    fn loop_expr(&mut self) -> PResult<Expr> {
         match self.text() {
             "while" => {
                 self.bump();
                 let cond = self.cond_expr()?;
                 let body = self.block()?;
                 Ok(Expr::While {
-                    label,
                     cond: Box::new(cond),
                     body,
                 })
@@ -1418,17 +1128,15 @@ impl<'a> Parser<'a> {
             "loop" => {
                 self.bump();
                 let body = self.block()?;
-                Ok(Expr::Loop { label, body })
+                Ok(Expr::Loop { body })
             }
             "for" => {
                 self.bump();
-                let pat = self.pat()?;
+                self.pat()?;
                 self.expect("in")?;
                 let iter = self.expr(false)?;
                 let body = self.block()?;
                 Ok(Expr::For {
-                    label,
-                    pat,
                     iter: Box::new(iter),
                     body,
                 })
@@ -1454,13 +1162,8 @@ impl<'a> Parser<'a> {
         // Macro invocation.
         if self.at("!") && matches!(self.nth_text(1), "(" | "[" | "{") {
             self.bump();
-            let (delim, tokens) = self.token_tree()?;
-            return Ok(Expr::MacroCall {
-                segs,
-                delim,
-                tokens,
-                span,
-            });
+            self.skip_token_tree()?;
+            return Ok(Expr::MacroCall { span });
         }
         // Struct literal.
         if allow_struct && self.at("{") {
@@ -1472,21 +1175,13 @@ impl<'a> Parser<'a> {
                     base = Some(Box::new(self.expr(true)?));
                     break;
                 }
-                // Field-level attrs (`#[allow(...)] field: value`).
+                // Field-level attrs (`#[allow(...)] field: value`), then
+                // the name (`Foo { 0: x }` has a number there).
                 self.attrs()?;
-                let name = if self.at_name() {
-                    self.ident()?
-                } else {
-                    // Tuple-struct literal field (`Foo { 0: x }`) —
-                    // not used in this workspace, but cheap to accept.
-                    self.bump().text.clone()
-                };
-                let value = if self.eat(":") {
-                    Some(self.expr(true)?)
-                } else {
-                    None
-                };
-                fields.push((name, value));
+                self.bump();
+                if self.eat(":") {
+                    fields.push(self.expr(true)?);
+                }
                 if !self.eat(",") {
                     break;
                 }
@@ -1561,18 +1256,19 @@ mod tests {
 
     #[test]
     fn binary_precedence_and_associativity() {
+        // Operators are not kept; the grouping they imply is.
         fn shape(e: &Expr) -> String {
             match e {
-                Expr::Binary { op, lhs, rhs } => format!("({op} {} {})", shape(lhs), shape(rhs)),
+                Expr::Binary { lhs, rhs } => format!("({} {})", shape(lhs), shape(rhs)),
                 Expr::Path { segs, .. } => segs.join("::"),
                 other => panic!("unexpected operand {other:?}"),
             }
         }
         let shape_of = |src: &str| shape(&expr_of(src));
-        assert_eq!(shape_of("a + b * c"), "(+ a (* b c))");
-        assert_eq!(shape_of("a * b + c"), "(+ (* a b) c)");
-        assert_eq!(shape_of("a - b - c"), "(- (- a b) c)");
-        assert_eq!(shape_of("a || b && c == d"), "(|| a (&& b (== c d)))");
+        assert_eq!(shape_of("a + b * c"), "(a (b c))");
+        assert_eq!(shape_of("a * b + c"), "((a b) c)");
+        assert_eq!(shape_of("a - b - c"), "((a b) c)");
+        assert_eq!(shape_of("a || b && c == d"), "(a (b (c d)))");
     }
 
     /// An expression statement that starts with a block-like construct
@@ -1636,7 +1332,6 @@ mod tests {
             diverge.stmts[..],
             [Stmt::Expr {
                 expr: Expr::Return { expr: None },
-                semi: true,
                 ..
             }]
         ));
@@ -1648,17 +1343,15 @@ mod tests {
         else {
             panic!("expected call, got {:?}", stmts[1]);
         };
-        let [Expr::Closure { params, body, .. }] = &args[..] else {
+        let [Expr::Closure { body, .. }] = &args[..] else {
             panic!("expected one closure argument, got {args:?}");
         };
-        assert!(params.is_empty());
         let Expr::Call { args, .. } = &**body else {
             panic!("expected call body, got {body:?}");
         };
         assert!(matches!(
             &args[..],
-            [Expr::Closure { params, body, .. }]
-                if params.len() == 1 && matches!(**body, Expr::Binary { .. })
+            [Expr::Closure { body, .. }] if matches!(**body, Expr::Binary { .. })
         ));
     }
 

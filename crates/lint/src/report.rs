@@ -4,7 +4,7 @@
 //! comment lines, blank lines, and one key per entry. A key is
 //! `<workspace-relative path>:<context>:<kind>`, where `context` is the
 //! enclosing function and `kind` names the specific finding class
-//! (`blocking-under-lock`, `expect`, `raw-arith`, ...). `path:*` allows
+//! (`blocking-under-lock`, `expect`, `indexing`, ...). `path:*` allows
 //! a whole file. Keys deliberately avoid line numbers so entries
 //! survive unrelated edits. Entries that no longer match any finding
 //! are themselves reported as `stale-allowlist` errors.
@@ -15,12 +15,11 @@ use std::path::Path;
 /// One finding of one analysis.
 #[derive(Debug, Clone, Default)]
 pub struct Finding {
-    /// Analysis identifier (`lock-discipline`, `determinism-taint`,
-    /// `panic-path`, `unit-escape`) or the driver's own `parse-error` /
-    /// `stale-allowlist`.
+    /// Analysis identifier (`lock-discipline`, `panic-path`) or the
+    /// driver's own `parse-error` / `stale-allowlist`.
     pub rule: &'static str,
     /// Finding kind within the analysis (`blocking-under-lock`,
-    /// `order-inversion`, `unwrap`, `raw-arith`, ...); empty for the
+    /// `order-inversion`, `expect`, `indexing`, ...); empty for the
     /// driver's own findings.
     pub kind: &'static str,
     /// Workspace-relative file path.

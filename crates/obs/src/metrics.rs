@@ -255,17 +255,22 @@ mod tests {
 
     #[test]
     fn drain_is_sorted_and_resets() {
+        // Enough names of each kind, inserted in reverse, that a hash
+        // map's iteration order cannot come out sorted by luck.
+        let names: Vec<String> = (0..16).map(|i| format!("m.{i:02}")).collect();
         let reg = Registry::new();
-        reg.counter_add("z.second", 1);
-        reg.counter_add("a.first", 1);
-        reg.observe_us("timing.x", 42);
+        for name in names.iter().rev() {
+            reg.counter_add(name, 1);
+            reg.observe_us(name, 42);
+        }
         let events = reg.drain();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(&events[0], Event::CounterSnapshot { name, .. } if name == "a.first"));
-        assert!(matches!(&events[1], Event::CounterSnapshot { name, .. } if name == "z.second"));
-        assert!(
-            matches!(&events[2], Event::TimingSummary { name, count: 1, .. } if name == "timing.x")
-        );
+        assert_eq!(events.len(), 32);
+        for (i, name) in names.iter().enumerate() {
+            assert!(matches!(&events[i], Event::CounterSnapshot { name: n, .. } if n == name));
+            assert!(
+                matches!(&events[16 + i], Event::TimingSummary { name: n, count: 1, .. } if n == name)
+            );
+        }
         assert!(reg.drain().is_empty(), "drain resets the registry");
     }
 }

@@ -77,8 +77,8 @@ impl<'a> ScopedTimer<'a> {
             registry,
             name,
             // The sanctioned monotonic-clock read: timing probes measure the
-            // run, they never feed results (vdx-lint `determinism-taint`
-            // exempts this file; see DESIGN.md §10).
+            // run, they never feed results (see DESIGN.md §10: the journal
+            // byte-identity tests are what hold that).
             #[allow(clippy::disallowed_methods)]
             start: Instant::now(),
         }

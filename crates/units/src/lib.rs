@@ -3,8 +3,9 @@
 //! Every quantity that crosses a public API in the pricing, capacity, and
 //! settlement paths is wrapped in a newtype so the compiler rejects unit
 //! confusion (adding a price to a bandwidth, charging a margin as money).
-//! `vdx-lint` rule R1 enforces that the enforced modules do not re-grow
-//! bare `f64` in their public surfaces.
+//! The inner fields are private, so outside this crate the only way to a
+//! raw number is a named accessor (`as_f64`, `as_mbps`, `as_per_megabit`);
+//! nothing checks what is done with it afterwards (DESIGN.md §10).
 //!
 //! # Stored quanta
 //!

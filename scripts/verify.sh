@@ -7,10 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings (wall-clock reads; unwrap_used/panic/todo/unimplemented denied on every target)"
+echo "==> cargo clippy --all-targets -- -D warnings (wall-clock reads; iter_over_hash_type; unwrap_used/panic/todo/unimplemented denied on every target)"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> vdx-lint (lock-discipline/determinism-taint/panic-path/unit-escape + stale-allowlist gate)"
+echo "==> vdx-lint (lock-discipline/panic-path + stale-allowlist gate)"
 # Run once here; tier-1's `cargo test` below runs the same pipeline again
 # as `workspace_is_clean_modulo_allowlists`, next to the fixture tests
 # that prove each analysis fires.
