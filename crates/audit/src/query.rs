@@ -323,14 +323,8 @@ fn fault_league(store: &Store) -> QueryResult {
     // Injected and absorbed faults per (run, round).
     let mut faulted: HashMap<(u64, u64), u64> = HashMap::new();
     for event in &store.facts().events {
-        let round = match &event.row {
-            Event::FaultPlanApplied { round, .. }
-            | Event::CdnOutage { round, .. }
-            | Event::ExchangeOutage { round }
-            | Event::DeadlineMissed { round, .. }
-            | Event::StaleBidsReused { round, .. }
-            | Event::DesignFallback { round, .. } => *round,
-            _ => continue,
+        let Some(round) = event.row.faulted_round() else {
+            continue;
         };
         *faulted.entry((event.run, round)).or_insert(0) += 1;
     }

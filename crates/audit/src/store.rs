@@ -284,7 +284,7 @@ mod tests {
         assert_eq!(meta.threads, 2);
         assert_eq!(meta.git_commit, "abc123");
         assert_eq!(meta.wall_ms, 950);
-        assert_eq!(meta.events, 17);
+        assert_eq!(meta.events, 16);
 
         let rounds = &store.facts().rounds;
         assert_eq!(rounds.len(), 2);
@@ -295,7 +295,7 @@ mod tests {
         assert_eq!(rounds[1].gap, -1.0, "null gap -> sentinel");
 
         // Everything else is still there, as the event it arrived as.
-        assert_eq!(store.facts().events.len(), 17);
+        assert_eq!(store.facts().events.len(), 16);
         assert!(store.facts().events.iter().all(|e| e.run == 0));
 
         std::fs::remove_dir_all(&dir).ok();
@@ -386,7 +386,7 @@ mod tests {
         store.fold_artifact(&next).expect("loads");
         assert_eq!(store.runs()[1].git_commit, "0a0b0c");
         assert!(store.facts().events.iter().all(|e| e.run <= 1));
-        assert_eq!(store.facts().events.len(), 2 * 17);
+        assert_eq!(store.facts().events.len(), 2 * 16);
 
         // A torn line that is not the last one is garbage too, even in
         // a file without a trailing newline.

@@ -53,9 +53,8 @@ pub(crate) fn golden_journal(commit: &str, objective_shift: f64) -> String {
         "{\"ev\":\"timing_summary\",\"name\":\"core.decision_round\",\"count\":2,\
          \"mean_us\":1500.0,\"p50_us\":1400.0,\"p95_us\":2000.0,\"p99_us\":2100.0}"
             .into(),
-        "{\"ev\":\"counter_snapshot\",\"name\":\"proto.retransmits\",\"value\":12}".into(),
         "{\"ev\":\"experiment_finished\",\"experiment\":\"table3\",\"wall_ms\":950,\
-         \"events\":16}"
+         \"events\":15}"
             .into(),
     ]
     .join("\n")

@@ -150,7 +150,7 @@ mod tests {
     use crate::decision::tests::build_eco;
     use crate::decision::{run_decision_round, RoundInputs};
     use crate::design::Design;
-    use vdx_broker::{CpPolicy, OptimizeMode};
+    use vdx_broker::CpPolicy;
 
     fn settle_design(seed: u64, design: Design) -> (Settlement, f64) {
         let eco = build_eco(seed);
@@ -161,7 +161,6 @@ mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };

@@ -48,8 +48,6 @@ pub struct RoundInputs<'a> {
     pub background_load_kbps: &'a [Kbps],
     /// The content provider's goals.
     pub policy: CpPolicy,
-    /// Solver choice.
-    pub mode: OptimizeMode,
     /// Override for the marketplace bid count (Fig 18); `None` uses the
     /// design's default.
     pub bid_count: Option<usize>,
@@ -261,8 +259,21 @@ fn round_impl(
         options,
     };
     let assignment = match ctx {
-        Some(ctx) => optimize_probed_ctx(&problem, &inputs.policy, &inputs.mode, round, probe, ctx),
-        None => optimize_probed(&problem, &inputs.policy, &inputs.mode, round, probe),
+        Some(ctx) => optimize_probed_ctx(
+            &problem,
+            &inputs.policy,
+            &OptimizeMode::Heuristic,
+            round,
+            probe,
+            ctx,
+        ),
+        None => optimize_probed(
+            &problem,
+            &inputs.policy,
+            &OptimizeMode::Heuristic,
+            round,
+            probe,
+        ),
     };
 
     if probe.enabled() {
@@ -480,7 +491,6 @@ pub(crate) mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };
@@ -606,7 +616,6 @@ pub(crate) mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: Some(1),
             margins: None,
         };
@@ -690,7 +699,6 @@ pub(crate) mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };
@@ -761,7 +769,6 @@ pub(crate) mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };

@@ -66,8 +66,6 @@ pub struct ExchangeConfig {
     pub design: Design,
     /// The CP policy the broker optimizes for.
     pub policy: CpPolicy,
-    /// Solver choice.
-    pub mode: OptimizeMode,
 }
 
 impl Default for ExchangeConfig {
@@ -75,7 +73,6 @@ impl Default for ExchangeConfig {
         ExchangeConfig {
             design: Design::Marketplace,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
         }
     }
 }
@@ -640,7 +637,6 @@ impl Decision<'_> {
 struct Decider {
     design: Design,
     policy: CpPolicy,
-    mode: OptimizeMode,
     probe: Arc<dyn Probe>,
     /// Rounds are one sequential stream, so one context is exactly right;
     /// it runs the solver under the bit-exact reuse policy, keeping
@@ -722,7 +718,7 @@ impl Decider {
         let assignment = optimize_probed_ctx(
             &problem,
             &self.policy,
-            &self.mode,
+            &OptimizeMode::Heuristic,
             round,
             self.probe.as_ref(),
             &mut self.ctx,
@@ -773,7 +769,6 @@ impl Round {
     pub fn new(
         design: Design,
         policy: CpPolicy,
-        mode: OptimizeMode,
         breakers: Vec<CircuitBreaker>,
         cache: StaleBidCache<Vec<Bid>>,
         deadline_ms: u64,
@@ -784,7 +779,6 @@ impl Round {
             decider: Decider {
                 design,
                 policy,
-                mode,
                 probe,
                 ctx,
             },
@@ -926,7 +920,6 @@ impl ExchangeBroker {
             decider: Decider {
                 design: config.design,
                 policy: config.policy,
-                mode: config.mode,
                 probe: vdx_obs::probe::noop(),
                 ctx: OptimizeContext::new(),
             },
@@ -1150,7 +1143,6 @@ mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };
@@ -1401,7 +1393,6 @@ mod tests {
             groups: &eco.groups,
             background_load_kbps: &eco.background,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };

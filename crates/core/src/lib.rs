@@ -20,9 +20,6 @@
 //!   endpoints exchanging Share/Announce/Accept messages over (lossy)
 //!   `vdx-proto` links, with bid-shading CDN agents learning from Accept
 //!   feedback across rounds.
-//! * [`transactions`] — the Transactions design's multi-round commit loop
-//!   (§4.2), including the obstinate-veto failure mode that makes the
-//!   paper call it impractical.
 //! * [`wal`] — the durable write-ahead log of round boundaries that makes
 //!   the exchange daemon crash-safe: CRC-framed records, fsync commit
 //!   points, torn-tail truncation, and the replay that reconstructs the
@@ -38,7 +35,6 @@ pub mod accounting;
 pub mod decision;
 pub mod design;
 pub mod exchange;
-pub mod transactions;
 pub mod wal;
 
 pub use accounting::{settle, CdnLedger, Settlement};
@@ -53,5 +49,4 @@ pub use exchange::{
     DriverRound, ExchangeBroker, ExchangeConfig, ExchangeDriver, LiveRoundResult, Round,
     RoundHooks, RoundResolution,
 };
-pub use transactions::{run_transactions, CommitPolicy, HonestCommit, TransactionOutcome};
 pub use wal::{Recovery, Wal, WalError, WalOpen, WalRecord};

@@ -78,7 +78,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, OptimizeMode, StaleBidCache};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
 use vdx_core::wal::replay;
 use vdx_core::{
     BidSource, Decision, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundOutcome, Wal,
@@ -522,7 +522,6 @@ fn recover(
     let round = Round::new(
         design,
         policy,
-        OptimizeMode::Heuristic,
         breakers.collect(),
         cache,
         opts.deadline.as_millis() as u64,

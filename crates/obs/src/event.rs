@@ -397,13 +397,6 @@ pub enum Event {
         /// 99th percentile, microseconds (zeroable).
         p99_us: f64,
     },
-    /// Value of one named counter at the end of the run.
-    CounterSnapshot {
-        /// Counter name.
-        name: String,
-        /// Final value.
-        value: u64,
-    },
     /// Terminal record: the run finished and the journal is complete.
     ExperimentFinished {
         /// Experiment name (matches the header).
@@ -443,6 +436,22 @@ impl Event {
             }
             Event::ExperimentFinished { wall_ms, .. } => *wall_ms = 0,
             _ => {}
+        }
+    }
+
+    /// The round this event marks as faulted — a fault injected into it
+    /// or one the degradation ladder absorbed in it — or `None` for every
+    /// other event. The one definition `repro obs-report`'s "Faults"
+    /// section and `vdx-audit`'s `fault-league` both count by.
+    pub fn faulted_round(&self) -> Option<u64> {
+        match self {
+            Event::FaultPlanApplied { round, .. }
+            | Event::CdnOutage { round, .. }
+            | Event::ExchangeOutage { round }
+            | Event::DeadlineMissed { round, .. }
+            | Event::StaleBidsReused { round, .. }
+            | Event::DesignFallback { round, .. } => Some(*round),
+            _ => None,
         }
     }
 }
@@ -619,7 +628,6 @@ journal_codec! {
     "recovery_round_voided" => RecoveryRoundVoided { round }
     "recovery_complete" => RecoveryComplete { next_round, rounds_recovered, rounds_voided }
     "timing_summary" => TimingSummary { name, count, mean_us, p50_us, p95_us, p99_us }
-    "counter_snapshot" => CounterSnapshot { name, value }
     "experiment_finished" => ExperimentFinished { experiment, wall_ms, events }
 }
 
@@ -791,10 +799,6 @@ mod tests {
                 p50_us: 1_400.0,
                 p95_us: 2_000.0,
                 p99_us: 2_100.0,
-            },
-            Event::CounterSnapshot {
-                name: "proto.retransmits".into(),
-                value: 12,
             },
             Event::ExperimentFinished {
                 experiment: "table3".into(),

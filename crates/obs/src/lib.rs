@@ -14,9 +14,9 @@
 //!   run, conventionally under `results/journals/`; plus the one
 //!   reader, [`read_journal`] / [`parse_journal`], for `repro
 //!   obs-report` and `vdx-audit`.
-//! * [`metrics`] — a mutex-guarded [`Registry`] of named counters and
-//!   fixed-bucket histograms with p50/p95/p99 summaries, with a
-//!   process-wide instance at [`metrics::global`].
+//! * [`metrics`] — a mutex-guarded [`Registry`] of named fixed-bucket
+//!   histograms with p50/p95/p99 summaries, with a process-wide
+//!   instance at [`metrics::global`].
 //! * [`timing`] — RAII [`ScopedTimer`]s that feed named histograms.
 //!
 //! Instrumented code never names a sink: it talks to the [`Probe`] trait,

@@ -1,11 +1,11 @@
-//! Process-wide metrics registry: named counters and fixed-bucket
-//! histograms with p50/p95/p99 summaries.
+//! Process-wide metrics registry: named fixed-bucket histograms with
+//! p50/p95/p99 summaries.
 //!
 //! The registry is mutex-guarded and cheap to hit from hot paths:
-//! a counter bump is one mutex acquisition and a `BTreeMap` probe (ordered
-//! maps keep every iteration deterministic, so drained events never depend
-//! on hash order). Names are dot-separated by convention
-//! (`core.decision_round`, `proto.retransmits`). [`Registry::drain`]
+//! an observation is one mutex acquisition and a `BTreeMap` probe (an
+//! ordered map keeps every iteration deterministic, so drained events
+//! never depend on hash order). Names are dot-separated by convention
+//! (`core.decision_round`, `broker.optimize`). [`Registry::drain`]
 //! snapshots everything as journal [`Event`]s and resets the registry, so
 //! one run's metrics do not leak into the next when the process hosts
 //! several experiments.
@@ -135,24 +135,20 @@ impl Histogram {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
 /// A named-metrics registry. One process-wide instance lives behind
 /// [`global`]; scoped instances can be built for tests.
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: Mutex<RegistryInner>,
+    histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
 impl Registry {
     /// No panic can start under this lock (its critical sections are map
     /// updates), so a poisoned lock is a bug, not a state to handle.
-    fn locked(&self) -> MutexGuard<'_, RegistryInner> {
-        self.inner.lock().expect("metrics registry lock poisoned")
+    fn locked(&self) -> MutexGuard<'_, BTreeMap<String, Histogram>> {
+        self.histograms
+            .lock()
+            .expect("metrics registry lock poisoned")
     }
 
     /// Creates an empty registry.
@@ -160,49 +156,27 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `delta` to the named counter, creating it at zero first.
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut inner = self.locked();
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
     /// Records `us` microseconds into the named histogram.
     pub fn observe_us(&self, name: &str, us: u64) {
-        let mut inner = self.locked();
-        inner
-            .histograms
+        self.locked()
             .entry(name.to_string())
             .or_default()
             .record_us(us);
     }
 
-    /// Current value of a counter (0 when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.locked().counters.get(name).copied().unwrap_or(0)
-    }
-
     /// Snapshot of the named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.locked().histograms.get(name).cloned()
+        self.locked().get(name).cloned()
     }
 
     /// Drains the registry into journal events — one
-    /// [`Event::CounterSnapshot`] per counter and one
-    /// [`Event::TimingSummary`] per histogram, each group in name order
-    /// (the maps are ordered) for deterministic output — then resets all
-    /// state.
+    /// [`Event::TimingSummary`] per histogram, in name order (the map is
+    /// ordered) for deterministic output — then resets all state.
     pub fn drain(&self) -> Vec<Event> {
-        let mut inner = self.locked();
-        let mut events = Vec::new();
-
-        for (name, value) in std::mem::take(&mut inner.counters) {
-            events.push(Event::CounterSnapshot { name, value });
-        }
-
-        for (name, histogram) in std::mem::take(&mut inner.histograms) {
-            events.push(histogram.summary(&name));
-        }
-        events
+        std::mem::take(&mut *self.locked())
+            .iter()
+            .map(|(name, histogram)| histogram.summary(name))
+            .collect()
     }
 }
 
@@ -216,15 +190,6 @@ pub fn global() -> &'static Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let reg = Registry::new();
-        reg.counter_add("a", 2);
-        reg.counter_add("a", 3);
-        assert_eq!(reg.counter("a"), 5);
-        assert_eq!(reg.counter("missing"), 0);
-    }
 
     #[test]
     fn histogram_quantiles_bracket_observations() {
@@ -255,21 +220,17 @@ mod tests {
 
     #[test]
     fn drain_is_sorted_and_resets() {
-        // Enough names of each kind, inserted in reverse, that a hash
-        // map's iteration order cannot come out sorted by luck.
+        // Enough names, inserted in reverse, that a hash map's iteration
+        // order cannot come out sorted by luck.
         let names: Vec<String> = (0..16).map(|i| format!("m.{i:02}")).collect();
         let reg = Registry::new();
         for name in names.iter().rev() {
-            reg.counter_add(name, 1);
             reg.observe_us(name, 42);
         }
         let events = reg.drain();
-        assert_eq!(events.len(), 32);
-        for (i, name) in names.iter().enumerate() {
-            assert!(matches!(&events[i], Event::CounterSnapshot { name: n, .. } if n == name));
-            assert!(
-                matches!(&events[16 + i], Event::TimingSummary { name: n, count: 1, .. } if n == name)
-            );
+        assert_eq!(events.len(), 16);
+        for (event, name) in events.iter().zip(&names) {
+            assert!(matches!(event, Event::TimingSummary { name: n, count: 1, .. } if n == name));
         }
         assert!(reg.drain().is_empty(), "drain resets the registry");
     }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment> [--small] [--seed N] [--journal PATH] [--threads N]
-//!                    [--rounds N] [--solver-cold]
+//!                    [--rounds N] [--solver-cold] [--design NAME]
 //! repro obs-report <journal.jsonl>
 //! repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]
 //! repro audit report [PATH...]
@@ -14,7 +14,7 @@
 //! experiments: fig3 fig4 fig5 fig7 table1 table3
 //!              fig10 fig11 fig12 fig13 fig14 fig15 (aliases of the
 //!              combined accounting run) fig16 fig17 fig18
-//!              ext-stability ext-hybrid ext-noise faults all
+//!              ext-stability ext-hybrid ext-noise faults replay all
 //! --small        reduced-scale scenario (fast; used by CI)
 //! --seed N       override the master seed (default 2017)
 //! --journal PATH flight-record the run as JSONL events (conventionally
@@ -29,6 +29,8 @@
 //! --solver-cold  (table3) disable warm-start reuse: every round
 //!                re-solves from scratch. The reference path — output
 //!                and journals are byte-identical to the default
+//! --design NAME  (replay) the design re-run every five minutes over the
+//!                live session population (default marketplace)
 //!
 //! `bench-experiments` times table3/fig17/fig18 at 1 thread vs N threads
 //! (default: all cores) and writes the measured speedups plus the
@@ -56,19 +58,19 @@ use std::path::Path;
 use std::process::ExitCode;
 use vdx_obs::timing::git_commit;
 use vdx_obs::{Event, Stopwatch};
-use vdx_sim::cli::{flag_parsed, flag_value, journaled_phase, FlightRecorder};
+use vdx_sim::cli::{design_flag, flag_parsed, flag_value, journaled_phase, FlightRecorder};
 use vdx_sim::experiment::{
     ext_faults, ext_hybrid, ext_noise, ext_stability, fig10_15, fig16, fig17, fig18, fig3, fig4,
     fig5, fig7, table1, table3,
 };
 use vdx_sim::soak::SoakPlan;
-use vdx_sim::{obs_report, Scenario, ScenarioConfig};
+use vdx_sim::{obs_report, replay, Scenario, ScenarioConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <fig3|fig4|fig5|fig7|table1|table3|fig10..fig15|fig16|fig17|fig18|\
-         ext-stability|ext-hybrid|ext-noise|faults|all> [--small] [--seed N] \
-         [--journal PATH] [--threads N] [--rounds N] [--solver-cold]\n\
+         ext-stability|ext-hybrid|ext-noise|faults|replay|all> [--small] [--seed N] \
+         [--journal PATH] [--threads N] [--rounds N] [--solver-cold] [--design NAME]\n\
          \x20      repro obs-report <journal.jsonl>\n\
          \x20      repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]\n\
          \x20      repro audit <report|query|--baseline PATH> (see `repro audit`)\n\
@@ -122,6 +124,16 @@ fn main() -> ExitCode {
     let threads = flag_parsed::<usize>(&args, "--threads");
     let rounds = flag_parsed::<u64>(&args, "--rounds").unwrap_or(1).max(1);
     let solver_cold = args.iter().any(|a| a == "--solver-cold");
+    let replay_config = match design_flag(&args) {
+        Ok(design) => replay::ReplayConfig {
+            design,
+            ..Default::default()
+        },
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let config = ScenarioConfig::at_scale(small, flag_parsed(&args, "--seed"));
 
     let recorder = match FlightRecorder::begin_run(&args, which, config.seed, small, threads) {
@@ -219,6 +231,10 @@ fn main() -> ExitCode {
                 let r = ext_faults::run(&scenario);
                 Some(ext_faults::render(&r))
             }
+            "replay" => {
+                let r = replay::replay(&scenario, &replay_config);
+                Some(replay::render(&replay_config, &r))
+            }
             _ => None,
         };
         if out.is_some() {
@@ -246,6 +262,7 @@ fn main() -> ExitCode {
             "ext-hybrid",
             "ext-noise",
             "ext-faults",
+            "replay",
         ] {
             eprintln!("running {name} ...");
             let out = run_one(name).expect("known experiment");
@@ -410,11 +427,12 @@ fn audit(args: &[String]) -> ExitCode {
         },
         _ => return audit_usage(),
     };
+    // No PATH means "whatever results/journals holds", and on a fresh
+    // checkout that is nothing yet; a PATH the caller named must exist.
     let default_paths = ["results/journals".to_string()];
-    let paths = if paths.is_empty() {
-        &default_paths[..]
-    } else {
-        paths
+    let paths = match paths {
+        [] if Path::new(&default_paths[0]).is_dir() => &default_paths[..],
+        named => named,
     };
     let store = match vdx_audit::Store::load(paths) {
         Ok(store) => store,

@@ -14,7 +14,7 @@ use crate::engine::map_indexed;
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use vdx_broker::{CpPolicy, OptimizeMode};
+use vdx_broker::CpPolicy;
 use vdx_core::{run_decision_round, Design, RoundInputs, RoundOutcome};
 use vdx_netsim::{NoisyMeasurer, ScoreEstimator};
 
@@ -70,7 +70,6 @@ fn run_with_noise(
         groups: &scenario.groups,
         background_load_kbps: &scenario.background_load,
         policy: CpPolicy::balanced(),
-        mode: OptimizeMode::Heuristic,
         bid_count: None,
         margins: None,
     };

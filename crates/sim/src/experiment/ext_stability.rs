@@ -16,7 +16,7 @@
 
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use vdx_broker::{ClientGroup, CpPolicy, OptimizeMode};
+use vdx_broker::{ClientGroup, CpPolicy};
 use vdx_cdn::{BidPolicy, BidShading};
 use vdx_core::{run_decision_round, Design, RoundInputs};
 use vdx_rand::StdRng;
@@ -70,7 +70,6 @@ fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
             groups: &groups,
             background_load_kbps: &scenario.background_load,
             policy: CpPolicy::balanced(),
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: if learn { Some(&margins) } else { None },
         };

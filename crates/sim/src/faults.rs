@@ -31,7 +31,7 @@ use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::scenario::Scenario;
 use crate::soak::{brokered_round, round_engine};
 use std::sync::Arc;
-use vdx_broker::{BrokerProblem, CpPolicy, OptimizeMode, StaleBidCache};
+use vdx_broker::{BrokerProblem, CpPolicy, StaleBidCache};
 use vdx_cdn::CdnId;
 use vdx_core::{
     CdnAgent, DeadlineOutcome, DegradationReport, Design, ExchangeBroker, ExchangeConfig,
@@ -338,14 +338,7 @@ pub fn run_campaign(
                 round_engine(scenario, design, cdn as u32),
             ));
         }
-        let mut broker = ExchangeBroker::new(
-            broker_eps,
-            ExchangeConfig {
-                design,
-                policy,
-                mode: OptimizeMode::Heuristic,
-            },
-        );
+        let mut broker = ExchangeBroker::new(broker_eps, ExchangeConfig { design, policy });
         broker.set_probe(probe.clone());
         broker.set_next_round_id(round_id);
         broker.start_round(scenario.groups.clone());

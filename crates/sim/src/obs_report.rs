@@ -240,35 +240,28 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Fault campaigns: injected faults and the degradation ladder's moves.
-    let mut fault_rounds = 0u64;
-    let mut cdn_outages = 0u64;
-    let mut exchange_outages = 0u64;
-    let mut deadlines_missed = 0u64;
-    let mut stale_reuses = 0u64;
-    let mut fallbacks = 0u64;
-    for e in events {
-        match e {
-            Event::FaultPlanApplied { .. } => fault_rounds += 1,
-            Event::CdnOutage { .. } => cdn_outages += 1,
-            Event::ExchangeOutage { .. } => exchange_outages += 1,
-            Event::DeadlineMissed { .. } => deadlines_missed += 1,
-            Event::StaleBidsReused { .. } => stale_reuses += 1,
-            Event::DesignFallback { .. } => fallbacks += 1,
-            _ => {}
-        }
+    // Fault campaigns: injected faults and the degradation ladder's
+    // moves, tallied per kind of event that marks a faulted round.
+    let mut faults: BTreeMap<&str, u64> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.faulted_round().is_some()) {
+        *faults.entry(e.kind()).or_insert(0) += 1;
     }
-    if fault_rounds + cdn_outages + exchange_outages + deadlines_missed + stale_reuses + fallbacks
-        > 0
-    {
-        let fault_rows = vec![
-            vec!["faulted rounds".to_string(), fault_rounds.to_string()],
-            vec!["cdn outages".to_string(), cdn_outages.to_string()],
-            vec!["exchange outages".to_string(), exchange_outages.to_string()],
-            vec!["deadlines missed".to_string(), deadlines_missed.to_string()],
-            vec!["stale-bid reuses".to_string(), stale_reuses.to_string()],
-            vec!["design fallbacks".to_string(), fallbacks.to_string()],
-        ];
+    if !faults.is_empty() {
+        let fault_rows: Vec<Vec<String>> = [
+            ("faulted rounds", "fault_plan_applied"),
+            ("cdn outages", "cdn_outage"),
+            ("exchange outages", "exchange_outage"),
+            ("deadlines missed", "deadline_missed"),
+            ("stale-bid reuses", "stale_bids_reused"),
+            ("design fallbacks", "design_fallback"),
+        ]
+        .iter()
+        .map(|(label, kind)| {
+            debug_assert!(Event::KINDS.contains(kind), "no event is tagged {kind}");
+            let count = faults.get(kind).copied().unwrap_or(0);
+            vec![label.to_string(), count.to_string()]
+        })
+        .collect();
         out.push_str(&render_table("Faults", &["metric", "value"], &fault_rows));
         out.push('\n');
     }
@@ -388,7 +381,7 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Timing histograms and counters drained from the metrics registry.
+    // Timing histograms drained from the metrics registry.
     let timing_rows: Vec<Vec<String>> = events
         .iter()
         .filter_map(|e| match e {
@@ -416,17 +409,6 @@ pub fn report(events: &[Event]) -> String {
             &["name", "count", "mean", "p50", "p95", "p99"],
             &timing_rows,
         ));
-        out.push('\n');
-    }
-    let counter_rows: Vec<Vec<String>> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::CounterSnapshot { name, value } => Some(vec![name.clone(), value.to_string()]),
-            _ => None,
-        })
-        .collect();
-    if !counter_rows.is_empty() {
-        out.push_str(&render_table("Counters", &["name", "value"], &counter_rows));
         out.push('\n');
     }
 
@@ -576,10 +558,6 @@ mod tests {
                 p95_us: 100.0,
                 p99_us: 100.0,
             },
-            Event::CounterSnapshot {
-                name: "rounds".into(),
-                value: 1,
-            },
             Event::ExperimentFinished {
                 experiment: "table3".into(),
                 wall_ms: 3_000,
@@ -634,7 +612,6 @@ mod tests {
         assert!(text.contains("== Load & churn =="), "{text}");
         assert!(text.contains("0.2500"), "moved fraction 2/8: {text}");
         assert!(text.contains("== Timings"), "{text}");
-        assert!(text.contains("== Counters =="), "{text}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! group to a different cluster — the broker-induced churn of the paper's
 //! Fig 4, now produced by an actual decision loop instead of synthesized.
 
+use crate::report::render_table;
 use crate::scenario::Scenario;
 use std::collections::HashMap;
-use vdx_broker::{gather_groups, CpPolicy, OptimizeMode};
+use vdx_broker::{gather_groups, CpPolicy};
 use vdx_cdn::ClusterId;
 use vdx_core::{run_decision_round_probed, Design, RoundId, RoundInputs};
 use vdx_geo::CityId;
@@ -45,8 +46,11 @@ pub struct BinStats {
     pub t0: f64,
     /// Sessions active in this bin.
     pub active_sessions: u32,
-    /// Of the sessions that were also active in the previous bin, the
-    /// fraction whose serving *cluster* changed (decision-induced moves).
+    /// Of those, the sessions that were also active (and routed) in the
+    /// previous bin.
+    pub continuing: u32,
+    /// The fraction of `continuing` whose serving *cluster* changed
+    /// (decision-induced moves).
     pub moved_fraction: f64,
     /// Mean serving score over active sessions (lower is better).
     pub mean_score: f64,
@@ -98,6 +102,7 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> ReplayResult {
             bins.push(BinStats {
                 t0,
                 active_sessions: 0,
+                continuing: 0,
                 moved_fraction: 0.0,
                 mean_score: 0.0,
             });
@@ -112,7 +117,6 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> ReplayResult {
             groups: &groups,
             background_load_kbps: &scenario.background_load,
             policy: config.policy,
-            mode: OptimizeMode::Heuristic,
             bid_count: None,
             margins: None,
         };
@@ -159,6 +163,7 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> ReplayResult {
         bins.push(BinStats {
             t0,
             active_sessions,
+            continuing,
             moved_fraction: if continuing > 0 {
                 moved as f64 / continuing as f64
             } else {
@@ -169,6 +174,43 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> ReplayResult {
         prev_route = route;
     }
     ReplayResult { bins }
+}
+
+/// Renders the per-bin table and the mean the Fig 4 comparison reads.
+pub fn render(config: &ReplayConfig, result: &ReplayResult) -> String {
+    let rows: Vec<Vec<String>> = result
+        .bins
+        .iter()
+        .map(|b| {
+            vec![
+                format!("{:.0}", b.t0),
+                b.active_sessions.to_string(),
+                b.continuing.to_string(),
+                format!("{:.1}", 100.0 * b.moved_fraction),
+                format!("{:.2}", b.mean_score),
+            ]
+        })
+        .collect();
+    let mut out = render_table(
+        &format!(
+            "Replay: decision-induced mid-stream moves, {} re-run every {:.0} s",
+            config.design.name(),
+            config.bin_s
+        ),
+        &[
+            "t (s)",
+            "active sessions",
+            "continuing",
+            "% moved",
+            "mean score",
+        ],
+        &rows,
+    );
+    out.push_str(&format!(
+        "mean {:.1}% of continuing sessions moved per round  (Fig 4's broker today: ~40%)\n",
+        100.0 * result.mean_moved()
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -16,9 +16,7 @@
 //! Protocol round via [`Scenario::run`].
 
 use std::sync::Arc;
-use vdx_broker::{
-    gather::demand_points, gather_groups, synth_background, ClientGroup, CpPolicy, OptimizeMode,
-};
+use vdx_broker::{gather::demand_points, gather_groups, synth_background, ClientGroup, CpPolicy};
 use vdx_cdn::{
     build_fleet, city_centric_cdns, negotiate_contract, plan_capacities, Contract, Fleet,
     FleetConfig, DEFAULT_MARKUP,
@@ -299,7 +297,6 @@ impl Scenario {
             groups: &self.groups,
             background_load_kbps: &self.background_load,
             policy,
-            mode: OptimizeMode::Heuristic,
             bid_count,
             margins: None,
         };
@@ -328,7 +325,6 @@ impl Scenario {
             groups: &self.groups,
             background_load_kbps: &self.background_load,
             policy,
-            mode: OptimizeMode::Heuristic,
             bid_count,
             margins: None,
         };

@@ -21,7 +21,7 @@
 
 use crate::scenario::Scenario;
 use std::sync::Arc;
-use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, OptimizeMode, StaleBidCache};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
 use vdx_cdn::{median_capacity, BidPolicy, CdnId, MatchingConfig};
 use vdx_core::{
     BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
@@ -190,7 +190,6 @@ impl<'a> SimReferenceDriver<'a> {
             round: Round::new(
                 design,
                 policy,
-                OptimizeMode::Heuristic,
                 (0..n).map(|_| CircuitBreaker::new(plan.breaker)).collect(),
                 StaleBidCache::new(n, plan.stale_ttl_rounds),
                 plan.deadline_ms,

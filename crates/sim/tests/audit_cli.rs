@@ -1,0 +1,41 @@
+//! `repro audit report`'s PATH handling, through the real binary: the
+//! default directory may be absent (a fresh checkout has no
+//! `results/journals` yet); a directory the caller names may not.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+/// Runs `repro audit report [args]` from a fresh, empty working directory.
+fn audit_report(tag: &str, args: &[&str]) -> Output {
+    let mut cwd: PathBuf = std::env::temp_dir();
+    cwd.push(format!("vdx-sim-audit-cli-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&cwd).ok();
+    std::fs::create_dir_all(&cwd).expect("temp dir creates");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["audit", "report"])
+        .args(args)
+        .current_dir(&cwd)
+        .output()
+        .expect("repro runs");
+    std::fs::remove_dir_all(&cwd).ok();
+    out
+}
+
+#[test]
+fn absent_default_directory_is_an_empty_store() {
+    let out = audit_report("default", &[]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("audit: 0 run(s) loaded\n"), "{stdout}");
+}
+
+#[test]
+fn absent_named_path_fails_by_name() {
+    let out = audit_report("named", &["no-such-journals"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("audit: cannot read no-such-journals"),
+        "{stderr}"
+    );
+}

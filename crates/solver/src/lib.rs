@@ -15,8 +15,10 @@
 //!   MILP path for validation, and [`ProblemDelta`], the pure
 //!   round-to-round difference the broker journals;
 //! * [`flow`] — successive-shortest-path min-cost flow, an independent
-//!   exact method for the *uniform-load* special case, used to cross-check
-//!   the other solvers;
+//!   exact method for the *uniform-load* special case. Test-only by
+//!   design: it is the exact path's cross-check, kept because a mutation
+//!   trial found a defect of [`gap`]'s exact model that only the
+//!   flow-vs-MILP tests catch (CHANGES.md, ISSUE 22);
 //! * [`model`] — the shared LP/constraint builder types;
 //! * [`stats`] — plain effort counters ([`SolveStats`]: simplex pivots,
 //!   branch-and-bound nodes, best bound) filled in by the `*_with_stats`
@@ -24,10 +26,12 @@
 //!   keeps, so callers can report solver work without this crate knowing
 //!   anything about event sinks.
 //!
-//! The heuristic pipeline (greedy + local search) is what CDN-scale
-//! simulations use — mirroring how a production broker would trade
-//! optimality for latency — and property tests bound its gap against the
-//! exact solvers.
+//! The heuristic pipeline (greedy + local search) is what every shipped
+//! path runs — mirroring how a production broker would trade optimality
+//! for latency. The exact stack ([`simplex`], [`milp`], [`model`],
+//! [`AssignmentProblem::solve_exact`]) is its oracle: reachable through
+//! `vdx-broker`'s `OptimizeMode::Exact`, which only tests pass, and
+//! checked itself against brute force.
 //!
 //! This crate depends on nothing but `std` (tests draw inputs from `vdx-rand`).
 

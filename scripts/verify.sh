@@ -22,6 +22,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> symbol census (no unlisted module links zero symbols into the three binaries)"
+scripts/symbol-census.sh
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -46,6 +49,19 @@ echo "==> full reproduction vs the committed output (every table and figure, byt
 # The seeded RNG stream is part of the artifact: results/repro_full.txt
 # lines 1-328 date from the seed commit, built against published `rand`.
 cargo run -p vdx-sim --bin repro --release -- all | diff - results/repro_full.txt
+
+echo "==> replay smoke (periodic rounds over the live sessions: one churn event per populated bin, any thread count)"
+rm -rf target/verify-replay && mkdir -p target/verify-replay
+for n in 1 4; do
+  cargo run -p vdx-sim --bin repro --release -- replay --small --threads "$n" \
+    --journal "target/verify-replay/t$n.jsonl" > "target/verify-replay/t$n.txt"
+done
+diff target/verify-replay/t1.txt target/verify-replay/t4.txt
+# Table rows start with the bin's t0; a populated bin has sessions in
+# column 2.
+bins=$(awk '$1 ~ /^[0-9]+$/ && $2 > 0' target/verify-replay/t1.txt | wc -l)
+test "$bins" -gt 0
+test "$(grep -c '"ev":"session_moved"' target/verify-replay/t1.jsonl)" -eq "$bins"
 
 echo "==> audit regression gate (Table-3 fidelity vs committed baseline)"
 cargo run -p vdx-sim --bin repro --release -- audit --baseline results/BENCH_experiments.json

@@ -14,12 +14,12 @@
 //! | [`geo`] | `vdx-geo` | World model: countries, cities, great-circle geometry |
 //! | [`netsim`] | `vdx-netsim` | Latency/loss models, performance scores, regression |
 //! | [`trace`] | `vdx-trace` | Broker session traces, country cost views, statistics |
-//! | [`solver`] | `vdx-solver` | Simplex LP, branch-and-bound MILP, assignment heuristics, min-cost flow |
+//! | [`solver`] | `vdx-solver` | Assignment heuristics (what every round runs); simplex LP + branch-and-bound MILP (the test oracle) and min-cost flow (its cross-check) |
 //! | [`cdn`] | `vdx-cdn` | CDN actor: deployments, costs, contracts, capacity, matching, bidding |
 //! | [`broker`] | `vdx-broker` | Broker actor: gathering, CP policy, the Fig 9 optimizer, circuit breakers |
 //! | [`proto`] | `vdx-proto` | Wire protocol: frames, messages, lossy links, reliable channels |
 //! | [`core`] | `vdx-core` | The designs, the Decision Protocol, the marketplace, accounting, the round WAL |
-//! | [`sim`] | `vdx-sim` | Scenario builder, metrics, one experiment per paper table/figure |
+//! | [`sim`] | `vdx-sim` | Scenario builder, metrics, one experiment per paper table/figure, periodic-round trace replay |
 //! | [`audit`] | `vdx-audit` | Cross-run journal analytics: journals folded into typed rows, queries, regression gate |
 //!
 //! ## Quickstart
