@@ -310,35 +310,30 @@ fn emit_solver_stats(
 /// Deterministic in `(problem, policy)`: buckets are numbered in first
 /// mention order over the option lists.
 fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
+    // One pass, one map probe per option: an option's bucket goes straight
+    // into its candidate, and a bucket's capacity is final once the last
+    // option has been seen. (A map, not a table indexed by cluster id: in
+    // the daemon the ids are whatever a peer announced.)
     let mut bucket_of: HashMap<ClusterId, usize> = HashMap::new();
-    let mut capacities: Vec<Kbps> = Vec::new();
-    for opts in &problem.options {
-        for o in opts {
-            match bucket_of.get(&o.cluster) {
-                Some(&b) => {
-                    capacities[b] = capacities[b].min(o.believed_capacity_kbps);
-                }
-                None => {
-                    bucket_of.insert(o.cluster, capacities.len());
-                    capacities.push(o.believed_capacity_kbps);
-                }
-            }
-        }
-    }
-
-    let mut gap = AssignmentProblem::new(capacities);
+    let mut gap = AssignmentProblem::default();
     for (g, opts) in problem.options.iter().enumerate() {
         assert!(!opts.is_empty(), "group {g} has no options");
         let demand = problem.groups[g].demand_kbps;
         let sessions = problem.groups[g].sessions;
-        let candidates: Vec<CandidateOption> = opts
-            .iter()
-            .map(|o| CandidateOption {
-                bucket: bucket_of[&o.cluster],
+        let capacities = &mut gap.capacities;
+        let candidates = opts.iter().map(|o| {
+            let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
+                capacities.push(o.believed_capacity_kbps);
+                capacities.len() - 1
+            });
+            capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
+            CandidateOption {
+                bucket,
                 value: policy.value(o.score, o.price_per_mb, demand, sessions),
                 load: demand,
-            })
-            .collect();
+            }
+        });
+        let candidates = candidates.collect();
         gap.add_client(candidates);
     }
     gap

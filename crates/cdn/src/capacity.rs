@@ -19,7 +19,7 @@
 
 use crate::cluster::{CdnId, ClusterId};
 use crate::deploy::Fleet;
-use crate::matching::{candidate_clusters_into, Matching, MatchingConfig};
+use crate::matching::{CityMatcher, MatchingConfig};
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
 use vdx_units::Kbps;
@@ -41,23 +41,16 @@ pub fn plan_capacities(
 ) -> Vec<Kbps> {
     let mut attracted = vec![Kbps::ZERO; fleet.clusters.len()];
     // The preferred-cluster rule (cheapest within 2× of the best score),
-    // run cdns × demand-points times through one reused scratch buffer.
+    // cdns × demand-points times; demand points of one city are adjacent.
     let preferred = MatchingConfig {
         score_ratio: 2.0,
         max_candidates: 1,
     };
-    let mut scratch: Vec<Matching> = Vec::new();
+    let mut matcher = CityMatcher::new(fleet, &preferred, &score_of);
     for cdn_idx in 0..fleet.cdns.len() {
         let cdn = CdnId(cdn_idx as u32);
         for &(client, kbps) in demand {
-            candidate_clusters_into(
-                fleet,
-                cdn,
-                |site| score_of(client, site),
-                &preferred,
-                &mut scratch,
-            );
-            if let Some(m) = scratch.first() {
+            if let Some(m) = matcher.candidates_for(cdn, client).first() {
                 attracted[m.cluster.index()] += kbps;
             }
         }

@@ -43,4 +43,6 @@ pub use capacity::{median_capacity, plan_capacities, total_capacity, Demand, PRO
 pub use cluster::{CdnId, Cluster, ClusterId};
 pub use contract::{negotiate_contract, Contract, DEFAULT_MARKUP};
 pub use deploy::{build_fleet, city_centric_cdns, Cdn, DeploymentModel, Fleet, FleetConfig};
-pub use matching::{candidate_clusters, candidate_clusters_into, Matching, MatchingConfig};
+pub use matching::{
+    candidate_clusters, candidate_clusters_into, CityMatcher, Matching, MatchingConfig,
+};

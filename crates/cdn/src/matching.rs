@@ -81,9 +81,8 @@ pub fn candidate_clusters(
     out
 }
 
-/// [`candidate_clusters`] into a caller-owned buffer (cleared first), so
-/// hot loops — one call per (group, CDN) pair per decision round — reuse
-/// one allocation instead of building and dropping three vectors per call.
+/// [`candidate_clusters`] into a caller-owned buffer (cleared first).
+/// Per-client loops go through [`CityMatcher`], which owns the buffer.
 pub fn candidate_clusters_into(
     fleet: &Fleet,
     cdn: CdnId,
@@ -98,22 +97,25 @@ pub fn candidate_clusters_into(
         cost_per_mb: cl.cost_per_mb(),
         capacity_kbps: cl.capacity_kbps,
     }));
-    if out.is_empty() {
+    // Best first means lowest score, ties by id. The rule needs the best,
+    // the clusters within the ratio of it and at most the runner-up: two
+    // scans, not a sort of every cluster the CDN has.
+    let by_score =
+        |a: &Matching, b: &Matching| a.score.total_cmp(&b.score).then(a.cluster.cmp(&b.cluster));
+    let Some(best) = out.iter().copied().min_by(by_score) else {
         return;
-    }
-    out.sort_unstable_by(|a, b| a.score.total_cmp(&b.score).then(a.cluster.cmp(&b.cluster)));
-    let best = out[0].score;
-
-    // The list is score-ascending, so the within-ratio candidates are
-    // exactly the prefix up to the cutoff.
-    let cutoff = best.value() * config.score_ratio;
-    let mut within = out.partition_point(|m| m.score.value() <= cutoff);
+    };
+    let cutoff = best.score.value() * config.score_ratio;
+    let within = out.iter().filter(|m| m.score.value() <= cutoff).count();
     // "If there is no other cluster with a score within 2× the best, the
     // second best scoring cluster is selected."
-    if within == 1 && out.len() >= 2 {
-        within = 2;
-    }
-    out.truncate(within);
+    let runner_up = if within == 1 {
+        let others = out.iter().copied().filter(|m| m.cluster != best.cluster);
+        others.min_by(by_score).map(|m| m.cluster)
+    } else {
+        None
+    };
+    out.retain(|m| m.score.value() <= cutoff || Some(m.cluster) == runner_up);
 
     // Cheapest first; ties broken by score then id for determinism.
     out.sort_unstable_by(|a, b| {
@@ -123,6 +125,57 @@ pub fn candidate_clusters_into(
             .then(a.cluster.cmp(&b.cluster))
     });
     out.truncate(config.max_candidates.max(1));
+}
+
+/// The matching rule of one fleet under one configuration and one score
+/// estimate, for a loop over clients: it remembers the last (CDN, client
+/// city) it matched.
+///
+/// §5.1's rule is a function of the client's *location* and the CDN, and
+/// clients come grouped by city (`gather_groups` orders them so), so most
+/// calls repeat the one before and get the list already in hand. Only the
+/// immediately preceding call is remembered: an interleaved sequence
+/// recomputes every time and answers the same, and the memory ends with
+/// the loop that made the matcher.
+///
+/// **Contract:** `score_of(client, site)` is a pure function of the two
+/// cities for as long as the matcher lives, and the fleet and configuration
+/// are borrowed, so they cannot change under it.
+pub struct CityMatcher<'a, F> {
+    fleet: &'a Fleet,
+    config: &'a MatchingConfig,
+    score_of: F,
+    last: Option<(CdnId, CityId)>,
+    matchings: Vec<Matching>,
+}
+
+impl<'a, F: Fn(CityId, CityId) -> Score> CityMatcher<'a, F> {
+    /// A matcher that has matched nothing yet.
+    pub fn new(fleet: &'a Fleet, config: &'a MatchingConfig, score_of: F) -> Self {
+        CityMatcher {
+            fleet,
+            config,
+            score_of,
+            last: None,
+            matchings: Vec::new(),
+        }
+    }
+
+    /// [`candidate_clusters`] of `cdn` for a client in `client`; valid
+    /// until the next call.
+    pub fn candidates_for(&mut self, cdn: CdnId, client: CityId) -> &[Matching] {
+        if self.last != Some((cdn, client)) {
+            candidate_clusters_into(
+                self.fleet,
+                cdn,
+                |site| (self.score_of)(client, site),
+                self.config,
+                &mut self.matchings,
+            );
+            self.last = Some((cdn, client));
+        }
+        &self.matchings
+    }
 }
 
 #[cfg(test)]
@@ -245,6 +298,28 @@ mod tests {
             &MatchingConfig::unrestricted(),
         );
         assert_eq!(all.len(), 3);
+    }
+
+    #[test]
+    fn matcher_reuses_the_call_before_and_nothing_older() {
+        let f = fleet(&[(3.0, 1.0), (1.0, 1.0), (2.0, 1.0)]);
+        let config = MatchingConfig::default();
+        // Client city c sees site s at 100 + 60·((c + s) mod 3).
+        let score =
+            |client: CityId, site: CityId| Score(100.0 + 60.0 * ((client.0 + site.0) % 3) as f64);
+        let asked = std::cell::Cell::new(0u32);
+        let mut matcher = CityMatcher::new(&f, &config, |client, site| {
+            asked.set(asked.get() + 1);
+            score(client, site)
+        });
+        // Cities interleaved, then repeated: every answer is the direct one.
+        for client in [0, 1, 0, 1, 1, 1, 2].map(CityId) {
+            let direct = candidate_clusters(&f, CdnId(0), |site| score(client, site), &config);
+            assert_eq!(matcher.candidates_for(CdnId(0), client), direct);
+        }
+        // Seven calls, two of them repeats of the one before: five matchings
+        // of three clusters each.
+        assert_eq!(asked.get(), 15);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use vdx_cdn::capacity::{plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 use vdx_cdn::cluster::{CdnId, Cluster, ClusterId};
 use vdx_cdn::deploy::{Cdn, DeploymentModel, Fleet};
-use vdx_cdn::matching::{candidate_clusters, MatchingConfig};
+use vdx_cdn::matching::{candidate_clusters, Matching, MatchingConfig};
 use vdx_geo::{CityId, World, WorldConfig};
 use vdx_netsim::Score;
 use vdx_rand::prop::{check, vec_of};
@@ -177,6 +177,74 @@ fn capacity_planning_conserves_demand_and_capacity() {
             for (a, b) in f.clusters.iter().zip(&f2.clusters) {
                 assert_eq!(a.capacity_kbps, b.capacity_kbps);
             }
+        },
+    );
+}
+
+/// The parent's matching rule: sort every cluster by (score, id), take the
+/// prefix within the cutoff (or the best two), sort that by (cost, score,
+/// id). The reference the scan-and-retain version must reproduce.
+fn candidates_by_full_sort(f: &Fleet, scores: &[f64], config: &MatchingConfig) -> Vec<Matching> {
+    let mut out: Vec<Matching> = f
+        .clusters_of(CdnId(0))
+        .map(|cl| Matching {
+            cluster: cl.id,
+            score: Score(scores[cl.city.0 as usize]),
+            cost_per_mb: cl.cost_per_mb(),
+            capacity_kbps: cl.capacity_kbps,
+        })
+        .collect();
+    out.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.cluster.cmp(&b.cluster)));
+    let cutoff = out[0].score.value() * config.score_ratio;
+    let mut within = out.partition_point(|m| m.score.value() <= cutoff);
+    if within == 1 && out.len() >= 2 {
+        within = 2;
+    }
+    out.truncate(within);
+    out.sort_by(|a, b| {
+        a.cost_per_mb
+            .total_cmp(&b.cost_per_mb)
+            .then(a.score.total_cmp(&b.score))
+            .then(a.cluster.cmp(&b.cluster))
+    });
+    out.truncate(config.max_candidates.max(1));
+    out
+}
+
+/// Finding the best by scan and sorting only the survivors gives the list
+/// the full score sort gave — at the paper's cutoff and at Omniscient's,
+/// truncated to one candidate and not at all, with scores and costs drawn
+/// from palettes small enough that ties are the rule.
+#[test]
+fn matching_without_the_full_score_sort_equals_the_full_sort() {
+    check(
+        4 * CASES,
+        |rng| {
+            let (mut costs, mut scores) = costs_and_scores(rng);
+            if rng.gen_bool(0.5) {
+                costs = costs
+                    .iter()
+                    .map(|_| [0.5, 1.0, 2.0][rng.gen_range(0..3)])
+                    .collect();
+                scores = scores
+                    .iter()
+                    .map(|_| [10.0, 19.0, 20.0, 21.0, 400.0][rng.gen_range(0..5)])
+                    .collect();
+            }
+            let cfg = MatchingConfig {
+                score_ratio: [2.0, f64::INFINITY, rng.gen_range(1.0..4.0)][rng.gen_range(0..3)],
+                max_candidates: [1, 2, 100, usize::MAX][rng.gen_range(0..4)],
+            };
+            (costs, scores, cfg)
+        },
+        |(costs, scores, cfg)| {
+            let specs: Vec<(f64, f64)> = costs.iter().map(|&c| (c, 100.0)).collect();
+            let f = fleet(&specs);
+            let score_of = |city: CityId| Score(scores[city.0 as usize]);
+            assert_eq!(
+                candidate_clusters(&f, CdnId(0), score_of, cfg),
+                candidates_by_full_sort(&f, scores, cfg)
+            );
         },
     );
 }

@@ -25,8 +25,7 @@ use vdx_broker::{
     GroupOption, OptimizeContext, OptimizeMode,
 };
 use vdx_cdn::{
-    candidate_clusters_into, median_capacity, total_capacity, CdnId, ClusterId, Contract, Fleet,
-    Matching, MatchingConfig,
+    median_capacity, total_capacity, CdnId, CityMatcher, ClusterId, Contract, Fleet, MatchingConfig,
 };
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
@@ -104,6 +103,11 @@ impl RoundOutcome {
 /// `score_of(client_city, site_city)` provides the Estimate step's
 /// performance scores (both parties are assumed to estimate consistently;
 /// see DESIGN.md on this simplification, which the paper shares).
+///
+/// **Contract** (this function and its `_probed` / `_probed_ctx` forms):
+/// within one call `score_of` is a pure function of the two cities. The
+/// round matches each (CDN, city) once and gives a group in the city of
+/// the group before it that group's option list (DESIGN.md §8).
 pub fn run_decision_round(
     design: Design,
     inputs: &RoundInputs<'_>,
@@ -204,23 +208,23 @@ fn round_impl(
         .collect();
 
     let mut options: Vec<Vec<GroupOption>> = Vec::with_capacity(inputs.groups.len());
-    // One scratch buffer reused across every (group, CDN) matching call —
-    // this is the round's hottest loop.
-    let mut matchings: Vec<Matching> = Vec::new();
-    for group in inputs.groups {
+    let mut matcher = CityMatcher::new(fleet, &matching_config, &score_of);
+    for (g, group) in inputs.groups.iter().enumerate() {
+        // A group's options depend on it through its city alone (price and
+        // believed capacity are the design's, the CDN's and the cluster's),
+        // and Gather emits a city's groups side by side: the second takes a
+        // copy of the first one's list. Only neighbours are compared, so an
+        // unsorted input costs time, never correctness.
+        if g > 0 && inputs.groups[g - 1].city == group.city {
+            options.push(options[g - 1].clone());
+            continue;
+        }
         let mut group_options = Vec::new();
         for cdn in &fleet.cdns {
             // Steps 3–5: Share (implicit — the matchings below are built
             // per group, which for Marketplace-class designs is licensed by
             // the Share step), Matching, Announce.
-            candidate_clusters_into(
-                fleet,
-                cdn.id,
-                |site| score_of(group.city, site),
-                &matching_config,
-                &mut matchings,
-            );
-            for m in &matchings {
+            for m in matcher.candidates_for(cdn.id, group.city) {
                 let price_per_mb =
                     announced_price(design, inputs, cdn.id, m.cluster, m.cost_per_mb);
                 let believed_capacity_kbps =
@@ -374,18 +378,17 @@ pub fn assign_background(
         .collect();
     let total_w: f64 = weights.iter().sum();
     let mut load = vec![Kbps::ZERO; fleet.clusters.len()];
-    // The preferred-cluster rule through one reused scratch buffer.
     let preferred_config = MatchingConfig {
         score_ratio: 2.0,
         max_candidates: 1,
     };
-    let mut scratch: Vec<Matching> = Vec::new();
+    let mut matcher = CityMatcher::new(fleet, &preferred_config, &score_of);
     for (i, group) in groups.iter().enumerate() {
         let demand = background_kbps.get(i).copied().unwrap_or(Kbps::ZERO);
         if demand <= Kbps::ZERO {
             continue;
         }
-        for half in 0..2 {
+        for _half in 0..2 {
             let mut pick: f64 = rng.gen_range(0.0..total_w);
             let mut cdn = fleet.cdns.len() - 1;
             for (j, w) in weights.iter().enumerate() {
@@ -396,15 +399,7 @@ pub fn assign_background(
                 pick -= w;
             }
             let cdn = CdnId(cdn as u32);
-            candidate_clusters_into(
-                fleet,
-                cdn,
-                |site| score_of(group.city, site),
-                &preferred_config,
-                &mut scratch,
-            );
-            if let Some(m) = scratch.first() {
-                let _ = half;
+            if let Some(m) = matcher.candidates_for(cdn, group.city).first() {
                 load[m.cluster.index()] += demand / 2.0;
             }
         }
@@ -416,7 +411,10 @@ pub fn assign_background(
 pub(crate) mod tests {
     use super::*;
     use vdx_broker::{gather_groups, synth_background};
-    use vdx_cdn::{build_fleet, negotiate_contract, plan_capacities, FleetConfig, DEFAULT_MARKUP};
+    use vdx_cdn::{
+        build_fleet, candidate_clusters, negotiate_contract, plan_capacities, FleetConfig,
+        DEFAULT_MARKUP,
+    };
     use vdx_geo::WorldConfig;
     use vdx_netsim::{NetModel, NetModelConfig};
     use vdx_trace::{BrokerTrace, BrokerTraceConfig};
@@ -429,6 +427,16 @@ pub(crate) mod tests {
         pub groups: Vec<ClientGroup>,
         pub background: Vec<Kbps>,
         pub net: NetModel,
+    }
+
+    fn eco_fleet_config() -> FleetConfig {
+        FleetConfig {
+            distributed_sites: 30,
+            medium: (2, 8..12),
+            centralized: (2, 3..5),
+            regional: (2, 4..7),
+            ..Default::default()
+        }
     }
 
     pub(crate) fn build_eco(seed: u64) -> TestEco {
@@ -453,17 +461,7 @@ pub(crate) mod tests {
         let groups = gather_groups(trace.sessions());
         let bg = synth_background(&groups, 3.0, seed);
         let demand = vdx_broker::gather::demand_points(&groups, &bg);
-        let mut fleet = build_fleet(
-            &world,
-            &FleetConfig {
-                distributed_sites: 30,
-                medium: (2, 8..12),
-                centralized: (2, 3..5),
-                regional: (2, 4..7),
-                ..Default::default()
-            },
-            seed,
-        );
+        let mut fleet = build_fleet(&world, &eco_fleet_config(), seed);
         plan_capacities(&world, &mut fleet, &demand, |a, b| net.score(&world, a, b));
         let contracts: Vec<Contract> = fleet
             .cdns
@@ -658,6 +656,138 @@ pub(crate) mod tests {
             eco.net.score(&eco.world, a, b)
         });
         assert_eq!(load, load2);
+    }
+
+    /// The option lists of a round built the plain way: one
+    /// `candidate_clusters` call per (group, CDN), nothing carried over.
+    fn options_per_group_and_cdn(
+        eco: &TestEco,
+        design: Design,
+        inputs: &RoundInputs<'_>,
+    ) -> Vec<Vec<GroupOption>> {
+        let config = MatchingConfig {
+            score_ratio: if design == Design::Omniscient {
+                f64::INFINITY
+            } else {
+                2.0
+            },
+            max_candidates: design.max_candidates(),
+        };
+        let medians: Vec<Kbps> = (eco.fleet.cdns.iter())
+            .map(|cdn| median_capacity(&eco.fleet, cdn.id))
+            .collect();
+        let per_group = inputs.groups.iter().map(|group| {
+            let per_cdn = eco.fleet.cdns.iter().flat_map(|cdn| {
+                let score = |site| eco.net.score(&eco.world, group.city, site);
+                candidate_clusters(&eco.fleet, cdn.id, score, &config)
+                    .into_iter()
+                    .map(|m| GroupOption {
+                        cdn: cdn.id,
+                        cluster: m.cluster,
+                        score: m.score,
+                        price_per_mb: announced_price(
+                            design,
+                            inputs,
+                            cdn.id,
+                            m.cluster,
+                            m.cost_per_mb,
+                        ),
+                        believed_capacity_kbps: believed_capacity(
+                            design, inputs, cdn.id, m.cluster, &medians,
+                        ),
+                    })
+            });
+            per_cdn.collect()
+        });
+        per_group.collect()
+    }
+
+    #[test]
+    fn same_city_reuse_equals_the_per_group_loop_sorted_or_interleaved() {
+        let eco = build_eco(11);
+        // Gather's order (a city's groups adjacent), and the two halves of
+        // it dealt alternately, so neighbours are almost never one city.
+        let (front, back) = eco.groups.split_at(eco.groups.len().div_ceil(2));
+        let mut interleaved: Vec<ClientGroup> = Vec::new();
+        for (i, group) in front.iter().enumerate() {
+            interleaved.push(group.clone());
+            interleaved.extend(back.get(i).cloned());
+        }
+        let adjacent =
+            |gs: &[ClientGroup]| gs.windows(2).filter(|w| w[0].city == w[1].city).count();
+        assert!(
+            adjacent(&eco.groups) > eco.groups.len() / 4,
+            "the reuse path runs"
+        );
+        assert!(adjacent(&interleaved) <= 1);
+
+        for groups in [&eco.groups, &interleaved] {
+            let inputs = RoundInputs {
+                world: &eco.world,
+                fleet: &eco.fleet,
+                contracts: &eco.contracts,
+                groups,
+                background_load_kbps: &eco.background,
+                policy: CpPolicy::balanced(),
+                bid_count: None,
+                margins: None,
+            };
+            for design in Design::TABLE3 {
+                let out =
+                    run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b));
+                assert_eq!(
+                    out.problem.options,
+                    options_per_group_and_cdn(&eco, design, &inputs),
+                    "{design}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn setup_loops_equal_their_per_client_references_bit_for_bit() {
+        let eco = build_eco(13);
+        let score = |a, b| eco.net.score(&eco.world, a, b);
+        let preferred = MatchingConfig::default().with_max_candidates(1);
+        let bg = synth_background(&eco.groups, 3.0, 13);
+
+        // plan_capacities: the solo run, on the fleet as build_fleet left it.
+        let demand = vdx_broker::gather::demand_points(&eco.groups, &bg);
+        let mut fleet = build_fleet(&eco.world, &eco_fleet_config(), 13);
+        let mut expect = vec![Kbps::ZERO; fleet.clusters.len()];
+        for cdn in &fleet.cdns {
+            for &(client, kbps) in &demand {
+                let m = candidate_clusters(&fleet, cdn.id, |site| score(client, site), &preferred);
+                expect[m[0].cluster.index()] += kbps;
+            }
+        }
+        let attracted = plan_capacities(&eco.world, &mut fleet, &demand, score);
+        assert_eq!(attracted, expect);
+
+        // assign_background: the same draws in the same order.
+        let mut rng = StdRng::seed_from_u64(13 ^ 0xB6_0000);
+        let weights: Vec<f64> = (eco.fleet.cdns.iter())
+            .map(|c| total_capacity(&eco.fleet, c.id).as_f64().max(1e-9))
+            .collect();
+        let total_w: f64 = weights.iter().sum();
+        let mut expect = vec![Kbps::ZERO; eco.fleet.clusters.len()];
+        for (group, &demand) in eco.groups.iter().zip(&bg) {
+            for _half in 0..2 {
+                let mut pick: f64 = rng.gen_range(0.0..total_w);
+                let cdn = weights.iter().position(|w| {
+                    let hit = pick < *w;
+                    pick -= w;
+                    hit
+                });
+                let cdn = CdnId(cdn.unwrap_or(weights.len() - 1) as u32);
+                let m =
+                    candidate_clusters(&eco.fleet, cdn, |site| score(group.city, site), &preferred);
+                expect[m[0].cluster.index()] += demand / 2.0;
+            }
+        }
+        let load = assign_background(&eco.world, &eco.fleet, &eco.groups, &bg, 13, score);
+        assert_eq!(load, expect);
+        assert_eq!(load, eco.background, "and it is what build_eco computed");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use vdx_broker::{
     optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
     GroupOption, HealthTransition, OptimizeContext, OptimizeMode, StaleBidCache,
 };
-use vdx_cdn::{candidate_clusters, BidPolicy, BidShading, CdnId, ClusterId, Fleet, MatchingConfig};
+use vdx_cdn::{BidPolicy, BidShading, CdnId, CityMatcher, ClusterId, Fleet, MatchingConfig};
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_obs::{Event as ObsEvent, Probe};
@@ -157,15 +157,12 @@ impl BidEngine {
         scores: &impl ScoreSource,
     ) -> Vec<Bid> {
         let mut bids = Vec::new();
+        // Shares arrive in the broker's group order, a city's side by side.
+        let mut matcher = CityMatcher::new(fleet, &self.matching, |client, site| {
+            scores.score(client, site)
+        });
         for share in shares {
-            let client_city = CityId(share.location);
-            let matchings = candidate_clusters(
-                fleet,
-                self.cdn,
-                |site| scores.score(client_city, site),
-                &self.matching,
-            );
-            for m in matchings {
+            for m in matcher.candidates_for(self.cdn, CityId(share.location)) {
                 let committed = self
                     .committed_kbps
                     .get(m.cluster.index())
@@ -1343,6 +1340,31 @@ mod tests {
             e,
             ObsEvent::DesignFallback { to, .. } if to == "Brokered"
         )));
+    }
+
+    #[test]
+    fn one_announce_equals_its_shares_bid_one_at_a_time() {
+        // A batch of one share has no share before it to reuse, so the
+        // concatenation is the per-share reference.
+        let eco = build_eco(11);
+        let shares = shares_of(&eco.groups);
+        let scores = |a: CityId, b: CityId| eco.net.score(&eco.world, a, b);
+        for cdn in &eco.fleet.cdns {
+            let engine = BidEngine::new(
+                cdn.id,
+                BidPolicy::default(),
+                MatchingConfig::default(),
+                eco.fleet.clusters.len(),
+                eco.background.clone(),
+            );
+            let one_at_a_time: Vec<Bid> = (shares.iter())
+                .flat_map(|s| engine.build_bids(std::slice::from_ref(s), &eco.fleet, &scores))
+                .collect();
+            assert_eq!(
+                engine.build_bids(&shares, &eco.fleet, &scores),
+                one_at_a_time
+            );
+        }
     }
 
     #[test]

@@ -391,6 +391,57 @@ mod tests {
     }
 
     #[test]
+    fn a_round_matches_each_group_as_if_alone_in_gather_order_or_interleaved() {
+        use std::collections::BTreeMap;
+        use vdx_cdn::candidate_clusters;
+        let s = shared_small();
+        // The two halves of Gather's order dealt alternately: neighbours
+        // are no longer one city, so nothing is there to be reused.
+        let (front, back) = s.groups.split_at(s.groups.len().div_ceil(2));
+        let mut interleaved = Vec::new();
+        for (i, g) in front.iter().enumerate() {
+            interleaved.push(g.clone());
+            interleaved.extend(back.get(i).cloned());
+        }
+        for groups in [&s.groups, &interleaved] {
+            let inputs = RoundInputs {
+                world: &s.world,
+                fleet: &s.fleet,
+                contracts: &s.contracts,
+                groups,
+                background_load_kbps: &s.background_load,
+                policy: CpPolicy::balanced(),
+                bid_count: None,
+                margins: None,
+            };
+            for design in Design::TABLE3 {
+                let out = vdx_core::run_decision_round(design, &inputs, |a, b| s.score_of(a, b));
+                let config = crate::soak::matching_for(design);
+                // What a group is offered at is the design's, the CDN's and
+                // the cluster's business: one price and one believed
+                // capacity per cluster across the whole round.
+                let mut terms = BTreeMap::new();
+                for (group, opts) in groups.iter().zip(&out.problem.options) {
+                    let alone: Vec<_> = (s.fleet.cdns.iter())
+                        .flat_map(|cdn| {
+                            let score = |site| s.score_of(group.city, site);
+                            candidate_clusters(&s.fleet, cdn.id, score, &config)
+                                .into_iter()
+                                .map(|m| (cdn.id, m.cluster, m.score))
+                        })
+                        .collect();
+                    let got: Vec<_> = opts.iter().map(|o| (o.cdn, o.cluster, o.score)).collect();
+                    assert_eq!(got, alone, "{design}, {:?}", group.id);
+                    for o in opts {
+                        let offered = (o.price_per_mb, o.believed_capacity_kbps);
+                        assert_eq!(*terms.entry(o.cluster).or_insert(offered), offered);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn city_centric_expansion_keeps_ecosystem_consistent() {
         let s = shared_small();
         let big = s.with_city_centric(20);

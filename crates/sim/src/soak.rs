@@ -34,7 +34,7 @@ use vdx_proto::Share;
 /// The matching rule a design's CDN agents apply (identical to the pure
 /// decision round's). Shared by the fault campaign, this reference
 /// driver, and the `vdx-agent` daemon client, through [`round_engine`].
-fn matching_for(design: Design) -> MatchingConfig {
+pub(crate) fn matching_for(design: Design) -> MatchingConfig {
     if design == Design::Omniscient {
         MatchingConfig::unrestricted()
     } else {

@@ -138,27 +138,17 @@ impl AssignmentProblem {
     }
 
     /// Regret-ordered greedy construction (see module docs). Always returns
-    /// a complete assignment.
+    /// a complete assignment, whatever the option values are: every float
+    /// comparison is total, so a NaN value (a hostile bid price reaches
+    /// here through the daemon) is ordered like any other key, not a panic.
     pub fn solve_greedy(&self) -> Assignment {
         let n = self.num_clients();
         // Order clients by regret (gap between best and second-best value),
-        // largest first; ties by client index for determinism.
+        // largest first; ties by client index for determinism. Each regret
+        // is computed once, in one top-two scan, ahead of the sort.
+        let regrets: Vec<f64> = self.options.iter().map(|opts| regret(opts)).collect();
         let mut order: Vec<usize> = (0..n).collect();
-        let regret = |c: usize| -> f64 {
-            let mut values: Vec<f64> = self.options[c].iter().map(|o| o.value).collect();
-            values.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-            if values.len() >= 2 {
-                values[0] - values[1]
-            } else {
-                f64::INFINITY // single-option clients are fully constrained
-            }
-        };
-        order.sort_by(|&a, &b| {
-            regret(b)
-                .partial_cmp(&regret(a))
-                .expect("finite")
-                .then(a.cmp(&b))
-        });
+        order.sort_unstable_by(|&a, &b| cmp_values(regrets[b], regrets[a]).then(a.cmp(&b)));
 
         let mut remaining = self.capacities.clone();
         let mut choice = vec![0usize; n];
@@ -180,11 +170,9 @@ impl AssignmentProblem {
                             let ob = self.options[c][b];
                             let ra = overload_ratio(oa, &remaining, &self.capacities);
                             let rb = overload_ratio(ob, &remaining, &self.capacities);
-                            ra.partial_cmp(&rb)
-                                .expect("finite")
-                                .then(ob.value.partial_cmp(&oa.value).expect("finite"))
+                            cmp_values(ra, rb).then(cmp_values(ob.value, oa.value))
                         })
-                        .expect("client has options")
+                        .unwrap_or(0)
                 }
             };
             let o = self.options[c][pick];
@@ -311,6 +299,36 @@ fn overload_ratio(o: CandidateOption, remaining: &[Kbps], capacities: &[Kbps]) -
     (o.load.as_f64() - remaining[o.bucket].as_f64()).max(0.0) / cap
 }
 
+/// A client's regret: its best option value minus its second best, found
+/// in one scan with no allocation. Single-option clients are fully
+/// constrained and choose first.
+fn regret(options: &[CandidateOption]) -> f64 {
+    if options.len() < 2 {
+        return f64::INFINITY;
+    }
+    // `top` is the first of the largest values and `second` the largest of
+    // the rest in list order — what a stable descending sort puts at [0]
+    // and [1], so the difference has the same bits.
+    let (mut top, mut second) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for o in options {
+        if o.value > top {
+            second = top;
+            top = o.value;
+        } else if o.value > second {
+            second = o.value;
+        }
+    }
+    top - second
+}
+
+/// Total order on solver keys: `partial_cmp` wherever that is defined
+/// (adding `+0.0` folds `-0.0` into `+0.0`, the one pair `total_cmp`
+/// tells apart and `partial_cmp` does not), and NaN at the ends instead
+/// of a panic.
+fn cmp_values(a: f64, b: f64) -> std::cmp::Ordering {
+    (a + 0.0).total_cmp(&(b + 0.0))
+}
+
 /// The difference between two consecutive [`AssignmentProblem`]s — a
 /// pure function of the two problems, independent of how (or whether)
 /// either was solved. `vdx-broker` journals it once per round.
@@ -417,6 +435,111 @@ mod tests {
         let a = p.solve_greedy();
         // Nothing fits bucket 0 (cap 1), bucket 1 fits: overload ratio 0.
         assert_eq!(a.choice, vec![1]);
+    }
+
+    #[test]
+    fn a_nan_valued_option_yields_a_complete_assignment() {
+        // What a wire bid with a NaN price becomes once `CpPolicy::value`
+        // has priced it; bucket 0 fits nobody, so the overload fallback
+        // compares NaN values too.
+        let mut p = AssignmentProblem::new(caps(&[1.0, 10.0]));
+        p.add_client(vec![opt(0, f64::NAN, 4.0), opt(1, 3.0, 4.0)]);
+        p.add_client(vec![opt(0, 5.0, 4.0), opt(1, f64::NAN, 4.0)]);
+        p.add_client(vec![opt(0, f64::NAN, 40.0), opt(1, f64::NAN, 40.0)]);
+        p.add_client(vec![opt(0, 2.0, 4.0)]);
+        let a = p.solve_heuristic();
+        assert_eq!(a.choice.len(), 4);
+        for (c, &pick) in a.choice.iter().enumerate() {
+            assert!(pick < p.options[c].len(), "client {c} picked {pick}");
+        }
+    }
+
+    /// The parent's `solve_greedy`, regret recomputed inside the sort
+    /// comparator: the reference the one-scan version must reproduce.
+    fn greedy_with_comparator_time_regret(p: &AssignmentProblem) -> Assignment {
+        let regret = |c: usize| -> f64 {
+            let mut values: Vec<f64> = p.options[c].iter().map(|o| o.value).collect();
+            values.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
+            if values.len() >= 2 {
+                values[0] - values[1]
+            } else {
+                f64::INFINITY
+            }
+        };
+        let mut order: Vec<usize> = (0..p.num_clients()).collect();
+        order.sort_by(|&a, &b| {
+            regret(b)
+                .partial_cmp(&regret(a))
+                .expect("finite")
+                .then(a.cmp(&b))
+        });
+        let mut remaining = p.capacities.clone();
+        let mut choice = vec![0usize; p.num_clients()];
+        for &c in &order {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, o) in p.options[c].iter().enumerate() {
+                if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
+                    best = Some((i, o.value));
+                }
+            }
+            let pick = best.map(|(i, _)| i).unwrap_or_else(|| {
+                (0..p.options[c].len())
+                    .min_by(|&a, &b| {
+                        let (oa, ob) = (p.options[c][a], p.options[c][b]);
+                        let ra = overload_ratio(oa, &remaining, &p.capacities);
+                        let rb = overload_ratio(ob, &remaining, &p.capacities);
+                        ra.partial_cmp(&rb)
+                            .expect("finite")
+                            .then(ob.value.partial_cmp(&oa.value).expect("finite"))
+                    })
+                    .expect("client has options")
+            });
+            let o = p.options[c][pick];
+            remaining[o.bucket] -= o.load;
+            choice[c] = pick;
+        }
+        let objective = p.value_of(&choice);
+        Assignment { choice, objective }
+    }
+
+    #[test]
+    fn greedy_equals_the_comparator_time_regret_reference() {
+        use vdx_rand::prop::{check, vec_of};
+        // Values from a palette of eight (signed zeros included), so tied
+        // regrets and duplicated top values are the common case; one
+        // bucket in four is too small for any load drawn.
+        const VALUES: [f64; 8] = [-3.5, -0.0, 0.0, 1.0, 1.0, 2.5, 7.0, 1e6];
+        check(
+            256,
+            |rng| {
+                let buckets = rng.gen_range(1usize..6);
+                let capacities = (0..buckets)
+                    .map(|_| {
+                        if rng.gen_bool(0.25) {
+                            Kbps::new(0.5)
+                        } else {
+                            Kbps::new(rng.gen_range(2.0..30.0))
+                        }
+                    })
+                    .collect();
+                let mut p = AssignmentProblem::new(capacities);
+                for _ in 0..rng.gen_range(1usize..24) {
+                    p.add_client(vec_of(rng, 1..7, |r| {
+                        opt(
+                            r.gen_range(0..buckets),
+                            VALUES[r.gen_range(0..VALUES.len())],
+                            r.gen_range(1.0..6.0),
+                        )
+                    }));
+                }
+                p
+            },
+            |p| {
+                let (new, old) = (p.solve_greedy(), greedy_with_comparator_time_regret(p));
+                assert_eq!(new.choice, old.choice);
+                assert_eq!(new.objective.to_bits(), old.objective.to_bits());
+            },
+        );
     }
 
     #[test]

@@ -33,14 +33,18 @@ echo "==> benchmark harness selftest (out-of-workspace consumer of the round-spi
 # not compile it: API drift under what it imports shows up only here.
 cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- selftest
 
-echo "==> benchmark harness output checks (daemon, daemon-wal: real agents over loopback, a real 256-round log)"
+echo "==> benchmark harness output checks (all four workloads: real agents over loopback, a real 256-round log, Table 3 at full scale)"
 # The harness's checks as a gate, not its timings: each run exits
-# non-zero on any `CHECK FAILED` — every round Fresh, soak parity over 16
-# rounds, every restart recovering all 256 rounds, `read_records` +
-# `replay` of the 45 MB log with zero trailing bytes. This is what drives
-# the collect signal, one-buffer framing, the CRC and the WAL scan at
-# full message sizes.
-for workload in daemon daemon-wal; do
+# non-zero on any `CHECK FAILED`. daemon, daemon-wal — every round Fresh,
+# soak parity over 16 rounds, every restart recovering all 256 rounds,
+# `read_records` + `replay` of the 45 MB log with zero trailing bytes:
+# what drives the collect signal, one-buffer framing, the CRC and the WAL
+# scan at full message sizes. sim-cold, sim-warm — the Table-3 gate
+# against the committed baseline at seed 2017, every group assigned in
+# all eight designs, a separate round per design reproducing the rows,
+# every pass equal to the first, every warm round bit-equal to a cold
+# one: what guards regret-once and same-city reuse at the paper's scale.
+for workload in sim-cold sim-warm daemon daemon-wal; do
   cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- \
     --workload "$workload" --seconds 2
 done
