@@ -56,7 +56,8 @@ pub struct RunMeta {
 }
 
 /// One decision round of a journal: `round_started` joined with its
-/// `solver_stats` and `round_completed` events.
+/// `round_completed` event. (`solver_stats` is not joined: the fields it
+/// would add are constants in every journal a product run can write.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoundRow {
     /// Run the round belongs to.
@@ -65,14 +66,6 @@ pub struct RoundRow {
     pub round: u64,
     /// Design name as journaled.
     pub design: String,
-    /// Solver mode of the last `solver_stats` (`none` without one).
-    pub mode: String,
-    /// Simplex pivots, summed over the round's solves.
-    pub pivots: u64,
-    /// Branch-and-bound nodes, summed over the round's solves.
-    pub bnb_nodes: u64,
-    /// Optimality gap of the last solve; `-1.0` when unrecorded.
-    pub gap: f64,
     /// Objective from `round_completed`.
     pub objective: f64,
 }

@@ -21,8 +21,6 @@ pub enum QueryKind {
     /// Mean decision-round objective per design per commit, with the
     /// delta against the first loaded commit.
     ObjectiveDelta,
-    /// Solver effort per run: exact-mode share, pivots, B&B nodes, gap.
-    SolverDrift,
     /// Wire-loss hot spots per CDN link, aggregated across runs.
     Hotspots,
     /// Per-design fault-sensitivity league table: objective of faulted
@@ -41,7 +39,6 @@ pub enum QueryKind {
 pub const ALL_QUERIES: &[QueryKind] = &[
     QueryKind::Runs,
     QueryKind::ObjectiveDelta,
-    QueryKind::SolverDrift,
     QueryKind::Hotspots,
     QueryKind::FaultLeague,
     QueryKind::WallTrend,
@@ -55,7 +52,6 @@ impl QueryKind {
         match self {
             QueryKind::Runs => "runs",
             QueryKind::ObjectiveDelta => "objective-delta",
-            QueryKind::SolverDrift => "solver-drift",
             QueryKind::Hotspots => "hotspots",
             QueryKind::FaultLeague => "fault-league",
             QueryKind::WallTrend => "wall-trend",
@@ -69,7 +65,6 @@ impl QueryKind {
         match self {
             QueryKind::Runs => "every ingested run with its provenance metadata",
             QueryKind::ObjectiveDelta => "mean round objective per design per commit, vs first",
-            QueryKind::SolverDrift => "solver effort per run: exact share, pivots, B&B, gap",
             QueryKind::Hotspots => "wire-loss hot spots per CDN link, across runs",
             QueryKind::FaultLeague => "per-design objective of faulted vs clean rounds",
             QueryKind::WallTrend => "wall-time trend across runs and bench entries",
@@ -104,7 +99,6 @@ pub fn run(store: &Store, kind: QueryKind) -> QueryResult {
     match kind {
         QueryKind::Runs => runs(store),
         QueryKind::ObjectiveDelta => objective_delta(store),
-        QueryKind::SolverDrift => solver_drift(store),
         QueryKind::Hotspots => hotspots(store),
         QueryKind::FaultLeague => fault_league(store),
         QueryKind::WallTrend => wall_trend(store),
@@ -221,51 +215,6 @@ fn objective_delta(store: &Store) -> QueryResult {
             "mean_obj",
             "delta",
             "delta_pct",
-        ]),
-        rows,
-    }
-}
-
-fn solver_drift(store: &Store) -> QueryResult {
-    let mut rows = Vec::new();
-    for meta in store.runs() {
-        let rounds = of_run(&store.facts().rounds, |r| r.run, meta.run_id);
-        if rounds.is_empty() {
-            continue;
-        }
-        let n = rounds.len() as f64;
-        let exact = rounds.iter().filter(|r| r.mode == "exact").count();
-        let pivots: u64 = rounds.iter().map(|r| r.pivots).sum();
-        let bnb: u64 = rounds.iter().map(|r| r.bnb_nodes).sum();
-        let (mut gap_sum, mut gap_n) = (0.0f64, 0u64);
-        for r in rounds.iter().filter(|r| r.gap >= 0.0) {
-            gap_sum += r.gap;
-            gap_n += 1;
-        }
-        rows.push(vec![
-            meta.run_id.to_string(),
-            meta.git_commit.clone(),
-            rounds.len().to_string(),
-            format!("{:.0}%", 100.0 * exact as f64 / n),
-            fmt(pivots as f64 / n),
-            fmt(bnb as f64 / n),
-            if gap_n > 0 {
-                fmt(gap_sum / gap_n as f64)
-            } else {
-                "-".into()
-            },
-        ]);
-    }
-    QueryResult {
-        title: "solver-drift (effort per run)".into(),
-        headers: headers(&[
-            "run",
-            "commit",
-            "rounds",
-            "exact",
-            "mean_pivots",
-            "mean_bnb",
-            "mean_gap",
         ]),
         rows,
     }
@@ -586,10 +535,6 @@ mod tests {
             .find(|r| r[0] == "Marketplace" && r[1] == "commit-bbb")
             .expect("row exists");
         assert_eq!(marketplace_b[4], fmt(10.0), "objective drifted by +10");
-
-        let drift = run(&store, QueryKind::SolverDrift);
-        assert_eq!(drift.rows.len(), 2);
-        assert_eq!(drift.rows[0][3], "50%", "1 of 2 rounds ran exact");
 
         let hot = run(&store, QueryKind::Hotspots);
         assert_eq!(hot.rows.len(), 1, "one CDN link dropped packets");

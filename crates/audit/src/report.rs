@@ -35,7 +35,6 @@ mod tests {
         let answered = [
             "== runs ==",
             "== objective-delta",
-            "== solver-drift",
             "== hotspots",
             "== fault-league",
             "== wall-trend",

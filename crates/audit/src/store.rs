@@ -189,28 +189,8 @@ fn fold_journal(text: &str, run: u64) -> Result<(RunMeta, Facts), String> {
                     run,
                     round: *round,
                     design: design.clone(),
-                    mode: "none".into(),
-                    pivots: 0,
-                    bnb_nodes: 0,
-                    gap: -1.0,
                     objective: 0.0,
                 });
-            }
-            Event::SolverStats {
-                round,
-                mode,
-                pivots,
-                bnb_nodes,
-                optimality_gap,
-                ..
-            } => {
-                if let Some(&i) = by_round.get(round) {
-                    let r = &mut rounds[i];
-                    r.mode = mode.clone();
-                    r.pivots += pivots;
-                    r.bnb_nodes += bnb_nodes;
-                    r.gap = optimality_gap.unwrap_or(-1.0);
-                }
             }
             Event::RoundCompleted {
                 round, objective, ..
@@ -290,9 +270,8 @@ mod tests {
         assert_eq!(rounds.len(), 2);
         assert_eq!(rounds[0].design, "Marketplace");
         assert_eq!(rounds[0].objective, 123.5);
-        assert_eq!(rounds[0].gap, 0.0);
-        assert_eq!(rounds[1].mode, "heuristic");
-        assert_eq!(rounds[1].gap, -1.0, "null gap -> sentinel");
+        assert_eq!(rounds[1].design, "Brokered");
+        assert_eq!(rounds[1].objective, 140.25);
 
         // Everything else is still there, as the event it arrived as.
         assert_eq!(store.facts().events.len(), 16);

@@ -58,7 +58,6 @@ fn two_journals_load_and_report() {
     for needed in [
         "== runs ==",
         "== objective-delta",
-        "== solver-drift",
         "== hotspots",
         "== wall-trend",
         "commit-old",

@@ -13,8 +13,9 @@
 //!   paper's Fig 9 objective, with the value function used to score a
 //!   candidate matching.
 //! * [`optimize`](mod@optimize) — the *Optimize* step: the Fig 9 ILP, built on
-//!   `vdx-solver` (exact MILP at small scale, regret-greedy + local search
-//!   at CDN scale, exactly the trade a production broker makes).
+//!   `vdx-solver` (regret-greedy + local search — the trade a production
+//!   broker makes at CDN scale), and [`bound_assignment`], which scores a
+//!   decision against a dual bound on the optimum (`repro gap`).
 //! * [`stale`] — the stale-bid cache behind the failure model's
 //!   graceful-degradation ladder (DESIGN.md §9): bounded reuse of a CDN's
 //!   last-seen bids when its Announce misses the round deadline.
@@ -34,8 +35,8 @@ pub mod stale;
 pub use gather::{gather_groups, synth_background, ClientGroup, GroupId};
 pub use health::{BreakerConfig, BreakerSnapshot, CircuitBreaker, HealthState, HealthTransition};
 pub use optimize::{
-    optimize, optimize_probed, optimize_probed_ctx, BrokerAssignment, BrokerProblem, GroupOption,
-    OptimizeContext, OptimizeMode,
+    bound_assignment, optimize, optimize_probed, optimize_probed_ctx, BoundReport,
+    BrokerAssignment, BrokerProblem, GroupOption, OptimizeContext, OptimizeMode,
 };
 pub use policy::CpPolicy;
 pub use stale::StaleBidCache;

@@ -19,7 +19,10 @@
 //! discards any Announce the agent might replay for an already-settled
 //! round — the double-bid defence of DESIGN.md §15. The backoff counter
 //! resets after every successful handshake, so a long-lived agent
-//! survives any number of *separate* daemon restarts.
+//! survives any number of *separate* daemon restarts. One failure is
+//! not retried: a message its own framing layer refused to send (an
+//! Announce over the frame limit) would be refused again on every
+//! reconnect, so the run ends with that error at once.
 //!
 //! The agent computes bids from its own copy of the scenario (built
 //! from the shared seed), standing in for the CDN's private view of its
@@ -146,6 +149,14 @@ pub fn run_agent_probed(
                 match run_session(&mut conn, scenario, cfg, &mut report, &mut last_settled) {
                     SessionEnd::ScriptedExit => return Ok(report),
                     SessionEnd::Eof => failure = None,
+                    // The framing layer refused the message before a
+                    // byte left (`Connection::send`): it will refuse it
+                    // identically on every reconnect.
+                    SessionEnd::Failed(TransportError::Io(e))
+                        if e.kind() == std::io::ErrorKind::InvalidInput =>
+                    {
+                        return Err(TransportError::Io(e));
+                    }
                     SessionEnd::Failed(e) => failure = Some(e),
                 }
             }

@@ -31,20 +31,27 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        return usage();
+        return Ok(usage());
     }
     let parse_u64 = |flag: &str| flag_parsed::<u64>(&args, flag);
-    let Some(cdn) = flag_parsed::<u32>(&args, "--cdn") else {
-        return usage();
+    let Some(cdn) = flag_parsed::<u32>(&args, "--cdn")? else {
+        return Ok(usage());
     };
     let addr = flag_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:4990".into());
     let design = match design_flag(&args) {
         Ok(design) => design,
         Err(e) => {
             eprintln!("{e}");
-            return usage();
+            return Ok(usage());
         }
     };
     let silent_rounds: Vec<u64> = flag_value(&args, "--silent")
@@ -55,8 +62,23 @@ fn main() -> ExitCode {
         })
         .unwrap_or_default();
 
+    let mut cfg = AgentConfig {
+        silent_rounds,
+        ..AgentConfig::new(cdn, design)
+    };
+    // Unlike the library default (no retries, for scripted tests), the
+    // operator-facing binary reconnects: a daemon restart mid-campaign
+    // should not strand its agents.
+    cfg.max_retries = parse_u64("--retry")?.unwrap_or(5).min(u32::MAX as u64) as u32;
+    if let Some(ms) = parse_u64("--retry-base-ms")? {
+        cfg.retry_base_ms = ms.max(1);
+    }
+    if let Some(ms) = parse_u64("--retry-cap-ms")? {
+        cfg.retry_cap_ms = ms.max(cfg.retry_base_ms);
+    }
+
     let small = args.iter().any(|a| a == "--small");
-    let config = ScenarioConfig::at_scale(small, parse_u64("--seed"));
+    let config = ScenarioConfig::at_scale(small, parse_u64("--seed")?);
     let seed = config.seed;
     eprintln!("building scenario: seed {seed} ...");
     let scenario = Scenario::build(config);
@@ -65,31 +87,10 @@ fn main() -> ExitCode {
             "--cdn {cdn} out of range: the scenario has {} CDNs",
             scenario.fleet.cdns.len()
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
-    let mut cfg = AgentConfig {
-        silent_rounds,
-        ..AgentConfig::new(cdn, design)
-    };
-    // Unlike the library default (no retries, for scripted tests), the
-    // operator-facing binary reconnects: a daemon restart mid-campaign
-    // should not strand its agents.
-    cfg.max_retries = parse_u64("--retry").unwrap_or(5).min(u32::MAX as u64) as u32;
-    if let Some(ms) = parse_u64("--retry-base-ms") {
-        cfg.retry_base_ms = ms.max(1);
-    }
-    if let Some(ms) = parse_u64("--retry-cap-ms") {
-        cfg.retry_cap_ms = ms.max(cfg.retry_base_ms);
-    }
-
-    let recorder = match FlightRecorder::begin_run(&args, "agent", seed, small, None) {
-        Ok(recorder) => recorder,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let recorder = FlightRecorder::begin_run(&args, "agent", seed, small, None)?;
     let probe = recorder.run_probe();
     eprintln!("vdx-agent cdn {cdn} connecting to {addr} ...");
     let outcome = run_agent_probed(addr.as_str(), &scenario, &cfg, probe.as_ref());
@@ -101,7 +102,7 @@ fn main() -> ExitCode {
             false
         }
     };
-    match outcome {
+    Ok(match outcome {
         Ok(report) => {
             eprintln!(
                 "agent done: answered {} round(s), silent on {}, {} accept message(s), \
@@ -122,5 +123,5 @@ fn main() -> ExitCode {
             eprintln!("agent transport error: {e}");
             ExitCode::FAILURE
         }
-    }
+    })
 }

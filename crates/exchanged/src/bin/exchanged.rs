@@ -43,9 +43,16 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        return usage();
+        return Ok(usage());
     }
     let parse_u64 = |flag: &str| flag_parsed::<u64>(&args, flag);
 
@@ -55,52 +62,47 @@ fn main() -> ExitCode {
         Ok(design) => design,
         Err(e) => {
             eprintln!("{e}");
-            return usage();
+            return Ok(usage());
         }
     };
-    let rounds = parse_u64("--rounds").unwrap_or(10).max(1);
-    let interval = Duration::from_millis(parse_u64("--interval-ms").unwrap_or(0));
+    let rounds = parse_u64("--rounds")?.unwrap_or(10).max(1);
+    let interval = Duration::from_millis(parse_u64("--interval-ms")?.unwrap_or(0));
     let mut opts = ServerOptions::default();
-    if let Some(ms) = parse_u64("--deadline-ms") {
+    if let Some(ms) = parse_u64("--deadline-ms")? {
         opts.deadline = Duration::from_millis(ms.max(1));
     }
-    if let Some(ttl) = parse_u64("--ttl") {
+    if let Some(ttl) = parse_u64("--ttl")? {
         opts.stale_ttl_rounds = ttl;
     }
     let mut breaker = BreakerConfig::default();
-    if let Some(t) = parse_u64("--trip-after") {
+    if let Some(t) = parse_u64("--trip-after")? {
         breaker.trip_after = t.clamp(1, u32::MAX as u64) as u32;
     }
-    if let Some(c) = parse_u64("--cooldown") {
+    if let Some(c) = parse_u64("--cooldown")? {
         breaker.cooldown_rounds = c.max(1);
     }
     opts.breaker = breaker;
-    if let Some(cap) = parse_u64("--queue-cap") {
+    if let Some(cap) = parse_u64("--queue-cap")? {
         opts.queue_cap = cap.clamp(1, 1 << 16) as usize;
     }
     opts.wal = flag_value(&args, "--wal").map(PathBuf::from);
-    if let Some(every) = parse_u64("--checkpoint-every") {
+    if let Some(every) = parse_u64("--checkpoint-every")? {
         opts.checkpoint_every = every;
     }
+    let wait = Duration::from_millis(parse_u64("--wait-ms")?.unwrap_or(10_000));
+    let min_agents = parse_u64("--min-agents")?;
+    let config = ScenarioConfig::at_scale(small, parse_u64("--seed")?);
+    // Every flag is read; only now may the run touch anything.
     if args.iter().any(|a| a == "--fresh") {
         if let Some(path) = &opts.wal {
             if let Err(e) = vdx_core::Wal::reset(path) {
-                eprintln!("cannot reset WAL {}: {e}", path.display());
-                return ExitCode::FAILURE;
+                return Err(format!("cannot reset WAL {}: {e}", path.display()));
             }
             eprintln!("WAL reset: {}", path.display());
         }
     }
-    let wait = Duration::from_millis(parse_u64("--wait-ms").unwrap_or(10_000));
-    let config = ScenarioConfig::at_scale(small, parse_u64("--seed"));
 
-    let recorder = match FlightRecorder::begin_run(&args, "exchanged", config.seed, small, None) {
-        Ok(recorder) => recorder,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let recorder = FlightRecorder::begin_run(&args, "exchanged", config.seed, small, None)?;
     let probe = recorder.run_probe();
     eprintln!(
         "building scenario: seed {} ({}) ...",
@@ -111,7 +113,7 @@ fn main() -> ExitCode {
         Scenario::build(config)
     }));
     let num_cdns = scenario.fleet.cdns.len();
-    let min_agents = parse_u64("--min-agents")
+    let min_agents = min_agents
         .map(|n| n as usize)
         .unwrap_or(num_cdns)
         .min(num_cdns);
@@ -126,10 +128,7 @@ fn main() -> ExitCode {
         opts,
     ) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start on {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return Err(format!("cannot start on {addr}: {e}")),
     };
     eprintln!(
         "vdx-exchanged listening on {} — design {}, {} CDNs, deadline {deadline_ms}ms",
@@ -164,7 +163,7 @@ fn main() -> ExitCode {
                 wait.as_millis()
             );
             server.shutdown();
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
@@ -186,9 +185,6 @@ fn main() -> ExitCode {
     server.shutdown();
 
     drop(probe);
-    if let Err(e) = recorder.end_run() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    recorder.end_run()?;
+    Ok(ExitCode::SUCCESS)
 }

@@ -559,11 +559,11 @@ impl RoundHooks for Transport {
             if !agent.alive.load(Ordering::SeqCst) {
                 continue; // reader already reported the close; just reap
             }
-            if agent.writer.send(round, &share_msg).is_err() {
+            if let Err(e) = agent.writer.send(round, &share_msg) {
                 shared.emit(Event::ConnClosed {
                     at_ms: shared.clock.elapsed_ms(),
                     cdn: cdn as u32,
-                    reason: "write error".into(),
+                    reason: format!("write error: {e}"),
                 });
                 continue;
             }
@@ -811,12 +811,12 @@ fn pump_messages(
                 break;
             }
             Err(e) if e.is_timeout() => continue,
-            Err(_) => {
+            Err(e) => {
                 if !shared.shutdown.load(Ordering::SeqCst) {
                     shared.emit(Event::ConnClosed {
                         at_ms: shared.clock.elapsed_ms(),
                         cdn: cdn as u32,
-                        reason: "read error".into(),
+                        reason: format!("read error: {e}"),
                     });
                 }
                 break;

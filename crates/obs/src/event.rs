@@ -146,18 +146,21 @@ pub enum Event {
         /// may answer from its memoized solution without any solver work.
         warm_eligible: bool,
     },
-    /// Solver effort behind one Optimize step.
+    /// One Optimize step's solve. The line keeps the shape it was given
+    /// when an exact mode existed, so every journal on disk still parses;
+    /// a product run writes `heuristic`, 0, 0 and `null` in the four
+    /// fields after `round` — it always has.
     SolverStats {
         /// Round id.
         round: u64,
-        /// `heuristic` or `exact`.
+        /// `heuristic` (journals from test fixtures also say `exact`).
         mode: String,
-        /// Simplex pivots across all LP (re)solves.
+        /// Simplex pivots across all LP (re)solves; 0 for the heuristic.
         pivots: u64,
-        /// Branch-and-bound nodes expanded.
+        /// Branch-and-bound nodes expanded; 0 for the heuristic.
         bnb_nodes: u64,
-        /// Relative gap between incumbent and best bound; `None` when no
-        /// bound exists (the heuristic path computes none).
+        /// Relative gap between incumbent and best bound; `None` for the
+        /// heuristic, which computes no bound (`repro gap` does, offline).
         optimality_gap: Option<f64>,
         /// Objective value achieved (Fig 9 units).
         objective: f64,

@@ -101,6 +101,17 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
+/// A frame's payload as the `(round, message)` it carries: the round
+/// stamp, then the message. What [`Connection::recv`] makes of every
+/// frame its decoder lends — public so the hostile-bytes tests run the
+/// decode path of a live connection without a socket.
+pub fn decode_stamped(payload: &[u8]) -> Result<(u64, Message), TransportError> {
+    let mut cur = Cursor::new(payload);
+    let round = cur.u64().ok_or(TransportError::MissingRoundHeader)?;
+    let msg = Message::decode(cur.rest()).map_err(TransportError::Wire)?;
+    Ok((round, msg))
+}
+
 /// One framed, round-stamped message stream over a [`TcpStream`].
 ///
 /// Writing and reading are independent; to write from one thread while
@@ -184,10 +195,7 @@ impl Connection {
             // socket again; the message is decoded from the slice the
             // decoder lends.
             if let Some(payload) = self.decoder.next_frame().map_err(TransportError::Frame)? {
-                let mut cur = Cursor::new(payload);
-                let round = cur.u64().ok_or(TransportError::MissingRoundHeader)?;
-                let msg = Message::decode(cur.rest()).map_err(TransportError::Wire)?;
-                return Ok(Some((round, msg)));
+                return decode_stamped(payload).map(Some);
             }
             let n = self.stream.read(&mut self.read_buf)?;
             if n == 0 {

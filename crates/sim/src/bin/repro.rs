@@ -14,7 +14,7 @@
 //! experiments: fig3 fig4 fig5 fig7 table1 table3
 //!              fig10 fig11 fig12 fig13 fig14 fig15 (aliases of the
 //!              combined accounting run) fig16 fig17 fig18
-//!              ext-stability ext-hybrid ext-noise faults replay all
+//!              ext-stability ext-hybrid ext-noise faults replay gap all
 //! --small        reduced-scale scenario (fast; used by CI)
 //! --seed N       override the master seed (default 2017)
 //! --journal PATH flight-record the run as JSONL events (conventionally
@@ -61,7 +61,7 @@ use vdx_obs::{Event, Stopwatch};
 use vdx_sim::cli::{design_flag, flag_parsed, flag_value, journaled_phase, FlightRecorder};
 use vdx_sim::experiment::{
     ext_faults, ext_hybrid, ext_noise, ext_stability, fig10_15, fig16, fig17, fig18, fig3, fig4,
-    fig5, fig7, table1, table3,
+    fig5, fig7, gap, table1, table3,
 };
 use vdx_sim::soak::SoakPlan;
 use vdx_sim::{obs_report, replay, Scenario, ScenarioConfig};
@@ -69,7 +69,7 @@ use vdx_sim::{obs_report, replay, Scenario, ScenarioConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <fig3|fig4|fig5|fig7|table1|table3|fig10..fig15|fig16|fig17|fig18|\
-         ext-stability|ext-hybrid|ext-noise|faults|replay|all> [--small] [--seed N] \
+         ext-stability|ext-hybrid|ext-noise|faults|replay|gap|all> [--small] [--seed N] \
          [--journal PATH] [--threads N] [--rounds N] [--solver-cold] [--design NAME]\n\
          \x20      repro obs-report <journal.jsonl>\n\
          \x20      repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]\n\
@@ -86,26 +86,25 @@ fn all_cores() -> usize {
 }
 
 fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(which) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
 
     if which == "obs-report" {
         let Some(path) = args.get(1) else {
-            eprintln!("usage: repro obs-report <journal.jsonl>");
-            return ExitCode::FAILURE;
+            return Err("usage: repro obs-report <journal.jsonl>".into());
         };
-        return match vdx_obs::read_journal(path) {
-            Ok(events) => {
-                print!("{}", obs_report::report(&events));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("obs-report: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let events = vdx_obs::read_journal(path).map_err(|e| format!("obs-report: {e}"))?;
+        print!("{}", obs_report::report(&events));
+        return Ok(ExitCode::SUCCESS);
     }
 
     if which == "bench-experiments" {
@@ -121,28 +120,16 @@ fn main() -> ExitCode {
     }
 
     let small = args.iter().any(|a| a == "--small");
-    let threads = flag_parsed::<usize>(&args, "--threads");
-    let rounds = flag_parsed::<u64>(&args, "--rounds").unwrap_or(1).max(1);
+    let threads = flag_parsed::<usize>(&args, "--threads")?;
+    let rounds = flag_parsed::<u64>(&args, "--rounds")?.unwrap_or(1).max(1);
     let solver_cold = args.iter().any(|a| a == "--solver-cold");
-    let replay_config = match design_flag(&args) {
-        Ok(design) => replay::ReplayConfig {
-            design,
-            ..Default::default()
-        },
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+    let replay_config = replay::ReplayConfig {
+        design: design_flag(&args)?,
+        ..Default::default()
     };
-    let config = ScenarioConfig::at_scale(small, flag_parsed(&args, "--seed"));
+    let config = ScenarioConfig::at_scale(small, flag_parsed(&args, "--seed")?);
 
-    let recorder = match FlightRecorder::begin_run(&args, which, config.seed, small, threads) {
-        Ok(recorder) => recorder,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let recorder = FlightRecorder::begin_run(&args, which, config.seed, small, threads)?;
     let probe = recorder.run_probe();
 
     eprintln!(
@@ -235,6 +222,7 @@ fn main() -> ExitCode {
                 let r = replay::replay(&scenario, &replay_config);
                 Some(replay::render(&replay_config, &r))
             }
+            "gap" => Some(gap::render(&gap::run(&scenario))),
             _ => None,
         };
         if out.is_some() {
@@ -263,6 +251,7 @@ fn main() -> ExitCode {
             "ext-noise",
             "ext-faults",
             "replay",
+            "gap",
         ] {
             eprintln!("running {name} ...");
             let out = run_one(name).expect("known experiment");
@@ -281,16 +270,9 @@ fn main() -> ExitCode {
 
     drop(scenario);
     drop(probe);
-    if let Err(e) = recorder.end_run() {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
+    recorder.end_run()?;
 
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        usage()
-    }
+    Ok(if ok { ExitCode::SUCCESS } else { usage() })
 }
 
 /// Converts a table3 run into the audit crate's baseline row shape.
@@ -315,13 +297,13 @@ fn to_table3_rows(result: &table3::Table3Result) -> Vec<vdx_audit::Table3Row> {
 /// document (`vdx_audit::BaselineReport`). Both timings run the
 /// identical code path at different `Scenario::set_threads` counts, so
 /// the comparison isolates the fan-out.
-fn bench_experiments(args: &[String]) -> ExitCode {
+fn bench_experiments(args: &[String]) -> Result<ExitCode, String> {
     let small = args.iter().any(|a| a == "--small");
-    let threads = flag_parsed::<usize>(args, "--threads").unwrap_or_else(all_cores);
+    let threads = flag_parsed::<usize>(args, "--threads")?.unwrap_or_else(all_cores);
     let out_path =
         flag_value(args, "--out").unwrap_or_else(|| "results/BENCH_experiments.json".to_string());
 
-    let config = ScenarioConfig::at_scale(small, flag_parsed(args, "--seed"));
+    let config = ScenarioConfig::at_scale(small, flag_parsed(args, "--seed")?);
     let seed_value = config.seed;
     eprintln!(
         "building scenario: {} cities, {} sessions, seed {} ...",
@@ -401,21 +383,14 @@ fn bench_experiments(args: &[String]) -> ExitCode {
             std::fs::create_dir_all(parent).ok();
         }
     }
-    match std::fs::write(&out_path, text) {
-        Ok(()) => {
-            eprintln!("wrote {out_path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {out_path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    std::fs::write(&out_path, text).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    eprintln!("wrote {out_path}");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `repro audit ...` — cross-run analytics over the journals and the
 /// regression gate (`vdx-audit`, DESIGN.md §11).
-fn audit(args: &[String]) -> ExitCode {
+fn audit(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--baseline") {
         return audit_gate(args);
     }
@@ -423,9 +398,9 @@ fn audit(args: &[String]) -> ExitCode {
         Some("report") => (None, &args[1..]),
         Some("query") => match args.get(1).and_then(|n| vdx_audit::QueryKind::parse(n)) {
             Some(kind) => (Some(kind), &args[2..]),
-            None => return audit_usage(),
+            None => return Ok(audit_usage()),
         },
-        _ => return audit_usage(),
+        _ => return Ok(audit_usage()),
     };
     // No PATH means "whatever results/journals holds", and on a fresh
     // checkout that is nothing yet; a PATH the caller named must exist.
@@ -434,13 +409,7 @@ fn audit(args: &[String]) -> ExitCode {
         [] if Path::new(&default_paths[0]).is_dir() => &default_paths[..],
         named => named,
     };
-    let store = match vdx_audit::Store::load(paths) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("audit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let store = vdx_audit::Store::load(paths).map_err(|e| format!("audit: {e}"))?;
     match query {
         Some(kind) => {
             let result = vdx_audit::query::run(&store, kind);
@@ -448,7 +417,7 @@ fn audit(args: &[String]) -> ExitCode {
         }
         None => print!("{}", vdx_audit::report(&store)),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn audit_usage() -> ExitCode {
@@ -473,26 +442,18 @@ fn audit_usage() -> ExitCode {
 /// seed/scale and fails (exit code 1) on Table-3 regressions beyond the
 /// thresholds. Wall times are only compared when the caller re-times
 /// the experiments; the fidelity half is always checked.
-fn audit_gate(args: &[String]) -> ExitCode {
-    let Some(path) = flag_value(args, "--baseline") else {
-        eprintln!("audit: --baseline needs a path");
-        return ExitCode::FAILURE;
-    };
-    let baseline = match vdx_audit::BaselineReport::read(Path::new(&path)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("audit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn audit_gate(args: &[String]) -> Result<ExitCode, String> {
+    let path = flag_value(args, "--baseline").ok_or("audit: --baseline needs a path")?;
+    let baseline =
+        vdx_audit::BaselineReport::read(Path::new(&path)).map_err(|e| format!("audit: {e}"))?;
     let mut cfg = vdx_audit::GateConfig::default();
-    if let Some(tol) = flag_parsed::<f64>(args, "--metric-tol") {
+    if let Some(tol) = flag_parsed::<f64>(args, "--metric-tol")? {
         cfg.metric_tol_pct = tol;
     }
-    if let Some(tol) = flag_parsed::<f64>(args, "--wall-tol") {
+    if let Some(tol) = flag_parsed::<f64>(args, "--wall-tol")? {
         cfg.wall_tol_pct = tol;
     }
-    let threads = flag_parsed::<usize>(args, "--threads");
+    let threads = flag_parsed::<usize>(args, "--threads")?;
 
     let config = ScenarioConfig::at_scale(baseline.scale == "small", Some(baseline.seed));
     eprintln!(
@@ -504,11 +465,11 @@ fn audit_gate(args: &[String]) -> ExitCode {
     let result = table3::run(&scenario);
     let outcome = vdx_audit::gate::compare(&baseline, &to_table3_rows(&result), &[], &cfg);
     print!("{}", outcome.render());
-    if outcome.passed() {
+    Ok(if outcome.passed() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 fn chaos_usage() -> ExitCode {
@@ -528,12 +489,12 @@ fn chaos_usage() -> ExitCode {
 /// `repro chaos`: the kill-restart chaos harness (DESIGN.md §15). The
 /// default mode runs [`vdx_sim::chaos::run_chaos`]; `--check WAL`
 /// validates an existing log against the clean-campaign reference.
-fn chaos_cmd(args: &[String]) -> ExitCode {
+fn chaos_cmd(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        return chaos_usage();
+        return Ok(chaos_usage());
     }
     let parse_u64 = |flag: &str| flag_parsed::<u64>(args, flag);
-    let seed = parse_u64("--seed").unwrap_or(90217);
+    let seed = parse_u64("--seed")?.unwrap_or(90217);
     let small = !args.iter().any(|a| a == "--full");
 
     if let Some(wal) = flag_value(args, "--check") {
@@ -545,53 +506,47 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
         let mut plan = if args.iter().any(|a| a == "--ladder") {
             SoakPlan::ladder(scenario.fleet.cdns.len() as u32)
         } else {
-            let rounds = parse_u64("--rounds").unwrap_or(10).max(1) as usize;
+            let rounds = parse_u64("--rounds")?.unwrap_or(10).max(1) as usize;
             SoakPlan::clean(rounds)
         };
-        if let Some(ttl) = parse_u64("--ttl") {
+        if let Some(ttl) = parse_u64("--ttl")? {
             plan.stale_ttl_rounds = ttl;
         }
-        if let Some(t) = parse_u64("--trip-after") {
+        if let Some(t) = parse_u64("--trip-after")? {
             plan.breaker.trip_after = t.clamp(1, u32::MAX as u64) as u32;
         }
-        if let Some(c) = parse_u64("--cooldown") {
+        if let Some(c) = parse_u64("--cooldown")? {
             plan.breaker.cooldown_rounds = c.max(1);
         }
-        return match vdx_sim::chaos::check_wal(
+        let n = vdx_sim::chaos::check_wal(
             Path::new(&wal),
             &scenario,
             vdx_core::Design::Marketplace,
             &plan,
-        ) {
-            Ok(n) => {
-                println!("chaos check OK: {n} committed round(s) in {wal} match the reference");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("chaos check FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        )
+        .map_err(|e| format!("chaos check FAILED: {e}"))?;
+        println!("chaos check OK: {n} committed round(s) in {wal} match the reference");
+        return Ok(ExitCode::SUCCESS);
     }
 
     let mut cfg = vdx_sim::chaos::ChaosConfig::new(seed);
     cfg.small = small;
-    if let Some(ttl) = parse_u64("--ttl") {
+    if let Some(ttl) = parse_u64("--ttl")? {
         cfg.stale_ttl_rounds = ttl;
     }
-    if let Some(ms) = parse_u64("--deadline-ms") {
+    if let Some(ms) = parse_u64("--deadline-ms")? {
         cfg.deadline_ms = ms.max(1);
     }
-    if let Some(t) = parse_u64("--trip-after") {
+    if let Some(t) = parse_u64("--trip-after")? {
         cfg.breaker.trip_after = t.clamp(1, u32::MAX as u64) as u32;
     }
-    if let Some(c) = parse_u64("--cooldown") {
+    if let Some(c) = parse_u64("--cooldown")? {
         cfg.breaker.cooldown_rounds = c.max(1);
     }
-    if let Some(every) = parse_u64("--checkpoint-every") {
+    if let Some(every) = parse_u64("--checkpoint-every")? {
         cfg.checkpoint_every = every;
     }
-    if let Some(ms) = parse_u64("--timeout-ms") {
+    if let Some(ms) = parse_u64("--timeout-ms")? {
         cfg.timeout_ms = ms.max(1_000);
     }
     if let Some(dir) = flag_value(args, "--bin-dir") {
@@ -606,15 +561,12 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             .filter_map(|r| r.trim().parse::<u64>().ok())
             .collect();
         if rounds.is_empty() {
-            return chaos_usage();
+            return Ok(chaos_usage());
         }
         cfg.crash_rounds = Some(rounds);
     }
     match vdx_sim::chaos::run_chaos(&cfg) {
-        Err(e) => {
-            eprintln!("chaos: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => Err(format!("chaos: {e}")),
         Ok(report) => {
             println!(
                 "chaos campaign: {} trial(s) over the {}-round ladder (seed {seed})",
@@ -643,10 +595,9 @@ fn chaos_cmd(args: &[String]) -> ExitCode {
             }
             if report.all_parity() {
                 println!("chaos: every trial recovered to the reference sequence");
-                ExitCode::SUCCESS
+                Ok(ExitCode::SUCCESS)
             } else {
-                eprintln!("chaos: parity FAILED in at least one trial");
-                ExitCode::FAILURE
+                Err("chaos: parity FAILED in at least one trial".into())
             }
         }
     }

@@ -16,9 +16,12 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
-/// [`flag_value`], parsed; a value that does not parse reads as absent.
-pub fn flag_parsed<T: FromStr>(args: &[String], flag: &str) -> Option<T> {
-    flag_value(args, flag).and_then(|v| v.parse().ok())
+/// [`flag_value`], parsed: `None` when the flag is absent. A value that
+/// does not parse is an error naming flag and value, never the default.
+pub fn flag_parsed<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|v| v.parse().map_err(|_| format!("{flag}: cannot read {v:?}")))
+        .transpose()
 }
 
 /// `--design NAME`, Marketplace when absent. The error is the message

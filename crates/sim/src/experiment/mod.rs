@@ -21,6 +21,7 @@
 //! | §8 hybrid pricing (extension) | [`ext_hybrid`] |
 //! | measurement-noise sensitivity (extension) | [`ext_noise`] |
 //! | fault campaigns / graceful degradation (extension) | [`ext_faults`] |
+//! | Fig 9's ILP: heuristic vs. a dual bound on the optimum | [`gap`] |
 
 pub mod ext_faults;
 pub mod ext_hybrid;
@@ -34,5 +35,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig7;
+pub mod gap;
 pub mod table1;
 pub mod table3;

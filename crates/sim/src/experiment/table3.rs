@@ -23,7 +23,7 @@ use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::report::{fmt, render_table};
 use crate::scenario::Scenario;
 use vdx_broker::CpPolicy;
-use vdx_core::Design;
+use vdx_core::{Design, RoundOutcome};
 
 /// Table 3 results.
 #[derive(Debug, Clone)]
@@ -36,12 +36,7 @@ pub struct Table3Result {
 /// [`engine`](crate::engine); row order is the paper's regardless of
 /// schedule).
 pub fn run(scenario: &Scenario) -> Table3Result {
-    let specs: Vec<RoundSpec> = Design::TABLE3
-        .iter()
-        .enumerate()
-        .map(|(i, &design)| RoundSpec::new(i as u64, design, CpPolicy::balanced()))
-        .collect();
-    let outcomes = run_rounds(scenario, &specs);
+    let outcomes = run_outcomes(scenario);
     let rows = Design::TABLE3
         .iter()
         .zip(&outcomes)
@@ -51,6 +46,17 @@ pub fn run(scenario: &Scenario) -> Table3Result {
         })
         .collect();
     Table3Result { rows }
+}
+
+/// The eight rounds behind [`run`], in the paper's row order, under the
+/// balanced policy: round `i` is `Design::TABLE3[i]`.
+pub fn run_outcomes(scenario: &Scenario) -> Vec<RoundOutcome> {
+    let specs: Vec<RoundSpec> = Design::TABLE3
+        .iter()
+        .enumerate()
+        .map(|(i, &design)| RoundSpec::new(i as u64, design, CpPolicy::balanced()))
+        .collect();
+    run_rounds(scenario, &specs)
 }
 
 /// [`run`] over `rounds` consecutive decision rounds per design — the

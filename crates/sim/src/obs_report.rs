@@ -86,12 +86,11 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Decision rounds and solver effort.
+    // Decision rounds and solves. (`solver_stats` lines also carry
+    // `pivots`, `bnb_nodes` and `optimality_gap`: 0, 0 and null in every
+    // journal a product run has ever written, so no row prints them.)
     let mut rounds = 0u64;
     let mut options = 0u64;
-    let mut pivots = 0u64;
-    let mut bnb_nodes = 0u64;
-    let mut worst_gap: Option<f64> = None;
     let mut modes: BTreeMap<String, u64> = BTreeMap::new();
     let mut resolves = 0u64;
     let mut warm_eligible = 0u64;
@@ -111,24 +110,13 @@ pub fn report(events: &[Event]) -> String {
                 warm_eligible += u64::from(*w);
                 changed_clients += c;
             }
-            Event::SolverStats {
-                mode,
-                pivots: p,
-                bnb_nodes: n,
-                optimality_gap,
-                ..
-            } => {
-                pivots += p;
-                bnb_nodes += n;
+            Event::SolverStats { mode, .. } => {
                 *modes.entry(mode.clone()).or_insert(0) += 1;
-                if let Some(g) = optimality_gap {
-                    worst_gap = Some(worst_gap.map_or(*g, |w: f64| w.max(*g)));
-                }
             }
             _ => {}
         }
     }
-    if rounds > 0 || pivots > 0 {
+    if rounds > 0 {
         let mode_list = modes
             .iter()
             .map(|(m, n)| format!("{m} x{n}"))
@@ -137,12 +125,6 @@ pub fn report(events: &[Event]) -> String {
         let mut solver_rows = vec![
             vec!["rounds completed".to_string(), rounds.to_string()],
             vec!["options considered".to_string(), options.to_string()],
-            vec!["simplex pivots".to_string(), pivots.to_string()],
-            vec!["B&B nodes".to_string(), bnb_nodes.to_string()],
-            vec![
-                "worst optimality gap".to_string(),
-                worst_gap.map_or_else(|| "n/a".to_string(), fmt),
-            ],
             vec![
                 "solve modes".to_string(),
                 if mode_list.is_empty() {

@@ -39,3 +39,16 @@ fn absent_named_path_fails_by_name() {
         "{stderr}"
     );
 }
+
+#[test]
+fn a_malformed_number_is_an_error_naming_flag_and_value() {
+    // Used to run with the default seed and exit 0.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig3", "--small", "--seed", "2o17"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed: cannot read \"2o17\""), "{stderr}");
+}

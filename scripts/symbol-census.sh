@@ -7,12 +7,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The allowlist: test support, compiled for tests by design — and one
-# reference implementation kept by trial (CHANGES.md, ISSUE 22: of 25
-# mutations seeded into the exact solvers, row G1 — the exact model's
-# last capacity row dropped — fails the flow cross-checks and nothing
-# else).
-allow="audit::testutil rand::prop solver::flow"
+# The allowlist: test support, compiled for tests by design.
+allow="audit::testutil rand::prop"
 
 cargo build
 symbols=$(mktemp)

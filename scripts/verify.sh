@@ -52,6 +52,8 @@ done
 echo "==> full reproduction vs the committed output (every table and figure, byte for byte)"
 # The seeded RNG stream is part of the artifact: results/repro_full.txt
 # lines 1-328 date from the seed commit, built against published `rand`.
+# Its last section is `repro gap`: the heuristic's objective and the dual
+# bound on the optimum, all eight designs at full scale, to the digit.
 cargo run -p vdx-sim --bin repro --release -- all | diff - results/repro_full.txt
 
 echo "==> replay smoke (periodic rounds over the live sessions: one churn event per populated bin, any thread count)"
@@ -66,6 +68,14 @@ diff target/verify-replay/t1.txt target/verify-replay/t4.txt
 bins=$(awk '$1 ~ /^[0-9]+$/ && $2 > 0' target/verify-replay/t1.txt | wc -l)
 test "$bins" -gt 0
 test "$(grep -c '"ev":"session_moved"' target/verify-replay/t1.jsonl)" -eq "$bins"
+
+echo "==> gap smoke (the heuristic under its dual bound: same table on any thread count)"
+for n in 1 4; do
+  cargo run -p vdx-sim --bin repro --release -- gap --small --threads "$n" \
+    > "target/verify-replay/gap$n.txt"
+done
+diff target/verify-replay/gap1.txt target/verify-replay/gap4.txt
+grep -q Omniscient target/verify-replay/gap1.txt
 
 echo "==> audit regression gate (Table-3 fidelity vs committed baseline)"
 cargo run -p vdx-sim --bin repro --release -- audit --baseline results/BENCH_experiments.json

@@ -14,7 +14,7 @@
 //! | [`geo`] | `vdx-geo` | World model: countries, cities, great-circle geometry |
 //! | [`netsim`] | `vdx-netsim` | Latency/loss models, performance scores, regression |
 //! | [`trace`] | `vdx-trace` | Broker session traces, country cost views, statistics |
-//! | [`solver`] | `vdx-solver` | Assignment heuristics (what every round runs); simplex LP + branch-and-bound MILP (the test oracle) and min-cost flow (its cross-check) |
+//! | [`solver`] | `vdx-solver` | Assignment heuristics (what every round runs) and the Lagrangian dual bound that scores them (`repro gap`) |
 //! | [`cdn`] | `vdx-cdn` | CDN actor: deployments, costs, contracts, capacity, matching, bidding |
 //! | [`broker`] | `vdx-broker` | Broker actor: gathering, CP policy, the Fig 9 optimizer, circuit breakers |
 //! | [`proto`] | `vdx-proto` | Wire protocol: frames, messages, lossy links, reliable channels |

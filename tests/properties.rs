@@ -5,9 +5,6 @@ use vdx::geo::GeoPoint;
 use vdx::netsim::Score;
 use vdx::proto::frame;
 use vdx::proto::{AcceptEntry, Bid, Message, Share};
-use vdx::solver::{
-    solve_lp, AssignmentProblem, CandidateOption, LinearProgram, MilpConfig, Relation,
-};
 use vdx_rand::prop::{bytes, check, vec_of};
 use vdx_rand::StdRng;
 
@@ -85,6 +82,89 @@ fn corrupting_any_single_byte_is_detected() {
     );
 }
 
+/// What `Connection::recv` makes of `bytes` arriving on a fresh
+/// connection: `FrameDecoder` → round stamp → `Message::decode`.
+/// `Ok(None)` is "need more bytes".
+fn stream_recv(bytes: &[u8]) -> Result<Option<(u64, Message)>, String> {
+    let mut dec = frame::FrameDecoder::new();
+    dec.feed(bytes);
+    match dec.next_frame() {
+        Err(e) => Err(e.to_string()),
+        Ok(None) => Ok(None),
+        Ok(Some(payload)) => vdx::proto::transport::decode_stamped(payload)
+            .map(Some)
+            .map_err(|e| e.to_string()),
+    }
+}
+
+/// The datagram test above, for the path the daemon actually runs, and
+/// exhaustive: every single-bit flip at every byte and every truncation
+/// of a golden Share, Announce and Accept frame is a typed error, a wait
+/// for more bytes, or the message that was sent — never another message,
+/// never a panic.
+#[test]
+fn every_bit_flip_and_truncation_of_a_stream_frame_is_detected() {
+    let bid = |i: u64| Bid {
+        cluster_id: 40 + i,
+        share_id: i,
+        performance_estimate: 17.25 + i as f64,
+        capacity_kbps: 250_000.0,
+        price_per_mb: 0.0625 * (i + 1) as f64,
+    };
+    let golden = [
+        Message::Share(
+            (0..3)
+                .map(|i| Share {
+                    share_id: i,
+                    location: 7 + i as u32,
+                    isp: 64_500,
+                    content_id: 9,
+                    data_size_kbps: 1_500.0 * (i + 1) as f64,
+                    client_count: 3,
+                })
+                .collect(),
+        ),
+        Message::Announce((0..3).map(bid).collect()),
+        Message::Accept(
+            (0..3)
+                .map(|i| AcceptEntry {
+                    bid: bid(i),
+                    accepted: i == 1,
+                })
+                .collect(),
+        ),
+    ];
+    for (round, msg) in golden.into_iter().enumerate() {
+        // Framed the way `Connection::send` frames it.
+        let mut wire = Vec::new();
+        frame::begin_frame(&mut wire);
+        wire.extend_from_slice(&(round as u64).to_be_bytes());
+        msg.encode_into(&mut wire);
+        frame::seal_frame(&mut wire).expect("a golden message fits a frame");
+        let sent = Ok(Some((round as u64, msg)));
+        assert_eq!(stream_recv(&wire), sent, "the intact frame decodes");
+
+        for pos in 0..wire.len() {
+            for bit in 0..8 {
+                let mut flipped = wire.clone();
+                flipped[pos] ^= 1 << bit;
+                let got = stream_recv(&flipped);
+                assert!(
+                    matches!(got, Err(_) | Ok(None)) || got == sent,
+                    "bit {bit} of byte {pos}: {got:?}"
+                );
+            }
+        }
+        for len in 0..wire.len() {
+            let got = stream_recv(&wire[..len]);
+            assert!(
+                matches!(got, Err(_) | Ok(None)),
+                "cut to {len} bytes: {got:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn stream_decoder_never_panics_on_garbage() {
     check(
@@ -158,75 +238,6 @@ fn message_decoder_never_panics() {
         |rng| bytes(rng, 0..256),
         |bytes| {
             let _ = Message::decode(bytes);
-        },
-    );
-}
-
-// ---- solver ---------------------------------------------------------
-
-#[test]
-fn lp_solutions_are_feasible_and_beat_origin() {
-    check(
-        CASES,
-        |rng| {
-            let c = [(); 2].map(|()| rng.gen_range(-3.0..3.0));
-            let a = [(); 4].map(|()| rng.gen_range(0.0..2.0));
-            let b = [(); 2].map(|()| rng.gen_range(0.5..10.0));
-            (c, a, b, rng.gen_range(0.5..20.0))
-        },
-        |&(c, a, b, ub)| {
-            let mut lp = LinearProgram::maximize(2);
-            lp.set_objective(0, c[0]).set_objective(1, c[1]);
-            lp.set_upper_bound(0, ub).set_upper_bound(1, ub);
-            lp.add_constraint(vec![(0, a[0]), (1, a[1])], Relation::Le, b[0]);
-            lp.add_constraint(vec![(0, a[2]), (1, a[3])], Relation::Le, b[1]);
-            match solve_lp(&lp) {
-                vdx::solver::LpOutcome::Optimal(sol) => {
-                    assert!(lp.is_feasible(&sol.values, 1e-6));
-                    // The origin is feasible, so the optimum is at least 0.
-                    assert!(sol.objective >= -1e-9);
-                }
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        },
-    );
-}
-
-#[test]
-fn gap_heuristic_feasible_input_bounded_by_exact() {
-    check(
-        CASES,
-        |rng| {
-            (
-                vec_of(rng, 2..4, |r| r.gen_range(3.0..20.0)),
-                vec_of(rng, 1..6, |r| r.gen_range(0.5..3.0)),
-                rng.next_u32(),
-            )
-        },
-        |(caps, client_loads, seed)| {
-            let mut problem = AssignmentProblem::new(
-                caps.iter()
-                    .copied()
-                    .map(vdx::core::units::Kbps::new)
-                    .collect(),
-            );
-            let nb = caps.len();
-            for (i, load) in client_loads.iter().enumerate() {
-                let options: Vec<CandidateOption> = (0..nb)
-                    .map(|b| CandidateOption {
-                        bucket: b,
-                        value: ((*seed as usize + i * 7 + b * 13) % 17) as f64,
-                        load: vdx::core::units::Kbps::new(*load),
-                    })
-                    .collect();
-                problem.add_client(options);
-            }
-            let heur = problem.solve_heuristic();
-            if problem.respects_capacities(&heur.choice, vdx::core::units::Kbps::new(1e-9)) {
-                if let Some(exact) = problem.solve_exact(&MilpConfig::default()) {
-                    assert!(heur.objective <= exact.objective + 1e-6);
-                }
-            }
         },
     );
 }
