@@ -330,22 +330,33 @@ fn emit_solver_stats(probe: &dyn Probe, round: u64, objective: f64) {
 /// Deterministic in `(problem, policy)`: buckets are numbered in first
 /// mention order over the option lists.
 fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
-    // One pass, one map probe per option: an option's bucket goes straight
-    // into its candidate, and a bucket's capacity is final once the last
-    // option has been seen. (A map, not a table indexed by cluster id: in
-    // the daemon the ids are whatever a peer announced.)
+    // One pass: an option's bucket goes straight into its candidate, and a
+    // bucket's capacity is final once the last option has been seen. (A
+    // map, not a table indexed by cluster id: in the daemon the ids are
+    // whatever a peer announced.) A round copies a city's option list to
+    // each of its groups, and a list naming its predecessor's clusters in
+    // its predecessor's order maps to its predecessor's buckets — every
+    // one of them is in the map already — so it takes them without a
+    // probe. Capacities need not match: every option is clamped either way.
     let mut bucket_of: HashMap<ClusterId, usize> = HashMap::new();
     let mut gap = AssignmentProblem::default();
+    let mut buckets: Vec<usize> = Vec::new();
     for (g, opts) in problem.options.iter().enumerate() {
         assert!(!opts.is_empty(), "group {g} has no options");
+        let capacities = &mut gap.capacities;
+        let repeat = g > 0 && same_clusters(&problem.options[g - 1], opts);
+        if !repeat {
+            buckets.clear();
+            buckets.extend(opts.iter().map(|o| {
+                *bucket_of.entry(o.cluster).or_insert_with(|| {
+                    capacities.push(o.believed_capacity_kbps);
+                    capacities.len() - 1
+                })
+            }));
+        }
         let demand = problem.groups[g].demand_kbps;
         let sessions = problem.groups[g].sessions;
-        let capacities = &mut gap.capacities;
-        let candidates = opts.iter().map(|o| {
-            let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
-                capacities.push(o.believed_capacity_kbps);
-                capacities.len() - 1
-            });
+        let candidates = opts.iter().zip(&buckets).map(|(o, &bucket)| {
             capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
             CandidateOption {
                 bucket,
@@ -357,6 +368,11 @@ fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
         gap.add_client(candidates);
     }
     gap
+}
+
+/// Whether two option lists name the same clusters in the same order.
+fn same_clusters(a: &[GroupOption], b: &[GroupOption]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.cluster == y.cluster)
 }
 
 /// Runs the solve path over a built GAP instance.
@@ -531,6 +547,133 @@ mod tests {
             (1, 1)
         );
         assert_eq!(report.bound, None);
+    }
+
+    /// The build before the repeated-list path: one map probe per option.
+    fn build_gap_probing_every_option(
+        problem: &BrokerProblem,
+        policy: &CpPolicy,
+    ) -> AssignmentProblem {
+        let mut bucket_of: HashMap<ClusterId, usize> = HashMap::new();
+        let mut gap = AssignmentProblem::default();
+        for (g, opts) in problem.options.iter().enumerate() {
+            let demand = problem.groups[g].demand_kbps;
+            let sessions = problem.groups[g].sessions;
+            let capacities = &mut gap.capacities;
+            let candidates = opts.iter().map(|o| {
+                let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
+                    capacities.push(o.believed_capacity_kbps);
+                    capacities.len() - 1
+                });
+                capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
+                CandidateOption {
+                    bucket,
+                    value: policy.value(o.score, o.price_per_mb, demand, sessions),
+                    load: demand,
+                }
+            });
+            let candidates = candidates.collect();
+            gap.add_client(candidates);
+        }
+        gap
+    }
+
+    /// A GAP as bits — capacities, then each client's option count and
+    /// options: `AssignmentProblem`'s `==` is IEEE, under which a NaN
+    /// capacity never equals itself and −0.0 equals +0.0.
+    fn gap_bits(gap: &AssignmentProblem) -> Vec<u64> {
+        let mut bits: Vec<u64> = gap
+            .capacities
+            .iter()
+            .map(|c| c.as_f64().to_bits())
+            .collect();
+        for opts in &gap.options {
+            bits.push(opts.len() as u64);
+            for o in opts {
+                bits.extend([
+                    o.bucket as u64,
+                    o.value.to_bits(),
+                    o.load.as_f64().to_bits(),
+                ]);
+            }
+        }
+        bits
+    }
+
+    /// A NaN capacity, as a peer's bid can carry one into a release build
+    /// (`Kbps::new` refuses it under debug assertions): ∞ and −∞ averaged.
+    fn nan_kbps() -> Kbps {
+        let inf = Kbps::new(f64::MAX).midpoint(Kbps::new(f64::MAX));
+        let neg_inf = Kbps::new(-f64::MAX).midpoint(Kbps::new(-f64::MAX));
+        inf.midpoint(neg_inf)
+    }
+
+    /// Taking the predecessor's buckets for a repeated cluster list builds
+    /// the GAP that probing every option builds, bit for bit: on runs of
+    /// identical lists, on copies with new scores (values are per client),
+    /// on copies with one capacity lowered (the clamp must still apply) or
+    /// with its zero's sign flipped, with NaN and ±0.0 capacities and with
+    /// cluster ids up to `u32::MAX`.
+    #[test]
+    fn repeated_lists_take_their_predecessors_buckets_and_build_the_same_gap() {
+        const CLUSTERS: [u32; 6] = [0, 1, 7, u32::MAX - 2, u32::MAX - 1, u32::MAX];
+        let capacity = |rng: &mut vdx_rand::StdRng| match rng.gen_range(0..6) {
+            0 => nan_kbps(),
+            1 => Kbps::new(0.0),
+            2 => Kbps::new(-0.0),
+            _ => Kbps::new([500.0, 1_000.0, 2_000.0][rng.gen_range(0..3)]),
+        };
+        let fresh = |rng: &mut vdx_rand::StdRng| -> Vec<GroupOption> {
+            vec_of(rng, 1..5, |r| {
+                let mut o = opt(0, r.gen_range(10.0..90.0), r.gen_range(0.1..3.0), 1.0);
+                o.cluster = ClusterId(CLUSTERS[r.gen_range(0..CLUSTERS.len())]);
+                o.believed_capacity_kbps = capacity(r);
+                o
+            })
+        };
+        check(
+            512,
+            |rng| {
+                let mut options: Vec<Vec<GroupOption>> = vec![fresh(rng)];
+                for _ in 1..rng.gen_range(1usize..12) {
+                    let mut next = options.last().expect("one list").clone();
+                    let i = rng.gen_range(0..next.len());
+                    let cap = next[i].believed_capacity_kbps;
+                    match rng.gen_range(0..6) {
+                        0 | 1 => {}
+                        2 => {
+                            for o in &mut next {
+                                o.score = Score(rng.gen_range(10.0..90.0));
+                            }
+                        }
+                        3 => next[i].believed_capacity_kbps = cap.min(Kbps::new(100.0)),
+                        // +0.0 for −0.0 and back: equal as numbers, not as bits.
+                        4 if cap.as_f64() == 0.0 => {
+                            next[i].believed_capacity_kbps = Kbps::new(-cap.as_f64());
+                        }
+                        4 => {}
+                        _ => next = fresh(rng),
+                    }
+                    options.push(next);
+                }
+                let demands: Vec<f64> =
+                    options.iter().map(|_| rng.gen_range(10.0..900.0)).collect();
+                (options, demands)
+            },
+            |(options, demands)| {
+                let problem = BrokerProblem {
+                    groups: (demands.iter().enumerate())
+                        .map(|(i, &d)| group(i as u32, d))
+                        .collect(),
+                    options: options.clone(),
+                };
+                let policy = CpPolicy::balanced();
+                assert_eq!(
+                    gap_bits(&build_gap(&problem, &policy)),
+                    gap_bits(&build_gap_probing_every_option(&problem, &policy))
+                );
+            },
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! traditional single-cluster server selection ("Brokered" design), and its
 //! length is the bid count swept in the paper's Fig 18.
 
-use crate::cluster::{CdnId, ClusterId};
+use crate::cluster::{CdnId, Cluster, ClusterId};
 use crate::deploy::Fleet;
+use std::cmp::Ordering;
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_units::{Kbps, UsdPerGb};
@@ -82,7 +83,9 @@ pub fn candidate_clusters(
 }
 
 /// [`candidate_clusters`] into a caller-owned buffer (cleared first).
-/// Per-client loops go through [`CityMatcher`], which owns the buffer.
+/// Per-client loops go through [`CityMatcher`], which owns the buffer and
+/// keeps each CDN's cost order; here the order is computed per call, over
+/// the candidates only.
 pub fn candidate_clusters_into(
     fleet: &Fleet,
     cdn: CdnId,
@@ -91,21 +94,46 @@ pub fn candidate_clusters_into(
     out: &mut Vec<Matching>,
 ) {
     out.clear();
-    out.extend(fleet.clusters_of(cdn).map(|cl| Matching {
+    out.extend(
+        fleet
+            .clusters_of(cdn)
+            .map(|cl| matching(cl, score_of(cl.city))),
+    );
+    keep_candidates(out, config.score_ratio);
+    out.sort_unstable_by(by_cost);
+    cheapest_first(out, config.max_candidates);
+}
+
+fn matching(cl: &Cluster, score: Score) -> Matching {
+    Matching {
         cluster: cl.id,
-        score: score_of(cl.city),
+        score,
         cost_per_mb: cl.cost_per_mb(),
         capacity_kbps: cl.capacity_kbps,
-    }));
-    // Best first means lowest score, ties by id. The rule needs the best,
-    // the clusters within the ratio of it and at most the runner-up: two
-    // scans, not a sort of every cluster the CDN has.
-    let by_score =
-        |a: &Matching, b: &Matching| a.score.total_cmp(&b.score).then(a.cluster.cmp(&b.cluster));
+    }
+}
+
+/// Best first: lowest score, ties by id.
+fn by_score(a: &Matching, b: &Matching) -> Ordering {
+    a.score.total_cmp(&b.score).then(a.cluster.cmp(&b.cluster))
+}
+
+/// Cheapest first, ties by id.
+fn by_cost(a: &Matching, b: &Matching) -> Ordering {
+    a.cost_per_mb
+        .total_cmp(&b.cost_per_mb)
+        .then(a.cluster.cmp(&b.cluster))
+}
+
+/// Keeps the candidates among one CDN's matchings, in the order given: the
+/// clusters scoring within `score_ratio ×` the best, or the best two when
+/// no other is. The rule needs the best, the clusters within the ratio of
+/// it and at most the runner-up: two scans, not a sort of every cluster.
+fn keep_candidates(out: &mut Vec<Matching>, score_ratio: f64) {
     let Some(best) = out.iter().copied().min_by(by_score) else {
         return;
     };
-    let cutoff = best.score.value() * config.score_ratio;
+    let cutoff = best.score.value() * score_ratio;
     let within = out.iter().filter(|m| m.score.value() <= cutoff).count();
     // "If there is no other cluster with a score within 2× the best, the
     // second best scoring cluster is selected."
@@ -116,27 +144,40 @@ pub fn candidate_clusters_into(
         None
     };
     out.retain(|m| m.score.value() <= cutoff || Some(m.cluster) == runner_up);
+}
 
-    // Cheapest first; ties broken by score then id for determinism.
-    out.sort_unstable_by(|a, b| {
-        a.cost_per_mb
-            .total_cmp(&b.cost_per_mb)
-            .then(a.score.total_cmp(&b.score))
-            .then(a.cluster.cmp(&b.cluster))
-    });
-    out.truncate(config.max_candidates.max(1));
+/// Candidates listed [`by_cost`] into the rule's order — cheapest first,
+/// equal costs by score then id — truncated to `max_candidates`. Cluster
+/// ids are unique, so only runs of equal cost need sorting, and only the
+/// runs the truncation keeps a part of.
+fn cheapest_first(out: &mut Vec<Matching>, max_candidates: usize) {
+    let keep = max_candidates.max(1);
+    let mut start = 0;
+    while start < keep.min(out.len()) {
+        let cost = out[start].cost_per_mb;
+        let run = out[start..]
+            .iter()
+            .take_while(|m| m.cost_per_mb.total_cmp(&cost).is_eq())
+            .count();
+        out[start..start + run].sort_unstable_by(by_score);
+        start += run;
+    }
+    out.truncate(keep);
 }
 
 /// The matching rule of one fleet under one configuration and one score
-/// estimate, for a loop over clients: it remembers the last (CDN, client
-/// city) it matched.
+/// estimate, for a loop over clients. It keeps two things for its own
+/// life and nothing longer:
 ///
-/// §5.1's rule is a function of the client's *location* and the CDN, and
-/// clients come grouped by city (`gather_groups` orders them so), so most
-/// calls repeat the one before and get the list already in hand. Only the
-/// immediately preceding call is remembered: an interleaved sequence
-/// recomputes every time and answers the same, and the memory ends with
-/// the loop that made the matcher.
+/// * each CDN's clusters sorted by (cost, id), on the CDN's first use. A
+///   cluster's cost is the CDN's business, not the client's, so a matching
+///   scores the clusters in that order, filters them and sorts only runs
+///   of equal cost — the order [`candidate_clusters`] gets by sorting;
+/// * the last (CDN, client city) it matched. §5.1's rule is a function of
+///   the client's *location* and the CDN, and clients come grouped by city
+///   (`gather_groups` orders them so), so most calls repeat the one before
+///   and get the list already in hand. An interleaved sequence recomputes
+///   every time and answers the same.
 ///
 /// **Contract:** `score_of(client, site)` is a pure function of the two
 /// cities for as long as the matcher lives, and the fleet and configuration
@@ -145,6 +186,7 @@ pub struct CityMatcher<'a, F> {
     fleet: &'a Fleet,
     config: &'a MatchingConfig,
     score_of: F,
+    by_cost: Vec<Option<Vec<&'a Cluster>>>,
     last: Option<(CdnId, CityId)>,
     matchings: Vec<Matching>,
 }
@@ -156,6 +198,7 @@ impl<'a, F: Fn(CityId, CityId) -> Score> CityMatcher<'a, F> {
             fleet,
             config,
             score_of,
+            by_cost: vec![None; fleet.cdns.len()],
             last: None,
             matchings: Vec::new(),
         }
@@ -165,13 +208,25 @@ impl<'a, F: Fn(CityId, CityId) -> Score> CityMatcher<'a, F> {
     /// until the next call.
     pub fn candidates_for(&mut self, cdn: CdnId, client: CityId) -> &[Matching] {
         if self.last != Some((cdn, client)) {
-            candidate_clusters_into(
-                self.fleet,
-                cdn,
-                |site| (self.score_of)(client, site),
-                self.config,
-                &mut self.matchings,
+            let fleet = self.fleet;
+            let clusters = self.by_cost[cdn.index()].get_or_insert_with(|| {
+                let mut clusters: Vec<&Cluster> = fleet.clusters_of(cdn).collect();
+                clusters.sort_unstable_by(|a, b| {
+                    let cost = a.cost_per_mb().total_cmp(&b.cost_per_mb());
+                    cost.then(a.id.cmp(&b.id))
+                });
+                clusters
+            });
+            let out = &mut self.matchings;
+            out.clear();
+            let score_of = &self.score_of;
+            out.extend(
+                clusters
+                    .iter()
+                    .map(|cl| matching(cl, score_of(client, cl.city))),
             );
+            keep_candidates(out, self.config.score_ratio);
+            cheapest_first(out, self.config.max_candidates);
             self.last = Some((cdn, client));
         }
         &self.matchings

@@ -7,7 +7,7 @@
 use vdx_cdn::capacity::{plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 use vdx_cdn::cluster::{CdnId, Cluster, ClusterId};
 use vdx_cdn::deploy::{Cdn, DeploymentModel, Fleet};
-use vdx_cdn::matching::{candidate_clusters, Matching, MatchingConfig};
+use vdx_cdn::matching::{candidate_clusters, CityMatcher, Matching, MatchingConfig};
 use vdx_geo::{CityId, World, WorldConfig};
 use vdx_netsim::Score;
 use vdx_rand::prop::{check, vec_of};
@@ -184,12 +184,17 @@ fn capacity_planning_conserves_demand_and_capacity() {
 /// The parent's matching rule: sort every cluster by (score, id), take the
 /// prefix within the cutoff (or the best two), sort that by (cost, score,
 /// id). The reference the scan-and-retain version must reproduce.
-fn candidates_by_full_sort(f: &Fleet, scores: &[f64], config: &MatchingConfig) -> Vec<Matching> {
+fn candidates_by_full_sort(
+    f: &Fleet,
+    cdn: CdnId,
+    score_of: impl Fn(CityId) -> Score,
+    config: &MatchingConfig,
+) -> Vec<Matching> {
     let mut out: Vec<Matching> = f
-        .clusters_of(CdnId(0))
+        .clusters_of(cdn)
         .map(|cl| Matching {
             cluster: cl.id,
-            score: Score(scores[cl.city.0 as usize]),
+            score: score_of(cl.city),
             cost_per_mb: cl.cost_per_mb(),
             capacity_kbps: cl.capacity_kbps,
         })
@@ -243,8 +248,130 @@ fn matching_without_the_full_score_sort_equals_the_full_sort() {
             let score_of = |city: CityId| Score(scores[city.0 as usize]);
             assert_eq!(
                 candidate_clusters(&f, CdnId(0), score_of, cfg),
-                candidates_by_full_sort(&f, scores, cfg)
+                candidates_by_full_sort(&f, CdnId(0), score_of, cfg)
             );
+        },
+    );
+}
+
+/// The four rule shapes the designs use: the preferred cluster, two bids,
+/// Marketplace's hundred, and Omniscient's everything.
+const SHAPES: [(f64, usize); 4] = [(2.0, 1), (2.0, 2), (2.0, 100), (f64::INFINITY, usize::MAX)];
+
+/// Client cities a matcher is asked about, and sites clusters sit in.
+const CLIENTS: u32 = 4;
+const SITES: u32 = 8;
+
+/// A NaN cost (`UsdPerGb::per_megabit` refuses one under debug
+/// assertions): ∞ + (−∞).
+fn nan_cost() -> UsdPerGb {
+    let inf = UsdPerGb::per_megabit(f64::MAX) + UsdPerGb::per_megabit(f64::MAX);
+    inf + (UsdPerGb::ZERO - inf)
+}
+
+/// A fleet of 1..4 CDNs, each of 1..8 clusters at random sites with
+/// random costs; cluster ids run across CDNs in fleet order.
+fn multi_cdn_fleet(rng: &mut StdRng, tie_heavy: bool, nan_cost_at: Option<usize>) -> Fleet {
+    let mut clusters: Vec<Cluster> = Vec::new();
+    let mut cdns = Vec::new();
+    for c in 0..rng.gen_range(1u32..4) {
+        let first = clusters.len();
+        for _ in 0..rng.gen_range(1usize..8) {
+            let cost = if tie_heavy {
+                [0.5, 1.0, 2.0][rng.gen_range(0..3)]
+            } else {
+                rng.gen_range(0.1..5.0)
+            };
+            clusters.push(Cluster {
+                id: ClusterId(clusters.len() as u32),
+                cdn: CdnId(c),
+                city: CityId(rng.gen_range(0..SITES)),
+                bandwidth_cost: UsdPerGb::per_megabit(cost),
+                colo_cost: UsdPerGb::ZERO,
+                capacity_kbps: Kbps::new(100.0),
+            });
+        }
+        cdns.push(Cdn {
+            id: CdnId(c),
+            model: DeploymentModel::Centralized {
+                sites: clusters.len() - first,
+            },
+            clusters: clusters[first..].iter().map(|cl| cl.id).collect(),
+        });
+    }
+    if let Some(i) = nan_cost_at {
+        let n = clusters.len();
+        clusters[i % n].bandwidth_cost = nan_cost();
+    }
+    Fleet { cdns, clusters }
+}
+
+/// A `CityMatcher` — each CDN's cost order kept, the last (CDN, city)
+/// remembered — answers every query of an interleaved, repeating sequence
+/// with the list the full sort gives for that (CDN, city) alone: under all
+/// four rule shapes, with tie-heavy palettes half the time, and with a NaN
+/// cost and a NaN score a third of the time.
+#[test]
+fn city_matcher_over_cdns_and_repeating_cities_equals_the_full_sort() {
+    check(
+        4 * CASES,
+        |rng| {
+            let tie_heavy = rng.gen_bool(0.5);
+            let with_nan = rng.gen_bool(0.33);
+            let nan_cost_at = rng.gen_range(0..8);
+            let fleet = multi_cdn_fleet(rng, tie_heavy, with_nan.then_some(nan_cost_at));
+            let mut scores: Vec<f64> = (0..CLIENTS * SITES)
+                .map(|_| {
+                    if tie_heavy {
+                        [10.0, 19.0, 20.0, 21.0, 400.0][rng.gen_range(0..5)]
+                    } else {
+                        rng.gen_range(1.0..1000.0)
+                    }
+                })
+                .collect();
+            if with_nan {
+                let at = rng.gen_range(0..scores.len());
+                scores[at] = f64::NAN;
+            }
+            // Short runs from a small alphabet: repeats and interleavings.
+            let queries: Vec<(CdnId, CityId)> = vec_of(rng, 1..24, |r| {
+                let cdn = CdnId(r.gen_range(0..fleet.cdns.len() as u32));
+                (cdn, CityId(r.gen_range(0..CLIENTS)))
+            });
+            (fleet, scores, queries)
+        },
+        |(fleet, scores, queries)| {
+            let score =
+                |client: CityId, site: CityId| Score(scores[(client.0 * SITES + site.0) as usize]);
+            for (score_ratio, max_candidates) in SHAPES {
+                let config = MatchingConfig {
+                    score_ratio,
+                    max_candidates,
+                };
+                let mut matcher = CityMatcher::new(fleet, &config, score);
+                for &(cdn, client) in queries {
+                    let reference =
+                        candidates_by_full_sort(fleet, cdn, |site| score(client, site), &config);
+                    let got = matcher.candidates_for(cdn, client);
+                    // Bitwise: a NaN score must come back as the NaN it was.
+                    let bits = |m: &[Matching]| -> Vec<(ClusterId, u64, u64)> {
+                        (m.iter())
+                            .map(|m| {
+                                (
+                                    m.cluster,
+                                    m.score.value().to_bits(),
+                                    m.cost_per_mb.as_per_megabit().to_bits(),
+                                )
+                            })
+                            .collect()
+                    };
+                    assert_eq!(
+                        bits(got),
+                        bits(&reference),
+                        "{cdn} at {client:?}, {config:?}"
+                    );
+                }
+            }
         },
     );
 }

@@ -222,7 +222,7 @@ fn round_impl(
         let mut group_options = Vec::new();
         for cdn in &fleet.cdns {
             // Steps 3–5: Share (implicit — the matchings below are built
-            // per group, which for Marketplace-class designs is licensed by
+            // per city, which for Marketplace-class designs is licensed by
             // the Share step), Matching, Announce.
             for m in matcher.candidates_for(cdn.id, group.city) {
                 let price_per_mb =

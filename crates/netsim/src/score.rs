@@ -24,7 +24,7 @@ pub const LOSS_WEIGHT: f64 = 5.0;
 pub const SIMILARITY_MARGIN: f64 = 0.25;
 
 /// A performance score; lower is better. Wrapper to keep units straight and
-/// provide total ordering (scores are always finite by construction).
+/// provide total ordering (the model's scores are finite by construction).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Score(pub f64);
 
@@ -47,9 +47,12 @@ impl Score {
         self.0 <= best.0 * (1.0 + margin)
     }
 
-    /// Total ordering; panics on NaN (scores are constructed finite).
+    /// Total ordering (IEEE `total_cmp`, as the unit types'): the model's
+    /// scores are finite and non-negative and order as numbers; a NaN — a
+    /// peer can announce one — sorts to an end, by its sign bit, instead
+    /// of panicking.
     pub fn total_cmp(&self, other: &Score) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("scores are finite")
+        self.0.total_cmp(&other.0)
     }
 }
 

@@ -13,6 +13,12 @@
 //!   buffer and the buffers are flushed to the shared probe in spec
 //!   order — the journal byte stream is the same for 1 or N threads.
 //!
+//! A round's outcome carries its whole option table (954,018 options for
+//! an Omniscient round at the paper's scale), so the experiment's fold
+//! runs on the worker as soon as the round finishes, before the worker
+//! claims the next: at N threads N outcomes are alive at a time, and what
+//! comes back is what the fold kept.
+//!
 //! The fan-out runs on [`Scenario::threads`] scoped threads (`repro
 //! --threads N`). A scenario nobody configured has one, and everything
 //! runs on the calling thread with identical results.
@@ -103,14 +109,15 @@ fn claim<'a, T>(next: &AtomicUsize, items: &'a [T]) -> Option<(usize, &'a T)> {
 }
 
 /// Runs `unit` once per spec through [`map_indexed`] and returns the
-/// outcomes in spec order. With a probe attached to the scenario each
+/// results in spec order. With a probe attached to the scenario each
 /// unit journals into its own buffer and the buffers are flushed to the
 /// shared probe in spec order, so the journal is byte-identical to a
 /// serial run; without one, units run under [`NoopProbe`] and buffer
 /// nothing.
-fn fan_out<F>(scenario: &Scenario, specs: &[RoundSpec], unit: F) -> Vec<RoundOutcome>
+fn fan_out<R, F>(scenario: &Scenario, specs: &[RoundSpec], unit: F) -> Vec<R>
 where
-    F: Fn(&RoundSpec, &dyn Probe) -> RoundOutcome + Sync,
+    R: Send,
+    F: Fn(&RoundSpec, &dyn Probe) -> R + Sync,
 {
     let shared = scenario.probe();
     if !shared.enabled() {
@@ -118,32 +125,40 @@ where
     }
     let pairs = map_indexed(scenario.threads(), specs, |spec| {
         let buffer = MemoryProbe::new();
-        let outcome = unit(spec, &buffer);
-        (outcome, buffer.take())
+        let result = unit(spec, &buffer);
+        (result, buffer.take())
     });
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    for (outcome, events) in pairs {
+    let mut results = Vec::with_capacity(pairs.len());
+    for (result, events) in pairs {
         for event in events {
             shared.emit(event);
         }
-        outcomes.push(outcome);
+        results.push(result);
     }
-    outcomes
+    results
 }
 
-/// Runs every spec against `scenario` and returns the outcomes in spec
-/// order. Journal events, if a probe is attached to the scenario, are
-/// buffered per round and emitted in spec order, so the journal is
-/// byte-identical to a serial run.
-pub fn run_rounds(scenario: &Scenario, specs: &[RoundSpec]) -> Vec<RoundOutcome> {
+/// Runs every spec against `scenario`, folds each outcome with `fold` on
+/// the worker that ran it, and returns the folds in spec order. Journal
+/// events, if a probe is attached to the scenario, are buffered per round
+/// and emitted in spec order, so the journal is byte-identical to a
+/// serial run.
+pub fn run_rounds<R, F>(scenario: &Scenario, specs: &[RoundSpec], fold: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&RoundSpec, RoundOutcome) -> R + Sync,
+{
     fan_out(scenario, specs, |spec, probe| {
-        scenario.run_round_probed(spec.round, spec.design, spec.policy, spec.bid_count, probe)
+        let outcome =
+            scenario.run_round_probed(spec.round, spec.design, spec.policy, spec.bid_count, probe);
+        fold(spec, outcome)
     })
 }
 
 /// Runs each spec as a **series** of `rounds` consecutive decision rounds
 /// sharing one warm-start [`OptimizeContext`] (the round hot loop), and
-/// returns each series' *last* outcome in spec order.
+/// returns each series' *last* outcome, folded as in [`run_rounds`], in
+/// spec order.
 ///
 /// A series is one sequential round stream — the unit of warm-start
 /// sharing — so series fan out in parallel (one context each, no
@@ -159,12 +174,17 @@ pub fn run_rounds(scenario: &Scenario, specs: &[RoundSpec]) -> Vec<RoundOutcome>
 /// are a pure function of the round sequence. Per-series journal buffers
 /// are flushed in spec order, exactly like [`run_rounds`], so `--threads
 /// N` journals stay byte-identical too.
-pub fn run_series(
+pub fn run_series<R, F>(
     scenario: &Scenario,
     series: &[RoundSpec],
     rounds: u64,
     reuse: bool,
-) -> Vec<RoundOutcome> {
+    fold: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&RoundSpec, RoundOutcome) -> R + Sync,
+{
     assert!(rounds >= 1, "a series needs at least one round");
     fan_out(scenario, series, |spec, probe| {
         let mut ctx = OptimizeContext::new();
@@ -180,7 +200,7 @@ pub fn run_series(
                 &mut ctx,
             ));
         }
-        last.expect("rounds >= 1")
+        fold(spec, last.expect("rounds >= 1"))
     })
 }
 
@@ -216,11 +236,16 @@ mod tests {
             RoundSpec::new(1, Design::Marketplace, CpPolicy::balanced()),
             RoundSpec::new(2, Design::BestLookup, CpPolicy::balanced()),
         ];
-        let outcomes = run_rounds(s, &specs);
-        assert_eq!(outcomes.len(), specs.len());
-        for (spec, outcome) in specs.iter().zip(&outcomes) {
+        // The fold sees each outcome with its own spec; what it keeps comes
+        // back in spec order.
+        let folded = run_rounds(s, &specs, |spec, outcome| {
+            assert_eq!(outcome.design, spec.design);
+            (spec.round, outcome.assignment.choice)
+        });
+        assert_eq!(folded.len(), specs.len());
+        for (spec, (round, choice)) in specs.iter().zip(&folded) {
             let serial = s.run_round(spec.round, spec.design, spec.policy);
-            assert_eq!(serial.assignment.choice, outcome.assignment.choice);
+            assert_eq!((*round, &serial.assignment.choice), (spec.round, choice));
         }
     }
 
@@ -233,7 +258,7 @@ mod tests {
             RoundSpec::new(5, Design::Marketplace, CpPolicy::balanced()),
             RoundSpec::new(3, Design::Brokered, CpPolicy::balanced()),
         ];
-        run_rounds(&s, &specs);
+        run_rounds(&s, &specs, |_, _| ());
         let started: Vec<u64> = probe
             .take()
             .iter()
@@ -255,9 +280,9 @@ mod tests {
             RoundSpec::new(0, Design::Marketplace, CpPolicy::balanced()),
             RoundSpec::new(3, Design::Brokered, CpPolicy::balanced()),
         ];
-        let warm = run_series(&s, &series, 3, true);
+        let warm = run_series(&s, &series, 3, true, |_, outcome| outcome);
         let warm_events = probe.take();
-        let cold = run_series(&s, &series, 3, false);
+        let cold = run_series(&s, &series, 3, false, |_, outcome| outcome);
         let cold_events = probe.take();
         assert_eq!(warm.len(), 2);
         for (w, c) in warm.iter().zip(&cold) {
@@ -287,6 +312,7 @@ mod tests {
         let low = run_rounds(
             s,
             &[RoundSpec::new(0, Design::Marketplace, CpPolicy::balanced()).with_bid_count(1)],
+            |_, outcome| outcome,
         );
         let plain = s.run_round_with(
             RoundId(0),

@@ -41,9 +41,11 @@ pub fn run(scenario: &Scenario) -> AccountingResult {
         RoundSpec::new(0, Design::Brokered, CpPolicy::balanced()),
         RoundSpec::new(1, Design::Marketplace, CpPolicy::balanced()),
     ];
-    let outcomes = run_rounds(scenario, &specs);
-    let brokered = settle(&outcomes[0], &scenario.world, &scenario.fleet);
-    let vdx = settle(&outcomes[1], &scenario.world, &scenario.fleet);
+    let [brokered, vdx]: [Settlement; 2] = run_rounds(scenario, &specs, |_, outcome| {
+        settle(&outcome, &scenario.world, &scenario.fleet)
+    })
+    .try_into()
+    .expect("two specs, two settlements");
     // Union of countries appearing in either settlement, sorted by id.
     let mut country_ids: Vec<CountryId> = brokered
         .per_country

@@ -50,8 +50,9 @@ const DESIGNS: [Design; 7] = [
 ];
 
 /// Runs the sweep. All 70 (design, wc) rounds are independent, so the
-/// whole grid fans out through the [`engine`](crate::engine) at once;
-/// curves are reassembled from the order-preserving outcome vector.
+/// whole grid fans out through the [`engine`](crate::engine) at once, each
+/// round reduced to its (cost, distance) point as it finishes; curves are
+/// reassembled from the order-preserving point vector.
 pub fn run(scenario: &Scenario) -> Fig17Result {
     let specs: Vec<RoundSpec> = DESIGNS
         .iter()
@@ -66,21 +67,19 @@ pub fn run(scenario: &Scenario) -> Fig17Result {
             })
         })
         .collect();
-    let outcomes = run_rounds(scenario, &specs);
-    let mut curves = Vec::new();
-    for (d, design) in DESIGNS.iter().enumerate() {
-        let points: Vec<(f64, f64)> = outcomes[d * WC_SWEEP.len()..(d + 1) * WC_SWEEP.len()]
-            .iter()
-            .map(|outcome| {
-                let m = compute(&MetricsInput { scenario, outcome });
-                (m.cost, m.distance_miles)
-            })
-            .collect();
-        curves.push(TradeoffCurve {
-            design: design.name(),
-            points,
+    let points = run_rounds(scenario, &specs, |_, outcome| {
+        let m = compute(&MetricsInput {
+            scenario,
+            outcome: &outcome,
         });
-    }
+        (m.cost, m.distance_miles)
+    });
+    let curves: Vec<TradeoffCurve> = (DESIGNS.iter().zip(points.chunks(WC_SWEEP.len())))
+        .map(|(design, points)| TradeoffCurve {
+            design: design.name(),
+            points: points.to_vec(),
+        })
+        .collect();
 
     // Reference: Brokered at the balanced default (wc = 30 is index 5).
     let brokered_ref = curves[0].points[5];

@@ -33,14 +33,15 @@ pub fn run(scenario: &Scenario) -> Fig18Result {
             RoundSpec::new(i as u64, Design::Marketplace, CpPolicy::balanced()).with_bid_count(bids)
         })
         .collect();
-    let outcomes = run_rounds(scenario, &specs);
-    let points = BID_COUNTS
-        .iter()
-        .zip(&outcomes)
-        .map(|(&bids, outcome)| {
-            let m = compute(&MetricsInput { scenario, outcome });
-            (bids, m.mean_cost, m.mean_score)
-        })
+    let means = run_rounds(scenario, &specs, |_, outcome| {
+        let m = compute(&MetricsInput {
+            scenario,
+            outcome: &outcome,
+        });
+        (m.mean_cost, m.mean_score)
+    });
+    let points = (BID_COUNTS.iter().zip(means))
+        .map(|(&bids, (cost, score))| (bids, cost, score))
         .collect();
     Fig18Result { points }
 }

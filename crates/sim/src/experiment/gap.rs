@@ -13,11 +13,11 @@
 //! column is heuristic slack plus duality gap, never less than the
 //! former.
 
-use crate::engine::map_indexed;
+use crate::engine::run_rounds;
 use crate::experiment::table3;
 use crate::report::{fmt, render_table};
 use crate::scenario::Scenario;
-use vdx_broker::{bound_assignment, BoundReport, CpPolicy};
+use vdx_broker::{bound_assignment, BoundReport};
 use vdx_solver::gap::DUAL_ITERATIONS;
 
 /// One design's row.
@@ -40,14 +40,12 @@ impl GapRow {
     }
 }
 
-/// Runs the eight Table-3 rounds and bounds each.
+/// Runs the eight Table-3 rounds and bounds each as it finishes.
 pub fn run(scenario: &Scenario) -> Vec<GapRow> {
-    let policy = CpPolicy::balanced();
-    let outcomes = table3::run_outcomes(scenario);
-    map_indexed(scenario.threads(), &outcomes, |outcome| GapRow {
+    run_rounds(scenario, &table3::specs(1), |spec, outcome| GapRow {
         design: outcome.design.name(),
         objective: outcome.assignment.objective,
-        report: bound_assignment(&outcome.problem, &policy, &outcome.assignment),
+        report: bound_assignment(&outcome.problem, &spec.policy, &outcome.assignment),
     })
 }
 

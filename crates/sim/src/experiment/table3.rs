@@ -34,29 +34,29 @@ pub struct Table3Result {
 
 /// Runs all eight designs (one independent round each, fanned out by the
 /// [`engine`](crate::engine); row order is the paper's regardless of
-/// schedule).
+/// schedule). Each round is reduced to its row as it finishes.
 pub fn run(scenario: &Scenario) -> Table3Result {
-    let outcomes = run_outcomes(scenario);
-    let rows = Design::TABLE3
-        .iter()
-        .zip(&outcomes)
-        .map(|(&design, outcome)| {
-            let metrics = compute(&MetricsInput { scenario, outcome });
-            (design.name(), metrics)
-        })
-        .collect();
+    let rows = run_rounds(scenario, &specs(1), |spec, outcome| {
+        row(scenario, spec, outcome)
+    });
     Table3Result { rows }
 }
 
-/// The eight rounds behind [`run`], in the paper's row order, under the
-/// balanced policy: round `i` is `Design::TABLE3[i]`.
-pub fn run_outcomes(scenario: &Scenario) -> Vec<RoundOutcome> {
-    let specs: Vec<RoundSpec> = Design::TABLE3
-        .iter()
-        .enumerate()
-        .map(|(i, &design)| RoundSpec::new(i as u64, design, CpPolicy::balanced()))
-        .collect();
-    run_rounds(scenario, &specs)
+/// The eight rounds behind [`run`] — or the first round of each of
+/// [`run_multi`]'s series — in the paper's row order, under the balanced
+/// policy: design `i` is `Design::TABLE3[i]`, from round id `i · stride`.
+pub(crate) fn specs(stride: u64) -> Vec<RoundSpec> {
+    (Design::TABLE3.iter().enumerate())
+        .map(|(i, &design)| RoundSpec::new(i as u64 * stride, design, CpPolicy::balanced()))
+        .collect()
+}
+
+fn row(scenario: &Scenario, spec: &RoundSpec, outcome: RoundOutcome) -> (String, DesignMetrics) {
+    let metrics = compute(&MetricsInput {
+        scenario,
+        outcome: &outcome,
+    });
+    (spec.design.name(), metrics)
 }
 
 /// [`run`] over `rounds` consecutive decision rounds per design — the
@@ -71,20 +71,9 @@ pub fn run_outcomes(scenario: &Scenario) -> Vec<RoundOutcome> {
 /// [`run`]'s regardless of `rounds` or `reuse` (`reuse = false` is the
 /// `--solver-cold` reference path and must also journal identically).
 pub fn run_multi(scenario: &Scenario, rounds: u64, reuse: bool) -> Table3Result {
-    let series: Vec<RoundSpec> = Design::TABLE3
-        .iter()
-        .enumerate()
-        .map(|(i, &design)| RoundSpec::new(i as u64 * rounds, design, CpPolicy::balanced()))
-        .collect();
-    let outcomes = run_series(scenario, &series, rounds, reuse);
-    let rows = Design::TABLE3
-        .iter()
-        .zip(&outcomes)
-        .map(|(&design, outcome)| {
-            let metrics = compute(&MetricsInput { scenario, outcome });
-            (design.name(), metrics)
-        })
-        .collect();
+    let rows = run_series(scenario, &specs(rounds), rounds, reuse, |spec, outcome| {
+        row(scenario, spec, outcome)
+    });
     Table3Result { rows }
 }
 

@@ -43,7 +43,10 @@ echo "==> benchmark harness output checks (all four workloads: real agents over 
 # against the committed baseline at seed 2017, every group assigned in
 # all eight designs, a separate round per design reproducing the rows,
 # every pass equal to the first, every warm round bit-equal to a cold
-# one: what guards regret-once and same-city reuse at the paper's scale.
+# one: what guards, at the paper's scale, regret-once, same-city reuse,
+# the matcher's per-CDN cost order (`CityMatcher`), the GAP build's
+# repeated-list buckets (`build_gap`) and the engine's fold per round
+# (`run_rounds`; its thread-count parity at full scale is a step below).
 for workload in sim-cold sim-warm daemon daemon-wal; do
   cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- \
     --workload "$workload" --seconds 2
@@ -108,6 +111,21 @@ grep -q '"ev":"solver_resolve"' target/verify-warm/warm.jsonl
 # ...and at least one round repeated its problem, so the diff above
 # compared a replayed decision against a re-solved one.
 grep -q '"warm_eligible":true' target/verify-warm/warm.jsonl
+
+echo "==> thread-count parity at full scale (table3 on 1 and 4 threads: output + journals)"
+# Each worker folds its round into a Table-3 row before claiming the next,
+# and journal buffers flush in spec order: the table and the scrubbed
+# journal (the run header's thread count aside) must not see the schedule.
+rm -rf target/verify-threads && mkdir -p target/verify-threads
+for n in 1 4; do
+  cargo run -p vdx-sim --bin repro --release -- table3 --threads "$n" \
+    --journal "target/verify-threads/t$n.jsonl" > "target/verify-threads/t$n.txt"
+  sed -e "$scrub" -e 's/"threads":[0-9]*/"threads":0/' \
+    "target/verify-threads/t$n.jsonl" > "target/verify-threads/t$n.scrubbed"
+done
+diff target/verify-threads/t1.txt target/verify-threads/t4.txt
+diff target/verify-threads/t1.scrubbed target/verify-threads/t4.scrubbed
+grep -q '"ev":"round_completed"' target/verify-threads/t1.jsonl
 
 echo "==> daemon smoke (vdx-exchanged + one agent, 3 rounds over loopback)"
 # Time-bounded end-to-end run of the second driver (ARCHITECTURE.md):
