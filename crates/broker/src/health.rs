@@ -17,8 +17,7 @@
 //!   consecutive failures. The CDN is excluded outright: no Share is
 //!   sent, no deadline is spent waiting, and its cached bids are not
 //!   reused (an unresponsive CDN's prices are as suspect as a down
-//!   CDN's — the `known_failed` rule of
-//!   `ExchangeBroker::finalize_at_deadline` generalized).
+//!   CDN's — the `BidSource::Down` rule of `vdx_core::Round` generalized).
 //! * **`HalfOpen`** — after [`BreakerConfig::cooldown_rounds`] rounds
 //!   of exclusion the breaker admits one probe round: the CDN is
 //!   Shared with again, and this single round decides. A fresh

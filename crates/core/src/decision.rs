@@ -191,13 +191,9 @@ fn round_impl(
             });
         }
     }
-    let matching_config = MatchingConfig {
-        score_ratio: if design == Design::Omniscient {
-            f64::INFINITY
-        } else {
-            2.0
-        },
-        max_candidates: inputs.bid_count.unwrap_or(design.max_candidates()),
+    let matching_config = match inputs.bid_count {
+        Some(bids) => design.matching().with_max_candidates(bids),
+        None => design.matching(),
     };
 
     // Per-CDN median capacity estimates for capacity-blind designs.
@@ -665,14 +661,7 @@ pub(crate) mod tests {
         design: Design,
         inputs: &RoundInputs<'_>,
     ) -> Vec<Vec<GroupOption>> {
-        let config = MatchingConfig {
-            score_ratio: if design == Design::Omniscient {
-                f64::INFINITY
-            } else {
-                2.0
-            },
-            max_candidates: design.max_candidates(),
-        };
+        let config = design.matching();
         let medians: Vec<Kbps> = (eco.fleet.cdns.iter())
             .map(|cdn| median_capacity(&eco.fleet, cdn.id))
             .collect();

@@ -7,6 +7,8 @@
 //! requirements each design meets: Cluster-level Optimization (CO), Dynamic
 //! Cluster Pricing (DCP), and Traffic Predictability (TP).
 
+use vdx_cdn::MatchingConfig;
+
 /// How strongly a design provides a requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provision {
@@ -121,6 +123,18 @@ impl Design {
             Design::DynamicMulticluster | Design::BestLookup => 100,
             Design::Marketplace | Design::Transactions => 100,
             Design::Omniscient => usize::MAX,
+        }
+    }
+
+    /// The matching rule a round of this design runs, the pure round and
+    /// every CDN agent alike: the paper's 2× score cutoff truncated to
+    /// [`Design::max_candidates`] bids, or no cutoff at all for Omniscient
+    /// (the broker sees every cluster).
+    pub fn matching(&self) -> MatchingConfig {
+        if *self == Design::Omniscient {
+            MatchingConfig::unrestricted()
+        } else {
+            MatchingConfig::default().with_max_candidates(self.max_candidates())
         }
     }
 

@@ -1,10 +1,10 @@
 //! VDX as a live protocol: Share / Announce / Accept rounds between a
-//! broker and per-CDN agents, and the **one round spine** every driver of
-//! such rounds runs.
+//! broker and per-CDN agents, and the **one round spine** every transport
+//! of such rounds runs.
 //!
 //! [`crate::decision::run_decision_round`] is the *pure* form of the
 //! Decision Protocol used by large-scale experiments (and the independent
-//! oracle the drivers are checked against); this module is the
+//! oracle the spine is checked against); this module is the
 //! *distributed* form. Its parts, bottom up:
 //!
 //! * [`BidEngine`] — the CDN side: Shares in, bids out, margins learned
@@ -17,14 +17,13 @@
 //!   the deadline label, and is the only code that opens a round, turns
 //!   transport observations into breaker observations and [`BidSource`]s,
 //!   walks the degradation ladder, optimizes, and closes the round. A
-//!   driver supplies [`RoundHooks`]: *collect* (its transport) and
-//!   *commit* (how a decision becomes durable and visible), plus the
-//!   Brokered round the ladder's last rung falls back to.
-//! * [`ExchangeBroker`] / [`CdnAgent`] — the link-driven transport used
-//!   by fault campaigns: `vdx-proto`'s reliable channels over lossy
-//!   [`Link`]s, stepped in simulated time. It has no health routing and
-//!   its campaign keeps the stale cache, so it runs on the spine's inner
-//!   half (round opening, ladder, decide-and-accept) directly.
+//!   transport supplies [`RoundHooks`]: *collect* (what it saw of each
+//!   CDN) and *commit* (how a decision becomes durable and visible), plus
+//!   the Brokered round the ladder's last rung falls back to.
+//!
+//! Three transports do, and none lives here: the soak script
+//! (`vdx-sim::soak`), the fault campaign's lossy simulated links
+//! (`vdx-sim::faults`) and the TCP daemon (`vdx-exchanged`).
 //!
 //! Wire mapping: `share_id` = group index within the round; `cluster_id` =
 //! the fleet-wide [`ClusterId`] (in production this would be per-pair
@@ -41,49 +40,17 @@ use vdx_cdn::{BidPolicy, BidShading, CdnId, CityMatcher, ClusterId, Fleet, Match
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_obs::{Event as ObsEvent, Probe};
-use vdx_proto::endpoint::{Endpoint, Event, RequestId};
-use vdx_proto::{AcceptEntry, Bid, ChannelStats, Link, Message, Share, SimTime};
+use vdx_proto::{AcceptEntry, Bid, Share};
 use vdx_units::{Kbps, Margin, UsdPerGb};
-
-/// A source of client→site performance scores (the Estimate step).
-pub trait ScoreSource {
-    /// Score from a client city to a cluster-site city; lower is better.
-    fn score(&self, client: CityId, site: CityId) -> Score;
-}
-
-impl<F: Fn(CityId, CityId) -> Score> ScoreSource for F {
-    fn score(&self, client: CityId, site: CityId) -> Score {
-        self(client, site)
-    }
-}
-
-/// Exchange configuration shared by broker and agents.
-#[derive(Debug, Clone)]
-pub struct ExchangeConfig {
-    /// The design the live exchange implements: journaled on every round
-    /// and named in fallback events. Agents must be configured to bid by
-    /// the same design via [`BidEngine::with_design`].
-    pub design: Design,
-    /// The CP policy the broker optimizes for.
-    pub policy: CpPolicy,
-}
-
-impl Default for ExchangeConfig {
-    fn default() -> Self {
-        ExchangeConfig {
-            design: Design::Marketplace,
-            policy: CpPolicy::balanced(),
-        }
-    }
-}
 
 /// The transport-free heart of a CDN agent: turns Shares into bids priced
 /// by learned margins, and updates those margins on Accept feedback.
 ///
-/// [`CdnAgent`] wraps this over the in-memory reliable channel; the
-/// `vdx-agent` daemon client wraps the same engine over a TCP
-/// [`vdx_proto::transport::Connection`]. Both transports therefore bid —
-/// and learn — identically, which is what makes driver parity checkable.
+/// The fault campaign's agents (`vdx-sim::faults`) wrap this over a
+/// reliable channel on a simulated link; the `vdx-agent` daemon client
+/// wraps the same engine over a TCP
+/// [`vdx_proto::transport::Connection`]. Every transport therefore bids —
+/// and learns — identically, which is what makes driver parity checkable.
 pub struct BidEngine {
     cdn: CdnId,
     shading: BidShading,
@@ -150,17 +117,17 @@ impl BidEngine {
     }
 
     /// Builds this CDN's Announce for one Share batch.
+    /// `scores(client, site)` is the Estimate step's score; lower is
+    /// better.
     pub fn build_bids(
         &self,
         shares: &[Share],
         fleet: &Fleet,
-        scores: &impl ScoreSource,
+        scores: &impl Fn(CityId, CityId) -> Score,
     ) -> Vec<Bid> {
         let mut bids = Vec::new();
         // Shares arrive in the broker's group order, a city's side by side.
-        let mut matcher = CityMatcher::new(fleet, &self.matching, |client, site| {
-            scores.score(client, site)
-        });
+        let mut matcher = CityMatcher::new(fleet, &self.matching, scores);
         for share in shares {
             for m in matcher.candidates_for(self.cdn, CityId(share.location)) {
                 let committed = self
@@ -218,69 +185,8 @@ impl BidEngine {
     }
 }
 
-/// A CDN-side marketplace agent: answers Share requests with bids priced by
-/// its learned margins, and updates those margins on Accept feedback.
-pub struct CdnAgent {
-    endpoint: Endpoint,
-    engine: BidEngine,
-}
-
-impl CdnAgent {
-    /// Creates an agent that answers over `endpoint` with `engine`'s bids.
-    pub fn new(endpoint: Endpoint, engine: BidEngine) -> CdnAgent {
-        CdnAgent { endpoint, engine }
-    }
-
-    /// Current learned margin for one of this CDN's clusters.
-    pub fn margin(&self, cluster: ClusterId) -> Margin {
-        self.engine.margin(cluster)
-    }
-
-    /// Reliable-channel statistics for this agent's link end.
-    pub fn channel_stats(&self) -> ChannelStats {
-        self.endpoint.channel_stats()
-    }
-
-    /// Advances the agent: answers Shares with Announces, learns from
-    /// Accepts.
-    pub fn poll(
-        &mut self,
-        now: SimTime,
-        link: &mut Link,
-        fleet: &Fleet,
-        scores: &impl ScoreSource,
-    ) {
-        let events = self.endpoint.poll_events(now, link);
-        for event in events {
-            match event {
-                Event::Request(id, Message::Share(shares)) => {
-                    let bids = self.engine.build_bids(&shares, fleet, scores);
-                    self.endpoint.respond(id, &Message::Announce(bids));
-                }
-                Event::OneWay(Message::Accept(entries)) => {
-                    self.engine.learn(&entries, fleet);
-                }
-                // Anything else (decode errors on a lossy link surface as
-                // events too) is ignored; the reliable layer already
-                // guarantees ordered delivery of intact messages.
-                _ => {}
-            }
-        }
-    }
-}
-
-/// The completed result of one live round.
-#[derive(Debug, Clone)]
-pub struct LiveRoundResult {
-    /// The assembled optimization problem (groups × received options).
-    pub problem: BrokerProblem,
-    /// The optimizer's full assignment: per-group choice, objective, and
-    /// per-cluster loads (the inputs metric computation needs).
-    pub assignment: BrokerAssignment,
-}
-
-/// What the deadline ladder of [`ExchangeBroker::finalize_at_deadline`]
-/// did to each CDN of the round (DESIGN.md §9).
+/// What the degradation ladder ([`resolve_at_deadline`]) did to each
+/// CDN of the round (DESIGN.md §9).
 #[derive(Debug, Clone, Default)]
 pub struct DegradationReport {
     /// CDNs whose Announce arrived before the deadline.
@@ -298,19 +204,6 @@ impl DegradationReport {
     pub fn is_clean(&self) -> bool {
         self.stale.is_empty() && self.excluded.is_empty()
     }
-}
-
-/// Outcome of finalizing a round at its deadline.
-#[derive(Debug)]
-pub enum DeadlineOutcome {
-    /// The round completed from the information available at the deadline
-    /// — possibly degraded; inspect the report for stale substitutions
-    /// and exclusions.
-    Completed(LiveRoundResult, DegradationReport),
-    /// Too little arrived to cover every client group: the caller must
-    /// fall back to the Brokered design for this round (flat contracts
-    /// are pre-negotiated, so Brokered needs no exchange traffic).
-    Fallback(DegradationReport),
 }
 
 /// One CDN's situation at a round deadline: what a driver's transport
@@ -537,7 +430,8 @@ pub struct DriverRound {
 /// Both are [`RoundHooks`] around one [`Round`], so under the same
 /// scenario and the same observed failures they emit equal
 /// [`DriverRound`]s and equal journals by construction
-/// (ARCHITECTURE.md, "two drivers, one core").
+/// (ARCHITECTURE.md, "two drivers, one core"). The fault campaign's
+/// simulated links are a third [`RoundHooks`] on the same spine.
 pub trait ExchangeDriver {
     /// Runs one round and reports its decision fingerprint.
     fn run_round(&mut self, round: u64) -> DriverRound;
@@ -559,24 +453,29 @@ pub fn picks_of(problem: &BrokerProblem, assignment: &BrokerAssignment) -> Vec<(
 
 /// The Decision Protocol's round spine: the one implementation of
 /// Share → Announce → Optimize → Accept with health routing and the
-/// degradation ladder, run by every [`ExchangeDriver`] (DESIGN.md §13).
+/// degradation ladder, run by every transport (DESIGN.md §13).
 ///
 /// A `Round` owns what carries from one round to the next — per-CDN
 /// [`CircuitBreaker`]s, the stale-bid cache, the solver's warm context —
-/// plus design, objective, journal probe and the deadline label. The
-/// reference driver and the daemon both call [`Round::run`], so "same
-/// observations ⇒ same decision, same journal" holds by construction; a
-/// driver only says, through [`RoundHooks`], what its transport observed
-/// and how a decision is committed.
+/// plus design, objective, journal probe and the deadline label. Every
+/// transport calls [`Round::run`], so "same observations ⇒ same decision,
+/// same journal" holds by construction; a transport only says, through
+/// [`RoundHooks`], what it observed and how a decision is committed.
 pub struct Round {
-    decider: Decider,
+    design: Design,
+    policy: CpPolicy,
+    probe: Arc<dyn Probe>,
+    /// Rounds are one sequential stream, so one context is exactly right;
+    /// it runs the solver under the bit-exact reuse policy, keeping
+    /// journals and decisions identical to context-free solves.
+    ctx: OptimizeContext,
     breakers: Vec<CircuitBreaker>,
     cache: StaleBidCache<Vec<Bid>>,
     /// Labels `deadline_missed` journal events; the spine has no clock.
     deadline_ms: u64,
 }
 
-/// What a driver plugs into [`Round::run`].
+/// What a transport plugs into [`Round::run`].
 pub trait RoundHooks {
     /// The transport: consult every CDN whose `routable` flag is set (an
     /// open breaker clears it: no Share for that CDN) and report what was
@@ -625,137 +524,27 @@ impl Decision<'_> {
             accept_entries(self.problem, self.assignment, cdn, bids)
         })
     }
+
+    /// The problem the round optimized: on a fallback, the Brokered
+    /// round's.
+    pub fn problem(&self) -> &BrokerProblem {
+        self.problem
+    }
+
+    /// The optimizer's assignment for [`Decision::problem`].
+    pub fn assignment(&self) -> &BrokerAssignment {
+        self.assignment
+    }
 }
 
-/// The half of the spine that does not depend on who is routable: design
-/// and objective, the solver's warm context, the journal. [`Round`] adds
-/// health routing and the stale cache; the link-driven [`ExchangeBroker`]
-/// — no breakers, cache kept by its campaign — runs on this directly.
-struct Decider {
-    design: Design,
-    policy: CpPolicy,
-    probe: Arc<dyn Probe>,
-    /// Rounds are one sequential stream, so one context is exactly right;
-    /// it runs the solver under the bit-exact reuse policy, keeping
-    /// journals and decisions identical to context-free solves.
-    ctx: OptimizeContext,
-}
-
-impl Decider {
-    fn emit(&self, event: ObsEvent) {
-        if self.probe.enabled() {
-            self.probe.emit(event);
-        }
-    }
-
-    fn health_transition(&self, round: u64, cdn: usize, t: HealthTransition) {
-        if self.probe.enabled() {
-            self.probe.emit(ObsEvent::HealthTransition {
-                round,
-                cdn: cdn as u32,
-                from: t.from.name().into(),
-                to: t.to.name().into(),
-                reason: t.reason.into(),
-            });
-        }
-    }
-
-    /// Journals the start of a round and its Share.
-    fn started(&self, round: u64, groups: &[ClientGroup], cdns: usize) {
-        if self.probe.enabled() {
-            self.probe.emit(ObsEvent::RoundStarted {
-                round,
-                design: self.design.name(),
-                groups: groups.len() as u64,
-                cdns: cdns as u64,
-            });
-            self.probe.emit(ObsEvent::SharePublished {
-                round,
-                shares: groups.len() as u64,
-                demand_kbps: groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
-            });
-        }
-    }
-
-    /// Walks the degradation ladder over `cache` as of `cache_round`.
-    fn resolve(
-        &self,
-        round: u64,
-        sources: Vec<BidSource>,
-        num_groups: usize,
-        cache: &StaleBidCache<Vec<Bid>>,
-        cache_round: u64,
-        deadline_ms: u64,
-    ) -> DeadlineResolution {
-        resolve_at_deadline(
-            round,
-            self.design,
-            sources,
-            num_groups,
-            cache,
-            cache_round,
-            deadline_ms,
-            self.probe.as_ref(),
-        )
-    }
-
-    /// The tail of every round that completes under its design: assemble
-    /// options, optimize, hand the decision to `commit`, then journal the
-    /// Accept step and the round's completion.
-    fn decide(
-        &mut self,
-        round: u64,
-        groups: Vec<ClientGroup>,
-        bids_per_cdn: &[Vec<Bid>],
-        report: &DegradationReport,
-        commit: impl FnOnce(&Decision<'_>),
-    ) -> (DriverRound, LiveRoundResult) {
-        let options = assemble_options(groups.len(), bids_per_cdn);
-        let problem = BrokerProblem { groups, options };
-        let assignment = optimize_probed_ctx(
-            &problem,
-            &self.policy,
-            &OptimizeMode::Heuristic,
-            round,
-            self.probe.as_ref(),
-            &mut self.ctx,
-        );
-        let decided = DriverRound {
-            round,
-            resolution: if report.is_clean() {
-                RoundResolution::Fresh
-            } else {
-                RoundResolution::Degraded
-            },
-            picks: picks_of(&problem, &assignment),
-            objective: assignment.objective,
-        };
-        commit(&Decision {
-            round: &decided,
-            fresh: &report.fresh,
-            bids_per_cdn,
-            problem: &problem,
-            assignment: &assignment,
-        });
-        if self.probe.enabled() {
-            let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
-            let accepted = problem.groups.len() as u64;
-            self.probe.emit(ObsEvent::AcceptIssued {
-                round,
-                accepted,
-                rejected: total_bids.saturating_sub(accepted),
-            });
-            self.probe.emit(ObsEvent::RoundCompleted {
-                round,
-                objective: assignment.objective,
-                options: total_bids,
-            });
-        }
-        let result = LiveRoundResult {
-            problem,
-            assignment,
-        };
-        (decided, result)
+/// A breaker's state change as a journal event.
+fn health_event(round: u64, cdn: usize, t: HealthTransition) -> ObsEvent {
+    ObsEvent::HealthTransition {
+        round,
+        cdn: cdn as u32,
+        from: t.from.name().into(),
+        to: t.to.name().into(),
+        reason: t.reason.into(),
     }
 }
 
@@ -771,14 +560,11 @@ impl Round {
         deadline_ms: u64,
         probe: Arc<dyn Probe>,
     ) -> Round {
-        let ctx = OptimizeContext::new();
         Round {
-            decider: Decider {
-                design,
-                policy,
-                probe,
-                ctx,
-            },
+            design,
+            policy,
+            probe,
+            ctx: OptimizeContext::new(),
             breakers,
             cache,
             deadline_ms,
@@ -788,6 +574,32 @@ impl Round {
     /// Current health state of one CDN's breaker.
     pub fn breaker(&self, cdn: usize) -> &CircuitBreaker {
         &self.breakers[cdn]
+    }
+
+    /// Stores the bids of a round decided off the spine, by
+    /// [`crate::decision::run_decision_round`], as every CDN's latest: a
+    /// fault campaign's clean rounds take that pure path and still fill
+    /// the stale cache. `problem`'s options are turned back into per-CDN
+    /// bid batches in each CDN's own order (the inverse of
+    /// [`assemble_options`]).
+    pub fn store_pure_bids(&mut self, round: u64, problem: &BrokerProblem) {
+        let mut per_cdn = vec![Vec::new(); self.breakers.len()];
+        for (g, options) in problem.options.iter().enumerate() {
+            for o in options {
+                if let Some(bids) = per_cdn.get_mut(o.cdn.index()) {
+                    bids.push(Bid {
+                        cluster_id: o.cluster.0 as u64,
+                        share_id: g as u64,
+                        performance_estimate: o.score.value(),
+                        capacity_kbps: o.believed_capacity_kbps.as_f64(),
+                        price_per_mb: o.price_per_mb.as_per_megabit(),
+                    });
+                }
+            }
+        }
+        for (cdn, bids) in per_cdn.into_iter().enumerate() {
+            self.cache.store(cdn, round, bids);
+        }
     }
 
     /// Runs round `round` over `groups`, start to finish.
@@ -800,10 +612,24 @@ impl Round {
         // Open: breakers whose cool-down elapsed go half-open.
         for (cdn, breaker) in self.breakers.iter_mut().enumerate() {
             if let Some(t) = breaker.begin_round(round) {
-                self.decider.health_transition(round, cdn, t);
+                if self.probe.enabled() {
+                    self.probe.emit(health_event(round, cdn, t));
+                }
             }
         }
-        self.decider.started(round, groups, self.breakers.len());
+        if self.probe.enabled() {
+            self.probe.emit(ObsEvent::RoundStarted {
+                round,
+                design: self.design.name(),
+                groups: groups.len() as u64,
+                cdns: self.breakers.len() as u64,
+            });
+            self.probe.emit(ObsEvent::SharePublished {
+                round,
+                shares: groups.len() as u64,
+                demand_kbps: groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
+            });
+        }
         let routable: Vec<bool> = self.breakers.iter().map(|b| b.allows_route()).collect();
         // Classify in CDN-index order: exactly one breaker observation per
         // CDN that was routed to, or should have been.
@@ -813,8 +639,17 @@ impl Round {
             .enumerate()
             .map(|(cdn, seen)| self.observe(round, cdn, seen))
             .collect();
-        let (decider, cache) = (&mut self.decider, &self.cache);
-        match decider.resolve(round, sources, groups.len(), cache, round, self.deadline_ms) {
+        let resolution = resolve_at_deadline(
+            round,
+            self.design,
+            sources,
+            groups.len(),
+            &self.cache,
+            round,
+            self.deadline_ms,
+            self.probe.as_ref(),
+        );
+        match resolution {
             DeadlineResolution::Proceed(bids_per_cdn, report) => {
                 // Only fresh bids refresh the cache, and only because the
                 // round completes under its design (a fallback stores
@@ -823,14 +658,10 @@ impl Round {
                     self.cache
                         .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());
                 }
-                let (breakers, cache) = (&self.breakers, &self.cache);
-                let commit = |decision: &Decision<'_>| hooks.commit(decision, breakers, cache);
-                let (decided, _) =
-                    decider.decide(round, groups.to_vec(), &bids_per_cdn, &report, commit);
-                decided
+                self.decide(round, groups, &bids_per_cdn, &report, hooks)
             }
             DeadlineResolution::Fallback(_) => {
-                let outcome = hooks.brokered(round, decider.policy, decider.probe.as_ref());
+                let outcome = hooks.brokered(round, self.policy, self.probe.as_ref());
                 let decided = DriverRound {
                     round,
                     resolution: RoundResolution::Fallback,
@@ -853,6 +684,64 @@ impl Round {
         }
     }
 
+    /// The tail of every round that completes under its design: assemble
+    /// options, optimize, hand the decision to `hooks.commit`, then
+    /// journal the Accept step and the round's completion.
+    fn decide(
+        &mut self,
+        round: u64,
+        groups: &[ClientGroup],
+        bids_per_cdn: &[Vec<Bid>],
+        report: &DegradationReport,
+        hooks: &mut impl RoundHooks,
+    ) -> DriverRound {
+        let problem = BrokerProblem {
+            groups: groups.to_vec(),
+            options: assemble_options(groups.len(), bids_per_cdn),
+        };
+        let assignment = optimize_probed_ctx(
+            &problem,
+            &self.policy,
+            &OptimizeMode::Heuristic,
+            round,
+            self.probe.as_ref(),
+            &mut self.ctx,
+        );
+        let decided = DriverRound {
+            round,
+            resolution: if report.is_clean() {
+                RoundResolution::Fresh
+            } else {
+                RoundResolution::Degraded
+            },
+            picks: picks_of(&problem, &assignment),
+            objective: assignment.objective,
+        };
+        let decision = Decision {
+            round: &decided,
+            fresh: &report.fresh,
+            bids_per_cdn,
+            problem: &problem,
+            assignment: &assignment,
+        };
+        hooks.commit(&decision, &self.breakers, &self.cache);
+        if self.probe.enabled() {
+            let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
+            let accepted = problem.groups.len() as u64;
+            self.probe.emit(ObsEvent::AcceptIssued {
+                round,
+                accepted,
+                rejected: total_bids.saturating_sub(accepted),
+            });
+            self.probe.emit(ObsEvent::RoundCompleted {
+                round,
+                objective: assignment.objective,
+                options: total_bids,
+            });
+        }
+        decided
+    }
+
     /// Makes the round's one breaker observation for CDN `cdn` from what
     /// the transport saw of it, and returns what the ladder should see.
     fn observe(&mut self, round: u64, cdn: usize, seen: BidSource) -> BidSource {
@@ -864,276 +753,42 @@ impl Round {
         }
         let probing = breaker.is_probe();
         let transition = match &seen {
-            BidSource::Fresh(bids) => {
-                let transition = breaker.on_success(round);
-                self.decider.emit(ObsEvent::BidReceived {
+            BidSource::Fresh(_) => breaker.on_success(round),
+            BidSource::Silent | BidSource::Down => breaker.on_failure(round),
+        };
+        if self.probe.enabled() {
+            if let BidSource::Fresh(bids) = &seen {
+                self.probe.emit(ObsEvent::BidReceived {
                     round,
                     cdn: cdn as u32,
                     bids: bids.len() as u64,
                 });
-                transition
             }
-            BidSource::Silent | BidSource::Down => breaker.on_failure(round),
-        };
-        if probing {
-            self.decider.emit(ObsEvent::HealthProbe {
-                round,
-                cdn: cdn as u32,
-                success: matches!(seen, BidSource::Fresh(_)),
-            });
-        }
-        if let Some(t) = transition {
-            self.decider.health_transition(round, cdn, t);
+            if probing {
+                self.probe.emit(ObsEvent::HealthProbe {
+                    round,
+                    cdn: cdn as u32,
+                    success: matches!(seen, BidSource::Fresh(_)),
+                });
+            }
+            if let Some(t) = transition {
+                self.probe.emit(health_event(round, cdn, t));
+            }
         }
         seen
-    }
-}
-
-/// The link-driven transport over the spine: the broker side of the live
-/// exchange, talking to one CDN per lossy [`Link`] in simulated time.
-/// Fault campaigns step it millisecond by millisecond
-/// ([`ExchangeBroker::poll`]) and force a decision at the deadline
-/// ([`ExchangeBroker::finalize_at_deadline`]).
-pub struct ExchangeBroker {
-    endpoints: Vec<Endpoint>,
-    decider: Decider,
-    round: Option<PendingRound>,
-    rounds_started: u64,
-}
-
-struct PendingRound {
-    id: u64,
-    groups: Vec<ClientGroup>,
-    request_ids: Vec<RequestId>,
-    bids: Vec<Option<Vec<Bid>>>,
-}
-
-impl ExchangeBroker {
-    /// Creates a broker speaking to `endpoints.len()` CDNs; `endpoints[i]`
-    /// must be connected to the agent of `CdnId(i)`.
-    pub fn new(endpoints: Vec<Endpoint>, config: ExchangeConfig) -> ExchangeBroker {
-        ExchangeBroker {
-            endpoints,
-            decider: Decider {
-                design: config.design,
-                policy: config.policy,
-                probe: vdx_obs::probe::noop(),
-                ctx: OptimizeContext::new(),
-            },
-            round: None,
-            rounds_started: 0,
-        }
-    }
-
-    /// Routes this broker's journal events (round lifecycle, auction
-    /// steps, solver effort) to `probe`. The default is a no-op.
-    pub fn set_probe(&mut self, probe: Arc<dyn Probe>) {
-        self.decider.probe = probe;
-    }
-
-    /// Starts a round: Shares the client groups with every CDN.
-    ///
-    /// # Panics
-    /// Panics if a round is already in flight.
-    pub fn start_round(&mut self, groups: Vec<ClientGroup>) {
-        assert!(self.round.is_none(), "round already in flight");
-        let id = self.rounds_started;
-        self.rounds_started += 1;
-        self.decider.started(id, &groups, self.endpoints.len());
-        let msg = Message::Share(shares_of(&groups));
-        let request_ids: Vec<RequestId> =
-            self.endpoints.iter_mut().map(|e| e.request(&msg)).collect();
-        let n = self.endpoints.len();
-        self.round = Some(PendingRound {
-            id,
-            groups,
-            request_ids,
-            bids: vec![None; n],
-        });
-    }
-
-    /// Advances the broker. Returns the round result once every CDN's
-    /// Announce has arrived; the Accept step is sent before returning.
-    pub fn poll(&mut self, now: SimTime, links: &mut [Link]) -> Option<LiveRoundResult> {
-        assert_eq!(links.len(), self.endpoints.len(), "one link per CDN");
-        let Some(round) = &mut self.round else {
-            return None;
-        };
-        for (i, endpoint) in self.endpoints.iter_mut().enumerate() {
-            for event in endpoint.poll_events(now, &mut links[i]) {
-                if let Event::Response(id, Message::Announce(bids)) = event {
-                    if id == round.request_ids[i] {
-                        // Journaled on arrival: links deliver out of CDN
-                        // order, and the journal says so.
-                        self.decider.emit(ObsEvent::BidReceived {
-                            round: round.id,
-                            cdn: i as u32,
-                            bids: bids.len() as u64,
-                        });
-                        round.bids[i] = Some(bids);
-                    }
-                }
-            }
-        }
-        if round.bids.iter().any(Option::is_none) {
-            return None;
-        }
-        // Nothing is missing, so the ladder has nothing to look up: the
-        // round resolves now exactly as it would at its deadline.
-        match self.finalize_at_deadline(now, links, &StaleBidCache::new(0, 0), 0, &[]) {
-            DeadlineOutcome::Completed(result, _) => Some(result),
-            DeadlineOutcome::Fallback(_) => None,
-        }
-    }
-
-    /// Overrides the id the *next* round will be journaled under. Fault
-    /// campaigns use this to align live-round journal events with the
-    /// campaign's own round numbering.
-    pub fn set_next_round_id(&mut self, id: u64) {
-        self.rounds_started = id;
-    }
-
-    /// Reliable-channel statistics for the broker's end of the link to
-    /// CDN `cdn`.
-    pub fn channel_stats(&self, cdn: usize) -> ChannelStats {
-        self.endpoints[cdn].channel_stats()
-    }
-
-    /// Forces the in-flight round to a decision at its deadline, walking
-    /// the degradation ladder of DESIGN.md §9 for every CDN that has not
-    /// answered:
-    ///
-    /// 1. substitute the CDN's cached bids if `cache` holds an entry no
-    ///    older than its TTL as of `campaign_round` — unless the CDN is in
-    ///    `known_failed` (a down CDN's cached prices must not be reused);
-    /// 2. otherwise exclude the CDN from the round (no options from it);
-    /// 3. if after substitution some client group has no option at all,
-    ///    give up on this design for the round and report
-    ///    [`DeadlineOutcome::Fallback`] — the caller runs a Brokered round
-    ///    from contract data instead.
-    ///
-    /// The cache is read-only here: the *campaign* owns cache writes (it
-    /// also fills the cache from its pure rounds), so stale substitutions
-    /// are never re-stored as if they were fresh.
-    ///
-    /// # Panics
-    /// Panics if no round is in flight.
-    pub fn finalize_at_deadline(
-        &mut self,
-        now: SimTime,
-        links: &mut [Link],
-        cache: &StaleBidCache<Vec<Bid>>,
-        campaign_round: u64,
-        known_failed: &[usize],
-    ) -> DeadlineOutcome {
-        let round = self.round.take().expect("round in flight");
-        let PendingRound {
-            id, groups, bids, ..
-        } = round;
-        let sources: Vec<BidSource> = bids
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(bids) => BidSource::Fresh(bids),
-                None if known_failed.contains(&i) => BidSource::Down,
-                None => BidSource::Silent,
-            })
-            .collect();
-        let (decider, endpoints) = (&mut self.decider, &mut self.endpoints);
-        match decider.resolve(id, sources, groups.len(), cache, campaign_round, now.0) {
-            DeadlineResolution::Proceed(bids_per_cdn, report) => {
-                // The spine's commit step here is the Accept fan-out:
-                // echo every bid with its outcome to its CDN.
-                let accept = |decision: &Decision<'_>| {
-                    for (cdn, endpoint) in endpoints.iter_mut().enumerate() {
-                        endpoint.send_oneway(&Message::Accept(decision.accepts(cdn)));
-                        // Kick the channel so the Accept leaves promptly.
-                        endpoint.poll_events(now, &mut links[cdn]);
-                    }
-                };
-                let (_, result) = decider.decide(id, groups, &bids_per_cdn, &report, accept);
-                DeadlineOutcome::Completed(result, report)
-            }
-            DeadlineResolution::Fallback(report) => DeadlineOutcome::Fallback(report),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::tests::build_eco;
-    use vdx_proto::reliable::{ReliableChannel, ReliableConfig};
-    use vdx_proto::{FaultConfig, LinkEnd};
+    use crate::decision::tests::{build_eco, TestEco};
+    use crate::decision::{run_decision_round_probed, RoundId, RoundInputs};
+    use vdx_cdn::median_capacity;
+    use vdx_obs::MemoryProbe;
 
-    fn make_exchange(
-        eco: &crate::decision::tests::TestEco,
-        faults: FaultConfig,
-    ) -> (ExchangeBroker, Vec<CdnAgent>, Vec<Link>) {
-        let n = eco.fleet.cdns.len();
-        let mut links = Vec::new();
-        let mut broker_eps = Vec::new();
-        let mut agents = Vec::new();
-        for i in 0..n {
-            links.push(Link::new(faults.clone(), 100 + i as u64));
-            broker_eps.push(Endpoint::new(ReliableChannel::new(
-                LinkEnd::A,
-                ReliableConfig::default(),
-            )));
-            agents.push(CdnAgent::new(
-                Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default())),
-                BidEngine::new(
-                    CdnId(i as u32),
-                    BidPolicy::default(),
-                    MatchingConfig::default(),
-                    eco.fleet.clusters.len(),
-                    eco.background.clone(),
-                ),
-            ));
-        }
-        let broker = ExchangeBroker::new(broker_eps, ExchangeConfig::default());
-        (broker, agents, links)
-    }
-
-    fn drive_round(
-        eco: &crate::decision::tests::TestEco,
-        broker: &mut ExchangeBroker,
-        agents: &mut [CdnAgent],
-        links: &mut [Link],
-        start_ms: u64,
-        deadline_ms: u64,
-    ) -> LiveRoundResult {
-        broker.start_round(eco.groups.clone());
-        for ms in start_ms..deadline_ms {
-            let now = SimTime(ms);
-            for (i, agent) in agents.iter_mut().enumerate() {
-                agent.poll(now, &mut links[i], &eco.fleet, &|a: CityId, b: CityId| {
-                    eco.net.score(&eco.world, a, b)
-                });
-            }
-            if let Some(result) = broker.poll(now, links) {
-                // Let the Accepts drain to the agents.
-                for extra in 0..2_000 {
-                    let now = SimTime(ms + 1 + extra);
-                    for (i, agent) in agents.iter_mut().enumerate() {
-                        agent.poll(now, &mut links[i], &eco.fleet, &|a: CityId, b: CityId| {
-                            eco.net.score(&eco.world, a, b)
-                        });
-                    }
-                }
-                return result;
-            }
-        }
-        panic!("round did not complete by {deadline_ms} ms");
-    }
-
-    #[test]
-    fn live_round_matches_pure_decision_round() {
-        let eco = build_eco(23);
-        let (mut broker, mut agents, mut links) = make_exchange(&eco, FaultConfig::lossless());
-        let live = drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 10_000);
-
-        let inputs = crate::decision::RoundInputs {
+    fn inputs(eco: &TestEco) -> RoundInputs<'_> {
+        RoundInputs {
             world: &eco.world,
             fleet: &eco.fleet,
             contracts: &eco.contracts,
@@ -1142,54 +797,149 @@ mod tests {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: None,
-        };
-        let pure = crate::decision::run_decision_round(Design::Marketplace, &inputs, |a, b| {
+        }
+    }
+
+    /// A transport-free [`RoundHooks`] over the test ecosystem: every CDN's
+    /// engine answers unless the test made it `silent` or `down`, and the
+    /// commit hands each engine its Accept at once.
+    struct Script<'a> {
+        eco: &'a TestEco,
+        engines: Vec<BidEngine>,
+        silent: Vec<usize>,
+        down: Vec<usize>,
+    }
+
+    impl<'a> Script<'a> {
+        fn new(eco: &'a TestEco, design: Design) -> Script<'a> {
+            let engines = (eco.fleet.cdns.iter())
+                .map(|cdn| {
+                    BidEngine::new(
+                        cdn.id,
+                        BidPolicy::default(),
+                        design.matching(),
+                        eco.fleet.clusters.len(),
+                        eco.background.clone(),
+                    )
+                    .with_design(
+                        design,
+                        eco.contracts[cdn.id.index()].billed_price_per_mb(),
+                        median_capacity(&eco.fleet, cdn.id),
+                    )
+                })
+                .collect();
+            Script {
+                eco,
+                engines,
+                silent: Vec::new(),
+                down: Vec::new(),
+            }
+        }
+
+        fn bids(&self, cdn: usize) -> Vec<Bid> {
+            let eco = self.eco;
+            let scores = |a, b| eco.net.score(&eco.world, a, b);
+            self.engines[cdn].build_bids(&shares_of(&eco.groups), &eco.fleet, &scores)
+        }
+    }
+
+    impl RoundHooks for Script<'_> {
+        fn collect_announces(&mut self, _round: u64, routable: &[bool]) -> Vec<BidSource> {
+            (0..self.engines.len())
+                .map(|cdn| {
+                    if self.down.contains(&cdn) {
+                        BidSource::Down
+                    } else if !routable[cdn] || self.silent.contains(&cdn) {
+                        BidSource::Silent
+                    } else {
+                        BidSource::Fresh(self.bids(cdn))
+                    }
+                })
+                .collect()
+        }
+
+        fn brokered(&mut self, round: u64, _policy: CpPolicy, probe: &dyn Probe) -> RoundOutcome {
+            let eco = self.eco;
+            let scores = |a, b| eco.net.score(&eco.world, a, b);
+            run_decision_round_probed(
+                Design::Brokered,
+                &inputs(eco),
+                scores,
+                RoundId(round),
+                probe,
+            )
+        }
+
+        fn commit(
+            &mut self,
+            decision: &Decision<'_>,
+            _breakers: &[CircuitBreaker],
+            _cache: &StaleBidCache<Vec<Bid>>,
+        ) {
+            for (cdn, engine) in self.engines.iter_mut().enumerate() {
+                engine.learn(&decision.accepts(cdn), &self.eco.fleet);
+            }
+        }
+    }
+
+    fn spine(eco: &TestEco, design: Design, probe: Arc<dyn Probe>) -> Round {
+        let n = eco.fleet.cdns.len();
+        let breakers = (0..n).map(|_| CircuitBreaker::new(Default::default()));
+        let cache = StaleBidCache::new(n, 2);
+        Round::new(
+            design,
+            CpPolicy::balanced(),
+            breakers.collect(),
+            cache,
+            50,
+            probe,
+        )
+    }
+
+    /// One spine round whose every CDN answers decides exactly what the
+    /// pure round decides: same picks, same objective bits.
+    fn assert_a_fresh_round_is_the_pure_round(design: Design) {
+        let eco = build_eco(23);
+        let mut script = Script::new(&eco, design);
+        let live = spine(&eco, design, vdx_obs::probe::noop()).run(0, &eco.groups, &mut script);
+        let pure = crate::decision::run_decision_round(design, &inputs(&eco), |a, b| {
             eco.net.score(&eco.world, a, b)
         });
-        assert_eq!(live.assignment.choice.len(), pure.assignment.choice.len());
-        assert!(
-            (live.assignment.objective - pure.assignment.objective).abs() < 1e-6,
-            "live {} vs pure {}",
-            live.assignment.objective,
-            pure.assignment.objective
+        assert_eq!(live.resolution, RoundResolution::Fresh);
+        assert_eq!(live.picks, picks_of(&pure.problem, &pure.assignment));
+        assert_eq!(
+            live.objective.to_bits(),
+            pure.assignment.objective.to_bits(),
+            "{design}"
         );
     }
 
     #[test]
-    fn live_round_completes_over_lossy_links() {
-        let eco = build_eco(23);
-        let faults = FaultConfig {
-            drop_chance: 0.10,
-            corrupt_chance: 0.05,
-            delay_ms: 10,
-            jitter_ms: 10,
-        };
-        let (mut broker, mut agents, mut links) = make_exchange(&eco, faults);
-        let result = drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 120_000);
-        assert_eq!(result.assignment.choice.len(), eco.groups.len());
+    fn live_round_matches_pure_decision_round() {
+        assert_a_fresh_round_is_the_pure_round(Design::Marketplace);
+    }
+
+    #[test]
+    fn design_aware_agents_match_the_pure_dynamic_pricing_round() {
+        assert_a_fresh_round_is_the_pure_round(Design::DynamicPricing);
     }
 
     #[test]
     fn losing_clusters_shade_their_margins_down() {
         let eco = build_eco(23);
-        let (mut broker, mut agents, mut links) = make_exchange(&eco, FaultConfig::lossless());
-        let result = drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 10_000);
-        // Find a cluster that bid but never won.
-        let mut won = std::collections::HashSet::new();
-        for (g, &c) in result.assignment.choice.iter().enumerate() {
-            won.insert(result.problem.options[g][c].cluster);
-        }
-        let mut bid_clusters = std::collections::HashSet::new();
-        for opts in &result.problem.options {
-            for o in opts {
-                bid_clusters.insert((o.cdn, o.cluster));
-            }
-        }
-        let loser = bid_clusters.iter().find(|(_, cl)| !won.contains(cl));
-        let Some(&(cdn, cluster)) = loser else {
+        let mut script = Script::new(&eco, Design::Marketplace);
+        let announced: Vec<Vec<Bid>> = (0..eco.fleet.cdns.len()).map(|c| script.bids(c)).collect();
+        let mut round = spine(&eco, Design::Marketplace, vdx_obs::probe::noop());
+        let decided = round.run(0, &eco.groups, &mut script);
+        // A cluster that bid but never won.
+        let won: Vec<u32> = decided.picks.iter().map(|&(_, cluster)| cluster).collect();
+        let loser = (announced.iter().enumerate())
+            .flat_map(|(cdn, bids)| bids.iter().map(move |b| (cdn, b.cluster_id as u32)))
+            .find(|(_, cluster)| !won.contains(cluster));
+        let Some((cdn, cluster)) = loser else {
             return; // every bidder won something; nothing to check
         };
-        let margin = agents[cdn.index()].margin(cluster);
+        let margin = script.engines[cdn].margin(ClusterId(cluster));
         assert!(
             margin < BidPolicy::default().max_margin,
             "losing cluster's margin should have shaded down, still {margin}"
@@ -1198,12 +948,11 @@ mod tests {
 
     #[test]
     fn probed_live_round_journals_the_auction() {
-        use vdx_obs::MemoryProbe;
         let eco = build_eco(23);
-        let (mut broker, mut agents, mut links) = make_exchange(&eco, FaultConfig::lossless());
         let probe = Arc::new(MemoryProbe::new());
-        broker.set_probe(probe.clone());
-        drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 10_000);
+        let mut round = spine(&eco, Design::Marketplace, probe.clone());
+        let mut script = Script::new(&eco, Design::Marketplace);
+        round.run(0, &eco.groups, &mut script);
 
         let events = probe.take();
         assert!(matches!(
@@ -1226,8 +975,8 @@ mod tests {
             Some(ObsEvent::RoundCompleted { round: 0, .. })
         ));
 
-        // A second round increments the round id.
-        drive_round(&eco, &mut broker, &mut agents, &mut links, 20_000, 30_000);
+        // The next round is journaled under its own id.
+        round.run(1, &eco.groups, &mut script);
         let events = probe.take();
         assert!(matches!(
             events.first(),
@@ -1235,102 +984,57 @@ mod tests {
         ));
     }
 
-    fn blackout() -> FaultConfig {
-        FaultConfig {
-            drop_chance: 1.0,
-            corrupt_chance: 0.0,
-            delay_ms: 0,
-            jitter_ms: 0,
-        }
-    }
-
-    /// Reconstructs each CDN's announced bids from an assembled problem
-    /// (the inverse of `finish_round`'s cdn-major assembly, preserving the
-    /// original per-CDN bid order).
-    fn bids_by_cdn(problem: &BrokerProblem, cdns: usize) -> Vec<Vec<Bid>> {
-        let mut per_cdn = vec![Vec::new(); cdns];
-        for (g, opts) in problem.options.iter().enumerate() {
-            for o in opts {
-                per_cdn[o.cdn.index()].push(Bid {
-                    cluster_id: o.cluster.0 as u64,
-                    share_id: g as u64,
-                    performance_estimate: o.score.value(),
-                    capacity_kbps: o.believed_capacity_kbps.as_f64(),
-                    price_per_mb: o.price_per_mb.as_per_megabit(),
-                });
-            }
-        }
-        per_cdn
-    }
-
     #[test]
     fn deadline_finalize_substitutes_stale_bids_and_respects_known_failures() {
         let eco = build_eco(23);
         let n = eco.fleet.cdns.len();
-        // Round 0, lossless: capture what every CDN actually announced.
-        let (mut broker, mut agents, mut links) = make_exchange(&eco, FaultConfig::lossless());
-        let first = drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 10_000);
-        let mut cache: StaleBidCache<Vec<Bid>> = StaleBidCache::new(n, 2);
-        for (cdn, bids) in bids_by_cdn(&first.problem, n).into_iter().enumerate() {
-            cache.store(cdn, 0, bids);
-        }
+        let probe = Arc::new(MemoryProbe::new());
+        let mut round = spine(&eco, Design::Marketplace, probe.clone());
+        let mut script = Script::new(&eco, Design::Marketplace);
+        // Round 0 fills the cache with what every CDN announced.
+        let first = round.run(0, &eco.groups, &mut script);
+        assert_eq!(first.resolution, RoundResolution::Fresh);
 
-        // Round 1 over a total blackout: nothing arrives, the whole round
-        // is served from the cache and must reproduce round 0's choice.
-        let (mut broker, mut agents, mut links) = make_exchange(&eco, blackout());
-        broker.start_round(eco.groups.clone());
-        for ms in 0..50 {
-            let now = SimTime(ms);
-            for (i, agent) in agents.iter_mut().enumerate() {
-                agent.poll(now, &mut links[i], &eco.fleet, &|a: CityId, b: CityId| {
-                    eco.net.score(&eco.world, a, b)
-                });
-            }
-            broker.poll(now, &mut links);
-        }
-        let outcome = broker.finalize_at_deadline(SimTime(50), &mut links, &cache, 1, &[]);
-        let DeadlineOutcome::Completed(result, report) = outcome else {
-            panic!("cached bids cover every group; expected Completed");
-        };
-        assert_eq!(report.stale.len(), n, "every CDN substituted");
-        assert!(report.fresh.is_empty() && report.excluded.is_empty());
-        assert!(!report.is_clean());
+        // Round 1: nothing arrives, the whole round is served from the
+        // cache and must reproduce round 0's decision.
+        script.silent = (0..n).collect();
+        let stale = round.run(1, &eco.groups, &mut script);
+        assert_eq!(stale.resolution, RoundResolution::Degraded);
         assert_eq!(
-            result.assignment.choice, first.assignment.choice,
+            stale.picks, first.picks,
             "stale bids reproduce the cached round's decision"
         );
+        let reused = |events: &[ObsEvent], r: u64| -> Vec<u32> {
+            (events.iter())
+                .filter_map(|e| match e {
+                    ObsEvent::StaleBidsReused { round, cdn, .. } if *round == r => Some(*cdn),
+                    _ => None,
+                })
+                .collect()
+        };
+        let events = probe.take();
+        assert_eq!(reused(&events, 1), (0..n as u32).collect::<Vec<_>>());
 
         // Round 2 with CDN 0 known failed: its cache entry must NOT be
         // reused — the CDN is excluded even though the entry is in TTL.
-        broker.start_round(eco.groups.clone());
-        let outcome = broker.finalize_at_deadline(SimTime(60), &mut links, &cache, 2, &[0]);
-        let report = match outcome {
-            DeadlineOutcome::Completed(_, report) => report,
-            DeadlineOutcome::Fallback(report) => report,
-        };
-        assert!(report.excluded.contains(&CdnId(0)));
-        assert!(!report.stale.iter().any(|(c, _)| *c == CdnId(0)));
+        script.down = vec![0];
+        let excluded = round.run(2, &eco.groups, &mut script);
+        assert_eq!(excluded.resolution, RoundResolution::Degraded);
+        assert!(excluded.picks.iter().all(|&(cdn, _)| cdn != 0));
+        assert_eq!(reused(&probe.take(), 2), (1..n as u32).collect::<Vec<_>>());
     }
 
     #[test]
     fn deadline_finalize_with_nothing_falls_back() {
-        use vdx_obs::MemoryProbe;
         let eco = build_eco(23);
         let n = eco.fleet.cdns.len();
-        let (mut broker, _agents, mut links) = make_exchange(&eco, blackout());
         let probe = Arc::new(MemoryProbe::new());
-        broker.set_probe(probe.clone());
-        broker.start_round(eco.groups.clone());
-        for ms in 0..20 {
-            broker.poll(SimTime(ms), &mut links);
-        }
-        let cache: StaleBidCache<Vec<Bid>> = StaleBidCache::new(n, 2);
-        let outcome = broker.finalize_at_deadline(SimTime(20), &mut links, &cache, 0, &[]);
-        let DeadlineOutcome::Fallback(report) = outcome else {
-            panic!("an empty cache cannot cover any group");
-        };
-        assert_eq!(report.excluded.len(), n);
-        assert!(report.fresh.is_empty() && report.stale.is_empty());
+        let mut script = Script::new(&eco, Design::Marketplace);
+        script.silent = (0..n).collect();
+        let decided =
+            spine(&eco, Design::Marketplace, probe.clone()).run(0, &eco.groups, &mut script);
+        assert_eq!(decided.resolution, RoundResolution::Fallback);
+        assert_eq!(decided.picks.len(), eco.groups.len());
         let events = probe.take();
         assert!(events.iter().any(|e| matches!(
             e,
@@ -1365,68 +1069,5 @@ mod tests {
                 one_at_a_time
             );
         }
-    }
-
-    #[test]
-    fn design_aware_agents_match_the_pure_dynamic_pricing_round() {
-        use vdx_cdn::median_capacity;
-        let eco = build_eco(23);
-        let n = eco.fleet.cdns.len();
-        let design = Design::DynamicPricing;
-        let matching = MatchingConfig::default().with_max_candidates(design.max_candidates());
-        let mut links = Vec::new();
-        let mut broker_eps = Vec::new();
-        let mut agents = Vec::new();
-        for i in 0..n {
-            links.push(Link::new(FaultConfig::lossless(), 300 + i as u64));
-            broker_eps.push(Endpoint::new(ReliableChannel::new(
-                LinkEnd::A,
-                ReliableConfig::default(),
-            )));
-            agents.push(CdnAgent::new(
-                Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default())),
-                BidEngine::new(
-                    CdnId(i as u32),
-                    BidPolicy::default(),
-                    matching.clone(),
-                    eco.fleet.clusters.len(),
-                    eco.background.clone(),
-                )
-                .with_design(
-                    design,
-                    eco.contracts[i].billed_price_per_mb(),
-                    median_capacity(&eco.fleet, CdnId(i as u32)),
-                ),
-            ));
-        }
-        let mut broker = ExchangeBroker::new(
-            broker_eps,
-            ExchangeConfig {
-                design,
-                ..ExchangeConfig::default()
-            },
-        );
-        let live = drive_round(&eco, &mut broker, &mut agents, &mut links, 0, 10_000);
-
-        let inputs = crate::decision::RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            margins: None,
-        };
-        let pure = crate::decision::run_decision_round(design, &inputs, |a, b| {
-            eco.net.score(&eco.world, a, b)
-        });
-        assert_eq!(live.assignment.choice.len(), pure.assignment.choice.len());
-        assert!(
-            (live.assignment.objective - pure.assignment.objective).abs() < 1e-6,
-            "live {} vs pure {}",
-            live.assignment.objective,
-            pure.assignment.objective
-        );
     }
 }

@@ -16,10 +16,10 @@
 //! * [`accounting`] — who pays whom: revenue under flat-rate contracts vs.
 //!   per-cluster marketplace prices, internal cost, profit, and the
 //!   price-to-cost ratios of Figs 10–15.
-//! * [`exchange`] — VDX as an actual protocol: a broker endpoint and CDN
-//!   endpoints exchanging Share/Announce/Accept messages over (lossy)
-//!   `vdx-proto` links, with bid-shading CDN agents learning from Accept
-//!   feedback across rounds.
+//! * [`exchange`] — VDX as an actual protocol: the one round spine
+//!   ([`Round`]) every transport of Share/Announce/Accept rounds runs, its
+//!   building blocks, and the bid-shading CDN side ([`BidEngine`]) that
+//!   learns from Accept feedback across rounds.
 //! * [`wal`] — the durable write-ahead log of round boundaries that makes
 //!   the exchange daemon crash-safe: CRC-framed records, fsync commit
 //!   points, torn-tail truncation, and the replay that reconstructs the
@@ -45,8 +45,7 @@ pub use decision::{
 pub use design::Design;
 pub use exchange::{
     accept_entries, assemble_options, picks_of, resolve_at_deadline, shares_of, BidEngine,
-    BidSource, CdnAgent, DeadlineOutcome, DeadlineResolution, Decision, DegradationReport,
-    DriverRound, ExchangeBroker, ExchangeConfig, ExchangeDriver, LiveRoundResult, Round,
+    BidSource, DeadlineResolution, Decision, DegradationReport, DriverRound, ExchangeDriver, Round,
     RoundHooks, RoundResolution,
 };
 pub use wal::{Recovery, Wal, WalError, WalOpen, WalRecord};

@@ -177,6 +177,37 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
     buf
 }
 
+/// Checks the frame `buf` starts with, in wire order: magic (judged on as
+/// much of it as has arrived), version, declared length, CRC. `Ok(None)`
+/// means more bytes are needed; `Ok(Some(len))` that a whole frame with a
+/// `len`-byte payload is there and intact. Both decoders parse hostile
+/// bytes through this one function.
+fn check_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
+    let seen = buf.len().min(MAGIC.len());
+    if buf[..seen] != MAGIC[..seen] {
+        return Err(FrameError::BadMagic);
+    }
+    let Some(&[_, _, version, _, l0, l1, l2, l3]) = buf.get(..HEADER_LEN) else {
+        return Ok(None);
+    };
+    if version != PROTOCOL_VERSION {
+        return Err(FrameError::BadVersion(version));
+    }
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+    if len > MAX_PAYLOAD {
+        return Err(FrameError::Oversized(len));
+    }
+    let Some(&[c0, c1, c2, c3]) = buf.get(HEADER_LEN + len..HEADER_LEN + len + TRAILER_LEN) else {
+        return Ok(None);
+    };
+    let computed = crc32(&buf[..HEADER_LEN + len]);
+    let received = u32::from_be_bytes([c0, c1, c2, c3]);
+    if computed != received {
+        return Err(FrameError::BadCrc { computed, received });
+    }
+    Ok(Some(len))
+}
+
 /// Decodes exactly one frame from a datagram — the whole input must be one
 /// complete frame (no partial, no trailing bytes).
 ///
@@ -185,41 +216,22 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 /// makes it wait for bytes that only trickle in, whereas per-datagram
 /// decoding turns any corruption into an immediate, recoverable error.
 pub fn decode_datagram(data: &[u8]) -> Result<Frame, FrameError> {
-    if data.len() < HEADER_LEN + TRAILER_LEN || data[0..2] != MAGIC {
+    if data.len() < HEADER_LEN + TRAILER_LEN {
         return Err(FrameError::BadMagic);
     }
-    let version = data[2];
-    let flags = data[3];
-    let len = u32::from_be_bytes([data[4], data[5], data[6], data[7]]) as usize;
-    if version != PROTOCOL_VERSION {
-        return Err(FrameError::BadVersion(version));
-    }
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversized(len));
-    }
-    if data.len() != HEADER_LEN + len + TRAILER_LEN {
+    match check_frame(data)? {
+        Some(len) if data.len() == HEADER_LEN + len + TRAILER_LEN => Ok(Frame {
+            version: data[2],
+            flags: data[3],
+            payload: data[HEADER_LEN..HEADER_LEN + len].to_vec(),
+        }),
         // A corrupted length never matches the datagram size; report it as
         // a CRC-class integrity failure.
-        return Err(FrameError::BadCrc {
+        _ => Err(FrameError::BadCrc {
             computed: 0,
             received: 0,
-        });
+        }),
     }
-    let computed = crc32(&data[..HEADER_LEN + len]);
-    let received = u32::from_be_bytes([
-        data[HEADER_LEN + len],
-        data[HEADER_LEN + len + 1],
-        data[HEADER_LEN + len + 2],
-        data[HEADER_LEN + len + 3],
-    ]);
-    if computed != received {
-        return Err(FrameError::BadCrc { computed, received });
-    }
-    Ok(Frame {
-        version,
-        flags,
-        payload: data[HEADER_LEN..HEADER_LEN + len].to_vec(),
-    })
 }
 
 /// Incremental frame decoder.
@@ -258,46 +270,21 @@ impl FrameDecoder {
     /// up to the next plausible frame start so the stream can
     /// resynchronise.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameError> {
-        let buf = &self.buf[self.start..];
-        // Judge the magic on as much of it as has arrived: garbage is
-        // reported at once, not after a header's worth of it (a peer that
-        // sends a few stray bytes and closes must not read as a clean EOF).
-        let seen = buf.len().min(MAGIC.len());
-        if buf[..seen] != MAGIC[..seen] {
-            self.resync();
-            return Err(FrameError::BadMagic);
+        // Garbage is reported as soon as the magic's first byte is wrong,
+        // not after a header's worth of it (a peer that sends a few stray
+        // bytes and closes must not read as a clean EOF).
+        match check_frame(&self.buf[self.start..]) {
+            Ok(None) => Ok(None),
+            Ok(Some(len)) => {
+                let payload = self.start + HEADER_LEN;
+                self.start = payload + len + TRAILER_LEN;
+                Ok(Some(&self.buf[payload..payload + len]))
+            }
+            Err(e) => {
+                self.resync();
+                Err(e)
+            }
         }
-        if buf.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        let version = buf[2];
-        let len = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-        if version != PROTOCOL_VERSION {
-            self.resync();
-            return Err(FrameError::BadVersion(version));
-        }
-        if len > MAX_PAYLOAD {
-            self.resync();
-            return Err(FrameError::Oversized(len));
-        }
-        let total = HEADER_LEN + len + TRAILER_LEN;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let computed = crc32(&buf[..HEADER_LEN + len]);
-        let received = u32::from_be_bytes([
-            buf[HEADER_LEN + len],
-            buf[HEADER_LEN + len + 1],
-            buf[HEADER_LEN + len + 2],
-            buf[HEADER_LEN + len + 3],
-        ]);
-        if computed != received {
-            self.resync();
-            return Err(FrameError::BadCrc { computed, received });
-        }
-        let payload = self.start + HEADER_LEN;
-        self.start += total;
-        Ok(Some(&self.buf[payload..payload + len]))
     }
 
     /// Drops one byte, then skips to the next occurrence of the magic's

@@ -224,7 +224,7 @@ mod tests {
             for round in &campaign.rounds {
                 assert_eq!(
                     round.availability,
-                    crate::faults::RoundAvailability::Live,
+                    vdx_core::RoundResolution::Fresh,
                     "{design}"
                 );
                 assert_eq!(round.metrics, expected, "{design}: clean plan is exact");
@@ -295,11 +295,11 @@ mod tests {
             0,
             vdx_obs::probe::noop(),
         );
-        use crate::faults::RoundAvailability;
+        use vdx_core::RoundResolution;
         // Round 2 loses CDN 0's cluster: the round cannot stay fully live.
-        assert_ne!(campaign.rounds[2].availability, RoundAvailability::Live);
+        assert_ne!(campaign.rounds[2].availability, RoundResolution::Fresh);
         // Round 3 downs the exchange entirely: guaranteed fallback.
-        assert_eq!(campaign.rounds[3].availability, RoundAvailability::Fallback);
+        assert_eq!(campaign.rounds[3].availability, RoundResolution::Fallback);
 
         let cell = FaultsCell {
             design: Design::Marketplace.name(),

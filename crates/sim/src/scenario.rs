@@ -416,7 +416,7 @@ mod tests {
             };
             for design in Design::TABLE3 {
                 let out = vdx_core::run_decision_round(design, &inputs, |a, b| s.score_of(a, b));
-                let config = crate::soak::matching_for(design);
+                let config = design.matching();
                 // What a group is offered at is the design's, the CDN's and
                 // the cluster's business: one price and one believed
                 // capacity per cluster across the whole round.

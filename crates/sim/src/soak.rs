@@ -22,7 +22,7 @@
 use crate::scenario::Scenario;
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
-use vdx_cdn::{median_capacity, BidPolicy, CdnId, MatchingConfig};
+use vdx_cdn::{median_capacity, BidPolicy, CdnId};
 use vdx_core::{
     BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
     RoundOutcome,
@@ -30,17 +30,6 @@ use vdx_core::{
 use vdx_geo::CityId;
 use vdx_obs::Probe;
 use vdx_proto::Share;
-
-/// The matching rule a design's CDN agents apply (identical to the pure
-/// decision round's). Shared by the fault campaign, this reference
-/// driver, and the `vdx-agent` daemon client, through [`round_engine`].
-pub(crate) fn matching_for(design: Design) -> MatchingConfig {
-    if design == Design::Omniscient {
-        MatchingConfig::unrestricted()
-    } else {
-        MatchingConfig::default().with_max_candidates(design.max_candidates())
-    }
-}
 
 /// The round's Share batch for the scenario's client groups.
 pub fn shares_of(scenario: &Scenario) -> Vec<Share> {
@@ -64,7 +53,7 @@ pub fn round_engine(scenario: &Scenario, design: Design, cdn: u32) -> BidEngine 
     BidEngine::new(
         CdnId(cdn),
         BidPolicy::default(),
-        matching_for(design),
+        design.matching(),
         scenario.fleet.clusters.len(),
         scenario.background_load.clone(),
     )

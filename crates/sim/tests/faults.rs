@@ -5,9 +5,9 @@
 
 use std::sync::{Arc, OnceLock};
 use vdx_broker::CpPolicy;
-use vdx_core::{Design, RoundId};
+use vdx_core::{Design, RoundId, RoundResolution};
 use vdx_obs::{Event, MemoryProbe, Probe};
-use vdx_sim::faults::{run_campaign, FaultPlan, RoundAvailability, RoundFaults};
+use vdx_sim::faults::{run_campaign, FaultPlan, RoundFaults};
 use vdx_sim::metrics::{compute, MetricsInput};
 use vdx_sim::{Scenario, ScenarioConfig};
 
@@ -62,7 +62,7 @@ fn empty_plan_campaign_matches_the_pure_fast_path() {
         });
         assert_eq!(
             campaign.rounds[i].availability,
-            RoundAvailability::Live,
+            RoundResolution::Fresh,
             "clean rounds stay live"
         );
         assert_eq!(
@@ -187,20 +187,20 @@ fn degradation_ladder_fires_in_order() {
         probe.clone() as Arc<dyn Probe>,
     );
 
-    let availabilities: Vec<RoundAvailability> =
+    let availabilities: Vec<RoundResolution> =
         campaign.rounds.iter().map(|r| r.availability).collect();
     assert_eq!(
         availabilities,
         vec![
             // Round 0 is clean: fresh bids fill the stale cache.
-            RoundAvailability::Live,
+            RoundResolution::Fresh,
             // Rounds 1–2: nothing arrives, but the cache is within its
             // 2-round TTL — the broker serves on stale bids.
-            RoundAvailability::Degraded,
-            RoundAvailability::Degraded,
+            RoundResolution::Degraded,
+            RoundResolution::Degraded,
             // Round 3: the cache has aged out; no group is covered, so
             // the design gives up and the round runs as Brokered.
-            RoundAvailability::Fallback,
+            RoundResolution::Fallback,
         ],
     );
     // A stale round reuses round 0's bids verbatim, so it reproduces

@@ -127,6 +127,23 @@ diff target/verify-threads/t1.txt target/verify-threads/t4.txt
 diff target/verify-threads/t1.scrubbed target/verify-threads/t4.scrubbed
 grep -q '"ev":"round_completed"' target/verify-threads/t1.jsonl
 
+echo "==> thread-count parity at full scale (faults on 1 and 4 threads: output + journals)"
+# The fault campaigns' faulted rounds run on the spine over simulated
+# lossy links; campaigns fan out across threads and flush their buffered
+# journals in cell order, so neither the table nor the scrubbed journal
+# may see the schedule. At this scale loss really bites: the journal
+# carries wire drops, stale reuse and Brokered fallbacks.
+for n in 1 4; do
+  cargo run -p vdx-sim --bin repro --release -- faults --threads "$n" \
+    --journal "target/verify-threads/faults$n.jsonl" > "target/verify-threads/faults$n.txt"
+  sed -e "$scrub" -e 's/"threads":[0-9]*/"threads":0/' \
+    "target/verify-threads/faults$n.jsonl" > "target/verify-threads/faults$n.scrubbed"
+done
+diff target/verify-threads/faults1.txt target/verify-threads/faults4.txt
+diff target/verify-threads/faults1.scrubbed target/verify-threads/faults4.scrubbed
+grep -q '"ev":"stale_bids_reused"' target/verify-threads/faults1.jsonl
+grep -q '"ev":"design_fallback"' target/verify-threads/faults1.jsonl
+
 echo "==> daemon smoke (vdx-exchanged + one agent, 3 rounds over loopback)"
 # Time-bounded end-to-end run of the second driver (ARCHITECTURE.md):
 # real TCP on a loopback port, one vdx-agent, clean shutdown, and the
