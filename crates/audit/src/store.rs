@@ -264,7 +264,7 @@ mod tests {
         assert_eq!(meta.threads, 2);
         assert_eq!(meta.git_commit, "abc123");
         assert_eq!(meta.wall_ms, 950);
-        assert_eq!(meta.events, 16);
+        assert_eq!(meta.events, 15);
 
         let rounds = &store.facts().rounds;
         assert_eq!(rounds.len(), 2);
@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(rounds[1].objective, 140.25);
 
         // Everything else is still there, as the event it arrived as.
-        assert_eq!(store.facts().events.len(), 16);
+        assert_eq!(store.facts().events.len(), 15);
         assert!(store.facts().events.iter().all(|e| e.run == 0));
 
         std::fs::remove_dir_all(&dir).ok();
@@ -355,7 +355,7 @@ mod tests {
         let before = store.facts().clone();
 
         let err = store.fold_artifact(&bad).expect_err("mid-file garbage");
-        assert!(err.contains("bad.jsonl: journal line 15"), "{err}");
+        assert!(err.contains("bad.jsonl: journal line 14"), "{err}");
         assert_eq!(store.facts(), &before);
         assert_eq!(store.runs().len(), 1);
         assert!(Store::load(&[&good, &bad]).is_err());
@@ -365,7 +365,7 @@ mod tests {
         store.fold_artifact(&next).expect("loads");
         assert_eq!(store.runs()[1].git_commit, "0a0b0c");
         assert!(store.facts().events.iter().all(|e| e.run <= 1));
-        assert_eq!(store.facts().events.len(), 2 * 16);
+        assert_eq!(store.facts().events.len(), 2 * 15);
 
         // A torn line that is not the last one is garbage too, even in
         // a file without a trailing newline.

@@ -4,7 +4,7 @@
 use std::path::{Path, PathBuf};
 
 /// A hand-written golden schema-v3 journal: header, two rounds (the
-/// second with an injected fault, wire drops and a retransmission),
+/// second with an injected fault and wire drops),
 /// timings, terminal record. `objective_shift` nudges both round
 /// objectives so two fixtures can model drift between commits.
 pub(crate) fn golden_journal(commit: &str, objective_shift: f64) -> String {
@@ -39,7 +39,6 @@ pub(crate) fn golden_journal(commit: &str, objective_shift: f64) -> String {
         "{\"ev\":\"wire_drops\",\"round\":1,\"cdn\":5,\"link_dropped\":31,\
          \"corrupt_discarded\":4,\"out_of_order\":12}"
             .into(),
-        "{\"ev\":\"frame_retransmitted\",\"at_ms\":230,\"frames\":5}".into(),
         "{\"ev\":\"solver_stats\",\"round\":1,\"mode\":\"heuristic\",\"pivots\":120,\
          \"bnb_nodes\":0,\"optimality_gap\":null,\"objective\":140.25}"
             .into(),

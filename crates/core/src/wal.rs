@@ -74,9 +74,13 @@ use crate::exchange::{DriverRound, RoundResolution};
 /// File magic: identifies a VDX exchange WAL, version 1 of the format.
 pub const WAL_MAGIC: &[u8; 8] = b"VDXWAL1\n";
 
-/// Upper bound on one record's payload; a larger length prefix can only
-/// be corruption and is treated as a torn tail.
-pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
+/// Upper bound on one record's payload (128 MiB): the largest record
+/// measured at the paper's scale — the Omniscient round's `Checkpoint`,
+/// ≈ 38.2 MB for 954,018 cached bids — under DESIGN.md §2's headroom rule
+/// (the smallest power of two at least twice the measured maximum).
+/// [`Wal::append`] refuses a larger record; a larger length prefix on
+/// disk can only be corruption and is treated as a torn tail.
+pub const MAX_RECORD_LEN: u32 = 128 << 20;
 
 /// How much of the file a scan holds at a time. A log is read through
 /// this window, never whole: what stays resident after a restart is the
@@ -152,6 +156,10 @@ pub enum WalError {
     /// The file exists but does not start with [`WAL_MAGIC`] — it is not
     /// a WAL (or not this version); refusing to touch it.
     BadMagic,
+    /// A record whose payload (this many bytes) exceeds
+    /// [`MAX_RECORD_LEN`]: a scan would take it for a torn tail, so it is
+    /// never written.
+    RecordTooLarge(usize),
 }
 
 impl std::fmt::Display for WalError {
@@ -159,6 +167,10 @@ impl std::fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::BadMagic => write!(f, "not a VDX wal (bad magic)"),
+            WalError::RecordTooLarge(n) => write!(
+                f,
+                "wal record of {n} bytes exceeds the {MAX_RECORD_LEN}-byte limit"
+            ),
         }
     }
 }
@@ -256,14 +268,18 @@ impl Wal {
 
     /// Appends one record (buffered by the OS; not yet durable — call
     /// [`sync`](Wal::sync) at commit points). The record is encoded
-    /// straight into its frame and written with one call.
+    /// straight into its frame and written with one call. A record over
+    /// [`MAX_RECORD_LEN`] is refused before any byte of it is written.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), WalError> {
         let frame = &mut self.frame;
         frame.clear();
         frame.extend_from_slice(&[0; 4]); // length, patched below
         encode_record(frame, record);
-        let len = (frame.len() - 4) as u32;
-        frame[..4].copy_from_slice(&len.to_be_bytes());
+        let len = frame.len() - 4;
+        if len > MAX_RECORD_LEN as usize {
+            return Err(WalError::RecordTooLarge(len));
+        }
+        frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
         let crc = crc32(&frame[4..]);
         frame.extend_from_slice(&crc.to_be_bytes());
         self.file.write_all(frame)?;
@@ -777,6 +793,74 @@ mod tests {
         let reopened = Wal::open(&path).expect("open");
         assert_eq!(reopened.truncated_bytes, 104);
         assert_eq!(std::fs::metadata(&path).expect("stat").len(), good_len);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `Bids` payload length for `n` bids: tag, round, cdn, count, bids.
+    fn bids_record_len(n: usize) -> usize {
+        1 + 8 + 4 + 4 + n * BID_LEN
+    }
+
+    /// The two tests that build a `MAX_RECORD_LEN` record (≈ 260 MiB
+    /// resident each) take turns.
+    static ONE_BOUND_SIZED_RECORD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn an_over_bound_append_is_refused_and_leaves_the_file_byte_identical() {
+        let _turn = ONE_BOUND_SIZED_RECORD.lock();
+        let path = temp_wal("over-bound");
+        write_all(&path, &sample_records());
+        let before = std::fs::read(&path).expect("read");
+        let n = (MAX_RECORD_LEN as usize - bids_record_len(0)) / BID_LEN + 1;
+        let record = WalRecord::Bids {
+            round: 1,
+            cdn: 0,
+            bids: vec![bid(1, 0); n],
+        };
+        let mut wal = Wal::open(&path).expect("open").wal;
+        match wal.append(&record) {
+            Err(WalError::RecordTooLarge(len)) => assert_eq!(len, bids_record_len(n)),
+            other => panic!("expected RecordTooLarge, got {other:?}"),
+        }
+        // The refusal wrote nothing, and the log still takes records.
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+        wal.append(&settlement(1)).expect("append after refusal");
+        drop(wal);
+        let mut expected = sample_records();
+        expected.push(settlement(1));
+        assert_eq!(Wal::open(&path).expect("reopen").records, expected);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_record_just_under_the_bound_round_trips_through_open() {
+        let _turn = ONE_BOUND_SIZED_RECORD.lock();
+        let path = temp_wal("under-bound");
+        let n = (MAX_RECORD_LEN as usize - bids_record_len(0)) / BID_LEN;
+        assert!(bids_record_len(n + 1) > MAX_RECORD_LEN as usize);
+        let bids = |i: u64| bid(i, i % 7);
+        // Written, then dropped: the record is 128 MiB, so only one copy
+        // of it is resident at a time.
+        write_all(
+            &path,
+            &[WalRecord::Bids {
+                round: 3,
+                cdn: 2,
+                bids: (0..n as u64).map(bids).collect(),
+            }],
+        );
+        let reopened = Wal::open(&path).expect("reopen");
+        assert_eq!(reopened.truncated_bytes, 0);
+        let [WalRecord::Bids {
+            round: 3,
+            cdn: 2,
+            bids: read,
+        }] = &reopened.records[..]
+        else {
+            panic!("expected the one Bids record back");
+        };
+        assert_eq!(read.len(), n);
+        assert!((0..n as u64).zip(read).all(|(i, b)| *b == bids(i)));
         let _ = std::fs::remove_file(&path);
     }
 

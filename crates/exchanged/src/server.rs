@@ -183,6 +183,19 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cdns: usize, probe: Arc<dyn Probe>, opts: &ServerOptions) -> Shared {
+        Shared {
+            slots: (0..cdns).map(|_| Mutex::new(None)).collect(),
+            probe,
+            clock: Stopwatch::start(),
+            shutdown: AtomicBool::new(false),
+            queue_cap: opts.queue_cap,
+            handshake_timeout: opts.handshake_timeout,
+            readers: Mutex::new(Vec::new()),
+            arrivals: (Mutex::new(0), Condvar::new()),
+        }
+    }
+
     fn emit(&self, event: Event) {
         if self.probe.enabled() {
             self.probe.emit(event);
@@ -233,6 +246,30 @@ impl Shared {
             }
         }
     }
+
+    /// Writes one round's message to CDN `cdn`, with its slot's lock
+    /// released for the write; returns whether it was sent. A connection
+    /// its reader already saw close is reaped. A connection the write
+    /// fails on is dropped: `conn_closed` names the error and the slot
+    /// stays empty, so the next round finds the CDN down.
+    fn send_to(&self, cdn: usize, round: u64, msg: &Message) -> bool {
+        let Some(mut agent) = self.take_agent(cdn) else {
+            return false;
+        };
+        if !agent.alive.load(Ordering::SeqCst) {
+            return false; // the reader already reported the close
+        }
+        if let Err(e) = agent.writer.send(round, msg) {
+            self.emit(Event::ConnClosed {
+                at_ms: self.clock.elapsed_ms(),
+                cdn: cdn as u32,
+                reason: format!("write error: {e}"),
+            });
+            return false;
+        }
+        self.return_agent(cdn, agent);
+        true
+    }
 }
 
 /// The daemon. Owns the round spine (breakers, stale-bid cache, solver
@@ -277,16 +314,7 @@ impl ExchangeServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let n = scenario.fleet.cdns.len();
-        let shared = Arc::new(Shared {
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            probe,
-            clock: Stopwatch::start(),
-            shutdown: AtomicBool::new(false),
-            queue_cap: opts.queue_cap,
-            handshake_timeout: opts.handshake_timeout,
-            readers: Mutex::new(Vec::new()),
-            arrivals: (Mutex::new(0), Condvar::new()),
-        });
+        let shared = Arc::new(Shared::new(n, probe, &opts));
         let (round, wal, next_round, recovered) =
             recover(design, policy, &opts, &shared, n).map_err(wal_io_error)?;
         let accept_shared = shared.clone();
@@ -470,7 +498,7 @@ impl Transport {
 fn wal_io_error(e: WalError) -> std::io::Error {
     match e {
         WalError::Io(e) => e,
-        WalError::BadMagic => std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
+        other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
     }
 }
 
@@ -551,25 +579,9 @@ impl RoundHooks for Transport {
         // Share to every routable, connected CDN. An open breaker means
         // no Share at all; a dead or unwritable connection drops the
         // slot here.
-        let mut routed = vec![false; n];
-        for cdn in (0..n).filter(|&c| routable[c]) {
-            let Some(mut agent) = shared.take_agent(cdn) else {
-                continue;
-            };
-            if !agent.alive.load(Ordering::SeqCst) {
-                continue; // reader already reported the close; just reap
-            }
-            if let Err(e) = agent.writer.send(round, &share_msg) {
-                shared.emit(Event::ConnClosed {
-                    at_ms: shared.clock.elapsed_ms(),
-                    cdn: cdn as u32,
-                    reason: format!("write error: {e}"),
-                });
-                continue;
-            }
-            routed[cdn] = true;
-            shared.return_agent(cdn, agent);
-        }
+        let routed: Vec<bool> = (0..n)
+            .map(|cdn| routable[cdn] && shared.send_to(cdn, round, &share_msg))
+            .collect();
 
         // Collect Announces until the deadline. A participant leaves the
         // pending set by answering this round or by disconnecting.
@@ -650,18 +662,12 @@ impl RoundHooks for Transport {
         let round = decision.round.round;
         for cdn in 0..breakers.len() {
             let entries = decision.accepts(cdn);
-            if entries.is_empty() {
-                continue;
+            if !entries.is_empty() {
+                // The round is settled whether or not this arrives: a
+                // failed write drops the connection, and the next round
+                // finds the CDN down.
+                self.shared.send_to(cdn, round, &Message::Accept(entries));
             }
-            let Some(mut agent) = self.shared.take_agent(cdn) else {
-                continue;
-            };
-            if agent.alive.load(Ordering::SeqCst) {
-                // Accept delivery is best-effort: a failure here is next
-                // round's routing problem.
-                let _ = agent.writer.send(round, &Message::Accept(entries));
-            }
-            self.shared.return_agent(cdn, agent);
         }
     }
 }
@@ -822,5 +828,98 @@ fn pump_messages(
                 break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::sync_channel;
+    use vdx_core::RoundResolution;
+    use vdx_geo::CityId;
+    use vdx_obs::MemoryProbe;
+    use vdx_sim::soak::round_engine;
+    use vdx_sim::ScenarioConfig;
+
+    /// The daemon's end of a loopback connection, and the peer's.
+    fn loopback() -> (Connection, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let peer = TcpStream::connect(listener.local_addr().expect("bound")).expect("connect");
+        let (ours, _) = listener.accept().expect("accept");
+        (Connection::new(ours).expect("wrap"), peer)
+    }
+
+    /// A round whose every Announce arrives, but whose Accept to CDN 0
+    /// cannot be written: that CDN's peer hung up, so the Share is taken
+    /// by the kernel and answered with a reset, and the Accept write
+    /// after it fails. The failure is journaled and the connection
+    /// dropped from its slot; the round is settled all the same.
+    #[test]
+    fn a_failed_accept_write_is_journaled_and_closes_the_slot() {
+        let scenario = Arc::new(Scenario::build(ScenarioConfig::at_scale(true, Some(2017))));
+        let n = scenario.fleet.cdns.len();
+        let design = Design::Marketplace;
+        let probe = Arc::new(MemoryProbe::new());
+        let opts = ServerOptions::default();
+        let shared = Arc::new(Shared::new(n, probe.clone(), &opts));
+        let shares = shares_of(&scenario);
+        let scores = |a: CityId, b: CityId| scenario.score_of(a, b);
+        let mut peers = Vec::new();
+        // The queues' sending ends, kept so no queue reads as disconnected.
+        let mut senders = Vec::new();
+        for cdn in 0..n {
+            let (writer, peer) = loopback();
+            let (tx, rx) = sync_channel(opts.queue_cap);
+            let bids = round_engine(&scenario, design, cdn as u32).build_bids(
+                &shares,
+                &scenario.fleet,
+                &scores,
+            );
+            tx.send((0, Message::Announce(bids))).expect("queued");
+            *shared.slots[cdn].lock().expect("slot lock poisoned") = Some(AgentSlot {
+                writer,
+                rx,
+                alive: Arc::new(AtomicBool::new(true)),
+                min_round: 0,
+            });
+            peers.push(peer);
+            senders.push(tx);
+        }
+        drop(peers.remove(0)); // CDN 0's agent is gone
+
+        let mut transport = Transport {
+            scenario: scenario.clone(),
+            opts: opts.clone(),
+            shared: shared.clone(),
+            wal: None,
+        };
+        let breakers = (0..n).map(|_| CircuitBreaker::new(opts.breaker)).collect();
+        let cache = StaleBidCache::new(n, opts.stale_ttl_rounds);
+        let mut spine = Round::new(
+            design,
+            CpPolicy::balanced(),
+            breakers,
+            cache,
+            3_000,
+            probe.clone(),
+        );
+        let decided = spine.run(0, &scenario.groups, &mut transport);
+
+        assert_eq!(decided.resolution, RoundResolution::Fresh);
+        let closed: Vec<(u32, String)> = (probe.take().into_iter())
+            .filter_map(|e| match e {
+                Event::ConnClosed { cdn, reason, .. } => Some((cdn, reason)),
+                _ => None,
+            })
+            .collect();
+        let [(0, reason)] = &closed[..] else {
+            panic!("expected one conn_closed for CDN 0, got {closed:?}");
+        };
+        assert!(reason.starts_with("write error: "), "{reason}");
+        let open: Vec<bool> = (shared.slots.iter())
+            .map(|slot| slot.lock().expect("slot lock poisoned").is_some())
+            .collect();
+        assert!(!open[0], "the failed connection is dropped");
+        assert!(open[1..].iter().all(|&o| o), "the others are kept");
     }
 }

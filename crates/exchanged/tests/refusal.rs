@@ -10,10 +10,12 @@ use std::time::Duration;
 use vdx_broker::CpPolicy;
 use vdx_core::Design;
 use vdx_exchanged::{run_agent_probed, AgentConfig, ExchangeServer, ServerOptions};
+use vdx_geo::CityId;
 use vdx_obs::{Event, MemoryProbe, Stopwatch};
 use vdx_proto::frame::{self, HEADER_LEN, MAX_PAYLOAD};
+use vdx_proto::wire::BID_LEN;
 use vdx_proto::{Connection, FrameError, Message, TransportError};
-use vdx_sim::soak::shares_of;
+use vdx_sim::soak::{round_engine, shares_of};
 use vdx_sim::{Scenario, ScenarioConfig};
 
 fn small() -> Arc<Scenario> {
@@ -23,14 +25,22 @@ fn small() -> Arc<Scenario> {
 #[test]
 fn an_announce_too_large_to_frame_ends_the_agent_without_a_retry() {
     let scenario = small();
-    // A daemon that shares 28,000 groups: the Share fits a frame (36 B
-    // each), one 40 B bid per share already does not.
+    // A daemon that shares the scenario's groups over and over, until the
+    // agent's bids for them (40 B each) just overflow a frame; the Share
+    // itself (36 B per group) still fits.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("bound");
-    let shares: Vec<_> = shares_of(&scenario)
-        .into_iter()
+    let once = shares_of(&scenario);
+    let scores = |a: CityId, b: CityId| scenario.score_of(a, b);
+    let bids_per_pass = round_engine(&scenario, Design::Marketplace, 0)
+        .build_bids(&once, &scenario.fleet, &scores)
+        .len();
+    let passes = MAX_PAYLOAD / (BID_LEN * bids_per_pass) + 1;
+    let shares: Vec<_> = once
+        .iter()
+        .copied()
         .cycle()
-        .take(28_000)
+        .take(passes * once.len())
         .collect();
     let daemon = std::thread::spawn(move || {
         let (stream, _) = listener.accept().expect("the agent connects");
@@ -86,8 +96,8 @@ fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
     )
     .expect("bind loopback");
 
-    // A well-formed Hello for CDN 0, then a header declaring the payload
-    // of the paper-scale Marketplace Announce (34,288 bids × 40 B).
+    // A well-formed Hello for CDN 0, then a header declaring one byte
+    // more than a frame may carry.
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut bytes = Vec::new();
     frame::begin_frame(&mut bytes);
@@ -100,7 +110,7 @@ fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
     frame::seal_frame(&mut bytes).expect("a hello fits");
     let mut header = Vec::new();
     frame::begin_frame(&mut header);
-    header[HEADER_LEN - 4..].copy_from_slice(&1_371_520u32.to_be_bytes());
+    header[HEADER_LEN - 4..].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_be_bytes());
     bytes.extend_from_slice(&header);
     stream.write_all(&bytes).expect("write");
 
@@ -118,7 +128,10 @@ fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
     };
     assert_eq!(
         reason,
-        "read error: transport framing: frame payload of 1371520 bytes exceeds limit"
+        format!(
+            "read error: transport framing: frame payload of {} bytes exceeds limit",
+            MAX_PAYLOAD + 1
+        )
     );
     server.shutdown();
 }

@@ -281,20 +281,6 @@ pub enum Event {
         /// they arrived out of order.
         out_of_order: u64,
     },
-    /// The reliable channel's Go-Back-N timer fired and resent its window.
-    FrameRetransmitted {
-        /// Simulation time of the retransmission, ms (deterministic).
-        at_ms: u64,
-        /// Data packets resent (the whole in-flight window).
-        frames: u64,
-    },
-    /// An application payload exceeded the fragment size and was split.
-    PayloadFragmented {
-        /// Fragments produced.
-        fragments: u64,
-        /// Payload size, bytes.
-        bytes: u64,
-    },
     /// The daemon accepted a CDN agent connection (after its `Hello`).
     ConnAccepted {
         /// Daemon wall clock, ms since daemon start (zeroable).
@@ -619,8 +605,6 @@ journal_codec! {
     "stale_bids_reused" => StaleBidsReused { round, cdn, age_rounds, bids }
     "design_fallback" => DesignFallback { round, from, to, reason }
     "wire_drops" => WireDrops { round, cdn, link_dropped, corrupt_discarded, out_of_order }
-    "frame_retransmitted" => FrameRetransmitted { at_ms, frames }
-    "payload_fragmented" => PayloadFragmented { fragments, bytes }
     "conn_accepted" => ConnAccepted { at_ms, cdn, peer }
     "conn_closed" => ConnClosed { at_ms, cdn, reason }
     "conn_backpressure" => ConnBackpressure { at_ms, cdn, queued }
@@ -743,14 +727,6 @@ mod tests {
                 link_dropped: 31,
                 corrupt_discarded: 4,
                 out_of_order: 12,
-            },
-            Event::FrameRetransmitted {
-                at_ms: 230,
-                frames: 5,
-            },
-            Event::PayloadFragmented {
-                fragments: 7,
-                bytes: 200_000,
             },
             Event::ConnAccepted {
                 at_ms: 12,

@@ -12,7 +12,7 @@
 use crate::message::{Message, WireError};
 use crate::reliable::{ChannelStats, ReliableChannel};
 use crate::wire::{Cursor, PutBe};
-use crate::{Link, SimTime};
+use crate::{Link, LinkEnd, SimTime};
 
 /// Correlation id for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,36 +39,23 @@ const KIND_ONEWAY: u8 = 2;
 pub struct Endpoint {
     channel: ReliableChannel,
     next_id: u64,
-    /// Requests awaiting a response, with their issue times — the
-    /// deadline bookkeeping behind [`Endpoint::overdue`].
-    pending: Vec<(RequestId, SimTime)>,
 }
 
 impl Endpoint {
-    /// Wraps a reliable channel.
-    pub fn new(channel: ReliableChannel) -> Endpoint {
+    /// An endpoint on one end of a link.
+    pub fn new(end: LinkEnd) -> Endpoint {
         Endpoint {
-            channel,
+            channel: ReliableChannel::new(end),
             next_id: 0,
-            pending: Vec::new(),
         }
     }
 
     /// Sends a request; the returned id will appear on the matching
-    /// [`Event::Response`]. The request is tracked as issued at time
-    /// zero — use [`Endpoint::request_at`] when the caller runs a
-    /// deadline against a real clock position.
+    /// [`Event::Response`].
     pub fn request(&mut self, msg: &Message) -> RequestId {
-        self.request_at(msg, SimTime::ZERO)
-    }
-
-    /// Sends a request recording `now` as its issue time, so
-    /// [`Endpoint::overdue`] can report it once it outlives a deadline.
-    pub fn request_at(&mut self, msg: &Message, now: SimTime) -> RequestId {
         let id = RequestId(self.next_id);
         self.next_id += 1;
         self.channel.send(envelope(KIND_REQUEST, id.0, msg));
-        self.pending.push((id, now));
         id
     }
 
@@ -82,57 +69,19 @@ impl Endpoint {
         self.channel.send(envelope(KIND_ONEWAY, 0, msg));
     }
 
-    /// Advances the channel and drains every completed event. Responses
-    /// clear their request from the pending (deadline) bookkeeping.
+    /// Advances the channel and drains every completed event.
     pub fn poll_events(&mut self, now: SimTime, link: &mut Link) -> Vec<Event> {
         self.channel.poll(now, link);
         let mut events = Vec::new();
         while let Some(payload) = self.channel.recv() {
-            let event = parse_envelope(&payload);
-            if let Event::Response(id, _) = &event {
-                let id = *id;
-                self.pending.retain(|(p, _)| *p != id);
-            }
-            events.push(event);
+            events.push(parse_envelope(&payload));
         }
         events
-    }
-
-    /// Ids of tracked requests issued more than `timeout_ms` ago that are
-    /// still unanswered — the broker's per-round deadline check.
-    pub fn overdue(&self, now: SimTime, timeout_ms: u64) -> Vec<RequestId> {
-        self.pending
-            .iter()
-            .filter(|(_, at)| now.since(*at) >= timeout_ms)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
-    /// Whether a tracked request is still awaiting its response.
-    pub fn is_pending(&self, id: RequestId) -> bool {
-        self.pending.iter().any(|(p, _)| *p == id)
     }
 
     /// Statistics of the underlying reliable channel.
     pub fn channel_stats(&self) -> ChannelStats {
         self.channel.stats()
-    }
-
-    /// Whether the underlying channel exhausted its bounded retries and
-    /// gave up (see [`crate::ReliableConfig::max_retries`]).
-    pub fn channel_failed(&self) -> bool {
-        self.channel.has_failed()
-    }
-
-    /// Whether all outbound traffic has been delivered and acknowledged.
-    pub fn is_idle(&self) -> bool {
-        self.channel.is_idle()
-    }
-
-    /// Routes the underlying channel's wire events (retransmissions,
-    /// fragmentation) to `probe`; see [`ReliableChannel::set_probe`].
-    pub fn set_probe(&mut self, probe: std::sync::Arc<dyn vdx_obs::Probe>) {
-        self.channel.set_probe(probe);
     }
 }
 
@@ -164,15 +113,12 @@ fn parse_envelope(payload: &[u8]) -> Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{FaultConfig, LinkEnd};
+    use crate::link::FaultConfig;
     use crate::message::{Bid, Share};
-    use crate::reliable::ReliableConfig;
 
     fn pair(faults: FaultConfig, seed: u64) -> (Endpoint, Endpoint, Link) {
         let link = Link::new(faults, seed);
-        let a = Endpoint::new(ReliableChannel::new(LinkEnd::A, ReliableConfig::default()));
-        let b = Endpoint::new(ReliableChannel::new(LinkEnd::B, ReliableConfig::default()));
-        (a, b, link)
+        (Endpoint::new(LinkEnd::A), Endpoint::new(LinkEnd::B), link)
     }
 
     fn share() -> Message {
@@ -264,34 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn overdue_tracks_unanswered_requests_until_the_response_lands() {
-        let (mut broker, mut cdn, mut link) = pair(FaultConfig::lossless(), 4);
-        let id = broker.request_at(&share(), SimTime(100));
-        assert!(broker.is_pending(id));
-        assert!(broker.overdue(SimTime(150), 200).is_empty(), "not yet");
-        assert_eq!(broker.overdue(SimTime(300), 200), vec![id]);
-        for ms in 100..300 {
-            let now = SimTime(ms);
-            for e in cdn.poll_events(now, &mut link) {
-                if let Event::Request(id, _) = e {
-                    cdn.respond(id, &announce());
-                }
-            }
-            broker.poll_events(now, &mut link);
-        }
-        assert!(!broker.is_pending(id), "response clears the deadline");
-        assert!(broker.overdue(SimTime(10_000), 200).is_empty());
-        assert_eq!(broker.channel_stats().delivered, 1);
-        assert!(!broker.channel_failed());
-    }
-
-    #[test]
     fn concurrent_requests_correlate() {
         let (mut broker, mut cdn, mut link) = pair(FaultConfig::lossless(), 3);
         let id1 = broker.request(&share());
-        let id2 = broker.request(&Message::Query {
-            client_id: 9,
-            location: 1,
+        let id2 = broker.request(&Message::Hello {
+            node_id: 9,
+            role: 0,
         });
         assert_ne!(id1, id2);
         let mut responses = Vec::new();
@@ -299,12 +223,12 @@ mod tests {
             let now = SimTime(ms);
             for e in cdn.poll_events(now, &mut link) {
                 if let Event::Request(id, msg) = e {
-                    // Respond in reverse arrival order semantics: echo type.
+                    // The reply's type tells which request it answers.
                     let reply = match msg {
                         Message::Share(_) => announce(),
-                        _ => Message::QueryResult {
-                            client_id: 9,
-                            cluster_id: 4,
+                        _ => Message::Hello {
+                            node_id: 4,
+                            role: 1,
                         },
                     };
                     cdn.respond(id, &reply);
@@ -329,6 +253,6 @@ mod tests {
             .iter()
             .find(|(id, _)| *id == id2)
             .expect("id2 answered");
-        assert!(matches!(by_id2.1, Message::QueryResult { .. }));
+        assert!(matches!(by_id2.1, Message::Hello { .. }));
     }
 }

@@ -27,9 +27,12 @@ pub const MAGIC: [u8; 2] = [0x56, 0x58];
 /// Current protocol version.
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Maximum payload size accepted (1 MiB) — a Share/Announce round for tens
-/// of thousands of client groups fits comfortably.
-pub const MAX_PAYLOAD: usize = 1 << 20;
+/// Maximum payload size accepted (32 MiB): the largest payload measured
+/// at the paper's scale — CDN 0's Omniscient Accept, 16,715,713 B — under
+/// DESIGN.md §2's headroom rule (the smallest power of two at least twice
+/// the measured maximum). Every message travels in one frame; nothing is
+/// fragmented.
+pub const MAX_PAYLOAD: usize = 32 << 20;
 
 /// Header length in bytes (magic + version + flags + length).
 pub const HEADER_LEN: usize = 8;
@@ -470,12 +473,15 @@ mod tests {
     #[test]
     fn oversized_length_rejected_without_allocation() {
         let mut wire = encode(b"x");
-        // Patch length to 16 MiB and fix nothing else; decoder must reject
-        // from the header alone.
-        wire[4..8].copy_from_slice(&(16u32 << 20).to_be_bytes());
+        // Patch length to one byte over the bound and fix nothing else;
+        // decoder must reject from the header alone.
+        wire[4..8].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_be_bytes());
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
-        assert!(matches!(dec.next_frame(), Err(FrameError::Oversized(_))));
+        assert_eq!(
+            dec.next_frame(),
+            Err(FrameError::Oversized(MAX_PAYLOAD + 1))
+        );
     }
 
     #[test]

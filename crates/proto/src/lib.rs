@@ -6,11 +6,13 @@
 //! execute as real message exchange between broker and CDN endpoints:
 //!
 //! * [`frame`] — length-prefixed framing with magic, version and CRC-32
-//!   integrity; an incremental decoder that accepts arbitrary byte chunks;
-//! * [`message`] — the §6.1 schemas (`Share`, `Bid`, `Accept`) plus the
-//!   Delivery Protocol's `Query`/`Result`, with a compact fixed-layout
-//!   binary encoding (big-endian, no self-description — both ends speak
-//!   the same version, negotiated by the frame header);
+//!   integrity; an incremental decoder that accepts arbitrary byte chunks.
+//!   One frame carries any message the paper's scale produces, the
+//!   Omniscient Announce included ([`frame::MAX_PAYLOAD`], DESIGN.md §2);
+//! * [`message`] — the §6.1 schemas (`Hello`, `Share`, `Bid`, `Accept`),
+//!   with a compact fixed-layout binary encoding (big-endian, no
+//!   self-description — both ends speak the same version, negotiated by
+//!   the frame header);
 //! * [`link`] — an in-memory duplex link with deterministic fault
 //!   injection: drop chance, corrupt chance and propagation delay with
 //!   jitter (the same knobs smoltcp's examples expose);
@@ -18,7 +20,7 @@
 //!   advanced exclusively by `poll(now)` — no wall-clock reads, no
 //!   threads, fully deterministic;
 //! * [`endpoint`] — request/response correlation on top of the reliable
-//!   channel, used by the live marketplace example;
+//!   channel: the fault campaign's broker and CDN agents speak it;
 //! * [`transport`] — blocking TCP transport carrying round-stamped
 //!   messages inside the same CRC frames, for the long-running
 //!   `vdx-exchanged` daemon and its `vdx-agent` peers;
@@ -47,7 +49,7 @@ pub mod wire;
 pub use frame::{crc32, Frame, FrameDecoder, FrameError, PROTOCOL_VERSION};
 pub use link::{FaultConfig, Link, LinkEnd};
 pub use message::{AcceptEntry, Bid, Message, Share, WireError};
-pub use reliable::{ChannelStats, ReliableChannel, ReliableConfig};
+pub use reliable::{ChannelStats, ReliableChannel};
 pub use transport::{Connection, TransportError};
 
 /// Milliseconds since an arbitrary epoch. All protocol timers use this.

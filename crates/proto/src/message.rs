@@ -89,20 +89,6 @@ pub enum Message {
     Announce(Vec<Bid>),
     /// Decision Protocol step 7: broker → CDN outcomes.
     Accept(Vec<AcceptEntry>),
-    /// Delivery Protocol step 1: client → broker "which CDN cluster?".
-    Query {
-        /// Client id.
-        client_id: u64,
-        /// Client city.
-        location: u32,
-    },
-    /// Delivery Protocol step 2: broker → client chosen cluster.
-    QueryResult {
-        /// Client id echoed.
-        client_id: u64,
-        /// The cluster to fetch from (opaque id).
-        cluster_id: u64,
-    },
 }
 
 /// Wire decoding errors.
@@ -135,8 +121,8 @@ const T_HELLO: u8 = 0x01;
 const T_SHARE: u8 = 0x02;
 const T_ANNOUNCE: u8 = 0x03;
 const T_ACCEPT: u8 = 0x04;
-const T_QUERY: u8 = 0x05;
-const T_RESULT: u8 = 0x06;
+// 0x05 and 0x06 carried the Delivery Protocol's client query and its
+// answer, which no peer sends: they decode as `UnknownType`.
 // 0x07 (added with the crash-safety work): a pre-resume receiver rejects
 // it as `UnknownType` and drops the connection, which a resuming sender
 // treats like any other failed attempt — no version negotiation needed.
@@ -204,22 +190,6 @@ impl Message {
                     buf.put_u8(e.accepted as u8);
                 }
             }
-            Message::Query {
-                client_id,
-                location,
-            } => {
-                buf.put_u8(T_QUERY);
-                buf.put_u64(*client_id);
-                buf.put_u32(*location);
-            }
-            Message::QueryResult {
-                client_id,
-                cluster_id,
-            } => {
-                buf.put_u8(T_RESULT);
-                buf.put_u64(*client_id);
-                buf.put_u64(*cluster_id);
-            }
         }
     }
 
@@ -270,14 +240,6 @@ impl Message {
                 }
                 Message::Accept(entries)
             }
-            T_QUERY => Message::Query {
-                client_id: field(cur.u64())?,
-                location: field(cur.u32())?,
-            },
-            T_RESULT => Message::QueryResult {
-                client_id: field(cur.u64())?,
-                cluster_id: field(cur.u64())?,
-            },
             other => return Err(WireError::UnknownType(other)),
         };
         if !cur.rest().is_empty() {
@@ -393,20 +355,15 @@ mod tests {
     }
 
     #[test]
-    fn query_roundtrip() {
-        roundtrip(Message::Query {
-            client_id: 5,
-            location: 3,
-        });
-        roundtrip(Message::QueryResult {
-            client_id: 5,
-            cluster_id: 9,
-        });
+    fn unknown_type_rejected() {
+        assert_eq!(Message::decode(&[0xEE]), Err(WireError::UnknownType(0xEE)));
     }
 
     #[test]
-    fn unknown_type_rejected() {
-        assert_eq!(Message::decode(&[0xEE]), Err(WireError::UnknownType(0xEE)));
+    fn retired_query_tags_rejected() {
+        for tag in [0x05, 0x06] {
+            assert_eq!(Message::decode(&[tag]), Err(WireError::UnknownType(tag)));
+        }
     }
 
     #[test]
@@ -423,9 +380,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut wire = Message::Query {
-            client_id: 1,
-            location: 2,
+        let mut wire = Message::Hello {
+            node_id: 1,
+            role: 2,
         }
         .encode();
         wire.push(0);

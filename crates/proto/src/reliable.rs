@@ -11,10 +11,10 @@
 //! wall clock, no threads, in the smoltcp style. A driver loop looks like:
 //!
 //! ```
-//! use vdx_proto::{FaultConfig, Link, LinkEnd, ReliableChannel, ReliableConfig, SimTime};
+//! use vdx_proto::{FaultConfig, Link, LinkEnd, ReliableChannel, SimTime};
 //! let mut link = Link::new(FaultConfig::adverse(), 7);
-//! let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-//! let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+//! let mut a = ReliableChannel::new(LinkEnd::A);
+//! let mut b = ReliableChannel::new(LinkEnd::B);
 //! a.send(b"decision round 1".to_vec());
 //! let mut got = None;
 //! for ms in 0..5_000 {
@@ -31,39 +31,21 @@ use crate::link::{Link, LinkEnd};
 use crate::wire::{Cursor, PutBe};
 use crate::SimTime;
 use std::collections::VecDeque;
-use std::sync::Arc;
-use vdx_obs::{Event, Probe};
 
-/// Reliable-channel parameters.
-#[derive(Debug, Clone)]
-pub struct ReliableConfig {
-    /// Maximum unacknowledged packets in flight.
-    pub window: usize,
-    /// Retransmission timeout, ms.
-    pub rto_ms: u64,
-    /// Multiplier applied to the timeout after every retransmission
-    /// (exponential backoff). `1.0` — the default — keeps the timeout
-    /// fixed, reproducing the pre-backoff behaviour exactly. The timeout
-    /// resets to `rto_ms` whenever an ack makes progress.
-    pub backoff: f64,
-    /// Give up after this many consecutive retransmissions without ack
-    /// progress: the channel marks itself [failed] and stops resending.
-    /// `None` — the default — retries forever.
-    ///
-    /// [failed]: ReliableChannel::has_failed
-    pub max_retries: Option<u32>,
-}
+/// Maximum unacknowledged packets in flight.
+const WINDOW: usize = 16;
 
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        ReliableConfig {
-            window: 16,
-            rto_ms: 200,
-            backoff: 1.0,
-            max_retries: None,
-        }
-    }
-}
+/// Base retransmission timeout, ms; restored whenever an ack makes
+/// progress.
+const RTO_MS: u64 = 200;
+
+/// Multiplier applied to the timeout after every retransmission
+/// (exponential backoff).
+const BACKOFF: f64 = 1.5;
+
+/// Consecutive retransmissions without ack progress after which the
+/// sender gives up: the channel marks itself failed and stops resending.
+const MAX_RETRIES: u32 = 16;
 
 /// Channel statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -88,9 +70,10 @@ const KIND_DATA: u8 = 0;
 const KIND_ACK: u8 = 1;
 
 /// Maximum application bytes per data packet; larger payloads are split
-/// into fragments (flag `MORE_FRAGMENTS`) and reassembled in order — a
-/// full-scale Announce batch runs to megabytes, well past the frame
-/// layer's 1 MiB safety cap.
+/// into fragments (flag `MORE_FRAGMENTS`) and reassembled in order. A
+/// datagram is one packet, and a lossy link loses packets: a megabyte
+/// Announce travels as 32 KiB pieces, so a drop costs one piece, not the
+/// batch. The size is part of the simulated links' wire format.
 pub const MAX_FRAGMENT: usize = 32 * 1024;
 
 const FLAG_MORE_FRAGMENTS: u8 = 0x01;
@@ -106,7 +89,6 @@ struct Fragment {
 /// One reliable, ordered byte-message channel over one end of a link.
 pub struct ReliableChannel {
     end: LinkEnd,
-    config: ReliableConfig,
     // Sender.
     send_queue: VecDeque<Fragment>,
     inflight: VecDeque<(u64, Fragment)>,
@@ -123,16 +105,13 @@ pub struct ReliableChannel {
     retries_without_progress: u32,
     failed: bool,
     stats: ChannelStats,
-    probe: Arc<dyn Probe>,
 }
 
 impl ReliableChannel {
     /// Creates a channel bound to one end of a link.
-    pub fn new(end: LinkEnd, config: ReliableConfig) -> ReliableChannel {
-        let rto_current_ms = config.rto_ms;
+    pub fn new(end: LinkEnd) -> ReliableChannel {
         ReliableChannel {
             end,
-            config,
             send_queue: VecDeque::new(),
             inflight: VecDeque::new(),
             next_seq: 0,
@@ -141,19 +120,11 @@ impl ReliableChannel {
             delivered: VecDeque::new(),
             reassembly: Vec::new(),
             ack_due: false,
-            rto_current_ms,
+            rto_current_ms: RTO_MS,
             retries_without_progress: 0,
             failed: false,
             stats: ChannelStats::default(),
-            probe: vdx_obs::probe::noop(),
         }
-    }
-
-    /// Routes this channel's wire events ([`Event::FrameRetransmitted`],
-    /// [`Event::PayloadFragmented`]) to `probe`. The default is a no-op;
-    /// the channel's behaviour is identical either way.
-    pub fn set_probe(&mut self, probe: Arc<dyn Probe>) {
-        self.probe = probe;
     }
 
     /// Queues an application payload for reliable delivery. Payloads
@@ -167,12 +138,6 @@ impl ReliableChannel {
                 bytes: payload,
             });
             return;
-        }
-        if self.probe.enabled() {
-            self.probe.emit(Event::PayloadFragmented {
-                fragments: payload.len().div_ceil(MAX_FRAGMENT) as u64,
-                bytes: payload.len() as u64,
-            });
         }
         let mut chunks = payload.chunks(MAX_FRAGMENT).peekable();
         while let Some(chunk) = chunks.next() {
@@ -198,8 +163,8 @@ impl ReliableChannel {
         self.stats
     }
 
-    /// Whether the sender exhausted [`ReliableConfig::max_retries`]
-    /// consecutive retransmissions without any ack progress and gave up.
+    /// Whether the sender exhausted its retry budget — 16 consecutive
+    /// retransmissions without any ack progress — and gave up.
     /// A failed channel keeps receiving but stops (re)transmitting.
     pub fn has_failed(&self) -> bool {
         self.failed
@@ -229,37 +194,20 @@ impl ReliableChannel {
         }
 
         // Retransmit on timeout (entire window — Go-Back-N), backing the
-        // timeout off multiplicatively and giving up after the configured
-        // retry budget.
+        // timeout off multiplicatively and giving up after the retry
+        // budget.
         if let Some(sent_at) = self.oldest_unacked_at {
             if now.since(sent_at) >= self.rto_current_ms
                 && !self.inflight.is_empty()
                 && !self.failed
             {
-                if self
-                    .config
-                    .max_retries
-                    .is_some_and(|max| self.retries_without_progress >= max)
-                {
+                if self.retries_without_progress >= MAX_RETRIES {
                     self.failed = true;
                 } else {
                     self.retries_without_progress += 1;
-                    self.rto_current_ms = ((self.rto_current_ms as f64) * self.config.backoff)
-                        .round()
-                        .max(1.0) as u64;
-                    let packets: Vec<Vec<u8>> = self
-                        .inflight
-                        .iter()
-                        .map(|(seq, frag)| data_packet(*seq, frag))
-                        .collect();
-                    if self.probe.enabled() {
-                        self.probe.emit(Event::FrameRetransmitted {
-                            at_ms: now.0,
-                            frames: packets.len() as u64,
-                        });
-                    }
-                    for p in packets {
-                        link.send(self.end, now, &p);
+                    self.rto_current_ms = ((self.rto_current_ms as f64) * BACKOFF).round() as u64;
+                    for (seq, frag) in &self.inflight {
+                        link.send(self.end, now, &data_packet(*seq, frag));
                         self.stats.data_sent += 1;
                         self.stats.retransmits += 1;
                     }
@@ -273,7 +221,7 @@ impl ReliableChannel {
         }
 
         // Fill the window with new data.
-        while self.inflight.len() < self.config.window {
+        while self.inflight.len() < WINDOW {
             let Some(frag) = self.send_queue.pop_front() else {
                 break;
             };
@@ -328,7 +276,7 @@ impl ReliableChannel {
                 if progressed {
                     // Ack progress: restore the base timeout and the full
                     // retry budget.
-                    self.rto_current_ms = self.config.rto_ms;
+                    self.rto_current_ms = RTO_MS;
                     self.retries_without_progress = 0;
                 }
                 if self.inflight.is_empty() {
@@ -380,8 +328,8 @@ mod tests {
     #[test]
     fn lossless_delivery_in_order() {
         let mut link = Link::new(FaultConfig::lossless(), 1);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
         for i in 0..50u32 {
             a.send(i.to_be_bytes().to_vec());
         }
@@ -403,8 +351,8 @@ mod tests {
             jitter_ms: 5,
         };
         let mut link = Link::new(cfg, 42);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
         for i in 0..30u32 {
             a.send(format!("msg-{i}").into_bytes());
         }
@@ -420,8 +368,8 @@ mod tests {
     #[test]
     fn bidirectional_traffic() {
         let mut link = Link::new(FaultConfig::adverse(), 5);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
         a.send(b"ping".to_vec());
         b.send(b"pong".to_vec());
         let (got_a, got_b) = drive(&mut a, &mut b, &mut link, 0, 10_000);
@@ -438,33 +386,26 @@ mod tests {
             },
             1,
         );
-        let mut a = ReliableChannel::new(
-            LinkEnd::A,
-            ReliableConfig {
-                window: 4,
-                rto_ms: 10_000,
-                ..ReliableConfig::default()
-            },
-        );
-        for i in 0..20u32 {
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        for i in 0..WINDOW as u32 + 4 {
             a.send(i.to_be_bytes().to_vec());
         }
         a.poll(SimTime(0), &mut link);
         // Only the window's worth was transmitted.
-        assert_eq!(a.stats().data_sent, 4);
+        assert_eq!(a.stats().data_sent, WINDOW as u64);
     }
 
     #[test]
     fn empty_channel_is_idle() {
-        let a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
+        let a = ReliableChannel::new(LinkEnd::A);
         assert!(a.is_idle());
     }
 
     #[test]
     fn large_payloads_fragment_and_roundtrip() {
         let mut link = Link::new(FaultConfig::lossless(), 1);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
         let big = vec![0xABu8; 200_000];
         a.send(big.clone());
         let (_, got_b) = drive(&mut a, &mut b, &mut link, 0, 50);
@@ -475,8 +416,8 @@ mod tests {
 
     #[test]
     fn oversized_payloads_survive_heavy_loss() {
-        // A multi-megabyte Announce (past the 1 MiB frame cap) must arrive
-        // intact even over a lossy link.
+        // A multi-megabyte Announce (62 fragments) must arrive intact
+        // even over a lossy link.
         let cfg = FaultConfig {
             drop_chance: 0.15,
             corrupt_chance: 0.05,
@@ -484,8 +425,8 @@ mod tests {
             jitter_ms: 2,
         };
         let mut link = Link::new(cfg, 77);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
         let huge: Vec<u8> = (0..2_000_000u32).map(|i| (i % 251) as u8).collect();
         a.send(huge.clone());
         let (_, got_b) = drive(&mut a, &mut b, &mut link, 0, 120_000);
@@ -493,113 +434,58 @@ mod tests {
         assert_eq!(got_b[0], huge);
     }
 
-    #[test]
-    fn probe_observes_fragmentation_and_retransmits() {
-        use vdx_obs::MemoryProbe;
-        let cfg = FaultConfig {
-            drop_chance: 0.25,
-            corrupt_chance: 0.0,
-            delay_ms: 2,
-            jitter_ms: 2,
-        };
-        let mut link = Link::new(cfg, 9);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
-        let probe = Arc::new(MemoryProbe::new());
-        a.set_probe(probe.clone());
-        let big = vec![0x5Au8; 200_000];
-        a.send(big.clone());
-        let (_, got_b) = drive(&mut a, &mut b, &mut link, 0, 30_000);
-        assert_eq!(got_b, vec![big], "probe must not perturb delivery");
-
-        let events = probe.take();
-        // 200 kB over 32 kB fragments = 7 pieces, announced up front.
-        assert_eq!(
-            events[0],
-            Event::PayloadFragmented {
-                fragments: 7,
-                bytes: 200_000
-            }
-        );
-        let retransmit_frames: u64 = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::FrameRetransmitted { frames, .. } => Some(*frames),
-                _ => None,
-            })
-            .sum();
-        assert!(
-            retransmit_frames > 0,
-            "lossy link must trigger retransmit events"
-        );
-        assert_eq!(
-            retransmit_frames,
-            a.stats().retransmits,
-            "events account for every retransmitted packet"
-        );
-    }
-
-    #[test]
-    fn backoff_spaces_retransmissions_out() {
-        // A black-hole link: every retransmission is timer-driven.
-        let blackout = FaultConfig {
-            drop_chance: 1.0,
-            ..FaultConfig::lossless()
-        };
-        let mut link = Link::new(blackout.clone(), 1);
-        let mut fixed = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        fixed.send(b"x".to_vec());
-        let mut link2 = Link::new(blackout, 1);
-        let mut backing_off = ReliableChannel::new(
-            LinkEnd::A,
-            ReliableConfig {
-                backoff: 2.0,
-                ..ReliableConfig::default()
-            },
-        );
-        backing_off.send(b"x".to_vec());
-        for ms in 0..2_000 {
-            fixed.poll(SimTime(ms), &mut link);
-            backing_off.poll(SimTime(ms), &mut link2);
-        }
-        // Fixed rto 200 fires at 200, 400, ... = 9 times in 2 s; doubling
-        // fires at 200, 600, 1400 = 3 times.
-        assert_eq!(fixed.stats().retransmits, 9);
-        assert_eq!(backing_off.stats().retransmits, 3);
-        assert!(!backing_off.has_failed(), "no retry bound configured");
-    }
-
-    #[test]
-    fn bounded_retries_give_up_cleanly() {
-        let mut link = Link::new(
+    /// A black-hole link: every retransmission is timer-driven.
+    fn blackout() -> Link {
+        Link::new(
             FaultConfig {
                 drop_chance: 1.0,
                 ..FaultConfig::lossless()
             },
             1,
-        );
-        let mut a = ReliableChannel::new(
-            LinkEnd::A,
-            ReliableConfig {
-                max_retries: Some(3),
-                ..ReliableConfig::default()
-            },
-        );
+        )
+    }
+
+    #[test]
+    fn backoff_spaces_retransmissions_out() {
+        let mut link = blackout();
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        a.send(b"x".to_vec());
+        let mut fired = Vec::new();
+        for ms in 0..2_000 {
+            let before = a.stats().retransmits;
+            a.poll(SimTime(ms), &mut link);
+            if a.stats().retransmits > before {
+                fired.push(ms);
+            }
+        }
+        // The timeout grows 200, 300, 450, 675 ms: a fixed 200 ms timer
+        // would have fired 9 times in these 2 s.
+        assert_eq!(fired, vec![200, 500, 950, 1_625]);
+        assert!(!a.has_failed());
+    }
+
+    #[test]
+    fn bounded_retries_give_up_cleanly() {
+        let mut link = blackout();
+        let mut a = ReliableChannel::new(LinkEnd::A);
         a.send(b"doomed".to_vec());
-        for ms in 0..10_000 {
+        // Sixteen backed-off timeouts add up to about 394 s.
+        for ms in 0..500_000 {
             a.poll(SimTime(ms), &mut link);
         }
         assert!(a.has_failed());
         // Initial transmission + exactly the retry budget, then silence.
-        assert_eq!(a.stats().retransmits, 3);
-        assert_eq!(a.stats().data_sent, 4);
+        assert_eq!(a.stats().retransmits, u64::from(MAX_RETRIES));
+        assert_eq!(a.stats().data_sent, u64::from(MAX_RETRIES) + 1);
         assert!(!a.is_idle(), "the payload was never acknowledged");
     }
 
     #[test]
     fn ack_progress_restores_the_retry_budget() {
-        // Lossless but slow link: the first window times out once before
+        // Lossless but slow link: every window times out twice before
         // its acks arrive, then delivery proceeds and the budget resets.
+        // Over the whole run that is more timeouts than the budget allows
+        // in a row.
         let mut link = Link::new(
             FaultConfig {
                 delay_ms: 300,
@@ -607,27 +493,23 @@ mod tests {
             },
             1,
         );
-        let mut a = ReliableChannel::new(
-            LinkEnd::A,
-            ReliableConfig {
-                max_retries: Some(2),
-                ..ReliableConfig::default()
-            },
-        );
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
-        for i in 0..40u32 {
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
+        for i in 0..200u32 {
             a.send(i.to_be_bytes().to_vec());
         }
         let (_, got_b) = drive(&mut a, &mut b, &mut link, 0, 20_000);
-        assert_eq!(got_b.len(), 40, "slow acks must not trip the retry cap");
+        assert_eq!(got_b.len(), 200, "slow acks must not trip the retry cap");
         assert!(!a.has_failed());
+        let budget_in_packets = u64::from(MAX_RETRIES) * WINDOW as u64;
+        assert!(a.stats().retransmits > budget_in_packets, "{:?}", a.stats());
     }
 
     #[test]
     fn interleaved_small_and_fragmented_payloads_stay_ordered() {
         let mut link = Link::new(FaultConfig::lossless(), 3);
-        let mut a = ReliableChannel::new(LinkEnd::A, ReliableConfig::default());
-        let mut b = ReliableChannel::new(LinkEnd::B, ReliableConfig::default());
+        let mut a = ReliableChannel::new(LinkEnd::A);
+        let mut b = ReliableChannel::new(LinkEnd::B);
         let big = vec![7u8; 100_000];
         a.send(b"first".to_vec());
         a.send(big.clone());

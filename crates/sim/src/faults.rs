@@ -45,7 +45,6 @@ use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_obs::{Event, Probe};
 use vdx_proto::endpoint::{Endpoint, Event as LinkEvent, RequestId};
-use vdx_proto::reliable::{ReliableChannel, ReliableConfig};
 use vdx_proto::{Bid, FaultConfig, Link, LinkEnd, Message, SimTime};
 use vdx_units::Margin;
 
@@ -275,12 +274,6 @@ impl<'a> Links<'a> {
     ) -> Links<'a> {
         let n = scenario.fleet.cdns.len();
         let failed: Vec<usize> = faults.failed_cdns.iter().map(|&c| c as usize).collect();
-        let channel = ReliableConfig {
-            backoff: 1.5,
-            max_retries: Some(16),
-            ..ReliableConfig::default()
-        };
-        let end = |end| Endpoint::new(ReliableChannel::new(end, channel.clone()));
         let link = |cdn: usize| {
             let config = if failed.contains(&cdn) {
                 // A failed CDN's link blacks out entirely.
@@ -301,14 +294,14 @@ impl<'a> Links<'a> {
             Link::new(config, seed ^ (cdn as u64).wrapping_mul(0xC2B2_AE35))
         };
         let agent = |cdn: usize| CdnAgent {
-            endpoint: end(LinkEnd::B),
+            endpoint: Endpoint::new(LinkEnd::B),
             engine: round_engine(scenario, design, cdn as u32),
         };
         Links {
             scenario,
             design,
             links: (0..n).map(link).collect(),
-            endpoints: (0..n).map(|_| end(LinkEnd::A)).collect(),
+            endpoints: (0..n).map(|_| Endpoint::new(LinkEnd::A)).collect(),
             agents: (0..n).map(agent).collect(),
             failed,
             deadline_ms,

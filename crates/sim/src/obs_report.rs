@@ -154,70 +154,37 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Wire health: retransmissions, fragmentation, and the three distinct
-    // drop causes (injected link loss, CRC-discarded corruption, Go-Back-N
-    // out-of-order discards — see `Event::WireDrops`).
-    let mut retransmit_events = 0u64;
-    let mut retransmit_frames = 0u64;
-    let mut fragmented_payloads = 0u64;
-    let mut fragmented_bytes = 0u64;
+    // Wire health: the three distinct drop causes (injected link loss,
+    // CRC-discarded corruption, Go-Back-N out-of-order discards — see
+    // `Event::WireDrops`).
     let mut link_dropped = 0u64;
     let mut corrupt_discarded = 0u64;
     let mut out_of_order = 0u64;
     for e in events {
-        match e {
-            Event::FrameRetransmitted { frames, .. } => {
-                retransmit_events += 1;
-                retransmit_frames += frames;
-            }
-            Event::PayloadFragmented { bytes, .. } => {
-                fragmented_payloads += 1;
-                fragmented_bytes += bytes;
-            }
-            Event::WireDrops {
-                link_dropped: l,
-                corrupt_discarded: c,
-                out_of_order: o,
-                ..
-            } => {
-                link_dropped += l;
-                corrupt_discarded += c;
-                out_of_order += o;
-            }
-            _ => {}
+        if let Event::WireDrops {
+            link_dropped: l,
+            corrupt_discarded: c,
+            out_of_order: o,
+            ..
+        } = e
+        {
+            link_dropped += l;
+            corrupt_discarded += c;
+            out_of_order += o;
         }
     }
-    let drops_total = link_dropped + corrupt_discarded + out_of_order;
-    if retransmit_events + fragmented_payloads + drops_total > 0 {
-        let mut wire_rows = vec![
+    if link_dropped + corrupt_discarded + out_of_order > 0 {
+        let wire_rows = vec![
+            vec!["link fault drops".to_string(), link_dropped.to_string()],
             vec![
-                "retransmit timeouts".to_string(),
-                retransmit_events.to_string(),
-            ],
-            vec![
-                "frames retransmitted".to_string(),
-                retransmit_frames.to_string(),
-            ],
-            vec![
-                "payloads fragmented".to_string(),
-                fragmented_payloads.to_string(),
-            ],
-            vec!["fragmented bytes".to_string(), fragmented_bytes.to_string()],
-        ];
-        if drops_total > 0 {
-            wire_rows.push(vec![
-                "link fault drops".to_string(),
-                link_dropped.to_string(),
-            ]);
-            wire_rows.push(vec![
                 "crc-discarded frames".to_string(),
                 corrupt_discarded.to_string(),
-            ]);
-            wire_rows.push(vec![
+            ],
+            vec![
                 "out-of-order discards".to_string(),
                 out_of_order.to_string(),
-            ]);
-        }
+            ],
+        ];
         out.push_str(&render_table("Wire", &["metric", "value"], &wire_rows));
         out.push('\n');
     }
@@ -444,10 +411,6 @@ mod tests {
                 objective: 5.0,
                 options: 30,
             },
-            Event::FrameRetransmitted {
-                at_ms: 230,
-                frames: 5,
-            },
             Event::FaultPlanApplied {
                 round: 0,
                 drop_chance: 0.15,
@@ -482,10 +445,6 @@ mod tests {
                 link_dropped: 31,
                 corrupt_discarded: 4,
                 out_of_order: 12,
-            },
-            Event::PayloadFragmented {
-                fragments: 7,
-                bytes: 200_000,
             },
             Event::ConnAccepted {
                 at_ms: 5,
@@ -577,7 +536,6 @@ mod tests {
         assert!(text.contains("1 (0)"), "{text}");
         assert!(text.contains("changed clients total"), "{text}");
         assert!(text.contains("== Wire =="), "{text}");
-        assert!(text.contains("frames retransmitted"), "{text}");
         assert!(text.contains("link fault drops"), "{text}");
         assert!(text.contains("crc-discarded frames"), "{text}");
         assert!(text.contains("out-of-order discards"), "{text}");

@@ -28,6 +28,11 @@ scripts/symbol-census.sh
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> the paper's scale in release (traffic vs the frame and WAL bounds; daemon round == Table 3)"
+# The same file ran above in the debug build; this is the build the
+# daemon ships as.
+cargo test --release -q -p vdx-exchanged --test full_scale
+
 echo "==> benchmark harness selftest (out-of-workspace consumer of the round-spine APIs)"
 # examples/vdx_bench is its own package, so the build and tests above do
 # not compile it: API drift under what it imports shows up only here.
@@ -144,28 +149,37 @@ diff target/verify-threads/faults1.scrubbed target/verify-threads/faults4.scrubb
 grep -q '"ev":"stale_bids_reused"' target/verify-threads/faults1.jsonl
 grep -q '"ev":"design_fallback"' target/verify-threads/faults1.jsonl
 
-echo "==> daemon smoke (vdx-exchanged + one agent, 3 rounds over loopback)"
+echo "==> daemon smoke (vdx-exchanged + 14 vdx-agent processes, 3 rounds at the paper's scale over loopback)"
 # Time-bounded end-to-end run of the second driver (ARCHITECTURE.md):
-# real TCP on a loopback port, one vdx-agent, clean shutdown, and the
-# journal must parse and show the daemon-only schema-v6 events.
+# real TCP on a loopback port, one vdx-agent per CDN of the full-scale
+# scenario (≈ 1.5 s), clean shutdown. CDN 0 — the one highly distributed
+# CDN, whose 34,288-bid Announce once overflowed a frame — must bid in
+# every round, and no round may miss its deadline. The journal must parse
+# and show the daemon-only schema-v6 events.
 rm -rf target/verify-daemon && mkdir -p target/verify-daemon
 port=$((20000 + RANDOM % 20000))
-timeout 120 target/release/vdx-exchanged --small --addr "127.0.0.1:${port}" \
-  --rounds 3 --min-agents 1 --wait-ms 30000 \
+timeout 120 target/release/vdx-exchanged --addr "127.0.0.1:${port}" \
+  --rounds 3 --min-agents 14 --wait-ms 60000 \
   --journal target/verify-daemon/exchanged.jsonl &
 daemon=$!
-# Wait for the listener before starting the agent (the probe connection
+# Wait for the listener before starting the agents (the probe connection
 # this opens carries no Hello and is dropped at the handshake, harmlessly).
 for _ in $(seq 1 100); do
   if (exec 3<>"/dev/tcp/127.0.0.1/${port}") 2>/dev/null; then exec 3>&-; break; fi
   sleep 0.1
 done
-timeout 120 target/release/vdx-agent --cdn 0 --small --connect "127.0.0.1:${port}" &
-agent=$!
+agents=()
+for cdn in $(seq 0 13); do
+  timeout 120 target/release/vdx-agent --cdn "$cdn" --connect "127.0.0.1:${port}" &
+  agents+=($!)
+done
 wait "$daemon"   # non-zero daemon exit fails the verify
-wait "$agent"
+for agent in "${agents[@]}"; do wait "$agent"; done
 grep -q '"ev":"conn_accepted"'   target/verify-daemon/exchanged.jsonl
 grep -q '"ev":"round_completed"' target/verify-daemon/exchanged.jsonl
+test "$(grep -c '"ev":"bid_received","round":[0-9]*,"cdn":0,"bids":34288}' \
+  target/verify-daemon/exchanged.jsonl)" -eq 3
+test "$(grep -c '"ev":"deadline_missed"' target/verify-daemon/exchanged.jsonl)" -eq 0
 cargo run -p vdx-sim --bin repro --release -- obs-report \
   target/verify-daemon/exchanged.jsonl > target/verify-daemon/report.txt
 grep -q "Daemon connections & health" target/verify-daemon/report.txt

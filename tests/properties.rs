@@ -215,13 +215,14 @@ fn messages_roundtrip() {
                 Message::Share(vec![share]),
                 Message::Announce(vec![bid]),
                 Message::Accept(vec![AcceptEntry { bid, accepted }]),
-                Message::Query {
-                    client_id: share.share_id,
-                    location: share.location,
+                Message::Hello {
+                    node_id: share.share_id,
+                    role: 1,
                 },
-                Message::QueryResult {
-                    client_id: share.share_id,
-                    cluster_id: 3,
+                Message::HelloResume {
+                    node_id: share.share_id,
+                    role: 1,
+                    last_round: bid.cluster_id,
                 },
             ] {
                 let back = Message::decode(&msg.encode()).expect("roundtrips");
