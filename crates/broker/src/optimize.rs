@@ -73,13 +73,6 @@ pub struct BrokerAssignment {
     pub cluster_load_kbps: BTreeMap<ClusterId, Kbps>,
 }
 
-impl BrokerAssignment {
-    /// The option chosen for a group.
-    pub fn chosen<'p>(&self, problem: &'p BrokerProblem, group: usize) -> &'p GroupOption {
-        &problem.options[group][self.choice[group]]
-    }
-}
-
 /// Solves the Fig 9 problem.
 ///
 /// # Panics
@@ -707,16 +700,6 @@ mod tests {
             options: vec![vec![]],
         };
         optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
-    }
-
-    #[test]
-    fn chosen_accessor_returns_selected_option() {
-        let problem = BrokerProblem {
-            groups: vec![group(0, 100.0)],
-            options: vec![vec![opt(3, 10.0, 1.0, 1e9)]],
-        };
-        let a = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
-        assert_eq!(a.chosen(&problem, 0).cluster, ClusterId(3));
     }
 
     #[test]

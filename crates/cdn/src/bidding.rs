@@ -1,4 +1,4 @@
-//! Bid construction and risk-averse price shading.
+//! Risk-averse price shading.
 //!
 //! In the VDX marketplace, a CDN's Matching output becomes bids priced
 //! "related to internal cost" (§6.1). §6.3 argues "CDNs can learn
@@ -9,59 +9,35 @@
 //! [`BidShading`] is that learning loop in its simplest defensible form: a
 //! per-cluster multiplicative margin over cost, nudged down after losses
 //! (win more, risk less margin) and up after wins (recover margin), clamped
-//! to `[min_margin, max_margin]`. It is deliberately a plain online rule —
-//! the paper leaves game-theoretic strategy modelling as future work.
+//! to `[1.0, DEFAULT_MARKUP]`: never below cost, never above the paper's
+//! 1.2 markup, which is also where every margin starts. It is deliberately
+//! a plain online rule — the paper leaves game-theoretic strategy
+//! modelling as future work.
 
 use crate::cluster::ClusterId;
-use vdx_units::{Margin, UsdPerGb};
+use crate::contract::DEFAULT_MARKUP;
+use vdx_units::Margin;
 
-/// Bidding policy parameters.
-#[derive(Debug, Clone)]
-pub struct BidPolicy {
-    /// Initial and maximum price margin over cost (paper uses 1.2 markup).
-    pub max_margin: Margin,
-    /// Never bid below `min_margin × cost` (a CDN won't knowingly sell at a
-    /// loss; 1.0 = at cost).
-    pub min_margin: Margin,
-    /// Multiplicative step applied to the margin after a lost bid.
-    pub down_step: f64,
-    /// Multiplicative step applied after a won bid.
-    pub up_step: f64,
-}
-
-impl Default for BidPolicy {
-    fn default() -> Self {
-        BidPolicy {
-            max_margin: Margin::new(1.2),
-            min_margin: Margin::UNIT,
-            down_step: 0.97,
-            up_step: 1.01,
-        }
-    }
-}
+/// A CDN never knowingly bids below cost.
+const MIN_MARGIN: Margin = Margin::UNIT;
+/// Multiplicative step applied to a margin after a lost bid.
+const DOWN_STEP: f64 = 0.97;
+/// Multiplicative step applied to a margin after a won bid.
+const UP_STEP: f64 = 1.01;
 
 /// Per-cluster learned margins.
 #[derive(Debug, Clone)]
 pub struct BidShading {
-    policy: BidPolicy,
     margins: Vec<Margin>,
 }
 
 impl BidShading {
-    /// Creates shading state for `num_clusters` clusters, all margins at
-    /// the policy maximum.
-    pub fn new(policy: BidPolicy, num_clusters: usize) -> BidShading {
-        let start = policy.max_margin;
+    /// Creates shading state for `num_clusters` clusters, every margin at
+    /// [`DEFAULT_MARKUP`].
+    pub fn new(num_clusters: usize) -> BidShading {
         BidShading {
-            policy,
-            margins: vec![start; num_clusters],
+            margins: vec![DEFAULT_MARKUP; num_clusters],
         }
-    }
-
-    /// The price this CDN bids for a cluster with internal cost
-    /// `cost_per_mb`.
-    pub fn price(&self, cluster: ClusterId, cost_per_mb: UsdPerGb) -> UsdPerGb {
-        cost_per_mb * self.margins[cluster.index()]
     }
 
     /// Current margin for a cluster.
@@ -69,16 +45,16 @@ impl BidShading {
         self.margins[cluster.index()]
     }
 
-    /// Records that a bid on `cluster` was accepted.
-    pub fn on_accept(&mut self, cluster: ClusterId) {
+    /// §6.3's learning step for one bid on `cluster`: a won bid recovers
+    /// margin (up to [`DEFAULT_MARKUP`]), a lost one shades it down (never
+    /// below cost).
+    pub fn on_outcome(&mut self, cluster: ClusterId, accepted: bool) {
         let m = &mut self.margins[cluster.index()];
-        *m = m.scale(self.policy.up_step).min(self.policy.max_margin);
-    }
-
-    /// Records that a bid on `cluster` lost the auction.
-    pub fn on_reject(&mut self, cluster: ClusterId) {
-        let m = &mut self.margins[cluster.index()];
-        *m = m.scale(self.policy.down_step).max(self.policy.min_margin);
+        *m = if accepted {
+            m.scale(UP_STEP).min(DEFAULT_MARKUP)
+        } else {
+            m.scale(DOWN_STEP).max(MIN_MARGIN)
+        };
     }
 }
 
@@ -88,47 +64,37 @@ mod tests {
 
     #[test]
     fn starts_at_max_margin() {
-        let s = BidShading::new(BidPolicy::default(), 3);
-        assert_eq!(
-            s.price(ClusterId(0), UsdPerGb::per_megabit(10.0)),
-            UsdPerGb::per_megabit(10.0 * 1.2)
-        );
+        let s = BidShading::new(3);
+        assert_eq!(s.margin(ClusterId(2)), Margin::new(1.2));
     }
 
     #[test]
     fn losses_shade_down_to_floor() {
-        let mut s = BidShading::new(BidPolicy::default(), 1);
+        let mut s = BidShading::new(1);
         for _ in 0..500 {
-            s.on_reject(ClusterId(0));
+            s.on_outcome(ClusterId(0), false);
         }
-        assert!(
-            (s.margin(ClusterId(0)).as_f64() - 1.0).abs() < 1e-9,
-            "floor at min_margin"
-        );
-        assert_eq!(
-            s.price(ClusterId(0), UsdPerGb::per_megabit(7.0)),
-            UsdPerGb::per_megabit(7.0)
-        );
+        assert_eq!(s.margin(ClusterId(0)), MIN_MARGIN, "floor at cost");
     }
 
     #[test]
     fn wins_recover_margin_up_to_cap() {
-        let mut s = BidShading::new(BidPolicy::default(), 1);
+        let mut s = BidShading::new(1);
         for _ in 0..50 {
-            s.on_reject(ClusterId(0));
+            s.on_outcome(ClusterId(0), false);
         }
         let low = s.margin(ClusterId(0));
         for _ in 0..500 {
-            s.on_accept(ClusterId(0));
+            s.on_outcome(ClusterId(0), true);
         }
         assert!(s.margin(ClusterId(0)) > low);
-        assert!(s.margin(ClusterId(0)).as_f64() <= 1.2 + 1e-12);
+        assert_eq!(s.margin(ClusterId(0)), DEFAULT_MARKUP);
     }
 
     #[test]
     fn margins_are_per_cluster() {
-        let mut s = BidShading::new(BidPolicy::default(), 2);
-        s.on_reject(ClusterId(0));
+        let mut s = BidShading::new(2);
+        s.on_outcome(ClusterId(0), false);
         assert!(s.margin(ClusterId(0)) < s.margin(ClusterId(1)));
     }
 }

@@ -3,8 +3,8 @@
 //! Everything a CDN *is* in the paper's simulation (§5.1) and marketplace
 //! (§6): a deployment of clusters with per-cluster costs and capacities, a
 //! flat-rate contract with the content provider, a matching algorithm that
-//! proposes candidate clusters for clients, and a bidding policy that turns
-//! matchings into marketplace bids.
+//! proposes candidate clusters for clients, and the per-cluster margins it
+//! learns to bid at.
 //!
 //! Modules, mirroring §5.1's simulation inventory:
 //!
@@ -24,8 +24,8 @@
 //!   solo workload) and the 1.2× markup used in the profit figures.
 //! * [`matching`] — the candidate-cluster rule: all clusters within 2× of
 //!   the best score (else the second best), sorted cheapest-first.
-//! * [`bidding`] — bid construction and the accept-feedback price-shading
-//!   loop ("CDNs learn risk-averse bidding strategies", §6.3).
+//! * [`bidding`] — the accept-feedback price-shading loop ("CDNs learn
+//!   risk-averse bidding strategies", §6.3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@ pub mod cost;
 pub mod deploy;
 pub mod matching;
 
-pub use bidding::{BidPolicy, BidShading};
+pub use bidding::BidShading;
 pub use capacity::{median_capacity, plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 pub use cluster::{CdnId, Cluster, ClusterId};
 pub use contract::{negotiate_contract, Contract, DEFAULT_MARKUP};

@@ -7,17 +7,17 @@
 //! the Decision Protocol runs periodically over all clients" (§5.1) — the
 //! paper's evaluation, and ours, is exactly one round per design.
 //!
-//! Where the designs differ (Table 2) is encoded declaratively on
-//! [`Design`] and applied here:
+//! Where the designs differ (Table 2) lives on [`Design`], and this round
+//! only feeds it:
 //!
-//! * **Matching width** — how many candidate clusters a CDN may offer.
-//! * **Price** — flat contract price vs. per-cluster dynamic price
-//!   (`margin × internal cost`; the margin comes from bid shading and
-//!   defaults to the paper's 1.2 markup). Omniscient sees raw cost.
-//! * **Capacity belief** — per-CDN median estimate (§5.1) for blind
-//!   designs; gross true capacity for BestLookup (which cannot see other
-//!   traffic sources, hence overbooking); residual capacity (net of
-//!   background commitments) for Marketplace-class designs.
+//! * **Matching width** — [`Design::matching`]: how many candidate
+//!   clusters a CDN may offer.
+//! * **Announce** — [`Design::announced_price`] and
+//!   [`Design::believed_capacity`], the one copy of the rule, which every
+//!   CDN agent's [`crate::BidEngine`] applies too. The round supplies the
+//!   inputs: the cluster's margin (from [`RoundInputs::margins`], else the
+//!   paper's 1.2 markup), the CDN's contract price, the cluster's gross
+//!   capacity and background load, and the CDN's §5.1 median.
 
 use crate::design::Design;
 use vdx_broker::{
@@ -25,13 +25,14 @@ use vdx_broker::{
     GroupOption, OptimizeContext, OptimizeMode,
 };
 use vdx_cdn::{
-    median_capacity, total_capacity, CdnId, CityMatcher, ClusterId, Contract, Fleet, MatchingConfig,
+    median_capacity, total_capacity, CdnId, CityMatcher, Contract, Fleet, MatchingConfig,
+    DEFAULT_MARKUP,
 };
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
 use vdx_obs::{Event, NoopProbe, Probe, ScopedTimer};
 use vdx_rand::StdRng;
-use vdx_units::{Kbps, Margin, UsdPerGb};
+use vdx_units::{Kbps, Margin};
 
 /// Everything a Decision Protocol round needs to see.
 pub struct RoundInputs<'a> {
@@ -50,8 +51,9 @@ pub struct RoundInputs<'a> {
     /// Override for the marketplace bid count (Fig 18); `None` uses the
     /// design's default.
     pub bid_count: Option<usize>,
-    /// Per-cluster price margins from bid shading; `None` means the flat
-    /// 1.2 markup everywhere.
+    /// Per-cluster price margins from bid shading; `None` means
+    /// [`DEFAULT_MARKUP`] everywhere, the margin a fresh
+    /// [`crate::BidEngine`] bids at.
     pub margins: Option<&'a [Margin]>,
 }
 
@@ -88,13 +90,6 @@ impl RoundOutcome {
             }
         }
         entries
-    }
-
-    /// The chosen option for each group.
-    pub fn chosen(&self) -> Vec<&GroupOption> {
-        (0..self.problem.groups.len())
-            .map(|g| self.assignment.chosen(&self.problem, g))
-            .collect()
     }
 }
 
@@ -220,17 +215,21 @@ fn round_impl(
             // Steps 3–5: Share (implicit — the matchings below are built
             // per city, which for Marketplace-class designs is licensed by
             // the Share step), Matching, Announce.
+            let contract_price = inputs.contracts[cdn.id.index()].billed_price_per_mb();
+            let median = medians[cdn.id.index()];
             for m in matcher.candidates_for(cdn.id, group.city) {
-                let price_per_mb =
-                    announced_price(design, inputs, cdn.id, m.cluster, m.cost_per_mb);
-                let believed_capacity_kbps =
-                    believed_capacity(design, inputs, cdn.id, m.cluster, &medians);
+                let c = m.cluster.index();
+                let margin = inputs.margins.map_or(DEFAULT_MARKUP, |margins| margins[c]);
                 group_options.push(GroupOption {
                     cdn: cdn.id,
                     cluster: m.cluster,
                     score: m.score,
-                    price_per_mb,
-                    believed_capacity_kbps,
+                    price_per_mb: design.announced_price(m.cost_per_mb, margin, contract_price),
+                    believed_capacity_kbps: design.believed_capacity(
+                        fleet.clusters[c].capacity_kbps,
+                        inputs.background_load_kbps[c],
+                        median,
+                    ),
                 });
             }
         }
@@ -310,48 +309,6 @@ fn round_impl(
     }
 }
 
-fn announced_price(
-    design: Design,
-    inputs: &RoundInputs<'_>,
-    cdn: CdnId,
-    cluster: ClusterId,
-    cost_per_mb: UsdPerGb,
-) -> UsdPerGb {
-    if design == Design::Omniscient {
-        // The upper bound differs from Marketplace only in its unrestricted
-        // candidate set; prices keep the same markup so the optimization is
-        // comparable (otherwise the wc scale would silently change).
-        return cost_per_mb * vdx_cdn::DEFAULT_MARKUP;
-    }
-    if design.announces_cost() {
-        let margin = inputs
-            .margins
-            .map(|m| m[cluster.index()])
-            .unwrap_or(vdx_cdn::DEFAULT_MARKUP);
-        cost_per_mb * margin
-    } else {
-        inputs.contracts[cdn.index()].billed_price_per_mb()
-    }
-}
-
-fn believed_capacity(
-    design: Design,
-    inputs: &RoundInputs<'_>,
-    cdn: CdnId,
-    cluster: ClusterId,
-    medians: &[Kbps],
-) -> Kbps {
-    if !design.announces_capacity() {
-        return medians[cdn.index()];
-    }
-    let gross = inputs.fleet.clusters[cluster.index()].capacity_kbps;
-    if design.capacity_is_residual() {
-        gross.saturating_sub(inputs.background_load_kbps[cluster.index()])
-    } else {
-        gross
-    }
-}
-
 /// Places the §5.1 background traffic (non-broker / other-broker clients):
 /// each group's background demand is split across two CDNs drawn with
 /// probability proportional to total CDN capacity, then served from each
@@ -409,7 +366,6 @@ pub(crate) mod tests {
     use vdx_broker::{gather_groups, synth_background};
     use vdx_cdn::{
         build_fleet, candidate_clusters, negotiate_contract, plan_capacities, FleetConfig,
-        DEFAULT_MARKUP,
     };
     use vdx_geo::WorldConfig;
     use vdx_netsim::{NetModel, NetModelConfig};
@@ -668,21 +624,23 @@ pub(crate) mod tests {
         let per_group = inputs.groups.iter().map(|group| {
             let per_cdn = eco.fleet.cdns.iter().flat_map(|cdn| {
                 let score = |site| eco.net.score(&eco.world, group.city, site);
+                let contract_price = inputs.contracts[cdn.id.index()].billed_price_per_mb();
+                let medians = &medians;
                 candidate_clusters(&eco.fleet, cdn.id, score, &config)
                     .into_iter()
-                    .map(|m| GroupOption {
+                    .map(move |m| GroupOption {
                         cdn: cdn.id,
                         cluster: m.cluster,
                         score: m.score,
-                        price_per_mb: announced_price(
-                            design,
-                            inputs,
-                            cdn.id,
-                            m.cluster,
+                        price_per_mb: design.announced_price(
                             m.cost_per_mb,
+                            DEFAULT_MARKUP,
+                            contract_price,
                         ),
-                        believed_capacity_kbps: believed_capacity(
-                            design, inputs, cdn.id, m.cluster, &medians,
+                        believed_capacity_kbps: design.believed_capacity(
+                            eco.fleet.clusters[m.cluster.index()].capacity_kbps,
+                            inputs.background_load_kbps[m.cluster.index()],
+                            medians[cdn.id.index()],
                         ),
                     })
             });

@@ -6,8 +6,14 @@
 //! capacity the CDNs reveal). Table 2 also records which of the §3
 //! requirements each design meets: Cluster-level Optimization (CO), Dynamic
 //! Cluster Pricing (DCP), and Traffic Predictability (TP).
+//!
+//! The Announce column is applied in one place,
+//! [`Design::announced_price`] and [`Design::believed_capacity`], which
+//! the pure round and every CDN agent call alike; the predicates behind
+//! it are private, so no caller re-derives the rule.
 
-use vdx_cdn::MatchingConfig;
+use vdx_cdn::{MatchingConfig, DEFAULT_MARKUP};
+use vdx_units::{Kbps, Margin, UsdPerGb};
 
 /// How strongly a design provides a requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,13 +146,13 @@ impl Design {
 
     /// Whether per-cluster prices are announced (otherwise the broker only
     /// knows flat contract prices).
-    pub fn announces_cost(&self) -> bool {
+    fn announces_cost(&self) -> bool {
         !matches!(self, Design::Brokered | Design::Multicluster(_))
     }
 
     /// Whether per-cluster capacities are announced (otherwise the broker
     /// estimates the per-CDN median, §5.1).
-    pub fn announces_capacity(&self) -> bool {
+    fn announces_capacity(&self) -> bool {
         matches!(
             self,
             Design::BestLookup | Design::Marketplace | Design::Transactions | Design::Omniscient
@@ -157,8 +163,45 @@ impl Design {
     /// commitments). Only designs that receive client data can allocate
     /// capacity to this broker properly (§4.2's BestLookup-vs-Marketplace
     /// distinction).
-    pub fn capacity_is_residual(&self) -> bool {
+    fn capacity_is_residual(&self) -> bool {
         self.shares_clients() && self.announces_capacity()
+    }
+
+    /// Table 2's Announce column, price half: what a CDN announces for a
+    /// matched cluster of internal cost `cost_per_mb`. Dynamic-pricing
+    /// designs announce `margin × cost` (the CDN's learned margin, §6.3);
+    /// Omniscient sees raw cost at [`DEFAULT_MARKUP`], so its objective
+    /// stays on Marketplace's scale; the others announce the flat
+    /// `contract_price_per_mb`. The pure round and every CDN agent price
+    /// through this one rule.
+    pub fn announced_price(
+        &self,
+        cost_per_mb: UsdPerGb,
+        margin: Margin,
+        contract_price_per_mb: UsdPerGb,
+    ) -> UsdPerGb {
+        if *self == Design::Omniscient {
+            cost_per_mb * DEFAULT_MARKUP
+        } else if self.announces_cost() {
+            cost_per_mb * margin
+        } else {
+            contract_price_per_mb
+        }
+    }
+
+    /// Table 2's Announce column, capacity half: capacity-blind designs
+    /// announce `median` (the broker's §5.1 per-CDN estimate), BestLookup
+    /// the cluster's `gross` capacity, and Share-step designs the residual
+    /// `gross − committed` (net of the CDN's other traffic). The pure
+    /// round and every CDN agent size their bids through this one rule.
+    pub fn believed_capacity(&self, gross: Kbps, committed: Kbps, median: Kbps) -> Kbps {
+        if !self.announces_capacity() {
+            median
+        } else if self.capacity_is_residual() {
+            gross.saturating_sub(committed)
+        } else {
+            gross
+        }
     }
 
     /// Whether a round of this design consults live per-round information

@@ -8,7 +8,9 @@
 //! *distributed* form. Its parts, bottom up:
 //!
 //! * [`BidEngine`] — the CDN side: Shares in, bids out, margins learned
-//!   from Accept feedback (§6.3).
+//!   from Accept feedback (§6.3). A bid's price and capacity come from
+//!   the design's Announce rule on [`Design`], the same calls the pure
+//!   round makes, so the two cannot disagree on what a design announces.
 //! * [`shares_of`], [`resolve_at_deadline`], [`assemble_options`],
 //!   [`accept_entries`], [`picks_of`] — the building blocks of a round.
 //!   Each has exactly one product caller: the spine.
@@ -36,15 +38,17 @@ use vdx_broker::{
     optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
     GroupOption, HealthTransition, OptimizeContext, OptimizeMode, StaleBidCache,
 };
-use vdx_cdn::{BidPolicy, BidShading, CdnId, CityMatcher, ClusterId, Fleet, MatchingConfig};
+use vdx_cdn::{BidShading, CdnId, CityMatcher, ClusterId, Fleet};
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_obs::{Event as ObsEvent, Probe};
 use vdx_proto::{AcceptEntry, Bid, Share};
 use vdx_units::{Kbps, Margin, UsdPerGb};
 
-/// The transport-free heart of a CDN agent: turns Shares into bids priced
-/// by learned margins, and updates those margins on Accept feedback.
+/// The transport-free heart of a CDN agent: turns Shares into bids by the
+/// design's Announce rule ([`Design::announced_price`],
+/// [`Design::believed_capacity`]) at learned margins, and updates those
+/// margins on Accept feedback.
 ///
 /// The fault campaign's agents (`vdx-sim::faults`) wrap this over a
 /// reliable channel on a simulated link; the `vdx-agent` daemon client
@@ -53,62 +57,41 @@ use vdx_units::{Kbps, Margin, UsdPerGb};
 /// and learns — identically, which is what makes driver parity checkable.
 pub struct BidEngine {
     cdn: CdnId,
-    shading: BidShading,
-    matching: MatchingConfig,
-    /// This CDN's own (non-broker) commitments per cluster; bids announce
-    /// residual capacity (gross − committed).
-    committed_kbps: Vec<Kbps>,
-    /// Which Table 2 row the engine bids by (defaults to Marketplace).
+    /// The Table 2 row the engine bids by; its matching rule is
+    /// [`Design::matching`].
     design: Design,
-    /// Flat contract price announced by designs without dynamic pricing;
-    /// set by [`BidEngine::with_design`].
-    contract_price_per_mb: Option<UsdPerGb>,
-    /// Capacity announced by capacity-blind designs (the broker's §5.1
-    /// per-CDN median estimate); set by [`BidEngine::with_design`].
+    shading: BidShading,
+    /// This CDN's own (non-broker) commitments per cluster, what residual
+    /// capacity is net of.
+    committed_kbps: Vec<Kbps>,
+    /// The flat negotiated rate, announced by designs without dynamic
+    /// pricing.
+    contract_price_per_mb: UsdPerGb,
+    /// The broker's §5.1 per-CDN median estimate, announced by
+    /// capacity-blind designs.
     median_capacity_kbps: Kbps,
 }
 
 impl BidEngine {
-    /// Creates an engine for `cdn`. `committed_kbps` is indexed by global
-    /// cluster id (entries for other CDNs' clusters are ignored). The
-    /// engine bids Marketplace-style; see [`BidEngine::with_design`].
+    /// Creates `cdn`'s engine for `design`, every margin at
+    /// [`vdx_cdn::DEFAULT_MARKUP`]. `committed_kbps` holds one entry per
+    /// fleet cluster, indexed by global cluster id (entries for other CDNs'
+    /// clusters are ignored).
     pub fn new(
         cdn: CdnId,
-        bid_policy: BidPolicy,
-        matching: MatchingConfig,
-        num_clusters: usize,
-        committed_kbps: Vec<Kbps>,
-    ) -> BidEngine {
-        BidEngine {
-            cdn,
-            shading: BidShading::new(bid_policy, num_clusters),
-            matching,
-            committed_kbps,
-            design: Design::Marketplace,
-            contract_price_per_mb: None,
-            median_capacity_kbps: Kbps::ZERO,
-        }
-    }
-
-    /// Configures which design's Table 2 row the engine bids by, mirroring
-    /// the pure decision round's announcement rules:
-    ///
-    /// * designs without dynamic pricing announce `contract_price_per_mb`
-    ///   (the flat negotiated rate) instead of a shaded per-cluster price;
-    /// * capacity-blind designs announce `median_capacity_kbps` — the
-    ///   §5.1 per-CDN median the broker would estimate anyway — instead
-    ///   of gross or residual cluster capacity;
-    /// * Omniscient announces true cost at the default markup.
-    pub fn with_design(
-        mut self,
         design: Design,
+        committed_kbps: Vec<Kbps>,
         contract_price_per_mb: UsdPerGb,
         median_capacity_kbps: Kbps,
     ) -> BidEngine {
-        self.design = design;
-        self.contract_price_per_mb = Some(contract_price_per_mb);
-        self.median_capacity_kbps = median_capacity_kbps;
-        self
+        BidEngine {
+            cdn,
+            design,
+            shading: BidShading::new(committed_kbps.len()),
+            committed_kbps,
+            contract_price_per_mb,
+            median_capacity_kbps,
+        }
     }
 
     /// Current learned margin for one of this CDN's clusters.
@@ -127,59 +110,43 @@ impl BidEngine {
     ) -> Vec<Bid> {
         let mut bids = Vec::new();
         // Shares arrive in the broker's group order, a city's side by side.
-        let mut matcher = CityMatcher::new(fleet, &self.matching, scores);
+        let matching = self.design.matching();
+        let mut matcher = CityMatcher::new(fleet, &matching, scores);
         for share in shares {
             for m in matcher.candidates_for(self.cdn, CityId(share.location)) {
-                let committed = self
-                    .committed_kbps
-                    .get(m.cluster.index())
-                    .copied()
-                    .unwrap_or(Kbps::ZERO);
-                let gross = fleet.clusters[m.cluster.index()].capacity_kbps;
-                // Announcement rules mirror the pure decision round's
-                // `announced_price` / `believed_capacity` exactly, so a
-                // fault-free live round reproduces the pure outcome for
-                // every design, not just Marketplace.
-                let price_per_mb = if self.design == Design::Omniscient {
-                    m.cost_per_mb * vdx_cdn::DEFAULT_MARKUP
-                } else if self.design.announces_cost() {
-                    self.shading.price(m.cluster, m.cost_per_mb)
-                } else {
-                    self.contract_price_per_mb
-                        .unwrap_or_else(|| self.shading.price(m.cluster, m.cost_per_mb))
+                let c = m.cluster.index();
+                let offer = GroupOption {
+                    cdn: self.cdn,
+                    cluster: m.cluster,
+                    score: m.score,
+                    price_per_mb: self.design.announced_price(
+                        m.cost_per_mb,
+                        self.shading.margin(m.cluster),
+                        self.contract_price_per_mb,
+                    ),
+                    believed_capacity_kbps: self.design.believed_capacity(
+                        fleet.clusters[c].capacity_kbps,
+                        self.committed_kbps[c],
+                        self.median_capacity_kbps,
+                    ),
                 };
-                let capacity_kbps = if !self.design.announces_capacity() {
-                    self.median_capacity_kbps
-                } else if self.design.capacity_is_residual() {
-                    gross.saturating_sub(committed)
-                } else {
-                    gross
-                };
-                // The wire format stays plain f64 (schema stability); the
-                // typed quantities convert loss-free at this boundary.
-                bids.push(Bid {
-                    cluster_id: m.cluster.0 as u64,
-                    share_id: share.share_id,
-                    performance_estimate: m.score.value(),
-                    capacity_kbps: capacity_kbps.as_f64(),
-                    price_per_mb: price_per_mb.as_per_megabit(),
-                });
+                bids.push(bid_of(share.share_id, &offer));
             }
         }
         bids
     }
 
     /// Updates margins from Accept feedback (§6.3 risk-averse shading).
-    /// Entries for other CDNs' clusters are ignored.
+    /// Entries naming another CDN's cluster, or no cluster of `fleet` at
+    /// all (an id decoded off the wire), are ignored.
     pub fn learn(&mut self, entries: &[AcceptEntry], fleet: &Fleet) {
         for e in entries {
-            let cluster = ClusterId(e.bid.cluster_id as u32);
-            if fleet.clusters[cluster.index()].cdn == self.cdn {
-                if e.accepted {
-                    self.shading.on_accept(cluster);
-                } else {
-                    self.shading.on_reject(cluster);
-                }
+            let Ok(id) = u32::try_from(e.bid.cluster_id) else {
+                continue;
+            };
+            let cluster = ClusterId(id);
+            if (fleet.clusters.get(cluster.index())).is_some_and(|c| c.cdn == self.cdn) {
+                self.shading.on_outcome(cluster, e.accepted);
             }
         }
     }
@@ -326,6 +293,19 @@ pub fn resolve_at_deadline(
         return DeadlineResolution::Fallback(report);
     }
     DeadlineResolution::Proceed(bids_per_cdn, report)
+}
+
+/// One option on the wire, as share `share_id`'s bid. The wire format
+/// stays plain f64 (schema stability); the typed quantities convert
+/// loss-free at this boundary, and [`assemble_options`] converts back.
+fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
+    Bid {
+        cluster_id: o.cluster.0 as u64,
+        share_id,
+        performance_estimate: o.score.value(),
+        capacity_kbps: o.believed_capacity_kbps.as_f64(),
+        price_per_mb: o.price_per_mb.as_per_megabit(),
+    }
 }
 
 /// Assembles the broker's per-group candidate options from every CDN's
@@ -587,13 +567,7 @@ impl Round {
         for (g, options) in problem.options.iter().enumerate() {
             for o in options {
                 if let Some(bids) = per_cdn.get_mut(o.cdn.index()) {
-                    bids.push(Bid {
-                        cluster_id: o.cluster.0 as u64,
-                        share_id: g as u64,
-                        performance_estimate: o.score.value(),
-                        capacity_kbps: o.believed_capacity_kbps.as_f64(),
-                        price_per_mb: o.price_per_mb.as_per_megabit(),
-                    });
+                    bids.push(bid_of(g as u64, o));
                 }
             }
         }
@@ -800,6 +774,17 @@ mod tests {
         }
     }
 
+    /// CDN `cdn`'s agent in the test ecosystem.
+    fn engine(eco: &TestEco, design: Design, cdn: CdnId) -> BidEngine {
+        BidEngine::new(
+            cdn,
+            design,
+            eco.background.clone(),
+            eco.contracts[cdn.index()].billed_price_per_mb(),
+            median_capacity(&eco.fleet, cdn),
+        )
+    }
+
     /// A transport-free [`RoundHooks`] over the test ecosystem: every CDN's
     /// engine answers unless the test made it `silent` or `down`, and the
     /// commit hands each engine its Accept at once.
@@ -813,20 +798,7 @@ mod tests {
     impl<'a> Script<'a> {
         fn new(eco: &'a TestEco, design: Design) -> Script<'a> {
             let engines = (eco.fleet.cdns.iter())
-                .map(|cdn| {
-                    BidEngine::new(
-                        cdn.id,
-                        BidPolicy::default(),
-                        design.matching(),
-                        eco.fleet.clusters.len(),
-                        eco.background.clone(),
-                    )
-                    .with_design(
-                        design,
-                        eco.contracts[cdn.id.index()].billed_price_per_mb(),
-                        median_capacity(&eco.fleet, cdn.id),
-                    )
-                })
+                .map(|cdn| engine(eco, design, cdn.id))
                 .collect();
             Script {
                 eco,
@@ -898,15 +870,18 @@ mod tests {
 
     /// One spine round whose every CDN answers decides exactly what the
     /// pure round decides: same picks, same objective bits.
-    fn assert_a_fresh_round_is_the_pure_round(design: Design) {
-        let eco = build_eco(23);
-        let mut script = Script::new(&eco, design);
-        let live = spine(&eco, design, vdx_obs::probe::noop()).run(0, &eco.groups, &mut script);
-        let pure = crate::decision::run_decision_round(design, &inputs(&eco), |a, b| {
+    fn assert_a_fresh_round_is_the_pure_round(eco: &TestEco, design: Design) {
+        let mut script = Script::new(eco, design);
+        let live = spine(eco, design, vdx_obs::probe::noop()).run(0, &eco.groups, &mut script);
+        let pure = crate::decision::run_decision_round(design, &inputs(eco), |a, b| {
             eco.net.score(&eco.world, a, b)
         });
-        assert_eq!(live.resolution, RoundResolution::Fresh);
-        assert_eq!(live.picks, picks_of(&pure.problem, &pure.assignment));
+        assert_eq!(live.resolution, RoundResolution::Fresh, "{design}");
+        assert_eq!(
+            live.picks,
+            picks_of(&pure.problem, &pure.assignment),
+            "{design}"
+        );
         assert_eq!(
             live.objective.to_bits(),
             pure.assignment.objective.to_bits(),
@@ -914,14 +889,53 @@ mod tests {
         );
     }
 
+    /// Every design that consults the exchange, plus Transactions.
     #[test]
     fn live_round_matches_pure_decision_round() {
-        assert_a_fresh_round_is_the_pure_round(Design::Marketplace);
+        let eco = build_eco(23);
+        let designs = Design::TABLE3.into_iter().filter(Design::uses_exchange);
+        for design in designs.chain([Design::Transactions]) {
+            assert_a_fresh_round_is_the_pure_round(&eco, design);
+        }
     }
 
+    /// The design whose agents price by learned margin rather than the
+    /// flat contract rate, on a fresh ecosystem of its own.
     #[test]
     fn design_aware_agents_match_the_pure_dynamic_pricing_round() {
-        assert_a_fresh_round_is_the_pure_round(Design::DynamicPricing);
+        assert_a_fresh_round_is_the_pure_round(&build_eco(23), Design::DynamicPricing);
+    }
+
+    /// Learned margins mean the same thing on both paths: after a spine
+    /// round has taught every engine from its Accepts, a pure round fed
+    /// each cluster's owning engine's margin offers exactly the bids the
+    /// engines announce next.
+    #[test]
+    fn learned_margins_price_the_pure_round_as_the_engines_bid() {
+        let eco = build_eco(23);
+        let design = Design::Marketplace;
+        let mut script = Script::new(&eco, design);
+        spine(&eco, design, vdx_obs::probe::noop()).run(0, &eco.groups, &mut script);
+        let margins: Vec<Margin> = (eco.fleet.clusters.iter())
+            .map(|c| script.engines[c.cdn.index()].margin(c.id))
+            .collect();
+        assert!(
+            margins.iter().any(|&m| m < vdx_cdn::DEFAULT_MARKUP),
+            "the round taught some engine a lower margin"
+        );
+        let pure = crate::decision::run_decision_round(
+            design,
+            &RoundInputs {
+                margins: Some(&margins),
+                ..inputs(&eco)
+            },
+            |a, b| eco.net.score(&eco.world, a, b),
+        );
+        let next: Vec<Vec<Bid>> = (0..eco.fleet.cdns.len()).map(|c| script.bids(c)).collect();
+        assert_eq!(
+            assemble_options(eco.groups.len(), &next),
+            pure.problem.options
+        );
     }
 
     #[test]
@@ -941,7 +955,7 @@ mod tests {
         };
         let margin = script.engines[cdn].margin(ClusterId(cluster));
         assert!(
-            margin < BidPolicy::default().max_margin,
+            margin < vdx_cdn::DEFAULT_MARKUP,
             "losing cluster's margin should have shaded down, still {margin}"
         );
     }
@@ -1054,13 +1068,7 @@ mod tests {
         let shares = shares_of(&eco.groups);
         let scores = |a: CityId, b: CityId| eco.net.score(&eco.world, a, b);
         for cdn in &eco.fleet.cdns {
-            let engine = BidEngine::new(
-                cdn.id,
-                BidPolicy::default(),
-                MatchingConfig::default(),
-                eco.fleet.clusters.len(),
-                eco.background.clone(),
-            );
+            let engine = engine(&eco, Design::Marketplace, cdn.id);
             let one_at_a_time: Vec<Bid> = (shares.iter())
                 .flat_map(|s| engine.build_bids(std::slice::from_ref(s), &eco.fleet, &scores))
                 .collect();
@@ -1069,5 +1077,53 @@ mod tests {
                 one_at_a_time
             );
         }
+    }
+
+    /// CDN 0's engine after learning from one lost bid on `cluster_id`,
+    /// and its margins before and after.
+    fn learn_one_loss(eco: &TestEco, cluster_id: u64) -> (Vec<Margin>, Vec<Margin>) {
+        let mut engine = engine(eco, Design::Marketplace, CdnId(0));
+        let margins = |e: &BidEngine| -> Vec<Margin> {
+            (eco.fleet.clusters.iter())
+                .filter(|c| c.cdn == CdnId(0))
+                .map(|c| e.margin(c.id))
+                .collect()
+        };
+        let before = margins(&engine);
+        let bid = Bid {
+            cluster_id,
+            share_id: 0,
+            performance_estimate: 1.0,
+            capacity_kbps: 1.0,
+            price_per_mb: 1.0,
+        };
+        let lost = AcceptEntry {
+            bid,
+            accepted: false,
+        };
+        engine.learn(&[lost], &eco.fleet);
+        (before, margins(&engine))
+    }
+
+    #[test]
+    fn learn_skips_a_wire_cluster_id_past_the_fleet() {
+        let eco = build_eco(11);
+        let (before, after) = learn_one_loss(&eco, eco.fleet.clusters.len() as u64);
+        assert_eq!(before, after);
+    }
+
+    #[test]
+    fn learn_skips_a_wire_cluster_id_past_u32() {
+        let eco = build_eco(11);
+        let (before, after) = learn_one_loss(&eco, u64::MAX);
+        assert_eq!(before, after);
+        // 2³² + k must not truncate to CDN 0's cluster k.
+        let own = eco.fleet.clusters.iter().find(|c| c.cdn == CdnId(0));
+        let k = own.expect("CDN 0 has clusters").id.0 as u64;
+        let (before, after) = learn_one_loss(&eco, (1 << 32) + k);
+        assert_eq!(before, after);
+        // The control: k itself is learned from.
+        let (before, after) = learn_one_loss(&eco, k);
+        assert_ne!(before, after);
     }
 }

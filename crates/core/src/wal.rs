@@ -63,7 +63,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use vdx_broker::{BreakerSnapshot, HealthState};
 use vdx_proto::wire::{get_bid, put_bid, Cursor, BID_LEN};
@@ -200,7 +200,6 @@ pub struct WalOpen {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     /// The record being appended, framed in place; kept between appends
     /// so its allocation is made once.
     frame: Vec<u8>,
@@ -211,7 +210,7 @@ impl Wal {
     /// magic, scans every record, and truncates any torn or corrupt
     /// tail so the file ends on a whole record.
     pub fn open(path: impl AsRef<Path>) -> Result<WalOpen, WalError> {
-        let path = path.as_ref().to_path_buf();
+        let path = path.as_ref();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)?;
@@ -222,7 +221,7 @@ impl Wal {
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
+            .open(path)?;
         let file_len = file.metadata()?.len();
         let frame = Vec::new();
         if file_len < WAL_MAGIC.len() as u64 {
@@ -232,7 +231,7 @@ impl Wal {
             file.write_all(WAL_MAGIC)?;
             file.sync_data()?;
             return Ok(WalOpen {
-                wal: Wal { file, path, frame },
+                wal: Wal { file, frame },
                 records: Vec::new(),
                 truncated_bytes: 0,
             });
@@ -245,7 +244,7 @@ impl Wal {
         }
         file.seek(SeekFrom::Start(valid_len))?;
         Ok(WalOpen {
-            wal: Wal { file, path, frame },
+            wal: Wal { file, frame },
             records,
             truncated_bytes,
         })
@@ -259,11 +258,6 @@ impl Wal {
         file.set_len(WAL_MAGIC.len() as u64)?;
         file.sync_data()?;
         Ok(())
-    }
-
-    /// The file this log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends one record (buffered by the OS; not yet durable — call
@@ -655,6 +649,7 @@ fn resize_to<T>(mut v: Vec<Option<T>>, n: usize) -> Vec<Option<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use vdx_broker::{BreakerConfig, CircuitBreaker, StaleBidCache};
     use vdx_rand::prop::{bytes, check};
 

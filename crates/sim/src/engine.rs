@@ -314,11 +314,12 @@ mod tests {
             &[RoundSpec::new(0, Design::Marketplace, CpPolicy::balanced()).with_bid_count(1)],
             |_, outcome| outcome,
         );
-        let plain = s.run_round_with(
+        let plain = s.run_round_probed(
             RoundId(0),
             Design::Marketplace,
             CpPolicy::balanced(),
             Some(1),
+            vdx_obs::probe::noop().as_ref(),
         );
         assert_eq!(low[0].assignment.choice, plain.assignment.choice);
     }

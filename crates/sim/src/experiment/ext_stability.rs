@@ -17,7 +17,7 @@
 use crate::report::render_table;
 use crate::scenario::Scenario;
 use vdx_broker::{ClientGroup, CpPolicy};
-use vdx_cdn::{BidPolicy, BidShading};
+use vdx_cdn::BidShading;
 use vdx_core::{run_decision_round, Design, RoundInputs};
 use vdx_rand::StdRng;
 
@@ -42,7 +42,7 @@ pub fn run(scenario: &Scenario, rounds: usize) -> StabilityResult {
 }
 
 fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
-    let mut shading = BidShading::new(BidPolicy::default(), scenario.fleet.clusters.len());
+    let mut shading = BidShading::new(scenario.fleet.clusters.len());
     let mut prev_traffic: Option<Vec<f64>> = None;
     let mut churn = Vec::new();
 
@@ -78,11 +78,7 @@ fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
 
         if learn {
             for (_, option, accepted) in outcome.accept_entries() {
-                if accepted {
-                    shading.on_accept(option.cluster);
-                } else {
-                    shading.on_reject(option.cluster);
-                }
+                shading.on_outcome(option.cluster, accepted);
             }
         }
 

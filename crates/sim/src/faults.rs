@@ -519,7 +519,7 @@ pub fn run_campaign(
 mod tests {
     use super::*;
     use crate::scenario::shared_small;
-    use vdx_cdn::BidPolicy;
+    use vdx_cdn::DEFAULT_MARKUP;
     use vdx_obs::MemoryProbe;
 
     fn plan(rounds: Vec<RoundFaults>) -> FaultPlan {
@@ -643,7 +643,7 @@ mod tests {
         let (cdn, cluster) = loser.expect("some bid loses round 0");
         let margin = links.margin(cdn, cluster);
         assert!(
-            margin < BidPolicy::default().max_margin,
+            margin < DEFAULT_MARKUP,
             "a cluster that lost round 0 still bids at {margin}"
         );
     }

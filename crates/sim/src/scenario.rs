@@ -265,23 +265,13 @@ impl Scenario {
     /// every round event) is assigned by the experiment driver rather
     /// than a shared counter, keeping journals schedule-independent.
     pub fn run_round(&self, round: RoundId, design: Design, policy: CpPolicy) -> RoundOutcome {
-        self.run_round_with(round, design, policy, None)
+        self.run_round_probed(round, design, policy, None, self.probe.as_ref())
     }
 
-    /// [`Scenario::run_round`] with a marketplace bid-count override.
-    pub fn run_round_with(
-        &self,
-        round: RoundId,
-        design: Design,
-        policy: CpPolicy,
-        bid_count: Option<usize>,
-    ) -> RoundOutcome {
-        self.run_round_probed(round, design, policy, bid_count, self.probe.as_ref())
-    }
-
-    /// [`Scenario::run_round_with`] reporting to an explicit probe instead
-    /// of the scenario's own — the experiment engine uses this to buffer
-    /// per-round events and emit them in round order.
+    /// [`Scenario::run_round`] with a marketplace bid-count override,
+    /// reporting to an explicit probe instead of the scenario's own — the
+    /// experiment engine uses this to buffer per-round events and emit
+    /// them in round order.
     pub fn run_round_probed(
         &self,
         round: RoundId,

@@ -22,7 +22,7 @@
 use crate::scenario::Scenario;
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
-use vdx_cdn::{median_capacity, BidPolicy, CdnId};
+use vdx_cdn::{median_capacity, CdnId};
 use vdx_core::{
     BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
     RoundOutcome,
@@ -50,17 +50,13 @@ pub fn brokered_round(
 /// Builds one CDN's per-round bid engine, configured exactly like the
 /// fault campaign's per-round agents (and the daemon's `vdx-agent`).
 pub fn round_engine(scenario: &Scenario, design: Design, cdn: u32) -> BidEngine {
+    let cdn = CdnId(cdn);
     BidEngine::new(
-        CdnId(cdn),
-        BidPolicy::default(),
-        design.matching(),
-        scenario.fleet.clusters.len(),
-        scenario.background_load.clone(),
-    )
-    .with_design(
+        cdn,
         design,
-        scenario.contracts[cdn as usize].billed_price_per_mb(),
-        median_capacity(&scenario.fleet, CdnId(cdn)),
+        scenario.background_load.clone(),
+        scenario.contracts[cdn.index()].billed_price_per_mb(),
+        median_capacity(&scenario.fleet, cdn),
     )
 }
 

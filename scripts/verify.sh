@@ -149,40 +149,61 @@ diff target/verify-threads/faults1.scrubbed target/verify-threads/faults4.scrubb
 grep -q '"ev":"stale_bids_reused"' target/verify-threads/faults1.jsonl
 grep -q '"ev":"design_fallback"' target/verify-threads/faults1.jsonl
 
-echo "==> daemon smoke (vdx-exchanged + 14 vdx-agent processes, 3 rounds at the paper's scale over loopback)"
-# Time-bounded end-to-end run of the second driver (ARCHITECTURE.md):
+echo "==> daemon smoke (vdx-exchanged + 14 vdx-agent processes at the paper's scale over loopback: Marketplace, then DynamicPricing)"
+# Time-bounded end-to-end runs of the second driver (ARCHITECTURE.md):
 # real TCP on a loopback port, one vdx-agent per CDN of the full-scale
-# scenario (≈ 1.5 s), clean shutdown. CDN 0 — the one highly distributed
-# CDN, whose 34,288-bid Announce once overflowed a frame — must bid in
-# every round, and no round may miss its deadline. The journal must parse
-# and show the daemon-only schema-v6 events.
-rm -rf target/verify-daemon && mkdir -p target/verify-daemon
-port=$((20000 + RANDOM % 20000))
-timeout 120 target/release/vdx-exchanged --addr "127.0.0.1:${port}" \
-  --rounds 3 --min-agents 14 --wait-ms 60000 \
-  --journal target/verify-daemon/exchanged.jsonl &
-daemon=$!
-# Wait for the listener before starting the agents (the probe connection
-# this opens carries no Hello and is dropped at the handshake, harmlessly).
-for _ in $(seq 1 100); do
-  if (exec 3<>"/dev/tcp/127.0.0.1/${port}") 2>/dev/null; then exec 3>&-; break; fi
-  sleep 0.1
-done
-agents=()
-for cdn in $(seq 0 13); do
-  timeout 120 target/release/vdx-agent --cdn "$cdn" --connect "127.0.0.1:${port}" &
-  agents+=($!)
-done
-wait "$daemon"   # non-zero daemon exit fails the verify
-for agent in "${agents[@]}"; do wait "$agent"; done
+# scenario (≈ 1.5 s), clean shutdown, no round missing its deadline.
+# `daemon_rounds DIR DESIGN ROUNDS` leaves the journal and the daemon's
+# stderr (one `round N: <resolution> ...` line per round) in DIR.
+daemon_rounds() {
+  local dir=$1 design=$2 rounds=$3
+  rm -rf "$dir" && mkdir -p "$dir"
+  local port=$((20000 + RANDOM % 20000))
+  timeout 120 target/release/vdx-exchanged --addr "127.0.0.1:${port}" \
+    --design "$design" --rounds "$rounds" --min-agents 14 --wait-ms 60000 \
+    --journal "$dir/exchanged.jsonl" 2> "$dir/exchanged.err" &
+  local daemon=$!
+  # Wait for the listener before starting the agents (the probe connection
+  # this opens carries no Hello and is dropped at the handshake, harmlessly).
+  for _ in $(seq 1 100); do
+    if (exec 3<>"/dev/tcp/127.0.0.1/${port}") 2>/dev/null; then exec 3>&-; break; fi
+    sleep 0.1
+  done
+  local agents=()
+  for cdn in $(seq 0 13); do
+    timeout 120 target/release/vdx-agent --cdn "$cdn" --design "$design" \
+      --connect "127.0.0.1:${port}" &
+    agents+=($!)
+  done
+  wait "$daemon"   # non-zero daemon exit fails the verify
+  for agent in "${agents[@]}"; do wait "$agent"; done
+  test "$(grep -c '"ev":"deadline_missed"' "$dir/exchanged.jsonl")" -eq 0
+}
+# Marketplace, 3 rounds: CDN 0 — the one highly distributed CDN, whose
+# 34,288-bid Announce once overflowed a frame — must bid in every round.
+# The journal must parse and show the daemon-only schema-v6 events.
+daemon_rounds target/verify-daemon marketplace 3
 grep -q '"ev":"conn_accepted"'   target/verify-daemon/exchanged.jsonl
 grep -q '"ev":"round_completed"' target/verify-daemon/exchanged.jsonl
 test "$(grep -c '"ev":"bid_received","round":[0-9]*,"cdn":0,"bids":34288}' \
   target/verify-daemon/exchanged.jsonl)" -eq 3
-test "$(grep -c '"ev":"deadline_missed"' target/verify-daemon/exchanged.jsonl)" -eq 0
 cargo run -p vdx-sim --bin repro --release -- obs-report \
   target/verify-daemon/exchanged.jsonl > target/verify-daemon/report.txt
 grep -q "Daemon connections & health" target/verify-daemon/report.txt
+# DynamicPricing, 1 round: the Announce rule's other branches over
+# sockets — cost announced, capacity the per-CDN median, one bid per
+# share (CDN 0's 2,718, as in `repro table3`'s journal for the design).
+# The round is Fresh and its objective is Table 3's, digit for digit.
+daemon_rounds target/verify-daemon-dp dynamic-pricing 1
+grep -q '^round 0: Fresh ' target/verify-daemon-dp/exchanged.err
+test "$(grep -c '"ev":"bid_received","round":0,"cdn":0,"bids":2718}' \
+  target/verify-daemon-dp/exchanged.jsonl)" -eq 1
+objective() { grep -o "\"ev\":\"round_completed\",\"round\":$2,\"objective\":[^,]*" "$1" | cut -d: -f4; }
+table3_round=$(grep -o '"ev":"round_started","round":[0-9]*,"design":"DynamicPricing"' \
+  target/verify-threads/t1.jsonl | cut -d: -f3 | cut -d, -f1)
+dp_objective=$(objective target/verify-daemon-dp/exchanged.jsonl 0)
+test -n "$dp_objective"
+test "$dp_objective" = "$(objective target/verify-threads/t1.jsonl "$table3_round")"
 
 echo "==> crash-recovery smoke (repro chaos: SIGKILL, restart, byte parity)"
 # One seeded kill-restart trial of the chaos harness (DESIGN.md §15):
