@@ -18,18 +18,23 @@
 //! [ len: u32 | payload: len bytes | crc32(payload): u32 ]   (big-endian)
 //! ```
 //!
-//! using the same CRC-32 (IEEE; slicing-by-8, see [`vdx_proto::crc32`])
+//! using the same CRC-32 (IEEE; slicing-by-16, see [`vdx_proto::crc32`])
 //! as the wire protocol's frames. The payload is one tag byte plus the
 //! record's fixed-layout fields; bids are laid out by the wire protocol's
 //! own codec ([`vdx_proto::wire::put_bid`]). [`Wal::append`] encodes the
 //! record straight into its frame, in one buffer the log keeps. On
-//! [`Wal::open`] the file is scanned record by record; the first short,
-//! oversized, or checksum-failing record — or a length prefix the rest
-//! of the file cannot hold — marks a **torn tail** (the crash
-//! interrupted a write) and the file is physically truncated back to the
-//! last whole record — a corrupt tail is never replayed. The scan
-//! ([`Wal::open`] and [`read_records`] share it) reads through a 1 MiB
-//! window: the file is never resident whole beside its decoded records.
+//! [`Wal::recover`] (and [`Wal::open`]) the file is scanned record by
+//! record; the first short, oversized, or checksum-failing record — or a
+//! length prefix the rest of the file cannot hold — marks a **torn tail**
+//! (the crash interrupted a write) and the file is physically truncated
+//! back to the last whole record — a corrupt tail is never replayed.
+//!
+//! There is one scan. It reads through a 1 MiB window and hands each
+//! checked, decoded record to a sink as it goes. [`Wal::recover`]'s sink
+//! is [`Replay::apply`], so a restart folds the log into state in one
+//! pass and never holds its records: a CDN's `Bids` record is dropped as
+//! soon as a later one replaces it. [`Wal::open`] and [`read_records`]
+//! are the same scan with a sink that collects.
 //!
 //! ## The exactly-once rule
 //!
@@ -83,8 +88,8 @@ pub const WAL_MAGIC: &[u8; 8] = b"VDXWAL1\n";
 pub const MAX_RECORD_LEN: u32 = 128 << 20;
 
 /// How much of the file a scan holds at a time. A log is read through
-/// this window, never whole: what stays resident after a restart is the
-/// decoded records, not a second copy of them as file bytes.
+/// this window, never whole: besides the window, a scan holds only the
+/// record being checked, and what outlives it is whatever its sink keeps.
 const SCAN_WINDOW: usize = 1 << 20;
 
 const TAG_ANNOUNCE_OPEN: u8 = 0x01;
@@ -196,6 +201,21 @@ pub struct WalOpen {
     pub truncated_bytes: u64,
 }
 
+/// The result of [`Wal::recover`]: the append handle plus the state the
+/// existing file replays to.
+#[derive(Debug)]
+pub struct WalRecovery {
+    /// The opened log, positioned for appending.
+    pub wal: Wal,
+    /// The committed state every whole, checksum-valid record replays to.
+    pub recovery: Recovery,
+    /// How many records were replayed.
+    pub records: u64,
+    /// Bytes of torn/corrupt tail that were truncated away (0 for a
+    /// clean file).
+    pub truncated_bytes: u64,
+}
+
 /// An open, append-only WAL file.
 #[derive(Debug)]
 pub struct Wal {
@@ -206,57 +226,74 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating if absent) the WAL at `path`, validates the
-    /// magic, scans every record, and truncates any torn or corrupt
-    /// tail so the file ends on a whole record.
-    pub fn open(path: impl AsRef<Path>) -> Result<WalOpen, WalError> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let file_len = file.metadata()?.len();
-        let frame = Vec::new();
-        if file_len < WAL_MAGIC.len() as u64 {
-            // Empty (or torn before the magic finished): start fresh.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(WAL_MAGIC)?;
-            file.sync_data()?;
-            return Ok(WalOpen {
-                wal: Wal { file, frame },
-                records: Vec::new(),
-                truncated_bytes: 0,
-            });
-        }
-        let (records, valid_len) = scan(&file, file_len)?;
-        let truncated_bytes = file_len - valid_len;
-        if truncated_bytes > 0 {
-            file.set_len(valid_len)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::Start(valid_len))?;
-        Ok(WalOpen {
-            wal: Wal { file, frame },
+    /// Opens (creating if absent) the WAL at `path`, validates the magic,
+    /// replays every record into the state of a daemon with `cdns` CDNs
+    /// as it is scanned, and truncates any torn or corrupt tail so the
+    /// file ends on a whole record. A restart's one pass over its log.
+    pub fn recover(path: impl AsRef<Path>, cdns: usize) -> Result<WalRecovery, WalError> {
+        let mut replay = Replay::new(cdns);
+        let mut records = 0;
+        let (wal, truncated_bytes) = Wal::open_with(path.as_ref(), |record| {
+            records += 1;
+            replay.apply(record);
+        })?;
+        Ok(WalRecovery {
+            wal,
+            recovery: replay.finish(),
             records,
             truncated_bytes,
         })
     }
 
+    /// [`Wal::recover`]'s opening and truncation, keeping the records
+    /// themselves instead of replaying them.
+    pub fn open(path: impl AsRef<Path>) -> Result<WalOpen, WalError> {
+        let mut records = Vec::new();
+        let (wal, truncated_bytes) = Wal::open_with(path.as_ref(), |record| records.push(record))?;
+        Ok(WalOpen {
+            wal,
+            records,
+            truncated_bytes,
+        })
+    }
+
+    /// Opens the log at `path`, scans it into `sink`, and truncates the
+    /// torn tail; returns the handle, positioned for appending, and the
+    /// bytes cut.
+    fn open_with(path: &Path, sink: impl FnMut(WalRecord)) -> Result<(Wal, u64), WalError> {
+        let mut file = create(path)?;
+        let file_len = file.metadata()?.len();
+        let mut truncated_bytes = 0;
+        if file_len < WAL_MAGIC.len() as u64 {
+            // Empty (or torn before the magic finished): start fresh.
+            write_magic(&mut file)?;
+        } else {
+            let valid_len = scan(&file, file_len, sink)?;
+            truncated_bytes = file_len - valid_len;
+            if truncated_bytes > 0 {
+                file.set_len(valid_len)?;
+                file.sync_data()?;
+            }
+            file.seek(SeekFrom::Start(valid_len))?;
+        }
+        let frame = Vec::new();
+        Ok((Wal { file, frame }, truncated_bytes))
+    }
+
     /// Truncates the WAL at `path` back to an empty (magic-only) log —
-    /// the clean-slate start of the OPERATIONS.md runbook.
+    /// the clean-slate start of the OPERATIONS.md runbook. Only the magic
+    /// is read: a log about to be discarded is not scanned. A file that
+    /// is not a WAL is refused untouched.
     pub fn reset(path: impl AsRef<Path>) -> Result<(), WalError> {
-        let opened = Wal::open(path)?;
-        let file = opened.wal.file;
-        file.set_len(WAL_MAGIC.len() as u64)?;
-        file.sync_data()?;
+        let mut file = create(path.as_ref())?;
+        let mut magic = [0u8; WAL_MAGIC.len()];
+        if file.metadata()?.len() >= magic.len() as u64 {
+            file.read_exact(&mut magic)?;
+            if &magic != WAL_MAGIC {
+                return Err(WalError::BadMagic);
+            }
+        }
+        write_magic(&mut file)?;
         Ok(())
     }
 
@@ -296,26 +333,55 @@ impl Wal {
 pub fn read_records(path: impl AsRef<Path>) -> Result<(Vec<WalRecord>, u64), WalError> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
+    let mut records = Vec::new();
     if file_len < WAL_MAGIC.len() as u64 {
-        return Ok((Vec::new(), file_len));
+        return Ok((records, file_len));
     }
-    let (records, valid_len) = scan(&file, file_len)?;
+    let valid_len = scan(&file, file_len, |record| records.push(record))?;
     Ok((records, file_len - valid_len))
+}
+
+/// Opens (creating if absent, with its directory) the log file at `path`
+/// for reading and writing, without truncating it.
+fn create(path: &Path) -> io::Result<File> {
+    if let Some(dir) = path.parent() {
+        if !dir.as_os_str().is_empty() {
+            std::fs::create_dir_all(dir)?;
+        }
+    }
+    OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+}
+
+/// Makes `file` an empty log, durably: the magic and nothing else.
+fn write_magic(file: &mut File) -> io::Result<()> {
+    file.set_len(0)?;
+    file.seek(SeekFrom::Start(0))?;
+    file.write_all(WAL_MAGIC)?;
+    file.sync_data()
 }
 
 /// Scans a log of `file_len` bytes from its first byte: checks the magic,
 /// then reads framed records through a [`SCAN_WINDOW`]-sized buffer and
-/// one reused payload buffer. Returns the decoded records and the byte
-/// length of the valid prefix (magic included); stops at the first torn
-/// or corrupt frame. Every record's CRC is verified before it is decoded.
-fn scan(reader: impl Read, file_len: u64) -> Result<(Vec<WalRecord>, u64), WalError> {
+/// one reused payload buffer, handing each decoded record to `sink` in
+/// file order. Returns the byte length of the valid prefix (magic
+/// included); stops at the first torn or corrupt frame. Every record's
+/// CRC is verified before it is decoded.
+fn scan(
+    reader: impl Read,
+    file_len: u64,
+    mut sink: impl FnMut(WalRecord),
+) -> Result<u64, WalError> {
     let mut reader = BufReader::with_capacity(SCAN_WINDOW, reader);
     let mut magic = [0u8; WAL_MAGIC.len()];
     reader.read_exact(&mut magic)?;
     if &magic != WAL_MAGIC {
         return Err(WalError::BadMagic);
     }
-    let mut records = Vec::new();
     let mut payload = Vec::new();
     let mut word = [0u8; 4];
     let mut pos = WAL_MAGIC.len() as u64;
@@ -340,10 +406,10 @@ fn scan(reader: impl Read, file_len: u64) -> Result<(Vec<WalRecord>, u64), WalEr
             // bytes we cannot interpret.
             break;
         };
-        records.push(record);
+        sink(record);
         pos += 8 + u64::from(len);
     }
-    Ok((records, pos))
+    Ok(pos)
 }
 
 // ---------------------------------------------------------------------
@@ -567,73 +633,111 @@ pub struct Recovery {
     pub voided: Option<u64>,
 }
 
-/// Replays a scanned record sequence into committed state, applying the
-/// exactly-once rule: records staged after the last `Settlement` (or
-/// `Checkpoint`) belong to a voided round attempt and are discarded.
-/// `cdns` sizes the per-CDN vectors; records naming an out-of-range CDN
-/// are ignored (they cannot belong to this scenario).
+/// Replays a record sequence into committed state: the fold of
+/// [`Replay::apply`] over `records`.
 pub fn replay(records: Vec<WalRecord>, cdns: usize) -> Recovery {
-    let mut recovery = Recovery {
-        rounds: Vec::new(),
-        cache: vec![None; cdns],
-        breakers: vec![None; cdns],
-        next_round: 0,
-        voided: None,
-    };
-    let mut staged_cache: Vec<Option<(u64, Vec<Bid>)>> = vec![None; cdns];
-    let mut staged_breakers: Vec<Option<BreakerSnapshot>> = vec![None; cdns];
-    let mut open_round: Option<u64> = None;
-    for record in records {
+    let mut replay = Replay::new(cdns);
+    records.into_iter().for_each(|record| replay.apply(record));
+    replay.finish()
+}
+
+/// Replay as a fold, one record at a time, applying the exactly-once
+/// rule: records staged after the last `Settlement` (or `Checkpoint`)
+/// belong to a voided round attempt and are discarded. The CDN count
+/// sizes the per-CDN vectors; records naming an out-of-range CDN are
+/// ignored (they cannot belong to this scenario).
+#[derive(Debug)]
+pub struct Replay {
+    /// Committed state so far; `voided` is filled in by [`Replay::finish`].
+    recovery: Recovery,
+    staged_cache: Vec<Option<(u64, Vec<Bid>)>>,
+    staged_breakers: Vec<Option<BreakerSnapshot>>,
+    /// The round opened and not yet settled or checkpointed.
+    open_round: Option<u64>,
+}
+
+impl Replay {
+    /// The state of a log with no records, for `cdns` CDNs.
+    pub fn new(cdns: usize) -> Replay {
+        Replay {
+            recovery: Recovery {
+                rounds: Vec::new(),
+                cache: vec![None; cdns],
+                breakers: vec![None; cdns],
+                next_round: 0,
+                voided: None,
+            },
+            staged_cache: vec![None; cdns],
+            staged_breakers: vec![None; cdns],
+            open_round: None,
+        }
+    }
+
+    /// Folds the next record of the log into the state.
+    pub fn apply(&mut self, record: WalRecord) {
+        let recovery = &mut self.recovery;
         match record {
             WalRecord::AnnounceOpen { round } => {
-                open_round = Some(round);
-                staged_cache.iter_mut().for_each(|s| *s = None);
-                staged_breakers.iter_mut().for_each(|s| *s = None);
+                self.open_round = Some(round);
+                self.unstage();
             }
             WalRecord::AnnounceClose { .. } => {}
             WalRecord::Bids { round, cdn, bids } => {
-                if let Some(slot) = staged_cache.get_mut(cdn as usize) {
+                if let Some(slot) = self.staged_cache.get_mut(cdn as usize) {
                     *slot = Some((round, bids));
                 }
             }
             WalRecord::Breaker { cdn, snapshot, .. } => {
-                if let Some(slot) = staged_breakers.get_mut(cdn as usize) {
+                if let Some(slot) = self.staged_breakers.get_mut(cdn as usize) {
                     *slot = Some(snapshot);
                 }
             }
             WalRecord::Settlement(dr) => {
-                for (committed, staged) in recovery.cache.iter_mut().zip(staged_cache.iter_mut()) {
+                let staged = self.staged_cache.iter_mut();
+                for (committed, staged) in recovery.cache.iter_mut().zip(staged) {
                     if let Some(entry) = staged.take() {
                         *committed = Some(entry);
                     }
                 }
-                for (committed, staged) in
-                    recovery.breakers.iter_mut().zip(staged_breakers.iter_mut())
-                {
+                let staged = self.staged_breakers.iter_mut();
+                for (committed, staged) in recovery.breakers.iter_mut().zip(staged) {
                     if let Some(snap) = staged.take() {
                         *committed = Some(snap);
                     }
                 }
                 recovery.next_round = dr.round.saturating_add(1);
                 recovery.rounds.push(dr);
-                open_round = None;
+                self.open_round = None;
             }
             WalRecord::Checkpoint {
                 next_round,
                 cache,
                 breakers,
             } => {
+                let cdns = self.staged_cache.len();
                 recovery.cache = resize_to(cache, cdns);
                 recovery.breakers = resize_to(breakers.into_iter().map(Some).collect(), cdns);
                 recovery.next_round = next_round;
-                staged_cache.iter_mut().for_each(|s| *s = None);
-                staged_breakers.iter_mut().for_each(|s| *s = None);
-                open_round = None;
+                self.open_round = None;
+                self.unstage();
             }
         }
     }
-    recovery.voided = open_round;
-    recovery
+
+    /// Drops everything staged for the current round attempt.
+    fn unstage(&mut self) {
+        self.staged_cache.iter_mut().for_each(|s| *s = None);
+        self.staged_breakers.iter_mut().for_each(|s| *s = None);
+    }
+
+    /// The committed state after the last record; a round still open is
+    /// reported as voided.
+    pub fn finish(self) -> Recovery {
+        Recovery {
+            voided: self.open_round,
+            ..self.recovery
+        }
+    }
 }
 
 /// Pads or trims a checkpoint vector to the scenario's CDN count, so a
@@ -651,7 +755,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use vdx_broker::{BreakerConfig, CircuitBreaker, StaleBidCache};
-    use vdx_rand::prop::{bytes, check};
+    use vdx_rand::prop::{bytes, check, vec_of};
 
     fn bid(cluster: u64, share: u64) -> Bid {
         Bid {
@@ -743,31 +847,159 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Three rounds as the daemon logs them: round 0 settled, round 1
+    /// settled and checkpointed, round 2 open with bids staged.
+    fn multi_round_records() -> Vec<WalRecord> {
+        let breaker = |round, cdn, failures| WalRecord::Breaker {
+            round,
+            cdn,
+            snapshot: BreakerSnapshot {
+                state: HealthState::Closed,
+                consecutive_failures: failures,
+                opened_at: 0,
+            },
+        };
+        let mut records = sample_records();
+        records.truncate(5); // round 0, settled
+        records.extend([
+            WalRecord::AnnounceOpen { round: 1 },
+            WalRecord::AnnounceClose {
+                round: 1,
+                answered: 1,
+            },
+            WalRecord::Bids {
+                round: 1,
+                cdn: 1,
+                bids: vec![bid(3, 1)],
+            },
+            breaker(1, 0, 1),
+            settlement(1),
+            WalRecord::Checkpoint {
+                next_round: 2,
+                cache: vec![
+                    Some((0, vec![bid(1, 0), bid(2, 1)])),
+                    Some((1, vec![bid(3, 1)])),
+                ],
+                breakers: vec![BreakerSnapshot {
+                    state: HealthState::Closed,
+                    consecutive_failures: 1,
+                    opened_at: 0,
+                }],
+            },
+            WalRecord::AnnounceOpen { round: 2 },
+            WalRecord::Bids {
+                round: 2,
+                cdn: 0,
+                bids: vec![bid(5, 2)],
+            },
+            breaker(2, 1, 2),
+        ]);
+        records
+    }
+
+    /// Cut a multi-round log at every byte past the magic: whatever is
+    /// left of the record the cut falls in is the tail, exactly, the rest
+    /// is intact — and the streaming recovery agrees with the batch
+    /// reader and `replay` on the state, the record count, the bytes cut
+    /// and the file left behind.
     #[test]
     fn torn_tail_is_truncated_not_replayed() {
         let path = temp_wal("torn");
-        let records = sample_records();
-        let (last, whole) = records.split_last().expect("non-empty sample");
-        write_all(&path, whole);
-        let whole_len = std::fs::metadata(&path).expect("stat").len() as usize;
-        write_all(&path, std::slice::from_ref(last));
-        let full = std::fs::read(&path).expect("read file");
-        // Tear the file at every byte of the last record: whatever is
-        // left of it is the tail, exactly, and the rest is intact.
-        for cut in 1..full.len() - whole_len {
-            std::fs::write(&path, &full[..full.len() - cut]).expect("tear");
-            let torn = (full.len() - cut - whole_len) as u64;
-            let (read, garbage) = read_records(&path).expect("read torn");
-            assert_eq!((&read[..], garbage), (whole, torn), "cut {cut}");
-            let reopened = Wal::open(&path).expect("reopen torn");
-            assert_eq!(reopened.records, whole, "cut {cut}");
-            assert_eq!(reopened.truncated_bytes, torn, "cut {cut}");
-            // The truncation is physical: a second open sees a clean file.
-            drop(reopened);
-            let again = Wal::open(&path).expect("third open");
-            assert_eq!(again.truncated_bytes, 0);
-            assert_eq!(again.records.len(), whole.len());
+        let records = multi_round_records();
+        // File length after each whole record, the magic first.
+        let mut ends = vec![WAL_MAGIC.len()];
+        for record in &records {
+            write_all(&path, std::slice::from_ref(record));
+            ends.push(std::fs::metadata(&path).expect("stat").len() as usize);
         }
+        let full = std::fs::read(&path).expect("read file");
+        let file_len = || std::fs::metadata(&path).expect("stat").len();
+        for cut in WAL_MAGIC.len()..=full.len() {
+            let whole = ends.iter().rposition(|&end| end <= cut).expect("magic");
+            let torn = (cut - ends[whole]) as u64;
+            std::fs::write(&path, &full[..cut]).expect("tear");
+            let (read, garbage) = read_records(&path).expect("read torn");
+            assert_eq!((&read[..], garbage), (&records[..whole], torn), "cut {cut}");
+            let opened = Wal::open(&path).expect("open torn");
+            assert_eq!(opened.records, &records[..whole], "cut {cut}");
+            assert_eq!(opened.truncated_bytes, torn, "cut {cut}");
+            drop(opened.wal);
+            let opened_len = file_len();
+            assert_eq!(opened_len, ends[whole] as u64, "cut {cut}");
+            let batch = replay(opened.records, 2);
+
+            std::fs::write(&path, &full[..cut]).expect("tear again");
+            let recovered = Wal::recover(&path, 2).expect("recover torn");
+            assert_eq!(recovered.recovery, batch, "cut {cut}");
+            assert_eq!(recovered.records, whole as u64, "cut {cut}");
+            assert_eq!(recovered.truncated_bytes, torn, "cut {cut}");
+            drop(recovered.wal);
+            assert_eq!(file_len(), opened_len, "cut {cut}");
+            // The truncation is physical: a second pass sees a clean file.
+            let again = Wal::recover(&path, 2).expect("second recover");
+            assert_eq!((again.records, again.truncated_bytes), (whole as u64, 0));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A random log: records of every kind for rounds 0..4, naming CDNs
+    /// 0..3 (the replaying scenario has 2), in any order.
+    fn arbitrary_records(rng: &mut vdx_rand::StdRng) -> Vec<WalRecord> {
+        vec_of(rng, 0..24, |rng| {
+            let round = rng.gen_range(0u64..4);
+            let cdn = rng.gen_range(0u32..3);
+            let snapshot = BreakerSnapshot {
+                state: HealthState::Open,
+                consecutive_failures: rng.gen_range(0u32..4),
+                opened_at: round,
+            };
+            let bids = |rng: &mut vdx_rand::StdRng| {
+                let n = rng.gen_range(0u64..3);
+                (0..n).map(|i| bid(i, round)).collect::<Vec<_>>()
+            };
+            match rng.gen_range(0u32..6) {
+                0 => WalRecord::AnnounceOpen { round },
+                1 => WalRecord::AnnounceClose {
+                    round,
+                    answered: cdn,
+                },
+                2 => WalRecord::Bids {
+                    round,
+                    cdn,
+                    bids: bids(rng),
+                },
+                3 => WalRecord::Breaker {
+                    round,
+                    cdn,
+                    snapshot,
+                },
+                4 => settlement(round),
+                _ => WalRecord::Checkpoint {
+                    next_round: round + 1,
+                    cache: (0..cdn).map(|_| Some((round, bids(rng)))).collect(),
+                    breakers: vec![snapshot; cdn as usize],
+                },
+            }
+        })
+    }
+
+    /// Folding a log through `Replay::apply`, in memory or as `recover`
+    /// scans it off the file, is `replay` of the whole record list.
+    #[test]
+    fn streaming_replay_equals_batch_replay() {
+        let path = temp_wal("streaming");
+        check(64, arbitrary_records, |records| {
+            let batch = replay(records.clone(), 2);
+            let mut fold = Replay::new(2);
+            records.iter().cloned().for_each(|r| fold.apply(r));
+            assert_eq!(fold.finish(), batch);
+            let _ = std::fs::remove_file(&path);
+            write_all(&path, records);
+            let recovered = Wal::recover(&path, 2).expect("recover");
+            assert_eq!(recovered.recovery, batch);
+            assert_eq!(recovered.records, records.len() as u64);
+            assert_eq!(recovered.truncated_bytes, 0);
+        });
         let _ = std::fs::remove_file(&path);
     }
 
@@ -980,6 +1212,24 @@ mod tests {
         let (read, garbage) = read_records(&path).expect("read");
         assert!(read.is_empty());
         assert_eq!(garbage, 0);
+        // A torn log, and one torn inside its magic, reset to the magic.
+        write_all(&path, &sample_records());
+        let full = std::fs::read(&path).expect("read");
+        for cut in [full.len() - 3, 5, 0] {
+            std::fs::write(&path, &full[..cut]).expect("tear");
+            Wal::reset(&path).expect("reset torn");
+            assert_eq!(std::fs::read(&path).expect("read"), WAL_MAGIC, "cut {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reset_refuses_a_foreign_file_and_leaves_it_byte_identical() {
+        let path = temp_wal("reset-foreign");
+        let foreign = b"definitely not a wal, but 8+ bytes".to_vec();
+        std::fs::write(&path, &foreign).expect("write");
+        assert!(matches!(Wal::reset(&path), Err(WalError::BadMagic)));
+        assert_eq!(std::fs::read(&path).expect("read"), foreign);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1206,11 +1456,14 @@ mod tests {
             |bytes| {
                 let mut buf = WAL_MAGIC.to_vec();
                 buf.extend_from_slice(bytes);
-                let (records, valid_len) = scan(&buf[..], buf.len() as u64).expect("scans");
+                let mut records = Vec::new();
+                let valid_len =
+                    scan(&buf[..], buf.len() as u64, |r| records.push(r)).expect("scans");
                 assert!(valid_len as usize <= buf.len());
                 // Re-scanning the valid prefix reproduces the same records.
-                let (again, again_len) =
-                    scan(&buf[..valid_len as usize], valid_len).expect("rescans");
+                let mut again = Vec::new();
+                let again_len = scan(&buf[..valid_len as usize], valid_len, |r| again.push(r))
+                    .expect("rescans");
                 assert_eq!(records, again);
                 assert_eq!(valid_len, again_len);
             },

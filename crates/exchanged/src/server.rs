@@ -79,7 +79,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
-use vdx_core::wal::replay;
+use vdx_core::wal::Replay;
 use vdx_core::{
     BidSource, Decision, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundOutcome, Wal,
     WalError, WalRecord,
@@ -503,11 +503,12 @@ fn wal_io_error(e: WalError) -> std::io::Error {
 }
 
 /// Builds the round spine, from the WAL if `opts.wal` names one: opens
-/// it (truncating any torn tail), replays its committed records, and
-/// restores the stale-bid cache, per-CDN breakers and round position,
-/// emitting the schema-v6 `recovery_*` journal events. Without a WAL, or
-/// on a fresh (empty) one, the spine starts clean at round 0. Returns the
-/// spine, the open WAL, the next round and the rounds already committed.
+/// it (truncating any torn tail) and replays its committed records in
+/// the same pass ([`Wal::recover`]), then restores the stale-bid cache,
+/// per-CDN breakers and round position, emitting the schema-v6
+/// `recovery_*` journal events. Without a WAL, or on a fresh (empty) one,
+/// the spine starts clean at round 0. Returns the spine, the open WAL,
+/// the next round and the rounds already committed.
 fn recover(
     design: Design,
     policy: CpPolicy,
@@ -515,18 +516,17 @@ fn recover(
     shared: &Shared,
     cdns: usize,
 ) -> Result<(Round, Option<Wal>, u64, Vec<DriverRound>), WalError> {
-    let mut wal = None;
-    let mut records = Vec::new();
-    if let Some(path) = &opts.wal {
-        let opened = Wal::open(path)?;
-        shared.emit(Event::RecoveryStarted {
-            records: opened.records.len() as u64,
-            truncated_bytes: opened.truncated_bytes,
-        });
-        wal = Some(opened.wal);
-        records = opened.records;
-    }
-    let replayed = replay(records, cdns);
+    let (wal, replayed) = match &opts.wal {
+        Some(path) => {
+            let recovered = Wal::recover(path, cdns)?;
+            shared.emit(Event::RecoveryStarted {
+                records: recovered.records,
+                truncated_bytes: recovered.truncated_bytes,
+            });
+            (Some(recovered.wal), recovered.recovery)
+        }
+        None => (None, Replay::new(cdns).finish()),
+    };
     let mut cache = StaleBidCache::new(cdns, opts.stale_ttl_rounds);
     for (cdn, slot) in replayed.cache.into_iter().enumerate() {
         if let Some((round, bids)) = slot {

@@ -117,7 +117,12 @@ fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
         matches!(
             recovery_events.as_slice(),
             [
-                Event::RecoveryStarted { .. },
+                // 6 rounds of open, close, fresh bids, breakers and
+                // settlement, plus round 3's checkpoint.
+                Event::RecoveryStarted {
+                    records: 99,
+                    truncated_bytes: 0,
+                },
                 Event::RecoveryComplete {
                     next_round: 6,
                     rounds_recovered: 6,
@@ -232,18 +237,38 @@ fn an_interrupted_round_is_voided_and_rerun_from_recovered_state() {
     .expect("bind loopback");
     assert_eq!(server.next_round(), 2, "the voided round is re-run");
     assert_eq!(server.recovered_rounds(), &reference[..2]);
+    let recovery_events: Vec<Event> = probe
+        .events()
+        .into_iter()
+        .filter(|e| e.kind().starts_with("recovery_"))
+        .collect();
     assert!(
-        probe
-            .events()
-            .iter()
-            .any(|e| matches!(e, Event::RecoveryRoundVoided { round: 2 })),
-        "the torn attempt must be journaled as voided"
+        matches!(
+            recovery_events.as_slice(),
+            [
+                // Rounds 0 and 1 as the daemon logged them, plus the torn
+                // attempt's two records.
+                Event::RecoveryStarted {
+                    records: 35,
+                    truncated_bytes: 0,
+                },
+                Event::RecoveryRoundVoided { round: 2 },
+                Event::RecoveryComplete {
+                    next_round: 2,
+                    rounds_recovered: 2,
+                    rounds_voided: 1,
+                },
+            ]
+        ),
+        "the torn attempt must be journaled as voided: {recovery_events:?}"
     );
     server.shutdown();
 
-    // And the durable log agrees: replaying it yields rounds 0..2
-    // committed, round 2's second attempt still pending.
+    // And the durable log agrees: the batch reader sees the records the
+    // restart streamed, and replaying them yields rounds 0..2 committed,
+    // round 2's second attempt still pending.
     let (records, _) = vdx_core::wal::read_records(&wal_path).expect("read wal");
+    assert_eq!(records.len(), 35);
     let recovery = replay(records, n);
     assert_eq!(recovery.rounds, &reference[..2]);
     assert_eq!(recovery.voided, Some(2));
