@@ -39,4 +39,4 @@ pub use optimize::{
     BrokerAssignment, BrokerProblem, GroupOption, OptimizeContext, OptimizeMode,
 };
 pub use policy::CpPolicy;
-pub use stale::StaleBidCache;
+pub use stale::{StaleBidCache, STALE_TTL_ROUNDS};

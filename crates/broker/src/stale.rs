@@ -12,6 +12,10 @@
 //! independent of `vdx-proto`'s wire types; the exchange instantiates it
 //! with `Vec<vdx_proto::Bid>`.
 
+/// The TTL every driver runs its cache with: the daemon, the reference
+/// driver, the fault campaigns and the examples.
+pub const STALE_TTL_ROUNDS: u64 = 2;
+
 /// Per-CDN cache of the last bids seen, with a freshness bound.
 #[derive(Debug, Clone)]
 pub struct StaleBidCache<T> {
@@ -43,12 +47,6 @@ impl<T> StaleBidCache<T> {
         (age <= self.ttl_rounds).then_some((age, bids))
     }
 
-    /// Forgets CDN `cdn`'s entry (e.g. on a known infrastructure failure:
-    /// a down CDN's cached prices must not be reused).
-    pub fn clear(&mut self, cdn: usize) {
-        self.slots[cdn] = None;
-    }
-
     /// Raw view of CDN `cdn`'s slot **regardless of TTL**, as
     /// `(stored_round, bids)`. This exists for checkpointing (the
     /// exchange WAL snapshots slots verbatim and re-`store`s them on
@@ -78,13 +76,9 @@ mod tests {
 
     #[test]
     fn empty_slots_and_clear_yield_nothing() {
-        let mut cache: StaleBidCache<Vec<u32>> = StaleBidCache::new(2, 5);
+        let cache: StaleBidCache<Vec<u32>> = StaleBidCache::new(2, 5);
         assert_eq!(cache.fetch(1, 0), None);
         assert_eq!(cache.fetch(7, 0), None, "out of range is not a panic");
-        cache.store(1, 3, vec![9]);
-        assert!(cache.fetch(1, 4).is_some());
-        cache.clear(1);
-        assert_eq!(cache.fetch(1, 4), None);
     }
 
     #[test]

@@ -857,7 +857,7 @@ mod tests {
     fn spine(eco: &TestEco, design: Design, probe: Arc<dyn Probe>) -> Round {
         let n = eco.fleet.cdns.len();
         let breakers = (0..n).map(|_| CircuitBreaker::new(Default::default()));
-        let cache = StaleBidCache::new(n, 2);
+        let cache = StaleBidCache::new(n, vdx_broker::STALE_TTL_ROUNDS);
         Round::new(
             design,
             CpPolicy::balanced(),

@@ -60,11 +60,13 @@
 //! ## Checkpoints
 //!
 //! A [`WalRecord::Checkpoint`] is an inline, full image of the
-//! recoverable state (cache slots, breaker snapshots, next round).
-//! Replay state after a checkpoint record depends only on records at or
-//! after it, so recovery cost stays bounded as the log grows; the log
-//! itself is never compacted (settlement history is what the chaos
-//! parity check reads back).
+//! recoverable state (cache slots, breaker snapshots, next round):
+//! replay state after a checkpoint record depends only on records at or
+//! after it. It does not bound recovery today: the log is one file,
+//! never compacted (settlement history is what the chaos parity check
+//! reads back), and every restart scans and folds every record. A
+//! checkpoint is the image a segmented log (ROADMAP 3(a)) would start
+//! recovery from.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};

@@ -18,15 +18,15 @@
 use std::process::ExitCode;
 
 use vdx_exchanged::{run_agent_probed, AgentConfig};
-use vdx_sim::cli::{design_flag, flag_parsed, flag_value, FlightRecorder};
+use vdx_sim::cli::{design_flag, flag_parsed, flag_value, refuse_unknown_flags, FlightRecorder};
 use vdx_sim::{Scenario, ScenarioConfig};
 
+const USAGE: &str = "usage: vdx-agent --cdn N [--connect A] [--seed N] [--small] \
+     [--design NAME] [--silent R1,R2,...] [--journal PATH] \
+     [--retry N] [--retry-base-ms N] [--retry-cap-ms N]";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: vdx-agent --cdn N [--connect A] [--seed N] [--small] \
-         [--design NAME] [--silent R1,R2,...] [--journal PATH] \
-         [--retry N] [--retry-base-ms N] [--retry-cap-ms N]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -42,6 +42,7 @@ fn run() -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(usage());
     }
+    refuse_unknown_flags(&args, USAGE)?;
     let parse_u64 = |flag: &str| flag_parsed::<u64>(&args, flag);
     let Some(cdn) = flag_parsed::<u32>(&args, "--cdn")? else {
         return Ok(usage());

@@ -3,10 +3,9 @@
 //! ```text
 //! vdx-exchanged [--addr 127.0.0.1:4990] [--seed N] [--small]
 //!               [--design NAME] [--rounds N] [--interval-ms N]
-//!               [--deadline-ms N] [--ttl N] [--trip-after N]
-//!               [--cooldown N] [--queue-cap N]
+//!               [--deadline-ms N] [--cooldown N]
 //!               [--min-agents N] [--wait-ms N] [--journal PATH]
-//!               [--wal PATH] [--checkpoint-every N] [--fresh]
+//!               [--wal PATH] [--fresh]
 //! ```
 //!
 //! The daemon builds the scenario from `--seed`, listens on `--addr`,
@@ -22,23 +21,23 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vdx_broker::{BreakerConfig, CpPolicy};
+use vdx_broker::CpPolicy;
 use vdx_core::ExchangeDriver;
 use vdx_exchanged::{ExchangeServer, ServerOptions};
-use vdx_sim::cli::{design_flag, flag_parsed, flag_value, journaled_phase, FlightRecorder};
+use vdx_sim::cli::{
+    design_flag, flag_parsed, flag_value, journaled_phase, refuse_unknown_flags, FlightRecorder,
+};
 use vdx_sim::{Scenario, ScenarioConfig};
 
+const USAGE: &str = "usage: vdx-exchanged [--addr A] [--seed N] [--small] [--design NAME] \
+     [--rounds N] [--interval-ms N] [--deadline-ms N] [--cooldown N] \
+     [--min-agents N] [--wait-ms N] [--journal PATH] [--wal PATH] [--fresh]\n\
+     designs: brokered, multicluster:K, dynamic-pricing, \
+     dynamic-multicluster, best-lookup, marketplace, transactions, \
+     omniscient";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: vdx-exchanged [--addr A] [--seed N] [--small] [--design NAME] \
-         [--rounds N] [--interval-ms N] [--deadline-ms N] [--ttl N] \
-         [--trip-after N] [--cooldown N] [--queue-cap N] [--min-agents N] \
-         [--wait-ms N] [--journal PATH] [--wal PATH] [--checkpoint-every N] \
-         [--fresh]\n\
-         designs: brokered, multicluster:K, dynamic-pricing, \
-         dynamic-multicluster, best-lookup, marketplace, transactions, \
-         omniscient"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 
@@ -54,6 +53,7 @@ fn run() -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(usage());
     }
+    refuse_unknown_flags(&args, USAGE)?;
     let parse_u64 = |flag: &str| flag_parsed::<u64>(&args, flag);
 
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4990".into());
@@ -71,24 +71,10 @@ fn run() -> Result<ExitCode, String> {
     if let Some(ms) = parse_u64("--deadline-ms")? {
         opts.deadline = Duration::from_millis(ms.max(1));
     }
-    if let Some(ttl) = parse_u64("--ttl")? {
-        opts.stale_ttl_rounds = ttl;
-    }
-    let mut breaker = BreakerConfig::default();
-    if let Some(t) = parse_u64("--trip-after")? {
-        breaker.trip_after = t.clamp(1, u32::MAX as u64) as u32;
-    }
     if let Some(c) = parse_u64("--cooldown")? {
-        breaker.cooldown_rounds = c.max(1);
-    }
-    opts.breaker = breaker;
-    if let Some(cap) = parse_u64("--queue-cap")? {
-        opts.queue_cap = cap.clamp(1, 1 << 16) as usize;
+        opts.breaker.cooldown_rounds = c.max(1);
     }
     opts.wal = flag_value(&args, "--wal").map(PathBuf::from);
-    if let Some(every) = parse_u64("--checkpoint-every")? {
-        opts.checkpoint_every = every;
-    }
     let wait = Duration::from_millis(parse_u64("--wait-ms")?.unwrap_or(10_000));
     let min_agents = parse_u64("--min-agents")?;
     let config = ScenarioConfig::at_scale(small, parse_u64("--seed")?);

@@ -48,4 +48,4 @@ pub mod agent;
 pub mod server;
 
 pub use agent::{run_agent, run_agent_probed, AgentConfig, AgentReport};
-pub use server::{ExchangeServer, ServerOptions};
+pub use server::{ExchangeServer, ServerOptions, QUEUE_CAP};

@@ -5,7 +5,7 @@
 //!
 //! One accept thread polls the listener; each accepted connection gets a
 //! handshake-and-read thread that forwards round-stamped messages into a
-//! **bounded** queue (`ServerOptions::queue_cap`). When an agent floods
+//! **bounded** queue ([`QUEUE_CAP`]). When an agent floods
 //! faster than the round loop drains, the reader emits one
 //! `conn_backpressure` event and then *blocks* on the queue — the TCP
 //! window stalls the sender; nothing is dropped and memory stays
@@ -78,7 +78,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
 use vdx_core::wal::Replay;
 use vdx_core::{
     BidSource, Decision, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundOutcome, Wal,
@@ -89,26 +89,31 @@ use vdx_proto::{Bid, Connection, Message};
 use vdx_sim::soak::{brokered_round, shares_of, SoakPlan};
 use vdx_sim::Scenario;
 
+/// Bounded inbound queue depth per agent connection.
+pub const QUEUE_CAP: usize = 64;
+/// How long a connecting agent may take to send its `Hello`.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Settled rounds between two WAL checkpoints.
+const CHECKPOINT_EVERY: u64 = 4;
+
 /// Daemon knobs; [`ServerOptions::default`] matches the soak defaults.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// Wall-clock Announce deadline per round.
     pub deadline: Duration,
-    /// Bounded inbound queue depth per agent connection.
-    pub queue_cap: usize,
     /// Circuit-breaker thresholds (shared by all CDNs).
     pub breaker: BreakerConfig,
-    /// Stale-bid cache TTL, rounds.
+    /// Stale-bid cache TTL, rounds: [`STALE_TTL_ROUNDS`], as in every
+    /// other driver.
     pub stale_ttl_rounds: u64,
-    /// How long a connecting agent may take to send its `Hello`.
-    pub handshake_timeout: Duration,
     /// Path of the durable round WAL; `None` runs without crash safety
     /// (every restart starts from round 0 with empty state). See
     /// DESIGN.md §15 for the durability contract.
     pub wal: Option<PathBuf>,
-    /// Write a full-state [`WalRecord::Checkpoint`] every this many
-    /// settled rounds, bounding replay cost. Ignored without a WAL;
-    /// `0` disables checkpointing.
+    /// Write a [`WalRecord::Checkpoint`], a full image of the recoverable
+    /// state, every this many settled rounds. It does not shorten a
+    /// restart, which scans and folds every record of the log. Ignored
+    /// without a WAL; `0` disables checkpointing.
     pub checkpoint_every: u64,
 }
 
@@ -116,24 +121,21 @@ impl Default for ServerOptions {
     fn default() -> ServerOptions {
         ServerOptions {
             deadline: Duration::from_millis(3_000),
-            queue_cap: 64,
             breaker: BreakerConfig::default(),
-            stale_ttl_rounds: 2,
-            handshake_timeout: Duration::from_secs(5),
+            stale_ttl_rounds: STALE_TTL_ROUNDS,
             wal: None,
-            checkpoint_every: 4,
+            checkpoint_every: CHECKPOINT_EVERY,
         }
     }
 }
 
 impl ServerOptions {
     /// The options under which the daemon replays `plan` comparably to
-    /// the reference driver: the plan's deadline, TTL and breaker, the
+    /// the reference driver: the plan's deadline and breaker, the
     /// defaults elsewhere.
     pub fn for_plan(plan: &SoakPlan) -> ServerOptions {
         ServerOptions {
             deadline: Duration::from_millis(plan.deadline_ms),
-            stale_ttl_rounds: plan.stale_ttl_rounds,
             breaker: plan.breaker,
             ..ServerOptions::default()
         }
@@ -170,8 +172,6 @@ struct Shared {
     /// (zeroed by the journal determinism tooling like every wall field).
     clock: Stopwatch,
     shutdown: AtomicBool,
-    queue_cap: usize,
-    handshake_timeout: Duration,
     /// Reader threads park their handles here so shutdown can join them.
     readers: Mutex<Vec<JoinHandle<()>>>,
     /// The arrival signal: a generation count readers bump, and the
@@ -183,14 +183,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(cdns: usize, probe: Arc<dyn Probe>, opts: &ServerOptions) -> Shared {
+    fn new(cdns: usize, probe: Arc<dyn Probe>) -> Shared {
         Shared {
             slots: (0..cdns).map(|_| Mutex::new(None)).collect(),
             probe,
             clock: Stopwatch::start(),
             shutdown: AtomicBool::new(false),
-            queue_cap: opts.queue_cap,
-            handshake_timeout: opts.handshake_timeout,
             readers: Mutex::new(Vec::new()),
             arrivals: (Mutex::new(0), Condvar::new()),
         }
@@ -314,7 +312,7 @@ impl ExchangeServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let n = scenario.fleet.cdns.len();
-        let shared = Arc::new(Shared::new(n, probe, &opts));
+        let shared = Arc::new(Shared::new(n, probe));
         let (round, wal, next_round, recovered) =
             recover(design, policy, &opts, &shared, n).map_err(wal_io_error)?;
         let accept_shared = shared.clone();
@@ -703,10 +701,7 @@ fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
     let Ok(mut conn) = Connection::new(stream) else {
         return;
     };
-    if conn
-        .set_read_timeout(Some(shared.handshake_timeout))
-        .is_err()
-    {
+    if conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
         return;
     }
     // First message must be `Hello { role: CDN }` (fresh session) or
@@ -734,7 +729,7 @@ fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
         _ => return,
     };
     let Ok(writer) = conn.try_clone() else { return };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(u64, Message)>(shared.queue_cap);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(u64, Message)>(QUEUE_CAP);
     let alive = Arc::new(AtomicBool::new(true));
     {
         let mut slot = shared.slots[cdn].lock().expect("slot lock poisoned");
@@ -793,7 +788,7 @@ fn pump_messages(
                             shared.emit(Event::ConnBackpressure {
                                 at_ms: shared.clock.elapsed_ms(),
                                 cdn: cdn as u32,
-                                queued: shared.queue_cap as u64,
+                                queued: QUEUE_CAP as u64,
                             });
                         }
                         // Block until the round loop drains; the agent's TCP
@@ -861,7 +856,7 @@ mod tests {
         let design = Design::Marketplace;
         let probe = Arc::new(MemoryProbe::new());
         let opts = ServerOptions::default();
-        let shared = Arc::new(Shared::new(n, probe.clone(), &opts));
+        let shared = Arc::new(Shared::new(n, probe.clone()));
         let shares = shares_of(&scenario);
         let scores = |a: CityId, b: CityId| scenario.score_of(a, b);
         let mut peers = Vec::new();
@@ -869,7 +864,7 @@ mod tests {
         let mut senders = Vec::new();
         for cdn in 0..n {
             let (writer, peer) = loopback();
-            let (tx, rx) = sync_channel(opts.queue_cap);
+            let (tx, rx) = sync_channel(QUEUE_CAP);
             let bids = round_engine(&scenario, design, cdn as u32).build_bids(
                 &shares,
                 &scenario.fleet,

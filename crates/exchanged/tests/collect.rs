@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use vdx_broker::CpPolicy;
 use vdx_core::{Design, ExchangeDriver, RoundResolution};
-use vdx_exchanged::{run_agent, AgentConfig, ExchangeServer, ServerOptions};
+use vdx_exchanged::{run_agent, AgentConfig, ExchangeServer, ServerOptions, QUEUE_CAP};
 use vdx_geo::CityId;
 use vdx_obs::{MemoryProbe, Probe, Stopwatch};
 use vdx_proto::{Connection, Message, TransportError};
@@ -119,7 +119,7 @@ fn a_flooding_agent_meets_backpressure_once_and_still_bids_fresh() {
         deadline: Duration::from_secs(20),
         ..ServerOptions::default()
     };
-    let flood = opts.queue_cap + 8;
+    let flood = QUEUE_CAP + 8;
     let probe = Arc::new(MemoryProbe::new());
     let mut server = start(&scenario, probe.clone(), opts);
     let addr = server.local_addr();

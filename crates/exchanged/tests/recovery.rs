@@ -27,7 +27,6 @@ fn small_scenario(seed: u64) -> Scenario {
 fn options_for(plan: &SoakPlan, wal: PathBuf) -> ServerOptions {
     ServerOptions {
         wal: Some(wal),
-        checkpoint_every: 4,
         ..ServerOptions::for_plan(plan)
     }
 }

@@ -8,7 +8,7 @@
 //! repro audit report [PATH...]
 //! repro audit query <name> [PATH...]
 //! repro audit --baseline PATH [--metric-tol PCT] [--wall-tol PCT] [--threads N]
-//! repro chaos [--seed N] [--full] [--crash-at R1,R2,...] [--bin-dir DIR] [--work-dir DIR]
+//! repro chaos [--seed N] [--full] [--crash-at R1,R2,...] [--work-dir DIR]
 //! repro chaos --check WAL [--seed N] [--full] [--rounds N | --ladder]
 //!
 //! experiments: fig3 fig4 fig5 fig7 table1 table3
@@ -58,7 +58,9 @@ use std::path::Path;
 use std::process::ExitCode;
 use vdx_obs::timing::git_commit;
 use vdx_obs::{Event, Stopwatch};
-use vdx_sim::cli::{design_flag, flag_parsed, flag_value, journaled_phase, FlightRecorder};
+use vdx_sim::cli::{
+    design_flag, flag_parsed, flag_value, journaled_phase, refuse_unknown_flags, FlightRecorder,
+};
 use vdx_sim::experiment::{
     ext_faults, ext_hybrid, ext_noise, ext_stability, fig10_15, fig16, fig17, fig18, fig3, fig4,
     fig5, fig7, gap, table1, table3,
@@ -472,17 +474,15 @@ fn audit_gate(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
+const CHAOS_USAGE: &str =
+    "usage: repro chaos [--seed N] [--full] [--crash-at R1,R2,...] [--work-dir DIR]\n\
+     \x20      repro chaos --check WAL [--seed N] [--full] [--rounds N | --ladder]\n\
+     default: one kill-restart trial at every round of the 11-round ladder\n\
+     campaign over the small scenario; vdx-exchanged and vdx-agent are\n\
+     expected next to repro (cargo build -p vdx-exchanged first)";
+
 fn chaos_usage() -> ExitCode {
-    eprintln!(
-        "usage: repro chaos [--seed N] [--full] [--crash-at R1,R2,...] [--bin-dir DIR]\n\
-         \x20                  [--work-dir DIR] [--ttl N] [--deadline-ms N] [--trip-after N]\n\
-         \x20                  [--cooldown N] [--checkpoint-every N] [--timeout-ms N]\n\
-         \x20      repro chaos --check WAL [--seed N] [--full] [--rounds N | --ladder]\n\
-         \x20                  [--ttl N] [--trip-after N] [--cooldown N]\n\
-         default: one kill-restart trial at every round of the 11-round ladder\n\
-         campaign over the small scenario; binaries are expected next to repro\n\
-         (cargo build -p vdx-exchanged first) unless --bin-dir says otherwise"
-    );
+    eprintln!("{CHAOS_USAGE}");
     ExitCode::FAILURE
 }
 
@@ -493,6 +493,7 @@ fn chaos_cmd(args: &[String]) -> Result<ExitCode, String> {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(chaos_usage());
     }
+    refuse_unknown_flags(args, CHAOS_USAGE)?;
     let parse_u64 = |flag: &str| flag_parsed::<u64>(args, flag);
     let seed = parse_u64("--seed")?.unwrap_or(90217);
     let small = !args.iter().any(|a| a == "--full");
@@ -503,21 +504,12 @@ fn chaos_cmd(args: &[String]) -> Result<ExitCode, String> {
         // `--ladder` re-verifies a WAL the chaos harness itself wrote
         // (its 11-round ladder campaign); the default is the clean
         // `--rounds`-round campaign an operator's daemon runs.
-        let mut plan = if args.iter().any(|a| a == "--ladder") {
+        let plan = if args.iter().any(|a| a == "--ladder") {
             SoakPlan::ladder(scenario.fleet.cdns.len() as u32)
         } else {
             let rounds = parse_u64("--rounds")?.unwrap_or(10).max(1) as usize;
             SoakPlan::clean(rounds)
         };
-        if let Some(ttl) = parse_u64("--ttl")? {
-            plan.stale_ttl_rounds = ttl;
-        }
-        if let Some(t) = parse_u64("--trip-after")? {
-            plan.breaker.trip_after = t.clamp(1, u32::MAX as u64) as u32;
-        }
-        if let Some(c) = parse_u64("--cooldown")? {
-            plan.breaker.cooldown_rounds = c.max(1);
-        }
         let n = vdx_sim::chaos::check_wal(
             Path::new(&wal),
             &scenario,
@@ -531,27 +523,6 @@ fn chaos_cmd(args: &[String]) -> Result<ExitCode, String> {
 
     let mut cfg = vdx_sim::chaos::ChaosConfig::new(seed);
     cfg.small = small;
-    if let Some(ttl) = parse_u64("--ttl")? {
-        cfg.stale_ttl_rounds = ttl;
-    }
-    if let Some(ms) = parse_u64("--deadline-ms")? {
-        cfg.deadline_ms = ms.max(1);
-    }
-    if let Some(t) = parse_u64("--trip-after")? {
-        cfg.breaker.trip_after = t.clamp(1, u32::MAX as u64) as u32;
-    }
-    if let Some(c) = parse_u64("--cooldown")? {
-        cfg.breaker.cooldown_rounds = c.max(1);
-    }
-    if let Some(every) = parse_u64("--checkpoint-every")? {
-        cfg.checkpoint_every = every;
-    }
-    if let Some(ms) = parse_u64("--timeout-ms")? {
-        cfg.timeout_ms = ms.max(1_000);
-    }
-    if let Some(dir) = flag_value(args, "--bin-dir") {
-        cfg.bin_dir = Some(dir.into());
-    }
     if let Some(dir) = flag_value(args, "--work-dir") {
         cfg.work_dir = dir.into();
     }

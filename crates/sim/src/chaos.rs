@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use vdx_broker::{BreakerConfig, CpPolicy};
+use vdx_broker::CpPolicy;
 use vdx_core::wal::{read_records, replay, WalRecord};
 use vdx_core::Design;
 use vdx_obs::Stopwatch;
@@ -94,8 +94,13 @@ impl TailFault {
     }
 }
 
-/// Knobs for a chaos campaign. [`ChaosConfig::new`] gives the defaults
-/// the acceptance run uses: the soak ladder over the small scenario.
+/// Ceiling on each wait of a trial (marker, campaign completion) and on
+/// the daemon's wait for its agents, ms.
+const WAIT_MS: u64 = 180_000;
+
+/// Knobs for a chaos campaign, which always drives [`SoakPlan::ladder`].
+/// [`ChaosConfig::new`] gives the defaults the acceptance run uses: the
+/// small scenario, a trial at every round.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Scenario seed (daemon, agents, and reference all share it).
@@ -103,53 +108,22 @@ pub struct ChaosConfig {
     /// Build the small scenario (`--small` on every child). The full
     /// scenario works but multiplies child start-up cost per restart.
     pub small: bool,
-    /// Stale-bid TTL in rounds (plan + daemon `--ttl`).
-    pub stale_ttl_rounds: u64,
-    /// Announce deadline per round (plan + daemon `--deadline-ms`).
-    pub deadline_ms: u64,
-    /// Breaker config (plan + daemon `--trip-after`/`--cooldown`).
-    pub breaker: BreakerConfig,
-    /// Daemon `--checkpoint-every`.
-    pub checkpoint_every: u64,
     /// Rounds to crash at, one trial each. `None` = every round of the
     /// ladder campaign.
     pub crash_rounds: Option<Vec<u64>>,
-    /// Directory holding the built binaries. `None` = next to the
-    /// running `repro` binary (the usual `target/<profile>/`).
-    pub bin_dir: Option<PathBuf>,
     /// Where trial WALs, journals, and child logs go.
     pub work_dir: PathBuf,
-    /// Ceiling on each wait (marker, campaign completion), ms.
-    pub timeout_ms: u64,
 }
 
 impl ChaosConfig {
-    /// The acceptance-run defaults: small scenario, soak-ladder knobs,
-    /// a crash trial at every round, artifacts under `results/chaos`.
+    /// The acceptance-run defaults: small scenario, a crash trial at
+    /// every round, artifacts under `results/chaos`.
     pub fn new(seed: u64) -> ChaosConfig {
-        let ladder = SoakPlan::ladder(0);
         ChaosConfig {
             seed,
             small: true,
-            stale_ttl_rounds: ladder.stale_ttl_rounds,
-            deadline_ms: ladder.deadline_ms,
-            breaker: ladder.breaker,
-            checkpoint_every: 4,
             crash_rounds: None,
-            bin_dir: None,
             work_dir: PathBuf::from("results/chaos"),
-            timeout_ms: 180_000,
-        }
-    }
-
-    /// The fault campaign this config drives: [`SoakPlan::ladder`] with
-    /// this config's TTL/deadline/breaker knobs.
-    pub fn plan(&self, cdns: u32) -> SoakPlan {
-        SoakPlan {
-            stale_ttl_rounds: self.stale_ttl_rounds,
-            deadline_ms: self.deadline_ms,
-            breaker: self.breaker,
-            ..SoakPlan::ladder(cdns)
         }
     }
 }
@@ -229,22 +203,19 @@ fn spawn(bin: &Path, args: &[String], log: &Path) -> Result<Proc, String> {
     Ok(Proc { child })
 }
 
-/// Locates a workspace binary: `bin_dir` when given, else the directory
-/// holding the currently-running binary (where cargo puts siblings).
-fn bin_path(bin_dir: &Option<PathBuf>, name: &str) -> Result<PathBuf, String> {
-    let dir = match bin_dir {
-        Some(d) => d.clone(),
-        None => std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(Path::to_path_buf))
-            .ok_or_else(|| "cannot locate the running binary's directory".to_string())?,
-    };
+/// Locates a workspace binary in the directory holding the running
+/// binary (where cargo puts siblings).
+fn bin_path(name: &str) -> Result<PathBuf, String> {
+    let dir = std::env::current_exe()
+        .ok()
+        .and_then(|p| p.parent().map(Path::to_path_buf))
+        .ok_or_else(|| "cannot locate the running binary's directory".to_string())?;
     let path = dir.join(name);
     if path.is_file() {
         Ok(path)
     } else {
         Err(format!(
-            "{} not found — build it first (cargo build -p vdx-exchanged) or pass --bin-dir",
+            "{} not found — build it first (cargo build -p vdx-exchanged)",
             path.display()
         ))
     }
@@ -264,7 +235,6 @@ fn free_port() -> Result<u16, String> {
 /// timeout or a WAL that is readable but foreign.
 fn wait_for_wal(
     path: &Path,
-    timeout_ms: u64,
     what: &str,
     pred: impl Fn(&[WalRecord]) -> bool,
 ) -> Result<(), String> {
@@ -276,9 +246,9 @@ fn wait_for_wal(
             Err(vdx_core::WalError::Io(_)) => {} // not created yet
             Err(e) => return Err(format!("polling {}: {e}", path.display())),
         }
-        if clock.elapsed_ms() >= timeout_ms {
+        if clock.elapsed_ms() >= WAIT_MS {
             return Err(format!(
-                "timed out after {timeout_ms}ms waiting for {what} in {}",
+                "timed out after {WAIT_MS}ms waiting for {what} in {}",
                 path.display()
             ));
         }
@@ -286,12 +256,9 @@ fn wait_for_wal(
     }
 }
 
-/// Polls a child until it exits. `Ok(None)` means the timeout passed
+/// Polls a child until it exits. `Ok(None)` means [`WAIT_MS`] passed
 /// with the child still running (the caller decides whether to kill).
-fn wait_with_timeout(
-    child: &mut Child,
-    timeout_ms: u64,
-) -> Result<Option<std::process::ExitStatus>, String> {
+fn wait_with_timeout(child: &mut Child) -> Result<Option<std::process::ExitStatus>, String> {
     let clock = Stopwatch::start();
     loop {
         match child.try_wait() {
@@ -299,7 +266,7 @@ fn wait_with_timeout(
             Ok(None) => {}
             Err(e) => return Err(format!("waiting on child: {e}")),
         }
-        if clock.elapsed_ms() >= timeout_ms {
+        if clock.elapsed_ms() >= WAIT_MS {
             return Ok(None);
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -345,7 +312,11 @@ fn mutate_tail(path: &Path, fault: TailFault, rng: &mut StdRng) -> Result<bool, 
     Ok(true)
 }
 
-fn daemon_args(
+/// The daemon's command line for one life of a trial. Of the ladder's
+/// knobs it passes only the two that differ from the daemon's defaults,
+/// the deadline and the breaker cool-down; its TTL, trip threshold and
+/// checkpoint interval are the daemon's own.
+pub fn daemon_args(
     cfg: &ChaosConfig,
     plan: &SoakPlan,
     addr: &str,
@@ -362,20 +333,14 @@ fn daemon_args(
         plan.rounds.len().to_string(),
         "--deadline-ms".into(),
         plan.deadline_ms.to_string(),
-        "--ttl".into(),
-        plan.stale_ttl_rounds.to_string(),
-        "--trip-after".into(),
-        plan.breaker.trip_after.to_string(),
         "--cooldown".into(),
         plan.breaker.cooldown_rounds.to_string(),
         "--min-agents".into(),
         num_cdns.to_string(),
         "--wait-ms".into(),
-        cfg.timeout_ms.to_string(),
+        WAIT_MS.to_string(),
         "--wal".into(),
         wal.display().to_string(),
-        "--checkpoint-every".into(),
-        cfg.checkpoint_every.to_string(),
         "--journal".into(),
         journal.display().to_string(),
     ];
@@ -429,8 +394,8 @@ fn run_trial(
     fault: TailFault,
     rng: &mut StdRng,
 ) -> Result<TrialReport, String> {
-    let daemon_bin = bin_path(&cfg.bin_dir, "vdx-exchanged")?;
-    let agent_bin = bin_path(&cfg.bin_dir, "vdx-agent")?;
+    let daemon_bin = bin_path("vdx-exchanged")?;
+    let agent_bin = bin_path("vdx-agent")?;
     let tag = format!("r{crash_round}-{}", phase.name());
     let wal = cfg.work_dir.join(format!("trial-{tag}.wal"));
     let _ = std::fs::remove_file(&wal);
@@ -467,7 +432,6 @@ fn run_trial(
     };
     wait_for_wal(
         &wal,
-        cfg.timeout_ms,
         &format!("round {crash_round} to reach {}", phase.name()),
         marker,
     )?;
@@ -499,11 +463,10 @@ fn run_trial(
         &daemon_args(cfg, plan, &addr, &wal, &journal_b, num_cdns),
         &cfg.work_dir.join(format!("trial-{tag}-daemon-after.log")),
     )?;
-    match wait_with_timeout(&mut daemon.child, cfg.timeout_ms)? {
+    match wait_with_timeout(&mut daemon.child)? {
         None => {
             return Err(format!(
-                "restarted daemon did not finish within {}ms (trial {tag}; see its log in {})",
-                cfg.timeout_ms,
+                "restarted daemon not done after {WAIT_MS}ms (trial {tag}; see its log in {})",
                 cfg.work_dir.display()
             ))
         }
@@ -547,13 +510,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     std::fs::create_dir_all(&cfg.work_dir)
         .map_err(|e| format!("cannot create {}: {e}", cfg.work_dir.display()))?;
     // Fail on missing binaries before paying for the scenario build.
-    bin_path(&cfg.bin_dir, "vdx-exchanged")?;
-    bin_path(&cfg.bin_dir, "vdx-agent")?;
+    bin_path("vdx-exchanged")?;
+    bin_path("vdx-agent")?;
 
     eprintln!("chaos: building scenario (seed {}) ...", cfg.seed);
     let scenario = Scenario::build(ScenarioConfig::at_scale(cfg.small, Some(cfg.seed)));
     let num_cdns = scenario.fleet.cdns.len();
-    let plan = cfg.plan(num_cdns as u32);
+    let plan = SoakPlan::ladder(num_cdns as u32);
     let reference = run_reference(
         &scenario,
         Design::Marketplace,

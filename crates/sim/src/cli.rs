@@ -24,6 +24,19 @@ pub fn flag_parsed<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>,
         .transpose()
 }
 
+/// Refuses any `--` argument that `usage`, the binary's usage text, does
+/// not name: a misspelt or retired flag is an error naming it, never
+/// ignored.
+pub fn refuse_unknown_flags(args: &[String], usage: &str) -> Result<(), String> {
+    let known: Vec<&str> = usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .collect();
+    match (args.iter()).find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        Some(flag) => Err(format!("unknown flag: {flag}")),
+        None => Ok(()),
+    }
+}
+
 /// `--design NAME`, Marketplace when absent. The error is the message
 /// for a name no design answers to.
 pub fn design_flag(args: &[String]) -> Result<Design, String> {

@@ -62,12 +62,7 @@ pub fn plan_for(severity: f64, seed: u64) -> FaultPlan {
         }
         rounds.push(faults);
     }
-    FaultPlan {
-        rounds,
-        seed,
-        stale_ttl_rounds: 2,
-        deadline_ms: 3_000,
-    }
+    FaultPlan { rounds, seed }
 }
 
 /// One (design, severity) campaign, summarized.

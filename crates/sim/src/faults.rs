@@ -35,7 +35,7 @@ use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::scenario::Scenario;
 use crate::soak::{brokered_round, round_engine};
 use std::sync::Arc;
-use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
 use vdx_cdn::{ClusterId, Fleet};
 use vdx_core::{
     shares_of, BidEngine, BidSource, Decision, Design, Round, RoundHooks, RoundId, RoundOutcome,
@@ -47,6 +47,10 @@ use vdx_obs::{Event, Probe};
 use vdx_proto::endpoint::{Endpoint, Event as LinkEvent, RequestId};
 use vdx_proto::{Bid, FaultConfig, Link, LinkEnd, Message, SimTime};
 use vdx_units::Margin;
+
+/// The broker's per-round deadline in simulated time, ms: at this point
+/// whatever has not arrived is substituted, excluded, or falls back.
+pub const DEADLINE_MS: u64 = 3_000;
 
 /// The faults injected into one campaign round.
 #[derive(Debug, Clone)]
@@ -99,19 +103,14 @@ impl Default for RoundFaults {
     }
 }
 
-/// A full campaign: per-round faults plus the degradation-policy knobs.
+/// A full campaign: per-round faults and the seed of their link faults.
+/// The ladder runs at [`DEADLINE_MS`] and [`STALE_TTL_ROUNDS`].
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// One entry per campaign round, in order.
     pub rounds: Vec<RoundFaults>,
     /// Seed for the injected link faults (mixed with round and CDN ids).
     pub seed: u64,
-    /// How many rounds old cached bids may be and still substitute for a
-    /// missing Announce (degradation level 2).
-    pub stale_ttl_rounds: u64,
-    /// The broker's per-round deadline, ms: at this point whatever has
-    /// not arrived is substituted, excluded, or falls back.
-    pub deadline_ms: u64,
 }
 
 impl FaultPlan {
@@ -121,8 +120,6 @@ impl FaultPlan {
         FaultPlan {
             rounds: vec![RoundFaults::none(); rounds],
             seed: 0,
-            stale_ttl_rounds: 2,
-            deadline_ms: 3_000,
         }
     }
 
@@ -253,7 +250,6 @@ pub struct Links<'a> {
     /// CDNs whose cluster is down: their links black out, their agents
     /// do not run, and collection reports them `Down`.
     failed: Vec<usize>,
-    deadline_ms: u64,
     /// Simulated time, ms: the last step taken.
     now: u64,
     /// The last committed round, scored.
@@ -263,14 +259,13 @@ pub struct Links<'a> {
 impl<'a> Links<'a> {
     /// Links to every CDN of `scenario` carrying one round's `faults`,
     /// with agents bidding by `design`. Link `i`'s fault stream is seeded
-    /// from `seed` and `i`; collection waits at most `deadline_ms` of
+    /// from `seed` and `i`; collection waits at most [`DEADLINE_MS`] of
     /// simulated time.
     pub fn new(
         scenario: &'a Scenario,
         design: Design,
         faults: &RoundFaults,
         seed: u64,
-        deadline_ms: u64,
     ) -> Links<'a> {
         let n = scenario.fleet.cdns.len();
         let failed: Vec<usize> = faults.failed_cdns.iter().map(|&c| c as usize).collect();
@@ -304,7 +299,6 @@ impl<'a> Links<'a> {
             endpoints: (0..n).map(|_| Endpoint::new(LinkEnd::A)).collect(),
             agents: (0..n).map(agent).collect(),
             failed,
-            deadline_ms,
             now: 0,
             decided: None,
         }
@@ -373,7 +367,7 @@ impl RoundHooks for Links<'_> {
             .collect();
         let asked = requests.iter().flatten().count();
         let mut answers: Vec<Option<Vec<Bid>>> = vec![None; requests.len()];
-        let deadline = self.now + self.deadline_ms;
+        let deadline = self.now + DEADLINE_MS;
         while self.now < deadline {
             self.step(&requests, &mut answers);
             if answers.iter().flatten().count() == asked {
@@ -438,13 +432,13 @@ pub fn run_campaign(
     // tripped breaker at the next round's start, so every CDN is asked
     // every round.
     let breakers = (0..n).map(|_| CircuitBreaker::new(BreakerConfig::default()));
-    let cache = StaleBidCache::new(n, plan.stale_ttl_rounds);
+    let cache = StaleBidCache::new(n, STALE_TTL_ROUNDS);
     let mut spine = Round::new(
         design,
         policy,
         breakers.collect(),
         cache,
-        plan.deadline_ms,
+        DEADLINE_MS,
         probe.clone(),
     );
     let mut rounds = Vec::with_capacity(plan.rounds.len());
@@ -478,7 +472,7 @@ pub fn run_campaign(
                 jitter_ms: faults.jitter_ms,
                 exchange_outage: faults.exchange_outage,
                 failed_cdns: faults.failed_cdns.len() as u64,
-                deadline_ms: plan.deadline_ms,
+                deadline_ms: DEADLINE_MS,
             });
             for &cdn in &faults.failed_cdns {
                 probe.emit(Event::CdnOutage { round, cdn });
@@ -506,7 +500,7 @@ pub fn run_campaign(
         }
 
         let seed = plan.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut links = Links::new(scenario, design, faults, seed, plan.deadline_ms);
+        let mut links = Links::new(scenario, design, faults, seed);
         spine.run(round, &scenario.groups, &mut links);
         links.journal_wire_drops(round, probe.as_ref());
         rounds.push(links.decided.expect("Round::run commits every round"));
@@ -614,17 +608,17 @@ mod tests {
         let design = Design::Marketplace;
         let n = s.fleet.cdns.len();
         let breakers = (0..n).map(|_| CircuitBreaker::new(BreakerConfig::default()));
-        let cache = StaleBidCache::new(n, 2);
+        let cache = StaleBidCache::new(n, STALE_TTL_ROUNDS);
         let noop = vdx_obs::probe::noop();
         let mut spine = Round::new(
             design,
             CpPolicy::balanced(),
             breakers.collect(),
             cache,
-            3_000,
+            DEADLINE_MS,
             noop,
         );
-        let mut links = Links::new(s, design, &delayed(), 7, 3_000);
+        let mut links = Links::new(s, design, &delayed(), 7);
         let first = spine.run(0, &s.groups, &mut links);
         // Round 1's collection delivers round 0's Accepts first.
         spine.run(1, &s.groups, &mut links);

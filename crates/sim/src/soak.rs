@@ -21,7 +21,7 @@
 
 use crate::scenario::Scenario;
 use std::sync::Arc;
-use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache};
+use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
 use vdx_cdn::{median_capacity, CdnId};
 use vdx_core::{
     BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
@@ -74,8 +74,6 @@ pub struct SoakRound {
 pub struct SoakPlan {
     /// One entry per round, in order. Rounds beyond the list are clean.
     pub rounds: Vec<SoakRound>,
-    /// Stale-bid cache TTL, in rounds.
-    pub stale_ttl_rounds: u64,
     /// The daemon's wall deadline per round, ms. The reference driver
     /// has no clock; it uses this only to label `deadline_missed`
     /// journal events identically.
@@ -89,7 +87,6 @@ impl SoakPlan {
     pub fn clean(rounds: usize) -> SoakPlan {
         SoakPlan {
             rounds: vec![SoakRound::default(); rounds],
-            stale_ttl_rounds: 2,
             deadline_ms: 3_000,
             breaker: BreakerConfig::default(),
         }
@@ -121,7 +118,6 @@ impl SoakPlan {
                 .into_iter()
                 .map(|silent| SoakRound { silent })
                 .collect(),
-            stale_ttl_rounds: 2,
             deadline_ms: 1_500,
             breaker: BreakerConfig {
                 trip_after: 3,
@@ -176,7 +172,7 @@ impl<'a> SimReferenceDriver<'a> {
                 design,
                 policy,
                 (0..n).map(|_| CircuitBreaker::new(plan.breaker)).collect(),
-                StaleBidCache::new(n, plan.stale_ttl_rounds),
+                StaleBidCache::new(n, STALE_TTL_ROUNDS),
                 plan.deadline_ms,
                 probe,
             ),
@@ -259,7 +255,6 @@ mod tests {
                 .into_iter()
                 .map(|silent| SoakRound { silent })
                 .collect(),
-            stale_ttl_rounds: 2,
             deadline_ms: 1_000,
             breaker: BreakerConfig {
                 trip_after: 2,

@@ -96,8 +96,6 @@ fn same_seed_same_plan_is_byte_identical() {
     let plan = FaultPlan {
         rounds: vec![RoundFaults::none(), adverse(), adverse()],
         seed: 7,
-        stale_ttl_rounds: 2,
-        deadline_ms: 2_000,
     };
     let run = || {
         let probe = Arc::new(MemoryProbe::new());
@@ -174,8 +172,6 @@ fn degradation_ladder_fires_in_order() {
             total_blackout,
         ],
         seed: 11,
-        stale_ttl_rounds: 2,
-        deadline_ms: 300,
     };
     let probe = Arc::new(MemoryProbe::new());
     let campaign = run_campaign(

@@ -15,14 +15,11 @@
 //! links (`vdx::sim::faults::Links`), kept across rounds so the agents
 //! keep what they learned.
 
-use vdx::broker::{BreakerConfig, CircuitBreaker, StaleBidCache};
+use vdx::broker::{BreakerConfig, CircuitBreaker, StaleBidCache, STALE_TTL_ROUNDS};
 use vdx::core::Round;
 use vdx::prelude::*;
 use vdx::proto::LinkEnd;
-use vdx::sim::faults::{Links, RoundFaults};
-
-/// Simulated milliseconds a round waits for Announces.
-const DEADLINE_MS: u64 = 3_000;
+use vdx::sim::faults::{Links, RoundFaults, DEADLINE_MS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,14 +45,14 @@ fn main() {
     // One lossy link per CDN; broker on end A, agent on end B.
     let design = Design::Marketplace;
     let n = scenario.fleet.cdns.len();
-    let mut links = Links::new(&scenario, design, &faults, 7_000, DEADLINE_MS);
+    let mut links = Links::new(&scenario, design, &faults, 7_000);
     let mut spine = Round::new(
         design,
         CpPolicy::balanced(),
         (0..n)
             .map(|_| CircuitBreaker::new(BreakerConfig::default()))
             .collect(),
-        StaleBidCache::new(n, 2),
+        StaleBidCache::new(n, STALE_TTL_ROUNDS),
         DEADLINE_MS,
         vdx_obs::probe::noop(),
     );

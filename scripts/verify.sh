@@ -206,15 +206,27 @@ test -n "$dp_objective"
 test "$dp_objective" = "$(objective target/verify-threads/t1.jsonl "$table3_round")"
 
 echo "==> crash-recovery smoke (repro chaos: SIGKILL, restart, byte parity)"
-# One seeded kill-restart trial of the chaos harness (DESIGN.md §15):
-# a real vdx-exchanged is SIGKILLed at round 6 of the ladder campaign,
-# restarted on its WAL, and the recovered decision sequence must be
-# byte-identical to the uninterrupted reference. Then the recovery
-# events must be in the restarted daemon's journal, and the surviving
-# WAL must independently re-verify against the reference.
+# Three seeded kill-restart trials of the chaos harness (DESIGN.md §15):
+# a real vdx-exchanged is SIGKILLed at rounds 6, 7 and 8 of the ladder
+# campaign, restarted on its WAL, and each recovered decision sequence
+# must be byte-identical to the uninterrupted reference. The trial index
+# picks the tail fault (none, truncate, flip-byte); rounds 7 and 8 are
+# all-silent, so their forced mid-round kill lands inside the 1.5 s
+# deadline wait with the tail still staged, and both faults must apply:
+# a `(skipped)` fault fails the step. Then the recovery events must be in
+# the restarted daemon's journal, and the surviving WAL must
+# independently re-verify against the reference. A trial takes ≈ 9 s
+# (small scenario, release build), so the three take ≈ 28 s.
 rm -rf target/verify-chaos
-timeout 600 cargo run -p vdx-sim --bin repro --release -- chaos \
-  --seed 90217 --crash-at 6 --work-dir target/verify-chaos
+mkdir -p target/verify-chaos
+timeout 900 cargo run -p vdx-sim --bin repro --release -- chaos \
+  --seed 90217 --crash-at 6,7,8 --work-dir target/verify-chaos \
+  | tee target/verify-chaos/trials.txt
+test "$(grep -c ' OK$' target/verify-chaos/trials.txt)" -eq 3
+if grep -q '(skipped)' target/verify-chaos/trials.txt; then
+  echo "chaos: a tail fault was skipped; every fault must run" >&2
+  exit 1
+fi
 grep -q '"ev":"recovery_started"'  target/verify-chaos/trial-r6-*-after.jsonl
 grep -q '"ev":"recovery_complete"' target/verify-chaos/trial-r6-*-after.jsonl
 cargo run -p vdx-sim --bin repro --release -- chaos \
