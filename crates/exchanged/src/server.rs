@@ -3,27 +3,28 @@
 //!
 //! ## Structure
 //!
-//! One accept thread polls the listener; each accepted connection gets a
-//! handshake-and-read thread that forwards round-stamped messages into a
-//! **bounded** queue ([`QUEUE_CAP`]). When an agent floods
-//! faster than the round loop drains, the reader emits one
-//! `conn_backpressure` event and then *blocks* on the queue — the TCP
-//! window stalls the sender; nothing is dropped and memory stays
-//! bounded.
+//! The round thread (the caller of [`ExchangeServer::run_round`] and
+//! [`ExchangeServer::wait_for_agents`]) owns every connection. The
+//! accept thread gives each accepted socket an id and a reader thread,
+//! which handshakes and then reports over one channel: `Joined` (its CDN
+//! and write half), each round-stamped `Message`, and `Left` when it
+//! exits. Only the round thread installs (journaling `conn_accepted`),
+//! refuses (shutting the newcomer's socket down), writes to or drops a
+//! connection, and it ignores news from a connection it does not hold.
+//! Besides the channels, the threads share only the shutdown flag.
 //!
-//! Nothing on the round's path waits on a timer. The readers share one
-//! **arrival signal** (a generation count under a mutex, and a condvar)
-//! and ring it *after* the fact a waiter looks for is in place: after a
-//! slot is installed, after a message is in its queue (the `try_send`
-//! and the post-backpressure blocking `send` alike), and after a reader
-//! that is exiting has dropped its queue's sender. The collect loop
-//! reads the generation, scans the pending slots, and if nobody answered
-//! or left sleeps — for what is left of the deadline at most — until
-//! the generation moves; having read it *before* the scan, it cannot
-//! sleep through an arrival the scan missed. A reader's exit therefore
-//! wakes a scan that sees `Disconnected` and reports the CDN down at
-//! once. [`ExchangeServer::wait_for_agents`] sleeps on the same signal.
-//! (The accept loop's own 10 ms tick is how it notices shutdown.)
+//! A round first applies what the channel holds, so joins and leaves
+//! since the last round take effect before any Share goes out; then it
+//! sends the Shares and sleeps on the channel, for what is left of the
+//! deadline at most, until every CDN it asked has answered or left. The
+//! arrival *is* what the round sleeps on, so no wake-up can be lost.
+//!
+//! Ingest is **bounded** per connection ([`QUEUE_CAP`]): a reader puts a
+//! ticket in its connection's ticket queue before it forwards a message,
+//! and the round thread takes one out per message it consumes. A reader
+//! that finds the queue full emits one `conn_backpressure` event and
+//! *blocks* — the TCP window stalls that sender alone; nothing is
+//! dropped and memory stays bounded.
 //!
 //! The round itself runs on the caller's thread
 //! ([`ExchangeServer::run_round`], the [`ExchangeDriver`] contract) and is
@@ -73,8 +74,8 @@
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -148,13 +149,33 @@ const POLL: Duration = Duration::from_millis(10);
 /// the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
 
-/// One connected agent, owned by its CDN's slot: the write half plus the
-/// receiving end of the reader thread's queue.
-struct AgentSlot {
+/// What a reader thread tells the round thread. `conn` is the
+/// connection's per-accept id: the round thread ignores anything from a
+/// connection it does not hold.
+enum Inbound {
+    /// A connection finished its handshake as CDN `cdn`.
+    Joined {
+        cdn: usize,
+        peer: SocketAddr,
+        agent: Agent,
+    },
+    /// One round-stamped message, in the order the connection sent it.
+    Message {
+        cdn: usize,
+        conn: u64,
+        round: u64,
+        msg: Message,
+    },
+    /// The connection's reader exited (EOF, error or shutdown).
+    Left { cdn: usize, conn: u64 },
+}
+
+/// A connection that holds, or asks for, a CDN's slot.
+struct Agent {
+    conn: u64,
     writer: Connection,
-    rx: Receiver<(u64, Message)>,
-    /// Cleared by the reader thread when it exits (EOF, error, shutdown).
-    alive: Arc<AtomicBool>,
+    /// The receiving end of the connection's ticket queue.
+    tickets: Receiver<()>,
     /// First round this connection may bid in. `0` for a fresh `Hello`;
     /// a resuming agent's `HelloResume { last_round }` sets it to
     /// `last_round + 1`, so an Announce the agent replays for a round it
@@ -162,112 +183,49 @@ struct AgentSlot {
     min_round: u64,
 }
 
-/// State shared between the round loop, the accept thread, and every
-/// reader thread.
-struct Shared {
-    /// One slot per CDN, indexed by CDN id.
-    slots: Vec<Mutex<Option<AgentSlot>>>,
-    probe: Arc<dyn Probe>,
-    /// Monotonic run clock; `conn_*` events carry its reading as `at_ms`
-    /// (zeroed by the journal determinism tooling like every wall field).
-    clock: Stopwatch,
-    shutdown: AtomicBool,
-    /// Reader threads park their handles here so shutdown can join them.
-    readers: Mutex<Vec<JoinHandle<()>>>,
-    /// The arrival signal: a generation count readers bump, and the
-    /// condvar they notify, *after* a slot is installed, a message is
-    /// enqueued or a queue's sender is dropped. The round thread sleeps
-    /// on it instead of polling. The mutex guards the count only and is
-    /// never held across a slot lock, a socket call or a channel op.
-    arrivals: (Mutex<u64>, Condvar),
+impl Agent {
+    /// Lets the connection go: its ticket queue first, so a reader that
+    /// is still running exits without journaling a close of its own,
+    /// then the socket, so that reader wakes.
+    fn release(self) {
+        drop(self.tickets);
+        let _ = self.writer.shutdown();
+    }
 }
 
-impl Shared {
-    fn new(cdns: usize, probe: Arc<dyn Probe>) -> Shared {
-        Shared {
-            slots: (0..cdns).map(|_| Mutex::new(None)).collect(),
-            probe,
-            clock: Stopwatch::start(),
-            shutdown: AtomicBool::new(false),
-            readers: Mutex::new(Vec::new()),
-            arrivals: (Mutex::new(0), Condvar::new()),
-        }
-    }
+/// The daemon's journal: the probe, and the run clock whose reading
+/// `conn_*` events carry as `at_ms` (zeroed by the journal determinism
+/// tooling like every wall field).
+#[derive(Clone)]
+struct Journal {
+    probe: Arc<dyn Probe>,
+    clock: Stopwatch,
+}
 
+impl Journal {
     fn emit(&self, event: Event) {
         if self.probe.enabled() {
             self.probe.emit(event);
         }
     }
 
-    /// Announces that something a waiter scans for has changed.
-    fn ring_arrival(&self) {
-        *self.arrivals.0.lock().expect("arrivals lock poisoned") += 1;
-        self.arrivals.1.notify_all();
+    fn conn_closed(&self, cdn: usize, reason: String) {
+        self.emit(Event::ConnClosed {
+            at_ms: self.clock.elapsed_ms(),
+            cdn: cdn as u32,
+            reason,
+        });
     }
+}
 
-    /// The signal's generation. A waiter reads it *before* the scan
-    /// whose emptiness it will sleep on, so a ring that lands during or
-    /// after the scan is never slept through.
-    fn arrivals_seen(&self) -> u64 {
-        *self.arrivals.0.lock().expect("arrivals lock poisoned")
-    }
-
-    /// Sleeps until the generation moves past `seen`, or `timeout`.
-    fn wait_for_arrival(&self, seen: u64, timeout: Duration) {
-        let generation = self.arrivals.0.lock().expect("arrivals lock poisoned");
-        let _woken = self
-            .arrivals
-            .1
-            .wait_timeout_while(generation, timeout, |generation| *generation == seen)
-            .expect("arrivals lock poisoned");
-    }
-
-    /// Takes CDN `cdn`'s connection out of its slot so a socket write
-    /// happens with the lock *released*: a stalled agent must not block
-    /// readers or the accept path on its slot.
-    fn take_agent(&self, cdn: usize) -> Option<AgentSlot> {
-        self.slots
-            .get(cdn)?
-            .lock()
-            .expect("slot lock poisoned")
-            .take()
-    }
-
-    /// Puts a taken connection back — unless a reconnect won the empty
-    /// slot meanwhile; then the fresh connection stays, ours is stale.
-    fn return_agent(&self, cdn: usize, agent: AgentSlot) {
-        if let Some(slot) = self.slots.get(cdn) {
-            let mut slot = slot.lock().expect("slot lock poisoned");
-            if slot.is_none() {
-                *slot = Some(agent);
-            }
-        }
-    }
-
-    /// Writes one round's message to CDN `cdn`, with its slot's lock
-    /// released for the write; returns whether it was sent. A connection
-    /// its reader already saw close is reaped. A connection the write
-    /// fails on is dropped: `conn_closed` names the error and the slot
-    /// stays empty, so the next round finds the CDN down.
-    fn send_to(&self, cdn: usize, round: u64, msg: &Message) -> bool {
-        let Some(mut agent) = self.take_agent(cdn) else {
-            return false;
-        };
-        if !agent.alive.load(Ordering::SeqCst) {
-            return false; // the reader already reported the close
-        }
-        if let Err(e) = agent.writer.send(round, msg) {
-            self.emit(Event::ConnClosed {
-                at_ms: self.clock.elapsed_ms(),
-                cdn: cdn as u32,
-                reason: format!("write error: {e}"),
-            });
-            return false;
-        }
-        self.return_agent(cdn, agent);
-        true
-    }
+/// What the accept thread hands each reader thread.
+#[derive(Clone)]
+struct Link {
+    inbound: Sender<Inbound>,
+    journal: Journal,
+    shutdown: Arc<AtomicBool>,
+    /// Fleet size: a `Hello` must name a CDN below it.
+    cdns: usize,
 }
 
 /// The daemon. Owns the round spine (breakers, stale-bid cache, solver
@@ -276,7 +234,9 @@ impl Shared {
 pub struct ExchangeServer {
     round: Round,
     transport: Transport,
-    accept_thread: Option<JoinHandle<()>>,
+    /// Returns the reader threads it has not joined yet.
+    accept_thread: JoinHandle<Vec<JoinHandle<()>>>,
+    shutdown: Arc<AtomicBool>,
     addr: SocketAddr,
     /// First round the daemon should run: 0 on a fresh start, the round
     /// after the last committed settlement after recovery.
@@ -292,9 +252,13 @@ pub struct ExchangeServer {
 struct Transport {
     scenario: Arc<Scenario>,
     opts: ServerOptions,
-    shared: Arc<Shared>,
     /// The durable round log, when `ServerOptions::wal` named one.
     wal: Option<Wal>,
+    journal: Journal,
+    /// Everything the readers send, in arrival order.
+    inbound: Receiver<Inbound>,
+    /// One slot per CDN, indexed by CDN id.
+    agents: Vec<Option<Agent>>,
 }
 
 impl ExchangeServer {
@@ -312,20 +276,33 @@ impl ExchangeServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let n = scenario.fleet.cdns.len();
-        let shared = Arc::new(Shared::new(n, probe));
+        let journal = Journal {
+            probe,
+            clock: Stopwatch::start(),
+        };
         let (round, wal, next_round, recovered) =
-            recover(design, policy, &opts, &shared, n).map_err(wal_io_error)?;
-        let accept_shared = shared.clone();
-        let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
+            recover(design, policy, &opts, &journal, n).map_err(wal_io_error)?;
+        let (inbound_tx, inbound) = mpsc::channel();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let link = Link {
+            inbound: inbound_tx,
+            journal: journal.clone(),
+            shutdown: shutdown.clone(),
+            cdns: n,
+        };
+        let accept_thread = std::thread::spawn(move || accept_loop(listener, link));
         Ok(ExchangeServer {
             round,
             transport: Transport {
                 scenario,
                 opts,
-                shared,
                 wal,
+                journal,
+                inbound,
+                agents: (0..n).map(|_| None).collect(),
             },
-            accept_thread: Some(accept_thread),
+            accept_thread,
+            shutdown,
             addr,
             next_round,
             recovered,
@@ -350,19 +327,11 @@ impl ExchangeServer {
         self.addr
     }
 
-    /// Number of agents currently connected and alive.
+    /// Number of agents holding a slot, as of the last round or
+    /// [`ExchangeServer::wait_for_agents`]: joins and leaves take effect
+    /// only there.
     pub fn connected_agents(&self) -> usize {
-        self.transport
-            .shared
-            .slots
-            .iter()
-            .filter(|slot| {
-                slot.lock()
-                    .expect("slot lock poisoned")
-                    .as_ref()
-                    .is_some_and(|s| s.alive.load(Ordering::SeqCst))
-            })
-            .count()
+        self.transport.agents.iter().flatten().count()
     }
 
     /// Current health state of one CDN's breaker.
@@ -372,55 +341,118 @@ impl ExchangeServer {
 
     /// Blocks until at least `count` agents are connected, or `timeout`
     /// elapses. Returns whether the quorum was reached.
-    pub fn wait_for_agents(&self, count: usize, timeout: Duration) -> bool {
-        let shared = &self.transport.shared;
+    pub fn wait_for_agents(&mut self, count: usize, timeout: Duration) -> bool {
         let clock = Stopwatch::start();
-        loop {
-            let seen = shared.arrivals_seen();
-            if self.connected_agents() >= count {
-                return true;
-            }
-            let left = timeout.saturating_sub(Duration::from_micros(clock.elapsed_us()));
-            if left.is_zero() {
+        self.transport.drain_inbound();
+        while self.connected_agents() < count {
+            let Some(inbound) = self.transport.wait_inbound(clock, timeout) else {
                 return false;
-            }
-            // A handshake that completes rings; so does a reader exiting.
-            shared.wait_for_arrival(seen, left);
+            };
+            self.transport.take_inbound(inbound);
         }
+        true
     }
 
     /// Stops accepting, closes every agent connection, and joins all
     /// daemon threads. After this returns no thread of the server holds
     /// the probe any more, so the caller can finish its journal.
     pub fn shutdown(mut self) {
-        let shared = &self.transport.shared;
-        shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        for (cdn, slot) in shared.slots.iter().enumerate() {
-            // Close outside the lock: shutdown() can block on the socket.
-            let taken = slot.lock().expect("slot lock poisoned").take();
-            if let Some(s) = taken {
-                let _ = s.writer.shutdown();
-                shared.emit(Event::ConnClosed {
-                    at_ms: shared.clock.elapsed_ms(),
-                    cdn: cdn as u32,
-                    reason: "shutdown".into(),
-                });
+        self.shutdown.store(true, Ordering::SeqCst);
+        let readers = self.accept_thread.join().unwrap_or_default();
+        for (cdn, slot) in self.transport.agents.iter_mut().enumerate() {
+            if let Some(agent) = slot.take() {
+                agent.release();
+                self.transport.journal.conn_closed(cdn, "shutdown".into());
             }
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut readers = shared.readers.lock().expect("readers lock poisoned");
-            readers.drain(..).collect()
-        };
-        for h in handles {
+        // Dropping the channel wakes a reader blocked on the ticket queue
+        // of a connection whose join was never applied.
+        drop(self.transport);
+        for h in readers {
             let _ = h.join();
         }
     }
 }
 
 impl Transport {
+    /// Acts on one inbound message: installs or refuses a join, drops a
+    /// held connection whose reader left, and takes a ticket out for each
+    /// message of a held connection. Hands back the news a waiting round
+    /// must hear: a held connection's message for a round it may bid in,
+    /// or its `Left`.
+    fn take_inbound(&mut self, inbound: Inbound) -> Option<Inbound> {
+        match inbound {
+            Inbound::Joined { cdn, peer, agent } => {
+                let slot = self.agents.get_mut(cdn)?;
+                if slot.is_some() {
+                    // The CDN already has a live connection; refuse the
+                    // new one.
+                    agent.release();
+                    return None;
+                }
+                *slot = Some(agent);
+                self.journal.emit(Event::ConnAccepted {
+                    at_ms: self.journal.clock.elapsed_ms(),
+                    cdn: cdn as u32,
+                    peer: peer.to_string(),
+                });
+                None
+            }
+            message @ Inbound::Message {
+                cdn, conn, round, ..
+            } => {
+                let agent = self.slot_of(cdn, conn)?.as_mut()?;
+                let _ = agent.tickets.try_recv();
+                // A resumed session's replay of a round it already saw
+                // settle is no news.
+                (round >= agent.min_round).then_some(message)
+            }
+            left @ Inbound::Left { cdn, conn } => {
+                self.slot_of(cdn, conn)?.take()?.release();
+                Some(left)
+            }
+        }
+    }
+
+    /// CDN `cdn`'s slot, if it holds connection `conn`.
+    fn slot_of(&mut self, cdn: usize, conn: u64) -> Option<&mut Option<Agent>> {
+        (self.agents.get_mut(cdn)).filter(|slot| slot.as_ref().is_some_and(|a| a.conn == conn))
+    }
+
+    /// Applies everything the readers have sent so far, without waiting.
+    fn drain_inbound(&mut self) {
+        while let Ok(inbound) = self.inbound.try_recv() {
+            self.take_inbound(inbound);
+        }
+    }
+
+    /// The next inbound message, if one arrives before `clock` reads
+    /// `limit`.
+    fn wait_inbound(&self, clock: Stopwatch, limit: Duration) -> Option<Inbound> {
+        let left = limit.saturating_sub(Duration::from_micros(clock.elapsed_us()));
+        if left.is_zero() {
+            return None;
+        }
+        self.inbound.recv_timeout(left).ok()
+    }
+
+    /// Writes one round's message to CDN `cdn`; returns whether it was
+    /// sent. A connection the write fails on is dropped: `conn_closed`
+    /// names the error and the slot stays empty, so the next round finds
+    /// the CDN down.
+    fn send_to(&mut self, cdn: usize, round: u64, msg: &Message) -> bool {
+        let sent = match self.agents.get_mut(cdn).and_then(Option::as_mut) {
+            Some(agent) => agent.writer.send(round, msg),
+            None => return false,
+        };
+        let Err(e) = sent else { return true };
+        if let Some(agent) = self.agents.get_mut(cdn).and_then(Option::take) {
+            agent.release();
+        }
+        self.journal.conn_closed(cdn, format!("write error: {e}"));
+        false
+    }
+
     /// Appends one record to the WAL, if one is configured. A write
     /// failure disables the WAL for the rest of the run (the daemon
     /// keeps serving, but crash safety is gone and the next restart
@@ -511,13 +543,13 @@ fn recover(
     design: Design,
     policy: CpPolicy,
     opts: &ServerOptions,
-    shared: &Shared,
+    journal: &Journal,
     cdns: usize,
 ) -> Result<(Round, Option<Wal>, u64, Vec<DriverRound>), WalError> {
     let (wal, replayed) = match &opts.wal {
         Some(path) => {
             let recovered = Wal::recover(path, cdns)?;
-            shared.emit(Event::RecoveryStarted {
+            journal.emit(Event::RecoveryStarted {
                 records: recovered.records,
                 truncated_bytes: recovered.truncated_bytes,
             });
@@ -537,9 +569,9 @@ fn recover(
     });
     if wal.is_some() {
         if let Some(round) = replayed.voided {
-            shared.emit(Event::RecoveryRoundVoided { round });
+            journal.emit(Event::RecoveryRoundVoided { round });
         }
-        shared.emit(Event::RecoveryComplete {
+        journal.emit(Event::RecoveryComplete {
             next_round: replayed.next_round,
             rounds_recovered: replayed.rounds.len() as u64,
             rounds_voided: replayed.voided.map_or(0, |_| 1),
@@ -551,7 +583,7 @@ fn recover(
         breakers.collect(),
         cache,
         opts.deadline.as_millis() as u64,
-        shared.probe.clone(),
+        journal.probe.clone(),
     );
     Ok((round, wal, replayed.next_round, replayed.rounds))
 }
@@ -570,77 +602,55 @@ impl ExchangeDriver for ExchangeServer {
 
 impl RoundHooks for Transport {
     fn collect_announces(&mut self, round: u64, routable: &[bool]) -> Vec<BidSource> {
-        let n = routable.len();
-        let shared = &self.shared;
-        let share_msg = Message::Share(shares_of(&self.scenario));
+        // Joins and leaves since the last round apply before any Share
+        // goes out. An Announce is an answer to this round's Share: one
+        // drained here came before it and is discarded.
+        self.drain_inbound();
 
         // Share to every routable, connected CDN. An open breaker means
-        // no Share at all; a dead or unwritable connection drops the
-        // slot here.
-        let routed: Vec<bool> = (0..n)
-            .map(|cdn| routable[cdn] && shared.send_to(cdn, round, &share_msg))
-            .collect();
+        // no Share at all; an unwritable connection is dropped here. A
+        // CDN that was not Shared with is down; `None` marks one the
+        // round waits on.
+        let share_msg = Message::Share(shares_of(&self.scenario));
+        let mut heard: Vec<Option<BidSource>> = Vec::with_capacity(routable.len());
+        for (cdn, &routable) in routable.iter().enumerate() {
+            let shared = routable && self.send_to(cdn, round, &share_msg);
+            heard.push((!shared).then_some(BidSource::Down));
+        }
 
-        // Collect Announces until the deadline. A participant leaves the
-        // pending set by answering this round or by disconnecting.
+        // Collect Announces until the deadline. A CDN leaves the wait by
+        // answering this round or by disconnecting.
         let clock = Stopwatch::start();
-        let mut answers: Vec<Option<Vec<Bid>>> = vec![None; n];
-        let mut dead = vec![false; n];
-        let mut pending: Vec<usize> = (0..n).filter(|&c| routed[c]).collect();
-        while !pending.is_empty() {
-            let elapsed = Duration::from_micros(clock.elapsed_us());
-            let left = self.opts.deadline.saturating_sub(elapsed);
-            if left.is_zero() {
+        while heard.iter().any(Option::is_none) {
+            let Some(inbound) = self.wait_inbound(clock, self.opts.deadline) else {
                 break;
-            }
-            let seen = shared.arrivals_seen();
-            let waiting_on = pending.len();
-            pending.retain(|&cdn| {
-                let slot = shared.slots[cdn].lock().expect("slot lock poisoned");
-                let Some(s) = slot.as_ref() else {
-                    dead[cdn] = true;
-                    return false;
-                };
-                loop {
-                    match s.rx.try_recv() {
-                        Ok((r, Message::Announce(bids))) if r == round && r >= s.min_round => {
-                            answers[cdn] = Some(bids);
-                            return false;
-                        }
-                        // A stale round's late Announce, a resumed
-                        // session's replay of an already-settled round
-                        // (below its `min_round`), or an out-of-protocol
-                        // message: discard and keep draining.
-                        Ok(_) => continue,
-                        Err(TryRecvError::Empty) => return true,
-                        Err(TryRecvError::Disconnected) => {
-                            dead[cdn] = true;
-                            return false;
-                        }
-                    }
-                }
-            });
-            // Nobody answered or left: sleep until a reader enqueues or
-            // exits.
-            if pending.len() == waiting_on {
-                shared.wait_for_arrival(seen, left);
+            };
+            let (cdn, source) = match self.take_inbound(inbound) {
+                Some(Inbound::Message {
+                    cdn,
+                    round: r,
+                    msg: Message::Announce(bids),
+                    ..
+                }) if r == round => (cdn, BidSource::Fresh(bids)),
+                Some(Inbound::Left { cdn, .. }) => (cdn, BidSource::Down),
+                // A stale round's late Announce, an out-of-protocol
+                // message, or no news.
+                _ => continue,
+            };
+            if let Some(waiting @ None) = heard.get_mut(cdn) {
+                *waiting = Some(source);
             }
         }
+        let answered = (heard.iter())
+            .filter(|h| matches!(h, Some(BidSource::Fresh(_))))
+            .count();
         self.wal_append(&WalRecord::AnnounceClose {
             round,
-            answered: answers.iter().filter(|a| a.is_some()).count() as u32,
+            answered: answered as u32,
         });
-
-        // A routable CDN that could not be Shared with (not connected)
-        // is as dead as one that hung up mid-round.
-        answers
-            .into_iter()
-            .zip(routed.into_iter().zip(dead))
-            .map(|(answer, (routed, died))| match answer {
-                Some(bids) => BidSource::Fresh(bids),
-                None if !routed || died => BidSource::Down,
-                None => BidSource::Silent,
-            })
+        // Whoever neither answered nor left is silent.
+        (heard.into_iter())
+            .map(|h| h.unwrap_or(BidSource::Silent))
             .collect()
     }
 
@@ -664,56 +674,57 @@ impl RoundHooks for Transport {
                 // The round is settled whether or not this arrives: a
                 // failed write drops the connection, and the next round
                 // finds the CDN down.
-                self.shared.send_to(cdn, round, &Message::Accept(entries));
+                self.send_to(cdn, round, &Message::Accept(entries));
             }
         }
     }
 }
 
-/// Accepts connections until shutdown; each goes to its own
-/// handshake-and-read thread.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+/// Accepts connections until shutdown; each gets an id and its own
+/// handshake-and-read thread. Joins the reader threads that have
+/// finished as it goes, and returns the rest for shutdown to join.
+fn accept_loop(listener: TcpListener, link: Link) -> Vec<JoinHandle<()>> {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    let mut next_conn: u64 = 0;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+        let (finished, running): (Vec<_>, Vec<_>) =
+            readers.into_iter().partition(JoinHandle::is_finished);
+        for h in finished {
+            let _ = h.join();
+        }
+        readers = running;
+        if link.shutdown.load(Ordering::SeqCst) {
+            return readers;
         }
         match listener.accept() {
             Ok((stream, peer)) => {
-                let conn_shared = shared.clone();
-                let handle =
-                    std::thread::spawn(move || serve_connection(stream, peer, conn_shared));
-                shared
-                    .readers
-                    .lock()
-                    .expect("readers lock poisoned")
-                    .push(handle);
+                let (conn, link) = (next_conn, link.clone());
+                next_conn += 1;
+                readers.push(std::thread::spawn(move || {
+                    serve_connection(stream, peer, conn, link)
+                }));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
             Err(_) => std::thread::sleep(POLL),
         }
     }
 }
 
-/// Handshakes one inbound connection and, if it identifies as a known
-/// CDN, pumps its messages into the slot queue until EOF, error, or
-/// shutdown.
-fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
-    let Ok(mut conn) = Connection::new(stream) else {
+/// Handshakes one inbound connection and, if it identifies as a CDN of
+/// the fleet, forwards its messages to the round thread until EOF,
+/// error, shutdown, or the round thread lets the connection go.
+fn serve_connection(stream: TcpStream, peer: SocketAddr, conn: u64, link: Link) {
+    let Ok(mut reader) = Connection::new(stream) else {
         return;
     };
-    if conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
+    if reader.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
         return;
     }
     // First message must be `Hello { role: CDN }` (fresh session) or
     // `HelloResume { role: CDN }` (reconnect after a drop, carrying the
     // last round the agent saw settle) with an in-range id; anything
     // else is dropped without a slot.
-    let (cdn, min_round) = match conn.recv() {
-        Ok(Some((_, Message::Hello { node_id, role: 1 })))
-            if (node_id as usize) < shared.slots.len() =>
-        {
-            (node_id as usize, 0)
-        }
+    let (node_id, min_round) = match reader.recv() {
+        Ok(Some((_, Message::Hello { node_id, role: 1 }))) => (node_id, 0),
         Ok(Some((
             _,
             Message::HelloResume {
@@ -721,115 +732,96 @@ fn serve_connection(stream: TcpStream, peer: SocketAddr, shared: Arc<Shared>) {
                 role: 1,
                 last_round,
             },
-        ))) if (node_id as usize) < shared.slots.len() => {
+        ))) => {
             // Rounds up to `last_round` already settled for this agent;
             // refuse replayed Announces for them (double-bid defence).
-            (node_id as usize, last_round.saturating_add(1))
+            (node_id, last_round.saturating_add(1))
         }
         _ => return,
     };
-    let Ok(writer) = conn.try_clone() else { return };
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(u64, Message)>(QUEUE_CAP);
-    let alive = Arc::new(AtomicBool::new(true));
-    {
-        let mut slot = shared.slots[cdn].lock().expect("slot lock poisoned");
-        if slot
-            .as_ref()
-            .is_some_and(|s| s.alive.load(Ordering::SeqCst))
-        {
-            // The CDN already has a live connection; refuse the new one.
-            return;
+    let Some(cdn) = usize::try_from(node_id).ok().filter(|&cdn| cdn < link.cdns) else {
+        return;
+    };
+    let Ok(writer) = reader.try_clone() else {
+        return;
+    };
+    let (tickets, ticket_rx) = mpsc::sync_channel(QUEUE_CAP);
+    let agent = Agent {
+        conn,
+        writer,
+        tickets: ticket_rx,
+        min_round,
+    };
+    let joined = Inbound::Joined { cdn, peer, agent };
+    if link.inbound.send(joined).is_ok() {
+        if let Some(reason) = pump_messages(&mut reader, &tickets, cdn, conn, &link) {
+            link.journal.conn_closed(cdn, reason);
         }
-        *slot = Some(AgentSlot {
-            writer,
-            rx,
-            alive: alive.clone(),
-            min_round,
-        });
+        let _ = link.inbound.send(Inbound::Left { cdn, conn });
     }
-    shared.emit(Event::ConnAccepted {
-        at_ms: shared.clock.elapsed_ms(),
-        cdn: cdn as u32,
-        peer: peer.to_string(),
-    });
-    shared.ring_arrival(); // for `wait_for_agents`
-    pump_messages(&mut conn, &tx, cdn, &shared);
-    alive.store(false, Ordering::SeqCst);
-    // Ring only once the sender is gone: the scan this wakes must see
-    // `Disconnected`, and report the CDN down at once.
-    drop(tx);
-    shared.ring_arrival();
 }
 
-/// The reader loop of one agent connection: forwards every message into
-/// the slot's queue, ringing the arrival signal after each, until EOF,
-/// error, or shutdown.
+/// The reader loop of one agent connection: forwards every message to
+/// the round thread, a ticket ahead of each, until EOF, error, shutdown,
+/// or the round thread lets the connection go. Returns the reason to
+/// journal the close under — none at shutdown, nor when the round thread
+/// let go first (a refusal, or a failed write it journaled itself).
 fn pump_messages(
-    conn: &mut Connection,
-    tx: &SyncSender<(u64, Message)>,
+    reader: &mut Connection,
+    tickets: &SyncSender<()>,
     cdn: usize,
-    shared: &Shared,
-) {
-    if conn.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
+    conn: u64,
+    link: &Link,
+) -> Option<String> {
+    reader.set_read_timeout(Some(READ_TICK)).ok()?;
     let mut warned_backpressure = false;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    let reason = loop {
+        if link.shutdown.load(Ordering::SeqCst) {
+            return None;
         }
-        match conn.recv() {
-            Ok(Some(msg)) => {
-                match tx.try_send(msg) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(msg)) => {
-                        if !warned_backpressure {
-                            warned_backpressure = true;
-                            shared.emit(Event::ConnBackpressure {
-                                at_ms: shared.clock.elapsed_ms(),
-                                cdn: cdn as u32,
-                                queued: QUEUE_CAP as u64,
-                            });
-                        }
-                        // Block until the round loop drains; the agent's TCP
-                        // window stalls behind us. Nothing is dropped.
-                        if tx.send(msg).is_err() {
-                            break;
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-                shared.ring_arrival();
-            }
-            Ok(None) => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.emit(Event::ConnClosed {
-                        at_ms: shared.clock.elapsed_ms(),
-                        cdn: cdn as u32,
-                        reason: "eof".into(),
-                    });
-                }
-                break;
-            }
+        let (round, msg) = match reader.recv() {
+            Ok(Some(stamped)) => stamped,
+            Ok(None) => break "eof".to_string(),
             Err(e) if e.is_timeout() => continue,
-            Err(e) => {
-                if !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.emit(Event::ConnClosed {
-                        at_ms: shared.clock.elapsed_ms(),
+            Err(e) => break format!("read error: {e}"),
+        };
+        match tickets.try_send(()) {
+            Ok(()) => {}
+            Err(TrySendError::Full(())) => {
+                if !warned_backpressure {
+                    warned_backpressure = true;
+                    link.journal.emit(Event::ConnBackpressure {
+                        at_ms: link.journal.clock.elapsed_ms(),
                         cdn: cdn as u32,
-                        reason: format!("read error: {e}"),
+                        queued: QUEUE_CAP as u64,
                     });
                 }
-                break;
+                // Block until the round thread consumes one; the agent's
+                // TCP window stalls behind us. Nothing is dropped.
+                tickets.send(()).ok()?;
             }
+            Err(TrySendError::Disconnected(())) => return None,
         }
-    }
+        let forwarded = Inbound::Message {
+            cdn,
+            conn,
+            round,
+            msg,
+        };
+        link.inbound.send(forwarded).ok()?;
+    };
+    // The round thread drops the ticket queue when it lets go. (A ticket
+    // this puts in is never taken out: the `Left` that follows drops the
+    // connection.)
+    let released = matches!(tickets.try_send(()), Err(TrySendError::Disconnected(())));
+    let shutting_down = link.shutdown.load(Ordering::SeqCst);
+    (!released && !shutting_down).then_some(reason)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::sync_channel;
+    use std::io::Read;
     use vdx_core::RoundResolution;
     use vdx_geo::CityId;
     use vdx_obs::MemoryProbe;
@@ -856,37 +848,62 @@ mod tests {
         let design = Design::Marketplace;
         let probe = Arc::new(MemoryProbe::new());
         let opts = ServerOptions::default();
-        let shared = Arc::new(Shared::new(n, probe.clone()));
         let shares = shares_of(&scenario);
         let scores = |a: CityId, b: CityId| scenario.score_of(a, b);
+        let (inbound_tx, inbound) = mpsc::channel();
+        let mut agents = Vec::new();
+        let mut announces = Vec::new();
         let mut peers = Vec::new();
-        // The queues' sending ends, kept so no queue reads as disconnected.
-        let mut senders = Vec::new();
+        // The ticket queues' sending ends, each holding the ticket a
+        // reader puts in ahead of its message.
+        let mut ticket_queues = Vec::new();
         for cdn in 0..n {
             let (writer, peer) = loopback();
-            let (tx, rx) = sync_channel(QUEUE_CAP);
+            let (tx, tickets) = mpsc::sync_channel(QUEUE_CAP);
+            tx.send(()).expect("ticket");
+            let conn = cdn as u64;
+            agents.push(Some(Agent {
+                conn,
+                writer,
+                tickets,
+                min_round: 0,
+            }));
             let bids = round_engine(&scenario, design, cdn as u32).build_bids(
                 &shares,
                 &scenario.fleet,
                 &scores,
             );
-            tx.send((0, Message::Announce(bids))).expect("queued");
-            *shared.slots[cdn].lock().expect("slot lock poisoned") = Some(AgentSlot {
-                writer,
-                rx,
-                alive: Arc::new(AtomicBool::new(true)),
-                min_round: 0,
+            announces.push(Inbound::Message {
+                cdn,
+                conn,
+                round: 0,
+                msg: Message::Announce(bids),
             });
             peers.push(peer);
-            senders.push(tx);
+            ticket_queues.push(tx);
         }
         drop(peers.remove(0)); // CDN 0's agent is gone
+                               // Every Announce is forwarded once the Shares are out: CDN 1's
+                               // peer reading its Share means CDN 0's went first.
+        let mut witness = peers.remove(0);
+        let answering = std::thread::spawn(move || {
+            witness.read_exact(&mut [0u8]).expect("CDN 1's Share");
+            for announce in announces {
+                inbound_tx.send(announce).expect("round thread listening");
+            }
+            witness
+        });
 
         let mut transport = Transport {
             scenario: scenario.clone(),
             opts: opts.clone(),
-            shared: shared.clone(),
             wal: None,
+            journal: Journal {
+                probe: probe.clone(),
+                clock: Stopwatch::start(),
+            },
+            inbound,
+            agents,
         };
         let breakers = (0..n).map(|_| CircuitBreaker::new(opts.breaker)).collect();
         let cache = StaleBidCache::new(n, opts.stale_ttl_rounds);
@@ -899,6 +916,7 @@ mod tests {
             probe.clone(),
         );
         let decided = spine.run(0, &scenario.groups, &mut transport);
+        let _witness = answering.join().expect("answering thread");
 
         assert_eq!(decided.resolution, RoundResolution::Fresh);
         let closed: Vec<(u32, String)> = (probe.take().into_iter())
@@ -911,10 +929,52 @@ mod tests {
             panic!("expected one conn_closed for CDN 0, got {closed:?}");
         };
         assert!(reason.starts_with("write error: "), "{reason}");
-        let open: Vec<bool> = (shared.slots.iter())
-            .map(|slot| slot.lock().expect("slot lock poisoned").is_some())
-            .collect();
+        let open: Vec<bool> = transport.agents.iter().map(Option::is_some).collect();
         assert!(!open[0], "the failed connection is dropped");
         assert!(open[1..].iter().all(|&o| o), "the others are kept");
+    }
+
+    /// A reconnect storm: a hundred agents that shake hands and hang up.
+    /// The accept loop joins each finished reader as it goes instead of
+    /// holding every handle until shutdown.
+    #[test]
+    fn connect_and_drop_cycles_leave_no_pile_of_reader_handles() {
+        const CYCLES: usize = 100;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("bound");
+        let (inbound, inbound_rx) = mpsc::channel();
+        let link = Link {
+            inbound,
+            journal: Journal {
+                probe: vdx_obs::probe::noop(),
+                clock: Stopwatch::start(),
+            },
+            shutdown: Arc::new(AtomicBool::new(false)),
+            cdns: 2,
+        };
+        let shutdown = link.shutdown.clone();
+        let accepting = std::thread::spawn(move || accept_loop(listener, link));
+        let hello = Message::Hello {
+            node_id: 0,
+            role: 1,
+        };
+        for _ in 0..CYCLES {
+            let mut agent = Connection::connect(addr).expect("connect");
+            agent.send(0, &hello).expect("hello");
+        }
+        // A reader's `Left` is the last thing it does.
+        let mut left = 0;
+        while left < CYCLES {
+            let news = inbound_rx.recv().expect("readers running");
+            left += usize::from(matches!(news, Inbound::Left { .. }));
+        }
+        shutdown.store(true, Ordering::SeqCst);
+        let held = accepting.join().expect("accept thread");
+        assert!(
+            held.len() <= 10,
+            "{} reader handles held after {CYCLES} connect-and-drop cycles",
+            held.len()
+        );
     }
 }

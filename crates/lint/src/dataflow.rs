@@ -88,7 +88,8 @@ pub fn analyze(g: &CallGraph<'_>, cfg: &DfConfig) -> Vec<Finding> {
             .cmp(&(b.rule, &b.file, b.line, b.col, b.kind, &b.message))
     });
     findings.dedup_by(|a, b| {
-        (a.rule, &a.file, a.line, a.col, a.kind) == (b.rule, &b.file, b.line, b.col, b.kind)
+        (a.rule, &a.file, a.line, a.col, a.kind, &a.context)
+            == (b.rule, &b.file, b.line, b.col, b.kind, &b.context)
     });
     findings
 }
@@ -861,10 +862,29 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding
 fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
     let mut roots = Vec::new();
     for (krate, ty, name) in &cfg.panic_roots {
+        let matched = roots.len();
         for (i, f) in g.fns.iter().enumerate() {
             if f.crate_name == krate && f.name == name && f.self_ty.as_deref() == ty.as_deref() {
                 roots.push(i);
             }
+        }
+        if roots.len() == matched {
+            // A renamed entry point would silently take its threads out
+            // of the analysis: report it like a stale allowlist entry.
+            let root = match ty {
+                Some(ty) => format!("{krate}::{ty}::{name}"),
+                None => format!("{krate}::{name}"),
+            };
+            findings.push(Finding {
+                rule: "stale-panic-root",
+                file: "crates/lint/src/dataflow.rs".to_string(),
+                message: format!(
+                    "panic root `{root}` matches no fn in the workspace; the entry \
+                     point was renamed or removed — point `DfConfig::workspace` at its successor"
+                ),
+                context: root,
+                ..Finding::default()
+            });
         }
     }
     let parent = g.reach(&roots);
@@ -1034,6 +1054,37 @@ mod tests {
             "spawned closure must not inherit held locks: {:?}",
             f.iter().map(|f| (f.kind, f.line)).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_panic_root_that_matches_no_fn_is_reported() {
+        let fs = files(&[(
+            "crates/x/src/lib.rs",
+            "x",
+            "pub struct S;\n\
+             pub fn entry() {}\n\
+             impl S { pub fn run(&self) {} }",
+        )]);
+        let g = CallGraph::build(&fs);
+        let root = |ty: Option<&str>, name: &str| {
+            ("x".to_string(), ty.map(str::to_string), name.to_string())
+        };
+        let cfg = DfConfig {
+            lock_crates: Vec::new(),
+            panic_roots: vec![
+                root(None, "entry"),
+                root(Some("S"), "run"),
+                root(None, "renamed_away"),
+                // Right name, wrong impl type.
+                root(Some("T"), "run"),
+            ],
+            index_panic_crates: Vec::new(),
+        };
+        let stale: Vec<String> = (analyze(&g, &cfg).into_iter())
+            .filter(|f| f.rule == "stale-panic-root")
+            .map(|f| f.context)
+            .collect();
+        assert_eq!(stale, vec!["x::T::run", "x::renamed_away"]);
     }
 
     #[test]

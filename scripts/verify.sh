@@ -16,6 +16,15 @@ echo "==> vdx-lint (lock-discipline/panic-path + stale-allowlist gate)"
 # that prove each analysis fires.
 cargo run -p vdx-lint --release
 
+echo "==> the daemon shares no lock (its round thread owns every connection; DESIGN.md §13)"
+# Its cross-thread state is the inbound channel, the per-connection
+# ticket queues and the shutdown flag; a lock type anywhere in the crate
+# is the ownership design eroding.
+if grep -rnwE 'Mutex|Condvar|RwLock' crates/exchanged/src; then
+  echo "verify: crates/exchanged/src names a lock type (above)" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
