@@ -3,6 +3,8 @@
 //! report answers the cross-run questions, and the regression gate
 //! fails a deliberately-regressed baseline.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::path::PathBuf;
 
 use vdx_audit::{gate, report, BaselineReport, GateConfig, Store};

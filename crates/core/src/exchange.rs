@@ -218,9 +218,11 @@ pub enum DeadlineResolution {
 /// `deadline_ms` only labels the [`ObsEvent::DeadlineMissed`] journal
 /// event (emitted when any CDN is not `Fresh`); the caller has already
 /// decided the deadline passed.
-// One argument over clippy's limit, and the signature is pinned: the
-// frozen benchmark harness (examples/vdx_bench) calls it positionally.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument over clippy's limit, and the signature is pinned: \
+              the frozen benchmark harness (examples/vdx_bench) calls it positionally"
+)]
 pub fn resolve_at_deadline(
     round_id: u64,
     design: Design,

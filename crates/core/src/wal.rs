@@ -68,6 +68,8 @@
 //! checkpoint is the image a segmented log (ROADMAP 3(a)) would start
 //! recovery from.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -312,8 +314,10 @@ impl Wal {
         if len > MAX_RECORD_LEN as usize {
             return Err(WalError::RecordTooLarge(len));
         }
-        frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
-        let crc = crc32(&frame[4..]);
+        if let Some(field) = frame.get_mut(..4) {
+            field.copy_from_slice(&(len as u32).to_be_bytes());
+        }
+        let crc = crc32(frame.get(4..).unwrap_or_default());
         frame.extend_from_slice(&crc.to_be_bytes());
         self.file.write_all(frame)?;
         Ok(())

@@ -15,6 +15,8 @@
 //! `conn_retry` event when `--journal` is set. `--silent` scripts
 //! deadline misses for operator drills (see OPERATIONS.md).
 
+#![deny(clippy::indexing_slicing)]
+
 use std::process::ExitCode;
 
 use vdx_exchanged::{run_agent_probed, AgentConfig};

@@ -16,6 +16,8 @@
 //! committed rounds and resumes where it left off (`--fresh` wipes the
 //! log first). See OPERATIONS.md §8 and DESIGN.md §15.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;

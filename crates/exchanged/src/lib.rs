@@ -41,6 +41,7 @@
 //!
 //! [`SoakPlan`]: vdx_sim::soak::SoakPlan
 
+#![deny(clippy::indexing_slicing)]
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -4,6 +4,8 @@
 //! scenario — it is never the default. And the flags the chaos harness
 //! gives the daemon.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::path::Path;
 use std::process::Command;
 use std::time::Duration;

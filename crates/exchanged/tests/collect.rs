@@ -3,6 +3,8 @@
 //! soak ladder does not reach — no wake-up is ever lost, and a reader
 //! blocked on a full queue (backpressure) is drained, not stranded.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -13,6 +13,8 @@
 //! build (≈ 0.6 s in release, where `scripts/verify.sh` runs it too), and
 //! its two tests share one scenario.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 

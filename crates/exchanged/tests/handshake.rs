@@ -3,6 +3,8 @@
 //! bidding), a resumed session's replayed Announces are inert up to the
 //! round it resumed from, and an id past the fleet gets no slot.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -17,6 +17,8 @@
 //! decisions nor journal. The hand-pinned `expected` ladder below is the
 //! oracle that is independent of the spine.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::sync::Arc;
 use std::time::Duration;
 

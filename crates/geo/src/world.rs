@@ -123,14 +123,17 @@ impl World {
     }
 
     /// The city nearest to `point` (linear scan; worlds are small).
+    #[expect(
+        clippy::expect_used,
+        reason = "`World::generate` builds at least one city per country"
+    )]
     pub fn nearest_city(&self, point: GeoPoint) -> CityId {
         self.cities
             .iter()
             .min_by(|a, b| {
                 a.location
                     .distance_km(point)
-                    .partial_cmp(&b.location.distance_km(point))
-                    .expect("distances are finite")
+                    .total_cmp(&b.location.distance_km(point))
             })
             .expect("world has at least one city")
             .id
@@ -143,9 +146,7 @@ impl World {
         ids.sort_by(|a, b| {
             let pa = self.cities[a.index()].population_weight;
             let pb = self.cities[b.index()].population_weight;
-            pb.partial_cmp(&pa)
-                .expect("weights are finite")
-                .then(a.0.cmp(&b.0))
+            pb.total_cmp(&pa).then(a.0.cmp(&b.0))
         });
         ids
     }
@@ -153,6 +154,11 @@ impl World {
 
 /// Splits `total` items over the regions proportionally to demand share,
 /// guaranteeing ≥ 1 per region, preserving the total.
+#[expect(
+    clippy::expect_used,
+    reason = "region apportionment indexes a table it just built; the expects \
+              document its length invariants"
+)]
 fn apportion_regions(total: usize) -> Vec<(Region, usize)> {
     let n = Region::ALL.len();
     assert!(total >= n, "need at least {n} items to cover all regions");
@@ -231,6 +237,11 @@ fn generate_countries(config: &WorldConfig, rng: &mut StdRng) -> Vec<Country> {
     countries
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "city generation indexes a table it just built; the expects \
+              document its length invariants"
+)]
 fn generate_cities(
     config: &WorldConfig,
     countries: &[Country],
@@ -253,8 +264,7 @@ fn generate_cities(
                 .max_by(|&a, &b| {
                     countries[a]
                         .demand_weight
-                        .partial_cmp(&countries[b].demand_weight)
-                        .expect("finite")
+                        .total_cmp(&countries[b].demand_weight)
                 })
                 .expect("non-empty");
             counts[i] += 1;

@@ -1,5 +1,5 @@
 //! Seeded lock-discipline violations: a blocking channel send while a
-//! slot lock is held (through a helper, so the witness has a hop), an
+//! slot lock is held (through a helper, so the chain has a hop), an
 //! inconsistent acquisition order, and a double acquire. The
 //! `drop`-then-relock path must stay silent. Below those, two of the
 //! analysis's unique catches in the ISSUE 21 trial, reduced: a

@@ -1,5 +1,5 @@
 //! The AST for the Rust subset the workspace uses (DESIGN.md §14), cut
-//! to what the call graph and the two analyses read.
+//! to what the call graph and the lock analysis read.
 //!
 //! Kept: item structure as far as it names functions and typed fields
 //! (fns, structs, impls, and the items nested in traits and inline
@@ -159,12 +159,8 @@ pub enum Stmt {
         /// let-else diverging block.
         else_block: Option<Block>,
     },
-    /// An expression statement.
+    /// An expression statement (its attributes are parsed past).
     Expr {
-        /// Statement-level attributes (`#[cfg(debug_assertions)]` on a
-        /// block or expression) — `panic-path` uses these to recognize
-        /// debug-only scaffolding.
-        attrs: Vec<Attr>,
         /// The expression.
         expr: Expr,
     },
@@ -432,124 +428,111 @@ impl Expr {
 /// Pre-order walk of every expression in a block (including nested
 /// blocks, closures and `let … else` blocks).
 pub fn walk_block<'a>(b: &'a Block, visit: &mut dyn FnMut(&'a Expr)) {
-    walk_block_if(b, &|_| true, visit);
-}
-
-/// [`walk_block`] over the statements `keep` accepts, at every depth.
-pub fn walk_block_if<'a>(
-    b: &'a Block,
-    keep: &dyn Fn(&Stmt) -> bool,
-    visit: &mut dyn FnMut(&'a Expr),
-) {
-    for s in b.stmts.iter().filter(|s| keep(s)) {
+    for s in &b.stmts {
         match s {
             Stmt::Let {
                 init, else_block, ..
             } => {
                 if let Some(e) = init {
-                    walk_expr_if(e, keep, visit);
+                    walk_expr(e, visit);
                 }
                 if let Some(eb) = else_block {
-                    walk_block_if(eb, keep, visit);
+                    walk_block(eb, visit);
                 }
             }
-            Stmt::Expr { expr, .. } => walk_expr_if(expr, keep, visit),
+            Stmt::Expr { expr } => walk_expr(expr, visit),
         }
     }
 }
 
 /// Pre-order walk: `visit(e)` first, then all sub-expressions.
 pub fn walk_expr<'a>(e: &'a Expr, visit: &mut dyn FnMut(&'a Expr)) {
-    walk_expr_if(e, &|_| true, visit);
-}
-
-fn walk_expr_if<'a>(e: &'a Expr, keep: &dyn Fn(&Stmt) -> bool, visit: &mut dyn FnMut(&'a Expr)) {
     visit(e);
     match e {
         Expr::Path { .. } | Expr::Lit { .. } | Expr::Continue | Expr::MacroCall { .. } => {}
         Expr::Call { callee, args, .. } => {
-            walk_expr_if(callee, keep, visit);
+            walk_expr(callee, visit);
             for a in args {
-                walk_expr_if(a, keep, visit);
+                walk_expr(a, visit);
             }
         }
         Expr::MethodCall { recv, args, .. } => {
-            walk_expr_if(recv, keep, visit);
+            walk_expr(recv, visit);
             for a in args {
-                walk_expr_if(a, keep, visit);
+                walk_expr(a, visit);
             }
         }
-        Expr::Field { recv, .. } => walk_expr_if(recv, keep, visit),
+        Expr::Field { recv, .. } => walk_expr(recv, visit),
         Expr::Index { recv, index, .. } => {
-            walk_expr_if(recv, keep, visit);
-            walk_expr_if(index, keep, visit);
+            walk_expr(recv, visit);
+            walk_expr(index, visit);
         }
         Expr::Unary { expr, .. }
         | Expr::Cast { expr }
         | Expr::Try { expr }
-        | Expr::LetCond { expr, .. } => walk_expr_if(expr, keep, visit),
+        | Expr::LetCond { expr, .. } => walk_expr(expr, visit),
         Expr::Binary { lhs, rhs } | Expr::Assign { lhs, rhs } => {
-            walk_expr_if(lhs, keep, visit);
-            walk_expr_if(rhs, keep, visit);
+            walk_expr(lhs, visit);
+            walk_expr(rhs, visit);
         }
         Expr::Range { lo, hi } => {
             if let Some(lo) = lo {
-                walk_expr_if(lo, keep, visit);
+                walk_expr(lo, visit);
             }
             if let Some(hi) = hi {
-                walk_expr_if(hi, keep, visit);
+                walk_expr(hi, visit);
             }
         }
-        Expr::Closure { body, .. } => walk_expr_if(body, keep, visit),
-        Expr::Block(b) => walk_block_if(b, keep, visit),
+        Expr::Closure { body, .. } => walk_expr(body, visit),
+        Expr::Block(b) => walk_block(b, visit),
         Expr::If { cond, then, else_ } => {
-            walk_expr_if(cond, keep, visit);
-            walk_block_if(then, keep, visit);
+            walk_expr(cond, visit);
+            walk_block(then, visit);
             if let Some(else_) = else_ {
-                walk_expr_if(else_, keep, visit);
+                walk_expr(else_, visit);
             }
         }
         Expr::Match {
             scrutinee, arms, ..
         } => {
-            walk_expr_if(scrutinee, keep, visit);
+            walk_expr(scrutinee, visit);
             for arm in arms {
                 if let Some(g) = &arm.guard {
-                    walk_expr_if(g, keep, visit);
+                    walk_expr(g, visit);
                 }
-                walk_expr_if(&arm.body, keep, visit);
+                walk_expr(&arm.body, visit);
             }
         }
         Expr::While { cond, body } => {
-            walk_expr_if(cond, keep, visit);
-            walk_block_if(body, keep, visit);
+            walk_expr(cond, visit);
+            walk_block(body, visit);
         }
-        Expr::Loop { body } => walk_block_if(body, keep, visit),
+        Expr::Loop { body } => walk_block(body, visit),
         Expr::For { iter, body } => {
-            walk_expr_if(iter, keep, visit);
-            walk_block_if(body, keep, visit);
+            walk_expr(iter, visit);
+            walk_block(body, visit);
         }
         Expr::Return { expr } | Expr::Break { expr } => {
             if let Some(e) = expr {
-                walk_expr_if(e, keep, visit);
+                walk_expr(e, visit);
             }
         }
         Expr::StructLit { fields, base, .. } => {
             for v in fields {
-                walk_expr_if(v, keep, visit);
+                walk_expr(v, visit);
             }
             if let Some(b) = base {
-                walk_expr_if(b, keep, visit);
+                walk_expr(b, visit);
             }
         }
         Expr::Tuple(es) | Expr::Array(es) => {
             for e in es {
-                walk_expr_if(e, keep, visit);
+                walk_expr(e, visit);
             }
         }
         Expr::ArrayRepeat { elem, len } => {
-            walk_expr_if(elem, keep, visit);
-            walk_expr_if(len, keep, visit);
+            walk_expr(elem, visit);
+            walk_expr(len, visit);
         }
     }
 }

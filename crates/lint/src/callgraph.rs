@@ -1,7 +1,7 @@
 //! Workspace call graph over the parsed AST (DESIGN.md §14).
 //!
-//! Resolution is deliberately *over-approximate* (sound for
-//! reachability, imprecise for aliasing): a method call whose receiver
+//! Resolution is deliberately *over-approximate* (every callee a call
+//! may have, and some it cannot): a method call whose receiver
 //! type cannot be inferred resolves to **every** workspace method of
 //! that name. Receiver types are inferred from three cheap sources —
 //! `self` (the enclosing impl), `self.field` (per-crate field-type
@@ -11,8 +11,7 @@
 //! `Type::new(..)`/`Type(..)` initializer.
 
 use crate::ast::*;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// One function (free or associated) in the workspace.
 pub struct FnNode<'a> {
@@ -38,8 +37,6 @@ pub struct CallGraph<'a> {
     pub fns: Vec<FnNode<'a>>,
     /// `(crate, type, field)` → field type tokens.
     pub field_ty: BTreeMap<(String, String, String), &'a [String]>,
-    /// Callees per node, deduped, in first-call-site order.
-    pub edges: Vec<Vec<usize>>,
     by_name: HashMap<&'a str, Vec<usize>>,
     by_type_method: HashMap<(String, &'a str), Vec<usize>>,
 }
@@ -77,7 +74,6 @@ impl<'a> CallGraph<'a> {
         let mut g = CallGraph {
             fns: Vec::new(),
             field_ty: BTreeMap::new(),
-            edges: Vec::new(),
             by_name: HashMap::new(),
             by_type_method: HashMap::new(),
         };
@@ -94,10 +90,6 @@ impl<'a> CallGraph<'a> {
                     .or_default()
                     .push(i);
             }
-        }
-        for i in 0..g.fns.len() {
-            let e = g.edges_of(i);
-            g.edges.push(e);
         }
         g
     }
@@ -330,14 +322,17 @@ impl<'a> CallGraph<'a> {
         locals
     }
 
-    fn edges_of(&self, idx: usize) -> Vec<usize> {
+    /// Callees of node `idx`, deduped, in first-call-site order: the
+    /// resolution the lock analysis applies call by call.
+    #[cfg(test)]
+    pub fn callees(&self, idx: usize) -> Vec<usize> {
         let node = &self.fns[idx];
         let Some(body) = &node.def.body else {
             return Vec::new();
         };
         let locals = self.locals_of(node);
         let mut edges: Vec<usize> = Vec::new();
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         walk_block(body, &mut |e| {
             let cands = match e {
                 Expr::Call { callee, .. } => match &**callee {
@@ -353,41 +348,6 @@ impl<'a> CallGraph<'a> {
             edges.extend(cands.into_iter().filter(|&c| seen.insert(c)));
         });
         edges
-    }
-
-    /// BFS from `roots`; returns, for every reachable node, the caller
-    /// it was discovered through (roots map to `None`). Use
-    /// [`CallGraph::witness`] to reconstruct a call chain.
-    pub fn reach(&self, roots: &[usize]) -> HashMap<usize, Option<usize>> {
-        let mut parent: HashMap<usize, Option<usize>> = HashMap::new();
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for &r in roots {
-            if let Entry::Vacant(slot) = parent.entry(r) {
-                slot.insert(None);
-                q.push_back(r);
-            }
-        }
-        while let Some(n) = q.pop_front() {
-            for &callee in &self.edges[n] {
-                if let Entry::Vacant(slot) = parent.entry(callee) {
-                    slot.insert(Some(n));
-                    q.push_back(callee);
-                }
-            }
-        }
-        parent
-    }
-
-    /// Reconstructs a `root -> ... -> node` chain of fn ids.
-    pub fn witness(&self, parent: &HashMap<usize, Option<usize>>, node: usize) -> Vec<String> {
-        let mut chain = vec![self.fns[node].id.clone()];
-        let mut cur = node;
-        while let Some(Some(p)) = parent.get(&cur) {
-            chain.push(self.fns[*p].id.clone());
-            cur = *p;
-        }
-        chain.reverse();
-        chain
     }
 }
 
@@ -502,7 +462,11 @@ mod tests {
         )]);
         let g = CallGraph::build(&fs);
         let run = g.find("a", Some("S"), "run").expect("run node");
-        let callees: Vec<&str> = g.edges[run].iter().map(|&c| g.fns[c].id.as_str()).collect();
+        let callees: Vec<&str> = g
+            .callees(run)
+            .iter()
+            .map(|&c| g.fns[c].id.as_str())
+            .collect();
         assert_eq!(callees, vec!["a::W::send", "a::helper"]);
     }
 
@@ -526,28 +490,10 @@ mod tests {
         let go = g.find("a", Some("S"), "go").expect("go");
         let conn_send = g.find("a", Some("Conn"), "send").expect("conn send");
         let sink_send = g.find("b", Some("Sink"), "send").expect("sink send");
-        assert!(g.edges[go].contains(&conn_send));
+        assert!(g.callees(go).contains(&conn_send));
         assert!(
-            !g.edges[go].contains(&sink_send),
+            !g.callees(go).contains(&sink_send),
             "field type must disambiguate"
-        );
-    }
-
-    #[test]
-    fn reach_produces_witness_chain() {
-        let fs = files(&[(
-            "crates/a/src/lib.rs",
-            "a",
-            "pub fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}",
-        )]);
-        let g = CallGraph::build(&fs);
-        let top = g.find("a", None, "top").expect("top");
-        let leaf = g.find("a", None, "leaf").expect("leaf");
-        let parent = g.reach(&[top]);
-        assert!(parent.contains_key(&leaf));
-        assert_eq!(
-            g.witness(&parent, leaf),
-            vec!["a::top", "a::mid", "a::leaf"]
         );
     }
 
@@ -562,6 +508,6 @@ mod tests {
         let g = CallGraph::build(&fs);
         let f = g.find("a", None, "f").expect("f");
         let ping = g.find("a", Some("X"), "ping").expect("ping");
-        assert!(g.edges[f].contains(&ping));
+        assert!(g.callees(f).contains(&ping));
     }
 }

@@ -1,98 +1,18 @@
-//! Call-graph analyses (DESIGN.md §14).
-//!
-//! Two analyses run over the parsed AST and the workspace call graph:
-//!
-//! * **lock discipline** — infers a lock-acquisition order over named
-//!   `Mutex` fields, flags order inversions, double-acquisition on any
-//!   path, and blocking calls (channel send/recv, stream I/O, `join`)
-//!   made while a lock is held, directly or through the call graph.
-//! * **panic-path reachability** — `expect`/indexing sites transitively
-//!   reachable from the daemon entry points, with lock-poisoning
-//!   `expect`s sanctioned.
+//! The call-graph analysis (DESIGN.md §14): **lock discipline**. It
+//! infers a lock-acquisition order over named `Mutex` fields, and flags
+//! order inversions, double-acquisition on any path, and blocking calls
+//! (channel send/recv, stream I/O, `join`) made while a lock is held,
+//! directly or through the call graph. Every non-test fn of the
+//! workspace is walked.
 //!
 //! Soundness posture: over-approximate call resolution (inherited from
-//! [`CallGraph`]) and heuristic guard scoping for locks. What each
-//! analysis is known to miss is listed by name in DESIGN.md §14.
+//! [`CallGraph`]) and heuristic guard scoping for locks. What it is known
+//! to miss is listed by name in DESIGN.md §14.
 
 use crate::ast::*;
 use crate::callgraph::{type_head, CallGraph, FnNode};
 use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-/// Analysis configuration; [`DfConfig::workspace`] is the real-repo
-/// instance, fixtures construct their own.
-pub struct DfConfig {
-    /// Crates whose fn bodies get the lock-discipline walk.
-    pub lock_crates: Vec<String>,
-    /// Entry points for panic-path reachability:
-    /// `(crate, impl type, fn name)`.
-    pub panic_roots: Vec<(String, Option<String>, String)>,
-    /// Crates where indexing sites are flagged as panic paths.
-    pub index_panic_crates: Vec<String>,
-}
-
-impl DfConfig {
-    /// The configuration for this workspace.
-    pub fn workspace() -> DfConfig {
-        DfConfig {
-            lock_crates: vec![
-                "vdx-exchanged".to_string(),
-                "vdx-broker".to_string(),
-                "vdx-obs".to_string(),
-            ],
-            panic_roots: vec![
-                (
-                    "vdx-exchanged".to_string(),
-                    Some("ExchangeServer".to_string()),
-                    "run_round".to_string(),
-                ),
-                // The spine (`vdx-core::Round::run`) calls the daemon's
-                // half of a round through generic `RoundHooks`, which the
-                // call graph cannot follow: root the hooks themselves.
-                (
-                    "vdx-exchanged".to_string(),
-                    Some("Transport".to_string()),
-                    "collect_announces".to_string(),
-                ),
-                (
-                    "vdx-exchanged".to_string(),
-                    Some("Transport".to_string()),
-                    "commit".to_string(),
-                ),
-                ("vdx-exchanged".to_string(), None, "accept_loop".to_string()),
-                (
-                    "vdx-exchanged".to_string(),
-                    None,
-                    "serve_connection".to_string(),
-                ),
-                ("vdx-exchanged".to_string(), None, "run_agent".to_string()),
-                ("vdx-exchanged".to_string(), None, "main".to_string()),
-                // Crash recovery (DESIGN.md §15): startup WAL replay
-                // must never panic — it runs exactly when state is
-                // least trustworthy.
-                ("vdx-exchanged".to_string(), None, "recover".to_string()),
-                ("vdx-core".to_string(), None, "replay".to_string()),
-            ],
-            index_panic_crates: vec!["vdx-exchanged".to_string()],
-        }
-    }
-}
-
-/// Runs both analyses; findings come back deterministically sorted.
-pub fn analyze(g: &CallGraph<'_>, cfg: &DfConfig) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    lock_discipline(g, cfg, &mut findings);
-    panic_paths(g, cfg, &mut findings);
-    findings.sort_by(|a, b| {
-        (a.rule, &a.file, a.line, a.col, a.kind, &a.message)
-            .cmp(&(b.rule, &b.file, b.line, b.col, b.kind, &b.message))
-    });
-    findings.dedup_by(|a, b| {
-        (a.rule, &a.file, a.line, a.col, a.kind, &a.context)
-            == (b.rule, &b.file, b.line, b.col, b.kind, &b.context)
-    });
-    findings
-}
 
 fn ctx_of(n: &FnNode<'_>) -> String {
     n.name.to_string()
@@ -130,7 +50,7 @@ fn is_spawn_path(callee: &Expr) -> bool {
     false
 }
 
-/// One interprocedural fact with a witness link: `via == None` means
+/// One interprocedural fact with a link in its chain: `via == None` means
 /// the fact holds directly in the fn, otherwise it flows through the
 /// callee `via`.
 #[derive(Clone)]
@@ -228,7 +148,7 @@ fn spans_under_spawn(b: &Block) -> BTreeSet<(usize, usize)> {
 
 /// Fixpoint over the spawn-filtered call graph: for each fn, whether
 /// it may block, and the set of lock names it may acquire (directly or
-/// transitively), each with a witness hop.
+/// transitively), each with the hop it came through.
 fn blocking_fixpoint<'a>(
     g: &CallGraph<'a>,
     lock_fields: &BTreeSet<String>,
@@ -801,7 +721,10 @@ impl<'s, 'a> LockScan<'s, 'a> {
     }
 }
 
-fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
+/// Runs the analysis over every non-test fn; findings come back
+/// deterministically sorted.
+pub fn analyze(g: &CallGraph<'_>) -> Vec<Finding> {
+    let mut findings = Vec::new();
     let mut lock_fields: BTreeSet<String> = BTreeSet::new();
     for ((_, _, field), ty) in &g.field_ty {
         if type_head(ty) == Some("Mutex") {
@@ -813,7 +736,7 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding
     let mut pairs: BTreeMap<(String, String), PairSite> = BTreeMap::new();
     for idx in 0..g.fns.len() {
         let node = &g.fns[idx];
-        if node.is_test || !cfg.lock_crates.iter().any(|c| c == node.crate_name) {
+        if node.is_test {
             continue;
         }
         let Some(body) = &node.def.body else { continue };
@@ -827,7 +750,7 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding
             lock_fields: &lock_fields,
             may_block: &may_block,
             acq: &acq,
-            findings: &mut *findings,
+            findings: &mut findings,
             pairs: &mut pairs,
         };
         let mut held = Vec::new();
@@ -853,94 +776,14 @@ fn lock_discipline(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Panic-path reachability
-// ---------------------------------------------------------------------
-
-fn panic_paths(g: &CallGraph<'_>, cfg: &DfConfig, findings: &mut Vec<Finding>) {
-    let mut roots = Vec::new();
-    for (krate, ty, name) in &cfg.panic_roots {
-        let matched = roots.len();
-        for (i, f) in g.fns.iter().enumerate() {
-            if f.crate_name == krate && f.name == name && f.self_ty.as_deref() == ty.as_deref() {
-                roots.push(i);
-            }
-        }
-        if roots.len() == matched {
-            // A renamed entry point would silently take its threads out
-            // of the analysis: report it like a stale allowlist entry.
-            let root = match ty {
-                Some(ty) => format!("{krate}::{ty}::{name}"),
-                None => format!("{krate}::{name}"),
-            };
-            findings.push(Finding {
-                rule: "stale-panic-root",
-                file: "crates/lint/src/dataflow.rs".to_string(),
-                message: format!(
-                    "panic root `{root}` matches no fn in the workspace; the entry \
-                     point was renamed or removed — point `DfConfig::workspace` at its successor"
-                ),
-                context: root,
-                ..Finding::default()
-            });
-        }
-    }
-    let parent = g.reach(&roots);
-    let mut reachable: Vec<usize> = parent.keys().copied().collect();
-    reachable.sort_unstable();
-    for idx in reachable {
-        let node = &g.fns[idx];
-        if node.is_test {
-            continue;
-        }
-        let Some(body) = &node.def.body else { continue };
-        let index_ok = cfg.index_panic_crates.iter().any(|c| c == node.crate_name);
-        let chain = g.witness(&parent, idx);
-        for (kind, what, span) in panic_sites(body, index_ok) {
-            findings.push(Finding {
-                rule: "panic-path",
-                kind,
-                file: node.file.to_string(),
-                line: span.line,
-                col: span.col,
-                context: ctx_of(node),
-                message: format!(
-                    "{what} reachable from `{}`",
-                    chain.first().cloned().unwrap_or_default()
-                ),
-                chain: chain.clone(),
-                ..Finding::default()
-            });
-        }
-    }
-}
-
-/// The `expect` and indexing sites of a body as `(kind, what, span)`,
-/// skipping `#[cfg(debug_assertions)]`-gated statements (conservation
-/// guards a release build does not contain) and lock-poisoning expects
-/// (`.lock().expect(..)` — the sanctioned category). `unwrap` is not
-/// looked for: clippy's `unwrap_used` keeps it out of non-test code.
-fn panic_sites(body: &Block, index_ok: bool) -> Vec<(&'static str, &'static str, Span)> {
-    let ungated = |s: &Stmt| {
-        !matches!(s, Stmt::Expr { attrs, .. }
-            if attrs.iter().any(|a| a.tokens == ["cfg", "(", "debug_assertions", ")"]))
-    };
-    let mut sites = Vec::new();
-    walk_block_if(body, &ungated, &mut |e| match e {
-        Expr::MethodCall {
-            recv, method, span, ..
-        } if method == "expect" => {
-            let poisoning = matches!(&**recv, Expr::MethodCall { method: m, .. } if m == "lock");
-            if !poisoning {
-                sites.push(("expect", "`.expect()`", *span));
-            }
-        }
-        Expr::Index { span, .. } if index_ok => sites.push(("indexing", "indexing", *span)),
-        _ => {}
+    findings.sort_by(|a, b| {
+        (&a.file, a.line, a.col, a.kind, &a.message)
+            .cmp(&(&b.file, b.line, b.col, b.kind, &b.message))
     });
-    sites
+    findings.dedup_by(|a, b| {
+        (&a.file, a.line, a.col, a.kind, &a.context) == (&b.file, b.line, b.col, b.kind, &b.context)
+    });
+    findings
 }
 
 #[cfg(test)]
@@ -956,14 +799,6 @@ mod tests {
                 parse_file(&sf, krate).expect("parse")
             })
             .collect()
-    }
-
-    fn cfg_for(krate: &str) -> DfConfig {
-        DfConfig {
-            lock_crates: vec![krate.to_string()],
-            panic_roots: vec![(krate.to_string(), None, "entry".to_string())],
-            index_panic_crates: vec![krate.to_string()],
-        }
     }
 
     #[test]
@@ -982,7 +817,7 @@ mod tests {
              }",
         )]);
         let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
+        let f = analyze(&g);
         let hit = f
             .iter()
             .find(|f| f.rule == "lock-discipline" && f.kind == "blocking-under-lock")
@@ -1007,7 +842,7 @@ mod tests {
              }",
         )]);
         let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
+        let f = analyze(&g);
         assert!(
             f.iter().any(|f| f.kind == "order-inversion"),
             "expected inversion: {:?}",
@@ -1027,7 +862,7 @@ mod tests {
              }",
         )]);
         let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
+        let f = analyze(&g);
         let doubles: Vec<_> = f.iter().filter(|f| f.kind == "double-acquire").collect();
         assert_eq!(doubles.len(), 1, "{doubles:?}");
         assert_eq!(doubles[0].line, 3);
@@ -1048,63 +883,11 @@ mod tests {
              fn helper() { std::thread::sleep(d); }",
         )]);
         let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
+        let f = analyze(&g);
         assert!(
             !f.iter().any(|f| f.kind == "blocking-under-lock"),
             "spawned closure must not inherit held locks: {:?}",
             f.iter().map(|f| (f.kind, f.line)).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn a_panic_root_that_matches_no_fn_is_reported() {
-        let fs = files(&[(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub struct S;\n\
-             pub fn entry() {}\n\
-             impl S { pub fn run(&self) {} }",
-        )]);
-        let g = CallGraph::build(&fs);
-        let root = |ty: Option<&str>, name: &str| {
-            ("x".to_string(), ty.map(str::to_string), name.to_string())
-        };
-        let cfg = DfConfig {
-            lock_crates: Vec::new(),
-            panic_roots: vec![
-                root(None, "entry"),
-                root(Some("S"), "run"),
-                root(None, "renamed_away"),
-                // Right name, wrong impl type.
-                root(Some("T"), "run"),
-            ],
-            index_panic_crates: Vec::new(),
-        };
-        let stale: Vec<String> = (analyze(&g, &cfg).into_iter())
-            .filter(|f| f.rule == "stale-panic-root")
-            .map(|f| f.context)
-            .collect();
-        assert_eq!(stale, vec!["x::T::run", "x::renamed_away"]);
-    }
-
-    #[test]
-    fn panic_path_reachability_with_lock_poison_sanction() {
-        let fs = files(&[(
-            "crates/x/src/lib.rs",
-            "x",
-            "pub struct S { a: Mutex<u32> }\n\
-             pub fn entry(s: &S) { step(s); }\n\
-             fn step(s: &S) {\n\
-                 let g = s.a.lock().expect(\"poisoned\");\n\
-                 let v = maybe().expect(\"there\");\n\
-             }\n\
-             fn unreached() { let v = maybe().expect(\"there\"); }",
-        )]);
-        let g = CallGraph::build(&fs);
-        let f = analyze(&g, &cfg_for("x"));
-        let hits: Vec<_> = f.iter().filter(|f| f.rule == "panic-path").collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!((hits[0].line, hits[0].kind), (5, "expect"));
-        assert_eq!(hits[0].chain, vec!["x::entry", "x::step"]);
     }
 }

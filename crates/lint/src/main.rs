@@ -8,15 +8,16 @@
 //!
 //! Scans every `.rs` file under `crates/*/src` and the root `src/`,
 //! lexes and parses it into an AST, links a workspace call graph, and
-//! runs the two analyses that need one and that nothing else covers
-//! (lock discipline, panic-path reachability). What a per-site check, a
-//! type or a test can own belongs to clippy (`Cargo.toml`
-//! `[workspace.lints.clippy]`), the type or `cargo test`; DESIGN.md §10
-//! has the table, and §14 what these two are known to miss.
+//! runs the one analysis that needs one and that nothing else covers:
+//! lock discipline. What a per-site check, a type or a test can own
+//! belongs to clippy (`Cargo.toml` `[workspace.lints.clippy]`; that is
+//! where "nothing on the daemon's path panics" lives), the type or
+//! `cargo test`; DESIGN.md §10 has the table, and §14 what this one is
+//! known to miss.
 //!
-//! Findings are subtracted against the per-analysis allowlists under
-//! `lint/allow/`; allowlist entries that no longer match anything are
-//! themselves errors (`stale-allowlist`). Everything is printed to
+//! Findings are subtracted against the allowlist under `lint/allow/`;
+//! allowlist entries that no longer match anything are themselves
+//! errors (`stale-allowlist`). Everything is printed to
 //! stdout; any finding left over exits non-zero.
 
 mod ast;
@@ -70,7 +71,7 @@ fn main() -> ExitCode {
     }
 }
 
-/// The full analysis pipeline: parse, link, run the analyses,
+/// The full pipeline: parse, link, run the analysis,
 /// subtract allowlists, flag stale allowlist entries. Returns findings
 /// sorted by (file, line, col) with snippets filled in.
 fn run_lint(root: &Path, sources: &[WorkspaceSource]) -> Vec<Finding> {
@@ -91,7 +92,7 @@ fn run_lint(root: &Path, sources: &[WorkspaceSource]) -> Vec<Finding> {
         }
     }
     let g = CallGraph::build(&parsed);
-    findings.extend(dataflow::analyze(&g, &dataflow::DfConfig::workspace()));
+    findings.extend(dataflow::analyze(&g));
 
     let by_path: BTreeMap<&str, &SourceFile> = sources
         .iter()
@@ -103,7 +104,7 @@ fn run_lint(root: &Path, sources: &[WorkspaceSource]) -> Vec<Finding> {
         }
     }
 
-    // Subtract the per-analysis allowlists, then report entries that
+    // Subtract the per-rule allowlists, then report entries that
     // cover nothing as stale.
     let allow_dir = root.join("lint/allow");
     let mut allowlists: BTreeMap<&'static str, Allowlist> = BTreeMap::new();
@@ -285,13 +286,13 @@ fn collect_rs_files(
 #[cfg(test)]
 mod fixture_tests {
     //! The seeded-violation fixture: `fixtures/badcrate` contains at
-    //! least one violation of every analysis; the lint must find them
-    //! all at their exact spans (with call-chain witnesses where the
-    //! analysis produces one), and must run clean over the real
-    //! workspace (the same invocation `scripts/verify.sh` gates on).
+    //! least one violation of every finding kind; the lint must find
+    //! them all at their exact spans (with call chains where the finding
+    //! is interprocedural), and must run clean over the real workspace
+    //! (the same invocation `scripts/verify.sh` gates on).
 
     use super::*;
-    use dataflow::{analyze, DfConfig};
+    use dataflow::analyze;
 
     fn fixture_root() -> PathBuf {
         // CARGO_MANIFEST_DIR when run via cargo; relative to the
@@ -321,21 +322,11 @@ mod fixture_tests {
             .collect()
     }
 
-    /// The configuration the badcrate fixtures are written against
-    /// (its own entry point).
-    fn fixture_df_config() -> DfConfig {
-        DfConfig {
-            lock_crates: vec!["badcrate".to_string()],
-            panic_roots: vec![("badcrate".to_string(), None, "entry".to_string())],
-            index_panic_crates: vec!["badcrate".to_string()],
-        }
-    }
-
     fn fixture_df_findings() -> Vec<Finding> {
         let sources = scan_fixture();
         let parsed = parse_fixture(&sources);
         let g = CallGraph::build(&parsed);
-        analyze(&g, &fixture_df_config())
+        analyze(&g)
     }
 
     #[test]
@@ -359,7 +350,7 @@ mod fixture_tests {
         );
         assert!(
             via_helper.chain.iter().any(|c| c.contains("Channel::push")),
-            "witness must pass through Channel::push: {:?}",
+            "the chain must pass through Channel::push: {:?}",
             via_helper.chain
         );
         // ISSUE 21 row L2: a blocking receive directly under the guard.
@@ -388,37 +379,6 @@ mod fixture_tests {
         assert!(
             inv.message.contains("`slots`") && inv.message.contains("`stats`"),
             "inversion names both locks and cites the opposite site: {inv:?}"
-        );
-    }
-
-    #[test]
-    fn fixture_trips_panic_path_with_witness() {
-        let f = fixture_df_findings();
-        let panics: Vec<&Finding> = f
-            .iter()
-            .filter(|f| f.rule == "panic-path" && f.file == "src/panics_reach.rs")
-            .collect();
-        let index = panics
-            .iter()
-            .find(|f| f.kind == "indexing")
-            .expect("indexing");
-        assert_eq!(index.line, 20, "{index:?}");
-        assert_eq!(index.chain, vec!["badcrate::entry", "badcrate::step"]);
-        // The lock-poisoning expect is sanctioned and `unwrap` is not
-        // this analysis's: the one `expect` is the one two calls down.
-        let rest: Vec<&&Finding> = panics.iter().filter(|f| f.kind != "indexing").collect();
-        let [expect] = rest[..] else {
-            panic!("one finding besides the index: {rest:#?}");
-        };
-        assert_eq!((expect.kind, expect.line, expect.col), ("expect", 25, 17));
-        assert_eq!(
-            expect.chain,
-            vec!["badcrate::entry", "badcrate::step", "badcrate::announce"],
-            "{expect:?}"
-        );
-        assert!(
-            !panics.iter().any(|f| f.context == "not_reached"),
-            "unreachable fns are out of scope: {panics:#?}"
         );
     }
 

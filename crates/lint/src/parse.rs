@@ -2,7 +2,7 @@
 //!
 //! Consumes the cooked token stream from [`crate::scan`] and produces
 //! the [`crate::ast`] tree. What is parsed past without being kept is
-//! listed in the ast module; everything the analyses depend on —
+//! listed in the ast module; everything the analysis depends on —
 //! call/method/field structure, lock scopes, closures — is kept.
 //!
 //! Errors carry `file:line:col` context. The workspace must parse
@@ -532,10 +532,9 @@ impl<'a> Parser<'a> {
         if self.eat(";") {
             return Ok(None);
         }
-        let attrs = self.attrs()?;
+        // Statement attributes are dropped: no analysis reads them.
+        self.attrs()?;
         if self.at("let") {
-            // Attrs on `let` statements are dropped: no analysis reads
-            // them.
             return self.let_stmt().map(Some);
         }
         const ITEM_STARTS: &[&str] = &[
@@ -561,7 +560,7 @@ impl<'a> Parser<'a> {
             _ => self.expr(true)?,
         };
         self.eat(";");
-        Ok(Some(Stmt::Expr { attrs, expr }))
+        Ok(Some(Stmt::Expr { expr }))
     }
 
     fn let_stmt(&mut self) -> PResult<Stmt> {
@@ -957,7 +956,9 @@ impl<'a> Parser<'a> {
                 if elems.len() == 1 && !trailing {
                     // Grouping parens are dropped: the tree already
                     // says what they grouped.
-                    Ok(elems.pop().expect("one element"))
+                    #[expect(clippy::expect_used, reason = "the length is checked above")]
+                    let grouped = elems.pop().expect("one element");
+                    Ok(grouped)
                 } else {
                     Ok(Expr::Tuple(elems))
                 }
@@ -1175,7 +1176,7 @@ impl<'a> Parser<'a> {
                     base = Some(Box::new(self.expr(true)?));
                     break;
                 }
-                // Field-level attrs (`#[allow(...)] field: value`), then
+                // Field-level attrs (`#[expect(...)] field: value`), then
                 // the name (`Foo { 0: x }` has a number there).
                 self.attrs()?;
                 self.bump();

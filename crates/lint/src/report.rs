@@ -1,11 +1,11 @@
 //! Findings and allowlists.
 //!
-//! Allowlist format (one file per analysis under `lint/allow/`): `#`
+//! Allowlist format (one file per rule under `lint/allow/`): `#`
 //! comment lines, blank lines, and one key per entry. A key is
 //! `<workspace-relative path>:<context>:<kind>`, where `context` is the
 //! enclosing function and `kind` names the specific finding class
-//! (`blocking-under-lock`, `expect`, `indexing`, ...). `path:*` allows
-//! a whole file. Keys deliberately avoid line numbers so entries
+//! (`blocking-under-lock`, `order-inversion`, `double-acquire`).
+//! `path:*` allows a whole file. Keys deliberately avoid line numbers so entries
 //! survive unrelated edits. Entries that no longer match any finding
 //! are themselves reported as `stale-allowlist` errors.
 
@@ -15,12 +15,12 @@ use std::path::Path;
 /// One finding of one analysis.
 #[derive(Debug, Clone, Default)]
 pub struct Finding {
-    /// Analysis identifier (`lock-discipline`, `panic-path`) or the
-    /// driver's own `parse-error` / `stale-allowlist`.
+    /// Analysis identifier (`lock-discipline`) or the pipeline's own
+    /// `parse-error` / `stale-allowlist`.
     pub rule: &'static str,
     /// Finding kind within the analysis (`blocking-under-lock`,
-    /// `order-inversion`, `expect`, `indexing`, ...); empty for the
-    /// driver's own findings.
+    /// `order-inversion`, `double-acquire`); empty for the pipeline's own
+    /// findings.
     pub kind: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -34,7 +34,7 @@ pub struct Finding {
     pub message: String,
     /// Trimmed source line; the driver fills it in.
     pub snippet: String,
-    /// Call-chain witness (`root -> ... -> site` fn ids), when the
+    /// Call chain (`caller -> ... -> blocking call` fn ids), when the
     /// finding is interprocedural.
     pub chain: Vec<String>,
     /// True when an allowlist entry covers this finding.

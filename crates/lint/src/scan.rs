@@ -4,7 +4,7 @@
 //!
 //! 1. [`sanitize`] blanks comment text and string/char literal contents
 //!    with spaces, preserving every character position, so `// panic!`
-//!    in a doc comment is invisible to the analyses while line *and column*
+//!    in a doc comment is invisible to the analysis while line *and column*
 //!    numbers still match the raw source exactly.
 //! 2. [`lex`] splits the sanitized text into identifier and
 //!    single-character punctuation tokens, each carrying a 1-based

@@ -145,6 +145,10 @@ pub struct Registry {
 impl Registry {
     /// No panic can start under this lock (its critical sections are map
     /// updates), so a poisoned lock is a bug, not a state to handle.
+    #[expect(
+        clippy::expect_used,
+        reason = "no panic can start under the registry lock"
+    )]
     fn locked(&self) -> MutexGuard<'_, BTreeMap<String, Histogram>> {
         self.histograms
             .lock()

@@ -61,6 +61,11 @@ impl MemoryProbe {
         MemoryProbe::default()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "no panic can start under the buffer lock (its critical \
+                  sections are pushes and takes)"
+    )]
     fn buffer(&self) -> MutexGuard<'_, Vec<Event>> {
         self.events.lock().expect("event buffer lock poisoned")
     }
@@ -92,37 +97,50 @@ impl Probe for MemoryProbe {
     }
 }
 
-/// Forwards events to a [`Journal`]. Write errors are counted (and the
-/// first is remembered) rather than propagated — a probe must never abort
-/// the simulation it observes.
+/// Forwards events to a [`Journal`]. Write errors are not propagated — a
+/// probe must never abort the simulation it observes — but the first is
+/// kept and reported by [`JournalProbe::into_journal`]. Every
+/// [`Event::RoundCompleted`] (the last event of a round) flushes, so a
+/// killed process leaves every round it completed on disk.
 #[derive(Debug)]
 pub struct JournalProbe {
-    journal: Mutex<Journal>,
-    write_errors: Mutex<Option<String>>,
+    sink: Mutex<Sink>,
+}
+
+/// What [`JournalProbe`] guards with its one lock.
+#[derive(Debug)]
+struct Sink {
+    journal: Journal,
+    first_error: Option<String>,
 }
 
 impl JournalProbe {
     /// Wraps an open journal.
     pub fn new(journal: Journal) -> JournalProbe {
         JournalProbe {
-            journal: Mutex::new(journal),
-            write_errors: Mutex::new(None),
+            sink: Mutex::new(Sink {
+                journal,
+                first_error: None,
+            }),
         }
     }
 
     /// Unwraps the journal (e.g. to `finish` it). Reports the first write
     /// error swallowed during emission, if any.
     pub fn into_journal(self) -> Result<Journal, String> {
-        const POISONED: &str = "a thread panicked while journaling";
-        if let Some(err) = self.write_errors.into_inner().map_err(|_| POISONED)? {
-            return Err(err);
-        }
-        self.journal.into_inner().map_err(|_| POISONED.to_string())
+        let sink = (self.sink.into_inner())
+            .map_err(|_| "a thread panicked while journaling".to_string())?;
+        sink.first_error.map_or(Ok(sink.journal), Err)
     }
 
     /// Events written so far.
+    #[expect(clippy::expect_used, reason = "as in `emit`")]
     pub fn len(&self) -> u64 {
-        self.journal.lock().expect("journal lock poisoned").len()
+        self.sink
+            .lock()
+            .expect("journal lock poisoned")
+            .journal
+            .len()
     }
 
     /// True while no event has been written.
@@ -132,20 +150,20 @@ impl JournalProbe {
 }
 
 impl Probe for JournalProbe {
+    /// No panic can start under the journal lock (a write returns its
+    /// error), so a poisoned lock is a bug, not a state to handle.
+    #[expect(
+        clippy::expect_used,
+        reason = "no panic can start under the journal lock"
+    )]
     fn emit(&self, event: Event) {
-        let written = self
-            .journal
-            .lock()
-            .expect("journal lock poisoned")
-            .write(&event);
+        let mut sink = self.sink.lock().expect("journal lock poisoned");
+        let mut written = sink.journal.write(&event);
+        if matches!(event, Event::RoundCompleted { .. }) {
+            written = written.and_then(|()| sink.journal.flush());
+        }
         if let Err(e) = written {
-            let mut slot = self
-                .write_errors
-                .lock()
-                .expect("journal error slot lock poisoned");
-            if slot.is_none() {
-                *slot = Some(e.to_string());
-            }
+            sink.first_error.get_or_insert_with(|| e.to_string());
         }
     }
 }
@@ -195,5 +213,38 @@ mod tests {
         let events = crate::journal::read_journal(&path).expect("read");
         assert_eq!(events.len(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_completed_round_is_on_disk_while_the_probe_lives() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("vdx-obs-probe-flush-{}.jsonl", std::process::id()));
+        let probe = JournalProbe::new(Journal::create(&path).expect("create"));
+        probe.emit(Event::PhaseStarted { phase: "p".into() });
+        probe.emit(Event::RoundCompleted {
+            round: 0,
+            objective: 1.5,
+            options: 2,
+        });
+        // A SIGKILL here loses nothing: no drop, no `finish`.
+        let events = crate::journal::read_journal(&path).expect("read");
+        assert_eq!(events.len(), 2);
+        drop(probe);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_first_write_error_comes_back_from_into_journal() {
+        let probe = JournalProbe::new(Journal::create("/dev/full").expect("open /dev/full"));
+        probe.emit(Event::RoundCompleted {
+            round: 0,
+            objective: 1.5,
+            options: 2,
+        });
+        let err = probe
+            .into_journal()
+            .expect_err("the flush hit a full device");
+        assert!(err.contains("No space left"), "{err}");
     }
 }

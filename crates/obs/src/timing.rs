@@ -31,7 +31,10 @@ use crate::metrics::Registry;
 /// `started_unix_ms` is a wall-clock field that `Event::zero_wall_clock`
 /// zeroes before any byte-identity comparison.
 pub fn run_header(experiment: &str, seed: u64, small: bool, threads: u64) -> Event {
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned calendar read, scrubbed by `Event::zero_wall_clock`"
+    )]
     let started_unix_ms = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -76,10 +79,13 @@ impl<'a> ScopedTimer<'a> {
         ScopedTimer {
             registry,
             name,
-            // The sanctioned monotonic-clock read: timing probes measure the
-            // run, they never feed results (see DESIGN.md §10: the journal
-            // byte-identity tests are what hold that).
-            #[allow(clippy::disallowed_methods)]
+            // The journal byte-identity tests are what hold "never feeds
+            // results" (DESIGN.md §10).
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the sanctioned monotonic-clock read: timing probes \
+                          measure the run, they never feed results"
+            )]
             start: Instant::now(),
         }
     }
@@ -114,8 +120,10 @@ impl Stopwatch {
     /// Starts the stopwatch.
     pub fn start() -> Stopwatch {
         Stopwatch {
-            // Sanctioned monotonic-clock read, as above.
-            #[allow(clippy::disallowed_methods)]
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the sanctioned monotonic-clock read, as in `ScopedTimer::new`"
+            )]
             start: Instant::now(),
         }
     }

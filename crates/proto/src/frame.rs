@@ -18,6 +18,12 @@
 //! * [`crc32`] is slicing-by-16 over the standard reflected polynomial:
 //!   the values of the classic byte-at-a-time loop at about four times
 //!   its speed, in safe code with no per-architecture path.
+//!
+//! Nothing here indexes: every read of a hostile byte goes through
+//! `get`, a slice pattern or a split, so no input can panic the decoder.
+//! The one exemption is [`crc32`]'s table lookups.
+
+#![deny(clippy::indexing_slicing)]
 
 use crate::wire::PutBe;
 
@@ -96,6 +102,11 @@ impl std::error::Error for FrameError {}
 /// loop — every frame on the wire and every WAL record ever written
 /// depends on them — and the tests compare the two over all alignments
 /// and tails.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every index is a `u8`-derived value into a 256-entry table, or a \
+              constant below 16 into a 16-byte chunk"
+)]
 pub fn crc32(data: &[u8]) -> u32 {
     static TABLES: std::sync::OnceLock<[[u32; 256]; 16]> = std::sync::OnceLock::new();
     let t = TABLES.get_or_init(|| {
@@ -170,7 +181,9 @@ pub fn seal_frame(buf: &mut Vec<u8>) -> Result<(), FrameError> {
     if len > MAX_PAYLOAD {
         return Err(FrameError::Oversized(len));
     }
-    buf[4..HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
+    if let Some(field) = buf.get_mut(4..HEADER_LEN) {
+        field.copy_from_slice(&(len as u32).to_be_bytes());
+    }
     let crc = crc32(buf);
     buf.put_u32(crc);
     Ok(())
@@ -196,8 +209,7 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 /// `len`-byte payload is there and intact. Both decoders parse hostile
 /// bytes through this one function.
 fn check_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
-    let seen = buf.len().min(MAGIC.len());
-    if buf[..seen] != MAGIC[..seen] {
+    if buf.iter().zip(MAGIC).any(|(&b, m)| b != m) {
         return Err(FrameError::BadMagic);
     }
     let Some(&[_, _, version, _, l0, l1, l2, l3]) = buf.get(..HEADER_LEN) else {
@@ -210,10 +222,10 @@ fn check_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
     if len > MAX_PAYLOAD {
         return Err(FrameError::Oversized(len));
     }
-    let Some(&[c0, c1, c2, c3]) = buf.get(HEADER_LEN + len..HEADER_LEN + len + TRAILER_LEN) else {
+    let Some((framed, &[c0, c1, c2, c3, ..])) = buf.split_at_checked(HEADER_LEN + len) else {
         return Ok(None);
     };
-    let computed = crc32(&buf[..HEADER_LEN + len]);
+    let computed = crc32(framed);
     let received = u32::from_be_bytes([c0, c1, c2, c3]);
     if computed != received {
         return Err(FrameError::BadCrc { computed, received });
@@ -232,12 +244,16 @@ pub fn decode_datagram(data: &[u8]) -> Result<Frame, FrameError> {
     if data.len() < HEADER_LEN + TRAILER_LEN {
         return Err(FrameError::BadMagic);
     }
-    match check_frame(data)? {
-        Some(len) if data.len() == HEADER_LEN + len + TRAILER_LEN => Ok(Frame {
-            version: data[2],
-            flags: data[3],
-            payload: data[HEADER_LEN..HEADER_LEN + len].to_vec(),
-        }),
+    match (check_frame(data)?, data) {
+        (Some(len), &[_, _, version, flags, _, _, _, _, ref payload @ .., _, _, _, _])
+            if payload.len() == len =>
+        {
+            Ok(Frame {
+                version,
+                flags,
+                payload: payload.to_vec(),
+            })
+        }
         // A corrupted length never matches the datagram size; report it as
         // a CRC-class integrity failure.
         _ => Err(FrameError::BadCrc {
@@ -286,12 +302,12 @@ impl FrameDecoder {
         // Garbage is reported as soon as the magic's first byte is wrong,
         // not after a header's worth of it (a peer that sends a few stray
         // bytes and closes must not read as a clean EOF).
-        match check_frame(&self.buf[self.start..]) {
+        match check_frame(self.buf.get(self.start..).unwrap_or_default()) {
             Ok(None) => Ok(None),
             Ok(Some(len)) => {
                 let payload = self.start + HEADER_LEN;
                 self.start = payload + len + TRAILER_LEN;
-                Ok(Some(&self.buf[payload..payload + len]))
+                Ok(self.buf.get(payload..payload + len))
             }
             Err(e) => {
                 self.resync();
@@ -304,7 +320,7 @@ impl FrameDecoder {
     /// first byte (or empties the buffer).
     fn resync(&mut self) {
         self.start += 1;
-        while self.start < self.buf.len() && self.buf[self.start] != MAGIC[0] {
+        while self.buf.get(self.start).is_some_and(|&b| b != MAGIC[0]) {
             self.start += 1;
         }
     }

@@ -154,13 +154,10 @@ impl Link {
     pub fn recv(&mut self, at: LinkEnd, now: SimTime) -> Vec<Vec<u8>> {
         let dir = self.direction_mut(at.peer());
         let mut out = Vec::new();
-        while let Some((t, _)) = dir.queue.front() {
-            if *t <= now {
-                let (_, data) = dir.queue.pop_front().expect("front exists");
+        while dir.queue.front().is_some_and(|(t, _)| *t <= now) {
+            if let Some((_, data)) = dir.queue.pop_front() {
                 dir.stats.delivered += 1;
                 out.push(data);
-            } else {
-                break;
             }
         }
         out

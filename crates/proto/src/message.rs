@@ -14,6 +14,8 @@
 //! batches carry a `u32` count. No self-description — the frame header
 //! already negotiated the protocol version.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::wire::{get_bid, put_bid, Cursor, PutBe, BID_LEN};
 
 /// A Share entry: client (meta-)data a broker sends to CDNs.

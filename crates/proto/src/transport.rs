@@ -45,6 +45,8 @@
 //! surface as [`TransportError::is_timeout`] errors; what "now" means
 //! stays a driver decision, as everywhere else in `vdx-proto`.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::frame::{self, FrameDecoder, FrameError};
 use crate::message::{Message, WireError};
 use crate::wire::Cursor;
@@ -209,7 +211,8 @@ impl Connection {
                 }
                 return Ok(None);
             }
-            self.decoder.feed(&self.read_buf[..n]);
+            self.decoder
+                .feed(self.read_buf.get(..n).unwrap_or_default());
         }
     }
 

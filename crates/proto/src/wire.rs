@@ -6,6 +6,8 @@
 //! — a [`Bid`], on the wire in Announce/Accept and in the WAL's `Bids`
 //! and `Checkpoint` records — has its layout stated here, once.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::message::Bid;
 
 /// A bounds-checked big-endian reader over received bytes. Every read

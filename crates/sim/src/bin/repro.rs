@@ -237,7 +237,7 @@ fn run() -> Result<ExitCode, String> {
     };
 
     let ok = if which == "all" {
-        for name in [
+        [
             "fig3",
             "fig4",
             "fig5",
@@ -254,20 +254,14 @@ fn run() -> Result<ExitCode, String> {
             "ext-faults",
             "replay",
             "gap",
-        ] {
+        ]
+        .into_iter()
+        .all(|name| {
             eprintln!("running {name} ...");
-            let out = run_one(name).expect("known experiment");
-            println!("{out}");
-        }
-        true
+            run_one(name).map(|out| println!("{out}")).is_some()
+        })
     } else {
-        match run_one(which) {
-            Some(out) => {
-                println!("{out}");
-                true
-            }
-            None => false,
-        }
+        run_one(which).map(|out| println!("{out}")).is_some()
     };
 
     drop(scenario);

@@ -383,7 +383,10 @@ fn agent_args(cfg: &ChaosConfig, plan: &SoakPlan, addr: &str, cdn: u32) -> Vec<S
     args
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one trial is the campaign's inputs plus its own kill point, fault and rng"
+)]
 fn run_trial(
     cfg: &ChaosConfig,
     plan: &SoakPlan,

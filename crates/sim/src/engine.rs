@@ -189,18 +189,20 @@ where
     fan_out(scenario, series, |spec, probe| {
         let mut ctx = OptimizeContext::new();
         ctx.set_reuse(reuse);
-        let mut last = None;
-        for j in 0..rounds {
-            last = Some(scenario.run_round_probed_ctx(
+        let mut run = |j| {
+            scenario.run_round_probed_ctx(
                 RoundId(spec.round.0 + j),
                 spec.design,
                 spec.policy,
                 spec.bid_count,
                 probe,
                 &mut ctx,
-            ));
+            )
+        };
+        for j in 0..rounds - 1 {
+            run(j);
         }
-        fold(spec, last.expect("rounds >= 1"))
+        fold(spec, run(rounds - 1))
     })
 }
 

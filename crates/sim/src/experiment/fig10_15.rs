@@ -36,6 +36,10 @@ pub struct AccountingResult {
 
 /// Runs Brokered and VDX (two independent rounds, fanned out) and settles
 /// both.
+#[expect(
+    clippy::expect_used,
+    reason = "`run_rounds` returns one result per spec, in spec order"
+)]
 pub fn run(scenario: &Scenario) -> AccountingResult {
     let specs = [
         RoundSpec::new(0, Design::Brokered, CpPolicy::balanced()),

@@ -58,15 +58,16 @@ pub fn render(result: &Fig18Result) -> String {
         &["bids", "avg cost", "avg score"],
         &rows,
     );
-    let first = result.points.first().expect("points");
-    let second = result.points.get(1).expect("points");
-    let last = result.points.last().expect("points");
-    out.push_str(&format!(
-        "score drop from 2nd bid: {:.1}; from all further bids: {:.1} \
-         (paper: the 2nd bid gives the largest drop)\n",
-        first.2 - second.2,
-        second.2 - last.2
-    ));
+    let points = &result.points;
+    if let (Some(first), Some(second), Some(last)) = (points.first(), points.get(1), points.last())
+    {
+        out.push_str(&format!(
+            "score drop from 2nd bid: {:.1}; from all further bids: {:.1} \
+             (paper: the 2nd bid gives the largest drop)\n",
+            first.2 - second.2,
+            second.2 - last.2
+        ));
+    }
     out
 }
 

@@ -27,6 +27,10 @@ pub struct Fig5Result {
 }
 
 /// Runs the experiment.
+#[expect(
+    clippy::expect_used,
+    reason = "`World::generate` gives every region at least one country"
+)]
 pub fn run(scenario: &Scenario) -> Fig5Result {
     // The US proxy: the North-American country with the most requests.
     let usage_by_country = scenario.trace.usage_by_country(&scenario.world);

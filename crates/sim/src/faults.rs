@@ -503,6 +503,10 @@ pub fn run_campaign(
         let mut links = Links::new(scenario, design, faults, seed);
         spine.run(round, &scenario.groups, &mut links);
         links.journal_wire_drops(round, probe.as_ref());
+        #[expect(
+            clippy::expect_used,
+            reason = "`Round::run` commits every round it runs, and `Links::commit` records it"
+        )]
         rounds.push(links.decided.expect("Round::run commits every round"));
     }
 

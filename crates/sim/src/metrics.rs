@@ -107,19 +107,17 @@ pub fn compute(input: &MetricsInput<'_>) -> DesignMetrics {
 
 /// Weighted median: the value at half the total weight. Empty input → 0.
 pub fn weighted_median(samples: &mut [(f64, u64)]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+    samples.sort_by(|a, b| a.0.total_cmp(&b.0));
     let total: u64 = samples.iter().map(|(_, w)| *w).sum();
     let mut acc = 0u64;
-    for (v, w) in samples.iter() {
-        acc += w;
-        if acc * 2 >= total {
-            return *v;
-        }
-    }
-    samples.last().expect("non-empty").0
+    // The last sample brings `acc` to `total`: only an empty input misses.
+    samples
+        .iter()
+        .find(|(_, w)| {
+            acc += w;
+            acc * 2 >= total
+        })
+        .map_or(0.0, |(v, _)| *v)
 }
 
 fn weighted_mean(samples: &[(f64, u64)]) -> f64 {

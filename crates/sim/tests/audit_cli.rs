@@ -2,6 +2,8 @@
 //! default directory may be absent (a fresh checkout has no
 //! `results/journals` yet); a directory the caller names may not.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

@@ -2,6 +2,8 @@
 //! complete JSONL journal, and two identically seeded runs produce
 //! byte-identical journals once wall-clock fields are zeroed.
 
+#![expect(clippy::expect_used, reason = "test helpers")]
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vdx_broker::CpPolicy;
@@ -28,9 +30,11 @@ fn journaled_run(path: &Path) {
         experiment: "determinism".into(),
         seed: 2017,
         scale: "small".into(),
-        // Wall-clock read deliberate here: the test proves zero_wall_clock
-        // scrubs it, so journals stay byte-identical across runs.
-        #[allow(clippy::disallowed_methods)]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deliberate: the test proves `zero_wall_clock` scrubs it, \
+                      so journals stay byte-identical across runs"
+        )]
         started_unix_ms: std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)

@@ -293,7 +293,7 @@ impl BrokerTrace {
                 switches,
             });
         }
-        sessions.sort_by(|a, b| a.arrival_s.partial_cmp(&b.arrival_s).expect("finite"));
+        sessions.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
         for (i, s) in sessions.iter_mut().enumerate() {
             s.id = SessionId(i as u32);
         }
@@ -461,6 +461,10 @@ fn sample_cdn(
     CdnLabel::ALL[picker.sample(rng)]
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "bitrate ladders are compiled-in non-empty tables"
+)]
 fn sample_bitrate(config: &BrokerTraceConfig, rng: &mut StdRng) -> u32 {
     let ladder = &config.bitrate_ladder_kbps;
     let u: f64 = rng.gen_range(0.0..1.0);

@@ -38,10 +38,7 @@ impl Zipf {
     /// Draws a rank in `0..n`.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("finite"))
-        {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -92,10 +89,7 @@ impl WeightedIndex {
     /// Draws an index.
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("finite"))
-        {
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
@@ -174,7 +168,7 @@ pub fn median(values: &[f64]) -> Option<f64> {
         return None;
     }
     let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    v.sort_by(f64::total_cmp);
     let n = v.len();
     Some(if n % 2 == 1 {
         v[n / 2]
@@ -189,7 +183,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
         return None;
     }
     let mut v: Vec<f64> = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    v.sort_by(f64::total_cmp);
     let idx = ((v.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
     Some(v[idx])
 }

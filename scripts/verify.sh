@@ -7,13 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings (wall-clock reads; iter_over_hash_type; unwrap_used/panic/todo/unimplemented denied on every target)"
+echo "==> cargo clippy --all-targets -- -D warnings (wall-clock reads; iter_over_hash_type; unwrap_used/expect_used/panic/todo/unimplemented denied on every target, indexing_slicing where hostile bytes are decoded; every exemption an #[expect])"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> vdx-lint (lock-discipline/panic-path + stale-allowlist gate)"
+echo "==> vdx-lint (lock-discipline + stale-allowlist gate)"
 # Run once here; tier-1's `cargo test` below runs the same pipeline again
-# as `workspace_is_clean_modulo_allowlists`, next to the fixture tests
-# that prove each analysis fires.
+# as `workspace_is_clean_modulo_allowlists`, next to the fixture test
+# that proves each finding kind fires.
 cargo run -p vdx-lint --release
 
 echo "==> the daemon shares no lock (its round thread owns every connection; DESIGN.md §13)"
@@ -236,6 +236,13 @@ if grep -q '(skipped)' target/verify-chaos/trials.txt; then
   echo "chaos: a tail fault was skipped; every fault must run" >&2
   exit 1
 fi
+# The killed daemon's journal holds every round it committed: the probe
+# flushes at each `round_completed`, so nothing waits on an exit that a
+# SIGKILL never runs.
+before=$(ls target/verify-chaos/trial-r6-*-before.jsonl)
+committed=$(awk '$1 == 6 && $2 == "mid-round" { print $4 }' target/verify-chaos/trials.txt)
+cargo run -q -p vdx-sim --bin repro --release -- obs-report "$before" > /dev/null
+test "$(grep -c '"ev":"round_completed"' "$before")" -eq "$committed"
 grep -q '"ev":"recovery_started"'  target/verify-chaos/trial-r6-*-after.jsonl
 grep -q '"ev":"recovery_complete"' target/verify-chaos/trial-r6-*-after.jsonl
 cargo run -p vdx-sim --bin repro --release -- chaos \
