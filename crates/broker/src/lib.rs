@@ -36,7 +36,8 @@ pub use gather::{gather_groups, synth_background, ClientGroup, GroupId};
 pub use health::{BreakerConfig, BreakerSnapshot, CircuitBreaker, HealthState, HealthTransition};
 pub use optimize::{
     bound_assignment, optimize, optimize_probed, optimize_probed_ctx, BoundReport,
-    BrokerAssignment, BrokerProblem, GroupOption, OptimizeContext, OptimizeMode,
+    BrokerAssignment, BrokerProblem, GroupOption, OptimizeContext, OptimizeMode, OptionLists,
+    OptionListsIter,
 };
 pub use policy::CpPolicy;
 pub use stale::{StaleBidCache, STALE_TTL_ROUNDS};

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
 use vdx_obs::{Event, Probe};
-use vdx_solver::{AssignmentProblem, CandidateOption, ProblemDelta, SolveStats};
+use vdx_solver::{AssignmentProblem, ProblemDelta, SolveStats};
 use vdx_units::{Kbps, UsdPerGb};
 
 /// One candidate (from one CDN's Announce) for one client group.
@@ -40,16 +40,144 @@ pub struct GroupOption {
 
 /// The broker's optimization input for one Decision Protocol round.
 ///
-/// `PartialEq` compares groups and options exactly (bitwise on the
-/// underlying floats): the warm-start layer ([`OptimizeContext`]) uses it
-/// to recognize rounds whose input did not change at all.
+/// `PartialEq` compares groups and options exactly (IEEE `==` on the
+/// underlying floats, options in their shared form): the warm-start layer
+/// ([`OptimizeContext`]) uses it to recognize rounds whose input did not
+/// change at all.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BrokerProblem {
     /// The client groups.
     pub groups: Vec<ClientGroup>,
     /// Candidate options per group (same order as `groups`); every group
     /// needs at least one option.
-    pub options: Vec<Vec<GroupOption>>,
+    pub options: OptionLists,
+}
+
+/// Candidate options per group, each distinct list held once.
+///
+/// A group is a (city, bitrate) pair and what a CDN announces depends on
+/// the city alone, so a round gives every group of a city the same list
+/// ([`OptionLists::push_shared`]); the daemon assembles one list per
+/// group from its bids ([`OptionLists::push`]). Readers see one list per
+/// group either way: [`OptionLists::iter`], `&OptionLists` in a `for`, and
+/// `options[g]`.
+///
+/// `PartialEq` compares the shared form: equal forms have equal per-group
+/// views, while the same view held as per-group lists and as shared ones
+/// compares unequal (compare [`OptionLists::iter`]s for the view).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OptionLists {
+    /// Each distinct list, in the order of the first group naming it.
+    lists: Vec<Vec<GroupOption>>,
+    /// `list_of[g]`: group `g`'s index into `lists`.
+    list_of: Vec<usize>,
+}
+
+impl OptionLists {
+    /// Appends a group with a list of its own; returns the list's index,
+    /// which later groups may share.
+    pub fn push(&mut self, options: Vec<GroupOption>) -> usize {
+        self.lists.push(options);
+        self.list_of.push(self.lists.len() - 1);
+        self.lists.len() - 1
+    }
+
+    /// Appends a group offered list `list` (an index [`OptionLists::push`]
+    /// returned).
+    ///
+    /// # Panics
+    /// Panics if no such list exists.
+    pub fn push_shared(&mut self, list: usize) {
+        assert!(list < self.lists.len(), "option list {list} out of range");
+        self.list_of.push(list);
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.list_of.len()
+    }
+
+    /// Whether there are no groups.
+    pub fn is_empty(&self) -> bool {
+        self.list_of.is_empty()
+    }
+
+    /// Each group's list, in group order.
+    pub fn iter(&self) -> OptionListsIter<'_> {
+        OptionListsIter {
+            lists: &self.lists,
+            list_of: self.list_of.iter(),
+        }
+    }
+
+    /// The distinct lists, each once.
+    pub fn lists(&self) -> &[Vec<GroupOption>] {
+        &self.lists
+    }
+
+    /// Each distinct list, mutably, beside the first group offered it: an
+    /// edit that depends on the group only through what the groups of one
+    /// list share (their city) is made once per list.
+    pub fn lists_mut(&mut self) -> impl Iterator<Item = (usize, &mut Vec<GroupOption>)> {
+        let mut first = vec![0; self.lists.len()];
+        for (g, &list) in self.list_of.iter().enumerate().rev() {
+            first[list] = g;
+        }
+        first.into_iter().zip(&mut self.lists)
+    }
+}
+
+impl From<Vec<Vec<GroupOption>>> for OptionLists {
+    /// One list per group.
+    fn from(lists: Vec<Vec<GroupOption>>) -> OptionLists {
+        OptionLists {
+            list_of: (0..lists.len()).collect(),
+            lists,
+        }
+    }
+}
+
+impl std::ops::Index<usize> for OptionLists {
+    type Output = Vec<GroupOption>;
+
+    fn index(&self, g: usize) -> &Vec<GroupOption> {
+        &self.lists[self.list_of[g]]
+    }
+}
+
+/// Per-group view equality, for comparing against lists built per group.
+impl PartialEq<Vec<Vec<GroupOption>>> for OptionLists {
+    fn eq(&self, other: &Vec<Vec<GroupOption>>) -> bool {
+        self.iter().eq(other)
+    }
+}
+
+impl<'a> IntoIterator for &'a OptionLists {
+    type Item = &'a Vec<GroupOption>;
+    type IntoIter = OptionListsIter<'a>;
+
+    fn into_iter(self) -> OptionListsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Each group's option list, in group order ([`OptionLists::iter`]).
+#[derive(Debug, Clone)]
+pub struct OptionListsIter<'a> {
+    lists: &'a [Vec<GroupOption>],
+    list_of: std::slice::Iter<'a, usize>,
+}
+
+impl<'a> Iterator for OptionListsIter<'a> {
+    type Item = &'a Vec<GroupOption>;
+
+    fn next(&mut self) -> Option<&'a Vec<GroupOption>> {
+        self.list_of.next().map(|&list| &self.lists[list])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.list_of.size_hint()
+    }
 }
 
 /// How to solve the assignment. One value: the type and the `mode`
@@ -321,51 +449,44 @@ fn emit_solver_stats(probe: &dyn Probe, round: u64, objective: f64) {
 /// cluster must be consistent across options; the first mention wins and
 /// disagreements are clamped to the minimum announced (conservative).
 /// Deterministic in `(problem, policy)`: buckets are numbered in first
-/// mention order over the option lists.
+/// mention order over the groups' option lists.
 fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
-    // One pass: an option's bucket goes straight into its candidate, and a
-    // bucket's capacity is final once the last option has been seen. (A
-    // map, not a table indexed by cluster id: in the daemon the ids are
-    // whatever a peer announced.) A round copies a city's option list to
-    // each of its groups, and a list naming its predecessor's clusters in
-    // its predecessor's order maps to its predecessor's buckets — every
-    // one of them is in the map already — so it takes them without a
-    // probe. Capacities need not match: every option is clamped either way.
+    // An option list becomes a bucket list once, at the first group that
+    // names it; the groups after it reuse that bucket list, so a list
+    // shared by a city's groups is probed and clamped once. Lists are
+    // numbered in the order groups first name them, so a list this loop
+    // has not met is the next bucket list, and the two share an index.
+    // (A map, not a table indexed by cluster id: in the daemon the ids are
+    // whatever a peer announced.) Values stay per (group, option).
+    let options = &problem.options;
     let mut bucket_of: HashMap<ClusterId, usize> = HashMap::new();
+    let mut met = 0;
     let mut gap = AssignmentProblem::default();
-    let mut buckets: Vec<usize> = Vec::new();
-    for (g, opts) in problem.options.iter().enumerate() {
+    gap.reserve(options.len(), options.iter().map(Vec::len).sum());
+    for (g, (group, &list)) in problem.groups.iter().zip(&options.list_of).enumerate() {
+        let opts = &options.lists[list];
         assert!(!opts.is_empty(), "group {g} has no options");
-        let capacities = &mut gap.capacities;
-        let repeat = g > 0 && same_clusters(&problem.options[g - 1], opts);
-        if !repeat {
-            buckets.clear();
-            buckets.extend(opts.iter().map(|o| {
-                *bucket_of.entry(o.cluster).or_insert_with(|| {
+        if list == met {
+            let capacities = &mut gap.capacities;
+            let buckets = opts.iter().map(|o| {
+                let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
                     capacities.push(o.believed_capacity_kbps);
                     capacities.len() - 1
-                })
-            }));
+                });
+                capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
+                bucket
+            });
+            let buckets = buckets.collect();
+            met = gap.add_bucket_list(buckets) + 1;
         }
-        let demand = problem.groups[g].demand_kbps;
-        let sessions = problem.groups[g].sessions;
-        let candidates = opts.iter().zip(&buckets).map(|(o, &bucket)| {
-            capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
-            CandidateOption {
-                bucket,
-                value: policy.value(o.score, o.price_per_mb, demand, sessions),
-                load: demand,
-            }
+        let (demand, sessions) = (group.demand_kbps, group.sessions);
+        let terms = opts.iter().map(|o| {
+            let value = policy.value(o.score, o.price_per_mb, demand, sessions);
+            (value, demand)
         });
-        let candidates = candidates.collect();
-        gap.add_client(candidates);
+        gap.add_client_on(list, terms);
     }
     gap
-}
-
-/// Whether two option lists name the same clusters in the same order.
-fn same_clusters(a: &[GroupOption], b: &[GroupOption]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.cluster == y.cluster)
 }
 
 /// Runs the solve path over a built GAP instance.
@@ -411,6 +532,7 @@ mod tests {
     use crate::gather::GroupId;
     use vdx_geo::CityId;
     use vdx_rand::prop::{check, vec_of};
+    use vdx_solver::CandidateOption;
 
     fn group(i: u32, demand: f64) -> ClientGroup {
         ClientGroup {
@@ -436,7 +558,7 @@ mod tests {
     fn picks_best_value_option() {
         let problem = BrokerProblem {
             groups: vec![group(0, 1_000.0)],
-            options: vec![vec![opt(0, 100.0, 1.0, 1e9), opt(1, 40.0, 1.0, 1e9)]],
+            options: vec![vec![opt(0, 100.0, 1.0, 1e9), opt(1, 40.0, 1.0, 1e9)]].into(),
         };
         let a = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
         assert_eq!(a.choice, vec![1]);
@@ -451,7 +573,8 @@ mod tests {
             options: vec![
                 vec![opt(0, 40.0, 1.0, 1_000.0), opt(1, 60.0, 1.0, 10_000.0)],
                 vec![opt(0, 40.0, 1.0, 1_000.0), opt(1, 60.0, 1.0, 10_000.0)],
-            ],
+            ]
+            .into(),
         };
         let a = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
         let load0 = a
@@ -476,7 +599,8 @@ mod tests {
                 best = Some(best.map_or(value, |b| b.max(value)));
             }
             // Odometer over the option lists.
-            let Some(c) = (0..choice.len()).find(|&c| choice[c] + 1 < gap.options[c].len()) else {
+            let Some(c) = (0..choice.len()).find(|&c| choice[c] + 1 < gap.options_of(c).len())
+            else {
                 return best;
             };
             choice[c] += 1;
@@ -492,7 +616,8 @@ mod tests {
                 vec![opt(0, 50.0, 2.0, 1_000.0), opt(1, 70.0, 0.5, 2_000.0)],
                 vec![opt(0, 45.0, 2.0, 1_000.0), opt(2, 90.0, 0.2, 2_000.0)],
                 vec![opt(1, 60.0, 0.5, 2_000.0), opt(2, 80.0, 0.2, 2_000.0)],
-            ],
+            ]
+            .into(),
         };
         let h = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
         let optimum = brute_force_optimum(&build_gap(&problem, &CpPolicy::balanced()))
@@ -514,7 +639,8 @@ mod tests {
             options: vec![
                 vec![opt(0, 40.0, 1.0, 1_000.0), opt(1, 60.0, 1.0, 1_000.0)],
                 vec![opt(0, 40.0, 1.0, 1_000.0), opt(1, 60.0, 1.0, 1_000.0)],
-            ],
+            ]
+            .into(),
         };
         let policy = CpPolicy::balanced();
         let a = optimize(&problem, &policy, &OptimizeMode::Heuristic);
@@ -542,7 +668,8 @@ mod tests {
         assert_eq!(report.bound, None);
     }
 
-    /// The build before the repeated-list path: one map probe per option.
+    /// The build before option lists were shared: one map probe and one
+    /// clamp per (group, option), on the per-group view.
     fn build_gap_probing_every_option(
         problem: &BrokerProblem,
         policy: &CpPolicy,
@@ -580,9 +707,9 @@ mod tests {
             .iter()
             .map(|c| c.as_f64().to_bits())
             .collect();
-        for opts in &gap.options {
-            bits.push(opts.len() as u64);
-            for o in opts {
+        for c in 0..gap.num_clients() {
+            bits.push(gap.options_of(c).len() as u64);
+            for o in gap.options_of(c) {
                 bits.extend([
                     o.bucket as u64,
                     o.value.to_bits(),
@@ -601,12 +728,15 @@ mod tests {
         inf.midpoint(neg_inf)
     }
 
-    /// Taking the predecessor's buckets for a repeated cluster list builds
-    /// the GAP that probing every option builds, bit for bit: on runs of
-    /// identical lists, on copies with new scores (values are per client),
-    /// on copies with one capacity lowered (the clamp must still apply) or
-    /// with its zero's sign flipped, with NaN and ±0.0 capacities and with
-    /// cluster ids up to `u32::MAX`.
+    /// A group whose list an earlier group already named takes the
+    /// buckets that group's list got, and the GAP is the one probing every
+    /// option of the per-group view builds, bit for bit — whether lists
+    /// are shared by neighbours, by groups far apart, or held once per
+    /// group as the daemon holds them. The lists are runs of near-copies:
+    /// identical, with new scores (values are per group), with one
+    /// capacity lowered (the clamp must still apply) or its zero's sign
+    /// flipped, with NaN and ±0.0 capacities and cluster ids up to
+    /// `u32::MAX`.
     #[test]
     fn repeated_lists_take_their_predecessors_buckets_and_build_the_same_gap() {
         const CLUSTERS: [u32; 6] = [0, 1, 7, u32::MAX - 2, u32::MAX - 1, u32::MAX];
@@ -627,9 +757,9 @@ mod tests {
         check(
             512,
             |rng| {
-                let mut options: Vec<Vec<GroupOption>> = vec![fresh(rng)];
-                for _ in 1..rng.gen_range(1usize..12) {
-                    let mut next = options.last().expect("one list").clone();
+                let mut lists: Vec<Vec<GroupOption>> = vec![fresh(rng)];
+                for _ in 1..rng.gen_range(1usize..8) {
+                    let mut next = lists.last().expect("one list").clone();
                     let i = rng.gen_range(0..next.len());
                     let cap = next[i].believed_capacity_kbps;
                     match rng.gen_range(0..6) {
@@ -647,24 +777,51 @@ mod tests {
                         4 => {}
                         _ => next = fresh(rng),
                     }
-                    options.push(next);
+                    lists.push(next);
+                }
+                // Per group: a new list, its predecessor's, or any earlier one.
+                let mut list_of: Vec<usize> = vec![0];
+                let mut named = 1;
+                for _ in 1..rng.gen_range(1usize..16) {
+                    let prev = *list_of.last().expect("one group");
+                    let list = match rng.gen_range(0..3) {
+                        0 if named < lists.len() => named,
+                        1 => prev,
+                        _ => rng.gen_range(0..named),
+                    };
+                    named = named.max(list + 1);
+                    list_of.push(list);
                 }
                 let demands: Vec<f64> =
-                    options.iter().map(|_| rng.gen_range(10.0..900.0)).collect();
-                (options, demands)
+                    list_of.iter().map(|_| rng.gen_range(10.0..900.0)).collect();
+                (lists, list_of, demands)
             },
-            |(options, demands)| {
-                let problem = BrokerProblem {
-                    groups: (demands.iter().enumerate())
-                        .map(|(i, &d)| group(i as u32, d))
-                        .collect(),
-                    options: options.clone(),
-                };
+            |(lists, list_of, demands)| {
+                let groups: Vec<ClientGroup> = (demands.iter().enumerate())
+                    .map(|(i, &d)| group(i as u32, d))
+                    .collect();
+                let mut shared = OptionLists::default();
+                let mut pushed: Vec<Option<usize>> = vec![None; lists.len()];
+                for &list in list_of {
+                    match pushed[list] {
+                        Some(l) => shared.push_shared(l),
+                        None => pushed[list] = Some(shared.push(lists[list].clone())),
+                    }
+                }
+                let per_group: Vec<Vec<GroupOption>> =
+                    list_of.iter().map(|&l| lists[l].clone()).collect();
                 let policy = CpPolicy::balanced();
-                assert_eq!(
-                    gap_bits(&build_gap(&problem, &policy)),
-                    gap_bits(&build_gap_probing_every_option(&problem, &policy))
-                );
+                let shared = BrokerProblem {
+                    groups: groups.clone(),
+                    options: shared,
+                };
+                let per_group = BrokerProblem {
+                    groups,
+                    options: per_group.into(),
+                };
+                let expected = gap_bits(&build_gap_probing_every_option(&per_group, &policy));
+                assert_eq!(gap_bits(&build_gap(&shared, &policy)), expected);
+                assert_eq!(gap_bits(&build_gap(&per_group, &policy)), expected);
             },
         );
     }
@@ -677,7 +834,8 @@ mod tests {
                 vec![opt(0, 40.0, 1.0, 2_000.0), opt(1, 100.0, 1.0, 1e9)],
                 // Same cluster announced with less capacity here.
                 vec![opt(0, 40.0, 1.0, 1_000.0), opt(1, 100.0, 1.0, 1e9)],
-            ],
+            ]
+            .into(),
         };
         let a = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
         let load0 = a
@@ -697,7 +855,7 @@ mod tests {
     fn empty_option_list_panics() {
         let problem = BrokerProblem {
             groups: vec![group(0, 1.0)],
-            options: vec![vec![]],
+            options: vec![vec![]].into(),
         };
         optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
     }
@@ -710,7 +868,8 @@ mod tests {
             options: vec![
                 vec![opt(0, 50.0, 2.0, 1_000.0), opt(1, 70.0, 0.5, 2_000.0)],
                 vec![opt(0, 45.0, 2.0, 1_000.0), opt(1, 90.0, 0.2, 2_000.0)],
-            ],
+            ]
+            .into(),
         };
         let mode = OptimizeMode::Heuristic;
         let plain = optimize(&problem, &CpPolicy::balanced(), &mode);
@@ -772,7 +931,8 @@ mod tests {
                     opt(1, 70.0, 0.5, 2_000.0),
                 ],
                 vec![opt(0, 45.0, 2.0, 1_000.0), opt(1, 90.0, 0.2, 2_000.0)],
-            ],
+            ]
+            .into(),
         }
     }
 
@@ -915,7 +1075,8 @@ mod tests {
                                 })
                                 .collect()
                         })
-                        .collect(),
+                        .collect::<Vec<Vec<GroupOption>>>()
+                        .into(),
                 };
                 let (base, moved) = (build(false), build(true));
                 // base (cold), moved (delta), moved again (warm hit), back (delta).

@@ -20,9 +20,10 @@
 //!   capacity and background load, and the CDN's §5.1 median.
 
 use crate::design::Design;
+use std::collections::HashMap;
 use vdx_broker::{
     optimize_probed, optimize_probed_ctx, BrokerAssignment, BrokerProblem, ClientGroup, CpPolicy,
-    GroupOption, OptimizeContext, OptimizeMode,
+    GroupOption, OptimizeContext, OptimizeMode, OptionLists,
 };
 use vdx_cdn::{
     median_capacity, total_capacity, CdnId, CityMatcher, Contract, Fleet, MatchingConfig,
@@ -101,8 +102,8 @@ impl RoundOutcome {
 ///
 /// **Contract** (this function and its `_probed` / `_probed_ctx` forms):
 /// within one call `score_of` is a pure function of the two cities. The
-/// round matches each (CDN, city) once and gives a group in the city of
-/// the group before it that group's option list (DESIGN.md §8).
+/// round matches each (CDN, city) once and gives every group of a city
+/// one shared option list (DESIGN.md §8).
 pub fn run_decision_round(
     design: Design,
     inputs: &RoundInputs<'_>,
@@ -198,16 +199,16 @@ fn round_impl(
         .map(|cdn| median_capacity(fleet, cdn.id))
         .collect();
 
-    let mut options: Vec<Vec<GroupOption>> = Vec::with_capacity(inputs.groups.len());
+    // A group's options depend on it through its city alone (price and
+    // believed capacity are the design's, the CDN's and the cluster's), so
+    // a city's list is built at its first group and shared by the rest, in
+    // whatever order the groups come.
+    let mut options = OptionLists::default();
+    let mut list_of_city: HashMap<CityId, usize> = HashMap::new();
     let mut matcher = CityMatcher::new(fleet, &matching_config, &score_of);
-    for (g, group) in inputs.groups.iter().enumerate() {
-        // A group's options depend on it through its city alone (price and
-        // believed capacity are the design's, the CDN's and the cluster's),
-        // and Gather emits a city's groups side by side: the second takes a
-        // copy of the first one's list. Only neighbours are compared, so an
-        // unsorted input costs time, never correctness.
-        if g > 0 && inputs.groups[g - 1].city == group.city {
-            options.push(options[g - 1].clone());
+    for group in inputs.groups {
+        if let Some(&list) = list_of_city.get(&group.city) {
+            options.push_shared(list);
             continue;
         }
         let mut group_options = Vec::new();
@@ -233,7 +234,7 @@ fn round_impl(
                 });
             }
         }
-        options.push(group_options);
+        list_of_city.insert(group.city, options.push(group_options));
     }
 
     if probe.enabled() {
@@ -687,6 +688,9 @@ pub(crate) mod tests {
                     options_per_group_and_cdn(&eco, design, &inputs),
                     "{design}"
                 );
+                let cities: std::collections::BTreeSet<CityId> =
+                    groups.iter().map(|g| g.city).collect();
+                assert_eq!(out.problem.options.lists().len(), cities.len(), "{design}");
             }
         }
     }

@@ -36,7 +36,7 @@ use crate::design::Design;
 use std::sync::Arc;
 use vdx_broker::{
     optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
-    GroupOption, HealthTransition, OptimizeContext, OptimizeMode, StaleBidCache,
+    GroupOption, HealthTransition, OptimizeContext, OptimizeMode, OptionLists, StaleBidCache,
 };
 use vdx_cdn::{BidShading, CdnId, CityMatcher, ClusterId, Fleet};
 use vdx_geo::CityId;
@@ -313,8 +313,9 @@ fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
 /// Assembles the broker's per-group candidate options from every CDN's
 /// bid batch, CDN-major (all of CDN 0's bids first, then CDN 1's, ...)
 /// — the option order every driver must produce for decisions to be
-/// comparable. Bids with out-of-range share ids are dropped.
-pub fn assemble_options(num_groups: usize, bids_per_cdn: &[Vec<Bid>]) -> Vec<Vec<GroupOption>> {
+/// comparable. Each group gets a list of its own: bids arrive per share.
+/// Bids with out-of-range share ids are dropped.
+pub fn assemble_options(num_groups: usize, bids_per_cdn: &[Vec<Bid>]) -> OptionLists {
     let mut options: Vec<Vec<GroupOption>> = vec![Vec::new(); num_groups];
     for (cdn_idx, bids) in bids_per_cdn.iter().enumerate() {
         for bid in bids {
@@ -331,7 +332,7 @@ pub fn assemble_options(num_groups: usize, bids_per_cdn: &[Vec<Bid>]) -> Vec<Vec
             });
         }
     }
-    options
+    options.into()
 }
 
 /// Builds a round's Share batch from its client groups — `share_id` =
@@ -353,19 +354,35 @@ pub fn shares_of(groups: &[ClientGroup]) -> Vec<Share> {
 
 /// Builds one CDN's Accept entries: every bid it announced, echoed with
 /// whether the Optimize step chose it.
+///
+/// `problem` was assembled from these bids ([`assemble_options`]), so a
+/// group's options hold this CDN's bids for it as one run, in the order
+/// sent. The one bid accepted for a group is the one at the chosen
+/// option's place in that run: a peer that announces the same cluster
+/// twice for one share has one winner, not two.
 pub fn accept_entries(
     problem: &BrokerProblem,
     assignment: &BrokerAssignment,
     cdn_idx: usize,
     bids: &[Bid],
 ) -> Vec<AcceptEntry> {
+    let cdn = CdnId(cdn_idx as u32);
+    // Per share, how many bids naming its chosen (cdn, cluster) came
+    // before this one: with duplicates, the one at the chosen option's
+    // place among them won.
+    let mut seen = vec![0usize; problem.options.len()];
     bids.iter()
         .map(|bid| {
             let g = bid.share_id as usize;
-            let accepted = g < problem.options.len() && {
-                let chosen = &problem.options[g][assignment.choice[g]];
-                chosen.cdn == CdnId(cdn_idx as u32)
-                    && chosen.cluster == ClusterId(bid.cluster_id as u32)
+            let accepted = g < seen.len() && {
+                let (options, c) = (&problem.options[g], assignment.choice[g]);
+                let chosen = &options[c];
+                chosen.cdn == cdn && chosen.cluster == ClusterId(bid.cluster_id as u32) && {
+                    let run = options[..c].iter().rev().take_while(|o| o.cdn == cdn);
+                    let place = run.filter(|o| o.cluster == chosen.cluster).count();
+                    seen[g] += 1;
+                    seen[g] - 1 == place
+                }
             };
             AcceptEntry {
                 bid: *bid,
@@ -934,10 +951,13 @@ mod tests {
             |a, b| eco.net.score(&eco.world, a, b),
         );
         let next: Vec<Vec<Bid>> = (0..eco.fleet.cdns.len()).map(|c| script.bids(c)).collect();
-        assert_eq!(
-            assemble_options(eco.groups.len(), &next),
-            pure.problem.options
-        );
+        // Per group, as the daemon holds them: the pure round shares a
+        // city's list, so the two forms compare by their per-group views.
+        let per_group: Vec<Vec<GroupOption>> = assemble_options(eco.groups.len(), &next)
+            .iter()
+            .cloned()
+            .collect();
+        assert_eq!(pure.problem.options, per_group);
     }
 
     #[test]
@@ -1060,6 +1080,64 @@ mod tests {
             e,
             ObsEvent::DesignFallback { to, .. } if to == "Brokered"
         )));
+    }
+
+    /// A peer that announces one (share, cluster) twice, at two prices,
+    /// is told that exactly one of the two won: the one the optimizer
+    /// chose, in either order, with another cluster's bid between them and
+    /// the same cluster bid for another share. (Matching on (cdn, cluster)
+    /// told it both.)
+    #[test]
+    fn a_duplicate_announce_has_one_accepted_entry_the_chosen_one() {
+        use vdx_broker::{optimize, ClientGroup, GroupId};
+        let bid = |share_id: u64, cluster_id: u64, price_per_mb: f64| Bid {
+            cluster_id,
+            share_id,
+            performance_estimate: 40.0,
+            capacity_kbps: 1e6,
+            price_per_mb,
+        };
+        let groups: Vec<ClientGroup> = (0..2)
+            .map(|i| ClientGroup {
+                id: GroupId(i),
+                city: CityId(i),
+                bitrate_kbps: 1_000,
+                demand_kbps: Kbps::new(1_000.0),
+                sessions: 1,
+            })
+            .collect();
+        for (first, second) in [(0.5, 1.0), (1.0, 0.5)] {
+            let bids_per_cdn = vec![
+                vec![
+                    bid(0, 5, first),
+                    bid(1, 5, 0.7),
+                    bid(0, 7, 2.0),
+                    bid(0, 5, second),
+                ],
+                vec![bid(0, 9, 3.0), bid(1, 9, 3.0)],
+            ];
+            let problem = BrokerProblem {
+                groups: groups.clone(),
+                options: assemble_options(2, &bids_per_cdn),
+            };
+            let assignment = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
+            let accepted = |cdn: usize| -> Vec<bool> {
+                (accept_entries(&problem, &assignment, cdn, &bids_per_cdn[cdn]).iter())
+                    .map(|e| e.accepted)
+                    .collect()
+            };
+            // The cheaper copy wins share 0; cluster 5 also wins share 1.
+            let cheaper_first = first < second;
+            assert_eq!(
+                assignment.choice,
+                vec![if cheaper_first { 0 } else { 2 }, 0]
+            );
+            assert_eq!(
+                accepted(0),
+                vec![cheaper_first, true, false, !cheaper_first]
+            );
+            assert_eq!(accepted(1), vec![false, false]);
+        }
     }
 
     #[test]

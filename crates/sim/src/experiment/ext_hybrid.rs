@@ -69,9 +69,10 @@ pub fn run(scenario: &Scenario) -> HybridResult {
 /// A Marketplace round re-priced with the EC2-style hybrid rule.
 fn run_hybrid(scenario: &Scenario, policy: CpPolicy) -> RoundOutcome {
     let mut outcome = scenario.run_round(RoundId(2), Design::Marketplace, policy);
-    // Cap each bid's price at the bidding CDN's flat contract price, then
-    // let the broker re-optimize against the capped prices.
-    for opts in &mut outcome.problem.options {
+    // Cap each bid's price at the bidding CDN's flat contract price (a
+    // rule of CDN and price alone, so once per shared list), then let the
+    // broker re-optimize against the capped prices.
+    for (_, opts) in outcome.problem.options.lists_mut() {
         for o in opts.iter_mut() {
             let flat = scenario.contracts[o.cdn.index()].billed_price_per_mb();
             o.price_per_mb = o.price_per_mb.min(flat);

@@ -83,9 +83,11 @@ fn run_with_noise(
 }
 
 /// Replaces every option's (estimated) score with the true score so the
-/// metric suite judges the decision by reality.
+/// metric suite judges the decision by reality. A score is a function of
+/// the client's city and the cluster, and a list is one city's, so each
+/// shared list is re-scored once.
 fn re_truth(scenario: &Scenario, mut outcome: RoundOutcome) -> RoundOutcome {
-    for (g, opts) in outcome.problem.options.iter_mut().enumerate() {
+    for (g, opts) in outcome.problem.options.lists_mut() {
         let city = outcome.problem.groups[g].city;
         for o in opts.iter_mut() {
             let site = scenario.fleet.clusters[o.cluster.index()].city;

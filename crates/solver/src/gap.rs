@@ -46,21 +46,78 @@ pub struct CandidateOption {
 
 /// A generalized assignment problem.
 ///
-/// `PartialEq` compares options and capacities exactly (bitwise on the
-/// underlying floats) — [`ProblemDelta`] uses it to count what changed
-/// between rounds, and any rounding drift must register as a change.
+/// Clients offered the same buckets in the same order share one bucket
+/// list ([`AssignmentProblem::add_bucket_list`]): a round gives every
+/// group of a city the same candidates, so 2 718 clients name 400 lists
+/// at full scale. What is per client is each option's value and load,
+/// held in one flat array over all clients. [`AssignmentProblem::add_client`]
+/// is a client with a list of its own. Every reader sees a client as its
+/// [`CandidateOption`]s, in its list's order.
+///
+/// `PartialEq` compares that representation exactly (IEEE `==` on the
+/// floats): equal problems offer every client equal options.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentProblem {
-    /// Candidate options per client; every client must have ≥ 1 option.
-    pub options: Vec<Vec<CandidateOption>>,
     /// Capacity per bucket.
     pub capacities: Vec<Kbps>,
+    /// Each bucket list, once.
+    lists: Vec<Vec<usize>>,
+    /// Per client, in client order.
+    clients: Vec<Client>,
+    /// Value and load per (client, option), client-major.
+    terms: Vec<Term>,
+}
+
+/// Where a client's options live: the bucket list it reads, and the
+/// first of its terms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Client {
+    list: usize,
+    start: usize,
+}
+
+/// What one option of one client is worth and weighs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Term {
+    value: f64,
+    load: Kbps,
+}
+
+/// One client's options: its list's buckets beside its own terms.
+#[derive(Clone, Copy)]
+struct Options<'a> {
+    buckets: &'a [usize],
+    terms: &'a [Term],
+}
+
+impl<'a> Options<'a> {
+    fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    fn get(&self, i: usize) -> CandidateOption {
+        let Term { value, load } = self.terms[i];
+        CandidateOption {
+            bucket: self.buckets[i],
+            value,
+            load,
+        }
+    }
+
+    fn iter(self) -> impl ExactSizeIterator<Item = CandidateOption> + 'a {
+        let pairs = self.buckets.iter().zip(self.terms);
+        pairs.map(|(&bucket, t)| CandidateOption {
+            bucket,
+            value: t.value,
+            load: t.load,
+        })
+    }
 }
 
 /// A complete assignment: for each client, the index into its option list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
-    /// `choice[c]` = index into `options[c]`.
+    /// `choice[c]` = index into client `c`'s options.
     pub choice: Vec<usize>,
     /// Total value of the assignment.
     pub objective: f64,
@@ -70,35 +127,99 @@ impl AssignmentProblem {
     /// Creates a problem with the given bucket capacities.
     pub fn new(capacities: Vec<Kbps>) -> AssignmentProblem {
         AssignmentProblem {
-            options: Vec::new(),
             capacities,
+            ..AssignmentProblem::default()
         }
     }
 
-    /// Adds a client with its candidate options; returns the client index.
+    /// Adds a client with its candidate options, on a bucket list of its
+    /// own; returns the client index.
     ///
     /// # Panics
-    /// Panics if `options` is empty or references an unknown bucket.
+    /// Panics if `options` is empty, references an unknown bucket or
+    /// carries a negative load.
     pub fn add_client(&mut self, options: Vec<CandidateOption>) -> usize {
+        let list = self.add_bucket_list(options.iter().map(|o| o.bucket).collect());
+        self.add_client_on(list, options.iter().map(|o| (o.value, o.load)))
+    }
+
+    /// Adds a bucket list that any number of clients can be offered
+    /// ([`AssignmentProblem::add_client_on`]); returns its index.
+    ///
+    /// # Panics
+    /// Panics if `buckets` is empty or references an unknown bucket.
+    pub fn add_bucket_list(&mut self, buckets: Vec<usize>) -> usize {
         assert!(
-            !options.is_empty(),
+            !buckets.is_empty(),
             "every client needs at least one option"
         );
-        for o in &options {
-            assert!(
-                o.bucket < self.capacities.len(),
-                "bucket {} out of range",
-                o.bucket
-            );
-            assert!(o.load >= Kbps::ZERO, "loads must be non-negative");
+        for &b in &buckets {
+            assert!(b < self.capacities.len(), "bucket {b} out of range");
         }
-        self.options.push(options);
-        self.options.len() - 1
+        self.lists.push(buckets);
+        self.lists.len() - 1
+    }
+
+    /// Adds a client offered the buckets of list `list`, with one
+    /// `(value, load)` per bucket in the list's order; returns the client
+    /// index.
+    ///
+    /// # Panics
+    /// Panics if `list` is unknown, the terms are not one per bucket, or a
+    /// load is negative.
+    pub fn add_client_on(
+        &mut self,
+        list: usize,
+        terms: impl IntoIterator<Item = (f64, Kbps)>,
+    ) -> usize {
+        let start = self.terms.len();
+        self.terms
+            .extend(terms.into_iter().map(|(value, load)| Term { value, load }));
+        let added = &self.terms[start..];
+        assert!(
+            self.lists.get(list).map(Vec::len) == Some(added.len()),
+            "client terms do not match bucket list {list}"
+        );
+        assert!(
+            added.iter().all(|t| t.load >= Kbps::ZERO),
+            "loads must be non-negative"
+        );
+        self.clients.push(Client { list, start });
+        self.clients.len() - 1
+    }
+
+    /// Reserves room for `clients` more clients holding `options` more
+    /// options between them, so a builder that knows its size allocates
+    /// the flat value-and-load array once.
+    pub fn reserve(&mut self, clients: usize, options: usize) {
+        self.clients.reserve(clients);
+        self.terms.reserve(options);
     }
 
     /// Number of clients.
     pub fn num_clients(&self) -> usize {
-        self.options.len()
+        self.clients.len()
+    }
+
+    /// Client `c`'s options, in order.
+    ///
+    /// # Panics
+    /// Panics if `c` is not a client.
+    pub fn options_of(&self, c: usize) -> impl ExactSizeIterator<Item = CandidateOption> + '_ {
+        self.client(c).iter()
+    }
+
+    fn client(&self, c: usize) -> Options<'_> {
+        let Client { list, start } = self.clients[c];
+        let buckets = &self.lists[list];
+        Options {
+            buckets,
+            terms: &self.terms[start..start + buckets.len()],
+        }
+    }
+
+    fn each_client(&self) -> impl Iterator<Item = Options<'_>> {
+        (0..self.clients.len()).map(|c| self.client(c))
     }
 
     /// Total value of a choice vector.
@@ -106,7 +227,7 @@ impl AssignmentProblem {
         choice
             .iter()
             .enumerate()
-            .map(|(c, &o)| self.options[c][o].value)
+            .map(|(c, &o)| self.client(c).get(o).value)
             .sum()
     }
 
@@ -114,7 +235,7 @@ impl AssignmentProblem {
     pub fn bucket_loads(&self, choice: &[usize]) -> Vec<Kbps> {
         let mut loads = vec![Kbps::ZERO; self.capacities.len()];
         for (c, &o) in choice.iter().enumerate() {
-            let opt = self.options[c][o];
+            let opt = self.client(c).get(o);
             loads[opt.bucket] += opt.load;
         }
         // Conservation: the demand placed by the choice vector must equal
@@ -124,7 +245,7 @@ impl AssignmentProblem {
             let placed: f64 = choice
                 .iter()
                 .enumerate()
-                .map(|(c, &o)| self.options[c][o].load.as_f64())
+                .map(|(c, &o)| self.client(c).get(o).load.as_f64())
                 .sum();
             let landed: f64 = loads.iter().map(|l| l.as_f64()).sum();
             debug_assert!(
@@ -152,16 +273,17 @@ impl AssignmentProblem {
         // Order clients by regret (gap between best and second-best value),
         // largest first; ties by client index for determinism. Each regret
         // is computed once, in one top-two scan, ahead of the sort.
-        let regrets: Vec<f64> = self.options.iter().map(|opts| regret(opts)).collect();
+        let regrets: Vec<f64> = self.each_client().map(|opts| regret(opts.terms)).collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by(|&a, &b| cmp_values(regrets[b], regrets[a]).then(a.cmp(&b)));
 
         let mut remaining = self.capacities.clone();
         let mut choice = vec![0usize; n];
         for &c in &order {
+            let opts = self.client(c);
             // Best-value option that fits.
             let mut best: Option<(usize, f64)> = None;
-            for (i, o) in self.options[c].iter().enumerate() {
+            for (i, o) in opts.iter().enumerate() {
                 if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
                     best = Some((i, o.value));
                 }
@@ -170,10 +292,9 @@ impl AssignmentProblem {
                 Some((i, _)) => i,
                 None => {
                     // Nothing fits: minimize relative overload, then value.
-                    (0..self.options[c].len())
+                    (0..opts.len())
                         .min_by(|&a, &b| {
-                            let oa = self.options[c][a];
-                            let ob = self.options[c][b];
+                            let (oa, ob) = (opts.get(a), opts.get(b));
                             let ra = overload_ratio(oa, &remaining, &self.capacities);
                             let rb = overload_ratio(ob, &remaining, &self.capacities);
                             cmp_values(ra, rb).then(cmp_values(ob.value, oa.value))
@@ -181,7 +302,7 @@ impl AssignmentProblem {
                         .unwrap_or(0)
                 }
             };
-            let o = self.options[c][pick];
+            let o = opts.get(pick);
             remaining[o.bucket] -= o.load;
             choice[c] = pick;
         }
@@ -199,9 +320,9 @@ impl AssignmentProblem {
         for _ in 0..max_rounds {
             let mut improved = false;
             // Single-client moves.
-            for (options, pick) in self.options.iter().zip(choice.iter_mut()) {
-                let cur = options[*pick];
-                for (i, o) in options.iter().enumerate() {
+            for (opts, pick) in self.each_client().zip(choice.iter_mut()) {
+                let cur = opts.get(*pick);
+                for (i, o) in opts.iter().enumerate() {
                     if i == *pick || o.value <= cur.value {
                         continue;
                     }
@@ -253,9 +374,9 @@ impl AssignmentProblem {
         for _ in 0..DUAL_ITERATIONS {
             slack.copy_from_slice(&caps);
             let mut bound: f64 = price.iter().zip(&caps).map(|(l, c)| l * c).sum();
-            for options in &self.options {
+            for opts in self.each_client() {
                 let mut top = (f64::NEG_INFINITY, 0usize, 0.0f64);
-                for o in options {
+                for o in opts.iter() {
                     let reduced = o.value - price[o.bucket] * o.load.as_f64();
                     if reduced > top.0 {
                         top = (reduced, o.bucket, o.load.as_f64());
@@ -300,7 +421,7 @@ fn overload_ratio(o: CandidateOption, remaining: &[Kbps], capacities: &[Kbps]) -
 /// A client's regret: its best option value minus its second best, found
 /// in one scan with no allocation. Single-option clients are fully
 /// constrained and choose first.
-fn regret(options: &[CandidateOption]) -> f64 {
+fn regret(options: &[Term]) -> f64 {
     if options.len() < 2 {
         return f64::INFINITY;
     }
@@ -353,16 +474,15 @@ impl ProblemDelta {
     /// exact (bitwise on the underlying floats): rounding drift must
     /// register as a change.
     pub fn between(prev: &AssignmentProblem, next: &AssignmentProblem) -> ProblemDelta {
-        if prev.options.len() != next.options.len()
+        if prev.num_clients() != next.num_clients()
             || prev.capacities.len() != next.capacities.len()
         {
             return ProblemDelta::everything(next);
         }
         let changed_clients = prev
-            .options
-            .iter()
-            .zip(&next.options)
-            .filter(|(a, b)| a != b)
+            .each_client()
+            .zip(next.each_client())
+            .filter(|(a, b)| a.iter().ne(b.iter()))
             .count() as u64;
         let changed_buckets = prev
             .capacities
@@ -380,7 +500,7 @@ impl ProblemDelta {
     /// The delta of a first solve: everything is new.
     pub fn everything(next: &AssignmentProblem) -> ProblemDelta {
         ProblemDelta {
-            changed_clients: next.options.len() as u64,
+            changed_clients: next.num_clients() as u64,
             changed_buckets: next.capacities.len() as u64,
             shape_changed: true,
         }
@@ -415,11 +535,11 @@ mod tests {
             value: f64,
             best: &mut Option<f64>,
         ) {
-            let Some(options) = p.options.get(client) else {
+            if client == p.num_clients() {
                 *best = Some(best.map_or(value, |b| b.max(value)));
                 return;
-            };
-            for o in options {
+            }
+            for o in p.options_of(client) {
                 let before = loads[o.bucket];
                 if before + o.load.as_f64() <= p.capacities[o.bucket].as_f64() + 1e-9 {
                     loads[o.bucket] = before + o.load.as_f64();
@@ -603,15 +723,18 @@ mod tests {
         let a = p.solve_heuristic();
         assert_eq!(a.choice.len(), 4);
         for (c, &pick) in a.choice.iter().enumerate() {
-            assert!(pick < p.options[c].len(), "client {c} picked {pick}");
+            assert!(pick < p.options_of(c).len(), "client {c} picked {pick}");
         }
     }
 
     /// The parent's `solve_greedy`, regret recomputed inside the sort
     /// comparator: the reference the one-scan version must reproduce.
     fn greedy_with_comparator_time_regret(p: &AssignmentProblem) -> Assignment {
+        let options: Vec<Vec<CandidateOption>> = (0..p.num_clients())
+            .map(|c| p.options_of(c).collect())
+            .collect();
         let regret = |c: usize| -> f64 {
-            let mut values: Vec<f64> = p.options[c].iter().map(|o| o.value).collect();
+            let mut values: Vec<f64> = options[c].iter().map(|o| o.value).collect();
             values.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
             if values.len() >= 2 {
                 values[0] - values[1]
@@ -630,15 +753,15 @@ mod tests {
         let mut choice = vec![0usize; p.num_clients()];
         for &c in &order {
             let mut best: Option<(usize, f64)> = None;
-            for (i, o) in p.options[c].iter().enumerate() {
+            for (i, o) in options[c].iter().enumerate() {
                 if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
                     best = Some((i, o.value));
                 }
             }
             let pick = best.map(|(i, _)| i).unwrap_or_else(|| {
-                (0..p.options[c].len())
+                (0..options[c].len())
                     .min_by(|&a, &b| {
-                        let (oa, ob) = (p.options[c][a], p.options[c][b]);
+                        let (oa, ob) = (options[c][a], options[c][b]);
                         let ra = overload_ratio(oa, &remaining, &p.capacities);
                         let rb = overload_ratio(ob, &remaining, &p.capacities);
                         ra.partial_cmp(&rb)
@@ -647,7 +770,7 @@ mod tests {
                     })
                     .expect("client has options")
             });
-            let o = p.options[c][pick];
+            let o = options[c][pick];
             remaining[o.bucket] -= o.load;
             choice[c] = pick;
         }
@@ -827,15 +950,17 @@ mod tests {
 
     #[test]
     fn delta_counts_changed_clients_and_buckets_and_flags_shape_changes() {
-        let mut p = AssignmentProblem::new(caps(&[10.0, 10.0]));
-        p.add_client(vec![opt(0, 5.0, 4.0), opt(1, 3.0, 4.0)]);
-        p.add_client(vec![opt(0, 5.0, 4.0), opt(1, 3.0, 4.0)]);
-        p.add_client(vec![opt(0, 2.0, 4.0), opt(1, 4.0, 4.0)]);
+        let build = |value: f64, cap: f64| {
+            let mut p = AssignmentProblem::new(caps(&[10.0, cap]));
+            p.add_client(vec![opt(0, 5.0, 4.0), opt(1, 3.0, 4.0)]);
+            p.add_client(vec![opt(0, value, 4.0), opt(1, 3.0, 4.0)]);
+            p.add_client(vec![opt(0, 2.0, 4.0), opt(1, 4.0, 4.0)]);
+            p
+        };
+        let p = build(5.0, 10.0);
         assert!(ProblemDelta::between(&p, &p.clone()).is_empty());
 
-        let mut nudged = p.clone();
-        nudged.options[1][0].value = 6.5;
-        nudged.capacities[1] = Kbps::new(9.0);
+        let nudged = build(6.5, 9.0);
         let delta = ProblemDelta::between(&p, &nudged);
         assert_eq!((delta.changed_clients, delta.changed_buckets), (1, 1));
         assert!(!delta.shape_changed && !delta.is_empty());
@@ -846,5 +971,352 @@ mod tests {
         assert_eq!(delta, ProblemDelta::everything(&bigger));
         assert!(delta.shape_changed);
         assert_eq!((delta.changed_clients, delta.changed_buckets), (4, 2));
+    }
+
+    /// The per-client GAP this module held before bucket lists were
+    /// shared: one `Vec<CandidateOption>` per client, and the solve path,
+    /// bound, loads and delta written over it. The reference the shared
+    /// form must reproduce bit for bit.
+    struct PerClient {
+        options: Vec<Vec<CandidateOption>>,
+        capacities: Vec<Kbps>,
+    }
+
+    impl PerClient {
+        fn value_of(&self, choice: &[usize]) -> f64 {
+            (choice.iter().enumerate())
+                .map(|(c, &o)| self.options[c][o].value)
+                .sum()
+        }
+
+        fn bucket_loads(&self, choice: &[usize]) -> Vec<Kbps> {
+            let mut loads = vec![Kbps::ZERO; self.capacities.len()];
+            for (c, &o) in choice.iter().enumerate() {
+                let opt = self.options[c][o];
+                loads[opt.bucket] += opt.load;
+            }
+            loads
+        }
+
+        fn solve_greedy(&self) -> Assignment {
+            let n = self.options.len();
+            let regrets: Vec<f64> = (self.options.iter())
+                .map(|opts| {
+                    let terms: Vec<Term> = (opts.iter())
+                        .map(|o| Term {
+                            value: o.value,
+                            load: o.load,
+                        })
+                        .collect();
+                    regret(&terms)
+                })
+                .collect();
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_unstable_by(|&a, &b| cmp_values(regrets[b], regrets[a]).then(a.cmp(&b)));
+            let mut remaining = self.capacities.clone();
+            let mut choice = vec![0usize; n];
+            for &c in &order {
+                let mut best: Option<(usize, f64)> = None;
+                for (i, o) in self.options[c].iter().enumerate() {
+                    if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
+                        best = Some((i, o.value));
+                    }
+                }
+                let pick = match best {
+                    Some((i, _)) => i,
+                    None => (0..self.options[c].len())
+                        .min_by(|&a, &b| {
+                            let (oa, ob) = (self.options[c][a], self.options[c][b]);
+                            let ra = overload_ratio(oa, &remaining, &self.capacities);
+                            let rb = overload_ratio(ob, &remaining, &self.capacities);
+                            cmp_values(ra, rb).then(cmp_values(ob.value, oa.value))
+                        })
+                        .unwrap_or(0),
+                };
+                let o = self.options[c][pick];
+                remaining[o.bucket] -= o.load;
+                choice[c] = pick;
+            }
+            let objective = self.value_of(&choice);
+            Assignment { choice, objective }
+        }
+
+        fn improve_local(&self, start: Assignment, max_rounds: usize) -> Assignment {
+            let mut choice = start.choice;
+            let mut loads = self.bucket_loads(&choice);
+            for _ in 0..max_rounds {
+                let mut improved = false;
+                for (options, pick) in self.options.iter().zip(choice.iter_mut()) {
+                    let cur = options[*pick];
+                    for (i, o) in options.iter().enumerate() {
+                        if i == *pick || o.value <= cur.value {
+                            continue;
+                        }
+                        let fits = if o.bucket == cur.bucket {
+                            (loads[o.bucket] - cur.load + o.load).as_f64()
+                                <= self.capacities[o.bucket].as_f64() + 1e-9
+                        } else {
+                            (loads[o.bucket] + o.load).as_f64()
+                                <= self.capacities[o.bucket].as_f64() + 1e-9
+                        };
+                        if fits {
+                            loads[cur.bucket] -= cur.load;
+                            loads[o.bucket] += o.load;
+                            *pick = i;
+                            improved = true;
+                            break;
+                        }
+                    }
+                }
+                if !improved {
+                    break;
+                }
+            }
+            let objective = self.value_of(&choice);
+            Assignment { choice, objective }
+        }
+
+        fn dual_bound(&self, incumbent: f64) -> f64 {
+            let caps: Vec<f64> = self.capacities.iter().map(|c| c.as_f64()).collect();
+            let mut price = vec![0.0f64; caps.len()];
+            let mut slack = caps.clone();
+            let (mut best, mut theta, mut stalled) = (f64::INFINITY, 1.0f64, 0u32);
+            for _ in 0..DUAL_ITERATIONS {
+                slack.copy_from_slice(&caps);
+                let mut bound: f64 = price.iter().zip(&caps).map(|(l, c)| l * c).sum();
+                for options in &self.options {
+                    let mut top = (f64::NEG_INFINITY, 0usize, 0.0f64);
+                    for o in options {
+                        let reduced = o.value - price[o.bucket] * o.load.as_f64();
+                        if reduced > top.0 {
+                            top = (reduced, o.bucket, o.load.as_f64());
+                        }
+                    }
+                    bound += top.0;
+                    slack[top.1] -= top.2;
+                }
+                if bound < best {
+                    (best, stalled) = (bound, 0);
+                } else {
+                    stalled += 1;
+                    if stalled % DUAL_PATIENCE == 0 {
+                        theta /= 2.0;
+                    }
+                }
+                for (s, &l) in slack.iter_mut().zip(&price) {
+                    if l == 0.0 && *s > 0.0 {
+                        *s = 0.0;
+                    }
+                }
+                let norm: f64 = slack.iter().map(|s| s * s).sum();
+                if bound <= incumbent || norm == 0.0 {
+                    break;
+                }
+                let step = theta * (bound - incumbent) / norm;
+                for (l, &s) in price.iter_mut().zip(&slack) {
+                    *l = (*l - step * s).max(0.0);
+                }
+            }
+            best
+        }
+
+        /// `ProblemDelta::between` as it was: `Vec` equality per client.
+        fn delta(&self, next: &PerClient) -> ProblemDelta {
+            if self.options.len() != next.options.len()
+                || self.capacities.len() != next.capacities.len()
+            {
+                return ProblemDelta {
+                    changed_clients: next.options.len() as u64,
+                    changed_buckets: next.capacities.len() as u64,
+                    shape_changed: true,
+                };
+            }
+            let changed = |a: &[Kbps], b: &[Kbps]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+            ProblemDelta {
+                changed_clients: (self.options.iter().zip(&next.options))
+                    .filter(|(a, b)| a != b)
+                    .count() as u64,
+                changed_buckets: changed(&self.capacities, &next.capacities) as u64,
+                shape_changed: false,
+            }
+        }
+    }
+
+    /// A GAP whose clients mostly share bucket lists, as a round's groups
+    /// share their city's: a few lists (one in three of a single bucket),
+    /// many clients on them, values from a palette with NaN and both
+    /// zeros, and loads that differ within a client one time in four.
+    #[derive(Debug)]
+    struct SharedCase {
+        capacities: Vec<f64>,
+        lists: Vec<Vec<usize>>,
+        /// Per client: its list and one `(value, load)` per bucket.
+        clients: Vec<(usize, Vec<(f64, f64)>)>,
+    }
+
+    impl SharedCase {
+        fn draw(rng: &mut vdx_rand::StdRng) -> SharedCase {
+            const VALUES: [f64; 8] = [f64::NAN, -0.0, 0.0, -3.5, 1.0, 1.0, 7.0, 1e6];
+            const LOADS: [f64; 4] = [0.0, 1.0, 2.5, 6.0];
+            let buckets = rng.gen_range(1usize..6);
+            let capacities = vdx_rand::prop::vec_of(rng, buckets..buckets + 1, |r| {
+                if r.gen_bool(0.25) {
+                    0.5
+                } else {
+                    r.gen_range(2.0..30.0)
+                }
+            });
+            let lists = vdx_rand::prop::vec_of(rng, 1..5, |r| {
+                let len = if r.gen_bool(1.0 / 3.0) {
+                    1
+                } else {
+                    r.gen_range(2usize..6)
+                };
+                vdx_rand::prop::vec_of(r, len..len + 1, |r| r.gen_range(0..buckets))
+            });
+            let clients = vdx_rand::prop::vec_of(rng, 1..24, |r| {
+                let list = r.gen_range(0..lists.len());
+                let load = LOADS[r.gen_range(0..LOADS.len())];
+                let uneven = r.gen_bool(0.25);
+                let terms = (0..lists[list].len())
+                    .map(|_| {
+                        let value = VALUES[r.gen_range(0..VALUES.len())];
+                        let load = if uneven {
+                            LOADS[r.gen_range(0..LOADS.len())]
+                        } else {
+                            load
+                        };
+                        (value, load)
+                    })
+                    .collect();
+                (list, terms)
+            });
+            SharedCase {
+                capacities,
+                lists,
+                clients,
+            }
+        }
+
+        fn shared(&self) -> AssignmentProblem {
+            let mut p = AssignmentProblem::new(caps(&self.capacities));
+            for list in &self.lists {
+                p.add_bucket_list(list.clone());
+            }
+            for (list, terms) in &self.clients {
+                p.add_client_on(*list, terms.iter().map(|&(v, l)| (v, Kbps::new(l))));
+            }
+            p
+        }
+
+        fn per_client_options(&self) -> Vec<Vec<CandidateOption>> {
+            (self.clients.iter())
+                .map(|(list, terms)| {
+                    (self.lists[*list].iter().zip(terms))
+                        .map(|(&bucket, &(value, load))| opt(bucket, value, load))
+                        .collect()
+                })
+                .collect()
+        }
+
+        fn one_list_each(&self) -> AssignmentProblem {
+            let mut p = AssignmentProblem::new(caps(&self.capacities));
+            for options in self.per_client_options() {
+                p.add_client(options);
+            }
+            p
+        }
+
+        fn reference(&self) -> PerClient {
+            PerClient {
+                options: self.per_client_options(),
+                capacities: caps(&self.capacities),
+            }
+        }
+
+        /// The next round's case: some clients re-valued or moved to
+        /// another list, one capacity nudged.
+        fn perturbed(&self, rng: &mut vdx_rand::StdRng) -> SharedCase {
+            let mut clients = self.clients.clone();
+            for (list, terms) in &mut clients {
+                match rng.gen_range(0..4) {
+                    0 => terms[0].0 = -2.0,
+                    1 => {
+                        *list = rng.gen_range(0..self.lists.len());
+                        *terms = vec![(1.0, 1.0); self.lists[*list].len()];
+                    }
+                    _ => {}
+                }
+            }
+            let mut capacities = self.capacities.clone();
+            let b = rng.gen_range(0..capacities.len());
+            capacities[b] += rng.gen_range(0.0..2.0).round();
+            SharedCase {
+                capacities,
+                lists: self.lists.clone(),
+                clients,
+            }
+        }
+    }
+
+    fn assignment_bits(a: &Assignment) -> (Vec<usize>, u64) {
+        (a.choice.clone(), a.objective.to_bits())
+    }
+
+    fn load_bits(loads: &[Kbps]) -> Vec<u64> {
+        loads.iter().map(|l| l.as_f64().to_bits()).collect()
+    }
+
+    #[test]
+    fn shared_lists_solve_bound_and_diff_like_one_list_per_client() {
+        vdx_rand::prop::check(
+            512,
+            |rng| {
+                let case = SharedCase::draw(rng);
+                let next = case.perturbed(rng);
+                (case, next)
+            },
+            |(case, next)| {
+                let (shared, own, reference) =
+                    (case.shared(), case.one_list_each(), case.reference());
+                let greedy = reference.solve_greedy();
+                let local = reference.improve_local(greedy.clone(), 8);
+                for p in [&shared, &own] {
+                    assert_eq!(assignment_bits(&p.solve_greedy()), assignment_bits(&greedy));
+                    let improved = p.improve_local(greedy.clone(), 8);
+                    assert_eq!(assignment_bits(&improved), assignment_bits(&local));
+                    for choice in [&greedy.choice, &local.choice] {
+                        assert_eq!(
+                            load_bits(&p.bucket_loads(choice)),
+                            load_bits(&reference.bucket_loads(choice))
+                        );
+                        assert_eq!(
+                            p.value_of(choice).to_bits(),
+                            reference.value_of(choice).to_bits()
+                        );
+                    }
+                    for incumbent in [local.objective, 0.0] {
+                        assert_eq!(
+                            p.dual_bound(incumbent).to_bits(),
+                            reference.dual_bound(incumbent).to_bits()
+                        );
+                    }
+                }
+                let (next_shared, next_own) = (next.shared(), next.one_list_each());
+                let expected = reference.delta(&next.reference());
+                for (a, b) in [
+                    (&shared, &next_shared),
+                    (&own, &next_own),
+                    (&shared, &next_own),
+                    (&own, &next_shared),
+                ] {
+                    assert_eq!(ProblemDelta::between(a, b), expected);
+                }
+                assert_eq!(
+                    ProblemDelta::between(&shared, &own),
+                    reference.delta(&case.reference())
+                );
+            },
+        );
     }
 }

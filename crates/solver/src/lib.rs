@@ -8,7 +8,9 @@
 //! simplex under branch-and-bound does not return; this crate solves the
 //! GAP heuristically and *bounds* what the heuristic leaves behind:
 //!
-//! * [`gap`] — the broker's assignment problem as a first-class type, with
+//! * [`gap`] — the broker's assignment problem as a first-class type
+//!   (clients that are offered the same buckets share one bucket list;
+//!   values and loads are per client and option), with
 //!   a regret-greedy constructor, a single-client-move local search (the
 //!   pipeline every shipped path runs — how a production broker trades
 //!   optimality for latency), [`AssignmentProblem::dual_bound`], the

@@ -111,15 +111,11 @@ cargo run -p vdx-sim --bin repro --release -- table3 --small --rounds 4 \
 cargo run -p vdx-sim --bin repro --release -- table3 --small --rounds 4 --solver-cold \
   --journal target/verify-warm/cold.jsonl > target/verify-warm/cold.txt
 diff target/verify-warm/warm.txt target/verify-warm/cold.txt
-# Journals are byte-identical too, once the wall-clock fields (the set
-# Event::zero_wall_clock scrubs: started_unix_ms, wall_us, wall_ms and
-# the timing_summary percentiles) are stripped.
-scrub='s/"started_unix_ms":[0-9]*/"started_unix_ms":0/;
-       s/"wall_us":[0-9]*/"wall_us":0/; s/"wall_ms":[0-9]*/"wall_ms":0/;
-       s/"mean_us":[0-9.eE+-]*/"mean_us":0/; s/"p50_us":[0-9.eE+-]*/"p50_us":0/;
-       s/"p95_us":[0-9.eE+-]*/"p95_us":0/; s/"p99_us":[0-9.eE+-]*/"p99_us":0/'
-sed -e "$scrub" target/verify-warm/warm.jsonl > target/verify-warm/warm.scrubbed
-sed -e "$scrub" target/verify-warm/cold.jsonl > target/verify-warm/cold.scrubbed
+# Journals are byte-identical too, once the wall-clock fields are
+# stripped (scripts/journal-scrub.sed, which journal-parity.sh reads too).
+scrub=scripts/journal-scrub.sed
+sed -f "$scrub" target/verify-warm/warm.jsonl > target/verify-warm/warm.scrubbed
+sed -f "$scrub" target/verify-warm/cold.jsonl > target/verify-warm/cold.scrubbed
 diff target/verify-warm/warm.scrubbed target/verify-warm/cold.scrubbed
 grep -q '"ev":"solver_resolve"' target/verify-warm/warm.jsonl
 # ...and at least one round repeated its problem, so the diff above
@@ -134,7 +130,7 @@ rm -rf target/verify-threads && mkdir -p target/verify-threads
 for n in 1 4; do
   cargo run -p vdx-sim --bin repro --release -- table3 --threads "$n" \
     --journal "target/verify-threads/t$n.jsonl" > "target/verify-threads/t$n.txt"
-  sed -e "$scrub" -e 's/"threads":[0-9]*/"threads":0/' \
+  sed -f "$scrub" -e 's/"threads":[0-9]*/"threads":0/' \
     "target/verify-threads/t$n.jsonl" > "target/verify-threads/t$n.scrubbed"
 done
 diff target/verify-threads/t1.txt target/verify-threads/t4.txt
@@ -150,7 +146,7 @@ echo "==> thread-count parity at full scale (faults on 1 and 4 threads: output +
 for n in 1 4; do
   cargo run -p vdx-sim --bin repro --release -- faults --threads "$n" \
     --journal "target/verify-threads/faults$n.jsonl" > "target/verify-threads/faults$n.txt"
-  sed -e "$scrub" -e 's/"threads":[0-9]*/"threads":0/' \
+  sed -f "$scrub" -e 's/"threads":[0-9]*/"threads":0/' \
     "target/verify-threads/faults$n.jsonl" > "target/verify-threads/faults$n.scrubbed"
 done
 diff target/verify-threads/faults1.txt target/verify-threads/faults4.txt
