@@ -9,7 +9,7 @@
 //! `BENCH_experiments.json` reports fold into bench and Table-3 rows.
 //! The [`query`] layer answers cross-run questions over them, matching
 //! on `vdx_obs::Event` variants (cost/QoE drift between commits,
-//! solver-effort drift, wire-loss hot spots, per-design fault
+//! wire-loss hot spots, per-design fault
 //! sensitivity, crash recovery), and the [`gate`] gates merges: `repro
 //! audit --baseline` fails when the current build's Table-3 metrics or
 //! wall times regress past the thresholds in [`gate::GateConfig`].

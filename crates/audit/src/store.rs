@@ -318,7 +318,8 @@ mod tests {
         let err = Store::load(&[journal]).expect_err("must reject");
         assert!(err.contains("new.jsonl"), "{err}");
         assert!(err.contains("schema v99"), "{err}");
-        assert!(err.contains("v6"), "{err}");
+        let supported = format!("(v{})", vdx_obs::SCHEMA_VERSION);
+        assert!(err.contains(&supported), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

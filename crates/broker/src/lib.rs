@@ -37,7 +37,7 @@ pub use health::{BreakerConfig, BreakerSnapshot, CircuitBreaker, HealthState, He
 pub use optimize::{
     bound_assignment, optimize, optimize_probed, optimize_probed_ctx, BoundReport,
     BrokerAssignment, BrokerProblem, GroupOption, OptimizeContext, OptimizeMode, OptionLists,
-    OptionListsIter,
+    OptionListsIter, SolveStats,
 };
 pub use policy::CpPolicy;
 pub use stale::{StaleBidCache, STALE_TTL_ROUNDS};

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
 use vdx_obs::{Event, Probe};
-use vdx_solver::{AssignmentProblem, ProblemDelta, SolveStats};
+use vdx_solver::AssignmentProblem;
 use vdx_units::{Kbps, UsdPerGb};
 
 /// One candidate (from one CDN's Announce) for one client group.
@@ -41,7 +41,7 @@ pub struct GroupOption {
 /// The broker's optimization input for one Decision Protocol round.
 ///
 /// `PartialEq` compares groups and options exactly (IEEE `==` on the
-/// underlying floats, options in their shared form): the warm-start layer
+/// underlying floats, options in their shared form): the memo
 /// ([`OptimizeContext`]) uses it to recognize rounds whose input did not
 /// change at all.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -214,10 +214,9 @@ pub fn optimize(
     optimize_probed(problem, policy, mode, 0, &vdx_obs::NoopProbe)
 }
 
-/// [`optimize`] with solver effort reported through `probe` as an
+/// [`optimize`] with the decision reported through `probe` as an
 /// [`Event::SolverStats`] tagged with `round`. The decision itself is
-/// identical — with a [`vdx_obs::NoopProbe`] the only extra work is
-/// filling a counters struct the solver carries anyway.
+/// identical.
 ///
 /// # Panics
 /// Panics if a group has no options, or `options` is misaligned with
@@ -229,80 +228,41 @@ pub fn optimize_probed(
     round: u64,
     probe: &dyn Probe,
 ) -> BrokerAssignment {
-    // Instrumented runs also time the Optimize step into the process-wide
-    // histogram; unprobed callers skip the registry entirely.
-    let _optimize_timer = probe
-        .enabled()
-        .then(|| vdx_obs::ScopedTimer::global("broker.optimize"));
-    assert_eq!(
-        problem.groups.len(),
-        problem.options.len(),
-        "options misaligned"
-    );
-
-    let gap = build_gap(problem, policy);
-    let assignment = solve_gap(&gap, mode);
-
-    emit_solver_stats(probe, round, assignment.objective);
-    into_broker_assignment(problem, assignment)
+    let _optimize_timer = optimize_timer(probe);
+    solve(problem, policy, mode, round, probe)
 }
 
-/// Warm-start state one broker carries across its rounds: a memo of the
-/// previous round, the reuse switch and the warm/cold counters.
+/// The round counters of one [`OptimizeContext`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Rounds answered by replaying the previous round's decision.
+    pub warm_hits: u64,
+    /// Rounds that ran the whole Optimize step.
+    pub cold_solves: u64,
+}
+
+/// The memo one broker carries across its rounds: the previous round's
+/// `(problem, policy)` pair and decision, and the warm/cold counters.
 ///
 /// When `(problem, policy)` compare equal to the previous round's pair,
 /// the cached [`BrokerAssignment`] is replayed and the whole Optimize
 /// step (cluster bucketization, policy valuation, solve) is skipped.
 /// Exact by construction: the pipeline is a deterministic pure function
-/// of that pair, so every answer — cached or not — is bit-identical to
-/// what the context-free [`optimize_probed`] returns. Otherwise the GAP
-/// is rebuilt, solved, and diffed against the previous round's
-/// ([`ProblemDelta`]) for the journaled `SolverResolve` line.
+/// of that pair, so every answer — replayed or not — is bit-identical to
+/// what the context-free [`optimize`] returns.
 ///
-/// One context serves one sequential round stream (a shard); concurrent
-/// streams get one each.
-#[derive(Debug, Clone)]
+/// One context serves one sequential round stream; concurrent streams
+/// get one each.
+#[derive(Debug, Clone, Default)]
 pub struct OptimizeContext {
-    /// When false every round re-solves, but the memo is still kept so the
-    /// journaled deltas match a reuse-enabled context's.
-    reuse: bool,
     stats: SolveStats,
-    prev: Option<PreviousRound>,
-}
-
-/// Everything the next round needs from this one: the input pair to
-/// recognize a repeat, the GAP to diff against, and the decision, whose
-/// objective is all its `SolverStats` journal line carried.
-#[derive(Debug, Clone)]
-struct PreviousRound {
-    problem: BrokerProblem,
-    policy: CpPolicy,
-    gap: AssignmentProblem,
-    assignment: BrokerAssignment,
-}
-
-impl Default for OptimizeContext {
-    fn default() -> OptimizeContext {
-        OptimizeContext::new()
-    }
+    prev: Option<(BrokerProblem, CpPolicy, BrokerAssignment)>,
 }
 
 impl OptimizeContext {
-    /// A fresh context with reuse enabled.
+    /// A context that has seen no round.
     pub fn new() -> OptimizeContext {
-        OptimizeContext {
-            reuse: true,
-            stats: SolveStats::new(),
-            prev: None,
-        }
-    }
-
-    /// Enables or disables reuse. A disabled context re-solves every
-    /// round from scratch while still detecting and reporting deltas —
-    /// the `--solver-cold` reference path, which must journal
-    /// byte-identically to an enabled one.
-    pub fn set_reuse(&mut self, reuse: bool) {
-        self.reuse = reuse;
+        OptimizeContext::default()
     }
 
     /// Cumulative warm/cold counters since the context was created.
@@ -311,14 +271,10 @@ impl OptimizeContext {
     }
 }
 
-/// [`optimize_probed`] with warm-start state carried across rounds.
-///
-/// Emits one mode-independent [`Event::SolverResolve`] describing how this
-/// round's problem differs from the previous round's, then the usual
-/// [`Event::SolverStats`]. Both lines are a pure function of the round
-/// sequence: a reuse-disabled context (or the context-free entry points)
-/// journals byte-identical lines and returns bit-identical assignments —
-/// the warm path only skips *recomputing* answers determinism pins down.
+/// [`optimize_probed`] through the memo of `ctx`: a round whose
+/// `(problem, policy)` pair equals the previous round's replays that
+/// round's decision and journals it with `warm_hit: true`; any other
+/// round is solved and remembered.
 ///
 /// # Panics
 /// Panics if a group has no options, or `options` is misaligned with
@@ -331,47 +287,16 @@ pub fn optimize_probed_ctx(
     probe: &dyn Probe,
     ctx: &mut OptimizeContext,
 ) -> BrokerAssignment {
-    let _optimize_timer = probe
-        .enabled()
-        .then(|| vdx_obs::ScopedTimer::global("broker.optimize"));
-    assert_eq!(
-        problem.groups.len(),
-        problem.options.len(),
-        "options misaligned"
-    );
-
-    // Warm hit: the input pair is unchanged, so rebuilding the GAP and
-    // re-solving would reproduce the cached decision bit for bit — and the
-    // GAP build is deterministic in the pair, hence the empty delta.
-    let repeat = ctx
-        .prev
-        .as_ref()
-        .filter(|p| ctx.reuse && p.problem == *problem && p.policy == *policy);
-    if let Some(prev) = repeat {
+    let _optimize_timer = optimize_timer(probe);
+    let repeat = (ctx.prev.as_ref()).filter(|(p, q, _)| p == problem && q == policy);
+    if let Some((_, _, assignment)) = repeat {
         ctx.stats.warm_hits += 1;
-        emit_solver_resolve(probe, round, ProblemDelta::default());
-        emit_solver_stats(probe, round, prev.assignment.objective);
-        return prev.assignment.clone();
+        emit_solver_stats(probe, round, assignment.objective, true);
+        return assignment.clone();
     }
-
-    let gap = build_gap(problem, policy);
-    let delta = match &ctx.prev {
-        Some(prev) => ProblemDelta::between(&prev.gap, &gap),
-        None => ProblemDelta::everything(&gap),
-    };
-    emit_solver_resolve(probe, round, delta);
-
-    let assignment = solve_gap(&gap, mode);
+    let assignment = solve(problem, policy, mode, round, probe);
     ctx.stats.cold_solves += 1;
-    emit_solver_stats(probe, round, assignment.objective);
-
-    let assignment = into_broker_assignment(problem, assignment);
-    ctx.prev = Some(PreviousRound {
-        problem: problem.clone(),
-        policy: *policy,
-        gap,
-        assignment: assignment.clone(),
-    });
+    ctx.prev = Some((problem.clone(), *policy, assignment.clone()));
     assignment
 }
 
@@ -414,31 +339,40 @@ pub fn bound_assignment(
     }
 }
 
-/// Journals how this round's GAP differs from the previous round's.
-fn emit_solver_resolve(probe: &dyn Probe, round: u64, delta: ProblemDelta) {
-    if probe.enabled() {
-        probe.emit(Event::SolverResolve {
-            round,
-            changed_clients: delta.changed_clients,
-            changed_buckets: delta.changed_buckets,
-            warm_eligible: delta.is_empty(),
-        });
-    }
+/// Instrumented runs time the Optimize step into the process-wide
+/// histogram; unprobed callers skip the registry entirely.
+fn optimize_timer(probe: &dyn Probe) -> Option<vdx_obs::ScopedTimer<'static>> {
+    probe
+        .enabled()
+        .then(|| vdx_obs::ScopedTimer::global("broker.optimize"))
 }
 
-/// Journals one solve — freshly computed or replayed from the memo, the
-/// line is the same. `pivots`, `bnb_nodes` and `optimality_gap` are the
-/// line's shape since schema 1 and what every product journal has always
-/// carried in them: the heuristic has no such effort to report.
-fn emit_solver_stats(probe: &dyn Probe, round: u64, objective: f64) {
+/// Builds and solves the GAP and journals the decision.
+fn solve(
+    problem: &BrokerProblem,
+    policy: &CpPolicy,
+    mode: &OptimizeMode,
+    round: u64,
+    probe: &dyn Probe,
+) -> BrokerAssignment {
+    assert_eq!(
+        problem.groups.len(),
+        problem.options.len(),
+        "options misaligned"
+    );
+    let gap = build_gap(problem, policy);
+    let assignment = solve_gap(&gap, mode);
+    emit_solver_stats(probe, round, assignment.objective, false);
+    into_broker_assignment(problem, assignment)
+}
+
+/// Journals one decision, solved or replayed from the memo.
+fn emit_solver_stats(probe: &dyn Probe, round: u64, objective: f64, warm_hit: bool) {
     if probe.enabled() {
         probe.emit(Event::SolverStats {
             round,
-            mode: "heuristic".to_string(),
-            pivots: 0,
-            bnb_nodes: 0,
-            optimality_gap: None,
             objective,
+            warm_hit,
         });
     }
 }
@@ -860,41 +794,34 @@ mod tests {
         optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
     }
 
-    #[test]
-    fn probed_optimize_emits_solver_stats_without_changing_the_answer() {
-        use vdx_obs::{Event, MemoryProbe};
-        let problem = BrokerProblem {
+    fn two_group_problem() -> BrokerProblem {
+        BrokerProblem {
             groups: vec![group(0, 500.0), group(1, 800.0)],
             options: vec![
                 vec![opt(0, 50.0, 2.0, 1_000.0), opt(1, 70.0, 0.5, 2_000.0)],
                 vec![opt(0, 45.0, 2.0, 1_000.0), opt(1, 90.0, 0.2, 2_000.0)],
             ]
             .into(),
-        };
+        }
+    }
+
+    #[test]
+    fn probed_optimize_emits_solver_stats_without_changing_the_answer() {
+        use vdx_obs::MemoryProbe;
+        let problem = two_group_problem();
         let mode = OptimizeMode::Heuristic;
         let plain = optimize(&problem, &CpPolicy::balanced(), &mode);
         let probe = MemoryProbe::new();
         let probed = optimize_probed(&problem, &CpPolicy::balanced(), &mode, 7, &probe);
         assert_eq!(plain.choice, probed.choice);
-        let events = probe.take();
-        assert_eq!(events.len(), 1);
-        match &events[0] {
-            Event::SolverStats {
-                round,
-                mode,
-                pivots,
-                bnb_nodes,
-                optimality_gap,
-                objective,
-            } => {
-                assert_eq!(*round, 7);
-                assert_eq!(mode, "heuristic");
-                // The line's shape outlives the exact stack.
-                assert_eq!((*pivots, *bnb_nodes, *optimality_gap), (0, 0, None));
-                assert!((objective - probed.objective).abs() < 1e-9);
-            }
-            other => panic!("expected SolverStats, got {other:?}"),
-        }
+        assert_eq!(
+            probe.take(),
+            [Event::SolverStats {
+                round: 7,
+                objective: probed.objective,
+                warm_hit: false,
+            }]
+        );
     }
 
     /// Replays `rounds` through a context and returns the per-round
@@ -922,106 +849,11 @@ mod tests {
             .collect()
     }
 
-    fn two_group_problem(shift: f64) -> BrokerProblem {
-        BrokerProblem {
-            groups: vec![group(0, 500.0), group(1, 800.0)],
-            options: vec![
-                vec![
-                    opt(0, 50.0 + shift, 2.0, 1_000.0),
-                    opt(1, 70.0, 0.5, 2_000.0),
-                ],
-                vec![opt(0, 45.0, 2.0, 1_000.0), opt(1, 90.0, 0.2, 2_000.0)],
-            ]
-            .into(),
-        }
-    }
-
-    #[test]
-    fn ctx_path_emits_resolve_then_stats_and_matches_the_plain_path() {
-        let rounds = vec![
-            (two_group_problem(0.0), OptimizeMode::Heuristic),
-            (two_group_problem(0.0), OptimizeMode::Heuristic), // unchanged
-            (two_group_problem(-30.0), OptimizeMode::Heuristic), // group 0 shifts
-        ];
-        let mut ctx = OptimizeContext::new();
-        let driven = drive_ctx(&mut ctx, &rounds);
-        for ((problem, mode), (a, events)) in rounds.iter().zip(&driven) {
-            let plain = optimize(problem, &CpPolicy::balanced(), mode);
-            assert_eq!(a, &plain, "ctx answers match the context-free path");
-            assert_eq!(events.len(), 2);
-            assert_eq!(events[0].kind(), "solver_resolve");
-            assert_eq!(events[1].kind(), "solver_stats");
-        }
-        match &driven[0].1[0] {
-            Event::SolverResolve {
-                changed_clients,
-                warm_eligible,
-                ..
-            } => {
-                assert_eq!(*changed_clients, 2, "first round: everything is new");
-                assert!(!warm_eligible);
-            }
-            other => panic!("expected SolverResolve, got {other:?}"),
-        }
-        match &driven[1].1[0] {
-            Event::SolverResolve {
-                changed_clients,
-                changed_buckets,
-                warm_eligible,
-                ..
-            } => {
-                assert_eq!((*changed_clients, *changed_buckets), (0, 0));
-                assert!(warm_eligible);
-            }
-            other => panic!("expected SolverResolve, got {other:?}"),
-        }
-        match &driven[2].1[0] {
-            Event::SolverResolve {
-                changed_clients,
-                changed_buckets,
-                warm_eligible,
-                ..
-            } => {
-                assert_eq!((*changed_clients, *changed_buckets), (1, 0));
-                assert!(!warm_eligible);
-            }
-            other => panic!("expected SolverResolve, got {other:?}"),
-        }
-        assert_eq!(ctx.stats().warm_hits, 1);
-        assert_eq!(ctx.stats().cold_solves, 2);
-    }
-
-    #[test]
-    fn cold_context_journals_byte_identically_to_a_warm_one() {
-        // Three rounds, the middle one unchanged: a reuse-disabled context
-        // must emit exactly the same event lines (delta detection is a
-        // pure function of the round sequence, not the solve strategy).
-        let rounds = vec![
-            (two_group_problem(0.0), OptimizeMode::Heuristic),
-            (two_group_problem(0.0), OptimizeMode::Heuristic),
-            (two_group_problem(-30.0), OptimizeMode::Heuristic),
-        ];
-        let mut warm = OptimizeContext::new();
-        let mut cold = OptimizeContext::new();
-        cold.set_reuse(false);
-        let warm_driven = drive_ctx(&mut warm, &rounds);
-        let cold_driven = drive_ctx(&mut cold, &rounds);
-        for ((wa, we), (ca, ce)) in warm_driven.iter().zip(&cold_driven) {
-            assert_eq!(wa, ca, "assignments bit-identical");
-            // Equal Event values serialize to byte-identical journal
-            // lines (the line is a pure function of the value).
-            assert_eq!(we, ce, "journal events identical");
-        }
-        assert_eq!(warm.stats().warm_hits, 1);
-        assert_eq!(cold.stats().warm_hits, 0);
-        assert_eq!(cold.stats().cold_solves, 3);
-    }
-
     #[test]
     fn policy_change_on_an_identical_problem_is_not_a_warm_hit() {
         // The memo keys on the pair: the same problem under another
         // policy has another answer, and must be solved for it.
-        let problem = two_group_problem(0.0);
+        let problem = two_group_problem();
         let mut ctx = OptimizeContext::new();
         for policy in [CpPolicy::performance_first(), CpPolicy::cost_first()] {
             let got = optimize_probed_ctx(
@@ -1040,8 +872,8 @@ mod tests {
     /// The memo's core contract, on the code that ships: for any random
     /// score delta between consecutive rounds, a context-driven round
     /// sequence returns assignments identical to context-free solves,
-    /// journals exactly the perturbed groups as changed, and replays only
-    /// the one round whose input repeated.
+    /// journals one `solver_stats` line per round, and replays only the
+    /// one round whose input repeated.
     #[test]
     fn warm_context_equals_cold_solves_across_demand_deltas() {
         check(
@@ -1079,31 +911,25 @@ mod tests {
                         .into(),
                 };
                 let (base, moved) = (build(false), build(true));
-                // base (cold), moved (delta), moved again (warm hit), back (delta).
+                // base (cold), moved (cold), moved again (warm hit), back (cold).
                 let rounds: Vec<_> = [&base, &moved, &moved, &base]
                     .into_iter()
                     .map(|p| (p.clone(), OptimizeMode::Heuristic))
                     .collect();
                 let mut ctx = OptimizeContext::new();
                 let driven = drive_ctx(&mut ctx, &rounds);
-                let n_perturbed = (0..demands.len()).filter(|&i| perturbed(i)).count() as u64;
-                let expected_changed = [demands.len() as u64, n_perturbed, 0, n_perturbed];
-                for (((problem, mode), (got, events)), expected) in
-                    rounds.iter().zip(&driven).zip(expected_changed)
+                let warm_hits = [false, false, true, false];
+                for (r, (((problem, mode), (got, events)), warm_hit)) in
+                    rounds.iter().zip(&driven).zip(warm_hits).enumerate()
                 {
                     let cold = optimize(problem, &CpPolicy::balanced(), mode);
                     assert_eq!(got, &cold, "identical assignment");
-                    match &events[0] {
-                        Event::SolverResolve {
-                            changed_clients,
-                            warm_eligible,
-                            ..
-                        } => {
-                            assert_eq!(*changed_clients, expected);
-                            assert_eq!(*warm_eligible, expected == 0);
-                        }
-                        other => panic!("expected SolverResolve, got {other:?}"),
-                    }
+                    let stats = Event::SolverStats {
+                        round: r as u64,
+                        objective: cold.objective,
+                        warm_hit,
+                    };
+                    assert_eq!(events, &[stats]);
                 }
                 assert_eq!(ctx.stats().warm_hits, 1);
                 assert_eq!(ctx.stats().cold_solves, 3);

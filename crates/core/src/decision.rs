@@ -135,14 +135,11 @@ pub fn run_decision_round_probed(
 /// [`run_decision_round_probed`] with a warm-start [`OptimizeContext`]
 /// carried across rounds.
 ///
-/// The Optimize step goes through
-/// [`optimize_probed_ctx`], which emits
-/// one extra [`Event::SolverResolve`] line per round (how the round's
-/// problem differs from the previous one — a pure function of the round
-/// sequence) and skips recomputing decisions that determinism pins down.
-/// The outcome and every journaled line are bit-identical to threading a
-/// reuse-disabled context; the context only changes how much work the
-/// round does.
+/// The Optimize step goes through [`optimize_probed_ctx`], which replays
+/// the previous round's decision when the round's problem repeats it
+/// (journaled as `warm_hit: true` in [`Event::SolverStats`]). The outcome
+/// is bit-identical to [`run_decision_round_probed`]'s; the context only
+/// changes how much work the round does.
 ///
 /// One context serves one sequential round stream: hand each concurrent
 /// shard its own.

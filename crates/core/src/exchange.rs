@@ -465,8 +465,8 @@ pub struct Round {
     policy: CpPolicy,
     probe: Arc<dyn Probe>,
     /// Rounds are one sequential stream, so one context is exactly right;
-    /// it runs the solver under the bit-exact reuse policy, keeping
-    /// journals and decisions identical to context-free solves.
+    /// a round whose problem repeats the last one's replays its decision,
+    /// which is the context-free solve's bit for bit.
     ctx: OptimizeContext,
     breakers: Vec<CircuitBreaker>,
     cache: StaleBidCache<Vec<Bid>>,

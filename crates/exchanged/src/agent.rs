@@ -117,7 +117,8 @@ pub fn run_agent(
 }
 
 /// [`run_agent`] with an observability probe: each reconnection attempt
-/// emits [`Event::ConnRetry`] before its backoff sleep.
+/// emits [`Event::ConnRetry`], naming what ended the attempt before it,
+/// before its backoff sleep.
 pub fn run_agent_probed(
     addr: impl ToSocketAddrs,
     scenario: &Scenario,
@@ -139,7 +140,8 @@ pub fn run_agent_probed(
     let mut failure: Option<TransportError> = None;
     let mut had_session = false;
     loop {
-        match open_session(&addr, cfg, last_settled) {
+        // What ended this attempt: its `conn_retry` line's reason.
+        let reason = match open_session(&addr, cfg, last_settled) {
             Ok(mut conn) => {
                 if attempt > 0 {
                     report.reconnects += 1;
@@ -148,7 +150,10 @@ pub fn run_agent_probed(
                 had_session = true;
                 match run_session(&mut conn, scenario, cfg, &mut report, &mut last_settled) {
                     SessionEnd::ScriptedExit => return Ok(report),
-                    SessionEnd::Eof => failure = None,
+                    SessionEnd::Eof => {
+                        failure = None;
+                        "eof".to_string()
+                    }
                     // The framing layer refused the message before a
                     // byte left (`Connection::send`): it will refuse it
                     // identically on every reconnect.
@@ -157,15 +162,17 @@ pub fn run_agent_probed(
                     {
                         return Err(TransportError::Io(e));
                     }
-                    SessionEnd::Failed(e) => failure = Some(e),
+                    SessionEnd::Failed(e) => failure.insert(e).to_string(),
                 }
             }
             Err(e) => {
+                let reason = e.to_string();
                 if !had_session || failure.is_some() {
                     failure = Some(e);
                 }
+                reason
             }
-        }
+        };
         attempt += 1;
         if attempt > cfg.max_retries {
             // Out of retries: a run that last ended in a clean EOF
@@ -182,6 +189,7 @@ pub fn run_agent_probed(
                 cdn: cfg.cdn,
                 attempt,
                 backoff_ms: backoff,
+                reason,
             });
         }
         std::thread::sleep(std::time::Duration::from_millis(backoff));
@@ -263,5 +271,44 @@ fn run_session(
             Ok(None) => return SessionEnd::Eof,
             Err(e) => return SessionEnd::Failed(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use vdx_obs::MemoryProbe;
+    use vdx_sim::ScenarioConfig;
+
+    #[test]
+    fn every_retry_journals_the_connect_error_before_it() {
+        // A port just released: nobody listens, every connect is refused.
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("bind loopback");
+        let Err(refused) = Connection::connect(addr) else {
+            panic!("nobody listens on {addr}");
+        };
+        let refused = TransportError::Io(refused).to_string();
+        let scenario = Scenario::build(ScenarioConfig::at_scale(true, Some(2017)));
+        let cfg = AgentConfig {
+            max_retries: 3,
+            retry_base_ms: 1,
+            ..AgentConfig::new(1, Design::Marketplace)
+        };
+        let probe = MemoryProbe::new();
+        let outcome = run_agent_probed(addr, &scenario, &cfg, &probe);
+        assert_eq!(outcome.err().map(|e| e.to_string()), Some(refused.clone()));
+        let retries: Vec<(u32, String)> = (probe.take().into_iter())
+            .filter_map(|e| match e {
+                Event::ConnRetry {
+                    attempt, reason, ..
+                } => Some((attempt, reason)),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(u32, String)> = (1..=3).map(|a| (a, refused.clone())).collect();
+        assert_eq!(retries, expected);
     }
 }

@@ -10,14 +10,16 @@
 //!
 //! Two kinds of field appear:
 //!
-//! * **simulation fields** — round ids, SimTime stamps (`at_ms`), counts,
-//!   objective values. These are fully deterministic: the same scenario
-//!   and seed produce the same values on every run.
-//! * **wall-clock fields** — `started_unix_ms`, `wall_us`, `wall_ms` and
-//!   the microsecond statistics of [`Event::TimingSummary`]. These come
-//!   from the host clock and differ run to run. [`Event::zero_wall_clock`]
-//!   zeroes exactly this set, after which two journals of the same seeded
-//!   run are byte-identical (tested in `vdx-sim`).
+//! * **simulation fields** — round ids, counts, objective values. These
+//!   are fully deterministic: the same scenario and seed produce the same
+//!   values on every run.
+//! * **wall-clock fields** — `started_unix_ms`, `wall_us`, `wall_ms`, the
+//!   `at_ms` of the four `conn_*` events and the microsecond statistics
+//!   of [`Event::TimingSummary`]. These come from the host clock and
+//!   differ run to run. [`Event::zero_wall_clock`] zeroes exactly this
+//!   set, after which two journals of the same seeded run are
+//!   byte-identical (tested in `vdx-sim`); `scripts/journal-scrub.sed`
+//!   does the same to a journal file.
 //!
 //! The line format is written by [`Event::to_json_line`] and read by
 //! [`Event::from_json`], both generated from the one field table at the
@@ -36,9 +38,8 @@ use std::fmt::Write as _;
 /// audit store (`vdx-audit`) can attribute runs to builds. Both default
 /// when absent, so v2 journals still parse; readers must reject
 /// journals *newer* than this constant (see `read_journal`). v4 added
-/// [`Event::SolverResolve`], the per-round problem-delta record emitted
-/// by the warm-start layer; older journals simply lack the variant, so
-/// they still parse. v5 added the daemon connection-lifecycle events
+/// `solver_resolve`, a per-round problem-delta record of the warm-start
+/// layer (retired in v7). v5 added the daemon connection-lifecycle events
 /// ([`Event::ConnAccepted`], [`Event::ConnClosed`],
 /// [`Event::ConnBackpressure`]) and the circuit-breaker health events
 /// ([`Event::HealthTransition`], [`Event::HealthProbe`]) emitted by
@@ -48,8 +49,12 @@ use std::fmt::Write as _;
 /// attempts) and the daemon recovery trio [`Event::RecoveryStarted`],
 /// [`Event::RecoveryRoundVoided`], [`Event::RecoveryComplete`] emitted
 /// while a restarted daemon replays its WAL (DESIGN.md §15); like the v5
-/// additions they only appear in daemon/agent journals.
-pub const SCHEMA_VERSION: u32 = 6;
+/// additions they only appear in daemon/agent journals. v7 retired
+/// `solver_resolve` (`read_journal` skips its lines), cut
+/// [`Event::SolverStats`] to `round`, `objective` and `warm_hit` (older
+/// lines read as `warm_hit: false`; their other fields are ignored) and
+/// gave [`Event::ConnRetry`] its `reason` (empty in older journals).
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// One journaled event. See the module docs for the field taxonomy and
 /// DESIGN.md §7 for one example line per variant.
@@ -126,44 +131,16 @@ pub enum Event {
         /// Losing bids (CDNs learn from these too, §6.1).
         rejected: u64,
     },
-    /// How one Optimize step's problem differed from the previous round's,
-    /// as seen by the broker's warm-start memo (`OptimizeContext`). The
-    /// fields are a pure function of the round sequence — *not* of the
-    /// solve strategy — so warm and cold runs journal identical lines
-    /// (warm/cold outcome counters stay in `SolveStats`, the struct, and
-    /// are never journaled per round).
-    SolverResolve {
-        /// Round id.
-        round: u64,
-        /// Client groups whose candidate-option rows changed since the
-        /// previous round's problem (all of them on the first round or a
-        /// shape change).
-        changed_clients: u64,
-        /// Capacity buckets whose capacity changed since the previous
-        /// round's problem (ditto).
-        changed_buckets: u64,
-        /// True when the delta is empty, i.e. a warm-start-enabled solver
-        /// may answer from its memoized solution without any solver work.
-        warm_eligible: bool,
-    },
-    /// One Optimize step's solve. The line keeps the shape it was given
-    /// when an exact mode existed, so every journal on disk still parses;
-    /// a product run writes `heuristic`, 0, 0 and `null` in the four
-    /// fields after `round` — it always has.
+    /// One Optimize step's decision.
     SolverStats {
         /// Round id.
         round: u64,
-        /// `heuristic` (journals from test fixtures also say `exact`).
-        mode: String,
-        /// Simplex pivots across all LP (re)solves; 0 for the heuristic.
-        pivots: u64,
-        /// Branch-and-bound nodes expanded; 0 for the heuristic.
-        bnb_nodes: u64,
-        /// Relative gap between incumbent and best bound; `None` for the
-        /// heuristic, which computes no bound (`repro gap` does, offline).
-        optimality_gap: Option<f64>,
         /// Objective value achieved (Fig 9 units).
         objective: f64,
+        /// True when the broker's memo (`OptimizeContext`) replayed the
+        /// previous round's decision because its input repeated; false
+        /// for a solve. Absent before schema v7, where it reads false.
+        warm_hit: bool,
     },
     /// A Decision Protocol round completed.
     RoundCompleted {
@@ -347,6 +324,10 @@ pub enum Event {
         /// Backoff the agent sleeps before this attempt, milliseconds
         /// (deterministic: a doubling schedule, not a wall reading).
         backoff_ms: u64,
+        /// What failed: the connect or session transport error, or `eof`
+        /// when the daemon closed the session. Absent before schema v7,
+        /// where it reads empty.
+        reason: String,
     },
     /// A restarted daemon began replaying its WAL (DESIGN.md §15).
     RecoveryStarted {
@@ -479,21 +460,6 @@ impl Field for f64 {
     }
 }
 
-impl Field for Option<f64> {
-    fn write(&self, out: &mut String) {
-        match self {
-            Some(x) => x.write(out),
-            None => out.push_str("null"),
-        }
-    }
-    fn read(value: &Json) -> Option<Option<f64>> {
-        match value {
-            Json::Null => Some(None),
-            other => other.as_f64().map(Some),
-        }
-    }
-}
-
 impl Field for bool {
     fn write(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
@@ -588,10 +554,7 @@ journal_codec! {
     "share_published" => SharePublished { round, shares, demand_kbps }
     "bid_received" => BidReceived { round, cdn, bids }
     "accept_issued" => AcceptIssued { round, accepted, rejected }
-    "solver_resolve" => SolverResolve { round, changed_clients, changed_buckets, warm_eligible }
-    "solver_stats" => SolverStats {
-        round, mode, pivots, bnb_nodes, optimality_gap = None, objective
-    }
+    "solver_stats" => SolverStats { round, objective, warm_hit = false }
     "round_completed" => RoundCompleted { round, objective, options }
     "session_moved" => SessionMoved { bin, moved, continuing }
     "cluster_congested" => ClusterCongested { round, cluster, load_kbps, capacity_kbps }
@@ -610,7 +573,7 @@ journal_codec! {
     "conn_backpressure" => ConnBackpressure { at_ms, cdn, queued }
     "health_transition" => HealthTransition { round, cdn, from, to, reason }
     "health_probe" => HealthProbe { round, cdn, success }
-    "conn_retry" => ConnRetry { at_ms, cdn, attempt, backoff_ms }
+    "conn_retry" => ConnRetry { at_ms, cdn, attempt, backoff_ms, reason = String::new() }
     "recovery_started" => RecoveryStarted { records, truncated_bytes }
     "recovery_round_voided" => RecoveryRoundVoided { round }
     "recovery_complete" => RecoveryComplete { next_round, rounds_recovered, rounds_voided }
@@ -662,19 +625,10 @@ mod tests {
                 accepted: 412,
                 rejected: 3_100,
             },
-            Event::SolverResolve {
-                round: 1,
-                changed_clients: 3,
-                changed_buckets: 0,
-                warm_eligible: false,
-            },
             Event::SolverStats {
-                round: 0,
-                mode: "exact".into(),
-                pivots: 9_001,
-                bnb_nodes: 37,
-                optimality_gap: Some(0.0),
+                round: 1,
                 objective: 123.456,
+                warm_hit: true,
             },
             Event::RoundCompleted {
                 round: 0,
@@ -760,6 +714,7 @@ mod tests {
                 cdn: 1,
                 attempt: 3,
                 backoff_ms: 400,
+                reason: "eof".into(),
             },
             Event::RecoveryStarted {
                 records: 58,
@@ -863,15 +818,12 @@ mod tests {
 
         let stats = Event::SolverStats {
             round: 0,
-            mode: "heuristic".into(),
-            pivots: 0,
-            bnb_nodes: 0,
-            optimality_gap: None,
             objective: 17.0,
+            warm_hit: false,
         };
         let line = stats.to_json_line();
         assert!(
-            line.ends_with("\"optimality_gap\":null,\"objective\":17.0}"),
+            line.ends_with("\"objective\":17.0,\"warm_hit\":false}"),
             "{line}"
         );
         assert_eq!(Event::from_json(&line), Ok(stats));
@@ -933,6 +885,35 @@ mod tests {
                 git_commit: String::new(),
             }
         );
+    }
+
+    /// `scripts/journal-scrub.sed`, the scripts' copy of
+    /// [`Event::zero_wall_clock`], rewrites exactly the fields that
+    /// function changes in some sample.
+    #[test]
+    fn journal_scrub_sed_names_the_fields_zero_wall_clock_zeroes() {
+        use std::collections::BTreeSet;
+        let sed = include_str!("../../../scripts/journal-scrub.sed");
+        let scrubbed: BTreeSet<&str> = (sed.lines())
+            .filter_map(|l| l.strip_prefix("s/\""))
+            .map(|l| l.split('"').next().expect("split yields one piece"))
+            .collect();
+        let fields = |e: &Event| match Json::parse(&e.to_json_line()) {
+            Ok(Json::Obj(fields)) => fields,
+            other => panic!("an event line is an object, got {other:?}"),
+        };
+        let mut zeroed = BTreeSet::new();
+        for sample in samples() {
+            let mut cleared = sample.clone();
+            cleared.zero_wall_clock();
+            for ((key, before), (_, after)) in fields(&sample).iter().zip(&fields(&cleared)) {
+                if before != after {
+                    zeroed.insert(key.clone());
+                }
+            }
+        }
+        let zeroed: BTreeSet<&str> = zeroed.iter().map(String::as_str).collect();
+        assert_eq!(scrubbed, zeroed);
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! [`Journal::finish`] writes the terminal record with the running event
 //! count and flushes. Reading back is [`read_journal`], which fails on the
 //! first line that does not parse as an [`Event`] (a torn last line, what
-//! a killed writer leaves, is dropped instead).
+//! a killed writer leaves, is dropped instead, and so is a line of an
+//! event kind an older schema had and this one retired).
 
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::event::{Event, SCHEMA_VERSION};
+use crate::json::Json;
 
 /// Errors raised while writing or reading a journal.
 #[derive(Debug)]
@@ -164,9 +166,24 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// [`SCHEMA_VERSION`] are rejected with [`JournalError::Version`] —
 /// including when the header itself no longer parses as an [`Event`]
 /// (the schema number is sniffed from the raw first line). Older
-/// schemas read fine: new fields default when absent.
+/// schemas read fine: new fields default when absent, and lines of a
+/// retired event kind (v4–v6's `solver_resolve`) are skipped.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> {
     parse_journal(&fs::read_to_string(path.as_ref())?)
+}
+
+/// `ev` tags an older schema wrote and this one no longer has: v4–v6's
+/// `solver_resolve` (retired in v7).
+const RETIRED_KINDS: &[&str] = &["solver_resolve"];
+
+/// Whether `line` is an event of a [`RETIRED_KINDS`] kind.
+fn is_retired(line: &str) -> bool {
+    let doc = Json::parse(line).ok();
+    let tag = doc
+        .as_ref()
+        .and_then(|d| d.get("ev"))
+        .and_then(Json::as_str);
+    tag.is_some_and(|tag| RETIRED_KINDS.contains(&tag))
 }
 
 /// [`read_journal`] over text already in memory, under the same rules
@@ -188,6 +205,7 @@ pub fn parse_journal(text: &str) -> Result<Vec<Event>, JournalError> {
                 }
                 events.push(event);
             }
+            Err(_) if is_retired(line) => {}
             Err(e) => {
                 if idx == 0 && line.contains("\"ev\":\"run_header\"") {
                     if let Some(found) = sniff_schema(line) {
@@ -370,6 +388,49 @@ mod tests {
                 ..
             }
         ));
+        fs::remove_file(&path).ok();
+    }
+
+    /// A v6 journal as `repro table3` wrote it: a `solver_resolve` line
+    /// (retired in v7) before a seven-field `solver_stats`, and a
+    /// `conn_retry` without a `reason`.
+    #[test]
+    fn v6_journal_reads_without_its_retired_lines() {
+        let path = temp_path("v6.jsonl");
+        fs::write(
+            &path,
+            concat!(
+                "{\"ev\":\"run_header\",\"schema\":6,\"experiment\":\"table3\",",
+                "\"seed\":2017,\"scale\":\"full\",\"started_unix_ms\":0,",
+                "\"threads\":4,\"git_commit\":\"abc123def456\"}\n",
+                "{\"ev\":\"solver_resolve\",\"round\":0,\"changed_clients\":2718,",
+                "\"changed_buckets\":341,\"warm_eligible\":false}\n",
+                "{\"ev\":\"solver_stats\",\"round\":0,\"mode\":\"heuristic\",\"pivots\":0,",
+                "\"bnb_nodes\":0,\"optimality_gap\":null,\"objective\":-1.5}\n",
+                "{\"ev\":\"conn_retry\",\"at_ms\":3,\"cdn\":1,\"attempt\":1,",
+                "\"backoff_ms\":50}\n"
+            ),
+        )
+        .expect("write fixture");
+        let events = read_journal(&path).expect("v6 reads");
+        assert!(matches!(events[0], Event::RunHeader { schema: 6, .. }));
+        assert_eq!(
+            events[1..],
+            [
+                Event::SolverStats {
+                    round: 0,
+                    objective: -1.5,
+                    warm_hit: false,
+                },
+                Event::ConnRetry {
+                    at_ms: 3,
+                    cdn: 1,
+                    attempt: 1,
+                    backoff_ms: 50,
+                    reason: String::new(),
+                },
+            ]
+        );
         fs::remove_file(&path).ok();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro <experiment> [--small] [--seed N] [--journal PATH] [--threads N]
-//!                    [--rounds N] [--solver-cold] [--design NAME]
+//!                    [--design NAME]
 //! repro obs-report <journal.jsonl>
 //! repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]
 //! repro audit report [PATH...]
@@ -22,13 +22,6 @@
 //! --threads N    threads the round fan-out runs on (default: all
 //!                cores; results and journals are byte-identical for
 //!                any N)
-//! --rounds N     (table3) run N consecutive decision rounds per design —
-//!                the warm-started round hot loop; the reported table
-//!                comes from each design's last round and is identical
-//!                for any N (default 1)
-//! --solver-cold  (table3) disable warm-start reuse: every round
-//!                re-solves from scratch. The reference path — output
-//!                and journals are byte-identical to the default
 //! --design NAME  (replay) the design re-run every five minutes over the
 //!                live session population (default marketplace)
 //!
@@ -68,11 +61,16 @@ use vdx_sim::experiment::{
 use vdx_sim::soak::SoakPlan;
 use vdx_sim::{obs_report, replay, Scenario, ScenarioConfig};
 
+/// The experiment form of the command line: every flag an experiment
+/// reads, and no other.
+const EXPERIMENT_USAGE: &str =
+    "usage: repro <fig3|fig4|fig5|fig7|table1|table3|fig10..fig15|fig16|fig17|fig18|\
+     ext-stability|ext-hybrid|ext-noise|faults|replay|gap|all> [--small] [--seed N] \
+     [--journal PATH] [--threads N] [--design NAME]";
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: repro <fig3|fig4|fig5|fig7|table1|table3|fig10..fig15|fig16|fig17|fig18|\
-         ext-stability|ext-hybrid|ext-noise|faults|replay|gap|all> [--small] [--seed N] \
-         [--journal PATH] [--threads N] [--rounds N] [--solver-cold] [--design NAME]\n\
+        "{EXPERIMENT_USAGE}\n\
          \x20      repro obs-report <journal.jsonl>\n\
          \x20      repro bench-experiments [--small] [--seed N] [--threads N] [--out PATH]\n\
          \x20      repro audit <report|query|--baseline PATH> (see `repro audit`)\n\
@@ -121,10 +119,9 @@ fn run() -> Result<ExitCode, String> {
         return chaos_cmd(&args[1..]);
     }
 
+    refuse_unknown_flags(&args, EXPERIMENT_USAGE)?;
     let small = args.iter().any(|a| a == "--small");
     let threads = flag_parsed::<usize>(&args, "--threads")?;
-    let rounds = flag_parsed::<u64>(&args, "--rounds")?.unwrap_or(1).max(1);
-    let solver_cold = args.iter().any(|a| a == "--solver-cold");
     let replay_config = replay::ReplayConfig {
         design: design_flag(&args)?,
         ..Default::default()
@@ -177,11 +174,7 @@ fn run() -> Result<ExitCode, String> {
                 Some(table1::render(&r))
             }
             "table3" => {
-                // Always the warm-start engine: with the default
-                // --rounds 1 it degenerates to one round per design,
-                // and --solver-cold flips only the reuse strategy, so
-                // output and journals never depend on either flag.
-                let r = table3::run_multi(&scenario, rounds, !solver_cold);
+                let r = table3::run(&scenario);
                 Some(table3::render(&r))
             }
             name if accounting_aliases.contains(&name) || name == "accounting" => {
@@ -339,28 +332,6 @@ fn bench_experiments(args: &[String]) -> Result<ExitCode, String> {
             speedup,
         });
     }
-    // Warm-start vs cold re-solves on the multi-round table3 hot loop,
-    // both single-threaded so the comparison isolates the solve
-    // strategy: serial_ms is the cold path, parallel_ms the warm one.
-    const HOT_LOOP_ROUNDS: u64 = 8;
-    let name = format!("table3_rounds{HOT_LOOP_ROUNDS}_cold_vs_warm");
-    eprintln!("benchmarking {name}: cold vs warm solves ...");
-    scenario.set_threads(1);
-    let clock = Stopwatch::start();
-    let _ = table3::run_multi(&scenario, HOT_LOOP_ROUNDS, false);
-    let cold_ms = clock.elapsed_ms();
-    let clock = Stopwatch::start();
-    let _ = table3::run_multi(&scenario, HOT_LOOP_ROUNDS, true);
-    let warm_ms = clock.elapsed_ms();
-    let speedup = cold_ms as f64 / warm_ms.max(1) as f64;
-    eprintln!("  {name}: {cold_ms} ms cold, {warm_ms} ms warm ({speedup:.2}x)");
-    entries.push(vdx_audit::BenchEntry {
-        name,
-        serial_ms: cold_ms,
-        parallel_ms: warm_ms,
-        speedup,
-    });
-
     eprintln!("recording table3 fidelity rows ...");
     scenario.set_threads(threads);
     let fidelity = table3::run(&scenario);

@@ -25,7 +25,7 @@
 
 use crate::scenario::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vdx_broker::{CpPolicy, OptimizeContext};
+use vdx_broker::CpPolicy;
 use vdx_core::{Design, RoundId, RoundOutcome};
 use vdx_obs::{MemoryProbe, NoopProbe, Probe};
 
@@ -108,17 +108,22 @@ fn claim<'a, T>(next: &AtomicUsize, items: &'a [T]) -> Option<(usize, &'a T)> {
     items.get(i).map(|item| (i, item))
 }
 
-/// Runs `unit` once per spec through [`map_indexed`] and returns the
-/// results in spec order. With a probe attached to the scenario each
-/// unit journals into its own buffer and the buffers are flushed to the
-/// shared probe in spec order, so the journal is byte-identical to a
-/// serial run; without one, units run under [`NoopProbe`] and buffer
-/// nothing.
-fn fan_out<R, F>(scenario: &Scenario, specs: &[RoundSpec], unit: F) -> Vec<R>
+/// Runs every spec against `scenario` through [`map_indexed`], folds
+/// each outcome with `fold` on the worker that ran it, and returns the
+/// folds in spec order. With a probe attached to the scenario each round
+/// journals into its own buffer and the buffers are flushed to the shared
+/// probe in spec order, so the journal is byte-identical to a serial run;
+/// without one, rounds run under [`NoopProbe`] and buffer nothing.
+pub fn run_rounds<R, F>(scenario: &Scenario, specs: &[RoundSpec], fold: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(&RoundSpec, &dyn Probe) -> R + Sync,
+    F: Fn(&RoundSpec, RoundOutcome) -> R + Sync,
 {
+    let unit = |spec: &RoundSpec, probe: &dyn Probe| {
+        let outcome =
+            scenario.run_round_probed(spec.round, spec.design, spec.policy, spec.bid_count, probe);
+        fold(spec, outcome)
+    };
     let shared = scenario.probe();
     if !shared.enabled() {
         return map_indexed(scenario.threads(), specs, |spec| unit(spec, &NoopProbe));
@@ -136,74 +141,6 @@ where
         results.push(result);
     }
     results
-}
-
-/// Runs every spec against `scenario`, folds each outcome with `fold` on
-/// the worker that ran it, and returns the folds in spec order. Journal
-/// events, if a probe is attached to the scenario, are buffered per round
-/// and emitted in spec order, so the journal is byte-identical to a
-/// serial run.
-pub fn run_rounds<R, F>(scenario: &Scenario, specs: &[RoundSpec], fold: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&RoundSpec, RoundOutcome) -> R + Sync,
-{
-    fan_out(scenario, specs, |spec, probe| {
-        let outcome =
-            scenario.run_round_probed(spec.round, spec.design, spec.policy, spec.bid_count, probe);
-        fold(spec, outcome)
-    })
-}
-
-/// Runs each spec as a **series** of `rounds` consecutive decision rounds
-/// sharing one warm-start [`OptimizeContext`] (the round hot loop), and
-/// returns each series' *last* outcome, folded as in [`run_rounds`], in
-/// spec order.
-///
-/// A series is one sequential round stream — the unit of warm-start
-/// sharing — so series fan out in parallel (one context each, no
-/// cross-thread state) while rounds within a series run in order. The
-/// series starting at `spec.round` journals round ids
-/// `spec.round .. spec.round + rounds`; callers must assign
-/// non-overlapping id blocks.
-///
-/// With `reuse` off every round re-solves from scratch (the
-/// `--solver-cold` reference); outcomes and journal bytes are identical
-/// either way, because the warm path only skips recomputing answers that
-/// determinism pins down and the journaled `SolverResolve` delta lines
-/// are a pure function of the round sequence. Per-series journal buffers
-/// are flushed in spec order, exactly like [`run_rounds`], so `--threads
-/// N` journals stay byte-identical too.
-pub fn run_series<R, F>(
-    scenario: &Scenario,
-    series: &[RoundSpec],
-    rounds: u64,
-    reuse: bool,
-    fold: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&RoundSpec, RoundOutcome) -> R + Sync,
-{
-    assert!(rounds >= 1, "a series needs at least one round");
-    fan_out(scenario, series, |spec, probe| {
-        let mut ctx = OptimizeContext::new();
-        ctx.set_reuse(reuse);
-        let mut run = |j| {
-            scenario.run_round_probed_ctx(
-                RoundId(spec.round.0 + j),
-                spec.design,
-                spec.policy,
-                spec.bid_count,
-                probe,
-                &mut ctx,
-            )
-        };
-        for j in 0..rounds - 1 {
-            run(j);
-        }
-        fold(spec, run(rounds - 1))
-    })
 }
 
 #[cfg(test)]
@@ -271,41 +208,6 @@ mod tests {
             .collect();
         // Events arrive in spec order regardless of execution schedule.
         assert_eq!(started, vec![5, 3]);
-    }
-
-    #[test]
-    fn warm_and_cold_series_agree_on_outcomes_and_journal_bytes() {
-        let mut s = crate::scenario::Scenario::build(crate::scenario::ScenarioConfig::small());
-        let probe = Arc::new(vdx_obs::MemoryProbe::new());
-        s.set_probe(probe.clone());
-        let series = [
-            RoundSpec::new(0, Design::Marketplace, CpPolicy::balanced()),
-            RoundSpec::new(3, Design::Brokered, CpPolicy::balanced()),
-        ];
-        let warm = run_series(&s, &series, 3, true, |_, outcome| outcome);
-        let warm_events = probe.take();
-        let cold = run_series(&s, &series, 3, false, |_, outcome| outcome);
-        let cold_events = probe.take();
-        assert_eq!(warm.len(), 2);
-        for (w, c) in warm.iter().zip(&cold) {
-            assert_eq!(w.assignment.choice, c.assignment.choice);
-            assert_eq!(w.assignment.objective, c.assignment.objective);
-        }
-        // Equal Event values serialize identically, so this is journal
-        // byte-identity between the warm and cold strategies.
-        assert_eq!(warm_events, cold_events);
-        // The scenario is static within a series, so rounds 2.. are
-        // warm-eligible and the last outcome equals a one-round run.
-        let eligible: Vec<bool> = warm_events
-            .iter()
-            .filter_map(|e| match e {
-                Event::SolverResolve { warm_eligible, .. } => Some(*warm_eligible),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(eligible, vec![false, true, true, false, true, true]);
-        let single = s.run_round(RoundId(0), Design::Marketplace, CpPolicy::balanced());
-        assert_eq!(warm[0].assignment.choice, single.assignment.choice);
     }
 
     #[test]

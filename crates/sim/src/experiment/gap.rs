@@ -42,7 +42,7 @@ impl GapRow {
 
 /// Runs the eight Table-3 rounds and bounds each as it finishes.
 pub fn run(scenario: &Scenario) -> Vec<GapRow> {
-    run_rounds(scenario, &table3::specs(1), |spec, outcome| GapRow {
+    run_rounds(scenario, &table3::specs(), |spec, outcome| GapRow {
         design: outcome.design.name(),
         objective: outcome.assignment.objective,
         report: bound_assignment(&outcome.problem, &spec.policy, &outcome.assignment),

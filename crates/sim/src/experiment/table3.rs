@@ -18,7 +18,7 @@
 //! reproduction target is the ordering and the zero/non-zero congestion
 //! pattern.
 
-use crate::engine::{run_rounds, run_series, RoundSpec};
+use crate::engine::{run_rounds, RoundSpec};
 use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::report::{fmt, render_table};
 use crate::scenario::Scenario;
@@ -36,18 +36,17 @@ pub struct Table3Result {
 /// [`engine`](crate::engine); row order is the paper's regardless of
 /// schedule). Each round is reduced to its row as it finishes.
 pub fn run(scenario: &Scenario) -> Table3Result {
-    let rows = run_rounds(scenario, &specs(1), |spec, outcome| {
+    let rows = run_rounds(scenario, &specs(), |spec, outcome| {
         row(scenario, spec, outcome)
     });
     Table3Result { rows }
 }
 
-/// The eight rounds behind [`run`] — or the first round of each of
-/// [`run_multi`]'s series — in the paper's row order, under the balanced
-/// policy: design `i` is `Design::TABLE3[i]`, from round id `i · stride`.
-pub(crate) fn specs(stride: u64) -> Vec<RoundSpec> {
+/// The eight rounds behind [`run`], in the paper's row order, under the
+/// balanced policy: round `i` runs `Design::TABLE3[i]`.
+pub(crate) fn specs() -> Vec<RoundSpec> {
     (Design::TABLE3.iter().enumerate())
-        .map(|(i, &design)| RoundSpec::new(i as u64 * stride, design, CpPolicy::balanced()))
+        .map(|(i, &design)| RoundSpec::new(i as u64, design, CpPolicy::balanced()))
         .collect()
 }
 
@@ -57,24 +56,6 @@ fn row(scenario: &Scenario, spec: &RoundSpec, outcome: RoundOutcome) -> (String,
         outcome: &outcome,
     });
     (spec.design.name(), metrics)
-}
-
-/// [`run`] over `rounds` consecutive decision rounds per design — the
-/// round hot loop the warm-start layer targets.
-///
-/// Each design is one series sharing one warm-start context: round ids
-/// `i·rounds ..< (i+1)·rounds` for design `i`, journaled in that order.
-/// The scenario is static across a series, so rounds after the first are
-/// warm-eligible and (with `reuse` on) short-circuit their Optimize step.
-/// The reported metrics come from each design's *last* round, which is
-/// bit-identical to its first — so the rendered Table 3 matches
-/// [`run`]'s regardless of `rounds` or `reuse` (`reuse = false` is the
-/// `--solver-cold` reference path and must also journal identically).
-pub fn run_multi(scenario: &Scenario, rounds: u64, reuse: bool) -> Table3Result {
-    let rows = run_series(scenario, &specs(rounds), rounds, reuse, |spec, outcome| {
-        row(scenario, spec, outcome)
-    });
-    Table3Result { rows }
 }
 
 /// Renders the result.
@@ -138,15 +119,5 @@ mod tests {
             );
         }
         assert!(render(&r).contains("Marketplace"));
-    }
-
-    #[test]
-    fn multi_round_table3_renders_identically_to_single_round() {
-        let s: &Scenario = crate::scenario::shared_small();
-        let single = render(&run(s));
-        let warm = render(&run_multi(s, 3, true));
-        let cold = render(&run_multi(s, 3, false));
-        assert_eq!(single, warm, "warm multi-round table matches single");
-        assert_eq!(warm, cold, "warm and cold strategies render identically");
     }
 }

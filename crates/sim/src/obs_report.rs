@@ -86,66 +86,35 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Decision rounds and solves. (`solver_stats` lines also carry
-    // `pivots`, `bnb_nodes` and `optimality_gap`: 0, 0 and null in every
-    // journal a product run has ever written, so no row prints them.)
+    // Decision rounds and their Optimize steps: a warm hit is a decision
+    // the broker's memo replayed (`solver_stats.warm_hit`; false in
+    // journals older than schema v7).
     let mut rounds = 0u64;
     let mut options = 0u64;
-    let mut modes: BTreeMap<String, u64> = BTreeMap::new();
-    let mut resolves = 0u64;
-    let mut warm_eligible = 0u64;
-    let mut changed_clients = 0u64;
+    let mut solves = 0u64;
+    let mut warm_hits = 0u64;
     for e in events {
         match e {
             Event::RoundCompleted { options: o, .. } => {
                 rounds += 1;
                 options += o;
             }
-            Event::SolverResolve {
-                warm_eligible: w,
-                changed_clients: c,
-                ..
-            } => {
-                resolves += 1;
-                warm_eligible += u64::from(*w);
-                changed_clients += c;
-            }
-            Event::SolverStats { mode, .. } => {
-                *modes.entry(mode.clone()).or_insert(0) += 1;
+            Event::SolverStats { warm_hit, .. } => {
+                solves += 1;
+                warm_hits += u64::from(*warm_hit);
             }
             _ => {}
         }
     }
     if rounds > 0 {
-        let mode_list = modes
-            .iter()
-            .map(|(m, n)| format!("{m} x{n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut solver_rows = vec![
+        let solver_rows = vec![
             vec!["rounds completed".to_string(), rounds.to_string()],
             vec!["options considered".to_string(), options.to_string()],
             vec![
-                "solve modes".to_string(),
-                if mode_list.is_empty() {
-                    "n/a".into()
-                } else {
-                    mode_list
-                },
+                "optimize steps (warm hits)".to_string(),
+                format!("{solves} ({warm_hits})"),
             ],
         ];
-        // Warm-start delta lines (schema v4 journals; a pure function of
-        // the round sequence, so warm and cold runs report identically).
-        if resolves > 0 {
-            solver_rows.push(vec![
-                "re-solves (warm-eligible)".to_string(),
-                format!("{resolves} ({warm_eligible})"),
-            ]);
-            solver_rows.push(vec![
-                "changed clients total".to_string(),
-                changed_clients.to_string(),
-            ]);
-        }
         out.push_str(&render_table(
             "Decision rounds",
             &["metric", "value"],
@@ -392,19 +361,10 @@ mod tests {
                 groups: 10,
                 cdns: 3,
             },
-            Event::SolverResolve {
-                round: 0,
-                changed_clients: 10,
-                changed_buckets: 3,
-                warm_eligible: false,
-            },
             Event::SolverStats {
                 round: 0,
-                mode: "heuristic".into(),
-                pivots: 0,
-                bnb_nodes: 0,
-                optimality_gap: None,
                 objective: 5.0,
+                warm_hit: false,
             },
             Event::RoundCompleted {
                 round: 0,
@@ -531,10 +491,8 @@ mod tests {
         assert!(text.contains("== Phases =="), "{text}");
         assert!(text.contains("build_scenario"), "{text}");
         assert!(text.contains("== Decision rounds =="), "{text}");
-        assert!(text.contains("heuristic x1"), "{text}");
-        assert!(text.contains("re-solves (warm-eligible)"), "{text}");
+        assert!(text.contains("optimize steps (warm hits)"), "{text}");
         assert!(text.contains("1 (0)"), "{text}");
-        assert!(text.contains("changed clients total"), "{text}");
         assert!(text.contains("== Wire =="), "{text}");
         assert!(text.contains("link fault drops"), "{text}");
         assert!(text.contains("crc-discarded frames"), "{text}");

@@ -294,11 +294,9 @@ impl Scenario {
     }
 
     /// [`Scenario::run_round_probed`] with a warm-start context carried
-    /// across rounds: the Optimize step short-circuits rounds whose
-    /// problem is unchanged and journals one `SolverResolve` delta line
-    /// per round. Outcomes and journal bytes are identical whether the
-    /// context has reuse enabled or not — the multi-round engine
-    /// ([`crate::engine::run_series`]) threads one context per series.
+    /// across rounds: the Optimize step replays the previous round's
+    /// decision when the round's problem repeats it. The outcome is
+    /// [`Scenario::run_round_probed`]'s either way.
     pub fn run_round_probed_ctx(
         &self,
         round: RoundId,

@@ -1,6 +1,7 @@
-//! `repro audit report`'s PATH handling, through the real binary: the
+//! `repro`'s command line, through the real binary: `audit report`'s
 //! default directory may be absent (a fresh checkout has no
-//! `results/journals` yet); a directory the caller names may not.
+//! `results/journals` yet), a directory the caller names may not; a flag
+//! value that does not parse and a flag no experiment reads are errors.
 
 #![expect(clippy::expect_used, reason = "test helpers")]
 
@@ -53,4 +54,18 @@ fn a_malformed_number_is_an_error_naming_flag_and_value() {
     assert!(out.stdout.is_empty(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--seed: cannot read \"2o17\""), "{stderr}");
+}
+
+#[test]
+fn an_unknown_flag_is_an_error_naming_it() {
+    // Used to run table3 and exit 0 with no journal written.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table3", "--small", "--journl", "t.jsonl"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "unknown flag: --journl\n");
 }

@@ -171,60 +171,3 @@ fn journaled_table3_is_byte_identical_across_thread_counts() {
     std::fs::remove_file(&path_1).ok();
     std::fs::remove_file(&path_4).ok();
 }
-
-/// A multi-round table3 run (the warm-start hot loop: one series of
-/// `rounds` rounds per design), with reuse on or off.
-fn journaled_table3_multi(path: &Path, threads: usize, rounds: u64, reuse: bool) {
-    journaled_table3(path, threads, |s| {
-        table3::run_multi(s, rounds, reuse);
-    });
-}
-
-/// The tentpole's byte-identity contract end to end: warm-started and
-/// cold multi-round table3 journals — `SolverResolve` delta lines
-/// included — are byte-identical to each other and across thread counts.
-#[test]
-fn warm_started_table3_journals_are_byte_identical_to_cold_across_threads() {
-    let warm_1 = temp_path("warm1.jsonl");
-    let warm_4 = temp_path("warm4.jsonl");
-    let cold_1 = temp_path("cold1.jsonl");
-    let cold_4 = temp_path("cold4.jsonl");
-    journaled_table3_multi(&warm_1, 1, 3, true);
-    journaled_table3_multi(&warm_4, 4, 3, true);
-    journaled_table3_multi(&cold_1, 1, 3, false);
-    journaled_table3_multi(&cold_4, 4, 3, false);
-
-    let reference = canonical_bytes(&warm_1);
-    assert!(!reference.is_empty());
-    let events = read_journal(&warm_1).expect("warm journal parses");
-    let resolves = events
-        .iter()
-        .filter(|e| matches!(e, Event::SolverResolve { .. }))
-        .count();
-    assert_eq!(resolves, 8 * 3, "one delta line per design per round");
-    assert!(
-        events.iter().any(|e| matches!(
-            e,
-            Event::SolverResolve {
-                warm_eligible: true,
-                ..
-            }
-        )),
-        "static scenario makes rounds after the first warm-eligible"
-    );
-
-    for (name, path) in [
-        ("warm_4", &warm_4),
-        ("cold_1", &cold_1),
-        ("cold_4", &cold_4),
-    ] {
-        assert_eq!(
-            canonical_bytes(path),
-            reference,
-            "{name} journal must match the warm single-threaded reference"
-        );
-    }
-    for path in [&warm_1, &warm_4, &cold_1, &cold_4] {
-        std::fs::remove_file(path).ok();
-    }
-}

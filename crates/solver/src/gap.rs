@@ -448,65 +448,6 @@ fn cmp_values(a: f64, b: f64) -> std::cmp::Ordering {
     (a + 0.0).total_cmp(&(b + 0.0))
 }
 
-/// The difference between two consecutive [`AssignmentProblem`]s — a
-/// pure function of the two problems, independent of how (or whether)
-/// either was solved. `vdx-broker` journals it once per round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProblemDelta {
-    /// Clients whose option list changed (all of them on a shape change
-    /// or a first solve).
-    pub changed_clients: u64,
-    /// Buckets whose capacity changed (all of them on a shape change or
-    /// a first solve).
-    pub changed_buckets: u64,
-    /// Client or bucket counts differ (or there was no previous
-    /// problem), so per-index comparison is meaningless.
-    pub shape_changed: bool,
-}
-
-impl ProblemDelta {
-    /// Whether nothing changed.
-    pub fn is_empty(&self) -> bool {
-        !self.shape_changed && self.changed_clients == 0 && self.changed_buckets == 0
-    }
-
-    /// Computes the delta between consecutive problems. Comparison is
-    /// exact (bitwise on the underlying floats): rounding drift must
-    /// register as a change.
-    pub fn between(prev: &AssignmentProblem, next: &AssignmentProblem) -> ProblemDelta {
-        if prev.num_clients() != next.num_clients()
-            || prev.capacities.len() != next.capacities.len()
-        {
-            return ProblemDelta::everything(next);
-        }
-        let changed_clients = prev
-            .each_client()
-            .zip(next.each_client())
-            .filter(|(a, b)| a.iter().ne(b.iter()))
-            .count() as u64;
-        let changed_buckets = prev
-            .capacities
-            .iter()
-            .zip(&next.capacities)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-        ProblemDelta {
-            changed_clients,
-            changed_buckets,
-            shape_changed: false,
-        }
-    }
-
-    /// The delta of a first solve: everything is new.
-    pub fn everything(next: &AssignmentProblem) -> ProblemDelta {
-        ProblemDelta {
-            changed_clients: next.num_clients() as u64,
-            changed_buckets: next.capacities.len() as u64,
-            shape_changed: true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -948,34 +889,9 @@ mod tests {
         AssignmentProblem::new(caps(&[1.0])).add_client(vec![opt(5, 1.0, 1.0)]);
     }
 
-    #[test]
-    fn delta_counts_changed_clients_and_buckets_and_flags_shape_changes() {
-        let build = |value: f64, cap: f64| {
-            let mut p = AssignmentProblem::new(caps(&[10.0, cap]));
-            p.add_client(vec![opt(0, 5.0, 4.0), opt(1, 3.0, 4.0)]);
-            p.add_client(vec![opt(0, value, 4.0), opt(1, 3.0, 4.0)]);
-            p.add_client(vec![opt(0, 2.0, 4.0), opt(1, 4.0, 4.0)]);
-            p
-        };
-        let p = build(5.0, 10.0);
-        assert!(ProblemDelta::between(&p, &p.clone()).is_empty());
-
-        let nudged = build(6.5, 9.0);
-        let delta = ProblemDelta::between(&p, &nudged);
-        assert_eq!((delta.changed_clients, delta.changed_buckets), (1, 1));
-        assert!(!delta.shape_changed && !delta.is_empty());
-
-        let mut bigger = p.clone();
-        bigger.add_client(vec![opt(0, 1.0, 1.0)]);
-        let delta = ProblemDelta::between(&p, &bigger);
-        assert_eq!(delta, ProblemDelta::everything(&bigger));
-        assert!(delta.shape_changed);
-        assert_eq!((delta.changed_clients, delta.changed_buckets), (4, 2));
-    }
-
     /// The per-client GAP this module held before bucket lists were
     /// shared: one `Vec<CandidateOption>` per client, and the solve path,
-    /// bound, loads and delta written over it. The reference the shared
+    /// bound and loads written over it. The reference the shared
     /// form must reproduce bit for bit.
     struct PerClient {
         options: Vec<Vec<CandidateOption>>,
@@ -1119,27 +1035,6 @@ mod tests {
             }
             best
         }
-
-        /// `ProblemDelta::between` as it was: `Vec` equality per client.
-        fn delta(&self, next: &PerClient) -> ProblemDelta {
-            if self.options.len() != next.options.len()
-                || self.capacities.len() != next.capacities.len()
-            {
-                return ProblemDelta {
-                    changed_clients: next.options.len() as u64,
-                    changed_buckets: next.capacities.len() as u64,
-                    shape_changed: true,
-                };
-            }
-            let changed = |a: &[Kbps], b: &[Kbps]| a.iter().zip(b).filter(|(x, y)| x != y).count();
-            ProblemDelta {
-                changed_clients: (self.options.iter().zip(&next.options))
-                    .filter(|(a, b)| a != b)
-                    .count() as u64,
-                changed_buckets: changed(&self.capacities, &next.capacities) as u64,
-                shape_changed: false,
-            }
-        }
     }
 
     /// A GAP whose clients mostly share bucket lists, as a round's groups
@@ -1233,30 +1128,6 @@ mod tests {
                 capacities: caps(&self.capacities),
             }
         }
-
-        /// The next round's case: some clients re-valued or moved to
-        /// another list, one capacity nudged.
-        fn perturbed(&self, rng: &mut vdx_rand::StdRng) -> SharedCase {
-            let mut clients = self.clients.clone();
-            for (list, terms) in &mut clients {
-                match rng.gen_range(0..4) {
-                    0 => terms[0].0 = -2.0,
-                    1 => {
-                        *list = rng.gen_range(0..self.lists.len());
-                        *terms = vec![(1.0, 1.0); self.lists[*list].len()];
-                    }
-                    _ => {}
-                }
-            }
-            let mut capacities = self.capacities.clone();
-            let b = rng.gen_range(0..capacities.len());
-            capacities[b] += rng.gen_range(0.0..2.0).round();
-            SharedCase {
-                capacities,
-                lists: self.lists.clone(),
-                clients,
-            }
-        }
     }
 
     fn assignment_bits(a: &Assignment) -> (Vec<usize>, u64) {
@@ -1269,54 +1140,31 @@ mod tests {
 
     #[test]
     fn shared_lists_solve_bound_and_diff_like_one_list_per_client() {
-        vdx_rand::prop::check(
-            512,
-            |rng| {
-                let case = SharedCase::draw(rng);
-                let next = case.perturbed(rng);
-                (case, next)
-            },
-            |(case, next)| {
-                let (shared, own, reference) =
-                    (case.shared(), case.one_list_each(), case.reference());
-                let greedy = reference.solve_greedy();
-                let local = reference.improve_local(greedy.clone(), 8);
-                for p in [&shared, &own] {
-                    assert_eq!(assignment_bits(&p.solve_greedy()), assignment_bits(&greedy));
-                    let improved = p.improve_local(greedy.clone(), 8);
-                    assert_eq!(assignment_bits(&improved), assignment_bits(&local));
-                    for choice in [&greedy.choice, &local.choice] {
-                        assert_eq!(
-                            load_bits(&p.bucket_loads(choice)),
-                            load_bits(&reference.bucket_loads(choice))
-                        );
-                        assert_eq!(
-                            p.value_of(choice).to_bits(),
-                            reference.value_of(choice).to_bits()
-                        );
-                    }
-                    for incumbent in [local.objective, 0.0] {
-                        assert_eq!(
-                            p.dual_bound(incumbent).to_bits(),
-                            reference.dual_bound(incumbent).to_bits()
-                        );
-                    }
+        vdx_rand::prop::check(512, SharedCase::draw, |case| {
+            let (shared, own, reference) = (case.shared(), case.one_list_each(), case.reference());
+            let greedy = reference.solve_greedy();
+            let local = reference.improve_local(greedy.clone(), 8);
+            for p in [&shared, &own] {
+                assert_eq!(assignment_bits(&p.solve_greedy()), assignment_bits(&greedy));
+                let improved = p.improve_local(greedy.clone(), 8);
+                assert_eq!(assignment_bits(&improved), assignment_bits(&local));
+                for choice in [&greedy.choice, &local.choice] {
+                    assert_eq!(
+                        load_bits(&p.bucket_loads(choice)),
+                        load_bits(&reference.bucket_loads(choice))
+                    );
+                    assert_eq!(
+                        p.value_of(choice).to_bits(),
+                        reference.value_of(choice).to_bits()
+                    );
                 }
-                let (next_shared, next_own) = (next.shared(), next.one_list_each());
-                let expected = reference.delta(&next.reference());
-                for (a, b) in [
-                    (&shared, &next_shared),
-                    (&own, &next_own),
-                    (&shared, &next_own),
-                    (&own, &next_shared),
-                ] {
-                    assert_eq!(ProblemDelta::between(a, b), expected);
+                for incumbent in [local.objective, 0.0] {
+                    assert_eq!(
+                        p.dual_bound(incumbent).to_bits(),
+                        reference.dual_bound(incumbent).to_bits()
+                    );
                 }
-                assert_eq!(
-                    ProblemDelta::between(&shared, &own),
-                    reference.delta(&case.reference())
-                );
-            },
-        );
+            }
+        });
     }
 }

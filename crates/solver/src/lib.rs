@@ -13,14 +13,11 @@
 //!   values and loads are per client and option), with
 //!   a regret-greedy constructor, a single-client-move local search (the
 //!   pipeline every shipped path runs — how a production broker trades
-//!   optimality for latency), [`AssignmentProblem::dual_bound`], the
+//!   optimality for latency) and [`AssignmentProblem::dual_bound`], the
 //!   Lagrangian upper bound on the optimum that `repro gap` scores the
-//!   heuristic against on all eight designs at full scale, and
-//!   [`ProblemDelta`], the pure round-to-round difference the broker
-//!   journals. The bound's own oracle is brute-force enumeration on
-//!   generated problems of at most eight clients, in that module's tests;
-//! * [`stats`] — [`SolveStats`], the warm/cold round counters
-//!   `vdx-broker`'s memo keeps.
+//!   heuristic against on all eight designs at full scale. The bound's
+//!   own oracle is brute-force enumeration on generated problems of at
+//!   most eight clients, in that module's tests.
 //!
 //! This crate depends on nothing but `std` (tests draw inputs from `vdx-rand`).
 
@@ -28,7 +25,5 @@
 #![warn(missing_docs)]
 
 pub mod gap;
-pub mod stats;
 
-pub use gap::{Assignment, AssignmentProblem, CandidateOption, ProblemDelta};
-pub use stats::SolveStats;
+pub use gap::{Assignment, AssignmentProblem, CandidateOption};

@@ -5,8 +5,8 @@
 #
 # Exports <parent-ref> under target/journal-parity/ (as bench-pairs.sh
 # does), builds `repro` there and here, runs the full-scale `table3`,
-# `table3 --rounds 4`, `faults` and `gap` on both with `--journal`, and
-# diffs each run's stdout and its journal after scripts/journal-scrub.sed.
+# `faults` and `gap` on both with `--journal`, and diffs each run's
+# stdout and its journal after scripts/journal-scrub.sed.
 # Prints one line per run and ends in `journal-parity: OK`; the first
 # difference is printed and fails the script.
 set -euo pipefail
@@ -32,7 +32,7 @@ for tree in "$parent" "$change"; do
 done
 rm -rf "$work/runs" && mkdir -p "$work/runs"
 
-runs=("table3" "table3 --rounds 4" "faults" "gap")
+runs=("table3" "faults" "gap")
 for i in "${!runs[@]}"; do
   read -r -a args <<<"${runs[$i]}"
   for side in parent change; do
