@@ -62,7 +62,11 @@ impl LatencyModel {
     /// and `dst_key` identify the endpoints (e.g. city ids) so that the
     /// pairwise jitter is stable across calls.
     pub fn rtt_ms(&self, src: GeoPoint, dst: GeoPoint, src_key: u64, dst_key: u64) -> f64 {
-        let d = src.distance_km(dst);
+        self.rtt_at(src.distance_km(dst), src_key, dst_key)
+    }
+
+    /// [`LatencyModel::rtt_ms`] over a distance the caller already has.
+    pub(crate) fn rtt_at(&self, d: f64, src_key: u64, dst_key: u64) -> f64 {
         let speed = self.config.propagation_speed_fraction * C_KM_PER_MS;
         let propagation = 2.0 * self.config.route_inflation * d / speed;
         let access = 2.0 * self.config.access_penalty_ms;

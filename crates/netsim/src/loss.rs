@@ -50,7 +50,11 @@ impl LossModel {
     /// Loss fraction in `[0, max_loss]` between two points, keyed like
     /// [`crate::latency::LatencyModel::rtt_ms`].
     pub fn loss_fraction(&self, src: GeoPoint, dst: GeoPoint, src_key: u64, dst_key: u64) -> f64 {
-        let d = src.distance_km(dst);
+        self.loss_at(src.distance_km(dst), src_key, dst_key)
+    }
+
+    /// [`LossModel::loss_fraction`] over a distance the caller already has.
+    pub(crate) fn loss_at(&self, d: f64, src_key: u64, dst_key: u64) -> f64 {
         let raw = self.config.base_loss + self.config.loss_per_10mm * (d / 10_000.0);
         let mut rng = StdRng::seed_from_u64(mix(self.seed ^ LOSS_DOMAIN_SEP, src_key, dst_key));
         let factor = 1.0 + self.config.variation * (rng.gen_range(0.0..2.0) - 1.0);

@@ -52,15 +52,14 @@ impl NetModel {
 
     /// Path quality from a client in `src` to a cluster in `dst`.
     pub fn quality(&self, world: &World, src: CityId, dst: CityId) -> PathQuality {
-        let a = world.city(src).location;
-        let b = world.city(dst).location;
-        let rtt = self.latency.rtt_ms(a, b, src.0 as u64, dst.0 as u64);
-        let loss = self.loss.loss_fraction(a, b, src.0 as u64, dst.0 as u64);
+        let distance_km = world.distance_km(src, dst);
+        let rtt = self.latency.rtt_at(distance_km, src.0 as u64, dst.0 as u64);
+        let loss = self.loss.loss_at(distance_km, src.0 as u64, dst.0 as u64);
         PathQuality {
             rtt_ms: rtt,
             loss_fraction: loss,
             score: Score::from_latency_loss(rtt, loss),
-            distance_km: a.distance_km(b),
+            distance_km,
         }
     }
 
@@ -87,6 +86,53 @@ mod tests {
         let a = CityId(0);
         let b = CityId(100);
         assert_eq!(model.quality(&world, a, b), model.quality(&world, a, b));
+    }
+
+    #[test]
+    fn quality_agrees_bit_for_bit_with_the_point_queries() {
+        let world = World::generate(
+            &WorldConfig {
+                countries: 8,
+                cities: 40,
+                ..Default::default()
+            },
+            7,
+        );
+        let model = NetModel::new(NetModelConfig::default(), 7);
+        for src in world.cities() {
+            for dst in world.cities() {
+                let (a, b) = (src.location, dst.location);
+                let (i, j) = (src.id.0 as u64, dst.id.0 as u64);
+                let q = model.quality(&world, src.id, dst.id);
+                let pair = (src.id, dst.id);
+                let rtt = model.latency.rtt_ms(a, b, i, j);
+                assert_eq!(q.rtt_ms.to_bits(), rtt.to_bits(), "{pair:?}");
+                let loss = model.loss.loss_fraction(a, b, i, j);
+                assert_eq!(q.loss_fraction.to_bits(), loss.to_bits(), "{pair:?}");
+                let d = world.distance_km(src.id, dst.id);
+                assert_eq!(q.distance_km.to_bits(), d.to_bits(), "{pair:?}");
+            }
+        }
+    }
+
+    /// Full-scale scores (the default world and model at the paper's seed),
+    /// captured before `quality` shared one distance between its parts.
+    #[test]
+    fn full_scale_scores_are_pinned() {
+        let world = World::generate(&WorldConfig::default(), 2017);
+        let model = NetModel::new(NetModelConfig::default(), 2017);
+        let pins = [
+            ((0, 0), 0x4035_72a5_5fa4_c99d),
+            ((0, 399), 0x4053_98d4_e0f0_03a7),
+            ((17, 250), 0x405b_7808_a4d8_43f7),
+            ((123, 45), 0x406b_507d_c093_b37f),
+            ((399, 7), 0x4055_a865_a0b2_4420),
+            ((200, 201), 0x403d_7757_9501_48ff),
+        ];
+        for ((src, dst), bits) in pins {
+            let score = model.score(&world, CityId(src), CityId(dst));
+            assert_eq!(score.value().to_bits(), bits, "({src}, {dst})");
+        }
     }
 
     #[test]

@@ -21,11 +21,14 @@ use std::ops::{Range, RangeInclusive};
 
 pub mod prop;
 
-/// Words produced per refill: four 16-word ChaCha blocks.
-const BUFFER_WORDS: usize = 64;
+/// Words produced per refill: one 16-word ChaCha block.
+const BUFFER_WORDS: usize = 16;
 
-/// The standard generator: ChaCha with 12 rounds, buffered four blocks
-/// at a time, read exactly as `rand_core::block::BlockRng` reads it.
+/// The standard generator: ChaCha with 12 rounds, read exactly as
+/// `rand_core::block::BlockRng` reads it. The published crate buffers four
+/// blocks per refill; this one computes one block at a time, which yields
+/// the same keystream word for word (block `n` is words `16n..16n + 16`
+/// either way) and skips the blocks a short-lived generator never reads.
 #[derive(Clone, Debug)]
 pub struct StdRng {
     key: [u32; 8],
@@ -75,7 +78,7 @@ impl StdRng {
         StdRng::from_seed(seed)
     }
 
-    fn block(&self, counter: u64, out: &mut [u32]) {
+    fn block(&self, counter: u64) -> [u32; BUFFER_WORDS] {
         let mut init = [0u32; 16];
         init[..4].copy_from_slice(&[0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]);
         init[4..12].copy_from_slice(&self.key);
@@ -93,18 +96,15 @@ impl StdRng {
             quarter_round(&mut s, 2, 7, 8, 13);
             quarter_round(&mut s, 3, 4, 9, 14);
         }
-        for (o, (a, b)) in out.iter_mut().zip(s.iter().zip(&init)) {
-            *o = a.wrapping_add(*b);
+        for (a, b) in s.iter_mut().zip(&init) {
+            *a = a.wrapping_add(*b);
         }
+        s
     }
 
     fn refill(&mut self, index: usize) {
-        let mut results = [0u32; BUFFER_WORDS];
-        for (i, chunk) in results.chunks_mut(16).enumerate() {
-            self.block(self.counter.wrapping_add(i as u64), chunk);
-        }
-        self.results = results;
-        self.counter = self.counter.wrapping_add(4);
+        self.results = self.block(self.counter);
+        self.counter = self.counter.wrapping_add(1);
         self.index = index;
     }
 
@@ -328,6 +328,49 @@ mod tests {
         }
         assert_eq!(rng.next_u64(), 0x2206_0928_4d83_4360);
         assert_eq!(rng.next_u32(), 0xc179_e25a);
+    }
+
+    // The pins below were captured from the four-blocks-per-refill
+    // generator this one replaced: the keystream did not move.
+
+    #[test]
+    fn a_u64_straddling_words_15_and_16_spans_one_block_refill() {
+        let mut rng = StdRng::seed_from_u64(2017);
+        for _ in 0..15 {
+            rng.next_u32();
+        }
+        assert_eq!(rng.next_u64(), 0x70d2_995e_4203_98b2);
+        assert_eq!(rng.next_u32(), 0xc184_b699);
+    }
+
+    #[test]
+    fn seed_2017_words_127_to_130_cross_the_eighth_block() {
+        let mut rng = StdRng::seed_from_u64(2017);
+        for _ in 0..127 {
+            rng.next_u32();
+        }
+        let words: Vec<u32> = (0..4).map(|_| rng.next_u32()).collect();
+        assert_eq!(words, [0x5fe7_fdfb, 0xbb1c_3bc7, 0x7a38_a995, 0x933e_9340]);
+    }
+
+    #[test]
+    fn seed_2017_first_thousand_u64s_fold_to_a_known_answer() {
+        let mut rng = StdRng::seed_from_u64(2017);
+        let fold = (0..1000).fold(0u64, |acc, _| acc.rotate_left(7) ^ rng.next_u64());
+        assert_eq!(fold, 0x9d05_1c44_a879_ddcb);
+    }
+
+    #[test]
+    fn a_clone_taken_mid_block_continues_identically() {
+        let mut rng = StdRng::seed_from_u64(2017);
+        for _ in 0..21 {
+            rng.next_u32();
+        }
+        let mut copy = rng.clone();
+        for _ in 0..100 {
+            assert_eq!(copy.next_u64(), rng.next_u64());
+            assert_eq!(copy.next_u32(), rng.next_u32());
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl Zipf {
     }
 }
 
-/// Weighted index sampler (alias-free linear CDF; fine for the sizes here).
+/// Weighted index sampler: a normalised CDF, binary-searched per draw.
 #[derive(Debug, Clone)]
 pub struct WeightedIndex {
     cdf: Vec<f64>,

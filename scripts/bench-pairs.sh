@@ -7,15 +7,16 @@
 # Exports <parent-ref> under target/bench-pairs/, builds the frozen harness
 # there and here (the working tree is the change), runs <workload> on both
 # `pairs` times — odd pairs parent first, even pairs change first — into two
-# set directories, prints each pair's end-to-end figures as parent|change,
-# then hands both sets to the harness's own `compare` (medians, quartiles,
-# bounds, verdicts, exact counts). Anything after `pairs` goes to every run
-# unchanged: `--seed 44`, `--trace 1`, `--seconds 5`.
+# set directories, prints each pair's end-to-end figures as parent|change
+# and, per metric, in how many pairs the change was lower, then hands both
+# sets to the harness's own `compare` (medians, quartiles, bounds, verdicts,
+# exact counts). Anything after `pairs` goes to every run unchanged:
+# `--seed 44`, `--trace 1`, `--seconds 5`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 2 ]; then
-  sed -n '2,14s/^# \{0,1\}//p' "$0" >&2
+  sed -n '2,15s/^# \{0,1\}//p' "$0" >&2
   exit 2
 fi
 ref=$1 workload=$2 pairs=${3:-10}
@@ -55,6 +56,10 @@ figure() { # <summary line> <metric>
   sed -n "s/.*\"$2\":{\"value\":\([-0-9.eE+]*\).*/\1/p" <<<"$1"
 }
 
+metrics=(op_ms_p10 setup_s peak_rss_mb)
+declare -A lower=() both=()
+for m in "${metrics[@]}"; do lower[$m]=0 both[$m]=0; done
+
 for i in $(seq -w 1 "$pairs"); do
   if [ $((10#$i % 2)) -eq 1 ]; then
     a=$(run_side "$parent" "$sets/parent" "$i" "$@")
@@ -64,10 +69,23 @@ for i in $(seq -w 1 "$pairs"); do
     a=$(run_side "$parent" "$sets/parent" "$i" "$@")
   fi
   line="pair $i"
-  for m in op_ms_p10 setup_s peak_rss_mb; do
-    line+="  $m $(figure "$a" "$m")|$(figure "$b" "$m")"
+  for m in "${metrics[@]}"; do
+    pa=$(figure "$a" "$m") ch=$(figure "$b" "$m")
+    line+="  $m $pa|$ch"
+    [ -n "$pa" ] && [ -n "$ch" ] || continue
+    both[$m]=$((both[$m] + 1))
+    if awk -v p="$pa" -v c="$ch" 'BEGIN { exit !(c + 0 < p + 0) }'; then
+      lower[$m]=$((lower[$m] + 1))
+    fi
   done
   echo "$line"
+done
+# The ROADMAP's "≥ 9 of 10" rule, read per metric over the pairs that
+# report it (a tie is not a win; a traced run's summary line has none).
+for m in "${metrics[@]}"; do
+  if [ "${both[$m]}" -gt 0 ]; then
+    echo "$m: change lower in ${lower[$m]} of ${both[$m]}"
+  fi
 done
 
 echo
