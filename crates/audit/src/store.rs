@@ -326,7 +326,7 @@ mod tests {
     #[test]
     fn torn_final_line_loads_with_the_complete_lines() {
         let dir = temp_dir("store-torn");
-        // A SIGKILLed daemon: the BufWriter's last flush ended mid-event,
+        // A journal cut off mid-event (a crash inside its last write),
         // and `experiment_finished` was never written.
         let full = crashed_journal();
         let cut = full

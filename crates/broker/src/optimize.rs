@@ -340,11 +340,11 @@ pub fn bound_assignment(
 }
 
 /// Instrumented runs time the Optimize step into the process-wide
-/// histogram; unprobed callers skip the registry entirely.
+/// histogram; unprobed callers skip it entirely.
 fn optimize_timer(probe: &dyn Probe) -> Option<vdx_obs::ScopedTimer<'static>> {
     probe
         .enabled()
-        .then(|| vdx_obs::ScopedTimer::global("broker.optimize"))
+        .then(|| vdx_obs::ScopedTimer::new(&vdx_obs::metrics::BROKER_OPTIMIZE))
 }
 
 /// Builds and solves the GAP and journals the decision.
@@ -811,11 +811,11 @@ mod tests {
         let problem = two_group_problem();
         let mode = OptimizeMode::Heuristic;
         let plain = optimize(&problem, &CpPolicy::balanced(), &mode);
-        let probe = MemoryProbe::new();
+        let (probe, rx) = MemoryProbe::channel();
         let probed = optimize_probed(&problem, &CpPolicy::balanced(), &mode, 7, &probe);
         assert_eq!(plain.choice, probed.choice);
         assert_eq!(
-            probe.take(),
+            rx.try_iter().collect::<Vec<_>>(),
             [Event::SolverStats {
                 round: 7,
                 objective: probed.objective,
@@ -835,7 +835,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(r, (problem, mode))| {
-                let probe = MemoryProbe::new();
+                let (probe, rx) = MemoryProbe::channel();
                 let a = optimize_probed_ctx(
                     problem,
                     &CpPolicy::balanced(),
@@ -844,7 +844,7 @@ mod tests {
                     &probe,
                     ctx,
                 );
-                (a, probe.take())
+                (a, rx.try_iter().collect::<Vec<_>>())
             })
             .collect()
     }

@@ -167,7 +167,7 @@ fn round_impl(
     // so unprobed callers keep pure-function semantics.
     let _round_timer = probe
         .enabled()
-        .then(|| ScopedTimer::global("core.decision_round"));
+        .then(|| ScopedTimer::new(&vdx_obs::metrics::CORE_DECISION_ROUND));
     let fleet = inputs.fleet;
     if probe.enabled() {
         probe.emit(Event::RoundStarted {
@@ -780,7 +780,7 @@ pub(crate) mod tests {
             bid_count: None,
             margins: None,
         };
-        let probe = MemoryProbe::new();
+        let (probe, rx) = MemoryProbe::channel();
         let probed = run_decision_round_probed(
             Design::Marketplace,
             &inputs,
@@ -796,7 +796,7 @@ pub(crate) mod tests {
             "probe is inert"
         );
 
-        let events = probe.take();
+        let events: Vec<Event> = rx.try_iter().collect();
         assert!(matches!(
             events.first(),
             Some(Event::RoundStarted { round: 3, .. })
@@ -850,7 +850,7 @@ pub(crate) mod tests {
             bid_count: None,
             margins: None,
         };
-        let probe = MemoryProbe::new();
+        let (probe, rx) = MemoryProbe::channel();
         run_decision_round_probed(
             Design::Brokered,
             &inputs,
@@ -859,9 +859,7 @@ pub(crate) mod tests {
             &probe,
         );
         assert!(
-            !probe
-                .take()
-                .iter()
+            !rx.try_iter()
                 .any(|e| matches!(e, Event::SharePublished { .. })),
             "Brokered has no Share step"
         );

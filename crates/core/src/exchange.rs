@@ -985,12 +985,12 @@ mod tests {
     #[test]
     fn probed_live_round_journals_the_auction() {
         let eco = build_eco(23);
-        let probe = Arc::new(MemoryProbe::new());
-        let mut round = spine(&eco, Design::Marketplace, probe.clone());
+        let (probe, rx) = MemoryProbe::channel();
+        let mut round = spine(&eco, Design::Marketplace, Arc::new(probe));
         let mut script = Script::new(&eco, Design::Marketplace);
         round.run(0, &eco.groups, &mut script);
 
-        let events = probe.take();
+        let events: Vec<ObsEvent> = rx.try_iter().collect();
         assert!(matches!(
             events.first(),
             Some(ObsEvent::RoundStarted { round: 0, .. })
@@ -1013,7 +1013,7 @@ mod tests {
 
         // The next round is journaled under its own id.
         round.run(1, &eco.groups, &mut script);
-        let events = probe.take();
+        let events: Vec<ObsEvent> = rx.try_iter().collect();
         assert!(matches!(
             events.first(),
             Some(ObsEvent::RoundStarted { round: 1, .. })
@@ -1024,8 +1024,8 @@ mod tests {
     fn deadline_finalize_substitutes_stale_bids_and_respects_known_failures() {
         let eco = build_eco(23);
         let n = eco.fleet.cdns.len();
-        let probe = Arc::new(MemoryProbe::new());
-        let mut round = spine(&eco, Design::Marketplace, probe.clone());
+        let (probe, rx) = MemoryProbe::channel();
+        let mut round = spine(&eco, Design::Marketplace, Arc::new(probe));
         let mut script = Script::new(&eco, Design::Marketplace);
         // Round 0 fills the cache with what every CDN announced.
         let first = round.run(0, &eco.groups, &mut script);
@@ -1048,7 +1048,7 @@ mod tests {
                 })
                 .collect()
         };
-        let events = probe.take();
+        let events: Vec<ObsEvent> = rx.try_iter().collect();
         assert_eq!(reused(&events, 1), (0..n as u32).collect::<Vec<_>>());
 
         // Round 2 with CDN 0 known failed: its cache entry must NOT be
@@ -1057,21 +1057,24 @@ mod tests {
         let excluded = round.run(2, &eco.groups, &mut script);
         assert_eq!(excluded.resolution, RoundResolution::Degraded);
         assert!(excluded.picks.iter().all(|&(cdn, _)| cdn != 0));
-        assert_eq!(reused(&probe.take(), 2), (1..n as u32).collect::<Vec<_>>());
+        assert_eq!(
+            reused(&rx.try_iter().collect::<Vec<_>>(), 2),
+            (1..n as u32).collect::<Vec<_>>()
+        );
     }
 
     #[test]
     fn deadline_finalize_with_nothing_falls_back() {
         let eco = build_eco(23);
         let n = eco.fleet.cdns.len();
-        let probe = Arc::new(MemoryProbe::new());
+        let (probe, rx) = MemoryProbe::channel();
         let mut script = Script::new(&eco, Design::Marketplace);
         script.silent = (0..n).collect();
         let decided =
-            spine(&eco, Design::Marketplace, probe.clone()).run(0, &eco.groups, &mut script);
+            spine(&eco, Design::Marketplace, Arc::new(probe)).run(0, &eco.groups, &mut script);
         assert_eq!(decided.resolution, RoundResolution::Fallback);
         assert_eq!(decided.picks.len(), eco.groups.len());
-        let events = probe.take();
+        let events: Vec<ObsEvent> = rx.try_iter().collect();
         assert!(events.iter().any(|e| matches!(
             e,
             ObsEvent::DeadlineMissed { missing_cdns, .. } if *missing_cdns == n as u64

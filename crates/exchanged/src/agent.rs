@@ -297,10 +297,11 @@ mod tests {
             retry_base_ms: 1,
             ..AgentConfig::new(1, Design::Marketplace)
         };
-        let probe = MemoryProbe::new();
+        let (probe, rx) = MemoryProbe::channel();
         let outcome = run_agent_probed(addr, &scenario, &cfg, &probe);
         assert_eq!(outcome.err().map(|e| e.to_string()), Some(refused.clone()));
-        let retries: Vec<(u32, String)> = (probe.take().into_iter())
+        let retries: Vec<(u32, String)> = rx
+            .try_iter()
             .filter_map(|e| match e {
                 Event::ConnRetry {
                     attempt, reason, ..

@@ -846,7 +846,8 @@ mod tests {
         let scenario = Arc::new(Scenario::build(ScenarioConfig::at_scale(true, Some(2017))));
         let n = scenario.fleet.cdns.len();
         let design = Design::Marketplace;
-        let probe = Arc::new(MemoryProbe::new());
+        let (probe, rx) = MemoryProbe::channel();
+        let probe = Arc::new(probe);
         let opts = ServerOptions::default();
         let shares = shares_of(&scenario);
         let scores = |a: CityId, b: CityId| scenario.score_of(a, b);
@@ -919,7 +920,7 @@ mod tests {
         let _witness = answering.join().expect("answering thread");
 
         assert_eq!(decided.resolution, RoundResolution::Fresh);
-        let closed: Vec<(u32, String)> = (probe.take().into_iter())
+        let closed: Vec<(u32, String)> = (rx.try_iter())
             .filter_map(|e| match e {
                 Event::ConnClosed { cdn, reason, .. } => Some((cdn, reason)),
                 _ => None,

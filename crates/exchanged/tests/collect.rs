@@ -122,8 +122,8 @@ fn a_flooding_agent_meets_backpressure_once_and_still_bids_fresh() {
         ..ServerOptions::default()
     };
     let flood = QUEUE_CAP + 8;
-    let probe = Arc::new(MemoryProbe::new());
-    let mut server = start(&scenario, probe.clone(), opts);
+    let (probe, journal) = MemoryProbe::channel();
+    let mut server = start(&scenario, Arc::new(probe), opts);
     let addr = server.local_addr();
     let flooder = {
         let sc = scenario.clone();
@@ -137,12 +137,12 @@ fn a_flooding_agent_meets_backpressure_once_and_still_bids_fresh() {
         })
         .collect();
     assert!(server.wait_for_agents(n, Duration::from_secs(10)));
-    let backpressure_events = || {
-        probe
-            .events()
-            .iter()
+    let mut backpressure = 0;
+    let mut backpressure_events = || {
+        backpressure += (journal.try_iter())
             .filter(|e| e.kind() == "conn_backpressure")
-            .count()
+            .count();
+        backpressure
     };
 
     assert_eq!(server.run_round(0).resolution, RoundResolution::Fresh);

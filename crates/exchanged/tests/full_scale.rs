@@ -138,7 +138,7 @@ fn every_message_fits_one_frame_and_every_record_one_log_record() {
 /// One round of `design` through the daemon with one `run_agent` thread
 /// per CDN, all sharing `scenario`, and the options it was decided over.
 fn live_round(scenario: &Arc<Scenario>, design: Design) -> (DriverRound, Vec<u32>, u64) {
-    let probe = Arc::new(MemoryProbe::new());
+    let (probe, journal) = MemoryProbe::channel();
     let opts = ServerOptions {
         // Every agent answers well inside this; the round ends when the
         // last one has, so it only bounds a failure.
@@ -150,7 +150,7 @@ fn live_round(scenario: &Arc<Scenario>, design: Design) -> (DriverRound, Vec<u32
         scenario.clone(),
         design,
         CpPolicy::balanced(),
-        probe.clone(),
+        Arc::new(probe),
         opts,
     )
     .expect("bind loopback");
@@ -171,7 +171,7 @@ fn live_round(scenario: &Arc<Scenario>, design: Design) -> (DriverRound, Vec<u32
     for agent in agents {
         agent.join().expect("agent thread").expect("agent run");
     }
-    let events = probe.take();
+    let events: Vec<Event> = journal.try_iter().collect();
     let answered = (events.iter())
         .filter_map(|e| match e {
             Event::BidReceived { cdn, .. } => Some(*cdn),

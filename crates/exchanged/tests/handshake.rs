@@ -140,8 +140,8 @@ fn a_resumed_session_cannot_bid_at_or_below_the_round_it_resumed_from() {
     const RESUMED_FROM: u64 = 1;
     let scenario = small();
     let n = scenario.fleet.cdns.len();
-    let probe = Arc::new(MemoryProbe::new());
-    let mut server = start(&scenario, probe.clone(), Duration::from_millis(1_500));
+    let (probe, journal) = MemoryProbe::channel();
+    let mut server = start(&scenario, Arc::new(probe), Duration::from_millis(1_500));
     let addr = server.local_addr();
     let resume = Message::HelloResume {
         node_id: 0,
@@ -152,9 +152,11 @@ fn a_resumed_session_cannot_bid_at_or_below_the_round_it_resumed_from() {
     peers.extend((1..n as u32).map(|cdn| bidding_peer(addr, &scenario, cdn, hello(cdn))));
     assert!(server.wait_for_agents(n, Duration::from_secs(10)));
 
-    let fresh_from = |round: u64| -> Vec<u32> {
-        let mut cdns: Vec<u32> = (probe.events().into_iter())
-            .filter_map(|e| match e {
+    let mut seen = Vec::new();
+    let mut fresh_from = |round: u64| -> Vec<u32> {
+        seen.extend(journal.try_iter());
+        let mut cdns: Vec<u32> = (seen.iter())
+            .filter_map(|e| match *e {
                 Event::BidReceived { round: r, cdn, .. } if r == round => Some(cdn),
                 _ => None,
             })

@@ -91,13 +91,13 @@ fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
     // Phase 2: a new daemon on the same WAL and the same address. It
     // must report rounds 0..6 as recovered (not re-run them) and resume
     // at round 6; the waiting agents reconnect with HelloResume.
-    let probe = Arc::new(MemoryProbe::new());
+    let (probe, journal) = MemoryProbe::channel();
     let mut server = ExchangeServer::start(
         addr,
         scenario.clone(),
         Design::Marketplace,
         CpPolicy::balanced(),
-        probe.clone(),
+        Arc::new(probe),
         options_for(&plan, wal_path.clone()),
     )
     .expect("rebind after restart");
@@ -107,9 +107,8 @@ fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
         &reference[..6],
         "recovered rounds must equal the reference prefix"
     );
-    let recovery_events: Vec<Event> = probe
-        .events()
-        .into_iter()
+    let recovery_events: Vec<Event> = journal
+        .try_iter()
         .filter(|e| e.kind().starts_with("recovery_"))
         .collect();
     assert!(
@@ -224,21 +223,20 @@ fn an_interrupted_round_is_voided_and_rerun_from_recovered_state() {
     }
 
     // Recovery must void round 2 and schedule it to run again.
-    let probe = Arc::new(MemoryProbe::new());
+    let (probe, journal) = MemoryProbe::channel();
     let server = ExchangeServer::start(
         "127.0.0.1:0",
         scenario.clone(),
         Design::Marketplace,
         CpPolicy::balanced(),
-        probe.clone(),
+        Arc::new(probe),
         options_for(&plan, wal_path.clone()),
     )
     .expect("bind loopback");
     assert_eq!(server.next_round(), 2, "the voided round is re-run");
     assert_eq!(server.recovered_rounds(), &reference[..2]);
-    let recovery_events: Vec<Event> = probe
-        .events()
-        .into_iter()
+    let recovery_events: Vec<Event> = journal
+        .try_iter()
         .filter(|e| e.kind().starts_with("recovery_"))
         .collect();
     assert!(

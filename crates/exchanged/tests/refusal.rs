@@ -61,7 +61,7 @@ fn an_announce_too_large_to_frame_ends_the_agent_without_a_retry() {
         retry_base_ms: 1,
         ..AgentConfig::new(0, Design::Marketplace)
     };
-    let probe = MemoryProbe::new();
+    let (probe, journal) = MemoryProbe::channel();
     let outcome = run_agent_probed(addr, &scenario, &cfg, &probe);
     daemon.join().expect("daemon thread");
 
@@ -74,9 +74,8 @@ fn an_announce_too_large_to_frame_ends_the_agent_without_a_retry() {
         matches!(refused, Some(FrameError::Oversized(n)) if *n > MAX_PAYLOAD),
         "{e:?}"
     );
-    let retries = probe
-        .take()
-        .iter()
+    let retries = journal
+        .try_iter()
         .filter(|ev| matches!(ev, Event::ConnRetry { .. }))
         .count();
     assert_eq!(retries, 0, "a refusal that will recur is not retried");
@@ -85,13 +84,13 @@ fn an_announce_too_large_to_frame_ends_the_agent_without_a_retry() {
 #[test]
 fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
     let scenario = small();
-    let probe = Arc::new(MemoryProbe::new());
+    let (probe, journal) = MemoryProbe::channel();
     let server = ExchangeServer::start(
         "127.0.0.1:0",
         scenario,
         Design::Marketplace,
         CpPolicy::balanced(),
-        probe.clone(),
+        Arc::new(probe),
         ServerOptions::default(),
     )
     .expect("bind loopback");
@@ -116,7 +115,7 @@ fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
 
     let clock = Stopwatch::start();
     let reason = loop {
-        let closed = probe.events().into_iter().find_map(|ev| match ev {
+        let closed = journal.try_iter().find_map(|ev| match ev {
             Event::ConnClosed { cdn: 0, reason, .. } => Some(reason),
             _ => None,
         });

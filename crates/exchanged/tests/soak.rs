@@ -19,6 +19,7 @@
 
 #![expect(clippy::expect_used, reason = "test helpers")]
 
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,8 +79,8 @@ fn run_live(
 /// A driver's journal as the analytics tools compare it: wall-clock
 /// fields zeroed, the daemon's connection lifecycle (which the
 /// in-process driver has none of) dropped.
-fn comparable_journal(probe: &MemoryProbe) -> Vec<Event> {
-    let mut events = probe.take();
+fn comparable_journal(journal: &Receiver<Event>) -> Vec<Event> {
+    let mut events: Vec<Event> = journal.try_iter().collect();
     events.retain(|e| !e.kind().starts_with("conn_"));
     events.iter_mut().for_each(Event::zero_wall_clock);
     events
@@ -89,13 +90,13 @@ fn comparable_journal(probe: &MemoryProbe) -> Vec<Event> {
 fn daemon_decisions_match_the_reference_driver_round_for_round() {
     let scenario = Arc::new(small_scenario(90217));
     let plan = SoakPlan::ladder(scenario.fleet.cdns.len() as u32);
-    let reference_probe = Arc::new(MemoryProbe::new());
+    let (reference_probe, reference_journal) = MemoryProbe::channel();
     let reference = run_reference(
         &scenario,
         Design::Marketplace,
         CpPolicy::balanced(),
         plan.clone(),
-        reference_probe.clone(),
+        Arc::new(reference_probe),
     );
     let expected: Vec<RoundResolution> = vec![
         RoundResolution::Fresh,
@@ -116,8 +117,8 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
         "the reference driver should walk the scripted ladder"
     );
 
-    let live_probe = Arc::new(MemoryProbe::new());
-    let live = run_live(&scenario, &plan, live_probe.clone(), |cdn| AgentConfig {
+    let (live_probe, live_journal) = MemoryProbe::channel();
+    let live = run_live(&scenario, &plan, Arc::new(live_probe), |cdn| AgentConfig {
         silent_rounds: plan.silent_rounds_for(cdn as u32),
         ..AgentConfig::new(cdn as u32, Design::Marketplace)
     });
@@ -126,8 +127,8 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
         "daemon decisions diverged from the reference"
     );
     assert_eq!(
-        comparable_journal(&live_probe),
-        comparable_journal(&reference_probe),
+        comparable_journal(&live_journal),
+        comparable_journal(&reference_journal),
         "daemon journal diverged from the reference"
     );
 }

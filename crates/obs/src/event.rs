@@ -352,7 +352,7 @@ pub enum Event {
         /// Rounds voided and re-run (0 or 1 under the current format).
         rounds_voided: u64,
     },
-    /// Summary of one named timing histogram (from the metrics registry).
+    /// Summary of one named timing histogram (from `metrics::drain`).
     TimingSummary {
         /// Histogram name (e.g. `core.decision_round`).
         name: String,

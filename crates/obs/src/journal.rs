@@ -1,20 +1,23 @@
-//! The flight-recorder journal: a buffered JSONL writer, one file per run.
+//! The flight-recorder journal: a JSONL writer, one file per run.
 //!
 //! A [`Journal`] appends one [`Event`] per line to a file (conventionally
-//! under `results/journals/`). The first line should be an
-//! [`Event::RunHeader`] and the last an [`Event::ExperimentFinished`];
+//! under `results/journals/`), one write per line. The first line should
+//! be an [`Event::RunHeader`] and the last an [`Event::ExperimentFinished`];
 //! [`Journal::finish`] writes the terminal record with the running event
-//! count and flushes. Reading back is [`read_journal`], which fails on the
+//! count. Reading back is [`read_journal`], which fails on the
 //! first line that does not parse as an [`Event`] (a torn last line, what
 //! a killed writer leaves, is dropped instead, and so is a line of an
 //! event kind an older schema had and this one retired).
 
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::event::{Event, SCHEMA_VERSION};
 use crate::json::Json;
+use crate::probe::Probe;
 
 /// Errors raised while writing or reading a journal.
 #[derive(Debug)]
@@ -72,16 +75,29 @@ impl From<io::Error> for JournalError {
     }
 }
 
-/// A buffered JSONL event writer bound to one file.
+/// A JSONL event writer bound to one file, and the [`Probe`] of a
+/// journaled run.
 ///
-/// Writes are buffered; [`Journal::flush`] or [`Journal::finish`] (or drop,
-/// best-effort via `BufWriter`) pushes them to disk. The journal counts
-/// events so the terminal record can report how many lines precede it.
+/// Each event is one `write_all` of one complete line through `&File`,
+/// unbuffered: when [`Probe::emit`] returns, the line is in the kernel,
+/// so a killed process leaves every line it wrote.
+/// Threads may emit concurrently (the daemon's reader threads journal
+/// `conn_closed` and `conn_backpressure` while its round thread journals
+/// the round): a line to a regular file is a single `write(2)` on one
+/// open file description, which the kernel serializes, so lines never
+/// interleave. That holds for a regular file only; a pipe would keep it
+/// only for lines up to `PIPE_BUF` bytes.
+///
+/// The journal counts the events written so the terminal record can
+/// report how many lines precede it. [`Probe::emit`] cannot return an
+/// error — a probe must never abort the run it observes — so it keeps
+/// the first one and [`Journal::finish`] reports it.
 #[derive(Debug)]
 pub struct Journal {
-    writer: BufWriter<File>,
+    file: File,
     path: PathBuf,
-    events: u64,
+    events: AtomicU64,
+    first_error: OnceLock<io::Error>,
 }
 
 impl Journal {
@@ -96,9 +112,10 @@ impl Journal {
         }
         let file = File::create(&path)?;
         Ok(Journal {
-            writer: BufWriter::new(file),
+            file,
             path,
-            events: 0,
+            events: AtomicU64::new(0),
+            first_error: OnceLock::new(),
         })
     }
 
@@ -109,40 +126,47 @@ impl Journal {
 
     /// Events written so far.
     pub fn len(&self) -> u64 {
-        self.events
+        self.events.load(Ordering::Relaxed)
     }
 
     /// True when no event has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.events == 0
+        self.len() == 0
     }
 
-    /// Appends one event as one JSON line.
-    pub fn write(&mut self, event: &Event) -> Result<(), JournalError> {
+    /// Appends one event as one JSON line, in one write.
+    fn write(&self, event: &Event) -> Result<(), JournalError> {
         let mut line = event.to_json_line();
         line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.events += 1;
-        Ok(())
-    }
-
-    /// Flushes buffered lines to disk.
-    pub fn flush(&mut self) -> Result<(), JournalError> {
-        self.writer.flush()?;
+        (&self.file).write_all(line.as_bytes())?;
+        self.events.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Writes the terminal [`Event::ExperimentFinished`] record (with the
-    /// count of events already written) and flushes. Consumes the journal:
-    /// nothing may follow the terminal record.
+    /// count of events already written). Consumes the journal: nothing
+    /// may follow the terminal record. A write error [`Probe::emit`]
+    /// swallowed comes back here instead, and no terminal record is
+    /// written.
     pub fn finish(mut self, experiment: &str, wall_ms: u64) -> Result<(), JournalError> {
+        if let Some(e) = self.first_error.take() {
+            return Err(JournalError::Io(e));
+        }
         let terminal = Event::ExperimentFinished {
             experiment: experiment.to_string(),
             wall_ms,
-            events: self.events,
+            events: self.len(),
         };
-        self.write(&terminal)?;
-        self.flush()
+        self.write(&terminal)
+    }
+}
+
+impl Probe for Journal {
+    fn emit(&self, event: Event) {
+        if let Err(JournalError::Io(e)) = self.write(&event) {
+            // Only the first error is kept; a later one is dropped.
+            let _ = self.first_error.set(e);
+        }
     }
 }
 
@@ -159,8 +183,10 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// Reads a journal file back into events, failing on the first malformed
 /// line. Blank lines are rejected too: a journal is events, nothing else.
 /// The one exception is an unparseable final line of a file that does
-/// not end in a newline: a SIGKILLed writer's `BufWriter` leaves exactly
-/// that, and the complete lines before it are what the reader is for.
+/// not end in a newline: a writer cut off mid-line (a crash during its
+/// last write, or a buffered writer of an older build SIGKILLed) leaves
+/// exactly that, and the complete lines before it are what the reader is
+/// for.
 ///
 /// Journals whose [`Event::RunHeader`] declares a schema newer than
 /// [`SCHEMA_VERSION`] are rejected with [`JournalError::Version`] —
@@ -243,7 +269,7 @@ mod tests {
     #[test]
     fn write_finish_read_round_trip() {
         let path = temp_path("roundtrip.jsonl");
-        let mut journal = Journal::create(&path).expect("create");
+        let journal = Journal::create(&path).expect("create");
         journal
             .write(&Event::RunHeader {
                 schema: SCHEMA_VERSION,

@@ -10,19 +10,19 @@
 //!   moment in a run (round lifecycle, auction steps, solver effort,
 //!   protocol retransmissions, replay churn, phase timing). One event is
 //!   one JSONL line ([`Event::to_json_line`] / [`Event::from_json`]).
-//! * [`journal`] — a buffered JSONL writer ([`Journal`]), one file per
-//!   run, conventionally under `results/journals/`; plus the one
-//!   reader, [`read_journal`] / [`parse_journal`], for `repro
+//! * [`journal`] — the JSONL writer ([`Journal`]), one file per run,
+//!   conventionally under `results/journals/`, one write per line; plus
+//!   the one reader, [`read_journal`] / [`parse_journal`], for `repro
 //!   obs-report` and `vdx-audit`.
-//! * [`metrics`] — a mutex-guarded [`Registry`] of named fixed-bucket
-//!   histograms with p50/p95/p99 summaries, with a process-wide
-//!   instance at [`metrics::global`].
-//! * [`timing`] — RAII [`ScopedTimer`]s that feed named histograms.
+//! * [`metrics`] — the process's two timers, lock-free fixed-bucket
+//!   [`Histogram`]s with p50/p95/p99 summaries, drained by
+//!   [`metrics::drain`].
+//! * [`timing`] — RAII [`ScopedTimer`]s that feed a histogram.
 //!
 //! Instrumented code never names a sink: it talks to the [`Probe`] trait,
 //! whose default implementation ([`NoopProbe`]) reports itself disabled
 //! so hot paths skip even constructing events. Swapping in a
-//! [`JournalProbe`] (the `repro --journal` flag) or a [`MemoryProbe`]
+//! [`Journal`] (the `repro --journal` flag) or a [`MemoryProbe`]
 //! (tests, benches) turns the same run into an analyzable artifact with
 //! no call-site changes.
 //!
@@ -44,6 +44,6 @@ pub mod timing;
 pub use event::{Event, SCHEMA_VERSION};
 pub use journal::{parse_journal, read_journal, Journal, JournalError};
 pub use json::Json;
-pub use metrics::{Histogram, Registry};
-pub use probe::{noop, JournalProbe, MemoryProbe, NoopProbe, Probe};
+pub use metrics::Histogram;
+pub use probe::{noop, MemoryProbe, NoopProbe, Probe};
 pub use timing::{ScopedTimer, Stopwatch};

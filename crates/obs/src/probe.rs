@@ -8,14 +8,15 @@
 //! uninstrumented run pays a virtual call returning a constant and nothing
 //! else.
 //!
-//! Two real sinks ship here: [`MemoryProbe`] (collects into a
-//! mutex-guarded vec, for tests and benches) and
-//! [`JournalProbe`] (forwards to a [`Journal`], for the repro CLI).
+//! Two real sinks ship: [`MemoryProbe`] (the sending half of a channel,
+//! for tests and in-process analysis) and [`Journal`](crate::Journal)
+//! (one JSONL line per event, for the repro CLI and the daemon). Neither
+//! takes a lock.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Arc;
 
 use crate::event::Event;
-use crate::journal::Journal;
 
 /// An event sink threaded through instrumented code.
 ///
@@ -49,128 +50,46 @@ pub fn noop() -> Arc<dyn Probe> {
     Arc::new(NoopProbe)
 }
 
-/// Collects events in memory; for tests, benches, and in-process analysis.
-#[derive(Debug, Default)]
+/// Sends every event down an `mpsc` channel, in emission order; for
+/// tests and in-process analysis. The reader holds the [`Receiver`] from
+/// [`MemoryProbe::channel`] and collects with `rx.try_iter()`.
+#[derive(Debug)]
 pub struct MemoryProbe {
-    events: Mutex<Vec<Event>>,
+    events: Sender<Event>,
 }
 
 impl MemoryProbe {
-    /// Creates an empty collector.
+    /// A probe and the receiver its events arrive on.
+    pub fn channel() -> (MemoryProbe, Receiver<Event>) {
+        let (events, rx) = mpsc::channel();
+        (MemoryProbe { events }, rx)
+    }
+
+    /// An enabled probe whose receiver is already dropped: call sites
+    /// build every event and the probe discards it. What it is for is
+    /// timing event construction.
     pub fn new() -> MemoryProbe {
-        MemoryProbe::default()
+        MemoryProbe::channel().0
     }
+}
 
-    #[expect(
-        clippy::expect_used,
-        reason = "no panic can start under the buffer lock (its critical \
-                  sections are pushes and takes)"
-    )]
-    fn buffer(&self) -> MutexGuard<'_, Vec<Event>> {
-        self.events.lock().expect("event buffer lock poisoned")
-    }
-
-    /// Clones out everything collected so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.buffer().clone()
-    }
-
-    /// Removes and returns everything collected so far.
-    pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.buffer())
-    }
-
-    /// Number of events collected.
-    pub fn len(&self) -> usize {
-        self.buffer().len()
-    }
-
-    /// True when nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.buffer().is_empty()
+impl Default for MemoryProbe {
+    fn default() -> Self {
+        MemoryProbe::new()
     }
 }
 
 impl Probe for MemoryProbe {
     fn emit(&self, event: Event) {
-        self.buffer().push(event);
-    }
-}
-
-/// Forwards events to a [`Journal`]. Write errors are not propagated — a
-/// probe must never abort the simulation it observes — but the first is
-/// kept and reported by [`JournalProbe::into_journal`]. Every
-/// [`Event::RoundCompleted`] (the last event of a round) flushes, so a
-/// killed process leaves every round it completed on disk.
-#[derive(Debug)]
-pub struct JournalProbe {
-    sink: Mutex<Sink>,
-}
-
-/// What [`JournalProbe`] guards with its one lock.
-#[derive(Debug)]
-struct Sink {
-    journal: Journal,
-    first_error: Option<String>,
-}
-
-impl JournalProbe {
-    /// Wraps an open journal.
-    pub fn new(journal: Journal) -> JournalProbe {
-        JournalProbe {
-            sink: Mutex::new(Sink {
-                journal,
-                first_error: None,
-            }),
-        }
-    }
-
-    /// Unwraps the journal (e.g. to `finish` it). Reports the first write
-    /// error swallowed during emission, if any.
-    pub fn into_journal(self) -> Result<Journal, String> {
-        let sink = (self.sink.into_inner())
-            .map_err(|_| "a thread panicked while journaling".to_string())?;
-        sink.first_error.map_or(Ok(sink.journal), Err)
-    }
-
-    /// Events written so far.
-    #[expect(clippy::expect_used, reason = "as in `emit`")]
-    pub fn len(&self) -> u64 {
-        self.sink
-            .lock()
-            .expect("journal lock poisoned")
-            .journal
-            .len()
-    }
-
-    /// True while no event has been written.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Probe for JournalProbe {
-    /// No panic can start under the journal lock (a write returns its
-    /// error), so a poisoned lock is a bug, not a state to handle.
-    #[expect(
-        clippy::expect_used,
-        reason = "no panic can start under the journal lock"
-    )]
-    fn emit(&self, event: Event) {
-        let mut sink = self.sink.lock().expect("journal lock poisoned");
-        let mut written = sink.journal.write(&event);
-        if matches!(event, Event::RoundCompleted { .. }) {
-            written = written.and_then(|()| sink.journal.flush());
-        }
-        if let Err(e) = written {
-            sink.first_error.get_or_insert_with(|| e.to_string());
-        }
+        // A dropped receiver means nobody reads; the event goes with it.
+        let _ = self.events.send(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Journal;
 
     #[test]
     fn noop_probe_is_disabled_and_silent() {
@@ -181,14 +100,16 @@ mod tests {
 
     #[test]
     fn memory_probe_collects_in_order() {
-        let p = MemoryProbe::new();
+        let (p, rx) = MemoryProbe::channel();
         assert!(p.enabled());
         p.emit(Event::PhaseStarted { phase: "a".into() });
         p.emit(Event::PhaseStarted { phase: "b".into() });
-        let events = p.take();
+        let events: Vec<Event> = rx.try_iter().collect();
         assert_eq!(events.len(), 2);
         assert!(matches!(&events[0], Event::PhaseStarted { phase } if phase == "a"));
-        assert!(p.is_empty());
+        assert_eq!(rx.try_iter().count(), 0);
+        // Without a receiver the probe still takes events.
+        MemoryProbe::new().emit(Event::PhaseStarted { phase: "c".into() });
     }
 
     #[test]
@@ -201,15 +122,19 @@ mod tests {
         assert!(shared.enabled());
     }
 
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let mut path = std::env::temp_dir();
+        path.push(format!("vdx-obs-probe-{name}-{}.jsonl", std::process::id()));
+        path
+    }
+
     #[test]
     fn journal_probe_round_trips_to_disk() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("vdx-obs-probe-{}.jsonl", std::process::id()));
-        let probe = JournalProbe::new(Journal::create(&path).expect("create"));
+        let path = temp_path("roundtrip");
+        let probe = Journal::create(&path).expect("create");
         probe.emit(Event::PhaseStarted { phase: "p".into() });
         assert_eq!(probe.len(), 1);
-        let journal = probe.into_journal().expect("no write errors");
-        journal.finish("t", 0).expect("finish");
+        probe.finish("t", 0).expect("finish");
         let events = crate::journal::read_journal(&path).expect("read");
         assert_eq!(events.len(), 2);
         std::fs::remove_file(&path).ok();
@@ -217,9 +142,8 @@ mod tests {
 
     #[test]
     fn a_completed_round_is_on_disk_while_the_probe_lives() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("vdx-obs-probe-flush-{}.jsonl", std::process::id()));
-        let probe = JournalProbe::new(Journal::create(&path).expect("create"));
+        let path = temp_path("flush");
+        let probe = Journal::create(&path).expect("create");
         probe.emit(Event::PhaseStarted { phase: "p".into() });
         probe.emit(Event::RoundCompleted {
             round: 0,
@@ -233,18 +157,62 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    #[test]
+    fn concurrent_emitters_write_whole_lines() {
+        let path = temp_path("threads");
+        let probe = Journal::create(&path).expect("create");
+        std::thread::scope(|s| {
+            for thread in 0..8 {
+                let probe = &probe;
+                s.spawn(move || {
+                    for i in 0..1_000 {
+                        probe.emit(Event::PhaseStarted {
+                            phase: format!("t{thread}-{i}-{}", "x".repeat(i % 300)),
+                        });
+                    }
+                });
+            }
+        });
+        probe.finish("threads", 0).expect("finish");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let events = crate::journal::parse_journal(&text).expect("every line parses");
+        assert_eq!(events.len(), 8_001);
+        // Each thread's lines are all there, whole and in its own order.
+        for thread in 0..8 {
+            let mine: Vec<String> = (events.iter())
+                .filter_map(|e| match e {
+                    Event::PhaseStarted { phase } => phase
+                        .strip_prefix(&format!("t{thread}-"))
+                        .map(str::to_owned),
+                    _ => None,
+                })
+                .collect();
+            let expected: Vec<String> = (0..1_000)
+                .map(|i| format!("{i}-{}", "x".repeat(i % 300)))
+                .collect();
+            assert_eq!(mine, expected, "thread {thread}");
+        }
+        assert!(matches!(
+            events.last(),
+            Some(Event::ExperimentFinished { events: 8_000, .. })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
-    fn the_first_write_error_comes_back_from_into_journal() {
-        let probe = JournalProbe::new(Journal::create("/dev/full").expect("open /dev/full"));
+    fn the_first_write_error_comes_back_from_finish() {
+        let probe = Journal::create("/dev/full").expect("open /dev/full");
         probe.emit(Event::RoundCompleted {
             round: 0,
             objective: 1.5,
             options: 2,
         });
+        assert_eq!(probe.len(), 0, "the failed line is not counted");
         let err = probe
-            .into_journal()
-            .expect_err("the flush hit a full device");
+            .finish("t", 0)
+            .expect_err("the write hit a full device")
+            .to_string();
         assert!(err.contains("No space left"), "{err}");
     }
 }

@@ -1,15 +1,15 @@
-//! RAII scoped timers that feed named histograms in a [`Registry`].
+//! RAII scoped timers that feed a [`Histogram`].
 //!
 //! ```
-//! use vdx_obs::metrics::Registry;
+//! use vdx_obs::metrics::Histogram;
 //! use vdx_obs::timing::ScopedTimer;
 //!
-//! let registry = Registry::new();
+//! let histogram = Histogram::new("demo.section");
 //! {
-//!     let _timer = ScopedTimer::new(&registry, "demo.section");
+//!     let _timer = ScopedTimer::new(&histogram);
 //!     // ... timed work ...
 //! }
-//! assert_eq!(registry.histogram("demo.section").unwrap().count(), 1);
+//! assert_eq!(histogram.count(), 1);
 //! ```
 //!
 //! This module is the one sanctioned exception to the workspace's
@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use crate::event::{Event, SCHEMA_VERSION};
-use crate::metrics::Registry;
+use crate::metrics::Histogram;
 
 /// The [`Event::RunHeader`] that opens a journal, stamped with the
 /// current schema, the wall-clock start of the run and the checkout's
@@ -64,21 +64,19 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Times a scope and records the elapsed microseconds into the named
-/// histogram of `registry` on drop.
+/// Times a scope and records the elapsed microseconds into `histogram`
+/// on drop.
 #[derive(Debug)]
 pub struct ScopedTimer<'a> {
-    registry: &'a Registry,
-    name: &'static str,
+    histogram: &'a Histogram,
     start: Instant,
 }
 
 impl<'a> ScopedTimer<'a> {
     /// Starts timing; the measurement is recorded when the value drops.
-    pub fn new(registry: &'a Registry, name: &'static str) -> ScopedTimer<'a> {
+    pub fn new(histogram: &'a Histogram) -> ScopedTimer<'a> {
         ScopedTimer {
-            registry,
-            name,
+            histogram,
             // The journal byte-identity tests are what hold "never feeds
             // results" (DESIGN.md §10).
             #[expect(
@@ -90,12 +88,6 @@ impl<'a> ScopedTimer<'a> {
         }
     }
 
-    /// Starts a timer against the process-wide registry
-    /// ([`crate::metrics::global`]).
-    pub fn global(name: &'static str) -> ScopedTimer<'static> {
-        ScopedTimer::new(crate::metrics::global(), name)
-    }
-
     /// Elapsed time so far, microseconds (the value drop will record).
     pub fn elapsed_us(&self) -> u64 {
         self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
@@ -104,13 +96,13 @@ impl<'a> ScopedTimer<'a> {
 
 impl Drop for ScopedTimer<'_> {
     fn drop(&mut self) {
-        self.registry.observe_us(self.name, self.elapsed_us());
+        self.histogram.record_us(self.elapsed_us());
     }
 }
 
 /// A free-standing stopwatch for phases that end at an explicit point
-/// rather than a scope boundary (e.g. CLI phase bookkeeping). Does not
-/// touch any registry; callers decide where the reading goes.
+/// rather than a scope boundary (e.g. CLI phase bookkeeping). Feeds no
+/// histogram; callers decide where the reading goes.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -151,29 +143,28 @@ mod tests {
 
     #[test]
     fn scoped_timer_records_on_drop() {
-        let registry = Registry::new();
+        let h = Histogram::new("t.scope");
         {
-            let timer = ScopedTimer::new(&registry, "t.scope");
+            let timer = ScopedTimer::new(&h);
             let _ = timer.elapsed_us();
         }
-        let h = registry.histogram("t.scope").expect("histogram exists");
         assert_eq!(h.count(), 1);
     }
 
     #[test]
     fn nested_timers_record_independently() {
-        let registry = Registry::new();
+        let (outer, inner) = (Histogram::new("t.outer"), Histogram::new("t.inner"));
         {
-            let _outer = ScopedTimer::new(&registry, "t.outer");
+            let _outer = ScopedTimer::new(&outer);
             {
-                let _inner = ScopedTimer::new(&registry, "t.inner");
+                let _inner = ScopedTimer::new(&inner);
             }
             {
-                let _inner = ScopedTimer::new(&registry, "t.inner");
+                let _inner = ScopedTimer::new(&inner);
             }
         }
-        assert_eq!(registry.histogram("t.outer").unwrap().count(), 1);
-        assert_eq!(registry.histogram("t.inner").unwrap().count(), 2);
+        assert_eq!(outer.count(), 1);
+        assert_eq!(inner.count(), 2);
     }
 
     #[test]

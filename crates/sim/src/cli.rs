@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use vdx_core::Design;
 use vdx_obs::timing::run_header;
-use vdx_obs::{Event, Journal, JournalProbe, Probe, Stopwatch};
+use vdx_obs::{Event, Journal, Probe, Stopwatch};
 
 /// The value after `--flag` on a command line, if both are present.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -63,7 +63,7 @@ pub fn journaled_phase<T>(probe: &dyn Probe, name: &str, work: impl FnOnce() -> 
 /// its run header to its terminal record. Without a path nothing is
 /// recorded and [`FlightRecorder::run_probe`] is the no-op probe.
 pub struct FlightRecorder {
-    journal: Option<Arc<JournalProbe>>,
+    journal: Option<Arc<Journal>>,
     experiment: String,
     clock: Stopwatch,
 }
@@ -81,9 +81,8 @@ impl FlightRecorder {
         let clock = Stopwatch::start();
         let journal = match flag_value(args, "--journal") {
             Some(path) => {
-                let journal = Journal::create(&path)
+                let probe = Journal::create(&path)
                     .map_err(|e| format!("cannot create journal {path}: {e}"))?;
-                let probe = JournalProbe::new(journal);
                 // The header's `threads` is 0 when the run names no count.
                 let threads = threads.map_or(0, |n| n as u64);
                 probe.emit(run_header(experiment, seed, small, threads));
@@ -106,20 +105,18 @@ impl FlightRecorder {
         }
     }
 
-    /// Drains the process-wide metrics registry into the journal, writes
+    /// Drains the process's timing histograms into the journal, writes
     /// the terminal record and names the file on stderr. Every
     /// [`FlightRecorder::run_probe`] handle must have been dropped.
     pub fn end_run(self) -> Result<(), String> {
         let Some(probe) = self.journal else {
             return Ok(());
         };
-        for event in vdx_obs::metrics::global().drain() {
+        for event in vdx_obs::metrics::drain() {
             probe.emit(event);
         }
         let journal = Arc::try_unwrap(probe)
-            .map_err(|_| "journal probe still shared; cannot finish the journal".to_string())?
-            .into_journal()
-            .map_err(|e| format!("journal write errors: {e}"))?;
+            .map_err(|_| "journal probe still shared; cannot finish the journal".to_string())?;
         let path = journal.path().display().to_string();
         journal
             .finish(&self.experiment, self.clock.elapsed_ms())

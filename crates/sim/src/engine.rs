@@ -25,9 +25,10 @@
 
 use crate::scenario::Scenario;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use vdx_broker::CpPolicy;
 use vdx_core::{Design, RoundId, RoundOutcome};
-use vdx_obs::{MemoryProbe, NoopProbe, Probe};
+use vdx_obs::{MemoryProbe, Probe};
 
 /// One independent decision round an experiment wants run.
 #[derive(Debug, Clone, Copy)]
@@ -108,39 +109,52 @@ fn claim<'a, T>(next: &AtomicUsize, items: &'a [T]) -> Option<(usize, &'a T)> {
     items.get(i).map(|item| (i, item))
 }
 
-/// Runs every spec against `scenario` through [`map_indexed`], folds
+/// [`map_indexed`] over [`Scenario::threads`], journaled as if serial.
+/// With a probe attached to the scenario each item journals into its own
+/// [`MemoryProbe`] and the buffers are flushed to the shared probe in item
+/// order, so the journal is byte-identical for any thread count; without
+/// one, every item runs under the no-op probe and buffers nothing.
+pub fn map_journaled<T, R, F>(scenario: &Scenario, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T, Arc<dyn Probe>) -> R + Sync,
+{
+    let shared = scenario.probe();
+    if !shared.enabled() {
+        let noop = vdx_obs::noop();
+        return map_indexed(scenario.threads(), items, |item| f(item, noop.clone()));
+    }
+    let pairs = map_indexed(scenario.threads(), items, |item| {
+        let (buffer, events) = MemoryProbe::channel();
+        (f(item, Arc::new(buffer)), events)
+    });
+    (pairs.into_iter())
+        .map(|(result, events)| {
+            events.try_iter().for_each(|event| shared.emit(event));
+            result
+        })
+        .collect()
+}
+
+/// Runs every spec against `scenario` through [`map_journaled`], folds
 /// each outcome with `fold` on the worker that ran it, and returns the
-/// folds in spec order. With a probe attached to the scenario each round
-/// journals into its own buffer and the buffers are flushed to the shared
-/// probe in spec order, so the journal is byte-identical to a serial run;
-/// without one, rounds run under [`NoopProbe`] and buffer nothing.
+/// folds in spec order.
 pub fn run_rounds<R, F>(scenario: &Scenario, specs: &[RoundSpec], fold: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&RoundSpec, RoundOutcome) -> R + Sync,
 {
-    let unit = |spec: &RoundSpec, probe: &dyn Probe| {
-        let outcome =
-            scenario.run_round_probed(spec.round, spec.design, spec.policy, spec.bid_count, probe);
+    map_journaled(scenario, specs, |spec, probe| {
+        let outcome = scenario.run_round_probed(
+            spec.round,
+            spec.design,
+            spec.policy,
+            spec.bid_count,
+            probe.as_ref(),
+        );
         fold(spec, outcome)
-    };
-    let shared = scenario.probe();
-    if !shared.enabled() {
-        return map_indexed(scenario.threads(), specs, |spec| unit(spec, &NoopProbe));
-    }
-    let pairs = map_indexed(scenario.threads(), specs, |spec| {
-        let buffer = MemoryProbe::new();
-        let result = unit(spec, &buffer);
-        (result, buffer.take())
-    });
-    let mut results = Vec::with_capacity(pairs.len());
-    for (result, events) in pairs {
-        for event in events {
-            shared.emit(event);
-        }
-        results.push(result);
-    }
-    results
+    })
 }
 
 #[cfg(test)]
@@ -191,18 +205,17 @@ mod tests {
     #[test]
     fn run_rounds_journals_in_spec_order() {
         let mut s = crate::scenario::Scenario::build(crate::scenario::ScenarioConfig::small());
-        let probe = Arc::new(vdx_obs::MemoryProbe::new());
-        s.set_probe(probe.clone());
+        let (probe, events) = vdx_obs::MemoryProbe::channel();
+        s.set_probe(Arc::new(probe));
         let specs = [
             RoundSpec::new(5, Design::Marketplace, CpPolicy::balanced()),
             RoundSpec::new(3, Design::Brokered, CpPolicy::balanced()),
         ];
         run_rounds(&s, &specs, |_, _| ());
-        let started: Vec<u64> = probe
-            .take()
-            .iter()
+        let started: Vec<u64> = events
+            .try_iter()
             .filter_map(|e| match e {
-                Event::RoundStarted { round, .. } => Some(*round),
+                Event::RoundStarted { round, .. } => Some(round),
                 _ => None,
             })
             .collect();

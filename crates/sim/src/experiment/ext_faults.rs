@@ -14,15 +14,13 @@
 //! their rows stay fully live at every severity — the availability price
 //! of the richer designs is exactly what this table quantifies.
 
-use crate::engine::map_indexed;
+use crate::engine::map_journaled;
 use crate::faults::{run_campaign, CampaignOutcome, FaultPlan, RoundFaults};
 use crate::metrics::DesignMetrics;
 use crate::report::render_table;
 use crate::scenario::Scenario;
-use std::sync::Arc;
 use vdx_broker::CpPolicy;
 use vdx_core::Design;
-use vdx_obs::{MemoryProbe, Probe};
 
 /// The fault severities swept (0 = the paper's perfect exchange).
 pub const SEVERITY_SWEEP: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -101,40 +99,17 @@ pub fn run(scenario: &Scenario) -> FaultsResult {
         }
     }
 
-    let shared = scenario.probe();
-    let outcomes: Vec<CampaignOutcome> = if shared.enabled() {
-        let pairs = map_indexed(scenario.threads(), &cells, |&(idx, design, severity)| {
-            let buffer = Arc::new(MemoryProbe::new());
-            let outcome = run_campaign(
-                scenario,
-                design,
-                CpPolicy::balanced(),
-                &plan_for(severity, seed),
-                idx * 100,
-                buffer.clone() as Arc<dyn Probe>,
-            );
-            (outcome, buffer.take())
-        });
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        for (outcome, events) in pairs {
-            for event in events {
-                shared.emit(event);
-            }
-            outcomes.push(outcome);
-        }
-        outcomes
-    } else {
-        map_indexed(scenario.threads(), &cells, |&(idx, design, severity)| {
+    let outcomes: Vec<CampaignOutcome> =
+        map_journaled(scenario, &cells, |&(idx, design, severity), probe| {
             run_campaign(
                 scenario,
                 design,
                 CpPolicy::balanced(),
                 &plan_for(severity, seed),
                 idx * 100,
-                vdx_obs::probe::noop(),
+                probe,
             )
-        })
-    };
+        });
 
     let cells = cells
         .iter()

@@ -569,16 +569,16 @@ mod tests {
             failed_cdns: vec![0],
             ..RoundFaults::none()
         };
-        let probe = Arc::new(MemoryProbe::new());
+        let (probe, rx) = MemoryProbe::channel();
         let campaign = run_campaign(
             s,
             Design::Marketplace,
             CpPolicy::balanced(),
             &plan(vec![RoundFaults::none(), cdn0_failed, blackout]),
             0,
-            probe.clone(),
+            Arc::new(probe),
         );
-        let events = probe.take();
+        let events: Vec<Event> = rx.try_iter().collect();
         let reused = |r: u64| -> Vec<u32> {
             (events.iter())
                 .filter_map(|e| match e {

@@ -299,7 +299,7 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Timing histograms drained from the metrics registry.
+    // Timing histograms drained from `vdx_obs::metrics`.
     let timing_rows: Vec<Vec<String>> = events
         .iter()
         .filter_map(|e| match e {

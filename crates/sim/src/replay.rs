@@ -264,8 +264,8 @@ mod tests {
         use std::sync::Arc;
         use vdx_obs::MemoryProbe;
         let mut s = Scenario::build(ScenarioConfig::small());
-        let probe = Arc::new(MemoryProbe::new());
-        s.set_probe(probe.clone());
+        let (probe, rx) = MemoryProbe::channel();
+        s.set_probe(Arc::new(probe));
         let r = replay(
             &s,
             &ReplayConfig {
@@ -273,7 +273,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let events = probe.take();
+        let events: Vec<Event> = rx.try_iter().collect();
         let moves: Vec<(u64, u64, u64)> = events
             .iter()
             .filter_map(|e| match e {

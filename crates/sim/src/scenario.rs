@@ -444,11 +444,11 @@ mod tests {
         use vdx_obs::{Event, MemoryProbe};
         let mut s = Scenario::build(ScenarioConfig::small());
         let plain = s.run(Design::Marketplace, CpPolicy::balanced());
-        let probe = Arc::new(MemoryProbe::new());
-        s.set_probe(probe.clone());
+        let (probe, rx) = MemoryProbe::channel();
+        s.set_probe(Arc::new(probe));
         let probed = s.run_round(RoundId(7), Design::Marketplace, CpPolicy::balanced());
         assert_eq!(plain.assignment.choice, probed.assignment.choice);
-        let events = probe.take();
+        let events: Vec<Event> = rx.try_iter().collect();
         let started: Vec<u64> = events
             .iter()
             .filter_map(|e| match e {
@@ -459,9 +459,8 @@ mod tests {
         // Journaled under exactly the id the caller assigned.
         assert_eq!(started, vec![7]);
         s.run_round(RoundId(2), Design::Brokered, CpPolicy::balanced());
-        assert!(probe
-            .take()
-            .iter()
+        assert!(rx
+            .try_iter()
             .any(|e| matches!(e, Event::RoundStarted { round: 2, .. })));
     }
 

@@ -6,7 +6,7 @@
 use std::sync::{Arc, OnceLock};
 use vdx_broker::CpPolicy;
 use vdx_core::{Design, RoundId, RoundResolution};
-use vdx_obs::{Event, MemoryProbe, Probe};
+use vdx_obs::{Event, MemoryProbe};
 use vdx_sim::faults::{run_campaign, FaultPlan, RoundFaults};
 use vdx_sim::metrics::{compute, MetricsInput};
 use vdx_sim::{Scenario, ScenarioConfig};
@@ -36,26 +36,20 @@ fn empty_plan_campaign_matches_the_pure_fast_path() {
     let policy = CpPolicy::balanced;
     let rounds = 3;
 
-    let campaign_probe = Arc::new(MemoryProbe::new());
+    let (campaign_probe, campaign_journal) = MemoryProbe::channel();
     let campaign = run_campaign(
         s,
         design,
         policy(),
         &FaultPlan::clean(rounds),
         0,
-        campaign_probe.clone() as Arc<dyn Probe>,
+        Arc::new(campaign_probe),
     );
 
     // The reference: the same rounds run pure, journaled the same way.
-    let pure_probe = Arc::new(MemoryProbe::new());
+    let (pure_probe, pure_journal) = MemoryProbe::channel();
     for i in 0..rounds {
-        let outcome = s.run_round_probed(
-            RoundId(i as u64),
-            design,
-            policy(),
-            None,
-            pure_probe.as_ref(),
-        );
+        let outcome = s.run_round_probed(RoundId(i as u64), design, policy(), None, &pure_probe);
         let expected = compute(&MetricsInput {
             scenario: s,
             outcome: &outcome,
@@ -71,8 +65,8 @@ fn empty_plan_campaign_matches_the_pure_fast_path() {
         );
     }
 
-    let a = jsonl(campaign_probe.take());
-    let b = jsonl(pure_probe.take());
+    let a = jsonl(campaign_journal.try_iter().collect());
+    let b = jsonl(pure_journal.try_iter().collect());
     assert!(!a.is_empty());
     assert_eq!(a, b, "an empty fault plan leaves the journal untouched");
 }
@@ -98,16 +92,16 @@ fn same_seed_same_plan_is_byte_identical() {
         seed: 7,
     };
     let run = || {
-        let probe = Arc::new(MemoryProbe::new());
+        let (probe, journal) = MemoryProbe::channel();
         let outcome = run_campaign(
             s,
             Design::Marketplace,
             CpPolicy::balanced(),
             &plan,
             0,
-            probe.clone() as Arc<dyn Probe>,
+            Arc::new(probe),
         );
-        (outcome, probe.take())
+        (outcome, journal.try_iter().collect::<Vec<_>>())
     };
     let (outcome_a, events_a) = run();
     let (outcome_b, events_b) = run();
@@ -140,11 +134,11 @@ fn threads_do_not_change_the_faults_journal() {
     // The ext_faults cells fan out across the engine's threads; per-cell
     // event buffering must keep the journal schedule-independent.
     let run_with_threads = |scenario: &mut Scenario, threads: usize| -> String {
-        let probe = Arc::new(MemoryProbe::new());
-        scenario.set_probe(probe.clone());
+        let (probe, journal) = MemoryProbe::channel();
+        scenario.set_probe(Arc::new(probe));
         scenario.set_threads(threads);
         vdx_sim::experiment::ext_faults::run(scenario);
-        jsonl(probe.take())
+        jsonl(journal.try_iter().collect())
     };
     let mut scenario = Scenario::build(ScenarioConfig::small());
     let one = run_with_threads(&mut scenario, 1);
@@ -173,14 +167,14 @@ fn degradation_ladder_fires_in_order() {
         ],
         seed: 11,
     };
-    let probe = Arc::new(MemoryProbe::new());
+    let (probe, journal) = MemoryProbe::channel();
     let campaign = run_campaign(
         s,
         Design::Marketplace,
         CpPolicy::balanced(),
         &plan,
         0,
-        probe.clone() as Arc<dyn Probe>,
+        Arc::new(probe),
     );
 
     let availabilities: Vec<RoundResolution> =
@@ -204,7 +198,7 @@ fn degradation_ladder_fires_in_order() {
     assert_eq!(campaign.rounds[1].metrics, campaign.rounds[0].metrics);
     assert_eq!(campaign.rounds[2].metrics, campaign.rounds[0].metrics);
 
-    let events = probe.take();
+    let events: Vec<Event> = journal.try_iter().collect();
     assert!(events
         .iter()
         .any(|e| matches!(e, Event::DeadlineMissed { round: 1, .. })));

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use vdx_broker::CpPolicy;
 use vdx_core::{Design, RoundId};
-use vdx_obs::{read_journal, Event, Journal, JournalProbe, Probe, Stopwatch, SCHEMA_VERSION};
+use vdx_obs::{read_journal, Event, Journal, Probe, Stopwatch, SCHEMA_VERSION};
 use vdx_sim::experiment::table3;
 use vdx_sim::replay::{replay, ReplayConfig};
 use vdx_sim::{Scenario, ScenarioConfig};
@@ -23,8 +23,7 @@ fn temp_path(name: &str) -> PathBuf {
 /// a short replay, terminal record.
 fn journaled_run(path: &Path) {
     let clock = Stopwatch::start();
-    let journal = Journal::create(path).expect("create journal");
-    let probe = Arc::new(JournalProbe::new(journal));
+    let probe = Arc::new(Journal::create(path).expect("create journal"));
     probe.emit(Event::RunHeader {
         schema: SCHEMA_VERSION,
         experiment: "determinism".into(),
@@ -54,11 +53,8 @@ fn journaled_run(path: &Path) {
         },
     );
     drop(scenario);
-    let journal = Arc::try_unwrap(probe)
+    Arc::try_unwrap(probe)
         .expect("probe no longer shared")
-        .into_journal()
-        .expect("no swallowed write errors");
-    journal
         .finish("determinism", clock.elapsed_ms())
         .expect("finish journal");
 }
@@ -135,18 +131,14 @@ fn journaled_run_is_valid_and_byte_deterministic() {
 /// `threads` threads.
 fn journaled_table3(path: &Path, threads: usize, run: impl FnOnce(&Scenario)) {
     let clock = Stopwatch::start();
-    let journal = Journal::create(path).expect("create journal");
-    let probe = Arc::new(JournalProbe::new(journal));
+    let probe = Arc::new(Journal::create(path).expect("create journal"));
     let mut scenario = Scenario::build(ScenarioConfig::small());
     scenario.set_probe(probe.clone());
     scenario.set_threads(threads);
     run(&scenario);
     drop(scenario);
-    let journal = Arc::try_unwrap(probe)
+    Arc::try_unwrap(probe)
         .expect("probe no longer shared")
-        .into_journal()
-        .expect("no swallowed write errors");
-    journal
         .finish("table3", clock.elapsed_ms())
         .expect("finish journal");
 }
