@@ -1034,37 +1034,38 @@ mod tests {
         1 + 8 + 4 + 4 + n * BID_LEN
     }
 
-    /// Both sides of `MAX_RECORD_LEN`, one after the other in one test:
-    /// each case holds a bound-sized record (≈ 260 MiB resident), and
-    /// running them in sequence keeps that the peak.
+    /// A record one bid over `MAX_RECORD_LEN` (≈ 260 MiB resident while
+    /// it is encoded) is refused, and the file is byte-identical.
     #[test]
-    fn max_record_len_refuses_one_bid_over_and_round_trips_the_largest_under() {
-        // One bid over: refused, and the file is byte-identical.
-        {
-            let path = temp_wal("over-bound");
-            write_all(&path, &sample_records());
-            let before = std::fs::read(&path).expect("read");
-            let n = (MAX_RECORD_LEN as usize - bids_record_len(0)) / BID_LEN + 1;
-            let record = WalRecord::Bids {
-                round: 1,
-                cdn: 0,
-                bids: vec![bid(1, 0); n],
-            };
-            let mut wal = Wal::open(&path).expect("open").wal;
-            match wal.append(&record) {
-                Err(WalError::RecordTooLarge(len)) => assert_eq!(len, bids_record_len(n)),
-                other => panic!("expected RecordTooLarge, got {other:?}"),
-            }
-            // The refusal wrote nothing, and the log still takes records.
-            assert_eq!(std::fs::read(&path).expect("read"), before);
-            wal.append(&settlement(1)).expect("append after refusal");
-            drop(wal);
-            let mut expected = sample_records();
-            expected.push(settlement(1));
-            assert_eq!(Wal::open(&path).expect("reopen").records, expected);
-            let _ = std::fs::remove_file(&path);
+    fn an_over_bound_append_is_refused_and_leaves_the_file_byte_identical() {
+        let path = temp_wal("over-bound");
+        write_all(&path, &sample_records());
+        let before = std::fs::read(&path).expect("read");
+        let n = (MAX_RECORD_LEN as usize - bids_record_len(0)) / BID_LEN + 1;
+        let record = WalRecord::Bids {
+            round: 1,
+            cdn: 0,
+            bids: vec![bid(1, 0); n],
+        };
+        let mut wal = Wal::open(&path).expect("open").wal;
+        match wal.append(&record) {
+            Err(WalError::RecordTooLarge(len)) => assert_eq!(len, bids_record_len(n)),
+            other => panic!("expected RecordTooLarge, got {other:?}"),
         }
-        // The largest record under the bound: round-trips through open.
+        // The refusal wrote nothing, and the log still takes records.
+        assert_eq!(std::fs::read(&path).expect("read"), before);
+        wal.append(&settlement(1)).expect("append after refusal");
+        drop(wal);
+        let mut expected = sample_records();
+        expected.push(settlement(1));
+        assert_eq!(Wal::open(&path).expect("reopen").records, expected);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The largest record under `MAX_RECORD_LEN` (≈ 260 MiB resident at
+    /// its peak) round-trips through open.
+    #[test]
+    fn a_record_just_under_the_bound_round_trips_through_open() {
         let path = temp_wal("under-bound");
         let n = (MAX_RECORD_LEN as usize - bids_record_len(0)) / BID_LEN;
         assert!(bids_record_len(n + 1) > MAX_RECORD_LEN as usize);
