@@ -18,11 +18,12 @@
 //! [ len: u32 | payload: len bytes | crc32(payload): u32 ]   (big-endian)
 //! ```
 //!
-//! using the same CRC-32 (IEEE; slicing-by-16, see [`vdx_proto::crc32`])
-//! as the wire protocol's frames. The payload is one tag byte plus the
-//! record's fixed-layout fields; bids are laid out by the wire protocol's
-//! own codec ([`vdx_proto::wire::put_bid`]). [`Wal::append`] encodes the
-//! record straight into its frame, in one buffer the log keeps. On
+//! using the same CRC-32 (IEEE, see [`vdx_proto::crc32`]) as the wire
+//! protocol's frames. The payload is one tag byte plus the record's
+//! fixed-layout fields; bids are laid out by the wire protocol's own codec
+//! ([`vdx_proto::wire::put_bid`], [`vdx_proto::wire::get_bids`]).
+//! [`Wal::append`] encodes the record straight into its frame, in one
+//! buffer the log keeps. On
 //! [`Wal::recover`] (and [`Wal::open`]) the file is scanned record by
 //! record; the first short, oversized, or checksum-failing record — or a
 //! length prefix the rest of the file cannot hold — marks a **torn tail**
@@ -75,7 +76,7 @@ use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use vdx_broker::{BreakerSnapshot, HealthState};
-use vdx_proto::wire::{get_bid, put_bid, Cursor, BID_LEN};
+use vdx_proto::wire::{get_bids, put_bid, Cursor};
 use vdx_proto::{crc32, Bid};
 
 use crate::exchange::{DriverRound, RoundResolution};
@@ -523,16 +524,10 @@ fn plausible(count: u32, entry_len: usize, cur: &Cursor<'_>) -> bool {
     (count as usize).saturating_mul(entry_len) <= cur.rest().len()
 }
 
-fn get_bids(cur: &mut Cursor<'_>) -> Option<Vec<Bid>> {
+/// A `u32` count, then that many bids.
+fn get_counted_bids(cur: &mut Cursor<'_>) -> Option<Vec<Bid>> {
     let count = cur.u32()?;
-    if !plausible(count, BID_LEN, cur) {
-        return None;
-    }
-    let mut bids = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        bids.push(get_bid(cur)?);
-    }
-    Some(bids)
+    get_bids(cur, count)
 }
 
 fn get_snapshot(cur: &mut Cursor<'_>) -> Option<BreakerSnapshot> {
@@ -556,7 +551,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
         TAG_BIDS => WalRecord::Bids {
             round: cur.u64()?,
             cdn: cur.u32()?,
-            bids: get_bids(&mut cur)?,
+            bids: get_counted_bids(&mut cur)?,
         },
         TAG_BREAKER => WalRecord::Breaker {
             round: cur.u64()?,
@@ -592,7 +587,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             for _ in 0..slots {
                 cache.push(match cur.u8()? {
                     0 => None,
-                    1 => Some((cur.u64()?, get_bids(&mut cur)?)),
+                    1 => Some((cur.u64()?, get_counted_bids(&mut cur)?)),
                     _ => return None,
                 });
             }
@@ -761,6 +756,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use vdx_broker::{BreakerConfig, CircuitBreaker, StaleBidCache};
+    use vdx_proto::wire::BID_LEN;
     use vdx_rand::prop::{bytes, check, vec_of};
 
     fn bid(cluster: u64, share: u64) -> Bid {
@@ -1156,6 +1152,100 @@ mod tests {
         std::fs::write(&path, GOLDEN_BIDS_LOG).expect("write golden");
         assert_eq!(read_records(&path).expect("read"), (vec![record], 0));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// FNV-1a over `bytes`: a digest of a whole log that does not go
+    /// through the CRC under test.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// A `Bids` record of 3,072 bids (122,897 payload bytes, far above
+    /// the size where `crc32` splits its input into lanes), pinned by
+    /// three figures captured from the build before the lane CRC: the
+    /// record's length prefix, its CRC trailer and a digest of the whole
+    /// file.
+    #[test]
+    fn a_large_bids_record_keeps_its_log_bytes_and_crc() {
+        const LEN: u32 = 0x0001_E011;
+        const CRC: u32 = 0x171B_2A5C;
+        const FNV: u64 = 0xA0FA_51B0_E1F5_5517;
+        let bids = (0..3_072u64)
+            .map(|i| Bid {
+                cluster_id: i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                share_id: i % 97,
+                performance_estimate: 1.0 + i as f64 * 0.37,
+                capacity_kbps: 1e6 - i as f64,
+                price_per_mb: (i % 13) as f64 / 8.0,
+            })
+            .collect();
+        let record = WalRecord::Bids {
+            round: 11,
+            cdn: 1,
+            bids,
+        };
+        let path = temp_wal("golden-large");
+        write_all(&path, std::slice::from_ref(&record));
+        let log = std::fs::read(&path).expect("read");
+        let n = log.len();
+        assert_eq!(n, WAL_MAGIC.len() + 4 + bids_record_len(3_072) + 4);
+        assert_eq!(log[8..12], LEN.to_be_bytes());
+        assert_eq!(log[n - 4..], CRC.to_be_bytes());
+        assert_eq!(fnv1a(&log), FNV);
+        assert_eq!(
+            read_records(&path).expect("read"),
+            (vec![record.clone()], 0)
+        );
+        let opened = Wal::open(&path).expect("open");
+        assert_eq!((opened.records, opened.truncated_bytes), (vec![record], 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A record whose bid count is one over, one under, or `u32::MAX` is
+    /// not decoded; in a log, such a record (however valid its CRC) ends
+    /// the scan like a torn tail.
+    #[test]
+    fn a_record_whose_bid_count_misstates_its_bids_is_not_replayed() {
+        let bids = vec![bid(1, 0), bid(2, 1), bid(3, 2)];
+        let cases = [
+            // tag | round | cdn | count
+            (
+                WalRecord::Bids {
+                    round: 4,
+                    cdn: 0,
+                    bids: bids.clone(),
+                },
+                1 + 8 + 4,
+            ),
+            // tag | next_round | slots | occupied | round | count
+            (
+                WalRecord::Checkpoint {
+                    next_round: 5,
+                    cache: vec![Some((4, bids))],
+                    breakers: Vec::new(),
+                },
+                1 + 8 + 4 + 1 + 8,
+            ),
+        ];
+        for (record, at) in cases {
+            let mut payload = Vec::new();
+            encode_record(&mut payload, &record);
+            assert_eq!(decode_record(&payload), Some(record.clone()));
+            for count in [2, 4, u32::MAX] {
+                let mut hostile = payload.clone();
+                hostile[at..at + 4].copy_from_slice(&count.to_be_bytes());
+                assert_eq!(decode_record(&hostile), None, "count {count}");
+                let mut log = WAL_MAGIC.to_vec();
+                log.extend_from_slice(&(hostile.len() as u32).to_be_bytes());
+                log.extend_from_slice(&hostile);
+                log.extend_from_slice(&crc32(&hostile).to_be_bytes());
+                let mut read = Vec::new();
+                let valid = scan(&log[..], log.len() as u64, |r| read.push(r)).expect("scans");
+                assert_eq!((valid, read), (WAL_MAGIC.len() as u64, Vec::new()));
+            }
+        }
     }
 
     #[test]

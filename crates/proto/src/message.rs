@@ -16,7 +16,9 @@
 
 #![deny(clippy::indexing_slicing)]
 
-use crate::wire::{get_bid, put_bid, Cursor, PutBe, BID_LEN};
+use std::slice::ChunksExact;
+
+use crate::wire::{bid_at, bytes_at, put_bid, Cursor, PutBe, BID_LEN};
 
 /// A Share entry: client (meta-)data a broker sends to CDNs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,40 +210,9 @@ impl Message {
                 role: field(cur.u8())?,
                 last_round: field(cur.u64())?,
             },
-            T_SHARE => {
-                let count = get_count(&mut cur, SHARE_LEN)?;
-                let mut shares = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    shares.push(Share {
-                        share_id: field(cur.u64())?,
-                        location: field(cur.u32())?,
-                        isp: field(cur.u32())?,
-                        content_id: field(cur.u64())?,
-                        data_size_kbps: field(cur.f64())?,
-                        client_count: field(cur.u32())?,
-                    });
-                }
-                Message::Share(shares)
-            }
-            T_ANNOUNCE => {
-                let count = get_count(&mut cur, BID_LEN)?;
-                let mut bids = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    bids.push(field(get_bid(&mut cur))?);
-                }
-                Message::Announce(bids)
-            }
-            T_ACCEPT => {
-                let count = get_count(&mut cur, ACCEPT_LEN)?;
-                let mut entries = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    entries.push(AcceptEntry {
-                        bid: field(get_bid(&mut cur))?,
-                        accepted: field(cur.u8())? != 0,
-                    });
-                }
-                Message::Accept(entries)
-            }
+            T_SHARE => Message::Share(batch(&mut cur, SHARE_LEN)?.map(share_at).collect()),
+            T_ANNOUNCE => Message::Announce(batch(&mut cur, BID_LEN)?.map(bid_at).collect()),
+            T_ACCEPT => Message::Accept(batch(&mut cur, ACCEPT_LEN)?.map(accept_at).collect()),
             other => return Err(WireError::UnknownType(other)),
         };
         if !cur.rest().is_empty() {
@@ -256,13 +227,32 @@ fn field<T>(read: Option<T>) -> Result<T, WireError> {
     read.ok_or(WireError::Truncated)
 }
 
-/// Reads a batch count and rejects one the remaining bytes cannot hold,
+/// Reads a batch count, then takes that many `len`-byte entries in one
+/// bounds check: a count the remaining bytes cannot hold is refused
 /// before anything is allocated for it.
-fn get_count(cur: &mut Cursor<'_>, entry_len: usize) -> Result<u32, WireError> {
+fn batch<'a>(cur: &mut Cursor<'a>, len: usize) -> Result<ChunksExact<'a, u8>, WireError> {
     let count = field(cur.u32())?;
-    match (count as usize).checked_mul(entry_len) {
-        Some(n) if n <= cur.rest().len() => Ok(count),
-        _ => Err(WireError::BadCount(count)),
+    cur.entries(count, len).ok_or(WireError::BadCount(count))
+}
+
+/// The share in a [`SHARE_LEN`]-byte entry of a checked batch.
+fn share_at(e: &[u8]) -> Share {
+    Share {
+        share_id: u64::from_be_bytes(bytes_at(e, 0)),
+        location: u32::from_be_bytes(bytes_at(e, 8)),
+        isp: u32::from_be_bytes(bytes_at(e, 12)),
+        content_id: u64::from_be_bytes(bytes_at(e, 16)),
+        data_size_kbps: f64::from_be_bytes(bytes_at(e, 24)),
+        client_count: u32::from_be_bytes(bytes_at(e, 32)),
+    }
+}
+
+/// The entry in an [`ACCEPT_LEN`]-byte entry of a checked batch: the bid,
+/// then its flag byte.
+fn accept_at(e: &[u8]) -> AcceptEntry {
+    AcceptEntry {
+        bid: bid_at(e),
+        accepted: bytes_at::<1>(e, BID_LEN) != [0],
     }
 }
 
@@ -397,6 +387,49 @@ mod tests {
         let mut wire = vec![0x03];
         wire.extend_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(Message::decode(&wire), Err(WireError::BadCount(u32::MAX)));
+    }
+
+    /// Each batch's count patched one entry over, one under and to
+    /// `u32::MAX`: refused as a bad count, as trailing bytes, and as a
+    /// bad count before anything is allocated.
+    #[test]
+    fn a_batch_count_must_match_its_entries() {
+        let bid = Bid {
+            cluster_id: 9,
+            share_id: 4,
+            performance_estimate: 0.5,
+            capacity_kbps: 2e5,
+            price_per_mb: 0.75,
+        };
+        let share = Share {
+            share_id: 4,
+            location: 12,
+            isp: 64_500,
+            content_id: 3,
+            data_size_kbps: 900.0,
+            client_count: 11,
+        };
+        let accept = AcceptEntry {
+            bid,
+            accepted: true,
+        };
+        let cases = [
+            (Message::Share(vec![share; 3]), SHARE_LEN),
+            (Message::Announce(vec![bid; 3]), BID_LEN),
+            (Message::Accept(vec![accept; 3]), ACCEPT_LEN),
+        ];
+        for (msg, entry_len) in cases {
+            let wire = msg.encode();
+            let with_count = |n: u32| {
+                let mut w = wire.clone();
+                w[1..5].copy_from_slice(&n.to_be_bytes());
+                Message::decode(&w)
+            };
+            assert_eq!(with_count(3), Ok(msg.clone()));
+            assert_eq!(with_count(4), Err(WireError::BadCount(4)));
+            assert_eq!(with_count(2), Err(WireError::TrailingBytes(entry_len)));
+            assert_eq!(with_count(u32::MAX), Err(WireError::BadCount(u32::MAX)));
+        }
     }
 
     #[test]

@@ -8,15 +8,17 @@
 
 #![deny(clippy::indexing_slicing)]
 
+use std::slice::ChunksExact;
+
 use crate::message::Bid;
 
 /// A bounds-checked big-endian reader over received bytes. Every read
 /// past the end is `None`, never a panic: callers turn it into their own
-/// "truncated" or "corrupt" error.
+/// "truncated" or "corrupt" error. A batch of fixed-size entries is taken
+/// whole and checked once, not field by field ([`get_bids`]).
 ///
-/// The accessors are `#[inline]` because `vdx-core`'s WAL replay calls
-/// them across the crate boundary once per field of every logged bid:
-/// without it a restart over a 256-round log measured 6 % slower.
+/// The accessors are `#[inline]` so that `vdx-core`'s WAL decode, which
+/// calls them across the crate boundary, compiles them in place.
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
@@ -68,6 +70,22 @@ impl<'a> Cursor<'a> {
     pub fn rest(&self) -> &'a [u8] {
         self.buf
     }
+
+    /// The next `count` entries of `len` bytes each, one chunk per entry,
+    /// checked against the bytes left in one comparison; `None`, reading
+    /// nothing, if they do not fit. A hostile count is refused here,
+    /// before a caller allocates for it.
+    ///
+    /// # Panics
+    /// If `len` is zero; callers pass their layout's entry size.
+    #[inline]
+    pub(crate) fn entries(&mut self, count: u32, len: usize) -> Option<ChunksExact<'a, u8>> {
+        let (batch, rest) = self
+            .buf
+            .split_at_checked((count as usize).saturating_mul(len))?;
+        self.buf = rest;
+        Some(batch.chunks_exact(len))
+    }
 }
 
 /// Big-endian appends, the write-side mirror of [`Cursor`].
@@ -109,18 +127,35 @@ pub fn put_bid(buf: &mut Vec<u8>, b: &Bid) {
     buf.put_f64(b.price_per_mb);
 }
 
-/// Reads one bid as [`put_bid`] wrote it; `None` if the input ends first.
-/// `#[inline]` like the [`Cursor`] accessors it calls, and for the same
-/// reason: without it a restart over a 256-round log measured 13 % slower.
+/// Reads `count` bids as [`put_bid`] wrote them, back to back; `None`,
+/// reading nothing, if the input ends first. One bounds check covers the
+/// batch, and the result is allocated once, at its exact size.
+pub fn get_bids(cur: &mut Cursor<'_>, count: u32) -> Option<Vec<Bid>> {
+    Some(cur.entries(count, BID_LEN)?.map(bid_at).collect())
+}
+
+/// The bid in the first [`BID_LEN`] bytes of `entry`, a chunk of a
+/// checked batch.
 #[inline]
-pub fn get_bid(cur: &mut Cursor<'_>) -> Option<Bid> {
-    Some(Bid {
-        cluster_id: cur.u64()?,
-        share_id: cur.u64()?,
-        performance_estimate: cur.f64()?,
-        capacity_kbps: cur.f64()?,
-        price_per_mb: cur.f64()?,
-    })
+pub(crate) fn bid_at(entry: &[u8]) -> Bid {
+    Bid {
+        cluster_id: u64::from_be_bytes(bytes_at(entry, 0)),
+        share_id: u64::from_be_bytes(bytes_at(entry, 8)),
+        performance_estimate: f64::from_be_bytes(bytes_at(entry, 16)),
+        capacity_kbps: f64::from_be_bytes(bytes_at(entry, 24)),
+        price_per_mb: f64::from_be_bytes(bytes_at(entry, 32)),
+    }
+}
+
+/// The `N` bytes at offset `at` of `entry`, a chunk of a checked batch.
+/// Every field of an entry lies inside its chunk, so the zero fallback is
+/// never taken.
+#[inline]
+pub(crate) fn bytes_at<const N: usize>(entry: &[u8], at: usize) -> [u8; N] {
+    entry
+        .get(at..at + N)
+        .and_then(|f| f.try_into().ok())
+        .unwrap_or([0; N])
 }
 
 #[cfg(test)]
@@ -146,5 +181,37 @@ mod tests {
         assert_eq!(cur.u32(), Some(u32::from_be_bytes(*b"tail")));
         assert_eq!(cur.u8(), None);
         assert!(cur.rest().is_empty());
+    }
+
+    #[test]
+    fn a_bid_batch_is_read_whole_or_not_at_all() {
+        let bids: Vec<Bid> = (0..3u32)
+            .map(|i| Bid {
+                cluster_id: u64::from(i) << 40 | 7,
+                share_id: u64::MAX - u64::from(i),
+                performance_estimate: -1.5 * f64::from(i),
+                capacity_kbps: 1e6,
+                price_per_mb: f64::from(i) / 3.0,
+            })
+            .collect();
+        let mut buf = Vec::new();
+        bids.iter().for_each(|b| put_bid(&mut buf, b));
+        buf.extend_from_slice(b"tail");
+        let mut cur = Cursor::new(&buf);
+        assert_eq!(get_bids(&mut cur, 3).as_deref(), Some(&bids[..]));
+        assert_eq!(cur.rest(), b"tail");
+        // One bid under the bytes left: the last one stays behind, for
+        // the caller to refuse as trailing bytes.
+        let mut cur = Cursor::new(&buf);
+        assert_eq!(get_bids(&mut cur, 2).as_deref(), Some(&bids[..2]));
+        assert_eq!(cur.rest().len(), BID_LEN + 4);
+        // One bid over, and a count whose byte size overflows a `u32`:
+        // refused from the count alone, reading (and allocating) nothing.
+        for count in [4, u32::MAX] {
+            let mut cur = Cursor::new(&buf);
+            assert_eq!(get_bids(&mut cur, count), None, "{count}");
+            assert_eq!(cur.rest(), &buf[..]);
+        }
+        assert_eq!(get_bids(&mut Cursor::new(&[]), 0), Some(Vec::new()));
     }
 }
