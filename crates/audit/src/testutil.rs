@@ -4,8 +4,8 @@
 use std::path::{Path, PathBuf};
 
 /// A hand-written golden schema-v3 journal: header, two rounds (the
-/// second with an injected fault and wire drops),
-/// timings, terminal record. `objective_shift` nudges both round
+/// second with an injected fault and wire drops), a `timing_summary`
+/// line (retired in v8: the reader skips it), terminal record. `objective_shift` nudges both round
 /// objectives so two fixtures can model drift between commits.
 pub(crate) fn golden_journal(commit: &str, objective_shift: f64) -> String {
     let obj0 = 123.5 + objective_shift;

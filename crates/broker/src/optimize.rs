@@ -18,7 +18,7 @@ use crate::policy::CpPolicy;
 use std::collections::{BTreeMap, HashMap};
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
-use vdx_obs::{Event, Probe};
+use vdx_obs::{Event, Probe, Stopwatch};
 use vdx_solver::AssignmentProblem;
 use vdx_units::{Kbps, UsdPerGb};
 
@@ -228,8 +228,10 @@ pub fn optimize_probed(
     round: u64,
     probe: &dyn Probe,
 ) -> BrokerAssignment {
-    let _optimize_timer = optimize_timer(probe);
-    solve(problem, policy, mode, round, probe)
+    let clock = probe.enabled().then(Stopwatch::start);
+    let assignment = solve(problem, policy, mode);
+    emit_solver_stats(probe, round, &assignment, false, clock);
+    assignment
 }
 
 /// The round counters of one [`OptimizeContext`].
@@ -287,16 +289,21 @@ pub fn optimize_probed_ctx(
     probe: &dyn Probe,
     ctx: &mut OptimizeContext,
 ) -> BrokerAssignment {
-    let _optimize_timer = optimize_timer(probe);
+    let clock = probe.enabled().then(Stopwatch::start);
     let repeat = (ctx.prev.as_ref()).filter(|(p, q, _)| p == problem && q == policy);
-    if let Some((_, _, assignment)) = repeat {
-        ctx.stats.warm_hits += 1;
-        emit_solver_stats(probe, round, assignment.objective, true);
-        return assignment.clone();
-    }
-    let assignment = solve(problem, policy, mode, round, probe);
-    ctx.stats.cold_solves += 1;
-    ctx.prev = Some((problem.clone(), *policy, assignment.clone()));
+    let (assignment, warm_hit) = match repeat {
+        Some((_, _, assignment)) => {
+            ctx.stats.warm_hits += 1;
+            (assignment.clone(), true)
+        }
+        None => {
+            let assignment = solve(problem, policy, mode);
+            ctx.stats.cold_solves += 1;
+            ctx.prev = Some((problem.clone(), *policy, assignment.clone()));
+            (assignment, false)
+        }
+    };
+    emit_solver_stats(probe, round, &assignment, warm_hit, clock);
     assignment
 }
 
@@ -339,40 +346,33 @@ pub fn bound_assignment(
     }
 }
 
-/// Instrumented runs time the Optimize step into the process-wide
-/// histogram; unprobed callers skip it entirely.
-fn optimize_timer(probe: &dyn Probe) -> Option<vdx_obs::ScopedTimer<'static>> {
-    probe
-        .enabled()
-        .then(|| vdx_obs::ScopedTimer::new(&vdx_obs::metrics::BROKER_OPTIMIZE))
-}
-
-/// Builds and solves the GAP and journals the decision.
-fn solve(
-    problem: &BrokerProblem,
-    policy: &CpPolicy,
-    mode: &OptimizeMode,
-    round: u64,
-    probe: &dyn Probe,
-) -> BrokerAssignment {
+/// Builds and solves the GAP.
+fn solve(problem: &BrokerProblem, policy: &CpPolicy, mode: &OptimizeMode) -> BrokerAssignment {
     assert_eq!(
         problem.groups.len(),
         problem.options.len(),
         "options misaligned"
     );
     let gap = build_gap(problem, policy);
-    let assignment = solve_gap(&gap, mode);
-    emit_solver_stats(probe, round, assignment.objective, false);
-    into_broker_assignment(problem, assignment)
+    into_broker_assignment(problem, solve_gap(&gap, mode))
 }
 
-/// Journals one decision, solved or replayed from the memo.
-fn emit_solver_stats(probe: &dyn Probe, round: u64, objective: f64, warm_hit: bool) {
-    if probe.enabled() {
+/// Journals one decision, solved or replayed from the memo, with the
+/// wall time since `clock` started. Instrumented runs only: `clock` is
+/// started exactly when the probe is enabled.
+fn emit_solver_stats(
+    probe: &dyn Probe,
+    round: u64,
+    assignment: &BrokerAssignment,
+    warm_hit: bool,
+    clock: Option<Stopwatch>,
+) {
+    if let Some(clock) = clock {
         probe.emit(Event::SolverStats {
             round,
-            objective,
+            objective: assignment.objective,
             warm_hit,
+            wall_us: clock.elapsed_us(),
         });
     }
 }
@@ -814,18 +814,22 @@ mod tests {
         let (probe, rx) = MemoryProbe::channel();
         let probed = optimize_probed(&problem, &CpPolicy::balanced(), &mode, 7, &probe);
         assert_eq!(plain.choice, probed.choice);
+        let mut events: Vec<_> = rx.try_iter().collect();
+        events.iter_mut().for_each(Event::zero_wall_clock);
         assert_eq!(
-            rx.try_iter().collect::<Vec<_>>(),
+            events,
             [Event::SolverStats {
                 round: 7,
                 objective: probed.objective,
                 warm_hit: false,
+                wall_us: 0,
             }]
         );
     }
 
     /// Replays `rounds` through a context and returns the per-round
-    /// `(assignment, journaled events)` pairs.
+    /// `(assignment, journaled events)` pairs, the events with their
+    /// wall-clock fields zeroed.
     fn drive_ctx(
         ctx: &mut OptimizeContext,
         rounds: &[(BrokerProblem, OptimizeMode)],
@@ -844,7 +848,9 @@ mod tests {
                     &probe,
                     ctx,
                 );
-                (a, rx.try_iter().collect::<Vec<_>>())
+                let mut events: Vec<_> = rx.try_iter().collect();
+                events.iter_mut().for_each(Event::zero_wall_clock);
+                (a, events)
             })
             .collect()
     }
@@ -928,6 +934,7 @@ mod tests {
                         round: r as u64,
                         objective: cold.objective,
                         warm_hit,
+                        wall_us: 0,
                     };
                     assert_eq!(events, &[stats]);
                 }

@@ -31,7 +31,7 @@ use vdx_cdn::{
 };
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
-use vdx_obs::{Event, NoopProbe, Probe, ScopedTimer};
+use vdx_obs::{Event, NoopProbe, Probe, Stopwatch};
 use vdx_rand::StdRng;
 use vdx_units::{Kbps, Margin};
 
@@ -163,11 +163,9 @@ fn round_impl(
     ctx: Option<&mut OptimizeContext>,
 ) -> RoundOutcome {
     let round = round.0;
-    // Feed the process-wide latency histogram only on instrumented runs,
-    // so unprobed callers keep pure-function semantics.
-    let _round_timer = probe
-        .enabled()
-        .then(|| ScopedTimer::new(&vdx_obs::metrics::CORE_DECISION_ROUND));
+    // Instrumented runs only: `round_completed` carries the round's wall
+    // time, and unprobed callers never read the clock.
+    let clock = probe.enabled().then(Stopwatch::start);
     let fleet = inputs.fleet;
     if probe.enabled() {
         probe.emit(Event::RoundStarted {
@@ -273,7 +271,7 @@ fn round_impl(
         ),
     };
 
-    if probe.enabled() {
+    if let Some(clock) = clock {
         let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
         let accepted = problem.groups.len() as u64;
         probe.emit(Event::AcceptIssued {
@@ -297,6 +295,7 @@ fn round_impl(
             round,
             objective: assignment.objective,
             options: total_bids,
+            wall_us: clock.elapsed_us(),
         });
     }
 

@@ -41,7 +41,7 @@ use vdx_broker::{
 use vdx_cdn::{BidShading, CdnId, CityMatcher, ClusterId, Fleet};
 use vdx_geo::CityId;
 use vdx_netsim::Score;
-use vdx_obs::{Event as ObsEvent, Probe};
+use vdx_obs::{Event as ObsEvent, Probe, Stopwatch};
 use vdx_proto::{AcceptEntry, Bid, Share};
 use vdx_units::{Kbps, Margin, UsdPerGb};
 
@@ -314,18 +314,22 @@ fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
 /// bid batch, CDN-major (all of CDN 0's bids first, then CDN 1's, ...)
 /// — the option order every driver must produce for decisions to be
 /// comparable. Each group gets a list of its own: bids arrive per share.
-/// Bids with out-of-range share ids are dropped.
+/// Bids with out-of-range share ids, or cluster ids past `u32` (which a
+/// cast would wrap onto a real cluster), are dropped.
 pub fn assemble_options(num_groups: usize, bids_per_cdn: &[Vec<Bid>]) -> OptionLists {
     let mut options: Vec<Vec<GroupOption>> = vec![Vec::new(); num_groups];
     for (cdn_idx, bids) in bids_per_cdn.iter().enumerate() {
         for bid in bids {
             let g = bid.share_id as usize;
+            let Ok(cluster) = u32::try_from(bid.cluster_id) else {
+                continue; // malformed cluster id: drop the bid
+            };
             if g >= options.len() {
                 continue; // malformed share id: drop the bid
             }
             options[g].push(GroupOption {
                 cdn: CdnId(cdn_idx as u32),
-                cluster: ClusterId(bid.cluster_id as u32),
+                cluster: ClusterId(cluster),
                 score: Score(bid.performance_estimate),
                 price_per_mb: UsdPerGb::per_megabit(bid.price_per_mb),
                 believed_capacity_kbps: Kbps::new(bid.capacity_kbps),
@@ -359,7 +363,8 @@ pub fn shares_of(groups: &[ClientGroup]) -> Vec<Share> {
 /// group's options hold this CDN's bids for it as one run, in the order
 /// sent. The one bid accepted for a group is the one at the chosen
 /// option's place in that run: a peer that announces the same cluster
-/// twice for one share has one winner, not two.
+/// twice for one share has one winner, not two. A bid that
+/// [`assemble_options`] dropped is never accepted.
 pub fn accept_entries(
     problem: &BrokerProblem,
     assignment: &BrokerAssignment,
@@ -374,10 +379,11 @@ pub fn accept_entries(
     bids.iter()
         .map(|bid| {
             let g = bid.share_id as usize;
+            let cluster = u32::try_from(bid.cluster_id).ok().map(ClusterId);
             let accepted = g < seen.len() && {
                 let (options, c) = (&problem.options[g], assignment.choice[g]);
                 let chosen = &options[c];
-                chosen.cdn == cdn && chosen.cluster == ClusterId(bid.cluster_id as u32) && {
+                chosen.cdn == cdn && cluster == Some(chosen.cluster) && {
                     let run = options[..c].iter().rev().take_while(|o| o.cdn == cdn);
                     let place = run.filter(|o| o.cluster == chosen.cluster).count();
                     seen[g] += 1;
@@ -602,6 +608,9 @@ impl Round {
         groups: &[ClientGroup],
         hooks: &mut impl RoundHooks,
     ) -> DriverRound {
+        // Instrumented runs only: `round_completed` carries the round's
+        // wall time, collect and commit included.
+        let clock = self.probe.enabled().then(Stopwatch::start);
         // Open: breakers whose cool-down elapsed go half-open.
         for (cdn, breaker) in self.breakers.iter_mut().enumerate() {
             if let Some(t) = breaker.begin_round(round) {
@@ -651,7 +660,7 @@ impl Round {
                     self.cache
                         .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());
                 }
-                self.decide(round, groups, &bids_per_cdn, &report, hooks)
+                self.decide(round, groups, &bids_per_cdn, &report, hooks, clock)
             }
             DeadlineResolution::Fallback(_) => {
                 let outcome = hooks.brokered(round, self.policy, self.probe.as_ref());
@@ -679,7 +688,9 @@ impl Round {
 
     /// The tail of every round that completes under its design: assemble
     /// options, optimize, hand the decision to `hooks.commit`, then
-    /// journal the Accept step and the round's completion.
+    /// journal the Accept step and the round's completion, with the wall
+    /// time since `clock` (started by [`Round::run`] when the probe is
+    /// enabled).
     fn decide(
         &mut self,
         round: u64,
@@ -687,6 +698,7 @@ impl Round {
         bids_per_cdn: &[Vec<Bid>],
         report: &DegradationReport,
         hooks: &mut impl RoundHooks,
+        clock: Option<Stopwatch>,
     ) -> DriverRound {
         let problem = BrokerProblem {
             groups: groups.to_vec(),
@@ -718,7 +730,7 @@ impl Round {
             assignment: &assignment,
         };
         hooks.commit(&decision, &self.breakers, &self.cache);
-        if self.probe.enabled() {
+        if let Some(clock) = clock {
             let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
             let accepted = problem.groups.len() as u64;
             self.probe.emit(ObsEvent::AcceptIssued {
@@ -730,6 +742,7 @@ impl Round {
                 round,
                 objective: assignment.objective,
                 options: total_bids,
+                wall_us: clock.elapsed_us(),
             });
         }
         decided
@@ -1141,6 +1154,65 @@ mod tests {
             );
             assert_eq!(accepted(1), vec![false, false]);
         }
+    }
+
+    #[test]
+    fn a_cluster_id_past_u32_is_dropped_not_wrapped() {
+        use vdx_broker::{optimize, ClientGroup, GroupId};
+        let bid = |share_id: u64, cluster_id: u64, capacity_kbps: f64, price_per_mb: f64| Bid {
+            cluster_id,
+            share_id,
+            performance_estimate: 40.0,
+            capacity_kbps,
+            price_per_mb,
+        };
+        let groups: Vec<ClientGroup> = (0..2)
+            .map(|i| ClientGroup {
+                id: GroupId(i),
+                city: CityId(i),
+                bitrate_kbps: 1_000,
+                demand_kbps: Kbps::new(1_000.0),
+                sessions: 1,
+            })
+            .collect();
+        let wrapped = |cluster: u64| (1 << 32) | cluster;
+        let clean = vec![
+            vec![bid(0, 5, 1e6, 1.0), bid(1, 5, 1e6, 1.0)],
+            vec![bid(0, 9, 1e6, 0.1)],
+        ];
+        // CDN 1 also names its own cluster 9 and CDN 0's cluster 5 by ids
+        // past `u32`: cast down, they are 9 and 5 again, and the second
+        // one's 1 kbit/s would clamp cluster 5's capacity in the GAP.
+        let hostile = vec![
+            clean[0].clone(),
+            vec![
+                bid(0, wrapped(9), 1e6, 0.1),
+                bid(0, 9, 1e6, 0.1),
+                bid(1, wrapped(5), 1.0, 9.0),
+            ],
+        ];
+        let decide = |bids_per_cdn: &[Vec<Bid>]| {
+            let problem = BrokerProblem {
+                groups: groups.clone(),
+                options: assemble_options(2, bids_per_cdn),
+            };
+            let assignment = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
+            (problem, assignment)
+        };
+        let (clean_problem, clean_assignment) = decide(&clean);
+        let (problem, assignment) = decide(&hostile);
+        assert_eq!(problem.options, clean_problem.options, "wrapped bids drop");
+        assert_eq!(assignment, clean_assignment);
+        let accepted = |problem: &BrokerProblem, assignment: &BrokerAssignment, bids: &[Bid]| {
+            (accept_entries(problem, assignment, 1, bids).iter())
+                .map(|e| e.accepted)
+                .collect::<Vec<_>>()
+        };
+        let clean_won = accepted(&clean_problem, &clean_assignment, &clean[1]);
+        assert_eq!(
+            accepted(&problem, &assignment, &hostile[1]),
+            vec![false, clean_won[0], false]
+        );
     }
 
     #[test]

@@ -19,7 +19,6 @@
 
 #![expect(clippy::expect_used, reason = "test helpers")]
 
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,8 +78,7 @@ fn run_live(
 /// A driver's journal as the analytics tools compare it: wall-clock
 /// fields zeroed, the daemon's connection lifecycle (which the
 /// in-process driver has none of) dropped.
-fn comparable_journal(journal: &Receiver<Event>) -> Vec<Event> {
-    let mut events: Vec<Event> = journal.try_iter().collect();
+fn comparable_journal(mut events: Vec<Event>) -> Vec<Event> {
     events.retain(|e| !e.kind().starts_with("conn_"));
     events.iter_mut().for_each(Event::zero_wall_clock);
     events
@@ -126,9 +124,20 @@ fn daemon_decisions_match_the_reference_driver_round_for_round() {
         live, reference,
         "daemon decisions diverged from the reference"
     );
+    // Before the scrub: every round the daemon completed, fallbacks
+    // included, journals its own wall time.
+    let live_events: Vec<Event> = live_journal.try_iter().collect();
+    let round_us: Vec<u64> = (live_events.iter())
+        .filter_map(|e| match e {
+            Event::RoundCompleted { wall_us, .. } => Some(*wall_us),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(round_us.len(), live.len(), "one round_completed per round");
+    assert!(round_us.iter().all(|&us| us > 0), "{round_us:?}");
     assert_eq!(
-        comparable_journal(&live_journal),
-        comparable_journal(&reference_journal),
+        comparable_journal(live_events),
+        comparable_journal(reference_journal.try_iter().collect()),
         "daemon journal diverged from the reference"
     );
 }

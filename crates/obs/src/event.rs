@@ -13,13 +13,13 @@
 //! * **simulation fields** — round ids, counts, objective values. These
 //!   are fully deterministic: the same scenario and seed produce the same
 //!   values on every run.
-//! * **wall-clock fields** — `started_unix_ms`, `wall_us`, `wall_ms`, the
-//!   `at_ms` of the four `conn_*` events and the microsecond statistics
-//!   of [`Event::TimingSummary`]. These come from the host clock and
-//!   differ run to run. [`Event::zero_wall_clock`] zeroes exactly this
-//!   set, after which two journals of the same seeded run are
-//!   byte-identical (tested in `vdx-sim`); `scripts/journal-scrub.sed`
-//!   does the same to a journal file.
+//! * **wall-clock fields** — `started_unix_ms`, `wall_us` (a phase's, an
+//!   Optimize step's, a round's), `wall_ms` and the `at_ms` of the four
+//!   `conn_*` events. These come from the host clock and differ run to
+//!   run. [`Event::zero_wall_clock`] zeroes exactly this set, after which
+//!   two journals of the same seeded run are byte-identical (tested in
+//!   `vdx-sim`); `scripts/journal-scrub.sed` does the same to a journal
+//!   file.
 //!
 //! The line format is written by [`Event::to_json_line`] and read by
 //! [`Event::from_json`], both generated from the one field table at the
@@ -53,8 +53,14 @@ use std::fmt::Write as _;
 /// `solver_resolve` (`read_journal` skips its lines), cut
 /// [`Event::SolverStats`] to `round`, `objective` and `warm_hit` (older
 /// lines read as `warm_hit: false`; their other fields are ignored) and
-/// gave [`Event::ConnRetry`] its `reason` (empty in older journals).
-pub const SCHEMA_VERSION: u32 = 7;
+/// gave [`Event::ConnRetry`] its `reason` (empty in older journals). v8
+/// put each timed span's raw duration on the event that closes it:
+/// `wall_us` on [`Event::SolverStats`] (the Optimize step, solved or
+/// replayed) and on [`Event::RoundCompleted`] (the whole round); both
+/// read as 0 in older journals. It retired `timing_summary`, the
+/// end-of-run histogram digest those two fields replace (`read_journal`
+/// skips its lines).
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// One journaled event. See the module docs for the field taxonomy and
 /// DESIGN.md §7 for one example line per variant.
@@ -141,6 +147,9 @@ pub enum Event {
         /// previous round's decision because its input repeated; false
         /// for a solve. Absent before schema v7, where it reads false.
         warm_hit: bool,
+        /// The Optimize step's wall time, microseconds (zeroable). Absent
+        /// before schema v8, where it reads 0.
+        wall_us: u64,
     },
     /// A Decision Protocol round completed.
     RoundCompleted {
@@ -150,6 +159,9 @@ pub enum Event {
         objective: f64,
         /// Total candidate options the broker considered.
         options: u64,
+        /// The round's wall time, microseconds (zeroable). Absent before
+        /// schema v8, where it reads 0.
+        wall_us: u64,
     },
     /// Replay: sessions straddling a bin boundary were moved mid-stream by
     /// the new round's assignment (the churn of the paper's Fig 4).
@@ -352,21 +364,6 @@ pub enum Event {
         /// Rounds voided and re-run (0 or 1 under the current format).
         rounds_voided: u64,
     },
-    /// Summary of one named timing histogram (from `metrics::drain`).
-    TimingSummary {
-        /// Histogram name (e.g. `core.decision_round`).
-        name: String,
-        /// Observations.
-        count: u64,
-        /// Mean, microseconds (zeroable).
-        mean_us: f64,
-        /// Median, microseconds (zeroable).
-        p50_us: f64,
-        /// 95th percentile, microseconds (zeroable).
-        p95_us: f64,
-        /// 99th percentile, microseconds (zeroable).
-        p99_us: f64,
-    },
     /// Terminal record: the run finished and the journal is complete.
     ExperimentFinished {
         /// Experiment name (matches the header).
@@ -387,23 +384,13 @@ impl Event {
             Event::RunHeader {
                 started_unix_ms, ..
             } => *started_unix_ms = 0,
-            Event::PhaseFinished { wall_us, .. } => *wall_us = 0,
+            Event::PhaseFinished { wall_us, .. }
+            | Event::SolverStats { wall_us, .. }
+            | Event::RoundCompleted { wall_us, .. } => *wall_us = 0,
             Event::ConnAccepted { at_ms, .. } => *at_ms = 0,
             Event::ConnClosed { at_ms, .. } => *at_ms = 0,
             Event::ConnBackpressure { at_ms, .. } => *at_ms = 0,
             Event::ConnRetry { at_ms, .. } => *at_ms = 0,
-            Event::TimingSummary {
-                mean_us,
-                p50_us,
-                p95_us,
-                p99_us,
-                ..
-            } => {
-                *mean_us = 0.0;
-                *p50_us = 0.0;
-                *p95_us = 0.0;
-                *p99_us = 0.0;
-            }
             Event::ExperimentFinished { wall_ms, .. } => *wall_ms = 0,
             _ => {}
         }
@@ -554,8 +541,8 @@ journal_codec! {
     "share_published" => SharePublished { round, shares, demand_kbps }
     "bid_received" => BidReceived { round, cdn, bids }
     "accept_issued" => AcceptIssued { round, accepted, rejected }
-    "solver_stats" => SolverStats { round, objective, warm_hit = false }
-    "round_completed" => RoundCompleted { round, objective, options }
+    "solver_stats" => SolverStats { round, objective, warm_hit = false, wall_us = 0 }
+    "round_completed" => RoundCompleted { round, objective, options, wall_us = 0 }
     "session_moved" => SessionMoved { bin, moved, continuing }
     "cluster_congested" => ClusterCongested { round, cluster, load_kbps, capacity_kbps }
     "fault_plan_applied" => FaultPlanApplied {
@@ -577,7 +564,6 @@ journal_codec! {
     "recovery_started" => RecoveryStarted { records, truncated_bytes }
     "recovery_round_voided" => RecoveryRoundVoided { round }
     "recovery_complete" => RecoveryComplete { next_round, rounds_recovered, rounds_voided }
-    "timing_summary" => TimingSummary { name, count, mean_us, p50_us, p95_us, p99_us }
     "experiment_finished" => ExperimentFinished { experiment, wall_ms, events }
 }
 
@@ -629,11 +615,13 @@ mod tests {
                 round: 1,
                 objective: 123.456,
                 warm_hit: true,
+                wall_us: 410,
             },
             Event::RoundCompleted {
                 round: 0,
                 objective: 123.456,
                 options: 3_512,
+                wall_us: 1_080,
             },
             Event::SessionMoved {
                 bin: 4,
@@ -726,14 +714,6 @@ mod tests {
                 rounds_recovered: 6,
                 rounds_voided: 1,
             },
-            Event::TimingSummary {
-                name: "core.decision_round".into(),
-                count: 8,
-                mean_us: 1_500.0,
-                p50_us: 1_400.0,
-                p95_us: 2_000.0,
-                p99_us: 2_100.0,
-            },
             Event::ExperimentFinished {
                 experiment: "table3".into(),
                 wall_ms: 9_500,
@@ -820,10 +800,11 @@ mod tests {
             round: 0,
             objective: 17.0,
             warm_hit: false,
+            wall_us: 12,
         };
         let line = stats.to_json_line();
         assert!(
-            line.ends_with("\"objective\":17.0,\"warm_hit\":false}"),
+            line.ends_with("\"objective\":17.0,\"warm_hit\":false,\"wall_us\":12}"),
             "{line}"
         );
         assert_eq!(Event::from_json(&line), Ok(stats));
@@ -947,24 +928,20 @@ mod tests {
         round.zero_wall_clock();
         assert_eq!(round, before, "simulation fields are untouched");
 
-        let mut timing = Event::TimingSummary {
-            name: "x".into(),
-            count: 2,
-            mean_us: 1.0,
-            p50_us: 2.0,
-            p95_us: 3.0,
-            p99_us: 4.0,
+        let mut completed = Event::RoundCompleted {
+            round: 3,
+            objective: 2.5,
+            options: 40,
+            wall_us: 1_080,
         };
-        timing.zero_wall_clock();
+        completed.zero_wall_clock();
         assert_eq!(
-            timing,
-            Event::TimingSummary {
-                name: "x".into(),
-                count: 2,
-                mean_us: 0.0,
-                p50_us: 0.0,
-                p95_us: 0.0,
-                p99_us: 0.0,
+            completed,
+            Event::RoundCompleted {
+                round: 3,
+                objective: 2.5,
+                options: 40,
+                wall_us: 0,
             }
         );
     }

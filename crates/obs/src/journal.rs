@@ -193,14 +193,16 @@ fn sniff_schema(line: &str) -> Option<u32> {
 /// including when the header itself no longer parses as an [`Event`]
 /// (the schema number is sniffed from the raw first line). Older
 /// schemas read fine: new fields default when absent, and lines of a
-/// retired event kind (v4–v6's `solver_resolve`) are skipped.
+/// retired event kind (v4–v6's `solver_resolve`, v7's `timing_summary`)
+/// are skipped.
 pub fn read_journal(path: impl AsRef<Path>) -> Result<Vec<Event>, JournalError> {
     parse_journal(&fs::read_to_string(path.as_ref())?)
 }
 
 /// `ev` tags an older schema wrote and this one no longer has: v4–v6's
-/// `solver_resolve` (retired in v7).
-const RETIRED_KINDS: &[&str] = &["solver_resolve"];
+/// `solver_resolve` (retired in v7) and v7's `timing_summary` (retired in
+/// v8).
+const RETIRED_KINDS: &[&str] = &["solver_resolve", "timing_summary"];
 
 /// Whether `line` is an event of a [`RETIRED_KINDS`] kind.
 fn is_retired(line: &str) -> bool {
@@ -447,6 +449,7 @@ mod tests {
                     round: 0,
                     objective: -1.5,
                     warm_hit: false,
+                    wall_us: 0,
                 },
                 Event::ConnRetry {
                     at_ms: 3,
@@ -454,6 +457,55 @@ mod tests {
                     attempt: 1,
                     backoff_ms: 50,
                     reason: String::new(),
+                },
+            ]
+        );
+        fs::remove_file(&path).ok();
+    }
+
+    /// A v7 journal as `repro table3` wrote it: `solver_stats` and
+    /// `round_completed` without `wall_us`, and the end-of-run
+    /// `timing_summary` digest (retired in v8).
+    #[test]
+    fn v7_journal_reads_without_its_retired_lines() {
+        let path = temp_path("v7.jsonl");
+        fs::write(
+            &path,
+            concat!(
+                "{\"ev\":\"run_header\",\"schema\":7,\"experiment\":\"table3\",",
+                "\"seed\":2017,\"scale\":\"full\",\"started_unix_ms\":0,",
+                "\"threads\":4,\"git_commit\":\"a70b7b3a5cc3\"}\n",
+                "{\"ev\":\"solver_stats\",\"round\":0,\"objective\":-1.5,\"warm_hit\":true}\n",
+                "{\"ev\":\"round_completed\",\"round\":0,\"objective\":-1.5,",
+                "\"options\":30}\n",
+                "{\"ev\":\"timing_summary\",\"name\":\"core.decision_round\",\"count\":1,",
+                "\"mean_us\":1080.0,\"p50_us\":2000.0,\"p95_us\":2000.0,\"p99_us\":2000.0}\n",
+                "{\"ev\":\"experiment_finished\",\"experiment\":\"table3\",\"wall_ms\":9,",
+                "\"events\":4}\n"
+            ),
+        )
+        .expect("write fixture");
+        let events = read_journal(&path).expect("v7 reads");
+        assert!(matches!(events[0], Event::RunHeader { schema: 7, .. }));
+        assert_eq!(
+            events[1..],
+            [
+                Event::SolverStats {
+                    round: 0,
+                    objective: -1.5,
+                    warm_hit: true,
+                    wall_us: 0,
+                },
+                Event::RoundCompleted {
+                    round: 0,
+                    objective: -1.5,
+                    options: 30,
+                    wall_us: 0,
+                },
+                Event::ExperimentFinished {
+                    experiment: "table3".into(),
+                    wall_ms: 9,
+                    events: 4,
                 },
             ]
         );

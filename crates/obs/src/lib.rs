@@ -7,17 +7,19 @@
 //! * [`json`] — the workspace's one JSON stack: a small value model,
 //!   parser and writer ([`Json`]), shared with `vdx-audit`.
 //! * [`event`] — the typed [`Event`] schema: one variant per interesting
-//!   moment in a run (round lifecycle, auction steps, solver effort,
-//!   protocol retransmissions, replay churn, phase timing). One event is
-//!   one JSONL line ([`Event::to_json_line`] / [`Event::from_json`]).
+//!   moment in a run (round lifecycle, auction steps, solver decisions,
+//!   wire drops, faults, daemon connections and recovery, replay churn,
+//!   phase timing). One event is one JSONL line ([`Event::to_json_line`] /
+//!   [`Event::from_json`]). A timed span carries its own raw duration
+//!   (`wall_us`) on the event that closes it.
 //! * [`journal`] — the JSONL writer ([`Journal`]), one file per run,
 //!   conventionally under `results/journals/`, one write per line; plus
 //!   the one reader, [`read_journal`] / [`parse_journal`], for `repro
 //!   obs-report` and `vdx-audit`.
-//! * [`metrics`] — the process's two timers, lock-free fixed-bucket
-//!   [`Histogram`]s with p50/p95/p99 summaries, drained by
-//!   [`metrics::drain`].
-//! * [`timing`] — RAII [`ScopedTimer`]s that feed a histogram.
+//! * [`probe`] — the [`Probe`] trait instrumented code talks to, and its
+//!   sinks.
+//! * [`timing`] — the monotonic [`Stopwatch`] every timed span reads, and
+//!   the run header's clock and commit.
 //!
 //! Instrumented code never names a sink: it talks to the [`Probe`] trait,
 //! whose default implementation ([`NoopProbe`]) reports itself disabled
@@ -37,13 +39,11 @@
 pub mod event;
 pub mod journal;
 pub mod json;
-pub mod metrics;
 pub mod probe;
 pub mod timing;
 
 pub use event::{Event, SCHEMA_VERSION};
 pub use journal::{parse_journal, read_journal, Journal, JournalError};
 pub use json::Json;
-pub use metrics::Histogram;
 pub use probe::{noop, MemoryProbe, NoopProbe, Probe};
-pub use timing::{ScopedTimer, Stopwatch};
+pub use timing::Stopwatch;

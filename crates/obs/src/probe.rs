@@ -149,6 +149,7 @@ mod tests {
             round: 0,
             objective: 1.5,
             options: 2,
+            wall_us: 7,
         });
         // A SIGKILL here loses nothing: no drop, no `finish`.
         let events = crate::journal::read_journal(&path).expect("read");
@@ -207,6 +208,7 @@ mod tests {
             round: 0,
             objective: 1.5,
             options: 2,
+            wall_us: 7,
         });
         assert_eq!(probe.len(), 0, "the failed line is not counted");
         let err = probe

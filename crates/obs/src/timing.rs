@@ -1,15 +1,21 @@
-//! RAII scoped timers that feed a [`Histogram`].
+//! The run's clocks: the [`Stopwatch`] every timed span reads, and the
+//! [`run_header`] that opens a journal.
+//!
+//! A timed span journals its own duration: the event that closes it
+//! carries the raw reading as a `wall_us` field, and readers derive
+//! whatever statistics they want from those lines (`repro obs-report`
+//! prints exact percentiles).
 //!
 //! ```
-//! use vdx_obs::metrics::Histogram;
-//! use vdx_obs::timing::ScopedTimer;
+//! use vdx_obs::{Event, Stopwatch};
 //!
-//! let histogram = Histogram::new("demo.section");
-//! {
-//!     let _timer = ScopedTimer::new(&histogram);
-//!     // ... timed work ...
-//! }
-//! assert_eq!(histogram.count(), 1);
+//! let clock = Stopwatch::start();
+//! // ... timed work ...
+//! let done = Event::PhaseFinished {
+//!     phase: "demo".into(),
+//!     wall_us: clock.elapsed_us(),
+//! };
+//! assert_eq!(done.kind(), "phase_finished");
 //! ```
 //!
 //! This module is the one sanctioned exception to the workspace's
@@ -23,7 +29,6 @@
 use std::time::Instant;
 
 use crate::event::{Event, SCHEMA_VERSION};
-use crate::metrics::Histogram;
 
 /// The [`Event::RunHeader`] that opens a journal, stamped with the
 /// current schema, the wall-clock start of the run and the checkout's
@@ -64,45 +69,8 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Times a scope and records the elapsed microseconds into `histogram`
-/// on drop.
-#[derive(Debug)]
-pub struct ScopedTimer<'a> {
-    histogram: &'a Histogram,
-    start: Instant,
-}
-
-impl<'a> ScopedTimer<'a> {
-    /// Starts timing; the measurement is recorded when the value drops.
-    pub fn new(histogram: &'a Histogram) -> ScopedTimer<'a> {
-        ScopedTimer {
-            histogram,
-            // The journal byte-identity tests are what hold "never feeds
-            // results" (DESIGN.md §10).
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the sanctioned monotonic-clock read: timing probes \
-                          measure the run, they never feed results"
-            )]
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time so far, microseconds (the value drop will record).
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        self.histogram.record_us(self.elapsed_us());
-    }
-}
-
-/// A free-standing stopwatch for phases that end at an explicit point
-/// rather than a scope boundary (e.g. CLI phase bookkeeping). Feeds no
-/// histogram; callers decide where the reading goes.
+/// A monotonic stopwatch for a span that ends at an explicit point: the
+/// reading goes into the `wall_us` of the event that closes the span.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -114,7 +82,8 @@ impl Stopwatch {
         Stopwatch {
             #[expect(
                 clippy::disallowed_methods,
-                reason = "the sanctioned monotonic-clock read, as in `ScopedTimer::new`"
+                reason = "the sanctioned monotonic-clock read: timing probes \
+                          measure the run, they never feed results"
             )]
             start: Instant::now(),
         }
@@ -140,32 +109,6 @@ impl Default for Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let h = Histogram::new("t.scope");
-        {
-            let timer = ScopedTimer::new(&h);
-            let _ = timer.elapsed_us();
-        }
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn nested_timers_record_independently() {
-        let (outer, inner) = (Histogram::new("t.outer"), Histogram::new("t.inner"));
-        {
-            let _outer = ScopedTimer::new(&outer);
-            {
-                let _inner = ScopedTimer::new(&inner);
-            }
-            {
-                let _inner = ScopedTimer::new(&inner);
-            }
-        }
-        assert_eq!(outer.count(), 1);
-        assert_eq!(inner.count(), 2);
-    }
 
     #[test]
     fn stopwatch_is_monotone() {

@@ -105,16 +105,13 @@ impl FlightRecorder {
         }
     }
 
-    /// Drains the process's timing histograms into the journal, writes
-    /// the terminal record and names the file on stderr. Every
-    /// [`FlightRecorder::run_probe`] handle must have been dropped.
+    /// Writes the journal's terminal record and names the file on
+    /// stderr. Every [`FlightRecorder::run_probe`] handle must have been
+    /// dropped.
     pub fn end_run(self) -> Result<(), String> {
         let Some(probe) = self.journal else {
             return Ok(());
         };
-        for event in vdx_obs::metrics::drain() {
-            probe.emit(event);
-        }
         let journal = Arc::try_unwrap(probe)
             .map_err(|_| "journal probe still shared; cannot finish the journal".to_string())?;
         let path = journal.path().display().to_string();

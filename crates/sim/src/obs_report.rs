@@ -2,9 +2,10 @@
 //!
 //! Takes the events of one journal (see `vdx-obs`) and renders the
 //! plain-text summary an operator reads first after a run: what ran, how
-//! long each phase took, how hard the solver worked, what the wire did,
-//! and where congestion or churn showed up. Rendering reuses
-//! [`crate::report`] so the output is diffable like every other table.
+//! long each phase, round and Optimize step took, how the solver decided,
+//! what the wire did, and where congestion or churn showed up. Rendering
+//! reuses [`crate::report`] so the output is diffable like every other
+//! table.
 
 use crate::report::{fmt, render_table};
 use std::collections::BTreeMap;
@@ -88,24 +89,31 @@ pub fn report(events: &[Event]) -> String {
 
     // Decision rounds and their Optimize steps: a warm hit is a decision
     // the broker's memo replayed (`solver_stats.warm_hit`; false in
-    // journals older than schema v7).
-    let mut rounds = 0u64;
+    // journals older than schema v7). Each line also carries its span's
+    // wall time, for the timing section below.
+    let (mut round_us, mut optimize_us) = (Vec::new(), Vec::new());
     let mut options = 0u64;
-    let mut solves = 0u64;
     let mut warm_hits = 0u64;
     for e in events {
         match e {
-            Event::RoundCompleted { options: o, .. } => {
-                rounds += 1;
+            Event::RoundCompleted {
+                options: o,
+                wall_us,
+                ..
+            } => {
+                round_us.push(*wall_us);
                 options += o;
             }
-            Event::SolverStats { warm_hit, .. } => {
-                solves += 1;
+            Event::SolverStats {
+                warm_hit, wall_us, ..
+            } => {
+                optimize_us.push(*wall_us);
                 warm_hits += u64::from(*warm_hit);
             }
             _ => {}
         }
     }
+    let (rounds, solves) = (round_us.len(), optimize_us.len());
     if rounds > 0 {
         let solver_rows = vec![
             vec!["rounds completed".to_string(), rounds.to_string()],
@@ -299,32 +307,33 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
-    // Timing histograms drained from `vdx_obs::metrics`.
-    let timing_rows: Vec<Vec<String>> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::TimingSummary {
-                name,
-                count,
-                mean_us,
-                p50_us,
-                p95_us,
-                p99_us,
-            } => Some(vec![
-                name.clone(),
-                count.to_string(),
-                fmt(*mean_us),
-                fmt(*p50_us),
-                fmt(*p95_us),
-                fmt(*p99_us),
-            ]),
-            _ => None,
-        })
-        .collect();
+    // Wall times, exact: every statistic is over the raw `wall_us` the
+    // spans journaled, percentiles by nearest rank. A span whose every
+    // reading is 0 was not timed (a journal older than schema v8, or a
+    // scrubbed one) and gets no row.
+    let timing_rows: Vec<Vec<String>> =
+        [("round_completed", round_us), ("solver_stats", optimize_us)]
+            .into_iter()
+            .filter(|(_, us)| us.iter().any(|&u| u > 0))
+            .map(|(kind, mut us)| {
+                us.sort_unstable();
+                let n = us.len();
+                let rank = |p: usize| us[(p * n).div_ceil(100).max(1) - 1].to_string();
+                let mean = us.iter().sum::<u64>() as f64 / n as f64;
+                vec![
+                    kind.to_string(),
+                    n.to_string(),
+                    fmt(mean),
+                    rank(50),
+                    rank(95),
+                    rank(99),
+                ]
+            })
+            .collect();
     if !timing_rows.is_empty() {
         out.push_str(&render_table(
             "Timings (µs)",
-            &["name", "count", "mean", "p50", "p95", "p99"],
+            &["span", "count", "mean", "p50", "p95", "p99"],
             &timing_rows,
         ));
         out.push('\n');
@@ -365,11 +374,13 @@ mod tests {
                 round: 0,
                 objective: 5.0,
                 warm_hit: false,
+                wall_us: 400,
             },
             Event::RoundCompleted {
                 round: 0,
                 objective: 5.0,
                 options: 30,
+                wall_us: 1_000,
             },
             Event::FaultPlanApplied {
                 round: 0,
@@ -451,14 +462,6 @@ mod tests {
                 load_kbps: 2.0,
                 capacity_kbps: 1.0,
             },
-            Event::TimingSummary {
-                name: "round".into(),
-                count: 1,
-                mean_us: 100.0,
-                p50_us: 100.0,
-                p95_us: 100.0,
-                p99_us: 100.0,
-            },
             Event::ExperimentFinished {
                 experiment: "table3".into(),
                 wall_ms: 3_000,
@@ -510,6 +513,44 @@ mod tests {
         assert!(text.contains("== Load & churn =="), "{text}");
         assert!(text.contains("0.2500"), "moved fraction 2/8: {text}");
         assert!(text.contains("== Timings"), "{text}");
+    }
+
+    /// Rounds of 1,000 / 1,080 / 1,100 / 2,400 µs: the nearest-rank p50
+    /// is the second reading, 1,080 µs, where a 1-2-5 bucketed histogram
+    /// would report the bucket bound, 2,000 µs. Optimize steps that were
+    /// not timed (`wall_us` 0, as a pre-v8 line reads) get no row.
+    #[test]
+    fn timings_are_exact_nearest_rank_statistics() {
+        let mut events: Vec<Event> = [1_000, 2_400, 1_100, 1_080]
+            .into_iter()
+            .enumerate()
+            .map(|(round, wall_us)| Event::RoundCompleted {
+                round: round as u64,
+                objective: 1.0,
+                options: 3,
+                wall_us,
+            })
+            .collect();
+        events.push(Event::SolverStats {
+            round: 0,
+            objective: 1.0,
+            warm_hit: false,
+            wall_us: 0,
+        });
+        let text = report(&events);
+        let timings = text
+            .split("== Timings (µs) ==")
+            .nth(1)
+            .unwrap_or_else(|| panic!("no timing section: {text}"));
+        let rows: Vec<Vec<&str>> = (timings.lines().skip(3))
+            .take_while(|l| !l.is_empty())
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [["round_completed", "4", "1395", "1080", "2400", "2400"]],
+            "span, count, mean, p50, p95, p99; no untimed span: {text}"
+        );
     }
 
     #[test]

@@ -13,8 +13,8 @@ cargo clippy --all-targets -- -D warnings
 echo "==> no lock anywhere (one owner per piece of state, channels and atomics between threads; DESIGN.md §13)"
 # The daemon's round thread owns every connection (its cross-thread state
 # is the inbound channel, the per-connection ticket queues and the
-# shutdown flag); vdx-obs's sinks are a channel sender, a journal written
-# one line per write through `&File`, and two atomic histograms. A lock
+# shutdown flag); vdx-obs's sinks are a channel sender and a journal
+# written one line per write through `&File`, with no timing state. A lock
 # type anywhere in the tree, tests included, is that design eroding.
 # The benchmark harness is its own package and not this gate's subject.
 if grep -rnwE 'Mutex|Condvar|RwLock' crates src tests examples --exclude-dir=vdx_bench; then
@@ -100,6 +100,17 @@ cargo run -p vdx-sim --bin repro --release -- table3 --small \
   --journal target/verify-audit/t3.jsonl
 cargo run -p vdx-sim --bin repro --release -- audit report \
   target/verify-audit/t3.jsonl | grep objective-delta
+# The journal is the timer: every round carries its wall time, and
+# obs-report's timing rows (span, count, mean, p50, p95, p99) come from it.
+t3=target/verify-audit/t3.jsonl
+test "$(grep -c '"ev":"round_completed"' "$t3")" -gt 0
+test "$(grep '"ev":"round_completed"' "$t3" | grep -c '"wall_us":')" \
+  -eq "$(grep -c '"ev":"round_completed"' "$t3")"
+cargo run -p vdx-sim --bin repro --release -- obs-report "$t3" \
+  > target/verify-audit/report.txt
+grep -q '== Timings (µs) ==' target/verify-audit/report.txt
+grep -Eq '^ *round_completed( +[0-9.]+){5}$' target/verify-audit/report.txt
+grep -Eq '^ *solver_stats( +[0-9.]+){5}$' target/verify-audit/report.txt
 
 echo "==> thread-count parity at full scale (table3 on 1 and 4 threads: output + journals)"
 # Each worker folds its round into a Table-3 row before claiming the next,
