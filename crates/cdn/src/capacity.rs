@@ -19,7 +19,7 @@
 
 use crate::cluster::{CdnId, ClusterId};
 use crate::deploy::Fleet;
-use crate::matching::{CityMatcher, MatchingConfig};
+use crate::matching::MatchTable;
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
 use vdx_units::Kbps;
@@ -39,19 +39,27 @@ pub fn plan_capacities(
     demand: &[Demand],
     score_of: impl Fn(CityId, CityId) -> Score,
 ) -> Vec<Kbps> {
+    let cdns = fleet.cdns.iter().map(|c| c.id);
+    let table = MatchTable::build(fleet, cdns, demand.iter().map(|d| d.0), 2.0, score_of);
+    plan_capacities_with(world, fleet, demand, &table)
+}
+
+/// [`plan_capacities`] reading each client's preferred cluster (the first
+/// candidate) off `table`, which must hold the paper's 2× rule for
+/// `fleet` and every demand city.
+pub fn plan_capacities_with(
+    world: &World,
+    fleet: &mut Fleet,
+    demand: &[Demand],
+    table: &MatchTable,
+) -> Vec<Kbps> {
+    debug_assert_eq!(table.score_ratio(), 2.0, "the preferred-cluster rule");
     let mut attracted = vec![Kbps::ZERO; fleet.clusters.len()];
-    // The preferred-cluster rule (cheapest within 2× of the best score),
-    // cdns × demand-points times; demand points of one city are adjacent.
-    let preferred = MatchingConfig {
-        score_ratio: 2.0,
-        max_candidates: 1,
-    };
-    let mut matcher = CityMatcher::new(fleet, &preferred, &score_of);
     for cdn_idx in 0..fleet.cdns.len() {
         let cdn = CdnId(cdn_idx as u32);
         for &(client, kbps) in demand {
-            if let Some(m) = matcher.candidates_for(cdn, client).first() {
-                attracted[m.cluster.index()] += kbps;
+            if let Some(cluster) = table.candidates(cdn, client, 1).first() {
+                attracted[cluster.index()] += kbps;
             }
         }
         // Conservation: in its solo run a CDN with any clusters at all

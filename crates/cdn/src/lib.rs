@@ -23,7 +23,8 @@
 //! * [`contract`] — flat-rate contract price (average cost per bit over the
 //!   solo workload) and the 1.2× markup used in the profit figures.
 //! * [`matching`] — the candidate-cluster rule: all clusters within 2× of
-//!   the best score (else the second best), sorted cheapest-first.
+//!   the best score (else the second best), sorted cheapest-first; and
+//!   the [`MatchTable`] that evaluates it once per (CDN, client city).
 //! * [`bidding`] — the accept-feedback price-shading loop ("CDNs learn
 //!   risk-averse bidding strategies", §6.3).
 
@@ -39,10 +40,13 @@ pub mod deploy;
 pub mod matching;
 
 pub use bidding::BidShading;
-pub use capacity::{median_capacity, plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
+pub use capacity::{
+    median_capacity, plan_capacities, plan_capacities_with, total_capacity, Demand,
+    PROVISION_FACTOR,
+};
 pub use cluster::{CdnId, Cluster, ClusterId};
 pub use contract::{negotiate_contract, Contract, DEFAULT_MARKUP};
 pub use deploy::{build_fleet, city_centric_cdns, Cdn, DeploymentModel, Fleet, FleetConfig};
 pub use matching::{
-    candidate_clusters, candidate_clusters_into, CityMatcher, Matching, MatchingConfig,
+    candidate_clusters, candidate_clusters_into, MatchTable, Matching, MatchingConfig,
 };

@@ -83,9 +83,8 @@ pub fn candidate_clusters(
 }
 
 /// [`candidate_clusters`] into a caller-owned buffer (cleared first).
-/// Per-client loops go through [`CityMatcher`], which owns the buffer and
-/// keeps each CDN's cost order; here the order is computed per call, over
-/// the candidates only.
+/// This is the rule's reference form: the order is computed per call,
+/// over the candidates only. Loops over clients read a [`MatchTable`].
 pub fn candidate_clusters_into(
     fleet: &Fleet,
     cdn: CdnId,
@@ -165,71 +164,122 @@ fn cheapest_first(out: &mut Vec<Matching>, max_candidates: usize) {
     out.truncate(keep);
 }
 
-/// The matching rule of one fleet under one configuration and one score
-/// estimate, for a loop over clients. It keeps two things for its own
-/// life and nothing longer:
+/// Marks a (CDN, client city) slot the table has no row for.
+const NO_ROW: u32 = u32::MAX;
+
+/// Client city ids from here on get no row. A world has far fewer cities;
+/// the bound keeps a city id decoded off the wire from sizing the index.
+const CITY_IDS: usize = 1 << 20;
+
+/// The §5.1 Matching rule evaluated once for every (CDN, client city) of a
+/// fleet under one score estimate and one score ratio: each pair's
+/// candidate cluster ids in the rule's (cost, score, id) order,
+/// untruncated. A bid count is a prefix of that list (truncating after
+/// the sort is what [`candidate_clusters`] does), so one table serves
+/// every design sharing the ratio, whatever its `max_candidates`.
 ///
-/// * each CDN's clusters sorted by (cost, id), on the CDN's first use. A
-///   cluster's cost is the CDN's business, not the client's, so a matching
-///   scores the clusters in that order, filters them and sorts only runs
-///   of equal cost — the order [`candidate_clusters`] gets by sorting;
-/// * the last (CDN, client city) it matched. §5.1's rule is a function of
-///   the client's *location* and the CDN, and clients come grouped by city
-///   (`gather_groups` orders them so), so most calls repeat the one before
-///   and get the list already in hand. An interleaved sequence recomputes
-///   every time and answers the same.
-///
-/// **Contract:** `score_of(client, site)` is a pure function of the two
-/// cities for as long as the matcher lives, and the fleet and configuration
-/// are borrowed, so they cannot change under it.
-pub struct CityMatcher<'a, F> {
-    fleet: &'a Fleet,
-    config: &'a MatchingConfig,
-    score_of: F,
-    by_cost: Vec<Option<Vec<&'a Cluster>>>,
-    last: Option<(CdnId, CityId)>,
-    matchings: Vec<Matching>,
+/// The rule's inputs — the pair, the fleet's costs and the scores — are
+/// fixed for as long as the table is used; a round's groups are not among
+/// them, so the table holds whichever groups a round carries. Capacities
+/// are not inputs either: a table built before capacity planning stays
+/// valid after it.
+#[derive(Debug, Clone)]
+pub struct MatchTable {
+    score_ratio: f64,
+    /// Slot of each CDN, by [`CdnId`] index; [`NO_ROW`] for a CDN the
+    /// table was not built for.
+    cdn_slot: Vec<u32>,
+    /// Slot of each client city, by [`CityId`] index, likewise.
+    city_slot: Vec<u32>,
+    /// Client cities per CDN slot.
+    cities: usize,
+    /// Row `cdn slot × cities + city slot` lists
+    /// `clusters[starts[row]..starts[row + 1]]`.
+    starts: Vec<u32>,
+    clusters: Vec<ClusterId>,
 }
 
-impl<'a, F: Fn(CityId, CityId) -> Score> CityMatcher<'a, F> {
-    /// A matcher that has matched nothing yet.
-    pub fn new(fleet: &'a Fleet, config: &'a MatchingConfig, score_of: F) -> Self {
-        CityMatcher {
-            fleet,
-            config,
-            score_of,
-            by_cost: vec![None; fleet.cdns.len()],
-            last: None,
-            matchings: Vec::new(),
+impl MatchTable {
+    /// Matches every CDN of `cdns` against every city of `cities`
+    /// (repeats are matched once, ids past 2^20 not at all) under
+    /// `score_ratio`.
+    /// `score_of(client, site)` is the Estimate step's score; it is asked
+    /// once per (CDN, client city, cluster).
+    pub fn build(
+        fleet: &Fleet,
+        cdns: impl IntoIterator<Item = CdnId>,
+        cities: impl IntoIterator<Item = CityId>,
+        score_ratio: f64,
+        score_of: impl Fn(CityId, CityId) -> Score,
+    ) -> MatchTable {
+        let mut city_slot: Vec<u32> = Vec::new();
+        let mut clients: Vec<CityId> = Vec::new();
+        for city in cities.into_iter().filter(|c| c.index() < CITY_IDS) {
+            if city.index() >= city_slot.len() {
+                city_slot.resize(city.index() + 1, NO_ROW);
+            }
+            if city_slot[city.index()] == NO_ROW {
+                city_slot[city.index()] = clients.len() as u32;
+                clients.push(city);
+            }
+        }
+        let mut cdn_slot = vec![NO_ROW; fleet.cdns.len()];
+        let mut slots = 0;
+        let mut starts = vec![0];
+        let mut clusters = Vec::new();
+        let mut scratch: Vec<Matching> = Vec::new();
+        for cdn in cdns {
+            match cdn_slot.get_mut(cdn.index()) {
+                Some(slot) if *slot == NO_ROW => *slot = slots,
+                _ => continue,
+            }
+            slots += 1;
+            // A cluster's cost is the CDN's business, not the client's:
+            // scored in (cost, id) order, a matching needs only its runs
+            // of equal cost sorted.
+            let mut by_cost: Vec<&Cluster> = fleet.clusters_of(cdn).collect();
+            by_cost.sort_unstable_by(|a, b| {
+                let cost = a.cost_per_mb().total_cmp(&b.cost_per_mb());
+                cost.then(a.id.cmp(&b.id))
+            });
+            for &client in &clients {
+                scratch.clear();
+                scratch.extend((by_cost.iter()).map(|cl| matching(cl, score_of(client, cl.city))));
+                keep_candidates(&mut scratch, score_ratio);
+                cheapest_first(&mut scratch, usize::MAX);
+                clusters.extend(scratch.iter().map(|m| m.cluster));
+                starts.push(clusters.len() as u32);
+            }
+        }
+        MatchTable {
+            score_ratio,
+            cdn_slot,
+            city_slot,
+            cities: clients.len(),
+            starts,
+            clusters,
         }
     }
 
-    /// [`candidate_clusters`] of `cdn` for a client in `client`; valid
-    /// until the next call.
-    pub fn candidates_for(&mut self, cdn: CdnId, client: CityId) -> &[Matching] {
-        if self.last != Some((cdn, client)) {
-            let fleet = self.fleet;
-            let clusters = self.by_cost[cdn.index()].get_or_insert_with(|| {
-                let mut clusters: Vec<&Cluster> = fleet.clusters_of(cdn).collect();
-                clusters.sort_unstable_by(|a, b| {
-                    let cost = a.cost_per_mb().total_cmp(&b.cost_per_mb());
-                    cost.then(a.id.cmp(&b.id))
-                });
-                clusters
-            });
-            let out = &mut self.matchings;
-            out.clear();
-            let score_of = &self.score_of;
-            out.extend(
-                clusters
-                    .iter()
-                    .map(|cl| matching(cl, score_of(client, cl.city))),
-            );
-            keep_candidates(out, self.config.score_ratio);
-            cheapest_first(out, self.config.max_candidates);
-            self.last = Some((cdn, client));
-        }
-        &self.matchings
+    /// The score ratio the table was built under.
+    pub fn score_ratio(&self) -> f64 {
+        self.score_ratio
+    }
+
+    /// The ids [`candidate_clusters`] returns for `cdn` and a client in
+    /// `client` under this table's ratio and `max_candidates`; empty for
+    /// a pair the table was not built for.
+    pub fn candidates(&self, cdn: CdnId, client: CityId, max_candidates: usize) -> &[ClusterId] {
+        let slot = |slots: &[u32], i: usize| slots.get(i).copied().filter(|&s| s != NO_ROW);
+        let (Some(c), Some(k)) = (
+            slot(&self.cdn_slot, cdn.index()),
+            slot(&self.city_slot, client.index()),
+        ) else {
+            return &[];
+        };
+        let row = c as usize * self.cities + k as usize;
+        let list = &self.clusters[self.starts[row] as usize..self.starts[row + 1] as usize];
+        &list[..list.len().min(max_candidates.max(1))]
     }
 }
 
@@ -356,25 +406,42 @@ mod tests {
     }
 
     #[test]
-    fn matcher_reuses_the_call_before_and_nothing_older() {
+    fn table_scores_each_city_once_and_every_prefix_is_the_direct_list() {
         let f = fleet(&[(3.0, 1.0), (1.0, 1.0), (2.0, 1.0)]);
-        let config = MatchingConfig::default();
         // Client city c sees site s at 100 + 60·((c + s) mod 3).
         let score =
             |client: CityId, site: CityId| Score(100.0 + 60.0 * ((client.0 + site.0) % 3) as f64);
         let asked = std::cell::Cell::new(0u32);
-        let mut matcher = CityMatcher::new(&f, &config, |client, site| {
-            asked.set(asked.get() + 1);
-            score(client, site)
-        });
-        // Cities interleaved, then repeated: every answer is the direct one.
-        for client in [0, 1, 0, 1, 1, 1, 2].map(CityId) {
-            let direct = candidate_clusters(&f, CdnId(0), |site| score(client, site), &config);
-            assert_eq!(matcher.candidates_for(CdnId(0), client), direct);
+        // Cities interleaved and repeated: each is matched once.
+        let cities = [0, 1, 0, 1, 1, 1, 2].map(CityId);
+        for score_ratio in [2.0, f64::INFINITY] {
+            asked.set(0);
+            let table = MatchTable::build(&f, [CdnId(0)], cities, score_ratio, |client, site| {
+                asked.set(asked.get() + 1);
+                score(client, site)
+            });
+            // Three cities of three clusters each.
+            assert_eq!(asked.get(), 9);
+            for client in cities {
+                for max_candidates in 1..=4 {
+                    let config = MatchingConfig {
+                        score_ratio,
+                        max_candidates,
+                    };
+                    let direct =
+                        candidate_clusters(&f, CdnId(0), |site| score(client, site), &config);
+                    let ids: Vec<ClusterId> = direct.iter().map(|m| m.cluster).collect();
+                    assert_eq!(table.candidates(CdnId(0), client, max_candidates), ids);
+                }
+            }
+            // A city it was not built for has no candidates.
+            assert!(table.candidates(CdnId(0), CityId(3), 100).is_empty());
         }
-        // Seven calls, two of them repeats of the one before: five matchings
-        // of three clusters each.
-        assert_eq!(asked.get(), 15);
+        // Nor has a city id no world has (one decoded off the wire), and
+        // it does not size the index.
+        let far = CityId(u32::MAX);
+        let table = MatchTable::build(&f, [CdnId(0)], [far], 2.0, score);
+        assert!(table.candidates(CdnId(0), far, 100).is_empty());
     }
 
     #[test]

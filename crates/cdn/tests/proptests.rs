@@ -7,7 +7,7 @@
 use vdx_cdn::capacity::{plan_capacities, total_capacity, Demand, PROVISION_FACTOR};
 use vdx_cdn::cluster::{CdnId, Cluster, ClusterId};
 use vdx_cdn::deploy::{Cdn, DeploymentModel, Fleet};
-use vdx_cdn::matching::{candidate_clusters, CityMatcher, Matching, MatchingConfig};
+use vdx_cdn::matching::{candidate_clusters, MatchTable, Matching, MatchingConfig};
 use vdx_geo::{CityId, World, WorldConfig};
 use vdx_netsim::Score;
 use vdx_rand::prop::{check, vec_of};
@@ -254,11 +254,7 @@ fn matching_without_the_full_score_sort_equals_the_full_sort() {
     );
 }
 
-/// The four rule shapes the designs use: the preferred cluster, two bids,
-/// Marketplace's hundred, and Omniscient's everything.
-const SHAPES: [(f64, usize); 4] = [(2.0, 1), (2.0, 2), (2.0, 100), (f64::INFINITY, usize::MAX)];
-
-/// Client cities a matcher is asked about, and sites clusters sit in.
+/// Client cities a table is built for, and sites clusters sit in.
 const CLIENTS: u32 = 4;
 const SITES: u32 = 8;
 
@@ -306,13 +302,14 @@ fn multi_cdn_fleet(rng: &mut StdRng, tie_heavy: bool, nan_cost_at: Option<usize>
     Fleet { cdns, clusters }
 }
 
-/// A `CityMatcher` — each CDN's cost order kept, the last (CDN, city)
-/// remembered — answers every query of an interleaved, repeating sequence
-/// with the list the full sort gives for that (CDN, city) alone: under all
-/// four rule shapes, with tie-heavy palettes half the time, and with a NaN
+/// A `MatchTable` built over an interleaved, repeating city order and
+/// several CDNs answers every (CDN, city) at every bid count from 1 to
+/// one past the CDN's cluster count with the list [`candidate_clusters`]
+/// gives for that (CDN, city) alone: at the paper's cutoff and at
+/// Omniscient's, with tie-heavy palettes half the time, and with a NaN
 /// cost and a NaN score a third of the time.
 #[test]
-fn city_matcher_over_cdns_and_repeating_cities_equals_the_full_sort() {
+fn match_table_over_cdns_and_interleaved_cities_equals_candidate_clusters() {
     check(
         4 * CASES,
         |rng| {
@@ -334,42 +331,43 @@ fn city_matcher_over_cdns_and_repeating_cities_equals_the_full_sort() {
                 scores[at] = f64::NAN;
             }
             // Short runs from a small alphabet: repeats and interleavings.
-            let queries: Vec<(CdnId, CityId)> = vec_of(rng, 1..24, |r| {
-                let cdn = CdnId(r.gen_range(0..fleet.cdns.len() as u32));
-                (cdn, CityId(r.gen_range(0..CLIENTS)))
-            });
-            (fleet, scores, queries)
+            let cities: Vec<CityId> = vec_of(rng, 1..24, |r| CityId(r.gen_range(0..CLIENTS)));
+            (fleet, scores, cities)
         },
-        |(fleet, scores, queries)| {
+        |(fleet, scores, cities)| {
             let score =
                 |client: CityId, site: CityId| Score(scores[(client.0 * SITES + site.0) as usize]);
-            for (score_ratio, max_candidates) in SHAPES {
-                let config = MatchingConfig {
-                    score_ratio,
-                    max_candidates,
-                };
-                let mut matcher = CityMatcher::new(fleet, &config, score);
-                for &(cdn, client) in queries {
-                    let reference =
-                        candidates_by_full_sort(fleet, cdn, |site| score(client, site), &config);
-                    let got = matcher.candidates_for(cdn, client);
-                    // Bitwise: a NaN score must come back as the NaN it was.
-                    let bits = |m: &[Matching]| -> Vec<(ClusterId, u64, u64)> {
-                        (m.iter())
-                            .map(|m| {
-                                (
-                                    m.cluster,
-                                    m.score.value().to_bits(),
-                                    m.cost_per_mb.as_per_megabit().to_bits(),
-                                )
-                            })
-                            .collect()
-                    };
-                    assert_eq!(
-                        bits(got),
-                        bits(&reference),
-                        "{cdn} at {client:?}, {config:?}"
-                    );
+            for score_ratio in [2.0, f64::INFINITY] {
+                let cdns = fleet.cdns.iter().map(|c| c.id);
+                let table =
+                    MatchTable::build(fleet, cdns, cities.iter().copied(), score_ratio, score);
+                for cdn in &fleet.cdns {
+                    for &client in cities {
+                        for max_candidates in 1..=cdn.clusters.len() + 1 {
+                            let config = MatchingConfig {
+                                score_ratio,
+                                max_candidates,
+                            };
+                            let reference = candidate_clusters(
+                                fleet,
+                                cdn.id,
+                                |site| score(client, site),
+                                &config,
+                            );
+                            let ids: Vec<ClusterId> = reference.iter().map(|m| m.cluster).collect();
+                            assert_eq!(
+                                table.candidates(cdn.id, client, max_candidates),
+                                ids,
+                                "{} at {client:?}, {config:?}",
+                                cdn.id
+                            );
+                        }
+                    }
+                    // A city the table was not built for has no row.
+                    let absent = (0..CLIENTS).map(CityId).find(|c| !cities.contains(c));
+                    if let Some(absent) = absent {
+                        assert!(table.candidates(cdn.id, absent, usize::MAX).is_empty());
+                    }
                 }
             }
         },

@@ -163,6 +163,7 @@ mod tests {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: None,
+            matches: None,
         };
         let out = run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b));
         let s = settle(&out, &eco.world, &eco.fleet);

@@ -26,8 +26,7 @@ use vdx_broker::{
     GroupOption, OptimizeContext, OptimizeMode, OptionLists,
 };
 use vdx_cdn::{
-    median_capacity, total_capacity, CdnId, CityMatcher, Contract, Fleet, MatchingConfig,
-    DEFAULT_MARKUP,
+    median_capacity, total_capacity, CdnId, Contract, Fleet, MatchTable, DEFAULT_MARKUP,
 };
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
@@ -56,6 +55,12 @@ pub struct RoundInputs<'a> {
     /// [`DEFAULT_MARKUP`] everywhere, the margin a fresh
     /// [`crate::BidEngine`] bids at.
     pub margins: Option<&'a [Margin]>,
+    /// The §5.1 candidate table of `fleet` under the round's score
+    /// estimate, built for every group city (a scenario keeps one per
+    /// score ratio). `None`, or a table of another ratio than the
+    /// design's, and the round builds one from its `score_of` for its
+    /// group cities.
+    pub matches: Option<&'a MatchTable>,
 }
 
 /// Caller-assigned identifier for one Decision Protocol round, journaled
@@ -101,9 +106,11 @@ impl RoundOutcome {
 /// see DESIGN.md on this simplification, which the paper shares).
 ///
 /// **Contract** (this function and its `_probed` / `_probed_ctx` forms):
-/// within one call `score_of` is a pure function of the two cities. The
-/// round matches each (CDN, city) once and gives every group of a city
-/// one shared option list (DESIGN.md §8).
+/// within one call `score_of` is a pure function of the two cities, and
+/// [`RoundInputs::matches`], when given, was built from the same
+/// estimate. The round reads each (CDN, city)'s candidates off the table
+/// once and gives every group of a city one shared option list
+/// (DESIGN.md §8).
 pub fn run_decision_round(
     design: Design,
     inputs: &RoundInputs<'_>,
@@ -186,6 +193,16 @@ fn round_impl(
         Some(bids) => design.matching().with_max_candidates(bids),
         None => design.matching(),
     };
+    let built;
+    let table = match inputs.matches {
+        Some(table) if table.score_ratio() == matching_config.score_ratio => table,
+        _ => {
+            let cdns = fleet.cdns.iter().map(|c| c.id);
+            let cities = inputs.groups.iter().map(|g| g.city);
+            built = MatchTable::build(fleet, cdns, cities, matching_config.score_ratio, &score_of);
+            &built
+        }
+    };
 
     // Per-CDN median capacity estimates for capacity-blind designs.
     let medians: Vec<Kbps> = fleet
@@ -200,7 +217,6 @@ fn round_impl(
     // whatever order the groups come.
     let mut options = OptionLists::default();
     let mut list_of_city: HashMap<CityId, usize> = HashMap::new();
-    let mut matcher = CityMatcher::new(fleet, &matching_config, &score_of);
     for group in inputs.groups {
         if let Some(&list) = list_of_city.get(&group.city) {
             options.push_shared(list);
@@ -208,21 +224,27 @@ fn round_impl(
         }
         let mut group_options = Vec::new();
         for cdn in &fleet.cdns {
-            // Steps 3–5: Share (implicit — the matchings below are built
-            // per city, which for Marketplace-class designs is licensed by
-            // the Share step), Matching, Announce.
+            // Steps 3–5: Share (implicit — the matchings below are per
+            // city, which for Marketplace-class designs is licensed by the
+            // Share step), Matching (read off the table), Announce.
             let contract_price = inputs.contracts[cdn.id.index()].billed_price_per_mb();
             let median = medians[cdn.id.index()];
-            for m in matcher.candidates_for(cdn.id, group.city) {
-                let c = m.cluster.index();
+            let matched = table.candidates(cdn.id, group.city, matching_config.max_candidates);
+            for &cluster in matched {
+                let c = cluster.index();
+                let site = &fleet.clusters[c];
                 let margin = inputs.margins.map_or(DEFAULT_MARKUP, |margins| margins[c]);
                 group_options.push(GroupOption {
                     cdn: cdn.id,
-                    cluster: m.cluster,
-                    score: m.score,
-                    price_per_mb: design.announced_price(m.cost_per_mb, margin, contract_price),
+                    cluster,
+                    score: score_of(group.city, site.city),
+                    price_per_mb: design.announced_price(
+                        site.cost_per_mb(),
+                        margin,
+                        contract_price,
+                    ),
                     believed_capacity_kbps: design.believed_capacity(
-                        fleet.clusters[c].capacity_kbps,
+                        site.capacity_kbps,
                         inputs.background_load_kbps[c],
                         median,
                     ),
@@ -309,8 +331,9 @@ fn round_impl(
 /// Places the §5.1 background traffic (non-broker / other-broker clients):
 /// each group's background demand is split across two CDNs drawn with
 /// probability proportional to total CDN capacity, then served from each
-/// CDN's best-scoring cluster — i.e. traditional delivery, no broker
-/// optimization. Returns per-cluster load in kbit/s.
+/// CDN's preferred cluster (the cheapest within 2× of the best score) —
+/// i.e. traditional delivery, no broker optimization. Returns per-cluster
+/// load in kbit/s.
 pub fn assign_background(
     world: &World,
     fleet: &Fleet,
@@ -320,6 +343,22 @@ pub fn assign_background(
     score_of: impl Fn(CityId, CityId) -> Score,
 ) -> Vec<Kbps> {
     let _ = world;
+    let cdns = fleet.cdns.iter().map(|c| c.id);
+    let table = MatchTable::build(fleet, cdns, groups.iter().map(|g| g.city), 2.0, score_of);
+    assign_background_with(fleet, groups, background_kbps, seed, &table)
+}
+
+/// [`assign_background`] reading each preferred cluster (the first
+/// candidate) off `table`, which must hold the paper's 2× rule for
+/// `fleet` and every group city.
+pub fn assign_background_with(
+    fleet: &Fleet,
+    groups: &[ClientGroup],
+    background_kbps: &[Kbps],
+    seed: u64,
+    table: &MatchTable,
+) -> Vec<Kbps> {
+    debug_assert_eq!(table.score_ratio(), 2.0, "the preferred-cluster rule");
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB6_0000);
     let weights: Vec<f64> = fleet
         .cdns
@@ -328,11 +367,6 @@ pub fn assign_background(
         .collect();
     let total_w: f64 = weights.iter().sum();
     let mut load = vec![Kbps::ZERO; fleet.clusters.len()];
-    let preferred_config = MatchingConfig {
-        score_ratio: 2.0,
-        max_candidates: 1,
-    };
-    let mut matcher = CityMatcher::new(fleet, &preferred_config, &score_of);
     for (i, group) in groups.iter().enumerate() {
         let demand = background_kbps.get(i).copied().unwrap_or(Kbps::ZERO);
         if demand <= Kbps::ZERO {
@@ -349,8 +383,8 @@ pub fn assign_background(
                 pick -= w;
             }
             let cdn = CdnId(cdn as u32);
-            if let Some(m) = matcher.candidates_for(cdn, group.city).first() {
-                load[m.cluster.index()] += demand / 2.0;
+            if let Some(cluster) = table.candidates(cdn, group.city, 1).first() {
+                load[cluster.index()] += demand / 2.0;
             }
         }
     }
@@ -363,6 +397,7 @@ pub(crate) mod tests {
     use vdx_broker::{gather_groups, synth_background};
     use vdx_cdn::{
         build_fleet, candidate_clusters, negotiate_contract, plan_capacities, FleetConfig,
+        MatchingConfig,
     };
     use vdx_geo::WorldConfig;
     use vdx_netsim::{NetModel, NetModelConfig};
@@ -440,6 +475,7 @@ pub(crate) mod tests {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: None,
+            matches: None,
         };
         run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b))
     }
@@ -565,6 +601,7 @@ pub(crate) mod tests {
             policy: CpPolicy::balanced(),
             bid_count: Some(1),
             margins: None,
+            matches: None,
         };
         let out = run_decision_round(Design::Marketplace, &inputs, |a, b| {
             eco.net.score(&eco.world, a, b)
@@ -675,6 +712,7 @@ pub(crate) mod tests {
                 policy: CpPolicy::balanced(),
                 bid_count: None,
                 margins: None,
+                matches: None,
             };
             for design in Design::TABLE3 {
                 let out =
@@ -778,6 +816,7 @@ pub(crate) mod tests {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: None,
+            matches: None,
         };
         let (probe, rx) = MemoryProbe::channel();
         let probed = run_decision_round_probed(
@@ -848,6 +887,7 @@ pub(crate) mod tests {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: None,
+            matches: None,
         };
         let (probe, rx) = MemoryProbe::channel();
         run_decision_round_probed(

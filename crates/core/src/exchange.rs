@@ -38,7 +38,7 @@ use vdx_broker::{
     optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
     GroupOption, HealthTransition, OptimizeContext, OptimizeMode, OptionLists, StaleBidCache,
 };
-use vdx_cdn::{BidShading, CdnId, CityMatcher, ClusterId, Fleet};
+use vdx_cdn::{BidShading, CdnId, ClusterId, Fleet, MatchTable};
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_obs::{Event as ObsEvent, Probe, Stopwatch};
@@ -94,6 +94,11 @@ impl BidEngine {
         }
     }
 
+    /// The design the engine bids by.
+    pub fn design(&self) -> Design {
+        self.design
+    }
+
     /// Current learned margin for one of this CDN's clusters.
     pub fn margin(&self, cluster: ClusterId) -> Margin {
         self.shading.margin(cluster)
@@ -108,24 +113,48 @@ impl BidEngine {
         fleet: &Fleet,
         scores: &impl Fn(CityId, CityId) -> Score,
     ) -> Vec<Bid> {
-        let mut bids = Vec::new();
-        // Shares arrive in the broker's group order, a city's side by side.
+        self.build_bids_with(shares, fleet, None, scores)
+    }
+
+    /// [`BidEngine::build_bids`] reading the candidates off `matches`, the
+    /// §5.1 table of `fleet` under `scores` for every share's city (a
+    /// scenario keeps one per score ratio). `None`, or a table of another
+    /// ratio than the design's, and the engine builds one for this CDN and
+    /// the shares' cities.
+    pub fn build_bids_with(
+        &self,
+        shares: &[Share],
+        fleet: &Fleet,
+        matches: Option<&MatchTable>,
+        scores: &impl Fn(CityId, CityId) -> Score,
+    ) -> Vec<Bid> {
         let matching = self.design.matching();
-        let mut matcher = CityMatcher::new(fleet, &matching, scores);
+        let built;
+        let table = match matches {
+            Some(table) if table.score_ratio() == matching.score_ratio => table,
+            _ => {
+                let cities = shares.iter().map(|s| CityId(s.location));
+                built = MatchTable::build(fleet, [self.cdn], cities, matching.score_ratio, scores);
+                &built
+            }
+        };
+        let mut bids = Vec::new();
         for share in shares {
-            for m in matcher.candidates_for(self.cdn, CityId(share.location)) {
-                let c = m.cluster.index();
+            let client = CityId(share.location);
+            for &cluster in table.candidates(self.cdn, client, matching.max_candidates) {
+                let c = cluster.index();
+                let site = &fleet.clusters[c];
                 let offer = GroupOption {
                     cdn: self.cdn,
-                    cluster: m.cluster,
-                    score: m.score,
+                    cluster,
+                    score: scores(client, site.city),
                     price_per_mb: self.design.announced_price(
-                        m.cost_per_mb,
-                        self.shading.margin(m.cluster),
+                        site.cost_per_mb(),
+                        self.shading.margin(cluster),
                         self.contract_price_per_mb,
                     ),
                     believed_capacity_kbps: self.design.believed_capacity(
-                        fleet.clusters[c].capacity_kbps,
+                        site.capacity_kbps,
                         self.committed_kbps[c],
                         self.median_capacity_kbps,
                     ),
@@ -553,6 +582,27 @@ fn health_event(round: u64, cdn: usize, t: HealthTransition) -> ObsEvent {
     }
 }
 
+/// The probe a fallback's Brokered re-run reports to: every event passes
+/// through unchanged but `round_completed`, whose `wall_us` is read off
+/// the spine's clock instead of the re-run's.
+struct SpineClock<'a> {
+    probe: &'a dyn Probe,
+    clock: Option<Stopwatch>,
+}
+
+impl Probe for SpineClock<'_> {
+    fn emit(&self, mut event: ObsEvent) {
+        if let (ObsEvent::RoundCompleted { wall_us, .. }, Some(clock)) = (&mut event, self.clock) {
+            *wall_us = clock.elapsed_us();
+        }
+        self.probe.emit(event);
+    }
+
+    fn enabled(&self) -> bool {
+        self.probe.enabled()
+    }
+}
+
 impl Round {
     /// A spine for `breakers.len()` CDNs. Breakers and cache come in
     /// built: a recovering daemon hands over replayed state, everyone
@@ -609,7 +659,8 @@ impl Round {
         hooks: &mut impl RoundHooks,
     ) -> DriverRound {
         // Instrumented runs only: `round_completed` carries the round's
-        // wall time, collect and commit included.
+        // wall time from here, collect included (and commit, on a round
+        // decided under its design; a fallback journals before it).
         let clock = self.probe.enabled().then(Stopwatch::start);
         // Open: breakers whose cool-down elapsed go half-open.
         for (cdn, breaker) in self.breakers.iter_mut().enumerate() {
@@ -663,7 +714,15 @@ impl Round {
                 self.decide(round, groups, &bids_per_cdn, &report, hooks, clock)
             }
             DeadlineResolution::Fallback(_) => {
-                let outcome = hooks.brokered(round, self.policy, self.probe.as_ref());
+                // The Brokered re-run journals the round's remaining
+                // events itself; its `round_completed` carries the
+                // spine's wall time, the collect that waited out the
+                // deadline included.
+                let probe = SpineClock {
+                    probe: self.probe.as_ref(),
+                    clock,
+                };
+                let outcome = hooks.brokered(round, self.policy, &probe);
                 let decided = DriverRound {
                     round,
                     resolution: RoundResolution::Fallback,
@@ -803,6 +862,7 @@ mod tests {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: None,
+            matches: None,
         }
     }
 
@@ -1096,6 +1156,69 @@ mod tests {
             e,
             ObsEvent::DesignFallback { to, .. } if to == "Brokered"
         )));
+    }
+
+    /// [`Script`] with every CDN silent and a collect that takes a while:
+    /// nothing is cached, so each round falls back to Brokered. It times
+    /// its own collect and Brokered re-run.
+    struct SlowSilence<'a> {
+        script: Script<'a>,
+        collect_us: u64,
+        brokered_us: u64,
+    }
+
+    impl RoundHooks for SlowSilence<'_> {
+        fn collect_announces(&mut self, round: u64, routable: &[bool]) -> Vec<BidSource> {
+            let clock = Stopwatch::start();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let seen = self.script.collect_announces(round, routable);
+            self.collect_us = clock.elapsed_us();
+            seen
+        }
+
+        fn brokered(&mut self, round: u64, policy: CpPolicy, probe: &dyn Probe) -> RoundOutcome {
+            let clock = Stopwatch::start();
+            let outcome = self.script.brokered(round, policy, probe);
+            self.brokered_us = clock.elapsed_us();
+            outcome
+        }
+    }
+
+    #[test]
+    fn a_fallback_round_journals_the_spines_wall_time_collect_included() {
+        let eco = build_eco(23);
+        let mut script = Script::new(&eco, Design::Marketplace);
+        script.silent = (0..eco.fleet.cdns.len()).collect();
+        let mut hooks = SlowSilence {
+            script,
+            collect_us: 0,
+            brokered_us: 0,
+        };
+        let (probe, rx) = MemoryProbe::channel();
+        let decided =
+            spine(&eco, Design::Marketplace, Arc::new(probe)).run(0, &eco.groups, &mut hooks);
+        assert_eq!(decided.resolution, RoundResolution::Fallback);
+        let events: Vec<ObsEvent> = rx.try_iter().collect();
+        let completed: Vec<(u64, u64)> = (events.iter())
+            .filter_map(|e| match e {
+                ObsEvent::RoundCompleted {
+                    options, wall_us, ..
+                } => Some((*options, *wall_us)),
+                _ => None,
+            })
+            .collect();
+        // One `round_completed`, the Brokered round's (one option per
+        // group per CDN), timed from the spine's start.
+        let options = (eco.groups.len() * eco.fleet.cdns.len()) as u64;
+        assert_eq!(completed.len(), 1);
+        assert_eq!(completed[0].0, options);
+        let wall_us = completed[0].1;
+        assert!(
+            wall_us >= hooks.collect_us + hooks.brokered_us,
+            "wall_us {wall_us} < collect {} + brokered {}",
+            hooks.collect_us,
+            hooks.brokered_us
+        );
     }
 
     /// A peer that announces one (share, cluster) twice, at two prices,

@@ -39,7 +39,7 @@ pub mod wal;
 
 pub use accounting::{settle, CdnLedger, Settlement};
 pub use decision::{
-    assign_background, run_decision_round, run_decision_round_probed,
+    assign_background, assign_background_with, run_decision_round, run_decision_round_probed,
     run_decision_round_probed_ctx, RoundId, RoundInputs, RoundOutcome,
 };
 pub use design::Design;

@@ -32,7 +32,6 @@
 use std::net::ToSocketAddrs;
 
 use vdx_core::{BidEngine, Design};
-use vdx_geo::CityId;
 use vdx_obs::{Event, Probe, Stopwatch};
 use vdx_proto::{Connection, Message, TransportError};
 use vdx_sim::soak::round_engine;
@@ -246,9 +245,7 @@ fn run_session(
                     continue;
                 }
                 let engine: BidEngine = round_engine(scenario, cfg.design, cfg.cdn);
-                let bids = engine.build_bids(&shares, &scenario.fleet, &|a: CityId, b: CityId| {
-                    scenario.score_of(a, b)
-                });
+                let bids = scenario.announce(&engine, &shares);
                 if let Err(e) = conn.send(round, &Message::Announce(bids)) {
                     return SessionEnd::Failed(e.into());
                 }

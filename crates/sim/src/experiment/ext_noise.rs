@@ -72,6 +72,9 @@ fn run_with_noise(
         policy: CpPolicy::balanced(),
         bid_count: None,
         margins: None,
+        // The perturbed estimate matches by its own scores: the round
+        // builds a table from the closure below.
+        matches: None,
     };
     run_decision_round(Design::Marketplace, &inputs, |a, b| {
         estimator

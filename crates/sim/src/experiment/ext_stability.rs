@@ -72,6 +72,7 @@ fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
             policy: CpPolicy::balanced(),
             bid_count: None,
             margins: if learn { Some(&margins) } else { None },
+            matches: Some(scenario.match_table(Design::Marketplace)),
         };
         let outcome =
             run_decision_round(Design::Marketplace, &inputs, |a, b| scenario.score_of(a, b));

@@ -36,13 +36,11 @@ use crate::scenario::Scenario;
 use crate::soak::{brokered_round, round_engine};
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
-use vdx_cdn::{ClusterId, Fleet};
+use vdx_cdn::ClusterId;
 use vdx_core::{
     shares_of, BidEngine, BidSource, Decision, Design, Round, RoundHooks, RoundId, RoundOutcome,
     RoundResolution,
 };
-use vdx_geo::CityId;
-use vdx_netsim::Score;
 use vdx_obs::{Event, Probe};
 use vdx_proto::endpoint::{Endpoint, Event as LinkEvent, RequestId};
 use vdx_proto::{Bid, FaultConfig, Link, LinkEnd, Message, SimTime};
@@ -208,21 +206,15 @@ struct CdnAgent {
 impl CdnAgent {
     /// Advances the agent: answers Shares with Announces, learns from
     /// Accepts.
-    fn poll(
-        &mut self,
-        now: SimTime,
-        link: &mut Link,
-        fleet: &Fleet,
-        scores: &impl Fn(CityId, CityId) -> Score,
-    ) {
+    fn poll(&mut self, now: SimTime, link: &mut Link, scenario: &Scenario) {
         for event in self.endpoint.poll_events(now, link) {
             match event {
                 LinkEvent::Request(id, Message::Share(shares)) => {
-                    let bids = self.engine.build_bids(&shares, fleet, scores);
+                    let bids = scenario.announce(&self.engine, &shares);
                     self.endpoint.respond(id, &Message::Announce(bids));
                 }
                 LinkEvent::OneWay(Message::Accept(entries)) => {
-                    self.engine.learn(&entries, fleet);
+                    self.engine.learn(&entries, &scenario.fleet);
                 }
                 // Anything else (decode errors on a lossy link surface as
                 // events too) is ignored; the reliable layer already
@@ -320,10 +312,9 @@ impl<'a> Links<'a> {
     fn step(&mut self, requests: &[Option<RequestId>], answers: &mut [Option<Vec<Bid>>]) {
         let now = SimTime(self.now);
         let scenario = self.scenario;
-        let scores = |a: CityId, b: CityId| scenario.score_of(a, b);
         for (cdn, agent) in self.agents.iter_mut().enumerate() {
             if !self.failed.contains(&cdn) {
-                agent.poll(now, &mut self.links[cdn], &scenario.fleet, &scores);
+                agent.poll(now, &mut self.links[cdn], scenario);
             }
         }
         for (cdn, endpoint) in self.endpoints.iter_mut().enumerate() {
@@ -628,12 +619,10 @@ mod tests {
         spine.run(1, &s.groups, &mut links);
 
         let shares = shares_of(&s.groups);
-        let scores = |a: CityId, b: CityId| s.score_of(a, b);
         let won: Vec<u32> = first.picks.iter().map(|&(_, cluster)| cluster).collect();
         let loser = (0..n)
             .flat_map(|cdn| {
-                let bids =
-                    round_engine(s, design, cdn as u32).build_bids(&shares, &s.fleet, &scores);
+                let bids = s.announce(&round_engine(s, design, cdn as u32), &shares);
                 bids.into_iter()
                     .map(move |b| (cdn, ClusterId(b.cluster_id as u32)))
             })

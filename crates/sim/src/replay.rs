@@ -119,6 +119,7 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> ReplayResult {
             policy: config.policy,
             bid_count: None,
             margins: None,
+            matches: Some(scenario.match_table(config.design)),
         };
         let outcome = run_decision_round_probed(
             config.design,

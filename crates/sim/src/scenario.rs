@@ -8,9 +8,11 @@
 //! 4. Gather: sessions → per-city client groups, plus 3× background
 //!    traffic — `vdx-broker`;
 //! 5. fleet construction (14 CDNs) — `vdx-cdn`;
-//! 6. capacity planning (solo-workload 2× rule over the *full* demand,
+//! 6. the score matrix, and the §5.1 candidate tables read off it (the
+//!    paper's 2× rule and Omniscient's unrestricted one);
+//! 7. capacity planning (solo-workload 2× rule over the *full* demand,
 //!    brokered + background) and flat-rate contract negotiation;
-//! 7. background placement onto concrete clusters.
+//! 8. background placement onto concrete clusters.
 //!
 //! The resulting [`Scenario`] can then run any [`Design`]'s Decision
 //! Protocol round via [`Scenario::run`].
@@ -18,15 +20,17 @@
 use std::sync::Arc;
 use vdx_broker::{gather::demand_points, gather_groups, synth_background, ClientGroup, CpPolicy};
 use vdx_cdn::{
-    build_fleet, city_centric_cdns, negotiate_contract, plan_capacities, Contract, Fleet,
-    FleetConfig, DEFAULT_MARKUP,
+    build_fleet, city_centric_cdns, negotiate_contract, plan_capacities_with, Contract, Fleet,
+    FleetConfig, MatchTable, MatchingConfig, DEFAULT_MARKUP,
 };
 use vdx_core::{
-    assign_background, run_decision_round_probed, Design, RoundId, RoundInputs, RoundOutcome,
+    assign_background_with, run_decision_round_probed, BidEngine, Design, RoundId, RoundInputs,
+    RoundOutcome,
 };
 use vdx_geo::{CityId, World, WorldConfig};
 use vdx_netsim::{NetModel, NetModelConfig, Score, ScoreMatrix};
 use vdx_obs::Probe;
+use vdx_proto::{Bid, Share};
 use vdx_trace::{BrokerTrace, BrokerTraceConfig};
 use vdx_units::Kbps;
 
@@ -128,6 +132,35 @@ pub struct Scenario {
     /// ecosystem asks for — capacity planning, background placement,
     /// decision rounds — is an O(1) lookup here.
     scores: ScoreMatrix,
+    /// The §5.1 Matching rule read off `scores` for every (CDN, city) of
+    /// the world, once: the paper's 2× cutoff (every design but
+    /// Omniscient, and the preferred cluster capacity planning and
+    /// background placement use) and Omniscient's unrestricted rule.
+    /// Valid for as long as `fleet`'s costs and `scores` are; a new
+    /// fleet gets new tables.
+    matches: MatchTables,
+}
+
+/// A scenario's two candidate tables, one per score ratio a design uses.
+struct MatchTables {
+    paper: MatchTable,
+    unrestricted: MatchTable,
+}
+
+impl MatchTables {
+    fn build(world: &World, fleet: &Fleet, scores: &ScoreMatrix) -> MatchTables {
+        let table = |score_ratio| {
+            let cdns = fleet.cdns.iter().map(|c| c.id);
+            let cities = world.cities().iter().map(|c| c.id);
+            MatchTable::build(fleet, cdns, cities, score_ratio, |a, b| {
+                scores.score_of(a, b)
+            })
+        };
+        MatchTables {
+            paper: table(MatchingConfig::default().score_ratio),
+            unrestricted: table(MatchingConfig::unrestricted().score_ratio),
+        }
+    }
 }
 
 impl Scenario {
@@ -141,19 +174,19 @@ impl Scenario {
         let demand = demand_points(&groups, &background_kbps);
 
         let mut fleet = build_fleet(&world, &config.fleet, config.seed);
-        // Precompute every (client, cluster city) score once — capacity
-        // planning alone asks for each pair per CDN, and every decision
-        // round would otherwise recompute the full cross product.
+        // Precompute every (client, cluster city) score once, and the
+        // Matching rule over it: capacity planning, background placement
+        // and every decision round read candidates off the tables.
         let scores = score_matrix(&net, &world, &fleet);
-        plan_capacities(&world, &mut fleet, &demand, |a, b| scores.score_of(a, b));
+        let matches = MatchTables::build(&world, &fleet, &scores);
+        plan_capacities_with(&world, &mut fleet, &demand, &matches.paper);
         let contracts = negotiate_all(&fleet);
-        let background_load = assign_background(
-            &world,
+        let background_load = assign_background_with(
             &fleet,
             &groups,
             &background_kbps,
             config.seed,
-            |a, b| scores.score_of(a, b),
+            &matches.paper,
         );
         Scenario {
             config,
@@ -168,6 +201,7 @@ impl Scenario {
             probe: vdx_obs::probe::noop(),
             threads: 1,
             scores,
+            matches,
         }
     }
 
@@ -210,19 +244,18 @@ impl Scenario {
             n,
             self.config.seed,
         );
-        // The expanded fleet adds cluster cities; rebuild the table.
+        // The expanded fleet adds cluster cities and lowers co-location
+        // costs: rebuild the score matrix and both candidate tables.
         let scores = score_matrix(&self.net, &self.world, &fleet);
-        plan_capacities(&self.world, &mut fleet, &demand, |a, b| {
-            scores.score_of(a, b)
-        });
+        let matches = MatchTables::build(&self.world, &fleet, &scores);
+        plan_capacities_with(&self.world, &mut fleet, &demand, &matches.paper);
         let contracts = negotiate_all(&fleet);
-        let background_load = assign_background(
-            &self.world,
+        let background_load = assign_background_with(
             &fleet,
             &self.groups,
             &self.background_kbps,
             self.config.seed,
-            |a, b| scores.score_of(a, b),
+            &matches.paper,
         );
         Scenario {
             config: self.config.clone(),
@@ -237,7 +270,29 @@ impl Scenario {
             probe: self.probe.clone(),
             threads: self.threads,
             scores,
+            matches,
         }
+    }
+
+    /// The candidate table `design`'s Matching rule reads: its score
+    /// ratio's, for this fleet and every city of the world.
+    pub fn match_table(&self, design: Design) -> &MatchTable {
+        if design.matching().score_ratio == self.matches.paper.score_ratio() {
+            &self.matches.paper
+        } else {
+            &self.matches.unrestricted
+        }
+    }
+
+    /// `engine`'s Announce for `shares`, its candidates read off this
+    /// scenario's table: [`BidEngine::build_bids`] without rematching.
+    pub fn announce(&self, engine: &BidEngine, shares: &[Share]) -> Vec<Bid> {
+        engine.build_bids_with(
+            shares,
+            &self.fleet,
+            Some(self.match_table(engine.design())),
+            &|a: CityId, b: CityId| self.score_of(a, b),
+        )
     }
 
     /// The ground-truth score between a client city and a site city: an
@@ -289,6 +344,7 @@ impl Scenario {
             policy,
             bid_count,
             margins: None,
+            matches: Some(self.match_table(design)),
         };
         run_decision_round_probed(design, &inputs, |a, b| self.score_of(a, b), round, probe)
     }
@@ -315,6 +371,7 @@ impl Scenario {
             policy,
             bid_count,
             margins: None,
+            matches: Some(self.match_table(design)),
         };
         vdx_core::run_decision_round_probed_ctx(
             design,
@@ -378,51 +435,62 @@ mod tests {
         }
     }
 
+    /// A round reads its candidates off the scenario's tables, and on the
+    /// expanded fleet of [`Scenario::with_city_centric`] — new CDNs, new
+    /// co-location costs — off tables rebuilt for it: every group is
+    /// offered what `candidate_clusters` gives it alone, in Gather's order
+    /// and interleaved.
     #[test]
     fn a_round_matches_each_group_as_if_alone_in_gather_order_or_interleaved() {
         use std::collections::BTreeMap;
         use vdx_cdn::candidate_clusters;
-        let s = shared_small();
-        // The two halves of Gather's order dealt alternately: neighbours
-        // are no longer one city, so nothing is there to be reused.
-        let (front, back) = s.groups.split_at(s.groups.len().div_ceil(2));
-        let mut interleaved = Vec::new();
-        for (i, g) in front.iter().enumerate() {
-            interleaved.push(g.clone());
-            interleaved.extend(back.get(i).cloned());
-        }
-        for groups in [&s.groups, &interleaved] {
-            let inputs = RoundInputs {
-                world: &s.world,
-                fleet: &s.fleet,
-                contracts: &s.contracts,
-                groups,
-                background_load_kbps: &s.background_load,
-                policy: CpPolicy::balanced(),
-                bid_count: None,
-                margins: None,
-            };
-            for design in Design::TABLE3 {
-                let out = vdx_core::run_decision_round(design, &inputs, |a, b| s.score_of(a, b));
-                let config = design.matching();
-                // What a group is offered at is the design's, the CDN's and
-                // the cluster's business: one price and one believed
-                // capacity per cluster across the whole round.
-                let mut terms = BTreeMap::new();
-                for (group, opts) in groups.iter().zip(&out.problem.options) {
-                    let alone: Vec<_> = (s.fleet.cdns.iter())
-                        .flat_map(|cdn| {
-                            let score = |site| s.score_of(group.city, site);
-                            candidate_clusters(&s.fleet, cdn.id, score, &config)
-                                .into_iter()
-                                .map(|m| (cdn.id, m.cluster, m.score))
-                        })
-                        .collect();
-                    let got: Vec<_> = opts.iter().map(|o| (o.cdn, o.cluster, o.score)).collect();
-                    assert_eq!(got, alone, "{design}, {:?}", group.id);
-                    for o in opts {
-                        let offered = (o.price_per_mb, o.believed_capacity_kbps);
-                        assert_eq!(*terms.entry(o.cluster).or_insert(offered), offered);
+        let small = shared_small();
+        let expanded = small.with_city_centric(20);
+        for s in [small, &expanded] {
+            // The two halves of Gather's order dealt alternately:
+            // neighbours are no longer one city.
+            let (front, back) = s.groups.split_at(s.groups.len().div_ceil(2));
+            let mut interleaved = Vec::new();
+            for (i, g) in front.iter().enumerate() {
+                interleaved.push(g.clone());
+                interleaved.extend(back.get(i).cloned());
+            }
+            for groups in [&s.groups, &interleaved] {
+                for design in Design::TABLE3 {
+                    let inputs = RoundInputs {
+                        world: &s.world,
+                        fleet: &s.fleet,
+                        contracts: &s.contracts,
+                        groups,
+                        background_load_kbps: &s.background_load,
+                        policy: CpPolicy::balanced(),
+                        bid_count: None,
+                        margins: None,
+                        matches: Some(s.match_table(design)),
+                    };
+                    let out =
+                        vdx_core::run_decision_round(design, &inputs, |a, b| s.score_of(a, b));
+                    let config = design.matching();
+                    // What a group is offered at is the design's, the
+                    // CDN's and the cluster's business: one price and one
+                    // believed capacity per cluster across the whole round.
+                    let mut terms = BTreeMap::new();
+                    for (group, opts) in groups.iter().zip(&out.problem.options) {
+                        let alone: Vec<_> = (s.fleet.cdns.iter())
+                            .flat_map(|cdn| {
+                                let score = |site| s.score_of(group.city, site);
+                                candidate_clusters(&s.fleet, cdn.id, score, &config)
+                                    .into_iter()
+                                    .map(|m| (cdn.id, m.cluster, m.score))
+                            })
+                            .collect();
+                        let got: Vec<_> =
+                            opts.iter().map(|o| (o.cdn, o.cluster, o.score)).collect();
+                        assert_eq!(got, alone, "{design}, {:?}", group.id);
+                        for o in opts {
+                            let offered = (o.price_per_mb, o.believed_capacity_kbps);
+                            assert_eq!(*terms.entry(o.cluster).or_insert(offered), offered);
+                        }
                     }
                 }
             }

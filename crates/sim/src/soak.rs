@@ -27,7 +27,6 @@ use vdx_core::{
     BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
     RoundOutcome,
 };
-use vdx_geo::CityId;
 use vdx_obs::Probe;
 use vdx_proto::Share;
 
@@ -203,11 +202,7 @@ impl RoundHooks for Script<'_> {
                     return BidSource::Silent;
                 }
                 let engine = round_engine(scenario, self.design, cdn as u32);
-                BidSource::Fresh(engine.build_bids(
-                    &shares,
-                    &scenario.fleet,
-                    &|a: CityId, b: CityId| scenario.score_of(a, b),
-                ))
+                BidSource::Fresh(scenario.announce(&engine, &shares))
             })
             .collect()
     }

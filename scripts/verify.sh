@@ -55,7 +55,7 @@ echo "==> benchmark harness output checks (all four workloads: real agents over 
 # all eight designs, a separate round per design reproducing the rows,
 # every pass equal to the first, every warm round bit-equal to a cold
 # one: what guards, at the paper's scale, regret-once, same-city reuse,
-# the matcher's per-CDN cost order (`CityMatcher`), the GAP build's
+# the scenario's candidate tables (`MatchTable`), the GAP build's
 # repeated-list buckets (`build_gap`) and the engine's fold per round
 # (`run_rounds`; its thread-count parity at full scale is a step below).
 for workload in sim-cold sim-warm daemon daemon-wal; do
