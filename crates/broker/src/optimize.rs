@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
 use vdx_obs::{Event, Probe, Stopwatch};
-use vdx_solver::AssignmentProblem;
+use vdx_solver::{AssignmentProblem, ListOption};
 use vdx_units::{Kbps, UsdPerGb};
 
 /// One candidate (from one CDN's Announce) for one client group.
@@ -387,38 +387,36 @@ fn emit_solver_stats(
 fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
     // An option list becomes a bucket list once, at the first group that
     // names it; the groups after it reuse that bucket list, so a list
-    // shared by a city's groups is probed and clamped once. Lists are
-    // numbered in the order groups first name them, so a list this loop
-    // has not met is the next bucket list, and the two share an index.
-    // (A map, not a table indexed by cluster id: in the daemon the ids are
-    // whatever a peer announced.) Values stay per (group, option).
+    // shared by a city's groups is probed, clamped and priced once. Lists
+    // are numbered in the order groups first name them, so a list this
+    // loop has not met is the next bucket list, and the two share an
+    // index. (A map, not a table indexed by cluster id: in the daemon the
+    // ids are whatever a peer announced.) Fig 9 splits there: an option's
+    // score and price are its list's coefficients, a group's sessions and
+    // demand its weights, and the solver forms each value as it reads it.
     let options = &problem.options;
     let mut bucket_of: HashMap<ClusterId, usize> = HashMap::new();
     let mut met = 0;
     let mut gap = AssignmentProblem::default();
-    gap.reserve(options.len(), options.iter().map(Vec::len).sum());
     for (g, (group, &list)) in problem.groups.iter().zip(&options.list_of).enumerate() {
         let opts = &options.lists[list];
         assert!(!opts.is_empty(), "group {g} has no options");
         if list == met {
             let capacities = &mut gap.capacities;
-            let buckets = opts.iter().map(|o| {
+            let entries = opts.iter().map(|o| {
                 let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
                     capacities.push(o.believed_capacity_kbps);
                     capacities.len() - 1
                 });
                 capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
-                bucket
+                let (a, b) = policy.coefficients(o.score, o.price_per_mb);
+                ListOption { bucket, a, b }
             });
-            let buckets = buckets.collect();
-            met = gap.add_bucket_list(buckets) + 1;
+            let entries = entries.collect();
+            met = gap.add_bucket_list(entries) + 1;
         }
-        let (demand, sessions) = (group.demand_kbps, group.sessions);
-        let terms = opts.iter().map(|o| {
-            let value = policy.value(o.score, o.price_per_mb, demand, sessions);
-            (value, demand)
-        });
-        gap.add_client_on(list, terms);
+        let (x, y) = CpPolicy::weights(group.demand_kbps, group.sessions);
+        gap.add_client_on(list, x, y, group.demand_kbps);
     }
     gap
 }
@@ -662,15 +660,24 @@ mod tests {
         inf.midpoint(neg_inf)
     }
 
+    /// A NaN price, as a peer's bid can carry one (`UsdPerGb::per_megabit`
+    /// refuses it under debug assertions): ∞ and −∞ averaged.
+    fn nan_price() -> UsdPerGb {
+        let inf = UsdPerGb::per_megabit(f64::MAX).midpoint(UsdPerGb::per_megabit(f64::MAX));
+        let neg_inf = UsdPerGb::per_megabit(-f64::MAX).midpoint(UsdPerGb::per_megabit(-f64::MAX));
+        inf.midpoint(neg_inf)
+    }
+
     /// A group whose list an earlier group already named takes the
     /// buckets that group's list got, and the GAP is the one probing every
-    /// option of the per-group view builds, bit for bit — whether lists
-    /// are shared by neighbours, by groups far apart, or held once per
-    /// group as the daemon holds them. The lists are runs of near-copies:
-    /// identical, with new scores (values are per group), with one
+    /// option of the per-group view builds, bit for bit: every capacity,
+    /// and every value and load read back through `options_of`, under all
+    /// three policies — whether lists are shared by neighbours, by groups
+    /// far apart, or held once per group as the daemon holds them. The
+    /// lists are runs of near-copies: identical, with new scores, with one
     /// capacity lowered (the clamp must still apply) or its zero's sign
-    /// flipped, with NaN and ±0.0 capacities and cluster ids up to
-    /// `u32::MAX`.
+    /// flipped, with NaN prices, ±0.0 scores, NaN and ±0.0 capacities and
+    /// cluster ids up to `u32::MAX`; groups differ in sessions and demand.
     #[test]
     fn repeated_lists_take_their_predecessors_buckets_and_build_the_same_gap() {
         const CLUSTERS: [u32; 6] = [0, 1, 7, u32::MAX - 2, u32::MAX - 1, u32::MAX];
@@ -680,9 +687,18 @@ mod tests {
             2 => Kbps::new(-0.0),
             _ => Kbps::new([500.0, 1_000.0, 2_000.0][rng.gen_range(0..3)]),
         };
+        let score = |rng: &mut vdx_rand::StdRng| match rng.gen_range(0..6) {
+            0 => Score(0.0),
+            1 => Score(-0.0),
+            _ => Score(rng.gen_range(10.0..90.0)),
+        };
         let fresh = |rng: &mut vdx_rand::StdRng| -> Vec<GroupOption> {
             vec_of(rng, 1..5, |r| {
-                let mut o = opt(0, r.gen_range(10.0..90.0), r.gen_range(0.1..3.0), 1.0);
+                let mut o = opt(0, 0.0, r.gen_range(0.1..3.0), 1.0);
+                o.score = score(r);
+                if r.gen_bool(0.125) {
+                    o.price_per_mb = nan_price();
+                }
                 o.cluster = ClusterId(CLUSTERS[r.gen_range(0..CLUSTERS.len())]);
                 o.believed_capacity_kbps = capacity(r);
                 o
@@ -700,7 +716,7 @@ mod tests {
                         0 | 1 => {}
                         2 => {
                             for o in &mut next {
-                                o.score = Score(rng.gen_range(10.0..90.0));
+                                o.score = score(rng);
                             }
                         }
                         3 => next[i].believed_capacity_kbps = cap.min(Kbps::new(100.0)),
@@ -726,13 +742,17 @@ mod tests {
                     named = named.max(list + 1);
                     list_of.push(list);
                 }
-                let demands: Vec<f64> =
-                    list_of.iter().map(|_| rng.gen_range(10.0..900.0)).collect();
+                let demands: Vec<(f64, u32)> = (list_of.iter())
+                    .map(|_| (rng.gen_range(10.0..900.0), rng.gen_range(1u32..6)))
+                    .collect();
                 (lists, list_of, demands)
             },
             |(lists, list_of, demands)| {
                 let groups: Vec<ClientGroup> = (demands.iter().enumerate())
-                    .map(|(i, &d)| group(i as u32, d))
+                    .map(|(i, &(d, sessions))| ClientGroup {
+                        sessions,
+                        ..group(i as u32, d)
+                    })
                     .collect();
                 let mut shared = OptionLists::default();
                 let mut pushed: Vec<Option<usize>> = vec![None; lists.len()];
@@ -744,7 +764,6 @@ mod tests {
                 }
                 let per_group: Vec<Vec<GroupOption>> =
                     list_of.iter().map(|&l| lists[l].clone()).collect();
-                let policy = CpPolicy::balanced();
                 let shared = BrokerProblem {
                     groups: groups.clone(),
                     options: shared,
@@ -753,9 +772,15 @@ mod tests {
                     groups,
                     options: per_group.into(),
                 };
-                let expected = gap_bits(&build_gap_probing_every_option(&per_group, &policy));
-                assert_eq!(gap_bits(&build_gap(&shared, &policy)), expected);
-                assert_eq!(gap_bits(&build_gap(&per_group, &policy)), expected);
+                for policy in [
+                    CpPolicy::balanced(),
+                    CpPolicy::performance_first(),
+                    CpPolicy::cost_first(),
+                ] {
+                    let expected = gap_bits(&build_gap_probing_every_option(&per_group, &policy));
+                    assert_eq!(gap_bits(&build_gap(&shared, &policy)), expected);
+                    assert_eq!(gap_bits(&build_gap(&per_group, &policy)), expected);
+                }
             },
         );
     }

@@ -46,10 +46,28 @@ impl CpPolicy {
     /// `wp·Performance` term and one `wc·Cost·Bitrate(r)` term. A group of
     /// `n` sessions therefore weighs performance `n×`, and cost by the
     /// group's total bitrate.
+    ///
+    /// The value is [`vdx_solver::option_value`] of the option's
+    /// [`CpPolicy::coefficients`] and the group's [`CpPolicy::weights`]:
+    /// the GAP holds the two halves apart and computes the same bits.
     pub fn value(&self, score: Score, price_per_mb: UsdPerGb, demand: Kbps, sessions: u32) -> f64 {
-        let demand_mbps = demand.as_mbps();
-        -self.wp * score.value() * sessions as f64
-            - self.wc * price_per_mb.as_per_megabit() * demand_mbps
+        let (a, b) = self.coefficients(score, price_per_mb);
+        let (x, y) = CpPolicy::weights(demand, sessions);
+        vdx_solver::option_value(a, b, x, y)
+    }
+
+    /// The option's half of [`CpPolicy::value`]: `(−wp·score, wc·price)`,
+    /// the coefficients of a group's sessions and of its Mbit/s.
+    pub fn coefficients(&self, score: Score, price_per_mb: UsdPerGb) -> (f64, f64) {
+        (
+            -self.wp * score.value(),
+            self.wc * price_per_mb.as_per_megabit(),
+        )
+    }
+
+    /// The group's half of [`CpPolicy::value`]: `(sessions, Mbit/s)`.
+    pub fn weights(demand: Kbps, sessions: u32) -> (f64, f64) {
+        (sessions as f64, demand.as_mbps())
     }
 }
 

@@ -9,8 +9,9 @@
 //! GAP heuristically and *bounds* what the heuristic leaves behind:
 //!
 //! * [`gap`] — the broker's assignment problem as a first-class type
-//!   (clients that are offered the same buckets share one bucket list;
-//!   values and loads are per client and option), with
+//!   (clients that are offered the same options share one bucket list
+//!   of Fig 9 coefficients, a client holds its weights and one load, and
+//!   a value is formed where it is read), with
 //!   a regret-greedy constructor, a single-client-move local search (the
 //!   pipeline every shipped path runs — how a production broker trades
 //!   optimality for latency) and [`AssignmentProblem::dual_bound`], the
@@ -26,4 +27,4 @@
 
 pub mod gap;
 
-pub use gap::{Assignment, AssignmentProblem, CandidateOption};
+pub use gap::{option_value, Assignment, AssignmentProblem, CandidateOption, ListOption};

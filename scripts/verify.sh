@@ -56,7 +56,10 @@ echo "==> benchmark harness output checks (all four workloads: real agents over 
 # every pass equal to the first, every warm round bit-equal to a cold
 # one: what guards, at the paper's scale, regret-once, same-city reuse,
 # the scenario's candidate tables (`MatchTable`), the GAP build's
-# repeated-list buckets (`build_gap`) and the engine's fold per round
+# repeated-list buckets (`build_gap`), the prefix solve (values formed
+# from Fig 9's coefficients, each group's best options read first;
+# `rebuilt GAP solves to …` compares it with the harness's own
+# one-list-per-group GAP) and the engine's fold per round
 # (`run_rounds`; its thread-count parity at full scale is a step below).
 for workload in sim-cold sim-warm daemon daemon-wal; do
   cargo run --release --manifest-path examples/vdx_bench/Cargo.toml -- \
