@@ -147,25 +147,16 @@ pub fn settle(outcome: &RoundOutcome, world: &World, fleet: &Fleet) -> Settlemen
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::run_decision_round;
     use crate::decision::tests::build_eco;
-    use crate::decision::{run_decision_round, RoundInputs};
     use crate::design::Design;
-    use vdx_broker::CpPolicy;
 
     fn settle_design(seed: u64, design: Design) -> (Settlement, f64) {
         let eco = build_eco(seed);
-        let inputs = RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            margins: None,
-            matches: None,
-        };
-        let out = run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b));
+        let engines = eco.engines(design);
+        let out = run_decision_round(design, &eco.inputs(&engines), |a, b| {
+            eco.net.score(&eco.world, a, b)
+        });
         let s = settle(&out, &eco.world, &eco.fleet);
         let demand: f64 = eco.groups.iter().map(|g| g.demand_kbps.as_f64()).sum();
         (s, demand)

@@ -13,35 +13,31 @@
 //! * **Matching width** — [`Design::matching`]: how many candidate
 //!   clusters a CDN may offer.
 //! * **Announce** — [`Design::announced_price`] and
-//!   [`Design::believed_capacity`], the one copy of the rule, which every
-//!   CDN agent's [`crate::BidEngine`] applies too. The round supplies the
-//!   inputs: the cluster's margin (from [`RoundInputs::margins`], else the
-//!   paper's 1.2 markup), the CDN's contract price, the cluster's gross
-//!   capacity and background load, and the CDN's §5.1 median.
+//!   [`Design::believed_capacity`], the one copy of the rule, applied by
+//!   each CDN's [`BidEngine`] ([`RoundInputs::engines`]) at its learned
+//!   margins, contract price, committed load and §5.1 median: the round
+//!   asks every engine for a city's offers, in CDN order, the same engine
+//!   that builds a daemon agent's wire bids.
 
 use crate::design::Design;
+use crate::exchange::{bid_of, BidEngine};
 use std::collections::HashMap;
 use vdx_broker::{
     optimize_probed, optimize_probed_ctx, BrokerAssignment, BrokerProblem, ClientGroup, CpPolicy,
-    GroupOption, OptimizeContext, OptimizeMode, OptionLists,
+    OptimizeContext, OptimizeMode, OptionLists,
 };
-use vdx_cdn::{
-    median_capacity, total_capacity, CdnId, Contract, Fleet, MatchTable, DEFAULT_MARKUP,
-};
+use vdx_cdn::{total_capacity, CdnId, Fleet, MatchTable};
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
 use vdx_obs::{Event, NoopProbe, Probe, Stopwatch};
+use vdx_proto::AcceptEntry;
 use vdx_rand::StdRng;
-use vdx_units::{Kbps, Margin};
+use vdx_units::Kbps;
 
 /// Everything a Decision Protocol round needs to see.
 pub struct RoundInputs<'a> {
-    /// The world geometry.
-    pub world: &'a World,
     /// The CDN fleet (clusters must have planned capacities).
     pub fleet: &'a Fleet,
-    /// Flat-rate contracts, indexed by [`CdnId`].
-    pub contracts: &'a [Contract],
     /// The broker's client groups (the Gather output).
     pub groups: &'a [ClientGroup],
     /// True background load per cluster (from [`assign_background`]).
@@ -51,16 +47,14 @@ pub struct RoundInputs<'a> {
     /// Override for the marketplace bid count (Fig 18); `None` uses the
     /// design's default.
     pub bid_count: Option<usize>,
-    /// Per-cluster price margins from bid shading; `None` means
-    /// [`DEFAULT_MARKUP`] everywhere, the margin a fresh
-    /// [`crate::BidEngine`] bids at.
-    pub margins: Option<&'a [Margin]>,
+    /// Every CDN's bid engine, in CDN order, each bidding by the round's
+    /// design: the Announce step. Fresh engines bid at
+    /// [`vdx_cdn::DEFAULT_MARKUP`]; taught ones at their learned margins.
+    pub engines: &'a [BidEngine],
     /// The §5.1 candidate table of `fleet` under the round's score
-    /// estimate, built for every group city (a scenario keeps one per
-    /// score ratio). `None`, or a table of another ratio than the
-    /// design's, and the round builds one from its `score_of` for its
-    /// group cities.
-    pub matches: Option<&'a MatchTable>,
+    /// estimate at the design's score ratio, built for every group city
+    /// (a scenario keeps one per ratio).
+    pub matches: &'a MatchTable,
 }
 
 /// Caller-assigned identifier for one Decision Protocol round, journaled
@@ -86,13 +80,21 @@ pub struct RoundOutcome {
 }
 
 impl RoundOutcome {
-    /// The Accept step's content: every announced option with whether the
-    /// broker used it — including losing bids, so CDNs can learn (§6.1).
-    pub fn accept_entries(&self) -> Vec<(usize, GroupOption, bool)> {
+    /// The Accept step's content for `cdn`: every option it announced, as
+    /// the wire bid for its group (share id = group index), with whether
+    /// the broker used it — losing bids too, so CDNs can learn (§6.1).
+    pub fn accepts(&self, cdn: usize) -> Vec<AcceptEntry> {
         let mut entries = Vec::new();
         for (g, opts) in self.problem.options.iter().enumerate() {
-            for (i, o) in opts.iter().enumerate() {
-                entries.push((g, *o, self.assignment.choice[g] == i));
+            let announced = opts
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.cdn.index() == cdn);
+            for (i, o) in announced {
+                entries.push(AcceptEntry {
+                    bid: bid_of(g as u64, o),
+                    accepted: self.assignment.choice[g] == i,
+                });
             }
         }
         entries
@@ -107,10 +109,9 @@ impl RoundOutcome {
 ///
 /// **Contract** (this function and its `_probed` / `_probed_ctx` forms):
 /// within one call `score_of` is a pure function of the two cities, and
-/// [`RoundInputs::matches`], when given, was built from the same
-/// estimate. The round reads each (CDN, city)'s candidates off the table
-/// once and gives every group of a city one shared option list
-/// (DESIGN.md §8).
+/// [`RoundInputs::matches`] was built from the same estimate. The round
+/// reads each (CDN, city)'s candidates off the table once and gives every
+/// group of a city one shared option list (DESIGN.md §8).
 pub fn run_decision_round(
     design: Design,
     inputs: &RoundInputs<'_>,
@@ -189,27 +190,14 @@ fn round_impl(
             });
         }
     }
-    let matching_config = match inputs.bid_count {
-        Some(bids) => design.matching().with_max_candidates(bids),
-        None => design.matching(),
-    };
-    let built;
-    let table = match inputs.matches {
-        Some(table) if table.score_ratio() == matching_config.score_ratio => table,
-        _ => {
-            let cdns = fleet.cdns.iter().map(|c| c.id);
-            let cities = inputs.groups.iter().map(|g| g.city);
-            built = MatchTable::build(fleet, cdns, cities, matching_config.score_ratio, &score_of);
-            &built
-        }
-    };
-
-    // Per-CDN median capacity estimates for capacity-blind designs.
-    let medians: Vec<Kbps> = fleet
-        .cdns
-        .iter()
-        .map(|cdn| median_capacity(fleet, cdn.id))
-        .collect();
+    let matching = design.matching();
+    let max_candidates = inputs.bid_count.unwrap_or(matching.max_candidates);
+    let (engines, table) = (inputs.engines, inputs.matches);
+    debug_assert_eq!(table.score_ratio(), matching.score_ratio);
+    debug_assert!(
+        engines.len() == fleet.cdns.len() && engines.iter().all(|e| e.design() == design),
+        "one engine per CDN, each bidding by {design}"
+    );
 
     // A group's options depend on it through its city alone (price and
     // believed capacity are the design's, the CDN's and the cluster's), so
@@ -222,36 +210,14 @@ fn round_impl(
             options.push_shared(list);
             continue;
         }
-        let mut group_options = Vec::new();
-        for cdn in &fleet.cdns {
-            // Steps 3–5: Share (implicit — the matchings below are per
-            // city, which for Marketplace-class designs is licensed by the
-            // Share step), Matching (read off the table), Announce.
-            let contract_price = inputs.contracts[cdn.id.index()].billed_price_per_mb();
-            let median = medians[cdn.id.index()];
-            let matched = table.candidates(cdn.id, group.city, matching_config.max_candidates);
-            for &cluster in matched {
-                let c = cluster.index();
-                let site = &fleet.clusters[c];
-                let margin = inputs.margins.map_or(DEFAULT_MARKUP, |margins| margins[c]);
-                group_options.push(GroupOption {
-                    cdn: cdn.id,
-                    cluster,
-                    score: score_of(group.city, site.city),
-                    price_per_mb: design.announced_price(
-                        site.cost_per_mb(),
-                        margin,
-                        contract_price,
-                    ),
-                    believed_capacity_kbps: design.believed_capacity(
-                        site.capacity_kbps,
-                        inputs.background_load_kbps[c],
-                        median,
-                    ),
-                });
-            }
+        // Steps 3–5: Share (implicit — the matchings are per city, which
+        // for Marketplace-class designs is licensed by the Share step),
+        // then each CDN's engine matches and announces.
+        let mut offers = Vec::new();
+        for engine in engines {
+            offers.extend(engine.offers(group.city, fleet, table, max_candidates, &score_of));
         }
-        list_of_city.insert(group.city, options.push(group_options));
+        list_of_city.insert(group.city, options.push(offers));
     }
 
     if probe.enabled() {
@@ -394,10 +360,10 @@ pub fn assign_background_with(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use vdx_broker::{gather_groups, synth_background};
+    use vdx_broker::{gather_groups, synth_background, GroupOption};
     use vdx_cdn::{
-        build_fleet, candidate_clusters, negotiate_contract, plan_capacities, FleetConfig,
-        MatchingConfig,
+        build_fleet, candidate_clusters, median_capacity, negotiate_contract, plan_capacities,
+        Contract, FleetConfig, MatchingConfig, DEFAULT_MARKUP,
     };
     use vdx_geo::WorldConfig;
     use vdx_netsim::{NetModel, NetModelConfig};
@@ -411,6 +377,37 @@ pub(crate) mod tests {
         pub groups: Vec<ClientGroup>,
         pub background: Vec<Kbps>,
         pub net: NetModel,
+        /// The §5.1 tables of `fleet` for every city, at the paper's 2×
+        /// ratio and Omniscient's unrestricted one.
+        pub matches: [MatchTable; 2],
+    }
+
+    impl TestEco {
+        /// Every CDN's fresh engine under `design`, in CDN order.
+        pub(crate) fn engines(&self, design: Design) -> Vec<BidEngine> {
+            (self.fleet.cdns.iter())
+                .map(|c| {
+                    BidEngine::new(c.id, design, &self.fleet, &self.contracts, &self.background)
+                })
+                .collect()
+        }
+
+        /// A balanced round over every group, announced by `engines`
+        /// (all bidding by one design), matching by the network model.
+        pub(crate) fn inputs<'a>(&'a self, engines: &'a [BidEngine]) -> RoundInputs<'a> {
+            let ratio = engines[0].design().matching().score_ratio;
+            RoundInputs {
+                fleet: &self.fleet,
+                groups: &self.groups,
+                background_load_kbps: &self.background,
+                policy: CpPolicy::balanced(),
+                bid_count: None,
+                engines,
+                matches: (self.matches.iter())
+                    .find(|t| t.score_ratio() == ratio)
+                    .expect("a table per design ratio"),
+            }
+        }
     }
 
     fn eco_fleet_config() -> FleetConfig {
@@ -455,6 +452,13 @@ pub(crate) mod tests {
         let background = assign_background(&world, &fleet, &groups, &bg, seed, |a, b| {
             net.score(&world, a, b)
         });
+        let matches = [MatchingConfig::default(), MatchingConfig::unrestricted()].map(|m| {
+            let cdns = fleet.cdns.iter().map(|c| c.id);
+            let cities = world.cities().iter().map(|c| c.id);
+            MatchTable::build(&fleet, cdns, cities, m.score_ratio, |a, b| {
+                net.score(&world, a, b)
+            })
+        });
         TestEco {
             world,
             fleet,
@@ -462,22 +466,15 @@ pub(crate) mod tests {
             groups,
             background,
             net,
+            matches,
         }
     }
 
     fn run(eco: &TestEco, design: Design) -> RoundOutcome {
-        let inputs = RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            margins: None,
-            matches: None,
-        };
-        run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b))
+        let engines = eco.engines(design);
+        run_decision_round(design, &eco.inputs(&engines), |a, b| {
+            eco.net.score(&eco.world, a, b)
+        })
     }
 
     #[test]
@@ -592,16 +589,10 @@ pub(crate) mod tests {
     #[test]
     fn bid_count_override_limits_options() {
         let eco = build_eco(11);
+        let engines = eco.engines(Design::Marketplace);
         let inputs = RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
             bid_count: Some(1),
-            margins: None,
-            matches: None,
+            ..eco.inputs(&engines)
         };
         let out = run_decision_round(Design::Marketplace, &inputs, |a, b| {
             eco.net.score(&eco.world, a, b)
@@ -615,13 +606,15 @@ pub(crate) mod tests {
     fn accept_entries_cover_all_bids_with_one_winner_per_group() {
         let eco = build_eco(11);
         let out = run(&eco, Design::Marketplace);
-        let entries = out.accept_entries();
+        let entries: Vec<AcceptEntry> = (eco.fleet.cdns.iter())
+            .flat_map(|cdn| out.accepts(cdn.id.index()))
+            .collect();
         let total_bids: usize = out.problem.options.iter().map(Vec::len).sum();
         assert_eq!(entries.len(), total_bids);
         for g in 0..eco.groups.len() {
             let winners = entries
                 .iter()
-                .filter(|(gg, _, won)| *gg == g && *won)
+                .filter(|e| e.bid.share_id == g as u64 && e.accepted)
                 .count();
             assert_eq!(winners, 1, "exactly one accepted bid per group");
         }
@@ -658,7 +651,7 @@ pub(crate) mod tests {
         let per_group = inputs.groups.iter().map(|group| {
             let per_cdn = eco.fleet.cdns.iter().flat_map(|cdn| {
                 let score = |site| eco.net.score(&eco.world, group.city, site);
-                let contract_price = inputs.contracts[cdn.id.index()].billed_price_per_mb();
+                let contract_price = eco.contracts[cdn.id.index()].billed_price_per_mb();
                 let medians = &medians;
                 candidate_clusters(&eco.fleet, cdn.id, score, &config)
                     .into_iter()
@@ -703,18 +696,12 @@ pub(crate) mod tests {
         assert!(adjacent(&interleaved) <= 1);
 
         for groups in [&eco.groups, &interleaved] {
-            let inputs = RoundInputs {
-                world: &eco.world,
-                fleet: &eco.fleet,
-                contracts: &eco.contracts,
-                groups,
-                background_load_kbps: &eco.background,
-                policy: CpPolicy::balanced(),
-                bid_count: None,
-                margins: None,
-                matches: None,
-            };
             for design in Design::TABLE3 {
+                let engines = eco.engines(design);
+                let inputs = RoundInputs {
+                    groups,
+                    ..eco.inputs(&engines)
+                };
                 let out =
                     run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b));
                 assert_eq!(
@@ -807,17 +794,8 @@ pub(crate) mod tests {
     fn probed_round_emits_the_protocol_event_sequence() {
         use vdx_obs::{Event, MemoryProbe};
         let eco = build_eco(11);
-        let inputs = RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            margins: None,
-            matches: None,
-        };
+        let engines = eco.engines(Design::Marketplace);
+        let inputs = eco.inputs(&engines);
         let (probe, rx) = MemoryProbe::channel();
         let probed = run_decision_round_probed(
             Design::Marketplace,
@@ -878,17 +856,8 @@ pub(crate) mod tests {
     fn brokered_designs_do_not_share_clients_in_the_journal() {
         use vdx_obs::{Event, MemoryProbe};
         let eco = build_eco(11);
-        let inputs = RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            margins: None,
-            matches: None,
-        };
+        let engines = eco.engines(Design::Brokered);
+        let inputs = eco.inputs(&engines);
         let (probe, rx) = MemoryProbe::channel();
         run_decision_round_probed(
             Design::Brokered,

@@ -7,10 +7,11 @@
 //! oracle the spine is checked against); this module is the
 //! *distributed* form. Its parts, bottom up:
 //!
-//! * [`BidEngine`] — the CDN side: Shares in, bids out, margins learned
-//!   from Accept feedback (§6.3). A bid's price and capacity come from
-//!   the design's Announce rule on [`Design`], the same calls the pure
-//!   round makes, so the two cannot disagree on what a design announces.
+//! * [`BidEngine`] — the CDN side and the one Announce step: a city's
+//!   offers, or a Share batch's bids, priced and sized by the design's
+//!   Announce rule on [`Design`], at margins learned from Accept feedback
+//!   (§6.3). The pure round asks the same engines, so the two cannot
+//!   disagree on what a design announces.
 //! * [`shares_of`], [`resolve_at_deadline`], [`assemble_options`],
 //!   [`accept_entries`], [`picks_of`] — the building blocks of a round.
 //!   Each has exactly one product caller: the spine.
@@ -38,23 +39,23 @@ use vdx_broker::{
     optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
     GroupOption, HealthTransition, OptimizeContext, OptimizeMode, OptionLists, StaleBidCache,
 };
-use vdx_cdn::{BidShading, CdnId, ClusterId, Fleet, MatchTable};
+use vdx_cdn::{median_capacity, BidShading, CdnId, ClusterId, Contract, Fleet, MatchTable};
 use vdx_geo::CityId;
 use vdx_netsim::Score;
 use vdx_obs::{Event as ObsEvent, Probe, Stopwatch};
 use vdx_proto::{AcceptEntry, Bid, Share};
 use vdx_units::{Kbps, Margin, UsdPerGb};
 
-/// The transport-free heart of a CDN agent: turns Shares into bids by the
-/// design's Announce rule ([`Design::announced_price`],
-/// [`Design::believed_capacity`]) at learned margins, and updates those
-/// margins on Accept feedback.
+/// The transport-free heart of a CDN agent and the one Announce step:
+/// prices and sizes its matched clusters by the design's Announce rule
+/// ([`Design::announced_price`], [`Design::believed_capacity`]) at
+/// learned margins, and updates those margins on Accept feedback.
 ///
-/// The fault campaign's agents (`vdx-sim::faults`) wrap this over a
-/// reliable channel on a simulated link; the `vdx-agent` daemon client
-/// wraps the same engine over a TCP
-/// [`vdx_proto::transport::Connection`]. Every transport therefore bids —
-/// and learns — identically, which is what makes driver parity checkable.
+/// The pure round asks it for a city's offers ([`BidEngine::offers`]);
+/// the fault campaign's agents (`vdx-sim::faults`) and the `vdx-agent`
+/// daemon client wrap it over their links for wire bids
+/// ([`BidEngine::build_bids`]). Every path therefore bids — and learns —
+/// identically, which is what makes driver parity checkable.
 pub struct BidEngine {
     cdn: CdnId,
     /// The Table 2 row the engine bids by; its matching rule is
@@ -74,23 +75,23 @@ pub struct BidEngine {
 
 impl BidEngine {
     /// Creates `cdn`'s engine for `design`, every margin at
-    /// [`vdx_cdn::DEFAULT_MARKUP`]. `committed_kbps` holds one entry per
-    /// fleet cluster, indexed by global cluster id (entries for other CDNs'
-    /// clusters are ignored).
+    /// [`vdx_cdn::DEFAULT_MARKUP`], bidding `contracts[cdn]`'s price and
+    /// `fleet`'s median for `cdn`. `committed_kbps` holds one entry per
+    /// fleet cluster, indexed by global cluster id (others' are ignored).
     pub fn new(
         cdn: CdnId,
         design: Design,
-        committed_kbps: Vec<Kbps>,
-        contract_price_per_mb: UsdPerGb,
-        median_capacity_kbps: Kbps,
+        fleet: &Fleet,
+        contracts: &[Contract],
+        committed_kbps: &[Kbps],
     ) -> BidEngine {
         BidEngine {
             cdn,
             design,
             shading: BidShading::new(committed_kbps.len()),
-            committed_kbps,
-            contract_price_per_mb,
-            median_capacity_kbps,
+            committed_kbps: committed_kbps.to_vec(),
+            contract_price_per_mb: contracts[cdn.index()].billed_price_per_mb(),
+            median_capacity_kbps: median_capacity(fleet, cdn),
         }
     }
 
@@ -104,6 +105,39 @@ impl BidEngine {
         self.shading.margin(cluster)
     }
 
+    /// Steps 4–5 for one client city: this CDN's first `max_candidates`
+    /// candidates for `city` read off `table`, each priced and sized by
+    /// the design's Announce rule. `scores(client, site)` is the Estimate
+    /// step's score; lower is better.
+    pub fn offers<'a>(
+        &'a self,
+        city: CityId,
+        fleet: &'a Fleet,
+        table: &'a MatchTable,
+        max_candidates: usize,
+        scores: &'a impl Fn(CityId, CityId) -> Score,
+    ) -> impl Iterator<Item = GroupOption> + 'a {
+        let candidates = table.candidates(self.cdn, city, max_candidates);
+        candidates.iter().map(move |&cluster| {
+            let site = &fleet.clusters[cluster.index()];
+            GroupOption {
+                cdn: self.cdn,
+                cluster,
+                score: scores(city, site.city),
+                price_per_mb: self.design.announced_price(
+                    site.cost_per_mb(),
+                    self.shading.margin(cluster),
+                    self.contract_price_per_mb,
+                ),
+                believed_capacity_kbps: self.design.believed_capacity(
+                    site.capacity_kbps,
+                    self.committed_kbps[cluster.index()],
+                    self.median_capacity_kbps,
+                ),
+            }
+        })
+    }
+
     /// Builds this CDN's Announce for one Share batch.
     /// `scores(client, site)` is the Estimate step's score; lower is
     /// better.
@@ -113,54 +147,29 @@ impl BidEngine {
         fleet: &Fleet,
         scores: &impl Fn(CityId, CityId) -> Score,
     ) -> Vec<Bid> {
-        self.build_bids_with(shares, fleet, None, scores)
+        let ratio = self.design.matching().score_ratio;
+        let cities = shares.iter().map(|s| CityId(s.location));
+        let table = MatchTable::build(fleet, [self.cdn], cities, ratio, scores);
+        self.build_bids_with(shares, fleet, &table, scores)
     }
 
-    /// [`BidEngine::build_bids`] reading the candidates off `matches`, the
-    /// §5.1 table of `fleet` under `scores` for every share's city (a
-    /// scenario keeps one per score ratio). `None`, or a table of another
-    /// ratio than the design's, and the engine builds one for this CDN and
-    /// the shares' cities.
+    /// [`BidEngine::build_bids`] reading the candidates off `table`, the
+    /// §5.1 table of `fleet` under `scores` at the design's score ratio,
+    /// built for every share's city (a scenario keeps one per ratio).
     pub fn build_bids_with(
         &self,
         shares: &[Share],
         fleet: &Fleet,
-        matches: Option<&MatchTable>,
+        table: &MatchTable,
         scores: &impl Fn(CityId, CityId) -> Score,
     ) -> Vec<Bid> {
         let matching = self.design.matching();
-        let built;
-        let table = match matches {
-            Some(table) if table.score_ratio() == matching.score_ratio => table,
-            _ => {
-                let cities = shares.iter().map(|s| CityId(s.location));
-                built = MatchTable::build(fleet, [self.cdn], cities, matching.score_ratio, scores);
-                &built
-            }
-        };
+        debug_assert_eq!(table.score_ratio(), matching.score_ratio);
         let mut bids = Vec::new();
         for share in shares {
             let client = CityId(share.location);
-            for &cluster in table.candidates(self.cdn, client, matching.max_candidates) {
-                let c = cluster.index();
-                let site = &fleet.clusters[c];
-                let offer = GroupOption {
-                    cdn: self.cdn,
-                    cluster,
-                    score: scores(client, site.city),
-                    price_per_mb: self.design.announced_price(
-                        site.cost_per_mb(),
-                        self.shading.margin(cluster),
-                        self.contract_price_per_mb,
-                    ),
-                    believed_capacity_kbps: self.design.believed_capacity(
-                        site.capacity_kbps,
-                        self.committed_kbps[c],
-                        self.median_capacity_kbps,
-                    ),
-                };
-                bids.push(bid_of(share.share_id, &offer));
-            }
+            let offers = self.offers(client, fleet, table, matching.max_candidates, scores);
+            bids.extend(offers.map(|offer| bid_of(share.share_id, &offer)));
         }
         bids
     }
@@ -329,7 +338,7 @@ pub fn resolve_at_deadline(
 /// One option on the wire, as share `share_id`'s bid. The wire format
 /// stays plain f64 (schema stability); the typed quantities convert
 /// loss-free at this boundary, and [`assemble_options`] converts back.
-fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
+pub(crate) fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
     Bid {
         cluster_id: o.cluster.0 as u64,
         share_id,
@@ -848,34 +857,8 @@ impl Round {
 mod tests {
     use super::*;
     use crate::decision::tests::{build_eco, TestEco};
-    use crate::decision::{run_decision_round_probed, RoundId, RoundInputs};
-    use vdx_cdn::median_capacity;
+    use crate::decision::{run_decision_round_probed, RoundId};
     use vdx_obs::MemoryProbe;
-
-    fn inputs(eco: &TestEco) -> RoundInputs<'_> {
-        RoundInputs {
-            world: &eco.world,
-            fleet: &eco.fleet,
-            contracts: &eco.contracts,
-            groups: &eco.groups,
-            background_load_kbps: &eco.background,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            margins: None,
-            matches: None,
-        }
-    }
-
-    /// CDN `cdn`'s agent in the test ecosystem.
-    fn engine(eco: &TestEco, design: Design, cdn: CdnId) -> BidEngine {
-        BidEngine::new(
-            cdn,
-            design,
-            eco.background.clone(),
-            eco.contracts[cdn.index()].billed_price_per_mb(),
-            median_capacity(&eco.fleet, cdn),
-        )
-    }
 
     /// A transport-free [`RoundHooks`] over the test ecosystem: every CDN's
     /// engine answers unless the test made it `silent` or `down`, and the
@@ -889,12 +872,9 @@ mod tests {
 
     impl<'a> Script<'a> {
         fn new(eco: &'a TestEco, design: Design) -> Script<'a> {
-            let engines = (eco.fleet.cdns.iter())
-                .map(|cdn| engine(eco, design, cdn.id))
-                .collect();
             Script {
                 eco,
-                engines,
+                engines: eco.engines(design),
                 silent: Vec::new(),
                 down: Vec::new(),
             }
@@ -927,7 +907,7 @@ mod tests {
             let scores = |a, b| eco.net.score(&eco.world, a, b);
             run_decision_round_probed(
                 Design::Brokered,
-                &inputs(eco),
+                &eco.inputs(&eco.engines(Design::Brokered)),
                 scores,
                 RoundId(round),
                 probe,
@@ -965,7 +945,8 @@ mod tests {
     fn assert_a_fresh_round_is_the_pure_round(eco: &TestEco, design: Design) {
         let mut script = Script::new(eco, design);
         let live = spine(eco, design, vdx_obs::probe::noop()).run(0, &eco.groups, &mut script);
-        let pure = crate::decision::run_decision_round(design, &inputs(eco), |a, b| {
+        let engines = eco.engines(design);
+        let pure = crate::decision::run_decision_round(design, &eco.inputs(&engines), |a, b| {
             eco.net.score(&eco.world, a, b)
         });
         assert_eq!(live.resolution, RoundResolution::Fresh, "{design}");
@@ -999,30 +980,32 @@ mod tests {
     }
 
     /// Learned margins mean the same thing on both paths: after a spine
-    /// round has taught every engine from its Accepts, a pure round fed
-    /// each cluster's owning engine's margin offers exactly the bids the
-    /// engines announce next.
+    /// round has taught every engine from its Accepts, a pure round asking
+    /// those engines offers, city by city, exactly the bids they announce
+    /// next, as `assemble_options` reads them per group.
     #[test]
     fn learned_margins_price_the_pure_round_as_the_engines_bid() {
         let eco = build_eco(23);
         let design = Design::Marketplace;
         let mut script = Script::new(&eco, design);
         spine(&eco, design, vdx_obs::probe::noop()).run(0, &eco.groups, &mut script);
-        let margins: Vec<Margin> = (eco.fleet.clusters.iter())
-            .map(|c| script.engines[c.cdn.index()].margin(c.id))
-            .collect();
         assert!(
-            margins.iter().any(|&m| m < vdx_cdn::DEFAULT_MARKUP),
+            (eco.fleet.clusters.iter())
+                .any(|c| script.engines[c.cdn.index()].margin(c.id) < vdx_cdn::DEFAULT_MARKUP),
             "the round taught some engine a lower margin"
         );
-        let pure = crate::decision::run_decision_round(
-            design,
-            &RoundInputs {
-                margins: Some(&margins),
-                ..inputs(&eco)
-            },
-            |a, b| eco.net.score(&eco.world, a, b),
-        );
+        let pure =
+            crate::decision::run_decision_round(design, &eco.inputs(&script.engines), |a, b| {
+                eco.net.score(&eco.world, a, b)
+            });
+        // Each offer is priced at its own engine's learned margin.
+        for o in pure.problem.options.iter().flatten() {
+            let (site, cdn) = (&eco.fleet.clusters[o.cluster.index()], o.cdn.index());
+            let margin = script.engines[cdn].margin(o.cluster);
+            let flat = eco.contracts[cdn].billed_price_per_mb();
+            let price = design.announced_price(site.cost_per_mb(), margin, flat);
+            assert_eq!(o.price_per_mb, price, "{:?}", o.cluster);
+        }
         let next: Vec<Vec<Bid>> = (0..eco.fleet.cdns.len()).map(|c| script.bids(c)).collect();
         // Per group, as the daemon holds them: the pure round shares a
         // city's list, so the two forms compare by their per-group views.
@@ -1345,8 +1328,7 @@ mod tests {
         let eco = build_eco(11);
         let shares = shares_of(&eco.groups);
         let scores = |a: CityId, b: CityId| eco.net.score(&eco.world, a, b);
-        for cdn in &eco.fleet.cdns {
-            let engine = engine(&eco, Design::Marketplace, cdn.id);
+        for engine in eco.engines(Design::Marketplace) {
             let one_at_a_time: Vec<Bid> = (shares.iter())
                 .flat_map(|s| engine.build_bids(std::slice::from_ref(s), &eco.fleet, &scores))
                 .collect();
@@ -1360,7 +1342,13 @@ mod tests {
     /// CDN 0's engine after learning from one lost bid on `cluster_id`,
     /// and its margins before and after.
     fn learn_one_loss(eco: &TestEco, cluster_id: u64) -> (Vec<Margin>, Vec<Margin>) {
-        let mut engine = engine(eco, Design::Marketplace, CdnId(0));
+        let mut engine = BidEngine::new(
+            CdnId(0),
+            Design::Marketplace,
+            &eco.fleet,
+            &eco.contracts,
+            &eco.background,
+        );
         let margins = |e: &BidEngine| -> Vec<Margin> {
             (eco.fleet.clusters.iter())
                 .filter(|c| c.cdn == CdnId(0))

@@ -15,6 +15,7 @@ use crate::metrics::{compute, DesignMetrics, MetricsInput};
 use crate::report::render_table;
 use crate::scenario::Scenario;
 use vdx_broker::CpPolicy;
+use vdx_cdn::MatchTable;
 use vdx_core::{run_decision_round, Design, RoundInputs, RoundOutcome};
 use vdx_netsim::{NoisyMeasurer, ScoreEstimator};
 
@@ -63,26 +64,28 @@ fn run_with_noise(
     estimator.warm_up(clients, sites, SAMPLES_PER_PAIR, &measurer, |a, b| {
         scenario.score_of(a, b)
     });
+    // Pairs outside the warmed set (never true here) fall back to ground
+    // truth.
+    let score = |a, b| {
+        estimator
+            .estimate(a, b)
+            .unwrap_or_else(|| scenario.score_of(a, b))
+    };
+    // The perturbed estimate matches by its own scores.
+    let (fleet, groups) = (&scenario.fleet, &scenario.groups);
+    let cdns = fleet.cdns.iter().map(|c| c.id);
+    let ratio = Design::Marketplace.matching().score_ratio;
+    let matches = MatchTable::build(fleet, cdns, groups.iter().map(|g| g.city), ratio, score);
     let inputs = RoundInputs {
-        world: &scenario.world,
-        fleet: &scenario.fleet,
-        contracts: &scenario.contracts,
-        groups: &scenario.groups,
+        fleet,
+        groups,
         background_load_kbps: &scenario.background_load,
         policy: CpPolicy::balanced(),
         bid_count: None,
-        margins: None,
-        // The perturbed estimate matches by its own scores: the round
-        // builds a table from the closure below.
-        matches: None,
+        engines: &scenario.engines(Design::Marketplace),
+        matches: &matches,
     };
-    run_decision_round(Design::Marketplace, &inputs, |a, b| {
-        estimator
-            .estimate(a, b)
-            // Pairs outside the warmed set (never true here) fall back to
-            // ground truth.
-            .unwrap_or_else(|| scenario.score_of(a, b))
-    })
+    run_decision_round(Design::Marketplace, &inputs, score)
 }
 
 /// Replaces every option's (estimated) score with the true score so the

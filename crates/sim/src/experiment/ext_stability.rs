@@ -17,7 +17,6 @@
 use crate::report::render_table;
 use crate::scenario::Scenario;
 use vdx_broker::{ClientGroup, CpPolicy};
-use vdx_cdn::BidShading;
 use vdx_core::{run_decision_round, Design, RoundInputs};
 use vdx_rand::StdRng;
 
@@ -42,7 +41,7 @@ pub fn run(scenario: &Scenario, rounds: usize) -> StabilityResult {
 }
 
 fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
-    let mut shading = BidShading::new(scenario.fleet.clusters.len());
+    let mut engines = scenario.engines(Design::Marketplace);
     let mut prev_traffic: Option<Vec<f64>> = None;
     let mut churn = Vec::new();
 
@@ -60,26 +59,21 @@ fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
                 }
             })
             .collect();
-        let margins: Vec<vdx_units::Margin> = (0..scenario.fleet.clusters.len())
-            .map(|i| shading.margin(vdx_cdn::ClusterId(i as u32)))
-            .collect();
         let inputs = RoundInputs {
-            world: &scenario.world,
             fleet: &scenario.fleet,
-            contracts: &scenario.contracts,
             groups: &groups,
             background_load_kbps: &scenario.background_load,
             policy: CpPolicy::balanced(),
             bid_count: None,
-            margins: if learn { Some(&margins) } else { None },
-            matches: Some(scenario.match_table(Design::Marketplace)),
+            engines: &engines,
+            matches: scenario.match_table(Design::Marketplace),
         };
         let outcome =
             run_decision_round(Design::Marketplace, &inputs, |a, b| scenario.score_of(a, b));
 
         if learn {
-            for (_, option, accepted) in outcome.accept_entries() {
-                shading.on_outcome(option.cluster, accepted);
+            for (cdn, engine) in engines.iter_mut().enumerate() {
+                engine.learn(&outcome.accepts(cdn), &scenario.fleet);
             }
         }
 

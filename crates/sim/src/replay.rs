@@ -111,15 +111,13 @@ pub fn replay(scenario: &Scenario, config: &ReplayConfig) -> ReplayResult {
         let groups = gather_groups(&active);
         // Background load stays the scenario's steady-state placement.
         let inputs = RoundInputs {
-            world: &scenario.world,
             fleet: &scenario.fleet,
-            contracts: &scenario.contracts,
             groups: &groups,
             background_load_kbps: &scenario.background_load,
             policy: config.policy,
             bid_count: None,
-            margins: None,
-            matches: Some(scenario.match_table(config.design)),
+            engines: &scenario.engines(config.design),
+            matches: scenario.match_table(config.design),
         };
         let outcome = run_decision_round_probed(
             config.design,

@@ -20,8 +20,8 @@
 use std::sync::Arc;
 use vdx_broker::{gather::demand_points, gather_groups, synth_background, ClientGroup, CpPolicy};
 use vdx_cdn::{
-    build_fleet, city_centric_cdns, negotiate_contract, plan_capacities_with, Contract, Fleet,
-    FleetConfig, MatchTable, MatchingConfig, DEFAULT_MARKUP,
+    build_fleet, city_centric_cdns, negotiate_contract, plan_capacities_with, CdnId, Contract,
+    Fleet, FleetConfig, MatchTable, MatchingConfig, DEFAULT_MARKUP,
 };
 use vdx_core::{
     assign_background_with, run_decision_round_probed, BidEngine, Design, RoundId, RoundInputs,
@@ -284,13 +284,34 @@ impl Scenario {
         }
     }
 
+    /// CDN `cdn`'s fresh bid engine under `design`, bidding from this
+    /// scenario's contracts and background load: every engine a round
+    /// asks, pure or over a transport, comes from here.
+    pub fn engine(&self, design: Design, cdn: CdnId) -> BidEngine {
+        BidEngine::new(
+            cdn,
+            design,
+            &self.fleet,
+            &self.contracts,
+            &self.background_load,
+        )
+    }
+
+    /// Every CDN's fresh engine under `design`, in CDN order: a pure
+    /// round's [`RoundInputs::engines`].
+    pub fn engines(&self, design: Design) -> Vec<BidEngine> {
+        (self.fleet.cdns.iter())
+            .map(|c| self.engine(design, c.id))
+            .collect()
+    }
+
     /// `engine`'s Announce for `shares`, its candidates read off this
     /// scenario's table: [`BidEngine::build_bids`] without rematching.
     pub fn announce(&self, engine: &BidEngine, shares: &[Share]) -> Vec<Bid> {
         engine.build_bids_with(
             shares,
             &self.fleet,
-            Some(self.match_table(engine.design())),
+            self.match_table(engine.design()),
             &|a: CityId, b: CityId| self.score_of(a, b),
         )
     }
@@ -335,18 +356,10 @@ impl Scenario {
         bid_count: Option<usize>,
         probe: &dyn Probe,
     ) -> RoundOutcome {
-        let inputs = RoundInputs {
-            world: &self.world,
-            fleet: &self.fleet,
-            contracts: &self.contracts,
-            groups: &self.groups,
-            background_load_kbps: &self.background_load,
-            policy,
-            bid_count,
-            margins: None,
-            matches: Some(self.match_table(design)),
-        };
-        run_decision_round_probed(design, &inputs, |a, b| self.score_of(a, b), round, probe)
+        let score = |a, b| self.score_of(a, b);
+        self.decide(design, policy, bid_count, |inputs| {
+            run_decision_round_probed(design, inputs, score, round, probe)
+        })
     }
 
     /// [`Scenario::run_round_probed`] with a warm-start context carried
@@ -362,25 +375,30 @@ impl Scenario {
         probe: &dyn Probe,
         ctx: &mut vdx_broker::OptimizeContext,
     ) -> RoundOutcome {
-        let inputs = RoundInputs {
-            world: &self.world,
+        let score = |a, b| self.score_of(a, b);
+        self.decide(design, policy, bid_count, |inputs| {
+            vdx_core::run_decision_round_probed_ctx(design, inputs, score, round, probe, ctx)
+        })
+    }
+
+    /// `run` over this scenario's round under `design`: its groups,
+    /// background and table, and every CDN's fresh engine.
+    fn decide(
+        &self,
+        design: Design,
+        policy: CpPolicy,
+        bid_count: Option<usize>,
+        run: impl FnOnce(&RoundInputs<'_>) -> RoundOutcome,
+    ) -> RoundOutcome {
+        run(&RoundInputs {
             fleet: &self.fleet,
-            contracts: &self.contracts,
             groups: &self.groups,
             background_load_kbps: &self.background_load,
             policy,
             bid_count,
-            margins: None,
-            matches: Some(self.match_table(design)),
-        };
-        vdx_core::run_decision_round_probed_ctx(
-            design,
-            &inputs,
-            |a, b| self.score_of(a, b),
-            round,
-            probe,
-            ctx,
-        )
+            engines: &self.engines(design),
+            matches: self.match_table(design),
+        })
     }
 }
 
@@ -457,16 +475,15 @@ mod tests {
             }
             for groups in [&s.groups, &interleaved] {
                 for design in Design::TABLE3 {
+                    let engines = s.engines(design);
                     let inputs = RoundInputs {
-                        world: &s.world,
                         fleet: &s.fleet,
-                        contracts: &s.contracts,
                         groups,
                         background_load_kbps: &s.background_load,
                         policy: CpPolicy::balanced(),
                         bid_count: None,
-                        margins: None,
-                        matches: Some(s.match_table(design)),
+                        engines: &engines,
+                        matches: s.match_table(design),
                     };
                     let out =
                         vdx_core::run_decision_round(design, &inputs, |a, b| s.score_of(a, b));

@@ -22,7 +22,7 @@
 use crate::scenario::Scenario;
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
-use vdx_cdn::{median_capacity, CdnId};
+use vdx_cdn::CdnId;
 use vdx_core::{
     BidEngine, BidSource, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundId,
     RoundOutcome,
@@ -46,17 +46,11 @@ pub fn brokered_round(
     scenario.run_round_probed(RoundId(round), Design::Brokered, policy, None, probe)
 }
 
-/// Builds one CDN's per-round bid engine, configured exactly like the
-/// fault campaign's per-round agents (and the daemon's `vdx-agent`).
+/// Builds one CDN's per-round bid engine: [`Scenario::engine`], the
+/// constructor the pure round's engines, the fault campaign's per-round
+/// agents and the daemon's `vdx-agent` all come from.
 pub fn round_engine(scenario: &Scenario, design: Design, cdn: u32) -> BidEngine {
-    let cdn = CdnId(cdn);
-    BidEngine::new(
-        cdn,
-        design,
-        scenario.background_load.clone(),
-        scenario.contracts[cdn.index()].billed_price_per_mb(),
-        median_capacity(&scenario.fleet, cdn),
-    )
+    scenario.engine(design, CdnId(cdn))
 }
 
 /// What one soak round injects: the CDNs whose agents stay silent (they

@@ -22,6 +22,20 @@ if grep -rnwE 'Mutex|Condvar|RwLock' crates src tests examples --exclude-dir=vdx
   exit 1
 fi
 
+echo "==> one Announce step (only BidEngine applies the design's Announce rule)"
+# The pure round and every agent announce through `BidEngine`; a second
+# caller of the rule outside test code is a second Announce path, kept
+# equal to the first only by tests. Each file counts up to its first
+# `#[cfg(test)]`; design.rs holds the rule's definitions.
+announce=$(find crates/*/src -name '*.rs' ! -path crates/core/src/exchange.rs \
+  ! -path crates/core/src/design.rs -exec awk '/^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+    /\.(announced_price|believed_capacity)\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$announce" ]; then
+  echo "$announce"
+  echo "verify: the Announce rule is applied outside BidEngine (above)" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
