@@ -20,7 +20,7 @@
 //!   that builds a daemon agent's wire bids.
 
 use crate::design::Design;
-use crate::exchange::{bid_of, BidEngine};
+use crate::exchange::BidEngine;
 use std::collections::HashMap;
 use vdx_broker::{
     optimize_probed, optimize_probed_ctx, BrokerAssignment, BrokerProblem, ClientGroup, CpPolicy,
@@ -30,7 +30,6 @@ use vdx_cdn::{total_capacity, CdnId, Fleet, MatchTable};
 use vdx_geo::{CityId, World};
 use vdx_netsim::Score;
 use vdx_obs::{Event, NoopProbe, Probe, Stopwatch};
-use vdx_proto::AcceptEntry;
 use vdx_rand::StdRng;
 use vdx_units::Kbps;
 
@@ -77,28 +76,6 @@ pub struct RoundOutcome {
     pub problem: BrokerProblem,
     /// The broker's Optimize output.
     pub assignment: BrokerAssignment,
-}
-
-impl RoundOutcome {
-    /// The Accept step's content for `cdn`: every option it announced, as
-    /// the wire bid for its group (share id = group index), with whether
-    /// the broker used it — losing bids too, so CDNs can learn (§6.1).
-    pub fn accepts(&self, cdn: usize) -> Vec<AcceptEntry> {
-        let mut entries = Vec::new();
-        for (g, opts) in self.problem.options.iter().enumerate() {
-            let announced = opts
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| o.cdn.index() == cdn);
-            for (i, o) in announced {
-                entries.push(AcceptEntry {
-                    bid: bid_of(g as u64, o),
-                    accepted: self.assignment.choice[g] == i,
-                });
-            }
-        }
-        entries
-    }
 }
 
 /// Runs one round of the Decision Protocol for `design`.
@@ -360,6 +337,7 @@ pub fn assign_background_with(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::exchange::{accept_entries, shares_of};
     use vdx_broker::{gather_groups, synth_background, GroupOption};
     use vdx_cdn::{
         build_fleet, candidate_clusters, median_capacity, negotiate_contract, plan_capacities,
@@ -367,6 +345,7 @@ pub(crate) mod tests {
     };
     use vdx_geo::WorldConfig;
     use vdx_netsim::{NetModel, NetModelConfig};
+    use vdx_proto::AcceptEntry;
     use vdx_trace::{BrokerTrace, BrokerTraceConfig};
 
     /// A small but complete ecosystem for decision-round tests.
@@ -606,8 +585,14 @@ pub(crate) mod tests {
     fn accept_entries_cover_all_bids_with_one_winner_per_group() {
         let eco = build_eco(11);
         let out = run(&eco, Design::Marketplace);
-        let entries: Vec<AcceptEntry> = (eco.fleet.cdns.iter())
-            .flat_map(|cdn| out.accepts(cdn.id.index()))
+        let shares = shares_of(&eco.groups);
+        let scores = |a, b| eco.net.score(&eco.world, a, b);
+        let engines = eco.engines(Design::Marketplace);
+        let entries: Vec<AcceptEntry> = (engines.iter().enumerate())
+            .flat_map(|(cdn, engine)| {
+                let bids = engine.build_bids(&shares, &eco.fleet, &scores);
+                accept_entries(&out.problem, &out.assignment, cdn, &bids)
+            })
             .collect();
         let total_bids: usize = out.problem.options.iter().map(Vec::len).sum();
         assert_eq!(entries.len(), total_bids);

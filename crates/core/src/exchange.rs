@@ -338,7 +338,7 @@ pub fn resolve_at_deadline(
 /// One option on the wire, as share `share_id`'s bid. The wire format
 /// stays plain f64 (schema stability); the typed quantities convert
 /// loss-free at this boundary, and [`assemble_options`] converts back.
-pub(crate) fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
+fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
     Bid {
         cluster_id: o.cluster.0 as u64,
         share_id,
@@ -640,26 +640,6 @@ impl Round {
         &self.breakers[cdn]
     }
 
-    /// Stores the bids of a round decided off the spine, by
-    /// [`crate::decision::run_decision_round`], as every CDN's latest: a
-    /// fault campaign's clean rounds take that pure path and still fill
-    /// the stale cache. `problem`'s options are turned back into per-CDN
-    /// bid batches in each CDN's own order (the inverse of
-    /// [`assemble_options`]).
-    pub fn store_pure_bids(&mut self, round: u64, problem: &BrokerProblem) {
-        let mut per_cdn = vec![Vec::new(); self.breakers.len()];
-        for (g, options) in problem.options.iter().enumerate() {
-            for o in options {
-                if let Some(bids) = per_cdn.get_mut(o.cdn.index()) {
-                    bids.push(bid_of(g as u64, o));
-                }
-            }
-        }
-        for (cdn, bids) in per_cdn.into_iter().enumerate() {
-            self.cache.store(cdn, round, bids);
-        }
-    }
-
     /// Runs round `round` over `groups`, start to finish.
     pub fn run(
         &mut self,
@@ -713,9 +693,12 @@ impl Round {
         );
         match resolution {
             DeadlineResolution::Proceed(bids_per_cdn, report) => {
-                // Only fresh bids refresh the cache, and only because the
-                // round completes under its design (a fallback stores
-                // nothing): a stale substitute is never re-stored as new.
+                // The cache's one writer (WAL recovery aside). Only fresh
+                // bids refresh it, and only because the round completes
+                // under its design (a fallback stores nothing): a stale
+                // substitute is never re-stored as new. Cached bids keep
+                // their round-local `share_id`s, which is sound only while
+                // every round carries the same groups (ROADMAP 12(a)).
                 for cdn in &report.fresh {
                     self.cache
                         .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());

@@ -48,14 +48,6 @@ pub struct Country {
     pub cost_index: f64,
 }
 
-impl Country {
-    /// Returns true if serving from this country costs more than the global
-    /// average.
-    pub fn is_expensive(&self) -> bool {
-        self.cost_index > 1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,19 +56,5 @@ mod tests {
     fn display_is_stable() {
         assert_eq!(CountryId(3).to_string(), "C03");
         assert_eq!(CountryId(12).to_string(), "C12");
-    }
-
-    #[test]
-    fn expensive_flag() {
-        let mk = |ci: f64| Country {
-            id: CountryId(0),
-            code: "C00".into(),
-            region: Region::Europe,
-            center: GeoPoint::new(48.0, 8.0),
-            demand_weight: 1.0,
-            cost_index: ci,
-        };
-        assert!(mk(2.0).is_expensive());
-        assert!(!mk(0.5).is_expensive());
     }
 }

@@ -185,8 +185,9 @@ pub enum Event {
         capacity_kbps: f64,
     },
     /// A fault-injection campaign armed this round's fault profile
-    /// (DESIGN.md §9). Emitted once per faulted round, before any
-    /// protocol traffic; clean rounds journal nothing extra.
+    /// (DESIGN.md §9). Emitted once per round a campaign runs on the
+    /// round spine, before any protocol traffic; a clean round's injects
+    /// nothing and marks no round faulted ([`Event::faulted_round`]).
     FaultPlanApplied {
         /// Round id.
         round: u64,
@@ -398,12 +399,30 @@ impl Event {
 
     /// The round this event marks as faulted — a fault injected into it
     /// or one the degradation ladder absorbed in it — or `None` for every
-    /// other event. The one definition `repro obs-report`'s "Faults"
-    /// section and `vdx-audit`'s `fault-league` both count by.
+    /// other event, a fault profile that injects nothing included. The
+    /// one definition `repro obs-report`'s "Faults" section and
+    /// `vdx-audit`'s `fault-league` both count by.
     pub fn faulted_round(&self) -> Option<u64> {
         match self {
-            Event::FaultPlanApplied { round, .. }
-            | Event::CdnOutage { round, .. }
+            Event::FaultPlanApplied {
+                round,
+                drop_chance,
+                corrupt_chance,
+                delay_ms,
+                jitter_ms,
+                exchange_outage,
+                failed_cdns,
+                ..
+            } => {
+                let injects = *drop_chance > 0.0
+                    || *corrupt_chance > 0.0
+                    || *delay_ms > 0
+                    || *jitter_ms > 0
+                    || *exchange_outage
+                    || *failed_cdns > 0;
+                injects.then_some(*round)
+            }
+            Event::CdnOutage { round, .. }
             | Event::ExchangeOutage { round }
             | Event::DeadlineMissed { round, .. }
             | Event::StaleBidsReused { round, .. }
@@ -720,6 +739,23 @@ mod tests {
                 events: 41,
             },
         ]
+    }
+
+    #[test]
+    fn only_a_profile_that_injects_something_marks_its_round_faulted() {
+        let profile = |delay_ms: u64, failed_cdns: u64| Event::FaultPlanApplied {
+            round: 4,
+            drop_chance: 0.0,
+            corrupt_chance: 0.0,
+            delay_ms,
+            jitter_ms: 0,
+            exchange_outage: false,
+            failed_cdns,
+            deadline_ms: 3_000,
+        };
+        assert_eq!(profile(0, 0).faulted_round(), None);
+        assert_eq!(profile(20, 0).faulted_round(), Some(4));
+        assert_eq!(profile(0, 1).faulted_round(), Some(4));
     }
 
     #[test]

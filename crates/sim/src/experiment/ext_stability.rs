@@ -17,7 +17,9 @@
 use crate::report::render_table;
 use crate::scenario::Scenario;
 use vdx_broker::{ClientGroup, CpPolicy};
-use vdx_core::{run_decision_round, Design, RoundInputs};
+use vdx_core::{
+    accept_entries, run_decision_round, shares_of, BidEngine, Design, RoundInputs, RoundOutcome,
+};
 use vdx_rand::StdRng;
 
 /// Per-round churn for one design.
@@ -59,23 +61,7 @@ fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
                 }
             })
             .collect();
-        let inputs = RoundInputs {
-            fleet: &scenario.fleet,
-            groups: &groups,
-            background_load_kbps: &scenario.background_load,
-            policy: CpPolicy::balanced(),
-            bid_count: None,
-            engines: &engines,
-            matches: scenario.match_table(Design::Marketplace),
-        };
-        let outcome =
-            run_decision_round(Design::Marketplace, &inputs, |a, b| scenario.score_of(a, b));
-
-        if learn {
-            for (cdn, engine) in engines.iter_mut().enumerate() {
-                engine.learn(&outcome.accepts(cdn), &scenario.fleet);
-            }
-        }
+        let outcome = marketplace_round(scenario, &mut engines, &groups, learn);
 
         // Per-CDN traffic this round.
         let mut traffic = vec![0.0f64; scenario.fleet.cdns.len()];
@@ -96,6 +82,36 @@ fn churn_series(scenario: &Scenario, rounds: usize, learn: bool) -> Vec<f64> {
         prev_traffic = Some(traffic);
     }
     churn
+}
+
+/// One Marketplace round over `groups`, announced by `engines`. With
+/// `learn`, each CDN then learns from the Accept for its own Announce,
+/// losing bids included: the daemon's agents' step (§6.3).
+fn marketplace_round(
+    scenario: &Scenario,
+    engines: &mut [BidEngine],
+    groups: &[ClientGroup],
+    learn: bool,
+) -> RoundOutcome {
+    let inputs = RoundInputs {
+        fleet: &scenario.fleet,
+        groups,
+        background_load_kbps: &scenario.background_load,
+        policy: CpPolicy::balanced(),
+        bid_count: None,
+        engines,
+        matches: scenario.match_table(Design::Marketplace),
+    };
+    let outcome = run_decision_round(Design::Marketplace, &inputs, |a, b| scenario.score_of(a, b));
+    if learn {
+        let shares = shares_of(groups);
+        for (cdn, engine) in engines.iter_mut().enumerate() {
+            let bids = scenario.announce(engine, &shares);
+            let accepts = accept_entries(&outcome.problem, &outcome.assignment, cdn, &bids);
+            engine.learn(&accepts, &scenario.fleet);
+        }
+    }
+    outcome
 }
 
 /// Renders the result.
@@ -128,6 +144,36 @@ pub fn render(result: &StabilityResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdx_cdn::DEFAULT_MARKUP;
+
+    #[test]
+    fn every_cdn_that_loses_a_bid_learns_from_its_own_accept() {
+        let s: &Scenario = crate::scenario::shared_small();
+        let mut engines = s.engines(Design::Marketplace);
+        let outcome = marketplace_round(s, &mut engines, &s.groups, true);
+        // The CDNs with an option the broker passed over, read off the
+        // round itself rather than off any Accept.
+        let mut losers: Vec<usize> = (outcome.problem.options.iter())
+            .zip(&outcome.assignment.choice)
+            .flat_map(|(options, &choice)| {
+                (options.iter().enumerate())
+                    .filter(move |&(i, _)| i != choice)
+                    .map(|(_, o)| o.cdn.index())
+            })
+            .collect();
+        losers.sort_unstable();
+        losers.dedup();
+        assert_eq!(losers, (0..engines.len()).collect::<Vec<_>>());
+        for cdn in losers {
+            let shaded = (s.fleet.clusters.iter())
+                .filter(|c| c.cdn.index() == cdn)
+                .any(|c| engines[cdn].margin(c.id) < DEFAULT_MARKUP);
+            assert!(
+                shaded,
+                "CDN {cdn} lost a bid and still bids every cluster at the default markup"
+            );
+        }
+    }
 
     #[test]
     fn churn_decreases_or_stays_low_with_learning() {

@@ -1,12 +1,13 @@
 //! Fault-injection campaigns with graceful degradation (DESIGN.md §9).
 //!
 //! Every other experiment runs the Decision Protocol as a pure in-process
-//! function — messages cannot be lost. A fault campaign instead runs the
-//! rounds a [`FaultPlan`] marks as faulty on the spine the daemon runs,
-//! [`vdx_core::Round`], with [`Links`] as its transport: `vdx-proto`'s
-//! lossy [`Link`]s and Go-Back-N channels, stepped in simulated time.
-//! When Announces miss the round deadline the spine walks its bounded
-//! degradation ladder:
+//! function — messages cannot be lost. A fault campaign instead runs every
+//! round of a design that consults the exchange on the spine the daemon
+//! runs, [`vdx_core::Round`], with [`Links`] as its transport:
+//! `vdx-proto`'s lossy [`Link`]s and Go-Back-N channels, stepped in
+//! simulated time. A clean round is a round whose [`RoundFaults`] inject
+//! nothing; it runs the same way. When Announces miss the round deadline
+//! the spine walks its bounded degradation ladder:
 //!
 //! 1. **retry** — the reliable channel retransmits with exponential
 //!    backoff, bounded by a retry budget;
@@ -20,12 +21,12 @@
 //!    flat contracts are pre-negotiated, so Brokered needs no exchange
 //!    traffic at all.
 //!
-//! Rounds whose [`RoundFaults`] entry is clean — and *all* rounds of
-//! designs that never consult the exchange ([`Design::uses_exchange`] is
-//! false) — take the exact pure fast path of [`Scenario::run_round_probed`],
-//! so a campaign under an all-clean plan is event-for-event and
-//! bit-for-bit identical to the ordinary experiment engine. Their bids
-//! still fill the spine's cache ([`Round::store_pure_bids`]).
+//! Designs that never consult the exchange ([`Design::uses_exchange`] is
+//! false) take the pure round of [`Scenario::run_round_probed`] in every
+//! round, faulted or not. A clean round of an exchange design decides
+//! what the pure round decides, bit for bit. Its journal adds the wire
+//! events (`fault_plan_applied`, `wire_drops`) and carries the spine's
+//! own `share_published` and `solver_stats`, but no `cluster_congested`.
 //!
 //! Determinism: link fault seeds are mixed from the plan seed, the round
 //! id and the CDN index only; no wall clock, no shared counters. The same
@@ -51,7 +52,7 @@ use vdx_units::Margin;
 pub const DEADLINE_MS: u64 = 3_000;
 
 /// The faults injected into one campaign round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundFaults {
     /// Per-packet drop probability on every broker↔CDN link.
     pub drop_chance: f64,
@@ -82,17 +83,6 @@ impl RoundFaults {
             failed_cdns: Vec::new(),
         }
     }
-
-    /// Whether this round injects nothing — clean rounds take the pure
-    /// in-process fast path and are byte-identical to a plain round.
-    pub fn is_clean(&self) -> bool {
-        self.drop_chance == 0.0
-            && self.corrupt_chance == 0.0
-            && self.delay_ms == 0
-            && self.jitter_ms == 0
-            && !self.exchange_outage
-            && self.failed_cdns.is_empty()
-    }
 }
 
 impl Default for RoundFaults {
@@ -119,11 +109,6 @@ impl FaultPlan {
             rounds: vec![RoundFaults::none(); rounds],
             seed: 0,
         }
-    }
-
-    /// Whether every round of the plan is clean.
-    pub fn is_clean(&self) -> bool {
-        self.rounds.iter().all(RoundFaults::is_clean)
     }
 }
 
@@ -231,7 +216,7 @@ impl CdnAgent {
 /// stepped one simulated millisecond at a time.
 ///
 /// Agents and channels live as long as the value: a campaign builds one
-/// per faulted round, a caller that keeps one across rounds keeps agents
+/// per round, a caller that keeps one across rounds keeps agents
 /// that learn their margins from the Accepts (`examples/live_exchange.rs`).
 pub struct Links<'a> {
     scenario: &'a Scenario,
@@ -407,9 +392,11 @@ impl RoundHooks for Links<'_> {
 
 /// Runs one fault campaign: `plan.rounds.len()` sequential Decision
 /// Protocol rounds for `design`, journaled under round ids `base_round`,
-/// `base_round + 1`, … One [`Round`] spans the campaign (its breakers,
-/// stale cache and solver context, and only its), so campaigns are
-/// independent of each other and safe to fan out.
+/// `base_round + 1`, … A design that consults the exchange runs every
+/// round, clean or faulted, on one [`Round`] that spans the campaign (its
+/// breakers, stale cache and solver context, and only its), so campaigns
+/// are independent of each other and safe to fan out. Any other design
+/// runs the pure round throughout.
 pub fn run_campaign(
     scenario: &Scenario,
     design: Design,
@@ -418,6 +405,18 @@ pub fn run_campaign(
     base_round: u64,
     probe: Arc<dyn Probe>,
 ) -> CampaignOutcome {
+    if !design.uses_exchange() {
+        // A design that decides from pre-negotiated contract data alone
+        // never consults the exchange, so no fault reaches its rounds.
+        let rounds = (base_round..base_round + plan.rounds.len() as u64)
+            .map(|round| {
+                let outcome =
+                    scenario.run_round_probed(RoundId(round), design, policy, None, probe.as_ref());
+                CampaignRound::scored(scenario, RoundResolution::Fresh, &outcome)
+            })
+            .collect();
+        return CampaignOutcome { design, rounds };
+    }
     let n = scenario.fleet.cdns.len();
     // The daemon's breaker policy. Its one-round cool-down half-opens a
     // tripped breaker at the next round's start, so every CDN is asked
@@ -436,23 +435,6 @@ pub fn run_campaign(
 
     for (i, faults) in plan.rounds.iter().enumerate() {
         let round = base_round + i as u64;
-
-        // Clean rounds — and every round of a design that decides from
-        // pre-negotiated contract data alone — take the pure fast path:
-        // no wire, no fault events, bit-identical to a plain round.
-        if faults.is_clean() || !design.uses_exchange() {
-            let outcome =
-                scenario.run_round_probed(RoundId(round), design, policy, None, probe.as_ref());
-            if design.uses_exchange() {
-                spine.store_pure_bids(round, &outcome.problem);
-            }
-            rounds.push(CampaignRound::scored(
-                scenario,
-                RoundResolution::Fresh,
-                &outcome,
-            ));
-            continue;
-        }
 
         if probe.enabled() {
             probe.emit(Event::FaultPlanApplied {
@@ -533,7 +515,7 @@ mod tests {
                 s,
                 design,
                 CpPolicy::balanced(),
-                &plan(vec![delayed(), delayed()]),
+                &plan(vec![RoundFaults::none(), delayed(), delayed()]),
                 0,
                 vdx_obs::probe::noop(),
             );

@@ -15,10 +15,10 @@
 //! * [`engine`] — deterministic fan-out of independent decision rounds
 //!   across threads (`Scenario::set_threads`, `repro --threads N`); results
 //!   and journals are byte-identical to a serial run.
-//! * [`faults`] — fault-injection campaigns (DESIGN.md §9): faulted
-//!   rounds run on the daemon's round spine over lossy `vdx-proto` links
-//!   with a deadline, stale-bid reuse, and Brokered fallback; clean rounds
-//!   take the pure fast path.
+//! * [`faults`] — fault-injection campaigns (DESIGN.md §9): every round
+//!   of a design that consults the exchange, clean or faulted, runs on the
+//!   daemon's round spine over lossy `vdx-proto` links with a deadline,
+//!   stale-bid reuse, and Brokered fallback.
 //! * [`replay`] — time-stepped trace replay: periodic Decision Protocol
 //!   rounds over the live session population (the dynamics §5.1 elides).
 //! * [`soak`] — the daemon soak harness: a transport-free reference

@@ -190,13 +190,6 @@ impl Kbps {
     pub fn saturating_sub(self, rhs: Kbps) -> Kbps {
         Kbps((self.0 - rhs.0).max(0.0))
     }
-
-    /// Utilization of `capacity` by this load (`1.0` on an exact fill).
-    /// Zero capacity yields infinite utilization, matching raw division.
-    #[inline]
-    pub fn fraction_of(self, capacity: Kbps) -> f64 {
-        self.0 / capacity.0
-    }
 }
 
 /// Traffic volume. Stored in **megabits**, the ledger's historical
@@ -382,7 +375,5 @@ mod tests {
     #[test]
     fn ratio_and_fraction_match_raw_division() {
         assert_eq!(Usd::new(6.0).ratio_to(Usd::new(4.0)), 1.5);
-        assert_eq!(Kbps::new(500.0).fraction_of(Kbps::new(1000.0)), 0.5);
-        assert!(Kbps::new(1.0).fraction_of(Kbps::ZERO).is_infinite());
     }
 }

@@ -36,6 +36,29 @@ if [ -n "$announce" ]; then
   exit 1
 fi
 
+echo "==> one cache writer (only Round::run and the daemon's WAL recovery store stale bids)"
+# A CDN's cached bids must be its own earlier Announce: the spine stores
+# the fresh batches of a round it decides, and a restart restores what the
+# WAL logged. Any other `.store(` outside test code (atomics aside) fills
+# the cache from somewhere else. A call is attributed to the last `fn`
+# opened above it in its file.
+writers=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { fn = "" }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+    match($0, /(^|[^[:alnum:]_])fn [[:alnum:]_]+/) {
+      fn = substr($0, RSTART, RLENGTH); sub(/.*fn /, "", fn)
+    }
+    /\.store\(/ && !/Ordering::/ {
+      if ((FILENAME == "crates/core/src/exchange.rs" && fn == "run") ||
+          (FILENAME == "crates/exchanged/src/server.rs" && fn == "recover")) next
+      print FILENAME ":" FNR ": in fn " fn ": " $0
+    }' {} +)
+if [ -n "$writers" ]; then
+  echo "$writers"
+  echo "verify: the stale-bid cache is written outside Round::run and WAL recovery (above)" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
