@@ -449,6 +449,7 @@ fn recovery_time(store: &Store) -> QueryResult {
                     next_round,
                     rounds_recovered,
                     rounds_voided,
+                    ..
                 } => {
                     resume_at = *next_round;
                     recovered = *rounds_recovered;

@@ -30,16 +30,25 @@
 //! (the crash interrupted a write) and the file is physically truncated
 //! back to the last whole record — a corrupt tail is never replayed.
 //!
-//! There is one scan. It reads through a 1 MiB window and hands each
-//! checked, decoded record to a sink as it goes. [`Wal::recover`]'s sink
-//! is [`Replay::apply`], so a restart folds the log into state in one
-//! pass and never holds its records: a CDN's `Bids` record is dropped as
-//! soon as a later one replaces it. [`Wal::open`] and [`read_records`]
-//! are the same scan with a sink that collects.
+//! There is one scan. A reader thread fills two half-window buffers from
+//! the file while the scanning thread works through the other, so the
+//! reads overlap the CRC; the buffers go back and forth over channels.
+//! A record that lies wholly inside a buffer is checked and decoded where
+//! it lies; only one that straddles two buffers, or is larger than one, is
+//! assembled in a reused buffer first. Each checked record goes to a sink
+//! as it is scanned, its bid batches as the sink asks for them: decoded
+//! ([`WalRecord`]) for [`Wal::open`] and [`read_records`], which collect;
+//! as where each batch lies in the file for [`Wal::recover`], whose sink
+//! is [`Replay::apply`]. Every batch is validated either way — its count
+//! against the bytes it takes — so both accept the same records and cut
+//! the same tail. A restart thus folds the log into state in one pass
+//! and decodes only the batches it keeps, at most one per CDN, which it
+//! reads back after the scan (their records' CRCs checked once more); a
+//! superseded batch is never decoded.
 //!
 //! ## The exactly-once rule
 //!
-//! A round is **committed** if and only if its [`WalRecord::Settlement`]
+//! A round is **committed** if and only if its [`Record::Settlement`]
 //! record is durable (appended and fsynced). The daemon orders each
 //! round as: `AnnounceOpen` → collect → `AnnounceClose` → `Bids` /
 //! `Breaker` records → `Settlement` → **fsync** → *only then* send
@@ -60,7 +69,7 @@
 //!
 //! ## Checkpoints
 //!
-//! A [`WalRecord::Checkpoint`] is an inline, full image of the
+//! A [`Record::Checkpoint`] is an inline, full image of the
 //! recoverable state (cache slots, breaker snapshots, next round):
 //! replay state after a checkpoint record depends only on records at or
 //! after it. It does not bound recovery today: the log is one file,
@@ -72,11 +81,13 @@
 #![deny(clippy::indexing_slicing)]
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread;
 
 use vdx_broker::{BreakerSnapshot, HealthState};
-use vdx_proto::wire::{get_bids, put_bid, Cursor};
+use vdx_proto::wire::{put_bid, take_bids, BidBatch, Cursor};
 use vdx_proto::{crc32, Bid};
 
 use crate::exchange::{DriverRound, RoundResolution};
@@ -92,10 +103,19 @@ pub const WAL_MAGIC: &[u8; 8] = b"VDXWAL1\n";
 /// disk can only be corruption and is treated as a torn tail.
 pub const MAX_RECORD_LEN: u32 = 128 << 20;
 
-/// How much of the file a scan holds at a time. A log is read through
-/// this window, never whole: besides the window, a scan holds only the
-/// record being checked, and what outlives it is whatever its sink keeps.
+/// How much of the file a scan holds at a time: [`SCAN_BUFFERS`] buffers
+/// of an equal share, one being scanned while the reader thread fills
+/// the next. A log is read through this window, never whole: besides it,
+/// a scan holds only a record that straddles two buffers (or is larger
+/// than one), assembled, and what outlives the scan is whatever its sink
+/// keeps.
 const SCAN_WINDOW: usize = 1 << 20;
+
+/// How many buffers share the [`SCAN_WINDOW`].
+const SCAN_BUFFERS: usize = 2;
+
+/// One scan buffer's size.
+const SCAN_BUFFER: usize = SCAN_WINDOW / SCAN_BUFFERS;
 
 const TAG_ANNOUNCE_OPEN: u8 = 0x01;
 const TAG_ANNOUNCE_CLOSE: u8 = 0x02;
@@ -104,9 +124,11 @@ const TAG_BREAKER: u8 = 0x04;
 const TAG_SETTLEMENT: u8 = 0x05;
 const TAG_CHECKPOINT: u8 = 0x06;
 
-/// One durable round-boundary record.
+/// One durable round-boundary record, its bid batches held as `B`: the
+/// bids themselves ([`WalRecord`]) everywhere but inside
+/// [`Wal::recover`], whose fold holds only where each batch lies.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub enum Record<B> {
     /// The Announce window for `round` opened (Shares going out). The
     /// first record of every round attempt; a later attempt of the same
     /// round (after a crash voided the first) re-opens it.
@@ -129,7 +151,7 @@ pub enum WalRecord {
         /// The bidding CDN.
         cdn: u32,
         /// The accepted bids, verbatim.
-        bids: Vec<Bid>,
+        bids: B,
     },
     /// One CDN's breaker state after the round's health observations.
     /// A full snapshot rather than a delta: replay applies the last
@@ -151,11 +173,15 @@ pub enum WalRecord {
         /// First round not yet run at capture time.
         next_round: u64,
         /// Stale-bid cache slots, verbatim (`entry` view, TTL ignored).
-        cache: Vec<Option<(u64, Vec<Bid>)>>,
+        cache: Vec<Option<(u64, B)>>,
         /// One breaker snapshot per CDN, in CDN index order.
         breakers: Vec<BreakerSnapshot>,
     },
 }
+
+/// A record with its bids: what is appended, and what [`Wal::open`] and
+/// [`read_records`] return.
+pub type WalRecord = Record<Vec<Bid>>;
 
 /// Errors opening or appending to a WAL. Torn or corrupt *tails* are
 /// not errors — they are truncated, per the module contract.
@@ -235,16 +261,20 @@ impl Wal {
     /// replays every record into the state of a daemon with `cdns` CDNs
     /// as it is scanned, and truncates any torn or corrupt tail so the
     /// file ends on a whole record. A restart's one pass over its log.
+    ///
+    /// The fold holds where each bid batch lies, not its bids; the batches
+    /// the log commits are read back and decoded after the scan.
     pub fn recover(path: impl AsRef<Path>, cdns: usize) -> Result<WalRecovery, WalError> {
-        let mut replay = Replay::new(cdns);
+        let mut replay = Replay::<BatchAt>::empty(cdns);
         let mut records = 0;
-        let (wal, truncated_bytes) = Wal::open_with(path.as_ref(), |record| {
+        let (mut wal, truncated_bytes) = Wal::open_with(path.as_ref(), |record| {
             records += 1;
             replay.apply(record);
         })?;
+        let recovery = replay.read_back(&mut wal.file)?;
         Ok(WalRecovery {
             wal,
-            recovery: replay.finish(),
+            recovery,
             records,
             truncated_bytes,
         })
@@ -253,7 +283,7 @@ impl Wal {
     /// [`Wal::recover`]'s opening and truncation, keeping the records
     /// themselves instead of replaying them.
     pub fn open(path: impl AsRef<Path>) -> Result<WalOpen, WalError> {
-        let mut records = Vec::new();
+        let mut records: Vec<WalRecord> = Vec::new();
         let (wal, truncated_bytes) = Wal::open_with(path.as_ref(), |record| records.push(record))?;
         Ok(WalOpen {
             wal,
@@ -265,7 +295,10 @@ impl Wal {
     /// Opens the log at `path`, scans it into `sink`, and truncates the
     /// torn tail; returns the handle, positioned for appending, and the
     /// bytes cut.
-    fn open_with(path: &Path, sink: impl FnMut(WalRecord)) -> Result<(Wal, u64), WalError> {
+    fn open_with<B: Batch>(
+        path: &Path,
+        sink: impl FnMut(Record<B>),
+    ) -> Result<(Wal, u64), WalError> {
         let mut file = create(path)?;
         let file_len = file.metadata()?.len();
         let mut truncated_bytes = 0;
@@ -273,7 +306,7 @@ impl Wal {
             // Empty (or torn before the magic finished): start fresh.
             write_magic(&mut file)?;
         } else {
-            let valid_len = scan(&file, file_len, sink)?;
+            let valid_len = scan_as(&file, file_len, sink)?;
             truncated_bytes = file_len - valid_len;
             if truncated_bytes > 0 {
                 file.set_len(valid_len)?;
@@ -372,51 +405,171 @@ fn write_magic(file: &mut File) -> io::Result<()> {
     file.sync_data()
 }
 
-/// Scans a log of `file_len` bytes from its first byte: checks the magic,
-/// then reads framed records through a [`SCAN_WINDOW`]-sized buffer and
-/// one reused payload buffer, handing each decoded record to `sink` in
-/// file order. Returns the byte length of the valid prefix (magic
-/// included); stops at the first torn or corrupt frame. Every record's
-/// CRC is verified before it is decoded.
+/// Scans a log of `file_len` bytes from its first byte, decoding every
+/// bid batch: [`scan_as`] for the eager readers.
 fn scan(
-    reader: impl Read,
+    reader: impl Read + Send,
     file_len: u64,
-    mut sink: impl FnMut(WalRecord),
+    sink: impl FnMut(WalRecord),
 ) -> Result<u64, WalError> {
-    let mut reader = BufReader::with_capacity(SCAN_WINDOW, reader);
-    let mut magic = [0u8; WAL_MAGIC.len()];
-    reader.read_exact(&mut magic)?;
-    if &magic != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
-    let mut payload = Vec::new();
-    let mut word = [0u8; 4];
-    let mut pos = WAL_MAGIC.len() as u64;
-    // A frame is at least its length and CRC words.
-    while file_len - pos >= 8 {
-        reader.read_exact(&mut word)?;
-        let len = u32::from_be_bytes(word);
-        // A length the file cannot hold is a torn tail (or corruption),
-        // decided before anything is allocated for it.
-        if len > MAX_RECORD_LEN || u64::from(len) > file_len - pos - 8 {
-            break;
-        }
-        payload.resize(len as usize, 0);
-        reader.read_exact(&mut payload)?;
-        reader.read_exact(&mut word)?;
-        if u32::from_be_bytes(word) != crc32(&payload) {
-            break;
-        }
-        let Some(record) = decode_record(&payload) else {
-            // Checksum-valid but undecodable: a format we do not speak
-            // (version skew). Treat like a torn tail — never replay
-            // bytes we cannot interpret.
-            break;
+    scan_as(reader, file_len, sink)
+}
+
+/// Scans a log of `file_len` bytes from its first byte: checks the magic,
+/// then reads framed records through the [`SCAN_WINDOW`] — filled ahead
+/// by a reader thread — and hands each checked record to `sink` in file
+/// order, its bid batches as `B`. Returns the byte length of the valid
+/// prefix (magic included); stops at the first torn or corrupt frame.
+/// Every record's CRC is verified, and its payload validated whole, before
+/// the sink sees it.
+fn scan_as<B: Batch>(
+    reader: impl Read + Send,
+    file_len: u64,
+    mut sink: impl FnMut(Record<B>),
+) -> Result<u64, WalError> {
+    thread::scope(|scope| {
+        let (filled, full) = sync_channel(SCAN_BUFFERS);
+        let (free, emptied) = sync_channel(SCAN_BUFFERS);
+        thread::Builder::new()
+            .name("vdx-wal-read".into())
+            .spawn_scoped(scope, move || {
+                read_ahead(reader, file_len, &filled, &emptied)
+            })?;
+        // Dropped on return, whatever the exit: the reader then stops.
+        let mut ahead = ReadAhead {
+            full,
+            free,
+            buf: Vec::new(),
+            at: 0,
+            stitch: Vec::new(),
         };
-        sink(record);
-        pos += 8 + u64::from(len);
+        if ahead.take(WAL_MAGIC.len())? != WAL_MAGIC {
+            return Err(WalError::BadMagic);
+        }
+        let mut pos = WAL_MAGIC.len() as u64;
+        // A frame is at least its length and CRC words.
+        while file_len - pos >= 8 {
+            let len = ahead.word()?;
+            // A length the file cannot hold is a torn tail (or
+            // corruption), decided before anything is read for it.
+            if len > MAX_RECORD_LEN || u64::from(len) > file_len - pos - 8 {
+                break;
+            }
+            let frame = ahead.take(len as usize + 4)?;
+            let Some((payload, crc)) = frame.split_at_checked(len as usize) else {
+                break;
+            };
+            if crc != crc32(payload).to_be_bytes() {
+                break;
+            }
+            let Some(record) = decode_as::<B>(payload, pos) else {
+                // Checksum-valid but undecodable: a format we do not
+                // speak (version skew). Treat like a torn tail — never
+                // replay bytes we cannot interpret.
+                break;
+            };
+            sink(record);
+            pos += 8 + u64::from(len);
+        }
+        Ok(pos)
+    })
+}
+
+/// The reader thread of a scan: reads `file_len` bytes from `reader` into
+/// buffers of [`SCAN_BUFFER`] bytes (the last one shorter) and sends each
+/// one `filled`, making [`SCAN_BUFFERS`] buffers and then reusing those the
+/// scan hands back `emptied`. Stops at the end, after sending a read error
+/// on, or as soon as the scan hangs up.
+fn read_ahead(
+    mut reader: impl Read,
+    file_len: u64,
+    filled: &SyncSender<io::Result<Vec<u8>>>,
+    emptied: &Receiver<Vec<u8>>,
+) {
+    let mut left = file_len;
+    let mut made = 0;
+    while left > 0 {
+        let mut buf = if made < SCAN_BUFFERS {
+            made += 1;
+            Vec::new()
+        } else {
+            match emptied.recv() {
+                Ok(buf) => buf,
+                Err(_) => return,
+            }
+        };
+        let n = left.min(SCAN_BUFFER as u64) as usize;
+        buf.resize(n, 0);
+        let read = reader.read_exact(&mut buf).map(|()| buf);
+        let failed = read.is_err();
+        if filled.send(read).is_err() || failed {
+            return;
+        }
+        left -= n as u64;
     }
-    Ok(pos)
+}
+
+/// The scanning side of a read-ahead: the buffer being scanned, the
+/// channels to the reader thread, and the one reused buffer a field that
+/// straddles buffers is assembled in.
+struct ReadAhead {
+    full: Receiver<io::Result<Vec<u8>>>,
+    free: SyncSender<Vec<u8>>,
+    buf: Vec<u8>,
+    /// How much of `buf` has been taken.
+    at: usize,
+    stitch: Vec<u8>,
+}
+
+impl ReadAhead {
+    /// The next `n` bytes of the file (`n > 0`): where they lie when the
+    /// current buffer holds them all, else assembled from each buffer they
+    /// span. Reading past what the reader sends is an `UnexpectedEof`.
+    fn take(&mut self, n: usize) -> Result<&[u8], WalError> {
+        if self.at == self.buf.len() {
+            self.next_buffer()?;
+        }
+        let (start, end) = (self.at, self.at + n);
+        if end <= self.buf.len() {
+            self.at = end;
+            return Ok(self.buf.get(start..end).unwrap_or_default());
+        }
+        self.stitch.clear();
+        self.stitch.reserve(n);
+        self.stitch
+            .extend_from_slice(self.buf.get(start..).unwrap_or_default());
+        while self.stitch.len() < n {
+            self.next_buffer()?;
+            let part = (n - self.stitch.len()).min(self.buf.len());
+            self.stitch
+                .extend_from_slice(self.buf.get(..part).unwrap_or_default());
+            self.at = part;
+        }
+        Ok(&self.stitch)
+    }
+
+    /// The next four bytes as a big-endian `u32`.
+    fn word(&mut self) -> Result<u32, WalError> {
+        let word = self.take(4)?.try_into().unwrap_or_default();
+        Ok(u32::from_be_bytes(word))
+    }
+
+    /// Swaps in the next buffer the reader filled and hands the scanned
+    /// one back for refilling.
+    fn next_buffer(&mut self) -> Result<(), WalError> {
+        let next = self
+            .full
+            .recv()
+            .map_err(|_| io::Error::from(io::ErrorKind::UnexpectedEof))??;
+        let scanned = std::mem::replace(&mut self.buf, next);
+        self.at = 0;
+        // The scan starts with no buffer; a reader already gone has no use
+        // for one.
+        if scanned.capacity() > 0 {
+            let _ = self.free.send(scanned);
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -524,10 +677,37 @@ fn plausible(count: u32, entry_len: usize, cur: &Cursor<'_>) -> bool {
     (count as usize).saturating_mul(entry_len) <= cur.rest().len()
 }
 
-/// A `u32` count, then that many bids.
-fn get_counted_bids(cur: &mut Cursor<'_>) -> Option<Vec<Bid>> {
-    let count = cur.u32()?;
-    get_bids(cur, count)
+/// What a scan makes of each bid batch it has checked: the bids, or
+/// where they lie.
+trait Batch: Sized {
+    /// The checked `batch`, which lies at `spot`.
+    fn keep(batch: BidBatch<'_>, spot: BatchAt) -> Self;
+}
+
+impl Batch for Vec<Bid> {
+    fn keep(batch: BidBatch<'_>, _: BatchAt) -> Vec<Bid> {
+        batch.decode()
+    }
+}
+
+/// Where a checked bid batch lies in the log: what [`Wal::recover`]'s
+/// fold holds in place of the bids, to read back the few it commits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct BatchAt {
+    /// File offset of its record's length prefix.
+    record: u64,
+    /// Its record's payload length.
+    len: u32,
+    /// Offset of its first bid in the payload.
+    at: u32,
+    /// How many bids it holds.
+    count: u32,
+}
+
+impl Batch for BatchAt {
+    fn keep(_: BidBatch<'_>, spot: BatchAt) -> BatchAt {
+        spot
+    }
 }
 
 fn get_snapshot(cur: &mut Cursor<'_>) -> Option<BreakerSnapshot> {
@@ -538,22 +718,43 @@ fn get_snapshot(cur: &mut Cursor<'_>) -> Option<BreakerSnapshot> {
     })
 }
 
-/// Decodes one record payload; every failure — a short read, an unknown
-/// tag, trailing bytes — collapses to `None` (= corrupt, never replayed).
+/// Decodes one record payload with its bids.
+#[cfg(test)]
 fn decode_record(payload: &[u8]) -> Option<WalRecord> {
+    decode_as(payload, 0)
+}
+
+/// Decodes one record payload, that of the record whose length prefix is
+/// at file offset `record`, its bid batches as `B`; every failure — a
+/// short read, an unknown tag, a count that misstates its batch, trailing
+/// bytes — collapses to `None` (= corrupt, never replayed).
+fn decode_as<B: Batch>(payload: &[u8], record: u64) -> Option<Record<B>> {
+    // A `u32` count, then that many bids.
+    let counted_bids = |cur: &mut Cursor<'_>| {
+        let count = cur.u32()?;
+        let at = payload.len() - cur.rest().len();
+        let batch = take_bids(cur, count)?;
+        let spot = BatchAt {
+            record,
+            len: payload.len() as u32,
+            at: at as u32,
+            count,
+        };
+        Some(B::keep(batch, spot))
+    };
     let mut cur = Cursor::new(payload);
     let record = match cur.u8()? {
-        TAG_ANNOUNCE_OPEN => WalRecord::AnnounceOpen { round: cur.u64()? },
-        TAG_ANNOUNCE_CLOSE => WalRecord::AnnounceClose {
+        TAG_ANNOUNCE_OPEN => Record::AnnounceOpen { round: cur.u64()? },
+        TAG_ANNOUNCE_CLOSE => Record::AnnounceClose {
             round: cur.u64()?,
             answered: cur.u32()?,
         },
-        TAG_BIDS => WalRecord::Bids {
+        TAG_BIDS => Record::Bids {
             round: cur.u64()?,
             cdn: cur.u32()?,
-            bids: get_counted_bids(&mut cur)?,
+            bids: counted_bids(&mut cur)?,
         },
-        TAG_BREAKER => WalRecord::Breaker {
+        TAG_BREAKER => Record::Breaker {
             round: cur.u64()?,
             cdn: cur.u32()?,
             snapshot: get_snapshot(&mut cur)?,
@@ -570,7 +771,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             for _ in 0..count {
                 picks.push((cur.u32()?, cur.u32()?));
             }
-            WalRecord::Settlement(DriverRound {
+            Record::Settlement(DriverRound {
                 round,
                 resolution,
                 picks,
@@ -587,7 +788,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             for _ in 0..slots {
                 cache.push(match cur.u8()? {
                     0 => None,
-                    1 => Some((cur.u64()?, get_counted_bids(&mut cur)?)),
+                    1 => Some((cur.u64()?, counted_bids(&mut cur)?)),
                     _ => return None,
                 });
             }
@@ -599,7 +800,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             for _ in 0..n {
                 breakers.push(get_snapshot(&mut cur)?);
             }
-            WalRecord::Checkpoint {
+            Record::Checkpoint {
                 next_round,
                 cache,
                 breakers,
@@ -647,11 +848,18 @@ pub fn replay(records: Vec<WalRecord>, cdns: usize) -> Recovery {
 /// belong to a voided round attempt and are discarded. The CDN count
 /// sizes the per-CDN vectors; records naming an out-of-range CDN are
 /// ignored (they cannot belong to this scenario).
+///
+/// The fold moves bid batches without looking at them, so it runs on
+/// either kind: the bids themselves, or ([`Wal::recover`]) where they lie
+/// in the log, decoded afterwards for the batches it commits.
 #[derive(Debug)]
-pub struct Replay {
-    /// Committed state so far; `voided` is filled in by [`Replay::finish`].
-    recovery: Recovery,
-    staged_cache: Vec<Option<(u64, Vec<Bid>)>>,
+pub struct Replay<B = Vec<Bid>> {
+    /// Committed state so far; `voided` is [`Replay::finish`]'s.
+    rounds: Vec<DriverRound>,
+    cache: Vec<Option<(u64, B)>>,
+    breakers: Vec<Option<BreakerSnapshot>>,
+    next_round: u64,
+    staged_cache: Vec<Option<(u64, B)>>,
     staged_breakers: Vec<Option<BreakerSnapshot>>,
     /// The round opened and not yet settled or checkpointed.
     open_round: Option<u64>,
@@ -660,65 +868,79 @@ pub struct Replay {
 impl Replay {
     /// The state of a log with no records, for `cdns` CDNs.
     pub fn new(cdns: usize) -> Replay {
+        Replay::empty(cdns)
+    }
+
+    /// The committed state after the last record; a round still open is
+    /// reported as voided.
+    pub fn finish(self) -> Recovery {
+        Recovery {
+            rounds: self.rounds,
+            cache: self.cache,
+            breakers: self.breakers,
+            next_round: self.next_round,
+            voided: self.open_round,
+        }
+    }
+}
+
+impl<B> Replay<B> {
+    fn empty(cdns: usize) -> Replay<B> {
         Replay {
-            recovery: Recovery {
-                rounds: Vec::new(),
-                cache: vec![None; cdns],
-                breakers: vec![None; cdns],
-                next_round: 0,
-                voided: None,
-            },
-            staged_cache: vec![None; cdns],
+            rounds: Vec::new(),
+            cache: resize_to(Vec::new(), cdns),
+            breakers: vec![None; cdns],
+            next_round: 0,
+            staged_cache: resize_to(Vec::new(), cdns),
             staged_breakers: vec![None; cdns],
             open_round: None,
         }
     }
 
     /// Folds the next record of the log into the state.
-    pub fn apply(&mut self, record: WalRecord) {
-        let recovery = &mut self.recovery;
+    pub fn apply(&mut self, record: Record<B>) {
         match record {
-            WalRecord::AnnounceOpen { round } => {
+            Record::AnnounceOpen { round } => {
                 self.open_round = Some(round);
                 self.unstage();
             }
-            WalRecord::AnnounceClose { .. } => {}
-            WalRecord::Bids { round, cdn, bids } => {
+            Record::AnnounceClose { .. } => {}
+            Record::Bids { round, cdn, bids } => {
                 if let Some(slot) = self.staged_cache.get_mut(cdn as usize) {
                     *slot = Some((round, bids));
                 }
             }
-            WalRecord::Breaker { cdn, snapshot, .. } => {
+            Record::Breaker { cdn, snapshot, .. } => {
                 if let Some(slot) = self.staged_breakers.get_mut(cdn as usize) {
                     *slot = Some(snapshot);
                 }
             }
-            WalRecord::Settlement(dr) => {
+            Record::Settlement(dr) => {
                 let staged = self.staged_cache.iter_mut();
-                for (committed, staged) in recovery.cache.iter_mut().zip(staged) {
+                for (committed, staged) in self.cache.iter_mut().zip(staged) {
                     if let Some(entry) = staged.take() {
                         *committed = Some(entry);
                     }
                 }
                 let staged = self.staged_breakers.iter_mut();
-                for (committed, staged) in recovery.breakers.iter_mut().zip(staged) {
+                for (committed, staged) in self.breakers.iter_mut().zip(staged) {
                     if let Some(snap) = staged.take() {
                         *committed = Some(snap);
                     }
                 }
-                recovery.next_round = dr.round.saturating_add(1);
-                recovery.rounds.push(dr);
+                self.next_round = dr.round.saturating_add(1);
+                self.rounds.push(dr);
                 self.open_round = None;
             }
-            WalRecord::Checkpoint {
+            Record::Checkpoint {
                 next_round,
                 cache,
                 breakers,
             } => {
                 let cdns = self.staged_cache.len();
-                recovery.cache = resize_to(cache, cdns);
-                recovery.breakers = resize_to(breakers.into_iter().map(Some).collect(), cdns);
-                recovery.next_round = next_round;
+                self.cache = resize_to(cache, cdns);
+                self.breakers = resize_to(breakers.into_iter().map(Some).collect(), cdns);
+                self.next_round = next_round;
                 self.open_round = None;
                 self.unstage();
             }
@@ -730,15 +952,71 @@ impl Replay {
         self.staged_cache.iter_mut().for_each(|s| *s = None);
         self.staged_breakers.iter_mut().for_each(|s| *s = None);
     }
+}
 
-    /// The committed state after the last record; a round still open is
-    /// reported as voided.
-    pub fn finish(self) -> Recovery {
-        Recovery {
-            voided: self.open_round,
-            ..self.recovery
+impl Replay<BatchAt> {
+    /// [`Replay::finish`] for a fold of batch locations: reads each
+    /// committed batch back from `file` and decodes it, reading each
+    /// record that holds one once and checking its length prefix and CRC
+    /// again first. The file is left where it was. A record that no
+    /// longer reads back as the scan checked it changed under the
+    /// restart: an error, not a torn tail.
+    fn read_back(self, file: &mut File) -> Result<Recovery, WalError> {
+        let mut kept: Vec<(usize, u64, BatchAt)> = (self.cache.iter().enumerate())
+            .filter_map(|(cdn, slot)| slot.map(|(round, at)| (cdn, round, at)))
+            .collect();
+        kept.sort_by_key(|&(_, _, at)| at.record);
+        let here = file.stream_position()?;
+        let mut cache = resize_to(Vec::new(), self.cache.len());
+        let mut frame = Vec::new();
+        let mut held = None;
+        for (cdn, round, at) in kept {
+            if held != Some(at.record) {
+                read_frame(file, at, &mut frame)?;
+                held = Some(at.record);
+            }
+            let batch = frame.get(4 + at.at as usize..);
+            let bids = batch.and_then(|rest| take_bids(&mut Cursor::new(rest), at.count));
+            let bids = bids.ok_or_else(changed_since_scan)?.decode();
+            if let Some(slot) = cache.get_mut(cdn) {
+                *slot = Some((round, bids));
+            }
         }
+        file.seek(SeekFrom::Start(here))?;
+        Ok(Recovery {
+            rounds: self.rounds,
+            cache,
+            breakers: self.breakers,
+            next_round: self.next_round,
+            voided: self.open_round,
+        })
     }
+}
+
+/// Reads the frame of the record holding `at` into `frame` and checks it
+/// is the record the scan accepted: the same length prefix and a CRC
+/// that matches.
+fn read_frame(file: &mut File, at: BatchAt, frame: &mut Vec<u8>) -> Result<(), WalError> {
+    let len = at.len as usize;
+    frame.resize(8 + len, 0);
+    file.seek(SeekFrom::Start(at.record))?;
+    file.read_exact(frame)?;
+    let prefix = frame.get(..4);
+    let payload = frame.get(4..4 + len).unwrap_or_default();
+    let crc = frame.get(4 + len..);
+    if prefix != Some(&at.len.to_be_bytes()[..]) || crc != Some(&crc32(payload).to_be_bytes()[..]) {
+        return Err(changed_since_scan());
+    }
+    Ok(())
+}
+
+/// The error of a read-back that finds a record other than the one the
+/// scan checked.
+fn changed_since_scan() -> WalError {
+    WalError::Io(io::Error::new(
+        io::ErrorKind::InvalidData,
+        "a wal record changed between its scan and its read-back",
+    ))
 }
 
 /// Pads or trims a checkpoint vector to the scenario's CDN count, so a
@@ -1002,6 +1280,143 @@ mod tests {
             assert_eq!(recovered.records, records.len() as u64);
             assert_eq!(recovered.truncated_bytes, 0);
         });
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// How a property test damages a log it has written.
+    #[derive(Debug, Clone, Copy)]
+    enum Damage {
+        None,
+        /// Flips every bit of one byte past the magic (the offset is
+        /// taken modulo the records' bytes).
+        Flip(u64),
+        /// Cuts the file at an offset past the magic (modulo as above).
+        Cut(u64),
+    }
+
+    /// A random log with up to three large records among the small ones:
+    /// `(before, cdn, bids, is_checkpoint)`, each 0–22,000 bids, so some
+    /// fit one scan buffer, some straddle two and some exceed one.
+    #[expect(clippy::type_complexity, reason = "a test's generated input")]
+    fn arbitrary_damaged_log(
+        rng: &mut vdx_rand::StdRng,
+    ) -> (Vec<WalRecord>, Vec<(usize, u32, u64, bool)>, Damage) {
+        let records = arbitrary_records(rng);
+        let large = vec_of(rng, 0..4, |rng| {
+            (
+                rng.gen_range(0..records.len() + 1),
+                rng.gen_range(0u32..3),
+                rng.gen_range(0u64..22_000),
+                rng.gen_range(0u32..3) == 0,
+            )
+        });
+        let damage = match rng.gen_range(0u32..3) {
+            0 => Damage::None,
+            1 => Damage::Flip(rng.next_u64()),
+            _ => Damage::Cut(rng.next_u64()),
+        };
+        (records, large, damage)
+    }
+
+    /// Whatever a log holds — records larger than a scan buffer or
+    /// straddling two, a flipped byte, a cut — `recover` folds it to what
+    /// `replay(read_records(..))` gives, counts the same records, cuts the
+    /// same tail and leaves the file at the scan's valid prefix.
+    #[test]
+    fn recovery_of_a_damaged_log_equals_the_eager_fold() {
+        let path = temp_wal("damaged");
+        check(40, arbitrary_damaged_log, |(small, large, damage)| {
+            let mut records = small.clone();
+            for &(before, cdn, n, checkpoint) in large.iter().rev() {
+                let round = before as u64 % 4;
+                let bids = (0..n).map(|i| bid(i, round)).collect();
+                let record = if checkpoint {
+                    WalRecord::Checkpoint {
+                        next_round: round + 1,
+                        cache: vec![None, Some((round, bids))],
+                        breakers: Vec::new(),
+                    }
+                } else {
+                    WalRecord::Bids { round, cdn, bids }
+                };
+                records.insert(before.min(records.len()), record);
+            }
+            let _ = std::fs::remove_file(&path);
+            write_all(&path, &records);
+            let mut bytes = std::fs::read(&path).expect("read");
+            let body = (bytes.len() - WAL_MAGIC.len()) as u64;
+            match *damage {
+                Damage::None => {}
+                Damage::Flip(at) if body > 0 => {
+                    bytes[WAL_MAGIC.len() + (at % body) as usize] ^= 0xFF
+                }
+                Damage::Cut(at) => bytes.truncate(WAL_MAGIC.len() + (at % (body + 1)) as usize),
+                Damage::Flip(_) => {}
+            }
+            std::fs::write(&path, &bytes).expect("damage");
+            let (read, garbage) = read_records(&path).expect("read records");
+            let valid_len = bytes.len() as u64 - garbage;
+            let count = read.len() as u64;
+            let eager = replay(read, 2);
+            let recovered = Wal::recover(&path, 2).expect("recover");
+            drop(recovered.wal);
+            assert_eq!(recovered.recovery, eager);
+            assert_eq!(
+                (recovered.records, recovered.truncated_bytes),
+                (count, garbage)
+            );
+            assert_eq!(std::fs::metadata(&path).expect("stat").len(), valid_len);
+        });
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A `Bids` record with a valid CRC whose count misstates its bids
+    /// ends the log even when a later record would replace its batch
+    /// unread: every batch is validated, not only the ones recovery keeps.
+    #[test]
+    fn a_superseded_bids_record_that_misstates_its_count_still_cuts_the_log() {
+        let path = temp_wal("superseded-misstated");
+        let replaced = WalRecord::Bids {
+            round: 0,
+            cdn: 0,
+            bids: vec![bid(1, 0), bid(2, 0), bid(3, 0)],
+        };
+        let mut hostile = Vec::new();
+        encode_record(&mut hostile, &replaced);
+        // tag | round | cdn | count: one bid fewer than the bytes hold.
+        hostile[13..17].copy_from_slice(&2u32.to_be_bytes());
+        let framed = |log: &mut Vec<u8>, payload: &[u8]| {
+            log.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            log.extend_from_slice(payload);
+            log.extend_from_slice(&crc32(payload).to_be_bytes());
+        };
+        let mut log = WAL_MAGIC.to_vec();
+        let open = WalRecord::AnnounceOpen { round: 0 };
+        let mut payload = Vec::new();
+        encode_record(&mut payload, &open);
+        framed(&mut log, &payload);
+        let valid_len = log.len() as u64;
+        framed(&mut log, &hostile);
+        for later in [
+            WalRecord::Bids {
+                round: 0,
+                cdn: 0,
+                bids: vec![bid(4, 0)],
+            },
+            settlement(0),
+        ] {
+            payload.clear();
+            encode_record(&mut payload, &later);
+            framed(&mut log, &payload);
+        }
+        let file_len = log.len() as u64;
+        std::fs::write(&path, &log).expect("write");
+        let recovered = Wal::recover(&path, 1).expect("recover");
+        drop(recovered.wal);
+        assert_eq!(recovered.recovery, replay(vec![open], 1));
+        assert_eq!(recovered.records, 1);
+        assert_eq!(recovered.truncated_bytes, file_len - valid_len);
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), valid_len);
         let _ = std::fs::remove_file(&path);
     }
 

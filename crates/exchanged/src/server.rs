@@ -536,7 +536,8 @@ fn wal_io_error(e: WalError) -> std::io::Error {
 /// it (truncating any torn tail) and replays its committed records in
 /// the same pass ([`Wal::recover`]), then restores the stale-bid cache,
 /// per-CDN breakers and round position, emitting the schema-v6
-/// `recovery_*` journal events. Without a WAL, or on a fresh (empty) one,
+/// `recovery_*` journal events; `recovery_complete` carries the restart's
+/// wall time, from the log's open to the spine built. Without a WAL, or on a fresh (empty) one,
 /// the spine starts clean at round 0. Returns the spine, the open WAL,
 /// the next round and the rounds already committed.
 fn recover(
@@ -546,6 +547,7 @@ fn recover(
     journal: &Journal,
     cdns: usize,
 ) -> Result<(Round, Option<Wal>, u64, Vec<DriverRound>), WalError> {
+    let clock = Stopwatch::start();
     let (wal, replayed) = match &opts.wal {
         Some(path) => {
             let recovered = Wal::recover(path, cdns)?;
@@ -567,16 +569,6 @@ fn recover(
         Some(snap) => CircuitBreaker::restore(opts.breaker, snap),
         None => CircuitBreaker::new(opts.breaker),
     });
-    if wal.is_some() {
-        if let Some(round) = replayed.voided {
-            journal.emit(Event::RecoveryRoundVoided { round });
-        }
-        journal.emit(Event::RecoveryComplete {
-            next_round: replayed.next_round,
-            rounds_recovered: replayed.rounds.len() as u64,
-            rounds_voided: replayed.voided.map_or(0, |_| 1),
-        });
-    }
     let round = Round::new(
         design,
         policy,
@@ -585,6 +577,17 @@ fn recover(
         opts.deadline.as_millis() as u64,
         journal.probe.clone(),
     );
+    if wal.is_some() {
+        if let Some(round) = replayed.voided {
+            journal.emit(Event::RecoveryRoundVoided { round });
+        }
+        journal.emit(Event::RecoveryComplete {
+            next_round: replayed.next_round,
+            rounds_recovered: replayed.rounds.len() as u64,
+            rounds_voided: replayed.voided.map_or(0, |_| 1),
+            wall_us: clock.elapsed_us(),
+        });
+    }
     Ok((round, wal, replayed.next_round, replayed.rounds))
 }
 

@@ -1,9 +1,11 @@
 //! The exchange at the paper's scale (2,718 client groups, 14 CDNs).
 //!
-//! Two things are checked here and nowhere else. The size bounds of the
+//! Three things are checked here and nowhere else. The size bounds of the
 //! wire and the log come from this traffic: one frame carries every
 //! message of every design, one log record every record, each bound the
-//! measured maximum under DESIGN.md §2's headroom rule. And the daemon
+//! measured maximum under DESIGN.md §2's headroom rule. A restart reads
+//! that log back — records larger than a scan buffer, every CDN's batch
+//! read back out of the checkpoint — to the cache it logged. And the daemon
 //! computes the round the paper evaluates: with all fourteen agents on
 //! loopback — CDN 0, the one highly distributed CDN, among them — a live
 //! Marketplace or Omniscient round is Table 3's round and the reference
@@ -82,11 +84,26 @@ fn measure(scenario: &Scenario, design: Design, wal_path: &std::path::Path) -> T
         bids: largest.clone(),
     });
     let snapshot = CircuitBreaker::new(BreakerConfig::default()).snapshot();
+    let cache: Vec<_> = per_cdn.iter().map(|bids| Some((0, bids.clone()))).collect();
     let checkpoint = logged(&WalRecord::Checkpoint {
         next_round: 1,
         breakers: vec![snapshot; per_cdn.len()],
-        cache: per_cdn.iter().map(|bids| Some((0, bids.clone()))).collect(),
+        cache: cache.clone(),
     });
+    drop(wal);
+    // A restart of that log reads the largest `Bids` record and then the
+    // checkpoint, both larger than a scan buffer at this scale, and reads
+    // every CDN's batch back out of the checkpoint.
+    let recovered = Wal::recover(wal_path, per_cdn.len()).expect("recover the temporary log");
+    assert_eq!(
+        (recovered.records, recovered.truncated_bytes),
+        (2, 0),
+        "{design}"
+    );
+    assert!(
+        recovered.recovery.cache == cache,
+        "{design}: recovered cache"
+    );
     Traffic {
         share: stamped(Message::Share(shares)),
         announce: stamped(Message::Announce(largest.clone())),

@@ -125,6 +125,7 @@ fn a_restarted_daemon_resumes_its_campaign_and_matches_the_reference() {
                     next_round: 6,
                     rounds_recovered: 6,
                     rounds_voided: 0,
+                    ..
                 },
             ]
         ),
@@ -254,6 +255,7 @@ fn an_interrupted_round_is_voided_and_rerun_from_recovered_state() {
                     next_round: 2,
                     rounds_recovered: 2,
                     rounds_voided: 1,
+                    ..
                 },
             ]
         ),

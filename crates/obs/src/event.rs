@@ -14,7 +14,7 @@
 //!   are fully deterministic: the same scenario and seed produce the same
 //!   values on every run.
 //! * **wall-clock fields** — `started_unix_ms`, `wall_us` (a phase's, an
-//!   Optimize step's, a round's), `wall_ms` and the `at_ms` of the four
+//!   Optimize step's, a round's, a restart's), `wall_ms` and the `at_ms` of the four
 //!   `conn_*` events. These come from the host clock and differ run to
 //!   run. [`Event::zero_wall_clock`] zeroes exactly this set, after which
 //!   two journals of the same seeded run are byte-identical (tested in
@@ -364,6 +364,10 @@ pub enum Event {
         rounds_recovered: u64,
         /// Rounds voided and re-run (0 or 1 under the current format).
         rounds_voided: u64,
+        /// The restart's wall time, microseconds (zeroable): from opening
+        /// the log to the round spine built from it. Absent in journals
+        /// written before it was added, where it reads 0.
+        wall_us: u64,
     },
     /// Terminal record: the run finished and the journal is complete.
     ExperimentFinished {
@@ -387,7 +391,8 @@ impl Event {
             } => *started_unix_ms = 0,
             Event::PhaseFinished { wall_us, .. }
             | Event::SolverStats { wall_us, .. }
-            | Event::RoundCompleted { wall_us, .. } => *wall_us = 0,
+            | Event::RoundCompleted { wall_us, .. }
+            | Event::RecoveryComplete { wall_us, .. } => *wall_us = 0,
             Event::ConnAccepted { at_ms, .. } => *at_ms = 0,
             Event::ConnClosed { at_ms, .. } => *at_ms = 0,
             Event::ConnBackpressure { at_ms, .. } => *at_ms = 0,
@@ -582,7 +587,7 @@ journal_codec! {
     "conn_retry" => ConnRetry { at_ms, cdn, attempt, backoff_ms, reason = String::new() }
     "recovery_started" => RecoveryStarted { records, truncated_bytes }
     "recovery_round_voided" => RecoveryRoundVoided { round }
-    "recovery_complete" => RecoveryComplete { next_round, rounds_recovered, rounds_voided }
+    "recovery_complete" => RecoveryComplete { next_round, rounds_recovered, rounds_voided, wall_us = 0 }
     "experiment_finished" => ExperimentFinished { experiment, wall_ms, events }
 }
 
@@ -732,6 +737,7 @@ mod tests {
                 next_round: 6,
                 rounds_recovered: 6,
                 rounds_voided: 1,
+                wall_us: 18_250,
             },
             Event::ExperimentFinished {
                 experiment: "table3".into(),
@@ -765,6 +771,18 @@ mod tests {
             let back = Event::from_json(&line).expect("deserializable");
             assert_eq!(back, event, "round-trip of {line}");
         }
+        // A restart journaled before `recovery_complete` had its time.
+        let untimed = "{\"ev\":\"recovery_complete\",\"next_round\":6,\
+                       \"rounds_recovered\":6,\"rounds_voided\":1}";
+        assert_eq!(
+            Event::from_json(untimed),
+            Ok(Event::RecoveryComplete {
+                next_round: 6,
+                rounds_recovered: 6,
+                rounds_voided: 1,
+                wall_us: 0,
+            })
+        );
     }
 
     /// The journal format's goldens: every example line of DESIGN.md §7
@@ -977,6 +995,23 @@ mod tests {
                 round: 3,
                 objective: 2.5,
                 options: 40,
+                wall_us: 0,
+            }
+        );
+
+        let mut recovered = Event::RecoveryComplete {
+            next_round: 256,
+            rounds_recovered: 256,
+            rounds_voided: 0,
+            wall_us: 15_400,
+        };
+        recovered.zero_wall_clock();
+        assert_eq!(
+            recovered,
+            Event::RecoveryComplete {
+                next_round: 256,
+                rounds_recovered: 256,
+                rounds_voided: 0,
                 wall_us: 0,
             }
         );

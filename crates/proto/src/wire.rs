@@ -131,7 +131,29 @@ pub fn put_bid(buf: &mut Vec<u8>, b: &Bid) {
 /// reading nothing, if the input ends first. One bounds check covers the
 /// batch, and the result is allocated once, at its exact size.
 pub fn get_bids(cur: &mut Cursor<'_>, count: u32) -> Option<Vec<Bid>> {
-    Some(cur.entries(count, BID_LEN)?.map(bid_at).collect())
+    Some(take_bids(cur, count)?.decode())
+}
+
+/// Takes `count` bids as a checked, undecoded batch: [`get_bids`]'s bounds
+/// check without its decode, for a reader that may never need the bids.
+pub fn take_bids<'a>(cur: &mut Cursor<'a>, count: u32) -> Option<BidBatch<'a>> {
+    Some(BidBatch {
+        entries: cur.entries(count, BID_LEN)?,
+    })
+}
+
+/// A batch of bids whose byte length has been checked against its count
+/// ([`take_bids`]), decoded only on request.
+#[derive(Debug, Clone)]
+pub struct BidBatch<'a> {
+    entries: ChunksExact<'a, u8>,
+}
+
+impl BidBatch<'_> {
+    /// The bids, allocated once at their exact number.
+    pub fn decode(self) -> Vec<Bid> {
+        self.entries.map(bid_at).collect()
+    }
 }
 
 /// The bid in the first [`BID_LEN`] bytes of `entry`, a chunk of a

@@ -271,6 +271,42 @@ pub fn report(events: &[Event]) -> String {
         out.push('\n');
     }
 
+    // Daemon restarts: what each replayed and how long it took, from the
+    // log's open to the round spine built (`recovery_complete.wall_us`;
+    // a journal written before that field reads 0 and prints `-`).
+    let mut records = 0u64;
+    let mut restarts = Vec::new();
+    for e in events {
+        match e {
+            Event::RecoveryStarted { records: n, .. } => records = *n,
+            Event::RecoveryComplete {
+                rounds_recovered,
+                rounds_voided,
+                wall_us,
+                ..
+            } => restarts.push(vec![
+                (restarts.len() + 1).to_string(),
+                records.to_string(),
+                rounds_recovered.to_string(),
+                rounds_voided.to_string(),
+                if *wall_us == 0 {
+                    "-".to_string()
+                } else {
+                    fmt(*wall_us as f64 / 1_000.0)
+                },
+            ]),
+            _ => {}
+        }
+    }
+    if !restarts.is_empty() {
+        out.push_str(&render_table(
+            "Restarts",
+            &["restart", "records", "rounds", "voided", "wall ms"],
+            &restarts,
+        ));
+        out.push('\n');
+    }
+
     // Congestion and replay churn.
     let congested = events
         .iter()
@@ -451,6 +487,16 @@ mod tests {
                 cdn: 1,
                 reason: "shutdown".into(),
             },
+            Event::RecoveryStarted {
+                records: 1_856,
+                truncated_bytes: 0,
+            },
+            Event::RecoveryComplete {
+                next_round: 256,
+                rounds_recovered: 256,
+                rounds_voided: 0,
+                wall_us: 15_400,
+            },
             Event::SessionMoved {
                 bin: 1,
                 moved: 2,
@@ -510,6 +556,7 @@ mod tests {
         );
         assert!(text.contains("closed"), "last state after recovery: {text}");
         assert!(text.contains("1/1"), "probe tally: {text}");
+        assert!(text.contains("== Restarts =="), "{text}");
         assert!(text.contains("== Load & churn =="), "{text}");
         assert!(text.contains("0.2500"), "moved fraction 2/8: {text}");
         assert!(text.contains("== Timings"), "{text}");
@@ -550,6 +597,47 @@ mod tests {
             rows,
             [["round_completed", "4", "1395", "1080", "2400", "2400"]],
             "span, count, mean, p50, p95, p99; no untimed span: {text}"
+        );
+    }
+
+    /// One row per restart: the records and rounds it replayed and its
+    /// wall time in ms; a restart journaled without a time prints `-`.
+    #[test]
+    fn each_restart_reports_its_rounds_and_time() {
+        let restart = |records, rounds, voided, wall_us| {
+            [
+                Event::RecoveryStarted {
+                    records,
+                    truncated_bytes: 0,
+                },
+                Event::RecoveryComplete {
+                    next_round: rounds + voided,
+                    rounds_recovered: rounds,
+                    rounds_voided: voided,
+                    wall_us,
+                },
+            ]
+        };
+        let events: Vec<Event> = [restart(1_856, 256, 0, 15_400), restart(35, 2, 1, 0)]
+            .into_iter()
+            .flatten()
+            .collect();
+        let text = report(&events);
+        let section = text
+            .split("== Restarts ==")
+            .nth(1)
+            .unwrap_or_else(|| panic!("no restart section: {text}"));
+        let rows: Vec<Vec<&str>> = (section.lines().skip(3))
+            .take_while(|l| !l.is_empty())
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ["1", "1856", "256", "0", "15.40"],
+                ["2", "35", "2", "1", "-"]
+            ],
+            "restart, records, rounds, voided, wall ms: {text}"
         );
     }
 

@@ -12,7 +12,9 @@
 # metric, in how many pairs the change was lower, both sides' medians, the
 # parent's inter-quartile distance and whether a claim that the change is
 # lower holds by the ROADMAP's rule (at least 10 pairs, the change lower in
-# at least 9 of 10, medians apart by more than the parent's IQR), then hands
+# at least 9 of 10, medians apart by more than the parent's IQR) — or, the
+# same rule mirrored, whether the change is worse by it (higher in at least
+# 9 of 10, its median above the parent's by more than the IQR), then hands
 # each workload's two sets to the harness's own `compare` (medians,
 # quartiles, bounds, verdicts, exact counts). With several workloads every line names
 # its workload. Anything after `pairs` goes to every run unchanged:
@@ -85,9 +87,9 @@ quartiles() { # <value…>
 }
 
 metrics=(op_ms_p10 setup_s peak_rss_mb)
-declare -A lower=() both=() parent_values=() change_values=()
+declare -A lower=() higher=() both=() parent_values=() change_values=()
 for w in "${workloads[@]}"; do
-  for m in "${metrics[@]}"; do lower[$w.$m]=0 both[$w.$m]=0; done
+  for m in "${metrics[@]}"; do lower[$w.$m]=0 higher[$w.$m]=0 both[$w.$m]=0; done
 done
 
 for i in $(seq -w 1 "$pairs"); do
@@ -109,24 +111,33 @@ for i in $(seq -w 1 "$pairs"); do
       parent_values[$w.$m]+=" $pa" change_values[$w.$m]+=" $ch"
       if awk -v p="$pa" -v c="$ch" 'BEGIN { exit !(c + 0 < p + 0) }'; then
         lower[$w.$m]=$((lower[$w.$m] + 1))
+      elif awk -v p="$pa" -v c="$ch" 'BEGIN { exit !(c + 0 > p + 0) }'; then
+        higher[$w.$m]=$((higher[$w.$m] + 1))
       fi
     done
     echo "$line"
   done
 done
 # The ROADMAP's claim rule, read per metric over the pairs that report it
-# (a tie is not a win; a traced run's summary line has none): at least 10
-# pairs, the change lower in at least 9 of 10, and the change's median
-# below the parent's by more than the parent's inter-quartile distance.
+# (a tie is neither a win nor a loss; a traced run's summary line has
+# none): at least 10 pairs, the change lower in at least 9 of 10, and the
+# change's median below the parent's by more than the parent's
+# inter-quartile distance. Mirrored — higher in 9 of 10, the median above
+# by more than the IQR — the change is worse by that rule: a rise the
+# pipeline would reject, claimed or not.
 for w in "${workloads[@]}"; do
   for m in "${metrics[@]}"; do
-    n=${both[$w.$m]} won=${lower[$w.$m]}
+    n=${both[$w.$m]} won=${lower[$w.$m]} lost=${higher[$w.$m]}
     if [ "$n" -gt 0 ]; then
       echo "$(label "$w")$m: change lower in $won of $n"
       read -r p1 pm p3 <<<"$(quartiles ${parent_values[$w.$m]})"
       read -r _ cm _ <<<"$(quartiles ${change_values[$w.$m]})"
-      verdict=$(awk -v n="$n" -v won="$won" -v pm="$pm" -v cm="$cm" -v p1="$p1" -v p3="$p3" \
-        'BEGIN { print (n >= 10 && won * 10 >= n * 9 && pm - cm > p3 - p1) ? "claim holds" : "claim not met" }')
+      verdict=$(awk -v n="$n" -v won="$won" -v lost="$lost" -v pm="$pm" -v cm="$cm" \
+        -v p1="$p1" -v p3="$p3" 'BEGIN {
+          if (n >= 10 && won * 10 >= n * 9 && pm - cm > p3 - p1) print "claim holds"
+          else if (n >= 10 && lost * 10 >= n * 9 && cm - pm > p3 - p1) print "worse by the claim rule"
+          else print "claim not met"
+        }')
       echo "$(label "$w")$m: median parent $pm, change $cm; parent IQR $(awk -v a="$p1" -v b="$p3" 'BEGIN { printf "%g", b - a }'): $verdict"
     fi
   done

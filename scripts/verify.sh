@@ -71,9 +71,10 @@ scripts/symbol-census.sh
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> the paper's scale in release (traffic vs the frame and WAL bounds; daemon round == Table 3)"
+echo "==> the paper's scale in release (traffic vs the frame and WAL bounds; a restart of that log; daemon round == Table 3)"
 # The same file ran above in the debug build; this is the build the
-# daemon ships as.
+# daemon ships as. Its restart reads records larger than a scan buffer
+# and reads every CDN's batch back out of a full-scale checkpoint.
 cargo test --release -q -p vdx-exchanged --test full_scale
 
 echo "==> benchmark harness selftest (out-of-workspace consumer of the round-spine APIs)"
@@ -87,7 +88,9 @@ echo "==> benchmark harness output checks (all four workloads: real agents over 
 # soak parity over 16 rounds, every restart recovering all 256 rounds,
 # `read_records` + `replay` of the 45 MB log with zero trailing bytes:
 # what drives the collect signal, one-buffer framing, the CRC and the WAL
-# scan at full message sizes. sim-cold, sim-warm — the Table-3 gate
+# scan at full message sizes — its reader thread, records checked where
+# they lie and across buffers, and a restart's fold of batch locations
+# and its read-back of the committed batches. sim-cold, sim-warm — the Table-3 gate
 # against the committed baseline at seed 2017, every group assigned in
 # all eight designs, a separate round per design reproducing the rows,
 # every pass equal to the first, every warm round bit-equal to a cold
