@@ -58,6 +58,21 @@ impl<T> StaleBidCache<T> {
         let (stored_round, bids) = self.slots.get(cdn)?.as_ref()?;
         Some((*stored_round, bids))
     }
+
+    /// A cache of the same TTL whose slot `cdn` holds `f(cdn, entry)`
+    /// under the entry's stored round, where `f` gives one; ages and the
+    /// TTL read as in `self`. The exchange hands its degradation ladder
+    /// such a view of a round's silent CDNs.
+    pub fn filter_map<U>(&self, mut f: impl FnMut(usize, &T) -> Option<U>) -> StaleBidCache<U> {
+        let slots = self.slots.iter().enumerate().map(|(cdn, slot)| {
+            let (stored_round, bids) = slot.as_ref()?;
+            Some((*stored_round, f(cdn, bids)?))
+        });
+        StaleBidCache {
+            ttl_rounds: self.ttl_rounds,
+            slots: slots.collect(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -72,6 +87,18 @@ mod tests {
         assert_eq!(cache.fetch(0, 11), Some((1, &vec![1, 2, 3])));
         assert_eq!(cache.fetch(0, 12), Some((2, &vec![1, 2, 3])));
         assert_eq!(cache.fetch(0, 13), None, "age 3 exceeds ttl 2");
+    }
+
+    #[test]
+    fn a_filter_mapped_cache_keeps_each_entrys_round_and_the_ttl() {
+        let mut cache: StaleBidCache<Vec<u32>> = StaleBidCache::new(3, 2);
+        cache.store(0, 10, vec![1, 2]);
+        cache.store(2, 11, vec![3]);
+        let view = cache.filter_map(|cdn, bids| (cdn == 0).then_some(bids.len()));
+        assert_eq!(view.fetch(0, 12), Some((2, &2)));
+        assert_eq!(view.fetch(0, 13), None, "age 3 exceeds ttl 2");
+        assert_eq!(view.fetch(1, 12), None, "never stored");
+        assert_eq!(view.fetch(2, 12), None, "left out by the map");
     }
 
     #[test]

@@ -152,21 +152,8 @@ fn round_impl(
     // time, and unprobed callers never read the clock.
     let clock = probe.enabled().then(Stopwatch::start);
     let fleet = inputs.fleet;
-    if probe.enabled() {
-        probe.emit(Event::RoundStarted {
-            round,
-            design: design.name(),
-            groups: inputs.groups.len() as u64,
-            cdns: fleet.cdns.len() as u64,
-        });
-        if design.shares_clients() {
-            probe.emit(Event::SharePublished {
-                round,
-                shares: inputs.groups.len() as u64,
-                demand_kbps: inputs.groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
-            });
-        }
-    }
+    let share = design.shares_clients();
+    journal_open(probe, round, design, inputs.groups, fleet.cdns.len(), share);
     let matching = design.matching();
     let max_candidates = inputs.bid_count.unwrap_or(matching.max_candidates);
     let (engines, table) = (inputs.engines, inputs.matches);
@@ -200,10 +187,8 @@ fn round_impl(
     if probe.enabled() {
         // One Announce batch per CDN: its bids across all groups.
         let mut bids_per_cdn = vec![0u64; fleet.cdns.len()];
-        for opts in &options {
-            for o in opts {
-                bids_per_cdn[o.cdn.index()] += 1;
-            }
+        for o in options.iter().flatten() {
+            bids_per_cdn[o.cdn.index()] += 1;
         }
         for (cdn, &bids) in bids_per_cdn.iter().enumerate() {
             probe.emit(Event::BidReceived {
@@ -218,57 +203,96 @@ fn round_impl(
         groups: inputs.groups.to_vec(),
         options,
     };
+    let (policy, mode) = (&inputs.policy, &OptimizeMode::Heuristic);
     let assignment = match ctx {
-        Some(ctx) => optimize_probed_ctx(
-            &problem,
-            &inputs.policy,
-            &OptimizeMode::Heuristic,
-            round,
-            probe,
-            ctx,
-        ),
-        None => optimize_probed(
-            &problem,
-            &inputs.policy,
-            &OptimizeMode::Heuristic,
-            round,
-            probe,
-        ),
+        Some(ctx) => optimize_probed_ctx(&problem, policy, mode, round, probe, ctx),
+        None => optimize_probed(&problem, policy, mode, round, probe),
     };
 
-    if let Some(clock) = clock {
-        let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
-        let accepted = problem.groups.len() as u64;
-        probe.emit(Event::AcceptIssued {
-            round,
-            accepted,
-            rejected: total_bids - accepted,
-        });
-        for (&cluster, &load) in &assignment.cluster_load_kbps {
-            let capacity_kbps = fleet.clusters[cluster.index()].capacity_kbps;
-            let with_background = load + inputs.background_load_kbps[cluster.index()];
-            if with_background > capacity_kbps {
-                probe.emit(Event::ClusterCongested {
-                    round,
-                    cluster: cluster.index() as u32,
-                    load_kbps: with_background.as_f64(),
-                    capacity_kbps: capacity_kbps.as_f64(),
-                });
-            }
-        }
-        probe.emit(Event::RoundCompleted {
-            round,
-            objective: assignment.objective,
-            options: total_bids,
-            wall_us: clock.elapsed_us(),
-        });
-    }
+    let truth = Some((fleet, inputs.background_load_kbps));
+    journal_close(probe, round, &problem, &assignment, truth, clock);
 
     RoundOutcome {
         design,
         problem,
         assignment,
     }
+}
+
+/// Journals a round's opening, for the pure round and the spine alike:
+/// `round_started`, then `share_published` if the round publishes a
+/// Share. Nothing when `probe` is disabled.
+pub(crate) fn journal_open(
+    probe: &dyn Probe,
+    round: u64,
+    design: Design,
+    groups: &[ClientGroup],
+    cdns: usize,
+    share: bool,
+) {
+    if !probe.enabled() {
+        return;
+    }
+    probe.emit(Event::RoundStarted {
+        round,
+        design: design.name(),
+        groups: groups.len() as u64,
+        cdns: cdns as u64,
+    });
+    if share {
+        probe.emit(Event::SharePublished {
+            round,
+            shares: groups.len() as u64,
+            demand_kbps: groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
+        });
+    }
+}
+
+/// Journals a round's close, for the pure round and the spine alike:
+/// `accept_issued` (one accepted option per group, the rest rejected);
+/// `cluster_congested` for every cluster whose assigned load plus true
+/// background exceeds its true capacity, if `truth` gives the fleet and
+/// the per-cluster background; `round_completed`, timed since `clock`.
+/// Nothing without a clock, which is started only for an enabled probe.
+pub(crate) fn journal_close(
+    probe: &dyn Probe,
+    round: u64,
+    problem: &BrokerProblem,
+    assignment: &BrokerAssignment,
+    truth: Option<(&Fleet, &[Kbps])>,
+    clock: Option<Stopwatch>,
+) {
+    let Some(clock) = clock else { return };
+    let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
+    let accepted = problem.groups.len() as u64;
+    probe.emit(Event::AcceptIssued {
+        round,
+        accepted,
+        rejected: total_bids.saturating_sub(accepted),
+    });
+    if let Some((fleet, background)) = truth {
+        for (&cluster, &load) in &assignment.cluster_load_kbps {
+            let i = cluster.index();
+            let (Some(site), Some(&extra)) = (fleet.clusters.get(i), background.get(i)) else {
+                continue; // a cluster the fleet does not know
+            };
+            let with_background = load + extra;
+            if with_background > site.capacity_kbps {
+                probe.emit(Event::ClusterCongested {
+                    round,
+                    cluster: i as u32,
+                    load_kbps: with_background.as_f64(),
+                    capacity_kbps: site.capacity_kbps.as_f64(),
+                });
+            }
+        }
+    }
+    probe.emit(Event::RoundCompleted {
+        round,
+        objective: assignment.objective,
+        options: total_bids,
+        wall_us: clock.elapsed_us(),
+    });
 }
 
 /// Places the §5.1 background traffic (non-broker / other-broker clients):

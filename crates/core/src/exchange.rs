@@ -19,10 +19,12 @@
 //!   stale-bid cache, the solver's warm context, the journal probe and
 //!   the deadline label, and is the only code that opens a round, turns
 //!   transport observations into breaker observations and [`BidSource`]s,
-//!   walks the degradation ladder, optimizes, and closes the round. A
-//!   transport supplies [`RoundHooks`]: *collect* (what it saw of each
-//!   CDN) and *commit* (how a decision becomes durable and visible), plus
-//!   the Brokered round the ladder's last rung falls back to.
+//!   walks the degradation ladder, optimizes, and closes the round; it
+//!   journals the open and the close through the same two functions as
+//!   the pure round. A transport supplies [`RoundHooks`]: *collect* (what it
+//!   saw of each CDN) and *commit* (how a decision becomes durable and
+//!   visible), plus the Brokered round the ladder's last rung falls back
+//!   to and, if it knows them, the true loads congestion is judged by.
 //!
 //! Three transports do, and none lives here: the soak script
 //! (`vdx-sim::soak`), the fault campaign's lossy simulated links
@@ -32,8 +34,9 @@
 //! the fleet-wide [`ClusterId`] (in production this would be per-pair
 //! opaque; a simulation shares one namespace).
 
-use crate::decision::RoundOutcome;
+use crate::decision::{journal_close, journal_open, RoundOutcome};
 use crate::design::Design;
+use std::collections::HashMap;
 use std::sync::Arc;
 use vdx_broker::{
     optimize_probed_ctx, BrokerAssignment, BrokerProblem, CircuitBreaker, ClientGroup, CpPolicy,
@@ -513,7 +516,7 @@ pub struct Round {
     /// which is the context-free solve's bit for bit.
     ctx: OptimizeContext,
     breakers: Vec<CircuitBreaker>,
-    cache: StaleBidCache<Vec<Bid>>,
+    cache: StaleBidCache<CachedBids>,
     /// Labels `deadline_missed` journal events; the spine has no clock.
     deadline_ms: u64,
 }
@@ -539,8 +542,64 @@ pub trait RoundHooks {
         &mut self,
         _decision: &Decision<'_>,
         _breakers: &[CircuitBreaker],
-        _cache: &StaleBidCache<Vec<Bid>>,
+        _cache: &StaleBidCache<CachedBids>,
     ) {
+    }
+
+    /// The fleet's true capacities and the true background load per
+    /// cluster, by which the round's close journals every cluster its
+    /// decision congests. The exchange cannot know them (a CDN announces
+    /// what it believes), so the default is nothing: no
+    /// `cluster_congested`.
+    fn true_load(&self) -> Option<(&Fleet, &[Kbps])> {
+        None
+    }
+}
+
+/// A CDN's last fresh Announce as the stale-bid cache keeps it: the bids
+/// as sent, and the city of each share of the Share they answered
+/// (`cities[share_id]`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CachedBids {
+    /// The answered Share's cities, by `share_id`; one allocation per
+    /// round, shared by every CDN that answered it.
+    pub cities: Arc<[CityId]>,
+    /// The batch, exactly as announced.
+    pub bids: Vec<Bid>,
+}
+
+impl CachedBids {
+    /// The batch as bids for a round whose groups lie in `cities`: each
+    /// group gets, keyed by its index, the bids of the first cached share
+    /// of its city, in the order sent. A bid depends only on its city and
+    /// the CDN's margins, so this is what the CDN would announce for those
+    /// groups at its cached margins. A group whose city the cached Share
+    /// lacked gets none. Unmoved groups get the batch as sent.
+    pub fn for_groups(&self, cities: &[CityId]) -> Vec<Bid> {
+        if *self.cities == *cities {
+            return self.bids.clone();
+        }
+        let mut by_share: Vec<Vec<&Bid>> = vec![Vec::new(); self.cities.len()];
+        for bid in &self.bids {
+            if let Some(share) = by_share.get_mut(bid.share_id as usize) {
+                share.push(bid);
+            }
+        }
+        let mut first_share: HashMap<CityId, usize> = HashMap::new();
+        for (share, &city) in self.cities.iter().enumerate() {
+            first_share.entry(city).or_insert(share);
+        }
+        let mut bids = Vec::new();
+        for (group, city) in cities.iter().enumerate() {
+            let Some(&share) = first_share.get(city) else {
+                continue;
+            };
+            bids.extend(by_share[share].iter().map(|&&bid| Bid {
+                share_id: group as u64,
+                ..bid
+            }));
+        }
+        bids
     }
 }
 
@@ -552,7 +611,8 @@ pub struct Decision<'a> {
     /// stale cache). Empty on a fallback round.
     pub fresh: &'a [CdnId],
     /// The bid batches the round was decided from, per CDN: fresh, stale
-    /// substitutes, or none for an excluded CDN. Empty on a fallback.
+    /// substitutes (keyed by this round's groups), or none for an
+    /// excluded CDN. Empty on a fallback.
     pub bids_per_cdn: &'a [Vec<Bid>],
     problem: &'a BrokerProblem,
     assignment: &'a BrokerAssignment,
@@ -620,7 +680,7 @@ impl Round {
         design: Design,
         policy: CpPolicy,
         breakers: Vec<CircuitBreaker>,
-        cache: StaleBidCache<Vec<Bid>>,
+        cache: StaleBidCache<CachedBids>,
         deadline_ms: u64,
         probe: Arc<dyn Probe>,
     ) -> Round {
@@ -659,19 +719,9 @@ impl Round {
                 }
             }
         }
-        if self.probe.enabled() {
-            self.probe.emit(ObsEvent::RoundStarted {
-                round,
-                design: self.design.name(),
-                groups: groups.len() as u64,
-                cdns: self.breakers.len() as u64,
-            });
-            self.probe.emit(ObsEvent::SharePublished {
-                round,
-                shares: groups.len() as u64,
-                demand_kbps: groups.iter().map(|g| g.demand_kbps.as_f64()).sum(),
-            });
-        }
+        // Every round Shares its groups, whatever the design's Table 2 row.
+        let (probe, cdns) = (self.probe.as_ref(), self.breakers.len());
+        journal_open(probe, round, self.design, groups, cdns, true);
         let routable: Vec<bool> = self.breakers.iter().map(|b| b.allows_route()).collect();
         // Classify in CDN-index order: exactly one breaker observation per
         // CDN that was routed to, or should have been.
@@ -681,29 +731,49 @@ impl Round {
             .enumerate()
             .map(|(cdn, seen)| self.observe(round, cdn, seen))
             .collect();
+        // The Share's cities by `share_id`: what a fresh batch answered,
+        // and where a silent CDN's cached bids go this round.
+        let cities: Arc<[CityId]> = groups.iter().map(|g| g.city).collect();
+        let stale = self.cache.filter_map(|cdn, cached| {
+            matches!(sources.get(cdn), Some(BidSource::Silent)).then(|| cached.for_groups(&cities))
+        });
         let resolution = resolve_at_deadline(
             round,
             self.design,
             sources,
             groups.len(),
-            &self.cache,
+            &stale,
             round,
             self.deadline_ms,
             self.probe.as_ref(),
         );
-        match resolution {
+        let (resolution, fresh, bids_per_cdn, problem, assignment) = match resolution {
             DeadlineResolution::Proceed(bids_per_cdn, report) => {
                 // The cache's one writer (WAL recovery aside). Only fresh
                 // bids refresh it, and only because the round completes
                 // under its design (a fallback stores nothing): a stale
-                // substitute is never re-stored as new. Cached bids keep
-                // their round-local `share_id`s, which is sound only while
-                // every round carries the same groups (ROADMAP 12(a)).
+                // substitute is never re-stored as new.
                 for cdn in &report.fresh {
-                    self.cache
-                        .store(cdn.index(), round, bids_per_cdn[cdn.index()].clone());
+                    let cached = CachedBids {
+                        cities: cities.clone(),
+                        bids: bids_per_cdn[cdn.index()].clone(),
+                    };
+                    self.cache.store(cdn.index(), round, cached);
                 }
-                self.decide(round, groups, &bids_per_cdn, &report, hooks, clock)
+                let problem = BrokerProblem {
+                    groups: groups.to_vec(),
+                    options: assemble_options(groups.len(), &bids_per_cdn),
+                };
+                let (policy, mode) = (&self.policy, &OptimizeMode::Heuristic);
+                let probe = self.probe.as_ref();
+                let assignment =
+                    optimize_probed_ctx(&problem, policy, mode, round, probe, &mut self.ctx);
+                let resolution = if report.is_clean() {
+                    RoundResolution::Fresh
+                } else {
+                    RoundResolution::Degraded
+                };
+                (resolution, report.fresh, bids_per_cdn, problem, assignment)
             }
             DeadlineResolution::Fallback(_) => {
                 // The Brokered re-run journals the round's remaining
@@ -715,86 +785,36 @@ impl Round {
                     clock,
                 };
                 let outcome = hooks.brokered(round, self.policy, &probe);
-                let decided = DriverRound {
-                    round,
-                    resolution: RoundResolution::Fallback,
-                    picks: picks_of(&outcome.problem, &outcome.assignment),
-                    objective: outcome.assignment.objective,
-                };
-                // A fallback externalizes no Accepts, but it is still a
-                // settled decision: commit it, so a restart does not
-                // re-run (and possibly re-decide) it.
-                let decision = Decision {
-                    round: &decided,
-                    fresh: &[],
-                    bids_per_cdn: &[],
-                    problem: &outcome.problem,
-                    assignment: &outcome.assignment,
-                };
-                hooks.commit(&decision, &self.breakers, &self.cache);
-                decided
+                let (problem, assignment) = (outcome.problem, outcome.assignment);
+                (
+                    RoundResolution::Fallback,
+                    Vec::new(),
+                    Vec::new(),
+                    problem,
+                    assignment,
+                )
             }
-        }
-    }
-
-    /// The tail of every round that completes under its design: assemble
-    /// options, optimize, hand the decision to `hooks.commit`, then
-    /// journal the Accept step and the round's completion, with the wall
-    /// time since `clock` (started by [`Round::run`] when the probe is
-    /// enabled).
-    fn decide(
-        &mut self,
-        round: u64,
-        groups: &[ClientGroup],
-        bids_per_cdn: &[Vec<Bid>],
-        report: &DegradationReport,
-        hooks: &mut impl RoundHooks,
-        clock: Option<Stopwatch>,
-    ) -> DriverRound {
-        let problem = BrokerProblem {
-            groups: groups.to_vec(),
-            options: assemble_options(groups.len(), bids_per_cdn),
         };
-        let assignment = optimize_probed_ctx(
-            &problem,
-            &self.policy,
-            &OptimizeMode::Heuristic,
-            round,
-            self.probe.as_ref(),
-            &mut self.ctx,
-        );
         let decided = DriverRound {
             round,
-            resolution: if report.is_clean() {
-                RoundResolution::Fresh
-            } else {
-                RoundResolution::Degraded
-            },
+            resolution,
             picks: picks_of(&problem, &assignment),
             objective: assignment.objective,
         };
+        // A fallback externalizes no Accepts, but it is still a settled
+        // decision: commit it, so a restart does not re-run (and possibly
+        // re-decide) it.
         let decision = Decision {
             round: &decided,
-            fresh: &report.fresh,
-            bids_per_cdn,
+            fresh: &fresh,
+            bids_per_cdn: &bids_per_cdn,
             problem: &problem,
             assignment: &assignment,
         };
         hooks.commit(&decision, &self.breakers, &self.cache);
-        if let Some(clock) = clock {
-            let total_bids: u64 = problem.options.iter().map(|o| o.len() as u64).sum();
-            let accepted = problem.groups.len() as u64;
-            self.probe.emit(ObsEvent::AcceptIssued {
-                round,
-                accepted,
-                rejected: total_bids.saturating_sub(accepted),
-            });
-            self.probe.emit(ObsEvent::RoundCompleted {
-                round,
-                objective: assignment.objective,
-                options: total_bids,
-                wall_us: clock.elapsed_us(),
-            });
+        if resolution != RoundResolution::Fallback {
+            let (probe, truth) = (self.probe.as_ref(), hooks.true_load());
+            journal_close(probe, round, &problem, &assignment, truth, clock);
         }
         decided
     }
@@ -844,13 +864,18 @@ mod tests {
     use vdx_obs::MemoryProbe;
 
     /// A transport-free [`RoundHooks`] over the test ecosystem: every CDN's
-    /// engine answers unless the test made it `silent` or `down`, and the
-    /// commit hands each engine its Accept at once.
+    /// engine answers unless the test made it `silent` or `down`, the
+    /// commit hands each engine its Accept at once, and the ecosystem's
+    /// true load is told only if the test sets `truth`.
     struct Script<'a> {
         eco: &'a TestEco,
         engines: Vec<BidEngine>,
+        /// The groups the round's Share carries: `eco.groups` unless a
+        /// test moves them.
+        groups: Vec<ClientGroup>,
         silent: Vec<usize>,
         down: Vec<usize>,
+        truth: bool,
     }
 
     impl<'a> Script<'a> {
@@ -858,15 +883,17 @@ mod tests {
             Script {
                 eco,
                 engines: eco.engines(design),
+                groups: eco.groups.clone(),
                 silent: Vec::new(),
                 down: Vec::new(),
+                truth: false,
             }
         }
 
         fn bids(&self, cdn: usize) -> Vec<Bid> {
             let eco = self.eco;
             let scores = |a, b| eco.net.score(&eco.world, a, b);
-            self.engines[cdn].build_bids(&shares_of(&eco.groups), &eco.fleet, &scores)
+            self.engines[cdn].build_bids(&shares_of(&self.groups), &eco.fleet, &scores)
         }
     }
 
@@ -901,11 +928,16 @@ mod tests {
             &mut self,
             decision: &Decision<'_>,
             _breakers: &[CircuitBreaker],
-            _cache: &StaleBidCache<Vec<Bid>>,
+            _cache: &StaleBidCache<CachedBids>,
         ) {
             for (cdn, engine) in self.engines.iter_mut().enumerate() {
                 engine.learn(&decision.accepts(cdn), &self.eco.fleet);
             }
+        }
+
+        fn true_load(&self) -> Option<(&Fleet, &[Kbps])> {
+            let eco = self.eco;
+            self.truth.then_some((&eco.fleet, &eco.background[..]))
         }
     }
 
@@ -1059,6 +1091,44 @@ mod tests {
         ));
     }
 
+    /// A BestLookup round, which congests the test ecosystem, closes as
+    /// the pure round closes when its transport tells the true load: the
+    /// same `cluster_congested` lines. Untold, the spine journals none.
+    #[test]
+    fn a_spine_round_told_the_true_load_journals_the_pure_rounds_congestion() {
+        let eco = build_eco(23);
+        let design = Design::BestLookup;
+        let congested = |events: Vec<ObsEvent>| -> Vec<String> {
+            (events.iter())
+                .filter(|e| matches!(e, ObsEvent::ClusterCongested { .. }))
+                .map(ObsEvent::to_json_line)
+                .collect()
+        };
+        let (probe, rx) = MemoryProbe::channel();
+        run_decision_round_probed(
+            design,
+            &eco.inputs(&eco.engines(design)),
+            |a, b| eco.net.score(&eco.world, a, b),
+            RoundId(0),
+            &probe,
+        );
+        let pure = congested(rx.try_iter().collect());
+        assert!(!pure.is_empty(), "the pure round congests some cluster");
+
+        for truth in [true, false] {
+            let (probe, rx) = MemoryProbe::channel();
+            let mut script = Script::new(&eco, design);
+            script.truth = truth;
+            spine(&eco, design, Arc::new(probe)).run(0, &eco.groups, &mut script);
+            let expected = if truth { pure.clone() } else { Vec::new() };
+            assert_eq!(
+                congested(rx.try_iter().collect()),
+                expected,
+                "truth {truth}"
+            );
+        }
+    }
+
     #[test]
     fn deadline_finalize_substitutes_stale_bids_and_respects_known_failures() {
         let eco = build_eco(23);
@@ -1100,6 +1170,48 @@ mod tests {
             reused(&rx.try_iter().collect::<Vec<_>>(), 2),
             (1..n as u32).collect::<Vec<_>>()
         );
+    }
+
+    /// Round 1's Share carries round 0's groups in reverse, and CDN 0 is
+    /// silent: its cached bids must reach the groups of their cities. A
+    /// bid depends only on its city and the CDN's margins, so round 1
+    /// decides as if CDN 0 had announced round 1's Share at the margins it
+    /// bid by in round 0 (a fresh engine's, before round 0's Accept).
+    #[test]
+    fn a_silent_cdns_cached_bids_follow_their_cities() {
+        use vdx_broker::optimize;
+        let eco = build_eco(23);
+        let design = Design::Marketplace;
+        let silent = 0;
+        let mut round = spine(&eco, design, vdx_obs::probe::noop());
+        let mut script = Script::new(&eco, design);
+        let first = round.run(0, &eco.groups, &mut script);
+        assert_eq!(first.resolution, RoundResolution::Fresh);
+
+        let moved: Vec<ClientGroup> = eco.groups.iter().rev().cloned().collect();
+        script.groups = moved.clone();
+        script.silent = vec![silent];
+        let scores = |a, b| eco.net.score(&eco.world, a, b);
+        let untaught = &eco.engines(design)[silent];
+        let bids_per_cdn: Vec<Vec<Bid>> = (0..eco.fleet.cdns.len())
+            .map(|cdn| {
+                if cdn == silent {
+                    untaught.build_bids(&shares_of(&moved), &eco.fleet, &scores)
+                } else {
+                    script.bids(cdn)
+                }
+            })
+            .collect();
+        let problem = BrokerProblem {
+            groups: moved.clone(),
+            options: assemble_options(moved.len(), &bids_per_cdn),
+        };
+        let expected = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
+
+        let decided = round.run(1, &moved, &mut script);
+        assert_eq!(decided.resolution, RoundResolution::Degraded);
+        assert_eq!(decided.picks, picks_of(&problem, &expected));
+        assert_eq!(decided.objective.to_bits(), expected.objective.to_bits());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use decision::{
 pub use design::Design;
 pub use exchange::{
     accept_entries, assemble_options, picks_of, resolve_at_deadline, shares_of, BidEngine,
-    BidSource, DeadlineResolution, Decision, DegradationReport, DriverRound, ExchangeDriver, Round,
-    RoundHooks, RoundResolution,
+    BidSource, CachedBids, DeadlineResolution, Decision, DegradationReport, DriverRound,
+    ExchangeDriver, Round, RoundHooks, RoundResolution,
 };
 pub use wal::{Recovery, Wal, WalError, WalOpen, WalRecord};

@@ -1222,6 +1222,33 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A crash can leave a tail of zeros (space allocated, data never
+    /// written). Whatever its length, the whole records before it recover
+    /// and the zeros are cut. Eight zeros frame a whole record, length 0
+    /// and CRC 0, which checks (the CRC-32 of nothing is 0); its empty
+    /// payload then fails to decode.
+    #[test]
+    fn a_zero_filled_tail_is_cut_and_every_whole_record_recovers() {
+        let path = temp_wal("zeros");
+        let records = multi_round_records();
+        write_all(&path, &records);
+        let whole = std::fs::read(&path).expect("read file");
+        let expected = replay(records.clone(), 2);
+        for zeros in [1usize, 7, 8, 9, 4_096] {
+            let mut bytes = whole.clone();
+            bytes.resize(whole.len() + zeros, 0);
+            std::fs::write(&path, &bytes).expect("zero-fill");
+            let recovered = Wal::recover(&path, 2).expect("recover");
+            assert_eq!(recovered.recovery, expected, "{zeros} zeros");
+            assert_eq!(recovered.records, records.len() as u64, "{zeros} zeros");
+            assert_eq!(recovered.truncated_bytes, zeros as u64, "{zeros} zeros");
+            drop(recovered.wal);
+            let len = std::fs::metadata(&path).expect("stat").len();
+            assert_eq!(len, whole.len() as u64, "{zeros} zeros");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     /// A random log: records of every kind for rounds 0..4, naming CDNs
     /// 0..3 (the replaying scenario has 2), in any order.
     fn arbitrary_records(rng: &mut vdx_rand::StdRng) -> Vec<WalRecord> {

@@ -82,11 +82,12 @@ use std::time::Duration;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
 use vdx_core::wal::Replay;
 use vdx_core::{
-    BidSource, Decision, Design, DriverRound, ExchangeDriver, Round, RoundHooks, RoundOutcome, Wal,
-    WalError, WalRecord,
+    BidSource, CachedBids, Decision, Design, DriverRound, ExchangeDriver, Round, RoundHooks,
+    RoundOutcome, Wal, WalError, WalRecord,
 };
+use vdx_geo::CityId;
 use vdx_obs::{Event, Probe, Stopwatch};
-use vdx_proto::{Bid, Connection, Message};
+use vdx_proto::{Connection, Message};
 use vdx_sim::soak::{brokered_round, shares_of, SoakPlan};
 use vdx_sim::Scenario;
 
@@ -281,7 +282,7 @@ impl ExchangeServer {
             clock: Stopwatch::start(),
         };
         let (round, wal, next_round, recovered) =
-            recover(design, policy, &opts, &journal, n).map_err(wal_io_error)?;
+            recover(design, policy, &opts, &journal, &scenario).map_err(wal_io_error)?;
         let (inbound_tx, inbound) = mpsc::channel();
         let shutdown = Arc::new(AtomicBool::new(false));
         let link = Link {
@@ -485,7 +486,7 @@ impl Transport {
         &mut self,
         decision: &Decision<'_>,
         breakers: &[CircuitBreaker],
-        cache: &StaleBidCache<Vec<Bid>>,
+        cache: &StaleBidCache<CachedBids>,
     ) {
         if self.wal.is_none() {
             return;
@@ -513,7 +514,7 @@ impl Transport {
             let checkpoint = WalRecord::Checkpoint {
                 next_round: round + 1,
                 cache: (0..breakers.len())
-                    .map(|cdn| cache.entry(cdn).map(|(r, b)| (r, b.clone())))
+                    .map(|cdn| cache.entry(cdn).map(|(r, c)| (r, c.bids.clone())))
                     .collect(),
                 breakers: breakers.iter().map(|b| b.snapshot()).collect(),
             };
@@ -545,9 +546,10 @@ fn recover(
     policy: CpPolicy,
     opts: &ServerOptions,
     journal: &Journal,
-    cdns: usize,
+    scenario: &Scenario,
 ) -> Result<(Round, Option<Wal>, u64, Vec<DriverRound>), WalError> {
     let clock = Stopwatch::start();
+    let cdns = scenario.fleet.cdns.len();
     let (wal, replayed) = match &opts.wal {
         Some(path) => {
             let recovered = Wal::recover(path, cdns)?;
@@ -559,10 +561,17 @@ fn recover(
         }
         None => (None, Replay::new(cdns).finish()),
     };
+    // Every round the daemon logs Shares the scenario's groups, so every
+    // logged batch answered that Share. The log does not hold the Share:
+    // once daemon rounds carry moving groups (ROADMAP 12(b)), it must.
+    let cities: Arc<[CityId]> = (shares_of(scenario).iter())
+        .map(|share| CityId(share.location))
+        .collect();
     let mut cache = StaleBidCache::new(cdns, opts.stale_ttl_rounds);
     for (cdn, slot) in replayed.cache.into_iter().enumerate() {
         if let Some((round, bids)) = slot {
-            cache.store(cdn, round, bids);
+            let cities = cities.clone();
+            cache.store(cdn, round, CachedBids { cities, bids });
         }
     }
     let breakers = replayed.breakers.into_iter().map(|snap| match snap {
@@ -667,7 +676,7 @@ impl RoundHooks for Transport {
         &mut self,
         decision: &Decision<'_>,
         breakers: &[CircuitBreaker],
-        cache: &StaleBidCache<Vec<Bid>>,
+        cache: &StaleBidCache<CachedBids>,
     ) {
         self.wal_commit_round(decision, breakers, cache);
         let round = decision.round.round;
@@ -826,7 +835,6 @@ mod tests {
     use super::*;
     use std::io::Read;
     use vdx_core::RoundResolution;
-    use vdx_geo::CityId;
     use vdx_obs::MemoryProbe;
     use vdx_sim::soak::round_engine;
     use vdx_sim::ScenarioConfig;

@@ -26,7 +26,8 @@
 //! round, faulted or not. A clean round of an exchange design decides
 //! what the pure round decides, bit for bit. Its journal adds the wire
 //! events (`fault_plan_applied`, `wire_drops`) and carries the spine's
-//! own `share_published` and `solver_stats`, but no `cluster_congested`.
+//! own `share_published` and `solver_stats`; [`Links`] tells the spine
+//! the scenario's true load, so it journals the pure round's congestion.
 //!
 //! Determinism: link fault seeds are mixed from the plan seed, the round
 //! id and the CDN index only; no wall clock, no shared counters. The same
@@ -37,15 +38,15 @@ use crate::scenario::Scenario;
 use crate::soak::{brokered_round, round_engine};
 use std::sync::Arc;
 use vdx_broker::{BreakerConfig, CircuitBreaker, CpPolicy, StaleBidCache, STALE_TTL_ROUNDS};
-use vdx_cdn::ClusterId;
+use vdx_cdn::{ClusterId, Fleet};
 use vdx_core::{
-    shares_of, BidEngine, BidSource, Decision, Design, Round, RoundHooks, RoundId, RoundOutcome,
-    RoundResolution,
+    shares_of, BidEngine, BidSource, CachedBids, Decision, Design, Round, RoundHooks, RoundId,
+    RoundOutcome, RoundResolution,
 };
 use vdx_obs::{Event, Probe};
 use vdx_proto::endpoint::{Endpoint, Event as LinkEvent, RequestId};
 use vdx_proto::{Bid, FaultConfig, Link, LinkEnd, Message, SimTime};
-use vdx_units::Margin;
+use vdx_units::{Kbps, Margin};
 
 /// The broker's per-round deadline in simulated time, ms: at this point
 /// whatever has not arrived is substituted, excluded, or falls back.
@@ -371,7 +372,7 @@ impl RoundHooks for Links<'_> {
         &mut self,
         decision: &Decision<'_>,
         _breakers: &[CircuitBreaker],
-        _cache: &StaleBidCache<Vec<Bid>>,
+        _cache: &StaleBidCache<CachedBids>,
     ) {
         let resolution = decision.round.resolution;
         if resolution != RoundResolution::Fallback {
@@ -387,6 +388,11 @@ impl RoundHooks for Links<'_> {
             assignment: decision.assignment().clone(),
         };
         self.decided = Some(CampaignRound::scored(self.scenario, resolution, &outcome));
+    }
+
+    /// The scenario's truth: the spine journals congestion by it.
+    fn true_load(&self) -> Option<(&Fleet, &[Kbps])> {
+        Some((&self.scenario.fleet, &self.scenario.background_load))
     }
 }
 

@@ -31,8 +31,15 @@ fn jsonl(mut events: Vec<Event>) -> String {
 
 #[test]
 fn clean_campaign_on_the_spine_decides_and_journals_as_the_pure_round() {
+    // Marketplace congests nothing (Table 3); BestLookup, capacity-blind,
+    // congests some cluster of the small scenario.
+    for (design, congests) in [(Design::Marketplace, false), (Design::BestLookup, true)] {
+        assert_clean_campaign_is_the_pure_round(design, congests);
+    }
+}
+
+fn assert_clean_campaign_is_the_pure_round(design: Design, congests: bool) {
     let s = shared();
-    let design = Design::Marketplace;
     let policy = CpPolicy::balanced;
     let rounds = 3;
 
@@ -57,36 +64,39 @@ fn clean_campaign_on_the_spine_decides_and_journals_as_the_pure_round() {
         assert_eq!(
             campaign.rounds[i].availability,
             RoundResolution::Fresh,
-            "clean rounds stay live"
+            "{design}: clean rounds stay live"
         );
         assert_eq!(
             campaign.rounds[i].metrics, expected,
-            "round {i}: clean-plan metrics are bit-exact"
+            "{design} round {i}: clean-plan metrics are bit-exact"
         );
     }
 
     // The spine journals the wire (`fault_plan_applied`, `wire_drops`)
-    // and not true-capacity congestion, and its solver events carry its
-    // own memo's `warm_hit`; every other event is the pure round's.
+    // and publishes a Share whatever the design's Table 2 row, and its
+    // solver events carry its own memo's `warm_hit`; every other event,
+    // congestion included, is the pure round's.
     let protocol = |events: Vec<Event>| -> Vec<Event> {
         (events.into_iter())
-            .filter(|e| {
-                !matches!(
-                    e,
-                    Event::FaultPlanApplied { .. }
-                        | Event::WireDrops { .. }
-                        | Event::ClusterCongested { .. }
-                        | Event::SolverStats { .. }
-                )
+            .filter(|e| match e {
+                Event::FaultPlanApplied { .. } | Event::WireDrops { .. } => false,
+                Event::SharePublished { .. } => design.shares_clients(),
+                Event::SolverStats { .. } => false,
+                _ => true,
             })
             .collect()
     };
-    let a = jsonl(protocol(campaign_journal.try_iter().collect()));
+    let events = protocol(campaign_journal.try_iter().collect());
+    let congested = (events.iter())
+        .filter(|e| matches!(e, Event::ClusterCongested { .. }))
+        .count();
+    assert_eq!(congested > 0, congests, "{design}: {congested} congested");
+    let a = jsonl(events);
     let b = jsonl(protocol(pure_journal.try_iter().collect()));
     assert!(!a.is_empty());
     assert_eq!(
         a, b,
-        "a clean campaign journals the pure round's protocol steps"
+        "{design}: a clean campaign journals the pure round's protocol steps"
     );
 }
 

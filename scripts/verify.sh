@@ -59,6 +59,41 @@ if [ -n "$writers" ]; then
   exit 1
 fi
 
+echo "==> one round tail (the pure round and the spine open and close a round through the same code)"
+# Both round forms journal a round's open (`round_started`,
+# `share_published`) and its close (`accept_issued`, `cluster_congested`,
+# `round_completed`) through `journal_open` and `journal_close` in
+# core/src/decision.rs. Outside test code each of these events is built
+# for an `.emit(` at exactly one place; a second place is a second round
+# tail, kept equal to the first only by tests. Readers that match on the
+# events (audit, obs-report) emit none and do not count.
+tail_sites=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { pending = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+    {
+      text = pending ? ".emit(" $0 : $0
+      kinds = "(RoundStarted|SharePublished|AcceptIssued|ClusterCongested|RoundCompleted)"
+      if (match(text, "\\.emit\\([[:space:]]*([[:alnum:]_]+::)*" kinds "[[:space:]]*[{]")) {
+        kind = substr(text, RSTART, RLENGTH)
+        sub(/[[:space:]]*[{]$/, "", kind); sub(/.*[(:][[:space:]]*/, "", kind)
+        print kind " " FILENAME ":" FNR
+      }
+      pending = ($0 ~ /\.emit\([[:space:]]*$/)
+    }' {} +)
+tails=""
+for kind in RoundStarted SharePublished AcceptIssued ClusterCongested RoundCompleted; do
+  sites=$(printf '%s\n' "$tail_sites" | grep "^$kind " || true)
+  count=$(printf '%s' "$sites" | grep -c . || true)
+  if [ "$count" -ne 1 ]; then
+    tails+="$kind is emitted at $count places:"$'\n'"$sites"$'\n'
+  fi
+done
+if [ -n "$tails" ]; then
+  printf '%s' "$tails"
+  echo "verify: a round's open or close is journaled outside the one round tail (above)" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
