@@ -330,7 +330,7 @@ pub fn bound_assignment(
     policy: &CpPolicy,
     assignment: &BrokerAssignment,
 ) -> BoundReport {
-    let gap = build_gap(problem, policy);
+    let (gap, _) = build_gap(problem, policy);
     let loads = gap.bucket_loads(&assignment.choice);
     let above = |share: f64| {
         let pairs = loads.iter().zip(&gap.capacities);
@@ -353,8 +353,8 @@ fn solve(problem: &BrokerProblem, policy: &CpPolicy, mode: &OptimizeMode) -> Bro
         problem.options.len(),
         "options misaligned"
     );
-    let gap = build_gap(problem, policy);
-    into_broker_assignment(problem, solve_gap(&gap, mode))
+    let (gap, clusters) = build_gap(problem, policy);
+    into_broker_assignment(problem, &gap, &clusters, solve_gap(&gap, mode))
 }
 
 /// Journals one decision, solved or replayed from the memo, with the
@@ -377,25 +377,41 @@ fn emit_solver_stats(
     }
 }
 
-/// Maps a [`BrokerProblem`] onto the solver's bucketized GAP form.
+/// Slots in `build_gap`'s table of recent `(cluster id, bucket)` pairs:
+/// id `i` lives in slot `i % RECENT_SLOTS`. More than the 351 clusters of
+/// a full-scale fleet, so a fleet's ids rarely evict each other.
+const RECENT_SLOTS: usize = 1024;
+
+/// Maps a [`BrokerProblem`] onto the solver's bucketized GAP form, beside
+/// the cluster of each bucket.
 ///
 /// Distinct clusters become capacity buckets. The believed capacity of a
 /// cluster must be consistent across options; the first mention wins and
 /// disagreements are clamped to the minimum announced (conservative).
 /// Deterministic in `(problem, policy)`: buckets are numbered in first
 /// mention order over the groups' option lists.
-fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
+fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> (AssignmentProblem, Vec<ClusterId>) {
     // An option list becomes a bucket list once, at the first group that
     // names it; the groups after it reuse that bucket list, so a list
     // shared by a city's groups is probed, clamped and priced once. Lists
     // are numbered in the order groups first name them, so a list this
     // loop has not met is the next bucket list, and the two share an
-    // index. (A map, not a table indexed by cluster id: in the daemon the
-    // ids are whatever a peer announced.) Fig 9 splits there: an option's
-    // score and price are its list's coefficients, a group's sessions and
-    // demand its weights, and the solver forms each value as it reads it.
+    // index. Fig 9 splits there: an option's score and price are its
+    // list's coefficients, a group's sessions and demand its weights, and
+    // the solver forms each value as it reads it.
+    //
+    // A cluster's bucket comes from a fixed direct-mapped table of recent
+    // pairs in front of a keyed map: a slot hit costs an id compare, and a
+    // miss asks the map and refills the slot, so the map hashes about once
+    // per distinct cluster, not once per option. Not a table indexed by
+    // cluster id: in the daemon the ids are whatever a peer announced, so
+    // nothing here is sized by an id, and ids picked to collide in a slot
+    // only send their lookups to the map, whose keyed hash they cannot
+    // steer.
     let options = &problem.options;
-    let mut bucket_of: HashMap<ClusterId, usize> = HashMap::new();
+    let mut bucket_of: HashMap<ClusterId, u32> = HashMap::new();
+    let mut recent: [Option<(ClusterId, u32)>; RECENT_SLOTS] = [None; RECENT_SLOTS];
+    let mut clusters = Vec::new();
     let mut met = 0;
     let mut gap = AssignmentProblem::default();
     for (g, (group, &list)) in problem.groups.iter().zip(&options.list_of).enumerate() {
@@ -404,13 +420,24 @@ fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
         if list == met {
             let capacities = &mut gap.capacities;
             let entries = opts.iter().map(|o| {
-                let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
-                    capacities.push(o.believed_capacity_kbps);
-                    capacities.len() - 1
-                });
-                capacities[bucket] = capacities[bucket].min(o.believed_capacity_kbps);
+                let slot = &mut recent[o.cluster.index() % RECENT_SLOTS];
+                let bucket = match *slot {
+                    Some((id, bucket)) if id == o.cluster => bucket,
+                    _ => {
+                        let bucket = *bucket_of.entry(o.cluster).or_insert_with(|| {
+                            capacities.push(o.believed_capacity_kbps);
+                            clusters.push(o.cluster);
+                            // A bucket per distinct `u32` id: the index fits.
+                            (capacities.len() - 1) as u32
+                        });
+                        *slot = Some((o.cluster, bucket));
+                        bucket
+                    }
+                };
+                let capacity = &mut capacities[bucket as usize];
+                *capacity = capacity.min(o.believed_capacity_kbps);
                 let (a, b) = policy.coefficients(o.score, o.price_per_mb);
-                ListOption { bucket, a, b }
+                ListOption { a, b, bucket }
             });
             let entries = entries.collect();
             met = gap.add_bucket_list(entries) + 1;
@@ -418,7 +445,7 @@ fn build_gap(problem: &BrokerProblem, policy: &CpPolicy) -> AssignmentProblem {
         let (x, y) = CpPolicy::weights(group.demand_kbps, group.sessions);
         gap.add_client_on(list, x, y, group.demand_kbps);
     }
-    gap
+    (gap, clusters)
 }
 
 /// Runs the solve path over a built GAP instance.
@@ -428,17 +455,26 @@ fn solve_gap(gap: &AssignmentProblem, mode: &OptimizeMode) -> vdx_solver::Assign
     }
 }
 
-/// Converts a solver assignment back into broker terms (per-cluster load
+/// Converts a solver assignment of `gap`, built from `problem` with the
+/// bucket clusters `clusters`, back into broker terms (per-cluster load
 /// accounting) and checks demand conservation.
 fn into_broker_assignment(
     problem: &BrokerProblem,
+    gap: &AssignmentProblem,
+    clusters: &[ClusterId],
     assignment: vdx_solver::Assignment,
 ) -> BrokerAssignment {
-    let mut cluster_load_kbps: BTreeMap<ClusterId, Kbps> = BTreeMap::new();
-    for (g, &c) in assignment.choice.iter().enumerate() {
-        let o = &problem.options[g][c];
-        *cluster_load_kbps.entry(o.cluster).or_insert(Kbps::ZERO) += problem.groups[g].demand_kbps;
+    // Each taken bucket's load, summed in client order: a bucket is one
+    // cluster, so these are the additions a map entry per cluster makes,
+    // in the same order, and the map is built once from their sums.
+    let mut loads: Vec<Option<Kbps>> = vec![None; clusters.len()];
+    for (g, (&c, group)) in assignment.choice.iter().zip(&problem.groups).enumerate() {
+        let load = &mut loads[gap.bucket_of(g, c)];
+        *load = Some(load.unwrap_or(Kbps::ZERO) + group.demand_kbps);
     }
+    let taken = clusters.iter().zip(loads);
+    let cluster_load_kbps: BTreeMap<ClusterId, Kbps> =
+        taken.filter_map(|(&c, load)| Some((c, load?))).collect();
     // Conservation: the broker must place every group; demand gathered in
     // equals load assigned out, or the accounting above lost a group.
     #[cfg(debug_assertions)]
@@ -552,7 +588,7 @@ mod tests {
             .into(),
         };
         let h = optimize(&problem, &CpPolicy::balanced(), &OptimizeMode::Heuristic);
-        let optimum = brute_force_optimum(&build_gap(&problem, &CpPolicy::balanced()))
+        let optimum = brute_force_optimum(&build_gap(&problem, &CpPolicy::balanced()).0)
             .expect("cluster 1 alone holds everyone");
         // On this instance the heuristic finds the optimum.
         assert!(
@@ -582,11 +618,14 @@ mod tests {
             (2, 0)
         );
         let bound = report.bound.expect("nothing overloaded");
-        let optimum = brute_force_optimum(&build_gap(&problem, &policy)).expect("feasible");
+        let optimum = brute_force_optimum(&build_gap(&problem, &policy).0).expect("feasible");
         assert!(a.objective <= optimum + 1e-9 && optimum <= bound + 1e-9);
         // Forcing both onto cluster 0 overloads it: counted, not bounded.
+        let (gap, clusters) = build_gap(&problem, &policy);
         let both = into_broker_assignment(
             &problem,
+            &gap,
+            &clusters,
             vdx_solver::Assignment {
                 choice: vec![0, 0],
                 objective: 0.0,
@@ -677,10 +716,13 @@ mod tests {
     /// lists are runs of near-copies: identical, with new scores, with one
     /// capacity lowered (the clamp must still apply) or its zero's sign
     /// flipped, with NaN prices, ±0.0 scores, NaN and ±0.0 capacities and
-    /// cluster ids up to `u32::MAX`; groups differ in sessions and demand.
+    /// cluster ids up to `u32::MAX`, pairs of them sharing a slot of the
+    /// build's table of recent ids; groups differ in sessions and demand.
     #[test]
     fn repeated_lists_take_their_predecessors_buckets_and_build_the_same_gap() {
-        const CLUSTERS: [u32; 6] = [0, 1, 7, u32::MAX - 2, u32::MAX - 1, u32::MAX];
+        // 1023 shares a slot of the build's table with `u32::MAX`, and 1031
+        // with 7.
+        const CLUSTERS: [u32; 8] = [0, 1, 7, 1023, 1031, u32::MAX - 2, u32::MAX - 1, u32::MAX];
         let capacity = |rng: &mut vdx_rand::StdRng| match rng.gen_range(0..6) {
             0 => nan_kbps(),
             1 => Kbps::new(0.0),
@@ -778,8 +820,8 @@ mod tests {
                     CpPolicy::cost_first(),
                 ] {
                     let expected = gap_bits(&build_gap_probing_every_option(&per_group, &policy));
-                    assert_eq!(gap_bits(&build_gap(&shared, &policy)), expected);
-                    assert_eq!(gap_bits(&build_gap(&per_group, &policy)), expected);
+                    assert_eq!(gap_bits(&build_gap(&shared, &policy).0), expected);
+                    assert_eq!(gap_bits(&build_gap(&per_group, &policy).0), expected);
                 }
             },
         );

@@ -166,22 +166,44 @@ fn round_impl(
     // A group's options depend on it through its city alone (price and
     // believed capacity are the design's, the CDN's and the cluster's), so
     // a city's list is built at its first group and shared by the rest, in
-    // whatever order the groups come.
+    // whatever order the groups come. Consecutive groups of one city, the
+    // usual order, find their list in `last` without a map probe.
     let mut options = OptionLists::default();
     let mut list_of_city: HashMap<CityId, usize> = HashMap::new();
+    let mut last: Option<(CityId, usize)> = None;
+    let mut offers = Vec::new();
     for group in inputs.groups {
-        if let Some(&list) = list_of_city.get(&group.city) {
-            options.push_shared(list);
-            continue;
-        }
-        // Steps 3–5: Share (implicit — the matchings are per city, which
-        // for Marketplace-class designs is licensed by the Share step),
-        // then each CDN's engine matches and announces.
-        let mut offers = Vec::new();
-        for engine in engines {
-            offers.extend(engine.offers(group.city, fleet, table, max_candidates, &score_of));
-        }
-        list_of_city.insert(group.city, options.push(offers));
+        let known = match last {
+            Some((city, list)) if city == group.city => Some(list),
+            _ => list_of_city.get(&group.city).copied(),
+        };
+        let list = match known {
+            Some(list) => {
+                options.push_shared(list);
+                list
+            }
+            None => {
+                // Steps 3–5: Share (implicit — the matchings are per city,
+                // which for Marketplace-class designs is licensed by the
+                // Share step), then each CDN's engine matches and
+                // announces. The list is gathered in one reused buffer and
+                // kept as a copy of exactly its length.
+                offers.clear();
+                for engine in engines {
+                    offers.extend(engine.offers(
+                        group.city,
+                        fleet,
+                        table,
+                        max_candidates,
+                        &score_of,
+                    ));
+                }
+                let list = options.push(offers.clone());
+                list_of_city.insert(group.city, list);
+                list
+            }
+        };
+        last = Some((group.city, list));
     }
 
     if probe.enabled() {
@@ -685,19 +707,29 @@ pub(crate) mod tests {
         per_group.collect()
     }
 
-    #[test]
-    fn same_city_reuse_equals_the_per_group_loop_sorted_or_interleaved() {
-        let eco = build_eco(11);
-        // Gather's order (a city's groups adjacent), and the two halves of
-        // it dealt alternately, so neighbours are almost never one city.
-        let (front, back) = eco.groups.split_at(eco.groups.len().div_ceil(2));
+    /// `groups`' two halves dealt alternately: from Gather's order (a
+    /// city's groups adjacent), neighbours are then almost never one city.
+    fn interleaved(groups: &[ClientGroup]) -> Vec<ClientGroup> {
+        let (front, back) = groups.split_at(groups.len().div_ceil(2));
         let mut interleaved: Vec<ClientGroup> = Vec::new();
         for (i, group) in front.iter().enumerate() {
             interleaved.push(group.clone());
             interleaved.extend(back.get(i).cloned());
         }
-        let adjacent =
-            |gs: &[ClientGroup]| gs.windows(2).filter(|w| w[0].city == w[1].city).count();
+        interleaved
+    }
+
+    /// Pairs of neighbours that are groups of one city.
+    fn adjacent(groups: &[ClientGroup]) -> usize {
+        (groups.windows(2))
+            .filter(|w| w[0].city == w[1].city)
+            .count()
+    }
+
+    #[test]
+    fn same_city_reuse_equals_the_per_group_loop_sorted_or_interleaved() {
+        let eco = build_eco(11);
+        let interleaved = interleaved(&eco.groups);
         assert!(
             adjacent(&eco.groups) > eco.groups.len() / 4,
             "the reuse path runs"
@@ -721,6 +753,62 @@ pub(crate) mod tests {
                 let cities: std::collections::BTreeSet<CityId> =
                     groups.iter().map(|g| g.city).collect();
                 assert_eq!(out.problem.options.lists().len(), cities.len(), "{design}");
+            }
+        }
+    }
+
+    /// An option list as bits, field by field.
+    fn list_bits(list: &[GroupOption]) -> Vec<[u64; 5]> {
+        (list.iter())
+            .map(|o| {
+                [
+                    o.cdn.index() as u64,
+                    u64::from(o.cluster.0),
+                    o.score.value().to_bits(),
+                    o.price_per_mb.as_per_megabit().to_bits(),
+                    o.believed_capacity_kbps.as_f64().to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// The round's last-city memo never hands a group another city's
+    /// list: in reversed order (a city's groups still adjacent, so the
+    /// memo answers) and interleaved (neighbours of other cities, so the
+    /// map does), every group gets the list the city-ordered round gives
+    /// it, bit for bit.
+    #[test]
+    fn any_group_order_gives_every_group_its_city_ordered_list_bit_for_bit() {
+        let eco = build_eco(11);
+        let reversed: Vec<ClientGroup> = eco.groups.iter().rev().cloned().collect();
+        let interleaved = interleaved(&eco.groups);
+        assert!(adjacent(&reversed) > eco.groups.len() / 4);
+        assert!(adjacent(&interleaved) <= 1);
+        for design in Design::TABLE3 {
+            let engines = eco.engines(design);
+            let round = |groups: &[ClientGroup]| {
+                let inputs = RoundInputs {
+                    groups,
+                    ..eco.inputs(&engines)
+                };
+                run_decision_round(design, &inputs, |a, b| eco.net.score(&eco.world, a, b))
+            };
+            let ordered = round(&eco.groups);
+            let expected: std::collections::BTreeMap<_, _> = (eco.groups.iter())
+                .zip(ordered.problem.options.iter())
+                .map(|(group, list)| (group.id, list_bits(list)))
+                .collect();
+            for groups in [&reversed, &interleaved] {
+                let out = round(groups);
+                assert_eq!(out.problem.options.len(), groups.len());
+                for (group, list) in groups.iter().zip(out.problem.options.iter()) {
+                    assert_eq!(
+                        list_bits(list),
+                        expected[&group.id],
+                        "{design}: {:?}",
+                        group.id
+                    );
+                }
             }
         }
     }

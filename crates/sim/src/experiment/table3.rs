@@ -120,4 +120,30 @@ mod tests {
         }
         assert!(render(&r).contains("Marketplace"));
     }
+
+    /// Every bit of Table 3 on the small scenario: the seven fields of all
+    /// eight rows, digested. `results/repro_full.txt` prints them rounded,
+    /// so a change to a last bit (of Fig 18's means, say) shows only here.
+    #[test]
+    fn table3_bits_are_pinned() {
+        const DIGEST: &str = "da3334d756eb8a02";
+        let r = run(crate::scenario::shared_small());
+        let fields = (r.rows.iter()).flat_map(|(_, m)| {
+            [
+                m.cost,
+                m.score,
+                m.distance_miles,
+                m.load_pct,
+                m.congested_pct,
+                m.mean_cost,
+                m.mean_score,
+            ]
+        });
+        let bytes: Vec<u8> = fields.flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        assert_eq!(
+            vdx_audit::model::content_hash(&bytes),
+            DIGEST,
+            "Table 3's bits moved; re-pin only with the reason stated in CHANGES.md"
+        );
+    }
 }

@@ -54,44 +54,55 @@ pub fn compute(input: &MetricsInput<'_>) -> DesignMetrics {
     let s = input.scenario;
     let out = input.outcome;
 
-    // Per-client samples, weighted by group session counts.
-    let mut cost_samples: Vec<(f64, u64)> = Vec::new();
-    let mut score_samples: Vec<(f64, u64)> = Vec::new();
-    let mut distance_samples: Vec<(f64, u64)> = Vec::new();
-    let mut congested_clients = 0u64;
-    let mut total_clients = 0u64;
-
-    for (g, &choice) in out.assignment.choice.iter().enumerate() {
-        let group = &out.problem.groups[g];
-        let option = &out.problem.options[g][choice];
-        let cluster = &s.fleet.clusters[option.cluster.index()];
-        let weight = group.sessions as u64;
-
-        cost_samples.push((cluster.cost_per_mb().as_per_megabit(), weight));
-        score_samples.push((option.score.value(), weight));
-        distance_samples.push((s.world.distance_miles(group.city, cluster.city), weight));
-
-        let load = out.assignment.cluster_load_kbps[&option.cluster]
-            + s.background_load[option.cluster.index()];
-        total_clients += weight;
-        if load > cluster.capacity_kbps {
-            congested_clients += weight;
+    // Per loaded cluster, once: its load (brokered + background) against
+    // true capacity, as a congestion flag for the clients it serves and,
+    // for clusters with brokered traffic, as a sample of the load median.
+    let mut overloaded = vec![false; s.fleet.clusters.len()];
+    let mut load_pcts: Vec<(f64, u64)> = Vec::new();
+    for (cluster, &brokered) in &out.assignment.cluster_load_kbps {
+        let i = cluster.index();
+        let cl = &s.fleet.clusters[i];
+        let load = brokered + s.background_load[i];
+        overloaded[i] = load > cl.capacity_kbps;
+        if brokered > vdx_units::Kbps::ZERO {
+            load_pcts.push((
+                100.0 * load.as_f64() / cl.capacity_kbps.as_f64().max(1e-9),
+                1,
+            ));
         }
     }
 
-    // Cluster loads (brokered + background) for clusters with brokered
-    // traffic.
-    let mut load_pcts: Vec<(f64, u64)> = Vec::new();
-    for (cluster, brokered) in &out.assignment.cluster_load_kbps {
-        if *brokered <= vdx_units::Kbps::ZERO {
-            continue;
+    // Per-client samples, weighted by group session counts.
+    let groups = &out.problem.groups;
+    let mut cost_samples: Vec<(f64, u64)> = Vec::with_capacity(groups.len());
+    let mut score_samples: Vec<(f64, u64)> = Vec::with_capacity(groups.len());
+    let mut distance_samples: Vec<(f64, u64)> = Vec::with_capacity(groups.len());
+    let mut congested_clients = 0u64;
+    let mut total_clients = 0u64;
+    // Consecutive groups of one city often land on one cluster: the
+    // distance of the last (city, cluster) pair is reused.
+    let mut last = None;
+
+    let choices = out.assignment.choice.iter();
+    for ((group, options), &choice) in groups.iter().zip(&out.problem.options).zip(choices) {
+        let option = &options[choice];
+        let i = option.cluster.index();
+        let cluster = &s.fleet.clusters[i];
+        let weight = group.sessions as u64;
+        let distance = match last {
+            Some((city, id, miles)) if city == group.city && id == option.cluster => miles,
+            _ => s.world.distance_miles(group.city, cluster.city),
+        };
+        last = Some((group.city, option.cluster, distance));
+
+        cost_samples.push((cluster.cost_per_mb().as_per_megabit(), weight));
+        score_samples.push((option.score.value(), weight));
+        distance_samples.push((distance, weight));
+
+        total_clients += weight;
+        if overloaded[i] {
+            congested_clients += weight;
         }
-        let cl = &s.fleet.clusters[cluster.index()];
-        let load = *brokered + s.background_load[cluster.index()];
-        load_pcts.push((
-            100.0 * load.as_f64() / cl.capacity_kbps.as_f64().max(1e-9),
-            1,
-        ));
     }
 
     DesignMetrics {
@@ -107,6 +118,8 @@ pub fn compute(input: &MetricsInput<'_>) -> DesignMetrics {
 
 /// Weighted median: the value at half the total weight. Empty input → 0.
 pub fn weighted_median(samples: &mut [(f64, u64)]) -> f64 {
+    // Stable: [`compute`]'s means sum the samples in this sorted order, so
+    // an unstable sort would move the last bits of Fig 18's means.
     samples.sort_by(|a, b| a.0.total_cmp(&b.0));
     let total: u64 = samples.iter().map(|(_, w)| *w).sum();
     let mut acc = 0u64;

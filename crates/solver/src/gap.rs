@@ -75,17 +75,22 @@ pub struct CandidateOption {
     pub load: Kbps,
 }
 
-/// One option of a bucket list: its bucket and its two coefficients
-/// ([`option_value`]).
+/// One option of a bucket list: its two coefficients ([`option_value`])
+/// and its bucket, in 20 bytes (packed to 4-byte alignment; a full-scale
+/// Omniscient GAP holds 140,400 of them). Read a field by value, as in
+/// `{ o.bucket }`: a reference to a packed field does not compile.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed(4))]
 pub struct ListOption {
-    /// Capacity bucket (cluster) the option consumes.
-    pub bucket: usize,
     /// The coefficient of a client's `x` (Fig 9: `−wp·score`).
     pub a: f64,
     /// The coefficient of a client's `y`, subtracted (Fig 9: `wc·price`).
     pub b: f64,
+    /// Capacity bucket (cluster) the option consumes.
+    pub bucket: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<ListOption>() == 20);
 
 /// A generalized assignment problem.
 ///
@@ -133,7 +138,7 @@ impl<'a> Options<'a> {
     }
 
     fn bucket(&self, i: usize) -> usize {
-        self.list[i].bucket
+        self.list[i].bucket as usize
     }
 
     fn value(&self, i: usize) -> f64 {
@@ -255,10 +260,14 @@ impl AssignmentProblem {
     /// a negative load, or carries loads that differ: a client has one
     /// load, whichever option it takes.
     pub fn add_client(&mut self, options: Vec<CandidateOption>) -> usize {
-        let list = options.iter().map(|o| ListOption {
-            bucket: o.bucket,
-            a: o.value,
-            b: 0.0,
+        let list = options.iter().map(|o| {
+            let bucket = u32::try_from(o.bucket);
+            assert!(bucket.is_ok(), "bucket {} out of range", o.bucket);
+            ListOption {
+                a: o.value,
+                b: 0.0,
+                bucket: bucket.unwrap_or(u32::MAX),
+            }
         });
         let list = self.add_bucket_list(list.collect());
         let load = options[0].load;
@@ -280,10 +289,10 @@ impl AssignmentProblem {
             "every client needs at least one option"
         );
         for o in &options {
+            let bucket = o.bucket as usize;
             assert!(
-                o.bucket < self.capacities.len(),
-                "bucket {} out of range",
-                o.bucket
+                bucket < self.capacities.len(),
+                "bucket {bucket} out of range"
             );
         }
         self.lists.push(options);
@@ -314,6 +323,14 @@ impl AssignmentProblem {
     /// Panics if `c` is not a client.
     pub fn options_of(&self, c: usize) -> impl ExactSizeIterator<Item = CandidateOption> + '_ {
         self.client(c).iter()
+    }
+
+    /// The bucket of option `option` of client `c`.
+    ///
+    /// # Panics
+    /// Panics if `c` is not a client or `option` is not one of its options.
+    pub fn bucket_of(&self, c: usize, option: usize) -> usize {
+        self.client(c).bucket(option)
     }
 
     fn client(&self, c: usize) -> Options<'_> {
@@ -504,9 +521,10 @@ impl AssignmentProblem {
                 let load = opts.load.as_f64();
                 let mut top = (f64::NEG_INFINITY, 0usize);
                 for o in opts.list {
-                    let reduced = option_value(o.a, o.b, opts.x, opts.y) - price[o.bucket] * load;
+                    let bucket = o.bucket as usize;
+                    let reduced = option_value(o.a, o.b, opts.x, opts.y) - price[bucket] * load;
                     if reduced > top.0 {
-                        top = (reduced, o.bucket);
+                        top = (reduced, bucket);
                     }
                 }
                 bound += top.0;
@@ -1265,9 +1283,11 @@ mod tests {
         fn shared(&self) -> AssignmentProblem {
             let mut p = AssignmentProblem::new(caps(&self.capacities));
             for list in &self.lists {
-                let list = list
-                    .iter()
-                    .map(|&(bucket, a, b)| ListOption { bucket, a, b });
+                let list = list.iter().map(|&(bucket, a, b)| ListOption {
+                    a,
+                    b,
+                    bucket: bucket as u32,
+                });
                 p.add_bucket_list(list.collect());
             }
             for &(list, x, y, load) in &self.clients {
