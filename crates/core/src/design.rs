@@ -239,6 +239,20 @@ impl Design {
     pub fn is_practical(&self) -> bool {
         !matches!(self, Design::Transactions | Design::Omniscient)
     }
+
+    /// The design, if the exchange serves it: the practical ones
+    /// ([`Design::is_practical`]). Otherwise the refusal, naming the
+    /// design and the paper's reason. The simulator runs every design.
+    pub fn served(self) -> Result<Design, String> {
+        if self.is_practical() {
+            return Ok(self);
+        }
+        let why = match self {
+            Design::Omniscient => "is the simulator's upper bound (§5)",
+            _ => "is not deployable: CDNs may never all approve the mapping (§4.2)",
+        };
+        Err(format!("{self} {why}; the exchange does not serve it"))
+    }
 }
 
 impl std::fmt::Display for Design {
@@ -326,6 +340,18 @@ mod tests {
         assert!(Design::Marketplace.is_practical());
         assert!(!Design::Transactions.is_practical());
         assert!(!Design::Omniscient.is_practical());
+        assert_eq!(Design::Marketplace.served(), Ok(Design::Marketplace));
+        assert_eq!(
+            Design::Omniscient.served(),
+            Err("Omniscient is the simulator's upper bound (§5); \
+                 the exchange does not serve it"
+                .into())
+        );
+        let refusal = Design::Transactions.served().unwrap_err();
+        assert!(
+            refusal.starts_with("Transactions is not deployable"),
+            "{refusal}"
+        );
     }
 
     #[test]

@@ -95,13 +95,14 @@ use crate::exchange::{DriverRound, RoundResolution};
 /// File magic: identifies a VDX exchange WAL, version 1 of the format.
 pub const WAL_MAGIC: &[u8; 8] = b"VDXWAL1\n";
 
-/// Upper bound on one record's payload (128 MiB): the largest record
-/// measured at the paper's scale — the Omniscient round's `Checkpoint`,
-/// ≈ 38.2 MB for 954,018 cached bids — under DESIGN.md §2's headroom rule
-/// (the smallest power of two at least twice the measured maximum).
-/// [`Wal::append`] refuses a larger record; a larger length prefix on
-/// disk can only be corruption and is treated as a torn tail.
-pub const MAX_RECORD_LEN: u32 = 128 << 20;
+/// Upper bound on one record's payload (16 MiB): the largest record the
+/// exchange's designs log at the paper's scale — a Marketplace round's
+/// `Checkpoint`, 7,520,501 B for 188,003 cached bids — under DESIGN.md
+/// §2's headroom rule (the smallest power of two at least twice the
+/// measured maximum). [`Wal::append`] refuses a larger record; a larger
+/// length prefix on disk can only be corruption and is treated as a torn
+/// tail.
+pub const MAX_RECORD_LEN: u32 = 16 << 20;
 
 /// How much of the file a scan holds at a time: [`SCAN_BUFFERS`] buffers
 /// of an equal share, one being scanned while the reader thread fills
@@ -1472,7 +1473,7 @@ mod tests {
         1 + 8 + 4 + 4 + n * BID_LEN
     }
 
-    /// A record one bid over `MAX_RECORD_LEN` (≈ 260 MiB resident while
+    /// A record one bid over `MAX_RECORD_LEN` (≈ 33 MiB resident while
     /// it is encoded) is refused, and the file is byte-identical.
     #[test]
     fn an_over_bound_append_is_refused_and_leaves_the_file_byte_identical() {
@@ -1500,7 +1501,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// The largest record under `MAX_RECORD_LEN` (≈ 260 MiB resident at
+    /// The largest record under `MAX_RECORD_LEN` (≈ 33 MiB resident at
     /// its peak) round-trips through open.
     #[test]
     fn a_record_just_under_the_bound_round_trips_through_open() {
@@ -1508,7 +1509,7 @@ mod tests {
         let n = (MAX_RECORD_LEN as usize - bids_record_len(0)) / BID_LEN;
         assert!(bids_record_len(n + 1) > MAX_RECORD_LEN as usize);
         let bids = |i: u64| bid(i, i % 7);
-        // Written, then dropped: the record is 128 MiB, so only one copy
+        // Written, then dropped: the record is 16 MiB, so only one copy
         // of it is resident at a time.
         write_all(
             &path,

@@ -20,7 +20,9 @@
 use std::process::ExitCode;
 
 use vdx_exchanged::{run_agent_probed, AgentConfig};
-use vdx_sim::cli::{design_flag, flag_parsed, flag_value, refuse_unknown_flags, FlightRecorder};
+use vdx_sim::cli::{
+    flag_list, flag_parsed, flag_value, refuse_unknown_flags, served_design_flag, FlightRecorder,
+};
 use vdx_sim::{Scenario, ScenarioConfig};
 
 const USAGE: &str = "usage: vdx-agent --cdn N [--connect A] [--seed N] [--small] \
@@ -50,20 +52,14 @@ fn run() -> Result<ExitCode, String> {
         return Ok(usage());
     };
     let addr = flag_value(&args, "--connect").unwrap_or_else(|| "127.0.0.1:4990".into());
-    let design = match design_flag(&args) {
+    let design = match served_design_flag(&args) {
         Ok(design) => design,
         Err(e) => {
             eprintln!("{e}");
             return Ok(usage());
         }
     };
-    let silent_rounds: Vec<u64> = flag_value(&args, "--silent")
-        .map(|list| {
-            list.split(',')
-                .filter_map(|r| r.trim().parse::<u64>().ok())
-                .collect()
-        })
-        .unwrap_or_default();
+    let silent_rounds = flag_list::<u64>(&args, "--silent")?.unwrap_or_default();
 
     let mut cfg = AgentConfig {
         silent_rounds,

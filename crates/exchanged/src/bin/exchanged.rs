@@ -27,7 +27,8 @@ use vdx_broker::CpPolicy;
 use vdx_core::ExchangeDriver;
 use vdx_exchanged::{ExchangeServer, ServerOptions};
 use vdx_sim::cli::{
-    design_flag, flag_parsed, flag_value, journaled_phase, refuse_unknown_flags, FlightRecorder,
+    flag_parsed, flag_value, journaled_phase, refuse_unknown_flags, served_design_flag,
+    FlightRecorder,
 };
 use vdx_sim::{Scenario, ScenarioConfig};
 
@@ -35,8 +36,7 @@ const USAGE: &str = "usage: vdx-exchanged [--addr A] [--seed N] [--small] [--des
      [--rounds N] [--interval-ms N] [--deadline-ms N] [--cooldown N] \
      [--min-agents N] [--wait-ms N] [--journal PATH] [--wal PATH] [--fresh]\n\
      designs: brokered, multicluster:K, dynamic-pricing, \
-     dynamic-multicluster, best-lookup, marketplace, transactions, \
-     omniscient";
+     dynamic-multicluster, best-lookup, marketplace";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -60,7 +60,7 @@ fn run() -> Result<ExitCode, String> {
 
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4990".into());
     let small = args.iter().any(|a| a == "--small");
-    let design = match design_flag(&args) {
+    let design = match served_design_flag(&args) {
         Ok(design) => design,
         Err(e) => {
             eprintln!("{e}");

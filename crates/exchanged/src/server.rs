@@ -87,7 +87,7 @@ use vdx_core::{
 };
 use vdx_geo::CityId;
 use vdx_obs::{Event, Probe, Stopwatch};
-use vdx_proto::{Connection, Message};
+use vdx_proto::{Bid, Connection, Message};
 use vdx_sim::soak::{brokered_round, shares_of, SoakPlan};
 use vdx_sim::Scenario;
 
@@ -264,7 +264,9 @@ struct Transport {
 
 impl ExchangeServer {
     /// Binds `addr` and starts accepting agent connections. Rounds do
-    /// not run until the caller drives them.
+    /// not run until the caller drives them. A design the exchange does
+    /// not serve ([`Design::served`]) is `InvalidInput`, refused before
+    /// the socket is bound or the WAL opened.
     pub fn start(
         addr: impl ToSocketAddrs,
         scenario: Arc<Scenario>,
@@ -273,6 +275,8 @@ impl ExchangeServer {
         probe: Arc<dyn Probe>,
         opts: ServerOptions,
     ) -> std::io::Result<ExchangeServer> {
+        let design = (design.served())
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -447,11 +451,29 @@ impl Transport {
             None => return false,
         };
         let Err(e) = sent else { return true };
+        self.close(cdn, format!("write error: {e}"));
+        false
+    }
+
+    /// Lets CDN `cdn`'s connection go and journals why; the slot stays
+    /// empty, so the next round finds the CDN down.
+    fn close(&mut self, cdn: usize, reason: String) {
         if let Some(agent) = self.agents.get_mut(cdn).and_then(Option::take) {
             agent.release();
         }
-        self.journal.conn_closed(cdn, format!("write error: {e}"));
-        false
+        self.journal.conn_closed(cdn, reason);
+    }
+
+    /// The first cluster `bids` name that is not one of CDN `cdn`'s in
+    /// the fleet: past the fleet, or another CDN's. A CDN bids only its
+    /// own clusters.
+    fn foreign_cluster(&self, cdn: usize, bids: &[Bid]) -> Option<u64> {
+        let clusters = &self.scenario.fleet.clusters;
+        let owns = |id: u64| {
+            let cluster = usize::try_from(id).ok().and_then(|i| clusters.get(i));
+            cluster.is_some_and(|c| c.cdn.index() == cdn)
+        };
+        (bids.iter()).map(|b| b.cluster_id).find(|&id| !owns(id))
     }
 
     /// Appends one record to the WAL, if one is configured. A write
@@ -643,7 +665,15 @@ impl RoundHooks for Transport {
                     round: r,
                     msg: Message::Announce(bids),
                     ..
-                }) if r == round => (cdn, BidSource::Fresh(bids)),
+                }) if r == round => match self.foreign_cluster(cdn, &bids) {
+                    None => (cdn, BidSource::Fresh(bids)),
+                    Some(cluster) => {
+                        let why =
+                            format!("announce names cluster {cluster}, not one of CDN {cdn}'s");
+                        self.close(cdn, why);
+                        (cdn, BidSource::Down)
+                    }
+                },
                 Some(Inbound::Left { cdn, .. }) => (cdn, BidSource::Down),
                 // A stale round's late Announce, an out-of-protocol
                 // message, or no news.

@@ -44,6 +44,31 @@ fn agent_refuses_a_malformed_retry_count() {
 }
 
 #[test]
+fn agent_refuses_a_malformed_entry_of_a_list() {
+    // Used to run silent on round 3 only.
+    refused(
+        env!("CARGO_BIN_EXE_vdx-agent"),
+        &["--cdn", "0", "--small", "--silent", "3,x"],
+        "--silent: cannot read \"x\"",
+    );
+}
+
+#[test]
+fn both_binaries_refuse_a_design_the_exchange_does_not_serve() {
+    // Both used to serve it.
+    refused(
+        env!("CARGO_BIN_EXE_vdx-exchanged"),
+        &["--small", "--design", "omniscient"],
+        "Omniscient is the simulator's upper bound (§5); the exchange does not serve it",
+    );
+    refused(
+        env!("CARGO_BIN_EXE_vdx-agent"),
+        &["--cdn", "0", "--small", "--design", "transactions"],
+        "Transactions is not deployable: CDNs may never all approve the mapping (§4.2)",
+    );
+}
+
+#[test]
 fn exchanged_refuses_a_retired_or_misspelt_flag() {
     // Both used to be ignored: the run served with the defaults.
     for (flag, value) in [("--queue-cap", "8"), ("--dealine-ms", "500")] {

@@ -1,6 +1,9 @@
 //! A refusal says why, once: an agent whose own Announce cannot be
-//! framed stops instead of retrying it, and a peer the daemon hangs up
-//! on finds the reason in the `conn_closed` event.
+//! framed stops instead of retrying it, a peer the daemon hangs up on
+//! finds the reason in the `conn_closed` event, and a design the exchange
+//! does not serve never opens a socket or a log.
+
+#![expect(clippy::expect_used, clippy::panic, reason = "test helpers")]
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -8,14 +11,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vdx_broker::CpPolicy;
-use vdx_core::Design;
-use vdx_exchanged::{run_agent_probed, AgentConfig, ExchangeServer, ServerOptions};
+use vdx_core::{Design, DriverRound, ExchangeDriver};
+use vdx_exchanged::{run_agent, run_agent_probed, AgentConfig, ExchangeServer, ServerOptions};
 use vdx_geo::CityId;
 use vdx_obs::{Event, MemoryProbe, Stopwatch};
 use vdx_proto::frame::{self, HEADER_LEN, MAX_PAYLOAD};
 use vdx_proto::wire::BID_LEN;
-use vdx_proto::{Connection, FrameError, Message, TransportError};
-use vdx_sim::soak::{round_engine, shares_of};
+use vdx_proto::{Bid, Connection, FrameError, Message, TransportError};
+use vdx_sim::soak::{round_engine, run_reference, shares_of, SoakPlan, SoakRound};
 use vdx_sim::{Scenario, ScenarioConfig};
 
 fn small() -> Arc<Scenario> {
@@ -133,4 +136,167 @@ fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
         )
     );
     server.shutdown();
+}
+
+/// Round 0 with an honest CDN 0 and a raw peer in CDN 1's slot that
+/// answers the Share by bidding `cluster` for every group at price 0;
+/// the other CDNs never connect. Returns the round, the `conn_closed`
+/// reasons journaled for CDN 1, CDN 1's consecutive failures and whether
+/// the peer was sent an Accept.
+fn a_round_with_cdn_1_bidding(
+    scenario: &Arc<Scenario>,
+    cluster: u64,
+) -> (DriverRound, Vec<String>, u32, bool) {
+    let (probe, journal) = MemoryProbe::channel();
+    let opts = ServerOptions {
+        // The round ends when CDN 0 has answered; this bounds a failure.
+        deadline: Duration::from_secs(60),
+        ..ServerOptions::default()
+    };
+    let mut server = ExchangeServer::start(
+        "127.0.0.1:0",
+        scenario.clone(),
+        Design::Marketplace,
+        CpPolicy::balanced(),
+        Arc::new(probe),
+        opts,
+    )
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let honest = {
+        let scenario = scenario.clone();
+        std::thread::spawn(move || {
+            run_agent(addr, &scenario, &AgentConfig::new(0, Design::Marketplace))
+        })
+    };
+    let mut peer = Connection::connect(addr).expect("connect");
+    let hello = Message::Hello {
+        node_id: 1,
+        role: 1,
+    };
+    peer.send(0, &hello).expect("hello");
+    assert!(
+        server.wait_for_agents(2, Duration::from_secs(10)),
+        "both connect"
+    );
+    let hostile = std::thread::spawn(move || {
+        let Ok(Some((round, Message::Share(shares)))) = peer.recv() else {
+            panic!("expected the round's Share");
+        };
+        let bids = (shares.iter())
+            .map(|share| Bid {
+                cluster_id: cluster,
+                share_id: share.share_id,
+                performance_estimate: 1.0,
+                capacity_kbps: 1e9,
+                price_per_mb: 0.0,
+            })
+            .collect();
+        peer.send(round, &Message::Announce(bids))
+            .expect("announce");
+        // Whether an Accept came back before the daemon hung up.
+        let mut accepted = false;
+        while let Ok(Some((_, msg))) = peer.recv() {
+            accepted |= matches!(msg, Message::Accept(_));
+        }
+        accepted
+    });
+    let decided = server.run_round(0);
+    let failures = server.breaker(1).consecutive_failures();
+    server.shutdown();
+    let accepted = hostile.join().expect("peer thread");
+    honest.join().expect("agent thread").expect("agent run");
+    let closed = (journal.try_iter())
+        .filter_map(|ev| match ev {
+            Event::ConnClosed { cdn: 1, reason, .. } => Some(reason),
+            _ => None,
+        })
+        .collect();
+    (decided, closed, failures, accepted)
+}
+
+/// A CDN bids only its own clusters. An Announce naming a cluster past
+/// the fleet, or another CDN's, used to be decided on: every group went
+/// to the phantom cluster at price 0, or some to the pair (CDN 1, CDN
+/// 0's cluster). Now the daemon hangs up on the sender, names the
+/// cluster, and decides the round as if that CDN had been silent.
+#[test]
+fn an_announce_naming_a_cluster_not_the_senders_closes_its_connection() {
+    let scenario = small();
+    let fleet = &scenario.fleet;
+    let past_the_fleet = fleet.clusters.len() as u64;
+    let cdn_0s = u64::from(fleet.cdns[0].clusters[0].0);
+    let silent_but_cdn_0 = SoakPlan {
+        rounds: vec![SoakRound {
+            silent: (1..fleet.cdns.len() as u32).collect(),
+        }],
+        ..SoakPlan::clean(1)
+    };
+    let reference = run_reference(
+        &scenario,
+        Design::Marketplace,
+        CpPolicy::balanced(),
+        silent_but_cdn_0,
+        vdx_obs::probe::noop(),
+    );
+    for cluster in [past_the_fleet, cdn_0s] {
+        let (decided, closed, failures, accepted) = a_round_with_cdn_1_bidding(&scenario, cluster);
+        assert_eq!(
+            closed,
+            [format!(
+                "announce names cluster {cluster}, not one of CDN 1's"
+            )],
+            "cluster {cluster}"
+        );
+        assert!(!accepted, "cluster {cluster}: the peer was sent an Accept");
+        assert_eq!(failures, 1, "cluster {cluster}: CDN 1 was down");
+        assert_eq!(
+            format!("{:?}", [decided]),
+            format!("{reference:?}"),
+            "cluster {cluster}"
+        );
+    }
+}
+
+/// Omniscient and Transactions are refused before the socket is bound
+/// or the log opened: a log already on disk is left byte for byte. Every
+/// other design starts, `multicluster:1000` among them.
+#[test]
+fn the_exchange_starts_only_the_designs_it_serves() {
+    let scenario = small();
+    let start = |design: Design, opts: ServerOptions| {
+        ExchangeServer::start(
+            "127.0.0.1:0",
+            scenario.clone(),
+            design,
+            CpPolicy::balanced(),
+            vdx_obs::probe::noop(),
+            opts,
+        )
+    };
+    let wal = std::env::temp_dir().join(format!("vdx-unserved-{}.wal", std::process::id()));
+    let log = b"not a log a refused start may open or truncate".to_vec();
+    for design in [Design::Omniscient, Design::Transactions] {
+        std::fs::write(&wal, &log).expect("write the log");
+        let opts = ServerOptions {
+            wal: Some(wal.clone()),
+            ..ServerOptions::default()
+        };
+        let Err(e) = start(design, opts) else {
+            panic!("{design} started");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{design}");
+        assert_eq!(Some(e.to_string()), design.served().err());
+        assert_eq!(std::fs::read(&wal).expect("read the log"), log, "{design}");
+    }
+    let _ = std::fs::remove_file(&wal);
+    let served = Design::TABLE3
+        .into_iter()
+        .filter(|&d| d != Design::Omniscient);
+    for design in served.chain([Design::Multicluster(1000)]) {
+        let server = start(design, ServerOptions::default());
+        server
+            .unwrap_or_else(|e| panic!("{design}: {e}"))
+            .shutdown();
+    }
 }

@@ -35,12 +35,12 @@ pub const MAGIC: [u8; 2] = [0x56, 0x58];
 /// Current protocol version.
 pub const PROTOCOL_VERSION: u8 = 1;
 
-/// Maximum payload size accepted (32 MiB): the largest payload measured
-/// at the paper's scale — CDN 0's Omniscient Accept, 16,715,713 B — under
-/// DESIGN.md §2's headroom rule (the smallest power of two at least twice
-/// the measured maximum). Every message travels in one frame; nothing is
-/// fragmented.
-pub const MAX_PAYLOAD: usize = 32 << 20;
+/// Maximum payload size accepted (4 MiB): the largest payload the
+/// exchange's designs put on the wire at the paper's scale — CDN 0's
+/// Marketplace Accept, 1,405,821 B — under DESIGN.md §2's headroom rule
+/// (the smallest power of two at least twice the measured maximum).
+/// Every message travels in one frame; nothing is fragmented.
+pub const MAX_PAYLOAD: usize = 4 << 20;
 
 /// Header length in bytes (magic + version + flags + length).
 pub const HEADER_LEN: usize = 8;

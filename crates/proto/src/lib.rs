@@ -7,8 +7,8 @@
 //!
 //! * [`frame`] — length-prefixed framing with magic, version and CRC-32
 //!   integrity; an incremental decoder that accepts arbitrary byte chunks.
-//!   One frame carries any message the paper's scale produces, the
-//!   Omniscient Announce included ([`frame::MAX_PAYLOAD`], DESIGN.md §2);
+//!   One frame carries any message the exchange's designs produce at the
+//!   paper's scale ([`frame::MAX_PAYLOAD`], DESIGN.md §2);
 //! * [`message`] — the §6.1 schemas (`Hello`, `Share`, `Bid`, `Accept`),
 //!   with a compact fixed-layout binary encoding (big-endian, no
 //!   self-description — both ends speak the same version, negotiated by

@@ -52,7 +52,8 @@ use std::process::ExitCode;
 use vdx_obs::timing::git_commit;
 use vdx_obs::{Event, Stopwatch};
 use vdx_sim::cli::{
-    design_flag, flag_parsed, flag_value, journaled_phase, refuse_unknown_flags, FlightRecorder,
+    design_flag, flag_list, flag_parsed, flag_value, journaled_phase, refuse_unknown_flags,
+    FlightRecorder,
 };
 use vdx_sim::experiment::{
     ext_faults, ext_hybrid, ext_noise, ext_stability, fig10_15, fig16, fig17, fig18, fig3, fig4,
@@ -491,16 +492,7 @@ fn chaos_cmd(args: &[String]) -> Result<ExitCode, String> {
     if let Some(dir) = flag_value(args, "--work-dir") {
         cfg.work_dir = dir.into();
     }
-    if let Some(list) = flag_value(args, "--crash-at") {
-        let rounds: Vec<u64> = list
-            .split(',')
-            .filter_map(|r| r.trim().parse::<u64>().ok())
-            .collect();
-        if rounds.is_empty() {
-            return Ok(chaos_usage());
-        }
-        cfg.crash_rounds = Some(rounds);
-    }
+    cfg.crash_rounds = flag_list(args, "--crash-at")?;
     match vdx_sim::chaos::run_chaos(&cfg) {
         Err(e) => Err(format!("chaos: {e}")),
         Ok(report) => {

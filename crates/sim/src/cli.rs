@@ -24,6 +24,22 @@ pub fn flag_parsed<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>,
         .transpose()
 }
 
+/// `--flag A,B,...`, each entry parsed: `None` when the flag is absent.
+/// An entry that does not parse is the error [`flag_parsed`] gives,
+/// never skipped.
+pub fn flag_list<T: FromStr>(args: &[String], flag: &str) -> Result<Option<Vec<T>>, String> {
+    flag_value(args, flag)
+        .map(|list| {
+            (list.split(','))
+                .map(|v| {
+                    let v = v.trim();
+                    v.parse().map_err(|_| format!("{flag}: cannot read {v:?}"))
+                })
+                .collect()
+        })
+        .transpose()
+}
+
 /// Refuses any `--` argument that `usage`, the binary's usage text, does
 /// not name: a misspelt or retired flag is an error naming it, never
 /// ignored.
@@ -44,6 +60,13 @@ pub fn design_flag(args: &[String]) -> Result<Design, String> {
         None => Ok(Design::Marketplace),
         Some(name) => Design::parse(&name).ok_or_else(|| format!("unknown design: {name}")),
     }
+}
+
+/// [`design_flag`] for the exchange's two binaries: a design the
+/// exchange does not serve ([`Design::served`]) is refused like an
+/// unknown one.
+pub fn served_design_flag(args: &[String]) -> Result<Design, String> {
+    design_flag(args)?.served()
 }
 
 /// Runs `work` as the journaled phase `name`: a `phase_started` event,

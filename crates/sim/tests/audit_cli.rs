@@ -1,7 +1,8 @@
 //! `repro`'s command line, through the real binary: `audit report`'s
 //! default directory may be absent (a fresh checkout has no
 //! `results/journals` yet), a directory the caller names may not; a flag
-//! value that does not parse and a flag no experiment reads are errors.
+//! value or list entry that does not parse and a flag no experiment reads
+//! are errors.
 
 #![expect(clippy::expect_used, reason = "test helpers")]
 
@@ -68,4 +69,18 @@ fn an_unknown_flag_is_an_error_naming_it() {
     assert!(out.stdout.is_empty(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(stderr, "unknown flag: --journl\n");
+}
+
+#[test]
+fn a_malformed_list_entry_is_an_error_naming_flag_and_entry() {
+    // Used to run the one trial at round 6.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["chaos", "--crash-at", "6,x"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "--crash-at: cannot read \"x\"\n");
 }

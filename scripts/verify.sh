@@ -106,7 +106,7 @@ scripts/symbol-census.sh
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> the paper's scale in release (traffic vs the frame and WAL bounds; a restart of that log; daemon round == Table 3)"
+echo "==> the paper's scale in release (served designs' traffic vs the frame and WAL bounds; a restart of that log; daemon round == Table 3)"
 # The same file ran above in the debug build; this is the build the
 # daemon ships as. Its restart reads records larger than a scan buffer
 # and reads every CDN's batch back out of a full-scale checkpoint.
