@@ -1549,7 +1549,7 @@ mod tests {
         write_all(&path, &records);
         let file_len = std::fs::metadata(&path).expect("stat").len() as usize;
         let per_record = (file_len - WAL_MAGIC.len()) / records.len();
-        assert!(SCAN_WINDOW % per_record != 0 && file_len > SCAN_WINDOW + per_record);
+        assert!(!SCAN_WINDOW.is_multiple_of(per_record) && file_len > SCAN_WINDOW + per_record);
         let (read, garbage) = read_records(&path).expect("read");
         assert_eq!(garbage, 0);
         assert_eq!(read, records);
@@ -1605,11 +1605,11 @@ mod tests {
         })
     }
 
-    /// A `Bids` record of 3,072 bids (122,897 payload bytes, far above
-    /// the size where `crc32` splits its input into lanes), pinned by
-    /// three figures captured from the build before the lane CRC: the
-    /// record's length prefix, its CRC trailer and a digest of the whole
-    /// file.
+    /// A `Bids` record of 3,072 bids (122,897 payload bytes, summed by
+    /// `crc32`'s carry-less-multiply fold where the CPU has one, by its
+    /// table path elsewhere), pinned by three figures captured from a
+    /// build whose CRC was the classic table loop: the record's length
+    /// prefix, its CRC trailer and a digest of the whole file.
     #[test]
     fn a_large_bids_record_keeps_its_log_bytes_and_crc() {
         const LEN: u32 = 0x0001_E011;

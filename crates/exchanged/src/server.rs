@@ -464,16 +464,32 @@ impl Transport {
         self.journal.conn_closed(cdn, reason);
     }
 
-    /// The first cluster `bids` name that is not one of CDN `cdn`'s in
-    /// the fleet: past the fleet, or another CDN's. A CDN bids only its
-    /// own clusters.
-    fn foreign_cluster(&self, cdn: usize, bids: &[Bid]) -> Option<u64> {
+    /// Why `bids` are not an Announce CDN `cdn` may send for `round`,
+    /// whose Share has `shares` entries: the first bid naming a cluster
+    /// that is not one of the CDN's in the fleet (past the fleet, or
+    /// another CDN's), or a share that is not one of the round's. A CDN
+    /// bids only its own clusters, for the shares it was sent.
+    fn refusal(&self, cdn: usize, round: u64, shares: usize, bids: &[Bid]) -> Option<String> {
         let clusters = &self.scenario.fleet.clusters;
         let owns = |id: u64| {
             let cluster = usize::try_from(id).ok().and_then(|i| clusters.get(i));
             cluster.is_some_and(|c| c.cdn.index() == cdn)
         };
-        (bids.iter()).map(|b| b.cluster_id).find(|&id| !owns(id))
+        bids.iter().find_map(|b| {
+            if !owns(b.cluster_id) {
+                Some(format!(
+                    "announce names cluster {}, not one of CDN {cdn}'s",
+                    b.cluster_id
+                ))
+            } else if !usize::try_from(b.share_id).is_ok_and(|s| s < shares) {
+                Some(format!(
+                    "announce names share {}, not one of round {round}'s {shares} shares",
+                    b.share_id
+                ))
+            } else {
+                None
+            }
+        })
     }
 
     /// Appends one record to the WAL, if one is configured. A write
@@ -532,7 +548,7 @@ impl Transport {
         }
         self.wal_append(&WalRecord::Settlement(decision.round.clone()));
         let every = self.opts.checkpoint_every;
-        if every > 0 && (round + 1) % every == 0 {
+        if every > 0 && (round + 1).is_multiple_of(every) {
             let checkpoint = WalRecord::Checkpoint {
                 next_round: round + 1,
                 cache: (0..breakers.len())
@@ -645,7 +661,8 @@ impl RoundHooks for Transport {
         // no Share at all; an unwritable connection is dropped here. A
         // CDN that was not Shared with is down; `None` marks one the
         // round waits on.
-        let share_msg = Message::Share(shares_of(&self.scenario));
+        let shares = shares_of(&self.scenario);
+        let (shares, share_msg) = (shares.len(), Message::Share(shares));
         let mut heard: Vec<Option<BidSource>> = Vec::with_capacity(routable.len());
         for (cdn, &routable) in routable.iter().enumerate() {
             let shared = routable && self.send_to(cdn, round, &share_msg);
@@ -665,11 +682,9 @@ impl RoundHooks for Transport {
                     round: r,
                     msg: Message::Announce(bids),
                     ..
-                }) if r == round => match self.foreign_cluster(cdn, &bids) {
+                }) if r == round => match self.refusal(cdn, round, shares, &bids) {
                     None => (cdn, BidSource::Fresh(bids)),
-                    Some(cluster) => {
-                        let why =
-                            format!("announce names cluster {cluster}, not one of CDN {cdn}'s");
+                    Some(why) => {
                         self.close(cdn, why);
                         (cdn, BidSource::Down)
                     }

@@ -17,7 +17,7 @@ use vdx_geo::CityId;
 use vdx_obs::{Event, MemoryProbe, Stopwatch};
 use vdx_proto::frame::{self, HEADER_LEN, MAX_PAYLOAD};
 use vdx_proto::wire::BID_LEN;
-use vdx_proto::{Bid, Connection, FrameError, Message, TransportError};
+use vdx_proto::{Bid, Connection, FrameError, Message, Share, TransportError};
 use vdx_sim::soak::{round_engine, run_reference, shares_of, SoakPlan, SoakRound};
 use vdx_sim::{Scenario, ScenarioConfig};
 
@@ -139,13 +139,13 @@ fn a_peer_that_declares_an_oversize_frame_is_closed_with_the_reason() {
 }
 
 /// Round 0 with an honest CDN 0 and a raw peer in CDN 1's slot that
-/// answers the Share by bidding `cluster` for every group at price 0;
-/// the other CDNs never connect. Returns the round, the `conn_closed`
-/// reasons journaled for CDN 1, CDN 1's consecutive failures and whether
-/// the peer was sent an Accept.
-fn a_round_with_cdn_1_bidding(
+/// answers the Share with `announce(shares)`; the other CDNs never
+/// connect. Returns the round, the `conn_closed` reasons journaled for
+/// CDN 1, CDN 1's consecutive failures and whether the peer was sent an
+/// Accept.
+fn a_round_with_cdn_1_announcing(
     scenario: &Arc<Scenario>,
-    cluster: u64,
+    announce: impl FnOnce(&[Share]) -> Vec<Bid> + Send + 'static,
 ) -> (DriverRound, Vec<String>, u32, bool) {
     let (probe, journal) = MemoryProbe::channel();
     let opts = ServerOptions {
@@ -183,16 +183,7 @@ fn a_round_with_cdn_1_bidding(
         let Ok(Some((round, Message::Share(shares)))) = peer.recv() else {
             panic!("expected the round's Share");
         };
-        let bids = (shares.iter())
-            .map(|share| Bid {
-                cluster_id: cluster,
-                share_id: share.share_id,
-                performance_estimate: 1.0,
-                capacity_kbps: 1e9,
-                price_per_mb: 0.0,
-            })
-            .collect();
-        peer.send(round, &Message::Announce(bids))
+        peer.send(round, &Message::Announce(announce(&shares)))
             .expect("announce");
         // Whether an Accept came back before the daemon hung up.
         let mut accepted = false;
@@ -215,6 +206,37 @@ fn a_round_with_cdn_1_bidding(
     (decided, closed, failures, accepted)
 }
 
+/// A bid on `cluster` for every share at price 0.
+fn bids_on(cluster: u64, shares: &[Share]) -> Vec<Bid> {
+    (shares.iter())
+        .map(|share| Bid {
+            cluster_id: cluster,
+            share_id: share.share_id,
+            performance_estimate: 1.0,
+            capacity_kbps: 1e9,
+            price_per_mb: 0.0,
+        })
+        .collect()
+}
+
+/// Round 0 decided with CDN 0 answering and every other CDN silent: what
+/// a round whose CDN 1 is hung up on must equal.
+fn only_cdn_0_answering(scenario: &Scenario) -> Vec<DriverRound> {
+    let silent_but_cdn_0 = SoakPlan {
+        rounds: vec![SoakRound {
+            silent: (1..scenario.fleet.cdns.len() as u32).collect(),
+        }],
+        ..SoakPlan::clean(1)
+    };
+    run_reference(
+        scenario,
+        Design::Marketplace,
+        CpPolicy::balanced(),
+        silent_but_cdn_0,
+        vdx_obs::probe::noop(),
+    )
+}
+
 /// A CDN bids only its own clusters. An Announce naming a cluster past
 /// the fleet, or another CDN's, used to be decided on: every group went
 /// to the phantom cluster at price 0, or some to the pair (CDN 1, CDN
@@ -226,21 +248,10 @@ fn an_announce_naming_a_cluster_not_the_senders_closes_its_connection() {
     let fleet = &scenario.fleet;
     let past_the_fleet = fleet.clusters.len() as u64;
     let cdn_0s = u64::from(fleet.cdns[0].clusters[0].0);
-    let silent_but_cdn_0 = SoakPlan {
-        rounds: vec![SoakRound {
-            silent: (1..fleet.cdns.len() as u32).collect(),
-        }],
-        ..SoakPlan::clean(1)
-    };
-    let reference = run_reference(
-        &scenario,
-        Design::Marketplace,
-        CpPolicy::balanced(),
-        silent_but_cdn_0,
-        vdx_obs::probe::noop(),
-    );
+    let reference = only_cdn_0_answering(&scenario);
     for cluster in [past_the_fleet, cdn_0s] {
-        let (decided, closed, failures, accepted) = a_round_with_cdn_1_bidding(&scenario, cluster);
+        let (decided, closed, failures, accepted) =
+            a_round_with_cdn_1_announcing(&scenario, move |shares| bids_on(cluster, shares));
         assert_eq!(
             closed,
             [format!(
@@ -254,6 +265,43 @@ fn an_announce_naming_a_cluster_not_the_senders_closes_its_connection() {
             format!("{:?}", [decided]),
             format!("{reference:?}"),
             "cluster {cluster}"
+        );
+    }
+}
+
+/// A CDN bids only for the round's shares. An Announce whose last bid
+/// names a share past the round's used to lose that bid, unjournaled, in
+/// option assembly, and the rest were decided on. Now the daemon hangs
+/// up on the sender, names the share, and decides the round as if that
+/// CDN had been silent.
+#[test]
+fn an_announce_naming_a_share_outside_the_round_closes_its_connection() {
+    let scenario = small();
+    let n = scenario.groups.len() as u64;
+    let cdn_1s = u64::from(scenario.fleet.cdns[1].clusters[0].0);
+    let reference = only_cdn_0_answering(&scenario);
+    for share in [n, u64::MAX] {
+        let (decided, closed, failures, accepted) =
+            a_round_with_cdn_1_announcing(&scenario, move |shares| {
+                let mut bids = bids_on(cdn_1s, shares);
+                if let Some(last) = bids.last_mut() {
+                    last.share_id = share;
+                }
+                bids
+            });
+        assert_eq!(
+            closed,
+            [format!(
+                "announce names share {share}, not one of round 0's {n} shares"
+            )],
+            "share {share}"
+        );
+        assert!(!accepted, "share {share}: the peer was sent an Accept");
+        assert_eq!(failures, 1, "share {share}: CDN 1 was down");
+        assert_eq!(
+            format!("{:?}", [decided]),
+            format!("{reference:?}"),
+            "share {share}"
         );
     }
 }

@@ -15,15 +15,14 @@
 //!   payload, [`seal_frame`]; [`encode`] is that for a payload already in
 //!   hand), and [`FrameDecoder::next_frame`] *lends* the verified payload
 //!   out of the decoder's buffer instead of copying it.
-//! * [`crc32`] sums an input of 1.5 KiB or more in four interleaved
-//!   lanes joined by the CRC's own algebra, and a shorter one by
-//!   slicing-by-16: the values of the classic byte-at-a-time loop, in
-//!   safe code with no per-architecture path, at 3.6–4.0 GB/s on inputs
-//!   of 10 KB and more (the byte loop manages 0.31 GB/s).
+//! * [`crc32`] (the crate's `crc` module) gives the values of the
+//!   classic byte-at-a-time loop: from 64 bytes on by a carry-less-multiply
+//!   fold where the CPU has PCLMULQDQ, ≈ 14–20 GB/s on inputs of 10 KB and
+//!   more, and otherwise by slicing-by-16, ≈ 1.6 GB/s (the byte loop
+//!   manages 0.31 GB/s).
 //!
 //! Nothing here indexes: every read of a hostile byte goes through
 //! `get`, a slice pattern or a split, so no input can panic the decoder.
-//! The one exemption is the CRC's table lookups, in its own module.
 
 #![deny(clippy::indexing_slicing)]
 
@@ -95,190 +94,7 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-pub use crc::crc32;
-
-/// CRC-32: the one place this module indexes.
-mod crc {
-    #![expect(
-        clippy::indexing_slicing,
-        reason = "every index is a table number below 16 into the 16 tables, a \
-                  `u8`-derived value into a 256-entry table, or a constant below 16 \
-                  into a 16-byte chunk"
-    )]
-
-    /// The reflected CRC-32 polynomial (IEEE 802.3).
-    const POLY: u32 = 0xEDB8_8320;
-
-    /// Inputs from this length on are summed in four lanes. Below it the
-    /// fixed cost of joining the lanes (a few hundred cycles) outweighs what
-    /// they save: the measured break-even lies between 1 KiB and 1.25 KiB.
-    pub(super) const LANE_MIN: usize = 1536;
-
-    /// The tables [`crc32`] steps through, built once on first use.
-    pub(super) struct Tables {
-        /// Slicing tables (16 KiB): `slice[k][b]` is byte `b` advanced
-        /// through `k` more zero bytes.
-        slice: [[u32; 256]; 16],
-        /// `pow[k]` is x^(8·2^k) mod P: what appending 2^k zero bytes
-        /// multiplies a register by.
-        pow: [u32; 32],
-    }
-
-    pub(super) fn tables() -> &'static Tables {
-        static TABLES: std::sync::OnceLock<Tables> = std::sync::OnceLock::new();
-        TABLES.get_or_init(|| {
-            let mut slice = [[0u32; 256]; 16];
-            for (i, entry) in slice[0].iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-                }
-                *entry = c;
-            }
-            // Table k advances table k-1's entry by one more zero byte.
-            for k in 1..16 {
-                for i in 0..256 {
-                    let prev = slice[k - 1][i];
-                    slice[k][i] = (prev >> 8) ^ slice[0][(prev & 0xFF) as usize];
-                }
-            }
-            let mut pow = [0u32; 32];
-            let mut p = 1 << 23; // x^8: bit 31 - k holds x^k
-            for entry in &mut pow {
-                *entry = p;
-                p = gf2_mul(p, p);
-            }
-            Tables { slice, pow }
-        })
-    }
-
-    /// `a · b mod P` in GF(2)\[x\], both reflected (bit 31 holds x^0), as
-    /// zlib's `multmodp`.
-    pub(super) fn gf2_mul(a: u32, mut b: u32) -> u32 {
-        let mut product = 0;
-        for k in (0..32).rev() {
-            product ^= b & ((a >> k) & 1).wrapping_neg();
-            b = (b >> 1) ^ (POLY & (b & 1).wrapping_neg());
-        }
-        product
-    }
-
-    impl Tables {
-        /// x^(8·n) mod P: what appending `n` zero bytes multiplies a register
-        /// by, as zlib's `x2nmodp`.
-        pub(super) fn shift(&self, n: usize) -> u32 {
-            self.pow
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| (n >> k) & 1 != 0)
-                .fold(1 << 31, |p, (_, &x)| gf2_mul(x, p))
-        }
-    }
-
-    /// Computes the IEEE CRC-32 (reflected polynomial `0xEDB88320`, init
-    /// `0xFFFF_FFFF`, final XOR) of `data`.
-    ///
-    /// The values are those of the classic one-table, byte-at-a-time loop —
-    /// every frame on the wire and every WAL record ever written depends on
-    /// them — and the tests hold the two equal over all alignments, tails,
-    /// lane splits and a 1 MiB input. Two loops compute them, in safe code
-    /// with no per-architecture path:
-    ///
-    /// * from 1.5 KiB on, the input is cut into four equal lanes of whole
-    ///   8-byte words, summed in one interleaved loop (slicing-by-8, one
-    ///   `u64` read per lane and step), so the four table-lookup chains
-    ///   overlap instead of waiting on each other. CRC-32 is linear, so the
-    ///   lanes join exactly: appending `n` bytes to a run multiplies its
-    ///   register by x^(8n) mod P and XORs in the register those bytes leave
-    ///   on their own (zlib's `crc32_combine`);
-    /// * shorter inputs, and the fewer than 32 bytes the lanes leave over,
-    ///   go through slicing-by-16, sixteen bytes per step.
-    ///
-    /// In a warm loop on a 2-vCPU guest, over inputs of 10 KB and more,
-    /// the lanes sum 3.6–4.0 GB/s and slicing-by-16 1.6 GB/s.
-    pub fn crc32(data: &[u8]) -> u32 {
-        let t = tables();
-        if data.len() < LANE_MIN {
-            return !slice16(&t.slice, !0, data);
-        }
-        let lane = data.len() / 32 * 8;
-        // A lane is longer than the remainder, so there are exactly four.
-        let mut quarters = data.chunks_exact(lane);
-        let (Some(a), Some(b), Some(c), Some(d)) = (
-            quarters.next(),
-            quarters.next(),
-            quarters.next(),
-            quarters.next(),
-        ) else {
-            return !slice16(&t.slice, !0, data);
-        };
-        // The first lane starts from the initial register, the others from
-        // zero: they are joined by linearity below.
-        let (mut ca, mut cb, mut cc, mut cd) = (!0, 0, 0, 0);
-        for (((wa, wb), wc), wd) in words8(a).zip(words8(b)).zip(words8(c)).zip(words8(d)) {
-            ca = slice8(&t.slice, ca, wa);
-            cb = slice8(&t.slice, cb, wb);
-            cc = slice8(&t.slice, cc, wc);
-            cd = slice8(&t.slice, cd, wd);
-        }
-        let shift = t.shift(lane);
-        let joined = [cb, cc, cd]
-            .into_iter()
-            .fold(ca, |run, next| gf2_mul(shift, run) ^ next);
-        !slice16(&t.slice, joined, quarters.remainder())
-    }
-
-    /// A lane as little-endian words; [`crc32`] cuts lanes to whole words.
-    fn words8(lane: &[u8]) -> impl Iterator<Item = u64> + '_ {
-        lane.chunks_exact(8)
-            .map(|w| w.try_into().map_or(0, u64::from_le_bytes))
-    }
-
-    /// One slicing-by-8 step: the register after the eight bytes of `word`.
-    #[inline(always)]
-    fn slice8(t: &[[u32; 256]; 16], crc: u32, word: u64) -> u32 {
-        let w = word ^ u64::from(crc);
-        t[7][w as u8 as usize]
-            ^ t[6][(w >> 8) as u8 as usize]
-            ^ t[5][(w >> 16) as u8 as usize]
-            ^ t[4][(w >> 24) as u8 as usize]
-            ^ t[3][(w >> 32) as u8 as usize]
-            ^ t[2][(w >> 40) as u8 as usize]
-            ^ t[1][(w >> 48) as u8 as usize]
-            ^ t[0][(w >> 56) as u8 as usize]
-    }
-
-    /// Slicing-by-16 from register `crc` (not inverted): sixteen bytes per
-    /// step, the tail a byte at a time through the first table.
-    fn slice16(t: &[[u32; 256]; 16], mut crc: u32, data: &[u8]) -> u32 {
-        let mut chunks = data.chunks_exact(16);
-        for c in &mut chunks {
-            // Only the first word meets the running CRC; byte i of the step
-            // goes through table 15 - i, the bytes left behind it.
-            let w = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-            crc = t[15][(w & 0xFF) as usize]
-                ^ t[14][((w >> 8) & 0xFF) as usize]
-                ^ t[13][((w >> 16) & 0xFF) as usize]
-                ^ t[12][(w >> 24) as usize]
-                ^ t[11][c[4] as usize]
-                ^ t[10][c[5] as usize]
-                ^ t[9][c[6] as usize]
-                ^ t[8][c[7] as usize]
-                ^ t[7][c[8] as usize]
-                ^ t[6][c[9] as usize]
-                ^ t[5][c[10] as usize]
-                ^ t[4][c[11] as usize]
-                ^ t[3][c[12] as usize]
-                ^ t[2][c[13] as usize]
-                ^ t[1][c[14] as usize]
-                ^ t[0][c[15] as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        crc
-    }
-}
+pub use crate::crc::crc32;
 
 /// Starts a frame in `buf`: empties it and writes the header with the
 /// length still zero. The caller appends the payload and calls
@@ -484,41 +300,54 @@ mod tests {
         assert_eq!(crc32(&ramp), 0x9126_7E8A);
     }
 
+    /// Both paths and `crc32` against the byte loop. The fold answers
+    /// from 64 bytes on where the CPU has carry-less multiply; the table
+    /// path is called directly, so it stays tested on such a CPU.
+    fn assert_paths_agree(data: &[u8], what: &str) {
+        let expected = crc32_bytewise(data);
+        assert_eq!(crc32(data), expected, "crc32 {what}");
+        assert_eq!(!crate::crc::table(!0, data), expected, "table {what}");
+        if let Some(register) = crate::crc::fold(!0, data) {
+            assert_eq!(!register, expected, "fold {what}");
+        } else {
+            assert!(
+                data.len() < 64 || !fold_available(),
+                "the fold declined {what}"
+            );
+        }
+    }
+
+    /// Whether this CPU runs the fold.
+    fn fold_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        let available = std::arch::is_x86_feature_detected!("pclmulqdq");
+        #[cfg(not(target_arch = "x86_64"))]
+        let available = false;
+        available
+    }
+
     /// Every start offset 0..16 into a shared buffer and every length up
-    /// to 4096: all alignments of the 16-byte steps, all tail lengths.
+    /// to 320 — both sides of the fold's 64-byte threshold, several of its
+    /// strides and every 16-byte tail — then random slices up to 64 KiB.
     #[test]
     fn crc32_matches_the_bytewise_reference() {
+        let buf = ramp(336);
+        for offset in 0..16 {
+            for len in 0..=320 {
+                assert_paths_agree(&buf[offset..offset + len], &format!("{offset}+{len}"));
+            }
+        }
         check(
             256,
-            |rng| (bytes(rng, 4112..4113), rng.gen_range(0usize..4097)),
-            |(buf, len)| {
-                for offset in 0..16 {
-                    let data = &buf[offset..offset + len];
-                    assert_eq!(crc32(data), crc32_bytewise(data), "{offset}+{len}");
-                }
+            |rng| {
+                let buf = bytes(rng, 0..65_537);
+                let offset = rng.gen_range(0..buf.len().min(16) + 1);
+                (buf, offset)
+            },
+            |(buf, offset)| {
+                assert_paths_agree(&buf[*offset..], &format!("{offset}+{}", buf.len() - offset));
             },
         );
-        // The short lengths exhaustively: every tail with zero or one step.
-        let buf: Vec<u8> = (0..48u8).map(|i| i.wrapping_mul(37) ^ 0xA5).collect();
-        for offset in 0..16 {
-            for len in 0..=32 {
-                let data = &buf[offset..offset + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "{offset}+{len}");
-            }
-        }
-        // The lanes: both sides of the threshold, and one byte either side
-        // of each split point 4 lanes · 8 bytes · k, up to 64 KiB, at
-        // every alignment of the words.
-        let buf = ramp(65_600);
-        let splits = [48, 49, 50, 63, 64, 65, 127, 128, 129, 1000, 2047, 2048];
-        let lens = (crc::LANE_MIN - 1..=crc::LANE_MIN + 1)
-            .chain(splits.into_iter().flat_map(|k| 32 * k - 1..=32 * k + 1));
-        for len in lens {
-            for offset in 0..8 {
-                let data = &buf[offset..offset + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "{offset}+{len}");
-            }
-        }
     }
 
     /// A deterministic byte soup of `len` bytes.
@@ -528,29 +357,14 @@ mod tests {
             .collect()
     }
 
-    /// The algebra the lanes are joined with: `crc32(a ‖ b)` is
-    /// `crc32(a)` times x^(8·|b|) mod P, plus `crc32(b)`.
-    #[test]
-    fn crc32_of_a_concatenation_is_the_combine_of_the_parts() {
-        check(
-            128,
-            |rng| (bytes(rng, 0..5000), bytes(rng, 0..5000)),
-            |(a, b)| {
-                let joined = [&a[..], &b[..]].concat();
-                let shift = crc::tables().shift(b.len());
-                let combined = crc::gf2_mul(shift, crc32(a)) ^ crc32(b);
-                assert_eq!(crc32(&joined), combined, "{}+{}", a.len(), b.len());
-            },
-        );
-    }
-
     /// A 1 MiB (and 13-byte) input against a literal taken from
-    /// `crc32_bytewise`: the four lanes over long runs.
+    /// `crc32_bytewise`: the fold over long runs, and its byte tail.
     #[test]
     fn crc32_of_a_mebibyte_is_the_bytewise_value() {
         let data = ramp((1 << 20) + 13);
         assert_eq!(crc32_bytewise(&data), 0xF585_B70C);
         assert_eq!(crc32(&data), 0xF585_B70C);
+        assert_eq!(!crate::crc::table(!0, &data), 0xF585_B70C);
     }
 
     #[test]

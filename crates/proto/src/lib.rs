@@ -9,6 +9,10 @@
 //!   integrity; an incremental decoder that accepts arbitrary byte chunks.
 //!   One frame carries any message the exchange's designs produce at the
 //!   paper's scale ([`frame::MAX_PAYLOAD`], DESIGN.md §2);
+//! * [`crc32`] — the CRC-32 of every frame and of `vdx-core`'s WAL
+//!   records: a carry-less-multiply fold on an x86-64 CPU that has one (the
+//!   crate's one `unsafe`, a call made after the runtime feature check),
+//!   slicing-by-16 elsewhere, the classic byte loop's values on both;
 //! * [`message`] — the §6.1 schemas (`Hello`, `Share`, `Bid`, `Accept`),
 //!   with a compact fixed-layout binary encoding (big-endian, no
 //!   self-description — both ends speak the same version, negotiated by
@@ -35,9 +39,9 @@
 //! decide what "now" is — a simulation step counter in tests, real time in
 //! a deployment.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod crc;
 pub mod endpoint;
 pub mod frame;
 pub mod link;

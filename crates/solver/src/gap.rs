@@ -563,7 +563,7 @@ impl AssignmentProblem {
 fn best_fit(opts: Options<'_>, remaining: &[Kbps], capacities: &[Kbps]) -> usize {
     let mut best: Option<(usize, f64)> = None;
     for (i, o) in opts.iter().enumerate() {
-        if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
+        if o.load <= remaining[o.bucket] && best.is_none_or(|(_, v)| o.value > v) {
             best = Some((i, o.value));
         }
     }
@@ -864,7 +864,7 @@ mod tests {
         for &c in &order {
             let mut best: Option<(usize, f64)> = None;
             for (i, o) in options[c].iter().enumerate() {
-                if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
+                if o.load <= remaining[o.bucket] && best.is_none_or(|(_, v)| o.value > v) {
                     best = Some((i, o.value));
                 }
             }
@@ -1103,7 +1103,7 @@ mod tests {
             for &c in &order {
                 let mut best: Option<(usize, f64)> = None;
                 for (i, o) in self.options[c].iter().enumerate() {
-                    if o.load <= remaining[o.bucket] && best.map_or(true, |(_, v)| o.value > v) {
+                    if o.load <= remaining[o.bucket] && best.is_none_or(|(_, v)| o.value > v) {
                         best = Some((i, o.value));
                     }
                 }

@@ -94,6 +94,34 @@ if [ -n "$tails" ]; then
   exit 1
 fi
 
+echo "==> one unsafe site (the CRC's call into its carry-less-multiply fold, after the feature check)"
+# The workspace's one `unsafe` is in vdx-proto's CRC: a call into a
+# `#[target_feature(enable = "pclmulqdq")]` fn right after
+# `is_x86_feature_detected!`, with a `// SAFETY:` comment on the line
+# above it (DESIGN.md §6). Every other crate, and the facade, keeps
+# `#![forbid(unsafe_code)]`; vdx-units has none, and the workspace's
+# `unsafe_code = "deny"` covers it. Comments are stripped before the
+# scan, so prose about `unsafe` does not count.
+unsafe_sites=$(find crates src tests examples -name '*.rs' ! -path 'examples/vdx_bench/*' -exec awk '
+    FNR == 1 { prev = "" }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /(^|[^[:alnum:]_])unsafe[[:space:]]*([{]|fn[[:space:]]|impl[[:space:]<]|extern[[:space:]]|trait[[:space:]])/ {
+      print FILENAME ":" FNR ":" (prev ~ /^[[:space:]]*\/\/ SAFETY: / ? "safety" : "no-safety") ": " $0
+    }
+    { prev = $0 }' {} +)
+if [ "$(printf '%s' "$unsafe_sites" | grep -c .)" -ne 1 ] ||
+   ! printf '%s\n' "$unsafe_sites" | grep -q '^crates/proto/src/crc\.rs:[0-9]*:safety: .*unsafe {'; then
+  printf '%s\n' "$unsafe_sites"
+  echo "verify: expected exactly one unsafe block, in crates/proto/src/crc.rs under a // SAFETY: comment (above)" >&2
+  exit 1
+fi
+for lib in src/lib.rs crates/{audit,broker,cdn,core,exchanged,geo,netsim,obs,rand,sim,solver,trace}/src/lib.rs; do
+  if ! grep -qx '#!\[forbid(unsafe_code)\]' "$lib"; then
+    echo "verify: $lib no longer forbids unsafe code" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
