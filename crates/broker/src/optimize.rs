@@ -15,6 +15,7 @@
 
 use crate::gather::ClientGroup;
 use crate::policy::CpPolicy;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use vdx_cdn::{CdnId, ClusterId};
 use vdx_netsim::Score;
@@ -58,13 +59,18 @@ pub struct BrokerProblem {
 /// A group is a (city, bitrate) pair and what a CDN announces depends on
 /// the city alone, so a round gives every group of a city the same list
 /// ([`OptionLists::push_shared`]); the daemon assembles one list per
-/// group from its bids ([`OptionLists::push`]). Readers see one list per
-/// group either way: [`OptionLists::iter`], `&OptionLists` in a `for`, and
-/// `options[g]`.
+/// group from its bids ([`OptionLists::spare_lists`], then `From`).
+/// Readers see one list per group either way: [`OptionLists::iter`],
+/// `&OptionLists` in a `for`, and `options[g]`.
 ///
 /// `PartialEq` compares the shared form: equal forms have equal per-group
 /// views, while the same view held as per-group lists and as shared ones
 /// compares unequal (compare [`OptionLists::iter`]s for the view).
+///
+/// Dropped, the lists become their thread's spare set, in place of the
+/// set that was there: the storage the thread's next round writes its
+/// lists into ([`OptionLists::push_copy`], [`OptionLists::spare_lists`]),
+/// so a round does not fault in afresh what the last one freed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OptionLists {
     /// Each distinct list, in the order of the first group naming it.
@@ -73,17 +79,52 @@ pub struct OptionLists {
     list_of: Vec<usize>,
 }
 
+thread_local! {
+    /// The lists of the last [`OptionLists`] this thread dropped, in their
+    /// order: one set at most, never a union of sets.
+    static SPARE: RefCell<Vec<Vec<GroupOption>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl OptionLists {
-    /// Appends a group with a list of its own; returns the list's index,
-    /// which later groups may share.
-    pub fn push(&mut self, options: Vec<GroupOption>) -> usize {
-        self.lists.push(options);
-        self.list_of.push(self.lists.len() - 1);
-        self.lists.len() - 1
+    /// Appends a group with a copy of `options` as a list of its own;
+    /// returns the list's index, which later groups may share. The k-th
+    /// list pushed is written into the thread's k-th spare list when that
+    /// one's capacity holds it, so a repeated round gets back its own
+    /// lists. The first spare that does not fit frees the whole spare set
+    /// at once: its holes coalesce instead of pinning fragments, and the
+    /// copy is made at exactly its length.
+    pub fn push_copy(&mut self, options: &[GroupOption]) -> usize {
+        let k = self.lists.len();
+        let list = SPARE.with_borrow_mut(|spare| match spare.get_mut(k) {
+            Some(list) if list.capacity() >= options.len() => {
+                let mut list = std::mem::take(list);
+                list.clear();
+                list.extend_from_slice(options);
+                list
+            }
+            _ => {
+                *spare = Vec::new();
+                options.to_vec()
+            }
+        });
+        self.lists.push(list);
+        self.list_of.push(k);
+        k
     }
 
-    /// Appends a group offered list `list` (an index [`OptionLists::push`]
-    /// returned).
+    /// `n` empty lists, one per group, to fill and convert with
+    /// [`From`]: the thread's spare lists, cleared, then new ones past
+    /// them. Takes the whole spare set.
+    pub fn spare_lists(n: usize) -> Vec<Vec<GroupOption>> {
+        let mut lists = SPARE.with_borrow_mut(std::mem::take);
+        lists.truncate(n);
+        lists.iter_mut().for_each(Vec::clear);
+        lists.resize_with(n, Vec::new);
+        lists
+    }
+
+    /// Appends a group offered list `list` (an index
+    /// [`OptionLists::push_copy`] returned).
     ///
     /// # Panics
     /// Panics if no such list exists.
@@ -134,6 +175,15 @@ impl From<Vec<Vec<GroupOption>>> for OptionLists {
             list_of: (0..lists.len()).collect(),
             lists,
         }
+    }
+}
+
+impl Drop for OptionLists {
+    fn drop(&mut self) {
+        let lists = std::mem::take(&mut self.lists);
+        // At thread exit the spare set may be gone first: the lists are
+        // then freed with the closure.
+        let _gone = SPARE.try_with(|spare| *spare.borrow_mut() = lists);
     }
 }
 
@@ -801,7 +851,7 @@ mod tests {
                 for &list in list_of {
                     match pushed[list] {
                         Some(l) => shared.push_shared(l),
-                        None => pushed[list] = Some(shared.push(lists[list].clone())),
+                        None => pushed[list] = Some(shared.push_copy(&lists[list])),
                     }
                 }
                 let per_group: Vec<Vec<GroupOption>> =
@@ -1007,6 +1057,128 @@ mod tests {
                 }
                 assert_eq!(ctx.stats().warm_hits, 1);
                 assert_eq!(ctx.stats().cold_solves, 3);
+            },
+        );
+    }
+
+    /// `n` options tagged `tag`, told apart by score.
+    fn tagged(n: usize, tag: u32) -> Vec<GroupOption> {
+        (0..n).map(|i| opt(tag, i as f64, 0.1, 1e3)).collect()
+    }
+
+    /// A set of one list per length in `lens`, each copied in.
+    fn copied(lens: &[usize], tag: u32) -> OptionLists {
+        let mut set = OptionLists::default();
+        for &n in lens {
+            set.push_copy(&tagged(n, tag));
+        }
+        set
+    }
+
+    fn buffers(lists: &[Vec<GroupOption>]) -> Vec<*const GroupOption> {
+        lists.iter().map(|l| l.as_ptr()).collect()
+    }
+
+    fn spare_buffers() -> Vec<(*const GroupOption, usize)> {
+        SPARE.with_borrow(|spare| spare.iter().map(|l| (l.as_ptr(), l.capacity())).collect())
+    }
+
+    #[test]
+    fn a_set_whose_lists_fit_reuses_the_last_sets_buffers() {
+        drop(OptionLists::default()); // an empty spare set
+        let first = copied(&[3, 5, 2], 1);
+        let kept = buffers(first.lists());
+        drop(first);
+        let second = copied(&[3, 1, 2], 2);
+        assert_eq!(buffers(second.lists()), kept);
+        assert_eq!(second.lists(), [tagged(3, 2), tagged(1, 2), tagged(2, 2)]);
+        drop(second);
+        // One list per group, on the same buffers and empty, then new ones.
+        let lists = OptionLists::spare_lists(4);
+        assert_eq!(buffers(&lists[..3]), kept);
+        assert!(lists.iter().all(Vec::is_empty));
+        assert_eq!(lists.len(), 4);
+        assert_eq!(spare_buffers(), []);
+    }
+
+    #[test]
+    fn a_list_that_does_not_fit_frees_the_spare_set() {
+        drop(OptionLists::default());
+        drop(copied(&[3, 5], 1));
+        assert_eq!(spare_buffers().len(), 2);
+        let mut set = OptionLists::default();
+        set.push_copy(&tagged(4, 2));
+        assert_eq!(spare_buffers(), [], "the whole set went");
+        assert_eq!(set.lists()[0].capacity(), 4, "copied at its length");
+        // The second list finds no spare where the first set's 5 stood.
+        set.push_copy(&tagged(5, 2));
+        assert_eq!(set.lists(), [tagged(4, 2), tagged(5, 2)]);
+    }
+
+    #[test]
+    fn a_thread_keeps_only_the_last_dropped_set() {
+        drop(OptionLists::default());
+        let large = copied(&[64; 32], 1);
+        let small = copied(&[1, 2], 2);
+        let kept: Vec<_> = (small.lists().iter())
+            .map(|l| (l.as_ptr(), l.capacity()))
+            .collect();
+        drop(large);
+        assert_eq!(spare_buffers().len(), 32);
+        drop(small);
+        assert_eq!(spare_buffers(), kept);
+    }
+
+    /// Sets built in the spare set's storage hold what freshly cloned lists
+    /// hold, whatever sets were dropped before them and in what order.
+    #[test]
+    fn lists_built_in_spare_storage_equal_fresh_clones() {
+        // Per step: build a set by `push_copy` (0) or by `spare_lists` (1)
+        // from these list lengths, or drop a live set (2) at this pick.
+        check(
+            256,
+            |rng| {
+                (0..rng.gen_range(1usize..24))
+                    .map(|_| {
+                        let lens = vec_of(rng, 0..12, |r| r.gen_range(0usize..40));
+                        (rng.gen_range(0u32..3), lens, rng.gen_range(0usize..8))
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |steps| {
+                drop(OptionLists::default());
+                let mut live: Vec<(OptionLists, Vec<Vec<GroupOption>>)> = Vec::new();
+                for (step, (kind, lens, pick)) in steps.iter().enumerate() {
+                    let fresh: Vec<Vec<GroupOption>> =
+                        lens.iter().map(|&n| tagged(n, step as u32)).collect();
+                    let set = match kind {
+                        0 => {
+                            let mut set = OptionLists::default();
+                            for list in &fresh {
+                                set.push_copy(list);
+                            }
+                            set
+                        }
+                        1 => {
+                            let mut lists = OptionLists::spare_lists(fresh.len());
+                            for (list, want) in lists.iter_mut().zip(&fresh) {
+                                want.iter().for_each(|&o| list.push(o));
+                            }
+                            OptionLists::from(lists)
+                        }
+                        _ => {
+                            if !live.is_empty() {
+                                drop(live.swap_remove(pick % live.len()));
+                            }
+                            continue;
+                        }
+                    };
+                    assert!(set.iter().eq(&fresh), "step {step}");
+                    live.push((set, fresh));
+                }
+                for (set, fresh) in &live {
+                    assert!(set.iter().eq(fresh), "a later step wrote into a live set");
+                }
             },
         );
     }

@@ -187,7 +187,7 @@ fn round_impl(
                 // which for Marketplace-class designs is licensed by the
                 // Share step), then each CDN's engine matches and
                 // announces. The list is gathered in one reused buffer and
-                // kept as a copy of exactly its length.
+                // copied into the storage of the thread's last round.
                 offers.clear();
                 for engine in engines {
                     offers.extend(engine.offers(
@@ -198,7 +198,7 @@ fn round_impl(
                         &score_of,
                     ));
                 }
-                let list = options.push(offers.clone());
+                let list = options.push_copy(&offers);
                 list_of_city.insert(group.city, list);
                 list
             }

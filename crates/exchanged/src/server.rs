@@ -467,8 +467,11 @@ impl Transport {
     /// Why `bids` are not an Announce CDN `cdn` may send for `round`,
     /// whose Share has `shares` entries: the first bid naming a cluster
     /// that is not one of the CDN's in the fleet (past the fleet, or
-    /// another CDN's), or a share that is not one of the round's. A CDN
-    /// bids only its own clusters, for the shares it was sent.
+    /// another CDN's), or a share that is not one of the round's, or
+    /// carrying a number the round cannot be decided on: a score that is
+    /// not finite, or a price or capacity that is not finite or is
+    /// negative. A CDN bids only its own clusters, for the shares it was
+    /// sent, in numbers.
     fn refusal(&self, cdn: usize, round: u64, shares: usize, bids: &[Bid]) -> Option<String> {
         let clusters = &self.scenario.fleet.clusters;
         let owns = |id: u64| {
@@ -486,8 +489,23 @@ impl Transport {
                     "announce names share {}, not one of round {round}'s {shares} shares",
                     b.share_id
                 ))
+            } else if !b.performance_estimate.is_finite() {
+                Some(format!(
+                    "announce bids performance_estimate {} for share {}, not a finite number",
+                    b.performance_estimate, b.share_id
+                ))
             } else {
-                None
+                let amounts = [
+                    ("price_per_mb", b.price_per_mb),
+                    ("capacity_kbps", b.capacity_kbps),
+                ];
+                let (field, v) = amounts
+                    .into_iter()
+                    .find(|&(_, v)| !(v >= 0.0 && v.is_finite()))?;
+                Some(format!(
+                    "announce bids {field} {v} for share {}, not a finite non-negative number",
+                    b.share_id
+                ))
             }
         })
     }

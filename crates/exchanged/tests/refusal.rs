@@ -306,6 +306,52 @@ fn an_announce_naming_a_share_outside_the_round_closes_its_connection() {
     }
 }
 
+/// A CDN bids in numbers. An Announce whose last bid carries a NaN or
+/// negative price or an infinite capacity used to reach option assembly,
+/// where a debug build's round thread panics on it and a release build
+/// decides on it. Now the daemon hangs up on the sender, names the field
+/// and its value, and decides the round as if that CDN had been silent.
+#[test]
+fn an_announce_bidding_a_hostile_number_closes_its_connection() {
+    let scenario = small();
+    let cdn_1s = u64::from(scenario.fleet.cdns[1].clusters[0].0);
+    let reference = only_cdn_0_answering(&scenario);
+    let cases = [
+        ("price_per_mb", f64::NAN),
+        ("capacity_kbps", f64::INFINITY),
+        ("price_per_mb", -1.0),
+    ];
+    for (field, value) in cases {
+        let bidding = format!("{field} {value}");
+        let (decided, closed, failures, accepted) =
+            a_round_with_cdn_1_announcing(&scenario, move |shares| {
+                let mut bids = bids_on(cdn_1s, shares);
+                if let Some(last) = bids.last_mut() {
+                    match field {
+                        "price_per_mb" => last.price_per_mb = value,
+                        _ => last.capacity_kbps = value,
+                    }
+                }
+                bids
+            });
+        let last = scenario.groups.len() - 1;
+        assert_eq!(
+            closed,
+            [format!(
+                "announce bids {bidding} for share {last}, not a finite non-negative number"
+            )],
+            "{bidding}"
+        );
+        assert!(!accepted, "{bidding}: the peer was sent an Accept");
+        assert_eq!(failures, 1, "{bidding}: CDN 1 was down");
+        assert_eq!(
+            format!("{:?}", [decided]),
+            format!("{reference:?}"),
+            "{bidding}"
+        );
+    }
+}
+
 /// Omniscient and Transactions are refused before the socket is bound
 /// or the log opened: a log already on disk is left byte for byte. Every
 /// other design starts, `multicluster:1000` among them.

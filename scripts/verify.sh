@@ -122,6 +122,21 @@ for lib in src/lib.rs crates/{audit,broker,cdn,core,exchanged,geo,netsim,obs,ran
   fi
 done
 
+echo "==> one spare set (a round's option lists kept for its thread's next round)"
+# The workspace's one thread-local is `OptionLists`'s spare set in
+# vdx-broker's optimize module (DESIGN.md §8): one owner of round storage
+# kept across rounds, so no second per-thread cache grows beside it.
+# Comments are stripped before the scan, as above.
+thread_locals=$(find crates src tests examples -name '*.rs' ! -path 'examples/vdx_bench/*' -exec awk '
+    { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /(^|[^[:alnum:]_])thread_local!/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ "$(printf '%s' "$thread_locals" | grep -c .)" -ne 1 ] ||
+   ! printf '%s\n' "$thread_locals" | grep -q '^crates/broker/src/optimize\.rs:'; then
+  printf '%s\n' "$thread_locals"
+  echo "verify: expected exactly one thread_local!, in crates/broker/src/optimize.rs (above)" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
