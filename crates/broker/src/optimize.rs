@@ -59,24 +59,27 @@ pub struct BrokerProblem {
 /// A group is a (city, bitrate) pair and what a CDN announces depends on
 /// the city alone, so a round gives every group of a city the same list
 /// ([`OptionLists::push_shared`]); the daemon assembles one list per
-/// group from its bids ([`OptionLists::spare_lists`], then `From`).
-/// Readers see one list per group either way: [`OptionLists::iter`],
-/// `&OptionLists` in a `for`, and `options[g]`.
+/// group from its bids (`From`). Readers see one list per group either
+/// way: [`OptionLists::iter`], `&OptionLists` in a `for`, and `options[g]`.
 ///
 /// `PartialEq` compares the shared form: equal forms have equal per-group
 /// views, while the same view held as per-group lists and as shared ones
 /// compares unequal (compare [`OptionLists::iter`]s for the view).
 ///
-/// Dropped, the lists become their thread's spare set, in place of the
-/// set that was there: the storage the thread's next round writes its
-/// lists into ([`OptionLists::push_copy`], [`OptionLists::spare_lists`]),
-/// so a round does not fault in afresh what the last one freed.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A set with a list copied in by [`OptionLists::push_copy`] (and a clone
+/// of one) leaves its lists, dropped, to its thread as the spare set, in
+/// place of the set that was there: the storage the thread's next round
+/// copies its lists into, so a round does not fault in afresh what the
+/// last one freed. A set built only by `From` frees its lists: its thread
+/// has no round that copies into them.
+#[derive(Debug, Clone, Default)]
 pub struct OptionLists {
     /// Each distinct list, in the order of the first group naming it.
     lists: Vec<Vec<GroupOption>>,
     /// `list_of[g]`: group `g`'s index into `lists`.
     list_of: Vec<usize>,
+    /// Whether a drop leaves `lists` to the thread's spare set.
+    spare_on_drop: bool,
 }
 
 thread_local! {
@@ -109,18 +112,14 @@ impl OptionLists {
         });
         self.lists.push(list);
         self.list_of.push(k);
+        self.spare_on_drop = true;
         k
     }
 
-    /// `n` empty lists, one per group, to fill and convert with
-    /// [`From`]: the thread's spare lists, cleared, then new ones past
-    /// them. Takes the whole spare set.
-    pub fn spare_lists(n: usize) -> Vec<Vec<GroupOption>> {
-        let mut lists = SPARE.with_borrow_mut(std::mem::take);
-        lists.truncate(n);
-        lists.iter_mut().for_each(Vec::clear);
-        lists.resize_with(n, Vec::new);
-        lists
+    /// Frees the thread's spare set.
+    pub fn free_spare() {
+        // At thread exit the spare set may be gone already.
+        let _gone = SPARE.try_with(|spare| spare.take());
     }
 
     /// Appends a group offered list `list` (an index
@@ -174,12 +173,22 @@ impl From<Vec<Vec<GroupOption>>> for OptionLists {
         OptionLists {
             list_of: (0..lists.len()).collect(),
             lists,
+            spare_on_drop: false,
         }
+    }
+}
+
+impl PartialEq for OptionLists {
+    fn eq(&self, other: &OptionLists) -> bool {
+        self.lists == other.lists && self.list_of == other.list_of
     }
 }
 
 impl Drop for OptionLists {
     fn drop(&mut self) {
+        if !self.spare_on_drop {
+            return;
+        }
         let lists = std::mem::take(&mut self.lists);
         // At thread exit the spare set may be gone first: the lists are
         // then freed with the closure.
@@ -1085,7 +1094,7 @@ mod tests {
 
     #[test]
     fn a_set_whose_lists_fit_reuses_the_last_sets_buffers() {
-        drop(OptionLists::default()); // an empty spare set
+        OptionLists::free_spare();
         let first = copied(&[3, 5, 2], 1);
         let kept = buffers(first.lists());
         drop(first);
@@ -1093,17 +1102,12 @@ mod tests {
         assert_eq!(buffers(second.lists()), kept);
         assert_eq!(second.lists(), [tagged(3, 2), tagged(1, 2), tagged(2, 2)]);
         drop(second);
-        // One list per group, on the same buffers and empty, then new ones.
-        let lists = OptionLists::spare_lists(4);
-        assert_eq!(buffers(&lists[..3]), kept);
-        assert!(lists.iter().all(Vec::is_empty));
-        assert_eq!(lists.len(), 4);
-        assert_eq!(spare_buffers(), []);
+        assert_eq!(spare_buffers().len(), 3);
     }
 
     #[test]
     fn a_list_that_does_not_fit_frees_the_spare_set() {
-        drop(OptionLists::default());
+        OptionLists::free_spare();
         drop(copied(&[3, 5], 1));
         assert_eq!(spare_buffers().len(), 2);
         let mut set = OptionLists::default();
@@ -1117,7 +1121,7 @@ mod tests {
 
     #[test]
     fn a_thread_keeps_only_the_last_dropped_set() {
-        drop(OptionLists::default());
+        OptionLists::free_spare();
         let large = copied(&[64; 32], 1);
         let small = copied(&[1, 2], 2);
         let kept: Vec<_> = (small.lists().iter())
@@ -1127,14 +1131,33 @@ mod tests {
         assert_eq!(spare_buffers().len(), 32);
         drop(small);
         assert_eq!(spare_buffers(), kept);
+        OptionLists::free_spare();
+        assert_eq!(spare_buffers(), []);
+    }
+
+    /// The daemon's sets are built by `From` and have no round that copies
+    /// into them: dropped, however large, they leave the spare set alone.
+    #[test]
+    fn a_set_built_per_group_frees_its_lists_and_keeps_the_spare_set() {
+        OptionLists::free_spare();
+        drop(copied(&[2, 3], 1));
+        let kept = spare_buffers();
+        for n in [1, 1 << 12, 7] {
+            let assembled = OptionLists::from(vec![tagged(n, 2); 64]);
+            drop(assembled.clone());
+            drop(assembled);
+            assert_eq!(spare_buffers(), kept);
+        }
     }
 
     /// Sets built in the spare set's storage hold what freshly cloned lists
-    /// hold, whatever sets were dropped before them and in what order.
+    /// hold, whatever sets were dropped before them and in what order; the
+    /// spare set is the last dropped `push_copy` set, and none of its lists
+    /// is longer than the longest list copied.
     #[test]
     fn lists_built_in_spare_storage_equal_fresh_clones() {
-        // Per step: build a set by `push_copy` (0) or by `spare_lists` (1)
-        // from these list lengths, or drop a live set (2) at this pick.
+        // Per step: build a set by `push_copy` (0) or by `From` (1) from
+        // these list lengths, or drop a live set (2) at this pick.
         check(
             256,
             |rng| {
@@ -1146,7 +1169,8 @@ mod tests {
                     .collect::<Vec<_>>()
             },
             |steps| {
-                drop(OptionLists::default());
+                OptionLists::free_spare();
+                let mut longest = 0;
                 let mut live: Vec<(OptionLists, Vec<Vec<GroupOption>>)> = Vec::new();
                 for (step, (kind, lens, pick)) in steps.iter().enumerate() {
                     let fresh: Vec<Vec<GroupOption>> =
@@ -1157,18 +1181,23 @@ mod tests {
                             for list in &fresh {
                                 set.push_copy(list);
                             }
+                            longest = lens.iter().fold(longest, |m, &n| m.max(n));
                             set
                         }
-                        1 => {
-                            let mut lists = OptionLists::spare_lists(fresh.len());
-                            for (list, want) in lists.iter_mut().zip(&fresh) {
-                                want.iter().for_each(|&o| list.push(o));
-                            }
-                            OptionLists::from(lists)
-                        }
+                        1 => OptionLists::from(fresh.clone()),
                         _ => {
                             if !live.is_empty() {
-                                drop(live.swap_remove(pick % live.len()));
+                                let (set, _) = live.swap_remove(pick % live.len());
+                                let want = if set.spare_on_drop {
+                                    (set.lists().iter())
+                                        .map(|l| (l.as_ptr(), l.capacity()))
+                                        .collect()
+                                } else {
+                                    spare_buffers()
+                                };
+                                drop(set);
+                                assert_eq!(spare_buffers(), want, "step {step}");
+                                assert!(spare_buffers().iter().all(|&(_, c)| c <= longest));
                             }
                             continue;
                         }

@@ -354,12 +354,11 @@ fn bid_of(share_id: u64, o: &GroupOption) -> Bid {
 /// Assembles the broker's per-group candidate options from every CDN's
 /// bid batch, CDN-major (all of CDN 0's bids first, then CDN 1's, ...)
 /// — the option order every driver must produce for decisions to be
-/// comparable. Each group gets a list of its own: bids arrive per share,
-/// into the storage of the thread's last round ([`OptionLists::spare_lists`]).
+/// comparable. Each group gets a list of its own: bids arrive per share.
 /// Bids with out-of-range share ids, or cluster ids past `u32` (which a
 /// cast would wrap onto a real cluster), are dropped.
 pub fn assemble_options(num_groups: usize, bids_per_cdn: &[Vec<Bid>]) -> OptionLists {
-    let mut options = OptionLists::spare_lists(num_groups);
+    let mut options: Vec<Vec<GroupOption>> = vec![Vec::new(); num_groups];
     for (cdn_idx, bids) in bids_per_cdn.iter().enumerate() {
         for bid in bids {
             let g = bid.share_id as usize;
@@ -1414,68 +1413,6 @@ mod tests {
         assert_eq!(
             accepted(&problem, &assignment, &hostile[1]),
             vec![false, clean_won[0], false]
-        );
-    }
-
-    /// Rounds assembled one after another on a thread, each into the
-    /// storage of the last one it dropped, hold what each round's bids
-    /// alone give, whatever the group counts and the drop order.
-    #[test]
-    fn options_assembled_in_spare_storage_equal_a_fresh_assembly() {
-        use vdx_rand::prop::{check, vec_of};
-        let fresh = |num_groups: usize, bids_per_cdn: &[Vec<Bid>]| {
-            let mut lists = vec![Vec::new(); num_groups];
-            for (cdn, bids) in bids_per_cdn.iter().enumerate() {
-                for bid in bids.iter().filter(|b| (b.share_id as usize) < num_groups) {
-                    lists[bid.share_id as usize].push(GroupOption {
-                        cdn: CdnId(cdn as u32),
-                        cluster: ClusterId(bid.cluster_id as u32),
-                        score: Score(bid.performance_estimate),
-                        price_per_mb: UsdPerGb::per_megabit(bid.price_per_mb),
-                        believed_capacity_kbps: Kbps::new(bid.capacity_kbps),
-                    });
-                }
-            }
-            lists
-        };
-        check(
-            128,
-            |rng| {
-                // Per round: its group count, its bids and which earlier
-                // round still held to drop before it.
-                (0..rng.gen_range(1usize..8))
-                    .map(|round| {
-                        let groups = rng.gen_range(0usize..24);
-                        let bids = vec_of(rng, 1..4, |r| {
-                            vec_of(r, 0..64, |r| Bid {
-                                cluster_id: r.gen_range(0u64..40),
-                                share_id: r.gen_range(0u64..26),
-                                performance_estimate: r.gen_range(0.0..9.0),
-                                capacity_kbps: r.gen_range(0.0..1e6),
-                                price_per_mb: r.gen_range(0.0..1.0) + round as f64,
-                            })
-                        });
-                        (groups, bids, rng.gen_range(0usize..8))
-                    })
-                    .collect::<Vec<_>>()
-            },
-            |rounds| {
-                let mut held: Vec<(OptionLists, Vec<Vec<GroupOption>>)> = Vec::new();
-                for (groups, bids, drop_pick) in rounds {
-                    if !held.is_empty() {
-                        drop(held.swap_remove(drop_pick % held.len()));
-                    }
-                    let (options, want) = (assemble_options(*groups, bids), fresh(*groups, bids));
-                    assert!(options.iter().eq(&want));
-                    held.push((options, want));
-                }
-                for (options, want) in &held {
-                    assert!(
-                        options.iter().eq(want),
-                        "a later round wrote into a held one"
-                    );
-                }
-            },
         );
     }
 

@@ -141,6 +141,16 @@ pub struct Scenario {
     matches: MatchTables,
 }
 
+/// The rounds of one scenario are the ones whose option lists fit each
+/// other's: dropping the scenario frees the spare lists its rounds left
+/// to this thread (DESIGN.md §8), so the next scenario is not built
+/// around them.
+impl Drop for Scenario {
+    fn drop(&mut self) {
+        vdx_broker::OptionLists::free_spare();
+    }
+}
+
 /// A scenario's two candidate tables, one per score ratio a design uses.
 struct MatchTables {
     paper: MatchTable,
