@@ -4,17 +4,17 @@
 //! times per minute" from clusters to gateway routers (§3.1), brokers
 //! sample QoE from whatever clients happen to be streaming (§2.2), and the
 //! paper's §3.3 notes both have "limited vantage points". This module
-//! models that: [`NoisyMeasurer`] draws noisy samples of the true score,
-//! and [`ScoreEstimator`] maintains the exponentially-weighted estimate an
+//! models that: [`NoisyMeasurer`] draws noisy samples of the true score
+//! and folds a pair's samples into the exponentially-weighted estimate an
 //! operator would actually bid/optimize with.
 //!
-//! `vdx-sim`'s `ext-noise` experiment uses it to measure how much decision
-//! quality degrades as measurement noise grows — the robustness question
-//! the paper leaves open.
+//! `vdx-sim`'s `ext-noise` experiment fills a [`crate::ScoreMatrix`] with
+//! those estimates to measure how much decision quality degrades as
+//! measurement noise grows — the robustness question the paper leaves
+//! open.
 
 use crate::latency::mix;
 use crate::score::Score;
-use std::collections::HashMap;
 use vdx_geo::CityId;
 use vdx_rand::StdRng;
 
@@ -49,67 +49,24 @@ impl NoisyMeasurer {
         let factor = 1.0 + rng.gen_range(-self.noise..=self.noise);
         Score((truth.value() * factor).max(0.0))
     }
-}
 
-/// An EWMA score estimator keyed by (client city, site city).
-#[derive(Debug, Clone)]
-pub struct ScoreEstimator {
-    alpha: f64,
-    estimates: HashMap<(CityId, CityId), f64>,
-}
-
-impl ScoreEstimator {
-    /// Creates an estimator; `alpha` is the EWMA weight of each new sample
-    /// (operators use small alphas to smooth out transient congestion).
-    pub fn new(alpha: f64) -> ScoreEstimator {
-        ScoreEstimator {
-            alpha: alpha.clamp(0.0, 1.0),
-            estimates: HashMap::new(),
-        }
-    }
-
-    /// Folds in one observed sample.
-    pub fn observe(&mut self, client: CityId, site: CityId, sample: Score) {
-        let e = self
-            .estimates
-            .entry((client, site))
-            .or_insert(sample.value());
-        *e = (1.0 - self.alpha) * *e + self.alpha * sample.value();
-    }
-
-    /// The current estimate, if the pair was ever measured.
-    pub fn estimate(&self, client: CityId, site: CityId) -> Option<Score> {
-        self.estimates.get(&(client, site)).map(|&v| Score(v))
-    }
-
-    /// Number of pairs with an estimate.
-    pub fn len(&self) -> usize {
-        self.estimates.len()
-    }
-
-    /// Whether nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.estimates.is_empty()
-    }
-
-    /// Warm the estimator with `samples` noisy measurements per pair drawn
-    /// from `measurer`, for every (client, site) in the given sets.
-    pub fn warm_up(
-        &mut self,
-        clients: &[CityId],
-        sites: &[CityId],
+    /// The EWMA estimate of `client → site` from its first `samples`
+    /// samples (at least one): sample 0 seeds it, and each later sample
+    /// moves it by `alpha` of the difference (operators use small alphas
+    /// to smooth out transient congestion). Equal samples leave it
+    /// exactly where it is, so zero noise estimates the truth bit for bit.
+    pub fn ewma(
+        &self,
+        client: CityId,
+        site: CityId,
+        truth: Score,
         samples: u64,
-        measurer: &NoisyMeasurer,
-        truth: impl Fn(CityId, CityId) -> Score,
-    ) {
-        for &client in clients {
-            for &site in sites {
-                let t = truth(client, site);
-                for k in 0..samples {
-                    self.observe(client, site, measurer.sample(client, site, k, t));
-                }
-            }
-        }
+        alpha: f64,
+    ) -> Score {
+        let seed = self.sample(client, site, 0, truth).value();
+        Score((1..samples).fold(seed, |e, k| {
+            e + alpha * (self.sample(client, site, k, truth).value() - e)
+        }))
     }
 }
 
@@ -137,40 +94,7 @@ mod tests {
     #[test]
     fn ewma_converges_to_truth_under_noise() {
         let m = NoisyMeasurer::new(3, 0.25);
-        let mut est = ScoreEstimator::new(0.1);
-        for k in 0..500 {
-            est.observe(
-                CityId(0),
-                CityId(1),
-                m.sample(CityId(0), CityId(1), k, Score(80.0)),
-            );
-        }
-        let e = est
-            .estimate(CityId(0), CityId(1))
-            .expect("measured")
-            .value();
+        let e = m.ewma(CityId(0), CityId(1), Score(80.0), 500, 0.1).value();
         assert!((e - 80.0).abs() < 8.0, "estimate {e}");
-    }
-
-    #[test]
-    fn unmeasured_pairs_have_no_estimate() {
-        let est = ScoreEstimator::new(0.1);
-        assert!(est.estimate(CityId(0), CityId(1)).is_none());
-        assert!(est.is_empty());
-    }
-
-    #[test]
-    fn warm_up_covers_all_pairs() {
-        let m = NoisyMeasurer::new(5, 0.1);
-        let mut est = ScoreEstimator::new(0.2);
-        let clients = [CityId(0), CityId(1)];
-        let sites = [CityId(2), CityId(3), CityId(4)];
-        est.warm_up(&clients, &sites, 10, &m, |_, _| Score(42.0));
-        assert_eq!(est.len(), 6);
-        for &c in &clients {
-            for &s in &sites {
-                assert!(est.estimate(c, s).is_some());
-            }
-        }
     }
 }

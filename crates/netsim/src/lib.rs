@@ -13,14 +13,15 @@
 //! * [`score`] — the latency+loss scalar score (lower is better), plus the
 //!   *alternative-cluster* notion used by Table 1 of the paper (clusters
 //!   whose score is within 25 % of the best);
-//! * [`estimate`] — noisy measurement sampling and the EWMA estimator
+//! * [`estimate`] — noisy measurement sampling and the EWMA estimate
 //!   operators actually optimize with (neither side sees ground truth);
 //! * [`regress`] — ordinary least-squares linear regression and the
 //!   score-vs-distance extrapolator the paper uses for missing pairs;
 //! * [`path`] — the [`path::NetModel`] façade that downstream crates use to
 //!   ask "what is the path quality from city A to city B?";
 //! * [`matrix`] — the [`matrix::ScoreMatrix`] dense city×site table:
-//!   precompute every score once, answer in O(1) thereafter.
+//!   precompute every score (or every estimate) once, answer in O(1)
+//!   thereafter.
 //!
 //! Determinism: every quantity is a pure function of `(seed, endpoints)`;
 //! there is no global RNG state, so queries can be made in any order and
@@ -37,7 +38,7 @@ pub mod path;
 pub mod regress;
 pub mod score;
 
-pub use estimate::{NoisyMeasurer, ScoreEstimator};
+pub use estimate::NoisyMeasurer;
 pub use matrix::ScoreMatrix;
 pub use path::{NetModel, NetModelConfig, PathQuality};
 pub use regress::{LinearFit, ScoreExtrapolator};

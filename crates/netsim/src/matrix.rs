@@ -9,11 +9,13 @@
 //! scenario instead builds one [`ScoreMatrix`] over its cluster cities and
 //! answers every subsequent query with an O(1) table lookup.
 //!
-//! The fill runs on the calling thread, once per scenario build. Rows
-//! are independent (scores are pure functions of `(seed, city pair)`, see
-//! the crate docs), so it could fan out; at full scale (80,400 pairs) the
-//! fill takes about 23 ms and a two-way row split saves about 9 ms of it
-//! on a 2-vCPU Xeon guest, which does not pay for a thread pool.
+//! The fill runs on the calling thread, once per scenario build (and once
+//! per noise level of `ext-noise`, whose estimates fill a table through
+//! [`ScoreMatrix::from_fn`]). Rows are independent (scores are pure
+//! functions of `(seed, city pair)`, see the crate docs), so it could fan
+//! out; at full scale (80,400 pairs) the fill takes about 23 ms and a
+//! two-way row split saves about 9 ms of it on a 2-vCPU Xeon guest, which
+//! does not pay for a thread pool.
 
 use crate::path::NetModel;
 use crate::score::Score;
@@ -22,8 +24,9 @@ use vdx_geo::{CityId, World};
 /// A dense `[client city][site city]` score table with O(1) lookup.
 ///
 /// Rows cover *every* city of the world (any city can host clients);
-/// columns cover only the site cities passed to [`ScoreMatrix::build`]
-/// (deduplicated — CDNs co-locate, so many clusters share a city).
+/// columns cover only the site cities passed to [`ScoreMatrix::build`] or
+/// [`ScoreMatrix::from_fn`] (deduplicated — CDNs co-locate, so many
+/// clusters share a city).
 #[derive(Debug, Clone)]
 pub struct ScoreMatrix {
     /// `site_col[city.index()]` is `1 + column` when that city is a site,
@@ -39,10 +42,24 @@ impl ScoreMatrix {
     /// Precomputes `net.score(world, client, site)` for every world city ×
     /// every distinct city in `sites`. Duplicate sites share a column.
     pub fn build(net: &NetModel, world: &World, sites: &[CityId]) -> ScoreMatrix {
+        ScoreMatrix::from_fn(world, sites.iter().copied(), |client, site| {
+            net.score(world, client, site)
+        })
+    }
+
+    /// Fills the table with `score(client, site)` for every world city ×
+    /// every distinct city in `sites`, calling `score` exactly once per
+    /// such pair, row by row. Duplicate sites share a column and are not
+    /// scored again.
+    pub fn from_fn(
+        world: &World,
+        sites: impl IntoIterator<Item = CityId>,
+        mut score: impl FnMut(CityId, CityId) -> Score,
+    ) -> ScoreMatrix {
         let n_cities = world.cities().len();
         let mut site_col = vec![0u32; n_cities];
         let mut columns: Vec<CityId> = Vec::new();
-        for &site in sites {
+        for site in sites {
             let slot = &mut site_col[site.index()];
             if *slot == 0 {
                 columns.push(site);
@@ -54,7 +71,7 @@ impl ScoreMatrix {
         if cols > 0 {
             for (city, row) in world.cities().iter().zip(scores.chunks_mut(cols)) {
                 for (slot, &site) in row.iter_mut().zip(&columns) {
-                    *slot = net.score(world, city.id, site);
+                    *slot = score(city.id, site);
                 }
             }
         }
@@ -154,6 +171,34 @@ mod tests {
             matrix.score_of(CityId(0), CityId(1)),
             net.score(&world, CityId(0), CityId(1))
         );
+    }
+
+    #[test]
+    fn from_fn_scores_each_city_and_distinct_site_once() {
+        let (world, _) = setup();
+        let sites = [CityId(4), CityId(1), CityId(4), CityId(9), CityId(1)];
+        let mut calls = Vec::new();
+        let matrix = ScoreMatrix::from_fn(&world, sites, |client, site| {
+            calls.push((client, site));
+            Score(f64::from(client.0) * 1000.0 + f64::from(site.0))
+        });
+        let distinct = [CityId(4), CityId(1), CityId(9)];
+        let expected: Vec<(CityId, CityId)> = world
+            .cities()
+            .iter()
+            .flat_map(|c| distinct.iter().map(move |&s| (c.id, s)))
+            .collect();
+        assert_eq!(
+            calls, expected,
+            "one call per (city, distinct site), row by row"
+        );
+        assert_eq!(matrix.sites(), distinct.len());
+        for &(client, site) in &expected {
+            assert_eq!(
+                matrix.score_of(client, site),
+                Score(f64::from(client.0) * 1000.0 + f64::from(site.0))
+            );
+        }
     }
 
     #[test]

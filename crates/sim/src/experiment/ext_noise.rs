@@ -17,14 +17,18 @@ use crate::scenario::Scenario;
 use vdx_broker::CpPolicy;
 use vdx_cdn::MatchTable;
 use vdx_core::{run_decision_round, Design, RoundInputs, RoundOutcome};
-use vdx_netsim::{NoisyMeasurer, ScoreEstimator};
+use vdx_netsim::{NoisyMeasurer, ScoreMatrix};
 
 /// The relative noise levels swept (± fraction per sample).
 pub const NOISE_SWEEP: [f64; 5] = [0.0, 0.1, 0.2, 0.4, 0.8];
 
-/// Samples folded into each estimate; more samples average noise away —
-/// this is the "several times per minute" measurement budget.
+/// Samples folded into each (client city, site city) estimate; more
+/// samples average noise away — this is the "several times per minute"
+/// measurement budget.
 pub const SAMPLES_PER_PAIR: u64 = 5;
+
+/// EWMA weight of each new sample in an estimate.
+const ALPHA: f64 = 0.3;
 
 /// Noise-sensitivity results.
 #[derive(Debug, Clone)]
@@ -36,11 +40,8 @@ pub struct NoiseResult {
 /// Runs the sweep. Each noise level seeds its own measurer, so the five
 /// points are independent and fan out across threads.
 pub fn run(scenario: &Scenario) -> NoiseResult {
-    let sites: Vec<vdx_geo::CityId> = scenario.fleet.clusters.iter().map(|c| c.city).collect();
-    let clients: Vec<vdx_geo::CityId> = scenario.groups.iter().map(|g| g.city).collect();
-
     let points = map_indexed(scenario.threads(), &NOISE_SWEEP, |&noise| {
-        let outcome = run_with_noise(scenario, noise, &clients, &sites);
+        let outcome = run_with_noise(scenario, noise);
         // Metrics are computed against the *true* scores of the chosen
         // clusters, not the estimates the broker believed.
         let truthed = re_truth(scenario, outcome);
@@ -53,24 +54,20 @@ pub fn run(scenario: &Scenario) -> NoiseResult {
     NoiseResult { points }
 }
 
-fn run_with_noise(
-    scenario: &Scenario,
-    noise: f64,
-    clients: &[vdx_geo::CityId],
-    sites: &[vdx_geo::CityId],
-) -> RoundOutcome {
-    let measurer = NoisyMeasurer::new(scenario.config.seed ^ 0xE571, noise);
-    let mut estimator = ScoreEstimator::new(0.3);
-    estimator.warm_up(clients, sites, SAMPLES_PER_PAIR, &measurer, |a, b| {
-        scenario.score_of(a, b)
+fn measurer(scenario: &Scenario, noise: f64) -> NoisyMeasurer {
+    NoisyMeasurer::new(scenario.config.seed ^ 0xE571, noise)
+}
+
+/// The Marketplace round decided on estimates: every (city, cluster city)
+/// pair is estimated once, from its own `SAMPLES_PER_PAIR` samples.
+fn run_with_noise(scenario: &Scenario, noise: f64) -> RoundOutcome {
+    let measurer = measurer(scenario, noise);
+    let sites = scenario.fleet.clusters.iter().map(|c| c.city);
+    let estimates = ScoreMatrix::from_fn(&scenario.world, sites, |client, site| {
+        let truth = scenario.score_of(client, site);
+        measurer.ewma(client, site, truth, SAMPLES_PER_PAIR, ALPHA)
     });
-    // Pairs outside the warmed set (never true here) fall back to ground
-    // truth.
-    let score = |a, b| {
-        estimator
-            .estimate(a, b)
-            .unwrap_or_else(|| scenario.score_of(a, b))
-    };
+    let score = |a, b| estimates.score_of(a, b);
     // The perturbed estimate matches by its own scores.
     let (fleet, groups) = (&scenario.fleet, &scenario.groups);
     let cdns = fleet.cdns.iter().map(|c| c.id);
@@ -129,9 +126,9 @@ pub fn render(result: &NoiseResult) -> String {
         ],
         &rows,
     );
-    out.push_str(
-        "each pair estimated from 5 noisy samples (EWMA); quality should degrade gracefully\n",
-    );
+    out.push_str(&format!(
+        "each pair estimated from {SAMPLES_PER_PAIR} noisy samples (EWMA); quality should degrade gracefully\n"
+    ));
     out
 }
 
@@ -176,6 +173,34 @@ mod tests {
             objective(&worst),
             objective(&zero)
         );
-        assert!(render(&r).contains("noise"));
+        assert!(render(&r).contains(&format!("from {SAMPLES_PER_PAIR} noisy samples")));
+    }
+
+    #[test]
+    fn each_pair_is_the_ewma_of_exactly_its_own_samples() {
+        let s: &Scenario = crate::scenario::shared_small();
+        let noise = 0.4;
+        let outcome = run_with_noise(s, noise);
+        let m = measurer(s, noise);
+        let mut checked = 0;
+        for (g, group) in outcome.problem.groups.iter().enumerate().take(3) {
+            for o in &outcome.problem.options[g] {
+                let site = s.fleet.clusters[o.cluster.index()].city;
+                let truth = s.score_of(group.city, site);
+                let mut e = m.sample(group.city, site, 0, truth).value();
+                for k in 1..SAMPLES_PER_PAIR {
+                    let x = m.sample(group.city, site, k, truth).value();
+                    e = (1.0 - 0.3) * e + 0.3 * x;
+                }
+                assert!(
+                    (o.score.value() - e).abs() <= 1e-9 * e.abs(),
+                    "({:?}, {site:?}): the round used {}, its {SAMPLES_PER_PAIR} samples give {e}",
+                    group.city,
+                    o.score.value()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no pair checked");
     }
 }
